@@ -5,32 +5,12 @@ CLAIM-*).  Benchmarks both *measure* (pytest-benchmark timings) and
 *assert the paper's shape claims* (who wins, by what factor), and print
 the regenerated table/figure so ``pytest benchmarks/ --benchmark-only -s``
 reproduces the paper's evaluation artefacts on the terminal.
-
-Every emitted block is additionally appended to the machine-readable
-bench artifact (``REPRO_BENCH_JSON``, default ``BENCH_pytest.json``) at
-session end, so ``pytest benchmarks/`` and ``python -m repro bench``
-share one output path -- one JSON file carries both the scenario matrix
-and the regenerated paper tables.
 """
 
-import os
 import sys
-
-_BLOCKS: list = []
 
 
 def emit(title: str, body: str) -> None:
     """Print a regenerated table/figure block (visible with -s)."""
     bar = "=" * len(title)
     sys.stdout.write(f"\n{title}\n{bar}\n{body}\n")
-    _BLOCKS.append((title, body))
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Fold every emitted block into the shared bench artifact."""
-    del session, exitstatus
-    if not _BLOCKS:
-        return
-    from repro.obs.bench import merge_table_blocks
-
-    merge_table_blocks(os.environ.get("REPRO_BENCH_JSON", "BENCH_pytest.json"), _BLOCKS)

@@ -15,10 +15,6 @@ without writing any code:
   write JSONL + Chrome ``trace_event`` artefacts, and cross-check the
   trace-derived happens-before relation against the ground-truth
   oracle;
-* ``bench`` -- run the declared benchmark scenario matrix with the
-  hot-path phase profiler attached, write a versioned
-  ``BENCH_<label>.json`` artifact, and (with ``--compare``) diff it
-  against a baseline artifact as a regression gate;
 * ``serve`` -- run the star notifier as a real process behind a TCP
   accept loop (wall-clock scheduler, length-prefixed wire frames);
 * ``client`` -- run one star client process that dials a notifier and
@@ -36,7 +32,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.analysis.consistency import check_divergence
 from repro.editor import MeshSession, StarSession
@@ -53,6 +49,19 @@ from repro.workloads.scripted import (
     fig3_script,
     fig_latency_factory,
 )
+
+
+def jitter_latency_factory(seed: int) -> Callable[[int, int], JitterLatency]:
+    """The seeded per-link latency draw of ``session`` and ``trace``.
+
+    Shared with ``tests/integration/test_golden_sessions.py``, whose
+    exact message counts and latency percentiles depend on it.
+    """
+
+    def factory(src: int, dst: int) -> JitterLatency:
+        return JitterLatency(0.08, 0.6, random.Random(seed * 97 + src * 11 + dst))
+
+    return factory
 
 
 def _run_scripted(transform: bool) -> StarSession:
@@ -183,9 +192,6 @@ def cmd_session(args: argparse.Namespace) -> int:
         insert_ratio=args.insert_ratio,
     )
 
-    def latency_factory(src: int, dst: int):
-        return JitterLatency(0.08, 0.6, random.Random(args.seed * 97 + src * 11 + dst))
-
     try:
         fault_plan = _build_fault_plan(args)
     except ValueError as exc:
@@ -196,7 +202,7 @@ def cmd_session(args: argparse.Namespace) -> int:
             session = StarSession(
                 args.sites,
                 initial_state=config.initial_document,
-                latency_factory=latency_factory,
+                latency_factory=jitter_latency_factory(args.seed),
                 verify_with_oracle=args.verify,
                 fault_plan=fault_plan,
                 standby_site=args.standby,
@@ -212,7 +218,7 @@ def cmd_session(args: argparse.Namespace) -> int:
         session = MeshSession(
             args.sites,
             initial_document=config.initial_document,
-            latency_factory=latency_factory,
+            latency_factory=jitter_latency_factory(args.seed),
         )
         drive_mesh_session(session, config)
     session.run()
@@ -255,9 +261,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         insert_ratio=args.insert_ratio,
     )
 
-    def latency_factory(src: int, dst: int):
-        return JitterLatency(0.08, 0.6, random.Random(args.seed * 97 + src * 11 + dst))
-
     # Unlike ``session``, ``trace`` has nonzero --drop/--dup defaults
     # (so bare ``--faults`` means a genuinely lossy network); faults are
     # therefore keyed on the explicit flags only.
@@ -274,7 +277,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         session = StarSession(
             args.sites,
             initial_state=config.initial_document,
-            latency_factory=latency_factory,
+            latency_factory=jitter_latency_factory(args.seed),
             verify_with_oracle=True,
             fault_plan=fault_plan,
             tracer=tracer,
@@ -338,74 +341,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not ok:
         print("TRACE CHECK FAILED", file=sys.stderr)
     return 0 if ok else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-
-    if args.compare is not None and len(args.compare) > 2:
-        print("--compare takes one or two artifact paths", file=sys.stderr)
-        return 2
-    # Diff-only mode: two existing artifacts, no scenario runs.
-    if args.compare is not None and len(args.compare) == 2:
-        try:
-            baseline = bench.read_artifact(args.compare[0])
-            current = bench.read_artifact(args.compare[1])
-        except (OSError, ValueError) as exc:
-            print(f"cannot read bench artifact: {exc}", file=sys.stderr)
-            return 2
-        report = bench.compare_artifacts(
-            baseline,
-            current,
-            warn_pct=args.warn_threshold,
-            fail_pct=args.fail_threshold,
-            gate_wall=args.gate_wall,
-        )
-        print(report.summary())
-        return report.exit_code
-
-    scenarios = bench.matrix(full=args.full)
-    if args.scenario:
-        wanted = set(args.scenario)
-        unknown = wanted - {s.id for s in scenarios}
-        if unknown:
-            print(f"unknown scenario ids: {sorted(unknown)}", file=sys.stderr)
-            return 2
-        scenarios = tuple(s for s in scenarios if s.id in wanted)
-    doc = bench.run_matrix(
-        scenarios,
-        label=args.label,
-        quick=not args.full,
-        cprofile_top=args.cprofile_top,
-        progress=print,
-    )
-    out_path = f"{args.out_dir.rstrip('/')}/BENCH_{args.label}.json"
-    bench.write_artifact(out_path, doc)
-    print(f"wrote {out_path} ({len(doc['scenarios'])} scenarios, rev {doc['git_rev']})")
-    for record in doc["scenarios"]:
-        lat = record["latency"]["p95"]
-        print(
-            f"  {record['id']:<20} ops/s={record['ops_per_sec']:>10.0f} "
-            f"p95={'n/a' if lat is None else format(lat, '.3f')} "
-            f"converged={record['converged']}"
-        )
-    if args.compare:
-        try:
-            baseline = bench.read_artifact(args.compare[0])
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline artifact: {exc}", file=sys.stderr)
-            return 2
-        report = bench.compare_artifacts(
-            baseline,
-            doc,
-            warn_pct=args.warn_threshold,
-            fail_pct=args.fail_threshold,
-            gate_wall=args.gate_wall,
-        )
-        print()
-        print(report.summary())
-        return report.exit_code
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -645,61 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print a Fig. 2/3-style space-time diagram of the trace",
     )
     p_trace.set_defaults(func=cmd_trace)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the benchmark scenario matrix, write BENCH_<label>.json, "
-        "optionally gate against a baseline artifact",
-    )
-    scope = p_bench.add_mutually_exclusive_group()
-    scope.add_argument(
-        "--quick", action="store_true", help="the CI-sized matrix (default)"
-    )
-    scope.add_argument(
-        "--full", action="store_true", help="the extended matrix (all clock families)"
-    )
-    p_bench.add_argument("--label", default="local", help="artifact label (default: local)")
-    p_bench.add_argument(
-        "--out-dir", default=".", help="directory for BENCH_<label>.json (default: .)"
-    )
-    p_bench.add_argument(
-        "--scenario",
-        action="append",
-        metavar="ID",
-        help="run only this scenario id (repeatable)",
-    )
-    p_bench.add_argument(
-        "--cprofile-top",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also capture the top N functions by cumulative time (cProfile)",
-    )
-    p_bench.add_argument(
-        "--compare",
-        nargs="+",
-        metavar="ARTIFACT",
-        help="one path: run the matrix, then gate against that baseline; "
-        "two paths: diff the two artifacts without running anything",
-    )
-    p_bench.add_argument(
-        "--warn-threshold",
-        type=float,
-        default=0.10,
-        help="relative delta above which a metric warns (exit 2; default 0.10)",
-    )
-    p_bench.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=0.25,
-        help="relative delta above which a metric fails (exit 1; default 0.25)",
-    )
-    p_bench.add_argument(
-        "--gate-wall",
-        action="store_true",
-        help="also gate wall-clock throughput (machine-dependent; off by default)",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     from repro.cluster.harness import add_common_args
 

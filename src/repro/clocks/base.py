@@ -53,7 +53,6 @@ from repro.clocks.sk import SKMessage, SKProcess
 from repro.clocks.vector import Ordering, VectorClock, compare
 from repro.core.state_vector import ClientStateVector
 from repro.net.transport import INT_WIDTH
-from repro.obs import profiler as _profiler
 
 
 @runtime_checkable
@@ -296,70 +295,6 @@ class CompressedClockSite:
 
     def timestamp_bytes(self, wire: Any) -> int:
         return wire.size_bytes()
-
-
-class ProfiledClock:
-    """A :class:`ClockProtocol` decorator reporting to the active profiler.
-
-    Wraps any clock family and routes the four event-facing primitives
-    plus :meth:`compare` through ``clock.<family>.<primitive>`` phases
-    of :data:`repro.obs.profiler.ACTIVE` -- which is how the bench
-    harness gets a per-primitive cost breakdown for every family
-    through the one shared interface, without touching the families
-    themselves.  The accounting hooks (:meth:`storage_ints`,
-    :meth:`timestamp_bytes`) and :meth:`snapshot` pass straight
-    through: they are measurement, not protocol work.
-
-    With no profiler installed every wrapped call costs one
-    module-attribute check before delegating.
-    """
-
-    def __init__(self, inner: ClockProtocol, family: str) -> None:
-        self.inner = inner
-        self.family = family
-        self._tick_phase = f"clock.{family}.tick"
-        self._timestamp_phase = f"clock.{family}.timestamp"
-        self._merge_phase = f"clock.{family}.merge"
-        self._compare_phase = f"clock.{family}.compare"
-
-    def tick(self) -> None:
-        profiler = _profiler.ACTIVE
-        if profiler is None:
-            self.inner.tick()
-            return
-        with profiler.phase(self._tick_phase):
-            self.inner.tick()
-
-    def timestamp(self, dest: int) -> Any:
-        profiler = _profiler.ACTIVE
-        if profiler is None:
-            return self.inner.timestamp(dest)
-        with profiler.phase(self._timestamp_phase):
-            return self.inner.timestamp(dest)
-
-    def merge(self, source: int, wire: Any) -> None:
-        profiler = _profiler.ACTIVE
-        if profiler is None:
-            self.inner.merge(source, wire)
-            return
-        with profiler.phase(self._merge_phase):
-            self.inner.merge(source, wire)
-
-    def snapshot(self) -> Any:
-        return self.inner.snapshot()
-
-    def compare(self, a: Any, b: Any) -> Optional[Ordering]:
-        profiler = _profiler.ACTIVE
-        if profiler is None:
-            return self.inner.compare(a, b)
-        with profiler.phase(self._compare_phase):
-            return self.inner.compare(a, b)
-
-    def storage_ints(self) -> int:
-        return self.inner.storage_ints()
-
-    def timestamp_bytes(self, wire: Any) -> int:
-        return self.inner.timestamp_bytes(wire)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from repro.editor.star_client import execute_remote
 from repro.net.reliability import ReliabilityConfig
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
-from repro.obs.profiler import profiled
 from repro.obs.tracer import TraceEventKind, Tracer
 from repro.ot.types import get_type
 from repro.session import CheckRecord, ConsistencyError, EditorEndpoint
@@ -119,7 +118,6 @@ class StarNotifier(EditorEndpoint):
         self.incorporated: frozenset[str] = frozenset()
         self.failover_losses = 0
 
-    @profiled("notifier.ingest")
     def _handle_app_message(self, envelope: Envelope) -> None:
         if isinstance(envelope.payload, ResyncRequest):
             self._serve_resync(envelope.source, envelope.payload.epoch)
@@ -177,7 +175,6 @@ class StarNotifier(EditorEndpoint):
         self._execute_and_broadcast(new_op, source, message.op_id, ts,
                                     origin_wall=message.origin_wall)
 
-    @profiled("notifier.broadcast")
     def _execute_and_broadcast(
         self, new_op: Any, source: int, source_op_id: str,
         ts: CompressedTimestamp, origin_wall: float | None = None
@@ -298,7 +295,6 @@ class StarNotifier(EditorEndpoint):
                                     origin_wall=origin_wall)
         return op_id
 
-    @profiled("notifier.concurrency")
     def _concurrency_pass(self, message: OpMessage, source: int) -> list[HistoryEntry]:
         """Run formula (7) over ``HB_0``; record and (optionally) verify."""
         out: list[HistoryEntry] = []

@@ -125,9 +125,10 @@ class FIFOChannel:
         if envelope.message_id is None:
             object.__setattr__(envelope, "message_id", self.sim.next_message_id())
         self.stats.messages += 1
-        self.stats.total_bytes += envelope.total_bytes()
+        total_bytes = envelope.total_bytes()
+        self.stats.total_bytes += total_bytes
         self.stats.timestamp_bytes += envelope.timestamp_bytes
-        self.stats.payload_bytes += envelope.total_bytes() - envelope.timestamp_bytes - 8
+        self.stats.payload_bytes += total_bytes - envelope.timestamp_bytes - 8
 
     def _schedule_delivery(self, envelope: Envelope) -> float:
         """Schedule one delivery of ``envelope``, clamped to FIFO order."""

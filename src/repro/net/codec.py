@@ -25,7 +25,6 @@ from typing import Any
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.net.transport import INT_WIDTH
-from repro.obs.profiler import profiled
 from repro.ot.operations import Delete, Identity, Insert, Operation, OperationGroup
 
 _U32 = struct.Struct(">I")
@@ -190,7 +189,6 @@ TIMESTAMP_WIRE_BYTES = 2 * INT_WIDTH
 # -- whole messages -----------------------------------------------------------
 
 
-@profiled("codec.encode")
 def encode_op_message(message: Any) -> bytes:
     """Serialise a :class:`repro.editor.messages.OpMessage` to bytes.
 
@@ -212,7 +210,6 @@ def encode_op_message(message: Any) -> bytes:
     return writer.getvalue()
 
 
-@profiled("codec.decode")
 def decode_op_message(data: bytes) -> Any:
     from repro.editor.messages import OpMessage
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Callable, Generic, Hashable, Iterator, Optional, TypeVar
 
-from repro.obs.profiler import profiled
-
 T = TypeVar("T")
 
 Stream = Hashable
@@ -71,7 +69,6 @@ class HoldbackQueue(Generic[T]):
         self._held = 0
         self.max_held = 0
 
-    @profiled("holdback.hold")
     def hold(self, stream: Stream, seq: int, item: T) -> bool:
         """Buffer ``item`` at ``(stream, seq)``.
 
@@ -93,7 +90,6 @@ class HoldbackQueue(Generic[T]):
             self.max_held = self._held
         return True
 
-    @profiled("holdback.pop")
     def pop(self, stream: Stream, seq: int) -> Optional[T]:
         """Remove and return the item held at ``(stream, seq)``, if any."""
         slots = self._streams.get(stream)

@@ -37,7 +37,6 @@ from typing import Any, Callable, Optional, Protocol, Union, runtime_checkable
 from repro.net.holdback import HoldbackOverflow, HoldbackQueue
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
-from repro.obs.profiler import profiled
 from repro.obs.tracer import Tracer, TraceEventKind
 
 WireSend = Callable[[int, Any, int, str], None]
@@ -312,7 +311,6 @@ class RawTransport:
         self.pid = pid
         self.tracer = tracer
 
-    @profiled("net.send")
     def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
              kind: str = "op") -> None:
         if self.tracer is not None:
@@ -320,7 +318,6 @@ class RawTransport:
                              op_id=_traced_op_id(payload))
         self.wire_send(dest, payload, timestamp_bytes, kind)
 
-    @profiled("net.recv")
     def on_wire(self, envelope: Envelope) -> None:
         if self.tracer is not None:
             # A perfect FIFO channel delivers every arrival in order.
@@ -421,7 +418,6 @@ class ReliableEndpoint:
             self._links[peer] = _PeerLink(rto=rto)
         return self._links[peer]
 
-    @profiled("net.send")
     def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
              kind: str = "op") -> None:
         if self.reliability is None:
@@ -459,7 +455,6 @@ class ReliableEndpoint:
                 link.rto, lambda: self._on_timer(dest, link)
             )
 
-    @profiled("net.retransmit")
     def _on_timer(self, dest: int, link: _PeerLink) -> None:
         link.timer = None
         # The link may have been replaced by a crash or an epoch bump
@@ -502,7 +497,6 @@ class ReliableEndpoint:
 
     # -- receiving -------------------------------------------------------------
 
-    @profiled("net.recv")
     def on_wire(self, envelope: Envelope) -> None:
         if self.crashed:
             self.stats.dropped_while_crashed += 1

@@ -505,11 +505,10 @@ class WireChannel:
             self.dropped_on_dead_wire += 1
             return self.sched.now
         self.stats.messages += 1
-        self.stats.total_bytes += envelope.total_bytes()
+        total_bytes = envelope.total_bytes()
+        self.stats.total_bytes += total_bytes
         self.stats.timestamp_bytes += envelope.timestamp_bytes
-        self.stats.payload_bytes += (
-            envelope.total_bytes() - envelope.timestamp_bytes - 8
-        )
+        self.stats.payload_bytes += total_bytes - envelope.timestamp_bytes - 8
         assert envelope.message_id is not None
         self._sent_ids.append(envelope.message_id)
         try:

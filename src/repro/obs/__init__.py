@@ -18,12 +18,6 @@ only lazily, inside functions.  The pieces:
   :func:`cross_check_causality`;
 * :func:`latency_histograms` -- per-site generation-to-execution
   latency from the same trace;
-* :class:`PhaseProfiler` / :func:`profiled` -- the hot-path phase
-  profiler (:mod:`repro.obs.profiler`): where a session's time goes,
-  per phase, behind the same single-attribute-check disabled path;
-* :mod:`repro.obs.bench` -- the benchmark scenario matrix, its
-  versioned ``BENCH_<label>.json`` artifacts, and the
-  :func:`compare_artifacts` regression gate;
 * :class:`TelemetryFrame` / :class:`TelemetrySampler` / the watchdogs /
   :class:`FlightRecorder` (:mod:`repro.obs.telemetry`) -- live runtime
   gauges sampled on any scheduler, health verdicts over the gauge
@@ -48,24 +42,6 @@ from repro.obs.analysis import (
     latency_histograms,
     released_without_cause,
     verify_check_records,
-)
-from repro.obs.bench import (
-    BENCH_FORMAT,
-    BENCH_SCHEMA_VERSION,
-    BenchScenario,
-    ComparisonReport,
-    compare_artifacts,
-    read_artifact,
-    run_scenario,
-    write_artifact,
-)
-from repro.obs.profiler import (
-    PhaseProfiler,
-    PhaseStats,
-    activated,
-    install,
-    profiled,
-    uninstall,
 )
 from repro.obs.monitor import (
     MONITOR_FORMAT,
@@ -118,17 +94,13 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "BENCH_FORMAT",
-    "BENCH_SCHEMA_VERSION",
     "MONITOR_FORMAT",
     "MONITOR_SCHEMA_VERSION",
     "TELEMETRY_FORMAT",
     "TELEMETRY_SCHEMA_VERSION",
     "TRACE_FORMAT",
     "TRACE_SCHEMA_VERSION",
-    "BenchScenario",
     "CausalStallWatchdog",
-    "ComparisonReport",
     "CrossCheckReport",
     "DivergenceSentinel",
     "FlightRecorder",
@@ -139,8 +111,6 @@ __all__ = [
     "MetricsRegistry",
     "MonitorSnapshot",
     "PairLatency",
-    "PhaseProfiler",
-    "PhaseStats",
     "RetransmitStormWatchdog",
     "SilenceWatchdog",
     "SkewEstimator",
@@ -154,30 +124,22 @@ __all__ = [
     "TraceEventKind",
     "Tracer",
     "Watchdog",
-    "activated",
     "aggregate",
     "assemble_spans",
-    "compare_artifacts",
     "cross_check_causality",
     "default_watchdogs",
     "document_digest",
-    "install",
     "latency_histograms",
     "merged_registry",
-    "profiled",
-    "read_artifact",
     "read_jsonl",
     "released_without_cause",
     "run_monitor",
-    "run_scenario",
     "scan_dir",
     "site_registry",
     "snapshot_endpoint",
     "sparkline",
     "trace_header",
-    "uninstall",
     "verify_check_records",
-    "write_artifact",
     "write_chrome_trace",
     "write_jsonl",
 ]

@@ -222,7 +222,7 @@ class SpanReport:
         return lines
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready form for the bench artifact and cluster report."""
+        """JSON-ready form of the report."""
 
         def _ms(value: Optional[float]) -> Optional[float]:
             return None if value is None else value * 1e3

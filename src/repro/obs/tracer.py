@@ -189,11 +189,10 @@ class Histogram:
         """Nearest-rank percentile, ``p`` in [0, 100].
 
         An empty histogram has no percentiles: returns ``None`` (callers
-        such as the bench artifact writer serialise that as JSON
-        ``null`` rather than crashing a whole report on one idle
-        scenario).  A single-sample histogram returns that sample for
-        every ``p``.  ``p`` outside [0, 100] is still a programming
-        error and raises.
+        serialise that as JSON ``null`` rather than crashing a whole
+        report on one idle site).  A single-sample histogram returns
+        that sample for every ``p``.  ``p`` outside [0, 100] is still a
+        programming error and raises.
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")

@@ -37,7 +37,6 @@ concurrently inserted text.
 
 from __future__ import annotations
 
-from repro.obs.profiler import profiled
 from repro.ot.operations import (
     Delete,
     Identity,
@@ -98,7 +97,6 @@ def _it_delete_delete(a: Delete, b: Delete) -> Operation:
     return Delete(left + right, min(a.pos, b.pos))
 
 
-@profiled("ot.it")
 def inclusion_transform(a: Operation, b: Operation, a_priority: bool = True) -> Operation:
     """``IT(a, b)``: transform ``a`` to include the effect of ``b``.
 
@@ -129,7 +127,6 @@ def inclusion_transform(a: Operation, b: Operation, a_priority: bool = True) -> 
 # ---------------------------------------------------------------------------
 
 
-@profiled("ot.transform_pair")
 def transform_pair(
     a: Operation, b: Operation, a_priority: bool = True
 ) -> tuple[Operation, Operation]:
@@ -201,7 +198,6 @@ def _et_delete_delete(a: Delete, b: Delete) -> Operation:
     return OperationGroup((left, right))
 
 
-@profiled("ot.et")
 def exclusion_transform(a: Operation, b: Operation) -> Operation:
     """``ET(a, b)``: transform ``a`` to exclude the effect of ``b``.
 

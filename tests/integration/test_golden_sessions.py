@@ -1,0 +1,143 @@
+"""Golden seeded sessions: the protocol's deterministic outputs, exactly.
+
+A seeded simulator session is a pure function of (code, seed): its
+message count, clock storage, hold-back peak and virtual-time latency
+percentiles do not depend on the host.  OT and reliability defects show
+up there as small exact discrepancies -- one extra ack, one retransmit,
+one transform applied in a different order -- not as percentage moves,
+so every value below is compared with ``==``.
+
+The sessions are built the way ``python -m repro session`` builds them
+(same workload config, same :func:`repro.cli.jitter_latency_factory`).
+A value may only change together with a protocol change that explains
+it.
+"""
+
+import random
+from dataclasses import dataclass
+from typing import Optional
+
+import pytest
+
+from repro.cli import jitter_latency_factory
+from repro.clocks.base import CLOCK_FAMILIES
+from repro.editor import MeshSession, StarSession
+from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
+from repro.obs import Histogram, Tracer, latency_histograms
+from repro.workloads.random_session import (
+    RandomSessionConfig,
+    drive_mesh_session,
+    drive_star_session,
+)
+
+SEED = 0
+
+LOSSY = FaultPlan(seed=SEED, default=ChannelFaults(drop_p=0.05, dup_p=0.02))
+CRASH = FaultPlan(
+    seed=SEED,
+    default=ChannelFaults(drop_p=0.03),
+    crashes=(ClientCrash(site=1, at=2.0, restart_at=4.0),),
+)
+
+
+@dataclass(frozen=True)
+class Golden:
+    id: str
+    topology: str
+    n_sites: int
+    ops_per_site: int
+    fault_plan: Optional[FaultPlan]
+    messages: int
+    storage_ints: int
+    holdback_high_water: int
+    p50: float
+    p95: float
+    p99: float
+
+
+GOLDEN = (
+    Golden("star-4x8-clean", "star", 4, 8, None, 128, 12, 0,
+           0.18121774879736918, 0.46022069709989255, 0.5555273795626103),
+    Golden("star-8x6-clean", "star", 8, 6, None, 384, 24, 0,
+           0.18946423980715843, 0.4312231626140668, 0.5107159237232191),
+    Golden("star-4x8-lossy", "star", 4, 8, LOSSY, 313, 12, 6,
+           0.22746704517037442, 0.9243015730204331, 1.162913169944666),
+    Golden("star-4x8-crash", "star", 4, 8, CRASH, 253, 12, 5,
+           0.17046296458876853, 0.574854492419981, 0.8823190107208232),
+    Golden("mesh-4x6-clean", "mesh", 4, 6, None, 72, 16, 1,
+           0.0974036620908092, 0.2813646376596153, 0.37055184274854325),
+)
+
+
+def run_session(golden: Golden, tracer: Tracer):
+    config = RandomSessionConfig(
+        n_sites=golden.n_sites, ops_per_site=golden.ops_per_site, seed=SEED
+    )
+    if golden.topology == "star":
+        session = StarSession(
+            golden.n_sites,
+            initial_state=config.initial_document,
+            latency_factory=jitter_latency_factory(SEED),
+            fault_plan=golden.fault_plan,
+            tracer=tracer,
+        )
+        drive_star_session(session, config)
+    else:
+        session = MeshSession(
+            golden.n_sites,
+            initial_document=config.initial_document,
+            latency_factory=jitter_latency_factory(SEED),
+            tracer=tracer,
+        )
+        drive_mesh_session(session, config)
+    session.run()
+    return session
+
+
+def holdback_high_water(session, topology: str) -> int:
+    """The worst single reorder buffer: the star's sits in the
+    reliability transport, the mesh's is the site's causal buffer."""
+    if topology == "star":
+        return max(e.transport.holdback_high_water() for e in session.participants())
+    return max(site.hold_back.max_held for site in session.endpoints())
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=lambda g: g.id)
+def test_seeded_session_matches_golden_values(golden):
+    tracer = Tracer()
+    session = run_session(golden, tracer)
+    latency = Histogram()
+    for hist in latency_histograms(tracer.events).values():
+        latency.merge(hist)
+
+    assert session.converged(), session.documents()
+    assert session.wire_stats().messages == golden.messages
+    assert (
+        sum(e.clock_storage_ints() for e in session.endpoints())
+        == golden.storage_ints
+    )
+    assert holdback_high_water(session, golden.topology) == golden.holdback_high_water
+    assert latency.percentile(50) == golden.p50
+    assert latency.percentile(95) == golden.p95
+    assert latency.percentile(99) == golden.p99
+
+
+@pytest.mark.parametrize(
+    "family_name, storage_ints", [("vector", 64), ("sk", 192), ("compressed", 16)]
+)
+def test_clock_storage_after_exchange_matches_golden_values(family_name, storage_ints):
+    """Eight sites, 50 rounds of tick / stamp / merge with a seeded
+    random peer: resident integers summed over the sites stay at the
+    family's N / 3N / 2 per site -- traffic must not grow them."""
+    n, rounds = 8, 50
+    family = next(f for f in CLOCK_FAMILIES if f.name == family_name)
+    clocks = [family.factory(pid, n) for pid in range(n)]
+    rng = random.Random(SEED)
+    for _ in range(rounds):
+        for pid, clock in enumerate(clocks):
+            clock.tick()
+            dest = rng.randrange(n - 1)
+            if dest >= pid:
+                dest += 1
+            clocks[dest].merge(pid, clock.timestamp(dest))
+    assert sum(clock.storage_ints() for clock in clocks) == storage_ints
