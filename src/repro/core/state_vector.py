@@ -112,7 +112,9 @@ class NotifierStateVector:
         self.n_sites += 1
         return self.n_sites
 
-    def compress_for_destination(self, dest: int) -> CompressedTimestamp:
+    def compress_for_destination(
+        self, dest: int, total: int | None = None
+    ) -> CompressedTimestamp:
         """Formulas (1)-(2): the 2-element timestamp for an op sent to ``dest``.
 
         ``T[1] = sum_{j != dest} SV_0[j]`` -- operations received from all
@@ -120,9 +122,13 @@ class NotifierStateVector:
         site 0 has propagated *to* ``dest`` (each executed op is
         broadcast to everyone but its originator);
         ``T[2] = SV_0[dest]`` -- operations received from the destination.
+
+        A broadcast compresses one unchanged ``SV_0`` for every
+        destination and passes :meth:`total` in: one sum, not N.
         """
         self._check_site(dest)
-        total = self.total()
+        if total is None:
+            total = self.total()
         own = self.counts[dest - 1]
         return CompressedTimestamp(total - own, own)
 

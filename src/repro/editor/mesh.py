@@ -37,7 +37,7 @@ from repro.net.channel import LatencyModel
 from repro.net.scheduler import Scheduler
 from repro.net.simulator import Simulator
 from repro.net.topology import MeshTopology
-from repro.net.transport import Envelope
+from repro.net.transport import Envelope, measure_payload_bytes, register_sizer
 from repro.obs.tracer import TraceEventKind, Tracer
 from repro.ot.operations import Operation
 from repro.ot.transform import exclusion_transform, inclusion_transform
@@ -66,6 +66,10 @@ class MeshOp:
 
     def precedes(self, other: "MeshOp") -> bool:
         return compare(self.vc, other.vc) is Ordering.BEFORE
+
+
+# site + seq framing; the vector clock is charged as timestamp bytes.
+register_sizer(MeshOp, lambda record: 4 + measure_payload_bytes(record.op))
 
 
 def _lit(op: Operation, others: Sequence[tuple[Operation, tuple[int, int]]],

@@ -5,7 +5,8 @@ below them sits the transport layer (:mod:`repro.net.reliability`),
 above them the integration logic (:mod:`repro.editor.star_client` /
 :mod:`repro.editor.star_notifier`).  They are deliberately free of
 behaviour so the codec (:mod:`repro.net.codec`) and both editor roles
-can share them without depending on each other.
+can share them without depending on each other; the only functions
+here are their model wire sizes, registered at the bottom.
 """
 
 from __future__ import annotations
@@ -14,6 +15,24 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.timestamp import CompressedTimestamp
+from repro.net.transport import INT_WIDTH, measure_payload_bytes, register_sizer
+
+
+class BroadcastBody:
+    """What the N-1 copies of one notifier broadcast have in common.
+
+    By formulas (1)-(2) the copies differ in their two timestamp
+    integers only, so the rest is worked out for the first copy that
+    needs it and reused by its siblings: ``model_bytes`` by the sizer
+    below, ``wire`` (the encoded bytes after the timestamp) by
+    :func:`repro.net.codec.encode_op_message`.
+    """
+
+    __slots__ = ("model_bytes", "wire")
+
+    def __init__(self) -> None:
+        self.model_bytes: int | None = None
+        self.wire: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -37,6 +56,9 @@ class OpMessage:
     op_id: str
     source_op_id: str | None = None  # for notifier outputs: the input op
     origin_wall: float | None = None  # origin wall clock (span latency)
+    # Set by the notifier on the siblings of one broadcast, which agree
+    # in every field but ``timestamp``; no part of the message's value.
+    shared: BroadcastBody | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -121,3 +143,43 @@ class StateContribution:
     received_per_origin: dict[int, int] = field(default_factory=dict)
     pending: tuple[tuple[str, Any], ...] = ()
     document: Any = None
+
+
+# -- model wire sizes (the accounting convention of EXPERIMENTS.md) --------------
+
+
+def _op_body_bytes(message: OpMessage) -> int:
+    return 4 + len(message.op_id) + measure_payload_bytes(message.op)
+
+
+def _op_message_bytes(message: OpMessage) -> int:
+    shared = message.shared
+    if shared is None:
+        return _op_body_bytes(message)
+    if shared.model_bytes is None:
+        shared.model_bytes = _op_body_bytes(message)
+    return shared.model_bytes
+
+
+def _snapshot_bytes(snapshot: SnapshotMessage) -> int:
+    """The document, plus the failover dedup set when there is one."""
+    size = 4 + measure_payload_bytes(snapshot.document)
+    return size + sum(len(op_id) + 1 for op_id in snapshot.incorporated)
+
+
+def _contribution_bytes(report: StateContribution) -> int:
+    """``SV_i`` and the site id, the per-origin counts, the stashed
+    pending operations, and the replica document."""
+    size = 3 * INT_WIDTH + 2 * INT_WIDTH * len(report.received_per_origin)
+    size += sum(
+        len(op_id) + 1 + measure_payload_bytes(op) for op_id, op in report.pending
+    )
+    return size + measure_payload_bytes(report.document)
+
+
+register_sizer(OpMessage, _op_message_bytes)
+register_sizer(SnapshotMessage, _snapshot_bytes)
+register_sizer(ResyncRequest, lambda request: INT_WIDTH)
+register_sizer(ElectMessage, lambda message: INT_WIDTH)
+register_sizer(PromoteMessage, lambda message: 2 * INT_WIDTH)
+register_sizer(StateContribution, _contribution_bytes)

@@ -23,6 +23,7 @@ from repro.core.history import HistoryBuffer, HistoryEntry
 from repro.core.state_vector import NotifierStateVector
 from repro.core.timestamp import CompressedTimestamp, OriginKind
 from repro.editor.messages import (
+    BroadcastBody,
     ElectMessage,
     OpMessage,
     PromoteMessage,
@@ -230,10 +231,14 @@ class StarNotifier(EditorEndpoint):
                 source_op_id=source_op_id,
             )
         )
+        # The copies differ in the timestamp only (formulas 1-2): they
+        # share one body, and SV_0 is summed once for all of them.
+        total = self.sv.total()
+        shared = BroadcastBody()
         for dest in sorted(self.destinations):
             if dest == source:
                 continue
-            dest_ts = self.sv.compress_for_destination(dest)
+            dest_ts = self.sv.compress_for_destination(dest, total)
             self.broadcast_log.append((transformed_id, dest, dest_ts))
             out = OpMessage(
                 op=new_op,
@@ -242,6 +247,7 @@ class StarNotifier(EditorEndpoint):
                 op_id=transformed_id,
                 source_op_id=source_op_id,
                 origin_wall=origin_wall,
+                shared=shared,
             )
             self.send(dest, out, timestamp_bytes=dest_ts.size_bytes())
             self.sent_to[dest].append(

@@ -10,7 +10,9 @@ reordered underneath it.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,15 +64,15 @@ class JitterLatency(LatencyModel):
     median: float = 0.05
     sigma: float = 0.6
     rng: random.Random = field(default_factory=lambda: random.Random(0))
+    mu: float = field(init=False, repr=False)  # log(median), the lognormal's location
 
     def __post_init__(self) -> None:
         if self.median <= 0:
             raise ValueError(f"median must be > 0, got {self.median}")
+        self.mu = math.log(self.median)
 
     def sample(self) -> float:
-        import math
-
-        return self.rng.lognormvariate(math.log(self.median), self.sigma)
+        return self.rng.lognormvariate(self.mu, self.sigma)
 
 
 @dataclass
@@ -107,8 +109,10 @@ class FIFOChannel:
         self.on_deliver = on_deliver
         self.stats = ChannelStats()
         self._last_delivery = 0.0
-        self._delivered_ids: list[int] = []
-        self._sent_ids: list[int] = []
+        # Scheduled deliveries not yet fired, oldest first; one firing
+        # out of that order broke FIFO, and that is remembered.
+        self._in_flight: deque[int | None] = deque()
+        self._fifo_violated = False
 
     def send(self, envelope: Envelope) -> float:
         """Enqueue ``envelope``; returns its delivery time."""
@@ -123,7 +127,7 @@ class FIFOChannel:
                 f"channel {self.source}->{self.dest}"
             )
         if envelope.message_id is None:
-            object.__setattr__(envelope, "message_id", self.sim.next_message_id())
+            envelope.message_id = self.sim.next_message_id()
         self.stats.messages += 1
         total_bytes = envelope.total_bytes()
         self.stats.total_bytes += total_bytes
@@ -134,10 +138,11 @@ class FIFOChannel:
         """Schedule one delivery of ``envelope``, clamped to FIFO order."""
         delivery = max(self.sim.now + self.latency.sample(), self._last_delivery)
         self._last_delivery = delivery
-        self._sent_ids.append(envelope.message_id)
+        self._in_flight.append(envelope.message_id)
 
         def deliver() -> None:
-            self._delivered_ids.append(envelope.message_id)
+            if self._in_flight.popleft() != envelope.message_id:
+                self._fifo_violated = True
             self.on_deliver(envelope)
 
         self.sim.schedule(delivery, deliver)
@@ -145,4 +150,4 @@ class FIFOChannel:
 
     def fifo_respected(self) -> bool:
         """True iff every delivery so far happened in send order."""
-        return self._delivered_ids == self._sent_ids[: len(self._delivered_ids)]
+        return not self._fifo_violated

@@ -192,22 +192,37 @@ TIMESTAMP_WIRE_BYTES = 2 * INT_WIDTH
 def encode_op_message(message: Any) -> bytes:
     """Serialise a :class:`repro.editor.messages.OpMessage` to bytes.
 
-    A message without extension fields encodes byte-identically to the
-    original format; ``origin_wall`` (when set) travels in the
+    The layout is ``8-byte timestamp || body``.  A message without
+    extension fields encodes byte-identically to the original format;
+    ``origin_wall`` (when set) travels in the
     :data:`OP_TRAILER_VERSION` trailer: u8 trailer version, u8 presence
     bitmap (bit 0 = origin_wall), then the present fields in bitmap
-    order.
+    order.  The siblings of one notifier broadcast differ in the
+    timestamp only: the first one encoded leaves the body's bytes on
+    their ``shared`` record for the rest.
     """
     writer = Writer()
     encode_timestamp(message.timestamp, writer)
+    shared = message.shared
+    if shared is None:
+        _encode_op_body(message, writer)
+    else:
+        if shared.wire is None:
+            body = Writer()
+            _encode_op_body(message, body)
+            shared.wire = body.getvalue()
+        writer.raw(shared.wire)
+    return writer.getvalue()
+
+
+def _encode_op_body(message: Any, writer: Writer) -> None:
+    """Everything after the timestamp: ids, the operation, the trailer."""
     writer.u32(message.origin_site)
     writer.string(message.op_id)
     writer.string(message.source_op_id or "")
     encode_operation(message.op, writer)
-    origin_wall = getattr(message, "origin_wall", None)
-    if origin_wall is not None:
-        writer.u8(OP_TRAILER_VERSION).u8(0x01).f64(origin_wall)
-    return writer.getvalue()
+    if message.origin_wall is not None:
+        writer.u8(OP_TRAILER_VERSION).u8(0x01).f64(message.origin_wall)
 
 
 def decode_op_message(data: bytes) -> Any:

@@ -36,7 +36,12 @@ from typing import Any, Callable, Optional, Protocol, Union, runtime_checkable
 
 from repro.net.holdback import HoldbackOverflow, HoldbackQueue
 from repro.net.scheduler import Scheduler
-from repro.net.transport import Envelope
+from repro.net.transport import (
+    INT_WIDTH,
+    Envelope,
+    measure_payload_bytes,
+    register_sizer,
+)
 from repro.obs.tracer import Tracer, TraceEventKind
 
 WireSend = Callable[[int, Any, int, str], None]
@@ -47,9 +52,8 @@ PeerCallback = Callable[[int], None]
 def _traced_op_id(payload: Any) -> Optional[str]:
     """The application-level op id a payload carries, if any.
 
-    Duck-typed (like :func:`repro.net.transport.measure_payload_bytes`)
-    so the transport layer can stamp trace events with the op they move
-    without depending on the editor layer's message types.
+    Duck-typed so the transport layer can stamp trace events with the
+    op they move without depending on the editor layer's message types.
     """
     op_id = getattr(payload, "op_id", None)
     return op_id if isinstance(op_id, str) else None
@@ -93,6 +97,13 @@ class ReliablePacket:
             raise ValueError(f"malformed packet: {self}")
         if self.probe and self.seq != -1:
             raise ValueError(f"probes are unsequenced: {self}")
+
+
+# Model wire size: seq + epoch + cumulative ack, then the body.
+register_sizer(
+    ReliablePacket,
+    lambda packet: 3 * INT_WIDTH + measure_payload_bytes(packet.payload),
+)
 
 
 @dataclass(frozen=True)

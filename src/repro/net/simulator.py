@@ -1,17 +1,18 @@
 """A minimal deterministic discrete-event simulator.
 
-Events are ``(time, tie_break, callback)`` triples in a binary heap; the
-tie-break is a monotonically increasing sequence number, so simultaneous
-events fire in scheduling order and a given seed always reproduces the
-same execution -- the property every experiment in EXPERIMENTS.md
-depends on.
+The binary heap holds ``(time, tie_break, event)`` tuples; the tie-break
+is a monotonically increasing sequence number, so simultaneous events
+fire in scheduling order and a given seed always reproduces the same
+execution -- the property every experiment in EXPERIMENTS.md depends
+on.  It is also unique, so a heap sift settles on the first two
+elements (a float and an int, compared in C) and never looks at the
+event or its callback.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.net.scheduler import SchedulingError
@@ -26,12 +27,14 @@ class SimulationError(SchedulingError):
     """
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """The handle ``schedule`` returns and ``cancel`` takes."""
+
+    __slots__ = ("callback", "cancelled")
+
+    def __init__(self, callback: Callable[[], None]) -> None:
+        self.callback = callback
+        self.cancelled = False
 
 
 class Simulator:
@@ -48,7 +51,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -84,8 +87,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        event = _ScheduledEvent(time=time, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._queue, event)
+        event = _ScheduledEvent(callback)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
         self._pending += 1
         return event
 
@@ -104,11 +107,11 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
             self._pending -= 1
-            self._now = event.time
+            self._now = time
             event.callback()
             self._processed += 1
             return True
@@ -121,11 +124,11 @@ class Simulator:
         """
         executed = 0
         while self._queue:
-            head = self._queue[0]
+            time, _, head = self._queue[0]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if until is not None and head.time > until:
+            if until is not None and time > until:
                 break
             if max_events is not None and executed >= max_events:
                 break

@@ -10,75 +10,46 @@ comparison is apples-to-apples.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 INT_WIDTH = 4  # bytes per serialised integer; shared by all schemes
 
+Sizer = Callable[[Any], int]
+
+# Payload type -> the function that sizes it.  Filled at import time
+# only: the module that defines a payload type registers its sizer, so
+# a payload that exists always finds it.
+_SIZERS: dict[type[Any], Sizer] = {}
+
+
+def register_sizer(payload_type: type[Any], sizer: Sizer) -> None:
+    """Declare how instances of ``payload_type`` are charged on the wire."""
+    _SIZERS[payload_type] = sizer
+
 
 def measure_payload_bytes(payload: Any) -> int:
-    """Approximate serialised size of an operation payload.
+    """Model size of a payload under the shared accounting convention.
 
-    Recognises the project's operation types; falls back to ``pickle``
-    for anything else (extension types).
+    Dispatched on the payload's type: its own sizer, else that of its
+    nearest registered base class, else (extension types nobody
+    registered) the length of its pickle.
     """
-    from repro.ot.component import TextOperation
-    from repro.ot.operations import Delete, Identity, Insert, OperationGroup
-
-    if payload is None:
-        return 0
-    # Editor message wrappers: charge their framing plus the inner op.
-    # (Duck-typed to keep transport below the editor layer.)
-    if hasattr(payload, "seq") and hasattr(payload, "epoch") and hasattr(payload, "payload"):
-        # Reliability envelope: seq + epoch + cumulative ack, then the body.
-        return 3 * INT_WIDTH + measure_payload_bytes(payload.payload)
-    if hasattr(payload, "epoch") and not hasattr(payload, "seq"):  # resync requests
-        return INT_WIDTH
-    if hasattr(payload, "op") and hasattr(payload, "op_id") and hasattr(payload, "origin_site"):
-        return 4 + len(str(payload.op_id)) + measure_payload_bytes(payload.op)
-    if hasattr(payload, "op") and hasattr(payload, "vc"):  # mesh records
-        return 4 + measure_payload_bytes(payload.op)
-    if hasattr(payload, "successor") and hasattr(payload, "notifier_epoch"):
-        return 2 * INT_WIDTH  # failover promotions
-    if hasattr(payload, "notifier_epoch") and not hasattr(payload, "document"):
-        return INT_WIDTH  # failover elections
-    if hasattr(payload, "received_per_origin") and hasattr(payload, "pending"):
-        # Failover state contributions: SV_i, per-origin counts, the
-        # stashed pending ops, and the replica document.
-        size = 3 * INT_WIDTH + 2 * INT_WIDTH * len(payload.received_per_origin)
-        size += sum(
-            len(str(op_id)) + 1 + measure_payload_bytes(op)
-            for op_id, op in payload.pending
-        )
-        return size + measure_payload_bytes(payload.document)
-    if hasattr(payload, "document") and hasattr(payload, "base_count"):  # snapshots
-        size = 4 + measure_payload_bytes(payload.document)
-        for op_id in getattr(payload, "incorporated", None) or ():
-            size += len(str(op_id)) + 1  # failover dedup set
-        return size
-    if isinstance(payload, Insert):
-        return 1 + INT_WIDTH + len(payload.text.encode("utf-8"))
-    if isinstance(payload, Delete):
-        return 1 + 2 * INT_WIDTH
-    if isinstance(payload, Identity):
-        return 1
-    if isinstance(payload, OperationGroup):
-        return 1 + sum(measure_payload_bytes(m) for m in payload.members)
-    if isinstance(payload, TextOperation):
-        size = 1
-        for c in payload.components:
-            size += len(c.encode("utf-8")) + 1 if isinstance(c, str) else INT_WIDTH
-        return size
-    if isinstance(payload, (int, float)):
-        return INT_WIDTH * 2
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8")) + 1
-    import pickle
-
+    for base in type(payload).__mro__:
+        sizer = _SIZERS.get(base)
+        if sizer is not None:
+            return sizer(payload)
     return len(pickle.dumps(payload))
 
 
-@dataclass(frozen=True)
+register_sizer(type(None), lambda payload: 0)
+register_sizer(int, lambda payload: 2 * INT_WIDTH)
+register_sizer(float, lambda payload: 2 * INT_WIDTH)
+register_sizer(str, lambda payload: len(payload.encode("utf-8")) + 1)
+
+
+@dataclass(slots=True)
 class Envelope:
     """A message in flight: payload plus timestamp metadata.
 
@@ -86,8 +57,8 @@ class Envelope:
     scheme (2 ints for the compressed scheme, N ints for full vectors,
     variable for SK); ``payload_bytes`` is measured from the payload.
 
-    ``message_id`` is assigned by the channel from the simulator's
-    per-simulation counter at send time (see
+    ``message_id`` starts as ``None`` and is assigned by the channel from
+    the simulator's per-simulation counter at send time (see
     :meth:`repro.net.simulator.Simulator.next_message_id`), keeping id
     streams reproducible when several sessions share one process.
     """

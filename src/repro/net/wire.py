@@ -481,7 +481,6 @@ class WireChannel:
         self.writer = writer
         self.stats = ChannelStats()
         self.dropped_on_dead_wire = 0
-        self._sent_ids: list[int] = []
 
     def send(self, envelope: Envelope) -> float:
         """Frame ``envelope`` onto the stream; returns the send time.
@@ -499,7 +498,7 @@ class WireChannel:
                 f"on channel {self.source}->{self.dest}"
             )
         if envelope.message_id is None:
-            object.__setattr__(envelope, "message_id", self.sched.next_message_id())
+            envelope.message_id = self.sched.next_message_id()
         is_closing = getattr(self.writer, "is_closing", None)
         if is_closing is not None and is_closing():
             self.dropped_on_dead_wire += 1
@@ -509,8 +508,6 @@ class WireChannel:
         self.stats.total_bytes += total_bytes
         self.stats.timestamp_bytes += envelope.timestamp_bytes
         self.stats.payload_bytes += total_bytes - envelope.timestamp_bytes - 8
-        assert envelope.message_id is not None
-        self._sent_ids.append(envelope.message_id)
         try:
             self.writer.write(frame(encode_envelope(envelope)))
         except (ConnectionError, RuntimeError):

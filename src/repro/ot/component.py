@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
+from repro.net.transport import INT_WIDTH, register_sizer
 from repro.ot.operations import (
     Delete,
     Identity,
@@ -338,6 +339,18 @@ class TextOperation:
         if len(members) == 1:
             return members[0]
         return OperationGroup(tuple(members))
+
+
+def _text_operation_bytes(op: TextOperation) -> int:
+    """Model wire size: a tag, each insert as UTF-8 + terminator, each
+    retain/delete as one integer."""
+    return 1 + sum(
+        len(c.encode("utf-8")) + 1 if isinstance(c, str) else INT_WIDTH
+        for c in op.components
+    )
+
+
+register_sizer(TextOperation, _text_operation_bytes)
 
 
 def _component_len(c: Component) -> int:

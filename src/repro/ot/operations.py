@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
+from repro.net.transport import INT_WIDTH, measure_payload_bytes, register_sizer
+
 
 class OperationError(ValueError):
     """Raised when an operation cannot be applied to a document state."""
@@ -170,6 +172,15 @@ class OperationGroup(Operation):
 
 
 PrimitiveOp = Union[Insert, Delete, Identity]
+
+
+# Model wire sizes (EXPERIMENTS.md accounting): a 1-byte tag, then fields.
+register_sizer(Insert, lambda op: 1 + INT_WIDTH + len(op.text.encode("utf-8")))
+register_sizer(Delete, lambda op: 1 + 2 * INT_WIDTH)
+register_sizer(Identity, lambda op: 1)
+register_sizer(
+    OperationGroup, lambda op: 1 + sum(map(measure_payload_bytes, op.members))
+)
 
 
 def apply_operation(document: str, op: Operation) -> str:

@@ -78,6 +78,15 @@ class TestFailoverAcceptance:
         assert report.give_ups >= 1  # the detection signal actually fired
         assert report.probes_sent >= 1  # ... and was probe-confirmed
         assert session.reliable_delivery_in_order()
+        # promoted_from wrote SV_0's counts directly; formulas (1)-(2)
+        # must still read them, with and without the broadcast's total.
+        sv = session.promoted_notifier.sv
+        assert sum(sv.counts) == 6
+        for dest in (1, 2, 3):
+            expected = [sum(sv.counts) - sv.counts[dest - 1], sv.counts[dest - 1]]
+            assert sv.compress_for_destination(dest).as_paper_list() == expected
+            assert sv.compress_for_destination(
+                dest, sv.total()).as_paper_list() == expected
 
     def test_trace_cross_check_spans_the_epoch_boundary(self):
         tracer = Tracer()

@@ -1,11 +1,12 @@
 """Golden seeded sessions: the protocol's deterministic outputs, exactly.
 
 A seeded simulator session is a pure function of (code, seed): its
-message count, clock storage, hold-back peak and virtual-time latency
-percentiles do not depend on the host.  OT and reliability defects show
-up there as small exact discrepancies -- one extra ack, one retransmit,
-one transform applied in a different order -- not as percentage moves,
-so every value below is compared with ``==``.
+message count, model wire bytes, clock storage, hold-back peak and
+virtual-time latency percentiles do not depend on the host.  OT and
+reliability defects show up there as small exact discrepancies -- one
+extra ack, one retransmit, one transform applied in a different order
+-- not as percentage moves, so every value below is compared with
+``==``.
 
 The sessions are built the way ``python -m repro session`` builds them
 (same workload config, same :func:`repro.cli.jitter_latency_factory`).
@@ -48,6 +49,9 @@ class Golden:
     ops_per_site: int
     fault_plan: Optional[FaultPlan]
     messages: int
+    total_bytes: int
+    timestamp_bytes: int
+    payload_bytes: int
     storage_ints: int
     holdback_high_water: int
     p50: float
@@ -56,15 +60,15 @@ class Golden:
 
 
 GOLDEN = (
-    Golden("star-4x8-clean", "star", 4, 8, None, 128, 12, 0,
+    Golden("star-4x8-clean", "star", 4, 8, None, 128, 4226, 1024, 2178, 12, 0,
            0.18121774879736918, 0.46022069709989255, 0.5555273795626103),
-    Golden("star-8x6-clean", "star", 8, 6, None, 384, 24, 0,
+    Golden("star-8x6-clean", "star", 8, 6, None, 384, 12536, 3072, 6392, 24, 0,
            0.18946423980715843, 0.4312231626140668, 0.5107159237232191),
-    Golden("star-4x8-lossy", "star", 4, 8, LOSSY, 313, 12, 6,
+    Golden("star-4x8-lossy", "star", 4, 8, LOSSY, 313, 10266, 1280, 6482, 12, 6,
            0.22746704517037442, 0.9243015730204331, 1.162913169944666),
-    Golden("star-4x8-crash", "star", 4, 8, CRASH, 253, 12, 5,
+    Golden("star-4x8-crash", "star", 4, 8, CRASH, 253, 8638, 1128, 5486, 12, 5,
            0.17046296458876853, 0.574854492419981, 0.8823190107208232),
-    Golden("mesh-4x6-clean", "mesh", 4, 6, None, 72, 16, 1,
+    Golden("mesh-4x6-clean", "mesh", 4, 6, None, 72, 2598, 1152, 870, 16, 1,
            0.0974036620908092, 0.2813646376596153, 0.37055184274854325),
 )
 
@@ -111,7 +115,11 @@ def test_seeded_session_matches_golden_values(golden):
         latency.merge(hist)
 
     assert session.converged(), session.documents()
-    assert session.wire_stats().messages == golden.messages
+    wire = session.wire_stats()
+    assert wire.messages == golden.messages
+    assert wire.total_bytes == golden.total_bytes
+    assert wire.timestamp_bytes == golden.timestamp_bytes
+    assert wire.payload_bytes == golden.payload_bytes
     assert (
         sum(e.clock_storage_ints() for e in session.endpoints())
         == golden.storage_ints

@@ -1,11 +1,16 @@
 """Integration tests for the star editor on non-scripted workloads."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.editor import messages
 from repro.editor.star import ConsistencyError, StarSession
+from repro.net import codec
 from repro.net.channel import JitterLatency, UniformLatency
+from repro.net.transport import Envelope
+from repro.net.wire import encode_envelope
 from repro.ot.operations import Delete, Insert
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 from repro.workloads.typing_model import TypingBurstConfig
@@ -223,3 +228,74 @@ class TestGarbageCollection:
                 session.sim.schedule(float(t) + 0.1, client.collect_garbage)
         session.run()
         assert session.converged()
+
+
+class TestBroadcastOnce:
+    """A broadcast costs one body plus N-1 timestamps (formulas 1-2).
+
+    Counts, not timings: the always-on gate for "once per broadcast".
+    """
+
+    N_SITES = 6
+
+    def run_session(self, monkeypatch):
+        """A clean session; returns it, the messages the notifier put on
+        the wire and the op messages whose body was actually measured."""
+        config = RandomSessionConfig(n_sites=self.N_SITES, ops_per_site=5, seed=2)
+        session = StarSession(
+            self.N_SITES, initial_state=config.initial_document, record_checks=False
+        )
+        measured = []
+        size_body = messages._op_body_bytes
+        monkeypatch.setattr(
+            messages, "_op_body_bytes",
+            lambda message: measured.append(message) or size_body(message),
+        )
+        broadcast = []
+        transport = session.notifier.transport
+        wire_send = transport.wire_send
+
+        def recording_send(dest, payload, timestamp_bytes, kind):
+            broadcast.append((dest, payload, timestamp_bytes))
+            wire_send(dest, payload, timestamp_bytes, kind)
+
+        transport.wire_send = recording_send
+        drive_star_session(session, config)
+        session.run()
+        assert session.converged()
+        return session, broadcast, measured
+
+    def test_body_is_measured_once_per_broadcast(self, monkeypatch):
+        session, broadcast, measured = self.run_session(monkeypatch)
+        ops = len(session.notifier.executed_op_ids)
+        assert ops == self.N_SITES * 5
+        assert len(broadcast) == ops * (self.N_SITES - 1)
+        # One measurement per client->notifier message, one per broadcast.
+        from_notifier = [m for m in measured if m.op_id.endswith("'")]
+        assert len(from_notifier) == ops
+        assert len(measured) == 2 * ops
+
+    def test_siblings_encode_the_operation_once(self, monkeypatch):
+        _, broadcast, _ = self.run_session(monkeypatch)
+        siblings = {}
+        for dest, message, timestamp_bytes in broadcast:
+            siblings.setdefault(message.op_id, []).append(
+                Envelope(0, dest, message, timestamp_bytes)
+            )
+        encoded = []
+        encode_operation = codec.encode_operation
+        monkeypatch.setattr(
+            codec, "encode_operation",
+            lambda op, writer: encoded.append(op) or encode_operation(op, writer),
+        )
+        for envelopes in siblings.values():
+            assert len(envelopes) == self.N_SITES - 1
+            encoded.clear()
+            frames = [encode_envelope(envelope) for envelope in envelopes]
+            assert len(encoded) == 1
+            for envelope, frame in zip(envelopes, frames):
+                alone = dataclasses.replace(envelope.payload, shared=None)
+                assert codec.encode_op_message(envelope.payload) == (
+                    codec.encode_op_message(alone))
+                assert frame == encode_envelope(dataclasses.replace(envelope, payload=alone))
+

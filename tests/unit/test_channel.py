@@ -1,5 +1,6 @@
 """Unit tests for FIFO channels and latency models (repro.net.channel)."""
 
+import math
 import random
 
 import pytest
@@ -43,6 +44,13 @@ class TestLatencyModels:
         assert all(s > 0 for s in samples)
         model2 = JitterLatency(0.05, 0.6, random.Random(1))
         assert samples == [model2.sample() for _ in range(50)]
+
+    def test_jitter_draws_lognormal_of_log_median(self):
+        """Bit-identical to the draw every golden percentile was cut on."""
+        model = JitterLatency(0.08, 0.6, random.Random(7))
+        rng = random.Random(7)
+        expected = [rng.lognormvariate(math.log(0.08), 0.6) for _ in range(20)]
+        assert [model.sample() for _ in range(20)] == expected
 
     def test_jitter_rejects_nonpositive_median(self):
         with pytest.raises(ValueError):
@@ -96,6 +104,34 @@ class TestFIFOChannel:
         sim.run()
         assert [e.payload for e in received] == sender
         assert channel.fifo_respected()
+
+    def test_fifo_audit_keeps_only_undelivered_ids(self):
+        sim = Simulator()
+        channel = make_channel(sim, FixedLatency(0.5), [])
+        for i in range(100):
+            channel.send(Envelope(1, 2, i))
+        assert len(channel._in_flight) == 100
+        sim.run()
+        assert not channel._in_flight
+        assert channel.fifo_respected()
+
+    def test_fifo_violation_is_detected_and_remembered(self):
+        sim = Simulator()
+        received = []
+        channel = make_channel(sim, FixedLatency(1.0), received)
+        channel.send(Envelope(1, 2, "first"))
+        # Break the clamp the way a buggy channel would: schedule the
+        # next delivery ahead of one already in flight.
+        channel.latency = FixedLatency(0.1)
+        channel._last_delivery = 0.0
+        channel.send(Envelope(1, 2, "overtakes"))
+        sim.run()
+        assert [e.payload for e in received] == ["overtakes", "first"]
+        assert not channel.fifo_respected()
+        channel.latency = FixedLatency(1.0)
+        channel.send(Envelope(1, 2, "in order again"))
+        sim.run()
+        assert not channel.fifo_respected()
 
     def test_wrong_addressing_rejected(self):
         sim = Simulator()

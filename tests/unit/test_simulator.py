@@ -23,6 +23,28 @@ class TestScheduling:
         sim.run()
         assert fired == ["a", "b", "c"]
 
+    def test_callbacks_are_never_compared(self):
+        """The heap orders (time, seq) alone: fifty simultaneous events
+        whose callbacks refuse ``<`` still fire in scheduling order."""
+
+        class Unorderable:
+            def __init__(self, name, fired):
+                self.name, self.fired = name, fired
+
+            def __call__(self):
+                self.fired.append(self.name)
+
+            def __lt__(self, other):
+                raise AssertionError("the heap compared two callbacks")
+
+        sim = Simulator()
+        fired = []
+        for name in range(50):
+            sim.schedule(1.0, Unorderable(name, fired))
+        sim.schedule(0.5, Unorderable("early", fired))
+        sim.run()
+        assert fired == ["early", *range(50)]
+
     def test_now_advances(self):
         sim = Simulator()
         times = []
@@ -111,6 +133,21 @@ class TestRunControls:
         assert sim.pending_events == 3
         sim.run()
         assert sim.pending_events == 0
+
+    def test_cancelling_head_and_middle_keeps_pending_exact(self):
+        sim = Simulator()
+        fired = []
+        events = [
+            sim.schedule(float(i + 1), lambda i=i: fired.append(i)) for i in range(5)
+        ]
+        sim.cancel(events[0])  # the heap head
+        sim.cancel(events[2])  # an interior entry
+        assert sim.pending_events == 3
+        assert sim.run(until=2.0) == 1
+        assert fired == [1] and sim.pending_events == 2
+        assert sim.run() == 2
+        assert fired == [1, 3, 4]
+        assert sim.pending_events == 0 and sim.processed_events == 3
 
     def test_message_ids_are_per_simulator(self):
         a, b = Simulator(), Simulator()
