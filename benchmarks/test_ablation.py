@@ -10,8 +10,9 @@ ABL-1  Transformation at the notifier is what makes 2 elements enough.
        ground truth over the *original* operations; with transformation
        on, they never do.
 
-ABL-2  History-buffer garbage collection: HB growth with and without
-       the acknowledgement-horizon GC over a long session.
+ABL-2  History retention: HB length at peak and at quiescence when the
+       arrivals prune at the acknowledgement horizon (every session
+       without the oracle) vs the oracle session, which keeps it all.
 
 ABL-3  Batching: composing keystroke bursts into one component
        operation before propagation vs sending every keystroke.
@@ -124,37 +125,35 @@ def test_abl1_transformation_collapses_causality(benchmark):
     assert total_off > 0
 
 
-def test_abl2_garbage_collection(benchmark):
-    def run(gc: bool):
+def test_abl2_history_retention(benchmark):
+    def run(oracle: bool):
         config = RandomSessionConfig(n_sites=4, ops_per_site=25, seed=0)
         session = StarSession(
             4,
             initial_state=config.initial_document,
             latency_factory=latencies(0),
-            record_events=False,
+            verify_with_oracle=oracle,
             record_checks=False,
         )
         drive_star_session(session, config)
-        if gc:
-            for t in range(2, 30, 2):
-                session.sim.schedule(float(t), session.notifier.collect_garbage)
-                for client in session.clients:
-                    session.sim.schedule(float(t) + 0.1, client.collect_garbage)
-        session.run()
+        peak_notifier = peak_clients = 0
+        while session.sim.step():
+            peak_notifier = max(peak_notifier, len(session.notifier.hb))
+            peak_clients = max(peak_clients, *(len(c.hb) for c in session.clients))
         assert session.converged()
-        peak_notifier = len(session.notifier.hb)
-        peak_clients = max(len(c.hb) for c in session.clients)
-        return peak_notifier, peak_clients
+        final_clients = max(len(c.hb) for c in session.clients)
+        return peak_notifier, peak_clients, len(session.notifier.hb), final_clients
 
-    with_gc = benchmark.pedantic(run, args=(True,), rounds=1, iterations=1)
-    without_gc = run(False)
+    pruned = benchmark.pedantic(run, args=(False,), rounds=1, iterations=1)
+    retained = run(True)
     emit(
-        "ABL-2: history-buffer length at quiescence (notifier, max client)",
-        f"with GC   : {with_gc}\nwithout GC: {without_gc}",
+        "ABL-2: history-buffer length (notifier peak, max client peak, "
+        "notifier at quiescence, max client at quiescence)",
+        f"pruned at the ack horizon: {pruned}\noracle, keeps everything : {retained}",
     )
-    assert with_gc[0] < without_gc[0]
-    assert with_gc[1] < without_gc[1]
-    assert without_gc[0] == 100  # every op retained
+    assert all(p < r for p, r in zip(pruned, retained))
+    assert retained[0] == retained[2] == 100  # every op retained
+    assert retained[1] == retained[3] == 100
 
 
 def test_abl3_batching(benchmark):

@@ -30,10 +30,13 @@ def banner(title: str) -> None:
 
 
 def run_scenario(transform: bool) -> StarSession:
+    # The diagrams and the walkthrough are drawn from complete history
+    # buffers, which only an oracle session retains (and verifies).
     session = StarSession(
         n_sites=3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
+        verify_with_oracle=True,
         transform_enabled=transform,
     )
     for item in fig3_script():

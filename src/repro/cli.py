@@ -65,10 +65,13 @@ def jitter_latency_factory(seed: int) -> Callable[[int, int], JitterLatency]:
 
 
 def _run_scripted(transform: bool) -> StarSession:
+    # Fig. 3 is printed from the complete buffers the paper walks through:
+    # only an oracle session retains (and verifies) the whole history.
     session = StarSession(
         n_sites=3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
+        verify_with_oracle=transform,
         transform_enabled=transform,
     )
     for item in fig3_script():

@@ -17,8 +17,9 @@ Section 2.3).  Entries record:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Collection, Iterator, Union
 
 from repro.core.timestamp import CompressedTimestamp, FullTimestamp, OriginKind
 
@@ -51,9 +52,16 @@ class HistoryEntry:
 
 @dataclass
 class HistoryBuffer:
-    """An append-only buffer of :class:`HistoryEntry` in execution order."""
+    """:class:`HistoryEntry` records in execution order.
 
-    entries: list[HistoryEntry] = field(default_factory=list)
+    Entries are appended at the tail and forgotten from the head: the
+    paper's buffers are unbounded, but formulas (5)/(7) plus FIFO make
+    every entry older than the oldest unacknowledged one causally before
+    all future arrivals, so the star editor prunes at that horizon on
+    every arrival (see :meth:`prune_head`).
+    """
+
+    entries: deque[HistoryEntry] = field(default_factory=deque)
 
     def append(self, entry: HistoryEntry) -> None:
         self.entries.append(entry)
@@ -80,14 +88,15 @@ class HistoryBuffer:
     def clear(self) -> None:
         self.entries.clear()
 
-    def garbage_collect(self, keep_if: Callable[[HistoryEntry], bool]) -> int:
-        """Drop entries failing ``keep_if``; returns the number removed.
+    def prune_head(self, live_op_ids: Collection[Any]) -> None:
+        """Forget head entries until one is in ``live_op_ids``.
 
-        The paper keeps HBs unbounded; real deployments prune entries no
-        longer concurrent with anything in flight.  The star editor uses
-        this with an acknowledgement horizon (see
-        ``StarClient.collect_garbage``).
+        O(1) per entry dropped; the buffer is never rebuilt.  Only a
+        *prefix* goes, so an entry behind a live one survives even when
+        it is itself dead -- conservative, and it lets the caller name
+        just the oldest unacknowledged operation of each acknowledgement
+        queue instead of every live entry.
         """
-        before = len(self.entries)
-        self.entries = [entry for entry in self.entries if keep_if(entry)]
-        return before - len(self.entries)
+        entries = self.entries
+        while entries and entries[0].op_id not in live_op_ids:
+            entries.popleft()

@@ -92,8 +92,9 @@ class StarClient(EditorEndpoint):
         self.event_log = event_log
         self.verify_with_oracle = verify_with_oracle
         self.transform_enabled = transform_enabled
-        # Diagnostic trace of every concurrency check.  O(ops * HB) memory:
-        # keep it on for scenario replays and tests, off for long sessions.
+        # Diagnostic trace of every concurrency check: one record per
+        # (arrival, retained HB entry), so O(in-flight window) per arrival
+        # once the HB is pruned; the list itself is never trimmed.
         self.record_checks = record_checks
         self.checks: list[CheckRecord] = []
         self.executed_op_ids: list[str] = []
@@ -103,8 +104,8 @@ class StarClient(EditorEndpoint):
         # process, or replays stop being reproducible.  Survives crashes
         # (ids are ground-truth bookkeeping, not volatile editor state).
         self._op_ids = itertools.count(1)
-        # Undo bookkeeping, independent of the HB so garbage collection
-        # cannot take a legitimately undoable operation away.
+        # Undo bookkeeping, independent of the HB so pruning cannot take
+        # a legitimately undoable operation away.
         self._last_local_entry: HistoryEntry | None = None
         self._last_exec_was_local = False
         self.crash_count = 0
@@ -269,11 +270,10 @@ class StarClient(EditorEndpoint):
             )
         message: OpMessage = envelope.payload
         ts = message.timestamp
-        # The full formula-(5) sweep over the HB is O(|HB|) per arrival
-        # and only needed when recording or oracle-verifying checks; the
-        # FIFO analysis (see _concurrency_pass) proves the concurrent
-        # set equals the unacknowledged-pending set, which the fast path
-        # uses directly.  The slow path cross-checks the two.
+        # The formula-(5) sweep over the HB is only needed when recording
+        # or oracle-verifying checks: formula (5) plus FIFO make the
+        # concurrent set equal the unacknowledged-pending set, which the
+        # fast path uses directly.  The slow path cross-checks the two.
         diagnostics = self.record_checks or self.verify_with_oracle
         concurrent_entries = self._concurrency_pass(message) if diagnostics else None
         # FIFO acknowledgement: T[2] local operations are now reflected
@@ -288,6 +288,11 @@ class StarClient(EditorEndpoint):
                     f"site {self.pid}: formula (5) concurrent set {actual} != "
                     f"pending set {expected} for {message.op_id}"
                 )
+        # History retention: everything older than the oldest unacknowledged
+        # local operation is causally before every future arrival.  The
+        # oracle run keeps the whole history -- it is the proof of this rule.
+        if not self.verify_with_oracle:
+            self.hb.prune_head((self.pending[0].op_id,) if self.pending else ())
         new_op = message.op
         if self.transform_enabled:
             if self.pending and self.tracer is not None:
@@ -363,7 +368,7 @@ class StarClient(EditorEndpoint):
                         buffered_op_id=entry.op_id,
                         verdict=verdict,
                         new_timestamp=message.timestamp.as_paper_list(),
-                        buffered_timestamp=list(entry.timestamp.as_paper_list()),
+                        buffered_timestamp=entry.timestamp.as_paper_list(),
                     )
                 )
             if self.verify_with_oracle and self.event_log is not None:
@@ -394,12 +399,12 @@ class StarClient(EditorEndpoint):
         a local one (a remote operation arrived since -- the inverse's
         context is gone) or the OT type does not support inversion.
 
-        The undoable entry is tracked independently of the HB:
-        ``collect_garbage`` may prune the site's latest local entry (it
-        stops being *pending* the moment the notifier acknowledges it)
-        but the operation remains perfectly undoable -- the inverse is
-        defined on the current document as long as nothing remote has
-        executed since.
+        The undoable entry is tracked independently of the HB, which
+        forgets entries at the acknowledgement horizon and so says what
+        is still *unacknowledged*, not what executed *last*: a pending
+        local entry can head the HB long after a remote operation
+        executed.  The inverse is defined on the current document
+        exactly as long as nothing remote has executed since.
         """
         entry = self._last_local_entry
         if entry is None:
@@ -749,17 +754,7 @@ class StarClient(EditorEndpoint):
             timestamp_bytes=0, kind="resync",
         )
 
-    # -- maintenance -----------------------------------------------------------
-
-    def collect_garbage(self) -> int:
-        """Prune HB entries that can never again test concurrent.
-
-        Under FIFO, FROM_CENTER entries never satisfy formula (5), and a
-        LOCAL entry stops mattering once acknowledged (it left
-        ``pending``).  Returns the number of entries removed.
-        """
-        pending_ids = {entry.op_id for entry in self.pending}
-        return self.hb.garbage_collect(lambda entry: entry.op_id in pending_ids)
+    # -- gauges ----------------------------------------------------------------
 
     def clock_storage_ints(self) -> int:
         """Resident clock-state integers: the paper's constant 2."""

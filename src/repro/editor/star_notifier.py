@@ -166,6 +166,15 @@ class StarNotifier(EditorEndpoint):
                     f"notifier: formula (7) concurrent set {actual} != pending "
                     f"set {expected} for {message.op_id} from site {source}"
                 )
+        # History retention, as at the clients: an entry no destination
+        # still owes an ack for is causally before every future arrival.
+        # Only a prefix goes, so a live head is the head of its debtor's
+        # queue; a destination that never sends never acknowledges and
+        # pins HB_0 as it pins its own sent_to.
+        if not self.verify_with_oracle:
+            self.hb.prune_head(
+                {queue[0].op_id for queue in self.sent_to.values() if queue}
+            )
         new_op = message.op
         if self.transform_enabled:
             for entry in self.sent_to[source]:
@@ -317,7 +326,7 @@ class StarNotifier(EditorEndpoint):
                         buffered_op_id=entry.op_id,
                         verdict=verdict,
                         new_timestamp=message.timestamp.as_paper_list(),
-                        buffered_timestamp=list(entry.timestamp.as_paper_list()),
+                        buffered_timestamp=entry.timestamp.as_paper_list(),
                     )
                 )
             if self.verify_with_oracle and self.event_log is not None:
@@ -537,11 +546,6 @@ class StarNotifier(EditorEndpoint):
             timestamp_bytes=0,
             kind="snapshot",
         )
-
-    def collect_garbage(self) -> int:
-        """Prune HB entries no longer pending for any destination."""
-        needed = {pending.op_id for entries in self.sent_to.values() for pending in entries}
-        return self.hb.garbage_collect(lambda entry: entry.op_id in needed)
 
     def clock_storage_ints(self) -> int:
         """Resident clock-state integers at the notifier: N."""

@@ -31,14 +31,15 @@ def latency_factory(src, dst):
     return UniformLatency(0.02, 0.15, random.Random(src * 13 + dst * 101))
 
 
-def failover_session(standby=None, crashes=(), crash_at=5.0, tracer=None):
+def failover_session(standby=None, crashes=(), crash_at=5.0, tracer=None,
+                     oracle=True):
     plan = FaultPlan(
         notifier_crash=NotifierCrash(at=crash_at), crashes=tuple(crashes)
     )
     return StarSession(
         3,
         latency_factory=latency_factory,
-        verify_with_oracle=True,
+        verify_with_oracle=oracle,
         fault_plan=plan,
         reliability=FAST_DETECT,
         standby_site=standby,
@@ -121,6 +122,60 @@ class TestFailoverAcceptance:
         assert session.converged()
         assert session.promoted_notifier is None
         assert session.fault_report().promotions == 0
+
+
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "pruned"])
+class TestHistoryRetentionAcrossFailover:
+    """Promotion with and without the oracle: every other failover test
+    runs under the oracle, which never prunes."""
+
+    @staticmethod
+    def assert_retention(centre, oracle):
+        if oracle:
+            assert centre.hb.op_ids() == centre.executed_op_ids
+        else:
+            # Promotion starts from an empty history and empty debts;
+            # nothing acknowledged by everyone is still at the head.
+            assert len(centre.hb) < len(centre.executed_op_ids)
+            assert centre.hb[0].op_id in {
+                queue[0].op_id for queue in centre.sent_to.values() if queue
+            }
+
+    def test_promotion_converges_and_unpins_history(self, oracle):
+        session = failover_session(standby=1, oracle=oracle)
+        drive_across_the_crash(session)
+        # Two more settled rounds under the promoted centre, whose own
+        # edits take the centre-local path.
+        start = session.sim.now
+        for turn, site in enumerate([2, 3, 1, 2, 3, 1], start=1):
+            session.generate_at(site, Insert("z", 0), at=start + 2.0 * turn)
+        session.run()
+        assert session.quiescent()
+        assert session.converged(), session.documents()
+        assert sorted(session.documents()[0]) == list("abcdef" + "z" * 6)
+        assert session.fault_report().promotions == 1
+        assert session.reliable_delivery_in_order()
+        self.assert_retention(session.notifier, oracle)
+        self.assert_retention(session.promoted_notifier, oracle)
+
+    def test_resync_racing_the_promotion_converges(self, oracle):
+        session = failover_session(
+            standby=1,
+            crashes=[ClientCrash(site=3, at=2.0, restart_at=4.0)],
+            crash_at=3.0,
+            oracle=oracle,
+        )
+        session.generate_at(1, Insert("a", 0), at=1.0)
+        session.generate_at(2, Insert("b", 0), at=2.5)
+        session.generate_at(3, Insert("c", 0), at=40.0)
+        session.generate_at(2, Insert("d", 0), at=45.0)
+        session.run()
+        assert session.quiescent()
+        assert session.converged(), session.documents()
+        assert sorted(session.documents()[0]) == list("abcd")
+        assert session.fault_report().recoveries == 1
+        assert session.reliable_delivery_in_order()
+        self.assert_retention(session.promoted_notifier, oracle)
 
 
 class TestFailoverMidResync:

@@ -26,11 +26,11 @@ def latency_factory(seed):
     return build
 
 
-def run_faulty_session(plan, n_sites=4, ops_per_site=10, workload_seed=3):
+def run_faulty_session(plan, n_sites=4, ops_per_site=10, workload_seed=3, oracle=True):
     session = StarSession(
         n_sites,
         latency_factory=latency_factory(plan.seed),
-        verify_with_oracle=True,
+        verify_with_oracle=oracle,
         fault_plan=plan,
     )
     config = RandomSessionConfig(
@@ -130,6 +130,60 @@ class TestLossyNetwork:
         session = StarSession(2)
         with pytest.raises(RuntimeError, match="requires the reliability"):
             session.client(1).crash()
+
+
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "pruned"])
+class TestHistoryRetentionUnderFaults:
+    """The fault paths with and without the oracle: the oracle session
+    keeps (and verifies) the whole history, every other session prunes
+    it -- and a crashed client must not pin ``HB_0`` past its resync."""
+
+    def test_lossy_crash_session_converges(self, oracle):
+        plan = FaultPlan(
+            seed=7,
+            default=ChannelFaults(drop_p=0.2, dup_p=0.05),
+            crashes=(ClientCrash(site=2, at=3.0, restart_at=5.0),),
+        )
+        session = run_faulty_session(plan, oracle=oracle)
+        assert session.quiescent()
+        assert session.converged(), session.documents()
+        assert session.reliable_delivery_in_order()
+        assert session.fault_report().recoveries >= 1
+        notifier = session.notifier
+        if oracle:
+            assert notifier.hb.op_ids() == notifier.executed_op_ids
+        else:
+            assert len(notifier.hb) < len(notifier.executed_op_ids)
+            assert notifier.hb[0].op_id in {
+                queue[0].op_id for queue in notifier.sent_to.values() if queue
+            }
+
+    def test_resync_unpins_the_notifier_history(self, oracle):
+        plan = FaultPlan(
+            seed=5,
+            crashes=(ClientCrash(site=1, at=2.0, restart_at=3.0),),
+        )
+        session = StarSession(
+            2,
+            latency_factory=latency_factory(5),
+            verify_with_oracle=oracle,
+            fault_plan=plan,
+        )
+        session.generate_at(1, Insert("a", 0), at=1.0)  # before the crash
+        session.generate_at(2, Insert("b", 0), at=2.5)  # while site 1 is down
+        session.run(until=3.0)
+        notifier = session.notifier
+        # The dead site cannot acknowledge: b' is owed to it and pinned.
+        assert [p.op_id for p in notifier.sent_to[1]] == ["c2_1'"]
+        assert "c2_1'" in notifier.hb.op_ids()
+        session.generate_at(1, Insert("c", 0), at=4.0)  # after recovery
+        session.run()
+        assert session.converged(), session.documents()
+        assert session.reliable_delivery_in_order()
+        assert session.client(1).rel_stats.recoveries == 1
+        # The resync voided the debt, so the next arrival forgot b'.
+        expected = ["c1_1'", "c2_1'", "c1_2'"] if oracle else ["c1_2'"]
+        assert notifier.hb.op_ids() == expected
 
 
 class TestDeterminism:

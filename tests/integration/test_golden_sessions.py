@@ -57,19 +57,30 @@ class Golden:
     p50: float
     p95: float
     p99: float
+    # History retention: formula-5/7 checks recorded over the session
+    # and the longest history buffer any role ends with.  These sessions
+    # run without the oracle, so their histories are pruned at the
+    # acknowledgement horizon; the mesh keeps no HB.
+    check_records: int
+    hb_max: int
 
 
 GOLDEN = (
     Golden("star-4x8-clean", "star", 4, 8, None, 128, 4226, 1024, 2178, 12, 0,
-           0.18121774879736918, 0.46022069709989255, 0.5555273795626103),
+           0.18121774879736918, 0.46022069709989255, 0.5555273795626103,
+           405, 9),
     Golden("star-8x6-clean", "star", 8, 6, None, 384, 12536, 3072, 6392, 24, 0,
-           0.18946423980715843, 0.4312231626140668, 0.5107159237232191),
+           0.18946423980715843, 0.4312231626140668, 0.5107159237232191,
+           1729, 32),
     Golden("star-4x8-lossy", "star", 4, 8, LOSSY, 313, 10266, 1280, 6482, 12, 6,
-           0.22746704517037442, 0.9243015730204331, 1.162913169944666),
+           0.22746704517037442, 0.9243015730204331, 1.162913169944666,
+           529, 10),
     Golden("star-4x8-crash", "star", 4, 8, CRASH, 253, 8638, 1128, 5486, 12, 5,
-           0.17046296458876853, 0.574854492419981, 0.8823190107208232),
+           0.17046296458876853, 0.574854492419981, 0.8823190107208232,
+           360, 8),
     Golden("mesh-4x6-clean", "mesh", 4, 6, None, 72, 2598, 1152, 870, 16, 1,
-           0.0974036620908092, 0.2813646376596153, 0.37055184274854325),
+           0.0974036620908092, 0.2813646376596153, 0.37055184274854325,
+           0, 0),
 )
 
 
@@ -128,6 +139,8 @@ def test_seeded_session_matches_golden_values(golden):
     assert latency.percentile(50) == golden.p50
     assert latency.percentile(95) == golden.p95
     assert latency.percentile(99) == golden.p99
+    assert len(session.all_checks()) == golden.check_records
+    assert max(len(getattr(e, "hb", ())) for e in session.participants()) == golden.hb_max
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.timestamp import OriginKind
 from repro.editor import messages
 from repro.editor.star import ConsistencyError, StarSession
 from repro.net import codec
@@ -186,48 +187,77 @@ class TestInvariants:
 
 
 class TestGarbageCollection:
+    """History is pruned at the acknowledgement horizon by the arrivals
+    themselves; these pin the end states the manual GC used to reach."""
+
     def test_client_gc_drops_acked_entries(self):
         config = RandomSessionConfig(n_sites=3, ops_per_site=6, seed=4)
         session = StarSession(3, initial_state=config.initial_document)
         drive_star_session(session, config)
         session.run()
         for client in session.clients:
-            # A trailing local op stays pending until a later center op
-            # acknowledges it, so GC keeps exactly the pending entries.
-            pending = len(client.pending)
-            removed = client.collect_garbage()
-            assert removed == len(client.executed_op_ids) - pending
-            assert len(client.hb) == pending
-            assert client.hb.op_ids() == [e.op_id for e in client.pending]
+            kept = client.hb.op_ids()
+            assert 0 < len(kept) < len(client.executed_op_ids)
+            assert kept == client.executed_op_ids[-len(kept):]
+            # The last arrival left either the oldest unacknowledged local
+            # operation at the head, or (nothing pending then) only itself;
+            # local operations generated since queue up behind it.
+            head = client.hb[0]
+            if head.origin_kind is OriginKind.LOCAL:
+                assert head is client.pending[0]
+            else:
+                assert list(client.hb)[1:] == list(client.pending)
+            local = [e for e in client.hb if e.origin_kind is OriginKind.LOCAL]
+            assert local == list(client.pending)
 
     def test_notifier_gc_drops_fully_acked_entries(self):
         session = StarSession(n_sites=2, initial_state="ab")
         session.generate_at(1, Insert("x", 0), at=1.0)
+        session.generate_at(1, Insert("y", 0), at=2.0)
         session.run()
         # client 2 has not sent anything, so its ack horizon is unknown;
-        # the broadcast to it is still pending and must be kept.
-        assert session.notifier.collect_garbage() == 0
-        session.generate_at(2, Insert("y", 0), at=session.sim.now + 1.0)
+        # the broadcasts to it are still pending and must be kept.
+        assert session.notifier.hb.op_ids() == ["c1_1'", "c1_2'"]
+        session.generate_at(2, Insert("z", 0), at=session.sim.now + 1.0)
         session.run()
-        # now client 2 acknowledged the first broadcast; only the second
-        # operation remains pending (for client 1's horizon).
-        removed = session.notifier.collect_garbage()
-        assert removed == 1
+        # now client 2 acknowledged both broadcasts; only its own
+        # operation remains, pending for client 1's horizon.
+        assert session.notifier.hb.op_ids() == ["c2_1'"]
+        assert [p.op_id for p in session.notifier.sent_to[1]] == ["c2_1'"]
 
     def test_gc_preserves_correctness(self):
-        """A session that GCs aggressively still converges."""
+        """A session that forgets as it goes still converges, on the
+        diagnosed path whose sweep sees only the retained window."""
         config = RandomSessionConfig(n_sites=3, ops_per_site=10, seed=8)
         session = StarSession(3, initial_state=config.initial_document,
                               latency_factory=uniform_latencies(8),
                               verify_with_oracle=False)
         drive_star_session(session, config)
-        # interleave GC with the workload
-        for t in range(2, 14, 2):
-            session.sim.schedule(float(t), session.notifier.collect_garbage)
-            for client in session.clients:
-                session.sim.schedule(float(t) + 0.1, client.collect_garbage)
         session.run()
         assert session.converged()
+        assert max(len(e.hb) for e in session.endpoints()) < 30
+        assert session.all_checks()
+
+    def test_oracle_session_retains_the_whole_history(self):
+        """The oracle run is the proof obligation of the pruning: it
+        checks every pair, so every endpoint keeps everything."""
+        config = RandomSessionConfig(n_sites=3, ops_per_site=10, seed=8)
+        session = StarSession(3, initial_state=config.initial_document,
+                              latency_factory=uniform_latencies(8),
+                              verify_with_oracle=True)
+        drive_star_session(session, config)
+        while session.sim.run(max_events=7):
+            for endpoint in session.endpoints():
+                assert endpoint.hb.op_ids() == endpoint.executed_op_ids
+        assert session.converged()
+        assert len(session.notifier.hb) == 30
+        # Every arrival swept everything executed before it.
+        assert len(session.all_checks()) == sum(
+            index
+            for endpoint in session.endpoints()
+            for index, entry in enumerate(endpoint.hb)
+            if entry.origin_kind is not OriginKind.LOCAL
+        )
 
 
 class TestBroadcastOnce:

@@ -106,42 +106,53 @@ class TestUndoLast:
         assert session.notifier.document == "abc"
 
     def test_undo_survives_garbage_collection(self):
-        """Regression: undo must not depend on the entry still being in
-        the HB.  ``collect_garbage`` prunes an acknowledged local entry,
-        but the operation stays perfectly undoable as long as nothing
-        remote executed since -- the old HB-tail lookup raised a spurious
-        "nothing to undo" here."""
-        session = StarSession(1, initial_state="hello")
+        """Regression: undo must not depend on what the HB still holds.
+        An acknowledging arrival prunes the site's earlier local entry;
+        the next local operation is undoable from the tracked entry,
+        and the undo converges like any other operation."""
+        session = StarSession(2, initial_state="hello")
         session.generate_at(1, Insert(" world", 5), at=1.0)
+        session.generate_at(2, Insert("!", 11), at=5.0)  # its broadcast acks site 1
         session.run()
         client = session.client(1)
-        client.pending.clear()  # stand-in for a notifier acknowledgement
-        assert client.collect_garbage() == 1
-        assert len(client.hb) == 0
+        assert not client.pending
+        assert client.hb.op_ids() == ["c2_1'"]  # the local entry is gone
+        client.generate(Insert("?", 0))
         client.undo_last()
         session.run()
         assert session.converged()
-        assert session.notifier.document == "hello"
+        assert session.notifier.document == "hello world!"
 
     def test_undo_blocked_when_gc_hides_remote_execution(self):
-        """Regression (the dangerous direction): after GC prunes the
-        FROM_CENTER tail, the HB again *ends* with a local entry -- but a
-        remote operation did execute since, so its inverse's context is
-        gone.  The old HB-tail lookup would happily undo into a corrupted
+        """Regression (the dangerous direction): pruning keeps the HB
+        *headed* by the site's unacknowledged local entry, and the entry
+        is still pending -- but a remote operation did execute since, so
+        its inverse's context is gone.  Deciding undoability from which
+        local entries the HB retains would undo into a corrupted
         document; the independent tracking must refuse."""
         from repro.core.timestamp import OriginKind
 
         session = StarSession(2, initial_state="ABCDE")
         # B broadcasts before the notifier has seen A, so A stays pending
-        # at client 1 (the broadcast carries T[2] = 0) and survives GC.
+        # at client 1 (the broadcast carries T[2] = 0) and survives the
+        # pruning that B's arrival performs.
         session.generate_at(2, Delete(2, 0), at=1.0)
         session.generate_at(1, Insert("xy", 1), at=1.07)
         session.run()
         client = session.client(1)
-        client.collect_garbage()
-        assert client.hb[len(client.hb) - 1].origin_kind is OriginKind.LOCAL
+        assert [e.origin_kind for e in client.hb] == [
+            OriginKind.LOCAL, OriginKind.FROM_CENTER
+        ]
+        assert client.hb[0] is client.pending[0]
         with pytest.raises(UndoError, match="remote operation executed"):
             client.undo_last()
+        # A fresh local operation re-arms undo, for that operation only.
+        client.generate(Insert("!", 0))
+        assert client.hb[len(client.hb) - 1].origin_kind is OriginKind.LOCAL
+        client.undo_last()
+        session.run()
+        assert session.converged()
+        assert session.notifier.document == "xyCDE"
 
     def test_undo_counts_as_ordinary_operation_in_sv(self):
         session = StarSession(1, initial_state="q")

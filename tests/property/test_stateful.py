@@ -3,8 +3,10 @@
 Two rule-based machines drive live star sessions through arbitrary
 interleavings of the system's moving parts -- local edits at any client,
 partial simulation advances (messages stay in flight between rules),
-undo, garbage collection, and late joins -- checking the global
-invariants after every step:
+undo, and late joins -- checking the global invariants after every step
+(history pruning is automatic: the membership machine runs pruned, the
+oracle machine keeps everything, and ``test_history_pruning`` compares
+the two):
 
 * FIFO is never violated on any channel;
 * timestamp traffic is 8 bytes/message whatever happened;
@@ -56,11 +58,6 @@ class StarMachine(RuleBasedStateMachine):
             self.session.client(site).undo_last()
         except UndoError:
             pass  # nothing undoable right now -- fine
-
-    @rule(site=st.integers(1, 4))
-    def collect_garbage(self, site):
-        self.session.client(site).collect_garbage()
-        self.session.notifier.collect_garbage()
 
     @invariant()
     def fifo_holds(self):

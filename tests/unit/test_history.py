@@ -37,13 +37,23 @@ class TestHistoryBuffer:
         picked = hb.concurrent_entries(lambda e: e.timestamp.second >= 2)
         assert [e.op_id for e in picked] == ["b", "c"]
 
-    def test_garbage_collect(self):
+    def test_prune_head_forgets_only_a_prefix(self):
         hb = HistoryBuffer()
         for i in range(5):
             hb.append(entry(f"op{i}", i))
-        removed = hb.garbage_collect(lambda e: e.timestamp.second >= 3)
-        assert removed == 3
+        # Pruning stops at the first live entry; the dead op2 behind it
+        # is retained (conservative), only the prefix op0 goes.
+        hb.prune_head({"op3", "op1"})
+        assert hb.op_ids() == ["op1", "op2", "op3", "op4"]
+        hb.prune_head({"op3"})
         assert hb.op_ids() == ["op3", "op4"]
+        hb.prune_head({"op3"})  # idempotent while the head is live
+        assert hb.op_ids() == ["op3", "op4"]
+        hb.prune_head(())  # nothing unacknowledged: everything goes
+        assert len(hb) == 0
+        hb.prune_head(())  # and an empty buffer is fine
+        hb.append(entry("op5", 5))
+        assert hb[0].op_id == "op5"
 
     def test_clear(self):
         hb = HistoryBuffer()
