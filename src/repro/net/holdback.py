@@ -102,6 +102,10 @@ class HoldbackQueue(Generic[T]):
                 del self._streams[stream]
         return item
 
+    def holds(self, stream: Stream) -> bool:
+        """True iff anything is held for ``stream``: its consumer sits at a gap."""
+        return stream in self._streams
+
     def clear(self, stream: Optional[Stream] = None) -> int:
         """Drop everything held for ``stream`` (or all streams).
 

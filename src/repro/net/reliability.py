@@ -17,10 +17,16 @@ Editors *own* a transport (composition), they do not inherit one:
   accounting to the paper's model.
 * :class:`ReliableEndpoint` -- the reliability protocol.  Every outgoing
   message is wrapped in a sequence-numbered :class:`ReliablePacket`,
-  retransmitted with exponential backoff until cumulatively
-  acknowledged, deduplicated by ``(source, seq)`` at the receiver, and
-  released to ``deliver`` strictly in sequence order through a shared
-  :class:`~repro.net.holdback.HoldbackQueue`.  Crashed incarnations
+  kept until cumulatively acknowledged, deduplicated by ``(source,
+  seq)`` at the receiver, and released to ``deliver`` strictly in
+  sequence order through a shared
+  :class:`~repro.net.holdback.HoldbackQueue`.  Repair is proportional
+  to loss: the network never reorders what it delivers, so a receiver
+  holding packets above a gap has *proof* the head's earlier copy was
+  lost and says so on its acks (``ReliablePacket.gap``); the sender
+  resends that head at once, and the retransmit timer (exponential
+  backoff) resends the head only, as the fallback for a lost repair,
+  a lost tail or lost acks.  Crashed incarnations
   are fenced by *epochs*: a packet from an older epoch is discarded, a
   packet from a newer epoch voids the previous incarnation's link state.
 
@@ -83,7 +89,11 @@ class ReliablePacket:
     destination (``-1`` if none).  A ``probe`` is an unsequenced
     liveness heartbeat (``seq == -1``): the receiver answers it with an
     immediate acknowledgement, and *any* arrival from a probed peer
-    counts as proof of life.
+    counts as proof of life.  ``gap`` qualifies ``ack``: the sender is
+    holding packets from the destination above seq ``ack + 1``, which
+    over a network that never reorders proves every copy of that seq
+    sent before them was lost.  It rides the flags byte that carries
+    ``probe``, so it costs nothing on either wire.
     """
 
     seq: int
@@ -91,6 +101,7 @@ class ReliablePacket:
     ack: int
     payload: Any = None
     probe: bool = False
+    gap: bool = False
 
     def __post_init__(self) -> None:
         if self.seq < -1 or self.ack < -1 or self.epoch < 0:
@@ -224,6 +235,8 @@ class _PeerLink:
     recv_next: int = 0  # next seq to release to the editor
     retries: int = 0  # consecutive retransmit rounds without ack progress
     dead: bool = False  # budget exhausted: traffic parked, timer disarmed
+    repaired: int = -1  # highest seq resent on a gap report
+    repair_run: int = 0  # packets the last gap repair resent
 
 
 @dataclass
@@ -393,12 +406,14 @@ class ReliableEndpoint:
         self._holdback: HoldbackQueue[Envelope] = HoldbackQueue(
             capacity=reliability.holdback_limit if reliability else None
         )
-        # Audit trace: per source, the (epoch, seq) of every packet
-        # actually handed to the editor, in release order.  Deliberately
-        # not link state (and not cleared on crash): the in-order audit
-        # must survive link resets and stay independent of recv_next /
-        # the holdback queue, the very mechanism it checks.
-        self._release_trace: dict[int, list[tuple[int, int]]] = {}
+        # In-order audit: per source, the (epoch, next seq) the editor
+        # must be handed next, checked against each released packet's
+        # own header.  Deliberately not link state (and not cleared on
+        # crash): the audit must survive link resets and stay
+        # independent of recv_next / the holdback queue, the very
+        # mechanism it checks.  A violation is remembered for good.
+        self._audit_next: dict[int, tuple[int, int]] = {}
+        self._audit_violated = False
 
     # -- compatibility alias ---------------------------------------------------
 
@@ -445,7 +460,7 @@ class ReliableEndpoint:
         if link.dead:
             # The peer was declared dead: park the packet in the send
             # window without touching the wire.  If the peer ever talks
-            # again the link resurrects and the window retransmits.
+            # again the link resurrects and the retransmit timer restarts.
             return
         if self.tracer is not None:
             self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest,
@@ -479,16 +494,41 @@ class ReliableEndpoint:
             self._give_up(dest, link)
             return
         link.retries += 1
-        for seq in sorted(link.unacked):
-            payload, ts_bytes, kind = link.unacked[seq]
-            self.stats.retransmits += 1
-            if self.tracer is not None:
-                self.tracer.emit(TraceEventKind.RETRANSMITTED, self.pid,
-                                 peer=dest, epoch=link.epoch, seq=seq,
-                                 op_id=_traced_op_id(payload))
-            self._transmit(dest, link, seq, payload, ts_bytes, kind)
+        # A full RTO without progress is a suspicion, not proof: resend
+        # the head alone.  If only acks were lost, its re-ack covers the
+        # whole window; if more is missing, the receiver's gap reports
+        # drive the rest.
+        self._retransmit(dest, link, next(iter(link.unacked)), via="timer")
         link.rto = min(link.rto * policy.backoff, policy.max_rto)
         self._arm_timer(dest, link)
+
+    def _retransmit(self, dest: int, link: _PeerLink, seq: int, via: str) -> None:
+        payload, ts_bytes, kind = link.unacked[seq]
+        self.stats.retransmits += 1
+        if self.tracer is not None:
+            self.tracer.emit(TraceEventKind.RETRANSMITTED, self.pid,
+                             peer=dest, epoch=link.epoch, seq=seq,
+                             op_id=_traced_op_id(payload), via=via)
+        self._transmit(dest, link, seq, payload, ts_bytes, kind)
+
+    def _repair_gap(self, dest: int, link: _PeerLink, head: int) -> None:
+        """The peer holds packets above ``head``: resend what was lost.
+
+        The network never reorders, so every copy of ``head`` sent
+        before the held packets is gone.  Each head is repaired once: a
+        later report for the same head says nothing about the repair's
+        own fate (the held packets may predate it), so a lost repair is
+        the timer's to catch.  A head that directly follows the last
+        repaired seq is a run of consecutive losses -- an outage -- and
+        the repair doubles (1, 2, 4, ...) so a run of W costs O(log W)
+        round trips and fewer than 2W resends.
+        """
+        run = 2 * link.repair_run if head == link.repaired + 1 else 1
+        end = min(head + run, link.send_seq)
+        for seq in range(head, end):
+            self._retransmit(dest, link, seq, via="gap")
+        link.repaired = end - 1
+        link.repair_run = end - head
 
     def _give_up(self, dest: int, link: _PeerLink) -> None:
         """Retransmit budget exhausted: park the link, report the death."""
@@ -541,8 +581,7 @@ class ReliableEndpoint:
             # The peer restarted into a new incarnation: everything from
             # the old one -- send window, reorder buffer -- is void.
             link = self.reset_link(source, packet.epoch)
-        if packet.ack >= 0:
-            self._process_ack(source, link, packet.ack)
+        self._process_ack(source, link, packet.ack, packet.gap)
         if packet.seq < 0:  # pure acknowledgement / probe
             if packet.probe:
                 # Heartbeat: answer so the prober hears back even when
@@ -599,9 +638,7 @@ class ReliableEndpoint:
         """Hand one in-sequence packet's payload to the editor."""
         link.recv_next += 1
         packet: ReliablePacket = envelope.payload
-        self._release_trace.setdefault(envelope.source, []).append(
-            (packet.epoch, packet.seq)
-        )
+        self._audit_release(envelope.source, packet.epoch, packet.seq)
         if self.tracer is not None:
             self.tracer.emit(TraceEventKind.RELEASED, self.pid,
                              peer=envelope.source, epoch=packet.epoch,
@@ -627,14 +664,21 @@ class ReliableEndpoint:
 
     def _send_ack(self, dest: int, link: _PeerLink) -> None:
         self.stats.acks_sent += 1
-        packet = ReliablePacket(seq=-1, epoch=link.epoch, ack=link.recv_next - 1)
+        packet = ReliablePacket(seq=-1, epoch=link.epoch, ack=link.recv_next - 1,
+                                gap=self._holdback.holds(dest))
         self.wire_send(dest, packet, 0, "ack")
 
-    def _process_ack(self, dest: int, link: _PeerLink, ack: int) -> None:
-        acked = [seq for seq in link.unacked if seq <= ack]
-        for seq in acked:
-            del link.unacked[seq]
-        if acked:
+    def _process_ack(self, dest: int, link: _PeerLink, ack: int, gap: bool) -> None:
+        unacked = link.unacked
+        progress = False
+        # Insertion order is seq order: the acknowledged prefix is at the head.
+        while unacked:
+            head = next(iter(unacked))
+            if head > ack:
+                break
+            del unacked[head]
+            progress = True
+        if progress:
             assert self.reliability is not None
             link.rto = self.reliability.retransmit.base_rto  # progress: reset backoff
             link.retries = 0  # progress: refill the retransmit budget
@@ -646,9 +690,13 @@ class ReliableEndpoint:
                 self.sim.cancel(link.timer)
                 link.timer = None
             self._arm_timer(dest, link)
-        elif not link.unacked and link.timer is not None:
+        elif not unacked and link.timer is not None:
             self.sim.cancel(link.timer)
             link.timer = None
+        # A report proves a loss only for the current head (a stale one
+        # names a seq already acknowledged), and only once per head.
+        if gap and link.repaired <= ack and ack + 1 in unacked:
+            self._repair_gap(dest, link, ack + 1)
 
     # -- liveness probing --------------------------------------------------------
 
@@ -721,7 +769,7 @@ class ReliableEndpoint:
         Used on notifier failover: a client re-homing to the successor
         must stop retransmitting into the dead centre and must not hold
         the old centre's in-flight packets hostage in its reorder
-        buffer.  The release-trace audit is deliberately kept -- what
+        buffer.  The in-order audit state is deliberately kept -- what
         was already delivered stays audited.  Returns the number of
         send-window packets voided.
         """
@@ -756,28 +804,29 @@ class ReliableEndpoint:
 
     # -- auditing ----------------------------------------------------------------
 
+    def _audit_release(self, source: int, epoch: int, seq: int) -> None:
+        """Check one packet about to be handed to the editor.
+
+        Per source, epochs must never regress and each epoch's sequence
+        numbers must be exactly ``0, 1, 2, ...`` in order.
+        """
+        current_epoch, expected_seq = self._audit_next.get(source, (-1, 0))
+        if epoch > current_epoch:
+            current_epoch, expected_seq = epoch, 0
+        if epoch < current_epoch or seq != expected_seq:
+            self._audit_violated = True
+        self._audit_next[source] = (current_epoch, expected_seq + 1)
+
     def delivered_in_order(self) -> bool:
         """Audit: the editor received a gap-free in-order stream.
 
-        Replays the trace of ``(epoch, seq)`` pairs actually handed to
-        ``deliver`` (recorded at release time from the packets
-        themselves, not from the holdback machinery): per source, epochs
-        must never regress and each epoch's sequence numbers must be
-        exactly ``0, 1, 2, ...`` in order.  Any drop leaking through,
-        duplicate release, swap, or stale-epoch release makes this
-        False.
+        The verdict of :meth:`_audit_release` over every packet handed
+        to ``deliver`` (taken at release time from the packets
+        themselves, not from the holdback machinery).  Any drop leaking
+        through, duplicate release, swap, or stale-epoch release makes
+        this False, permanently.
         """
-        for trace in self._release_trace.values():
-            current_epoch, expected_seq = -1, 0
-            for epoch, seq in trace:
-                if epoch < current_epoch:
-                    return False
-                if epoch > current_epoch:
-                    current_epoch, expected_seq = epoch, 0
-                if seq != expected_seq:
-                    return False
-                expected_seq += 1
-        return True
+        return not self._audit_violated
 
 
 AnyTransport = Union[RawTransport, ReliableEndpoint]

@@ -102,6 +102,10 @@ PAYLOAD_ELECT = 0x05
 PAYLOAD_PROMOTE = 0x06
 PAYLOAD_CONTRIB = 0x07
 
+# Flag bits of a reliability packet's one-byte flags field.
+RELIABLE_PROBE = 0x01
+RELIABLE_GAP = 0x02
+
 # A frame larger than this is a protocol error, not a big message: the
 # workloads move edits, not bulk state.  Guards readexactly() against a
 # corrupt or hostile length prefix.
@@ -161,7 +165,8 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
         writer.u32(payload.seq + 1)  # seq/ack are >= -1: store offset by one
         writer.u32(payload.epoch)
         writer.u32(payload.ack + 1)
-        writer.u8(1 if payload.probe else 0)
+        writer.u8((RELIABLE_PROBE if payload.probe else 0)
+                  | (RELIABLE_GAP if payload.gap else 0))
         _encode_payload(payload.payload, writer)
     elif isinstance(payload, SnapshotMessage):
         if not isinstance(payload.document, str):
@@ -223,10 +228,13 @@ def _decode_payload(reader: Reader) -> Any:
         seq = reader.u32() - 1
         epoch = reader.u32()
         ack = reader.u32() - 1
-        probe = reader.u8() == 1
+        flags = reader.u8()
+        if flags & ~(RELIABLE_PROBE | RELIABLE_GAP):
+            raise WireError(f"unknown reliable-packet flags 0x{flags:02x}")
         payload = _decode_payload(reader)
-        return ReliablePacket(seq=seq, epoch=epoch, ack=ack,
-                              payload=payload, probe=probe)
+        return ReliablePacket(seq=seq, epoch=epoch, ack=ack, payload=payload,
+                              probe=bool(flags & RELIABLE_PROBE),
+                              gap=bool(flags & RELIABLE_GAP))
     if tag == PAYLOAD_SNAPSHOT:
         document = reader.string()
         base_count = reader.u32()

@@ -72,12 +72,12 @@ GOLDEN = (
     Golden("star-8x6-clean", "star", 8, 6, None, 384, 12536, 3072, 6392, 24, 0,
            0.18946423980715843, 0.4312231626140668, 0.5107159237232191,
            1729, 32),
-    Golden("star-4x8-lossy", "star", 4, 8, LOSSY, 313, 10266, 1280, 6482, 12, 6,
-           0.22746704517037442, 0.9243015730204331, 1.162913169944666,
-           529, 10),
-    Golden("star-4x8-crash", "star", 4, 8, CRASH, 253, 8638, 1128, 5486, 12, 5,
-           0.17046296458876853, 0.574854492419981, 0.8823190107208232,
-           360, 8),
+    Golden("star-4x8-lossy", "star", 4, 8, LOSSY, 279, 9146, 1144, 5770, 12, 7,
+           0.20762859661411737, 0.7907213314388692, 1.1207473257460148,
+           497, 11),
+    Golden("star-4x8-crash", "star", 4, 8, CRASH, 226, 7569, 960, 4801, 12, 3,
+           0.1636070279447377, 0.5891226035832551, 0.9083014816182633,
+           335, 8),
     Golden("mesh-4x6-clean", "mesh", 4, 6, None, 72, 2598, 1152, 870, 16, 1,
            0.0974036620908092, 0.2813646376596153, 0.37055184274854325,
            0, 0),

@@ -16,6 +16,9 @@ from repro.net.codec import (
     encode_op_message,
     encode_operation,
 )
+from repro.net.reliability import ReliablePacket
+from repro.net.transport import Envelope
+from repro.net.wire import decode_frame, encode_envelope
 from repro.ot.operations import Delete, Identity, Insert, OperationGroup
 
 short_text = st.text(alphabet=string.printable, max_size=12)
@@ -57,6 +60,24 @@ messages = st.builds(
     ),
 )
 
+sequenced_packets = st.builds(
+    ReliablePacket,
+    seq=st.integers(0, 2**32 - 2),
+    epoch=st.integers(0, 2**32 - 1),
+    ack=st.integers(-1, 2**32 - 2),
+    payload=messages,
+    gap=st.booleans(),
+)
+
+unsequenced_packets = st.builds(
+    ReliablePacket,
+    seq=st.just(-1),
+    epoch=st.integers(0, 2**32 - 1),
+    ack=st.integers(-1, 2**32 - 2),
+    probe=st.booleans(),
+    gap=st.booleans(),
+)
+
 
 class TestCodecProperties:
     @given(operations)
@@ -82,6 +103,15 @@ class TestCodecProperties:
         first = int.from_bytes(wire[0:4], "big")
         second = int.from_bytes(wire[4:8], "big")
         assert (first, second) == (message.timestamp.first, message.timestamp.second)
+
+
+class TestWireProperties:
+    @given(st.one_of(sequenced_packets, unsequenced_packets))
+    @settings(max_examples=200)
+    def test_reliable_packet_roundtrip(self, packet):
+        envelope = Envelope(source=1, dest=0, payload=packet, kind="rel",
+                            message_id=3)
+        assert decode_frame(encode_envelope(envelope)) == envelope
 
 
 class TestTraceProperties:

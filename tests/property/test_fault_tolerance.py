@@ -11,13 +11,16 @@ the fault plan destroys.
 """
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.editor.star import StarSession
-from repro.net.channel import UniformLatency
+from repro.net.channel import JitterLatency, UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
+from repro.obs.tracer import Tracer, TraceEventKind
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
 fault_session_params = st.fixed_dictionaries(
@@ -33,15 +36,38 @@ fault_session_params = st.fixed_dictionaries(
 )
 
 
+# Crash-free plans with an optional burst outage on one spoke, either
+# direction, over sessions long enough to keep a send window open.
+repair_session_params = st.fixed_dictionaries(
+    {
+        "n_sites": st.integers(2, 4),
+        "ops_per_site": st.integers(4, 12),
+        "workload_seed": st.integers(0, 10**6),
+        "fault_seed": st.integers(0, 10**6),
+        "drop_p": st.sampled_from([0.0, 0.05, 0.1, 0.2]),
+        "dup_p": st.sampled_from([0.0, 0.05, 0.1]),
+        "crash": st.just(False),
+        "outage": st.sampled_from([None, (1.0, 2.5), (0.5, 4.0)]),
+        "outage_link": st.sampled_from([(0, 1), (1, 0)]),
+    }
+)
+
+
 def build_plan(params) -> FaultPlan:
     crashes = ()
     if params["crash"]:
         # crash a mid-session site while traffic is still in flight
         site = 1 + params["fault_seed"] % params["n_sites"]
         crashes = (ClientCrash(site=site, at=2.0, restart_at=4.5),)
+    default = ChannelFaults(drop_p=params["drop_p"], dup_p=params["dup_p"])
+    per_channel = {}
+    if params.get("outage") is not None:
+        per_channel[params["outage_link"]] = replace(
+            default, outages=(params["outage"],))
     return FaultPlan(
         seed=params["fault_seed"],
-        default=ChannelFaults(drop_p=params["drop_p"], dup_p=params["dup_p"]),
+        default=default,
+        per_channel=per_channel,
         crashes=crashes,
     )
 
@@ -110,3 +136,53 @@ class TestFaultToleranceProperties:
         if params["drop_p"] == 0.0 and params["dup_p"] == 0.0 and not params["crash"]:
             assert report.lost == 0 and report.lost_acks == 0
             assert report.retransmits == 0
+
+    @given(repair_session_params)
+    @settings(max_examples=25, deadline=None)
+    def test_repair_work_is_proportional_to_loss(self, params):
+        session = run_session(params)
+        assert session.quiescent()
+        assert session.converged(), session.documents()
+        assert session.topology.fifo_respected()
+        assert session.reliable_delivery_in_order()
+        report = session.fault_report()
+        # A lost data packet costs its repair; a run of them at most
+        # twice the run (the doubling overshoots by less than it has
+        # repaired); a lost ack at most one timer resend.  One-way
+        # latency here stays under base_rto / 2, so no timer is
+        # spurious.  Over 300 drawn plans the worst ratio was 1.6;
+        # resending the whole window on every timeout reached 2.4.
+        assert report.retransmits <= 2 * (report.lost + report.lost_acks)
+
+
+# (caught up at, retransmits) when every retransmit timeout resent the
+# whole unacked window: the timer had backed off past the outage's end
+# and nothing moved until it fired.
+GO_BACK_N_AFTER_OUTAGE = {0: (10.96, 218), 1: (11.08, 214), 2: (10.87, 203)}
+
+
+@pytest.mark.parametrize("seed", sorted(GO_BACK_N_AFTER_OUTAGE))
+def test_busy_link_catches_up_after_an_outage_sooner_and_cheaper(seed):
+    """Four virtual seconds of a busy notifier->client link go dark."""
+    tracer = Tracer()
+    session = StarSession(
+        4,
+        latency_factory=lambda src, dst: JitterLatency(
+            0.08, 0.6, random.Random(seed * 97 + src * 11 + dst)),
+        fault_plan=FaultPlan(
+            seed=seed,
+            per_channel={(0, 1): ChannelFaults(outages=((3.0, 7.0),))}),
+        tracer=tracer,
+    )
+    drive_star_session(session, RandomSessionConfig(
+        n_sites=4, ops_per_site=40, seed=seed, mean_think_time=0.25))
+    session.run()
+    assert session.converged() and session.reliable_delivery_in_order()
+    # The outage is the only fault, so the last release out of client
+    # 1's reorder buffer is the moment it caught up.
+    caught_up = max(
+        event.time for event in tracer.by_kind(TraceEventKind.RELEASED)
+        if event.site == 1 and event.via == "holdback")
+    then_at, then_retransmits = GO_BACK_N_AFTER_OUTAGE[seed]
+    assert caught_up < then_at - 1.0
+    assert session.fault_report().retransmits < then_retransmits / 2

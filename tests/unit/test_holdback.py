@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.holdback import HoldbackOverflow
 from repro.session import HoldbackQueue
 
 
@@ -38,6 +39,23 @@ class TestHoldAndPop:
         assert q.hold("b", 1, "b1")
         assert q.pop("a", 1) == "a1"
         assert q.pop("b", 1) == "b1"
+
+    def test_holds_tracks_each_stream_through_fill_overflow_and_clear(self):
+        q: HoldbackQueue[str] = HoldbackQueue(capacity=2)
+        assert not q.holds("a")
+        q.hold("a", 2, "a2")
+        q.hold("a", 3, "a3")
+        assert q.holds("a") and not q.holds("b")
+        with pytest.raises(HoldbackOverflow):
+            q.hold("b", 1, "b1")
+        assert not q.holds("b")  # the refused item left no empty stream behind
+        q.pop("a", 2)
+        assert q.holds("a")
+        q.pop("a", 3)
+        assert not q.holds("a")
+        q.hold("a", 5, "a5")
+        q.clear("a")
+        assert not q.holds("a")
 
 
 class TestClear:

@@ -123,6 +123,30 @@ def test_probe_and_pure_ack_roundtrip() -> None:
     assert _roundtrip(ack, kind="ack").payload == ack
 
 
+def test_gap_report_rides_the_flags_byte() -> None:
+    plain = ReliablePacket(seq=-1, epoch=1, ack=9)
+    report = ReliablePacket(seq=-1, epoch=1, ack=9, gap=True)
+    assert _roundtrip(report, kind="ack").payload == report
+    both = ReliablePacket(seq=-1, epoch=0, ack=-1, probe=True, gap=True)
+    assert _roundtrip(both, kind="ack").payload == both
+    # Same frame length with or without the report.
+    assert len(encode_envelope(Envelope(source=1, dest=0, payload=plain, kind="ack"))) == len(
+        encode_envelope(Envelope(source=1, dest=0, payload=report, kind="ack")))
+
+
+@pytest.mark.parametrize("flags", [0x04, 0x80, 0xFF])
+def test_unknown_reliable_flag_bits_are_rejected(flags: int) -> None:
+    """A flags byte this version did not write is a malformed frame,
+    not a packet that happens not to be a probe."""
+    body = bytearray(encode_envelope(Envelope(
+        source=1, dest=0, kind="ack",
+        payload=ReliablePacket(seq=-1, epoch=0, ack=4, probe=True))))
+    assert body[-2] == 0x01  # flags, then the PAYLOAD_NONE tag
+    body[-2] = flags
+    with pytest.raises(WireError, match="flags"):
+        decode_frame(bytes(body))
+
+
 def test_snapshot_roundtrip() -> None:
     snapshot = SnapshotMessage(document="abc", base_count=4, own_count=2,
                                notifier_epoch=1,
