@@ -69,6 +69,7 @@ def run_session(transform: bool, seed: int) -> StarSession:
         # full vector clocks over the REDEFINED operations -- any mismatch
         # raises ConsistencyError and fails this ablation
         verify_with_oracle=transform,
+        record_checks=True,  # count_verdict_mismatches reads the records
     )
     drive_star_session(session, config)
     session.run()

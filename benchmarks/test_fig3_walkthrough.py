@@ -27,6 +27,7 @@ def run_fig3(verify=True):
         latency_factory=fig_latency_factory,
         verify_with_oracle=verify,
         record_events=verify,
+        record_checks=True,  # both tests read the verdicts and the broadcast log
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time, op_id=item.op_id)

@@ -31,13 +31,16 @@ def banner(title: str) -> None:
 
 def run_scenario(transform: bool) -> StarSession:
     # The diagrams and the walkthrough are drawn from complete history
-    # buffers, which only an oracle session retains (and verifies).
+    # buffers, which only an oracle session retains (and verifies); the
+    # printed verdicts are the check records, which a session keeps on
+    # request.
     session = StarSession(
         n_sites=3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
         verify_with_oracle=True,
         transform_enabled=transform,
+        record_checks=True,
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time, op_id=item.op_id)

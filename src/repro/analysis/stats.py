@@ -109,8 +109,9 @@ class TransformPressure:
 def transform_pressure(session) -> TransformPressure:
     """Measure transformation pressure from a finished star session.
 
-    Derived from the recorded concurrency checks: each *true* verdict is
-    one pairwise transformation the receiver performed.
+    Derived from the recorded concurrency checks (the session must have
+    run with ``record_checks=True``): each *true* verdict is one pairwise
+    transformation the receiver performed.
     """
     remote_executions = 0
     steps = 0

@@ -66,13 +66,15 @@ def jitter_latency_factory(seed: int) -> Callable[[int, int], JitterLatency]:
 
 def _run_scripted(transform: bool) -> StarSession:
     # Fig. 3 is printed from the complete buffers the paper walks through:
-    # only an oracle session retains (and verifies) the whole history.
+    # only an oracle session retains (and verifies) the whole history, and
+    # only a diagnostic one keeps the verdicts and the broadcast log.
     session = StarSession(
         n_sites=3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
         verify_with_oracle=transform,
         transform_enabled=transform,
+        record_checks=True,
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
@@ -101,7 +103,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     session = _run_scripted(transform=True)
     print(f"initial document: {FIG2_INITIAL_DOCUMENT!r}\n")
     print("notifier broadcasts:")
-    for op_id, dest, ts in session.notifier.broadcast_log:
+    broadcasts = session.notifier.broadcast_log
+    assert broadcasts is not None  # _run_scripted asks for diagnostics
+    for op_id, dest, ts in broadcasts:
         print(f"  {op_id} -> site {dest}  {ts!r}")
     print("\nbuffered operations at site 0:")
     for entry in session.notifier.hb:
@@ -282,6 +286,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             initial_state=config.initial_document,
             latency_factory=jitter_latency_factory(args.seed),
             verify_with_oracle=True,
+            record_checks=True,  # the verdicts are cross-checked below
             fault_plan=fault_plan,
             tracer=tracer,
             standby_site=args.standby,

@@ -131,6 +131,13 @@ def _salvage_trace(out_dir: Path, site: int) -> list[TraceEvent]:
     return events
 
 
+#: The file families a run leaves in its directory: the observability
+#: ones a failed run is salvaged from, and with the per-site results and
+#: traces, everything a reused directory must be cleared of.
+OBSERVABILITY_PATTERNS = ("flight_*.jsonl", "telemetry_*.jsonl", "monitor.jsonl")
+RUN_PATTERNS = ("site_*.json", "trace_*.jsonl", *OBSERVABILITY_PATTERNS)
+
+
 def salvage_artifacts(out_dir: Path) -> list[str]:
     """The observability files a failed run left behind, by name.
 
@@ -139,9 +146,23 @@ def salvage_artifacts(out_dir: Path) -> list[str]:
     wrote their result artifacts usually leaves evidence here.
     """
     names = []
-    for pattern in ("flight_*.jsonl", "telemetry_*.jsonl", "monitor.jsonl"):
+    for pattern in OBSERVABILITY_PATTERNS:
         names.extend(p.name for p in sorted(out_dir.glob(pattern)))
     return names
+
+
+def clear_stale_artifacts(out_dir: Path) -> None:
+    """Remove what an earlier run left in a reused ``out_dir``.
+
+    A process that dies by design writes no result, so a stale one
+    would be read in its place: an old ``site_0.json`` beside a
+    failover run's artifacts reports ``converged: False``.  Only the
+    families a run itself writes go; anything else in the directory is
+    the caller's.
+    """
+    for pattern in RUN_PATTERNS:
+        for path in out_dir.glob(pattern):
+            path.unlink()
 
 
 def run_cluster(
@@ -156,6 +177,7 @@ def run_cluster(
     if out_dir is None:
         out_dir = Path(tempfile.mkdtemp(prefix="repro_cluster_"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    clear_stale_artifacts(out_dir)
     started = time.monotonic()
     notifier_proc, port = _spawn_notifier(config, out_dir)
     client_procs: list[subprocess.Popen[str]] = []

@@ -40,6 +40,16 @@ each compressed-timestamp concurrency verdict is asserted against full
 vector clocks (paper formula 3) at check time; the integration tests run
 entire random sessions this way.
 
+Retention
+---------
+A *diagnostic* session -- ``record_checks=True`` or
+``verify_with_oracle=True`` -- runs the formula-(5)/(7) sweep on every
+arrival and keeps the notifier's per-destination ``broadcast_log``;
+``record_checks`` also keeps one ``CheckRecord`` per verdict, the oracle
+the whole history.  Every other session (the default) keeps the
+acknowledgement window only: no sweep, no check records,
+``broadcast_log is None``, history pruned on each arrival.
+
 Reliability under faults
 ------------------------
 The formulas require FIFO channels; a faulty network (see
@@ -125,7 +135,7 @@ class StarSession(SessionBase):
         verify_with_oracle: bool = False,
         transform_enabled: bool = True,
         record_events: bool = True,
-        record_checks: bool = True,
+        record_checks: bool = False,
         fault_plan: FaultPlan | None = None,
         reliability: ReliabilityConfig | None = None,
         tracer: Tracer | None = None,

@@ -73,7 +73,7 @@ class StarClient(EditorEndpoint):
         event_log: EventLog | None = None,
         verify_with_oracle: bool = False,
         transform_enabled: bool = True,
-        record_checks: bool = True,
+        record_checks: bool = False,
         joining: bool = False,
         reliability: ReliabilityConfig | None = None,
         tracer: Tracer | None = None,

@@ -72,7 +72,7 @@ class StarNotifier(EditorEndpoint):
         event_log: EventLog | None = None,
         verify_with_oracle: bool = False,
         transform_enabled: bool = True,
-        record_checks: bool = True,
+        record_checks: bool = False,
         reliability: ReliabilityConfig | None = None,
         tracer: Tracer | None = None,
         *,
@@ -111,7 +111,13 @@ class StarNotifier(EditorEndpoint):
         self.record_checks = record_checks
         self.checks: list[CheckRecord] = []
         self.executed_op_ids: list[str] = []
-        self.broadcast_log: list[tuple[str, int, CompressedTimestamp]] = []
+        # One (op id, destination, timestamp) per copy sent: per-op,
+        # per-destination growth, so only a diagnostic session keeps it.
+        # ``None`` otherwise -- a reader on the fast path fails loudly
+        # instead of iterating a log that was never written.
+        self.broadcast_log: list[tuple[str, int, CompressedTimestamp]] | None = (
+            [] if record_checks or verify_with_oracle else None
+        )
         # Failover bookkeeping: the original client op ids embodied in
         # ``document`` at promotion time (members dedup replays against
         # it), and ops the dead centre acknowledged that the baseline
@@ -244,11 +250,13 @@ class StarNotifier(EditorEndpoint):
         # share one body, and SV_0 is summed once for all of them.
         total = self.sv.total()
         shared = BroadcastBody()
+        log = self.broadcast_log
         for dest in sorted(self.destinations):
             if dest == source:
                 continue
             dest_ts = self.sv.compress_for_destination(dest, total)
-            self.broadcast_log.append((transformed_id, dest, dest_ts))
+            if log is not None:
+                log.append((transformed_id, dest, dest_ts))
             out = OpMessage(
                 op=new_op,
                 timestamp=dest_ts,

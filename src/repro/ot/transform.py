@@ -127,6 +127,26 @@ def inclusion_transform(a: Operation, b: Operation, a_priority: bool = True) -> 
 # ---------------------------------------------------------------------------
 
 
+# One dispatch per primitive pair: both directions of the IT rules above,
+# keyed on the exact operand types.  Anything else (identities, groups)
+# takes the general path in :func:`transform_pair`.
+_PRIMITIVE_PAIRS = {
+    (Insert, Insert): lambda a, b, a_priority: (
+        _it_insert_insert(a, b, a_priority),
+        _it_insert_insert(b, a, not a_priority),
+    ),
+    (Insert, Delete): lambda a, b, a_priority: (
+        _it_insert_delete(a, b), _it_delete_insert(b, a)
+    ),
+    (Delete, Insert): lambda a, b, a_priority: (
+        _it_delete_insert(a, b), _it_insert_delete(b, a)
+    ),
+    (Delete, Delete): lambda a, b, a_priority: (
+        _it_delete_delete(a, b), _it_delete_delete(b, a)
+    ),
+}
+
+
 def transform_pair(
     a: Operation, b: Operation, a_priority: bool = True
 ) -> tuple[Operation, Operation]:
@@ -137,6 +157,15 @@ def transform_pair(
     Groups are folded member by member, threading the opposing operation
     through each step so preconditions stay aligned.
     """
+    rule = _PRIMITIVE_PAIRS.get((type(a), type(b)))
+    if rule is not None:
+        # The rules return simple forms already (a primitive, or a split
+        # of two non-empty deletes): only no-ops need normalising.
+        a2, b2 = rule(a, b, a_priority)
+        return (
+            Identity() if a2.is_identity() else a2,
+            Identity() if b2.is_identity() else b2,
+        )
     if isinstance(a, OperationGroup):
         b_cur: Operation = b
         members: list[Operation] = []

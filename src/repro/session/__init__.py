@@ -14,9 +14,9 @@ integration logic (:mod:`repro.editor`):
   composition (the seam the integration layer builds on).
 """
 
+from repro.net.holdback import HoldbackQueue
 from repro.session.base import CheckRecord, ConsistencyError, SessionBase
 from repro.session.endpoint import EditorEndpoint
-from repro.session.holdback import HoldbackQueue
 
 __all__ = [
     "CheckRecord",

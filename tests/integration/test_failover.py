@@ -40,6 +40,7 @@ def failover_session(standby=None, crashes=(), crash_at=5.0, tracer=None,
         3,
         latency_factory=latency_factory,
         verify_with_oracle=oracle,
+        record_checks=True,
         fault_plan=plan,
         reliability=FAST_DETECT,
         standby_site=standby,
@@ -97,6 +98,7 @@ class TestFailoverAcceptance:
         causality = TraceCausality(tracer.events)
         report = cross_check_causality(causality, session.event_log)
         assert report.ok, report.summary()
+        assert session.all_checks()
         assert verify_check_records(causality, session.all_checks()) == []
 
     def test_without_standby_the_lowest_live_site_wins(self):

@@ -10,6 +10,7 @@ run, on identical workloads.
 
 import pytest
 
+from repro.editor.messages import OpMessage
 from repro.editor.star import StarSession
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 from repro.workloads.scripted import (
@@ -19,7 +20,30 @@ from repro.workloads.scripted import (
 )
 
 
-def run_session(seed: int, diagnostics: bool) -> StarSession:
+Broadcasts = list[tuple[str, int, list[int]]]
+
+
+def tap_broadcasts(session: StarSession) -> Broadcasts:
+    """Observe the notifier's broadcasts at the transport seam.
+
+    The fast path keeps no ``broadcast_log``; what it puts on the wire
+    is the behaviour under test, so that is where the stream is read:
+    one ``(op id, destination, [T1, T2])`` per operation copy sent.
+    """
+    stream: Broadcasts = []
+    transport = session.notifier.transport
+    wire_send = transport.wire_send
+
+    def recording_send(dest, payload, timestamp_bytes, kind):
+        if isinstance(payload, OpMessage):
+            stream.append((payload.op_id, dest, payload.timestamp.as_paper_list()))
+        wire_send(dest, payload, timestamp_bytes, kind)
+
+    transport.wire_send = recording_send
+    return stream
+
+
+def run_session(seed: int, diagnostics: bool) -> tuple[StarSession, Broadcasts]:
     config = RandomSessionConfig(n_sites=5, ops_per_site=8, seed=seed)
     session = StarSession(
         5,
@@ -28,29 +52,28 @@ def run_session(seed: int, diagnostics: bool) -> StarSession:
         record_checks=diagnostics,
         verify_with_oracle=diagnostics,
     )
+    stream = tap_broadcasts(session)
     drive_star_session(session, config)
     session.run()
-    return session
+    return session, stream
 
 
 class TestFastPathEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_identical_outcome_with_and_without_diagnostics(self, seed):
-        fast = run_session(seed, diagnostics=False)
-        slow = run_session(seed, diagnostics=True)
+        fast, fast_stream = run_session(seed, diagnostics=False)
+        slow, slow_stream = run_session(seed, diagnostics=True)
         assert fast.documents() == slow.documents()
         assert fast.converged() and slow.converged()
-        # op ids come from a process-global counter; normalise by order
-        # of first appearance before comparing the broadcast streams
-        def normalised(session):
-            rename: dict[str, int] = {}
-            out = []
-            for op_id, dest, ts in session.notifier.broadcast_log:
-                index = rename.setdefault(op_id, len(rename))
-                out.append((index, dest, ts.as_paper_list()))
-            return out
-
-        assert normalised(fast) == normalised(slow)
+        # 40 ops, each copied to the 4 other sites: never two empty streams
+        assert len(fast_stream) == 40 * 4
+        assert fast_stream == slow_stream
+        # the diagnostic session's own log is the same stream
+        assert fast.notifier.broadcast_log is None
+        assert [
+            (op_id, dest, ts.as_paper_list())
+            for op_id, dest, ts in slow.notifier.broadcast_log
+        ] == slow_stream
         fast_stats, slow_stats = fast.wire_stats(), slow.wire_stats()
         assert fast_stats.messages == slow_stats.messages
         # total_bytes differ only through op-id string lengths (global
@@ -58,7 +81,7 @@ class TestFastPathEquivalence:
         assert fast_stats.timestamp_bytes == slow_stats.timestamp_bytes
 
     def test_fast_path_records_no_checks(self):
-        session = run_session(0, diagnostics=False)
+        session, _ = run_session(0, diagnostics=False)
         assert session.all_checks() == []
 
     def test_fig3_identical_under_fast_path(self):
@@ -69,6 +92,7 @@ class TestFastPathEquivalence:
             record_events=False,
             record_checks=False,
         )
+        stream = tap_broadcasts(session)
         for item in fig3_script():
             session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
         session.run()
@@ -77,8 +101,5 @@ class TestFastPathEquivalence:
         # broadcasts still match the paper exactly
         from repro.workloads.scripted import FIG3_EXPECTED
 
-        got = {
-            (op_id, dest): ts.as_paper_list()
-            for op_id, dest, ts in session.notifier.broadcast_log
-        }
+        got = {(op_id, dest): ts for op_id, dest, ts in stream}
         assert got == FIG3_EXPECTED["broadcast_timestamps"]

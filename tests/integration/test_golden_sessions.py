@@ -93,6 +93,7 @@ def run_session(golden: Golden, tracer: Tracer):
             golden.n_sites,
             initial_state=config.initial_document,
             latency_factory=jitter_latency_factory(SEED),
+            record_checks=True,  # check_records is one of the pinned values
             fault_plan=golden.fault_plan,
             tracer=tracer,
         )

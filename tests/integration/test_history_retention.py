@@ -6,9 +6,15 @@ always-on regression gate for "the history buffers are bounded by the
 in-flight window, not by the session".
 """
 
+from collections import deque
+
+import pytest
+
 from repro.cli import jitter_latency_factory
 from repro.core.timestamp import OriginKind
 from repro.editor.star import StarSession
+from repro.net.reliability import ReliabilityConfig
+from repro.net.simulator import Simulator
 from repro.ot.operations import Insert
 from repro.workloads.random_session import (
     RandomSessionConfig,
@@ -88,3 +94,128 @@ def test_silent_reader_pins_the_notifier_history_until_it_speaks():
     assert session.converged()
     assert not notifier.sent_to[3]
     assert notifier.hb.op_ids() == ["c2_10'", "c3_1'"]
+
+
+# -- nothing grows --------------------------------------------------------------
+
+SIZED = (list, dict, set, frozenset, deque)
+
+#: What may differ between two samples of a bounded structure: the
+#: in-flight window (the same bound the flat-history test above uses).
+IN_FLIGHT = 100
+
+#: Per-op structures known to grow with the session, by attribute name.
+#: Every entry is a ROADMAP follow-up, not a licence: the test fails when
+#: one stops growing, so the entry is deleted with the fix.
+STILL_GROWS = {
+    # One id per execution at every endpoint; production reads only its
+    # len(), perfbench slices it.  ROADMAP item 2(i), with item 1's re-cut.
+    "executed_op_ids",
+}
+STILL_GROWS_UNDER_RELIABILITY = STILL_GROWS | {
+    # The failover dedup set: every original op id embodied in a replica.
+    # Needs an acknowledgement horizon that survives a second failover.
+    # ROADMAP item 2(i).
+    "_incorporated",
+}
+
+
+def sized_lengths(root, label: str, out: dict[str, int], depth: int = 1) -> None:
+    """``len()`` of every container attribute of ``root``, of the
+    containers inside its dict attributes, and -- ``depth`` levels down
+    -- of the objects it holds (buffers, state vectors, per-peer links,
+    channels)."""
+    for name, value in vars(root).items():
+        path = f"{label}.{name}"
+        if isinstance(value, SIZED):
+            out[path] = len(value)
+            for key, item in value.items() if isinstance(value, dict) else ():
+                if isinstance(item, SIZED):
+                    out[f"{path}[{key!r}]"] = len(item)
+                elif depth and hasattr(item, "__dict__"):
+                    sized_lengths(item, f"{path}[{key!r}]", out, depth - 1)
+        elif depth and hasattr(value, "__dict__") and not isinstance(value, Simulator):
+            # The simulator is the harness: its heap holds the workload's
+            # pre-scheduled edits and shrinks as the session runs.
+            sized_lengths(value, path, out, depth - 1)
+
+
+def snapshot(session: StarSession) -> dict[str, int]:
+    """Every endpoint with what it holds (buffers, channels), and its
+    transport with what *it* holds (per-peer links, the hold-back queue)."""
+    out: dict[str, int] = {}
+    for endpoint in session.endpoints():
+        label = f"site{endpoint.pid}"
+        sized_lengths(endpoint, label, out)
+        sized_lengths(endpoint.transport, f"{label}.transport", out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "reliability, still_grows",
+    [(None, STILL_GROWS), (ReliabilityConfig(), STILL_GROWS_UNDER_RELIABILITY)],
+    ids=["raw", "reliable"],
+)
+def test_nothing_grows_with_the_session_but_the_allow_list(reliability, still_grows):
+    """Sample every sized structure of every endpoint after 1 000 and
+    after 3 000 executed operations of one fast-path session in which
+    every site keeps writing (so acknowledgements keep flowing and the
+    windows drain): apart from the allow-list, nothing may differ by
+    more than the in-flight window."""
+    config = RandomSessionConfig(n_sites=4, ops_per_site=1000, seed=0)
+    session = StarSession(
+        4,
+        initial_state=config.initial_document,
+        latency_factory=jitter_latency_factory(0),
+        record_events=False,
+        reliability=reliability,
+    )
+    drive_star_session(session, config)
+    samples = []
+    for ops in (1000, 3000):
+        while len(session.notifier.executed_op_ids) < ops:
+            assert session.sim.run(max_events=10)
+        samples.append(snapshot(session))
+    early, late = samples
+    # Every site is still a writer at the second sample.
+    assert all(c.sv.generated_locally < config.ops_per_site for c in session.clients)
+    # The walk reaches down: buffers, channels and -- over the reliability
+    # protocol -- per-peer links and the hold-back queue's streams.
+    assert any(path.endswith(".hb.entries") for path in late)
+    assert any(".out_channels[" in path for path in late)
+    if reliability is not None:
+        assert any(path.endswith(".unacked") for path in late)
+        assert any(path.endswith("._holdback._streams") for path in late)
+
+    grew = {
+        path for path in early.keys() | late.keys()
+        if late.get(path, 0) - early.get(path, 0) > IN_FLIGHT
+    }
+    assert {path.rsplit(".", 1)[1] for path in grew} == still_grows, sorted(grew)
+    session.run()
+    assert session.converged()
+
+
+def test_broadcast_log_is_a_diagnostic_artefact():
+    """A diagnostic session logs one entry per (operation, destination),
+    in send order; the fast path has no log at all."""
+    config = RandomSessionConfig(n_sites=4, ops_per_site=10, seed=1)
+
+    def run(record_checks: bool) -> StarSession:
+        session = StarSession(4, initial_state=config.initial_document,
+                              latency_factory=jitter_latency_factory(1),
+                              record_checks=record_checks)
+        drive_star_session(session, config)
+        session.run()
+        assert session.converged()
+        return session
+
+    notifier = run(record_checks=True).notifier
+    assert len(notifier.executed_op_ids) == 40
+    assert [(op_id, dest) for op_id, dest, _ in notifier.broadcast_log] == [
+        (op_id, dest)
+        for op_id in notifier.executed_op_ids
+        for dest in (1, 2, 3, 4)
+        if dest != int(op_id[1 : op_id.index("_")])  # "c<site>_<n>'"
+    ]
+    assert run(record_checks=False).notifier.broadcast_log is None

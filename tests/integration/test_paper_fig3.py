@@ -31,6 +31,7 @@ def session() -> StarSession:
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
         verify_with_oracle=True,
+        record_checks=True,
     )
     for item in fig3_script():
         sess.generate_at(item.site, item.op, item.time, op_id=item.op_id)

@@ -231,7 +231,7 @@ class TestGarbageCollection:
         config = RandomSessionConfig(n_sites=3, ops_per_site=10, seed=8)
         session = StarSession(3, initial_state=config.initial_document,
                               latency_factory=uniform_latencies(8),
-                              verify_with_oracle=False)
+                              record_checks=True)
         drive_star_session(session, config)
         session.run()
         assert session.converged()
@@ -244,7 +244,7 @@ class TestGarbageCollection:
         config = RandomSessionConfig(n_sites=3, ops_per_site=10, seed=8)
         session = StarSession(3, initial_state=config.initial_document,
                               latency_factory=uniform_latencies(8),
-                              verify_with_oracle=True)
+                              verify_with_oracle=True, record_checks=True)
         drive_star_session(session, config)
         while session.sim.run(max_events=7):
             for endpoint in session.endpoints():

@@ -40,6 +40,7 @@ def run_traced_session(plan=None, n_sites=4, ops_per_site=8, workload_seed=3):
         n_sites,
         latency_factory=latency_factory(plan.seed if plan else workload_seed),
         verify_with_oracle=True,
+        record_checks=True,
         fault_plan=plan,
         tracer=tracer,
     )
@@ -51,6 +52,7 @@ def run_traced_session(plan=None, n_sites=4, ops_per_site=8, workload_seed=3):
     )
     session.run()
     assert session.converged() and session.quiescent()
+    assert session.all_checks(), "no verdicts recorded: the trace checks are vacuous"
     return session, tracer
 
 

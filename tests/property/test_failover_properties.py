@@ -69,6 +69,7 @@ def run_session(params) -> StarSession:
         params["n_sites"],
         latency_factory=latency_factory,
         verify_with_oracle=True,
+        record_checks=True,
         fault_plan=build_plan(params),
         reliability=FAST_DETECT,
         standby_site=params["n_sites"] if params["standby"] else None,

@@ -47,6 +47,7 @@ def run_session(n_sites: int, ops_per_site: int, seed: int, lossy: bool,
         initial_state=config.initial_document,
         latency_factory=jitter_latency_factory(seed),
         verify_with_oracle=oracle,
+        record_checks=True,
         fault_plan=plan,
     )
     drive_star_session(session, config)
@@ -75,11 +76,13 @@ def test_pruned_session_is_the_full_history_session(n_sites, ops_per_site, seed,
 
     assert full.converged() and pruned.converged()
     assert pruned.documents() == full.documents()
+    assert full.notifier.broadcast_log  # two diagnostic sessions: both keep it
     assert pruned.notifier.broadcast_log == full.notifier.broadcast_log
     assert pruned.wire_stats().messages == full.wire_stats().messages
     assert pruned.wire_stats().timestamp_bytes == full.wire_stats().timestamp_bytes
 
     full_verdicts, pruned_verdicts = verdicts(full), verdicts(pruned)
+    assert pruned_verdicts  # record_checks=True on both sides: never {} <= {}
     assert pruned_verdicts.items() <= full_verdicts.items()
     assert {pair for pair, concurrent in pruned_verdicts.items() if concurrent} == {
         pair for pair, concurrent in full_verdicts.items() if concurrent

@@ -53,7 +53,10 @@ class TestTraceEntry:
 class TestRecordReplay:
     def run_recorded(self, seed=3):
         config = RandomSessionConfig(n_sites=3, ops_per_site=5, seed=seed)
-        session = StarSession(3, initial_state=config.initial_document)
+        # a diagnostic session: the replay test compares broadcast logs
+        session = StarSession(
+            3, initial_state=config.initial_document, record_checks=True
+        )
         recorder = SessionRecorder.attach(session)
         drive_star_session(session, config)
         session.run()
@@ -81,17 +84,19 @@ class TestRecordReplay:
         recorder.dump(buffer)
         buffer.seek(0)
         header, entries = load_trace(buffer)
-        replayed = replay(header, entries)
+        replayed = replay(header, entries, record_checks=True)
         assert replayed.converged()
         assert replayed.documents() == session.documents()
         # timestamps identical too: same broadcasts in the same order
-        assert [
-            (op_id, dest, ts.as_paper_list())
-            for op_id, dest, ts in replayed.notifier.broadcast_log
-        ] == [
+        original_log = [
             (op_id, dest, ts.as_paper_list())
             for op_id, dest, ts in session.notifier.broadcast_log
         ]
+        assert len(original_log) == 15 * 2  # every op, to the two other sites
+        assert [
+            (op_id, dest, ts.as_paper_list())
+            for op_id, dest, ts in replayed.notifier.broadcast_log
+        ] == original_log
 
     def test_empty_trace_rejected(self):
         with pytest.raises(RecordingError):

@@ -14,6 +14,7 @@ def fig3_session():
         3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
+        record_checks=True,  # transform_pressure reads the check records
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time, op_id=item.op_id)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ot.operations import Delete, Identity, Insert, OperationGroup
+from repro.ot.operations import Delete, Identity, Insert, OperationGroup, simplify
 from repro.ot.transform import (
     TransformError,
     exclusion_transform,
@@ -150,6 +150,43 @@ class TestITEdgeCases:
 
         with pytest.raises(TransformError):
             inclusion_transform(Insert("x", 0), Weird())  # type: ignore[arg-type]
+
+
+class TestPrimitivePairDispatch:
+    """``transform_pair`` resolves a primitive pair with one table lookup;
+    the IT rules composed by hand are its specification."""
+
+    DOC = "abcdef"
+
+    def every_primitive(self):
+        size = len(self.DOC)
+        inserts = [
+            Insert(text, pos) for text in ("", "x", "xy") for pos in range(size + 1)
+        ]
+        deletes = [
+            Delete(count, pos)
+            for pos in range(size + 1)
+            for count in range(size - pos + 1)
+        ]
+        return inserts + deletes
+
+    def test_every_pair_equals_the_composed_rules_and_satisfies_tp1(self):
+        ops = self.every_primitive()
+        cases = 0
+        for a in ops:
+            for b in ops:
+                for a_priority in (True, False):
+                    cases += 1
+                    got = transform_pair(a, b, a_priority)
+                    assert got == (
+                        simplify(inclusion_transform(a, b, a_priority)),
+                        simplify(inclusion_transform(b, a, not a_priority)),
+                    ), f"{a}, {b}, a_priority={a_priority}"
+                    a2, b2 = got
+                    assert b2.apply(a.apply(self.DOC)) == a2.apply(b.apply(self.DOC)), (
+                        f"TP1 violated for {a}, {b}, a_priority={a_priority}"
+                    )
+        assert cases == 4802
 
 
 class TestExclusionTransform:
