@@ -174,7 +174,9 @@ class FaultToleranceReport:
     A lost pure acknowledgement (``lost_acks``) needs no retransmission
     -- any later cumulative ack heals it -- and a client crash voids the
     crashed incarnation's unacked windows, so neither implies
-    retransmits.
+    retransmits.  ``acks_coalesced`` counts the in-order arrivals that
+    drew no ack of their own: their acknowledgement left on a later
+    packet, a paced cumulative ack or reverse data.
 
     One crash/restart cycle contributes 1 to ``recoveries`` (the
     client's completed restart) and 1 to ``resyncs_served`` (the
@@ -199,6 +201,7 @@ class FaultToleranceReport:
     sent: int
     retransmits: int
     acks_sent: int
+    acks_coalesced: int
     duplicates_discarded: int
     stale_epoch_discarded: int
     out_of_order_held: int
@@ -229,7 +232,8 @@ class FaultToleranceReport:
             f"network: dropped={self.dropped} duplicated={self.duplicated} "
             f"outage_dropped={self.outage_dropped} acks_lost={self.lost_acks}\n"
             f"protocol: sent={self.sent} retransmits={self.retransmits} "
-            f"acks={self.acks_sent} dedup={self.duplicates_discarded} "
+            f"acks={self.acks_sent} coalesced={self.acks_coalesced} "
+            f"dedup={self.duplicates_discarded} "
             f"stale_epoch={self.stale_epoch_discarded} "
             f"held_for_order={self.out_of_order_held}\n"
             f"crashes: dropped_while_down={self.dropped_while_crashed} "
@@ -252,6 +256,7 @@ def build_fault_report(fault_stats, rel_stats_list) -> FaultToleranceReport:
         "sent": 0,
         "retransmits": 0,
         "acks_sent": 0,
+        "acks_coalesced": 0,
         "duplicates_discarded": 0,
         "stale_epoch_discarded": 0,
         "out_of_order_held": 0,

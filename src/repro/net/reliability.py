@@ -20,14 +20,18 @@ Editors *own* a transport (composition), they do not inherit one:
   kept until cumulatively acknowledged, deduplicated by ``(source,
   seq)`` at the receiver, and released to ``deliver`` strictly in
   sequence order through a shared
-  :class:`~repro.net.holdback.HoldbackQueue`.  Repair is proportional
-  to loss: the network never reorders what it delivers, so a receiver
-  holding packets above a gap has *proof* the head's earlier copy was
-  lost and says so on its acks (``ReliablePacket.gap``); the sender
-  resends that head at once, and the retransmit timer (exponential
-  backoff) resends the head only, as the fallback for a lost repair,
-  a lost tail or lost acks.  Crashed incarnations
-  are fenced by *epochs*: a packet from an older epoch is discarded, a
+  :class:`~repro.net.holdback.HoldbackQueue`.  Acknowledgements are
+  cumulative and paced: every data packet carries one, an isolated
+  arrival is answered at once, a burst costs one pure ack per
+  ``base_rto / 4``, and whatever the sender is *waiting* to hear (a gap,
+  a landed repair, a duplicate, a probe) is never delayed.  Repair is
+  proportional to loss: the network never reorders what it delivers, so
+  a receiver holding packets above a gap has *proof* the head's earlier
+  copy was lost and says so on its acks (``ReliablePacket.gap``); the
+  sender resends that head at once, and the retransmit timer
+  (exponential backoff) resends the head only, as the fallback for a
+  lost repair, a lost tail or lost acks.  Crashed incarnations are
+  fenced by *epochs*: a packet from an older epoch is discarded, a
   packet from a newer epoch voids the previous incarnation's link state.
 
 :func:`build_transport` selects between the two from a
@@ -203,6 +207,7 @@ class ReliabilityStats:
     sent: int = 0
     retransmits: int = 0
     acks_sent: int = 0
+    acks_coalesced: int = 0  # in-order arrivals acknowledged by a later packet
     duplicates_discarded: int = 0
     stale_epoch_discarded: int = 0
     out_of_order_held: int = 0
@@ -237,6 +242,9 @@ class _PeerLink:
     dead: bool = False  # budget exhausted: traffic parked, timer disarmed
     repaired: int = -1  # highest seq resent on a gap report
     repair_run: int = 0  # packets the last gap repair resent
+    acked: int = -1  # highest cumulative ack the peer has been sent
+    acked_at: float = float("-inf")  # when a packet last raised ``acked``
+    ack_timer: Any = None  # pending paced acknowledgement, if armed
 
 
 @dataclass
@@ -473,6 +481,7 @@ class ReliableEndpoint:
                   ts_bytes: int, kind: str) -> None:
         packet = ReliablePacket(seq=seq, epoch=link.epoch,
                                 ack=link.recv_next - 1, payload=payload)
+        self._told_recv_next(link)
         self.wire_send(dest, packet, ts_bytes, kind)
 
     def _arm_timer(self, dest: int, link: _PeerLink) -> None:
@@ -626,12 +635,19 @@ class ReliableEndpoint:
             self._send_ack(source, link)
             return
         self._release(link, envelope, via="direct")
+        drained = False
         while True:
             held = self._holdback.pop(source, link.recv_next)
             if held is None:
                 break
             self._release(link, held, via="holdback")
-        self._send_ack(source, link)
+            drained = True
+        if drained or self._holdback.holds(source):
+            # The sender is waiting on this one: a repair just landed,
+            # or a gap above it is still open and must be reported.
+            self._send_ack(source, link)
+        else:
+            self._pace_ack(source, link)
 
     def _release(self, link: _PeerLink, envelope: Envelope,
                  via: str = "direct") -> None:
@@ -666,7 +682,59 @@ class ReliableEndpoint:
         self.stats.acks_sent += 1
         packet = ReliablePacket(seq=-1, epoch=link.epoch, ack=link.recv_next - 1,
                                 gap=self._holdback.holds(dest))
+        self._told_recv_next(link)
         self.wire_send(dest, packet, 0, "ack")
+
+    def _told_recv_next(self, link: _PeerLink) -> None:
+        """A packet carrying the cumulative ack is leaving: nothing is owed.
+
+        Only an ack that is *news* to the peer moves ``acked_at``: it is
+        ack progress there, which restarts the peer's retransmit clock,
+        and that restart is the headroom a paced ack spends.  Data that
+        repeats the last ack restarts nothing and buys no delay.
+        """
+        if link.acked < link.recv_next - 1:
+            link.acked = link.recv_next - 1
+            link.acked_at = self.sim.now
+        if link.ack_timer is not None:
+            self.sim.cancel(link.ack_timer)
+            link.ack_timer = None
+
+    def _pace_ack(self, dest: int, link: _PeerLink) -> None:
+        """Acknowledge an in-order arrival nobody is waiting on.
+
+        At once if the peer has had no news for one interval, so an
+        isolated packet's round trip is what it would be with an ack
+        per arrival; otherwise one timer, armed for the end of the
+        current interval, acknowledges everything that arrives
+        meanwhile -- unless reverse data leaves first and carries it.
+        The interval is a quarter of the retransmit timeout: the ack
+        that opened it restarted the peer's clock, so with one-way
+        latency up to ``base_rto / 2`` the next one is never late enough
+        to fire a timer on a clean network (DESIGN 3.1).
+        """
+        assert self.reliability is not None
+        now = self.sim.now
+        due = link.acked_at + self.reliability.retransmit.base_rto / 4
+        if now >= due:
+            self._send_ack(dest, link)
+            return
+        self.stats.acks_coalesced += 1
+        # Nothing is owed if the editor answered from inside deliver():
+        # that data carried this ack.  One read of ``now``: a wall-clock
+        # scheduler refuses an absolute deadline the clock has passed
+        # between two reads.
+        if link.ack_timer is None and link.acked < link.recv_next - 1:
+            link.ack_timer = self.sim.schedule_after(
+                due - now, lambda: self._on_ack_timer(dest, link)
+            )
+
+    def _on_ack_timer(self, dest: int, link: _PeerLink) -> None:
+        link.ack_timer = None
+        # As in _on_timer: a replaced link owes its peer nothing.
+        if self.crashed or self._links.get(dest) is not link:
+            return
+        self._send_ack(dest, link)
 
     def _process_ack(self, dest: int, link: _PeerLink, ack: int, gap: bool) -> None:
         unacked = link.unacked
@@ -749,8 +817,7 @@ class ReliableEndpoint:
         """Lose all volatile protocol state; drop traffic until revived."""
         self.crashed = True
         for peer, link in self._links.items():
-            if link.timer is not None:
-                self.sim.cancel(link.timer)
+            self._cancel_timers(link)
             self._holdback.clear(peer)
             # Post-mortem observability: how many sequenced data packets
             # the crash destroyed before the peer acknowledged them.
@@ -776,14 +843,19 @@ class ReliableEndpoint:
         voided = 0
         link = self._links.pop(peer, None)
         if link is not None:
-            if link.timer is not None:
-                self.sim.cancel(link.timer)
+            self._cancel_timers(link)
             voided = len(link.unacked)
         self._holdback.clear(peer)
         state = self._probes.pop(peer, None)
         if state is not None and state.timer is not None:
             self.sim.cancel(state.timer)
         return voided
+
+    def _cancel_timers(self, link: _PeerLink) -> None:
+        """Disarm a link that is being discarded."""
+        for timer in (link.timer, link.ack_timer):
+            if timer is not None:
+                self.sim.cancel(timer)
 
     def revive(self) -> None:
         """Accept traffic again (the caller then opens a fresh epoch)."""
@@ -796,8 +868,8 @@ class ReliableEndpoint:
             rto=self.reliability.retransmit.base_rto if self.reliability else 0.0,
         )
         old = self._links.get(peer)
-        if old is not None and old.timer is not None:
-            self.sim.cancel(old.timer)
+        if old is not None:
+            self._cancel_timers(old)
         self._holdback.clear(peer)
         self._links[peer] = link
         return link

@@ -175,7 +175,11 @@ class AsyncioScheduler:
         event = _WallEvent(time=time, seq=next(self._seq), callback=callback)
         heapq.heappush(self._queue, event)
         self._pending += 1
-        self._rearm()
+        # The armed timer already points at the earliest deadline unless
+        # this event took the head (or nothing is armed: first event, or
+        # a push from inside a callback, which _fire re-arms after).
+        if self._handle is None or self._queue[0] is event:
+            self._rearm()
         return event
 
     # -- firing ------------------------------------------------------------------

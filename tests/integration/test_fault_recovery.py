@@ -87,6 +87,10 @@ class TestLossyNetwork:
         # run must never suspect loss.
         assert report.retransmits == 0
         assert report.duplicates_discarded == 0
+        # Every arrival was in order: answered at once or coalesced, and
+        # a coalesced one cost at most the paced ack it waited for.
+        assert report.acks_coalesced > 0
+        assert report.sent - report.acks_coalesced <= report.acks_sent < report.sent
 
     def test_crashed_client_loses_volatile_state_then_resyncs(self):
         plan = FaultPlan(

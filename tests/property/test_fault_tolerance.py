@@ -14,7 +14,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.editor.star import StarSession
@@ -138,6 +138,11 @@ class TestFaultToleranceProperties:
             assert report.retransmits == 0
 
     @given(repair_session_params)
+    # Clean network, two-way latency near base_rto: an ack paced behind
+    # reverse data that carried no news arrived after the timer fired.
+    @example({"n_sites": 2, "ops_per_site": 4, "workload_seed": 3203,
+              "fault_seed": 4, "drop_p": 0.0, "dup_p": 0.0, "crash": False,
+              "outage": None, "outage_link": (0, 1)})
     @settings(max_examples=25, deadline=None)
     def test_repair_work_is_proportional_to_loss(self, params):
         session = run_session(params)
@@ -153,6 +158,12 @@ class TestFaultToleranceProperties:
         # spurious.  Over 300 drawn plans the worst ratio was 1.6;
         # resending the whole window on every timeout reached 2.4.
         assert report.retransmits <= 2 * (report.lost + report.lost_acks)
+        # Quiescence leaves nothing owed in either direction: no packet
+        # unacknowledged and no paced acknowledgement still pending.
+        for endpoint in session.participants():
+            assert endpoint.transport.inflight() == 0
+            assert all(link.ack_timer is None
+                       for link in endpoint.transport._links.values())
 
 
 # (caught up at, retransmits) when every retransmit timeout resent the
@@ -161,9 +172,11 @@ class TestFaultToleranceProperties:
 GO_BACK_N_AFTER_OUTAGE = {0: (10.96, 218), 1: (11.08, 214), 2: (10.87, 203)}
 
 
-@pytest.mark.parametrize("seed", sorted(GO_BACK_N_AFTER_OUTAGE))
-def test_busy_link_catches_up_after_an_outage_sooner_and_cheaper(seed):
-    """Four virtual seconds of a busy notifier->client link go dark."""
+def catch_up_after_outage(seed: int) -> tuple[float, int]:
+    """Four virtual seconds of a busy notifier->client link go dark.
+
+    Returns when client 1 had caught up and what the session resent.
+    """
     tracer = Tracer()
     session = StarSession(
         4,
@@ -183,6 +196,27 @@ def test_busy_link_catches_up_after_an_outage_sooner_and_cheaper(seed):
     caught_up = max(
         event.time for event in tracer.by_kind(TraceEventKind.RELEASED)
         if event.site == 1 and event.via == "holdback")
+    return caught_up, session.fault_report().retransmits
+
+
+@pytest.mark.parametrize("seed", sorted(GO_BACK_N_AFTER_OUTAGE))
+def test_busy_link_catches_up_after_an_outage_sooner_and_cheaper(seed):
+    caught_up, retransmits = catch_up_after_outage(seed)
     then_at, then_retransmits = GO_BACK_N_AFTER_OUTAGE[seed]
-    assert caught_up < then_at - 1.0
-    assert session.fault_report().retransmits < then_retransmits / 2
+    # Per seed only the direction is asserted: acks share each channel's
+    # latency RNG with the data, so a seed is one latency draw and any
+    # change to the ack count re-draws it (when acks became paced seed 1
+    # moved 9.58 -> 9.85 and seed 8 9.81 -> 9.92 while the median over
+    # seeds 0-11 went 9.26 -> 9.22; an ack-per-arrival seed 9 read 10.23
+    # against a per-seed bound of `then_at - 1.0`).
+    assert caught_up < then_at
+    assert retransmits < then_retransmits / 2
+
+
+def test_busy_link_catch_up_margin_over_go_back_n_holds_on_the_mean():
+    """The size of the win is a property of the policy, not of one draw:
+    the three-seed mean was 10.97 under go-back-N and is 9.35 now."""
+    seeds = sorted(GO_BACK_N_AFTER_OUTAGE)
+    now_mean = sum(catch_up_after_outage(seed)[0] for seed in seeds) / len(seeds)
+    then_mean = sum(at for at, _ in GO_BACK_N_AFTER_OUTAGE.values()) / len(seeds)
+    assert now_mean < then_mean - 1.0

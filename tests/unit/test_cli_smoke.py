@@ -64,6 +64,7 @@ class TestFaultsSmoke:
         result = run_repro("session", "--sites", "2", "--ops", "1", "--faults")
         assert result.returncode == 0, result.stderr
         assert "protocol: sent=" in result.stdout
+        assert " acks=" in result.stdout and " coalesced=" in result.stdout
 
     def test_notifier_crash_fails_over_end_to_end(self):
         result = run_repro(

@@ -3,7 +3,10 @@
 Two :class:`ReliableEndpoint`s joined by a scripted wire of fixed
 latency (so it never reorders, like every network this layer runs on).
 The script drops chosen copies of chosen packets; the tests then count
-retransmits exactly and read when the receiver released what.
+retransmits exactly and read when the receiver released what.  The
+second half pins the acknowledgement policy on the same wire: which
+arrivals are answered at once, which share one paced ack, what carries
+an ack for free, and that a discarded link owes nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.workloads.random_session import RandomSessionConfig, drive_star_sessi
 
 LATENCY = 0.05
 BASE_RTO = ReliabilityConfig().base_rto
+ACK_INTERVAL = BASE_RTO / 4
 SENDER, RECEIVER = 1, 2
 
 Drop = Callable[[int, ReliablePacket, int], bool]  # (source, packet, copy) -> lose it?
@@ -36,6 +40,7 @@ class Pair:
         self.sim = Simulator()
         self.drop = drop
         self.copies: Counter[tuple[int, int]] = Counter()
+        self.wire: list[tuple[float, int, ReliablePacket]] = []  # (time, source, packet)
         self.released: list[tuple[str, float]] = []  # (payload, release time)
         self.tracer = Tracer(clock=lambda: self.sim.now)
         self.sender = ReliableEndpoint(
@@ -51,6 +56,7 @@ class Pair:
         def send(dest: int, packet: ReliablePacket, ts_bytes: int, kind: str) -> None:
             copy = self.copies[source, packet.seq]
             self.copies[source, packet.seq] += 1
+            self.wire.append((self.sim.now, source, packet))
             if self.drop(source, packet, copy):
                 return
             envelope = Envelope(source=source, dest=dest, payload=packet, kind=kind)
@@ -75,6 +81,12 @@ class Pair:
         return [(event.via, event.seq, event.time)
                 for event in self.tracer.by_kind(TraceEventKind.RETRANSMITTED)]
 
+    def pure_acks(self, source: int = RECEIVER) -> list[tuple[float, int, bool]]:
+        """``(time, ack, gap)`` of every pure acknowledgement ``source`` sent."""
+        return [(pytest.approx(at), packet.ack, packet.gap)
+                for at, sender, packet in self.wire
+                if sender == source and packet.seq < 0 and not packet.probe]
+
     def assert_released_in_order(self, count: int) -> None:
         assert [payload for payload, _ in self.released] == [
             f"p{seq}" for seq in range(count)]
@@ -85,6 +97,13 @@ def loses(*lost: tuple[int, int]) -> Drop:
     """Drop the listed ``(seq, copy)`` transmissions of the sender's data."""
     return lambda source, packet, copy: (
         source == SENDER and (packet.seq, copy) in lost)
+
+
+def data_from_sender(seq: int, payload: str, epoch: int = 0) -> Envelope:
+    """A sequenced packet as it would reach the receiver, for direct injection."""
+    return Envelope(source=SENDER, dest=RECEIVER, kind="op",
+                    payload=ReliablePacket(seq=seq, epoch=epoch, ack=-1,
+                                           payload=payload))
 
 
 def test_one_loss_on_a_busy_link_costs_exactly_one_retransmit():
@@ -139,8 +158,11 @@ def test_a_lost_repair_falls_back_to_the_timer():
     # evidence against it and the retransmit timer decides.
     (via_a, seq_a, _), (via_b, seq_b, at_b) = pair.retransmits()
     assert (via_a, seq_a, via_b, seq_b) == ("gap", 3, "timer", 3)
-    # The clock restarted at the last ack progress: seq 2's ack.
-    assert at_b == pytest.approx(0.02 + 2 * LATENCY + BASE_RTO)
+    # The clock restarted at the last ack progress.  Seqs 1 and 2 arrive
+    # inside seq 0's ack interval and draw no ack of their own (this
+    # read 0.02 + ... when every arrival was acked); seq 4's gap report
+    # is immediate and cumulative, so it is what acknowledges seq 2.
+    assert at_b == pytest.approx(0.04 + 2 * LATENCY + BASE_RTO)
 
 
 def test_an_outage_is_repaired_in_logarithmically_many_steps():
@@ -171,3 +193,132 @@ def test_a_stale_gap_report_repairs_nothing():
         payload=ReliablePacket(seq=-1, epoch=0, ack=1, gap=True)))
     pair.run()
     assert pair.retransmits() == []
+
+
+# -- the acknowledgement policy -------------------------------------------------
+
+
+def test_an_isolated_packet_is_acknowledged_on_arrival():
+    pair = Pair(loses())
+    pair.send_stream(1, spacing=0.0)
+    pair.sim.run(until=2 * LATENCY)
+    # Its sender hears back after exactly one round trip.
+    assert pair.pure_acks() == [(LATENCY, 0, False)]
+    assert pair.sender.inflight() == 0
+    pair.run()
+    assert pair.receiver.stats.acks_coalesced == 0
+
+
+def test_a_burst_shares_one_paced_ack_per_interval():
+    pair = Pair(loses())
+    pair.send_stream(10, spacing=0.01)
+    pair.run()
+    pair.assert_released_in_order(10)
+    # The first arrival is answered at once; the nine behind it land
+    # inside its interval and share the ack that closes it.
+    assert pair.pure_acks() == [(LATENCY, 0, False),
+                                (LATENCY + ACK_INTERVAL, 9, False)]
+    assert pair.receiver.stats.acks_sent == 2
+    assert pair.receiver.stats.acks_coalesced == 9
+    assert pair.retransmits() == []
+
+
+def test_reverse_data_inside_the_interval_carries_the_ack():
+    pair = Pair(loses())
+    pair.send_stream(2, spacing=0.01)
+    pair.sim.run(until=LATENCY + 0.01)
+    link = pair.receiver._links[SENDER]
+    assert link.ack_timer is not None
+    pending = pair.sim.pending_events
+    pair.sim.schedule(LATENCY + 0.02, lambda: pair.receiver.send(SENDER, "r0"))
+    pair.sim.run(until=LATENCY + 0.02)
+    data = [packet for _, source, packet in pair.wire
+            if source == RECEIVER and packet.seq >= 0]
+    assert [(packet.seq, packet.ack) for packet in data] == [(0, 1)]
+    # The paced ack is cancelled; what was added is r0's delivery and
+    # the receiver's own retransmit timer.
+    assert link.ack_timer is None
+    assert pair.sim.pending_events == pending - 1 + 2
+    pair.run()
+    assert pair.pure_acks() == [(LATENCY, 0, False)]
+    assert pair.retransmits() == []
+
+
+def test_data_that_repeats_the_last_ack_buys_no_delay():
+    """Only an ack that is news restarts the peer's retransmit clock, so
+    only such a packet opens an interval: pacing behind plain reverse
+    data would spend headroom nobody granted (a clean network with
+    one-way latency near ``BASE_RTO / 2`` would see a timer resend)."""
+    pair = Pair(loses())
+    pair.sim.schedule(LATENCY - 0.01, lambda: pair.receiver.send(SENDER, "r0"))
+    pair.send_stream(1, spacing=0.0)
+    pair.run()
+    assert pair.pure_acks() == [(LATENCY, 0, False)]
+
+
+def test_a_gap_inside_the_interval_is_reported_at_once():
+    pair = Pair(loses((1, 0)))
+    pair.send_stream(3, spacing=0.01)
+    pair.run()
+    pair.assert_released_in_order(3)
+    assert pair.retransmits() == [("gap", 1, pytest.approx(0.02 + 2 * LATENCY))]
+    assert pair.pure_acks() == [
+        (LATENCY, 0, False),
+        (LATENCY + 0.02, 0, True),  # seq 2 held: the sender is owed the report
+        (0.02 + 3 * LATENCY, 2, False),  # the repair drained it: told at once too
+    ]
+
+
+def test_a_duplicate_inside_the_interval_is_re_acked_at_once():
+    pair = Pair(loses())
+    pair.send_stream(1, spacing=0.0)
+    pair.sim.schedule(LATENCY + 0.01,
+                      lambda: pair.receiver.on_wire(data_from_sender(0, "p0")))
+    pair.run()
+    assert pair.pure_acks() == [(LATENCY, 0, False), (LATENCY + 0.01, 0, False)]
+    assert pair.receiver.stats.duplicates_discarded == 1
+
+
+def test_a_probe_inside_the_interval_is_answered_at_once():
+    pair = Pair(loses())
+    pair.send_stream(1, spacing=0.0)
+    verdicts: list[str] = []
+    pair.sim.schedule(0.01, lambda: pair.sender.probe_peer(
+        RECEIVER, lambda peer: verdicts.append("alive"),
+        lambda peer: verdicts.append("dead")))
+    pair.run()
+    assert pair.pure_acks() == [(LATENCY, 0, False), (LATENCY + 0.01, 0, False)]
+    assert verdicts == ["alive"]
+
+
+def receiver_with_an_ack_pending():
+    """A lone endpoint that has acked seq 0 and owes a paced ack for seq 1."""
+    sim = Simulator()
+    sent: list[ReliablePacket] = []
+    endpoint = ReliableEndpoint(
+        sim, RECEIVER, ReliabilityConfig(),
+        wire_send=lambda dest, packet, ts_bytes, kind: sent.append(packet),
+        deliver=lambda env: None)
+    for seq in range(2):
+        endpoint.on_wire(data_from_sender(seq, f"p{seq}"))
+    assert [packet.ack for packet in sent] == [0]
+    assert endpoint._links[SENDER].ack_timer is not None
+    assert sim.pending_events == 1
+    return sim, endpoint, sent
+
+
+@pytest.mark.parametrize("discard", ["go_down", "abandon_peer", "epoch_bump"])
+def test_a_discarded_link_owes_no_ack(discard):
+    sim, endpoint, sent = receiver_with_an_ack_pending()
+    if discard == "go_down":
+        endpoint.go_down()
+    elif discard == "abandon_peer":
+        endpoint.abandon_peer(SENDER)
+    else:
+        # The peer restarted: its first packet of epoch 1 voids the link
+        # (reset_link) and, on a fresh link, is acknowledged at once.
+        endpoint.on_wire(data_from_sender(0, "q0", epoch=1))
+        assert [(packet.epoch, packet.ack) for packet in sent[1:]] == [(1, 0)]
+    assert sim.pending_events == 0
+    told = len(sent)
+    assert sim.run() == 0 and len(sent) == told

@@ -139,3 +139,39 @@ def test_asyncio_run_rejects_reentry() -> None:
             sched.run()
 
     asyncio.run(body())
+
+
+def test_asyncio_push_rearms_only_when_the_head_changes() -> None:
+    """One ``call_later`` handle serves the heap: a push behind the armed
+    deadline must not cancel and re-create it (every ack-progress restart
+    of a retransmit timer would otherwise pay for both)."""
+    sched = AsyncioScheduler()
+    order: list[str] = []
+    try:
+        sched.schedule_after(0.02, lambda: order.append("head"))
+        armed = sched._handle
+        assert armed is not None
+        sched.schedule_after(0.04, lambda: order.append("later"))
+        assert sched._handle is armed
+        sched.schedule_after(0.01, lambda: order.append("earlier"))
+        assert sched._handle is not armed and armed.cancelled()
+        sched.run()
+    finally:
+        sched.loop.close()
+    assert order == ["earlier", "head", "later"]
+    assert sched._handle is None and sched.pending_events == 0
+
+
+def test_asyncio_cancelled_head_still_fires_what_was_pushed_behind_it() -> None:
+    """Lazy cancellation leaves the handle on a dead deadline; the event
+    pushed behind it must still run, at its own time."""
+    sched = AsyncioScheduler()
+    fired: list[float] = []
+    try:
+        head = sched.schedule_after(0.01, lambda: fired.append(-1.0))
+        sched.cancel(head)
+        sched.schedule_after(0.03, lambda: fired.append(sched.now))
+        sched.run()
+    finally:
+        sched.loop.close()
+    assert len(fired) == 1 and fired[0] >= 0.03

@@ -1,5 +1,7 @@
 """Unit tests for session statistics and the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.analysis.stats import session_stats, transform_pressure
@@ -128,7 +130,9 @@ class TestCLI:
     def test_session_faults_flag_alone_enables_reliability(self, capsys):
         assert main(["session", "--sites", "2", "--ops", "2", "--faults"]) == 0
         out = capsys.readouterr().out
-        assert "protocol: sent=" in out
+        assert re.search(
+            r"^protocol: sent=\d+ retransmits=\d+ acks=\d+ coalesced=\d+ dedup=",
+            out, re.MULTILINE)
 
     def test_trace_writes_artifacts_and_cross_checks(self, capsys, tmp_path):
         prefix = str(tmp_path / "trace")
