@@ -44,7 +44,7 @@ def test_session_throughput(benchmark, n_sites):
 def test_notifier_pipeline(benchmark):
     """Per-op notifier cost with a warm 64-client session."""
     from repro.core.timestamp import CompressedTimestamp
-    from repro.editor.star import OpMessage
+    from repro.editor.messages import OpMessage
     from repro.net.transport import Envelope
     from repro.ot.operations import Insert
 

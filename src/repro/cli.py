@@ -376,27 +376,20 @@ def cmd_client(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    import dataclasses
     import tempfile
     from pathlib import Path
 
-    from repro.cluster import ClusterConfig, run_cluster
+    from repro.cluster import run_cluster
     from repro.cluster.driver import ClusterError
+    from repro.cluster.harness import config_from_args
 
     try:
-        config = ClusterConfig(
-            clients=args.clients,
-            ops_per_client=3 if args.quick else args.ops,
-            seed=args.seed,
-            time_scale=args.time_scale,
-            reliability=args.reliability,
-            settle_s=args.settle,
-            timeout_s=min(args.timeout, 20.0) if args.quick else args.timeout,
-            telemetry_interval_s=args.telemetry_interval,
-            crash_notifier_after_s=args.crash_notifier_after,
-            failover=not args.no_failover,
-            degraded_limit=args.degraded_limit,
-            beacon_port=args.beacon_port,
-        )
+        config = config_from_args(args)
+        if args.quick:
+            config = dataclasses.replace(
+                config, ops_per_client=3, timeout_s=min(config.timeout_s, 20.0)
+            )
     except ValueError as exc:
         print(f"invalid cluster config: {exc}", file=sys.stderr)
         return 2
@@ -595,12 +588,14 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the star notifier as a TCP server process"
     )
     add_common_args(p_serve)
+    p_serve.add_argument("--out", required=True, help="artifact directory")
     p_serve.set_defaults(func=cmd_serve)
 
     p_client = sub.add_parser(
         "client", help="run one star client process against a notifier"
     )
     add_common_args(p_client)
+    p_client.add_argument("--out", required=True, help="artifact directory")
     p_client.add_argument("--site", type=int, required=True)
     p_client.add_argument("--port", type=int, required=True)
     p_client.set_defaults(func=cmd_client)
@@ -610,58 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="launch a notifier + N client subprocesses on localhost and "
         "verify convergence + causality over the merged trace",
     )
-    p_cluster.add_argument("--clients", type=int, default=3)
-    p_cluster.add_argument("--ops", type=int, default=5)
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument("--time-scale", type=float, default=0.05)
-    p_cluster.add_argument("--settle", type=float, default=0.3)
-    p_cluster.add_argument("--timeout", type=float, default=30.0)
-    p_cluster.add_argument("--reliability", action="store_true")
+    add_common_args(p_cluster)
     p_cluster.add_argument(
         "--quick",
         action="store_true",
         help="CI-sized run: 3 ops per client, tight timeout",
-    )
-    p_cluster.add_argument(
-        "--telemetry-interval",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="sample live telemetry every S seconds in every process "
-        "(0 = off); streams land next to the other artifacts for "
-        "``repro monitor``",
-    )
-    p_cluster.add_argument(
-        "--crash-notifier-after",
-        type=float,
-        default=None,
-        metavar="S",
-        help="fault injection: hard-kill the notifier process after S "
-        "seconds (it dumps its flight recorder first); with failover "
-        "on, the surviving clients re-elect and the run still converges",
-    )
-    p_cluster.add_argument(
-        "--no-failover",
-        action="store_true",
-        help="disable live failover: clients open no listening sockets "
-        "and a notifier crash is terminal (flight recorders + salvage)",
-    )
-    p_cluster.add_argument(
-        "--degraded-limit",
-        type=int,
-        default=64,
-        metavar="N",
-        help="max local edits each client queues while the star is "
-        "leaderless during failover (0 = drop them; default 64)",
-    )
-    p_cluster.add_argument(
-        "--beacon-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="UDP telemetry sideband: every process also fires its frames "
-        "as datagrams at this port (pair with ``repro monitor "
-        "--beacon-port``); needs --telemetry-interval",
     )
     p_cluster.add_argument(
         "--out",

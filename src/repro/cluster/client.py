@@ -45,7 +45,6 @@ roster, no failover, or the successor dying too.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import random
 import signal
@@ -55,9 +54,8 @@ from typing import Optional
 
 from repro.cluster.failover import WireFailover
 from repro.cluster.harness import (
+    DEFAULT_DOCUMENT,
     ClusterConfig,
-    add_common_args,
-    config_from_args,
     endpoint_result,
     flight_path,
     telemetry_writer,
@@ -99,7 +97,7 @@ async def run_client(config: ClusterConfig, site: int, port: int,
     client = StarClient(
         sched,
         site,
-        initial_state=config.initial_document,
+        initial_state=DEFAULT_DOCUMENT,
         record_checks=True,
         reliability=config.reliability_config(),
         tracer=tracer,
@@ -386,16 +384,3 @@ async def run_client(config: ClusterConfig, site: int, port: int,
         result.checks = list(client.checks) + list(notifier.checks)
     write_artifacts(out_dir, result, tracer)
     return not timed_out
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro client", description="run one star client over TCP"
-    )
-    add_common_args(parser)
-    parser.add_argument("--site", type=int, required=True)
-    parser.add_argument("--port", type=int, required=True)
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
-    ok = asyncio.run(run_client(config, args.site, args.port, Path(args.out)))
-    return 0 if ok else 1

@@ -108,6 +108,9 @@ class WireFailover:
         self.on_member_telemetry: Optional[Callable[[TelemetryFrame], None]] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._member_writers: dict[int, asyncio.StreamWriter] = {}
+        # Every accepted connection's handler task and the writer that
+        # ends it: close() must see both off before the loop goes away.
+        self._inbound: dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self._drained: set[int] = set()
         self._goodbye_sent = False
 
@@ -122,15 +125,28 @@ class WireFailover:
         return self.listen_port
 
     async def close(self) -> None:
+        """Stop accepting, hang up on every member, see the pumps return.
+
+        A handler still awaiting a frame when ``asyncio.run`` tears the
+        loop down is cancelled, and asyncio reports a cancelled stream
+        handler as an unhandled error -- so a clean run must end them
+        itself: closing a connection feeds its reader EOF, which is how
+        a pump returns.
+        """
         if self._server is not None:
             self._server.close()
+        for writer in self._inbound.values():
+            writer.close()
+        for writer in self._inbound.values():
+            try:
+                await writer.wait_closed()
+            except ConnectionError:  # the member hung up first, uncleanly
+                pass
+        if self._inbound:
+            await asyncio.wait(self._inbound)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for writer in self._member_writers.values():
-            try:
-                writer.close()
-            except ConnectionError:  # pragma: no cover - teardown race
-                pass
 
     # -- roster bookkeeping ---------------------------------------------------
 
@@ -214,6 +230,9 @@ class WireFailover:
     async def _handle_inbound(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
         """Accept one surviving member dialing in after the crash."""
+        handler = asyncio.current_task()
+        assert handler is not None  # start_server runs this as a task
+        self._inbound[handler] = writer
         try:
             hello = await read_frame(reader)
         except (WireError, ConnectionError):

@@ -31,6 +31,38 @@ from repro.workloads.random_session import RandomSessionConfig
 
 DEFAULT_DOCUMENT = "The quick brown fox jumps over the lazy dog."
 
+# The cluster's command-line surface, declared once: (ClusterConfig
+# field, flag, type, help).  Defaults are the dataclass's; a ``bool``
+# row is a switch that flips its field's default.
+_FLAGS: tuple[tuple[str, str, type, Optional[str]], ...] = (
+    ("clients", "--clients", int, None),
+    ("ops_per_client", "--ops", int, None),
+    ("seed", "--seed", int, None),
+    ("time_scale", "--time-scale", float, None),
+    ("host", "--host", str, None),
+    ("settle_s", "--settle", float, None),
+    ("timeout_s", "--timeout", float, None),
+    ("reliability", "--reliability", bool, None),
+    ("telemetry_interval_s", "--telemetry-interval", float,
+     "seconds between live telemetry samples in every process (0 = off); "
+     "streams land next to the other artifacts for ``repro monitor``"),
+    ("crash_notifier_after_s", "--crash-notifier-after", float,
+     "fault injection: hard-kill the notifier process this many seconds "
+     "after every client has connected (it dumps its flight recorder first); "
+     "with failover on, the surviving clients re-elect and the run "
+     "still converges"),
+    ("failover", "--no-failover", bool,
+     "disable live failover: clients open no listening sockets and a "
+     "notifier crash is terminal (flight recorders + salvage)"),
+    ("degraded_limit", "--degraded-limit", int,
+     "max local edits each client queues while the star is leaderless "
+     "during failover (0 = drop them; default %(default)s)"),
+    ("beacon_port", "--beacon-port", int,
+     "UDP telemetry sideband: every process also fires its frames as "
+     "datagrams at this port (pair with ``repro monitor --beacon-port``); "
+     "needs --telemetry-interval"),
+)
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -49,7 +81,6 @@ class ClusterConfig:
     clients: int = 3
     ops_per_client: int = 5
     seed: int = 0
-    initial_document: str = DEFAULT_DOCUMENT
     time_scale: float = 0.05
     reliability: bool = False
     host: str = "127.0.0.1"
@@ -114,7 +145,7 @@ class ClusterConfig:
             n_sites=self.clients,
             ops_per_site=self.ops_per_client,
             seed=self.seed,
-            initial_document=self.initial_document,
+            initial_document=DEFAULT_DOCUMENT,
         )
 
     def reliability_config(self) -> Optional[ReliabilityConfig]:
@@ -123,27 +154,18 @@ class ClusterConfig:
 
     def to_args(self) -> list[str]:
         """The CLI flags that reproduce this config in a subprocess."""
-        args = [
-            "--clients", str(self.clients),
-            "--ops", str(self.ops_per_client),
-            "--seed", str(self.seed),
-            "--time-scale", str(self.time_scale),
-            "--host", self.host,
-            "--settle", str(self.settle_s),
-            "--timeout", str(self.timeout_s),
-        ]
-        if self.reliability:
-            args.append("--reliability")
-        if self.telemetry_enabled:
-            args.extend(["--telemetry-interval", str(self.telemetry_interval_s)])
-        if self.crash_notifier_after_s is not None:
-            args.extend(["--crash-notifier-after", str(self.crash_notifier_after_s)])
-        if not self.failover:
-            args.append("--no-failover")
-        args.extend(["--degraded-limit", str(self.degraded_limit)])
-        if self.beacon_port is not None:
-            args.extend(["--beacon-port", str(self.beacon_port)])
+        args: list[str] = []
+        for name, flag, kind, _help in _FLAGS:
+            value = getattr(self, name)
+            if kind is bool:
+                if value != _FLAG_DEFAULTS[name]:
+                    args.append(flag)
+            elif value is not None:
+                args.extend([flag, str(value)])
         return args
+
+
+_FLAG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ClusterConfig)}
 
 
 def wall_clock_tracer() -> Tracer:
@@ -267,8 +289,8 @@ def endpoint_result(
         executed_ops=len(endpoint.executed_op_ids),
         checks=list(endpoint.checks),
         timed_out=timed_out,
-        lost_local_edits=endpoint.rel_stats.lost_local_edits,
-        retransmits=endpoint.rel_stats.retransmits,
+        lost_local_edits=endpoint.transport.stats.lost_local_edits,
+        retransmits=endpoint.transport.stats.retransmits,
         messages_sent=messages_sent,
         wire_bytes=wire_bytes,
     )
@@ -306,56 +328,16 @@ def read_artifacts(out_dir: Path, site: int) -> tuple[ProcessResult, list[TraceE
 
 
 def add_common_args(parser: Any) -> None:
-    """Attach the shared cluster flags to an argparse parser."""
-    parser.add_argument("--clients", type=int, default=3)
-    parser.add_argument("--ops", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--time-scale", type=float, default=0.05)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--settle", type=float, default=0.3)
-    parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument("--reliability", action="store_true")
-    parser.add_argument(
-        "--telemetry-interval", type=float, default=0.0,
-        help="seconds between telemetry samples (0 = telemetry off)",
-    )
-    parser.add_argument(
-        "--crash-notifier-after", type=float, default=None, metavar="S",
-        help="fault injection: hard-kill the notifier process S seconds "
-        "after every client has connected (it dumps its flight "
-        "recorder first)",
-    )
-    parser.add_argument(
-        "--no-failover", action="store_true",
-        help="disable live failover: clients open no listening sockets "
-        "and a notifier crash is terminal (flight recorders, salvage)",
-    )
-    parser.add_argument(
-        "--degraded-limit", type=int, default=64, metavar="N",
-        help="max local edits queued per client while the star is "
-        "leaderless (0 = drop them)",
-    )
-    parser.add_argument(
-        "--beacon-port", type=int, default=None, metavar="PORT",
-        help="UDP telemetry sideband: also fire every telemetry frame "
-        "as a datagram at this port (the monitor's fan-in socket)",
-    )
-    parser.add_argument("--out", required=True, help="artifact directory")
+    """Attach the cluster flags to an argparse parser (``--out`` is the caller's)."""
+    for name, flag, kind, help_text in _FLAGS:
+        default = _FLAG_DEFAULTS[name]
+        if kind is bool:
+            parser.add_argument(flag, dest=name, action="store_const",
+                                const=not default, default=default, help=help_text)
+        else:
+            parser.add_argument(flag, dest=name, type=kind, default=default,
+                                help=help_text)
 
 
 def config_from_args(args: Any) -> ClusterConfig:
-    return ClusterConfig(
-        clients=args.clients,
-        ops_per_client=args.ops,
-        seed=args.seed,
-        time_scale=args.time_scale,
-        reliability=args.reliability,
-        host=args.host,
-        settle_s=args.settle,
-        timeout_s=args.timeout,
-        telemetry_interval_s=args.telemetry_interval,
-        crash_notifier_after_s=args.crash_notifier_after,
-        failover=not args.no_failover,
-        degraded_limit=args.degraded_limit,
-        beacon_port=args.beacon_port,
-    )
+    return ClusterConfig(**{name: getattr(args, name) for name, *_ in _FLAGS})

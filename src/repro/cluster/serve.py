@@ -42,7 +42,6 @@ merged-trace cross-check needs to stay EXACT across a failover.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import os
 import signal
@@ -51,9 +50,8 @@ from pathlib import Path
 from typing import Optional
 
 from repro.cluster.harness import (
+    DEFAULT_DOCUMENT,
     ClusterConfig,
-    add_common_args,
-    config_from_args,
     endpoint_result,
     flight_path,
     streaming_trace_writer,
@@ -98,7 +96,7 @@ async def serve(config: ClusterConfig, out_dir: Path,
     notifier = StarNotifier(
         sched,
         config.clients,
-        initial_state=config.initial_document,
+        initial_state=DEFAULT_DOCUMENT,
         record_checks=True,
         reliability=config.reliability_config(),
         tracer=tracer,
@@ -316,14 +314,3 @@ async def serve(config: ClusterConfig, out_dir: Path,
     )
     trace_stream.close()
     return not timed_out
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro serve", description="run the star notifier over TCP"
-    )
-    add_common_args(parser)
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
-    ok = asyncio.run(serve(config, Path(args.out)))
-    return 0 if ok else 1

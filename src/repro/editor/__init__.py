@@ -14,9 +14,7 @@ Both editors are generic over the :class:`repro.ot.types.OTType`
 contract, record ground-truth event logs, and account every byte on the
 wire for the benchmarks.  They share the session layer
 (:mod:`repro.session`) and the transport layer
-(:mod:`repro.net.reliability`); this package re-exports the full
-editor-facing surface of both for convenience and backwards
-compatibility.
+(:mod:`repro.net.reliability`), whose names are imported from there.
 """
 
 from repro.editor.messages import OpMessage, ResyncRequest, SnapshotMessage
@@ -24,26 +22,13 @@ from repro.editor.mesh import MeshOp, MeshSession, MeshSite, got_transform
 from repro.editor.star import StarSession
 from repro.editor.star_client import StarClient, UndoError, execute_remote
 from repro.editor.star_notifier import PendingOp, StarNotifier
-from repro.net.reliability import (
-    ReliabilityConfig,
-    ReliabilityStats,
-    ReliablePacket,
-    ReliableEndpoint,
-)
-from repro.session import CheckRecord, ConsistencyError
 
 __all__ = [
-    "CheckRecord",
-    "ConsistencyError",
     "MeshOp",
     "MeshSession",
     "MeshSite",
     "OpMessage",
     "PendingOp",
-    "ReliabilityConfig",
-    "ReliabilityStats",
-    "ReliablePacket",
-    "ReliableEndpoint",
     "ResyncRequest",
     "SnapshotMessage",
     "StarClient",

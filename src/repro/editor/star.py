@@ -66,9 +66,6 @@ state; on restart it opens a new *epoch* (stale in-flight traffic from
 the previous incarnation is discarded by epoch) and resynchronises
 through the existing :class:`~repro.editor.messages.SnapshotMessage`
 path.
-
-For backwards compatibility this module re-exports the full
-pre-refactor public surface (messages, reliability classes, roles).
 """
 
 from __future__ import annotations
@@ -77,50 +74,17 @@ from typing import Any, Callable, Sequence
 
 from repro.clocks.events import EventLog
 from repro.editor.failover import FailoverManager
-from repro.editor.messages import (
-    ElectMessage,
-    OpMessage,
-    PromoteMessage,
-    ResyncRequest,
-    SnapshotMessage,
-    StateContribution,
-)
-from repro.editor.star_client import StarClient, UndoError, execute_remote
-from repro.editor.star_notifier import PendingOp, StarNotifier
+from repro.editor.star_client import StarClient
+from repro.editor.star_notifier import StarNotifier
 from repro.net.channel import LatencyModel
 from repro.net.faults import FaultPlan
-from repro.net.reliability import (
-    ReliabilityConfig,
-    ReliabilityStats,
-    ReliablePacket,
-    ReliableEndpoint,
-)
+from repro.net.reliability import ReliabilityConfig, ReliableEndpoint
 from repro.net.simulator import Simulator
 from repro.net.topology import StarTopology
 from repro.obs.tracer import Tracer
-from repro.session import CheckRecord, ConsistencyError, SessionBase
+from repro.session import SessionBase
 
-__all__ = [
-    "CheckRecord",
-    "ConsistencyError",
-    "ElectMessage",
-    "FailoverManager",
-    "OpMessage",
-    "PromoteMessage",
-    "StateContribution",
-    "PendingOp",
-    "ReliabilityConfig",
-    "ReliabilityStats",
-    "ReliablePacket",
-    "ReliableEndpoint",
-    "ResyncRequest",
-    "SnapshotMessage",
-    "StarClient",
-    "StarNotifier",
-    "StarSession",
-    "UndoError",
-    "execute_remote",
-]
+__all__ = ["StarSession"]
 
 
 class StarSession(SessionBase):
@@ -294,5 +258,5 @@ class StarSession(SessionBase):
         # roles counts every transport exactly once across a failover.
         return build_fault_report(
             self.topology.total_fault_stats(),
-            [endpoint.rel_stats for endpoint in [self.notifier, *self.clients]],
+            [endpoint.transport.stats for endpoint in [self.notifier, *self.clients]],
         )

@@ -168,17 +168,17 @@ class StarClient(EditorEndpoint):
                     # once the successor's baseline lands.
                     if len(self._degraded_queue) < self.degraded_limit:
                         self._degraded_queue.append(op)
-                        self.rel_stats.degraded_queued += 1
+                        self.transport.stats.degraded_queued += 1
                     else:
-                        self.rel_stats.degraded_overflow += 1
-                        self.rel_stats.lost_local_edits += 1
+                        self.transport.stats.degraded_overflow += 1
+                        self.transport.stats.lost_local_edits += 1
                     return None
-                self.rel_stats.lost_local_edits += 1
+                self.transport.stats.lost_local_edits += 1
                 return None
             if self.transport.crashed or self._recovering:
                 # A user edit during an outage is simply lost, like
                 # keystrokes into a dead terminal; count it and move on.
-                self.rel_stats.lost_local_edits += 1
+                self.transport.stats.lost_local_edits += 1
                 return None
             raise RuntimeError(
                 f"site {self.pid} has not received its join snapshot yet"
@@ -237,7 +237,7 @@ class StarClient(EditorEndpoint):
         transport: in-flight packets from the dead notifier must neither
         pollute the holdback buffer of a fresh link nor trigger acks."""
         if envelope.source in self._abandoned:
-            self.rel_stats.stale_epoch_discarded += 1
+            self.transport.stats.stale_epoch_discarded += 1
             return
         super().on_message(envelope)
 
@@ -255,7 +255,7 @@ class StarClient(EditorEndpoint):
             elif isinstance(payload, ResyncRequest):
                 self._buffered_promotion.append(envelope)
             else:
-                self.rel_stats.stale_epoch_discarded += 1
+                self.transport.stats.stale_epoch_discarded += 1
             return
         if isinstance(payload, PromoteMessage):
             self._on_promote(payload)
@@ -451,7 +451,7 @@ class StarClient(EditorEndpoint):
                 generated_locally=snapshot.own_count,
             )
             self._recovering = False
-            self.rel_stats.recoveries += 1
+            self.transport.stats.recoveries += 1
             if self.event_log is not None and snapshot.origin_clock is not None:
                 self.event_log.absorb_snapshot(self.pid, snapshot.origin_clock)
         else:
@@ -500,7 +500,7 @@ class StarClient(EditorEndpoint):
         if self._elect_epoch >= epoch:
             return  # duplicate election signal
         self._elect_epoch = epoch
-        self.rel_stats.elections += 1
+        self.transport.stats.elections += 1
         if self.tracer is not None:
             self.tracer.emit(
                 TraceEventKind.ELECTED, self.pid, peer=self.center, epoch=epoch,
@@ -590,22 +590,31 @@ class StarClient(EditorEndpoint):
         These operations were never timestamped, sent, or given ids --
         ``generate`` queued the raw edit and returned ``None`` -- so the
         replay is an ordinary generation against the post-failover
-        replica (fresh ids, fresh timestamps, no dedup concern), with
-        positions clamped to the adopted baseline.
+        replica (fresh ids, fresh timestamps, no dedup concern).
+        """
+        queued, self._degraded_queue = self._degraded_queue, deque()
+        for op in queued:
+            if self._replay(op):
+                self.transport.stats.degraded_replayed += 1
+
+    def _replay(self, op: Any, op_id: str | None = None) -> bool:
+        """Regenerate a buffered local edit on the adopted baseline.
+
+        Positions are clamped to the baseline, mirroring how an editor
+        re-applies a locally-buffered edit to a reverted document; an
+        edit that still does not apply is counted lost.  True iff the
+        edit was generated.
         """
         from repro.ot.operations import Operation, OperationError, clamp_to
 
-        queued, self._degraded_queue = self._degraded_queue, deque()
-        for op in queued:
-            replay_op = op
-            if isinstance(replay_op, Operation) and isinstance(self.document, str):
-                replay_op = clamp_to(self.document, replay_op)
-            try:
-                self.generate(replay_op)
-            except OperationError:
-                self.rel_stats.lost_local_edits += 1
-                continue
-            self.rel_stats.degraded_replayed += 1
+        if isinstance(op, Operation) and isinstance(self.document, str):
+            op = clamp_to(self.document, op)
+        try:
+            self.generate(op, op_id)
+        except OperationError:
+            self.transport.stats.lost_local_edits += 1
+            return False
+        return True
 
     def _on_promote(self, message: PromoteMessage) -> None:
         """Re-home the spoke to the successor and report our state."""
@@ -648,12 +657,8 @@ class StarClient(EditorEndpoint):
         stashed operations *not* in ``snapshot.incorporated`` are
         regenerated as **new** operations -- fresh ids, fresh timestamps,
         fresh ground-truth generations -- because their old identities
-        are burned into the pre-crash bookkeeping.  Positions are
-        clamped to the baseline, mirroring how an editor re-applies a
-        locally-buffered edit to a reverted document.
+        are burned into the pre-crash bookkeeping.
         """
-        from repro.ot.operations import Operation, OperationError, clamp_to
-
         self.document = snapshot.document
         self.sv = ClientStateVector(
             self.pid,
@@ -668,14 +673,14 @@ class StarClient(EditorEndpoint):
         if self._recovering:
             # A crash restart that raced the failover completes here: the
             # successor's baseline is the resync it was waiting for.
-            self.rel_stats.recoveries += 1
+            self.transport.stats.recoveries += 1
             self._recovering = False
         self.active = True
         self.notifier_epoch = snapshot.notifier_epoch
         # Successor-evidence bookkeeping restarts from the new baseline.
         self._received_per_origin = {}
         self._incorporated = set(snapshot.incorporated)
-        self.rel_stats.handoffs += 1
+        self.transport.stats.handoffs += 1
         if self.event_log is not None and snapshot.origin_clock is not None:
             self.event_log.absorb_snapshot(self.pid, snapshot.origin_clock)
         if self.tracer is not None:
@@ -686,17 +691,10 @@ class StarClient(EditorEndpoint):
         stash, self._failover_stash = self._failover_stash, []
         for op_id, op in stash:
             if op_id in snapshot.incorporated:
-                self.rel_stats.replays_deduped += 1
+                self.transport.stats.replays_deduped += 1
                 continue
-            replay_op = op
-            if isinstance(replay_op, Operation) and isinstance(self.document, str):
-                replay_op = clamp_to(self.document, replay_op)
-            try:
-                self.generate(replay_op, op_id=f"{op_id}@f{snapshot.notifier_epoch}")
-            except OperationError:
-                self.rel_stats.lost_local_edits += 1
-                continue
-            self.rel_stats.replayed_ops += 1
+            if self._replay(op, f"{op_id}@f{snapshot.notifier_epoch}"):
+                self.transport.stats.replayed_ops += 1
         # Stashed pendings replayed first (they predate the leaderless
         # window in program order), then the degraded-mode queue.
         self._drain_degraded_queue()

@@ -127,18 +127,18 @@ class StarNotifier(EditorEndpoint):
 
     def _handle_app_message(self, envelope: Envelope) -> None:
         if isinstance(envelope.payload, ResyncRequest):
-            self._serve_resync(envelope.source, envelope.payload.epoch)
+            self._readmit(envelope.source, "resync", envelope.payload.epoch)
             return
         if isinstance(envelope.payload, StateContribution):
             # A member presumed dead during promotion whose report
             # arrives late: it already re-homed to us, so heal it with
             # a failover snapshot rather than leaving it stranded.
-            self._serve_failover_snapshot(envelope.source)
+            self._readmit(envelope.source, "failover", self.notifier_epoch)
             return
         if isinstance(envelope.payload, (ElectMessage, PromoteMessage)):
             # Election-window stragglers (e.g. a duplicate suspicion
             # delivered after promotion completed).
-            self.rel_stats.stale_epoch_discarded += 1
+            self.transport.stats.stale_epoch_discarded += 1
             return
         message: OpMessage = envelope.payload
         source = envelope.source
@@ -368,33 +368,20 @@ class StarNotifier(EditorEndpoint):
                 f"joiner must take the next site id {site_id}, got {client.pid}"
             )
         self.n_sites = site_id
-        self.destinations.add(site_id)
-        self.sent_to[site_id] = deque()
-        self.acked[site_id] = self.sv.total()
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEventKind.SNAPSHOT, self.pid, peer=site_id, epoch=0, via="join",
-            )
-        self.send(
-            site_id,
-            SnapshotMessage(
-                document=self.document,
-                base_count=self.sv.total(),
-                notifier_epoch=self.notifier_epoch,
-            ),
-            timestamp_bytes=0,
-            kind="snapshot",
-        )
+        self._readmit(site_id, "join", 0)
 
-    def _serve_resync(self, site: int, epoch: int) -> None:
-        """Re-admit a crashed-and-restarted client.
+    def _readmit(self, site: int, via: str, epoch: int) -> None:
+        """Bring ``site`` (back) in at the snapshot horizon.
 
         The snapshot covers everything executed at site 0, so nothing
-        stays pending for the restarted site: its send window was
-        already voided by the epoch bump, ``sent_to``/``acked`` restart
-        at the snapshot horizon, and the snapshot itself goes out as
-        seq 0 of the new epoch -- FIFO guarantees every later broadcast
-        arrives after it, exactly as for a fresh joiner.
+        stays pending for ``site``: ``sent_to``/``acked`` restart at the
+        snapshot horizon and FIFO guarantees every later broadcast
+        arrives after the snapshot.  ``via`` says who is being admitted:
+        ``"join"`` (a fresh site), ``"resync"`` (a crashed-and-restarted
+        client whose send window the bump to ``epoch`` already voided;
+        the snapshot is seq 0 of that epoch) or ``"failover"`` (a
+        survivor under this promoted notifier, which also gets the
+        dedup set it replays its stashed pendings against).
 
         ``base_count`` excludes the site's own operations (the notifier
         only ever broadcasts *other* sites' operations to it), and
@@ -406,14 +393,14 @@ class StarNotifier(EditorEndpoint):
         self.destinations.add(site)
         self.sent_to[site] = deque()
         self.acked[site] = base
-        self.rel_stats.resyncs_served += 1
         origin_clock = None
-        if self.event_log is not None:
-            origin_clock = self.event_log.site_clock(self.pid)
+        if via != "join":
+            self.transport.stats.resyncs_served += 1
+            if self.event_log is not None:
+                origin_clock = self.event_log.site_clock(self.pid)
         if self.tracer is not None:
             self.tracer.emit(
-                TraceEventKind.SNAPSHOT, self.pid, peer=site, epoch=epoch,
-                via="resync",
+                TraceEventKind.SNAPSHOT, self.pid, peer=site, epoch=epoch, via=via,
             )
         self.send(
             site,
@@ -423,6 +410,7 @@ class StarNotifier(EditorEndpoint):
                 own_count=own,
                 origin_clock=origin_clock,
                 notifier_epoch=self.notifier_epoch,
+                incorporated=self.incorporated if via == "failover" else frozenset(),
             ),
             timestamp_bytes=0,
             kind="snapshot",
@@ -513,7 +501,7 @@ class StarNotifier(EditorEndpoint):
             missing = acked_at_old - notifier.sv[site]
             if missing > 0:
                 notifier.failover_losses += missing
-        notifier.rel_stats.promotions += 1
+        notifier.transport.stats.promotions += 1
         if notifier.tracer is not None:
             notifier.tracer.emit(
                 TraceEventKind.PROMOTED, notifier.pid, epoch=notifier_epoch,
@@ -521,39 +509,8 @@ class StarNotifier(EditorEndpoint):
             notifier.tracer.metrics.inc("failover.lost_ops", notifier.failover_losses)
         for site in sorted(contributions):
             if contributions[site] is not None and site != client.pid:
-                notifier._serve_failover_snapshot(site)
+                notifier._readmit(site, "failover", notifier_epoch)
         return notifier
-
-    def _serve_failover_snapshot(self, site: int) -> None:
-        """Re-admit a survivor under the new epoch (the resync path,
-        plus the dedup set members replay their stashed pendings against)."""
-        own = self.sv[site]
-        base = self.sv.total() - own
-        self.destinations.add(site)
-        self.sent_to[site] = deque()
-        self.acked[site] = base
-        self.rel_stats.resyncs_served += 1
-        origin_clock = None
-        if self.event_log is not None:
-            origin_clock = self.event_log.site_clock(self.pid)
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEventKind.SNAPSHOT, self.pid, peer=site,
-                epoch=self.notifier_epoch, via="failover",
-            )
-        self.send(
-            site,
-            SnapshotMessage(
-                document=self.document,
-                base_count=base,
-                own_count=own,
-                origin_clock=origin_clock,
-                notifier_epoch=self.notifier_epoch,
-                incorporated=self.incorporated,
-            ),
-            timestamp_bytes=0,
-            kind="snapshot",
-        )
 
     def clock_storage_ints(self) -> int:
         """Resident clock-state integers at the notifier: N."""

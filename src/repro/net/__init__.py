@@ -39,7 +39,6 @@ from repro.net.reliability import (
     ReliablePacket,
     ReliableEndpoint,
     RetransmitPolicy,
-    Transport,
     TransportError,
     build_transport,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ReliablePacket",
     "ReliableEndpoint",
     "RetransmitPolicy",
-    "Transport",
     "TransportError",
     "build_transport",
 ]

@@ -42,7 +42,7 @@ editor layer stays agnostic of which transport it is running over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol, Union, runtime_checkable
+from typing import Any, Callable, Optional, Union
 
 from repro.net.holdback import HoldbackOverflow, HoldbackQueue
 from repro.net.scheduler import Scheduler
@@ -153,47 +153,20 @@ class RetransmitPolicy:
 class ReliabilityConfig:
     """Parameters of the reliability protocol.
 
-    The retransmission knobs live in :class:`RetransmitPolicy`; the
-    scalar fields here (``base_rto``/``max_rto``/``backoff``/
-    ``max_retries``) are a construction convenience kept for the many
-    existing call sites -- ``__post_init__`` folds them into
-    :attr:`retransmit`, which is the *only* view the protocol reads.
-    Passing an explicit ``retransmit`` policy wins over the scalars
-    (and is mirrored back into them so both views always agree).
-
+    The retransmission knobs live in :attr:`retransmit`, a
+    :class:`RetransmitPolicy`, and nowhere else.
     ``probe_interval``/``max_probes`` shape the bounded heartbeat
     :meth:`ReliableEndpoint.probe_peer` uses to confirm a suspicion,
     and ``holdback_limit`` caps the reorder buffer (see
     :class:`repro.net.holdback.HoldbackOverflow`).
     """
 
-    base_rto: float = 0.5  # initial retransmit timeout (scheduler time)
-    max_rto: float = 8.0  # backoff ceiling
-    backoff: float = 2.0  # timeout multiplier per retry round
-    max_retries: Optional[int] = 12  # retransmit rounds before giving up
+    retransmit: RetransmitPolicy = RetransmitPolicy()
     probe_interval: float = 0.5  # spacing of liveness probes
     max_probes: int = 5  # unanswered probes before declaring death
     holdback_limit: Optional[int] = 1024  # reorder-buffer capacity
-    retransmit: RetransmitPolicy = RetransmitPolicy()
 
     def __post_init__(self) -> None:
-        if self.retransmit == RetransmitPolicy():
-            # Scalars are authoritative; the policy constructor validates.
-            object.__setattr__(
-                self,
-                "retransmit",
-                RetransmitPolicy(
-                    base_rto=self.base_rto,
-                    max_rto=self.max_rto,
-                    backoff=self.backoff,
-                    max_retries=self.max_retries,
-                ),
-            )
-        else:
-            object.__setattr__(self, "base_rto", self.retransmit.base_rto)
-            object.__setattr__(self, "max_rto", self.retransmit.max_rto)
-            object.__setattr__(self, "backoff", self.retransmit.backoff)
-            object.__setattr__(self, "max_retries", self.retransmit.max_retries)
         if self.probe_interval <= 0 or self.max_probes < 1:
             raise ValueError(f"malformed probe parameters: {self}")
         if self.holdback_limit is not None and self.holdback_limit < 1:
@@ -255,35 +228,6 @@ class _ProbeState:
     on_alive: PeerCallback
     on_dead: PeerCallback
     timer: Any = None
-
-
-@runtime_checkable
-class Transport(Protocol):
-    """What the editor layer sees of its transport (structural typing).
-
-    ``send`` puts an application payload on the wire toward ``dest``;
-    ``on_wire`` accepts an envelope arriving from the network and
-    eventually invokes the editor's ``deliver`` callback (immediately
-    for the raw transport, after sequencing for the reliable one).
-    """
-
-    reliability: Optional[ReliabilityConfig]
-    stats: ReliabilityStats
-    crashed: bool
-    tracer: Optional[Tracer]
-
-    def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
-             kind: str = "op") -> None: ...
-
-    def on_wire(self, envelope: Envelope) -> None: ...
-
-    def delivered_in_order(self) -> bool: ...
-
-    def inflight(self) -> int: ...
-
-    def holdback_depth(self) -> int: ...
-
-    def holdback_high_water(self) -> int: ...
 
 
 class TransportError(RuntimeError):
@@ -381,21 +325,23 @@ class ReliableEndpoint:
     The endpoint talks *down* through ``wire_send`` (raw channel access
     supplied by the owning :class:`~repro.net.process.SimProcess`) and
     *up* through ``deliver`` (the editor's application-message handler).
-    With ``reliability=None`` it degrades to a pass-through so a single
-    code path serves both modes; prefer :func:`build_transport`, which
-    picks :class:`RawTransport` for that case.
+    It always runs the protocol: :func:`build_transport` picks
+    :class:`RawTransport` when there is no config.
     """
 
     def __init__(
         self,
         sim: Scheduler,
         pid: int,
-        reliability: Optional[ReliabilityConfig] = None,
+        reliability: ReliabilityConfig,
         *,
         wire_send: Optional[WireSend] = None,
         deliver: Optional[Deliver] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        if reliability is None:
+            raise TypeError("ReliableEndpoint requires a ReliabilityConfig; "
+                            "build_transport picks RawTransport for None")
         self.sim = sim
         self.pid = pid
         self.reliability = reliability
@@ -412,7 +358,7 @@ class ReliableEndpoint:
         self._probes: dict[int, _ProbeState] = {}
         # Out-of-order packets held for sequencing, one stream per peer.
         self._holdback: HoldbackQueue[Envelope] = HoldbackQueue(
-            capacity=reliability.holdback_limit if reliability else None
+            capacity=reliability.holdback_limit
         )
         # In-order audit: per source, the (epoch, next seq) the editor
         # must be handed next, checked against each released packet's
@@ -422,13 +368,6 @@ class ReliableEndpoint:
         # mechanism it checks.  A violation is remembered for good.
         self._audit_next: dict[int, tuple[int, int]] = {}
         self._audit_violated = False
-
-    # -- compatibility alias ---------------------------------------------------
-
-    @property
-    def rel_stats(self) -> ReliabilityStats:
-        """Pre-refactor name of :attr:`stats`."""
-        return self.stats
 
     # -- telemetry gauges ------------------------------------------------------
 
@@ -448,18 +387,11 @@ class ReliableEndpoint:
 
     def _link(self, peer: int) -> _PeerLink:
         if peer not in self._links:
-            rto = self.reliability.retransmit.base_rto if self.reliability else 0.0
-            self._links[peer] = _PeerLink(rto=rto)
+            self._links[peer] = _PeerLink(rto=self.reliability.retransmit.base_rto)
         return self._links[peer]
 
     def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
              kind: str = "op") -> None:
-        if self.reliability is None:
-            if self.tracer is not None:
-                self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest,
-                                 op_id=_traced_op_id(payload))
-            self.wire_send(dest, payload, timestamp_bytes, kind)
-            return
         link = self._link(dest)
         seq = link.send_seq
         link.send_seq += 1
@@ -496,7 +428,6 @@ class ReliableEndpoint:
         # since this timer was armed; a stale timer must not touch it.
         if self.crashed or self._links.get(dest) is not link or not link.unacked:
             return
-        assert self.reliability is not None
         policy = self.reliability.retransmit
         limit = policy.max_retries
         if limit is not None and link.retries >= limit:
@@ -549,7 +480,6 @@ class ReliableEndpoint:
 
     def _resurrect(self, dest: int, link: _PeerLink) -> None:
         """The peer spoke again: un-park and resume retransmission."""
-        assert self.reliability is not None
         link.dead = False
         link.retries = 0
         link.rto = self.reliability.retransmit.base_rto
@@ -562,7 +492,7 @@ class ReliableEndpoint:
             self.stats.dropped_while_crashed += 1
             return
         payload = envelope.payload
-        if self.reliability is None or not isinstance(payload, ReliablePacket):
+        if not isinstance(payload, ReliablePacket):
             if self.tracer is not None:
                 self.tracer.emit(TraceEventKind.RELEASED, self.pid,
                                  peer=envelope.source,
@@ -713,7 +643,6 @@ class ReliableEndpoint:
         latency up to ``base_rto / 2`` the next one is never late enough
         to fire a timer on a clean network (DESIGN 3.1).
         """
-        assert self.reliability is not None
         now = self.sim.now
         due = link.acked_at + self.reliability.retransmit.base_rto / 4
         if now >= due:
@@ -747,7 +676,6 @@ class ReliableEndpoint:
             del unacked[head]
             progress = True
         if progress:
-            assert self.reliability is not None
             link.rto = self.reliability.retransmit.base_rto  # progress: reset backoff
             link.retries = 0  # progress: refill the retransmit budget
             # Restart the retransmit clock: the surviving packets were all
@@ -780,8 +708,6 @@ class ReliableEndpoint:
         discrete-event simulator's run-to-quiescence contract requires.
         A probe already in flight toward ``peer`` is left to finish.
         """
-        if self.reliability is None:
-            raise RuntimeError("liveness probes require the reliability protocol")
         if peer in self._probes:
             return
         state = _ProbeState(remaining=self.reliability.max_probes,
@@ -793,7 +719,6 @@ class ReliableEndpoint:
         state.timer = None
         if self.crashed or self._probes.get(peer) is not state:
             return
-        assert self.reliability is not None
         if state.remaining <= 0:
             del self._probes[peer]
             state.on_dead(peer)
@@ -863,10 +788,7 @@ class ReliableEndpoint:
 
     def reset_link(self, peer: int, epoch: int) -> _PeerLink:
         """Void the link state and start the given epoch from seq 0."""
-        link = _PeerLink(
-            epoch=epoch,
-            rto=self.reliability.retransmit.base_rto if self.reliability else 0.0,
-        )
+        link = _PeerLink(epoch=epoch, rto=self.reliability.retransmit.base_rto)
         old = self._links.get(peer)
         if old is not None:
             self._cancel_timers(old)

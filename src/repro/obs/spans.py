@@ -221,40 +221,6 @@ class SpanReport:
             lines.append(f"  uncorrectable skew (raw latencies only): {flagged}")
         return lines
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready form of the report."""
-
-        def _ms(value: Optional[float]) -> Optional[float]:
-            return None if value is None else value * 1e3
-
-        pairs = []
-        for (origin, executor) in sorted(self.pairs):
-            pair = self.pairs[(origin, executor)]
-            hist = pair.corrected if pair.corrected is not None else pair.raw
-            pairs.append(
-                {
-                    "origin": origin,
-                    "executor": executor,
-                    "n": hist.count,
-                    "corrected": pair.correctable,
-                    "offset_ms": _ms(pair.offset_s),
-                    "error_bound_ms": _ms(pair.error_bound_s),
-                    "p50_ms": _ms(hist.percentile(50)),
-                    "p95_ms": _ms(hist.percentile(95)),
-                    "p99_ms": _ms(hist.percentile(99)),
-                }
-            )
-        merged = self.all_corrected()
-        return {
-            "span_events": self.span_events,
-            "stage_counts": dict(sorted(self.stage_counts.items())),
-            "pairs": pairs,
-            "e2e_p50_ms": _ms(merged.percentile(50)),
-            "e2e_p95_ms": _ms(merged.percentile(95)),
-            "e2e_p99_ms": _ms(merged.percentile(99)),
-            "uncorrectable_pairs": [list(p) for p in self.uncorrectable_pairs],
-        }
-
 
 def assemble_spans(events: Sequence[TraceEvent]) -> SpanReport:
     """Assemble per-pair end-to-end latency from span events.

@@ -30,7 +30,7 @@ notifier serialises its stream, so TP2 never arises).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generic, Protocol, TypeVar, runtime_checkable
+from typing import Any, Protocol, TypeVar, runtime_checkable
 
 from repro.ot.component import TextOperation
 from repro.ot.operations import Operation, apply_operation

@@ -23,12 +23,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.net.process import SimProcess
-from repro.net.reliability import (
-    AnyTransport,
-    ReliabilityConfig,
-    ReliabilityStats,
-    build_transport,
-)
+from repro.net.reliability import AnyTransport, ReliabilityConfig, build_transport
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
 from repro.obs.tracer import Tracer
@@ -105,11 +100,6 @@ class EditorEndpoint(SimProcess):
         raise NotImplementedError
 
     # -- transport surface mirrored for the session layer ------------------------
-
-    @property
-    def rel_stats(self) -> ReliabilityStats:
-        """The transport's protocol counters (pre-refactor name)."""
-        return self.transport.stats
 
     def delivered_in_order(self) -> bool:
         """The transport's in-order release audit."""

@@ -86,6 +86,22 @@ def test_notifier_crash_mid_run_fails_over_with_telemetry(
                        emit=lambda _: None) == 0
 
 
+def test_reliable_failover_leaves_stderr_empty(tmp_path: Path, capfd) -> None:
+    """A healed run is a quiet run, under the reliability protocol too.
+
+    The promoted successor must hang up on the members it accepted
+    before its event loop goes away; left to ``asyncio.run`` the
+    cancelled inbound handlers each print a traceback (the processes
+    inherit fd 2, which ``capfd`` captures).
+    """
+    config = ClusterConfig(clients=3, ops_per_client=12, seed=11,
+                           time_scale=0.3, timeout_s=25.0, reliability=True,
+                           crash_notifier_after_s=1.5)
+    report = run_cluster(config, tmp_path)
+    _assert_survived_by_failover(report, config, tmp_path)
+    assert capfd.readouterr().err == ""
+
+
 def test_udp_sideband_keeps_monitor_fed_through_failover(
     tmp_path: Path,
 ) -> None:

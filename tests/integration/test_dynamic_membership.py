@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from repro.editor.star import ConsistencyError, StarSession
+from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.ot.operations import Delete, Insert
+from repro.session import ConsistencyError
 from repro.workloads.random_session import (
     RandomSessionConfig,
     drive_star_session,
@@ -52,7 +53,7 @@ class TestJoinProtocol:
             joiner.generate(Insert("x", 0))
 
     def test_double_snapshot_rejected(self):
-        from repro.editor.star import SnapshotMessage
+        from repro.editor.messages import SnapshotMessage
         from repro.net.transport import Envelope
 
         session = StarSession(1, record_events=False)
@@ -70,7 +71,7 @@ class TestJoinProtocol:
             session.add_client(at=1.0)
 
     def test_notifier_rejects_wrong_site_id(self):
-        from repro.editor.star import StarClient
+        from repro.editor.star_client import StarClient
 
         session = StarSession(2, record_events=False)
         rogue = StarClient(session.sim, 9, record_checks=False, joining=True)

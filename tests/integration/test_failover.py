@@ -17,14 +17,14 @@ import pytest
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan, NotifierCrash
-from repro.net.reliability import ReliabilityConfig
+from repro.net.reliability import ReliabilityConfig, RetransmitPolicy
 from repro.obs import TraceCausality, cross_check_causality, verify_check_records
 from repro.obs.tracer import Tracer
 from repro.ot.operations import Insert
 
 # A small budget so detection fires in seconds of virtual time instead
 # of the production default's ~minute.
-FAST_DETECT = ReliabilityConfig(max_retries=4)
+FAST_DETECT = ReliabilityConfig(retransmit=RetransmitPolicy(max_retries=4))
 
 
 def latency_factory(src, dst):

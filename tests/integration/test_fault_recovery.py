@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from repro.editor.star import ReliabilityConfig, StarSession
+from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
+from repro.net.reliability import ReliabilityConfig
 from repro.ot.operations import Insert
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -110,7 +111,7 @@ class TestLossyNetwork:
         assert session.converged(), session.documents()
         client = session.client(1)
         assert client.crash_count == 1
-        assert client.rel_stats.recoveries == 1
+        assert client.transport.stats.recoveries == 1
         # the op generated before the crash survives at the other sites
         # (the notifier had executed and re-broadcast it)
         assert "a" in session.notifier.document
@@ -127,7 +128,7 @@ class TestLossyNetwork:
         session.generate_at(1, Insert("x", 0), at=2.0)  # into a dead terminal
         session.run()
         assert session.converged()
-        assert session.client(1).rel_stats.lost_local_edits == 1
+        assert session.client(1).transport.stats.lost_local_edits == 1
         assert "x" not in session.notifier.document
 
     def test_faults_without_plan_reject_crash_api(self):
@@ -184,7 +185,7 @@ class TestHistoryRetentionUnderFaults:
         session.run()
         assert session.converged(), session.documents()
         assert session.reliable_delivery_in_order()
-        assert session.client(1).rel_stats.recoveries == 1
+        assert session.client(1).transport.stats.recoveries == 1
         # The resync voided the debt, so the next arrival forgot b'.
         expected = ["c1_1'", "c2_1'", "c1_2'"] if oracle else ["c1_2'"]
         assert notifier.hb.op_ids() == expected

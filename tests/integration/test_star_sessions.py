@@ -7,12 +7,13 @@ import pytest
 
 from repro.core.timestamp import OriginKind
 from repro.editor import messages
-from repro.editor.star import ConsistencyError, StarSession
+from repro.editor.star import StarSession
 from repro.net import codec
 from repro.net.channel import JitterLatency, UniformLatency
 from repro.net.transport import Envelope
 from repro.net.wire import encode_envelope
 from repro.ot.operations import Delete, Insert
+from repro.session import ConsistencyError
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 from repro.workloads.typing_model import TypingBurstConfig
 from repro.workloads.typing_model import drive_typing_session
@@ -169,7 +170,7 @@ class TestInvariants:
     def test_stale_ack_raises_consistency_error(self):
         """A client claiming fewer acks than before trips the guard."""
         from repro.core.timestamp import CompressedTimestamp
-        from repro.editor.star import OpMessage
+        from repro.editor.messages import OpMessage
         from repro.net.transport import Envelope
 
         session = StarSession(n_sites=2, initial_state="ab")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.editor.star import StarSession, UndoError
+from repro.editor.star import StarSession
+from repro.editor.star_client import UndoError
 from repro.ot.component import TextOperation
 from repro.ot.operations import Delete, Insert, OperationGroup
 from repro.ot.types import CounterOp

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.editor.recorder import TraceEntry, op_from_json, op_to_json
-from repro.editor.star import OpMessage
+from repro.editor.messages import OpMessage
 from repro.net.codec import (
     Reader,
     Writer,

@@ -21,14 +21,14 @@ from hypothesis import strategies as st
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan, NotifierCrash
-from repro.net.reliability import ReliabilityConfig
+from repro.net.reliability import ReliabilityConfig, RetransmitPolicy
 from repro.obs import TraceCausality, cross_check_causality, verify_check_records
 from repro.obs.tracer import Tracer
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
 # A small retransmit budget so crash detection fires within seconds of
 # virtual time; the production default takes ~a minute of silence.
-FAST_DETECT = ReliabilityConfig(max_retries=4)
+FAST_DETECT = ReliabilityConfig(retransmit=RetransmitPolicy(max_retries=4))
 
 failover_params = st.fixed_dictionaries(
     {

@@ -21,7 +21,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.editor.star import StarSession, UndoError
+from repro.editor.star import StarSession
+from repro.editor.star_client import UndoError
 from repro.workloads.random_session import RandomSessionConfig, random_positional_op
 
 CONFIG = RandomSessionConfig(n_sites=4, initial_document="The five boxing wizards")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.timestamp import CompressedTimestamp
-from repro.editor.star import OpMessage
+from repro.editor.messages import OpMessage
 from repro.net.codec import (
     TIMESTAMP_WIRE_BYTES,
     CodecError,

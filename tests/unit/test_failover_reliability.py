@@ -15,6 +15,8 @@ promotion protocol lives in ``tests/integration/test_failover.py``):
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.net.faults import FaultPlan, NotifierCrash
@@ -23,6 +25,7 @@ from repro.net.reliability import (
     ReliabilityConfig,
     ReliablePacket,
     ReliableEndpoint,
+    RetransmitPolicy,
 )
 from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
@@ -32,9 +35,14 @@ def blackhole(dest, payload, ts_bytes, kind):
     """A wire that loses everything: the peer never hears us."""
 
 
-def make_endpoint(sim, pid=1, wire_send=blackhole, **config_kwargs):
+FAST = RetransmitPolicy(base_rto=0.1, max_rto=0.4)
+
+
+def make_endpoint(sim, pid=1, wire_send=blackhole, max_retries=FAST.max_retries,
+                  **config_kwargs):
     config = ReliabilityConfig(
-        base_rto=0.1, max_rto=0.4, probe_interval=0.1, **config_kwargs
+        retransmit=dataclasses.replace(FAST, max_retries=max_retries),
+        probe_interval=0.1, **config_kwargs
     )
     delivered = []
     endpoint = ReliableEndpoint(
@@ -155,7 +163,7 @@ class TestLivenessProbe:
 
     def test_two_live_endpoints_answer_each_others_probes(self):
         sim = Simulator()
-        config = ReliabilityConfig(base_rto=0.1, max_rto=0.4, probe_interval=0.1)
+        config = ReliabilityConfig(retransmit=FAST, probe_interval=0.1)
         a = ReliableEndpoint(sim, 1, config, deliver=lambda env: None)
         b = ReliableEndpoint(sim, 2, config, deliver=lambda env: None)
 
@@ -172,12 +180,6 @@ class TestLivenessProbe:
         a.probe_peer(2, on_alive=alive.append, on_dead=dead.append)
         sim.run()
         assert alive == [2] and dead == []
-
-    def test_probe_requires_the_reliability_protocol(self):
-        sim = Simulator()
-        endpoint = ReliableEndpoint(sim, 1, None)
-        with pytest.raises(RuntimeError):
-            endpoint.probe_peer(9, lambda p: None, lambda p: None)
 
     def test_probe_packets_are_unsequenced(self):
         with pytest.raises(ValueError):
@@ -229,7 +231,7 @@ class TestConfigAndPlanValidation:
 
     def test_retry_budget_validated(self):
         with pytest.raises(ValueError):
-            ReliabilityConfig(max_retries=0)
+            ReliabilityConfig(retransmit=RetransmitPolicy(max_retries=0))
 
     def test_holdback_limit_validated(self):
         with pytest.raises(ValueError):

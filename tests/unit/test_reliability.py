@@ -26,7 +26,7 @@ from repro.obs.tracer import Tracer, TraceEventKind
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
 LATENCY = 0.05
-BASE_RTO = ReliabilityConfig().base_rto
+BASE_RTO = ReliabilityConfig().retransmit.base_rto
 ACK_INTERVAL = BASE_RTO / 4
 SENDER, RECEIVER = 1, 2
 

@@ -9,7 +9,7 @@ send next; these tests feed the release-time hook every corruption it
 claims to detect.
 """
 
-from repro.editor.star import ReliabilityConfig, ReliableEndpoint
+from repro.net.reliability import ReliabilityConfig, ReliableEndpoint
 from repro.net.simulator import Simulator
 
 

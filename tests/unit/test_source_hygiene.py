@@ -1,0 +1,105 @@
+"""Source hygiene that needs no linter: stdlib ``ast`` over ``src/repro``.
+
+ruff and mypy are not installable in every build image, so the three
+import rules this repo relies on are checked here, in tier-1:
+
+* a module imports no name it never uses (package ``__init__`` files
+  exist to re-export and are exempt);
+* every name a module lists in ``__all__`` is bound in that module;
+* only a package ``__init__`` may list in ``__all__`` a name it merely
+  imported -- every other module exports what it defines, so each public
+  name has one import home;
+
+plus a vocabulary rule: the spellings of the deleted compatibility
+layer stay deleted.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+MODULES = sorted(SRC.rglob("*.py"))
+IDS = [str(path.relative_to(SRC)) for path in MODULES]
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """Every name an import statement binds, anywhere in the module."""
+    bound: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound
+
+
+def _annotations(tree: ast.Module) -> list[ast.expr]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            found.append(node.annotation)
+    return [annotation for annotation in found if annotation is not None]
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere, including inside quoted annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return used
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level by anything other than an import."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_imports_and_exports(path: Path) -> None:
+    tree = ast.parse(path.read_text())
+    imported, exported, defined = _imported(tree), _exported(tree), _defined(tree)
+    unbound = exported - defined - imported
+    assert not unbound, f"in __all__ but not bound here: {sorted(unbound)}"
+    if path.name != "__init__.py":
+        unused = imported - _used(tree) - exported
+        assert not unused, f"imported but never used: {sorted(unused)}"
+        borrowed = exported - defined
+        assert not borrowed, f"re-exported from elsewhere: {sorted(borrowed)}"
+
+
+def test_the_compatibility_vocabulary_stays_deleted() -> None:
+    banned = re.compile(r"\brel_stats\b|pre-refactor|backwards compat")
+    hits = [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in MODULES
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not hits, "\n".join(hits)

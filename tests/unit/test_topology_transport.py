@@ -157,7 +157,7 @@ class TestPayloadMeasurement:
     def test_op_message_wrapper_not_pickled(self):
         """Editor wrappers are measured structurally (framing + inner op)."""
         from repro.core.timestamp import CompressedTimestamp
-        from repro.editor.star import OpMessage
+        from repro.editor.messages import OpMessage
 
         message = OpMessage(
             op=Insert("ab", 3),
@@ -175,7 +175,7 @@ class TestPayloadMeasurement:
         assert measure_payload_bytes(record) == 4 + 9
 
     def test_snapshot_measured_structurally(self):
-        from repro.editor.star import SnapshotMessage
+        from repro.editor.messages import SnapshotMessage
 
         snap = SnapshotMessage(document="abcd", base_count=7)
         assert measure_payload_bytes(snap) == 4 + 5

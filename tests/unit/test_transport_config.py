@@ -3,11 +3,13 @@
 Satellites of ISSUE 7: a transport used before its I/O hooks are
 attached must fail with a :class:`TransportError` naming the miswired
 endpoint (not a bare ``RuntimeError``), and every retransmit knob lives
-in one frozen :class:`RetransmitPolicy` that the scalar fields of
-``ReliabilityConfig`` keep mirroring for backward compatibility.
+in one frozen :class:`RetransmitPolicy`, which is the only place
+``ReliabilityConfig`` keeps them.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -17,7 +19,9 @@ from repro.net.reliability import (
     ReliableEndpoint,
     RetransmitPolicy,
     TransportError,
+    build_transport,
 )
+from repro.net.scheduler import AsyncioScheduler
 from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
 
@@ -61,30 +65,54 @@ def test_wired_transport_does_not_raise() -> None:
 # -- RetransmitPolicy ----------------------------------------------------------
 
 
-def test_default_policy_matches_legacy_scalar_defaults() -> None:
-    config = ReliabilityConfig()
-    policy = config.retransmit
-    assert policy == RetransmitPolicy()
-    assert (policy.base_rto, policy.max_rto, policy.backoff, policy.max_retries) \
-        == (config.base_rto, config.max_rto, config.backoff, config.max_retries)
+def test_the_policy_is_the_only_view_of_the_retransmit_knobs() -> None:
+    assert ReliabilityConfig().retransmit == RetransmitPolicy()
+    assert [f.name for f in dataclasses.fields(ReliabilityConfig)] == [
+        "retransmit", "probe_interval", "max_probes", "holdback_limit",
+    ]
+    for knob in ("base_rto", "max_rto", "backoff", "max_retries"):
+        with pytest.raises(TypeError):
+            ReliabilityConfig(**{knob: 1})
 
 
-def test_legacy_scalars_populate_the_policy() -> None:
-    config = ReliabilityConfig(base_rto=0.1, max_rto=0.4, backoff=3.0,
-                               max_retries=2)
-    assert config.retransmit == RetransmitPolicy(
-        base_rto=0.1, max_rto=0.4, backoff=3.0, max_retries=2
+def test_replacing_the_policy_replaces_what_the_protocol_reads() -> None:
+    # Regression: with mirrored scalars, dataclasses.replace() of one
+    # view was silently overwritten by the other in __post_init__.
+    config = ReliabilityConfig(retransmit=RetransmitPolicy(max_retries=4))
+    faster = dataclasses.replace(config, retransmit=RetransmitPolicy(base_rto=0.1))
+    assert faster.retransmit.base_rto == 0.1
+    assert faster.retransmit.max_retries == RetransmitPolicy().max_retries
+    assert dataclasses.replace(config, max_probes=2).retransmit.max_retries == 4
+
+
+@pytest.mark.parametrize("make_scheduler", [Simulator, AsyncioScheduler])
+def test_both_wires_arm_from_the_same_policy_object(make_scheduler) -> None:
+    policy = RetransmitPolicy(base_rto=0.01, max_rto=0.02, max_retries=2)
+    scheduler = make_scheduler()
+    endpoint = ReliableEndpoint(
+        scheduler, 1, ReliabilityConfig(retransmit=policy),
+        wire_send=lambda dest, payload, ts, kind: None,  # nothing is ever acked
+        deliver=lambda envelope: None,
     )
+    assert endpoint.reliability.retransmit is policy
+    deaths: list[int] = []
+    endpoint.on_peer_dead = deaths.append
+    endpoint.send(9, "payload")
+    scheduler.run()
+    # 0.01 + 0.02 + 0.02: two resends, then the budget is spent.
+    assert endpoint.stats.retransmits == 2 and deaths == [9]
+    assert scheduler.now >= 0.05
+    if isinstance(scheduler, AsyncioScheduler):
+        scheduler.loop.close()
 
 
-def test_explicit_policy_wins_and_mirrors_into_scalars() -> None:
-    policy = RetransmitPolicy(base_rto=0.2, max_rto=1.6, backoff=2.0,
-                              max_retries=None)
-    config = ReliabilityConfig(retransmit=policy)
-    assert config.retransmit is policy
-    assert config.base_rto == 0.2
-    assert config.max_rto == 1.6
-    assert config.max_retries is None
+def test_reliable_endpoint_without_a_config_is_refused() -> None:
+    with pytest.raises(TypeError, match="build_transport"):
+        ReliableEndpoint(Simulator(), 1, None)
+    raw = build_transport(Simulator(), 1, None,
+                          wire_send=lambda dest, payload, ts, kind: None,
+                          deliver=lambda envelope: None)
+    assert isinstance(raw, RawTransport)
 
 
 @pytest.mark.parametrize(
