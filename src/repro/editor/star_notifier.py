@@ -172,15 +172,7 @@ class StarNotifier(EditorEndpoint):
                     f"notifier: formula (7) concurrent set {actual} != pending "
                     f"set {expected} for {message.op_id} from site {source}"
                 )
-        # History retention, as at the clients: an entry no destination
-        # still owes an ack for is causally before every future arrival.
-        # Only a prefix goes, so a live head is the head of its debtor's
-        # queue; a destination that never sends never acknowledges and
-        # pins HB_0 as it pins its own sent_to.
-        if not self.verify_with_oracle:
-            self.hb.prune_head(
-                {queue[0].op_id for queue in self.sent_to.values() if queue}
-            )
+        self._prune_history()
         new_op = message.op
         if self.transform_enabled:
             for entry in self.sent_to[source]:
@@ -190,6 +182,22 @@ class StarNotifier(EditorEndpoint):
                 entry.op = updated
         self._execute_and_broadcast(new_op, source, message.op_id, ts,
                                     origin_wall=message.origin_wall)
+
+    def _prune_history(self) -> None:
+        """Drop the ``HB_0`` prefix no destination's queue still starts at.
+
+        History retention, as at the clients: an entry no destination
+        still owes an ack for is causally before every future arrival.
+        Only a prefix goes, so a live head is the head of its debtor's
+        queue; a destination that never sends never acknowledges and
+        pins ``HB_0`` as it pins its own ``sent_to``.  Run wherever a
+        queue shrinks -- an acknowledgement, a re-admission -- so the
+        invariant holds at rest; oracle sessions keep everything.
+        """
+        if not self.verify_with_oracle:
+            self.hb.prune_head(
+                {queue[0].op_id for queue in self.sent_to.values() if queue}
+            )
 
     def _execute_and_broadcast(
         self, new_op: Any, source: int, source_op_id: str,
@@ -393,6 +401,7 @@ class StarNotifier(EditorEndpoint):
         self.destinations.add(site)
         self.sent_to[site] = deque()
         self.acked[site] = base
+        self._prune_history()
         origin_clock = None
         if via != "join":
             self.transport.stats.resyncs_served += 1

@@ -174,9 +174,10 @@ class FaultToleranceReport:
     A lost pure acknowledgement (``lost_acks``) needs no retransmission
     -- any later cumulative ack heals it -- and a client crash voids the
     crashed incarnation's unacked windows, so neither implies
-    retransmits.  ``acks_coalesced`` counts the in-order arrivals that
-    drew no ack of their own: their acknowledgement left on a later
-    packet, a paced cumulative ack or reverse data.
+    retransmits.  ``acks_coalesced`` counts the arrivals that drew no
+    ack of their own -- in order, duplicated, or held above a gap
+    already reported: their acknowledgement left on a later packet, a
+    paced cumulative ack or reverse data.
 
     One crash/restart cycle contributes 1 to ``recoveries`` (the
     client's completed restart) and 1 to ``resyncs_served`` (the

@@ -23,12 +23,15 @@ Editors *own* a transport (composition), they do not inherit one:
   :class:`~repro.net.holdback.HoldbackQueue`.  Acknowledgements are
   cumulative and paced: every data packet carries one, an isolated
   arrival is answered at once, a burst costs one pure ack per
-  ``base_rto / 4``, and whatever the sender is *waiting* to hear (a gap,
-  a landed repair, a duplicate, a probe) is never delayed.  Repair is
+  ``base_rto / 4``, and so does whatever would only repeat the last
+  packet (a duplicate, a packet held above a gap already reported);
+  what the sender is *waiting* to hear (the first report of a gap, a
+  landed repair, a probe's answer) is never delayed.  Repair is
   proportional to loss: the network never reorders what it delivers, so
   a receiver holding packets above a gap has *proof* the head's earlier
-  copy was lost and says so on its acks (``ReliablePacket.gap``); the
-  sender resends that head at once, and the retransmit timer
+  copy was lost and says so on whatever it sends
+  (``ReliablePacket.gap``); the sender resends that head at once, once,
+  and the retransmit timer
   (exponential backoff) resends the head only, as the fallback for a
   lost repair, a lost tail or lost acks.  Crashed incarnations are
   fenced by *epochs*: a packet from an older epoch is discarded, a
@@ -180,7 +183,7 @@ class ReliabilityStats:
     sent: int = 0
     retransmits: int = 0
     acks_sent: int = 0
-    acks_coalesced: int = 0  # in-order arrivals acknowledged by a later packet
+    acks_coalesced: int = 0  # arrivals acknowledged by a later packet
     duplicates_discarded: int = 0
     stale_epoch_discarded: int = 0
     out_of_order_held: int = 0
@@ -217,6 +220,7 @@ class _PeerLink:
     repair_run: int = 0  # packets the last gap repair resent
     acked: int = -1  # highest cumulative ack the peer has been sent
     acked_at: float = float("-inf")  # when a packet last raised ``acked``
+    told_at: float = float("-inf")  # when a packet last carried ack and gap bit
     ack_timer: Any = None  # pending paced acknowledgement, if armed
 
 
@@ -412,7 +416,8 @@ class ReliableEndpoint:
     def _transmit(self, dest: int, link: _PeerLink, seq: int, payload: Any,
                   ts_bytes: int, kind: str) -> None:
         packet = ReliablePacket(seq=seq, epoch=link.epoch,
-                                ack=link.recv_next - 1, payload=payload)
+                                ack=link.recv_next - 1, payload=payload,
+                                gap=self._holdback.holds(dest))
         self._told_recv_next(link)
         self.wire_send(dest, packet, ts_bytes, kind)
 
@@ -530,13 +535,16 @@ class ReliableEndpoint:
         if packet.seq < link.recv_next:
             # Duplicate of something already released: re-ack so the
             # sender stops retransmitting (its ack may have been lost).
+            # A timer resend comes a full RTO after the ack it missed; a
+            # network duplicate comes on the heels of the original.
             self.stats.duplicates_discarded += 1
-            self._send_ack(source, link)
+            self._pace_ack(source, link, repeat=True)
             return
         if packet.seq > link.recv_next:
             # A gap: hold the packet back until retransmission fills it.
             # Releasing it now would reorder the stream and break the
             # FIFO precondition of formulas (5) and (7).
+            opened = not self._holdback.holds(source)
             try:
                 fresh = self._holdback.hold(source, packet.seq, envelope)
             except HoldbackOverflow:
@@ -562,7 +570,12 @@ class ReliableEndpoint:
                                          origin_time=origin_wall)
             else:
                 self.stats.duplicates_discarded += 1
-            self._send_ack(source, link)
+            if opened:
+                self._send_ack(source, link)
+            else:
+                # The head is reported and the sender repairs it once:
+                # another report is only the retry of a lost first one.
+                self._pace_ack(source, link, repeat=True)
             return
         self._release(link, envelope, via="direct")
         drained = False
@@ -621,17 +634,19 @@ class ReliableEndpoint:
         Only an ack that is *news* to the peer moves ``acked_at``: it is
         ack progress there, which restarts the peer's retransmit clock,
         and that restart is the headroom a paced ack spends.  Data that
-        repeats the last ack restarts nothing and buys no delay.
+        repeats the last ack restarts nothing and buys no delay -- except
+        to a packet that would repeat it in turn, which ``told_at`` paces.
         """
+        link.told_at = self.sim.now
         if link.acked < link.recv_next - 1:
             link.acked = link.recv_next - 1
-            link.acked_at = self.sim.now
+            link.acked_at = link.told_at
         if link.ack_timer is not None:
             self.sim.cancel(link.ack_timer)
             link.ack_timer = None
 
-    def _pace_ack(self, dest: int, link: _PeerLink) -> None:
-        """Acknowledge an in-order arrival nobody is waiting on.
+    def _pace_ack(self, dest: int, link: _PeerLink, repeat: bool = False) -> None:
+        """Acknowledge an arrival nobody is waiting on.
 
         At once if the peer has had no news for one interval, so an
         isolated packet's round trip is what it would be with an ack
@@ -642,18 +657,27 @@ class ReliableEndpoint:
         that opened it restarted the peer's clock, so with one-way
         latency up to ``base_rto / 2`` the next one is never late enough
         to fire a timer on a clean network (DESIGN 3.1).
+
+        ``repeat``: a duplicate, or a packet held above a head already
+        reported -- the ack would only say again what the last packet
+        told this peer, and is owed only as the retry in case that one
+        was lost.  It restarts no clock, so any packet opens its
+        interval, news or not, and any packet leaving meanwhile (data
+        carries the gap bit too) is the retry.
         """
         now = self.sim.now
-        due = link.acked_at + self.reliability.retransmit.base_rto / 4
+        since = link.told_at if repeat else link.acked_at
+        due = since + self.reliability.retransmit.base_rto / 4
         if now >= due:
             self._send_ack(dest, link)
             return
         self.stats.acks_coalesced += 1
-        # Nothing is owed if the editor answered from inside deliver():
-        # that data carried this ack.  One read of ``now``: a wall-clock
-        # scheduler refuses an absolute deadline the clock has passed
-        # between two reads.
-        if link.ack_timer is None and link.acked < link.recv_next - 1:
+        # An in-order arrival is owed nothing if the editor answered
+        # from inside deliver(): that data carried its ack (a repeat
+        # delivers nothing, so its retry is always owed).  One read of
+        # ``now``: a wall-clock scheduler refuses an absolute deadline
+        # the clock has passed between two reads.
+        if link.ack_timer is None and (repeat or link.acked < link.recv_next - 1):
             link.ack_timer = self.sim.schedule_after(
                 due - now, lambda: self._on_ack_timer(dest, link)
             )

@@ -163,7 +163,10 @@ class TestHistoryRetentionUnderFaults:
                 queue[0].op_id for queue in notifier.sent_to.values() if queue
             }
 
-    def test_resync_unpins_the_notifier_history(self, oracle):
+    @staticmethod
+    def session_owing_a_dead_site(oracle):
+        """Two sites, run to the instant site 1 restarts: it sent ``a``,
+        crashed, and ``b'`` was broadcast to it while it was down."""
         plan = FaultPlan(
             seed=5,
             crashes=(ClientCrash(site=1, at=2.0, restart_at=3.0),),
@@ -177,6 +180,10 @@ class TestHistoryRetentionUnderFaults:
         session.generate_at(1, Insert("a", 0), at=1.0)  # before the crash
         session.generate_at(2, Insert("b", 0), at=2.5)  # while site 1 is down
         session.run(until=3.0)
+        return session
+
+    def test_resync_unpins_the_notifier_history(self, oracle):
+        session = self.session_owing_a_dead_site(oracle)
         notifier = session.notifier
         # The dead site cannot acknowledge: b' is owed to it and pinned.
         assert [p.op_id for p in notifier.sent_to[1]] == ["c2_1'"]
@@ -189,6 +196,22 @@ class TestHistoryRetentionUnderFaults:
         # The resync voided the debt, so the next arrival forgot b'.
         expected = ["c1_1'", "c2_1'", "c1_2'"] if oracle else ["c1_2'"]
         assert notifier.hb.op_ids() == expected
+
+    def test_resync_alone_unpins_the_notifier_history(self, oracle):
+        """No arrival follows the resync: voiding the debtor's queue is
+        itself what unpins the head (the invariant holds at rest, not
+        only after the next operation happens to come in)."""
+        session = self.session_owing_a_dead_site(oracle)
+        notifier = session.notifier
+        # Site 1's queue alone pins the head: site 2 acknowledged a' on b.
+        assert [site for site, queue in notifier.sent_to.items() if queue] == [1]
+        assert [p.op_id for p in notifier.sent_to[1]] == ["c2_1'"]
+        assert notifier.hb.op_ids()[-1] == "c2_1'"
+        session.run()
+        assert session.converged(), session.documents()
+        assert session.client(1).transport.stats.recoveries == 1
+        assert not any(notifier.sent_to.values())
+        assert notifier.hb.op_ids() == (["c1_1'", "c2_1'"] if oracle else [])
 
 
 class TestDeterminism:

@@ -5,8 +5,10 @@ latency (so it never reorders, like every network this layer runs on).
 The script drops chosen copies of chosen packets; the tests then count
 retransmits exactly and read when the receiver released what.  The
 second half pins the acknowledgement policy on the same wire: which
-arrivals are answered at once, which share one paced ack, what carries
-an ack for free, and that a discarded link owes nothing.
+arrivals are answered at once, which share one paced ack (a burst, and
+whatever would only repeat the last packet: a duplicate, a packet held
+above a gap already reported), what carries an ack or a gap report for
+free, and that a discarded link owes nothing.
 """
 
 from __future__ import annotations
@@ -64,12 +66,15 @@ class Pair:
 
         return send
 
-    def send_stream(self, count: int, spacing: float) -> None:
-        """``count`` payloads "p0", "p1", ... from the sender, ``spacing`` apart."""
-        for seq in range(count):
+    def send_at(self, *times: float) -> None:
+        """Payloads "p0", "p1", ... from the sender, one at each of ``times``."""
+        for seq, at in enumerate(times):
             self.sim.schedule(
-                seq * spacing,
-                lambda seq=seq: self.sender.send(RECEIVER, f"p{seq}"))
+                at, lambda seq=seq: self.sender.send(RECEIVER, f"p{seq}"))
+
+    def send_stream(self, count: int, spacing: float) -> None:
+        """``count`` payloads from the sender, ``spacing`` apart."""
+        self.send_at(*(seq * spacing for seq in range(count)))
 
     def run(self) -> None:
         self.sim.run()
@@ -97,6 +102,18 @@ def loses(*lost: tuple[int, int]) -> Drop:
     """Drop the listed ``(seq, copy)`` transmissions of the sender's data."""
     return lambda source, packet, copy: (
         source == SENDER and (packet.seq, copy) in lost)
+
+
+def loses_first_report(*lost: tuple[int, int]) -> Drop:
+    """As :func:`loses`, and the receiver's first gap report with them."""
+    data, first = loses(*lost), iter([True])
+
+    def drop(source: int, packet: ReliablePacket, copy: int) -> bool:
+        if source == RECEIVER and packet.seq < 0 and packet.gap:
+            return next(first, False)
+        return data(source, packet, copy)
+
+    return drop
 
 
 def data_from_sender(seq: int, payload: str, epoch: int = 0) -> Envelope:
@@ -269,14 +286,125 @@ def test_a_gap_inside_the_interval_is_reported_at_once():
     ]
 
 
-def test_a_duplicate_inside_the_interval_is_re_acked_at_once():
+def test_packets_held_above_a_reported_head_share_one_paced_report():
+    pair = Pair(loses((1, 0), (1, 1)))
+    pair.send_stream(6, spacing=0.01)
+    pair.run()
+    pair.assert_released_in_order(6)
+    # Seq 2 opened the gap and said so; seqs 3-5 land above the same
+    # head inside that report's interval, and the sender acts on a
+    # head's report once, so all they are owed is one retry of it.
+    opened = LATENCY + 0.02
+    assert pair.retransmits() == [
+        ("gap", 1, pytest.approx(opened + LATENCY)),  # lost: the script's (1, 1)
+        ("timer", 1, pytest.approx(2 * LATENCY + BASE_RTO)),
+    ]
+    assert pair.pure_acks() == [
+        (LATENCY, 0, False),
+        (opened, 0, True),
+        (opened + ACK_INTERVAL, 0, True),
+        (3 * LATENCY + BASE_RTO, 5, False),
+    ]
+    assert pair.receiver.stats.out_of_order_held == 4
+    assert pair.receiver.stats.acks_coalesced == 3
+
+
+def test_a_repair_that_drains_first_leaves_no_repeat_report():
+    pair = Pair(loses((1, 0)))
+    pair.send_stream(6, spacing=0.01)
+    pair.run()
+    pair.assert_released_in_order(6)
+    # The repair is back one round trip after the report, inside its
+    # interval: the ack it draws cancels the retry seqs 3-5 had armed.
+    assert 2 * LATENCY < ACK_INTERVAL
+    assert pair.retransmits() == [("gap", 1, pytest.approx(0.02 + 2 * LATENCY))]
+    assert pair.pure_acks() == [
+        (LATENCY, 0, False),
+        (LATENCY + 0.02, 0, True),
+        (0.02 + 3 * LATENCY, 5, False),
+    ]
+    assert pair.receiver.stats.acks_coalesced == 3
+
+
+def test_a_lost_first_report_is_retried_by_the_ack_timer():
+    pair = Pair(loses_first_report((1, 0)))
+    pair.send_stream(4, spacing=0.01)
+    pair.run()
+    pair.assert_released_in_order(4)
+    # Seq 3, held behind the report that never arrived, armed its retry:
+    # the repair is one ack interval late, not one retransmit timeout.
+    retried = LATENCY + 0.02 + ACK_INTERVAL
+    assert pair.pure_acks()[1:3] == [(LATENCY + 0.02, 0, True), (retried, 0, True)]
+    assert pair.retransmits() == [("gap", 1, pytest.approx(retried + LATENCY))]
+
+
+def test_a_held_arrival_after_a_quiet_interval_reports_at_once():
+    pair = Pair(loses((1, 0), (1, 1)))
+    late = 0.02 + 2 * ACK_INTERVAL
+    pair.send_at(0.0, 0.01, 0.02, late)
+    pair.run()
+    pair.assert_released_in_order(4)
+    # Nothing has told the sender anything since seq 2's report: seq 3
+    # is an isolated arrival and its report waits for nobody.
+    assert pair.pure_acks()[:3] == [
+        (LATENCY, 0, False),
+        (LATENCY + 0.02, 0, True),
+        (LATENCY + late, 0, True),
+    ]
+    assert pair.receiver.stats.acks_coalesced == 0
+
+
+def test_reverse_data_while_holding_carries_the_gap_report():
+    pair = Pair(loses_first_report((1, 0)))
+    pair.send_stream(4, spacing=0.01)
+    pair.sim.run(until=LATENCY + 0.03)
+    link = pair.receiver._links[SENDER]
+    assert link.ack_timer is not None  # seq 3's retry of the lost report
+    pair.sim.schedule(LATENCY + 0.04, lambda: pair.receiver.send(SENDER, "r0"))
+    pair.sim.run(until=LATENCY + 0.04)
+    (r0,) = [packet for _, source, packet in pair.wire
+             if source == RECEIVER and packet.seq >= 0]
+    assert (r0.ack, r0.gap) == (0, True)
+    assert link.ack_timer is None
+    pair.run()
+    pair.assert_released_in_order(4)
+    # The data was the retry: the sender repaired on its arrival, and
+    # the only pure acks are the three any single loss costs.
+    assert pair.retransmits() == [("gap", 1, pytest.approx(2 * LATENCY + 0.04))]
+    assert pair.pure_acks() == [
+        (LATENCY, 0, False),
+        (LATENCY + 0.02, 0, True),  # lost
+        (3 * LATENCY + 0.04, 3, False),
+    ]
+
+
+def test_duplicates_inside_the_interval_share_one_paced_re_ack():
+    """A network duplicate arrives on the heels of the original, whose
+    ack is still fresh: however many there are, one re-ack covers them."""
     pair = Pair(loses())
     pair.send_stream(1, spacing=0.0)
-    pair.sim.schedule(LATENCY + 0.01,
+    for later in (0.01, 0.02, 0.03):
+        pair.sim.schedule(LATENCY + later,
+                          lambda: pair.receiver.on_wire(data_from_sender(0, "p0")))
+    pair.run()
+    assert pair.pure_acks() == [(LATENCY, 0, False),
+                                (LATENCY + ACK_INTERVAL, 0, False)]
+    assert pair.receiver.stats.duplicates_discarded == 3
+    assert pair.receiver.stats.acks_coalesced == 3
+
+
+def test_a_duplicate_after_a_quiet_interval_is_re_acked_at_once():
+    """A timer resend arrives at least ``BASE_RTO`` after the ack it
+    missed (end to end: test_lost_acks_cost_one_timer_resend_not_the_window)."""
+    pair = Pair(loses())
+    pair.send_stream(1, spacing=0.0)
+    pair.sim.schedule(LATENCY + ACK_INTERVAL,
                       lambda: pair.receiver.on_wire(data_from_sender(0, "p0")))
     pair.run()
-    assert pair.pure_acks() == [(LATENCY, 0, False), (LATENCY + 0.01, 0, False)]
+    assert pair.pure_acks() == [(LATENCY, 0, False),
+                                (LATENCY + ACK_INTERVAL, 0, False)]
     assert pair.receiver.stats.duplicates_discarded == 1
+    assert pair.receiver.stats.acks_coalesced == 0
 
 
 def test_a_probe_inside_the_interval_is_answered_at_once():
@@ -291,34 +419,58 @@ def test_a_probe_inside_the_interval_is_answered_at_once():
     assert verdicts == ["alive"]
 
 
-def receiver_with_an_ack_pending():
-    """A lone endpoint that has acked seq 0 and owes a paced ack for seq 1."""
+def lone_receiver(*seqs: int):
+    """A lone endpoint handed ``seqs`` from the sender at time zero."""
     sim = Simulator()
     sent: list[ReliablePacket] = []
     endpoint = ReliableEndpoint(
         sim, RECEIVER, ReliabilityConfig(),
         wire_send=lambda dest, packet, ts_bytes, kind: sent.append(packet),
         deliver=lambda env: None)
-    for seq in range(2):
+    for seq in seqs:
         endpoint.on_wire(data_from_sender(seq, f"p{seq}"))
-    assert [packet.ack for packet in sent] == [0]
     assert endpoint._links[SENDER].ack_timer is not None
     assert sim.pending_events == 1
     return sim, endpoint, sent
 
 
-@pytest.mark.parametrize("discard", ["go_down", "abandon_peer", "epoch_bump"])
-def test_a_discarded_link_owes_no_ack(discard):
-    sim, endpoint, sent = receiver_with_an_ack_pending()
-    if discard == "go_down":
+def discard_link(endpoint: ReliableEndpoint, how: str,
+                 sent: list[ReliablePacket]) -> None:
+    if how == "go_down":
         endpoint.go_down()
-    elif discard == "abandon_peer":
+    elif how == "abandon_peer":
         endpoint.abandon_peer(SENDER)
     else:
         # The peer restarted: its first packet of epoch 1 voids the link
         # (reset_link) and, on a fresh link, is acknowledged at once.
+        told = len(sent)
         endpoint.on_wire(data_from_sender(0, "q0", epoch=1))
-        assert [(packet.epoch, packet.ack) for packet in sent[1:]] == [(1, 0)]
+        assert [(packet.epoch, packet.ack, packet.gap)
+                for packet in sent[told:]] == [(1, 0, False)]
+
+
+DISCARDS = ["go_down", "abandon_peer", "epoch_bump"]
+
+
+@pytest.mark.parametrize("discard", DISCARDS)
+def test_a_discarded_link_owes_no_ack(discard):
+    # Seq 0 was acked on arrival; seq 1 is owed a paced ack.
+    sim, endpoint, sent = lone_receiver(0, 1)
+    assert [packet.ack for packet in sent] == [0]
+    discard_link(endpoint, discard, sent)
     assert sim.pending_events == 0
+    told = len(sent)
+    assert sim.run() == 0 and len(sent) == told
+
+
+@pytest.mark.parametrize("discard", DISCARDS)
+def test_a_discarded_link_owes_no_repeat_report(discard):
+    # Seq 1 opened a gap and reported it; seq 2, held above the same
+    # head, is owed the paced retry of that report.
+    sim, endpoint, sent = lone_receiver(1, 2)
+    assert [(packet.ack, packet.gap) for packet in sent] == [(-1, True)]
+    assert endpoint.holdback_depth() == 2
+    discard_link(endpoint, discard, sent)
+    assert sim.pending_events == 0 and endpoint.holdback_depth() == 0
     told = len(sent)
     assert sim.run() == 0 and len(sent) == told

@@ -11,7 +11,9 @@ import rules this repo relies on are checked here, in tier-1:
   name has one import home;
 
 plus a vocabulary rule: the spellings of the deleted compatibility
-layer stay deleted.
+layer stay deleted; and one rule for the workflow file, which no build
+image ever runs: a CI job that imports ``repro`` installs what
+``pyproject.toml`` says ``repro`` depends on.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
 IDS = [str(path.relative_to(SRC)) for path in MODULES]
 
@@ -103,3 +106,30 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         if banned.search(line)
     ]
     assert not hits, "\n".join(hits)
+
+
+def _ci_jobs() -> dict[str, list[str]]:
+    """Job name -> its non-comment lines (plain text: no YAML parser in stdlib)."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    jobs: dict[str, list[str]] = {}
+    for line in text.partition("\njobs:\n")[2].splitlines():
+        key = re.fullmatch(r"  ([\w-]+):", line)
+        if key:
+            jobs[key.group(1)] = []
+        elif jobs and not line.lstrip().startswith("#"):
+            jobs[next(reversed(jobs))].append(line)
+    return jobs
+
+
+def test_every_ci_job_that_imports_repro_installs_its_dependencies() -> None:
+    """``repro.clocks.vector`` imports numpy and ``repro.analysis.causality``
+    networkx at module import; a clean runner has neither."""
+    runs_repro = re.compile(r"python -m repro\b|-m pytest\b|perfbench/run\.py")
+    importing = {name: lines for name, lines in _ci_jobs().items()
+                 if any(runs_repro.search(line) for line in lines)}
+    assert {"tests", "perfbench", "cluster-smoke"} <= set(importing)
+    for name, lines in importing.items():
+        installs = [line for line in lines if "pip install" in line]
+        for package in ("numpy", "networkx"):
+            assert any(re.search(rf"\b{package}\b", line) for line in installs), (
+                f"CI job {name!r} imports repro but never pip-installs {package}")
