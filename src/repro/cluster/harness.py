@@ -8,23 +8,43 @@ merge what the processes wrote).  This module is that contract.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
+import signal
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
+from repro.net.beacon import BeaconSender
 from repro.net.reliability import ReliabilityConfig
-from repro.obs.telemetry import TELEMETRY_FORMAT, TELEMETRY_SCHEMA_VERSION
+from repro.net.scheduler import AsyncioScheduler
+from repro.net.wire import (
+    WireChannel,
+    connect_with_backoff,
+    encode_hello,
+    encode_telemetry_frame,
+    frame,
+)
+from repro.obs.telemetry import (
+    TELEMETRY_FORMAT,
+    TELEMETRY_SCHEMA_VERSION,
+    FlightRecorder,
+    HealthEvent,
+    TelemetryFrame,
+    TelemetrySampler,
+    Watchdog,
+    snapshot_endpoint,
+)
 from repro.obs.tracer import (
     JsonlWriter,
     TraceEvent,
     Tracer,
     read_jsonl,
     trace_header,
-    write_jsonl,
 )
 from repro.session.base import CheckRecord
 from repro.workloads.random_session import RandomSessionConfig
@@ -168,21 +188,6 @@ class ClusterConfig:
 _FLAG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ClusterConfig)}
 
 
-def wall_clock_tracer() -> Tracer:
-    """A tracer stamping Unix time, comparable across same-host processes.
-
-    Cluster processes share the machine clock, so absolute ``time.time``
-    stamps give the driver a common axis to merge per-process traces on
-    (the merge additionally repairs any causality-violating skew; see
-    :func:`repro.cluster.check.merge_traces`).
-    """
-    import time
-
-    tracer = Tracer(enabled=True)
-    tracer.bind_clock(time.time)
-    return tracer
-
-
 # -- per-process artifacts -----------------------------------------------------
 
 
@@ -230,88 +235,191 @@ def flight_path(out_dir: Path, site: int) -> Path:
     return out_dir / f"flight_{site}.jsonl"
 
 
-def telemetry_writer(out_dir: Path, site: int, role: str) -> JsonlWriter:
-    """Open the crash-safe telemetry stream for one process.
+class ProcessRig:
+    """What every cluster process is, whatever role it plays.
 
-    Every record is flushed as it is written (see
-    :class:`~repro.obs.tracer.JsonlWriter`), so ``repro monitor`` in
-    another process sees frames *live* and a killed process still
-    leaves a readable prefix.
+    The wall-clock scheduler; a tracer stamping Unix time (processes on
+    one host share the machine clock, so absolute stamps give the driver
+    a common axis to merge on -- :func:`repro.cluster.check.merge_traces`
+    repairs any causality-violating skew) that streams to
+    ``trace_<site>.jsonl`` from the first event; a flight recorder; the
+    telemetry stream; the kill-switch and the timeout; the result
+    artifact.  A process that dies by ``os._exit`` or SIGKILL writes no
+    result, but every trace event and telemetry record it emitted is
+    already on disk (:class:`~repro.obs.tracer.JsonlWriter` flushes per
+    line) -- which is what keeps the merged-trace cross-check EXACT
+    across a failover.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return JsonlWriter(telemetry_path(out_dir, site), {
-        "format": TELEMETRY_FORMAT,
-        "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "site": site,
-        "role": role,
-    })
+
+    def __init__(self, config: ClusterConfig, out_dir: Path, site: int,
+                 role: str) -> None:
+        self.config = config
+        self.out_dir = out_dir
+        self.site = site
+        self.role = role
+        self.sched = AsyncioScheduler()
+        self.tracer = Tracer(enabled=True)
+        self.tracer.bind_clock(time.time)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self._trace = JsonlWriter(
+            trace_path(out_dir, site),
+            trace_header({"site": site, "role": role}),
+        )
+        self.tracer.bind_sink(self._trace.write_event)
+        self.recorder = FlightRecorder(self.tracer)
+        #: Set when the run is over, one way or the other.
+        self.done = asyncio.Event()
+        #: The run did not complete (timeout, kill-switch, terminal peer
+        #: death): reported to the driver as ``timed_out``.
+        self.timed_out = False
+        self.telem: Optional[JsonlWriter] = None
+        self._sampler: Optional[TelemetrySampler] = None
+        self._beacon: Optional[BeaconSender] = None
+        self._sigterm_installed = True
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, self._on_sigterm)
+        except (NotImplementedError, ValueError):  # pragma: no cover - non-Unix
+            self._sigterm_installed = False
+
+    def _on_sigterm(self) -> None:
+        # The driver's kill-switch: record the evidence, then let the
+        # normal shutdown path write whatever artifacts it still can.
+        self.timed_out = True
+        self.dump_flight("kill-switch")
+        self.done.set()
+
+    def dump_flight(self, reason: str) -> None:
+        self.recorder.dump(flight_path(self.out_dir, self.site), reason=reason,
+                           site=self.site, role=self.role)
+
+    def start_telemetry(
+        self, live: Callable[[], Any], *,
+        gossip: Optional[Callable[[bytes], object]] = None,
+        watchdogs: Sequence[Watchdog] = (),
+    ) -> None:
+        """Sample ``live()`` every telemetry interval (a no-op when off).
+
+        Every record is flushed as written, so ``repro monitor`` in
+        another process sees frames *live* and a killed process leaves a
+        readable prefix.  Each frame also leaves as the same encoded
+        bytes on the UDP sideband (no connection to lose: the monitor
+        keeps seeing this site while the TCP centre is dead, and dedupes
+        by ``(site, seq)``) and through ``gossip``, the process's way to
+        its current centre.
+        """
+        if not self.config.telemetry_enabled:
+            return
+        stream = self.telem = JsonlWriter(telemetry_path(self.out_dir, self.site), {
+            "format": TELEMETRY_FORMAT,
+            "schema_version": TELEMETRY_SCHEMA_VERSION,
+            "site": self.site,
+            "role": self.role,
+        })
+        sinks = [gossip] if gossip is not None else []
+        if self.config.beacon_port is not None:
+            self._beacon = BeaconSender(self.config.host, self.config.beacon_port)
+            sinks.append(self._beacon.send)
+
+        def emit(tframe: TelemetryFrame) -> None:
+            stream.write_line(tframe.to_json())
+            if sinks:
+                body = encode_telemetry_frame(tframe)
+                for sink in sinks:
+                    sink(body)
+
+        self._sampler = TelemetrySampler(
+            self.sched,
+            lambda seq: [snapshot_endpoint(live(), sched=self.sched, seq=seq,
+                                           role=self.role)],
+            interval=self.config.telemetry_interval_s,
+            on_frame=emit,
+            on_health=lambda event: stream.write_line(event.to_json()),
+            watchdogs=watchdogs, keep=False,
+        )
+        self._sampler.start()
+
+    def feed(self, tframe: TelemetryFrame) -> None:
+        """A frame gossiped to this process: through the same watchdogs
+        and into the same stream as its own."""
+        if self._sampler is not None:
+            self._sampler.feed(tframe)
+
+    def health(self, kind: str, detail: str, *, verdict: str = "warn",
+               peer: Optional[int] = None) -> None:
+        if self.telem is not None:
+            self.telem.write_line(HealthEvent(
+                time=self.sched.now, site=self.site, kind=kind, verdict=verdict,
+                peer=peer, detail=detail,
+            ).to_json())
+
+    async def wait(self) -> None:
+        """Until ``done`` is set or the hard timeout expires."""
+        try:
+            await asyncio.wait_for(self.done.wait(), self.config.timeout_s)
+        except asyncio.TimeoutError:
+            self.timed_out = True
+            self.dump_flight("timeout")
+
+    def close_streams(self) -> None:
+        if self._sampler is not None:
+            # One final sample so the stream's last frame carries the
+            # final local stats (the monitor's per-site aggregate is
+            # exact, not one interval stale).
+            self._sampler.stop()
+            self._sampler.sample()
+        if self.telem is not None:
+            self.telem.close()
+        if self._beacon is not None:
+            self._beacon.close()
+
+    def result(self, endpoint: "StarNotifier | StarClient") -> ProcessResult:
+        """Snapshot one endpoint's verdict-relevant state for the driver."""
+        channels = endpoint.out_channels.values()
+        return ProcessResult(
+            role=self.role,
+            site=self.site,
+            document=str(endpoint.document),
+            executed_ops=len(endpoint.executed_op_ids),
+            checks=list(endpoint.checks),
+            timed_out=self.timed_out,
+            lost_local_edits=endpoint.transport.stats.lost_local_edits,
+            retransmits=endpoint.transport.stats.retransmits,
+            messages_sent=sum(ch.stats.messages for ch in channels),
+            wire_bytes=sum(ch.stats.total_bytes for ch in channels),
+        )
+
+    def finish(self, result: ProcessResult) -> bool:
+        """Write the result artifact, close the trace; True iff completed.
+
+        The result is written once, at the end, so a crash mid-run
+        leaves *no* file rather than a torn one -- the driver treats a
+        missing result as a failed process.  The sink is unbound before
+        its file closes: on a shared loop a retransmit or probe timer of
+        this endpoint can still fire after the run returned.
+        """
+        if self._sigterm_installed:
+            asyncio.get_running_loop().remove_signal_handler(signal.SIGTERM)
+        result_path(self.out_dir, self.site).write_text(result.to_json() + "\n")
+        self.tracer.bind_sink(None)
+        self._trace.close()
+        return not result.timed_out
 
 
-def streaming_trace_writer(
-    out_dir: Path, site: int, role: str, tracer: Tracer,
-) -> JsonlWriter:
-    """Persist ``tracer``'s events to disk incrementally, as emitted.
-
-    The one-shot :func:`write_artifacts` path loses the whole trace when
-    a process dies by ``os._exit`` (the injected notifier crash does
-    exactly that) -- but the merged-trace cross-check needs the dead
-    centre's generation events to keep happens-before EXACT across a
-    failover.  Streaming through a flush-per-line
-    :class:`~repro.obs.tracer.JsonlWriter` means every event emitted
-    before the kill is already on disk.  Events emitted before the
-    stream opened are back-filled first, then the tracer's sink is
-    bound so later emissions append live.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    writer = JsonlWriter(
-        trace_path(out_dir, site),
-        trace_header({"site": site, "role": role}),
+async def dial(
+    config: ClusterConfig, endpoint: StarClient, port: int, center: int,
+    listen_port: int,
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Open ``endpoint``'s spoke to the centre ``center`` listening on
+    ``port``: connect (with backoff), introduce ourselves, attach."""
+    reader, writer = await connect_with_backoff(config.host, port,
+                                                seed=endpoint.pid)
+    writer.write(frame(encode_hello(endpoint.pid, listen_port)))
+    await writer.drain()
+    endpoint.attach_channel(
+        center, WireChannel(endpoint.sim, endpoint.pid, center, writer),
     )
-    for event in tracer.events:
-        writer.write_event(event)
-    tracer.bind_sink(writer.write_event)
-    return writer
-
-
-def endpoint_result(
-    role: str,
-    endpoint: "StarNotifier | StarClient",
-    *,
-    timed_out: bool,
-    messages_sent: int,
-    wire_bytes: int,
-) -> ProcessResult:
-    """Snapshot one endpoint's verdict-relevant state for the driver."""
-    return ProcessResult(
-        role=role,
-        site=endpoint.pid,
-        document=str(endpoint.document),
-        executed_ops=len(endpoint.executed_op_ids),
-        checks=list(endpoint.checks),
-        timed_out=timed_out,
-        lost_local_edits=endpoint.transport.stats.lost_local_edits,
-        retransmits=endpoint.transport.stats.retransmits,
-        messages_sent=messages_sent,
-        wire_bytes=wire_bytes,
-    )
-
-
-def write_artifacts(out_dir: Path, result: ProcessResult, tracer: Tracer,
-                    *, trace_streamed: bool = False) -> None:
-    """Write the process's result JSON and trace JSONL atomically enough.
-
-    Artifacts are written once, at the end of the run, so a crash mid-run
-    leaves *no* file rather than a torn one -- the driver treats a
-    missing artifact as a failed process.  With ``trace_streamed`` the
-    trace already lives on disk via :func:`streaming_trace_writer` and
-    only the result JSON is written here.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not trace_streamed:
-        with trace_path(out_dir, result.site).open("w") as fh:
-            write_jsonl(tracer.events, fh, header={"site": result.site,
-                                                   "role": result.role})
-    result_path(out_dir, result.site).write_text(result.to_json() + "\n")
+    return reader, writer
 
 
 def read_artifacts(out_dir: Path, site: int) -> tuple[ProcessResult, list[TraceEvent]]:

@@ -5,7 +5,10 @@
 prints ``LISTENING <port>`` on stdout for the driver to parse, and
 serves the paper's notifier role to ``N`` dialing clients.  The editor
 object is the stock :class:`~repro.editor.star_notifier.StarNotifier`;
-the only cluster-specific code is the socket plumbing around it.
+the only cluster-specific code is the socket plumbing around it: a
+:class:`Hub` (the centre's side of the session protocol, the same one a
+promoted client runs) inside a
+:class:`~repro.cluster.harness.ProcessRig` (what every process is).
 
 Membership: each client's HELLO frame carries the port of its *own*
 listening socket (0 when failover is disabled).  Once every client is
@@ -20,9 +23,11 @@ time its DRAINED arrives.  When all clients have drained, the notifier
 broadcasts GOODBYE -- again by FIFO, each client has executed every
 broadcast by the time it reads the GOODBYE -- and waits for the clients
 to hang up.  An EOF *after* GOODBYE is therefore a clean teardown, not
-a peer death.  A hard timeout bounds the wait; on expiry the artifacts
-are written with ``timed_out`` set so the driver fails the run instead
-of diagnosing a hang.
+a peer death.  A connection whose first frame is not the HELLO of an
+expected, not-yet-connected member is counted and closed.  A hard
+timeout bounds the wait; on expiry the artifacts are written with
+``timed_out`` set so the driver fails the run instead of diagnosing a
+hang.
 
 Observability: with ``--telemetry-interval`` the notifier runs a
 :class:`~repro.obs.telemetry.TelemetrySampler` on its scheduler,
@@ -44,24 +49,14 @@ from __future__ import annotations
 
 import asyncio
 import os
-import signal
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.cluster.harness import (
-    DEFAULT_DOCUMENT,
-    ClusterConfig,
-    endpoint_result,
-    flight_path,
-    streaming_trace_writer,
-    telemetry_writer,
-    wall_clock_tracer,
-    write_artifacts,
-)
+from repro.cluster.harness import DEFAULT_DOCUMENT, ClusterConfig, ProcessRig
+from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
-from repro.net.beacon import BeaconSender
-from repro.net.scheduler import AsyncioScheduler
+from repro.net.codec import CodecError
 from repro.net.transport import Envelope
 from repro.net.wire import (
     Drained,
@@ -71,175 +66,217 @@ from repro.net.wire import (
     decode_frame,
     encode_goodbye,
     encode_roster,
-    encode_telemetry_frame,
     frame,
     pump,
     read_frame,
 )
-from repro.obs.telemetry import (
-    FlightRecorder,
-    HealthEvent,
-    SilenceWatchdog,
-    TelemetryFrame,
-    TelemetrySampler,
-    default_watchdogs,
-    snapshot_endpoint,
-)
-from repro.obs.tracer import JsonlWriter
+from repro.obs.telemetry import SilenceWatchdog, TelemetryFrame, default_watchdogs
+
+
+class Hub:
+    """The centre's side of the session protocol over sockets.
+
+    One body for the original notifier and for a promoted successor:
+    accept, HELLO, attach a :class:`~repro.net.wire.WireChannel`, pump
+    DATA / TELEMETRY / DRAINED, GOODBYE, wait for the hang-ups.  What
+    differs between the two centres arrives as callables: ``on_hello``
+    (a member was admitted), ``may_finish`` (the centre's own work is
+    done) and ``log`` (where progress is recorded).
+
+    One rule ends a session: GOODBYE is broadcast once every expected
+    member has drained and ``may_finish()``; ``finished`` is set once
+    they have all hung up.  The first frame of a connection is outside
+    input: unless it is the HELLO of an expected member that is not yet
+    connected, the connection is counted in ``rejected`` and closed.
+    """
+
+    def __init__(
+        self,
+        endpoint: "StarNotifier | StarClient",
+        expected: set[int],
+        finished: asyncio.Event,
+        *,
+        on_hello: Callable[[int], None],
+        may_finish: Callable[[], bool],
+        on_telemetry: Callable[[TelemetryFrame], None],
+        log: Callable[[str, str], None] = lambda kind, detail: None,
+    ) -> None:
+        self.endpoint = endpoint
+        self.expected = expected
+        self.finished = finished
+        self.on_hello = on_hello
+        self.may_finish = may_finish
+        self.on_telemetry = on_telemetry
+        self.log = log
+        self.writers: dict[int, asyncio.StreamWriter] = {}
+        self.listen_ports: dict[int, int] = {}
+        self.drained: set[int] = set()
+        self.hung_up: set[int] = set()
+        self.rejected = 0
+        self.goodbye_sent = False
+        #: Pumps wait on this: the original centre opens it once every
+        #: member has a channel, a successor listens with it open.
+        self.pumps_open = asyncio.Event()
+        self._server: Optional[asyncio.base_events.Server] = None
+        # Every accepted connection's handler task and the writer that
+        # ends it: close() must see both off before the loop goes away.
+        self._inbound: dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
+
+    async def listen(self, host: str) -> int:
+        """Bind an ephemeral port and start accepting; returns the port."""
+        self._server = await asyncio.start_server(self._handle, host, 0)
+        return int(self._server.sockets[0].getsockname()[1])
+
+    def broadcast(self, body: bytes) -> None:
+        for writer in self.writers.values():
+            try:
+                writer.write(frame(body))
+            except (ConnectionError, RuntimeError):
+                pass  # its hang-up is the pump's to report
+
+    async def _admit(self, reader: asyncio.StreamReader) -> Optional[Hello]:
+        """The HELLO that opens a connection, or ``None`` to turn it away."""
+        try:
+            body = await read_frame(reader)
+            if body is None:
+                return None  # hung up (or was hung up on) before saying anything
+            hello = decode_frame(body)
+        except (CodecError, ConnectionError):
+            hello = None
+        if (isinstance(hello, Hello) and hello.pid in self.expected
+                and hello.pid not in self.writers):
+            return hello
+        self.rejected += 1
+        return None
+
+    async def _handle(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
+        assert handler is not None  # start_server runs this as a task
+        self._inbound[handler] = writer
+        hello = await self._admit(reader)
+        if hello is None:
+            writer.close()
+            return
+        member = hello.pid
+        self.writers[member] = writer
+        self.listen_ports[member] = hello.listen_port
+        self.endpoint.attach_channel(member, WireChannel(
+            self.endpoint.sim, self.endpoint.pid, member, writer))
+        self.on_hello(member)
+        # Hold this connection's pump until the centre says go: executing
+        # an early op would broadcast into a not-yet-attached spoke.  TCP
+        # buffers whatever the eager member already sent.
+        await self.pumps_open.wait()
+
+        def on_envelope(envelope: Envelope) -> None:
+            self.endpoint.on_message(envelope)
+            self.note_progress()
+
+        def on_drained(_frame: Drained) -> None:
+            # The promise is per connection, so the connection's own
+            # identity counts, not the site the frame names.
+            self.drained.add(member)
+            self.log("member_drained", f"member {member} drained")
+            self.note_progress()
+
+        try:
+            await pump(reader, on_envelope, on_telemetry=self.on_telemetry,
+                       on_drained=on_drained)
+        except (WireError, ConnectionError):
+            pass  # a killed member counts as hung up, not as a crash here
+        finally:
+            self.hung_up.add(member)
+            self.note_progress()
+
+    def note_progress(self) -> None:
+        """End the session when it is over; callable from any point that
+        advances the run, idempotent.
+
+        Completion rides on the DRAINED protocol: a member's DRAINED
+        frame (TCP FIFO) proves every op it will ever generate has been
+        ingested and its transforms broadcast.  All members drained and
+        the centre's own work done => every broadcast is on the wire =>
+        GOODBYE (FIFO again: each member has executed every broadcast by
+        the time it reads it), then wait for the clean EOFs.
+        """
+        if not self.goodbye_sent:
+            if not (self.expected <= self.drained and self.may_finish()):
+                return
+            self.goodbye_sent = True
+            self.broadcast(encode_goodbye())
+            self.log("goodbye", f"goodbye broadcast to {sorted(self.writers)}")
+        if self.expected <= self.hung_up:
+            self.finished.set()
+
+    async def close(self) -> None:
+        """Stop accepting, hang up on every connection, see the handlers
+        return.
+
+        A handler still awaiting a frame when ``asyncio.run`` tears the
+        loop down is cancelled, and asyncio reports a cancelled stream
+        handler as an unhandled error -- so a clean run must end them
+        itself: closing a connection feeds its reader EOF, which is how
+        a pump (or a silent stranger's first read) returns.
+        """
+        assert self._server is not None
+        self._server.close()
+        for writer in self._inbound.values():
+            writer.close()
+        for writer in self._inbound.values():
+            try:
+                await writer.wait_closed()
+            except ConnectionError:  # the member hung up first, uncleanly
+                pass
+        if self._inbound:
+            await asyncio.wait(self._inbound)
+        await self._server.wait_closed()
 
 
 async def serve(config: ClusterConfig, out_dir: Path,
                 *, on_port: Optional["asyncio.Future[int]"] = None) -> bool:
     """Run the notifier process; returns True iff the run completed."""
-    sched = AsyncioScheduler()
-    tracer = wall_clock_tracer()
+    rig = ProcessRig(config, out_dir, 0, "notifier")
+    sched = rig.sched
     notifier = StarNotifier(
         sched,
         config.clients,
         initial_state=DEFAULT_DOCUMENT,
         record_checks=True,
         reliability=config.reliability_config(),
-        tracer=tracer,
+        tracer=rig.tracer,
     )
     # Arm the latency observatory: cluster traces are wall-clock already
     # (the tracer's clock is time.time), so every generated op is
     # stamped with its origin time and span events mark each stage.
     notifier.span_clock = time.time
-    recorder = FlightRecorder(tracer)
-    trace_stream = streaming_trace_writer(out_dir, 0, "notifier", tracer)
-    done = asyncio.Event()
-    all_connected = asyncio.Event()
-    writers: dict[int, asyncio.StreamWriter] = {}
-    listen_ports: dict[int, int] = {}
-    drained: set[int] = set()
-    disconnected: set[int] = set()
-    goodbye_sent = False
-    killed = False
 
-    telem: Optional[JsonlWriter] = None
-    sampler: Optional[TelemetrySampler] = None
-    beacon: Optional[BeaconSender] = None
-    if config.telemetry_enabled:
-        stream = telemetry_writer(out_dir, 0, "notifier")
-        telem = stream
-        if config.beacon_port is not None:
-            beacon = BeaconSender(config.host, config.beacon_port)
-        interval = config.telemetry_interval_s
-        watchdogs = default_watchdogs(
-            expected_ops=config.total_ops,
-            stall_after=max(4 * interval, 1.0),
-            storm_threshold=10,
-        )
-        # Silence is judged by *arrival* time on this process's clock:
-        # frame times come from each client's own scheduler epoch, so
-        # comparing them across processes would fold clock-domain skew
-        # into the verdict.
-        watchdogs.append(SilenceWatchdog(
-            max_silence=max(6 * interval, 2.0), clock=lambda: sched.now,
-        ))
-
-        def probe(seq: int) -> list[TelemetryFrame]:
-            return [snapshot_endpoint(notifier, sched=sched, seq=seq,
-                                      role="notifier")]
-
-        def emit_frame(tframe: TelemetryFrame) -> None:
-            stream.write_line(tframe.to_json())
-            if beacon is not None:
-                # The UDP sideband carries the same frame bytes as the
-                # TCP gossip; the monitor dedupes by (site, seq).
-                beacon.send(encode_telemetry_frame(tframe))
-
-        sampler = TelemetrySampler(
-            sched, probe, interval=interval,
-            on_frame=emit_frame,
-            on_health=lambda e: stream.write_line(e.to_json()),
-            watchdogs=watchdogs, keep=False,
-        )
-        sampler.start()
-
-    def maybe_done() -> None:
-        # Completion rides on the DRAINED protocol: a client's DRAINED
-        # frame (TCP FIFO) proves every op it will ever generate has
-        # been ingested and its transforms broadcast.  All clients
-        # drained => every broadcast is on the wire => GOODBYE, then
-        # wait for the clean EOFs before closing up shop.
-        nonlocal goodbye_sent
-        if len(drained) >= config.clients and not goodbye_sent:
-            goodbye_sent = True
-            for w in writers.values():
-                try:
-                    w.write(frame(encode_goodbye()))
-                except (ConnectionError, RuntimeError):
-                    pass
-        if goodbye_sent and len(disconnected) >= config.clients:
-            done.set()
-
-    async def handle(reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        hello = await read_frame(reader)
-        if hello is None:
-            writer.close()
-            return
-        decoded = decode_frame(hello)
-        if not isinstance(decoded, Hello):
-            raise WireError("expected a HELLO frame to open the connection")
-        pid = decoded.pid
-        writers[pid] = writer
-        listen_ports[pid] = decoded.listen_port
-        notifier.attach_channel(pid, WireChannel(sched, 0, pid, writer))
-        if len(notifier.out_channels) >= config.clients:
+    def on_hello(member: int) -> None:
+        if len(hub.writers) == config.clients:
             # Everyone is here: publish the membership directory before
             # any operation is pumped, so every client holds the roster
             # it would need to elect a successor -- broadcast first,
             # then release the pumps (TCP FIFO puts ROSTER ahead of any
             # DATA broadcast on each spoke).
-            for w in writers.values():
-                w.write(frame(encode_roster(listen_ports)))
-            all_connected.set()
-        # Hold this connection's pump until every client has a channel:
-        # executing an early op would broadcast into a not-yet-attached
-        # spoke.  TCP buffers whatever the eager client already sent.
-        await all_connected.wait()
+            hub.broadcast(encode_roster(hub.listen_ports))
+            hub.pumps_open.set()
 
-        def on_envelope(envelope: Envelope) -> None:
-            notifier.on_message(envelope)
-
-        def on_telemetry(frame: TelemetryFrame) -> None:
-            if sampler is not None:
-                sampler.feed(frame)
-
-        def on_drained(d: Drained) -> None:
-            drained.add(d.site)
-            maybe_done()
-
-        try:
-            await pump(reader, on_envelope, on_telemetry=on_telemetry,
-                       on_drained=on_drained)
-        except (WireError, ConnectionError):
-            pass  # a killed client counts as disconnected, not as a crash here
-        finally:
-            disconnected.add(pid)
-            maybe_done()
-
-    def dump_flight(reason: str) -> None:
-        recorder.dump(flight_path(out_dir, 0), reason=reason, site=0,
-                      role="notifier")
-
-    def on_sigterm() -> None:
-        # The driver's kill-switch: record the evidence, then let the
-        # normal shutdown path write whatever artifacts it still can.
-        nonlocal killed
-        killed = True
-        dump_flight("kill-switch")
-        done.set()
-
-    loop = asyncio.get_running_loop()
-    sigterm_installed = False
-    try:
-        loop.add_signal_handler(signal.SIGTERM, on_sigterm)
-        sigterm_installed = True
-    except (NotImplementedError, ValueError):  # pragma: no cover - non-Unix
-        pass
+    hub = Hub(notifier, set(range(1, config.clients + 1)), rig.done,
+              on_hello=on_hello, may_finish=lambda: True, on_telemetry=rig.feed)
+    interval = config.telemetry_interval_s
+    rig.start_telemetry(lambda: notifier, watchdogs=[
+        *default_watchdogs(
+            expected_ops=config.total_ops,
+            stall_after=max(4 * interval, 1.0),
+            storm_threshold=10,
+        ),
+        # Silence is judged by *arrival* time on this process's clock:
+        # frame times come from each client's own scheduler epoch, so
+        # comparing them across processes would fold clock-domain skew
+        # into the verdict.
+        SilenceWatchdog(max_silence=max(6 * interval, 2.0),
+                        clock=lambda: sched.now),
+    ])
 
     crash_task: Optional["asyncio.Task[None]"] = None
     if config.crash_notifier_after_s is not None:
@@ -251,21 +288,20 @@ async def serve(config: ClusterConfig, out_dir: Path,
             # of noise, and a crash before the roster broadcast would
             # test "client can't connect", not "cluster loses its
             # centre mid-run".
-            await all_connected.wait()
+            await hub.pumps_open.wait()
             await asyncio.sleep(config.crash_notifier_after_s)
-            dump_flight("injected-crash")
-            if telem is not None:
-                # With failover armed this death is survivable -- the
-                # monitor should show a warning and then the epoch
-                # transition, not a terminal verdict.
-                verdict = "warn" if config.failover else "fail"
-                detail = ("injected notifier crash (failover armed)"
-                          if config.failover else "injected notifier crash")
-                telem.write_line(HealthEvent(
-                    time=sched.now, site=0, kind="crash", verdict=verdict,
-                    detail=detail,
-                ).to_json())
-                telem.close()
+            rig.dump_flight("injected-crash")
+            # With failover armed this death is survivable -- the
+            # monitor should show a warning and then the epoch
+            # transition, not a terminal verdict.
+            rig.health(
+                "crash",
+                "injected notifier crash (failover armed)" if config.failover
+                else "injected notifier crash",
+                verdict="warn" if config.failover else "fail",
+            )
+            if rig.telem is not None:
+                rig.telem.close()
             # A real crash writes no result artifacts: exit without
             # passing go.  The flight recorder, the flushed telemetry
             # stream, and the streamed trace are all that survives --
@@ -274,43 +310,13 @@ async def serve(config: ClusterConfig, out_dir: Path,
 
         crash_task = asyncio.ensure_future(crash())
 
-    server = await asyncio.start_server(handle, config.host, 0)
-    port = server.sockets[0].getsockname()[1]
+    port = await hub.listen(config.host)
     if on_port is not None:
         on_port.set_result(port)
     print(f"LISTENING {port}", flush=True)
-    timed_out = False
-    try:
-        await asyncio.wait_for(done.wait(), config.timeout_s)
-    except asyncio.TimeoutError:
-        timed_out = True
-        dump_flight("timeout")
-    if killed:
-        timed_out = True
+    await rig.wait()
     if crash_task is not None:
         crash_task.cancel()
-    if sigterm_installed:
-        loop.remove_signal_handler(signal.SIGTERM)
-    server.close()
-    await server.wait_closed()
-    if sampler is not None:
-        # One final sample so the stream's last frame carries the final
-        # local stats (the monitor's per-site aggregate is exact, not
-        # one interval stale).
-        sampler.stop()
-        sampler.sample()
-    if telem is not None:
-        telem.close()
-    if beacon is not None:
-        beacon.close()
-    messages = sum(ch.stats.messages for ch in notifier.out_channels.values())
-    wire_bytes = sum(ch.stats.total_bytes for ch in notifier.out_channels.values())
-    write_artifacts(
-        out_dir,
-        endpoint_result("notifier", notifier, timed_out=timed_out,
-                        messages_sent=messages, wire_bytes=wire_bytes),
-        tracer,
-        trace_streamed=True,
-    )
-    trace_stream.close()
-    return not timed_out
+    await hub.close()
+    rig.close_streams()
+    return rig.finish(rig.result(notifier))

@@ -40,9 +40,10 @@ epoch boundary (see :mod:`repro.obs.analysis`).
 
 from __future__ import annotations
 
+import abc
 from typing import TYPE_CHECKING
 
-from repro.editor.messages import ElectMessage
+from repro.editor.messages import ElectMessage, StateContribution
 from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
 
@@ -50,7 +51,56 @@ if TYPE_CHECKING:
     from repro.editor.star import StarSession
 
 
-class FailoverManager:
+class Directory(abc.ABC):
+    """What the election machine in :class:`StarClient` asks of its
+    surroundings: who the members are, and where the new centre goes.
+
+    The machine itself (dedup by epoch, probe, contribution collection,
+    handoff, replay) is deployment-blind; a directory is the one place
+    that knows whether "members" are endpoints of one simulated topology
+    (:class:`FailoverManager`) or sockets that dialed in
+    (:class:`repro.cluster.failover.WireFailover`).
+    """
+
+    #: Sites of the star, for sizing the rebuilt ``SV_0``.
+    n_sites: int
+    #: The epoch of the promotion in progress or completed.
+    notifier_epoch = 0
+
+    @abc.abstractmethod
+    def begin_promotion(self, successor: StarClient, epoch: int) -> list[int]:
+        """The successor confirmed the crash: record ``epoch`` in
+        ``notifier_epoch``, make every surviving member reachable from
+        it and return their site ids."""
+
+    def complete_promotion(
+        self, successor: StarClient,
+        contributions: dict[int, StateContribution | None],
+    ) -> StarNotifier:
+        """All contributions are in: build and install the new notifier."""
+        notifier = StarNotifier.promoted_from(
+            successor, self.notifier_epoch, contributions, n_sites=self.n_sites,
+        )
+        self.installed(notifier, contributions)
+        return notifier
+
+    @abc.abstractmethod
+    def installed(self, notifier: StarNotifier,
+                  contributions: dict[int, StateContribution | None]) -> None:
+        """Record ``notifier`` as the centre wherever the deployment
+        looks for it."""
+
+    def election_aborted(self, successor: StarClient) -> None:
+        """The suspected centre answered the liveness probe.  Nothing to
+        undo where suspicion is never wrong (a socket EOF is definitive)."""
+
+    def route_restart(self, client: StarClient) -> int:
+        """Where a restarting client should resync: where it already
+        points, unless the directory knows the centre moved."""
+        return client.center
+
+
+class FailoverManager(Directory):
     """Session-level failover coordination for one star session.
 
     Holds the pieces an out-of-band membership service would: who the
@@ -70,7 +120,6 @@ class FailoverManager:
         self.session = session
         self.standby_site = standby_site
         self.center_pid = 0
-        self.notifier_epoch = 0
         self.promoted = False
         self._election_open = False
         self._promoting_client: StarClient | None = None
@@ -106,7 +155,7 @@ class FailoverManager:
         self._election_open = True
         epoch = self.notifier_epoch + 1
         if detector is successor:
-            successor._on_elect(epoch)
+            successor.elect(epoch)
             return
         self.session.topology.connect_pair(detector, successor)
         detector.send(
@@ -149,20 +198,14 @@ class FailoverManager:
             self.session.topology.connect_pair(successor, member)
         return [member.pid for member in members]
 
-    def complete_promotion(
-        self, successor: "StarClient", contributions: dict
-    ) -> StarNotifier:
-        """All contributions are in: build and install the new notifier."""
-        notifier = StarNotifier.promoted_from(
-            successor,
-            self.notifier_epoch,
-            contributions,
-            n_sites=len(self.session.clients),
-        )
+    @property
+    def n_sites(self) -> int:
+        return len(self.session.clients)  # late joiners count
+
+    def installed(self, notifier: StarNotifier, contributions: dict) -> None:
         self._promoting_client = None
         self.promoted = True
         self.session.promoted_notifier = notifier
-        return notifier
 
     # -- routing for restarts --------------------------------------------------
 

@@ -161,7 +161,7 @@ class StarSession(SessionBase):
             manager = FailoverManager(self, standby_site=standby_site)
             self.failover = manager
             for client in self.clients:
-                client.failover = manager
+                client.arm_failover(manager)
             for endpoint in [self.notifier, *self.clients]:
                 transport = endpoint.transport
                 assert isinstance(transport, ReliableEndpoint)

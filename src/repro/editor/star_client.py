@@ -37,7 +37,7 @@ from repro.ot.types import get_type
 from repro.session import CheckRecord, ConsistencyError, EditorEndpoint
 
 if TYPE_CHECKING:
-    from repro.editor.failover import FailoverManager
+    from repro.editor.failover import Directory
     from repro.editor.star_notifier import StarNotifier
 
 
@@ -114,10 +114,11 @@ class StarClient(EditorEndpoint):
         # The pid this spoke currently points at; re-homed on promotion.
         self.center = 0
         self.notifier_epoch = 0
-        # Set by the session when a FailoverManager coordinates this star.
-        self.failover: FailoverManager | None = None
-        # Successor-election bookkeeping: only maintained when running
-        # over the reliability protocol (crash detection needs it).
+        # The election's surroundings; installed by arm_failover.
+        self.failover: Directory | None = None
+        # Successor-election bookkeeping: maintained when running over
+        # the reliability protocol (its give-up is the crash detector)
+        # or once a directory is armed.
         self._track_failover = reliability is not None
         # Per-origin counts of executed centre broadcasts, and the set of
         # original op ids embodied in this replica: together, one
@@ -143,6 +144,31 @@ class StarClient(EditorEndpoint):
         # default of 0 preserves the simulator's lossy semantics.
         self.degraded_limit = 0
         self._degraded_queue: deque[Any] = deque()
+
+    # -- what the surroundings may ask (see repro.editor.failover) ----------------
+
+    def arm_failover(self, directory: "Directory", degraded_limit: int = 0) -> None:
+        """Let ``directory`` coordinate this client's elections.
+
+        Successor evidence is tracked from here on whatever the
+        transport (over raw sockets an EOF is the crash detector), and
+        up to ``degraded_limit`` edits typed while leaderless queue.
+        """
+        self.failover = directory
+        self._track_failover = True
+        self.degraded_limit = degraded_limit
+
+    @property
+    def settled(self) -> bool:
+        """No promotion, handoff or replay is in progress or owed."""
+        return not (self._promoting or self._failover_pending
+                    or self._failover_stash or self._degraded_queue)
+
+    @property
+    def live(self) -> "StarClient | StarNotifier":
+        """The endpoint holding this site's live replica: the promoted
+        notifier once this client took over the centre, else the client."""
+        return self._promoted_to if self._promoted_to is not None else self
 
     # -- local editing -------------------------------------------------------
 
@@ -244,7 +270,7 @@ class StarClient(EditorEndpoint):
     def _handle_app_message(self, envelope: Envelope) -> None:
         payload = envelope.payload
         if isinstance(payload, ElectMessage):
-            self._on_elect(payload.notifier_epoch)
+            self.elect(payload.notifier_epoch)
             return
         if self._promoting:
             # Collecting contributions; anything else racing the window
@@ -482,8 +508,8 @@ class StarClient(EditorEndpoint):
         if isinstance(transport, ReliableEndpoint):
             transport.abandon_peer(peer)
 
-    def _on_elect(self, epoch: int, confirmed: bool = False) -> None:
-        """An ``ElectMessage`` arrived: confirm the suspicion, then promote.
+    def elect(self, epoch: int, confirmed: bool = False) -> None:
+        """The centre is suspected dead: confirm the suspicion, then promote.
 
         The election is deduplicated by epoch.  Over the reliability
         protocol the suspicion is confirmed with a bounded liveness

@@ -529,8 +529,7 @@ class WireChannel:
 
 async def pump(reader: asyncio.StreamReader,
                on_envelope: Callable[[Envelope], None],
-               *, on_eof: Optional[Callable[[], Awaitable[None]]] = None,
-               on_telemetry: Optional[Callable[[TelemetryFrame], None]] = None,
+               *, on_telemetry: Optional[Callable[[TelemetryFrame], None]] = None,
                on_roster: Optional[Callable[[Roster], None]] = None,
                on_goodbye: Optional[Callable[[], None]] = None,
                on_drained: Optional[Callable[[Drained], None]] = None,
@@ -570,8 +569,6 @@ async def pump(reader: asyncio.StreamReader,
         if not isinstance(decoded, Envelope):
             raise WireError("unexpected HELLO frame after handshake")
         on_envelope(decoded)
-    if on_eof is not None:
-        await on_eof()
 
 
 # -- dialing with backoff ------------------------------------------------------

@@ -52,7 +52,6 @@ from repro.obs.monitor import (
     aggregate,
     merged_registry,
     run_monitor,
-    scan_dir,
     site_registry,
     sparkline,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "read_jsonl",
     "released_without_cause",
     "run_monitor",
-    "scan_dir",
     "site_registry",
     "snapshot_endpoint",
     "sparkline",

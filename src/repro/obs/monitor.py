@@ -71,41 +71,6 @@ MONITOR_SCHEMA_VERSION = 1
 # -- reading the streams -------------------------------------------------------
 
 
-def read_telemetry(
-    path: Union[str, Path]
-) -> tuple[dict[str, Any], list[TelemetryFrame], list[HealthEvent]]:
-    """Read one process's telemetry stream, tolerating a torn tail.
-
-    Returns ``(header, frames, health_events)``.  Lines that fail to
-    parse are skipped: the stream is written crash-safely, so damage is
-    confined to the final line of a killed process -- and a monitor
-    that dies on exactly the failure it exists to observe is useless.
-    """
-    header: dict[str, Any] = {}
-    frames: list[TelemetryFrame] = []
-    health: list[HealthEvent] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for index, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except ValueError:
-            continue  # torn line from a killed writer
-        if index == 0 and data.get("format") == TELEMETRY_FORMAT:
-            header = data
-            continue
-        rec = data.get("rec")
-        try:
-            if rec == "frame":
-                frames.append(TelemetryFrame.from_json(line))
-            elif rec == "health":
-                health.append(HealthEvent.from_json(line))
-        except (ValueError, KeyError, TypeError):
-            continue
-    return header, frames, health
-
-
 class TelemetryTailer:
     """Incremental, deduplicating reader of a directory's telemetry.
 
@@ -213,19 +178,6 @@ class TelemetryTailer:
                     yield HealthEvent.from_json(line)
             except (ValueError, KeyError, TypeError):
                 continue
-
-
-def scan_dir(
-    out_dir: Union[str, Path]
-) -> tuple[dict[int, list[TelemetryFrame]], list[HealthEvent]]:
-    """Read every ``telemetry_*.jsonl`` in ``out_dir``, deduplicated.
-
-    One-shot form of :class:`TelemetryTailer` (a fresh tailer's first
-    poll is the whole directory): frames keyed by ``(site, seq)`` --
-    a client frame gossiped to the notifier appears in two files but
-    counts once -- and health events deduplicated by full identity.
-    """
-    return TelemetryTailer(out_dir).poll()
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -733,8 +685,6 @@ __all__ = [
     "MonitorSnapshot",
     "aggregate",
     "merged_registry",
-    "read_telemetry",
     "run_monitor",
-    "scan_dir",
     "site_registry",
 ]

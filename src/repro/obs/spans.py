@@ -198,14 +198,6 @@ class SpanReport:
     def uncorrectable_pairs(self) -> list[tuple[int, int]]:
         return sorted(k for k, p in self.pairs.items() if not p.correctable)
 
-    def all_corrected(self) -> Histogram:
-        """Union histogram over every correctable pair's latencies."""
-        out = Histogram()
-        for pair in self.pairs.values():
-            if pair.corrected is not None:
-                out.values.extend(pair.corrected.values)
-        return out
-
     def summary_lines(self) -> list[str]:
         if not self.span_events:
             return []

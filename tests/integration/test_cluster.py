@@ -12,8 +12,11 @@ from __future__ import annotations
 import asyncio
 from pathlib import Path
 
+import pytest
+
 from repro.cluster import ClusterConfig, run_cluster
 from repro.cluster.harness import read_artifacts
+from repro.net.wire import encode_goodbye, encode_hello, frame
 
 
 def test_three_client_cluster_converges(tmp_path: Path) -> None:
@@ -42,38 +45,145 @@ def test_cluster_over_reliability_protocol(tmp_path: Path) -> None:
     assert report.bad_releases == 0
 
 
-def test_serve_and_client_in_one_loop(tmp_path: Path) -> None:
+async def _one_loop_session(config: ClusterConfig, out_dir: Path,
+                            between_clients=None) -> list[bool]:
+    """``serve`` + two ``run_client`` on the caller's loop; the optional
+    ``between_clients(port)`` runs once client 1 is dialing."""
+    from repro.cluster.client import run_client
+    from repro.cluster.serve import serve
+
+    port_future: asyncio.Future[int] = asyncio.get_running_loop().create_future()
+    server = asyncio.ensure_future(serve(config, out_dir, on_port=port_future))
+    port = await asyncio.wait_for(port_future, 10.0)
+    first = asyncio.ensure_future(run_client(config, 1, port, out_dir))
+    if between_clients is not None:
+        await between_clients(port)
+    second = asyncio.ensure_future(run_client(config, 2, port, out_dir))
+    return await asyncio.wait_for(
+        asyncio.gather(server, first, second), config.timeout_s + 10.0
+    )
+
+
+def _documents(out_dir: Path) -> set[str]:
+    return {read_artifacts(out_dir, site)[0].document for site in range(3)}
+
+
+@pytest.mark.parametrize("reliability", [False, True])
+def test_serve_and_client_in_one_loop(tmp_path: Path, reliability: bool,
+                                      capfd, caplog) -> None:
     """The process entry points also compose in-process (one event loop).
 
     Covers the asyncio plumbing without subprocess overhead: the serve
     coroutine announces its port on a future and the client coroutines
-    dial it, all on the test's own loop.
+    dial it, all on the test's own loop.  Over the reliability protocol
+    an endpoint's ack and retransmit timers outlive its coroutine on the
+    shared loop, so each trace sink must be unbound before its file
+    closes.
     """
-    from repro.cluster.client import run_client
-    from repro.cluster.serve import serve
-
     config = ClusterConfig(clients=2, ops_per_client=2, seed=1,
-                           timeout_s=15.0, settle_s=0.1)
+                           timeout_s=15.0, settle_s=0.1,
+                           reliability=reliability)
 
     async def body() -> None:
-        port_future: asyncio.Future[int] = asyncio.get_running_loop().create_future()
-        server = asyncio.ensure_future(serve(config, tmp_path,
-                                             on_port=port_future))
-        port = await asyncio.wait_for(port_future, 10.0)
-        clients = [
-            asyncio.ensure_future(run_client(config, site, port, tmp_path))
-            for site in (1, 2)
-        ]
-        results = await asyncio.wait_for(
-            asyncio.gather(server, *clients), config.timeout_s + 10.0
-        )
-        assert all(results)
+        assert all(await _one_loop_session(config, tmp_path))
+        # Let the stragglers fire while the loop is still there.
+        await asyncio.sleep(0.3)
 
     asyncio.run(body())
-    documents = {
-        read_artifacts(tmp_path, site)[0].document for site in range(3)
-    }
-    assert len(documents) == 1
+    assert len(_documents(tmp_path)) == 1
+    _assert_quiet(capfd, caplog)
+
+
+def test_trace_sink_does_not_outlive_its_file(tmp_path: Path) -> None:
+    """A timer that fires after ``finish()`` still traces in memory; it
+    must not be writing to the closed ``trace_<site>.jsonl``."""
+    from repro.cluster.harness import ProcessRig
+    from repro.editor.star_client import StarClient
+    from repro.obs.tracer import TraceEventKind
+
+    async def body() -> None:
+        rig = ProcessRig(ClusterConfig(clients=1), tmp_path, 1, "client")
+        client = StarClient(rig.sched, 1, tracer=rig.tracer)
+        rig.tracer.emit(TraceEventKind.GENERATED, 1, op_id="before")
+        assert rig.finish(rig.result(client))
+        rig.tracer.emit(TraceEventKind.GENERATED, 1, op_id="after")
+
+    asyncio.run(body())
+    _result, events = read_artifacts(tmp_path, 1)
+    assert [event.op_id for event in events] == ["before"]
+
+
+def _assert_quiet(capfd, caplog) -> None:
+    """Nothing on stderr, nothing through the loop's exception handler
+    (which logs to ``asyncio``; pytest's log capture keeps that off fd 2)."""
+    assert capfd.readouterr().err == ""
+    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+STRAYS = {
+    # what the stray connection sends first -> rejections the hub counts
+    "garbage-prefix": (b"\xff\xff\xff\xff", 1),
+    "non-hello-frame": (frame(encode_goodbye()), 1),
+    "silence": (b"", 0),
+    "pid-out-of-range": (frame(encode_hello(7)), 1),
+    "pid-already-connected": (frame(encode_hello(1)), 1),
+}
+
+
+@pytest.mark.parametrize("case", STRAYS)
+def test_stray_connection_cannot_end_or_join_the_run(
+    tmp_path: Path, case: str, capfd, caplog, monkeypatch,
+) -> None:
+    """The first frame of a connection is outside input.
+
+    A connection that does not open with the HELLO of an expected,
+    not-yet-connected member is counted and closed; it is never
+    attached as a spoke, never counted toward "everyone is here", and
+    never handed a real member's GOODBYE.  One that says nothing is
+    closed when the hub closes.  Either way the run completes, the
+    replicas agree, and nothing reaches stderr or the asyncio logger.
+    """
+    from repro.cluster import serve as serve_module
+
+    first_bytes, rejections = STRAYS[case]
+    hubs: list[serve_module.Hub] = []
+
+    class SpyHub(serve_module.Hub):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            hubs.append(self)
+
+    monkeypatch.setattr(serve_module, "Hub", SpyHub)
+    config = ClusterConfig(clients=2, ops_per_client=2, seed=1,
+                           timeout_s=8.0, settle_s=0.1)
+
+    async def body() -> None:
+        stray: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+
+        async def intrude(port: int) -> None:
+            (hub,) = hubs
+            while 1 not in hub.writers:  # the real client 1 holds its pid
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_connection(config.host, port)
+            writer.write(first_bytes)
+            await writer.drain()
+            stray.append((reader, writer))
+            if rejections:
+                # Turned away at once, not at teardown.
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+
+        results = await _one_loop_session(config, tmp_path, intrude)
+        assert results == [True, True, True]
+        # The silent stranger was hung up on by Hub.close.
+        ((reader, writer),) = stray
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        writer.close()
+
+    asyncio.run(body())
+    assert len(_documents(tmp_path)) == 1
+    assert hubs[0].rejected == rejections
+    assert set(hubs[0].writers) == {1, 2}
+    _assert_quiet(capfd, caplog)
 
 
 def test_cluster_with_telemetry_streams_and_monitor_aggregation(
@@ -85,11 +195,9 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
     stream holds gossiped client frames), and the monitor's per-site
     aggregate must equal each process's final local stats.
     """
-    import pytest
-
     from repro.cluster.driver import ClusterError
     from repro.cluster.harness import telemetry_path
-    from repro.obs.monitor import aggregate, run_monitor, scan_dir
+    from repro.obs.monitor import TelemetryTailer, aggregate, run_monitor
 
     config = ClusterConfig(clients=3, ops_per_client=3, seed=7,
                            timeout_s=20.0, telemetry_interval_s=0.2)
@@ -105,18 +213,17 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
     # Every process wrote a telemetry stream...
     for site in range(4):
         assert telemetry_path(tmp_path, site).exists()
-    by_site, health = scan_dir(tmp_path)
+    by_site, health = TelemetryTailer(tmp_path).poll()
     assert sorted(by_site) == [0, 1, 2, 3]
     assert not any(e.verdict == "fail" for e in health)
 
     # ...the clients' frames were gossiped over the wire into the
     # notifier's stream (frames whose site != 0 in telemetry_0.jsonl)...
-    from repro.obs.monitor import read_telemetry
+    import json
 
-    _header, notifier_stream, _events = read_telemetry(
-        telemetry_path(tmp_path, 0)
-    )
-    assert {f.site for f in notifier_stream} > {0}
+    records = [json.loads(line) for line in
+               telemetry_path(tmp_path, 0).read_text().splitlines()]
+    assert {r["site"] for r in records if r.get("rec") == "frame"} > {0}
 
     # ...and the monitor's aggregate equals each process's final stats.
     snapshot = aggregate(by_site, health)
@@ -143,11 +250,9 @@ def test_injected_notifier_crash_without_failover_leaves_flight_recorders(
     artifacts by name instead of discarding the run -- the explained
     failure, not a hang or an unexplained one.
     """
-    import pytest
-
     from repro.cluster.driver import ClusterError
     from repro.cluster.harness import flight_path, telemetry_path
-    from repro.obs.monitor import scan_dir
+    from repro.obs.monitor import TelemetryTailer
     from repro.obs.tracer import read_jsonl
 
     config = ClusterConfig(clients=2, ops_per_client=20, seed=5,
@@ -172,7 +277,7 @@ def test_injected_notifier_crash_without_failover_leaves_flight_recorders(
     assert header["reason"] == "injected-crash"
 
     # The clients flagged the dead notifier live, before the run ended.
-    _by_site, health = scan_dir(tmp_path)
+    _by_site, health = TelemetryTailer(tmp_path).poll()
     dead_flags = [e for e in health if e.kind == "peer_dead"
                   and e.verdict == "fail" and e.peer == 0]
     assert {e.site for e in dead_flags} == {1, 2}

@@ -53,7 +53,7 @@ def test_notifier_crash_mid_run_fails_over_with_telemetry(
     streams as ``warn`` verdicts (the cluster *healed*; nothing failed
     terminally) and in the v2 counter gauges the monitor aggregates.
     """
-    from repro.obs.monitor import aggregate, run_monitor, scan_dir
+    from repro.obs.monitor import TelemetryTailer, aggregate, run_monitor
 
     config = ClusterConfig(clients=3, ops_per_client=12, seed=11,
                            time_scale=0.3, timeout_s=25.0,
@@ -62,7 +62,7 @@ def test_notifier_crash_mid_run_fails_over_with_telemetry(
     report = run_cluster(config, tmp_path)
     _assert_survived_by_failover(report, config, tmp_path)
 
-    by_site, health = scan_dir(tmp_path)
+    by_site, health = TelemetryTailer(tmp_path).poll()
     # A healed run has no terminal verdicts anywhere...
     assert not any(e.verdict == "fail" for e in health), health
     kinds = {e.kind for e in health}

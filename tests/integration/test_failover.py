@@ -225,3 +225,63 @@ class TestFailoverGuards:
         plan = FaultPlan(notifier_crash=NotifierCrash(at=1.0))
         session = StarSession(2, fault_plan=plan)
         assert session.reliability is not None
+
+
+class TestWhatTheSurroundingsMayAsk:
+    """The three public names a deployment reads instead of the
+    election's private state: ``settled``, ``live``, ``arm_failover``."""
+
+    def test_settled_is_false_exactly_while_failover_work_is_owed(self):
+        from repro.obs.tracer import TraceEventKind as K
+
+        tracer = Tracer()
+        session = failover_session(standby=1, tracer=tracer)
+        samples = []  # (site, event, that client's `settled` as it was emitted)
+        tracer.bind_sink(lambda event: 1 <= event.site <= 3 and samples.append(
+            (event.site, event, session.client(event.site).settled)))
+        drive_across_the_crash(session)
+        assert session.converged(), session.documents()
+
+        for member in (2, 3):
+            mine = [(event, settled) for site, event, settled in samples
+                    if site == member]
+            kinds = [event.kind for event, _ in mine]
+            handoff = kinds.index(K.HANDOFF)  # PROMOTE processed
+            recovered = next(
+                i for i, (event, _) in enumerate(mine)
+                if event.kind is K.RECOVERED and event.via == "failover")
+            assert handoff < recovered
+            assert all(settled for _, settled in mine[:handoff])
+            assert not any(settled for _, settled in mine[handoff:recovered])
+        # The successor owes work while it collects contributions.
+        successor = [(event, settled) for site, event, settled in samples
+                     if site == 1]
+        kinds = [event.kind for event, _ in successor]
+        elected, promoted = kinds.index(K.ELECTED), kinds.index(K.PROMOTED)
+        assert all(settled for _, settled in successor[:elected])
+        assert not all(settled for _, settled in successor[elected:promoted])
+        assert all(session.client(site).settled for site in (1, 2, 3))
+
+    def test_live_is_the_promoted_notifier_for_the_successor_only(self):
+        session = failover_session(standby=1)
+        assert all(client.live is client for client in session.clients)
+        drive_across_the_crash(session)
+        assert session.client(1).live is session.promoted_notifier
+        assert session.client(2).live is session.client(2)
+        assert session.client(3).live is session.client(3)
+
+    def test_arm_failover_tracks_successor_evidence_on_a_raw_transport(self):
+        from repro.editor.failover import FailoverManager
+
+        session = StarSession(2)  # no reliability: nothing is tracked ...
+        armed, plain = session.client(1), session.client(2)
+        armed.arm_failover(FailoverManager(session), degraded_limit=4)
+        assert armed.degraded_limit == 4 and plain.degraded_limit == 0
+        session.generate_at(1, Insert("a", 0), at=1.0)
+        session.generate_at(2, Insert("b", 0), at=2.0)
+        session.run()
+        assert session.converged()
+        # ... except at the armed client: its own op and the one relayed.
+        assert len(armed._incorporated) == 2
+        assert armed._received_per_origin == {2: 1}
+        assert plain._incorporated == set() and plain._received_per_origin == {}

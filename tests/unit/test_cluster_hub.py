@@ -1,0 +1,192 @@
+"""The centre's socket role, directly: one :class:`Hub`, loopback sockets.
+
+The hub is the same object for the original notifier and a promoted
+successor, so its rules are pinned here once, against a stub endpoint
+that only records what the hub asked of it: who is admitted, when
+GOODBYE goes out, when the session is finished, and that ``close()``
+leaves nothing behind on the loop.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from typing import Any, Awaitable, Callable
+
+from repro.cluster.serve import Hub
+from repro.net.transport import Envelope
+from repro.net.wire import (
+    Goodbye,
+    decode_frame,
+    encode_drained,
+    encode_envelope,
+    encode_hello,
+    frame,
+    read_frame,
+)
+
+HOST = "127.0.0.1"
+
+
+class StubEndpoint:
+    """What the hub needs of an endpoint, recorded."""
+
+    pid = 0
+    sim = None  # only handed on to the WireChannel, which never sends here
+
+    def __init__(self) -> None:
+        self.attached: list[int] = []
+        self.messages: list[Envelope] = []
+
+    def attach_channel(self, dest: int, channel: Any) -> None:
+        self.attached.append(dest)
+
+    def on_message(self, envelope: Envelope) -> None:
+        self.messages.append(envelope)
+
+
+class Loopback:
+    def __init__(self, expected: set[int]) -> None:
+        self.endpoint = StubEndpoint()
+        self.finished = asyncio.Event()
+        self.hellos: list[int] = []
+        self.work_done = True
+        self.hub = Hub(
+            self.endpoint, expected, self.finished,
+            on_hello=self.hellos.append,
+            may_finish=lambda: self.work_done,
+            on_telemetry=lambda tframe: None,
+        )
+        self.hub.pumps_open.set()
+        self.port = 0
+        self.dialed: list[asyncio.StreamWriter] = []
+
+    async def connect(self):
+        reader, writer = await asyncio.open_connection(HOST, self.port)
+        self.dialed.append(writer)
+        return reader, writer
+
+    async def member(self, pid: int):
+        reader, writer = await self.connect()
+        writer.write(frame(encode_hello(pid)))
+        await writer.drain()
+        return reader, writer
+
+
+def run(expected: set[int], body: Callable[[Loopback], Awaitable[None]]) -> None:
+    async def main() -> None:
+        lo = Loopback(expected)
+        lo.port = await lo.hub.listen(HOST)
+        try:
+            await asyncio.wait_for(body(lo), 10.0)
+        finally:
+            await lo.hub.close()
+            for writer in lo.dialed:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except ConnectionError:  # the hub hung up on it first
+                    pass
+        # Nothing the hub started is left for asyncio.run to cancel.
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+
+    asyncio.run(main())
+
+
+async def until(condition: Callable[[], bool]) -> None:
+    while not condition():
+        await asyncio.sleep(0.005)
+
+
+async def no_frame_yet(reader: asyncio.StreamReader) -> bool:
+    try:
+        await asyncio.wait_for(reader.readexactly(1), 0.1)
+    except asyncio.TimeoutError:
+        return True
+    return False
+
+
+def test_goodbye_waits_for_every_drained_and_for_may_finish() -> None:
+    async def body(lo: Loopback) -> None:
+        lo.work_done = False
+        (r1, w1), (r2, w2) = await lo.member(1), await lo.member(2)
+        w1.write(frame(encode_drained(1)))
+        await until(lambda: lo.hub.drained == {1})
+        assert not lo.hub.goodbye_sent and await no_frame_yet(r1)
+        w2.write(frame(encode_drained(2)))
+        await until(lambda: lo.hub.drained == {1, 2})
+        # Everyone drained, but the centre's own work is not done.
+        assert not lo.hub.goodbye_sent and await no_frame_yet(r2)
+        lo.work_done = True
+        lo.hub.note_progress()
+        for reader in (r1, r2):
+            body_bytes = await read_frame(reader)
+            assert body_bytes is not None
+            assert isinstance(decode_frame(body_bytes), Goodbye)
+        # GOODBYE is not the end: the members have not hung up yet.
+        assert not lo.finished.is_set()
+        w1.close()
+        await until(lambda: lo.hub.hung_up == {1})
+        assert not lo.finished.is_set()
+        w2.close()
+        await asyncio.wait_for(lo.finished.wait(), 5.0)
+
+    run({1, 2}, body)
+
+
+def test_data_frames_reach_the_endpoint_in_order() -> None:
+    async def body(lo: Loopback) -> None:
+        _reader, writer = await lo.member(1)
+        for n in range(3):
+            writer.write(frame(encode_envelope(
+                Envelope(source=1, dest=0, payload=None, kind=f"k{n}"))))
+        await until(lambda: len(lo.endpoint.messages) == 3)
+        assert [e.kind for e in lo.endpoint.messages] == ["k0", "k1", "k2"]
+
+    run({1}, body)
+
+
+def test_member_dying_without_drained_is_hung_up_never_drained() -> None:
+    async def body(lo: Loopback) -> None:
+        _r1, w1 = await lo.member(1)
+        _r2, w2 = await lo.member(2)
+        w2.write(frame(encode_drained(2)))
+        await until(lambda: lo.hub.drained == {2})
+        w1.close()
+        await until(lambda: lo.hub.hung_up == {1})
+        assert lo.hub.drained == {2}
+        assert not lo.hub.goodbye_sent and not lo.finished.is_set()
+
+    run({1, 2}, body)
+
+
+def test_on_hello_fires_once_per_member_and_never_for_a_rejected_one() -> None:
+    async def body(lo: Loopback) -> None:
+        await lo.member(1)
+        await until(lambda: lo.hellos == [1])
+        for stranger in (1, 7):  # taken, and not a member at all
+            reader, _writer = await lo.member(stranger)
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        reader, writer = await lo.connect()
+        writer.write(frame(encode_drained(2)))  # a frame, but not a HELLO
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        await lo.member(2)
+        await until(lambda: lo.hellos == [1, 2])
+        assert lo.hub.rejected == 3
+        assert lo.endpoint.attached == [1, 2]
+        assert set(lo.hub.writers) == {1, 2}
+
+    run({1, 2}, body)
+
+
+def test_close_with_members_connected_leaves_no_task_and_no_noise(
+    capfd, caplog,
+) -> None:
+    async def body(lo: Loopback) -> None:
+        await lo.member(1)
+        await lo.member(2)
+        await lo.connect()  # and a silent stranger
+        await until(lambda: lo.hellos == [1, 2])
+
+    run({1, 2}, body)  # asserts the loop is clean after close()
+    assert capfd.readouterr().err == ""
+    assert [r for r in caplog.records if r.name == "asyncio"] == []

@@ -18,13 +18,11 @@ from repro.obs import (
     aggregate,
     merged_registry,
     run_monitor,
-    scan_dir,
     site_registry,
 )
 from repro.obs.monitor import (
     MONITOR_FORMAT,
     TelemetryTailer,
-    read_telemetry,
     sparkline,
 )
 from repro.obs.telemetry import TELEMETRY_FORMAT, TELEMETRY_SCHEMA_VERSION
@@ -54,7 +52,7 @@ class TestScanDir:
         # The notifier's stream holds its own frame plus a gossiped copy.
         write_stream(tmp_path / "telemetry_0.jsonl",
                      [frame_at(0, 0), local[0]])
-        by_site, health = scan_dir(tmp_path)
+        by_site, health = TelemetryTailer(tmp_path).poll()
         assert sorted(by_site) == [0, 1]
         assert [f.seq for f in by_site[1]] == [0, 1]
         assert health == []
@@ -68,7 +66,7 @@ class TestScanDir:
             event.to_json() + "\n" + earlier.to_json() + "\n"
         )
         (tmp_path / "telemetry_0.jsonl").write_text(event.to_json() + "\n")
-        _by_site, health = scan_dir(tmp_path)
+        _by_site, health = TelemetryTailer(tmp_path).poll()
         assert health == [earlier, event]
 
     def test_torn_tail_is_skipped(self, tmp_path):
@@ -76,9 +74,9 @@ class TestScanDir:
         (tmp_path / "telemetry_1.jsonl").write_text(
             good.to_json() + "\n" + '{"rec": "frame", "sit'
         )
-        header, frames, health = read_telemetry(tmp_path / "telemetry_1.jsonl")
-        assert frames == [good]
-        assert header == {} and health == []
+        by_site, health = TelemetryTailer(tmp_path).poll()
+        assert by_site == {1: [good]}
+        assert health == []
 
 
 class TestAggregate:
@@ -390,7 +388,7 @@ class TestFollow:
         )
         write_stream(tmp_path / "telemetry_1.jsonl", [frame_at(1, 0)],
                      site=1, role="client")
-        by_site, _ = scan_dir(tmp_path)
+        by_site, _ = TelemetryTailer(tmp_path).poll()
         snapshot = aggregate(by_site)
         assert snapshot.e2e_p95_ms == 4.0  # worst latest per-site gauge
         assert "e2e=4.0ms" in snapshot.line()

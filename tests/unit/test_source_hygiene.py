@@ -11,7 +11,9 @@ import rules this repo relies on are checked here, in tier-1:
   name has one import home;
 
 plus a vocabulary rule: the spellings of the deleted compatibility
-layer stay deleted; and one rule for the workflow file, which no build
+layer, and of readers deleted for having no production caller, stay
+deleted; a boundary rule: ``repro.cluster`` reads no underscore name of
+an object it does not own; and one rule for the workflow file, which no build
 image ever runs: a CI job that imports ``repro`` installs what
 ``pyproject.toml`` says ``repro`` depends on.
 """
@@ -98,7 +100,9 @@ def test_imports_and_exports(path: Path) -> None:
 
 
 def test_the_compatibility_vocabulary_stays_deleted() -> None:
-    banned = re.compile(r"\brel_stats\b|pre-refactor|backwards compat")
+    banned = re.compile(
+        r"\brel_stats\b|pre-refactor|backwards compat"
+        r"|\bon_eof\b|\bread_telemetry\b|\bscan_dir\b|\ball_corrected\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES
@@ -106,6 +110,25 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         if banned.search(line)
     ]
     assert not hits, "\n".join(hits)
+
+
+CLUSTER = [path for path in MODULES if path.parent.name == "cluster"]
+
+
+@pytest.mark.parametrize("path", CLUSTER, ids=[path.name for path in CLUSTER])
+def test_cluster_reads_no_foreign_underscore_name(path: Path) -> None:
+    """The socket deployment drives the editor classes through their
+    public surface: ``obj._name`` is allowed on ``self`` / ``cls`` only
+    (dunders aside, and ``os._exit``, the injected crash, by name)."""
+    reach_ins = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.endswith("__") and ast.unparse(node) != "os._exit"
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in ("self", "cls"))
+    ]
+    assert not reach_ins, "\n".join(reach_ins)
 
 
 def _ci_jobs() -> dict[str, list[str]]:

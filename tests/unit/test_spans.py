@@ -220,6 +220,9 @@ class TestAssembleSpans:
         bad = PairLatency(origin=2, executor=1)
         bad.raw.observe(9.9)
         report.pairs = {(1, 2): good, (2, 1): bad}
-        merged = report.all_corrected()
-        assert merged.count == 1
-        assert merged.percentile(50) == pytest.approx(0.005)
+        corrected = [pair.corrected for pair in report.pairs.values()
+                     if pair.corrected is not None]
+        assert len(corrected) == 1
+        assert corrected[0].count == 1
+        assert corrected[0].percentile(50) == pytest.approx(0.005)
+        assert report.uncorrectable_pairs == [(2, 1)]
