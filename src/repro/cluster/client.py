@@ -54,6 +54,7 @@ from typing import Optional
 from repro.cluster.failover import WireFailover
 from repro.cluster.harness import DEFAULT_DOCUMENT, ClusterConfig, ProcessRig, dial
 from repro.editor.star_client import StarClient
+from repro.net.codec import CodecError
 from repro.net.transport import Envelope
 from repro.net.wire import WireError, encode_drained, frame, pump
 from repro.workloads.random_session import generate_random_edits, random_positional_op
@@ -165,7 +166,7 @@ async def run_client(config: ClusterConfig, site: int, port: int,
                            if coordinator is not None else None),
                 on_goodbye=rig.done.set,
             )
-        except (WireError, ConnectionError):
+        except (CodecError, ConnectionError):
             pass
         return rig.done.is_set()
 

@@ -62,7 +62,6 @@ from repro.net.wire import (
     Drained,
     Hello,
     WireChannel,
-    WireError,
     decode_frame,
     encode_goodbye,
     encode_roster,
@@ -118,8 +117,8 @@ class Hub:
         #: member has a channel, a successor listens with it open.
         self.pumps_open = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
-        # Every accepted connection's handler task and the writer that
-        # ends it: close() must see both off before the loop goes away.
+        # Every live connection's handler task and the writer that ends
+        # it: close() must see both off before the loop goes away.
         self._inbound: dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
 
     async def listen(self, host: str) -> int:
@@ -154,6 +153,9 @@ class Hub:
         handler = asyncio.current_task()
         assert handler is not None  # start_server runs this as a task
         self._inbound[handler] = writer
+        # Over is gone: the table holds live connections only, so
+        # strangers that are turned away cannot grow it.
+        handler.add_done_callback(self._inbound.pop)
         hello = await self._admit(reader)
         if hello is None:
             writer.close()
@@ -183,9 +185,10 @@ class Hub:
         try:
             await pump(reader, on_envelope, on_telemetry=self.on_telemetry,
                        on_drained=on_drained)
-        except (WireError, ConnectionError):
-            pass  # a killed member counts as hung up, not as a crash here
+        except (CodecError, ConnectionError):
+            pass  # a killed (or garbling) member is hung up, not a crash here
         finally:
+            writer.close()  # close() will not find this connection any more
             self.hung_up.add(member)
             self.note_progress()
 
@@ -221,15 +224,16 @@ class Hub:
         """
         assert self._server is not None
         self._server.close()
-        for writer in self._inbound.values():
+        inbound = dict(self._inbound)  # a handler leaves the table as it returns
+        for writer in inbound.values():
             writer.close()
-        for writer in self._inbound.values():
+        for writer in inbound.values():
             try:
                 await writer.wait_closed()
             except ConnectionError:  # the member hung up first, uncleanly
                 pass
-        if self._inbound:
-            await asyncio.wait(self._inbound)
+        if inbound:
+            await asyncio.wait(inbound)
         await self._server.wait_closed()
 
 

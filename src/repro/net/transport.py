@@ -36,7 +36,10 @@ def measure_payload_bytes(payload: Any) -> int:
     nearest registered base class, else (extension types nobody
     registered) the length of its pickle.
     """
-    for base in type(payload).__mro__:
+    sizer = _SIZERS.get(type(payload))
+    if sizer is not None:
+        return sizer(payload)
+    for base in type(payload).__mro__[1:]:
         sizer = _SIZERS.get(base)
         if sizer is not None:
             return sizer(payload)

@@ -43,7 +43,7 @@ one exists: an :class:`~repro.editor.messages.OpMessage` is embedded as
 the *exact* bytes of :func:`~repro.net.codec.encode_op_message`
 (length-prefixed), so the overhead accounting measured in the simulator
 is the same accounting that crosses the socket.  Reliability packets
-nest their inner payload recursively; the failover vocabulary
+carry their payload inline, one level deep; the failover vocabulary
 (snapshot / resync / elect / promote / contribution) has its own tags
 so a cluster can exercise crash recovery over TCP.
 
@@ -111,7 +111,15 @@ RELIABLE_GAP = 0x02
 # corrupt or hostile length prefix.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-LENGTH_PREFIX_BYTES = 4
+_LENGTH_PREFIX = struct.Struct(">I")
+LENGTH_PREFIX_BYTES = _LENGTH_PREFIX.size
+
+# The fixed-width runs of the hot frames, one layout each (the table is
+# DESIGN 5.4); a string's bytes follow the run that ends in its length.
+_DATA_HEAD = struct.Struct(">BIIIII")  # tag, source, dest, ts bytes, id + 1, len(kind)
+_OP_PAYLOAD_HEAD = struct.Struct(">BI")  # tag, length of the embedded op message
+_RELIABLE_HEAD = struct.Struct(">BIIIB")  # tag, seq + 1, epoch, ack + 1, flags
+_TELEMETRY_GAUGES = struct.Struct(">Id14I")  # seq, time, 13 gauges, digest length
 
 
 class WireError(CodecError):
@@ -159,14 +167,13 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
         # Embed the codec's exact bytes: the wire carries the same
         # serialisation the simulator's accounting charges.
         body = encode_op_message(payload)
-        writer.u8(PAYLOAD_OP).u32(len(body)).raw(body)
+        writer.pack(_OP_PAYLOAD_HEAD, PAYLOAD_OP, len(body)).raw(body)
     elif isinstance(payload, ReliablePacket):
-        writer.u8(PAYLOAD_RELIABLE)
-        writer.u32(payload.seq + 1)  # seq/ack are >= -1: store offset by one
-        writer.u32(payload.epoch)
-        writer.u32(payload.ack + 1)
-        writer.u8((RELIABLE_PROBE if payload.probe else 0)
-                  | (RELIABLE_GAP if payload.gap else 0))
+        writer.pack(
+            _RELIABLE_HEAD, PAYLOAD_RELIABLE,
+            payload.seq + 1, payload.epoch, payload.ack + 1,  # seq/ack are >= -1
+            (RELIABLE_PROBE if payload.probe else 0)
+            | (RELIABLE_GAP if payload.gap else 0))
         _encode_payload(payload.payload, writer)
     elif isinstance(payload, SnapshotMessage):
         if not isinstance(payload.document, str):
@@ -217,24 +224,35 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
         raise WireError(f"cannot encode payload type {type(payload).__name__}")
 
 
-def _decode_payload(reader: Reader) -> Any:
-    tag = reader.u8()
-    if tag == PAYLOAD_NONE:
-        return None
+def _presence(reader: Reader) -> bool:
+    """A presence byte is 0 or 1: anything else would decode to a value
+    that does not encode back to the bytes it came from."""
+    flag = reader.u8()
+    if flag > 1:
+        raise WireError(f"presence byte is 0 or 1, got 0x{flag:02x}")
+    return flag == 1
+
+
+def _decode_payload(reader: Reader, nested: bool = False) -> Any:
+    tag = reader.peek()
     if tag == PAYLOAD_OP:
-        length = reader.u32()
+        _, length = reader.unpack(_OP_PAYLOAD_HEAD)
         return decode_op_message(reader.raw(length))
     if tag == PAYLOAD_RELIABLE:
-        seq = reader.u32() - 1
-        epoch = reader.u32()
-        ack = reader.u32() - 1
-        flags = reader.u8()
+        if nested:
+            # No sender wraps a packet in a packet; following a chain
+            # of heads would hand a hostile frame the recursion limit.
+            raise WireError("reliable packet nested in a reliable packet")
+        _, seq, epoch, ack, flags = reader.unpack(_RELIABLE_HEAD)
         if flags & ~(RELIABLE_PROBE | RELIABLE_GAP):
             raise WireError(f"unknown reliable-packet flags 0x{flags:02x}")
-        payload = _decode_payload(reader)
-        return ReliablePacket(seq=seq, epoch=epoch, ack=ack, payload=payload,
+        payload = _decode_payload(reader, nested=True)
+        return ReliablePacket(seq=seq - 1, epoch=epoch, ack=ack - 1, payload=payload,
                               probe=bool(flags & RELIABLE_PROBE),
                               gap=bool(flags & RELIABLE_GAP))
+    reader.u8()  # the cold payloads: the tag, then field by field
+    if tag == PAYLOAD_NONE:
+        return None
     if tag == PAYLOAD_SNAPSHOT:
         document = reader.string()
         base_count = reader.u32()
@@ -264,7 +282,7 @@ def _decode_payload(reader: Reader) -> Any:
             (reader.string(), decode_operation(reader))
             for _ in range(reader.u32())
         )
-        document = reader.string() if reader.u8() == 1 else None
+        document = reader.string() if _presence(reader) else None
         return StateContribution(site=site,
                                  received_from_center=received_from_center,
                                  generated_locally=generated_locally,
@@ -302,19 +320,13 @@ def encode_drained(site: int) -> bytes:
 
 def encode_envelope(envelope: Envelope) -> bytes:
     """One envelope as a DATA frame body (no length prefix)."""
-    writer = Writer()
-    writer.u8(FRAME_DATA)
-    writer.u32(envelope.source)
-    writer.u32(envelope.dest)
-    writer.u32(envelope.timestamp_bytes)
     mid = envelope.message_id
-    writer.u32(0 if mid is None else mid + 1)
-    writer.string(envelope.kind)
+    kind = envelope.kind.encode("utf-8")
+    writer = Writer().pack(
+        _DATA_HEAD, FRAME_DATA, envelope.source, envelope.dest,
+        envelope.timestamp_bytes, 0 if mid is None else mid + 1, len(kind)).raw(kind)
     _encode_payload(envelope.payload, writer)
     return writer.getvalue()
-
-
-_F64 = struct.Struct(">d")
 
 
 def encode_telemetry_frame(tframe: TelemetryFrame) -> bytes:
@@ -330,29 +342,19 @@ def encode_telemetry_frame(tframe: TelemetryFrame) -> bytes:
     writer.u32(TELEMETRY_SCHEMA_VERSION)
     writer.u32(tframe.site)
     writer.string(tframe.role)
-    writer.u32(tframe.seq)
-    writer.raw(_F64.pack(tframe.time))
-    writer.u32(tframe.epoch)
-    writer.u32(tframe.ops_generated)
-    writer.u32(tframe.ops_executed)
-    writer.u32(tframe.holdback_depth)
-    writer.u32(tframe.holdback_high_water)
-    writer.u32(tframe.inflight)
-    writer.u32(tframe.retransmits)
-    writer.u32(tframe.storage_ints)
-    writer.u32(tframe.queue_depth)
-    writer.u32(tframe.elected)
-    writer.u32(tframe.promoted)
-    writer.u32(tframe.resynced)
-    writer.u32(tframe.degraded_queued)
-    writer.string(tframe.digest)
+    digest = tframe.digest.encode("utf-8")
+    writer.pack(
+        _TELEMETRY_GAUGES, tframe.seq, tframe.time, tframe.epoch, tframe.ops_generated,
+        tframe.ops_executed, tframe.holdback_depth, tframe.holdback_high_water,
+        tframe.inflight, tframe.retransmits, tframe.storage_ints,
+        tframe.queue_depth, tframe.elected, tframe.promoted, tframe.resynced,
+        tframe.degraded_queued, len(digest)).raw(digest)
     # v3: optional gauges as u8 presence flag + payload, so a frame
     # without the gauge costs one byte and the encoding stays byte-exact.
     if tframe.e2e_p95_ms is None:
         writer.u8(0)
     else:
-        writer.u8(1)
-        writer.raw(_F64.pack(tframe.e2e_p95_ms))
+        writer.u8(1).f64(tframe.e2e_p95_ms)
     return writer.getvalue()
 
 
@@ -365,30 +367,12 @@ def _decode_telemetry(reader: Reader) -> TelemetryFrame:
         )
     site = reader.u32()
     role = reader.string()
-    seq = reader.u32()
-    time = float(_F64.unpack(reader.raw(8))[0])
+    # ``seq`` to ``degraded_queued``, in declaration order.
+    *gauges, digest_length = reader.unpack(_TELEMETRY_GAUGES)
     tframe = TelemetryFrame(
-        site=site,
-        role=role,
-        seq=seq,
-        time=time,
-        epoch=reader.u32(),
-        ops_generated=reader.u32(),
-        ops_executed=reader.u32(),
-        holdback_depth=reader.u32(),
-        holdback_high_water=reader.u32(),
-        inflight=reader.u32(),
-        retransmits=reader.u32(),
-        storage_ints=reader.u32(),
-        queue_depth=reader.u32(),
-        elected=reader.u32(),
-        promoted=reader.u32(),
-        resynced=reader.u32(),
-        degraded_queued=reader.u32(),
-        digest=reader.string(),
-        e2e_p95_ms=(
-            float(_F64.unpack(reader.raw(8))[0]) if reader.u8() else None
-        ),
+        site, role, *gauges,
+        digest=reader.text(digest_length),
+        e2e_p95_ms=reader.f64() if _presence(reader) else None,
     )
     reader.expect_done()
     return tframe
@@ -402,6 +386,13 @@ def decode_frame(body: bytes) -> FrameValue:
     TELEMETRY -> TelemetryFrame, ROSTER/GOODBYE/DRAINED -> their
     control dataclasses."""
     reader = Reader(body)
+    if reader.peek() == FRAME_DATA:
+        _, source, dest, timestamp_bytes, raw_mid, length = reader.unpack(_DATA_HEAD)
+        kind = reader.text(length)
+        payload = _decode_payload(reader)
+        reader.expect_done()
+        return Envelope(source, dest, payload, timestamp_bytes, kind,
+                        None if raw_mid == 0 else raw_mid - 1)
     tag = reader.u8()
     if tag == FRAME_HELLO:
         pid = reader.u32()
@@ -424,25 +415,14 @@ def decode_frame(body: bytes) -> FrameValue:
         site = reader.u32()
         reader.expect_done()
         return Drained(site=site)
-    if tag != FRAME_DATA:
-        raise WireError(f"unknown frame tag 0x{tag:02x}")
-    source = reader.u32()
-    dest = reader.u32()
-    timestamp_bytes = reader.u32()
-    raw_mid = reader.u32()
-    kind = reader.string()
-    payload = _decode_payload(reader)
-    reader.expect_done()
-    return Envelope(source=source, dest=dest, payload=payload,
-                    timestamp_bytes=timestamp_bytes, kind=kind,
-                    message_id=None if raw_mid == 0 else raw_mid - 1)
+    raise WireError(f"unknown frame tag 0x{tag:02x}")
 
 
 def frame(body: bytes) -> bytes:
     """Prefix a frame body with its u32 length."""
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return Writer().u32(len(body)).getvalue() + body
+    return _LENGTH_PREFIX.pack(len(body)) + body
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
@@ -456,7 +436,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
             f"connection closed mid-prefix ({len(exc.partial)} of "
             f"{LENGTH_PREFIX_BYTES} bytes)"
         ) from exc
-    length = Reader(prefix).u32()
+    (length,) = _LENGTH_PREFIX.unpack(prefix)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
     try:
@@ -487,6 +467,9 @@ class WireChannel:
         self.source = source
         self.dest = dest
         self.writer = writer
+        # Test doubles that only collect bytes have no is_closing().
+        self._is_closing: Callable[[], bool] = getattr(
+            writer, "is_closing", lambda: False)
         self.stats = ChannelStats()
         self.dropped_on_dead_wire = 0
 
@@ -507,8 +490,7 @@ class WireChannel:
             )
         if envelope.message_id is None:
             envelope.message_id = self.sched.next_message_id()
-        is_closing = getattr(self.writer, "is_closing", None)
-        if is_closing is not None and is_closing():
+        if self._is_closing():
             self.dropped_on_dead_wire += 1
             return self.sched.now
         self.stats.messages += 1
@@ -550,25 +532,22 @@ async def pump(reader: asyncio.StreamReader,
         if body is None:
             break
         decoded = decode_frame(body)
-        if isinstance(decoded, TelemetryFrame):
+        if isinstance(decoded, Envelope):
+            on_envelope(decoded)
+        elif isinstance(decoded, TelemetryFrame):
             if on_telemetry is not None:
                 on_telemetry(decoded)
-            continue
-        if isinstance(decoded, Roster):
+        elif isinstance(decoded, Roster):
             if on_roster is not None:
                 on_roster(decoded)
-            continue
-        if isinstance(decoded, Goodbye):
+        elif isinstance(decoded, Goodbye):
             if on_goodbye is not None:
                 on_goodbye()
-            continue
-        if isinstance(decoded, Drained):
+        elif isinstance(decoded, Drained):
             if on_drained is not None:
                 on_drained(decoded)
-            continue
-        if not isinstance(decoded, Envelope):
+        else:
             raise WireError("unexpected HELLO frame after handshake")
-        on_envelope(decoded)
 
 
 # -- dialing with backoff ------------------------------------------------------

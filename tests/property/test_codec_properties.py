@@ -2,13 +2,15 @@
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.editor.recorder import TraceEntry, op_from_json, op_to_json
-from repro.editor.messages import OpMessage
+from repro.editor.messages import OpMessage, SnapshotMessage, StateContribution
 from repro.net.codec import (
+    CodecError,
     Reader,
     Writer,
     decode_op_message,
@@ -18,7 +20,16 @@ from repro.net.codec import (
 )
 from repro.net.reliability import ReliablePacket
 from repro.net.transport import Envelope
-from repro.net.wire import decode_frame, encode_envelope
+from repro.net.wire import (
+    decode_frame,
+    encode_drained,
+    encode_envelope,
+    encode_goodbye,
+    encode_hello,
+    encode_roster,
+    encode_telemetry_frame,
+)
+from repro.obs.telemetry import TelemetryFrame
 from repro.ot.operations import Delete, Identity, Insert, OperationGroup
 
 short_text = st.text(alphabet=string.printable, max_size=12)
@@ -78,6 +89,62 @@ unsequenced_packets = st.builds(
     gap=st.booleans(),
 )
 
+u32s = st.integers(0, 2**32 - 1)
+
+snapshots = st.builds(
+    SnapshotMessage,
+    document=short_text,
+    base_count=u32s,
+    own_count=u32s,
+    notifier_epoch=u32s,
+    incorporated=st.frozensets(op_ids, max_size=3),
+)
+
+contributions = st.builds(
+    StateContribution,
+    site=u32s,
+    received_from_center=u32s,
+    generated_locally=u32s,
+    received_per_origin=st.dictionaries(u32s, u32s, max_size=3),
+    pending=st.lists(st.tuples(op_ids, operations), max_size=3).map(tuple),
+    document=st.one_of(st.none(), short_text),
+)
+
+telemetry_frames = st.builds(
+    TelemetryFrame,
+    site=u32s,
+    role=st.sampled_from(["notifier", "client"]),
+    seq=u32s,
+    time=st.floats(allow_nan=False),
+    epoch=u32s,
+    retransmits=u32s,
+    degraded_queued=u32s,
+    digest=short_text,
+    e2e_p95_ms=st.one_of(st.none(), st.floats(allow_nan=False)),
+)
+
+#: One valid body per frame tag and payload tag, as the senders write them.
+frame_bodies = st.one_of(
+    st.builds(
+        encode_envelope,
+        st.builds(
+            Envelope,
+            source=u32s,
+            dest=u32s,
+            payload=st.one_of(st.none(), messages, sequenced_packets,
+                              unsequenced_packets, snapshots, contributions),
+            timestamp_bytes=u32s,
+            kind=short_text,
+            message_id=st.one_of(st.none(), st.integers(0, 2**32 - 2)),
+        ),
+    ),
+    st.builds(encode_telemetry_frame, telemetry_frames),
+    st.builds(encode_hello, u32s, u32s),
+    st.builds(encode_roster, st.dictionaries(u32s, u32s, max_size=3)),
+    st.builds(encode_drained, u32s),
+    st.just(encode_goodbye()),
+)
+
 
 class TestCodecProperties:
     @given(operations)
@@ -112,6 +179,37 @@ class TestWireProperties:
         envelope = Envelope(source=1, dest=0, payload=packet, kind="rel",
                             message_id=3)
         assert decode_frame(encode_envelope(envelope)) == envelope
+
+    @given(frame_bodies)
+    @settings(max_examples=150)
+    def test_data_and_telemetry_bodies_roundtrip_byte_for_byte(self, body):
+        decoded = decode_frame(body)
+        if isinstance(decoded, Envelope):
+            assert encode_envelope(decoded) == body
+        elif isinstance(decoded, TelemetryFrame):
+            assert encode_telemetry_frame(decoded) == body
+
+    @given(frame_bodies)
+    @settings(max_examples=150)
+    def test_a_torn_frame_body_is_a_typed_error(self, body):
+        """Every strict prefix: no field is optional at the end of a frame
+        except the op-message trailer, and that sits inside a length."""
+        for cut in range(len(body)):
+            with pytest.raises(CodecError):  # WireError is one
+                decode_frame(body[:cut])
+
+    @given(frame_bodies, st.data())
+    @settings(max_examples=400)
+    def test_a_corrupted_frame_body_decodes_or_is_a_typed_error(self, body, data):
+        """One byte changed anywhere: a value, or CodecError / WireError --
+        never struct.error, IndexError, UnicodeDecodeError, RecursionError."""
+        garbled = bytearray(body)
+        offset = data.draw(st.integers(0, len(body) - 1))
+        garbled[offset] ^= data.draw(st.integers(1, 255))
+        try:
+            decode_frame(bytes(garbled))
+        except CodecError:
+            pass
 
 
 class TestTraceProperties:

@@ -178,6 +178,45 @@ def test_on_hello_fires_once_per_member_and_never_for_a_rejected_one() -> None:
     run({1, 2}, body)
 
 
+def test_connections_that_are_over_leave_the_inbound_table() -> None:
+    """Fifty strangers are turned away and forgotten: what ``close()`` has
+    to see off is the live connections, however many came and went."""
+    async def body(lo: Loopback) -> None:
+        await lo.member(1)
+        await until(lambda: lo.hellos == [1])
+        for stranger in range(50):
+            reader, _writer = await lo.member(100 + stranger)
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        await until(lambda: len(lo.hub._inbound) == 1)
+        assert lo.hub.rejected == 50 and set(lo.hub.writers) == {1}
+
+    run({1, 2}, body)  # close() ends clean: the loop is checked empty
+
+
+def test_a_member_that_garbles_a_frame_is_hung_up_on_without_noise(
+    capfd, caplog,
+) -> None:
+    """Bytes that are not UTF-8 where a string belongs, and an op message
+    cut short inside its length: both are ``CodecError`` (not the
+    ``WireError`` subclass), and neither may escape the handler task."""
+    good = encode_envelope(Envelope(source=1, dest=0, payload=None, kind="ok"))
+    not_utf8 = bytearray(good)
+    not_utf8[21] = 0xFF  # first byte of the kind string
+    torn_op = good[:-1] + b"\x01\x00\x00\x00\x03abc"  # PAYLOAD_OP, 3 bytes
+
+    async def body(lo: Loopback) -> None:
+        for member, garbled in ((1, bytes(not_utf8)), (2, torn_op)):
+            reader, writer = await lo.member(member)
+            writer.write(frame(good) + frame(garbled) + frame(good))
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        await until(lambda: lo.hub.hung_up == {1, 2})
+        assert [e.kind for e in lo.endpoint.messages] == ["ok", "ok"]
+
+    run({1, 2}, body)
+    assert capfd.readouterr().err == ""
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
 def test_close_with_members_connected_leaves_no_task_and_no_noise(
     capfd, caplog,
 ) -> None:

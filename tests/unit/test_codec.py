@@ -1,10 +1,13 @@
 """Unit tests for the binary wire codec (repro.net.codec)."""
 
+import struct
+
 import pytest
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
 from repro.net.codec import (
+    MAX_GROUP_DEPTH,
     TIMESTAMP_WIRE_BYTES,
     CodecError,
     Reader,
@@ -52,6 +55,36 @@ class TestPrimitives:
         with pytest.raises(CodecError, match="trailing"):
             reader.expect_done()
 
+    def test_a_run_is_packed_and_unpacked_whole(self):
+        layout = struct.Struct(">BIId")
+        wire = Writer().pack(layout, 7, 0xFFFFFFFF, 0, 2.5).getvalue()
+        assert len(wire) == layout.size == 17
+        reader = Reader(wire + b"\x09")
+        assert reader.unpack(layout) == (7, 0xFFFFFFFF, 0, 2.5)
+        assert reader.peek() == 9 and not reader.done()  # peek consumes nothing
+        assert reader.u8() == 9 and reader.done()
+
+    @pytest.mark.parametrize("values", [(256, 0), (0, -1), (0, 2**32), (0, "x")])
+    def test_a_value_that_does_not_fit_its_field_is_a_codec_error(self, values):
+        with pytest.raises(CodecError, match="do not fit"):
+            Writer().pack(struct.Struct(">BI"), *values)
+
+    def test_a_short_run_is_truncation_and_consumes_nothing(self):
+        reader = Reader(b"\x01\x00\x00")
+        with pytest.raises(CodecError, match="truncated.*wanted 5 bytes at offset 0"):
+            reader.unpack(struct.Struct(">BI"))
+        assert reader.u8() == 1
+        with pytest.raises(CodecError, match="truncated"):
+            Reader(b"").peek()
+
+    def test_invalid_utf8_is_a_codec_error(self):
+        """Hostile wire: the bytes of a string are outside input too."""
+        wire = Writer().u32(2).raw(b"\xc3\x28").getvalue()
+        with pytest.raises(CodecError, match="UTF-8"):
+            Reader(wire).string()
+        with pytest.raises(CodecError, match="UTF-8"):
+            Reader(b"\xff").text(1)
+
 
 class TestOperationCodec:
     @pytest.mark.parametrize(
@@ -73,6 +106,23 @@ class TestOperationCodec:
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown operation tag"):
             decode_operation(Reader(b"\x7f"))
+
+    def test_group_nesting_is_bounded_and_typed(self):
+        def nested(depth: int) -> bytes:
+            writer = Writer()
+            for _ in range(depth):
+                writer.u8(0x04).u32(1)  # TAG_GROUP, one member
+            return writer.u8(0x03).getvalue()  # TAG_IDENTITY
+
+        op = decode_operation(Reader(nested(MAX_GROUP_DEPTH)))
+        for _ in range(MAX_GROUP_DEPTH):
+            (op,) = op.members
+        assert op == Identity()
+        with pytest.raises(CodecError, match="nested deeper"):
+            decode_operation(Reader(nested(MAX_GROUP_DEPTH + 1)))
+        # What used to end in RecursionError: 5 000 group heads, 25 KB.
+        with pytest.raises(CodecError, match="nested deeper"):
+            decode_operation(Reader(nested(5000)))
 
     def test_unencodable_type_rejected(self):
         with pytest.raises(CodecError):

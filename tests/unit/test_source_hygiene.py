@@ -13,9 +13,12 @@ import rules this repo relies on are checked here, in tier-1:
 plus a vocabulary rule: the spellings of the deleted compatibility
 layer, and of readers deleted for having no production caller, stay
 deleted; a boundary rule: ``repro.cluster`` reads no underscore name of
-an object it does not own; and one rule for the workflow file, which no build
-image ever runs: a CI job that imports ``repro`` installs what
-``pyproject.toml`` says ``repro`` depends on.
+an object it does not own; a codec rule: under ``repro.net`` a
+``struct.Struct`` is packed and unpacked inside ``Writer`` / ``Reader``
+only, so ``struct.error`` has one place to become ``CodecError``; and one
+rule for the workflow file, which no build image ever runs: a CI job
+that imports ``repro`` installs what ``pyproject.toml`` says ``repro``
+depends on.
 """
 
 from __future__ import annotations
@@ -129,6 +132,71 @@ def test_cluster_reads_no_foreign_underscore_name(path: Path) -> None:
                  and node.value.id in ("self", "cls"))
     ]
     assert not reach_ins, "\n".join(reach_ins)
+
+
+NET = [path for path in MODULES if path.parent.name == "net"]
+STRUCT_METHODS = {"pack", "pack_into", "unpack", "unpack_from", "iter_unpack"}
+#: The top-level scopes that may touch a layout directly: the two codec
+#: primitives, and the stream's 4-byte length prefix (``frame`` checks
+#: the 16 MiB guard first and ``read_frame`` unpacks exactly the four
+#: bytes it read, so neither can see ``struct.error``).
+STRUCT_HOMES = {"codec.py": {"Writer", "Reader"}, "wire.py": {"frame", "read_frame"}}
+
+
+def _is_struct_struct(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("struct.Struct", "Struct"))
+
+
+def _layout_names(trees: list[ast.Module]) -> set[str]:
+    """Every module-level name bound to a ``struct.Struct(...)``."""
+    return {
+        target.id
+        for tree in trees for node in tree.body
+        if isinstance(node, ast.Assign) and _is_struct_struct(node.value)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
+def _struct_uses_outside(tree: ast.Module, homes: set[str],
+                         layouts: set[str]) -> list[str]:
+    """Lines that pack, unpack or catch ``struct`` outside ``homes``."""
+    found = []
+    for scope in tree.body:
+        if getattr(scope, "name", None) in homes:
+            continue
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Attribute):
+                continue
+            on = node.value
+            if ast.unparse(node) == "struct.error" or (
+                node.attr in STRUCT_METHODS and (
+                    _is_struct_struct(on)
+                    or isinstance(on, ast.Name) and on.id in layouts | {"struct"})):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_layouts_are_packed_and_unpacked_by_writer_and_reader_only() -> None:
+    trees = {path: ast.parse(path.read_text()) for path in NET}
+    layouts = _layout_names(list(trees.values()))
+    assert {"_U32", "_OP_HEAD", "_DATA_HEAD", "_LENGTH_PREFIX"} <= layouts
+    hits = [
+        f"{path.name}:{hit}"
+        for path, tree in trees.items()
+        for hit in _struct_uses_outside(tree, STRUCT_HOMES.get(path.name, set()), layouts)
+    ]
+    assert not hits, "\n".join(hits)
+    # The rule sees what it is for: each spelling of a stray pack/unpack.
+    planted = ast.parse(
+        "def f(data):\n"
+        "    try:\n"
+        "        return _U32.unpack(data), struct.pack('>I', 1)\n"
+        "    except struct.error:\n"
+        "        return struct.Struct('>B').unpack_from(data)\n"
+        "class Writer:\n"
+        "    def pack(self, layout): return _U32.pack(1)\n")
+    assert len(_struct_uses_outside(planted, {"Writer"}, layouts)) == 4
 
 
 def _ci_jobs() -> dict[str, list[str]]:

@@ -22,7 +22,7 @@ from repro.editor.messages import (
     StateContribution,
 )
 from repro.net.channel import FIFOChannel, FixedLatency
-from repro.net.codec import encode_op_message
+from repro.net.codec import CodecError, Reader, Writer, encode_op_message
 from repro.net.reliability import ReliablePacket
 from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
@@ -42,10 +42,12 @@ from repro.net.wire import (
     encode_goodbye,
     encode_hello,
     encode_roster,
+    encode_telemetry_frame,
     frame,
     pump,
     read_frame,
 )
+from repro.obs.telemetry import TelemetryFrame
 from repro.ot.operations import Delete, Insert
 
 
@@ -145,6 +147,91 @@ def test_unknown_reliable_flag_bits_are_rejected(flags: int) -> None:
     body[-2] = flags
     with pytest.raises(WireError, match="flags"):
         decode_frame(bytes(body))
+
+
+def test_reliable_packet_nested_in_a_reliable_packet_is_rejected() -> None:
+    """No sender nests them, so the decoder does not follow them: a frame
+    of 5 000 reliable heads (70 KB) used to end in RecursionError."""
+    head = encode_envelope(Envelope(
+        source=1, dest=0, kind="rel",
+        payload=ReliablePacket(seq=0, epoch=0, ack=-1)))[:-1]  # minus PAYLOAD_NONE
+    reliable = head[-14:]
+    assert reliable[0] == 0x02 and len(head) == 21 + len("rel") + 14
+    for depth in (2, 5000):
+        with pytest.raises(WireError, match="nested"):
+            decode_frame(head + reliable * (depth - 1) + b"\x00")
+
+
+def test_group_nesting_in_a_data_frame_is_bounded_and_typed() -> None:
+    body = bytearray(encode_envelope(Envelope(
+        source=1, dest=0, payload=_op_message(), timestamp_bytes=8, message_id=7)))
+    insert = bytes(body[-10:])  # tag, pos, text length, "x"
+    assert insert[0] == 0x01
+    groups = b"\x04\x00\x00\x00\x01" * 5000
+    op_body = bytes(body[28:-10]) + groups + insert
+    hostile = bytes(body[:24]) + len(op_body).to_bytes(4, "big") + op_body
+    with pytest.raises(CodecError, match="nested deeper"):
+        decode_frame(hostile)
+
+
+def test_invalid_utf8_in_a_data_frame_is_a_codec_error() -> None:
+    """One flipped byte of ``kind`` or of an op id: neither UnicodeDecodeError
+    nor anything else a pump's ``except CodecError`` would miss."""
+    body = bytearray(encode_envelope(Envelope(
+        source=1, dest=0, payload=_op_message(), timestamp_bytes=8, message_id=7)))
+    for offset in (21, body.index(b"1-1")):  # first byte of "op", of the op id
+        garbled = bytearray(body)
+        garbled[offset] = 0xFF
+        with pytest.raises(CodecError, match="UTF-8"):
+            decode_frame(bytes(garbled))
+
+
+def _absent_document() -> bytes:
+    return encode_envelope(Envelope(
+        source=2, dest=0, kind="contrib",
+        payload=StateContribution(site=2, received_from_center=0,
+                                  generated_locally=0)))
+
+
+def _absent_p95() -> bytes:
+    return encode_telemetry_frame(
+        TelemetryFrame(site=1, role="client", seq=0, time=0.0))
+
+
+@pytest.mark.parametrize("flag", [0x02, 0x07, 0xFF])
+@pytest.mark.parametrize("encoded", [_absent_document, _absent_p95])
+def test_presence_bytes_are_zero_or_one(encoded, flag: int) -> None:
+    """Any other byte would decode to a value that encodes back to
+    different bytes (7 used to read as "no document")."""
+    body = bytearray(encoded())
+    assert body[-1] == 0x00 and decode_frame(bytes(body)) is not None
+    body[-1] = flag
+    with pytest.raises(WireError, match="presence"):
+        decode_frame(bytes(body))
+
+
+def test_a_data_frame_is_a_handful_of_runs_not_a_call_per_field(monkeypatch) -> None:
+    """The per-layer budget of the DATA path, counted: six ``Writer.pack``
+    and six ``Reader.unpack`` calls at most for an insert's frame (five
+    each today: frame head, payload head, message head, source-id
+    length, operation).  One call per field would be fourteen."""
+    calls = {"pack": 0, "unpack": 0}
+
+    def counting(cls: type, name: str) -> None:
+        inner = getattr(cls, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return inner(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(Writer, "pack")
+    counting(Reader, "unpack")
+    envelope = Envelope(source=1, dest=0, payload=_op_message(source="1-0"),
+                        timestamp_bytes=8, kind="op", message_id=7)
+    assert decode_frame(encode_envelope(envelope)) == envelope
+    assert 0 < calls["pack"] <= 6 and 0 < calls["unpack"] <= 6, calls
 
 
 def test_snapshot_roundtrip() -> None:
