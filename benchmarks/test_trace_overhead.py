@@ -1,23 +1,17 @@
-"""Tracing overhead guard: the disabled path must be (nearly) free.
+"""Tracing overhead report: what an attached tracer costs.
 
 The observability layer's overhead contract (see DESIGN.md and
 :mod:`repro.obs.tracer`): every hook site guards emission with a single
 ``if self.tracer is not None`` attribute check, so a session constructed
 without a tracer -- the un-instrumented baseline -- pays one pointer
-comparison per hook and nothing else.  A session holding a *muted*
-tracer (``Tracer(enabled=False)``) additionally pays one early-returning
-method call per hook.
+comparison per hook and nothing else.  "No tracer" and "a tracer" are
+the only two states.
 
-This guard runs the same deterministic session in three configurations
-and asserts the muted-tracer run stays within 10% of the baseline
-(min-of-N timing, interleaved to decorrelate machine noise).  The
-fully-enabled run is reported for context but not bounded -- recording
-events is allowed to cost what it costs.
-
-The bound was 5% while the baseline session swept an ever-growing
-history on every arrival; with the history pruned at the acknowledgement
-horizon the same 48-op session costs about half as much, so the muted
-path's unchanged ~8 us/op reads as ~7.5% of it.
+This runs the same deterministic session in both (min-of-N timing,
+interleaved to decorrelate machine noise) and reports the ratio.  The
+enabled run is not bounded -- recording events is allowed to cost what
+it costs, and a percentage of a 5 ms session is not a gate (ROADMAP
+1(g) moves the bound to perfbench's long workloads).
 """
 
 import time
@@ -50,10 +44,9 @@ def timed(tracer_factory) -> float:
     return time.perf_counter() - start
 
 
-def test_disabled_tracing_within_10_percent_of_baseline():
+def test_enabled_tracing_is_reported_against_the_baseline():
     variants = {
         "baseline (no tracer)": lambda: None,
-        "muted (enabled=False)": lambda: Tracer(enabled=False),
         "enabled": lambda: Tracer(),
     }
     # Warm-up: import costs, allocator and OT caches out of the timings.
@@ -64,8 +57,6 @@ def test_disabled_tracing_within_10_percent_of_baseline():
         for name, factory in variants.items():
             best[name] = min(best[name], timed(factory))
     baseline = best["baseline (no tracer)"]
-    muted = best["muted (enabled=False)"]
-    enabled = best["enabled"]
     emit(
         "Tracing overhead (same deterministic session, min of "
         f"{REPEATS} runs)",
@@ -75,12 +66,6 @@ def test_disabled_tracing_within_10_percent_of_baseline():
             for name, seconds in best.items()
         ),
     )
-    assert muted <= baseline * 1.10, (
-        f"muted tracing cost {muted / baseline:.3f}x the un-instrumented "
-        f"baseline ({muted * 1000:.2f} ms vs {baseline * 1000:.2f} ms); "
-        "the disabled path must stay a no-op attribute check"
-    )
     # Sanity: the enabled run really did record the session.
     session = run_session(Tracer())
     assert len(session.trace_events()) > 0
-    del enabled

@@ -33,20 +33,19 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.viz` -- ASCII renderings of the paper's figures.
 """
 
-from repro.core import (
-    ClientStateVector,
-    CompressedTimestamp,
-    FullTimestamp,
-    HistoryBuffer,
-    NotifierStateVector,
-    OriginKind,
-    client_concurrent,
-    notifier_concurrent,
-)
-from repro.ot import Delete, Insert, TextOperation, transform_pair
-from repro.clocks import LamportClock, VectorClock
-from repro.editor import MeshSession, StarSession
-from repro.analysis import CausalityOracle, check_divergence
+from repro.core.state_vector import ClientStateVector, NotifierStateVector
+from repro.core.timestamp import CompressedTimestamp, FullTimestamp, OriginKind
+from repro.core.concurrency import client_concurrent, notifier_concurrent
+from repro.core.history import HistoryBuffer
+from repro.ot.operations import Delete, Insert
+from repro.ot.transform import transform_pair
+from repro.ot.component import TextOperation
+from repro.clocks.lamport import LamportClock
+from repro.clocks.vector import VectorClock
+from repro.editor.mesh import MeshSession
+from repro.editor.star import StarSession
+from repro.analysis.causality import CausalityOracle
+from repro.analysis.consistency import check_divergence
 
 __version__ = "1.0.0"
 

@@ -1,15 +1,1 @@
 """Verification oracles: causality ground truth and consistency checks."""
-
-from repro.analysis.causality import CausalityOracle
-from repro.analysis.consistency import (
-    DivergenceReport,
-    check_divergence,
-    intention_preserved_pair,
-)
-
-__all__ = [
-    "CausalityOracle",
-    "DivergenceReport",
-    "check_divergence",
-    "intention_preserved_pair",
-]

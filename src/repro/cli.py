@@ -163,23 +163,77 @@ def _parse_outage(spec: str):
     return (float(parts[0]), float(parts[1]))
 
 
+def _add_fault_args(parser: argparse.ArgumentParser, drop: float, dup: float) -> None:
+    """The seven fault flags, declared once for ``session`` and ``trace``.
+
+    ``--drop`` / ``--dup`` default to ``None`` (not given), so giving
+    either one enables the plan; ``drop`` / ``dup`` are what the
+    sub-command uses for the one not given once a plan exists.
+    """
+    parser.set_defaults(fault_fallback=(drop, dup))
+    parser.add_argument(
+        "--faults",
+        action="store_true",
+        help="run under a fault plan (enables the reliability protocol; "
+        f"defaults to --drop {drop} --dup {dup}, combine with "
+        "--drop/--dup/--crash/--outage)",
+    )
+    parser.add_argument(
+        "--drop", type=float, default=None, help="per-message drop probability"
+    )
+    parser.add_argument(
+        "--dup", type=float, default=None, help="per-message duplication probability"
+    )
+    parser.add_argument(
+        "--crash",
+        type=_parse_crash,
+        action="append",
+        metavar="SITE:AT:RESTART_AT",
+        help="crash a client at AT, restart at RESTART_AT (repeatable)",
+    )
+    parser.add_argument(
+        "--outage",
+        type=_parse_outage,
+        action="append",
+        metavar="START:END",
+        help="burst outage window on every channel (repeatable)",
+    )
+    parser.add_argument(
+        "--crash-notifier",
+        type=float,
+        default=None,
+        metavar="AT",
+        help="crash the notifier at virtual time AT; a surviving client "
+        "is elected and promoted to the centre role",
+    )
+    parser.add_argument(
+        "--standby",
+        type=int,
+        default=None,
+        metavar="SITE",
+        help="warm-standby site preferred as failover successor "
+        "(requires a fault plan; default: lowest live site id)",
+    )
+
+
 def _build_fault_plan(args: argparse.Namespace):
     from repro.net.faults import ChannelFaults, FaultPlan, NotifierCrash
 
     if not (
         args.faults
-        or args.drop
-        or args.dup
+        or args.drop is not None
+        or args.dup is not None
         or args.crash
         or args.outage
         or args.crash_notifier is not None
     ):
         return None
+    drop, dup = args.fault_fallback
     return FaultPlan(
         seed=args.seed,
         default=ChannelFaults(
-            drop_p=args.drop,
-            dup_p=args.dup,
+            drop_p=args.drop if args.drop is not None else drop,
+            dup_p=args.dup if args.dup is not None else dup,
             outages=tuple(args.outage or ()),
         ),
         crashes=tuple(args.crash or ()),
@@ -268,14 +322,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         insert_ratio=args.insert_ratio,
     )
 
-    # Unlike ``session``, ``trace`` has nonzero --drop/--dup defaults
-    # (so bare ``--faults`` means a genuinely lossy network); faults are
-    # therefore keyed on the explicit flags only.
     try:
-        if args.faults or args.crash or args.outage or args.crash_notifier is not None:
-            fault_plan = _build_fault_plan(args)
-        else:
-            fault_plan = None
+        fault_plan = _build_fault_plan(args)
     except ValueError as exc:
         print(f"invalid fault plan: {exc}", file=sys.stderr)
         return 2
@@ -476,48 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="verify every concurrency verdict against full vector clocks",
     )
-    p_sess.add_argument(
-        "--faults",
-        action="store_true",
-        help="run under a fault plan (enables the reliability protocol; "
-        "combine with --drop/--dup/--crash/--outage)",
-    )
-    p_sess.add_argument(
-        "--drop", type=float, default=0.0, help="per-message drop probability"
-    )
-    p_sess.add_argument(
-        "--dup", type=float, default=0.0, help="per-message duplication probability"
-    )
-    p_sess.add_argument(
-        "--crash",
-        type=_parse_crash,
-        action="append",
-        metavar="SITE:AT:RESTART_AT",
-        help="crash a client at AT, restart at RESTART_AT (repeatable)",
-    )
-    p_sess.add_argument(
-        "--outage",
-        type=_parse_outage,
-        action="append",
-        metavar="START:END",
-        help="burst outage window on every channel (repeatable)",
-    )
-    p_sess.add_argument(
-        "--crash-notifier",
-        type=float,
-        default=None,
-        metavar="AT",
-        help="crash the notifier at virtual time AT; a surviving client "
-        "is elected and promoted to the centre role",
-    )
-    p_sess.add_argument(
-        "--standby",
-        type=int,
-        default=None,
-        metavar="SITE",
-        help="warm-standby site preferred as failover successor "
-        "(requires a fault plan; default: lowest live site id)",
-    )
+    _add_fault_args(p_sess, drop=0.0, dup=0.0)
     p_sess.set_defaults(func=cmd_session)
 
     p_trace = sub.add_parser(
@@ -529,49 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--ops", type=int, default=6)
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--insert-ratio", type=float, default=0.7)
-    p_trace.add_argument(
-        "--faults",
-        action="store_true",
-        help="run under a fault plan (enables the reliability protocol; "
-        "defaults to --drop 0.05 --dup 0.02, combine with "
-        "--drop/--dup/--crash/--outage)",
-    )
-    p_trace.add_argument(
-        "--drop", type=float, default=0.05, help="per-message drop probability"
-    )
-    p_trace.add_argument(
-        "--dup", type=float, default=0.02, help="per-message duplication probability"
-    )
-    p_trace.add_argument(
-        "--crash",
-        type=_parse_crash,
-        action="append",
-        metavar="SITE:AT:RESTART_AT",
-        help="crash a client at AT, restart at RESTART_AT (repeatable)",
-    )
-    p_trace.add_argument(
-        "--outage",
-        type=_parse_outage,
-        action="append",
-        metavar="START:END",
-        help="burst outage window on every channel (repeatable)",
-    )
-    p_trace.add_argument(
-        "--crash-notifier",
-        type=float,
-        default=None,
-        metavar="AT",
-        help="crash the notifier at virtual time AT; a surviving client "
-        "is elected and promoted to the centre role",
-    )
-    p_trace.add_argument(
-        "--standby",
-        type=int,
-        default=None,
-        metavar="SITE",
-        help="warm-standby site preferred as failover successor "
-        "(requires a fault plan; default: lowest live site id)",
-    )
+    _add_fault_args(p_trace, drop=0.05, dup=0.02)
     p_trace.add_argument(
         "--out", default="trace", help="artefact path prefix (default: trace)"
     )

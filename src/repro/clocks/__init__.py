@@ -14,54 +14,6 @@ The paper positions its constant-size-2 scheme against three families:
 These are real implementations, used both as correctness oracles (the
 compressed scheme's concurrency verdicts must agree with full vector
 clocks) and as baselines in the overhead benchmarks (CLAIM-OVH /
-CLAIM-MEM in DESIGN.md).
-
-:mod:`repro.clocks.base` defines :class:`ClockProtocol`, the uniform
-tick/timestamp/merge/compare/storage interface every family implements
-(via a thin adapter per family), and :data:`CLOCK_FAMILIES`, the
-registry the conformance suite iterates over.
+CLAIM-MEM in DESIGN.md).  :mod:`repro.clocks.dimension` makes the
+Charron-Bost bound the paper cites executable (DIM in DESIGN.md).
 """
-
-from repro.clocks.base import (
-    CLOCK_FAMILIES,
-    ClockFamily,
-    ClockProtocol,
-    CompressedClockSite,
-    FZClockSite,
-    LamportClockSite,
-    MatrixClockSite,
-    SKClockSite,
-    VectorClockSite,
-)
-from repro.clocks.dimension import ProjectedClockSite
-from repro.clocks.lamport import LamportClock
-from repro.clocks.vector import Ordering, VectorClock, compare, concurrent, happened_before
-from repro.clocks.sk import SKMessage, SKProcess
-from repro.clocks.fz import FZProcess, reconstruct_vector_times
-from repro.clocks.events import Event, EventKind, EventLog
-
-__all__ = [
-    "LamportClock",
-    "VectorClock",
-    "Ordering",
-    "compare",
-    "concurrent",
-    "happened_before",
-    "SKProcess",
-    "SKMessage",
-    "FZProcess",
-    "reconstruct_vector_times",
-    "Event",
-    "EventKind",
-    "EventLog",
-    "ClockProtocol",
-    "ClockFamily",
-    "CLOCK_FAMILIES",
-    "VectorClockSite",
-    "MatrixClockSite",
-    "SKClockSite",
-    "FZClockSite",
-    "LamportClockSite",
-    "CompressedClockSite",
-    "ProjectedClockSite",
-]

@@ -26,9 +26,8 @@ This module makes the bound concrete:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional
 
-from repro.clocks.vector import Ordering, VectorClock, compare
+from repro.clocks.vector import VectorClock
 
 
 def crown_execution(n: int) -> tuple[dict[str, VectorClock], dict[str, int]]:
@@ -103,60 +102,3 @@ def min_faithful_projection_size(clocks: dict[str, VectorClock]) -> int:
             if projection_is_faithful(clocks, coords):
                 return k
     return n
-
-
-class ProjectedClockSite:
-    """A vector-clock site that *answers* from a coordinate projection.
-
-    The site maintains the full N-entry vector internally (merging needs
-    it), but :meth:`snapshot` exposes only the selected coordinates and
-    :meth:`compare` decides from them alone -- exactly the restricted
-    comparison of :func:`projection_is_faithful`.  With all N coordinates
-    this is the plain vector clock; with fewer, it is faithful only when
-    the computation's induced order has dimension <= ``len(coords)``,
-    which is what the Charron-Bost demonstration probes.
-
-    Registered in :data:`repro.clocks.base.CLOCK_FAMILIES` with the full
-    coordinate set, so the conformance suite exercises the faithful
-    configuration.
-    """
-
-    decides_online = True
-
-    def __init__(
-        self, pid: int, n: int, coords: Optional[Iterable[int]] = None
-    ) -> None:
-        self.pid = pid
-        self.vc = VectorClock.zero(n)
-        self.coords = tuple(range(n)) if coords is None else tuple(coords)
-        if not self.coords:
-            raise ValueError("projection needs at least one coordinate")
-        if any(not 0 <= c < n for c in self.coords):
-            raise ValueError(f"coordinates {self.coords} out of range for n={n}")
-
-    def tick(self) -> None:
-        self.vc = self.vc.tick(self.pid)
-
-    def timestamp(self, dest: int) -> VectorClock:
-        self.tick()
-        return self.vc
-
-    def merge(self, source: int, wire: VectorClock) -> None:
-        self.vc = self.vc.merge(wire).tick(self.pid)
-
-    def snapshot(self) -> VectorClock:
-        """The projected clock value: only the selected coordinates."""
-        return VectorClock.of(self.vc[c] for c in self.coords)
-
-    def compare(self, a: VectorClock, b: VectorClock) -> Optional[Ordering]:
-        return compare(a, b)
-
-    def storage_ints(self) -> int:
-        """The projection's resident cost -- what a site would keep if
-        the projection were known faithful for its computation."""
-        return len(self.coords)
-
-    def timestamp_bytes(self, wire: VectorClock) -> int:
-        from repro.net.transport import INT_WIDTH
-
-        return INT_WIDTH * len(self.coords)

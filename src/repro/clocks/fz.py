@@ -79,12 +79,6 @@ class FZProcess:
         self.dep[message.sender] = max(self.dep[message.sender], message.sender_event)
         return self._record()
 
-    def storage_ints(self) -> int:
-        """Resident integers per site: the N-entry direct-dependency
-        vector plus the event counter (the ever-growing log is offline
-        state, not part of the online clock)."""
-        return self.n + 1
-
 
 def reconstruct_vector_times(
     processes: list[FZProcess],

@@ -11,7 +11,7 @@ Included for two reasons:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -36,25 +36,3 @@ class LamportClock:
         self.time = max(self.time, message_time) + 1
         return self.time
 
-    def storage_ints(self) -> int:
-        """Resident integers a site pays to hold this clock: 1."""
-        return 1
-
-
-@dataclass(frozen=True, order=True)
-class TotalOrderKey:
-    """A total order on events extending the causal order.
-
-    ``lamport`` strictly increases along every causal edge, so sorting by
-    ``(lamport, site, seq)`` yields a linearisation of happened-before --
-    the serialisation baseline of paper Section 2.2 ("divergence can
-    always be resolved by a serialization protocol").
-    """
-
-    lamport: int
-    site: int
-    seq: int = field(default=0)
-
-    @staticmethod
-    def size_bytes() -> int:
-        return 12

@@ -130,21 +130,6 @@ def concurrent(a: VectorClock, b: VectorClock) -> bool:
     return compare(a, b) is Ordering.CONCURRENT
 
 
-def event_concurrent(
-    ta: VectorClock, tb: VectorClock, site_a: int, site_b: int
-) -> bool:
-    """Paper formula (3): concurrency via the originating sites' entries.
-
-    For *event timestamps* (clock values taken at the events themselves),
-    ``Oa || Ob  <=>  T_Oa[x] > T_Ob[x] and T_Ob[y] > T_Oa[y]`` where
-    ``x``/``y`` are the generating sites.  Equivalent to
-    :func:`concurrent` for well-formed event timestamps, but implemented
-    separately because the compressed checks (formulas 4-7) derive from
-    this form.
-    """
-    return ta[site_a] > tb[site_a] and tb[site_b] > ta[site_b]
-
-
 def bulk_concurrent(clocks_a: Sequence[VectorClock], clocks_b: Sequence[VectorClock]) -> np.ndarray:
     """Vectorised pairwise concurrency check for equal-length sequences.
 

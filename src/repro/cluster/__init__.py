@@ -26,15 +26,7 @@ vector-clock replay cross-check of the reconstructed happened-before
 relation.
 """
 
-from repro.cluster.harness import ClusterConfig, ProcessResult
-from repro.cluster.check import ClusterReport, analyze_cluster, merge_traces
+from repro.cluster.harness import ClusterConfig
 from repro.cluster.driver import run_cluster
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterReport",
-    "ProcessResult",
-    "analyze_cluster",
-    "merge_traces",
-    "run_cluster",
-]
+__all__ = ["ClusterConfig", "run_cluster"]

@@ -258,7 +258,7 @@ class ProcessRig:
         self.site = site
         self.role = role
         self.sched = AsyncioScheduler()
-        self.tracer = Tracer(enabled=True)
+        self.tracer = Tracer()
         self.tracer.bind_clock(time.time)
         out_dir.mkdir(parents=True, exist_ok=True)
         self._trace = JsonlWriter(

@@ -11,33 +11,3 @@
 * :mod:`repro.core.history` -- the History Buffer (HB) of executed,
   timestamped operations maintained at every site.
 """
-
-from repro.core.state_vector import ClientStateVector, NotifierStateVector
-from repro.core.timestamp import (
-    CompressedTimestamp,
-    FullTimestamp,
-    OriginKind,
-)
-from repro.core.concurrency import (
-    client_concurrent,
-    client_concurrent_general,
-    notifier_concurrent,
-    notifier_concurrent_general,
-    vc_event_concurrent,
-)
-from repro.core.history import HistoryBuffer, HistoryEntry
-
-__all__ = [
-    "ClientStateVector",
-    "NotifierStateVector",
-    "CompressedTimestamp",
-    "FullTimestamp",
-    "OriginKind",
-    "client_concurrent",
-    "client_concurrent_general",
-    "notifier_concurrent",
-    "notifier_concurrent_general",
-    "vc_event_concurrent",
-    "HistoryBuffer",
-    "HistoryEntry",
-]

@@ -17,24 +17,7 @@ wire for the benchmarks.  They share the session layer
 (:mod:`repro.net.reliability`), whose names are imported from there.
 """
 
-from repro.editor.messages import OpMessage, ResyncRequest, SnapshotMessage
-from repro.editor.mesh import MeshOp, MeshSession, MeshSite, got_transform
+from repro.editor.mesh import MeshSession
 from repro.editor.star import StarSession
-from repro.editor.star_client import StarClient, UndoError, execute_remote
-from repro.editor.star_notifier import PendingOp, StarNotifier
 
-__all__ = [
-    "MeshOp",
-    "MeshSession",
-    "MeshSite",
-    "OpMessage",
-    "PendingOp",
-    "ResyncRequest",
-    "SnapshotMessage",
-    "StarClient",
-    "StarNotifier",
-    "StarSession",
-    "UndoError",
-    "execute_remote",
-    "got_transform",
-]
+__all__ = ["MeshSession", "StarSession"]

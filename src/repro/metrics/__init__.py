@@ -1,21 +1,1 @@
 """Measurement utilities for the overhead experiments."""
-
-from repro.metrics.accounting import (
-    SchemeOverhead,
-    compressed_timestamp_bytes,
-    full_vector_timestamp_bytes,
-    lamport_timestamp_bytes,
-    memory_comparison,
-    overhead_sweep,
-    sk_expected_timestamp_bytes,
-)
-
-__all__ = [
-    "SchemeOverhead",
-    "compressed_timestamp_bytes",
-    "full_vector_timestamp_bytes",
-    "lamport_timestamp_bytes",
-    "sk_expected_timestamp_bytes",
-    "overhead_sweep",
-    "memory_comparison",
-]

@@ -19,9 +19,8 @@ Memory (resident clock-state integers per process):
 * compressed: 2 at each client, N at the notifier only.
 
 The memory table is not hand-computed from those formulas: it asks real
-clock instances via the :meth:`~repro.clocks.base.ClockProtocol.storage_ints`
-hook every family implements, so the table can never drift from the
-implementations it describes.
+clock instances via their ``storage_ints()`` hook, so the table can
+never drift from the implementations it describes.
 """
 
 from __future__ import annotations

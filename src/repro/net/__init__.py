@@ -21,54 +21,3 @@ rebuilds the two guarantees above on top of the damaged channels; the
 shared :class:`~repro.net.holdback.HoldbackQueue` is its reorder buffer
 and the mesh editor's causal-delivery buffer alike.
 """
-
-from repro.net.scheduler import AsyncioScheduler, Scheduler, SchedulingError
-from repro.net.simulator import SimulationError, Simulator
-from repro.net.channel import (
-    FIFOChannel,
-    FixedLatency,
-    JitterLatency,
-    LatencyModel,
-    UniformLatency,
-)
-from repro.net.holdback import HoldbackQueue
-from repro.net.reliability import (
-    RawTransport,
-    ReliabilityConfig,
-    ReliabilityStats,
-    ReliablePacket,
-    ReliableEndpoint,
-    RetransmitPolicy,
-    TransportError,
-    build_transport,
-)
-from repro.net.transport import Envelope, measure_payload_bytes
-from repro.net.topology import StarTopology, MeshTopology
-from repro.net.process import SimProcess
-
-__all__ = [
-    "Simulator",
-    "SimulationError",
-    "Scheduler",
-    "SchedulingError",
-    "AsyncioScheduler",
-    "FIFOChannel",
-    "LatencyModel",
-    "FixedLatency",
-    "UniformLatency",
-    "JitterLatency",
-    "Envelope",
-    "measure_payload_bytes",
-    "StarTopology",
-    "MeshTopology",
-    "SimProcess",
-    "HoldbackQueue",
-    "RawTransport",
-    "ReliabilityConfig",
-    "ReliabilityStats",
-    "ReliablePacket",
-    "ReliableEndpoint",
-    "RetransmitPolicy",
-    "TransportError",
-    "build_transport",
-]

@@ -25,7 +25,6 @@ from typing import Any
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
-from repro.net.transport import INT_WIDTH
 from repro.ot.operations import Delete, Identity, Insert, Operation, OperationGroup
 
 # One layout per fixed-width *run* of fields (table: DESIGN 5.4), packed
@@ -217,21 +216,6 @@ def decode_operation(reader: Reader, depth: int = 0) -> Operation:
         return OperationGroup(
             tuple(decode_operation(reader, depth + 1) for _ in range(count)))
     raise CodecError(f"unknown operation tag 0x{tag:02x}")
-
-
-# -- timestamps ---------------------------------------------------------------
-
-
-def encode_timestamp(ts: CompressedTimestamp, writer: Writer) -> None:
-    """Exactly ``2 * INT_WIDTH`` bytes -- the paper's constant."""
-    writer.pack(_TIMESTAMP, ts.first, ts.second)
-
-
-def decode_timestamp(reader: Reader) -> CompressedTimestamp:
-    return CompressedTimestamp(*reader.unpack(_TIMESTAMP))
-
-
-TIMESTAMP_WIRE_BYTES = 2 * INT_WIDTH
 
 
 # -- whole messages -----------------------------------------------------------

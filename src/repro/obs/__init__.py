@@ -35,35 +35,14 @@ only lazily, inside functions.  The pieces:
 """
 
 from repro.obs.analysis import (
-    CrossCheckReport,
-    TraceAnalysisError,
     TraceCausality,
     cross_check_causality,
     latency_histograms,
     released_without_cause,
     verify_check_records,
 )
-from repro.obs.monitor import (
-    MONITOR_FORMAT,
-    MONITOR_SCHEMA_VERSION,
-    FollowView,
-    MonitorSnapshot,
-    TelemetryTailer,
-    aggregate,
-    merged_registry,
-    run_monitor,
-    site_registry,
-    sparkline,
-)
-from repro.obs.spans import (
-    PairLatency,
-    SkewEstimator,
-    SpanReport,
-    assemble_spans,
-)
+from repro.obs.monitor import aggregate, merged_registry, run_monitor, site_registry
 from repro.obs.telemetry import (
-    TELEMETRY_FORMAT,
-    TELEMETRY_SCHEMA_VERSION,
     CausalStallWatchdog,
     DivergenceSentinel,
     FlightRecorder,
@@ -72,14 +51,10 @@ from repro.obs.telemetry import (
     SilenceWatchdog,
     TelemetryFrame,
     TelemetrySampler,
-    Watchdog,
-    default_watchdogs,
-    document_digest,
     snapshot_endpoint,
 )
 from repro.obs.tracer import (
     TRACE_FORMAT,
-    TRACE_SCHEMA_VERSION,
     Histogram,
     JsonlWriter,
     MetricsRegistry,
@@ -87,47 +62,29 @@ from repro.obs.tracer import (
     TraceEventKind,
     Tracer,
     read_jsonl,
-    trace_header,
     write_chrome_trace,
     write_jsonl,
 )
 
 __all__ = [
-    "MONITOR_FORMAT",
-    "MONITOR_SCHEMA_VERSION",
-    "TELEMETRY_FORMAT",
-    "TELEMETRY_SCHEMA_VERSION",
     "TRACE_FORMAT",
-    "TRACE_SCHEMA_VERSION",
     "CausalStallWatchdog",
-    "CrossCheckReport",
     "DivergenceSentinel",
     "FlightRecorder",
-    "FollowView",
     "HealthEvent",
     "Histogram",
     "JsonlWriter",
     "MetricsRegistry",
-    "MonitorSnapshot",
-    "PairLatency",
     "RetransmitStormWatchdog",
     "SilenceWatchdog",
-    "SkewEstimator",
-    "SpanReport",
     "TelemetryFrame",
     "TelemetrySampler",
-    "TelemetryTailer",
-    "TraceAnalysisError",
     "TraceCausality",
     "TraceEvent",
     "TraceEventKind",
     "Tracer",
-    "Watchdog",
     "aggregate",
-    "assemble_spans",
     "cross_check_causality",
-    "default_watchdogs",
-    "document_digest",
     "latency_histograms",
     "merged_registry",
     "read_jsonl",
@@ -135,8 +92,6 @@ __all__ = [
     "run_monitor",
     "site_registry",
     "snapshot_endpoint",
-    "sparkline",
-    "trace_header",
     "verify_check_records",
     "write_chrome_trace",
     "write_jsonl",

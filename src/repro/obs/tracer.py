@@ -20,10 +20,9 @@ attribute check (``if self.tracer is not None``) -- no event object is
 built, no string is formatted, nothing is appended.  A session
 constructed without a tracer therefore runs the exact same instruction
 stream as before instrumentation, plus one pointer comparison per hook;
-``benchmarks/test_trace_overhead.py`` guards this at <= 5%.  A
-:class:`Tracer` constructed with ``enabled=False`` additionally makes
-``emit`` itself a no-op, for call sites that hold a tracer object but
-want to mute it.
+``benchmarks/test_trace_overhead.py`` reports what an attached tracer
+costs beside it.  "No tracer" (``None``) and "a tracer" are the only
+two states: a tracer that exists records.
 """
 
 from __future__ import annotations
@@ -316,7 +315,6 @@ class Tracer:
     def __init__(
         self,
         *,
-        enabled: bool = True,
         clock: Optional[Callable[[], float]] = None,
         metrics: Optional[MetricsRegistry] = None,
         mode: str = "full",
@@ -326,7 +324,6 @@ class Tracer:
             raise ValueError(f"tracer mode must be 'full' or 'ring', got {mode!r}")
         if ring_capacity is not None and ring_capacity < 1:
             raise ValueError(f"ring_capacity must be positive, got {ring_capacity}")
-        self.enabled = enabled
         self.mode = mode if ring_capacity is None else "ring"
         self.ring_capacity: Optional[int] = None
         if self.mode == "ring":
@@ -371,10 +368,8 @@ class Tracer:
         via: Optional[str] = None,
         time: Optional[float] = None,
         origin_time: Optional[float] = None,
-    ) -> Optional[TraceEvent]:
-        """Append one event (returns it), or ``None`` when disabled."""
-        if not self.enabled:
-            return None
+    ) -> TraceEvent:
+        """Append one event and return it."""
         event = TraceEvent(
             index=self.emitted,
             kind=kind,

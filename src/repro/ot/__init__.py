@@ -19,49 +19,3 @@ the compressed-vector-clock scheme of Sun & Cai (IPPS 2002) depends on:
   claim that the compression scheme generalises to any replicated data
   object with a suitable transformation function.
 """
-
-from repro.ot.operations import (
-    Delete,
-    Identity,
-    Insert,
-    Operation,
-    OperationGroup,
-    apply_operation,
-)
-from repro.ot.transform import (
-    exclusion_transform,
-    inclusion_transform,
-    transform_pair,
-)
-from repro.ot.component import TextOperation
-from repro.ot.types import (
-    CounterType,
-    ListType,
-    LWWRegisterType,
-    OTType,
-    PositionalTextType,
-    TextComponentType,
-    get_type,
-    register_type,
-)
-
-__all__ = [
-    "Insert",
-    "Delete",
-    "Identity",
-    "Operation",
-    "OperationGroup",
-    "apply_operation",
-    "inclusion_transform",
-    "exclusion_transform",
-    "transform_pair",
-    "TextOperation",
-    "OTType",
-    "TextComponentType",
-    "PositionalTextType",
-    "ListType",
-    "CounterType",
-    "LWWRegisterType",
-    "get_type",
-    "register_type",
-]

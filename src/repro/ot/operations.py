@@ -26,7 +26,7 @@ members left-to-right (members are pre-adjusted so this is well-defined).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator
 
 from repro.net.transport import INT_WIDTH, measure_payload_bytes, register_sizer
 
@@ -171,9 +171,6 @@ class OperationGroup(Operation):
         return f"Group[{inner}]"
 
 
-PrimitiveOp = Union[Insert, Delete, Identity]
-
-
 # Model wire sizes (EXPERIMENTS.md accounting): a 1-byte tag, then fields.
 register_sizer(Insert, lambda op: 1 + INT_WIDTH + len(op.text.encode("utf-8")))
 register_sizer(Delete, lambda op: 1 + 2 * INT_WIDTH)
@@ -235,13 +232,6 @@ def clamp_to(document: str, op: Operation) -> Operation:
         pos = min(op.pos, len(document))
         return Delete(min(op.count, len(document) - pos), pos)
     return op
-
-
-def apply_sequence(document: str, ops: Sequence[Operation]) -> str:
-    """Execute a sequence of operations left-to-right."""
-    for op in ops:
-        document = op.apply(document)
-    return document
 
 
 def flatten(op: Operation) -> list[Operation]:

@@ -1,5 +1,1 @@
 """ASCII renderers for the paper's figures."""
-
-from repro.viz.spacetime import render_spacetime, render_star_topology
-
-__all__ = ["render_spacetime", "render_star_topology"]

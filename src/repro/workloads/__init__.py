@@ -1,26 +1,1 @@
 """Workload generators: scripted paper scenarios and random sessions."""
-
-from repro.workloads.scripted import (
-    FIG2_INITIAL_DOCUMENT,
-    fig2_intention_example,
-    fig3_script,
-    ScriptedOp,
-)
-from repro.workloads.random_session import (
-    RandomSessionConfig,
-    generate_random_edits,
-    random_positional_op,
-)
-from repro.workloads.typing_model import TypingBurstConfig, typing_burst_schedule
-
-__all__ = [
-    "ScriptedOp",
-    "fig3_script",
-    "fig2_intention_example",
-    "FIG2_INITIAL_DOCUMENT",
-    "RandomSessionConfig",
-    "generate_random_edits",
-    "random_positional_op",
-    "TypingBurstConfig",
-    "typing_burst_schedule",
-]

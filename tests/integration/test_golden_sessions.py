@@ -21,7 +21,9 @@ from typing import Optional
 import pytest
 
 from repro.cli import jitter_latency_factory
-from repro.clocks.base import CLOCK_FAMILIES
+from repro.clocks.sk import SKProcess
+from repro.clocks.vector import VectorClock
+from repro.core.state_vector import ClientStateVector
 from repro.editor import MeshSession, StarSession
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
 from repro.obs import Histogram, Tracer, latency_histograms
@@ -149,6 +151,40 @@ def test_seeded_session_matches_golden_values(golden):
     assert max(len(getattr(e, "hb", ())) for e in session.participants()) == golden.hb_max
 
 
+def _exchange_schedule(n, rounds):
+    """Per round, every site in turn stamps a message to a seeded peer."""
+    rng = random.Random(SEED)
+    for _ in range(rounds):
+        for pid in range(n):
+            dest = rng.randrange(n - 1)
+            yield pid, dest + (dest >= pid)
+
+
+def _vector_storage(n, rounds):
+    clocks = [VectorClock.zero(n) for _ in range(n)]
+    for pid, dest in _exchange_schedule(n, rounds):
+        clocks[pid] = clocks[pid].tick(pid).tick(pid)  # a local event, then the send
+        clocks[dest] = clocks[dest].merge(clocks[pid]).tick(dest)
+    return sum(clock.storage_ints() for clock in clocks)
+
+
+def _sk_storage(n, rounds):
+    processes = [SKProcess(pid, n) for pid in range(n)]
+    for pid, dest in _exchange_schedule(n, rounds):
+        processes[pid].local_event()
+        processes[dest].receive(processes[pid].prepare_send(dest))
+    return sum(process.storage_ints() for process in processes)
+
+
+def _compressed_storage(n, rounds):
+    vectors = [ClientStateVector(pid + 1) for pid in range(n)]
+    for pid, dest in _exchange_schedule(n, rounds):
+        vectors[pid].record_local_execution()
+        vectors[pid].record_local_execution()
+        vectors[dest].record_remote_execution()
+    return sum(vector.storage_ints() for vector in vectors)
+
+
 @pytest.mark.parametrize(
     "family_name, storage_ints", [("vector", 64), ("sk", 192), ("compressed", 16)]
 )
@@ -156,15 +192,6 @@ def test_clock_storage_after_exchange_matches_golden_values(family_name, storage
     """Eight sites, 50 rounds of tick / stamp / merge with a seeded
     random peer: resident integers summed over the sites stay at the
     family's N / 3N / 2 per site -- traffic must not grow them."""
-    n, rounds = 8, 50
-    family = next(f for f in CLOCK_FAMILIES if f.name == family_name)
-    clocks = [family.factory(pid, n) for pid in range(n)]
-    rng = random.Random(SEED)
-    for _ in range(rounds):
-        for pid, clock in enumerate(clocks):
-            clock.tick()
-            dest = rng.randrange(n - 1)
-            if dest >= pid:
-                dest += 1
-            clocks[dest].merge(pid, clock.timestamp(dest))
-    assert sum(clock.storage_ints() for clock in clocks) == storage_ints
+    exchange = {"vector": _vector_storage, "sk": _sk_storage,
+                "compressed": _compressed_storage}[family_name]
+    assert exchange(8, 50) == storage_ints

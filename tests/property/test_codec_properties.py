@@ -1,4 +1,4 @@
-"""Property tests: the wire codec and the at-rest trace format."""
+"""Property tests: the wire codec."""
 
 import string
 
@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.timestamp import CompressedTimestamp
-from repro.editor.recorder import TraceEntry, op_from_json, op_to_json
 from repro.editor.messages import OpMessage, SnapshotMessage, StateContribution
+from repro.net.beacon import BeaconReceiver, BeaconSender
 from repro.net.codec import (
     CodecError,
     Reader,
@@ -123,6 +123,17 @@ telemetry_frames = st.builds(
     e2e_p95_ms=st.one_of(st.none(), st.floats(allow_nan=False)),
 )
 
+telemetry_bodies = st.builds(encode_telemetry_frame, telemetry_frames)
+
+
+@st.composite
+def one_byte_changed(draw, bodies):
+    """A valid body with any one byte changed to any other value."""
+    garbled = bytearray(draw(bodies))
+    garbled[draw(st.integers(0, len(garbled) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(garbled)
+
+
 #: One valid body per frame tag and payload tag, as the senders write them.
 frame_bodies = st.one_of(
     st.builds(
@@ -138,7 +149,7 @@ frame_bodies = st.one_of(
             message_id=st.one_of(st.none(), st.integers(0, 2**32 - 2)),
         ),
     ),
-    st.builds(encode_telemetry_frame, telemetry_frames),
+    telemetry_bodies,
     st.builds(encode_hello, u32s, u32s),
     st.builds(encode_roster, st.dictionaries(u32s, u32s, max_size=3)),
     st.builds(encode_drained, u32s),
@@ -198,35 +209,31 @@ class TestWireProperties:
             with pytest.raises(CodecError):  # WireError is one
                 decode_frame(body[:cut])
 
-    @given(frame_bodies, st.data())
+    @given(one_byte_changed(frame_bodies))
     @settings(max_examples=400)
-    def test_a_corrupted_frame_body_decodes_or_is_a_typed_error(self, body, data):
+    def test_a_corrupted_frame_body_decodes_or_is_a_typed_error(self, garbled):
         """One byte changed anywhere: a value, or CodecError / WireError --
         never struct.error, IndexError, UnicodeDecodeError, RecursionError."""
-        garbled = bytearray(body)
-        offset = data.draw(st.integers(0, len(body) - 1))
-        garbled[offset] ^= data.draw(st.integers(1, 255))
         try:
-            decode_frame(bytes(garbled))
+            decode_frame(garbled)
         except CodecError:
             pass
 
+    @given(telemetry_bodies, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_beacon_receiver_counts_every_hostile_datagram(self, body, data):
+        """The UDP sideband reads what anyone can send to its port: every
+        strict prefix of a valid TELEMETRY body and any one byte changed
+        is received or rejected, one count per datagram, and ``drain``
+        never raises.  (The empty prefix is left to test_beacon.py: not
+        every OS delivers a zero-length datagram.)"""
+        datagrams = [body[:cut] for cut in range(1, len(body))]
+        datagrams += [data.draw(one_byte_changed(st.just(body))), body]
+        with BeaconReceiver() as receiver:
+            with BeaconSender(receiver.host, receiver.port) as sender:
+                for datagram in datagrams:  # drained one by one: no full buffer
+                    assert sender.send(datagram)
+                    receiver.drain()
+        assert receiver.received + receiver.rejected == len(datagrams)
+        assert 1 <= receiver.received <= 2  # the intact one; maybe the changed one
 
-class TestTraceProperties:
-    @given(operations)
-    @settings(max_examples=200)
-    def test_json_op_roundtrip(self, op):
-        assert op_from_json(op_to_json(op)) == op
-
-    @given(
-        st.builds(
-            TraceEntry,
-            site=st.integers(1, 100),
-            time=st.floats(0, 10**6, allow_nan=False),
-            op_id=op_ids,
-            op=operations,
-        )
-    )
-    @settings(max_examples=200)
-    def test_trace_entry_roundtrip(self, entry):
-        assert TraceEntry.from_json(entry.to_json()) == entry

@@ -8,16 +8,13 @@ from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
 from repro.net.codec import (
     MAX_GROUP_DEPTH,
-    TIMESTAMP_WIRE_BYTES,
     CodecError,
     Reader,
     Writer,
     decode_op_message,
     decode_operation,
-    decode_timestamp,
     encode_op_message,
     encode_operation,
-    encode_timestamp,
 )
 from repro.ot.operations import Delete, Identity, Insert, OperationGroup
 
@@ -129,18 +126,6 @@ class TestOperationCodec:
             encode_operation("not an op", Writer())  # type: ignore[arg-type]
 
 
-class TestTimestampCodec:
-    def test_exactly_two_integers(self):
-        writer = Writer()
-        encode_timestamp(CompressedTimestamp(3, 1), writer)
-        assert len(writer.getvalue()) == TIMESTAMP_WIRE_BYTES == 8
-
-    def test_roundtrip(self):
-        writer = Writer()
-        encode_timestamp(CompressedTimestamp(123, 456), writer)
-        assert decode_timestamp(Reader(writer.getvalue())) == CompressedTimestamp(123, 456)
-
-
 class TestMessageCodec:
     def test_full_message_roundtrip(self):
         message = OpMessage(
@@ -177,7 +162,7 @@ class TestMessageCodec:
         wire = encode_op_message(message)
         op_bytes = measure_payload_bytes(message.op)  # tag + pos + text
         framing = (
-            TIMESTAMP_WIRE_BYTES  # compressed timestamp
+            message.timestamp.size_bytes()  # compressed timestamp: 8
             + 4  # origin site
             + (4 + 1)  # op_id "x"
             + (4 + 0)  # empty source_op_id

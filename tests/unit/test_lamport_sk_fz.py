@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clocks.lamport import LamportClock, TotalOrderKey
+from repro.clocks.lamport import LamportClock
 from repro.clocks.sk import SKMessage, SKProcess
 from repro.clocks.fz import FZProcess, reconstruct_vector_times
 from repro.clocks.vector import VectorClock
@@ -26,10 +26,6 @@ class TestLamport:
     def test_send_counts_as_event(self):
         clock = LamportClock()
         assert clock.send() == 1
-
-    def test_total_order_key_sorts(self):
-        keys = [TotalOrderKey(3, 1), TotalOrderKey(2, 9), TotalOrderKey(3, 0)]
-        assert sorted(keys) == [TotalOrderKey(2, 9), TotalOrderKey(3, 0), TotalOrderKey(3, 1)]
 
 
 class TestSKProcess:

@@ -9,7 +9,6 @@ from repro.ot.operations import (
     OperationError,
     OperationGroup,
     apply_operation,
-    apply_sequence,
     flatten,
     simplify,
 )
@@ -129,10 +128,6 @@ class TestOperationGroup:
 class TestHelpers:
     def test_apply_operation_dispatches(self):
         assert apply_operation("abc", Insert("x", 1)) == "axbc"
-
-    def test_apply_sequence(self):
-        ops = [Insert("x", 0), Delete(1, 1), Insert("z", 2)]
-        assert apply_sequence("ab", ops) == "xbz"
 
     def test_flatten_drops_identities(self):
         group = OperationGroup((Identity(), Insert("a", 0), OperationGroup((Delete(1, 0),))))

@@ -10,10 +10,15 @@ import rules this repo relies on are checked here, in tier-1:
   imported -- every other module exports what it defines, so each public
   name has one import home;
 
-plus a vocabulary rule: the spellings of the deleted compatibility
-layer, and of readers deleted for having no production caller, stay
-deleted; a boundary rule: ``repro.cluster`` reads no underscore name of
-an object it does not own; a codec rule: under ``repro.net`` a
+plus a reader rule: every module under ``src/repro`` is imported by a
+file in ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/`` other
+than its own package's ``__init__`` (a module only its own tests read is
+a module nobody reads), and a package ``__init__`` re-exports only names
+some file outside the package imports from it -- a short allow-list
+carries one written reason per entry; a vocabulary rule: the spellings
+of the deleted compatibility layer, and of readers deleted for having no
+production caller, stay deleted; a boundary rule: ``repro.cluster``
+reads no underscore name of an object it does not own; a codec rule: under ``repro.net`` a
 ``struct.Struct`` is packed and unpacked inside ``Writer`` / ``Reader``
 only, so ``struct.error`` has one place to become ``CodecError``; and one
 rule for the workflow file, which no build image ever runs: a CI job
@@ -24,7 +29,10 @@ depends on.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,10 +110,204 @@ def test_imports_and_exports(path: Path) -> None:
         assert not borrowed, f"re-exported from elsewhere: {sorted(borrowed)}"
 
 
+#: Where a module's reader may live.  ``tests/`` imports everything, so
+#: it proves nothing about a module; it does count as a user of a name a
+#: package re-exports.
+READER_DIRS = ("src", "benchmarks", "examples", "perfbench")
+
+#: What stays without a reader the rule can see, and why (six at most).
+#: An entry the rule no longer needs is itself a finding.
+UNREAD_ON_PURPOSE = {
+    "repro/__init__.py":
+        "the public API: README's quickstart imports from `repro`, "
+        "whichever of its names this repository's own files happen to use",
+    "repro/clocks/dimension.py":
+        "EXPERIMENTS row DIM (the Charron-Bost bound the paper cites); its "
+        "harness is the tier-1 test tests/unit/test_dimension.py",
+    "repro/clocks/fz.py":
+        "the paper's reference [7], the offline family its introduction "
+        "argues against; checked against full vectors by "
+        "tests/property/test_clock_properties.py::TestFZEquivalence",
+    "repro/workloads/typing_model.py":
+        "the burst driver ROADMAP 7(c) names as the workload that "
+        "coalescing is to be driven from",
+}
+
+
+def _module_name(path: Path, src: Path) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path: Path, package: str) -> list[tuple[str, str | None]]:
+    """``(module, name)`` per imported name (``name`` is ``None`` for a
+    plain ``import module``); relative imports resolved in ``package``."""
+    found: list[tuple[str, str | None]] = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                above = parts[:len(parts) + 1 - node.level]
+                module = ".".join(above + ([module] if module else []))
+            found += [(module, alias.name) for alias in node.names]
+    return found
+
+
+def reader_rule_findings(root: Path, allowed: dict[str, str]) -> list[str]:
+    """Unread modules, unread re-exports and unneeded allow-list entries
+    of the tree at ``root`` (``src/repro`` plus the reader directories)."""
+    src = root / "src"
+    paths = {_module_name(path, src): path for path in sorted(src.rglob("*.py"))}
+    packages = {name for name, path in paths.items() if path.name == "__init__.py"}
+
+    def package_of(name: str) -> str:
+        return name if name in packages else name.rpartition(".")[0]
+
+    #: importing file -> (where it lives, its module name under src/, its imports)
+    files: dict[Path, tuple[str, str, list[tuple[str, str | None]]]] = {}
+    for top in (*READER_DIRS, "tests"):
+        for path in sorted((root / top).rglob("*.py")):
+            name = _module_name(path, src) if top == "src" else ""
+            files[path] = (top, name, _imports(path, package_of(name)))
+    #: package -> name -> the module its ``__init__`` imports that name from.
+    reexports = {
+        package: {name: module for module, name in files[paths[package]][2]
+                  if module in paths and name and f"{module}.{name}" not in paths}
+        for package in packages
+    }
+
+    def home(module: str, name: str | None) -> str:
+        """The module an import reads, followed through re-export tables."""
+        if name and f"{module}.{name}" in paths:
+            return f"{module}.{name}"
+        if name in reexports.get(module, {}):
+            return home(reexports[module][name], name)
+        return module
+
+    #: module -> who reads it: module names under ``src/``, or ``True``
+    #: for a benchmark, an example or perfbench.  Neither a module itself
+    #: nor its own package's ``__init__`` is a reader.
+    readers: dict[str, set[str | bool]] = {name: set() for name in paths}
+    #: (package, re-exported name) -> the files that import it from there.
+    importers: dict[tuple[str, str], list[Path]] = {}
+    for path, (top, reader, found) in files.items():
+        for module, name in found:
+            if name in reexports.get(module, {}):
+                importers.setdefault((module, name), []).append(path)
+            target = home(module, name)
+            if target in paths and top != "tests" and reader not in (
+                    target, package_of(target)):
+                readers[target].add(reader or True)
+
+    # A reader under ``src/`` counts while it is itself read: drop the
+    # unread to a fixed point, so one dead module cannot keep another.
+    kept = {_module_name(src / key, src) for key in allowed}
+    alive = set(paths)
+
+    def read(name: str) -> bool:
+        return any(reader is True or reader in alive for reader in readers[name])
+
+    while unread := {name for name in alive - packages - kept
+                     if not name.endswith("__main__") and not read(name)}:
+        alive -= unread
+    findings = [f"{paths[name].relative_to(src)}: no reader outside tests/"
+                for name in sorted(set(paths) - alive)]
+
+    for package in sorted(packages):
+        key = str(paths[package].relative_to(src))
+        unused = sorted(
+            name for name in reexports[package]
+            if all(paths[package].parent in path.parents
+                   for path in importers.get((package, name), ())))
+        if unused and key not in allowed:
+            findings.append(f"{key}: re-exports what nobody imports from it: {unused}")
+        elif key in allowed and not unused:
+            findings.append(f"{key}: allow-listed, but every name it re-exports is read")
+    for key in allowed:
+        name = _module_name(src / key, src)
+        if name not in paths:
+            findings.append(f"{key}: allow-listed, but there is no such module")
+        elif name not in packages and read(name):
+            findings.append(f"{key}: allow-listed, but it has a reader")
+    return findings
+
+
+def test_every_module_and_every_reexport_has_a_reader() -> None:
+    assert len(UNREAD_ON_PURPOSE) <= 6
+    findings = reader_rule_findings(ROOT, UNREAD_ON_PURPOSE)
+    assert not findings, "\n".join(findings)
+
+
+def test_the_reader_rule_fails_where_it_should(tmp_path: Path) -> None:
+    """A four-module tree: an orphan, a module only the orphan reads, a
+    re-export nobody imports, and one allow-listed module."""
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/__main__.py": "from repro.pkg import used\n",
+        "src/repro/pkg/__init__.py":
+            "from repro.pkg.a import used, unused\nfrom repro.pkg.kept import K\n",
+        "src/repro/pkg/a.py": "used = unused = 1\n",
+        "src/repro/pkg/orphan.py": "from repro.pkg.leaf import L\n",
+        "src/repro/pkg/leaf.py": "L = 1\n",
+        "src/repro/pkg/kept.py": "K = 1\n",
+        "tests/test_orphan.py": "from repro.pkg.orphan import L\nfrom repro.pkg import K\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    reason = {"repro/pkg/kept.py": "a reason"}
+    assert reader_rule_findings(tmp_path, reason) == [
+        "repro/pkg/leaf.py: no reader outside tests/",
+        "repro/pkg/orphan.py: no reader outside tests/",
+        "repro/pkg/__init__.py: re-exports what nobody imports from it: ['unused']",
+    ]
+    # Without its entry the allow-listed module is an orphan too; with a
+    # reader, its entry is what is left over.
+    assert "repro/pkg/kept.py: no reader outside tests/" in reader_rule_findings(tmp_path, {})
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text("from repro.pkg.kept import K\n")
+    assert reader_rule_findings(tmp_path, reason)[-1] == (
+        "repro/pkg/kept.py: allow-listed, but it has a reader")
+
+
+#: What the ``repro`` modules behind ``StarSession`` import from outside
+#: ``repro``, as of the commit before the census (PR 22's parent).
+SESSION_IMPORTS = (
+    "__future__, abc, asyncio, collections, dataclasses, enum, hashlib, heapq, "
+    "itertools, json, math, networkx, numpy, os, pathlib, pickle, random, sys, "
+    "time, typing")
+
+
+def _foreign_modules_after(statement: str) -> set[str]:
+    """Top-level non-``repro`` modules a fresh interpreter holds after ``statement``."""
+    listing = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\n"
+         "print(*sorted({m.partition('.')[0] for m in sys.modules}))"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True, timeout=60).stdout
+    return set(listing.split()) - {"repro"}
+
+
+def test_importing_a_session_loads_the_modules_it_always_did() -> None:
+    """Removing an import moves the heap, and ``wire-pair`` moves 15-25 %
+    with it (ROADMAP 7(f), blocked on 1(d)): the census took ``repro``
+    modules out of ``import repro`` and nothing else.  numpy and networkx
+    stay eager until the rig stops depending on where glibc's mmap
+    threshold sits."""
+    loaded = _foreign_modules_after("from repro.editor.star import StarSession")
+    assert {"numpy", "networkx"} <= loaded
+    assert loaded == _foreign_modules_after(f"import {SESSION_IMPORTS}")
+
+
 def test_the_compatibility_vocabulary_stays_deleted() -> None:
     banned = re.compile(
         r"\brel_stats\b|pre-refactor|backwards compat"
-        r"|\bon_eof\b|\bread_telemetry\b|\bscan_dir\b|\ball_corrected\b")
+        r"|\bon_eof\b|\bread_telemetry\b|\bscan_dir\b|\ball_corrected\b"
+        r"|\bClockProtocol\b|\bCLOCK_FAMILIES\b|\bMatrixClock\b"
+        r"|\bSessionRecorder\b|\bsession_stats\b|Tracer\(enabled")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES

@@ -1,75 +1,10 @@
-"""Unit tests for session statistics and the command-line interface."""
+"""Unit tests for the command-line interface."""
 
 import re
 
 import pytest
 
-from repro.analysis.stats import session_stats, transform_pressure
 from repro.cli import main
-from repro.clocks.events import EventLog
-from repro.editor.star import StarSession
-from repro.workloads.scripted import fig3_script, fig_latency_factory, FIG2_INITIAL_DOCUMENT
-
-
-def fig3_session():
-    session = StarSession(
-        3,
-        initial_state=FIG2_INITIAL_DOCUMENT,
-        latency_factory=fig_latency_factory,
-        record_checks=True,  # transform_pressure reads the check records
-    )
-    for item in fig3_script():
-        session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
-    session.run()
-    return session
-
-
-class TestSessionStats:
-    def test_fig3_statistics(self):
-        """Section 2.4 enumerates 3 concurrent and 3 causal pairs."""
-        session = fig3_session()
-        stats = session_stats(session.event_log)
-        assert stats.n_ops == 4
-        assert stats.n_pairs == 6
-        assert stats.concurrent_pairs == 3
-        assert stats.causal_pairs == 3
-        assert stats.concurrency_degree == pytest.approx(0.5)
-        # longest chain: O2 -> O4? no -- O2 -> O3 via O1: depth counts ops
-        assert stats.causal_depth == 2
-        assert stats.ops_per_site == {1: 1, 2: 2, 3: 1}
-        assert "4 ops" in stats.summary()
-
-    def test_empty_log(self):
-        stats = session_stats(EventLog(2))
-        assert stats.n_ops == 0
-        assert stats.concurrency_degree == 0.0
-        assert stats.causal_depth == 0
-
-    def test_explicit_op_subset(self):
-        session = fig3_session()
-        stats = session_stats(session.event_log, ops=["O1", "O2"])
-        assert stats.n_ops == 2
-        assert stats.concurrent_pairs == 1  # O1 || O2
-
-
-class TestTransformPressure:
-    def test_fig3_pressure(self):
-        session = fig3_session()
-        pressure = transform_pressure(session)
-        # walkthrough: O2'@1, O1@0, O1'@3, O4@0, O4'@2, O3@0 each had
-        # exactly one concurrent operation; everything else had none
-        assert pressure.total_transform_steps == 6
-        assert pressure.max_concurrent_set == 1
-        # remote executions observed: every op arrival that scanned a
-        # non-empty history
-        assert pressure.total_remote_executions > 0
-        assert 0 < pressure.mean_concurrent_set <= 1
-
-    def test_empty_pressure(self):
-        session = StarSession(2)
-        pressure = transform_pressure(session)
-        assert pressure.total_remote_executions == 0
-        assert pressure.mean_concurrent_set == 0.0
 
 
 class TestCLI:
@@ -169,6 +104,29 @@ class TestCLI:
         assert "trace.crashed = 1" in out
         assert "trace.recovered = 1" in out
         assert "site 0" in out  # the spacetime diagram rendered
+
+    @pytest.mark.parametrize("command", ["session", "trace"])
+    @pytest.mark.parametrize("flag", ["--drop", "--dup"])
+    def test_an_explicit_drop_or_dup_enables_the_fault_plan(
+            self, command, flag, capsys, tmp_path):
+        """``trace --drop 0.2`` used to run a clean network without a word."""
+        argv = [command, "--sites", "3", "--ops", "4", "--seed", "1", flag, "0.2"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "trace")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^protocol: sent=\d+ retransmits=\d+", out, re.MULTILINE)
+        injected = "dropped" if flag == "--drop" else "duplicated"
+        assert re.search(rf"^network: .*\b{injected}=[1-9]", out, re.MULTILINE)
+
+    def test_bare_faults_keeps_each_commands_own_rates(self, capsys, tmp_path):
+        """``trace --faults`` is lossy (0.05 / 0.02), ``session --faults`` clean."""
+        common = ["--sites", "4", "--ops", "8", "--seed", "1", "--faults"]
+        assert main(["session", *common]) == 0
+        assert "network: dropped=0 duplicated=0" in capsys.readouterr().out
+        assert main(["trace", *common, "--out", str(tmp_path / "trace")]) == 0
+        assert re.search(r"^network: dropped=[1-9]", capsys.readouterr().out,
+                         re.MULTILINE)
 
     def test_session_mesh_rejects_faults(self, capsys):
         assert (

@@ -70,22 +70,6 @@ class TestEmission:
         assert [e.op_id for e in tracer.by_kind(TraceEventKind.GENERATED)] == ["a", "b"]
 
 
-class TestDisabledMode:
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        result = tracer.emit(TraceEventKind.GENERATED, 1, op_id="a")
-        assert result is None
-        assert len(tracer) == 0
-        assert tracer.metrics.counters() == {}
-
-    def test_disabled_then_reenabled(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(TraceEventKind.GENERATED, 1)
-        tracer.enabled = True
-        tracer.emit(TraceEventKind.EXECUTED, 0)
-        assert [e.kind for e in tracer.events] == [TraceEventKind.EXECUTED]
-
-
 class TestSerialisation:
     def _sample_events(self):
         tracer = Tracer()

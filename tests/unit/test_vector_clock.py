@@ -9,7 +9,6 @@ from repro.clocks.vector import (
     bulk_concurrent,
     compare,
     concurrent,
-    event_concurrent,
     happened_before,
 )
 
@@ -88,12 +87,6 @@ class TestCompare:
         b = VectorClock.of([0, 2])
         assert compare(a, b) is Ordering.CONCURRENT
         assert concurrent(a, b)
-
-    def test_event_concurrent_matches_formula_3(self):
-        # events at sites 0 and 1 with clocks taken at the events
-        ta = VectorClock.of([2, 0])
-        tb = VectorClock.of([1, 1])
-        assert event_concurrent(ta, tb, 0, 1) == concurrent(ta, tb)
 
     def test_causal_chain_transitivity(self):
         a = VectorClock.of([1, 0, 0])
