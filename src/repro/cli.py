@@ -245,43 +245,52 @@ def _build_fault_plan(args: argparse.Namespace):
     )
 
 
-def cmd_session(args: argparse.Namespace) -> int:
+def _random_session(args: argparse.Namespace, arch: str, **diagnostics):
+    """The seeded random session of ``session`` and ``trace``, built with
+    its workload scheduled: ``(session, fault plan)``, or ``None`` after
+    telling stderr why the flags describe no session (exit 2).
+    ``diagnostics`` are the star session's switches."""
     config = RandomSessionConfig(
         n_sites=args.sites,
         ops_per_site=args.ops,
         seed=args.seed,
         insert_ratio=args.insert_ratio,
     )
-
+    latency_factory = jitter_latency_factory(args.seed)
     try:
         fault_plan = _build_fault_plan(args)
-    except ValueError as exc:
-        print(f"invalid fault plan: {exc}", file=sys.stderr)
-        return 2
-    if args.arch == "star":
-        try:
+        if arch == "star":
             session = StarSession(
                 args.sites,
                 initial_state=config.initial_document,
-                latency_factory=jitter_latency_factory(args.seed),
-                verify_with_oracle=args.verify,
+                latency_factory=latency_factory,
                 fault_plan=fault_plan,
                 standby_site=args.standby,
+                **diagnostics,
             )
-        except (ValueError, IndexError) as exc:
-            print(f"invalid fault plan: {exc}", file=sys.stderr)
-            return 2
+    except (ValueError, IndexError) as exc:
+        print(f"invalid fault plan: {exc}", file=sys.stderr)
+        return None
+    if arch == "star":
         drive_star_session(session, config)
+    elif fault_plan is not None:
+        print("fault injection is only supported for --arch star", file=sys.stderr)
+        return None
     else:
-        if fault_plan is not None:
-            print("fault injection is only supported for --arch star", file=sys.stderr)
-            return 2
         session = MeshSession(
             args.sites,
             initial_document=config.initial_document,
-            latency_factory=jitter_latency_factory(args.seed),
+            latency_factory=latency_factory,
         )
         drive_mesh_session(session, config)
+    return session, fault_plan
+
+
+def cmd_session(args: argparse.Namespace) -> int:
+    built = _random_session(args, args.arch, verify_with_oracle=args.verify)
+    if built is None:
+        return 2
+    session, fault_plan = built
     session.run()
     stats = session.wire_stats()
     converged = session.converged()
@@ -315,34 +324,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    config = RandomSessionConfig(
-        n_sites=args.sites,
-        ops_per_site=args.ops,
-        seed=args.seed,
-        insert_ratio=args.insert_ratio,
-    )
-
-    try:
-        fault_plan = _build_fault_plan(args)
-    except ValueError as exc:
-        print(f"invalid fault plan: {exc}", file=sys.stderr)
-        return 2
     tracer = Tracer()
-    try:
-        session = StarSession(
-            args.sites,
-            initial_state=config.initial_document,
-            latency_factory=jitter_latency_factory(args.seed),
-            verify_with_oracle=True,
-            record_checks=True,  # the verdicts are cross-checked below
-            fault_plan=fault_plan,
-            tracer=tracer,
-            standby_site=args.standby,
-        )
-    except (ValueError, IndexError) as exc:
-        print(f"invalid fault plan: {exc}", file=sys.stderr)
+    built = _random_session(
+        args, "star", tracer=tracer, verify_with_oracle=True,
+        record_checks=True,  # the verdicts are cross-checked below
+    )
+    if built is None:
         return 2
-    drive_star_session(session, config)
+    session, fault_plan = built
     session.run()
     converged = session.converged()
 
@@ -448,41 +437,42 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         out_dir = Path(tempfile.mkdtemp(prefix="repro_cluster_"))
         print(f"telemetry artifacts: {out_dir}")
 
-    def final_monitor_pass() -> None:
-        """Aggregate whatever telemetry the run left into monitor.jsonl."""
-        if not config.telemetry_enabled or out_dir is None:
-            return
-        from repro.obs.monitor import run_monitor
-
-        run_monitor(out_dir, once=True, expect_sites=config.clients + 1)
-
     try:
         report = run_cluster(config, out_dir)
     except ClusterError as exc:
         print(f"cluster harness failed: {exc}", file=sys.stderr)
-        final_monitor_pass()
         return 1
-    final_monitor_pass()
+    finally:
+        if config.telemetry_enabled and out_dir is not None:
+            # Aggregate whatever telemetry the run left into monitor.jsonl.
+            from repro.obs.monitor import run_monitor
+
+            run_monitor(out_dir, once=True, expect_sites=config.clients + 1)
     print(report.summary())
     return 0 if report.ok else 1
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
     from pathlib import Path
 
+    from repro.net.beacon import BeaconReceiver
     from repro.obs.monitor import run_monitor
 
-    return run_monitor(
-        Path(args.dir),
-        interval_s=args.interval,
-        duration_s=args.duration,
-        once=args.once,
-        expect_sites=args.expect_sites,
-        artifact=Path(args.artifact) if args.artifact else None,
-        follow=args.follow,
-        max_intervals=args.max_intervals,
-        beacon_port=args.beacon_port,
-    )
+    sideband = (BeaconReceiver(port=args.beacon_port)
+                if args.beacon_port is not None else nullcontext())
+    with sideband as beacon:
+        return run_monitor(
+            Path(args.dir),
+            interval_s=args.interval,
+            duration_s=args.duration,
+            once=args.once,
+            expect_sites=args.expect_sites,
+            artifact=Path(args.artifact) if args.artifact else None,
+            follow=args.follow,
+            max_intervals=args.max_intervals,
+            beacon=beacon,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,7 @@ from repro.obs.analysis import (
     verify_check_records,
 )
 from repro.obs.spans import SpanReport, assemble_spans
-from repro.obs.tracer import TraceEvent, TraceEventKind
+from repro.obs.tracer import Histogram, TraceEvent, TraceEventKind
 
 _GENERATION_KINDS = (TraceEventKind.GENERATED, TraceEventKind.TRANSFORMED)
 
@@ -273,12 +273,9 @@ def analyze_cluster(
                                  pairs_checked=0,
                                  only_in_trace=["<analysis failed>"])
     latencies = latency_histograms(merged)
-    all_lat = [v for hist in latencies.values() for v in hist.values]
-    p50 = p95 = None
-    if all_lat:
-        ordered = sorted(all_lat)
-        p50 = ordered[len(ordered) // 2]
-        p95 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.95))]
+    all_lat = Histogram()
+    for hist in latencies.values():
+        all_lat.merge(hist)
     spans = assemble_spans(merged)
     return ClusterReport(
         converged=bool(docs) and all(doc == docs[0] for doc in docs[1:]),
@@ -290,8 +287,8 @@ def analyze_cluster(
         bad_releases=len(released_without_cause(merged)),
         cross_check=cross,
         trace_events=len(merged),
-        latency_p50_s=p50,
-        latency_p95_s=p95,
+        latency_p50_s=all_lat.percentile(50),
+        latency_p95_s=all_lat.percentile(95),
         wall_s=wall_s,
         errors=errors,
         failover_run=failover_run,

@@ -302,11 +302,11 @@ class ProcessRig:
 
         Every record is flushed as written, so ``repro monitor`` in
         another process sees frames *live* and a killed process leaves a
-        readable prefix.  Each frame also leaves as the same encoded
-        bytes on the UDP sideband (no connection to lose: the monitor
-        keeps seeing this site while the TCP centre is dead, and dedupes
-        by ``(site, seq)``) and through ``gossip``, the process's way to
-        its current centre.
+        readable prefix.  A frame sampled *here* also leaves as the same
+        encoded bytes on the UDP sideband (no connection to lose: the
+        monitor keeps seeing this site while the TCP centre is dead) and
+        through ``gossip``, the process's way to its current centre; a
+        frame fed to this process has left its own that way already.
         """
         if not self.config.telemetry_enabled:
             return
@@ -321,19 +321,19 @@ class ProcessRig:
             self._beacon = BeaconSender(self.config.host, self.config.beacon_port)
             sinks.append(self._beacon.send)
 
-        def emit(tframe: TelemetryFrame) -> None:
-            stream.write_line(tframe.to_json())
+        def probe(seq: int) -> list[TelemetryFrame]:
+            tframe = snapshot_endpoint(live(), sched=self.sched, seq=seq,
+                                       role=self.role)
             if sinks:
                 body = encode_telemetry_frame(tframe)
                 for sink in sinks:
                     sink(body)
+            return [tframe]
 
         self._sampler = TelemetrySampler(
-            self.sched,
-            lambda seq: [snapshot_endpoint(live(), sched=self.sched, seq=seq,
-                                           role=self.role)],
+            self.sched, probe,
             interval=self.config.telemetry_interval_s,
-            on_frame=emit,
+            on_frame=lambda tframe: stream.write_line(tframe.to_json()),
             on_health=lambda event: stream.write_line(event.to_json()),
             watchdogs=watchdogs, keep=False,
         )

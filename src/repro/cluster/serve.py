@@ -69,7 +69,13 @@ from repro.net.wire import (
     pump,
     read_frame,
 )
-from repro.obs.telemetry import SilenceWatchdog, TelemetryFrame, default_watchdogs
+from repro.obs.telemetry import (
+    CausalStallWatchdog,
+    DivergenceSentinel,
+    RetransmitStormWatchdog,
+    SilenceWatchdog,
+    TelemetryFrame,
+)
 
 
 class Hub:
@@ -269,11 +275,9 @@ async def serve(config: ClusterConfig, out_dir: Path,
               on_hello=on_hello, may_finish=lambda: True, on_telemetry=rig.feed)
     interval = config.telemetry_interval_s
     rig.start_telemetry(lambda: notifier, watchdogs=[
-        *default_watchdogs(
-            expected_ops=config.total_ops,
-            stall_after=max(4 * interval, 1.0),
-            storm_threshold=10,
-        ),
+        RetransmitStormWatchdog(),
+        CausalStallWatchdog(stall_after=max(4 * interval, 1.0)),
+        DivergenceSentinel(expected_ops=config.total_ops),
         # Silence is judged by *arrival* time on this process's clock:
         # frame times come from each client's own scheduler epoch, so
         # comparing them across processes would fold clock-domain skew

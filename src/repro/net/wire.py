@@ -60,7 +60,7 @@ from __future__ import annotations
 import asyncio
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Awaitable, Callable, Optional, Union
 
 from repro.editor.messages import (
@@ -119,7 +119,6 @@ LENGTH_PREFIX_BYTES = _LENGTH_PREFIX.size
 _DATA_HEAD = struct.Struct(">BIIIII")  # tag, source, dest, ts bytes, id + 1, len(kind)
 _OP_PAYLOAD_HEAD = struct.Struct(">BI")  # tag, length of the embedded op message
 _RELIABLE_HEAD = struct.Struct(">BIIIB")  # tag, seq + 1, epoch, ack + 1, flags
-_TELEMETRY_GAUGES = struct.Struct(">Id14I")  # seq, time, 13 gauges, digest length
 
 
 class WireError(CodecError):
@@ -246,6 +245,10 @@ def _decode_payload(reader: Reader, nested: bool = False) -> Any:
         _, seq, epoch, ack, flags = reader.unpack(_RELIABLE_HEAD)
         if flags & ~(RELIABLE_PROBE | RELIABLE_GAP):
             raise WireError(f"unknown reliable-packet flags 0x{flags:02x}")
+        if flags & RELIABLE_PROBE and seq != 0:
+            # ReliablePacket would refuse it with a bare ValueError, which
+            # no reader of this wire catches.
+            raise WireError(f"a probe is unsequenced, got seq {seq - 1}")
         payload = _decode_payload(reader, nested=True)
         return ReliablePacket(seq=seq - 1, epoch=epoch, ack=ack - 1, payload=payload,
                               probe=bool(flags & RELIABLE_PROBE),
@@ -329,6 +332,32 @@ def encode_envelope(envelope: Envelope) -> bytes:
     return writer.getvalue()
 
 
+def _write_optional(writer: Writer, value: Optional[float]) -> None:
+    # v3: an optional gauge is a u8 presence flag + payload, so a frame
+    # without it costs one byte and the encoding stays byte-exact.
+    if value is None:
+        writer.u8(0)
+    else:
+        writer.u8(1).f64(value)
+
+
+def _read_optional(reader: Reader) -> Optional[float]:
+    return reader.f64() if _presence(reader) else None
+
+
+# A TELEMETRY body is ``TelemetryFrame``'s fields in declaration order,
+# each written and read as its declared ``wire`` code says.
+_TELEMETRY_WIRE: dict[str, tuple[Callable[[Writer, Any], object],
+                                 Callable[[Reader], Any]]] = {
+    "I": (Writer.u32, Reader.u32),
+    "d": (Writer.f64, Reader.f64),
+    "s": (Writer.string, Reader.string),
+    "?d": (_write_optional, _read_optional),
+}
+_TELEMETRY_FIELDS = [(spec.name, *_TELEMETRY_WIRE[spec.metadata["wire"]])
+                     for spec in fields(TelemetryFrame)]
+
+
 def encode_telemetry_frame(tframe: TelemetryFrame) -> bytes:
     """One telemetry frame as a TELEMETRY frame body (no length prefix).
 
@@ -337,24 +366,9 @@ def encode_telemetry_frame(tframe: TelemetryFrame) -> bytes:
     the same bytes and a future schema is detected before any field is
     misread.
     """
-    writer = Writer()
-    writer.u8(FRAME_TELEMETRY)
-    writer.u32(TELEMETRY_SCHEMA_VERSION)
-    writer.u32(tframe.site)
-    writer.string(tframe.role)
-    digest = tframe.digest.encode("utf-8")
-    writer.pack(
-        _TELEMETRY_GAUGES, tframe.seq, tframe.time, tframe.epoch, tframe.ops_generated,
-        tframe.ops_executed, tframe.holdback_depth, tframe.holdback_high_water,
-        tframe.inflight, tframe.retransmits, tframe.storage_ints,
-        tframe.queue_depth, tframe.elected, tframe.promoted, tframe.resynced,
-        tframe.degraded_queued, len(digest)).raw(digest)
-    # v3: optional gauges as u8 presence flag + payload, so a frame
-    # without the gauge costs one byte and the encoding stays byte-exact.
-    if tframe.e2e_p95_ms is None:
-        writer.u8(0)
-    else:
-        writer.u8(1).f64(tframe.e2e_p95_ms)
+    writer = Writer().u8(FRAME_TELEMETRY).u32(TELEMETRY_SCHEMA_VERSION)
+    for name, write, _read in _TELEMETRY_FIELDS:
+        write(writer, getattr(tframe, name))
     return writer.getvalue()
 
 
@@ -365,15 +379,8 @@ def _decode_telemetry(reader: Reader) -> TelemetryFrame:
             f"telemetry schema {version} is not the supported "
             f"{TELEMETRY_SCHEMA_VERSION}"
         )
-    site = reader.u32()
-    role = reader.string()
-    # ``seq`` to ``degraded_queued``, in declaration order.
-    *gauges, digest_length = reader.unpack(_TELEMETRY_GAUGES)
     tframe = TelemetryFrame(
-        site, role, *gauges,
-        digest=reader.text(digest_length),
-        e2e_p95_ms=reader.f64() if _presence(reader) else None,
-    )
+        *(read(reader) for _name, _write, read in _TELEMETRY_FIELDS))
     reader.expect_done()
     return tframe
 

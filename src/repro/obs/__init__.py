@@ -8,7 +8,8 @@ only lazily, inside functions.  The pieces:
 
 * :class:`Tracer` / :class:`TraceEvent` -- structured protocol events
   (generated / sent / retransmitted / held back / released /
-  transformed / executed / snapshot / crashed / recovered), emitted by
+  transformed / executed / snapshot / crashed / recovered / elected /
+  promoted / handoff / holdback overflow / span), emitted by
   every layer boundary through an optional hook whose disabled path is
   a single attribute check;
 * :class:`MetricsRegistry` / :class:`Histogram` -- named counters and
@@ -23,9 +24,9 @@ only lazily, inside functions.  The pieces:
   gauges sampled on any scheduler, health verdicts over the gauge
   stream, and the crash-time trace-tail dump;
 * :mod:`repro.obs.monitor` -- the cross-process aggregator behind
-  ``python -m repro monitor``: incremental stream tailing
-  (:class:`TelemetryTailer`), the UDP sideband fan-in, and the
-  ``--follow`` sparkline dashboard;
+  ``python -m repro monitor``: one ingest for the stream files and the
+  UDP sideband (:class:`TelemetryTailer`), totals folded as each
+  gauge's declaration says, and the ``--follow`` sparkline dashboard;
 * :mod:`repro.obs.spans` -- the end-to-end latency observatory:
   cross-process causal spans assembled into per-site-pair
   skew-corrected latency percentiles (:func:`assemble_spans`,
@@ -41,7 +42,7 @@ from repro.obs.analysis import (
     released_without_cause,
     verify_check_records,
 )
-from repro.obs.monitor import aggregate, merged_registry, run_monitor, site_registry
+from repro.obs.monitor import aggregate, run_monitor
 from repro.obs.telemetry import (
     CausalStallWatchdog,
     DivergenceSentinel,
@@ -86,11 +87,9 @@ __all__ = [
     "aggregate",
     "cross_check_causality",
     "latency_histograms",
-    "merged_registry",
     "read_jsonl",
     "released_without_cause",
     "run_monitor",
-    "site_registry",
     "snapshot_endpoint",
     "verify_check_records",
     "write_chrome_trace",

@@ -18,17 +18,16 @@ the previous poll -- every record is parsed exactly once over the
 monitor's lifetime, however long the run (re-reading whole files each
 interval would make the monitor quadratic in run length).
 
-Two more arrival paths feed the same deduplication:
-
-* TELEMETRY frames gossiped over TCP land in the notifier's stream file
-  (nothing special to do -- they are just lines);
-* the optional **UDP sideband** (:mod:`repro.net.beacon`): with
-  ``--beacon-port`` the monitor binds a datagram socket and every
-  cluster process fires its frames straight at it, so frames keep
-  arriving while the TCP gossip hub is dead mid-failover.
-
-Frames are deduplicated by ``(site, seq)`` regardless of arrival path,
-so a frame seen on disk, via gossip, and via UDP still counts once.
+Every frame enters through :meth:`TelemetryTailer.ingest`, which
+deduplicates by ``(site, seq)`` whatever brought it: the stream files
+(the TELEMETRY frames clients gossip over TCP land in the centre's file
+-- they are just lines) or the optional **UDP sideband**
+(:mod:`repro.net.beacon`): with ``--beacon-port`` the monitor binds a
+datagram socket and every cluster process fires its own frames straight
+at it, so frames keep arriving while the TCP gossip hub is dead
+mid-failover.  Of an accepted frame the monitor keeps the latest per
+site and the sampled values of the ``keep="series"`` gauges, so an
+interval costs the sites plus the records that arrived in it.
 
 ``--follow`` turns the interval lines into a live per-site dashboard
 with unicode sparklines (ops/sec, hold-back depth, in-flight window,
@@ -52,12 +51,12 @@ import json
 import sys
 import time as _time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.obs.telemetry import (
-    TELEMETRY_FORMAT,
     TELEMETRY_SCHEMA_VERSION,
     HealthEvent,
     TelemetryFrame,
@@ -71,22 +70,29 @@ MONITOR_SCHEMA_VERSION = 1
 # -- reading the streams -------------------------------------------------------
 
 
+# ``TelemetryFrame``'s declarations, as the monitor reads them: how a
+# gauge folds across sites (with the value of an empty fold), and what
+# the final registry keeps of it.
+_FOLDS = [(spec.name, spec.metadata["fold"], spec.default)
+          for spec in fields(TelemetryFrame) if spec.metadata["fold"]]
+_KEPT = {keep: [spec.name for spec in fields(TelemetryFrame)
+                if spec.metadata["keep"] == keep]
+         for keep in ("latest", "series")}
+
+
 class TelemetryTailer:
-    """Incremental, deduplicating reader of a directory's telemetry.
+    """The monitor's state: every frame enters by :meth:`ingest`.
 
-    Keeps one byte cursor per ``telemetry_*.jsonl`` file; each
-    :meth:`poll` seeks to the cursor, consumes only the *complete* lines
-    appended since (a partial line that a writer is mid-flush on stays
-    unconsumed until its newline lands), and advances the cursor -- so a
-    record is parsed exactly once over the tailer's lifetime, no matter
-    how many times the monitor polls.  :attr:`records_parsed` counts
-    those parses, which is what the exactly-once unit test pins.
-
-    Deduplication state lives here too: frames are keyed by
-    ``(site, seq)`` and health events by full identity, across *all*
-    arrival paths -- stream files via :meth:`poll`, and the UDP sideband
-    via :meth:`ingest`.  A frame seen on disk, via gossip (the
-    notifier's file), and via datagram counts once.
+    :meth:`poll`, the file source, keeps one byte cursor per
+    ``telemetry_*.jsonl`` file; each call consumes only the *complete*
+    lines appended since (a partial line that a writer is mid-flush on
+    stays unconsumed until its newline lands) -- so a record is parsed
+    exactly once over the tailer's lifetime, which :attr:`records_parsed`
+    counts and the exactly-once unit test pins.  The monitor hands
+    :meth:`ingest` what its UDP receiver drained as well.  An accepted
+    frame (new by ``(site, seq)`` across sources; health events, which
+    only files carry, by full identity) is folded into :attr:`latest`
+    and :attr:`kept` at once: no list of frames is held.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
@@ -96,48 +102,65 @@ class TelemetryTailer:
         self._seen_health: set[HealthEvent] = set()
         #: Stream records (frames + health) parsed from files, pre-dedup.
         self.records_parsed = 0
-        #: Frames accepted (post-dedup) from stream files.
-        self.frames_from_files = 0
-        #: Frames accepted (post-dedup) through :meth:`ingest` (UDP).
-        self.frames_from_ingest = 0
+        #: Frames accepted (post-dedup), by the source that brought them.
+        self.frames_from = {"files": 0, "udp": 0}
+        #: The newest frame of each site: all an interval reads.
+        self.latest: dict[int, TelemetryFrame] = {}
+        #: The frame count and every sampled value of the series gauges.
+        self.kept = MetricsRegistry()
 
-    def poll(self) -> tuple[dict[int, list[TelemetryFrame]], list[HealthEvent]]:
-        """New records since the last poll: ``(frames by site, health)``."""
-        by_site: dict[int, list[TelemetryFrame]] = {}
-        health: list[HealthEvent] = []
-        for path in sorted(self.out_dir.glob("telemetry_*.jsonl")):
-            for record in self._read_new(path):
-                if isinstance(record, TelemetryFrame):
-                    key = (record.site, record.seq)
-                    if key in self._seen_frames:
-                        continue
-                    self._seen_frames.add(key)
-                    self.frames_from_files += 1
-                    by_site.setdefault(record.site, []).append(record)
-                else:
-                    if record in self._seen_health:
-                        continue
-                    self._seen_health.add(record)
-                    health.append(record)
-        for frames_list in by_site.values():
-            frames_list.sort(key=lambda f: f.seq)
-        health.sort(key=lambda e: (e.time, e.site, e.kind))
-        return by_site, health
+    def ingest(self, frame: TelemetryFrame, source: str) -> bool:
+        """Offer a frame from ``source``; True iff it was new.
 
-    def ingest(self, frame: TelemetryFrame) -> bool:
-        """Offer a frame that arrived outside the files (UDP sideband).
-
-        Returns True iff the frame was new -- i.e. not already seen on
-        any path.  Rejected duplicates are the common case while both
-        the files and the sideband are healthy; that is the design, not
-        a problem.
+        Rejected duplicates are the common case while both the files
+        and the sideband are healthy; that is the design, not a problem.
         """
         key = (frame.site, frame.seq)
         if key in self._seen_frames:
             return False
         self._seen_frames.add(key)
-        self.frames_from_ingest += 1
+        self.frames_from[source] += 1
+        held = self.latest.get(frame.site)
+        if held is None or held.seq < frame.seq:
+            self.latest[frame.site] = frame
+        self.kept.inc("telemetry.frames")
+        for name in _KEPT["series"]:
+            value = getattr(frame, name)
+            if value is not None:
+                self.kept.observe(f"telemetry.{name}", value)
         return True
+
+    def poll(self) -> list[HealthEvent]:
+        """Ingest the frames the files gained since the last poll;
+        returns the health events they gained, oldest first."""
+        frames: list[TelemetryFrame] = []
+        health: list[HealthEvent] = []
+        for path in sorted(self.out_dir.glob("telemetry_*.jsonl")):
+            for record in self._read_new(path):
+                if isinstance(record, TelemetryFrame):
+                    frames.append(record)
+                elif record not in self._seen_health:
+                    self._seen_health.add(record)
+                    health.append(record)
+        # By site and seq, so what is kept does not depend on which file
+        # a gossiped copy was read from first.
+        for frame in sorted(frames, key=lambda f: (f.site, f.seq)):
+            self.ingest(frame, "files")
+        health.sort(key=lambda e: (e.time, e.site, e.kind))
+        return health
+
+    def registry(self) -> MetricsRegistry:
+        """The cross-process registry: what was kept of every frame,
+        each site's latest cumulative counters summed (they are already
+        monotone totals in the frames), and the monitor's own counts."""
+        registry = MetricsRegistry().merge(self.kept)
+        for site in sorted(self.latest):
+            for name in _KEPT["latest"]:
+                registry.inc(f"telemetry.{name}", getattr(self.latest[site], name))
+        registry.inc("monitor.records_parsed", self.records_parsed)
+        for source, count in self.frames_from.items():
+            registry.inc(f"monitor.frames_from_{source}", count)
+        return registry
 
     def _read_new(
         self, path: Path
@@ -166,9 +189,7 @@ class TelemetryTailer:
                 data = json.loads(line)
             except ValueError:
                 continue  # torn line from a killed writer
-            if data.get("format") == TELEMETRY_FORMAT:
-                continue  # the stream header
-            rec = data.get("rec")
+            rec = data.get("rec")  # the stream header has none
             try:
                 if rec == "frame":
                     self.records_parsed += 1
@@ -183,47 +204,15 @@ class TelemetryTailer:
 # -- aggregation ---------------------------------------------------------------
 
 
-def site_registry(frames: Sequence[TelemetryFrame]) -> MetricsRegistry:
-    """One site's frames as a registry: final counters, gauge histograms.
-
-    Counters carry the *latest* cumulative values (they are already
-    monotone totals in the frames); histograms record every sampled
-    gauge value, so a percentile over the merged registry answers "how
-    deep did hold-back get across the whole cluster".
-    """
-    registry = MetricsRegistry()
-    if not frames:
-        return registry
-    last = max(frames, key=lambda f: f.seq)
-    registry.inc("telemetry.ops_generated", last.ops_generated)
-    registry.inc("telemetry.ops_executed", last.ops_executed)
-    registry.inc("telemetry.retransmits", last.retransmits)
-    registry.inc("telemetry.storage_ints", last.storage_ints)
-    registry.inc("telemetry.elected", last.elected)
-    registry.inc("telemetry.promoted", last.promoted)
-    registry.inc("telemetry.resynced", last.resynced)
-    registry.inc("telemetry.degraded_queued", last.degraded_queued)
-    registry.inc("telemetry.frames", len(frames))
-    for frame in frames:
-        registry.observe("telemetry.holdback_depth", frame.holdback_depth)
-        registry.observe("telemetry.inflight", frame.inflight)
-        registry.observe("telemetry.queue_depth", frame.queue_depth)
-        if frame.e2e_p95_ms is not None:
-            registry.observe("telemetry.e2e_p95_ms", frame.e2e_p95_ms)
-    return registry
-
-
-def merged_registry(by_site: dict[int, list[TelemetryFrame]]) -> MetricsRegistry:
-    """The cross-process registry: every site merged into one."""
-    merged = MetricsRegistry()
-    for site in sorted(by_site):
-        merged.merge(site_registry(by_site[site]))
-    return merged
+def _health_line(event: HealthEvent) -> str:
+    return (f"  health: [{event.verdict}] site {event.site} {event.kind}"
+            + (f" (peer {event.peer})" if event.peer is not None else "")
+            + (f": {event.detail}" if event.detail else ""))
 
 
 @dataclass
 class MonitorSnapshot:
-    """One aggregated interval: the latest frame per site, summed."""
+    """One aggregated interval: the latest frame per site, folded."""
 
     time: float
     latest: dict[int, TelemetryFrame] = field(default_factory=dict)
@@ -233,71 +222,19 @@ class MonitorSnapshot:
     def sites(self) -> list[int]:
         return sorted(self.latest)
 
-    @property
-    def ops_executed(self) -> dict[int, int]:
-        return {site: self.latest[site].ops_executed for site in self.sites}
-
-    @property
-    def ops_generated(self) -> int:
-        return sum(f.ops_generated for f in self.latest.values())
-
-    @property
-    def holdback_depth(self) -> int:
-        return sum(f.holdback_depth for f in self.latest.values())
-
-    @property
-    def holdback_high_water(self) -> int:
-        return max((f.holdback_high_water for f in self.latest.values()),
-                   default=0)
-
-    @property
-    def inflight(self) -> int:
-        return sum(f.inflight for f in self.latest.values())
-
-    @property
-    def retransmits(self) -> int:
-        return sum(f.retransmits for f in self.latest.values())
-
-    @property
-    def storage_ints(self) -> int:
-        return sum(f.storage_ints for f in self.latest.values())
-
-    @property
-    def queue_depth(self) -> int:
-        return sum(f.queue_depth for f in self.latest.values())
-
-    @property
-    def epoch(self) -> int:
-        return max((f.epoch for f in self.latest.values()), default=0)
-
-    @property
-    def elected(self) -> int:
-        return sum(f.elected for f in self.latest.values())
-
-    @property
-    def promoted(self) -> int:
-        return sum(f.promoted for f in self.latest.values())
-
-    @property
-    def resynced(self) -> int:
-        return sum(f.resynced for f in self.latest.values())
-
-    @property
-    def degraded_queued(self) -> int:
-        return sum(f.degraded_queued for f in self.latest.values())
-
-    @property
-    def e2e_p95_ms(self) -> Optional[float]:
-        """Worst per-site end-to-end latency p95, or ``None`` if no site
-        reports the gauge (span instrumentation off or nothing remote
-        executed yet).  The maximum -- not an average of percentiles,
-        which would be meaningless -- so the line shows the site a human
-        would look at first."""
-        values = [
-            f.e2e_p95_ms for f in self.latest.values()
-            if f.e2e_p95_ms is not None
-        ]
-        return max(values) if values else None
+    @cached_property
+    def totals(self) -> dict[str, Any]:
+        """Every folded gauge as its declaration says: summed, or the
+        maximum, over the sites that report it (``None`` if none does),
+        or one value per site."""
+        totals: dict[str, Any] = {}
+        for name, fold, empty in _FOLDS:
+            values = {site: getattr(self.latest[site], name) for site in self.sites}
+            present = [v for v in values.values() if v is not None]
+            totals[name] = (values if fold == "site"
+                            else sum(present) if fold == "sum"
+                            else max(present, default=empty))
+        return totals
 
     @property
     def digests_agree(self) -> bool:
@@ -317,78 +254,52 @@ class MonitorSnapshot:
 
     def line(self, expected_sites: Optional[int] = None) -> str:
         """The live one-line-per-interval rendering."""
+        totals = self.totals
         count = len(self.latest)
-        sites = f"{count}/{expected_sites}" if expected_sites else str(count)
-        executed = "/".join(
-            str(self.latest[s].ops_executed) for s in self.sites
-        ) or "-"
-        digests = "ok" if self.digests_agree else "DIVERGED"
         text = (
-            f"t={self.time:8.2f}s sites={sites} exec={executed} "
-            f"gen={self.ops_generated} hold={self.holdback_depth}"
-            f"(hw {self.holdback_high_water}) infl={self.inflight} "
-            f"rtx={self.retransmits} store={self.storage_ints} "
-            f"q={self.queue_depth} epoch={self.epoch} digests={digests}"
+            "t={time:8.2f}s sites={sites} exec={executed} "
+            "gen={ops_generated} hold={holdback_depth}"
+            "(hw {holdback_high_water}) infl={inflight} "
+            "rtx={retransmits} store={storage_ints} "
+            "q={queue_depth} epoch={epoch} digests={digests}"
+        ).format(
+            time=self.time,
+            sites=f"{count}/{expected_sites}" if expected_sites else str(count),
+            executed="/".join(map(str, totals["ops_executed"].values())) or "-",
+            digests="ok" if self.digests_agree else "DIVERGED",
+            **totals,
         )
-        if self.e2e_p95_ms is not None:
-            text += f" e2e={self.e2e_p95_ms:.1f}ms"
-        if self.elected or self.promoted or self.resynced or self.degraded_queued:
+        if totals["e2e_p95_ms"] is not None:
+            text += f" e2e={totals['e2e_p95_ms']:.1f}ms"
+        failover = [totals[name] for name in
+                    ("elected", "promoted", "resynced", "degraded_queued")]
+        if any(failover):
             # The epoch transition, live: elections opened, promotions
             # completed, members resynced under the new centre, edits
             # queued while leaderless.
-            text += (
-                f" failover={self.elected}e/{self.promoted}p/"
-                f"{self.resynced}r dq={self.degraded_queued}"
-            )
-        for event in self.health:
-            text += (
-                f"\n  health: [{event.verdict}] site {event.site} "
-                f"{event.kind}"
-                + (f" (peer {event.peer})" if event.peer is not None else "")
-                + (f": {event.detail}" if event.detail else "")
-            )
-        return text
+            text += " failover={}e/{}p/{}r dq={}".format(*failover)
+        return "\n".join([text, *map(_health_line, self.health)])
 
     def to_json(self) -> str:
-        data: dict[str, Any] = {
+        return json.dumps({
             "rec": "interval",
             "time": self.time,
             "sites": self.sites,
-            "ops_executed": {str(s): n for s, n in self.ops_executed.items()},
-            "ops_generated": self.ops_generated,
-            "holdback_depth": self.holdback_depth,
-            "holdback_high_water": self.holdback_high_water,
-            "inflight": self.inflight,
-            "retransmits": self.retransmits,
-            "storage_ints": self.storage_ints,
-            "queue_depth": self.queue_depth,
-            "epoch": self.epoch,
-            "elected": self.elected,
-            "promoted": self.promoted,
-            "resynced": self.resynced,
-            "degraded_queued": self.degraded_queued,
+            # An optional gauge no site reports is left out, as in a frame.
+            **{k: v for k, v in self.totals.items() if v is not None},
             "digests_agree": self.digests_agree,
             "health": [json.loads(e.to_json()) for e in self.health],
-        }
-        if self.e2e_p95_ms is not None:
-            data["e2e_p95_ms"] = self.e2e_p95_ms
-        return json.dumps(data)
+        })
 
 
 def aggregate(
-    by_site: dict[int, list[TelemetryFrame]],
+    latest: dict[int, TelemetryFrame],
     health: Sequence[HealthEvent] = (),
 ) -> MonitorSnapshot:
-    """Fold per-site frame lists into one snapshot (latest per site)."""
-    latest: dict[int, TelemetryFrame] = {}
-    newest = 0.0
-    for site, frames in by_site.items():
-        if not frames:
-            continue
-        last = max(frames, key=lambda f: f.seq)
-        latest[site] = last
-        newest = max(newest, last.time)
-    return MonitorSnapshot(time=newest, latest=latest, health=list(health))
+    """One interval's snapshot of the latest frame per site (copied: the
+    caller's mapping moves on)."""
+    newest = max((frame.time for frame in latest.values()), default=0.0)
+    return MonitorSnapshot(time=newest, latest=dict(latest), health=list(health))
 
 
 # -- the follow view -----------------------------------------------------------
@@ -430,6 +341,8 @@ class FollowView:
 
     #: Sparkline window (intervals) kept per gauge.
     WINDOW = 24
+    #: The gauges drawn as sparklines, beside the ops/sec derived here.
+    PLOTTED = ("holdback_depth", "inflight", "e2e_p95_ms")
 
     def __init__(self, expect_sites: Optional[int] = None) -> None:
         self.expect_sites = expect_sites
@@ -438,21 +351,13 @@ class FollowView:
         self._prev: dict[int, TelemetryFrame] = {}
         self._recent_health: deque[HealthEvent] = deque(maxlen=6)
 
-    def _site_history(self, site: int) -> dict[str, deque[float]]:
-        hist = self._history.get(site)
-        if hist is None:
-            hist = {
-                name: deque(maxlen=self.WINDOW)
-                for name in ("rate", "hold", "inflight", "e2e")
-            }
-            self._history[site] = hist
-        return hist
-
     def update(self, snapshot: MonitorSnapshot) -> None:
         self.intervals += 1
         self._recent_health.extend(snapshot.health)
         for site, frame in snapshot.latest.items():
-            hist = self._site_history(site)
+            hist = self._history.setdefault(site, {
+                name: deque(maxlen=self.WINDOW) for name in ("rate", *self.PLOTTED)
+            })
             prev = self._prev.get(site)
             rate = 0.0
             if prev is not None and frame.time > prev.time:
@@ -460,14 +365,11 @@ class FollowView:
                     frame.time - prev.time
                 )
             hist["rate"].append(rate)
-            hist["hold"].append(float(frame.holdback_depth))
-            hist["inflight"].append(float(frame.inflight))
-            hist["e2e"].append(
-                frame.e2e_p95_ms if frame.e2e_p95_ms is not None else 0.0
-            )
+            for name in self.PLOTTED:
+                hist[name].append(float(getattr(frame, name) or 0))
             self._prev[site] = frame
 
-    def _markers(self, site: int, frame: TelemetryFrame) -> str:
+    def _markers(self, frame: TelemetryFrame) -> str:
         flags = []
         if frame.promoted:
             flags.append("PROMOTED")
@@ -487,8 +389,8 @@ class FollowView:
                  else str(count))
         digests = "ok" if snapshot.digests_agree else "DIVERGED"
         lines = [
-            f"repro monitor --follow   t={snapshot.time:.2f}s  "
-            f"sites={sites}  epoch={snapshot.epoch}  digests={digests}  "
+            f"repro monitor --follow   t={snapshot.time:.2f}s  sites={sites}  "
+            f"epoch={snapshot.totals['epoch']}  digests={digests}  "
             f"interval #{self.intervals}",
             "",
         ]
@@ -503,20 +405,15 @@ class FollowView:
                 f"site {site} {frame.role:<8} exec {frame.ops_executed:>4} "
                 f"| ops/s {rate:6.1f} {sparkline(hist['rate']):<12} "
                 f"| hold {frame.holdback_depth:>3} "
-                f"{sparkline(hist['hold']):<12} "
+                f"{sparkline(hist['holdback_depth']):<12} "
                 f"| infl {frame.inflight:>3} "
                 f"{sparkline(hist['inflight']):<12} "
-                f"| e2e {e2e_text} {sparkline(hist['e2e']):<12}"
-                f"{self._markers(site, frame)}{stale}"
+                f"| e2e {e2e_text} {sparkline(hist['e2e_p95_ms']):<12}"
+                f"{self._markers(frame)}{stale}"
             )
         if self._recent_health:
             lines.append("")
-            lines.extend(
-                f"  health: [{e.verdict}] site {e.site} {e.kind}"
-                + (f" (peer {e.peer})" if e.peer is not None else "")
-                + (f": {e.detail}" if e.detail else "")
-                for e in self._recent_health
-            )
+            lines.extend(map(_health_line, self._recent_health))
         # Home the cursor and clear to end of screen: a flicker-free
         # redraw without pulling in any terminal library.
         return "\x1b[H\x1b[J" + "\n".join(lines)
@@ -535,7 +432,6 @@ def run_monitor(
     artifact: Optional[Union[str, Path]] = None,
     follow: bool = False,
     max_intervals: Optional[int] = None,
-    beacon_port: Optional[int] = None,
     beacon: Optional[Any] = None,
     tty: Optional[bool] = None,
     emit: Callable[[str], None] = print,
@@ -553,12 +449,13 @@ def run_monitor(
     :class:`TelemetryTailer`, so each interval parses only the newly
     appended records.
 
-    ``beacon_port`` binds the UDP telemetry sideband
-    (:class:`repro.net.beacon.BeaconReceiver`) and folds arriving
-    datagrams through the same ``(site, seq)`` dedup as the files --
-    the monitor keeps rendering fresh frames while the TCP gossip hub
-    is dead.  ``follow`` renders the sparkline dashboard on a TTY
-    (``tty=None`` autodetects stdout) and plain lines otherwise.
+    ``beacon`` is a bound UDP sideband receiver
+    (:class:`repro.net.beacon.BeaconReceiver`; the caller keeps
+    ownership): what it drains goes through the same
+    :meth:`TelemetryTailer.ingest` as the files, so the monitor keeps
+    rendering fresh frames while the TCP gossip hub is dead.  ``follow``
+    renders the sparkline dashboard on a TTY (``tty=None`` autodetects
+    stdout) and plain lines otherwise.
 
     Returns 0 if any telemetry was seen and no ``fail`` health verdict
     surfaced, 2 on a ``fail`` verdict, 1 if no telemetry ever appeared.
@@ -567,76 +464,48 @@ def run_monitor(
     artifact_path = Path(artifact) if artifact else out_path / "monitor.jsonl"
     started = clock()
     tailer = TelemetryTailer(out_path)
-    # ``beacon`` injects an already-bound receiver (tests); the caller
-    # keeps ownership.  ``beacon_port`` binds one here and closes it.
-    receiver = beacon
-    owns_receiver = False
-    if receiver is None and beacon_port is not None:
-        from repro.net.beacon import BeaconReceiver
-
-        receiver = BeaconReceiver(port=beacon_port)
-        owns_receiver = True
     view = FollowView(expect_sites) if follow else None
     if tty is None:
         tty = bool(getattr(sys.stdout, "isatty", lambda: False)())
-    by_site: dict[int, list[TelemetryFrame]] = {}
     snapshots: list[MonitorSnapshot] = []
     all_health: list[HealthEvent] = []
-    seen_any = False
-    idle_rounds = 0
-    rounds = 0
-    last_fingerprint: Optional[tuple[tuple[int, int], ...]] = None
+    idle_rounds = rounds = accepted = 0
 
-    try:
-        while True:
-            fresh_by_site, fresh = tailer.poll()
-            for site, frames in fresh_by_site.items():
-                by_site.setdefault(site, []).extend(frames)
-            if receiver is not None:
-                for tframe in receiver.drain():
-                    if tailer.ingest(tframe):
-                        by_site.setdefault(tframe.site, []).append(tframe)
-            all_health.extend(fresh)
-            snapshot = aggregate(by_site, fresh)
-            if snapshot.latest:
-                seen_any = True
-                snapshots.append(snapshot)
-                if view is not None:
-                    view.update(snapshot)
-                    emit(view.render(snapshot, tty=tty))
-                else:
-                    emit(snapshot.line(expect_sites))
-            fingerprint = tuple(
-                (site, max(f.seq for f in frames))
-                for site, frames in sorted(by_site.items())
-            )
-            rounds += 1
-            if once:
-                break
-            if max_intervals is not None and rounds >= max_intervals:
-                break
-            idle_rounds = (idle_rounds + 1
-                           if fingerprint == last_fingerprint else 0)
-            last_fingerprint = fingerprint
-            if duration_s is not None and clock() - started >= duration_s:
-                break
-            if seen_any and idle_rounds >= 3:
-                break  # every stream has gone quiet: the run is over
-            sleep(interval_s)
-    finally:
-        if receiver is not None and owns_receiver:
-            receiver.close()
+    while True:
+        fresh = tailer.poll()
+        if beacon is not None:
+            for tframe in beacon.drain():
+                tailer.ingest(tframe, "udp")
+        all_health.extend(fresh)
+        if tailer.latest:
+            snapshot = aggregate(tailer.latest, fresh)
+            snapshots.append(snapshot)
+            if view is not None:
+                view.update(snapshot)
+                emit(view.render(snapshot, tty=tty))
+            else:
+                emit(snapshot.line(expect_sites))
+        rounds += 1
+        if once:
+            break
+        if max_intervals is not None and rounds >= max_intervals:
+            break
+        frames = tailer.kept.counter("telemetry.frames")
+        idle_rounds = idle_rounds + 1 if frames == accepted else 0
+        accepted = frames
+        if duration_s is not None and clock() - started >= duration_s:
+            break
+        if tailer.latest and idle_rounds >= 3:
+            break  # every stream has gone quiet: the run is over
+        sleep(interval_s)
 
-    registry = merged_registry(by_site)
-    registry.inc("monitor.records_parsed", tailer.records_parsed)
-    registry.inc("monitor.frames_from_files", tailer.frames_from_files)
-    registry.inc("monitor.frames_from_udp", tailer.frames_from_ingest)
-    if receiver is not None:
-        registry.inc("monitor.udp_datagrams", receiver.received)
+    registry = tailer.registry()
+    if beacon is not None:
+        registry.inc("monitor.udp_datagrams", beacon.received)
     _write_artifact(artifact_path, snapshots, all_health, registry)
     if any(e.verdict == "fail" for e in all_health):
         return 2
-    return 0 if seen_any else 1
+    return 0 if tailer.latest else 1
 
 
 def _write_artifact(
@@ -684,7 +553,5 @@ __all__ = [
     "MONITOR_SCHEMA_VERSION",
     "MonitorSnapshot",
     "aggregate",
-    "merged_registry",
     "run_monitor",
-    "site_registry",
 ]

@@ -62,9 +62,8 @@ class SkewEstimator:
     """
 
     def __init__(self) -> None:
-        # Minimum observed one-way sample and sample count per directed edge.
+        # Minimum observed one-way sample per directed edge.
         self._minimum: dict[tuple[int, int], float] = {}
-        self._count: dict[tuple[int, int], int] = {}
 
     def add_sample(self, src: int, dst: int, delay_s: float) -> None:
         """Record one ``src -> dst`` sample (receiver minus sender clock)."""
@@ -74,10 +73,6 @@ class SkewEstimator:
         best = self._minimum.get(key)
         if best is None or delay_s < best:
             self._minimum[key] = delay_s
-        self._count[key] = self._count.get(key, 0) + 1
-
-    def sample_count(self, src: int, dst: int) -> int:
-        return self._count.get((src, dst), 0)
 
     def sites(self) -> list[int]:
         """Every site that appears in at least one sample, sorted."""

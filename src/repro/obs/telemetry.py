@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
-from repro.obs.tracer import JsonlWriter, TraceEvent, Tracer, trace_header
+from repro.obs.tracer import Histogram, JsonlWriter, TraceEvent, Tracer, trace_header
 
 TELEMETRY_FORMAT = "repro-obs-telemetry-v1"
 
@@ -69,9 +69,28 @@ def document_digest(document: Any) -> str:
     return hashlib.sha256(repr(document).encode("utf-8")).hexdigest()[:12]
 
 
+def _gauge(wire: str, default: Any = MISSING, *, fold: Optional[str] = None,
+           keep: Optional[str] = None) -> Any:
+    """A :class:`TelemetryFrame` field and what its readers do with it."""
+    return field(default=default,
+                 metadata={"wire": wire, "fold": fold, "keep": keep})
+
+
 @dataclass(frozen=True)
 class TelemetryFrame:
     """One versioned snapshot of a process's runtime gauges.
+
+    The declarations are the one table of gauges; a new one is its line
+    here and its measurement in :func:`snapshot_endpoint`.  ``wire`` is
+    the width in a TELEMETRY body (a ``struct`` code, ``"s"`` a
+    length-prefixed string, ``"?d"`` a presence byte and then an
+    ``f64``), laid out by :mod:`repro.net.wire` in declaration order.
+    ``fold`` is how the monitor makes one number of every site's latest
+    value (``"sum"`` or ``"max"`` over the sites that report one,
+    ``"site"`` to keep them apart) and ``keep`` what its final registry
+    holds: the ``"latest"`` cumulative value as a counter, or the
+    ``"series"`` of sampled values as a histogram.  A field that only
+    identifies the frame has neither.
 
     ``seq`` is the per-process sample index (monotone within one
     emitter), so consumers can keep "the latest frame per site" by max
@@ -79,30 +98,39 @@ class TelemetryFrame:
     stream, once gossiped over the wire).
     """
 
-    site: int
-    role: str  # "notifier" | "client" | "session"
-    seq: int
-    time: float
-    epoch: int = 0
-    ops_generated: int = 0
-    ops_executed: int = 0
-    holdback_depth: int = 0
-    holdback_high_water: int = 0
-    inflight: int = 0  # reliability send-window: unacked packets
-    retransmits: int = 0
-    storage_ints: int = 0  # resident clock-state integers (CLAIM-MEM)
-    queue_depth: int = 0  # scheduler pending events
-    elected: int = 0  # elections this endpoint has opened or joined
-    promoted: int = 0  # in-process promotions to notifier (successor only)
-    resynced: int = 0  # failover handoffs completed (snapshot installed)
-    degraded_queued: int = 0  # local edits queued while leaderless
-    digest: str = ""  # document_digest() of the replica
+    site: int = _gauge("I")
+    role: str = _gauge("s")  # "notifier" | "client" | "session"
+    seq: int = _gauge("I")
+    time: float = _gauge("d")
+    epoch: int = _gauge("I", 0, fold="max")
+    ops_generated: int = _gauge("I", 0, fold="sum", keep="latest")
+    ops_executed: int = _gauge("I", 0, fold="site", keep="latest")
+    holdback_depth: int = _gauge("I", 0, fold="sum", keep="series")
+    holdback_high_water: int = _gauge("I", 0, fold="max")
+    # reliability send-window: unacked packets
+    inflight: int = _gauge("I", 0, fold="sum", keep="series")
+    retransmits: int = _gauge("I", 0, fold="sum", keep="latest")
+    # resident clock-state integers (CLAIM-MEM)
+    storage_ints: int = _gauge("I", 0, fold="sum", keep="latest")
+    # scheduler pending events
+    queue_depth: int = _gauge("I", 0, fold="sum", keep="series")
+    # elections this endpoint has opened or joined
+    elected: int = _gauge("I", 0, fold="sum", keep="latest")
+    # in-process promotions to notifier (successor only)
+    promoted: int = _gauge("I", 0, fold="sum", keep="latest")
+    # failover handoffs completed (snapshot installed)
+    resynced: int = _gauge("I", 0, fold="sum", keep="latest")
+    # local edits queued while leaderless
+    degraded_queued: int = _gauge("I", 0, fold="sum", keep="latest")
+    digest: str = _gauge("s", "")  # document_digest() of the replica
     #: p95 over the endpoint's rolling window of *uncorrected*
     #: end-to-end latencies (milliseconds; origin wall-clock stamp to
     #: local execution).  ``None`` when span instrumentation is
     #: disabled or nothing remote has executed yet -- the common case
-    #: for simulator sessions, hence last and optional.
-    e2e_p95_ms: Optional[float] = None
+    #: for simulator sessions, hence last and optional.  Across sites
+    #: the worst one is shown, not an average of percentiles (which
+    #: would be meaningless): the site a human would look at first.
+    e2e_p95_ms: Optional[float] = _gauge("?d", None, fold="max", keep="series")
 
     def to_json(self) -> str:
         """One compact JSON object, fields in declaration order.
@@ -208,12 +236,9 @@ def snapshot_endpoint(
     site = int(getattr(endpoint, "pid", 0))
     if role is None:
         role = "notifier" if site == 0 else "client"
-    e2e_p95_ms: Optional[float] = None
-    window = getattr(endpoint, "e2e_window", None)
-    if window:
-        ordered = sorted(float(v) for v in window)
-        e2e_p95_ms = ordered[min(len(ordered) - 1,
-                                 int(len(ordered) * 0.95))] * 1e3
+    latencies_ms = Histogram()  # an empty window has no percentile: None
+    latencies_ms.values.extend(
+        seconds * 1e3 for seconds in getattr(endpoint, "e2e_window", ()))
     return TelemetryFrame(
         site=site,
         role=role,
@@ -233,7 +258,7 @@ def snapshot_endpoint(
         resynced=int(getattr(stats, "handoffs", 0)),
         degraded_queued=int(getattr(stats, "degraded_queued", 0)),
         digest=document_digest(getattr(endpoint, "document", "")),
-        e2e_p95_ms=e2e_p95_ms,
+        e2e_p95_ms=latencies_ms.percentile(95),
     )
 
 
@@ -386,7 +411,7 @@ class DivergenceSentinel:
 class SilenceWatchdog:
     """Flags sites whose frames stopped arriving: the dead-peer signal.
 
-    ``observe`` records each site's latest frame time; ``check(now)``
+    ``observe`` records when each site's latest frame arrived; ``check(now)``
     fires for any known site not heard from within ``max_silence``.
     Distinct from the reliability layer's probe-based death detection:
     this works on the gossip stream alone, so the notifier (or the
@@ -394,14 +419,13 @@ class SilenceWatchdog:
     no protocol-level liveness probe exists.  Fires once per site per
     silence; a site that resumes gossiping re-arms.
 
-    ``clock`` (when given) stamps *arrival* times instead of trusting
-    ``frame.time``: gossiped frames carry the emitter's own scheduler
-    epoch, so comparing them against the local ``now`` would fold
-    cross-process clock-domain skew into the silence verdict.
+    ``clock`` stamps *arrival* times; ``frame.time`` is not trusted:
+    gossiped frames carry the emitter's own scheduler epoch, so
+    comparing them against the local ``now`` would fold cross-process
+    clock-domain skew into the silence verdict.
     """
 
-    def __init__(self, max_silence: float,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, max_silence: float, clock: Callable[[], float]) -> None:
         if max_silence <= 0:
             raise ValueError(f"max_silence must be positive, got {max_silence}")
         self.max_silence = max_silence
@@ -410,8 +434,7 @@ class SilenceWatchdog:
         self._silent: set[int] = set()
 
     def observe(self, frame: TelemetryFrame) -> list[HealthEvent]:
-        heard = frame.time if self.clock is None else float(self.clock())
-        self._last_heard[frame.site] = heard
+        self._last_heard[frame.site] = float(self.clock())
         self._silent.discard(frame.site)
         return []
 
@@ -428,24 +451,6 @@ class SilenceWatchdog:
                        f"(threshold {self.max_silence:.2f}s)",
             ))
         return events
-
-
-def default_watchdogs(
-    *,
-    expected_ops: int,
-    stall_after: float = 2.0,
-    storm_threshold: int = 10,
-    max_silence: Optional[float] = None,
-) -> list[Watchdog]:
-    """The standard watchdog set a cluster process arms."""
-    watchdogs: list[Watchdog] = [
-        RetransmitStormWatchdog(threshold=storm_threshold),
-        CausalStallWatchdog(stall_after=stall_after),
-        DivergenceSentinel(expected_ops=expected_ops),
-    ]
-    if max_silence is not None:
-        watchdogs.append(SilenceWatchdog(max_silence=max_silence))
-    return watchdogs
 
 
 # -- the sampler ---------------------------------------------------------------
@@ -503,26 +508,20 @@ class TelemetrySampler:
     def samples_taken(self) -> int:
         return self._seq
 
-    @property
-    def running(self) -> bool:
-        return self._timer is not None
-
     def sample(self) -> list[TelemetryFrame]:
         """Take one snapshot now; returns its frames."""
         frames = list(self._probe(self._seq))
         self._seq += 1
         for frame in frames:
-            self._ingest(frame)
+            self.feed(frame)
         now = float(self.sched.now)
         for watchdog in self.watchdogs:
             self._emit_health(watchdog.check(now))
         return frames
 
     def feed(self, frame: TelemetryFrame) -> None:
-        """Ingest a frame sampled elsewhere (gossiped over the wire)."""
-        self._ingest(frame)
-
-    def _ingest(self, frame: TelemetryFrame) -> None:
+        """Put a frame -- sampled here, or elsewhere and gossiped over
+        the wire -- before the watchdogs and ``on_frame``."""
         if self._keep:
             self.frames.append(frame)
         for watchdog in self.watchdogs:
@@ -630,7 +629,6 @@ __all__ = [
     "TelemetryFrame",
     "TelemetrySampler",
     "Watchdog",
-    "default_watchdogs",
     "document_digest",
     "snapshot_endpoint",
 ]

@@ -197,14 +197,9 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self.values:
             return None
-        if len(self.values) == 1:
-            return self.values[0]
         ordered = sorted(self.values)
         rank = max(1, -(-int(p * len(ordered)) // 100))  # ceil without floats
-        rank = min(rank, len(ordered))
-        if p == 0.0:
-            rank = 1
-        return ordered[rank - 1]
+        return ordered[min(rank, len(ordered)) - 1]
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other``'s observations into this histogram; returns self.
@@ -391,9 +386,6 @@ class Tracer:
         if self._sink is not None:
             self._sink(event)
         return event
-
-    def by_kind(self, kind: TraceEventKind) -> list[TraceEvent]:
-        return [event for event in self.events if event.kind is kind]
 
     def __len__(self) -> int:
         return len(self.events)

@@ -113,6 +113,49 @@ def test_trace_sink_does_not_outlive_its_file(tmp_path: Path) -> None:
     assert [event.op_id for event in events] == ["before"]
 
 
+def test_a_fed_frame_meets_the_watchdogs_and_the_stream_only(tmp_path: Path) -> None:
+    """Say it once: what three clients gossip to a centre is not sent on
+    again -- the centre's sideband datagrams and its own gossip equal its
+    own samples, while its stream holds the fed frames too."""
+    import json
+
+    from repro.cluster.harness import ProcessRig, telemetry_path
+    from repro.editor.star_notifier import StarNotifier
+    from repro.net.beacon import BeaconReceiver
+    from repro.obs.telemetry import DivergenceSentinel, TelemetryFrame
+
+    gossiped: list[bytes] = []
+
+    async def body(port: int) -> None:
+        rig = ProcessRig(
+            ClusterConfig(clients=3, telemetry_interval_s=0.05, beacon_port=port),
+            tmp_path, 0, "notifier")
+        notifier = StarNotifier(rig.sched, 3, tracer=rig.tracer)
+        rig.start_telemetry(lambda: notifier, gossip=gossiped.append,
+                            watchdogs=[DivergenceSentinel(expected_ops=1)])
+        for site in (1, 2, 3):
+            rig.feed(TelemetryFrame(site=site, role="client", seq=0, time=0.0,
+                                    ops_executed=1, digest=f"doc{site}"))
+        await asyncio.sleep(0.12)
+        rig.close_streams()
+        rig.finish(rig.result(notifier))
+
+    with BeaconReceiver() as receiver:
+        asyncio.run(body(receiver.port))
+        datagrams = receiver.drain()
+    records = [json.loads(line) for line
+               in telemetry_path(tmp_path, 0).read_text().splitlines()[1:]]
+    frames = [r for r in records if r["rec"] == "frame"]
+    own = [r for r in frames if r["site"] == 0]
+    assert len(own) >= 2  # the timer's samples and the closing one
+    assert sorted(r["site"] for r in frames if r["site"]) == [1, 2, 3]
+    assert [(f.site, f.seq) for f in datagrams] == [(0, r["seq"]) for r in own]
+    assert len(gossiped) == len(own)
+    # The fed frames went through the watchdogs: three digests, no two alike.
+    assert sum(r["rec"] == "health" and r["kind"] == "divergence"
+               for r in records) == 3
+
+
 def _assert_quiet(capfd, caplog) -> None:
     """Nothing on stderr, nothing through the loop's exception handler
     (which logs to ``asyncio``; pytest's log capture keeps that off fd 2)."""
@@ -213,8 +256,9 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
     # Every process wrote a telemetry stream...
     for site in range(4):
         assert telemetry_path(tmp_path, site).exists()
-    by_site, health = TelemetryTailer(tmp_path).poll()
-    assert sorted(by_site) == [0, 1, 2, 3]
+    tailer = TelemetryTailer(tmp_path)
+    health = tailer.poll()
+    assert sorted(tailer.latest) == [0, 1, 2, 3]
     assert not any(e.verdict == "fail" for e in health)
 
     # ...the clients' frames were gossiped over the wire into the
@@ -226,11 +270,11 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
     assert {r["site"] for r in records if r.get("rec") == "frame"} > {0}
 
     # ...and the monitor's aggregate equals each process's final stats.
-    snapshot = aggregate(by_site, health)
+    snapshot = aggregate(tailer.latest, health)
     assert snapshot.digests_agree
     for site in range(4):
         result, _ = read_artifacts(tmp_path, site)
-        assert snapshot.ops_executed[site] == result.executed_ops
+        assert snapshot.totals["ops_executed"][site] == result.executed_ops
         assert snapshot.latest[site].retransmits == result.retransmits
     # The CI probe mode exits clean and leaves the artifact behind.
     assert run_monitor(tmp_path, once=True, expect_sites=4,
@@ -277,7 +321,7 @@ def test_injected_notifier_crash_without_failover_leaves_flight_recorders(
     assert header["reason"] == "injected-crash"
 
     # The clients flagged the dead notifier live, before the run ended.
-    _by_site, health = TelemetryTailer(tmp_path).poll()
+    health = TelemetryTailer(tmp_path).poll()
     dead_flags = [e for e in health if e.kind == "peer_dead"
                   and e.verdict == "fail" and e.peer == 0]
     assert {e.site for e in dead_flags} == {1, 2}

@@ -62,7 +62,8 @@ def test_notifier_crash_mid_run_fails_over_with_telemetry(
     report = run_cluster(config, tmp_path)
     _assert_survived_by_failover(report, config, tmp_path)
 
-    by_site, health = TelemetryTailer(tmp_path).poll()
+    tailer = TelemetryTailer(tmp_path)
+    health = tailer.poll()
     # A healed run has no terminal verdicts anywhere...
     assert not any(e.verdict == "fail" for e in health), health
     kinds = {e.kind for e in health}
@@ -75,11 +76,11 @@ def test_notifier_crash_mid_run_fails_over_with_telemetry(
     assert "failover_rehomed" in kinds
     # The v2 telemetry counters carry the epoch transition: exactly one
     # promotion cluster-wide, and every other survivor resynced.
-    snapshot = aggregate(by_site, health)
-    assert snapshot.epoch >= 1
-    assert snapshot.promoted == 1
-    assert snapshot.elected >= 1
-    assert snapshot.resynced == config.clients - 1
+    totals = aggregate(tailer.latest, health).totals
+    assert totals["epoch"] >= 1
+    assert totals["promoted"] == 1
+    assert totals["elected"] >= 1
+    assert totals["resynced"] == config.clients - 1
     # The monitor's CI probe accepts the healed run (exit 0, not 2).
     assert run_monitor(tmp_path, once=True,
                        expect_sites=config.clients + 1,

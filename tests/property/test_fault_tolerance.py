@@ -194,8 +194,9 @@ def catch_up_after_outage(seed: int) -> tuple[float, int]:
     # The outage is the only fault, so the last release out of client
     # 1's reorder buffer is the moment it caught up.
     caught_up = max(
-        event.time for event in tracer.by_kind(TraceEventKind.RELEASED)
-        if event.site == 1 and event.via == "holdback")
+        event.time for event in tracer.events
+        if event.kind is TraceEventKind.RELEASED
+        and event.site == 1 and event.via == "holdback")
     return caught_up, session.fault_report().retransmits
 
 

@@ -1,25 +1,19 @@
 """Unit tests for the cross-process telemetry aggregator.
 
 The monitor's contracts: duplicated frames (local stream + gossiped
-copy) count once, aggregation reflects each site's *latest* frame,
-digest comparison only judges complete-looking replicas, the merged
-registry equals the sum/union of the per-site registries, and
-``run_monitor`` renders live lines, writes the JSONL artifact, and maps
-what it saw onto its exit code.
+copy) count once whatever source brought them, aggregation reflects each
+site's *latest* frame, digest comparison only judges complete-looking
+replicas, the registry sums each site's latest counters and keeps every
+sampled series value, and ``run_monitor`` renders live lines, writes the
+JSONL artifact, and maps what it saw onto its exit code.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.obs import (
-    HealthEvent,
-    TelemetryFrame,
-    aggregate,
-    merged_registry,
-    run_monitor,
-    site_registry,
-)
+from repro.obs import HealthEvent, TelemetryFrame, aggregate, run_monitor
+from repro.obs import monitor as monitor_module
 from repro.obs.monitor import (
     MONITOR_FORMAT,
     TelemetryTailer,
@@ -33,6 +27,18 @@ def frame_at(site: int, seq: int, **over) -> TelemetryFrame:
                 seq=seq, time=float(seq))
     base.update(over)
     return TelemetryFrame(**base)
+
+
+def fed(*frames: TelemetryFrame) -> TelemetryTailer:
+    """A tailer (of no directory) that was offered ``frames``."""
+    tailer = TelemetryTailer("/nonexistent")
+    for frame in frames:
+        tailer.ingest(frame, "udp")
+    return tailer
+
+
+def latest(*frames: TelemetryFrame) -> dict[int, TelemetryFrame]:
+    return fed(*frames).latest
 
 
 def write_stream(path, records, *, site=0, role="notifier"):
@@ -52,10 +58,11 @@ class TestScanDir:
         # The notifier's stream holds its own frame plus a gossiped copy.
         write_stream(tmp_path / "telemetry_0.jsonl",
                      [frame_at(0, 0), local[0]])
-        by_site, health = TelemetryTailer(tmp_path).poll()
-        assert sorted(by_site) == [0, 1]
-        assert [f.seq for f in by_site[1]] == [0, 1]
-        assert health == []
+        tailer = TelemetryTailer(tmp_path)
+        assert tailer.poll() == []
+        assert sorted(tailer.latest) == [0, 1]
+        assert tailer.latest[1].seq == 1
+        assert tailer.frames_from == {"files": 3, "udp": 0}
 
     def test_health_events_are_deduplicated_and_sorted(self, tmp_path):
         event = HealthEvent(time=2.0, site=1, kind="peer_dead",
@@ -66,61 +73,59 @@ class TestScanDir:
             event.to_json() + "\n" + earlier.to_json() + "\n"
         )
         (tmp_path / "telemetry_0.jsonl").write_text(event.to_json() + "\n")
-        _by_site, health = TelemetryTailer(tmp_path).poll()
-        assert health == [earlier, event]
+        assert TelemetryTailer(tmp_path).poll() == [earlier, event]
 
     def test_torn_tail_is_skipped(self, tmp_path):
         good = frame_at(1, 0)
         (tmp_path / "telemetry_1.jsonl").write_text(
             good.to_json() + "\n" + '{"rec": "frame", "sit'
         )
-        by_site, health = TelemetryTailer(tmp_path).poll()
-        assert by_site == {1: [good]}
-        assert health == []
+        tailer = TelemetryTailer(tmp_path)
+        assert tailer.poll() == []
+        assert tailer.latest == {1: good}
+        assert tailer.records_parsed == 1
 
 
 class TestAggregate:
     def test_latest_frame_per_site_wins(self):
-        by_site = {
-            0: [frame_at(0, 0, ops_executed=2), frame_at(0, 3, ops_executed=9)],
-            1: [frame_at(1, 1, ops_executed=5)],
-        }
-        snapshot = aggregate(by_site)
+        snapshot = aggregate(latest(
+            frame_at(0, 3, ops_executed=9), frame_at(0, 0, ops_executed=2),
+            frame_at(1, 1, ops_executed=5),
+        ))
         assert snapshot.sites == [0, 1]
-        assert snapshot.ops_executed == {0: 9, 1: 5}
+        assert snapshot.totals["ops_executed"] == {0: 9, 1: 5}
         assert snapshot.time == 3.0  # the newest latest-frame time
 
     def test_sums_and_maxima(self):
-        by_site = {
-            0: [frame_at(0, 0, holdback_depth=1, holdback_high_water=4,
-                         inflight=2, retransmits=3, storage_ints=7,
-                         queue_depth=5, epoch=1, ops_generated=6)],
-            1: [frame_at(1, 0, holdback_depth=2, holdback_high_water=3,
-                         inflight=1, retransmits=1, storage_ints=4,
-                         queue_depth=2, epoch=0, ops_generated=3)],
-        }
-        snapshot = aggregate(by_site)
-        assert snapshot.holdback_depth == 3
-        assert snapshot.holdback_high_water == 4  # worst single buffer
-        assert snapshot.inflight == 3
-        assert snapshot.retransmits == 4
-        assert snapshot.storage_ints == 11
-        assert snapshot.queue_depth == 7
-        assert snapshot.epoch == 1
-        assert snapshot.ops_generated == 9
+        totals = aggregate({
+            0: frame_at(0, 0, holdback_depth=1, holdback_high_water=4,
+                        inflight=2, retransmits=3, storage_ints=7,
+                        queue_depth=5, epoch=1, ops_generated=6),
+            1: frame_at(1, 0, holdback_depth=2, holdback_high_water=3,
+                        inflight=1, retransmits=1, storage_ints=4,
+                        queue_depth=2, epoch=0, ops_generated=3),
+        }).totals
+        assert totals["holdback_depth"] == 3
+        assert totals["holdback_high_water"] == 4  # worst single buffer
+        assert totals["inflight"] == 3
+        assert totals["retransmits"] == 4
+        assert totals["storage_ints"] == 11
+        assert totals["queue_depth"] == 7
+        assert totals["epoch"] == 1
+        assert totals["ops_generated"] == 9
 
     def test_digest_divergence_only_among_complete_replicas(self):
         behind = frame_at(1, 0, ops_executed=3, digest="bbb")
         complete_a = frame_at(0, 0, ops_executed=9, digest="aaa")
-        assert aggregate({0: [complete_a], 1: [behind]}).digests_agree
+        assert aggregate({0: complete_a, 1: behind}).digests_agree
         complete_b = frame_at(1, 1, ops_executed=9, digest="bbb")
-        snapshot = aggregate({0: [complete_a], 1: [complete_b]})
+        snapshot = aggregate({0: complete_a, 1: complete_b})
         assert not snapshot.digests_agree
         assert "DIVERGED" in snapshot.line()
 
     def test_line_renders_health_events(self):
         snapshot = aggregate(
-            {0: [frame_at(0, 0)]},
+            {0: frame_at(0, 0)},
             [HealthEvent(time=1.0, site=2, kind="peer_dead", verdict="fail",
                          peer=0, detail="gone")],
         )
@@ -131,21 +136,16 @@ class TestAggregate:
     def test_failover_counters_sum_and_render_only_when_present(self):
         # A quiet run never mentions failover -- the line segment is
         # reserved for runs where an epoch transition actually happened.
-        quiet = aggregate({0: [frame_at(0, 0)], 1: [frame_at(1, 0)]})
+        quiet = aggregate({0: frame_at(0, 0), 1: frame_at(1, 0)})
         assert "failover=" not in quiet.line()
-        assert quiet.elected == 0 and quiet.promoted == 0
+        assert quiet.totals["elected"] == 0 and quiet.totals["promoted"] == 0
         # After a crash: site 1 elected + promoted at epoch 1, sites 2-3
         # resynced from snapshots, site 3 queued edits while leaderless.
-        by_site = {
-            1: [frame_at(1, 2, elected=1, promoted=1, epoch=1)],
-            2: [frame_at(2, 2, resynced=1, epoch=1)],
-            3: [frame_at(3, 2, resynced=1, degraded_queued=2, epoch=1)],
-        }
-        snapshot = aggregate(by_site)
-        assert snapshot.elected == 1
-        assert snapshot.promoted == 1
-        assert snapshot.resynced == 2
-        assert snapshot.degraded_queued == 2
+        snapshot = aggregate({
+            1: frame_at(1, 2, elected=1, promoted=1, epoch=1),
+            2: frame_at(2, 2, resynced=1, epoch=1),
+            3: frame_at(3, 2, resynced=1, degraded_queued=2, epoch=1),
+        })
         assert "failover=1e/1p/2r dq=2" in snapshot.line()
         record = json.loads(snapshot.to_json())
         assert record["elected"] == 1
@@ -154,11 +154,10 @@ class TestAggregate:
         assert record["degraded_queued"] == 2
 
     def test_site_registry_carries_failover_counters(self):
-        registry = site_registry(
-            [frame_at(1, 0), frame_at(1, 1, elected=1, promoted=1,
-                                      resynced=1, degraded_queued=3)]
-        )
-        counters = registry.counters()
+        counters = fed(
+            frame_at(1, 0), frame_at(1, 1, elected=1, promoted=1,
+                                     resynced=1, degraded_queued=3)
+        ).registry().counters()
         assert counters["telemetry.elected"] == 1
         assert counters["telemetry.promoted"] == 1
         assert counters["telemetry.resynced"] == 1
@@ -171,7 +170,7 @@ class TestRegistries:
             frame_at(1, 0, ops_executed=2, holdback_depth=1, retransmits=0),
             frame_at(1, 1, ops_executed=5, holdback_depth=3, retransmits=2),
         ]
-        registry = site_registry(frames)
+        registry = fed(*frames).registry()
         counters = registry.counters()
         assert counters["telemetry.ops_executed"] == 5  # latest, not summed
         assert counters["telemetry.retransmits"] == 2
@@ -180,11 +179,8 @@ class TestRegistries:
             == [1.0, 3.0]
 
     def test_merged_registry_sums_across_sites(self):
-        by_site = {
-            0: [frame_at(0, 0, ops_executed=4)],
-            1: [frame_at(1, 0, ops_executed=6)],
-        }
-        merged = merged_registry(by_site)
+        merged = fed(frame_at(0, 0, ops_executed=4),
+                     frame_at(1, 0, ops_executed=6)).registry()
         assert merged.counters()["telemetry.ops_executed"] == 10
         assert merged.counters()["telemetry.frames"] == 2
         assert merged.histograms()["telemetry.queue_depth"].count == 2
@@ -252,28 +248,57 @@ class TestRunMonitor:
         assert rounds["n"] == 2  # 3 rounds = 2 sleeps between them
 
 
+    def test_an_interval_reads_the_latest_frame_per_site_not_the_run(
+            self, tmp_path, monkeypatch):
+        # 1 000 frames on disk, more arriving: every interval is handed
+        # one frame per site, and nothing holds the stream as a list.
+        stream = tmp_path / "telemetry_1.jsonl"
+        write_stream(stream, [frame_at(1, seq, holdback_depth=seq)
+                              for seq in range(1000)], site=1, role="client")
+        handed = []
+        real = monitor_module.aggregate
+        monkeypatch.setattr(
+            monitor_module, "aggregate",
+            lambda latest, health=(): handed.append(dict(latest)) or real(latest, health))
+
+        def sleep(_seconds: float) -> None:
+            with stream.open("a") as fh:
+                fh.write(frame_at(1, 1000 + len(handed)).to_json() + "\n")
+
+        assert run_monitor(tmp_path, interval_s=0.01, max_intervals=3,
+                           emit=lambda _: None, sleep=sleep) == 0
+        assert [list(latest) for latest in handed] == [[1], [1], [1]]
+        assert [latest[1].seq for latest in handed] == [999, 1001, 1002]
+        records = [json.loads(line) for line
+                   in (tmp_path / "monitor.jsonl").read_text().splitlines()[1:]]
+        metrics = records[-1]
+        assert metrics["counters"]["telemetry.frames"] == 1002
+        assert metrics["counters"]["monitor.records_parsed"] == 1002
+        assert metrics["histograms"]["telemetry.holdback_depth"]["max"] == 999
+
+
 class TestTelemetryTailer:
     def test_each_record_parsed_exactly_once_across_polls(self, tmp_path):
         stream = tmp_path / "telemetry_1.jsonl"
         write_stream(stream, [frame_at(1, 0), frame_at(1, 1)],
                      site=1, role="client")
         tailer = TelemetryTailer(tmp_path)
-        by_site, _health = tailer.poll()
-        assert [f.seq for f in by_site[1]] == [0, 1]
+        tailer.poll()
+        assert tailer.latest[1].seq == 1
         assert tailer.records_parsed == 2  # header line is not a record
 
         # Nothing new on disk: a second poll parses zero records.
-        assert tailer.poll() == ({}, [])
+        tailer.poll()
         assert tailer.records_parsed == 2
 
         # Append two more; only the appended bytes are parsed.
         with stream.open("a") as fh:
             fh.write(frame_at(1, 2).to_json() + "\n")
             fh.write(frame_at(1, 3).to_json() + "\n")
-        by_site, _health = tailer.poll()
-        assert [f.seq for f in by_site[1]] == [2, 3]
+        tailer.poll()
+        assert tailer.latest[1].seq == 3
         assert tailer.records_parsed == 4
-        assert tailer.frames_from_files == 4
+        assert tailer.frames_from["files"] == 4
 
     def test_partial_trailing_line_waits_for_completion(self, tmp_path):
         stream = tmp_path / "telemetry_1.jsonl"
@@ -281,13 +306,13 @@ class TestTelemetryTailer:
         torn = frame_at(1, 1).to_json()
         stream.write_text(full + "\n" + torn[:10])
         tailer = TelemetryTailer(tmp_path)
-        by_site, _ = tailer.poll()
-        assert [f.seq for f in by_site[1]] == [0]
+        tailer.poll()
+        assert tailer.latest[1].seq == 0
         # The writer finishes the line: the next poll picks it up whole.
         with stream.open("a") as fh:
             fh.write(torn[10:] + "\n")
-        by_site, _ = tailer.poll()
-        assert [f.seq for f in by_site[1]] == [1]
+        tailer.poll()
+        assert tailer.latest[1].seq == 1
         assert tailer.records_parsed == 2
 
     def test_truncated_file_resets_cursor(self, tmp_path):
@@ -299,23 +324,24 @@ class TestTelemetryTailer:
         # A rewritten (shorter) file must not be read from the stale
         # offset; the tailer starts over and dedup absorbs the replays.
         write_stream(stream, [frame_at(1, 2)], site=1, role="client")
-        by_site, _ = tailer.poll()
-        assert [f.seq for f in by_site[1]] == [2]
+        tailer.poll()
+        assert tailer.latest[1].seq == 2
+        assert tailer.frames_from["files"] == 3
 
     def test_ingest_dedupes_against_file_frames(self, tmp_path):
         write_stream(tmp_path / "telemetry_1.jsonl", [frame_at(1, 0)],
                      site=1, role="client")
         tailer = TelemetryTailer(tmp_path)
         tailer.poll()
-        assert tailer.ingest(frame_at(1, 0)) is False  # seen on disk
-        assert tailer.ingest(frame_at(1, 1)) is True   # fresh via UDP
-        assert tailer.ingest(frame_at(1, 1)) is False  # duplicate datagram
-        assert tailer.frames_from_ingest == 1
-        # And the file path dedupes against ingest in return.
+        assert tailer.ingest(frame_at(1, 0), "udp") is False  # seen on disk
+        assert tailer.ingest(frame_at(1, 1), "udp") is True   # fresh via UDP
+        assert tailer.ingest(frame_at(1, 1), "udp") is False  # duplicate datagram
+        # And the file path dedupes against the sideband in return.
         with (tmp_path / "telemetry_1.jsonl").open("a") as fh:
             fh.write(frame_at(1, 1).to_json() + "\n")
-        by_site, _ = tailer.poll()
-        assert by_site == {}
+        tailer.poll()
+        assert tailer.frames_from == {"files": 1, "udp": 1}
+        assert tailer.registry().counters()["telemetry.frames"] == 2
 
 
 class TestFollow:
@@ -388,10 +414,10 @@ class TestFollow:
         )
         write_stream(tmp_path / "telemetry_1.jsonl", [frame_at(1, 0)],
                      site=1, role="client")
-        by_site, _ = TelemetryTailer(tmp_path).poll()
-        snapshot = aggregate(by_site)
-        assert snapshot.e2e_p95_ms == 4.0  # worst latest per-site gauge
+        tailer = TelemetryTailer(tmp_path)
+        tailer.poll()
+        snapshot = aggregate(tailer.latest)
+        assert snapshot.totals["e2e_p95_ms"] == 4.0  # worst latest per-site gauge
         assert "e2e=4.0ms" in snapshot.line()
-        merged = merged_registry(by_site)
-        hist = merged.histograms()["telemetry.e2e_p95_ms"]
+        hist = tailer.registry().histograms()["telemetry.e2e_p95_ms"]
         assert sorted(hist.values) == [1.5, 4.0]  # None gauge not observed

@@ -84,7 +84,8 @@ class Pair:
     def retransmits(self) -> list[tuple[str, int, float]]:
         """``(via, seq, time)`` of every retransmit the sender made."""
         return [(event.via, event.seq, event.time)
-                for event in self.tracer.by_kind(TraceEventKind.RETRANSMITTED)]
+                for event in self.tracer.events
+                if event.kind is TraceEventKind.RETRANSMITTED]
 
     def pure_acks(self, source: int = RECEIVER) -> list[tuple[float, int, bool]]:
         """``(time, ack, gap)`` of every pure acknowledgement ``source`` sent."""

@@ -11,6 +11,7 @@ dumps once -- preserving the first trigger's state.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -34,6 +35,7 @@ from repro.obs import (
     read_jsonl,
     snapshot_endpoint,
 )
+from repro.obs.monitor import TelemetryTailer, aggregate
 from repro.net.simulator import Simulator
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -48,6 +50,54 @@ def frame_at(site: int, seq: int, **over) -> TelemetryFrame:
     base = dict(site=site, role="client", seq=seq, time=float(seq))
     base.update(over)
     return TelemetryFrame(**base)
+
+
+GAUGES = dataclasses.fields(TelemetryFrame)
+_DISTINCT = {"I": lambda n: 100 + n, "d": lambda n: n + 0.5,
+             "s": lambda n: f"s{n}", "?d": lambda n: n + 0.25}
+
+
+def distinct_frame(site: int) -> TelemetryFrame:
+    """Every field its own value, different at every site."""
+    values = {spec.name: _DISTINCT[spec.metadata["wire"]](index + 40 * site)
+              for index, spec in enumerate(GAUGES)}
+    values.update(site=site, seq=site)  # what the monitor keys a frame by
+    return TelemetryFrame(**values)
+
+
+@pytest.mark.parametrize("spec", GAUGES, ids=lambda spec: spec.name)
+def test_a_declared_gauge_reaches_every_reader_of_the_table(spec):
+    """The table cannot be half-applied: whatever ``TelemetryFrame``
+    declares crosses the wire and the JSON stream and is folded, recorded
+    and kept as its declaration says -- a gauge added to the table and
+    forgotten by a reader fails here, by name."""
+    name, (fold, keep) = spec.name, (spec.metadata["fold"], spec.metadata["keep"])
+    assert fold in (None, "sum", "max", "site")
+    assert keep in (None, "latest", "series")
+    one, two = distinct_frame(1), distinct_frame(2)
+    a, b = getattr(one, name), getattr(two, name)
+    assert a != b
+
+    assert getattr(decode_frame(encode_telemetry_frame(one)), name) == a
+    assert getattr(TelemetryFrame.from_json(one.to_json()), name) == a
+
+    tailer = TelemetryTailer("/nonexistent")
+    assert tailer.ingest(one, "udp") and tailer.ingest(two, "udp")
+    snapshot = aggregate(tailer.latest)
+    record = json.loads(snapshot.to_json())
+    if fold is None:
+        assert name not in snapshot.totals
+    else:
+        folded = {"sum": a + b, "max": max(a, b), "site": {1: a, 2: b}}[fold]
+        assert snapshot.totals[name] == folded
+        assert record[name] == json.loads(json.dumps(folded))
+
+    registry = tailer.registry()
+    counter = registry.counters().get(f"telemetry.{name}")
+    series = registry.histograms().get(f"telemetry.{name}")
+    assert counter == (a + b if keep == "latest" else None)
+    assert (series.values if series else None) == (
+        [a, b] if keep == "series" else None)
 
 
 class TestFrameCodec:
@@ -199,14 +249,16 @@ class TestDivergenceSentinel:
 
 class TestSilenceWatchdog:
     def test_fires_once_after_silence_and_rearms_on_frames(self):
-        dog = SilenceWatchdog(max_silence=2.0)
-        dog.observe(frame_at(1, 0, time=0.0))
+        now = {"t": 0.0}
+        dog = SilenceWatchdog(max_silence=2.0, clock=lambda: now["t"])
+        dog.observe(frame_at(1, 0))
         assert dog.check(1.0) == []
         events = dog.check(3.0)
         assert [e.kind for e in events] == ["peer_silent"]
         assert events[0].verdict == "fail"
         assert dog.check(4.0) == []  # once per silence
-        dog.observe(frame_at(1, 1, time=4.5))  # resumed: re-armed
+        now["t"] = 4.5
+        dog.observe(frame_at(1, 1))  # resumed: re-armed
         assert len(dog.check(7.0)) == 1
 
     def test_arrival_clock_overrides_frame_time(self):
@@ -228,7 +280,6 @@ class TestSampler:
         session.run()
         assert session.converged()
         assert 0 < sampler.samples_taken <= 6
-        assert not sampler.running
         # One frame per endpoint (notifier + 3 clients) per sample.
         assert len(sampler.frames) == 4 * sampler.samples_taken
         final = [f for f in sampler.frames if f.seq == sampler.samples_taken - 1]
@@ -266,9 +317,7 @@ class TestSampler:
         sim = Simulator()
         sampler = TelemetrySampler(sim, lambda seq: [], interval=1.0)
         sampler.start(max_samples=100)
-        assert sampler.running
         sampler.stop()
-        assert not sampler.running
         assert sim.run() == 0  # the cancelled timer never fires
 
 

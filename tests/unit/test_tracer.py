@@ -62,13 +62,6 @@ class TestEmission:
         assert tracer.metrics.counter("trace.retransmitted") == 1
         assert tracer.metrics.counter("trace.executed") == 0
 
-    def test_by_kind_filters(self):
-        tracer = Tracer()
-        tracer.emit(TraceEventKind.GENERATED, 1, op_id="a")
-        tracer.emit(TraceEventKind.EXECUTED, 0, op_id="a")
-        tracer.emit(TraceEventKind.GENERATED, 2, op_id="b")
-        assert [e.op_id for e in tracer.by_kind(TraceEventKind.GENERATED)] == ["a", "b"]
-
 
 class TestSerialisation:
     def _sample_events(self):

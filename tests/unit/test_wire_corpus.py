@@ -24,6 +24,7 @@ from repro.editor.messages import (
     SnapshotMessage,
     StateContribution,
 )
+from repro.net.codec import CodecError
 from repro.net.reliability import ReliablePacket
 from repro.net.transport import Envelope
 from repro.net.wire import (
@@ -236,3 +237,28 @@ def test_the_second_sibling_was_written_from_the_shared_body() -> None:
     assert _SHARED.wire is not None
     assert first.endswith(_SHARED.wire) and second.endswith(_SHARED.wire)
     assert first != second
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_every_one_byte_mutation_and_prefix_decodes_or_is_typed(name: str) -> None:
+    """Enumerated, not sampled: each offset x the 255 other byte values,
+    and each strict prefix, of a pinned frame decodes to a value or raises
+    ``CodecError`` -- the one exception the readers of the wire catch
+    (``ValueError``, its base, is not)."""
+    pinned = bytes.fromhex(PINNED[name])
+    escapes = []
+    bodies = [pinned[:cut] for cut in range(len(pinned))]
+    for offset, original in enumerate(pinned):
+        mutant = bytearray(pinned)
+        for value in range(256):
+            if value != original:
+                mutant[offset] = value
+                bodies.append(bytes(mutant))
+    for body in bodies:
+        try:
+            decode_frame(body)
+        except CodecError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escape is the finding
+            escapes.append((body.hex(), repr(exc)))
+    assert not escapes, f"{len(escapes)} escapes, first: {escapes[0]}"
