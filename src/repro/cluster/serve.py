@@ -24,7 +24,9 @@ broadcasts GOODBYE -- again by FIFO, each client has executed every
 broadcast by the time it reads the GOODBYE -- and waits for the clients
 to hang up.  An EOF *after* GOODBYE is therefore a clean teardown, not
 a peer death.  A connection whose first frame is not the HELLO of an
-expected, not-yet-connected member is counted and closed.  A hard
+expected, not-yet-connected member is counted and closed, and so is an
+admitted member's once it sends a frame that does not decode; the last
+line on stdout, ``SERVED rejected=R garbled=G``, carries both counts.  A hard
 timeout bounds the wait; on expiry the artifacts are written with
 ``timed_out`` set so the driver fails the run instead of diagnosing a
 hang.
@@ -92,7 +94,9 @@ class Hub:
     member has drained and ``may_finish()``; ``finished`` is set once
     they have all hung up.  The first frame of a connection is outside
     input: unless it is the HELLO of an expected member that is not yet
-    connected, the connection is counted in ``rejected`` and closed.
+    connected, the connection is counted in ``rejected`` and closed; a
+    later frame that does not decode closes it too, counted in
+    ``garbled``.
     """
 
     def __init__(
@@ -117,7 +121,8 @@ class Hub:
         self.listen_ports: dict[int, int] = {}
         self.drained: set[int] = set()
         self.hung_up: set[int] = set()
-        self.rejected = 0
+        self.rejected = 0  # connections turned away at their first frame
+        self.garbled = 0  # admitted members hung up on for a frame that does not decode
         self.goodbye_sent = False
         #: Pumps wait on this: the original centre opens it once every
         #: member has a channel, a successor listens with it open.
@@ -191,8 +196,13 @@ class Hub:
         try:
             await pump(reader, on_envelope, on_telemetry=self.on_telemetry,
                        on_drained=on_drained)
-        except (CodecError, ConnectionError):
-            pass  # a killed (or garbling) member is hung up, not a crash here
+        except CodecError as exc:
+            # Hung up on like a killed member, but counted and named: the
+            # frame passed the HELLO and still was not one of ours.
+            self.garbled += 1
+            self.log("member_garbled", f"member {member} garbled a frame: {exc}")
+        except ConnectionError:
+            pass  # a killed member is hung up, not a crash here
         finally:
             writer.close()  # close() will not find this connection any more
             self.hung_up.add(member)
@@ -327,4 +337,5 @@ async def serve(config: ClusterConfig, out_dir: Path,
         crash_task.cancel()
     await hub.close()
     rig.close_streams()
+    print(f"SERVED rejected={hub.rejected} garbled={hub.garbled}", flush=True)
     return rig.finish(rig.result(notifier))

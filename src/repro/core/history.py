@@ -26,7 +26,7 @@ from repro.core.timestamp import CompressedTimestamp, FullTimestamp, OriginKind
 Timestamp = Union[CompressedTimestamp, FullTimestamp]
 
 
-@dataclass
+@dataclass(slots=True)
 class HistoryEntry:
     """One executed operation in a history buffer."""
 

@@ -32,7 +32,7 @@ class OriginKind(enum.Enum):
     FROM_CLIENT = "from-client"  # notifier-side: received from a client
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompressedTimestamp:
     """The paper's 2-element compressed state vector timestamp."""
 
@@ -64,7 +64,7 @@ class FullTimestamp:
     def __post_init__(self) -> None:
         if not self.counts:
             raise ValueError("full timestamp must have at least one entry")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError(f"timestamp entries must be >= 0: {self.counts}")
 
     def __getitem__(self, site: int) -> int:

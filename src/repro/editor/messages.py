@@ -35,9 +35,17 @@ class BroadcastBody:
         self.wire: bytes | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OpMessage:
     """The wire format of a propagated operation.
+
+    Shared by reference and never mutated: the simulator hands the
+    sender's object to the receiver, and a reliable sender retains it
+    for retransmission.  Not ``frozen`` -- the notifier builds one per
+    destination per operation, and a frozen ``__init__`` is seven
+    ``object.__setattr__`` calls -- so the rule is held by
+    ``tests/unit/test_source_hygiene.py``: nothing under ``src/`` stores
+    to one of these field names except on ``self``.
 
     ``origin_wall`` is the wall-clock instant the operation was
     generated, measured on the *origin site's* clock.  It is ``None``

@@ -43,7 +43,7 @@ if TYPE_CHECKING:
     from repro.editor.star_client import StarClient
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingOp:
     """A broadcast operation awaiting acknowledgement by one destination.
 
@@ -93,10 +93,14 @@ class StarNotifier(EditorEndpoint):
         self.document = self.ot.initial() if initial_state is None else initial_state
         self.sv = NotifierStateVector(n_sites)
         self.hb = HistoryBuffer()
-        # Sites currently receiving broadcasts.  The original notifier
-        # serves everyone from the start; a promoted one re-admits each
-        # survivor through the failover snapshot path first.
-        self.destinations: set[int] = {i for i in range(1, n_sites + 1) if i != pid}
+        # Sites currently receiving broadcasts, in the order a broadcast
+        # visits them (sorted once per roster change, not per operation).
+        # The original notifier serves everyone from the start; a
+        # promoted one re-admits each survivor through the failover
+        # snapshot path first.
+        self.destinations: tuple[int, ...] = tuple(
+            i for i in range(1, n_sites + 1) if i != pid
+        )
         # Per destination: broadcast operations the destination has not
         # yet acknowledged, each in its per-destination form.  Every ack
         # drops a prefix, so deques keep that O(acked) not O(n).
@@ -126,22 +130,24 @@ class StarNotifier(EditorEndpoint):
         self.failover_losses = 0
 
     def _handle_app_message(self, envelope: Envelope) -> None:
-        if isinstance(envelope.payload, ResyncRequest):
-            self._readmit(envelope.source, "resync", envelope.payload.epoch)
-            return
-        if isinstance(envelope.payload, StateContribution):
-            # A member presumed dead during promotion whose report
-            # arrives late: it already re-homed to us, so heal it with
-            # a failover snapshot rather than leaving it stranded.
-            self._readmit(envelope.source, "failover", self.notifier_epoch)
-            return
-        if isinstance(envelope.payload, (ElectMessage, PromoteMessage)):
-            # Election-window stragglers (e.g. a duplicate suspicion
-            # delivered after promotion completed).
-            self.transport.stats.stale_epoch_discarded += 1
-            return
-        message: OpMessage = envelope.payload
+        payload = envelope.payload
         source = envelope.source
+        if type(payload) is not OpMessage:
+            if isinstance(payload, ResyncRequest):
+                self._readmit(source, "resync", payload.epoch)
+                return
+            if isinstance(payload, StateContribution):
+                # A member presumed dead during promotion whose report
+                # arrives late: it already re-homed to us, so heal it with
+                # a failover snapshot rather than leaving it stranded.
+                self._readmit(source, "failover", self.notifier_epoch)
+                return
+            if isinstance(payload, (ElectMessage, PromoteMessage)):
+                # Election-window stragglers (e.g. a duplicate suspicion
+                # delivered after promotion completed).
+                self.transport.stats.stale_epoch_discarded += 1
+                return
+        message: OpMessage = payload
         ts = message.timestamp
         if message.origin_wall is not None and self.tracer is not None:
             self.tracer.emit(
@@ -255,29 +261,30 @@ class StarNotifier(EditorEndpoint):
             )
         )
         # The copies differ in the timestamp only (formulas 1-2): they
-        # share one body, and SV_0 is summed once for all of them.
+        # share one body and one sum of SV_0, so a copy costs its two
+        # integers and the objects that carry them.  The rest is bound
+        # here, once per broadcast -- not at construction: a transport
+        # wrapped later (perfbench's spans) must still see every copy.
         total = self.sv.total()
         shared = BroadcastBody()
         log = self.broadcast_log
-        for dest in sorted(self.destinations):
+        send = self.transport.send
+        compress = self.sv.compress_for_destination
+        sent_to = self.sent_to
+        ts_bytes = ts.size_bytes()  # any compressed timestamp: two integers
+        for dest in self.destinations:
             if dest == source:
                 continue
-            dest_ts = self.sv.compress_for_destination(dest, total)
+            dest_ts = compress(dest, total)
             if log is not None:
                 log.append((transformed_id, dest, dest_ts))
-            out = OpMessage(
-                op=new_op,
-                timestamp=dest_ts,
-                origin_site=source,
-                op_id=transformed_id,
-                source_op_id=source_op_id,
-                origin_wall=origin_wall,
-                shared=shared,
+            send(
+                dest,
+                OpMessage(new_op, dest_ts, source, transformed_id, source_op_id,
+                          origin_wall, shared),
+                ts_bytes,
             )
-            self.send(dest, out, timestamp_bytes=dest_ts.size_bytes())
-            self.sent_to[dest].append(
-                PendingOp(op=new_op, op_id=transformed_id, origin_site=source)
-            )
+            sent_to[dest].append(PendingOp(new_op, transformed_id, source))
 
     def generate_local(self, op: Any, op_id: str) -> str:
         """A local edit at the *promoted* notifier's own site.
@@ -398,7 +405,7 @@ class StarNotifier(EditorEndpoint):
         """
         own = self.sv[site]
         base = self.sv.total() - own
-        self.destinations.add(site)
+        self.destinations = tuple(sorted({*self.destinations, site}))
         self.sent_to[site] = deque()
         self.acked[site] = base
         self._prune_history()
@@ -498,7 +505,7 @@ class StarNotifier(EditorEndpoint):
         for site in range(1, n_sites + 1):
             notifier.sent_to[site] = deque()
             notifier.acked[site] = notifier.sv.total() - notifier.sv[site]
-        notifier.destinations = set()
+        notifier.destinations = ()
         notifier.incorporated = frozenset(client._incorporated)
         for site, contribution in contributions.items():
             if contribution is None or site == client.pid:

@@ -40,15 +40,7 @@ class SimProcess:
                 f"process {self.pid} has no channel to {dest}; "
                 f"known destinations: {sorted(self.out_channels)}"
             ) from None
-        channel.send(
-            Envelope(
-                source=self.pid,
-                dest=dest,
-                payload=payload,
-                timestamp_bytes=timestamp_bytes,
-                kind=kind,
-            )
-        )
+        channel.send(Envelope(self.pid, dest, payload, timestamp_bytes, kind))
 
     def on_message(self, envelope: Envelope) -> None:
         """Handle a delivered message; override in subclasses."""

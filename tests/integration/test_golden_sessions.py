@@ -88,7 +88,23 @@ GOLDEN = (
     Golden("mesh-4x6-clean", "mesh", 4, 6, None, 72, 2598, 1152, 870, 16, 1,
            0.0974036620908092, 0.2813646376596153, 0.37055184274854325,
            0, 0),
+    # Cut at PR 23's commit, before ISSUE 24 made a broadcast copy
+    # cheaper: the fan-out path at the width that claim is made.
+    Golden("star-16x12-clean", "star", 16, 12, None, 3072, 102934, 24576, 53782,
+           48, 0,
+           0.21974371109837953, 0.4509368004676251, 0.5724227319114803,
+           18723, 89),
 )
+
+# star-16x12-clean, the copies of two broadcasts as (destination,
+# [T[1], T[2]]) in send order: the one in the middle of the notifier's
+# broadcast log, where every SV_0[dest] differs, and the last.
+FANOUT16_MID = ("c4_11'", [
+    (1, [92, 5]), (2, [91, 6]), (3, [92, 5]), (5, [90, 7]), (6, [93, 4]),
+    (7, [93, 4]), (8, [86, 11]), (9, [92, 5]), (10, [90, 7]), (11, [89, 8]),
+    (12, [88, 9]), (13, [95, 2]), (14, [92, 5]), (15, [94, 3]), (16, [92, 5]),
+])
+FANOUT16_LAST = ("c3_12'", [(dest, [180, 12]) for dest in range(1, 17) if dest != 3])
 
 
 def run_session(golden: Golden, tracer: Tracer):
@@ -149,6 +165,22 @@ def test_seeded_session_matches_golden_values(golden):
     assert latency.percentile(99) == golden.p99
     assert len(session.all_checks()) == golden.check_records
     assert max(len(getattr(e, "hb", ())) for e in session.participants()) == golden.hb_max
+
+
+def test_fanout16_broadcast_copies_match_golden_values():
+    """Formulas (1)-(2) per destination, at fan-out 15: which copies the
+    notifier sent, in which order, each with which two integers -- and
+    how much of ``HB_0`` the acknowledgements let it forget."""
+    session = run_session(GOLDEN[-1], Tracer())
+    log = session.notifier.broadcast_log
+    assert len(log) == 2880  # 192 operations x 15 destinations
+    for op_id, copies in (FANOUT16_MID, FANOUT16_LAST):
+        assert [
+            (dest, ts.as_paper_list()) for sent_id, dest, ts in log if sent_id == op_id
+        ] == copies
+    assert log[len(log) // 2][0] == FANOUT16_MID[0]
+    assert log[-1][0] == FANOUT16_LAST[0]
+    assert len(session.notifier.hb) == 89
 
 
 def _exchange_schedule(n, rounds):

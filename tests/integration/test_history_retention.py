@@ -7,6 +7,7 @@ in-flight window, not by the session".
 """
 
 from collections import deque
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -120,24 +121,84 @@ STILL_GROWS_UNDER_RELIABILITY = STILL_GROWS | {
 }
 
 
+def attributes(holder) -> dict[str, object]:
+    """What ``holder`` holds by name: its ``__dict__`` if it has one and
+    every slot its classes declare that is set.  A slotted object has no
+    ``__dict__`` (or one only for the names its slots leave out), so
+    ``vars()`` alone would walk past whatever it keeps."""
+    found = dict(getattr(holder, "__dict__", {}))
+    for cls in type(holder).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name not in ("__dict__", "__weakref__") and hasattr(holder, name):
+                found[name] = getattr(holder, name)
+    return found
+
+
 def sized_lengths(root, label: str, out: dict[str, int], depth: int = 1) -> None:
     """``len()`` of every container attribute of ``root``, of the
     containers inside its dict attributes, and -- ``depth`` levels down
     -- of the objects it holds (buffers, state vectors, per-peer links,
-    channels)."""
-    for name, value in vars(root).items():
+    channels), slotted or not.
+
+    The per-message values slotted by ISSUE 24 (``OpMessage``,
+    ``PendingOp``, ``HistoryEntry``, ``CompressedTimestamp``) hold no
+    container, so the walk reads the same paths as before it; the
+    planted case below is what keeps it honest for the next holder."""
+    for name, value in attributes(root).items():
         path = f"{label}.{name}"
         if isinstance(value, SIZED):
             out[path] = len(value)
             for key, item in value.items() if isinstance(value, dict) else ():
                 if isinstance(item, SIZED):
                     out[f"{path}[{key!r}]"] = len(item)
-                elif depth and hasattr(item, "__dict__"):
+                elif depth:
                     sized_lengths(item, f"{path}[{key!r}]", out, depth - 1)
-        elif depth and hasattr(value, "__dict__") and not isinstance(value, Simulator):
+        elif depth and not isinstance(value, Simulator):
             # The simulator is the harness: its heap holds the workload's
             # pre-scheduled edits and shrinks as the session runs.
             sized_lengths(value, path, out, depth - 1)
+
+
+def test_the_growth_walk_reads_slots():
+    """Planted: a list that grows inside slotted holders -- hand-written
+    ``__slots__``, an inherited slot, ``dataclass(slots=True)`` -- held
+    directly, one level down and inside a dict.  The walk must report
+    every one of them, and skip a declared slot that was never set."""
+
+    class Base:
+        __slots__ = ("log",)
+
+        def __init__(self) -> None:
+            self.log: list[int] = []
+
+    class Derived(Base):
+        __slots__ = ("never_set",)
+
+    @dataclass(slots=True)
+    class Record:
+        seen: list[int] = field(default_factory=list)
+
+    class Root:
+        def __init__(self) -> None:
+            self.link = Derived()
+            self.record = Record()
+            self.by_peer = {7: Derived()}
+
+    def walk(root) -> dict[str, int]:
+        out: dict[str, int] = {}
+        sized_lengths(root, "root", out)
+        return out
+
+    assert not hasattr(Derived(), "__dict__") and not hasattr(Record(), "__dict__")
+    root = Root()
+    assert walk(root) == {"root.link.log": 0, "root.record.seen": 0,
+                          "root.by_peer": 1, "root.by_peer[7].log": 0}
+    for holder in (root.link.log, root.record.seen, root.by_peer[7].log):
+        holder.extend(range(IN_FLIGHT + 1))
+    assert walk(root) == {"root.link.log": 101, "root.record.seen": 101,
+                          "root.by_peer": 1, "root.by_peer[7].log": 101}
+    assert walk(root.link) == {"root.log": 101}  # a slotted root, too
 
 
 def snapshot(session: StarSession) -> dict[str, int]:

@@ -211,6 +211,49 @@ def test_a_member_that_garbles_a_frame_is_hung_up_on_without_noise(
             assert await asyncio.wait_for(reader.read(), 5.0) == b""
         await until(lambda: lo.hub.hung_up == {1, 2})
         assert [e.kind for e in lo.endpoint.messages] == ["ok", "ok"]
+        assert lo.hub.garbled == 2
+
+    run({1, 2}, body)
+    assert capfd.readouterr().err == ""
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
+def test_a_garbled_frame_after_the_hello_is_counted_and_costs_nobody_else(
+    capfd, caplog,
+) -> None:
+    """An admitted member sends a pinned DATA frame with one byte changed
+    (the operation tag, to one no operation has): its connection is
+    closed, counted in ``garbled`` -- not in ``rejected``, it said HELLO --
+    and logged as ``member_garbled``; what the other member sent before,
+    around and after it arrives whole and in order."""
+    from test_wire_corpus import PINNED
+
+    pinned = bytes.fromhex(PINNED["data-insert"])
+    mutant = bytearray(pinned)
+    mutant[51] ^= 0xFF
+    sent = [encode_envelope(Envelope(source=2, dest=0, payload=None, kind=f"k{n}"))
+            for n in range(4)]
+
+    async def body(lo: Loopback) -> None:
+        logged: list[tuple[str, str]] = []
+        lo.hub.log = lambda kind, detail: logged.append((kind, detail))
+        _r2, w2 = await lo.member(2)
+        w2.write(frame(sent[0]) + frame(sent[1]))
+        r1, w1 = await lo.member(1)
+        w1.write(frame(pinned) + frame(bytes(mutant)) + frame(pinned))
+        assert await asyncio.wait_for(r1.read(), 5.0) == b""
+        await until(lambda: lo.hub.hung_up == {1})
+        w2.write(frame(sent[2]) + frame(sent[3]) + frame(encode_drained(2)))
+        await until(lambda: lo.hub.drained == {2})
+        assert (lo.hub.garbled, lo.hub.rejected) == (1, 0)
+        assert [kind for kind, _ in logged] == ["member_garbled", "member_drained"]
+        assert "member 1" in logged[0][1]
+        arrived = [encode_envelope(e) for e in lo.endpoint.messages]
+        # Member 1's pinned frame once (not the one behind the mutant) ...
+        assert [body for body in arrived if body not in sent] == [pinned]
+        # ... and all of member 2's.
+        assert [body for body in arrived if body in sent] == sent
+        assert lo.hub.hung_up == {1} and set(lo.hub.writers) == {1, 2}
 
     run({1, 2}, body)
     assert capfd.readouterr().err == ""

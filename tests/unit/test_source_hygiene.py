@@ -24,6 +24,11 @@ only, so ``struct.error`` has one place to become ``CodecError``; and one
 rule for the workflow file, which no build image ever runs: a CI job
 that imports ``repro`` installs what ``pyproject.toml`` says ``repro``
 depends on.
+
+Two rules hold what ``frozen`` used to, for the per-message values the
+notifier builds once per destination: none of them has a ``__dict__``,
+and nothing under ``src/`` stores to an ``OpMessage`` field name on an
+object other than ``self`` (messages are shared by reference).
 """
 
 from __future__ import annotations
@@ -399,6 +404,89 @@ def test_layouts_are_packed_and_unpacked_by_writer_and_reader_only() -> None:
         "class Writer:\n"
         "    def pack(self, layout): return _U32.pack(1)\n")
     assert len(_struct_uses_outside(planted, {"Writer"}, layouts)) == 4
+
+
+def test_per_message_values_have_no_dict() -> None:
+    """What a broadcast builds per copy (and what buffers one) is slots
+    only: half the allocations, and no attribute that was not declared."""
+    from repro.core.history import HistoryEntry
+    from repro.core.timestamp import CompressedTimestamp, OriginKind
+    from repro.editor.messages import OpMessage
+    from repro.editor.star_notifier import PendingOp
+    from repro.net.simulator import Simulator
+    from repro.net.transport import Envelope
+
+    ts = CompressedTimestamp(1, 2)
+    message = OpMessage("op", ts, 1, "c1_1")
+    values = [
+        Envelope(1, 0, message),
+        message,
+        PendingOp("op", "c1_1'", 1),
+        HistoryEntry("op", ts, 1, OriginKind.LOCAL),
+        ts,
+        Simulator().schedule(0.0, lambda: None),  # a _ScheduledEvent
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        # TypeError: what a frozen slots=True dataclass says before 3.12
+        # (its __setattr__ still names the class slots=True replaced).
+        with pytest.raises((AttributeError, TypeError)):
+            value.undeclared = 1
+    # The constructor surface that slots=True re-creates the class around.
+    assert message == OpMessage(op="op", timestamp=ts, origin_site=1, op_id="c1_1",
+                                source_op_id=None, origin_wall=None, shared=object())
+    assert message != OpMessage("op", ts, 2, "c1_1")
+
+
+def _message_field_stores(tree: ast.Module, fields: set[str]) -> list[str]:
+    """Every ``x.<field> = ...`` (or ``+=``, ``del``, ``setattr`` with
+    the name spelled out) whose ``x`` is not ``self``."""
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in fields
+                and not isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            hits.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif (isinstance(node, ast.Call) and "setattr" in ast.unparse(node.func)
+                and any(isinstance(arg, ast.Constant) and arg.value in fields
+                        for arg in node.args)):
+            hits.append(f"{node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
+    """``OpMessage`` is not ``frozen`` (a frozen ``__init__`` is seven
+    ``object.__setattr__`` calls per copy), and a message is shared by
+    reference: the simulator hands the sender's object to the receiver
+    and ``ReliableEndpoint.unacked`` retains it, so a receiver that
+    mutated one would corrupt a retransmit.  Every field but ``op``:
+    ``PendingOp`` and ``HistoryEntry`` keep an ``op`` that inclusion
+    transformation replaces in place."""
+    import dataclasses
+
+    from repro.editor.messages import OpMessage
+
+    fields = {f.name for f in dataclasses.fields(OpMessage)} - {"op"}
+    assert {"timestamp", "shared"} < fields
+    hits = [
+        f"{path.relative_to(SRC)}:{hit}"
+        for path in MODULES
+        for hit in _message_field_stores(ast.parse(path.read_text()), fields)
+    ]
+    assert not hits, "\n".join(hits)
+    planted = ast.parse(
+        "class Receiver:\n"
+        "    def __init__(self, message):\n"
+        "        self.timestamp = message.timestamp\n"  # its own field: fine
+        "    def handle(self, envelope, message):\n"
+        "        message.timestamp = self.timestamp\n"
+        "        envelope.payload.shared = None\n"
+        "        message.origin_site += 1\n"
+        "        del message.origin_wall\n"
+        "        object.__setattr__(message, 'op_id', 'x')\n"
+        "        setattr(message, 'source_op_id', None)\n"
+        "        message.op = message.op_id\n")  # op: not covered, a load: fine
+    assert len(_message_field_stores(planted, fields)) == 6
 
 
 def _ci_jobs() -> dict[str, list[str]]:
