@@ -353,6 +353,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     disagreements = verify_check_records(causality, session.all_checks())
     bad_releases = released_without_cause(tracer.events)
     histograms = latency_histograms(tracer.events, metrics=tracer.metrics)
+    for event in tracer.events:  # per-kind counts are a view of the events
+        tracer.metrics.inc(f"trace.{event.kind.value}")
 
     print(f"sites x ops      : {args.sites} x {args.ops}")
     print(f"converged        : {converged}")

@@ -198,13 +198,12 @@ class ClusterReport:
     #: Human-readable context rendered with the summary but not part of
     #: the verdict (e.g. which artifacts a crashed site left behind).
     notes: list[str] = field(default_factory=list)
-    #: Wall-clock end-to-end latency derived from ``span`` events
+    #: Wall-clock end-to-end latency derived from the merged trace
     #: (:mod:`repro.obs.spans`): per site-pair percentiles with
     #: skew-corrected values where the estimator had samples in both
-    #: directions.  ``None`` when the run recorded no span events (the
-    #: instrumentation is opt-in).  Informational -- never part of the
-    #: :attr:`ok` verdict, since wall-clock latency is hardware noise.
-    spans: Optional[SpanReport] = None
+    #: directions.  Informational -- never part of the :attr:`ok`
+    #: verdict, since wall-clock latency is hardware noise.
+    spans: SpanReport = field(default_factory=SpanReport)
 
     @property
     def ok(self) -> bool:
@@ -239,8 +238,7 @@ class ClusterReport:
                 f"  op latency: p50 {self.latency_p50_s * 1e3:.1f} ms, "
                 f"p95 {self.latency_p95_s * 1e3:.1f} ms"
             )
-        if self.spans is not None:
-            lines.extend(f"  {line}" for line in self.spans.summary_lines())
+        lines.extend(f"  {line}" for line in self.spans.summary_lines())
         lines.extend(f"  note: {note}" for note in self.notes)
         lines.extend(f"  error: {err}" for err in self.errors)
         return "\n".join(lines)
@@ -276,7 +274,6 @@ def analyze_cluster(
     all_lat = Histogram()
     for hist in latencies.values():
         all_lat.merge(hist)
-    spans = assemble_spans(merged)
     return ClusterReport(
         converged=bool(docs) and all(doc == docs[0] for doc in docs[1:]),
         documents=documents,
@@ -293,5 +290,5 @@ def analyze_cluster(
         errors=errors,
         failover_run=failover_run,
         notes=list(notes),
-        spans=spans if spans.span_events else None,
+        spans=assemble_spans(merged),
     )

@@ -75,8 +75,8 @@ async def run_client(config: ClusterConfig, site: int, port: int,
         reliability=config.reliability_config(),
         tracer=rig.tracer,
     )
-    # Arm the latency observatory (see serve.py): outgoing ops carry
-    # their origin wall-clock stamp; executions feed the e2e window.
+    # As in serve.py: outgoing ops carry their origin wall-clock stamp,
+    # and executions feed the e2e window.
     client.span_clock = time.time
     session_config = config.session_config()
     intents = [i for i in generate_random_edits(session_config) if i.site == site]

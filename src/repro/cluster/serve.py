@@ -25,11 +25,11 @@ broadcast by the time it reads the GOODBYE -- and waits for the clients
 to hang up.  An EOF *after* GOODBYE is therefore a clean teardown, not
 a peer death.  A connection whose first frame is not the HELLO of an
 expected, not-yet-connected member is counted and closed, and so is an
-admitted member's once it sends a frame that does not decode; the last
-line on stdout, ``SERVED rejected=R garbled=G``, carries both counts.  A hard
-timeout bounds the wait; on expiry the artifacts are written with
-``timed_out`` set so the driver fails the run instead of diagnosing a
-hang.
+admitted member's once it sends a frame that does not decode or that
+speaks for another site; the last line on stdout, ``SERVED rejected=R
+garbled=G``, carries both counts.  A hard timeout bounds the wait; on
+expiry the artifacts are written with ``timed_out`` set so the driver
+fails the run instead of diagnosing a hang.
 
 Observability: with ``--telemetry-interval`` the notifier runs a
 :class:`~repro.obs.telemetry.TelemetrySampler` on its scheduler,
@@ -64,6 +64,7 @@ from repro.net.wire import (
     Drained,
     Hello,
     WireChannel,
+    WireError,
     decode_frame,
     encode_goodbye,
     encode_roster,
@@ -95,8 +96,9 @@ class Hub:
     they have all hung up.  The first frame of a connection is outside
     input: unless it is the HELLO of an expected member that is not yet
     connected, the connection is counted in ``rejected`` and closed; a
-    later frame that does not decode closes it too, counted in
-    ``garbled``.
+    later frame that does not decode, or a DATA frame whose source is not
+    the member or whose destination is not this centre, closes it too,
+    counted in ``garbled``.
     """
 
     def __init__(
@@ -122,7 +124,7 @@ class Hub:
         self.drained: set[int] = set()
         self.hung_up: set[int] = set()
         self.rejected = 0  # connections turned away at their first frame
-        self.garbled = 0  # admitted members hung up on for a frame that does not decode
+        self.garbled = 0  # admitted members hung up on for a bad frame
         self.goodbye_sent = False
         #: Pumps wait on this: the original centre opens it once every
         #: member has a channel, a successor listens with it open.
@@ -183,6 +185,12 @@ class Hub:
         await self.pumps_open.wait()
 
         def on_envelope(envelope: Envelope) -> None:
+            # A connection speaks for its member to this centre only: a
+            # frame naming any other site would let it forge operations.
+            if envelope.source != member or envelope.dest != self.endpoint.pid:
+                raise WireError(
+                    f"DATA frame {envelope.source}->{envelope.dest} on the "
+                    f"connection of member {member}")
             self.endpoint.on_message(envelope)
             self.note_progress()
 
@@ -266,9 +274,8 @@ async def serve(config: ClusterConfig, out_dir: Path,
         reliability=config.reliability_config(),
         tracer=rig.tracer,
     )
-    # Arm the latency observatory: cluster traces are wall-clock already
-    # (the tracer's clock is time.time), so every generated op is
-    # stamped with its origin time and span events mark each stage.
+    # Stamp ops with their origin's wall clock for the live e2e gauge;
+    # the trace, on the same clock, is what the offline spans read.
     notifier.span_clock = time.time
 
     def on_hello(member: int) -> None:

@@ -53,9 +53,9 @@ class OpMessage:
     the wire bytes must stay byte-identical to the paper's accounting)
     and stamped by cluster processes whose endpoints have an armed
     ``span_clock`` -- the notifier forwards it unchanged on broadcast,
-    so every remote execution can measure true end-to-end latency
-    against it (modulo pairwise clock skew, which
-    :mod:`repro.obs.spans` estimates and corrects).
+    so every remote execution feeds the live end-to-end gauge with it
+    (uncorrected for clock skew; :mod:`repro.obs.spans` corrects the
+    trace offline).
     """
 
     op: Any
@@ -63,7 +63,7 @@ class OpMessage:
     origin_site: int  # site the operation was originally generated at
     op_id: str
     source_op_id: str | None = None  # for notifier outputs: the input op
-    origin_wall: float | None = None  # origin wall clock (span latency)
+    origin_wall: float | None = None  # origin wall clock (live e2e gauge)
     # Set by the notifier on the siblings of one broadcast, which agree
     # in every field but ``timestamp``; no part of the message's value.
     shared: BroadcastBody | None = field(default=None, compare=False, repr=False)

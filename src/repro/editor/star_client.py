@@ -243,14 +243,7 @@ class StarClient(EditorEndpoint):
             )
         if self._track_failover:
             self._incorporated.add(op_id)
-        origin_wall = None
-        if self.span_clock is not None:
-            origin_wall = self.span_clock()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceEventKind.SPAN, self.pid, op_id=op_id,
-                    peer=self.pid, via="generate", origin_time=origin_wall,
-                )
+        origin_wall = self.span_clock() if self.span_clock is not None else None
         message = OpMessage(op=op, timestamp=ts, origin_site=self.pid,
                             op_id=op_id, origin_wall=origin_wall)
         self.send(self.center, message, timestamp_bytes=ts.size_bytes())
@@ -364,24 +357,9 @@ class StarClient(EditorEndpoint):
                 TraceEventKind.EXECUTED, self.pid, op_id=message.op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        if message.origin_wall is not None:
-            self._observe_end_to_end(message)
-
-    def _observe_end_to_end(self, message: OpMessage) -> None:
-        """Close the causal span of an arrival stamped at its origin.
-
-        Emits the ``execute`` span (uncorrected: this site's clock minus
-        the origin site's stamp; :mod:`repro.obs.spans` removes the
-        pairwise skew offline) and feeds the live end-to-end gauge the
-        telemetry sampler publishes.
-        """
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEventKind.SPAN, self.pid, op_id=message.op_id,
-                peer=message.origin_site, source_op_id=message.source_op_id,
-                via="execute", origin_time=message.origin_wall,
-            )
         if self.span_clock is not None and message.origin_wall is not None:
+            # The live end-to-end gauge, uncorrected: this site's clock
+            # minus the origin's stamp (the trace corrects skew offline).
             self.e2e_window.append(self.span_clock() - message.origin_wall)
 
     def _concurrency_pass(self, message: OpMessage) -> list[HistoryEntry]:

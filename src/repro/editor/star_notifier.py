@@ -149,11 +149,6 @@ class StarNotifier(EditorEndpoint):
                 return
         message: OpMessage = payload
         ts = message.timestamp
-        if message.origin_wall is not None and self.tracer is not None:
-            self.tracer.emit(
-                TraceEventKind.SPAN, self.pid, op_id=message.op_id,
-                peer=source, via="ingest", origin_time=message.origin_wall,
-            )
         diagnostics = self.record_checks or self.verify_with_oracle
         concurrent_entries = (
             self._concurrency_pass(message, source) if diagnostics else None
@@ -234,21 +229,9 @@ class StarNotifier(EditorEndpoint):
                 source_op_id=source_op_id,
                 timestamp=tuple(self.sv.full_timestamp().as_paper_list()),
             )
-        if origin_wall is not None:
-            # The centre executed the op too: close its span, then open
-            # the broadcast stage the remote executions will pair with.
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceEventKind.SPAN, self.pid, op_id=source_op_id,
-                    peer=source, via="execute", origin_time=origin_wall,
-                )
-                self.tracer.emit(
-                    TraceEventKind.SPAN, self.pid, op_id=transformed_id,
-                    peer=source, source_op_id=source_op_id,
-                    via="broadcast", origin_time=origin_wall,
-                )
-            if self.span_clock is not None and source != self.pid:
-                self.e2e_window.append(self.span_clock() - origin_wall)
+        if (origin_wall is not None and self.span_clock is not None
+                and source != self.pid):
+            self.e2e_window.append(self.span_clock() - origin_wall)
         self.hb.append(
             HistoryEntry(
                 op=new_op,
@@ -312,14 +295,7 @@ class StarNotifier(EditorEndpoint):
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        origin_wall = None
-        if self.span_clock is not None:
-            origin_wall = self.span_clock()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceEventKind.SPAN, self.pid, op_id=op_id,
-                    peer=self.pid, via="generate", origin_time=origin_wall,
-                )
+        origin_wall = self.span_clock() if self.span_clock is not None else None
         message = OpMessage(op=op, timestamp=ts, origin_site=self.pid, op_id=op_id)
         diagnostics = self.record_checks or self.verify_with_oracle
         if diagnostics:

@@ -72,19 +72,6 @@ def _traced_op_id(payload: Any) -> Optional[str]:
     return op_id if isinstance(op_id, str) else None
 
 
-def _payload_origin_wall(payload: Any) -> Optional[float]:
-    """The origin wall-clock stamp a payload carries, if any.
-
-    Duck-typed like :func:`_traced_op_id`; unwraps one level of
-    :class:`ReliablePacket` so the hold/release span hooks see the
-    editor message inside the reliability envelope.
-    """
-    if isinstance(payload, ReliablePacket):
-        payload = payload.payload
-    origin_wall = getattr(payload, "origin_wall", None)
-    return origin_wall if isinstance(origin_wall, float) else None
-
-
 @dataclass(frozen=True)
 class ReliablePacket:
     """The reliability envelope wrapped around every editor message.
@@ -560,14 +547,6 @@ class ReliableEndpoint:
                                      peer=source, epoch=packet.epoch,
                                      seq=packet.seq,
                                      op_id=_traced_op_id(packet.payload))
-                    origin_wall = _payload_origin_wall(packet.payload)
-                    if origin_wall is not None:
-                        self.tracer.emit(TraceEventKind.SPAN, self.pid,
-                                         peer=source, epoch=packet.epoch,
-                                         seq=packet.seq,
-                                         op_id=_traced_op_id(packet.payload),
-                                         via="hold",
-                                         origin_time=origin_wall)
             else:
                 self.stats.duplicates_discarded += 1
             if opened:
@@ -603,13 +582,6 @@ class ReliableEndpoint:
                              peer=envelope.source, epoch=packet.epoch,
                              seq=packet.seq,
                              op_id=_traced_op_id(packet.payload), via=via)
-            origin_wall = _payload_origin_wall(packet.payload)
-            if origin_wall is not None:
-                self.tracer.emit(TraceEventKind.SPAN, self.pid,
-                                 peer=envelope.source, epoch=packet.epoch,
-                                 seq=packet.seq,
-                                 op_id=_traced_op_id(packet.payload),
-                                 via="release", origin_time=origin_wall)
         self.deliver(
             Envelope(
                 source=envelope.source,

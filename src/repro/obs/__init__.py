@@ -9,16 +9,17 @@ only lazily, inside functions.  The pieces:
 * :class:`Tracer` / :class:`TraceEvent` -- structured protocol events
   (generated / sent / retransmitted / held back / released /
   transformed / executed / snapshot / crashed / recovered / elected /
-  promoted / handoff / holdback overflow / span), emitted by
-  every layer boundary through an optional hook whose disabled path is
-  a single attribute check;
+  promoted / handoff / holdback overflow), emitted by every layer
+  boundary through an optional hook whose disabled path is a single
+  attribute check;
 * :class:`MetricsRegistry` / :class:`Histogram` -- named counters and
   value histograms;
 * :class:`TraceCausality` -- happens-before reconstructed from a
   recorded trace, cross-checked against the ground-truth oracle by
   :func:`cross_check_causality`;
 * :func:`latency_histograms` -- per-site generation-to-execution
-  latency from the same trace;
+  latency from the same trace, each execution paired with its
+  generation by :class:`~repro.obs.tracer.Origins`;
 * :class:`TelemetryFrame` / :class:`TelemetrySampler` / the watchdogs /
   :class:`FlightRecorder` (:mod:`repro.obs.telemetry`) -- live runtime
   gauges sampled on any scheduler, health verdicts over the gauge
@@ -28,9 +29,9 @@ only lazily, inside functions.  The pieces:
   UDP sideband (:class:`TelemetryTailer`), totals folded as each
   gauge's declaration says, and the ``--follow`` sparkline dashboard;
 * :mod:`repro.obs.spans` -- the end-to-end latency observatory:
-  cross-process causal spans assembled into per-site-pair
-  skew-corrected latency percentiles (:func:`assemble_spans`,
-  :class:`SkewEstimator`, :class:`SpanReport`);
+  per-site-pair skew-corrected latency percentiles, derived from the
+  generation, release, transform and execution events the trace already
+  records (:func:`assemble_spans`, :class:`SkewEstimator`);
 * JSONL and Chrome ``trace_event`` serialisation, including the
   crash-safe :class:`JsonlWriter` the telemetry streams ride on.
 """

@@ -24,7 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.obs.tracer import Histogram, MetricsRegistry, TraceEvent, TraceEventKind
+from repro.obs.tracer import (
+    Histogram,
+    MetricsRegistry,
+    Origins,
+    TraceEvent,
+    TraceEventKind,
+)
 
 if TYPE_CHECKING:
     from repro.clocks.events import EventLog
@@ -321,43 +327,26 @@ def verify_check_records(
 
 
 def latency_histograms(
-    events: Sequence[TraceEvent],
-    metrics: Optional[MetricsRegistry] = None,
-    prefix: str = "latency.site_",
+    events: Sequence[TraceEvent], metrics: Optional[MetricsRegistry] = None
 ) -> dict[int, Histogram]:
     """Per-site generation-to-execution latency distributions.
 
     For every ``EXECUTED`` event, the latency is the virtual time since
-    the *original* operation's generation (transformed notifier outputs
-    are mapped back through their ``TRANSFORMED`` event).  Results are
-    keyed by executing site; when ``metrics`` is given, each observation
-    is also recorded under ``{prefix}{site}``.
+    the *original* operation's generation (paired by :class:`Origins`:
+    transformed notifier outputs map back through their ``TRANSFORMED``
+    event).  Results are keyed by executing site; when ``metrics`` is
+    given, each observation is also recorded under ``latency.site_<site>``.
     """
-    generated_at: dict[str, float] = {}
-    source: dict[str, str] = {}
+    origins = Origins()
     out: dict[int, Histogram] = {}
     for event in events:
-        if event.kind is TraceEventKind.GENERATED and event.op_id is not None:
-            generated_at.setdefault(event.op_id, event.time)
-        elif (
-            event.kind is TraceEventKind.TRANSFORMED
-            and event.op_id is not None
-            and event.source_op_id is not None
-        ):
-            source.setdefault(event.op_id, event.source_op_id)
-        elif event.kind is TraceEventKind.EXECUTED and event.op_id is not None:
-            original = source.get(event.op_id, event.op_id)
-            start = generated_at.get(original)
-            if start is None:
-                continue  # op generated outside the trace window
-            latency = event.time - start
-            hist = out.get(event.site)
-            if hist is None:
-                hist = Histogram()
-                out[event.site] = hist
-            hist.observe(latency)
-            if metrics is not None:
-                metrics.observe(f"{prefix}{event.site}", latency)
+        origin = origins.see(event)
+        if origin is None:
+            continue  # not an execution, or generated outside the trace window
+        latency = event.time - origin.time
+        out.setdefault(event.site, Histogram()).observe(latency)
+        if metrics is not None:
+            metrics.observe(f"latency.site_{event.site}", latency)
     return out
 
 

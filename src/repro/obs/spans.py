@@ -1,15 +1,20 @@
-"""Cross-process causal spans: clock-skew estimation and end-to-end latency.
+"""End-to-end latency across processes, with clock-skew estimation.
 
-Cluster processes with an armed ``span_clock`` stamp every generated
-operation with the origin site's wall-clock time (``origin_wall``,
-carried on the wire in the versioned op-message trailer) and emit
-``span`` trace events at each stage the operation passes through:
-``generate`` at the origin, ``ingest`` and ``broadcast`` at the centre,
-``hold``/``release`` in the transport, and ``execute`` wherever the
-operation lands.  Because the origin stamp travels *with* the op, every
-receive-side span records a one-way delay sample -- receiver clock minus
-sender clock -- and those samples are exactly what an NTP-style offset
-estimator needs.
+A span is a view of events the trace already records, not an event of
+its own.  Cluster tracers stamp Unix time, so each process's events are
+on its own wall clock, and three kinds of event pair up across processes:
+
+* **raw latency** of an (origin, executor) pair: an ``EXECUTED`` event's
+  time minus the origin's ``GENERATED`` time for the same operation
+  (paired by :class:`~repro.obs.tracer.Origins`: a broadcast form maps
+  back through its first ``TRANSFORMED`` event's ``source_op_id``);
+* **forward skew sample**, origin to centre: the centre's ``RELEASED``
+  of the operation minus its ``GENERATED``;
+* **backward skew sample**, centre to executor: an ``EXECUTED`` minus
+  the centre's first ``TRANSFORMED`` of that broadcast form.
+
+Every sample is a one-way delay -- receiver clock minus sender clock --
+and those samples are exactly what an NTP-style offset estimator needs.
 
 Skew model
 ----------
@@ -46,10 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.obs.tracer import Histogram, TraceEvent, TraceEventKind
-
-#: The span stages in pipeline order (``via`` values of span events).
-SPAN_STAGES = ("generate", "ingest", "broadcast", "hold", "release", "execute")
+from repro.obs.tracer import Histogram, Origins, TraceEvent, TraceEventKind
 
 
 class SkewEstimator:
@@ -185,8 +187,6 @@ class PairLatency:
 class SpanReport:
     """Everything the span pipeline derived from one merged trace."""
 
-    span_events: int = 0
-    stage_counts: dict[str, int] = field(default_factory=dict)
     pairs: dict[tuple[int, int], PairLatency] = field(default_factory=dict)
 
     @property
@@ -194,12 +194,9 @@ class SpanReport:
         return sorted(k for k, p in self.pairs.items() if not p.correctable)
 
     def summary_lines(self) -> list[str]:
-        if not self.span_events:
+        if not self.pairs:
             return []
-        stages = " ".join(
-            f"{stage}={self.stage_counts.get(stage, 0)}" for stage in SPAN_STAGES
-        )
-        lines = [f"e2e spans: {self.span_events} events ({stages})"]
+        lines = [f"e2e latency: {len(self.pairs)} site pairs"]
         lines.extend(
             f"  {self.pairs[key].row()}" for key in sorted(self.pairs)
         )
@@ -210,53 +207,39 @@ class SpanReport:
 
 
 def assemble_spans(events: Sequence[TraceEvent]) -> SpanReport:
-    """Assemble per-pair end-to-end latency from span events.
+    """Assemble per-pair end-to-end latency from a trace.
 
-    Pipeline: a first pass collects skew samples -- ``ingest`` spans are
-    forward samples from the origin to the centre (the origin stamp
-    rides on the event), ``execute`` spans whose op has a recorded
-    ``broadcast`` span are backward samples from the centre to the
-    executor -- plus the raw end-to-end observations (``execute`` time
-    minus origin stamp).  A second pass corrects each pair's raw
-    latencies by the composed pairwise offset, leaving uncorrectable
-    pairs flagged and raw.
+    Pipeline: one pass in trace order collects the skew samples and the
+    raw end-to-end observations the module docstring names; a second
+    corrects each pair's raw latencies by the composed pairwise offset,
+    leaving uncorrectable pairs flagged and raw.
 
-    Works on a single process's trace or on the merged cluster stream;
-    span events never enter the causal DAG, so running this beside the
-    happens-before cross-checks changes none of their verdicts.
+    Works on a single process's trace or on the merged cluster stream
+    (whose order puts every generation before its executions); it only
+    reads events, so running it beside the happens-before cross-checks
+    changes none of their verdicts.
     """
     report = SpanReport()
     skew = SkewEstimator()
+    origins = Origins()
     broadcast_at: dict[str, tuple[int, float]] = {}
-    raw_samples: list[tuple[int, int, float]] = []
     for event in events:
-        if event.kind is not TraceEventKind.SPAN:
-            continue
-        report.span_events += 1
-        stage = event.via or "?"
-        report.stage_counts[stage] = report.stage_counts.get(stage, 0) + 1
-        origin_time = event.origin_time
-        if origin_time is None:
-            continue
-        if stage == "ingest" and event.peer is not None:
-            skew.add_sample(event.peer, event.site, event.time - origin_time)
-        elif stage == "broadcast" and event.op_id is not None:
-            broadcast_at[event.op_id] = (event.site, event.time)
-        elif stage == "execute" and event.peer is not None:
-            if event.op_id is not None and event.op_id in broadcast_at:
-                centre, sent_at = broadcast_at[event.op_id]
-                skew.add_sample(centre, event.site, event.time - sent_at)
-            if event.peer != event.site:
-                raw_samples.append(
-                    (event.peer, event.site, event.time - origin_time)
-                )
-    for origin, executor, raw in raw_samples:
-        key = (origin, executor)
-        pair = report.pairs.get(key)
-        if pair is None:
-            pair = PairLatency(origin=origin, executor=executor)
-            report.pairs[key] = pair
-        pair.raw.observe(raw)
+        origin = origins.see(event)
+        if origin is not None:
+            sent = broadcast_at.get(event.op_id or "")
+            if sent is not None:
+                skew.add_sample(sent[0], event.site, event.time - sent[1])
+            if origin.site != event.site:
+                key = (origin.site, event.site)
+                pair = report.pairs.setdefault(key, PairLatency(*key))
+                pair.raw.observe(event.time - origin.time)
+        elif event.kind is TraceEventKind.RELEASED:
+            generation = origins.generated.get(event.op_id or "")
+            if generation is not None:
+                skew.add_sample(generation.site, event.site,
+                                event.time - generation.time)
+        elif event.kind is TraceEventKind.TRANSFORMED and event.op_id is not None:
+            broadcast_at.setdefault(event.op_id, (event.site, event.time))
     for pair in report.pairs.values():
         composed = skew.pair_offset(pair.origin, pair.executor)
         if composed is None:

@@ -40,10 +40,11 @@ TRACE_FORMAT = "repro-obs-trace-v1"
 #: Bumped whenever the JSONL schema changes shape.  Version 1 predates
 #: the field (readers treat a missing value as 1); version 2 fixed the
 #: event field order (canonical, not alphabetical) and added this
-#: header field; version 3 added the ``span`` event kind and the
-#: optional ``ot`` (origin wall-clock time) field -- readers of any
-#: version tolerate both being absent.
-TRACE_SCHEMA_VERSION = 3
+#: header field; version 3 added a ``span`` event kind and an ``ot``
+#: (origin wall-clock time) field, which version 4 removed again: a
+#: latency span is a view of the events the trace already records
+#: (:mod:`repro.obs.spans`).
+TRACE_SCHEMA_VERSION = 4
 
 
 class TraceEventKind(enum.Enum):
@@ -63,7 +64,6 @@ class TraceEventKind(enum.Enum):
     PROMOTED = "promoted"  # the successor assumed the notifier role
     HANDOFF = "handoff"  # a client switched its centre to the successor
     HOLDBACK_OVERFLOW = "holdback_overflow"  # the reorder buffer hit capacity
-    SPAN = "span"  # a wall-clock latency stage marker (``via`` names it)
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,7 @@ class TraceEvent:
     ``epoch``/``seq`` but no compressed timestamp, editor events the
     reverse.  ``via`` qualifies releases (``"direct"`` vs
     ``"holdback"``), snapshots and recoveries (``"join"`` /
-    ``"resync"`` / ``"failover"``), and names the stage of ``span``
-    events (``"generate"`` / ``"ingest"`` / ``"broadcast"`` /
-    ``"hold"`` / ``"release"`` / ``"execute"``).  ``origin_time`` is
-    the wall-clock instant the operation was generated, measured on the
-    *origin site's* clock and carried with the op across processes --
-    only ``span`` events set it.
+    ``"resync"`` / ``"failover"``).
     """
 
     index: int
@@ -96,14 +91,13 @@ class TraceEvent:
     timestamp: Optional[tuple[int, ...]] = None
     source_op_id: Optional[str] = None
     via: Optional[str] = None
-    origin_time: Optional[float] = None
 
     def to_json(self) -> str:
         """One compact JSON object; ``None`` fields are omitted.
 
         Fields are emitted in the canonical schema order (``i``,
         ``kind``, ``t``, ``site``, ``op``, ``peer``, ``epoch``, ``seq``,
-        ``ts``, ``src``, ``via``, ``ot``) -- not alphabetically -- so
+        ``ts``, ``src``, ``via``) -- not alphabetically -- so
         exports are deterministic *and* diff cleanly between runs.
         """
         data: dict[str, Any] = {
@@ -126,8 +120,6 @@ class TraceEvent:
             data["src"] = self.source_op_id
         if self.via is not None:
             data["via"] = self.via
-        if self.origin_time is not None:
-            data["ot"] = self.origin_time
         return json.dumps(data)
 
     @classmethod
@@ -146,7 +138,6 @@ class TraceEvent:
             timestamp=tuple(timestamp) if timestamp is not None else None,
             source_op_id=data.get("src"),
             via=data.get("via"),
-            origin_time=data.get("ot"),
         )
 
 
@@ -291,17 +282,16 @@ class Tracer:
 
     A tracer is shared by all endpoints of a session; the session binds
     the simulator clock via :meth:`bind_clock` so events are stamped
-    with virtual time.  ``emit`` also bumps a ``trace.<kind>`` counter
-    in the bundled :class:`MetricsRegistry`.
+    with virtual time.  The bundled :class:`MetricsRegistry` holds what
+    the layers count beside their events (session runs, failover losses).
 
     Ring mode (the flight recorder's substrate): constructed with
     ``mode="ring"``, the tracer keeps only the most recent
-    ``ring_capacity`` events in a bounded deque and skips the per-event
-    metrics counter -- near-zero cost and constant memory, for processes
-    that want a post-mortem tail rather than a full trace.  ``index``
-    stays the global emission index either way (``emitted`` counts every
-    emission, evicted or not), so a dumped ring is still a causally
-    ordered slice of the full trace.
+    ``ring_capacity`` events in a bounded deque -- constant memory, for
+    processes that want a post-mortem tail rather than a full trace.
+    ``index`` stays the global emission index either way (``emitted``
+    counts every emission, evicted or not), so a dumped ring is still a
+    causally ordered slice of the full trace.
     """
 
     #: Default bound of a ``mode="ring"`` tracer.
@@ -311,7 +301,6 @@ class Tracer:
         self,
         *,
         clock: Optional[Callable[[], float]] = None,
-        metrics: Optional[MetricsRegistry] = None,
         mode: str = "full",
         ring_capacity: Optional[int] = None,
     ) -> None:
@@ -330,7 +319,7 @@ class Tracer:
             deque(maxlen=self.ring_capacity) if self.mode == "ring" else []
         )
         self.emitted = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._clock: Callable[[], float] = clock if clock is not None else _zero_clock
         self._sink: Optional[Callable[["TraceEvent"], None]] = None
 
@@ -362,7 +351,6 @@ class Tracer:
         source_op_id: Optional[str] = None,
         via: Optional[str] = None,
         time: Optional[float] = None,
-        origin_time: Optional[float] = None,
     ) -> TraceEvent:
         """Append one event and return it."""
         event = TraceEvent(
@@ -377,12 +365,9 @@ class Tracer:
             timestamp=timestamp,
             source_op_id=source_op_id,
             via=via,
-            origin_time=origin_time,
         )
         self.events.append(event)
         self.emitted += 1
-        if self.mode != "ring":  # ring mode skips the counter: cost contract
-            self.metrics.inc(f"trace.{kind.value}")
         if self._sink is not None:
             self._sink(event)
         return event
@@ -517,6 +502,37 @@ def read_jsonl(
     return header, events
 
 
+class Origins:
+    """Which generation an execution executes: the one pairing rule.
+
+    Fed a trace in order through :meth:`see`, it keeps each op's first
+    ``GENERATED`` event and maps a transformed op to its source (the
+    first ``TRANSFORMED`` event's ``source_op_id``), so the notifier's
+    broadcast form pairs with the client op it was made from.
+    """
+
+    def __init__(self) -> None:
+        #: op id -> its first ``GENERATED`` event.
+        self.generated: dict[str, TraceEvent] = {}
+        self._source: dict[str, str] = {}
+
+    def see(self, event: TraceEvent) -> Optional[TraceEvent]:
+        """Record ``event``; for an ``EXECUTED`` one, return the
+        ``GENERATED`` event of the operation it executes (``None`` when
+        that generation is outside the trace window)."""
+        op_id = event.op_id
+        if op_id is None:
+            return None
+        if event.kind is TraceEventKind.GENERATED:
+            self.generated.setdefault(op_id, event)
+        elif event.kind is TraceEventKind.TRANSFORMED:
+            if event.source_op_id is not None:
+                self._source.setdefault(op_id, event.source_op_id)
+        elif event.kind is TraceEventKind.EXECUTED:
+            return self.generated.get(self._source.get(op_id, op_id))
+        return None
+
+
 def write_chrome_trace(events: Iterable[TraceEvent], fh: TextIO) -> int:
     """Export in Chrome ``trace_event`` format (load in chrome://tracing).
 
@@ -529,6 +545,7 @@ def write_chrome_trace(events: Iterable[TraceEvent], fh: TextIO) -> int:
     """
     records: list[dict[str, Any]] = []
     spans: dict[str, tuple[float, float]] = {}  # op -> (first gen, last exec)
+    origins = Origins()
     for event in events:
         args: dict[str, Any] = {"index": event.index}
         if event.op_id is not None:
@@ -557,12 +574,11 @@ def write_chrome_trace(events: Iterable[TraceEvent], fh: TextIO) -> int:
                 "args": args,
             }
         )
-        if event.kind is TraceEventKind.GENERATED and event.op_id is not None:
+        origin = origins.see(event)
+        if origin is not None:
+            spans[origin.op_id] = (origin.time, event.time)
+        elif event.kind is TraceEventKind.GENERATED and event.op_id is not None:
             spans.setdefault(event.op_id, (event.time, event.time))
-        if event.kind is TraceEventKind.EXECUTED and event.op_id is not None:
-            key = event.op_id.rstrip("'")
-            start, _ = spans.get(key, (event.time, event.time))
-            spans[key] = (start, event.time)
     for op_id, (start, end) in sorted(spans.items()):
         for phase, ts in (("b", start), ("e", end)):
             records.append(

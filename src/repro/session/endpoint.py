@@ -40,17 +40,16 @@ class EditorEndpoint(SimProcess):
                  *, adopt_transport: Optional[AnyTransport] = None) -> None:
         super().__init__(sim, pid)
         self.tracer = tracer
-        #: Wall-clock source for causal latency spans.  ``None`` (the
-        #: default, and the only value simulator sessions ever see)
-        #: disables span instrumentation entirely: no ``origin_wall``
-        #: is stamped on outgoing messages and no ``span`` events are
-        #: emitted, so deterministic traces and the paper's byte
-        #: accounting are untouched.  Cluster processes arm it with
-        #: ``time.time`` after construction.
+        #: Wall-clock source of the ``origin_wall`` stamp the live
+        #: end-to-end gauge reads.  ``None`` (the default, and the only
+        #: value simulator sessions ever see) stamps nothing, so the
+        #: paper's byte accounting is untouched.  Cluster processes arm
+        #: it with ``time.time``, the clock their tracers stamp too:
+        #: offline, :mod:`repro.obs.spans` reads latency off the trace.
         self.span_clock: Optional[Callable[[], float]] = None
         #: Rolling window of recent *uncorrected* end-to-end latencies
         #: (seconds; this site's clock minus the op's origin stamp),
-        #: fed on every execution of a span-stamped arrival and
+        #: fed on every execution of a stamped arrival and
         #: published live through the telemetry sampler.  Empty unless
         #: ``span_clock`` is armed.
         self.e2e_window: deque[float] = deque(maxlen=64)

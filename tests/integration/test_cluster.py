@@ -35,6 +35,19 @@ def test_three_client_cluster_converges(tmp_path: Path) -> None:
         result, events = read_artifacts(tmp_path, site)
         assert result.site == site
         assert events, f"site {site} wrote an empty trace"
+    # The live end-to-end latency bar: every (origin, executor) pair of
+    # the star, each with one sample per operation the origin generated,
+    # and every pair skew-corrected.
+    spans = report.spans
+    assert set(spans.pairs) == {
+        (origin, executor)
+        for origin in range(1, config.clients + 1)
+        for executor in range(config.clients + 1)
+        if executor != origin
+    }
+    assert all(pair.raw.count == config.ops_per_client
+               for pair in spans.pairs.values())
+    assert spans.uncorrectable_pairs == []
 
 
 def test_cluster_over_reliability_protocol(tmp_path: Path) -> None:

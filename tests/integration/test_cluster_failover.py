@@ -61,6 +61,17 @@ def test_notifier_crash_mid_run_fails_over_with_telemetry(
                            crash_notifier_after_s=1.5)
     report = run_cluster(config, tmp_path)
     _assert_survived_by_failover(report, config, tmp_path)
+    # The end-to-end latency bar across the epoch boundary: every
+    # (origin, executor) pair of the star has samples -- those with the
+    # dead centre come from its salvaged trace.
+    spans = report.spans
+    assert set(spans.pairs) == {
+        (origin, executor)
+        for origin in range(1, config.clients + 1)
+        for executor in range(config.clients + 1)
+        if executor != origin
+    }
+    assert all(pair.raw.count >= 1 for pair in spans.pairs.values())
 
     tailer = TelemetryTailer(tmp_path)
     health = tailer.poll()

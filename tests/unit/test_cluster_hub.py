@@ -2,9 +2,10 @@
 
 The hub is the same object for the original notifier and a promoted
 successor, so its rules are pinned here once, against a stub endpoint
-that only records what the hub asked of it: who is admitted, when
-GOODBYE goes out, when the session is finished, and that ``close()``
-leaves nothing behind on the loop.
+that only records what the hub asked of it: who is admitted, what a
+member may send, when GOODBYE goes out, when the session is finished,
+and that ``close()`` leaves nothing behind on the loop.  One test puts a
+real reliable notifier behind the hub instead.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable
 
+import pytest
+
 from repro.cluster.serve import Hub
+from repro.core.timestamp import CompressedTimestamp
+from repro.editor.messages import OpMessage
+from repro.editor.star_notifier import StarNotifier
+from repro.net.reliability import ReliabilityConfig, ReliablePacket
+from repro.net.scheduler import AsyncioScheduler
 from repro.net.transport import Envelope
 from repro.net.wire import (
     Goodbye,
@@ -23,6 +31,7 @@ from repro.net.wire import (
     frame,
     read_frame,
 )
+from repro.ot.operations import Insert
 
 HOST = "127.0.0.1"
 
@@ -45,8 +54,8 @@ class StubEndpoint:
 
 
 class Loopback:
-    def __init__(self, expected: set[int]) -> None:
-        self.endpoint = StubEndpoint()
+    def __init__(self, expected: set[int], endpoint: Any) -> None:
+        self.endpoint = endpoint
         self.finished = asyncio.Event()
         self.hellos: list[int] = []
         self.work_done = True
@@ -72,9 +81,10 @@ class Loopback:
         return reader, writer
 
 
-def run(expected: set[int], body: Callable[[Loopback], Awaitable[None]]) -> None:
+def run(expected: set[int], body: Callable[[Loopback], Awaitable[None]],
+        endpoint: Callable[[], Any] = StubEndpoint) -> None:
     async def main() -> None:
-        lo = Loopback(expected)
+        lo = Loopback(expected, endpoint())
         lo.port = await lo.hub.listen(HOST)
         try:
             await asyncio.wait_for(body(lo), 10.0)
@@ -199,15 +209,18 @@ def test_a_member_that_garbles_a_frame_is_hung_up_on_without_noise(
     """Bytes that are not UTF-8 where a string belongs, and an op message
     cut short inside its length: both are ``CodecError`` (not the
     ``WireError`` subclass), and neither may escape the handler task."""
-    good = encode_envelope(Envelope(source=1, dest=0, payload=None, kind="ok"))
-    not_utf8 = bytearray(good)
+    def good(member: int) -> bytes:
+        return encode_envelope(Envelope(source=member, dest=0, payload=None,
+                                        kind="ok"))
+
+    not_utf8 = bytearray(good(1))
     not_utf8[21] = 0xFF  # first byte of the kind string
-    torn_op = good[:-1] + b"\x01\x00\x00\x00\x03abc"  # PAYLOAD_OP, 3 bytes
+    torn_op = good(2)[:-1] + b"\x01\x00\x00\x00\x03abc"  # PAYLOAD_OP, 3 bytes
 
     async def body(lo: Loopback) -> None:
         for member, garbled in ((1, bytes(not_utf8)), (2, torn_op)):
             reader, writer = await lo.member(member)
-            writer.write(frame(good) + frame(garbled) + frame(good))
+            writer.write(frame(good(member)) + frame(garbled) + frame(good(member)))
             assert await asyncio.wait_for(reader.read(), 5.0) == b""
         await until(lambda: lo.hub.hung_up == {1, 2})
         assert [e.kind for e in lo.endpoint.messages] == ["ok", "ok"]
@@ -228,36 +241,96 @@ def test_a_garbled_frame_after_the_hello_is_counted_and_costs_nobody_else(
     around and after it arrives whole and in order."""
     from test_wire_corpus import PINNED
 
-    pinned = bytes.fromhex(PINNED["data-insert"])
+    pinned = bytes.fromhex(PINNED["data-insert"])  # source 2, dest 0
     mutant = bytearray(pinned)
     mutant[51] ^= 0xFF
-    sent = [encode_envelope(Envelope(source=2, dest=0, payload=None, kind=f"k{n}"))
+    sent = [encode_envelope(Envelope(source=1, dest=0, payload=None, kind=f"k{n}"))
             for n in range(4)]
 
     async def body(lo: Loopback) -> None:
         logged: list[tuple[str, str]] = []
         lo.hub.log = lambda kind, detail: logged.append((kind, detail))
-        _r2, w2 = await lo.member(2)
-        w2.write(frame(sent[0]) + frame(sent[1]))
-        r1, w1 = await lo.member(1)
-        w1.write(frame(pinned) + frame(bytes(mutant)) + frame(pinned))
-        assert await asyncio.wait_for(r1.read(), 5.0) == b""
-        await until(lambda: lo.hub.hung_up == {1})
-        w2.write(frame(sent[2]) + frame(sent[3]) + frame(encode_drained(2)))
-        await until(lambda: lo.hub.drained == {2})
+        _r1, w1 = await lo.member(1)
+        w1.write(frame(sent[0]) + frame(sent[1]))
+        r2, w2 = await lo.member(2)
+        w2.write(frame(pinned) + frame(bytes(mutant)) + frame(pinned))
+        assert await asyncio.wait_for(r2.read(), 5.0) == b""
+        await until(lambda: lo.hub.hung_up == {2})
+        w1.write(frame(sent[2]) + frame(sent[3]) + frame(encode_drained(1)))
+        await until(lambda: lo.hub.drained == {1})
         assert (lo.hub.garbled, lo.hub.rejected) == (1, 0)
         assert [kind for kind, _ in logged] == ["member_garbled", "member_drained"]
-        assert "member 1" in logged[0][1]
+        assert "member 2" in logged[0][1]
         arrived = [encode_envelope(e) for e in lo.endpoint.messages]
-        # Member 1's pinned frame once (not the one behind the mutant) ...
+        # Member 2's pinned frame once (not the one behind the mutant) ...
         assert [body for body in arrived if body not in sent] == [pinned]
-        # ... and all of member 2's.
+        # ... and all of member 1's.
         assert [body for body in arrived if body in sent] == sent
-        assert lo.hub.hung_up == {1} and set(lo.hub.writers) == {1, 2}
+        assert lo.hub.hung_up == {2} and set(lo.hub.writers) == {1, 2}
 
     run({1, 2}, body)
     assert capfd.readouterr().err == ""
     assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
+@pytest.mark.parametrize("source, dest", [(2, 0), (1, 5)],
+                         ids=["another-members-source", "another-dest"])
+def test_a_member_cannot_send_as_another_site(source: int, dest: int) -> None:
+    """Member 1 sends a well-formed DATA frame that names another site as
+    its source, or a site other than the centre as its destination: the
+    frame never reaches the endpoint, the connection is closed and counted
+    in ``garbled``, and member 2's frames arrive whole and in order."""
+    forged = encode_envelope(Envelope(source=source, dest=dest, payload=None,
+                                      kind="forged"))
+    sent = [encode_envelope(Envelope(source=2, dest=0, payload=None, kind=f"k{n}"))
+            for n in range(3)]
+
+    async def body(lo: Loopback) -> None:
+        logged: list[tuple[str, str]] = []
+        lo.hub.log = lambda kind, detail: logged.append((kind, detail))
+        _r2, w2 = await lo.member(2)
+        w2.write(frame(sent[0]))
+        r1, w1 = await lo.member(1)
+        w1.write(frame(forged))
+        assert await asyncio.wait_for(r1.read(), 5.0) == b""
+        await until(lambda: lo.hub.hung_up == {1})
+        w2.write(frame(sent[1]) + frame(sent[2]) + frame(encode_drained(2)))
+        await until(lambda: lo.hub.drained == {2})
+        assert (lo.hub.garbled, lo.hub.rejected) == (1, 0)
+        assert [kind for kind, _ in logged] == ["member_garbled", "member_drained"]
+        assert [encode_envelope(e) for e in lo.endpoint.messages] == sent
+
+    run({1, 2}, body)
+
+
+def test_a_replayed_frame_is_a_duplicate_to_a_reliable_notifier() -> None:
+    """Behind the hub, a real notifier under the reliability protocol: a
+    member's DATA frame sent twice, byte for byte, is counted in
+    ``duplicates_discarded`` and changes nothing else -- the operation
+    executes once, and the member stays connected."""
+    async def body(lo: Loopback) -> None:
+        notifier = lo.hub.endpoint
+        op = OpMessage(op=Insert("x", 0), timestamp=CompressedTimestamp(0, 1),
+                       origin_site=1, op_id="1-1")
+        replayed = frame(encode_envelope(Envelope(
+            source=1, dest=0, payload=ReliablePacket(seq=0, epoch=0, ack=-1,
+                                                     payload=op),
+            timestamp_bytes=op.timestamp.size_bytes())))
+        _r2, _w2 = await lo.member(2)
+        _r1, w1 = await lo.member(1)
+        w1.write(replayed)
+        await until(lambda: notifier.executed_op_ids == ["1-1'"])
+        before = (notifier.document, dict(notifier.acked),
+                  notifier.transport.stats.sent)
+        w1.write(replayed)
+        await until(lambda: notifier.transport.stats.duplicates_discarded == 1)
+        assert (notifier.document, dict(notifier.acked),
+                notifier.transport.stats.sent) == before
+        assert notifier.executed_op_ids == ["1-1'"]
+        assert (lo.hub.garbled, lo.hub.rejected, lo.hub.hung_up) == (0, 0, set())
+
+    run({1, 2}, body, endpoint=lambda: StarNotifier(
+        AsyncioScheduler(), 2, reliability=ReliabilityConfig()))
 
 
 def test_close_with_members_connected_leaves_no_task_and_no_noise(

@@ -312,7 +312,9 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"\brel_stats\b|pre-refactor|backwards compat"
         r"|\bon_eof\b|\bread_telemetry\b|\bscan_dir\b|\ball_corrected\b"
         r"|\bClockProtocol\b|\bCLOCK_FAMILIES\b|\bMatrixClock\b"
-        r"|\bSessionRecorder\b|\bsession_stats\b|Tracer\(enabled")
+        r"|\bSessionRecorder\b|\bsession_stats\b|Tracer\(enabled"
+        r"|TraceEventKind\.SPAN\b|\borigin_time\b|\bSPAN_STAGES\b"
+        r"|\b_payload_origin_wall\b|\bstage_counts\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES

@@ -5,7 +5,9 @@ the module docstring: sites with known clock offsets ``theta``, links
 with known one-way delays, and assertions that the estimate lands where
 the math says it must -- exact under symmetric delays, within the
 documented ``RTT_min / 2`` bound under asymmetry, and *refused* (not
-guessed) when a pair has no bidirectional path.
+guessed) when a pair has no bidirectional path.  The assembly tests feed
+it the generation, release, transform and execution events a star's
+trace records, stamped on skewed clocks.
 """
 
 import pytest
@@ -104,51 +106,46 @@ class TestSkewEstimator:
         assert SkewEstimator().pair_offset(3, 3) == (0.0, 0.0)
 
 
-def span(index, stage, *, site, time, peer=None, op_id=None, origin_time=None):
-    return TraceEvent(
-        index=index,
-        kind=TraceEventKind.SPAN,
-        time=time,
-        site=site,
-        peer=peer,
-        op_id=op_id,
-        via=stage,
-        origin_time=origin_time,
-    )
+def event(index, kind, *, site, time, op_id, peer=None, source_op_id=None):
+    return TraceEvent(index=index, kind=kind, time=time, site=site,
+                      op_id=op_id, peer=peer, source_op_id=source_op_id)
+
+
+GENERATED = TraceEventKind.GENERATED
+RELEASED = TraceEventKind.RELEASED
+TRANSFORMED = TraceEventKind.TRANSFORMED
+EXECUTED = TraceEventKind.EXECUTED
 
 
 def star_trace(theta, *, ingest_delay=0.002, fanout_delay=0.003):
     """A one-op synthetic trace: client 1 -> centre 0 -> client 2.
 
     All event times are rendered on each site's own (skewed) clock, the
-    way real per-process tracers would stamp them.
+    way real per-process tracers would stamp them.  The centre releases,
+    executes and transforms an arrival at one instant; the broadcast
+    form ``<op>'`` is what the clients execute.
     """
     origin_true = 1.0  # true time the op was generated at site 1
     origin_stamp = origin_true + theta[1]
     ingest_true = origin_true + ingest_delay
     exec_true = ingest_true + fanout_delay
     events = [
-        span(0, "generate", site=1, time=origin_stamp,
-             op_id="1'1", origin_time=origin_stamp),
-        span(1, "ingest", site=0, time=ingest_true + theta[0],
-             peer=1, op_id="1'1", origin_time=origin_stamp),
-        span(2, "broadcast", site=0, time=ingest_true + theta[0],
-             peer=1, op_id="1'1", origin_time=origin_stamp),
-        span(3, "execute", site=0, time=ingest_true + theta[0],
-             peer=1, op_id="1'1", origin_time=origin_stamp),
-        span(4, "execute", site=2, time=exec_true + theta[2],
-             peer=1, op_id="1'1", origin_time=origin_stamp),
+        event(0, GENERATED, site=1, time=origin_stamp, op_id="1'1"),
+        event(1, RELEASED, site=0, time=ingest_true + theta[0],
+              peer=1, op_id="1'1"),
+        event(2, EXECUTED, site=0, time=ingest_true + theta[0], op_id="1'1"),
+        event(3, TRANSFORMED, site=0, time=ingest_true + theta[0],
+              op_id="1'1'", source_op_id="1'1"),
+        event(4, EXECUTED, site=2, time=exec_true + theta[2], op_id="1'1'"),
         # The return samples that make links bidirectional: site 1 also
         # executes an op that 2 originated through the centre.
-        span(5, "generate", site=2, time=2.0 + theta[2],
-             op_id="2'1", origin_time=2.0 + theta[2]),
-        span(6, "ingest", site=0, time=2.0 + ingest_delay + theta[0],
-             peer=2, op_id="2'1", origin_time=2.0 + theta[2]),
-        span(7, "broadcast", site=0, time=2.0 + ingest_delay + theta[0],
-             peer=2, op_id="2'1", origin_time=2.0 + theta[2]),
-        span(8, "execute", site=1,
-             time=2.0 + ingest_delay + fanout_delay + theta[1],
-             peer=2, op_id="2'1", origin_time=2.0 + theta[2]),
+        event(5, GENERATED, site=2, time=2.0 + theta[2], op_id="2'1"),
+        event(6, RELEASED, site=0, time=2.0 + ingest_delay + theta[0],
+              peer=2, op_id="2'1"),
+        event(7, TRANSFORMED, site=0, time=2.0 + ingest_delay + theta[0],
+              op_id="2'1'", source_op_id="2'1"),
+        event(8, EXECUTED, site=1,
+              time=2.0 + ingest_delay + fanout_delay + theta[1], op_id="2'1'"),
     ]
     return events
 
@@ -156,15 +153,14 @@ def star_trace(theta, *, ingest_delay=0.002, fanout_delay=0.003):
 class TestAssembleSpans:
     def test_empty_trace(self):
         report = assemble_spans([])
-        assert report.span_events == 0
         assert report.pairs == {}
         assert report.summary_lines() == []
 
-    def test_non_span_events_ignored(self):
-        event = TraceEvent(index=0, kind=TraceEventKind.GENERATED,
-                           time=0.0, site=1, op_id="1'1")
-        report = assemble_spans([event])
-        assert report.span_events == 0
+    def test_a_generation_alone_makes_no_pair(self):
+        generated = event(0, GENERATED, time=0.0, site=1, op_id="1'1")
+        report = assemble_spans([generated])
+        assert report.pairs == {}
+        assert report.summary_lines() == []
 
     def test_skew_corrected_latency_recovers_true_delay(self):
         # 80 ms of clock skew between origin and executor; the true
@@ -181,13 +177,10 @@ class TestAssembleSpans:
         # The composed offset is exact here (symmetric construction).
         assert pair.offset_s == pytest.approx(theta[2] - theta[1], abs=1e-9)
 
-    def test_stage_counts(self):
+    def test_every_execution_away_from_its_origin_is_a_pair(self):
         report = assemble_spans(star_trace({0: 0.0, 1: 0.0, 2: 0.0}))
-        assert report.span_events == 9
-        assert report.stage_counts["generate"] == 2
-        assert report.stage_counts["ingest"] == 2
-        assert report.stage_counts["broadcast"] == 2
-        assert report.stage_counts["execute"] == 3
+        assert sorted(report.pairs) == [(1, 0), (1, 2), (2, 1)]
+        assert all(pair.raw.count == 1 for pair in report.pairs.values())
         # No skew to correct: the corrected p50 is the 5 ms pipeline itself.
         assert report.pairs[(1, 2)].corrected.percentile(50) == pytest.approx(
             0.005, abs=1e-9)
@@ -209,7 +202,7 @@ class TestAssembleSpans:
         assert pair.raw.count == 1
 
     def test_all_corrected_unions_correctable_pairs_only(self):
-        report = SpanReport(span_events=1)
+        report = SpanReport()
         good = PairLatency(origin=1, executor=2)
         good.raw.observe(0.005)
         from repro.obs.tracer import Histogram
