@@ -14,7 +14,7 @@ ABL-2  History retention: HB length at peak and at quiescence when the
        arrivals prune at the acknowledgement horizon (every session
        without the oracle) vs the oracle session, which keeps it all.
 
-ABL-3  Batching: composing keystroke bursts into one component
+ABL-3  Batching: composing keystroke bursts into one positional
        operation before propagation vs sending every keystroke.
 """
 
@@ -25,7 +25,7 @@ from conftest import emit
 from repro.analysis.causality import CausalityOracle
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
-from repro.ot.component import TextOperation
+from repro.ot.operations import Identity, Insert, compose
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
 
@@ -163,7 +163,7 @@ def test_abl3_batching(benchmark):
     def run(batch: bool):
         session = StarSession(
             2,
-            ot_type_name="text-component",
+            ot_type_name="text-positional",
             initial_state="",
             record_events=False,
         )
@@ -172,19 +172,13 @@ def test_abl3_batching(benchmark):
 
         def type_burst():
             if batch:
-                op = TextOperation.noop(len(client.document))
+                op = Identity()
                 for i, ch in enumerate(text):
-                    op = op.compose(
-                        TextOperation()
-                        .retain(len(client.document) + i)
-                        .insert(ch)
-                    )
+                    op = compose(op, Insert(ch, len(client.document) + i))
                 client.generate(op)
             else:
-                for i, ch in enumerate(text):
-                    client.generate(
-                        TextOperation().retain(len(client.document)).insert(ch)
-                    )
+                for ch in text:
+                    client.generate(Insert(ch, len(client.document)))
 
         session.sim.schedule(1.0, type_burst)
         session.run()

@@ -17,8 +17,8 @@ Package map (see DESIGN.md for the full inventory):
 
 * :mod:`repro.core` -- compressed state vectors, timestamps, the
   concurrency formulas (3)-(7), history buffers;
-* :mod:`repro.ot` -- operational transformation (positional and
-  component text operations, IT/ET, generic OT types);
+* :mod:`repro.ot` -- operational transformation (positional text
+  operations and their ``compose``, IT/ET, generic OT types);
 * :mod:`repro.clocks` -- full vector clocks, Lamport clocks, and the
   Singhal-Kshemkalyani / Fowler-Zwaenepoel baselines;
 * :mod:`repro.net` -- deterministic discrete-event simulation with FIFO
@@ -39,7 +39,6 @@ from repro.core.concurrency import client_concurrent, notifier_concurrent
 from repro.core.history import HistoryBuffer
 from repro.ot.operations import Delete, Insert
 from repro.ot.transform import transform_pair
-from repro.ot.component import TextOperation
 from repro.clocks.lamport import LamportClock
 from repro.clocks.vector import VectorClock
 from repro.editor.mesh import MeshSession
@@ -60,7 +59,6 @@ __all__ = [
     "notifier_concurrent",
     "Insert",
     "Delete",
-    "TextOperation",
     "transform_pair",
     "VectorClock",
     "LamportClock",

@@ -26,7 +26,6 @@ members left-to-right (members are pre-adjusted so this is well-defined).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.net.transport import INT_WIDTH, measure_payload_bytes, register_sizer
 
@@ -50,10 +49,6 @@ class Operation:
     def is_identity(self) -> bool:
         """True when executing the operation never changes any document."""
         return False
-
-    def primitive_count(self) -> int:
-        """Number of primitive (non-group) operations contained."""
-        return 1
 
 
 @dataclass(frozen=True)
@@ -133,9 +128,6 @@ class Identity(Operation):
     def is_identity(self) -> bool:
         return True
 
-    def primitive_count(self) -> int:
-        return 0
-
     def __repr__(self) -> str:
         return "Identity[]"
 
@@ -144,10 +136,10 @@ class Identity(Operation):
 class OperationGroup(Operation):
     """An ordered group of operations applied left-to-right.
 
-    Produced when transformation splits one primitive operation into
-    several (a delete straddling a concurrent insert).  Members are
-    stored with positions already adjusted so that sequential
-    application realises the combined intention.
+    Produced by a split (transformation cuts a delete straddling a
+    concurrent insert in two) or by :func:`compose`.  Members are stored
+    with positions already adjusted so that sequential application
+    realises the combined intention.
     """
 
     members: tuple[Operation, ...] = field(default_factory=tuple)
@@ -159,12 +151,6 @@ class OperationGroup(Operation):
 
     def is_identity(self) -> bool:
         return all(member.is_identity() for member in self.members)
-
-    def primitive_count(self) -> int:
-        return sum(member.primitive_count() for member in self.members)
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self.members)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(member) for member in self.members)
@@ -178,11 +164,6 @@ register_sizer(Identity, lambda op: 1)
 register_sizer(
     OperationGroup, lambda op: 1 + sum(map(measure_payload_bytes, op.members))
 )
-
-
-def apply_operation(document: str, op: Operation) -> str:
-    """Execute ``op`` (possibly a group) on ``document``."""
-    return op.apply(document)
 
 
 def apply_clamped(document: str, op: Operation) -> str:
@@ -258,3 +239,27 @@ def simplify(op: Operation) -> Operation:
     if len(primitives) == 1:
         return primitives[0]
     return OperationGroup(tuple(primitives))
+
+
+def compose(a: Operation, b: Operation) -> Operation:
+    """``a`` followed by ``b`` as one operation.
+
+    ``compose(a, b).apply(S) == b.apply(a.apply(S))``.  The members are
+    concatenated without identities; an insert landing inside or at
+    either end of the previous insert joins it, and a delete covering
+    the previous delete's position joins it.  The result is a primitive,
+    :class:`Identity` or a group, so it travels like any other operation.
+    """
+    members: list[Operation] = []
+    for op in flatten(a) + flatten(b):
+        if op.is_identity():
+            continue
+        last = members[-1] if members else None
+        if isinstance(op, Insert) and isinstance(last, Insert) and last.pos <= op.pos <= last.end:
+            cut = op.pos - last.pos
+            members[-1] = Insert(last.text[:cut] + op.text + last.text[cut:], last.pos)
+        elif isinstance(op, Delete) and isinstance(last, Delete) and op.pos <= last.pos <= op.end:
+            members[-1] = Delete(last.count + op.count, op.pos)
+        else:
+            members.append(op)
+    return simplify(OperationGroup(tuple(members)))

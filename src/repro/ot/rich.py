@@ -369,13 +369,3 @@ class RichTextType:
         """The inverse of ``op`` relative to its pre-state (for undo)."""
         return op.invert(state)
 
-    def serialized_size(self, op: RichOperation) -> int:
-        size = 1
-        for c in op.components:
-            if isinstance(c, Retain):
-                size += 4 + sum(len(a) + 1 for a in c.add | c.remove)
-            elif isinstance(c, InsertRich):
-                size += len(c.text.encode("utf-8")) + 1 + sum(len(a) + 1 for a in c.attrs)
-            else:
-                size += 4
-        return size

@@ -4,27 +4,28 @@ The paper's Section 6 argues the compression scheme applies to *any*
 replicated data object for which an operational-transformation function
 exists.  The group-editor engine in :mod:`repro.editor` is therefore
 written against the :class:`OTType` contract below rather than strings
-specifically, and this module registers four concrete types:
+specifically, and this module registers these concrete types:
 
-* :class:`TextComponentType` -- collaborative text (the paper's domain),
-  backed by :class:`repro.ot.component.TextOperation`;
-* :class:`PositionalTextType` -- the same document model driven by the
-  paper's positional ``Insert``/``Delete`` operations and the IT rules of
-  :mod:`repro.ot.transform`;
+* :class:`PositionalTextType` -- collaborative text (the paper's domain)
+  driven by the paper's positional ``Insert``/``Delete`` operations and
+  the IT rules of :mod:`repro.ot.transform`;
 * :class:`ListType` -- replicated ordered lists (insert/delete of
   elements), the natural generalisation to replicated databases of rows;
 * :class:`CounterType` -- commutative increments (transformation is the
   identity), the degenerate case showing the scheme's lower bound;
 * :class:`LWWRegisterType` -- a last-writer-wins register where the
   transform deterministically discards the lower-priority concurrent
-  write, modelling replicated configuration entries.
+  write, modelling replicated configuration entries;
+* :class:`repro.ot.rich.RichTextType` -- text with formatting attributes.
 
 Every type must guarantee **TP1**::
 
     apply(apply(S, a), transform(a, b)[1]) == apply(apply(S, b), transform(a, b)[0])
 
 which is the only property star-topology convergence requires (the
-notifier serialises its stream, so TP2 never arises).
+notifier serialises its stream, so TP2 never arises).  A type that can
+undo also offers ``invert(state, op)``; model wire bytes come from
+:func:`repro.net.transport.register_sizer`, not from the type.
 """
 
 from __future__ import annotations
@@ -32,8 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Protocol, TypeVar, runtime_checkable
 
-from repro.ot.component import TextOperation
-from repro.ot.operations import Operation, apply_operation
+from repro.ot.operations import (
+    Delete,
+    Identity,
+    Insert,
+    Operation,
+    OperationGroup,
+    simplify,
+)
 from repro.ot.transform import transform_pair
 
 State = TypeVar("State")
@@ -62,37 +69,6 @@ class OTType(Protocol[State, Op]):
         """
         ...
 
-    def serialized_size(self, op: Op) -> int:
-        """Approximate wire size of ``op`` in bytes (for metrics)."""
-        ...
-
-
-class TextComponentType:
-    """Collaborative plain text via component operations."""
-
-    name = "text-component"
-
-    def initial(self) -> str:
-        return ""
-
-    def apply(self, state: str, op: TextOperation) -> str:
-        return op.apply(state)
-
-    def transform(
-        self, a: TextOperation, b: TextOperation, a_priority: bool
-    ) -> tuple[TextOperation, TextOperation]:
-        return a.transform(b, self_priority=a_priority)
-
-    def invert(self, state: str, op: TextOperation) -> TextOperation:
-        """The inverse of ``op`` relative to its pre-state (for undo)."""
-        return op.invert(state)
-
-    def serialized_size(self, op: TextOperation) -> int:
-        size = 0
-        for c in op.components:
-            size += len(c.encode("utf-8")) + 1 if isinstance(c, str) else 4
-        return size
-
 
 class PositionalTextType:
     """Collaborative text via the paper's positional operations."""
@@ -103,7 +79,7 @@ class PositionalTextType:
         return ""
 
     def apply(self, state: str, op: Operation) -> str:
-        return apply_operation(state, op)
+        return op.apply(state)
 
     def transform(
         self, a: Operation, b: Operation, a_priority: bool
@@ -118,14 +94,6 @@ class PositionalTextType:
         inverts to the reversed member inverses against the evolving
         state.
         """
-        from repro.ot.operations import (
-            Delete,
-            Identity,
-            Insert,
-            OperationGroup,
-            simplify,
-        )
-
         if isinstance(op, Insert):
             return Delete(len(op.text), op.pos)
         if isinstance(op, Delete):
@@ -140,17 +108,6 @@ class PositionalTextType:
                 current = member.apply(current)
             return simplify(OperationGroup(tuple(reversed(inverses))))
         raise TypeError(f"cannot invert operation type {type(op).__name__}")
-
-    def serialized_size(self, op: Operation) -> int:
-        from repro.ot.operations import Delete, Insert, flatten
-
-        size = 0
-        for primitive in flatten(op):
-            if isinstance(primitive, Insert):
-                size += 4 + len(primitive.text.encode("utf-8"))
-            elif isinstance(primitive, Delete):
-                size += 8
-        return max(size, 1)
 
 
 @dataclass(frozen=True)
@@ -211,11 +168,6 @@ class ListType:
             return ListOp("nop", 0)
         return a
 
-    def serialized_size(self, op: ListOp) -> int:
-        import pickle
-
-        return 5 + (len(pickle.dumps(op.value)) if op.kind == "ins" else 0)
-
 
 @dataclass(frozen=True)
 class CounterOp:
@@ -243,10 +195,6 @@ class CounterType:
     def transform(self, a: CounterOp, b: CounterOp, a_priority: bool) -> tuple[CounterOp, CounterOp]:
         del a_priority
         return a, b
-
-    def serialized_size(self, op: CounterOp) -> int:
-        del op
-        return 8
 
 
 @dataclass(frozen=True)
@@ -279,11 +227,6 @@ class LWWRegisterType:
         # executing either order yields the winner.
         return RegisterOp(winner.value), RegisterOp(winner.value)
 
-    def serialized_size(self, op: RegisterOp) -> int:
-        import pickle
-
-        return len(pickle.dumps(op.value))
-
 
 _REGISTRY: dict[str, Any] = {}
 
@@ -309,7 +252,6 @@ def _register_builtins() -> None:
     from repro.ot.rich import RichTextType
 
     for t in (
-        TextComponentType(),
         PositionalTextType(),
         ListType(),
         CounterType(),

@@ -108,27 +108,6 @@ def drive_star_session(session, config: RandomSessionConfig) -> None:
         session.sim.schedule(intent.time, make)
 
 
-def drive_star_session_component(session, config: RandomSessionConfig) -> None:
-    """Random workload for a ``text-component`` star session.
-
-    Draws the same positional edits as :func:`drive_star_session` and
-    converts each to component form against the live document.
-    """
-    from repro.ot.component import TextOperation
-
-    for intent in generate_random_edits(config):
-        client = session.client(intent.site)
-
-        def make(client=client, seed=intent.seed) -> None:
-            rng = random.Random(seed)
-            positional = random_positional_op(rng, client.document, config)
-            client.generate(
-                TextOperation.from_positional(positional, len(client.document))
-            )
-
-        session.sim.schedule(intent.time, make)
-
-
 def random_list_op(rng: random.Random, state: tuple, config: RandomSessionConfig):
     """Draw one valid list operation for the replicated-list type."""
     from repro.ot.types import ListOp

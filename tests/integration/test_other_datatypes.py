@@ -14,7 +14,7 @@ import random
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.ot.types import CounterOp, ListOp, RegisterOp
-from repro.ot.component import TextOperation
+from repro.ot.operations import Delete, Insert, compose
 
 
 def uniform_latencies(seed):
@@ -107,28 +107,25 @@ class TestRegisterSessions:
         assert session.notifier.document == "v3"
 
 
-class TestComponentTextSessions:
-    def test_component_ops_through_star(self):
-        session = StarSession(2, ot_type_name="text-component",
-                              initial_state="ABCDE", verify_with_oracle=True)
-        o1 = TextOperation().retain(1).insert("12").retain(4)
-        o2 = TextOperation().retain(2).delete(3)
+class TestComposedTextSessions:
+    """Positional operations composed on one site travel as one operation."""
+
+    def test_composed_ops_through_star(self):
+        session = StarSession(2, initial_state="ABCDE", verify_with_oracle=True)
+        o1 = compose(Insert("1", 1), Insert("2", 2))  # the paper's O_1, typed
         session.generate_at(1, o1, at=1.0)
-        session.generate_at(2, o2, at=1.0)
+        session.generate_at(2, Delete(3, 2), at=1.0)
         session.run()
         assert session.converged()
         assert session.notifier.document == "A12B"
 
-    def test_batched_edits_compose_then_send(self):
+    def test_burst_vs_concurrent_edit(self):
         """A client may compose a burst locally before propagating."""
-        session = StarSession(2, ot_type_name="text-component",
-                              initial_state="hello", verify_with_oracle=True)
-        burst = (
-            TextOperation().retain(5).insert(" wor")
-            .compose(TextOperation().retain(9).insert("ld"))
-        )
+        session = StarSession(2, initial_state="hello", verify_with_oracle=True)
+        burst = compose(Insert(" wor", 5), Insert("ld", 9))
+        assert burst == Insert(" world", 5)
         session.generate_at(1, burst, at=1.0)
-        session.generate_at(2, TextOperation().delete(1).insert("H").retain(4), at=1.0)
+        session.generate_at(2, compose(Delete(1, 0), Insert("H", 0)), at=1.0)
         session.run()
         assert session.converged()
         assert session.notifier.document == "Hello world"

@@ -4,8 +4,7 @@ import pytest
 
 from repro.editor.star import StarSession
 from repro.editor.star_client import UndoError
-from repro.ot.component import TextOperation
-from repro.ot.operations import Delete, Insert, OperationGroup
+from repro.ot.operations import Delete, Insert, OperationGroup, compose
 from repro.ot.types import CounterOp
 
 
@@ -31,12 +30,13 @@ class TestInvertSupport:
         inverse = ot.invert(doc, group)
         assert inverse.apply(group.apply(doc)) == doc
 
-    def test_component_invert(self):
-        from repro.ot.types import TextComponentType
+    def test_composed_replace_inverts(self):
+        from repro.ot.types import PositionalTextType
 
-        ot = TextComponentType()
-        op = TextOperation().retain(1).delete(2).insert("Z").retain(1)
+        ot = PositionalTextType()
+        op = compose(Delete(2, 1), Insert("Z", 1))
         doc = "abcd"
+        assert op.apply(doc) == "aZd"
         inverse = ot.invert(doc, op)
         assert inverse.apply(op.apply(doc)) == doc
 
@@ -97,9 +97,9 @@ class TestUndoLast:
         assert session.converged()
         assert session.notifier.document == "xyz"
 
-    def test_component_type_undo(self):
-        session = StarSession(2, ot_type_name="text-component", initial_state="abc")
-        op = TextOperation().retain(3).insert("!")
+    def test_composed_op_undo(self):
+        session = StarSession(2, initial_state="abc")
+        op = compose(Insert("!", 3), Insert("?", 0))
         session.sim.schedule(1.0, lambda: session.client(1).generate(op))
         session.sim.schedule(2.0, lambda: session.client(1).undo_last())
         session.run()

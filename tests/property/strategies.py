@@ -6,7 +6,6 @@ import string
 
 from hypothesis import strategies as st
 
-from repro.ot.component import TextOperation
 from repro.ot.operations import Delete, Insert
 
 documents = st.text(alphabet=string.ascii_letters + string.digits + " ", max_size=40)
@@ -33,40 +32,14 @@ def doc_and_op_pair(draw):
 
 
 @st.composite
-def component_op_for(draw, doc: str):
-    """A valid component operation on ``doc`` (random span structure)."""
-    op = TextOperation()
-    remaining = len(doc)
-    while remaining > 0:
-        kind = draw(st.sampled_from(["retain", "insert", "delete"]))
-        if kind == "insert":
-            op.insert(draw(_short_text))
-        else:
-            span = draw(st.integers(1, remaining))
-            if kind == "retain":
-                op.retain(span)
-            else:
-                op.delete(span)
-            remaining -= span
-    if draw(st.booleans()):
-        op.insert(draw(_short_text))
-    return op
-
-
-@st.composite
-def doc_and_component_pair(draw):
-    doc = draw(documents)
-    return doc, draw(component_op_for(doc)), draw(component_op_for(doc))
-
-
-@st.composite
-def doc_and_component_chain(draw):
-    """A document plus a chain of sequentially applicable operations."""
+def doc_and_op_chain(draw):
+    """A document plus 1-4 positional operations, each defined on the
+    document the previous ones leave."""
     doc = draw(documents)
     ops = []
     current = doc
     for _ in range(draw(st.integers(1, 4))):
-        op = draw(component_op_for(current))
+        op = draw(positional_op_for(current))
         ops.append(op)
         current = op.apply(current)
     return doc, ops

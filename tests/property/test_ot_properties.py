@@ -2,26 +2,23 @@
 
 TP1 is the load-bearing property of the whole reproduction: star
 convergence follows from it, so it is tested exhaustively-at-random for
-both operation models, along with the algebraic laws of the component
-model (compose associativity w.r.t. application, inversion) and the
-positional/component conversions.
+the positional operations, along with the algebra a burst of local edits
+relies on (composition equals sequential application, a composition
+transforms like its parts would, inversion undoes it).
 """
+
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ot.component import TextOperation
-from repro.ot.operations import apply_operation
+from repro.ot.operations import compose
 from repro.ot.transform import exclusion_transform, inclusion_transform, transform_pair
+from repro.ot.types import PositionalTextType
 
-from .strategies import (
-    doc_and_component_chain,
-    doc_and_component_pair,
-    doc_and_op_pair,
-    documents,
-    component_op_for,
-    positional_op_for,
-)
+from .strategies import doc_and_op_chain, doc_and_op_pair, positional_op_for
+
+invert = PositionalTextType().invert
 
 
 class TestPositionalTP1:
@@ -30,18 +27,14 @@ class TestPositionalTP1:
     def test_tp1_priority_a(self, case):
         doc, a, b = case
         a2, b2 = transform_pair(a, b, a_priority=True)
-        assert apply_operation(apply_operation(doc, a), b2) == apply_operation(
-            apply_operation(doc, b), a2
-        )
+        assert b2.apply(a.apply(doc)) == a2.apply(b.apply(doc))
 
     @given(doc_and_op_pair())
     @settings(max_examples=400)
     def test_tp1_priority_b(self, case):
         doc, a, b = case
         a2, b2 = transform_pair(a, b, a_priority=False)
-        assert apply_operation(apply_operation(doc, a), b2) == apply_operation(
-            apply_operation(doc, b), a2
-        )
+        assert b2.apply(a.apply(doc)) == a2.apply(b.apply(doc))
 
     @given(doc_and_op_pair())
     @settings(max_examples=200)
@@ -57,7 +50,7 @@ class TestPositionalTP1:
     def test_transformed_ops_remain_applicable(self, case):
         doc, a, b = case
         a2, _ = transform_pair(a, b)
-        apply_operation(apply_operation(doc, b), a2)  # must not raise
+        a2.apply(b.apply(doc))  # must not raise
 
 
 class TestExclusionProperties:
@@ -84,64 +77,38 @@ class TestExclusionProperties:
         assert restored == a
 
 
-class TestComponentTP1:
-    @given(doc_and_component_pair())
-    @settings(max_examples=400)
-    def test_tp1_both_priorities(self, case):
-        doc, a, b = case
-        for priority in (True, False):
-            a2, b2 = a.transform(b, self_priority=priority)
-            assert b2.apply(a.apply(doc)) == a2.apply(b.apply(doc))
-
-    @given(doc_and_component_pair())
-    @settings(max_examples=200)
-    def test_transform_preserves_lengths(self, case):
-        doc, a, b = case
-        a2, b2 = a.transform(b)
-        assert a2.base_length == b.target_length
-        assert b2.base_length == a.target_length
-        assert b2.apply(a.apply(doc)) is not None
-
-
-class TestComponentAlgebra:
-    @given(doc_and_component_chain())
+class TestComposeAlgebra:
+    @given(doc_and_op_chain())
     @settings(max_examples=300)
     def test_compose_equals_sequential_application(self, case):
         doc, ops = case
-        composed = ops[0]
-        for op in ops[1:]:
-            composed = composed.compose(op)
         expected = doc
         for op in ops:
             expected = op.apply(expected)
-        assert composed.apply(doc) == expected
+        assert reduce(compose, ops).apply(doc) == expected
 
-    @given(documents.flatmap(lambda d: st.tuples(st.just(d), component_op_for(d))))
+    @given(doc_and_op_chain().flatmap(
+        lambda case: st.tuples(st.just(case), positional_op_for(case[0]))))
+    @settings(max_examples=300)
+    def test_tp1_both_priorities(self, case):
+        """A composed burst against a concurrent edit on its base."""
+        (doc, ops), x = case
+        burst = reduce(compose, ops)
+        for priority in (True, False):
+            burst2, x2 = transform_pair(burst, x, priority)
+            assert x2.apply(burst.apply(doc)) == burst2.apply(x.apply(doc))
+
+    @given(doc_and_op_chain())
     @settings(max_examples=300)
     def test_invert_roundtrip(self, case):
-        doc, op = case
-        assert op.invert(doc).apply(op.apply(doc)) == doc
+        doc, ops = case
+        burst = reduce(compose, ops)
+        assert invert(doc, burst).apply(burst.apply(doc)) == doc
 
-    @given(documents.flatmap(lambda d: st.tuples(st.just(d), component_op_for(d))))
+    @given(doc_and_op_chain())
     @settings(max_examples=300)
     def test_double_invert_is_identity_effect(self, case):
-        doc, op = case
-        done = op.apply(doc)
-        inverse = op.invert(doc)
-        assert inverse.invert(done).apply(doc) == done
-
-
-class TestModelConversions:
-    @given(documents.flatmap(lambda d: st.tuples(st.just(d), positional_op_for(d))))
-    @settings(max_examples=300)
-    def test_positional_to_component_same_effect(self, case):
-        doc, op = case
-        component = TextOperation.from_positional(op, len(doc))
-        assert component.apply(doc) == op.apply(doc)
-
-    @given(documents.flatmap(lambda d: st.tuples(st.just(d), component_op_for(d))))
-    @settings(max_examples=300)
-    def test_component_to_positional_same_effect(self, case):
-        doc, op = case
-        positional = op.to_positional()
-        assert apply_operation(doc, positional) == op.apply(doc)
+        doc, ops = case
+        burst = reduce(compose, ops)
+        done = burst.apply(doc)
+        assert invert(done, invert(doc, burst)).apply(doc) == done

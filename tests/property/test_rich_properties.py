@@ -83,12 +83,6 @@ class TestRichTP1:
         """Neither execution order loses or duplicates surviving text:
         characters retained by both operations appear exactly once, and
         both inserts appear exactly once.
-
-        (Note: the rich and plain component models are NOT byte-for-byte
-        interchangeable -- ``TextOperation`` canonicalises
-        insert-before-delete, which re-anchors inserts relative to
-        concurrent ones.  Each model satisfies TP1 on its own; sessions
-        must simply not mix them, which the type registry enforces.)
         """
         from repro.ot.rich import InsertRich, Retain, to_string
 

@@ -8,6 +8,7 @@ oracle runs inline), and all replicas converge.
 """
 
 import random
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +17,14 @@ from repro.analysis.causality import CausalityOracle
 from repro.editor.mesh import MeshSession
 from repro.editor.star import StarSession
 from repro.net.channel import FixedLatency, JitterLatency, UniformLatency
+from repro.ot.operations import compose
 from repro.workloads.random_session import (
     RandomSessionConfig,
     drive_mesh_session,
     drive_star_session,
-    drive_star_session_component,
     drive_star_session_list,
+    generate_random_edits,
+    random_positional_op,
 )
 
 session_params = st.fixed_dictionaries(
@@ -43,7 +46,7 @@ def latency_factory(style, seed):
     return lambda s, d: JitterLatency(0.1, 0.8, random.Random(seed * 31 + s * 7 + d))
 
 
-def build_star(params, verify=True):
+def build_star(params, verify=True, drive=drive_star_session):
     config = RandomSessionConfig(
         n_sites=params["n_sites"],
         ops_per_site=params["ops_per_site"],
@@ -56,8 +59,26 @@ def build_star(params, verify=True):
         latency_factory=latency_factory(params["latency_style"], params["seed"]),
         verify_with_oracle=verify,
     )
-    drive_star_session(session, config)
+    drive(session, config)
     return session, config
+
+
+def drive_composed_bursts(session, config):
+    """Each intent is a burst: 1-4 random positional edits, each drawn
+    against the document the previous ones leave, sent as one composed
+    operation."""
+    for intent in generate_random_edits(config):
+        client = session.client(intent.site)
+
+        def make(client=client, seed=intent.seed):
+            rng = random.Random(seed)
+            document, burst = client.document, []
+            for _ in range(rng.randint(1, 4)):
+                burst.append(random_positional_op(rng, document, config))
+                document = burst[-1].apply(document)
+            client.generate(reduce(compose, burst))
+
+        session.sim.schedule(intent.time, make)
 
 
 class TestStarSessionProperties:
@@ -123,30 +144,18 @@ class TestStarSessionProperties:
             for b in ops:
                 assert oracle.concurrent(a, b) == oracle.concurrent(b, a)
 
-
-class TestOtherTypeSessionProperties:
-    """The same convergence + oracle property over other OT types."""
-
     @given(session_params)
     @settings(max_examples=30, deadline=None)
-    def test_component_text_sessions(self, params):
-        config = RandomSessionConfig(
-            n_sites=params["n_sites"],
-            ops_per_site=params["ops_per_site"],
-            seed=params["seed"],
-            insert_ratio=params["insert_ratio"],
-        )
-        session = StarSession(
-            params["n_sites"],
-            ot_type_name="text-component",
-            initial_state=config.initial_document,
-            latency_factory=latency_factory(params["latency_style"], params["seed"]),
-            verify_with_oracle=True,
-        )
-        drive_star_session_component(session, config)
+    def test_composed_burst_sessions(self, params):
+        """The star carries composed operations under the oracle."""
+        session, _ = build_star(params, drive=drive_composed_bursts)
         session.run()
         assert session.quiescent()
         assert session.converged(), session.documents()
+
+
+class TestOtherTypeSessionProperties:
+    """The same convergence + oracle property over other OT types."""
 
     @given(session_params)
     @settings(max_examples=30, deadline=None)

@@ -16,7 +16,7 @@ from repro.net.codec import (
     encode_op_message,
     encode_operation,
 )
-from repro.ot.operations import Delete, Identity, Insert, OperationGroup
+from repro.ot.operations import Delete, Identity, Insert, OperationGroup, compose
 
 
 class TestPrimitives:
@@ -93,6 +93,7 @@ class TestOperationCodec:
             Identity(),
             OperationGroup((Delete(2, 1), Delete(2, 3))),
             OperationGroup((Insert("x", 0), OperationGroup((Delete(1, 5),)))),
+            compose(compose(Insert("ab", 0), Delete(2, 4)), Insert("c", 2)),
         ],
     )
     def test_roundtrip(self, op):

@@ -8,7 +8,7 @@ from repro.ot.operations import (
     Insert,
     OperationError,
     OperationGroup,
-    apply_operation,
+    compose,
     flatten,
     simplify,
 )
@@ -97,9 +97,6 @@ class TestIdentity:
     def test_is_identity(self):
         assert Identity().is_identity()
 
-    def test_primitive_count_zero(self):
-        assert Identity().primitive_count() == 0
-
 
 class TestOperationGroup:
     def test_sequential_application(self):
@@ -111,24 +108,41 @@ class TestOperationGroup:
         assert OperationGroup((Identity(), Insert("", 0))).is_identity()
         assert not OperationGroup((Identity(), Insert("x", 0))).is_identity()
 
-    def test_primitive_count(self):
-        group = OperationGroup((Delete(1, 0), Identity(), Insert("a", 0)))
-        assert group.primitive_count() == 2
-
-    def test_iteration(self):
-        members = (Delete(1, 0), Insert("a", 0))
-        assert tuple(OperationGroup(members)) == members
-
     def test_nested_groups_apply(self):
         inner = OperationGroup((Insert("x", 0),))
         outer = OperationGroup((inner, Insert("y", 0)))
         assert outer.apply("z") == "yxz"
 
 
-class TestHelpers:
-    def test_apply_operation_dispatches(self):
-        assert apply_operation("abc", Insert("x", 1)) == "axbc"
+class TestCompose:
+    def test_an_insert_inside_or_at_either_end_of_the_last_joins_it(self):
+        assert compose(Insert("ab", 1), Insert("X", 2)) == Insert("aXb", 1)
+        assert compose(Insert("ab", 1), Insert("X", 1)) == Insert("Xab", 1)
+        assert compose(Insert("ab", 1), Insert("X", 3)) == Insert("abX", 1)
 
+    def test_an_insert_elsewhere_stays_a_member(self):
+        assert compose(Insert("ab", 1), Insert("X", 4)) == OperationGroup(
+            (Insert("ab", 1), Insert("X", 4)))
+
+    def test_a_delete_covering_the_last_ones_position_joins_it(self):
+        # "abcdef": drop "cd" -> "abef", then "bef" -> "a"
+        assert compose(Delete(2, 2), Delete(3, 1)) == Delete(5, 1)
+        assert compose(Delete(2, 2), Delete(1, 2)) == Delete(3, 2)
+        assert compose(Delete(2, 2), Delete(1, 1)) == Delete(3, 1)
+
+    def test_a_delete_elsewhere_stays_a_member(self):
+        assert compose(Delete(1, 0), Delete(1, 3)) == OperationGroup(
+            (Delete(1, 0), Delete(1, 3)))
+
+    def test_identities_vanish_and_groups_flatten(self):
+        assert compose(Identity(), Insert("", 2)) == Identity()
+        assert compose(Delete(0, 1), Insert("x", 0)) == Insert("x", 0)
+        burst = compose(OperationGroup((Insert("a", 0), Delete(1, 3))), Insert("b", 1))
+        assert burst == OperationGroup((Insert("a", 0), Delete(1, 3), Insert("b", 1)))
+        assert burst.apply("wxyz") == "abwxz"
+
+
+class TestHelpers:
     def test_flatten_drops_identities(self):
         group = OperationGroup((Identity(), Insert("a", 0), OperationGroup((Delete(1, 0),))))
         assert flatten(group) == [Insert("a", 0), Delete(1, 0)]

@@ -10,11 +10,9 @@ from repro.ot.types import (
     LWWRegisterType,
     PositionalTextType,
     RegisterOp,
-    TextComponentType,
     get_type,
     register_type,
 )
-from repro.ot.component import TextOperation
 from repro.ot.operations import Delete, Insert
 
 
@@ -28,7 +26,7 @@ def assert_tp1(ot, state, a, b, a_priority=True):
 
 class TestRegistry:
     def test_builtin_types_registered(self):
-        for name in ("text-component", "text-positional", "list", "counter", "lww-register"):
+        for name in ("text-positional", "list", "counter", "lww-register", "rich-text"):
             assert get_type(name).name == name
 
     def test_unknown_type_raises_with_listing(self):
@@ -56,24 +54,6 @@ class TestPositionalTextType:
     def test_tp1(self):
         ot = PositionalTextType()
         assert_tp1(ot, "ABCDE", Insert("12", 1), Delete(3, 2))
-
-    def test_serialized_size(self):
-        ot = PositionalTextType()
-        assert ot.serialized_size(Insert("ab", 1)) == 6
-        assert ot.serialized_size(Delete(3, 2)) == 8
-
-
-class TestTextComponentType:
-    def test_tp1(self):
-        ot = TextComponentType()
-        a = TextOperation().retain(1).insert("12").retain(4)
-        b = TextOperation().retain(2).delete(3)
-        assert_tp1(ot, "ABCDE", a, b)
-
-    def test_serialized_size_counts_strings_and_ints(self):
-        ot = TextComponentType()
-        o = TextOperation().retain(2).insert("xy").delete(1)
-        assert ot.serialized_size(o) == 4 + 3 + 4
 
 
 class TestListType:

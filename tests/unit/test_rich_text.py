@@ -187,11 +187,6 @@ class TestRichTextType:
 
         assert isinstance(get_type("rich-text"), RichTextType)
 
-    def test_serialized_size(self):
-        ot = RichTextType()
-        op = RichOperation().retain(3, add=("bold",)).insert("x", ("i",)).delete(2)
-        assert ot.serialized_size(op) > 0
-
     def test_star_session_with_formatting(self):
         """Two users format overlapping spans concurrently."""
         from repro.editor.star import StarSession

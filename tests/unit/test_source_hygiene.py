@@ -314,7 +314,10 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\bClockProtocol\b|\bCLOCK_FAMILIES\b|\bMatrixClock\b"
         r"|\bSessionRecorder\b|\bsession_stats\b|Tracer\(enabled"
         r"|TraceEventKind\.SPAN\b|\borigin_time\b|\bSPAN_STAGES\b"
-        r"|\b_payload_origin_wall\b|\bstage_counts\b")
+        r"|\b_payload_origin_wall\b|\bstage_counts\b"
+        r"|\bTextOperation\b|text-component|\bTextComponentType\b"
+        r"|\bdrive_star_session_component\b|\bserialized_size\b"
+        r"|\bfrom_positional\b|\bprimitive_count\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES

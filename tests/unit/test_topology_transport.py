@@ -21,7 +21,6 @@ from repro.net.reliability import ReliablePacket
 from repro.net.simulator import Simulator
 from repro.net.topology import MeshTopology, StarTopology
 from repro.net.transport import Envelope, measure_payload_bytes
-from repro.ot.component import TextOperation
 from repro.ot.operations import Delete, Identity, Insert, OperationGroup
 from repro.ot.rich import DeleteRich, InsertRich, Retain, RichOperation
 from repro.ot.types import CounterOp, ListOp, RegisterOp
@@ -127,10 +126,6 @@ class TestPayloadMeasurement:
         group = OperationGroup((Delete(1, 0), Delete(1, 2)))
         assert measure_payload_bytes(group) == 1 + 9 + 9
 
-    def test_component_operation(self):
-        op = TextOperation().retain(2).insert("xy").delete(1)
-        assert measure_payload_bytes(op) == 1 + 4 + 3 + 4
-
     def test_envelope_total(self):
         env = Envelope(1, 0, Delete(3, 2), timestamp_bytes=8)
         assert env.total_bytes() == 8 + 9 + 8
@@ -206,8 +201,6 @@ SIZES = [
     pytest.param(Identity(), 1, id="identity"),
     pytest.param(
         OperationGroup((Insert("ab", 0), Delete(1, 5), Identity())), 18, id="group"),
-    pytest.param(
-        TextOperation().retain(2).insert("é!").delete(1), 13, id="text-operation"),
     # No sizer of their own: charged as their pickle.
     pytest.param(
         RichOperation([Retain(2, frozenset({"bold"})), InsertRich("hi"), DeleteRich(1)]),
@@ -219,10 +212,6 @@ SIZES = [
         OpMessage(op=Insert("héllo", 3), timestamp=_TS, origin_site=2, op_id="c2_5"),
         19, id="op-message"),
     pytest.param(_RELAYED, 18, id="op-message-relayed"),
-    pytest.param(
-        OpMessage(op=TextOperation().retain(1).insert("z"), timestamp=_TS,
-                  origin_site=1, op_id="c1_1"),
-        15, id="op-message-text-operation"),
     pytest.param(
         ReliablePacket(seq=4, epoch=1, ack=2, payload=_RELAYED), 30, id="reliable-op"),
     pytest.param(ReliablePacket(seq=-1, epoch=0, ack=7), 12, id="reliable-ack"),

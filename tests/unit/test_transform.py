@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.ot.operations import Delete, Identity, Insert, OperationGroup, simplify
+from repro.ot.operations import Delete, Identity, Insert, OperationGroup, compose, simplify
 from repro.ot.transform import (
     TransformError,
     exclusion_transform,
     inclusion_transform,
     transform_pair,
 )
+from repro.ot.types import PositionalTextType
 
 
 def check_tp1(doc, a, b, a_priority=True):
@@ -152,26 +153,26 @@ class TestITEdgeCases:
             inclusion_transform(Insert("x", 0), Weird())  # type: ignore[arg-type]
 
 
+def every_primitive(doc, texts=("", "x", "xy")):
+    """Every insert of ``texts`` and every delete (empty ones included) on ``doc``."""
+    size = len(doc)
+    inserts = [Insert(text, pos) for text in texts for pos in range(size + 1)]
+    deletes = [
+        Delete(count, pos)
+        for pos in range(size + 1)
+        for count in range(size - pos + 1)
+    ]
+    return inserts + deletes
+
+
 class TestPrimitivePairDispatch:
     """``transform_pair`` resolves a primitive pair with one table lookup;
     the IT rules composed by hand are its specification."""
 
     DOC = "abcdef"
 
-    def every_primitive(self):
-        size = len(self.DOC)
-        inserts = [
-            Insert(text, pos) for text in ("", "x", "xy") for pos in range(size + 1)
-        ]
-        deletes = [
-            Delete(count, pos)
-            for pos in range(size + 1)
-            for count in range(size - pos + 1)
-        ]
-        return inserts + deletes
-
     def test_every_pair_equals_the_composed_rules_and_satisfies_tp1(self):
-        ops = self.every_primitive()
+        ops = every_primitive(self.DOC)
         cases = 0
         for a in ops:
             for b in ops:
@@ -187,6 +188,68 @@ class TestPrimitivePairDispatch:
                         f"TP1 violated for {a}, {b}, a_priority={a_priority}"
                     )
         assert cases == 4802
+
+
+class TestComposedPairs:
+    """DESIGN 3's text row, enumerated: every primitive ``a`` on ``DOC``
+    followed by every primitive ``b`` on ``a``'s result, composed, checked
+    against sequential application, TP1 against every concurrent
+    primitive (both priorities), transforming the parts one by one, and
+    undo.  Concurrent inserts use letters the composed ones do not, so a
+    tie resolved the wrong way shows in the document."""
+
+    DOC = "abcdef"
+
+    def pairs(self):
+        for a in every_primitive(self.DOC):
+            for b in every_primitive(a.apply(self.DOC)):
+                yield a, b, compose(a, b)
+
+    def concurrent(self):
+        for x in every_primitive(self.DOC, texts=("y", "yz")):
+            for a_priority in (True, False):
+                yield x, a_priority
+
+    def test_compose_is_sequential_application(self):
+        cases = 0
+        for a, b, ab in self.pairs():
+            cases += 1
+            assert ab.apply(self.DOC) == b.apply(a.apply(self.DOC)), f"{a}, {b} -> {ab}"
+        assert cases == 2149
+
+    def test_a_composition_satisfies_tp1_against_every_primitive(self):
+        cases = 0
+        for a, b, ab in self.pairs():
+            for x, a_priority in self.concurrent():
+                cases += 1
+                ab2, x2 = transform_pair(ab, x, a_priority)
+                assert x2.apply(ab.apply(self.DOC)) == ab2.apply(x.apply(self.DOC)), (
+                    f"TP1 violated for {ab} (= {a}, {b}), {x}, a_priority={a_priority}"
+                )
+        assert cases == 180516
+
+    def test_transforming_a_composition_threads_through_its_parts(self):
+        cases = 0
+        for a, b, ab in self.pairs():
+            for x, a_priority in self.concurrent():
+                cases += 1
+                ab2, x2 = transform_pair(ab, x, a_priority)
+                a2, xa = transform_pair(a, x, a_priority)
+                b2, xab = transform_pair(b, xa, a_priority)
+                after_x = x.apply(self.DOC)
+                assert ab2.apply(after_x) == b2.apply(a2.apply(after_x)), (
+                    f"{ab} (= {a}, {b}) vs {x}, a_priority={a_priority}"
+                )
+                assert x2.apply(ab.apply(self.DOC)) == xab.apply(b.apply(a.apply(self.DOC)))
+        assert cases == 180516
+
+    def test_invert_undoes_every_composition(self):
+        invert = PositionalTextType().invert
+        cases = 0
+        for a, b, ab in self.pairs():
+            cases += 1
+            assert invert(self.DOC, ab).apply(ab.apply(self.DOC)) == self.DOC, f"{ab}"
+        assert cases == 2149
 
 
 class TestExclusionTransform:
