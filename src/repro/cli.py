@@ -449,32 +449,25 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             # Aggregate whatever telemetry the run left into monitor.jsonl.
             from repro.obs.monitor import run_monitor
 
-            run_monitor(out_dir, once=True, expect_sites=config.clients + 1)
+            run_monitor(out_dir, once=True)
     print(report.summary())
     return 0 if report.ok else 1
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
     from pathlib import Path
 
-    from repro.net.beacon import BeaconReceiver
     from repro.obs.monitor import run_monitor
 
-    sideband = (BeaconReceiver(port=args.beacon_port)
-                if args.beacon_port is not None else nullcontext())
-    with sideband as beacon:
-        return run_monitor(
-            Path(args.dir),
-            interval_s=args.interval,
-            duration_s=args.duration,
-            once=args.once,
-            expect_sites=args.expect_sites,
-            artifact=Path(args.artifact) if args.artifact else None,
-            follow=args.follow,
-            max_intervals=args.max_intervals,
-            beacon=beacon,
-        )
+    return run_monitor(
+        Path(args.dir),
+        interval_s=args.interval,
+        duration_s=args.duration,
+        once=args.once,
+        artifact=Path(args.artifact) if args.artifact else None,
+        follow=args.follow,
+        max_intervals=args.max_intervals,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -597,11 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one aggregation pass over what is on disk, then exit",
     )
     p_monitor.add_argument(
-        "--expect-sites", type=int, default=None, metavar="N",
-        help="total sites expected (notifier + clients), for the "
-        "sites=K/N column",
-    )
-    p_monitor.add_argument(
         "--artifact", default=None,
         help="final JSONL artifact path (default: DIR/monitor.jsonl)",
     )
@@ -613,11 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument(
         "--max-intervals", type=int, default=None, metavar="N",
         help="stop after N aggregation rounds (CI smoke bound)",
-    )
-    p_monitor.add_argument(
-        "--beacon-port", type=int, default=None, metavar="PORT",
-        help="also listen for UDP telemetry datagrams on this port "
-        "(the sideband cluster processes fire with --beacon-port)",
     )
     p_monitor.set_defaults(func=cmd_monitor)
     return parser

@@ -33,9 +33,9 @@ degraded-mode buffer (``--degraded-limit``) and replay after the
 baseline lands.
 
 Observability: with ``--telemetry-interval`` the client samples its own
-gauges into ``telemetry_<site>.jsonl`` and *gossips* every frame to the
-current centre as a TELEMETRY wire frame (piggybacked on the existing
-connection; older readers ignore the tag).  Failover progress --
+gauges into ``telemetry_<site>.jsonl``, the one carriage its frames
+have: no connection carries them, so a dead centre costs the monitor no
+site's frames.  Failover progress --
 ``peer_dead`` (warn), re-homing, election, promotion -- lands in the
 same stream as ``warn``-verdict health events, so the monitor shows an
 epoch transition rather than a terminal crash.  ``fail`` verdicts and
@@ -85,25 +85,21 @@ async def run_client(config: ClusterConfig, site: int, port: int,
 
     coordinator: Optional[WireFailover] = None
     if config.failover:
-        # On the successor, surviving members gossip their telemetry to
-        # us: rig.feed folds it into our own stream so the monitor keeps
-        # seeing every site across the epoch boundary.
         coordinator = WireFailover(
             config, client, rig.done, log=rig.health,
-            workload_done=lambda: remaining == 0, on_telemetry=rig.feed,
+            workload_done=lambda: remaining == 0,
         )
         await coordinator.start()
     listen_port = coordinator.listen_port if coordinator is not None else 0
     reader, writer = await dial(config, client, port, 0, listen_port)
     # The *current* centre connection (writer + the centre pid it leads
-    # to): gossip and DRAINED frames follow it as failover re-homes the
-    # spoke.
+    # to): DRAINED frames follow it as failover re-homes the spoke.
     center_writer, center_pid = writer, 0
 
     def to_center(body: bytes) -> bool:
         """Frame ``body`` onto the current centre connection, if it is
-        still there; a readerless/dying socket must never take sampling
-        (or a workload timer) down."""
+        still there; a readerless/dying socket must never take a workload
+        timer down."""
         if center_writer.is_closing():
             return False
         try:
@@ -115,7 +111,7 @@ async def run_client(config: ClusterConfig, site: int, port: int,
     # After promotion the live state (document, SV_0, epoch) belongs to
     # the promoted notifier; sampling the stale client shell would
     # freeze the digest at the crash point.
-    rig.start_telemetry(lambda: client.live, gossip=to_center)
+    rig.start_telemetry(lambda: client.live)
 
     def maybe_send_drained() -> None:
         """Announce workload completion to the *current* centre, once.

@@ -54,7 +54,6 @@ from repro.editor.messages import ElectMessage, PromoteMessage, StateContributio
 from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
 from repro.net.wire import Roster, WireError
-from repro.obs.telemetry import TelemetryFrame
 
 #: How long the successor waits for the expected members to dial in
 #: before opening the election anyway.  Generous relative to the
@@ -79,7 +78,6 @@ class WireFailover(Directory):
     def __init__(self, config: ClusterConfig, client: StarClient,
                  finished: asyncio.Event, *, log: LogHook,
                  workload_done: Callable[[], bool],
-                 on_telemetry: Callable[[TelemetryFrame], None],
                  grace_s: float = TAKEOVER_GRACE_S) -> None:
         self.config = config
         self.client = client
@@ -97,7 +95,6 @@ class WireFailover(Directory):
             on_hello=self._on_hello,
             may_finish=lambda: (self.notifier is not None and workload_done()
                                 and client.settled),
-            on_telemetry=on_telemetry,
             log=lambda kind, detail: log(
                 f"failover_{kind}", f"{detail} under epoch {self.notifier_epoch}"),
         )

@@ -15,20 +15,13 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
-from repro.net.beacon import BeaconSender
 from repro.net.reliability import ReliabilityConfig
 from repro.net.scheduler import AsyncioScheduler
-from repro.net.wire import (
-    WireChannel,
-    connect_with_backoff,
-    encode_hello,
-    encode_telemetry_frame,
-    frame,
-)
+from repro.net.wire import WireChannel, connect_with_backoff, encode_hello, frame
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     TELEMETRY_SCHEMA_VERSION,
@@ -36,7 +29,6 @@ from repro.obs.telemetry import (
     HealthEvent,
     TelemetryFrame,
     TelemetrySampler,
-    Watchdog,
     snapshot_endpoint,
 )
 from repro.obs.tracer import (
@@ -77,10 +69,6 @@ _FLAGS: tuple[tuple[str, str, type, Optional[str]], ...] = (
     ("degraded_limit", "--degraded-limit", int,
      "max local edits each client queues while the star is leaderless "
      "during failover (0 = drop them; default %(default)s)"),
-    ("beacon_port", "--beacon-port", int,
-     "UDP telemetry sideband: every process also fires its frames as "
-     "datagrams at this port (pair with ``repro monitor --beacon-port``); "
-     "needs --telemetry-interval"),
 )
 
 
@@ -121,12 +109,6 @@ class ClusterConfig:
     #: Degraded-mode bound: local edits queued per client while the star
     #: is leaderless.  0 drops such edits (the simulator's semantics).
     degraded_limit: int = 64
-    #: UDP telemetry sideband: when set, every process fires each
-    #: telemetry frame as a datagram at ``host:beacon_port`` (the
-    #: monitor's fan-in socket) beside the TCP gossip, so the monitor
-    #: keeps receiving frames through a notifier crash.  ``None``
-    #: disables the sideband.  Only meaningful with telemetry on.
-    beacon_port: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -147,8 +129,6 @@ class ClusterConfig:
             raise ValueError(
                 f"degraded-mode queue bound must be >= 0: {self.degraded_limit}"
             )
-        if self.beacon_port is not None and not 0 < self.beacon_port < 65536:
-            raise ValueError(f"beacon port out of range: {self.beacon_port}")
 
     @property
     def telemetry_enabled(self) -> bool:
@@ -274,7 +254,6 @@ class ProcessRig:
         self.timed_out = False
         self.telem: Optional[JsonlWriter] = None
         self._sampler: Optional[TelemetrySampler] = None
-        self._beacon: Optional[BeaconSender] = None
         self._sigterm_installed = True
         try:
             asyncio.get_running_loop().add_signal_handler(
@@ -293,20 +272,15 @@ class ProcessRig:
         self.recorder.dump(flight_path(self.out_dir, self.site), reason=reason,
                            site=self.site, role=self.role)
 
-    def start_telemetry(
-        self, live: Callable[[], Any], *,
-        gossip: Optional[Callable[[bytes], object]] = None,
-        watchdogs: Sequence[Watchdog] = (),
-    ) -> None:
+    def start_telemetry(self, live: Callable[[], Any]) -> None:
         """Sample ``live()`` every telemetry interval (a no-op when off).
 
+        The stream file is the only way a frame leaves this process.
         Every record is flushed as written, so ``repro monitor`` in
         another process sees frames *live* and a killed process leaves a
-        readable prefix.  A frame sampled *here* also leaves as the same
-        encoded bytes on the UDP sideband (no connection to lose: the
-        monitor keeps seeing this site while the TCP centre is dead) and
-        through ``gossip``, the process's way to its current centre; a
-        frame fed to this process has left its own that way already.
+        readable prefix.  The header tells the monitor what the run is
+        (``sites``, ``expected_ops``, ``interval_s``): enough to build
+        the watchdogs that judge every site's stream.
         """
         if not self.config.telemetry_enabled:
             return
@@ -315,35 +289,22 @@ class ProcessRig:
             "schema_version": TELEMETRY_SCHEMA_VERSION,
             "site": self.site,
             "role": self.role,
+            "sites": self.config.clients + 1,
+            "expected_ops": self.config.total_ops,
+            "interval_s": self.config.telemetry_interval_s,
         })
-        sinks = [gossip] if gossip is not None else []
-        if self.config.beacon_port is not None:
-            self._beacon = BeaconSender(self.config.host, self.config.beacon_port)
-            sinks.append(self._beacon.send)
 
         def probe(seq: int) -> list[TelemetryFrame]:
-            tframe = snapshot_endpoint(live(), sched=self.sched, seq=seq,
-                                       role=self.role)
-            if sinks:
-                body = encode_telemetry_frame(tframe)
-                for sink in sinks:
-                    sink(body)
-            return [tframe]
+            return [snapshot_endpoint(live(), sched=self.sched, seq=seq,
+                                      role=self.role)]
 
         self._sampler = TelemetrySampler(
             self.sched, probe,
             interval=self.config.telemetry_interval_s,
             on_frame=lambda tframe: stream.write_line(tframe.to_json()),
-            on_health=lambda event: stream.write_line(event.to_json()),
-            watchdogs=watchdogs, keep=False,
+            keep=False,
         )
         self._sampler.start()
-
-    def feed(self, tframe: TelemetryFrame) -> None:
-        """A frame gossiped to this process: through the same watchdogs
-        and into the same stream as its own."""
-        if self._sampler is not None:
-            self._sampler.feed(tframe)
 
     def health(self, kind: str, detail: str, *, verdict: str = "warn",
                peer: Optional[int] = None) -> None:
@@ -370,8 +331,6 @@ class ProcessRig:
             self._sampler.sample()
         if self.telem is not None:
             self.telem.close()
-        if self._beacon is not None:
-            self._beacon.close()
 
     def result(self, endpoint: "StarNotifier | StarClient") -> ProcessResult:
         """Snapshot one endpoint's verdict-relevant state for the driver."""

@@ -33,11 +33,9 @@ fails the run instead of diagnosing a hang.
 
 Observability: with ``--telemetry-interval`` the notifier runs a
 :class:`~repro.obs.telemetry.TelemetrySampler` on its scheduler,
-appending frames to a crash-safe ``telemetry_0.jsonl`` stream, and
-ingests the TELEMETRY frames its clients gossip over the wire -- which
-makes it the cluster's live watchdog host: retransmit-storm, causal
-stall, peer silence, and the digest divergence sentinel all run here,
-emitting structured ``health`` records into the same stream.  A
+appending its own frames to a crash-safe ``telemetry_0.jsonl`` stream,
+as every client does to its own; the watchdogs that judge those
+streams run in ``repro monitor``, which reads them all.  A
 :class:`~repro.obs.telemetry.FlightRecorder` dumps the recent trace
 tail to ``flight_0.jsonl`` on the driver's kill-switch (SIGTERM), on
 timeout, and on the injected ``--crash-notifier-after`` fault (which
@@ -72,13 +70,6 @@ from repro.net.wire import (
     pump,
     read_frame,
 )
-from repro.obs.telemetry import (
-    CausalStallWatchdog,
-    DivergenceSentinel,
-    RetransmitStormWatchdog,
-    SilenceWatchdog,
-    TelemetryFrame,
-)
 
 
 class Hub:
@@ -86,7 +77,7 @@ class Hub:
 
     One body for the original notifier and for a promoted successor:
     accept, HELLO, attach a :class:`~repro.net.wire.WireChannel`, pump
-    DATA / TELEMETRY / DRAINED, GOODBYE, wait for the hang-ups.  What
+    DATA / DRAINED, GOODBYE, wait for the hang-ups.  What
     differs between the two centres arrives as callables: ``on_hello``
     (a member was admitted), ``may_finish`` (the centre's own work is
     done) and ``log`` (where progress is recorded).
@@ -109,7 +100,6 @@ class Hub:
         *,
         on_hello: Callable[[int], None],
         may_finish: Callable[[], bool],
-        on_telemetry: Callable[[TelemetryFrame], None],
         log: Callable[[str, str], None] = lambda kind, detail: None,
     ) -> None:
         self.endpoint = endpoint
@@ -117,7 +107,6 @@ class Hub:
         self.finished = finished
         self.on_hello = on_hello
         self.may_finish = may_finish
-        self.on_telemetry = on_telemetry
         self.log = log
         self.writers: dict[int, asyncio.StreamWriter] = {}
         self.listen_ports: dict[int, int] = {}
@@ -202,8 +191,7 @@ class Hub:
             self.note_progress()
 
         try:
-            await pump(reader, on_envelope, on_telemetry=self.on_telemetry,
-                       on_drained=on_drained)
+            await pump(reader, on_envelope, on_drained=on_drained)
         except CodecError as exc:
             # Hung up on like a killed member, but counted and named: the
             # frame passed the HELLO and still was not one of ours.
@@ -289,19 +277,8 @@ async def serve(config: ClusterConfig, out_dir: Path,
             hub.pumps_open.set()
 
     hub = Hub(notifier, set(range(1, config.clients + 1)), rig.done,
-              on_hello=on_hello, may_finish=lambda: True, on_telemetry=rig.feed)
-    interval = config.telemetry_interval_s
-    rig.start_telemetry(lambda: notifier, watchdogs=[
-        RetransmitStormWatchdog(),
-        CausalStallWatchdog(stall_after=max(4 * interval, 1.0)),
-        DivergenceSentinel(expected_ops=config.total_ops),
-        # Silence is judged by *arrival* time on this process's clock:
-        # frame times come from each client's own scheduler epoch, so
-        # comparing them across processes would fold clock-domain skew
-        # into the verdict.
-        SilenceWatchdog(max_silence=max(6 * interval, 2.0),
-                        clock=lambda: sched.now),
-    ])
+              on_hello=on_hello, may_finish=lambda: True)
+    rig.start_telemetry(lambda: notifier)
 
     crash_task: Optional["asyncio.Task[None]"] = None
     if config.crash_notifier_after_s is not None:

@@ -30,13 +30,9 @@ Every frame is ``u32 body-length (big-endian) + body``.  The body is a
 * ``GOODBYE`` -- the centre's orderly end-of-session marker, sent after
   the final broadcast on each connection.  A receiver that sees EOF
   *after* a GOODBYE knows the teardown was clean, not a crash.
-* ``TELEMETRY`` -- one runtime-gauge snapshot
-  (:class:`~repro.obs.telemetry.TelemetryFrame`), schema-versioned and
-  byte-exact.  Telemetry rides the same stream as the protocol but is
-  *advisory*: :func:`pump` hands these to an optional ``on_telemetry``
-  callback and silently drops them when none is given, so a reader
-  that predates (or does not care about) telemetry interoperates with
-  a sender that gossips it.
+
+Tag ``0x03`` is unassigned: a body that starts with it is an unknown
+frame.
 
 Payloads reuse the byte-exact codec of :mod:`repro.net.codec` wherever
 one exists: an :class:`~repro.editor.messages.OpMessage` is embedded as
@@ -60,7 +56,7 @@ from __future__ import annotations
 import asyncio
 import random
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Optional, Union
 
 from repro.editor.messages import (
@@ -84,11 +80,9 @@ from repro.net.codec import (
 from repro.net.reliability import ReliablePacket
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
-from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryFrame
 
 FRAME_HELLO = 0x01
 FRAME_DATA = 0x02
-FRAME_TELEMETRY = 0x03
 FRAME_ROSTER = 0x04
 FRAME_GOODBYE = 0x05
 FRAME_DRAINED = 0x06
@@ -332,66 +326,12 @@ def encode_envelope(envelope: Envelope) -> bytes:
     return writer.getvalue()
 
 
-def _write_optional(writer: Writer, value: Optional[float]) -> None:
-    # v3: an optional gauge is a u8 presence flag + payload, so a frame
-    # without it costs one byte and the encoding stays byte-exact.
-    if value is None:
-        writer.u8(0)
-    else:
-        writer.u8(1).f64(value)
-
-
-def _read_optional(reader: Reader) -> Optional[float]:
-    return reader.f64() if _presence(reader) else None
-
-
-# A TELEMETRY body is ``TelemetryFrame``'s fields in declaration order,
-# each written and read as its declared ``wire`` code says.
-_TELEMETRY_WIRE: dict[str, tuple[Callable[[Writer, Any], object],
-                                 Callable[[Reader], Any]]] = {
-    "I": (Writer.u32, Reader.u32),
-    "d": (Writer.f64, Reader.f64),
-    "s": (Writer.string, Reader.string),
-    "?d": (_write_optional, _read_optional),
-}
-_TELEMETRY_FIELDS = [(spec.name, *_TELEMETRY_WIRE[spec.metadata["wire"]])
-                     for spec in fields(TelemetryFrame)]
-
-
-def encode_telemetry_frame(tframe: TelemetryFrame) -> bytes:
-    """One telemetry frame as a TELEMETRY frame body (no length prefix).
-
-    Byte-exact by construction: fixed-width fields in declaration
-    order, schema version first, so the same frame always serialises to
-    the same bytes and a future schema is detected before any field is
-    misread.
-    """
-    writer = Writer().u8(FRAME_TELEMETRY).u32(TELEMETRY_SCHEMA_VERSION)
-    for name, write, _read in _TELEMETRY_FIELDS:
-        write(writer, getattr(tframe, name))
-    return writer.getvalue()
-
-
-def _decode_telemetry(reader: Reader) -> TelemetryFrame:
-    version = reader.u32()
-    if version != TELEMETRY_SCHEMA_VERSION:
-        raise WireError(
-            f"telemetry schema {version} is not the supported "
-            f"{TELEMETRY_SCHEMA_VERSION}"
-        )
-    tframe = TelemetryFrame(
-        *(read(reader) for _name, _write, read in _TELEMETRY_FIELDS))
-    reader.expect_done()
-    return tframe
-
-
-FrameValue = Union[Hello, Envelope, TelemetryFrame, Roster, Goodbye, Drained]
+FrameValue = Union[Hello, Envelope, Roster, Goodbye, Drained]
 
 
 def decode_frame(body: bytes) -> FrameValue:
     """Decode a frame body: HELLO -> Hello, DATA -> Envelope,
-    TELEMETRY -> TelemetryFrame, ROSTER/GOODBYE/DRAINED -> their
-    control dataclasses."""
+    ROSTER/GOODBYE/DRAINED -> their control dataclasses."""
     reader = Reader(body)
     if reader.peek() == FRAME_DATA:
         _, source, dest, timestamp_bytes, raw_mid, length = reader.unpack(_DATA_HEAD)
@@ -406,8 +346,6 @@ def decode_frame(body: bytes) -> FrameValue:
         listen_port = reader.u32()
         reader.expect_done()
         return Hello(pid=pid, listen_port=listen_port)
-    if tag == FRAME_TELEMETRY:
-        return _decode_telemetry(reader)
     if tag == FRAME_ROSTER:
         ports = {}
         for _ in range(reader.u32()):
@@ -518,8 +456,7 @@ class WireChannel:
 
 async def pump(reader: asyncio.StreamReader,
                on_envelope: Callable[[Envelope], None],
-               *, on_telemetry: Optional[Callable[[TelemetryFrame], None]] = None,
-               on_roster: Optional[Callable[[Roster], None]] = None,
+               *, on_roster: Optional[Callable[[Roster], None]] = None,
                on_goodbye: Optional[Callable[[], None]] = None,
                on_drained: Optional[Callable[[Drained], None]] = None,
                ) -> None:
@@ -529,8 +466,8 @@ async def pump(reader: asyncio.StreamReader,
     channel *schedules* a delivery callback, the wire's pump *awaits*
     frames and invokes the process's ``on_message`` inline on the event
     loop -- same callback, different clock.  A HELLO frame after the
-    handshake is a protocol error; TELEMETRY / ROSTER / GOODBYE /
-    DRAINED frames go to their optional callbacks and are otherwise
+    handshake is a protocol error; ROSTER / GOODBYE / DRAINED frames go
+    to their optional callbacks and are otherwise
     ignored (control traffic is advisory -- a pump that does not
     subscribe must not choke on it).
     """
@@ -541,9 +478,6 @@ async def pump(reader: asyncio.StreamReader,
         decoded = decode_frame(body)
         if isinstance(decoded, Envelope):
             on_envelope(decoded)
-        elif isinstance(decoded, TelemetryFrame):
-            if on_telemetry is not None:
-                on_telemetry(decoded)
         elif isinstance(decoded, Roster):
             if on_roster is not None:
                 on_roster(decoded)

@@ -18,16 +18,25 @@ the previous poll -- every record is parsed exactly once over the
 monitor's lifetime, however long the run (re-reading whole files each
 interval would make the monitor quadratic in run length).
 
-Every frame enters through :meth:`TelemetryTailer.ingest`, which
-deduplicates by ``(site, seq)`` whatever brought it: the stream files
-(the TELEMETRY frames clients gossip over TCP land in the centre's file
--- they are just lines) or the optional **UDP sideband**
-(:mod:`repro.net.beacon`): with ``--beacon-port`` the monitor binds a
-datagram socket and every cluster process fires its own frames straight
-at it, so frames keep arriving while the TCP gossip hub is dead
-mid-failover.  Of an accepted frame the monitor keeps the latest per
-site and the sampled values of the ``keep="series"`` gauges, so an
-interval costs the sites plus the records that arrived in it.
+Each process's stream holds its own frames only, and it is the one
+carriage they have: no process forwards another's, so no centre's
+death costs the monitor a site.  Every frame enters through
+:meth:`TelemetryTailer.ingest`, and a frame is new iff its ``seq`` is
+above its site's latest.  Of an accepted frame the monitor keeps the
+latest per site and the sampled values of the ``keep="series"`` gauges,
+so an interval costs the sites plus the records that arrived in it.
+
+The monitor is where cross-site verdicts are made.  Each stream's header
+says what the run is (``sites``, ``expected_ops``, ``interval_s``), and
+from it the monitor builds the four watchdogs of
+:mod:`repro.obs.telemetry` and feeds them every frame it ingests, each
+site's in ``seq`` order.  Silence is clocked by each stream file's
+modification time, measured against the newest stream's, so a run whose
+processes end together flags nobody and ``--once`` can still judge who
+stopped early; a site whose own stream recorded its ``crash`` was graded
+there and is not flagged silent again.  The divergence sentinel is the
+one divergence rule: ``digests=DIVERGED`` and exit code 2 say the same
+thing.
 
 ``--follow`` turns the interval lines into a live per-site dashboard
 with unicode sparklines (ops/sec, hold-back depth, in-flight window,
@@ -58,8 +67,13 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
+    CausalStallWatchdog,
+    DivergenceSentinel,
     HealthEvent,
+    RetransmitStormWatchdog,
+    SilenceWatchdog,
     TelemetryFrame,
+    Watchdog,
 )
 from repro.obs.tracer import Histogram, JsonlWriter, MetricsRegistry
 
@@ -83,91 +97,122 @@ _KEPT = {keep: [spec.name for spec in fields(TelemetryFrame)
 class TelemetryTailer:
     """The monitor's state: every frame enters by :meth:`ingest`.
 
-    :meth:`poll`, the file source, keeps one byte cursor per
-    ``telemetry_*.jsonl`` file; each call consumes only the *complete*
-    lines appended since (a partial line that a writer is mid-flush on
-    stays unconsumed until its newline lands) -- so a record is parsed
-    exactly once over the tailer's lifetime, which :attr:`records_parsed`
-    counts and the exactly-once unit test pins.  The monitor hands
-    :meth:`ingest` what its UDP receiver drained as well.  An accepted
-    frame (new by ``(site, seq)`` across sources; health events, which
-    only files carry, by full identity) is folded into :attr:`latest`
-    and :attr:`kept` at once: no list of frames is held.
+    :meth:`poll` keeps one byte cursor per ``telemetry_*.jsonl`` file;
+    each call consumes only the *complete* lines appended since (a
+    partial line that a writer is mid-flush on stays unconsumed until
+    its newline lands) -- so a record is parsed exactly once over the
+    tailer's lifetime, which :attr:`records_parsed` counts and the
+    exactly-once unit test pins.  An accepted frame is folded into
+    :attr:`latest` and :attr:`kept` at once and handed to the
+    :attr:`watchdogs`: no list of frames is held.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
         self.out_dir = Path(out_dir)
         self._offsets: dict[Path, int] = {}
-        self._seen_frames: set[tuple[int, int]] = set()
         self._seen_health: set[HealthEvent] = set()
-        #: Stream records (frames + health) parsed from files, pre-dedup.
+        #: Each stream file's modification time at the last poll.
+        self._mtimes: dict[Path, float] = {}
+        #: Per site, its stream's modification time when its latest
+        #: frame was read: the silence watchdog's arrival clock.
+        self._heard: dict[int, float] = {}
+        #: Sites whose own stream recorded their crash.
+        self._crashed: set[int] = set()
+        #: Stream records (frames + health) parsed from files.
         self.records_parsed = 0
-        #: Frames accepted (post-dedup), by the source that brought them.
-        self.frames_from = {"files": 0, "udp": 0}
+        #: The run's size, from the stream header (``None`` before one).
+        self.sites: Optional[int] = None
+        #: The verdict machines the stream header asked for.
+        self.watchdogs: list[Watchdog] = []
         #: The newest frame of each site: all an interval reads.
         self.latest: dict[int, TelemetryFrame] = {}
         #: The frame count and every sampled value of the series gauges.
         self.kept = MetricsRegistry()
 
-    def ingest(self, frame: TelemetryFrame, source: str) -> bool:
-        """Offer a frame from ``source``; True iff it was new.
-
-        Rejected duplicates are the common case while both the files
-        and the sideband are healthy; that is the design, not a problem.
-        """
-        key = (frame.site, frame.seq)
-        if key in self._seen_frames:
-            return False
-        self._seen_frames.add(key)
-        self.frames_from[source] += 1
+    def ingest(self, frame: TelemetryFrame) -> list[HealthEvent]:
+        """Offer a frame; returns the watchdogs' verdicts on it (none for
+        a frame that is not new: its ``seq`` is not above its site's
+        latest)."""
         held = self.latest.get(frame.site)
-        if held is None or held.seq < frame.seq:
-            self.latest[frame.site] = frame
+        if held is not None and held.seq >= frame.seq:
+            return []
+        self.latest[frame.site] = frame
         self.kept.inc("telemetry.frames")
         for name in _KEPT["series"]:
             value = getattr(frame, name)
             if value is not None:
                 self.kept.observe(f"telemetry.{name}", value)
-        return True
+        return [event for watchdog in self.watchdogs
+                for event in watchdog.observe(frame)]
 
     def poll(self) -> list[HealthEvent]:
-        """Ingest the frames the files gained since the last poll;
-        returns the health events they gained, oldest first."""
+        """Ingest the frames the files gained since the last poll; returns
+        the health events they gained and the watchdogs' verdicts, oldest
+        first."""
         frames: list[TelemetryFrame] = []
         health: list[HealthEvent] = []
         for path in sorted(self.out_dir.glob("telemetry_*.jsonl")):
             for record in self._read_new(path):
                 if isinstance(record, TelemetryFrame):
                     frames.append(record)
-                elif record not in self._seen_health:
-                    self._seen_health.add(record)
-                    health.append(record)
-        # By site and seq, so what is kept does not depend on which file
-        # a gossiped copy was read from first.
+                    self._heard[record.site] = self._mtimes[path]
+                elif isinstance(record, HealthEvent):
+                    if record not in self._seen_health:
+                        self._seen_health.add(record)
+                        health.append(record)
+                        if record.kind == "crash":
+                            self._crashed.add(record.site)
+                elif not self.watchdogs:
+                    self._arm(record)
+        # Each site's frames in seq order, as the watchdogs expect.
         for frame in sorted(frames, key=lambda f: (f.site, f.seq)):
-            self.ingest(frame, "files")
+            health += self.ingest(frame)
+        if self._mtimes:
+            newest = max(self._mtimes.values())
+            # A site whose own stream recorded its crash was graded there:
+            # its silence since says nothing new.
+            health += [event for watchdog in self.watchdogs
+                       for event in watchdog.check(newest)
+                       if event.site not in self._crashed]
         health.sort(key=lambda e: (e.time, e.site, e.kind))
         return health
+
+    def _arm(self, header: dict[str, Any]) -> None:
+        """Build the watchdogs a stream header describes (a header that
+        does not describe the run leaves the tailer without any)."""
+        if "sites" not in header:
+            return
+        self.sites = int(header["sites"])
+        interval = float(header["interval_s"])
+        self.watchdogs = [
+            RetransmitStormWatchdog(),
+            CausalStallWatchdog(stall_after=max(4 * interval, 1.0)),
+            DivergenceSentinel(expected_ops=int(header["expected_ops"])),
+            SilenceWatchdog(max_silence=max(6 * interval, 2.0),
+                            clock=self._heard.__getitem__),
+        ]
 
     def registry(self) -> MetricsRegistry:
         """The cross-process registry: what was kept of every frame,
         each site's latest cumulative counters summed (they are already
-        monotone totals in the frames), and the monitor's own counts."""
+        monotone totals in the frames), and the monitor's own count."""
         registry = MetricsRegistry().merge(self.kept)
         for site in sorted(self.latest):
             for name in _KEPT["latest"]:
                 registry.inc(f"telemetry.{name}", getattr(self.latest[site], name))
         registry.inc("monitor.records_parsed", self.records_parsed)
-        for source, count in self.frames_from.items():
-            registry.inc(f"monitor.frames_from_{source}", count)
         return registry
 
     def _read_new(
         self, path: Path
-    ) -> Iterator[Union[TelemetryFrame, HealthEvent]]:
+    ) -> Iterator[Union[TelemetryFrame, HealthEvent, dict[str, Any]]]:
+        """The records ``path`` gained: frames, health events, and the
+        stream header (a dict) when the file is read from its start."""
         offset = self._offsets.get(path, 0)
         try:
-            size = path.stat().st_size
+            stat = path.stat()
+            self._mtimes[path] = stat.st_mtime
+            size = stat.st_size
             if size < offset:
                 offset = 0  # truncated/rewritten file: start over
             if size == offset:
@@ -197,6 +242,8 @@ class TelemetryTailer:
                 elif rec == "health":
                     self.records_parsed += 1
                     yield HealthEvent.from_json(line)
+                elif rec is None:
+                    yield data
             except (ValueError, KeyError, TypeError):
                 continue
 
@@ -212,11 +259,18 @@ def _health_line(event: HealthEvent) -> str:
 
 @dataclass
 class MonitorSnapshot:
-    """One aggregated interval: the latest frame per site, folded."""
+    """One aggregated interval: the latest frame per site, folded.
+
+    ``expected_sites`` is the run's size as its stream header says;
+    ``digests_agree`` is False once the divergence sentinel has flagged
+    a pair of complete replicas.
+    """
 
     time: float
     latest: dict[int, TelemetryFrame] = field(default_factory=dict)
     health: list[HealthEvent] = field(default_factory=list)
+    expected_sites: Optional[int] = None
+    digests_agree: bool = True
 
     @property
     def sites(self) -> list[int]:
@@ -237,25 +291,15 @@ class MonitorSnapshot:
         return totals
 
     @property
-    def digests_agree(self) -> bool:
-        """True unless two *complete-looking* replicas disagree.
+    def sites_column(self) -> str:
+        """``K/N`` sites reporting of those the run has (``K`` alone
+        before a header said)."""
+        count = len(self.latest)
+        return f"{count}/{self.expected_sites}" if self.expected_sites else str(count)
 
-        Mid-run digests legitimately differ, so disagreement is only
-        meaningful among sites at the maximum executed count.
-        """
-        if not self.latest:
-            return True
-        top = max(f.ops_executed for f in self.latest.values())
-        digests = {
-            f.digest for f in self.latest.values()
-            if f.ops_executed == top and f.digest
-        }
-        return len(digests) <= 1
-
-    def line(self, expected_sites: Optional[int] = None) -> str:
+    def line(self) -> str:
         """The live one-line-per-interval rendering."""
         totals = self.totals
-        count = len(self.latest)
         text = (
             "t={time:8.2f}s sites={sites} exec={executed} "
             "gen={ops_generated} hold={holdback_depth}"
@@ -264,7 +308,7 @@ class MonitorSnapshot:
             "q={queue_depth} epoch={epoch} digests={digests}"
         ).format(
             time=self.time,
-            sites=f"{count}/{expected_sites}" if expected_sites else str(count),
+            sites=self.sites_column,
             executed="/".join(map(str, totals["ops_executed"].values())) or "-",
             digests="ok" if self.digests_agree else "DIVERGED",
             **totals,
@@ -295,11 +339,16 @@ class MonitorSnapshot:
 def aggregate(
     latest: dict[int, TelemetryFrame],
     health: Sequence[HealthEvent] = (),
+    *,
+    expected_sites: Optional[int] = None,
+    digests_agree: bool = True,
 ) -> MonitorSnapshot:
     """One interval's snapshot of the latest frame per site (copied: the
     caller's mapping moves on)."""
     newest = max((frame.time for frame in latest.values()), default=0.0)
-    return MonitorSnapshot(time=newest, latest=dict(latest), health=list(health))
+    return MonitorSnapshot(time=newest, latest=dict(latest), health=list(health),
+                           expected_sites=expected_sites,
+                           digests_agree=digests_agree)
 
 
 # -- the follow view -----------------------------------------------------------
@@ -344,8 +393,7 @@ class FollowView:
     #: The gauges drawn as sparklines, beside the ops/sec derived here.
     PLOTTED = ("holdback_depth", "inflight", "e2e_p95_ms")
 
-    def __init__(self, expect_sites: Optional[int] = None) -> None:
-        self.expect_sites = expect_sites
+    def __init__(self) -> None:
         self.intervals = 0
         self._history: dict[int, dict[str, deque[float]]] = {}
         self._prev: dict[int, TelemetryFrame] = {}
@@ -383,13 +431,11 @@ class FollowView:
 
     def render(self, snapshot: MonitorSnapshot, *, tty: bool) -> str:
         if not tty:
-            return snapshot.line(self.expect_sites)
-        count = len(snapshot.latest)
-        sites = (f"{count}/{self.expect_sites}" if self.expect_sites
-                 else str(count))
+            return snapshot.line()
         digests = "ok" if snapshot.digests_agree else "DIVERGED"
         lines = [
-            f"repro monitor --follow   t={snapshot.time:.2f}s  sites={sites}  "
+            f"repro monitor --follow   t={snapshot.time:.2f}s  "
+            f"sites={snapshot.sites_column}  "
             f"epoch={snapshot.totals['epoch']}  digests={digests}  "
             f"interval #{self.intervals}",
             "",
@@ -428,11 +474,9 @@ def run_monitor(
     interval_s: float = 1.0,
     duration_s: Optional[float] = None,
     once: bool = False,
-    expect_sites: Optional[int] = None,
     artifact: Optional[Union[str, Path]] = None,
     follow: bool = False,
     max_intervals: Optional[int] = None,
-    beacon: Optional[Any] = None,
     tty: Optional[bool] = None,
     emit: Callable[[str], None] = print,
     clock: Callable[[], float] = _time.monotonic,
@@ -447,24 +491,20 @@ def run_monitor(
     the live loop also stops once every expected site has gone quiet
     for a few intervals).  All reading goes through one
     :class:`TelemetryTailer`, so each interval parses only the newly
-    appended records.
-
-    ``beacon`` is a bound UDP sideband receiver
-    (:class:`repro.net.beacon.BeaconReceiver`; the caller keeps
-    ownership): what it drains goes through the same
-    :meth:`TelemetryTailer.ingest` as the files, so the monitor keeps
-    rendering fresh frames while the TCP gossip hub is dead.  ``follow``
+    appended records, and every verdict -- the streams' own health
+    events and the watchdogs' -- reaches the exit code.  ``follow``
     renders the sparkline dashboard on a TTY (``tty=None`` autodetects
     stdout) and plain lines otherwise.
 
     Returns 0 if any telemetry was seen and no ``fail`` health verdict
-    surfaced, 2 on a ``fail`` verdict, 1 if no telemetry ever appeared.
+    surfaced (divergence is one), 2 on a ``fail`` verdict, 1 if no
+    telemetry ever appeared.
     """
     out_path = Path(out_dir)
     artifact_path = Path(artifact) if artifact else out_path / "monitor.jsonl"
     started = clock()
     tailer = TelemetryTailer(out_path)
-    view = FollowView(expect_sites) if follow else None
+    view = FollowView() if follow else None
     if tty is None:
         tty = bool(getattr(sys.stdout, "isatty", lambda: False)())
     snapshots: list[MonitorSnapshot] = []
@@ -473,18 +513,17 @@ def run_monitor(
 
     while True:
         fresh = tailer.poll()
-        if beacon is not None:
-            for tframe in beacon.drain():
-                tailer.ingest(tframe, "udp")
         all_health.extend(fresh)
         if tailer.latest:
-            snapshot = aggregate(tailer.latest, fresh)
+            snapshot = aggregate(
+                tailer.latest, fresh, expected_sites=tailer.sites,
+                digests_agree=not any(e.kind == "divergence" for e in all_health))
             snapshots.append(snapshot)
             if view is not None:
                 view.update(snapshot)
                 emit(view.render(snapshot, tty=tty))
             else:
-                emit(snapshot.line(expect_sites))
+                emit(snapshot.line())
         rounds += 1
         if once:
             break
@@ -499,10 +538,7 @@ def run_monitor(
             break  # every stream has gone quiet: the run is over
         sleep(interval_s)
 
-    registry = tailer.registry()
-    if beacon is not None:
-        registry.inc("monitor.udp_datagrams", beacon.received)
-    _write_artifact(artifact_path, snapshots, all_health, registry)
+    _write_artifact(artifact_path, snapshots, all_health, tailer.registry())
     if any(e.verdict == "fail" for e in all_health):
         return 2
     return 0 if tailer.latest else 1

@@ -10,25 +10,20 @@ retransmit count, resident clock-storage integers, scheduler queue
 depth, the current notifier epoch, and a short document digest -- into a
 versioned :class:`TelemetryFrame`.
 
-Frames are consumed three ways:
-
-* **locally**, appended to a crash-safe per-process JSONL stream that
-  ``python -m repro monitor`` (:mod:`repro.obs.monitor`) tails and
-  aggregates across processes;
-* **over the wire**, as TELEMETRY frames (:mod:`repro.net.wire`) that
-  cluster clients gossip to the notifier, giving one process a live
-  cross-site view (which is what makes the divergence sentinel
-  possible before any post-hoc oracle runs);
-* **by watchdogs**, stateful verdict machines that turn the gauge
-  stream into structured :class:`HealthEvent` records: retransmit-storm
-  detection, causal-stall detection (held-back operations with no
-  execution progress), cross-site digest divergence, and peer silence.
+A cluster process appends its frames to one crash-safe JSONL stream of
+its own, and that file is the only carriage: ``python -m repro
+monitor`` (:mod:`repro.obs.monitor`) reads every process's stream and
+runs the **watchdogs** -- stateful verdict machines that turn the gauge
+stream into structured :class:`HealthEvent` records: retransmit-storm
+detection, causal-stall detection (held-back operations with no
+execution progress), cross-site digest divergence, and peer silence.
+The monitor is the one place that sees every site, so it is the one
+place cross-site verdicts are made.
 
 The module is stdlib-only, like the tracer it sits beside: gauge
 collection duck-types the endpoint/transport surfaces (``getattr`` with
 defaults), so it never imports upward and any layer can hold a sampler
-without cycles.  The byte-exact wire codec for frames lives in
-:mod:`repro.net.wire` next to the other frame codecs.
+without cycles.
 
 The :class:`FlightRecorder` completes the post-mortem story: it wraps a
 tracer (typically one in ``mode="ring"``) and dumps the bounded tail of
@@ -49,16 +44,16 @@ from repro.obs.tracer import Histogram, JsonlWriter, TraceEvent, Tracer, trace_h
 
 TELEMETRY_FORMAT = "repro-obs-telemetry-v1"
 
-#: Bumped whenever the frame schema changes shape.  The wire codec
-#: carries it in every frame, so readers can reject frames from a
-#: future schema instead of misparsing them.  v2 added the failover
+#: Bumped whenever the frame schema changes shape.  Every stream header
+#: carries it, so readers can tell frames of a future schema apart
+#: instead of misparsing them.  v2 added the failover
 #: gauges (elected / promoted / resynced / degraded_queued); v3 added
 #: the optional end-to-end latency gauge (``e2e_p95_ms``).
 TELEMETRY_SCHEMA_VERSION = 3
 
 
 def document_digest(document: Any) -> str:
-    """A short stable digest of replica state, cheap enough to gossip.
+    """A short stable digest of replica state, cheap enough to sample.
 
     12 hex chars of SHA-256 over the ``repr``: collisions are
     astronomically unlikely at the scale of a divergence check, and the
@@ -69,11 +64,10 @@ def document_digest(document: Any) -> str:
     return hashlib.sha256(repr(document).encode("utf-8")).hexdigest()[:12]
 
 
-def _gauge(wire: str, default: Any = MISSING, *, fold: Optional[str] = None,
+def _gauge(default: Any = MISSING, *, fold: Optional[str] = None,
            keep: Optional[str] = None) -> Any:
     """A :class:`TelemetryFrame` field and what its readers do with it."""
-    return field(default=default,
-                 metadata={"wire": wire, "fold": fold, "keep": keep})
+    return field(default=default, metadata={"fold": fold, "keep": keep})
 
 
 @dataclass(frozen=True)
@@ -81,11 +75,8 @@ class TelemetryFrame:
     """One versioned snapshot of a process's runtime gauges.
 
     The declarations are the one table of gauges; a new one is its line
-    here and its measurement in :func:`snapshot_endpoint`.  ``wire`` is
-    the width in a TELEMETRY body (a ``struct`` code, ``"s"`` a
-    length-prefixed string, ``"?d"`` a presence byte and then an
-    ``f64``), laid out by :mod:`repro.net.wire` in declaration order.
-    ``fold`` is how the monitor makes one number of every site's latest
+    here and its measurement in :func:`snapshot_endpoint`.  ``fold`` is
+    how the monitor makes one number of every site's latest
     value (``"sum"`` or ``"max"`` over the sites that report one,
     ``"site"`` to keep them apart) and ``keep`` what its final registry
     holds: the ``"latest"`` cumulative value as a counter, or the
@@ -93,36 +84,35 @@ class TelemetryFrame:
     identifies the frame has neither.
 
     ``seq`` is the per-process sample index (monotone within one
-    emitter), so consumers can keep "the latest frame per site" by max
-    ``seq`` even when the same frame arrives twice (once from the local
-    stream, once gossiped over the wire).
+    emitter): a frame is new to a reader iff its ``seq`` is above the
+    latest it holds for that site.
     """
 
-    site: int = _gauge("I")
-    role: str = _gauge("s")  # "notifier" | "client" | "session"
-    seq: int = _gauge("I")
-    time: float = _gauge("d")
-    epoch: int = _gauge("I", 0, fold="max")
-    ops_generated: int = _gauge("I", 0, fold="sum", keep="latest")
-    ops_executed: int = _gauge("I", 0, fold="site", keep="latest")
-    holdback_depth: int = _gauge("I", 0, fold="sum", keep="series")
-    holdback_high_water: int = _gauge("I", 0, fold="max")
+    site: int = _gauge()
+    role: str = _gauge()  # "notifier" | "client" | "session"
+    seq: int = _gauge()
+    time: float = _gauge()
+    epoch: int = _gauge(0, fold="max")
+    ops_generated: int = _gauge(0, fold="sum", keep="latest")
+    ops_executed: int = _gauge(0, fold="site", keep="latest")
+    holdback_depth: int = _gauge(0, fold="sum", keep="series")
+    holdback_high_water: int = _gauge(0, fold="max")
     # reliability send-window: unacked packets
-    inflight: int = _gauge("I", 0, fold="sum", keep="series")
-    retransmits: int = _gauge("I", 0, fold="sum", keep="latest")
+    inflight: int = _gauge(0, fold="sum", keep="series")
+    retransmits: int = _gauge(0, fold="sum", keep="latest")
     # resident clock-state integers (CLAIM-MEM)
-    storage_ints: int = _gauge("I", 0, fold="sum", keep="latest")
+    storage_ints: int = _gauge(0, fold="sum", keep="latest")
     # scheduler pending events
-    queue_depth: int = _gauge("I", 0, fold="sum", keep="series")
+    queue_depth: int = _gauge(0, fold="sum", keep="series")
     # elections this endpoint has opened or joined
-    elected: int = _gauge("I", 0, fold="sum", keep="latest")
+    elected: int = _gauge(0, fold="sum", keep="latest")
     # in-process promotions to notifier (successor only)
-    promoted: int = _gauge("I", 0, fold="sum", keep="latest")
+    promoted: int = _gauge(0, fold="sum", keep="latest")
     # failover handoffs completed (snapshot installed)
-    resynced: int = _gauge("I", 0, fold="sum", keep="latest")
+    resynced: int = _gauge(0, fold="sum", keep="latest")
     # local edits queued while leaderless
-    degraded_queued: int = _gauge("I", 0, fold="sum", keep="latest")
-    digest: str = _gauge("s", "")  # document_digest() of the replica
+    degraded_queued: int = _gauge(0, fold="sum", keep="latest")
+    digest: str = _gauge("")  # document_digest() of the replica
     #: p95 over the endpoint's rolling window of *uncorrected*
     #: end-to-end latencies (milliseconds; origin wall-clock stamp to
     #: local execution).  ``None`` when span instrumentation is
@@ -130,7 +120,7 @@ class TelemetryFrame:
     #: for simulator sessions, hence last and optional.  Across sites
     #: the worst one is shown, not an average of percentiles (which
     #: would be meaningless): the site a human would look at first.
-    e2e_p95_ms: Optional[float] = _gauge("?d", None, fold="max", keep="series")
+    e2e_p95_ms: Optional[float] = _gauge(None, fold="max", keep="series")
 
     def to_json(self) -> str:
         """One compact JSON object, fields in declaration order.
@@ -275,9 +265,10 @@ def _call_int(obj: Any, method: str) -> int:
 class Watchdog(Protocol):
     """A stateful verdict machine over the frame stream.
 
-    ``observe`` sees every frame (local and gossiped); ``check`` is
-    called with the current time after each local sample, for verdicts
-    about *absence* of frames (silence) that no single frame can carry.
+    ``observe`` sees every frame, each site's in ``seq`` order; ``check``
+    is called with the current time after each round of frames, for
+    verdicts about *absence* of frames (silence) that no single frame
+    can carry.
     """
 
     def observe(self, frame: TelemetryFrame) -> list[HealthEvent]: ...
@@ -366,7 +357,7 @@ class CausalStallWatchdog:
 
 
 class DivergenceSentinel:
-    """Flags replica divergence from gossiped digests, live.
+    """Flags replica divergence from the sites' digests, live.
 
     Two replicas may legitimately differ mid-run (operations execute in
     different orders before transformation closes the gap), so digests
@@ -414,18 +405,19 @@ class SilenceWatchdog:
     ``observe`` records when each site's latest frame arrived; ``check(now)``
     fires for any known site not heard from within ``max_silence``.
     Distinct from the reliability layer's probe-based death detection:
-    this works on the gossip stream alone, so the notifier (or the
-    monitor) can flag a silent peer even over the raw transport, where
-    no protocol-level liveness probe exists.  Fires once per site per
-    silence; a site that resumes gossiping re-arms.
+    this works on the frame streams alone, so the monitor can flag a
+    silent peer even over the raw transport, where no protocol-level
+    liveness probe exists.  Fires once per site per silence; a site
+    that resumes sampling re-arms.
 
-    ``clock`` stamps *arrival* times; ``frame.time`` is not trusted:
-    gossiped frames carry the emitter's own scheduler epoch, so
-    comparing them against the local ``now`` would fold cross-process
-    clock-domain skew into the silence verdict.
+    ``clock(site)`` stamps *arrival* times (the monitor's is the
+    modification time of the site's stream); ``frame.time`` is not
+    trusted: each process stamps frames on its own scheduler epoch, so
+    comparing them across processes would fold clock-domain skew into
+    the silence verdict.
     """
 
-    def __init__(self, max_silence: float, clock: Callable[[], float]) -> None:
+    def __init__(self, max_silence: float, clock: Callable[[int], float]) -> None:
         if max_silence <= 0:
             raise ValueError(f"max_silence must be positive, got {max_silence}")
         self.max_silence = max_silence
@@ -434,7 +426,7 @@ class SilenceWatchdog:
         self._silent: set[int] = set()
 
     def observe(self, frame: TelemetryFrame) -> list[HealthEvent]:
-        self._last_heard[frame.site] = float(self.clock())
+        self._last_heard[frame.site] = float(self.clock(frame.site))
         self._silent.discard(frame.site)
         return []
 
@@ -465,10 +457,7 @@ class TelemetrySampler:
     ``probe(seq)`` returns the frames of one sample (one frame per
     endpoint this process hosts -- a cluster process has one, an
     in-process session has all of them).  Each frame flows through the
-    watchdogs, then ``on_frame``; verdicts flow through ``on_health``.
-    Both callbacks also see *fed* frames (:meth:`feed`), so a notifier
-    pushes gossiped client frames through the same watchdog state that
-    judges its own.
+    watchdogs, then ``on_frame``; verdicts collect in :attr:`health`.
 
     ``start`` arms a repeating timer on the scheduler.  Under the
     wall-clock scheduler it repeats until :meth:`stop`; under the
@@ -485,7 +474,6 @@ class TelemetrySampler:
         interval: float,
         on_frame: Optional[Callable[[TelemetryFrame], None]] = None,
         watchdogs: Sequence[Watchdog] = (),
-        on_health: Optional[Callable[[HealthEvent], None]] = None,
         keep: bool = True,
     ) -> None:
         if interval <= 0:
@@ -497,7 +485,6 @@ class TelemetrySampler:
         self.health: list[HealthEvent] = []
         self._probe = probe
         self._on_frame = on_frame
-        self._on_health = on_health
         self._keep = keep
         self._seq = 0
         self._timer: Any = None
@@ -513,27 +500,16 @@ class TelemetrySampler:
         frames = list(self._probe(self._seq))
         self._seq += 1
         for frame in frames:
-            self.feed(frame)
+            if self._keep:
+                self.frames.append(frame)
+            for watchdog in self.watchdogs:
+                self.health += watchdog.observe(frame)
+            if self._on_frame is not None:
+                self._on_frame(frame)
         now = float(self.sched.now)
         for watchdog in self.watchdogs:
-            self._emit_health(watchdog.check(now))
+            self.health += watchdog.check(now)
         return frames
-
-    def feed(self, frame: TelemetryFrame) -> None:
-        """Put a frame -- sampled here, or elsewhere and gossiped over
-        the wire -- before the watchdogs and ``on_frame``."""
-        if self._keep:
-            self.frames.append(frame)
-        for watchdog in self.watchdogs:
-            self._emit_health(watchdog.observe(frame))
-        if self._on_frame is not None:
-            self._on_frame(frame)
-
-    def _emit_health(self, events: Sequence[HealthEvent]) -> None:
-        for event in events:
-            self.health.append(event)
-            if self._on_health is not None:
-                self._on_health(event)
 
     def start(self, *, max_samples: Optional[int] = None,
               until: Optional[float] = None) -> None:

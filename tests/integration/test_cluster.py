@@ -126,47 +126,33 @@ def test_trace_sink_does_not_outlive_its_file(tmp_path: Path) -> None:
     assert [event.op_id for event in events] == ["before"]
 
 
-def test_a_fed_frame_meets_the_watchdogs_and_the_stream_only(tmp_path: Path) -> None:
-    """Say it once: what three clients gossip to a centre is not sent on
-    again -- the centre's sideband datagrams and its own gossip equal its
-    own samples, while its stream holds the fed frames too."""
+def test_a_process_stream_holds_its_own_sites_frames_only(tmp_path: Path) -> None:
+    """One carriage: a process writes its own samples to its own stream
+    and nothing else -- no other site's frame, no watchdog verdict (the
+    monitor judges) -- under a header that says what the run is."""
     import json
 
     from repro.cluster.harness import ProcessRig, telemetry_path
     from repro.editor.star_notifier import StarNotifier
-    from repro.net.beacon import BeaconReceiver
-    from repro.obs.telemetry import DivergenceSentinel, TelemetryFrame
 
-    gossiped: list[bytes] = []
-
-    async def body(port: int) -> None:
+    async def body() -> None:
         rig = ProcessRig(
-            ClusterConfig(clients=3, telemetry_interval_s=0.05, beacon_port=port),
+            ClusterConfig(clients=3, ops_per_client=4, telemetry_interval_s=0.05),
             tmp_path, 0, "notifier")
         notifier = StarNotifier(rig.sched, 3, tracer=rig.tracer)
-        rig.start_telemetry(lambda: notifier, gossip=gossiped.append,
-                            watchdogs=[DivergenceSentinel(expected_ops=1)])
-        for site in (1, 2, 3):
-            rig.feed(TelemetryFrame(site=site, role="client", seq=0, time=0.0,
-                                    ops_executed=1, digest=f"doc{site}"))
+        rig.start_telemetry(lambda: notifier)
         await asyncio.sleep(0.12)
         rig.close_streams()
         rig.finish(rig.result(notifier))
 
-    with BeaconReceiver() as receiver:
-        asyncio.run(body(receiver.port))
-        datagrams = receiver.drain()
-    records = [json.loads(line) for line
-               in telemetry_path(tmp_path, 0).read_text().splitlines()[1:]]
-    frames = [r for r in records if r["rec"] == "frame"]
-    own = [r for r in frames if r["site"] == 0]
-    assert len(own) >= 2  # the timer's samples and the closing one
-    assert sorted(r["site"] for r in frames if r["site"]) == [1, 2, 3]
-    assert [(f.site, f.seq) for f in datagrams] == [(0, r["seq"]) for r in own]
-    assert len(gossiped) == len(own)
-    # The fed frames went through the watchdogs: three digests, no two alike.
-    assert sum(r["rec"] == "health" and r["kind"] == "divergence"
-               for r in records) == 3
+    asyncio.run(body())
+    header, *records = [json.loads(line) for line
+                        in telemetry_path(tmp_path, 0).read_text().splitlines()]
+    assert (header["sites"], header["expected_ops"], header["interval_s"]) == (
+        4, 12, 0.05)
+    assert len(records) >= 2  # the timer's samples and the closing one
+    assert {(r["rec"], r["site"]) for r in records} == {("frame", 0)}
+    assert [r["seq"] for r in records] == list(range(len(records)))
 
 
 def _assert_quiet(capfd, caplog) -> None:
@@ -247,9 +233,9 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
 ) -> None:
     """ISSUE 8 acceptance, clean half: telemetry on, cross-check EXACT.
 
-    TELEMETRY frames must actually travel the wire (the notifier's
-    stream holds gossiped client frames), and the monitor's per-site
-    aggregate must equal each process's final local stats.
+    Every process streams its own frames and no other site's, the
+    monitor's watchdogs find nothing to flag, and its per-site aggregate
+    equals each process's final local stats.
     """
     from repro.cluster.driver import ClusterError
     from repro.cluster.harness import telemetry_path
@@ -266,32 +252,29 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
     assert report.ok, report.summary()
     assert report.cross_check.ok
 
-    # Every process wrote a telemetry stream...
+    # Every process wrote a telemetry stream of its own frames only...
+    import json
+
     for site in range(4):
-        assert telemetry_path(tmp_path, site).exists()
+        records = [json.loads(line) for line in
+                   telemetry_path(tmp_path, site).read_text().splitlines()]
+        assert {r["site"] for r in records if r.get("rec") == "frame"} == {site}
+    # ...the watchdogs its header arms flag nothing...
     tailer = TelemetryTailer(tmp_path)
     health = tailer.poll()
     assert sorted(tailer.latest) == [0, 1, 2, 3]
-    assert not any(e.verdict == "fail" for e in health)
-
-    # ...the clients' frames were gossiped over the wire into the
-    # notifier's stream (frames whose site != 0 in telemetry_0.jsonl)...
-    import json
-
-    records = [json.loads(line) for line in
-               telemetry_path(tmp_path, 0).read_text().splitlines()]
-    assert {r["site"] for r in records if r.get("rec") == "frame"} > {0}
+    assert len(tailer.watchdogs) == 4 and tailer.sites == 4
+    assert not any(e.verdict == "fail" for e in health), health
 
     # ...and the monitor's aggregate equals each process's final stats.
-    snapshot = aggregate(tailer.latest, health)
-    assert snapshot.digests_agree
+    snapshot = aggregate(tailer.latest, health, expected_sites=tailer.sites)
+    assert "sites=4/4" in snapshot.line() and "digests=ok" in snapshot.line()
     for site in range(4):
         result, _ = read_artifacts(tmp_path, site)
         assert snapshot.totals["ops_executed"][site] == result.executed_ops
         assert snapshot.latest[site].retransmits == result.retransmits
     # The CI probe mode exits clean and leaves the artifact behind.
-    assert run_monitor(tmp_path, once=True, expect_sites=4,
-                       emit=lambda _: None) == 0
+    assert run_monitor(tmp_path, once=True, emit=lambda _: None) == 0
     assert (tmp_path / "monitor.jsonl").exists()
 
 

@@ -92,10 +92,9 @@ def test_notifier_crash_mid_run_fails_over_with_telemetry(
     assert totals["promoted"] == 1
     assert totals["elected"] >= 1
     assert totals["resynced"] == config.clients - 1
-    # The monitor's CI probe accepts the healed run (exit 0, not 2).
-    assert run_monitor(tmp_path, once=True,
-                       expect_sites=config.clients + 1,
-                       emit=lambda _: None) == 0
+    # The monitor's CI probe accepts the healed run (exit 0, not 2):
+    # its watchdogs, the divergence sentinel among them, flag nothing.
+    assert run_monitor(tmp_path, once=True, emit=lambda _: None) == 0
 
 
 def test_reliable_failover_leaves_stderr_empty(tmp_path: Path, capfd) -> None:
@@ -114,73 +113,54 @@ def test_reliable_failover_leaves_stderr_empty(tmp_path: Path, capfd) -> None:
     assert capfd.readouterr().err == ""
 
 
-def test_udp_sideband_keeps_monitor_fed_through_failover(
+def test_a_live_monitor_beside_a_failover_run_stays_green(
     tmp_path: Path,
 ) -> None:
-    """ISSUE 10 acceptance: the monitor survives the gossip hub's death.
-
-    The monitor watches an *empty* directory -- its only input is the
-    UDP beacon sideband -- while a cluster crashes its notifier mid-run
-    and fails over.  Frames must keep arriving straight through the
-    failover window (the TCP gossip hub is dead for all of it), the
-    monitor must keep producing snapshot lines, and the artifact's
-    provenance counters must prove every frame arrived by datagram:
-    files contributed zero.
+    """The monitor reads the streams *while* a cluster crashes its
+    notifier mid-run and fails over.  No stream depends on the dead
+    centre, so frames keep arriving straight through the failover
+    window: the monitor renders epoch-1 intervals (minted by the
+    promoted successor), and its watchdogs -- live, on every site --
+    flag neither a divergence nor a silent site: the dead centre's own
+    stream recorded its crash, and the survivors never stop sampling.
     """
     import json
     import threading
 
-    from repro.net.beacon import BeaconReceiver
     from repro.obs.monitor import run_monitor
 
-    monitor_dir = tmp_path / "monitor_only"
-    monitor_dir.mkdir()
     cluster_dir = tmp_path / "cluster"
     cluster_dir.mkdir()
-
+    artifact = tmp_path / "live-monitor.jsonl"
     lines: list[str] = []
     exit_code: dict[str, int] = {}
-    receiver = BeaconReceiver()
-    try:
-        config = ClusterConfig(clients=3, ops_per_client=12, seed=11,
-                               time_scale=0.3, timeout_s=25.0,
-                               telemetry_interval_s=0.2,
-                               crash_notifier_after_s=1.5,
-                               beacon_port=receiver.port)
+    config = ClusterConfig(clients=3, ops_per_client=12, seed=11,
+                           time_scale=0.3, timeout_s=25.0,
+                           telemetry_interval_s=0.2,
+                           crash_notifier_after_s=1.5)
 
-        def watch() -> None:
-            # Idle detection ends the loop a few intervals after the
-            # cluster's last datagram; the duration is a backstop only.
-            exit_code["monitor"] = run_monitor(
-                monitor_dir, interval_s=0.2, duration_s=60.0,
-                beacon=receiver, expect_sites=config.clients + 1,
-                emit=lines.append,
-            )
+    def watch() -> None:
+        # Idle detection ends the loop a few intervals after the
+        # streams' last record; the duration is a backstop only.
+        exit_code["monitor"] = run_monitor(
+            cluster_dir, interval_s=0.2, duration_s=60.0, artifact=artifact,
+            emit=lines.append,
+        )
 
-        monitor = threading.Thread(target=watch)
-        monitor.start()
-        report = run_cluster(config, cluster_dir)
-        monitor.join(timeout=30.0)
-        assert not monitor.is_alive()
-    finally:
-        receiver.close()
+    monitor = threading.Thread(target=watch)
+    monitor.start()
+    report = run_cluster(config, cluster_dir)
+    monitor.join(timeout=30.0)
+    assert not monitor.is_alive()
 
-    _assert_survived_by_failover(report, config, tmp_path / "cluster")
-    assert exit_code["monitor"] == 0
-    assert lines, "the monitor never rendered a snapshot"
-
-    artifact = (monitor_dir / "monitor.jsonl").read_text().splitlines()
-    records = [json.loads(line) for line in artifact[1:]]
+    _assert_survived_by_failover(report, config, cluster_dir)
+    assert exit_code["monitor"] == 0, lines
+    records = [json.loads(line) for line in artifact.read_text().splitlines()[1:]]
     intervals = [r for r in records if r["rec"] == "interval"]
-    # Fresh snapshots from *after* the failover window: the epoch-1
-    # frames can only have been minted by the promoted successor, after
-    # the original gossip hub was already dead.
     assert any(r["epoch"] >= 1 for r in intervals), \
         "no post-failover frames reached the monitor"
-    # Provenance: every frame the monitor saw came in by datagram.
-    metrics = [r for r in records if r["rec"] == "metrics"][0]
-    assert metrics["counters"]["monitor.frames_from_udp"] > 0
-    assert metrics["counters"]["monitor.frames_from_files"] == 0
+    kinds = {r["kind"] for r in records if r["rec"] == "health"}
+    assert "crash" in kinds and "peer_silent" not in kinds, kinds
 
 
 def test_crash_timer_after_quiescence_is_a_clean_run(tmp_path: Path) -> None:

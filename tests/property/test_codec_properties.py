@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage, SnapshotMessage, StateContribution
-from repro.net.beacon import BeaconReceiver, BeaconSender
 from repro.net.codec import (
     CodecError,
     Reader,
@@ -27,9 +26,7 @@ from repro.net.wire import (
     encode_goodbye,
     encode_hello,
     encode_roster,
-    encode_telemetry_frame,
 )
-from repro.obs.telemetry import TelemetryFrame
 from repro.ot.operations import Delete, Identity, Insert, OperationGroup
 
 short_text = st.text(alphabet=string.printable, max_size=12)
@@ -110,22 +107,6 @@ contributions = st.builds(
     document=st.one_of(st.none(), short_text),
 )
 
-telemetry_frames = st.builds(
-    TelemetryFrame,
-    site=u32s,
-    role=st.sampled_from(["notifier", "client"]),
-    seq=u32s,
-    time=st.floats(allow_nan=False),
-    epoch=u32s,
-    retransmits=u32s,
-    degraded_queued=u32s,
-    digest=short_text,
-    e2e_p95_ms=st.one_of(st.none(), st.floats(allow_nan=False)),
-)
-
-telemetry_bodies = st.builds(encode_telemetry_frame, telemetry_frames)
-
-
 @st.composite
 def one_byte_changed(draw, bodies):
     """A valid body with any one byte changed to any other value."""
@@ -149,7 +130,6 @@ frame_bodies = st.one_of(
             message_id=st.one_of(st.none(), st.integers(0, 2**32 - 2)),
         ),
     ),
-    telemetry_bodies,
     st.builds(encode_hello, u32s, u32s),
     st.builds(encode_roster, st.dictionaries(u32s, u32s, max_size=3)),
     st.builds(encode_drained, u32s),
@@ -193,12 +173,10 @@ class TestWireProperties:
 
     @given(frame_bodies)
     @settings(max_examples=150)
-    def test_data_and_telemetry_bodies_roundtrip_byte_for_byte(self, body):
+    def test_data_bodies_roundtrip_byte_for_byte(self, body):
         decoded = decode_frame(body)
         if isinstance(decoded, Envelope):
             assert encode_envelope(decoded) == body
-        elif isinstance(decoded, TelemetryFrame):
-            assert encode_telemetry_frame(decoded) == body
 
     @given(frame_bodies)
     @settings(max_examples=150)
@@ -218,22 +196,4 @@ class TestWireProperties:
             decode_frame(garbled)
         except CodecError:
             pass
-
-    @given(telemetry_bodies, st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_a_beacon_receiver_counts_every_hostile_datagram(self, body, data):
-        """The UDP sideband reads what anyone can send to its port: every
-        strict prefix of a valid TELEMETRY body and any one byte changed
-        is received or rejected, one count per datagram, and ``drain``
-        never raises.  (The empty prefix is left to test_beacon.py: not
-        every OS delivers a zero-length datagram.)"""
-        datagrams = [body[:cut] for cut in range(1, len(body))]
-        datagrams += [data.draw(one_byte_changed(st.just(body))), body]
-        with BeaconReceiver() as receiver:
-            with BeaconSender(receiver.host, receiver.port) as sender:
-                for datagram in datagrams:  # drained one by one: no full buffer
-                    assert sender.send(datagram)
-                    receiver.drain()
-        assert receiver.received + receiver.rejected == len(datagrams)
-        assert 1 <= receiver.received <= 2  # the intact one; maybe the changed one
 

@@ -54,7 +54,6 @@ FIELDS = dict(
     crash_notifier_after_s=st.none() | seconds,
     failover=st.booleans(),
     degraded_limit=st.integers(0, 1000),
-    beacon_port=st.none() | st.integers(1, 65535),
 )
 
 
@@ -81,12 +80,15 @@ def test_the_flag_sets_are_pinned():
         "-h", "--help", "--out", "--clients", "--ops", "--seed", "--time-scale",
         "--host", "--settle", "--timeout", "--reliability",
         "--telemetry-interval", "--crash-notifier-after", "--no-failover",
-        "--degraded-limit", "--beacon-port",
+        "--degraded-limit",
     }
     expected = {
         "serve": table,
         "client": table | {"--site", "--port"},
         "cluster": table | {"--quick"},
+        # The run's size comes from the stream header, not a flag.
+        "monitor": {"-h", "--help", "--dir", "--interval", "--duration", "--once",
+                    "--artifact", "--follow", "--max-intervals"},
     }
     for command, flags in expected.items():
         assert set(subparsers.choices[command]._option_string_actions) == flags

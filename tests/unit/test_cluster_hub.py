@@ -63,7 +63,6 @@ class Loopback:
             self.endpoint, expected, self.finished,
             on_hello=self.hellos.append,
             may_finish=lambda: self.work_done,
-            on_telemetry=lambda tframe: None,
         )
         self.hub.pumps_open.set()
         self.port = 0

@@ -1,16 +1,18 @@
 """Unit tests for the cross-process telemetry aggregator.
 
-The monitor's contracts: duplicated frames (local stream + gossiped
-copy) count once whatever source brought them, aggregation reflects each
-site's *latest* frame, digest comparison only judges complete-looking
-replicas, the registry sums each site's latest counters and keeps every
-sampled series value, and ``run_monitor`` renders live lines, writes the
-JSONL artifact, and maps what it saw onto its exit code.
+The monitor's contracts: a frame is new iff its ``seq`` is above its
+site's latest, aggregation reflects each site's *latest* frame, the
+registry sums each site's latest counters and keeps every sampled series
+value, the watchdogs a stream header asks for judge every site (digests
+only between complete replicas, silence by each stream's mtime against
+the newest), and ``run_monitor`` renders live lines, writes the JSONL
+artifact, and maps what it saw onto its exit code.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 from repro.obs import HealthEvent, TelemetryFrame, aggregate, run_monitor
 from repro.obs import monitor as monitor_module
@@ -33,7 +35,7 @@ def fed(*frames: TelemetryFrame) -> TelemetryTailer:
     """A tailer (of no directory) that was offered ``frames``."""
     tailer = TelemetryTailer("/nonexistent")
     for frame in frames:
-        tailer.ingest(frame, "udp")
+        tailer.ingest(frame)
     return tailer
 
 
@@ -41,28 +43,54 @@ def latest(*frames: TelemetryFrame) -> dict[int, TelemetryFrame]:
     return fed(*frames).latest
 
 
-def write_stream(path, records, *, site=0, role="notifier"):
+def write_stream(path, records, *, site=0, role="notifier", **run):
+    """A stream as a process writes it; ``run`` is what its header says
+    about the run (``sites``, ``expected_ops``, ``interval_s``)."""
     header = json.dumps({
         "format": TELEMETRY_FORMAT,
         "schema_version": TELEMETRY_SCHEMA_VERSION,
         "site": site,
         "role": role,
+        **run,
     })
     path.write_text("\n".join([header, *(r.to_json() for r in records)]) + "\n")
 
 
+#: What a three-site run of nine operations, sampled every 0.25 s,
+#: writes in every stream header (the silence window is then 2 s).
+RUN = dict(sites=3, expected_ops=9, interval_s=0.25)
+
+
+def write_run(tmp_path, streams):
+    """One stream per site of ``streams`` (site -> records), with RUN's
+    header; returns the paths."""
+    paths = {}
+    for site, records in streams.items():
+        paths[site] = tmp_path / f"telemetry_{site}.jsonl"
+        write_stream(paths[site], records, site=site,
+                     role="client" if site else "notifier", **RUN)
+    return paths
+
+
+def monitor_records(tmp_path):
+    return [json.loads(line) for line
+            in (tmp_path / "monitor.jsonl").read_text().splitlines()[1:]]
+
+
 class TestScanDir:
-    def test_gossiped_duplicates_count_once(self, tmp_path):
-        local = [frame_at(1, 0), frame_at(1, 1)]
-        write_stream(tmp_path / "telemetry_1.jsonl", local, site=1, role="client")
-        # The notifier's stream holds its own frame plus a gossiped copy.
-        write_stream(tmp_path / "telemetry_0.jsonl",
-                     [frame_at(0, 0), local[0]])
+    def test_a_frame_is_new_iff_its_seq_is_above_its_sites_latest(self, tmp_path):
+        write_stream(tmp_path / "telemetry_1.jsonl",
+                     [frame_at(1, 0), frame_at(1, 1)], site=1, role="client")
+        write_stream(tmp_path / "telemetry_0.jsonl", [frame_at(0, 0)])
         tailer = TelemetryTailer(tmp_path)
         assert tailer.poll() == []
         assert sorted(tailer.latest) == [0, 1]
         assert tailer.latest[1].seq == 1
-        assert tailer.frames_from == {"files": 3, "udp": 0}
+        # A seq at or below the site's latest changes nothing.
+        for stale in (frame_at(1, 1, ops_executed=7), frame_at(1, 0)):
+            tailer.ingest(stale)
+        assert tailer.latest[1] == frame_at(1, 1)
+        assert tailer.kept.counter("telemetry.frames") == 3
 
     def test_health_events_are_deduplicated_and_sorted(self, tmp_path):
         event = HealthEvent(time=2.0, site=1, kind="peer_dead",
@@ -114,23 +142,30 @@ class TestAggregate:
         assert totals["epoch"] == 1
         assert totals["ops_generated"] == 9
 
-    def test_digest_divergence_only_among_complete_replicas(self):
-        behind = frame_at(1, 0, ops_executed=3, digest="bbb")
-        complete_a = frame_at(0, 0, ops_executed=9, digest="aaa")
-        assert aggregate({0: complete_a, 1: behind}).digests_agree
-        complete_b = frame_at(1, 1, ops_executed=9, digest="bbb")
-        snapshot = aggregate({0: complete_a, 1: complete_b})
-        assert not snapshot.digests_agree
+    def test_digest_divergence_only_among_complete_replicas(self, tmp_path):
+        # The sentinel the header arms compares a replica only once it
+        # has executed all nine operations.
+        paths = write_run(tmp_path, {
+            0: [frame_at(0, 0, ops_executed=9, digest="aaa")],
+            1: [frame_at(1, 0, ops_executed=3, digest="bbb")],
+        })
+        tailer = TelemetryTailer(tmp_path)
+        assert tailer.poll() == []
+        with paths[1].open("a") as fh:
+            fh.write(frame_at(1, 1, ops_executed=9, digest="bbb").to_json() + "\n")
+        (event,) = tailer.poll()
+        assert (event.kind, event.verdict, event.site, event.peer) == (
+            "divergence", "fail", 1, 0)
+        snapshot = aggregate(tailer.latest, [event], digests_agree=False)
         assert "DIVERGED" in snapshot.line()
 
     def test_line_renders_health_events(self):
-        snapshot = aggregate(
-            {0: frame_at(0, 0)},
-            [HealthEvent(time=1.0, site=2, kind="peer_dead", verdict="fail",
-                         peer=0, detail="gone")],
-        )
-        text = snapshot.line(expected_sites=4)
+        health = [HealthEvent(time=1.0, site=2, kind="peer_dead",
+                              verdict="fail", peer=0, detail="gone")]
+        text = aggregate({0: frame_at(0, 0)}, health, expected_sites=4).line()
         assert "sites=1/4" in text
+        # Before a stream header says how many sites the run has: K alone.
+        assert "sites=1 " in aggregate({0: frame_at(0, 0)}).line()
         assert "health: [fail] site 2 peer_dead (peer 0): gone" in text
 
     def test_failover_counters_sum_and_render_only_when_present(self):
@@ -189,10 +224,10 @@ class TestRegistries:
 class TestRunMonitor:
     def test_once_mode_emits_a_line_and_writes_the_artifact(self, tmp_path):
         write_stream(tmp_path / "telemetry_0.jsonl",
-                     [frame_at(0, 0, ops_executed=9)])
+                     [frame_at(0, 0, ops_executed=9)],
+                     sites=4, expected_ops=12, interval_s=1.0)
         lines: list[str] = []
-        code = run_monitor(tmp_path, once=True, expect_sites=4,
-                           emit=lines.append)
+        code = run_monitor(tmp_path, once=True, emit=lines.append)
         assert code == 0
         assert len(lines) == 1 and "sites=1/4" in lines[0]
         artifact = (tmp_path / "monitor.jsonl").read_text().splitlines()
@@ -259,7 +294,8 @@ class TestRunMonitor:
         real = monitor_module.aggregate
         monkeypatch.setattr(
             monitor_module, "aggregate",
-            lambda latest, health=(): handed.append(dict(latest)) or real(latest, health))
+            lambda latest, health=(), **run: (handed.append(dict(latest))
+                                              or real(latest, health, **run)))
 
         def sleep(_seconds: float) -> None:
             with stream.open("a") as fh:
@@ -275,6 +311,63 @@ class TestRunMonitor:
         assert metrics["counters"]["telemetry.frames"] == 1002
         assert metrics["counters"]["monitor.records_parsed"] == 1002
         assert metrics["histograms"]["telemetry.holdback_depth"]["max"] == 999
+
+
+class TestWatchdogsInTheMonitor:
+    """The four watchdogs run where every site's stream is read."""
+
+    def test_two_complete_replicas_that_differ_exit_2_naming_the_pair(self, tmp_path):
+        write_run(tmp_path, {
+            0: [frame_at(0, 0, ops_executed=9, digest="aaa")],
+            1: [frame_at(1, 0, ops_executed=9, digest="aaa")],
+            2: [frame_at(2, 0, ops_executed=9, digest="ccc")],
+        })
+        lines: list[str] = []
+        assert run_monitor(tmp_path, once=True, emit=lines.append) == 2
+        assert "digests=DIVERGED" in lines[0]
+        records = monitor_records(tmp_path)
+        flagged = [(r["site"], r["peer"]) for r in records
+                   if r["rec"] == "health" and r["kind"] == "divergence"]
+        assert flagged == [(2, 0), (2, 1)]
+        assert [r["digests_agree"] for r in records if r["rec"] == "interval"] == [False]
+
+    def test_equal_counts_below_expected_ops_are_not_a_divergence(self, tmp_path):
+        # Mid-run replicas legitimately differ, even at the same count.
+        write_run(tmp_path, {
+            0: [frame_at(0, 0, ops_executed=5, digest="aaa")],
+            1: [frame_at(1, 0, ops_executed=5, digest="bbb")],
+        })
+        lines: list[str] = []
+        assert run_monitor(tmp_path, once=True, emit=lines.append) == 0
+        assert "digests=ok" in lines[0]
+
+    @staticmethod
+    def _stopped_early(tmp_path, *last):
+        """Site 1 wrote three frames (then ``last``) and fell silent 10 s
+        before sites 0 and 2 wrote their last."""
+        paths = write_run(tmp_path, {
+            0: [frame_at(0, seq) for seq in range(10)],
+            1: [*(frame_at(1, seq) for seq in range(3)), *last],
+            2: [frame_at(2, seq) for seq in range(10)],
+        })
+        newest = max(path.stat().st_mtime for path in paths.values())
+        os.utime(paths[1], (newest - 10.0, newest - 10.0))
+
+    def test_a_stream_that_stops_early_is_silent_under_once(self, tmp_path):
+        self._stopped_early(tmp_path)
+        assert run_monitor(tmp_path, once=True, emit=lambda _: None) == 2
+        silent = [r for r in monitor_records(tmp_path)
+                  if r["rec"] == "health" and r["kind"] == "peer_silent"]
+        assert [(r["site"], r["verdict"]) for r in silent] == [(1, "fail")]
+
+    def test_a_stream_that_ends_in_its_crash_is_not_silent(self, tmp_path):
+        # The crash was graded where it happened (warn: failover armed).
+        self._stopped_early(tmp_path, HealthEvent(
+            time=3.0, site=1, kind="crash", verdict="warn"))
+        assert run_monitor(tmp_path, once=True, emit=lambda _: None) == 0
+        # ...and sites 0 and 2, which ended together, are not silent.
+        kinds = [r["kind"] for r in monitor_records(tmp_path) if r["rec"] == "health"]
+        assert kinds == ["crash"]
 
 
 class TestTelemetryTailer:
@@ -298,7 +391,7 @@ class TestTelemetryTailer:
         tailer.poll()
         assert tailer.latest[1].seq == 3
         assert tailer.records_parsed == 4
-        assert tailer.frames_from["files"] == 4
+        assert tailer.kept.counter("telemetry.frames") == 4
 
     def test_partial_trailing_line_waits_for_completion(self, tmp_path):
         stream = tmp_path / "telemetry_1.jsonl"
@@ -322,25 +415,25 @@ class TestTelemetryTailer:
         tailer = TelemetryTailer(tmp_path)
         tailer.poll()
         # A rewritten (shorter) file must not be read from the stale
-        # offset; the tailer starts over and dedup absorbs the replays.
+        # offset; the tailer starts over and the seq rule absorbs replays.
         write_stream(stream, [frame_at(1, 2)], site=1, role="client")
         tailer.poll()
         assert tailer.latest[1].seq == 2
-        assert tailer.frames_from["files"] == 3
+        assert tailer.kept.counter("telemetry.frames") == 3
 
     def test_ingest_dedupes_against_file_frames(self, tmp_path):
         write_stream(tmp_path / "telemetry_1.jsonl", [frame_at(1, 0)],
                      site=1, role="client")
         tailer = TelemetryTailer(tmp_path)
         tailer.poll()
-        assert tailer.ingest(frame_at(1, 0), "udp") is False  # seen on disk
-        assert tailer.ingest(frame_at(1, 1), "udp") is True   # fresh via UDP
-        assert tailer.ingest(frame_at(1, 1), "udp") is False  # duplicate datagram
-        # And the file path dedupes against the sideband in return.
+        tailer.ingest(frame_at(1, 0))  # seen on disk
+        tailer.ingest(frame_at(1, 1))  # fresh
+        tailer.ingest(frame_at(1, 1))  # again
+        assert tailer.kept.counter("telemetry.frames") == 2
+        # And the file is held to the same rule in return.
         with (tmp_path / "telemetry_1.jsonl").open("a") as fh:
             fh.write(frame_at(1, 1).to_json() + "\n")
         tailer.poll()
-        assert tailer.frames_from == {"files": 1, "udp": 1}
         assert tailer.registry().counters()["telemetry.frames"] == 2
 
 
@@ -354,10 +447,11 @@ class TestFollow:
 
     def test_follow_piped_emits_plain_deterministic_lines(self, tmp_path):
         write_stream(tmp_path / "telemetry_0.jsonl",
-                     [frame_at(0, 0, ops_executed=4)])
+                     [frame_at(0, 0, ops_executed=4)],
+                     sites=2, expected_ops=4, interval_s=1.0)
         lines: list[str] = []
         code = run_monitor(tmp_path, once=True, follow=True, tty=False,
-                           expect_sites=2, emit=lines.append)
+                           emit=lines.append)
         assert code == 0
         assert len(lines) == 1
         assert "\x1b" not in lines[0]  # no ANSI when piped
@@ -368,44 +462,20 @@ class TestFollow:
             tmp_path / "telemetry_0.jsonl",
             [frame_at(0, 0, ops_executed=4, e2e_p95_ms=2.5, promoted=1,
                       degraded_queued=3)],
+            sites=2, expected_ops=4, interval_s=1.0,
         )
         frames: list[str] = []
         code = run_monitor(tmp_path, once=True, follow=True, tty=True,
-                           expect_sites=2, emit=frames.append)
+                           emit=frames.append)
         assert code == 0
         screen = frames[0]
         assert screen.startswith("\x1b[H\x1b[J")  # home + clear redraw
+        assert "sites=1/2" in screen
         assert "site 0" in screen
         assert "e2e" in screen and "2.5ms" in screen
         assert "PROMOTED" in screen
         assert "DEGRADED(3)" in screen
         assert any(block in screen for block in "▁▂▃▄▅▆▇█")
-
-    def test_udp_frames_reach_the_view_and_the_registry(self, tmp_path):
-        # No files at all: every frame arrives through the injected
-        # beacon receiver, and the artifact's counters prove the path.
-        from repro.net.beacon import BeaconReceiver, BeaconSender
-        from repro.net.wire import encode_telemetry_frame
-
-        with BeaconReceiver() as receiver:
-            with BeaconSender(receiver.host, receiver.port) as sender:
-                for seq in range(2):
-                    sender.send(encode_telemetry_frame(
-                        frame_at(1, seq, ops_executed=seq)))
-                # Duplicate of seq 1, as if gossip delivered it too.
-                sender.send(encode_telemetry_frame(
-                    frame_at(1, 1, ops_executed=1)))
-            lines: list[str] = []
-            code = run_monitor(tmp_path, once=True, beacon=receiver,
-                               emit=lines.append)
-        assert code == 0
-        assert len(lines) == 1 and "exec=1" in lines[0]
-        records = [json.loads(line) for line
-                   in (tmp_path / "monitor.jsonl").read_text().splitlines()[1:]]
-        metrics = [r for r in records if r["rec"] == "metrics"][0]
-        assert metrics["counters"]["monitor.frames_from_udp"] == 2
-        assert metrics["counters"]["monitor.frames_from_files"] == 0
-        assert metrics["counters"]["monitor.udp_datagrams"] == 3
 
     def test_e2e_gauge_flows_into_snapshot_and_registry(self, tmp_path):
         write_stream(

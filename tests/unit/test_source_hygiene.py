@@ -317,7 +317,9 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\b_payload_origin_wall\b|\bstage_counts\b"
         r"|\bTextOperation\b|text-component|\bTextComponentType\b"
         r"|\bdrive_star_session_component\b|\bserialized_size\b"
-        r"|\bfrom_positional\b|\bprimitive_count\b")
+        r"|\bfrom_positional\b|\bprimitive_count\b"
+        r"|beacon|\bBeaconSender\b|\bBeaconReceiver\b|\bFRAME_TELEMETRY\b"
+        r"|\bencode_telemetry_frame\b|\bon_telemetry\b|\bframes_from_|gossip")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES

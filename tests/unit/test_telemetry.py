@@ -1,7 +1,7 @@
 """Unit tests for the live telemetry layer (:mod:`repro.obs.telemetry`).
 
 The contracts the cluster and monitor rely on: frames round-trip
-losslessly through JSON and the byte-exact wire codec, registries merge
+losslessly through JSON, registries merge
 counters and histograms correctly, a ring-mode tracer evicts old events
 at bounded memory, each watchdog fires exactly at its documented
 threshold (and re-arms), the sampler stays bounded on the deterministic
@@ -18,7 +18,6 @@ import json
 import pytest
 
 from repro.editor.star import StarSession
-from repro.net.wire import WireError, decode_frame, encode_telemetry_frame
 from repro.obs import (
     CausalStallWatchdog,
     DivergenceSentinel,
@@ -53,13 +52,13 @@ def frame_at(site: int, seq: int, **over) -> TelemetryFrame:
 
 
 GAUGES = dataclasses.fields(TelemetryFrame)
-_DISTINCT = {"I": lambda n: 100 + n, "d": lambda n: n + 0.5,
-             "s": lambda n: f"s{n}", "?d": lambda n: n + 0.25}
+_DISTINCT = {"int": lambda n: 100 + n, "float": lambda n: n + 0.5,
+             "str": lambda n: f"s{n}", "Optional[float]": lambda n: n + 0.25}
 
 
 def distinct_frame(site: int) -> TelemetryFrame:
     """Every field its own value, different at every site."""
-    values = {spec.name: _DISTINCT[spec.metadata["wire"]](index + 40 * site)
+    values = {spec.name: _DISTINCT[spec.type](index + 40 * site)
               for index, spec in enumerate(GAUGES)}
     values.update(site=site, seq=site)  # what the monitor keys a frame by
     return TelemetryFrame(**values)
@@ -68,7 +67,7 @@ def distinct_frame(site: int) -> TelemetryFrame:
 @pytest.mark.parametrize("spec", GAUGES, ids=lambda spec: spec.name)
 def test_a_declared_gauge_reaches_every_reader_of_the_table(spec):
     """The table cannot be half-applied: whatever ``TelemetryFrame``
-    declares crosses the wire and the JSON stream and is folded, recorded
+    declares crosses the JSON stream and is folded, recorded
     and kept as its declaration says -- a gauge added to the table and
     forgotten by a reader fails here, by name."""
     name, (fold, keep) = spec.name, (spec.metadata["fold"], spec.metadata["keep"])
@@ -78,11 +77,11 @@ def test_a_declared_gauge_reaches_every_reader_of_the_table(spec):
     a, b = getattr(one, name), getattr(two, name)
     assert a != b
 
-    assert getattr(decode_frame(encode_telemetry_frame(one)), name) == a
     assert getattr(TelemetryFrame.from_json(one.to_json()), name) == a
 
     tailer = TelemetryTailer("/nonexistent")
-    assert tailer.ingest(one, "udp") and tailer.ingest(two, "udp")
+    tailer.ingest(one)
+    tailer.ingest(two)
     snapshot = aggregate(tailer.latest)
     record = json.loads(snapshot.to_json())
     if fold is None:
@@ -111,15 +110,6 @@ class TestFrameCodec:
     def test_from_json_rejects_other_record_kinds(self):
         with pytest.raises(ValueError):
             TelemetryFrame.from_json('{"rec": "health", "site": 1}')
-
-    def test_wire_codec_round_trip_is_lossless(self):
-        assert decode_frame(encode_telemetry_frame(FULL_FRAME)) == FULL_FRAME
-
-    def test_wire_codec_rejects_future_schema_versions(self):
-        payload = bytearray(encode_telemetry_frame(FULL_FRAME))
-        payload[1:5] = (99).to_bytes(4, "big")  # the schema version field
-        with pytest.raises(WireError):
-            decode_frame(bytes(payload))
 
     def test_health_event_json_round_trip(self):
         event = HealthEvent(time=2.0, site=3, kind="peer_dead",
@@ -250,7 +240,7 @@ class TestDivergenceSentinel:
 class TestSilenceWatchdog:
     def test_fires_once_after_silence_and_rearms_on_frames(self):
         now = {"t": 0.0}
-        dog = SilenceWatchdog(max_silence=2.0, clock=lambda: now["t"])
+        dog = SilenceWatchdog(max_silence=2.0, clock=lambda site: now["t"])
         dog.observe(frame_at(1, 0))
         assert dog.check(1.0) == []
         events = dog.check(3.0)
@@ -262,12 +252,14 @@ class TestSilenceWatchdog:
         assert len(dog.check(7.0)) == 1
 
     def test_arrival_clock_overrides_frame_time(self):
-        # Gossiped frames carry a foreign clock; the arrival clock must win.
-        now = {"t": 100.0}
-        dog = SilenceWatchdog(max_silence=2.0, clock=lambda: now["t"])
+        # Each process stamps frames on its own clock; the arrival clock
+        # (the monitor's: the site's stream mtime) must win.
+        heard = {1: 100.0, 2: 101.5}
+        dog = SilenceWatchdog(max_silence=2.0, clock=heard.__getitem__)
         dog.observe(frame_at(1, 0, time=0.5))
+        dog.observe(frame_at(2, 0, time=0.5))
         assert dog.check(101.0) == []  # heard at 100, not at 0.5
-        assert len(dog.check(103.0)) == 1
+        assert [e.site for e in dog.check(103.0)] == [1]  # site 2 at 101.5
 
 
 class TestSampler:
@@ -302,15 +294,16 @@ class TestSampler:
         assert sampled.documents() == plain.documents()
         assert sampled.wire_stats().messages == plain.wire_stats().messages
 
-    def test_watchdogs_see_fed_and_sampled_frames(self):
+    def test_watchdogs_see_every_sampled_frame(self):
+        # An in-process sample holds every endpoint's frame.
         sim = Simulator()
         dog = DivergenceSentinel(expected_ops=1)
-        local = frame_at(0, 0, ops_executed=1, digest="aaa")
+        frames = [frame_at(0, 0, ops_executed=1, digest="aaa"),
+                  frame_at(1, 0, ops_executed=1, digest="bbb")]
         sampler = TelemetrySampler(
-            sim, lambda seq: [local], interval=1.0, watchdogs=[dog]
+            sim, lambda seq: frames, interval=1.0, watchdogs=[dog]
         )
         sampler.sample()
-        sampler.feed(frame_at(1, 0, ops_executed=1, digest="bbb"))
         assert [e.kind for e in sampler.health] == ["divergence"]
 
     def test_stop_cancels_the_timer(self):
@@ -335,7 +328,7 @@ class TestSnapshotEndpoint:
         assert all(f.seq == 5 for f in frames)
         assert all(f.ops_executed == 6 for f in frames)
         assert all(f.storage_ints > 0 for f in frames)
-        # Converged replicas gossip identical digests.
+        # Converged replicas sample identical digests.
         assert len({f.digest for f in frames}) == 1
 
 

@@ -42,12 +42,10 @@ from repro.net.wire import (
     encode_goodbye,
     encode_hello,
     encode_roster,
-    encode_telemetry_frame,
     frame,
     pump,
     read_frame,
 )
-from repro.obs.telemetry import TelemetryFrame
 from repro.ot.operations import Delete, Insert
 
 
@@ -193,13 +191,8 @@ def _absent_document() -> bytes:
                                   generated_locally=0)))
 
 
-def _absent_p95() -> bytes:
-    return encode_telemetry_frame(
-        TelemetryFrame(site=1, role="client", seq=0, time=0.0))
-
-
 @pytest.mark.parametrize("flag", [0x02, 0x07, 0xFF])
-@pytest.mark.parametrize("encoded", [_absent_document, _absent_p95])
+@pytest.mark.parametrize("encoded", [_absent_document])
 def test_presence_bytes_are_zero_or_one(encoded, flag: int) -> None:
     """Any other byte would decode to a value that encodes back to
     different bytes (7 used to read as "no document")."""
@@ -292,8 +285,10 @@ def test_unencodable_payload_raises() -> None:
 
 
 def test_unknown_frame_tag_raises() -> None:
-    with pytest.raises(WireError):
-        decode_frame(b"\xff\x00")
+    # 0x03 is unassigned: telemetry travels in the stream files only.
+    for body in (b"\xff\x00", bytes.fromhex("030000000300000002")):
+        with pytest.raises(WireError, match="unknown frame tag"):
+            decode_frame(body)
 
 
 def test_oversized_frame_raises() -> None:

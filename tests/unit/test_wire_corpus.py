@@ -38,9 +38,7 @@ from repro.net.wire import (
     encode_goodbye,
     encode_hello,
     encode_roster,
-    encode_telemetry_frame,
 )
-from repro.obs.telemetry import TelemetryFrame
 from repro.ot.operations import Delete, Identity, Insert, OperationGroup
 
 
@@ -53,8 +51,6 @@ def encode(value: Any) -> bytes:
         return encode_goodbye()
     if isinstance(value, Drained):
         return encode_drained(value.site)
-    if isinstance(value, TelemetryFrame):
-        return encode_telemetry_frame(value)
     return encode_envelope(value)
 
 
@@ -81,13 +77,6 @@ VALUES: dict[str, Any] = {
     "roster": Roster(ports={1: 9101, 2: 0, 3: 65535}),
     "goodbye": Goodbye(),
     "drained": Drained(site=2),
-    "telemetry": TelemetryFrame(
-        site=2, role="client", seq=9, time=12.5, epoch=1, ops_generated=30,
-        ops_executed=88, holdback_depth=2, holdback_high_water=5, inflight=3,
-        retransmits=4, storage_ints=6, queue_depth=7, elected=1, promoted=0,
-        resynced=1, degraded_queued=2, digest="ab12"),
-    "telemetry-with-p95": TelemetryFrame(
-        site=0, role="notifier", seq=1, time=0.5, e2e_p95_ms=3.75),
     "data-none": data(None, kind="ack", message_id=None, timestamp_bytes=0),
     "data-insert": data(op_message(Insert("xy", 3))),
     "data-delete-with-source": data(op_message(Delete(2, 9), source_op_id="2-3")),
@@ -135,17 +124,6 @@ PINNED: dict[str, str] = {
     "roster": "0400000003000000010000238d0000000200000000000000030000ffff",
     "goodbye": "05",
     "drained": "0600000002",
-    "telemetry": (
-        "03000000030000000200000006636c69656e7400000009402900000000000000"
-        "0000010000001e00000058000000020000000500000003000000040000000600"
-        "00000700000001000000000000000100000002000000046162313200"
-    ),
-    "telemetry-with-p95": (
-        "030000000300000000000000086e6f746966696572000000013fe00000000000"
-        "0000000000000000000000000000000000000000000000000000000000000000"
-        "0000000000000000000000000000000000000000000000000001400e00000000"
-        "0000"
-    ),
     "data-none": "02000000020000000000000000000000000000000361636b00",
     "data-insert": (
         "020000000200000000000000080000002a000000026f70010000002200000007"
