@@ -7,6 +7,10 @@ execution -- the property every experiment in EXPERIMENTS.md depends
 on.  It is also unique, so a heap sift settles on the first two
 elements (a float and an int, compared in C) and never looks at the
 event or its callback.
+
+This is the repository's one event queue:
+:class:`~repro.net.scheduler.AsyncioScheduler` subclasses
+:class:`Simulator` and changes only the clock and what fires the queue.
 """
 
 from __future__ import annotations
@@ -15,16 +19,10 @@ import heapq
 import itertools
 from typing import Callable
 
-from repro.net.scheduler import SchedulingError
 
-
-class SimulationError(SchedulingError):
-    """Raised on scheduling misuse (e.g. scheduling in the past).
-
-    Subclasses :class:`~repro.net.scheduler.SchedulingError` so callers
-    holding a generic :class:`~repro.net.scheduler.Scheduler` can catch
-    misuse without knowing which implementation is behind it.
-    """
+class SchedulingError(RuntimeError):
+    """Scheduler misuse: a deadline in the past, a negative delay, or
+    ``run()`` on a scheduler that its event loop drives."""
 
 
 class _ScheduledEvent:
@@ -82,21 +80,27 @@ class Simulator:
         return self._pending
 
     def schedule(self, time: float, callback: Callable[[], None]) -> _ScheduledEvent:
-        """Schedule ``callback`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
-            )
+        """Schedule ``callback`` at absolute time ``time``."""
+        now = self.now
+        if time < now:
+            raise SchedulingError(f"cannot schedule at {time} before current time {now}")
+        return self._push(time, callback)
+
+    def schedule_after(self, delay: float, callback: Callable[[], None]) -> _ScheduledEvent:
+        """Schedule ``callback`` ``delay`` time units from now.
+
+        ``now`` is read once and not checked again: on a wall clock a
+        second read could already be past ``now + 0.0``.
+        """
+        if delay < 0:
+            raise SchedulingError(f"delay must be >= 0, got {delay}")
+        return self._push(self.now + delay, callback)
+
+    def _push(self, time: float, callback: Callable[[], None]) -> _ScheduledEvent:
         event = _ScheduledEvent(callback)
         heapq.heappush(self._queue, (time, next(self._seq), event))
         self._pending += 1
         return event
-
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> _ScheduledEvent:
-        """Schedule ``callback`` ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self._now + delay, callback)
 
     def cancel(self, event: _ScheduledEvent) -> None:
         """Cancel a previously scheduled event (lazy removal)."""

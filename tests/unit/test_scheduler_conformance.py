@@ -1,153 +1,205 @@
-"""Conformance suite for the Scheduler protocol (ISSUE 7, satellite 3).
+"""Conformance suite for the Scheduler protocol.
 
 Both implementations -- the discrete-event ``Simulator`` and the
 wall-clock ``AsyncioScheduler`` -- must satisfy one behavioural
-contract, because the editor classes run unmodified over either.  The
-suite is parametrized over the two; any divergence is a bug in the
-newcomer, since the simulator's semantics are the repo's ground truth.
+contract, because the editor classes run unmodified over either.  Every
+contract case runs on both, each inside ``asyncio.run``: the simulator
+is drained by ``run()``, the wall-clock scheduler the way every caller
+drives it -- built inside the running loop and awaited until its queue
+is empty.  The simulator's semantics are the repo's ground truth.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from repro.net.scheduler import AsyncioScheduler, Scheduler, SchedulingError
-from repro.net.simulator import SimulationError, Simulator
+from repro.net.scheduler import AsyncioScheduler, Scheduler
+from repro.net.simulator import SchedulingError, Simulator
+
+
+async def drain(sched: Scheduler) -> int:
+    """Run every pending event; return how many ran."""
+    if not isinstance(sched, AsyncioScheduler):
+        return sched.run()
+    start = sched.processed_events
+    while sched.pending_events:
+        await asyncio.sleep(0.001)
+    return sched.processed_events - start
 
 
 @pytest.fixture(params=["simulator", "asyncio"])
-def sched(request):
-    if request.param == "simulator":
-        return Simulator()
-    return AsyncioScheduler()
+def on(request):
+    """``on(body)`` awaits ``body(sched)`` on a scheduler built inside
+    a running loop."""
+    make = Simulator if request.param == "simulator" else AsyncioScheduler
+
+    def run(body) -> None:
+        async def main() -> None:
+            await body(make())
+
+        asyncio.run(main())
+
+    return run
 
 
-def test_satisfies_protocol(sched) -> None:
-    assert isinstance(sched, Scheduler)
+def test_satisfies_protocol(on) -> None:
+    async def body(sched) -> None:
+        assert isinstance(sched, Scheduler)
+
+    on(body)
 
 
-def test_now_starts_near_zero(sched) -> None:
-    assert 0.0 <= sched.now < 0.5
+def test_now_starts_near_zero(on) -> None:
+    async def body(sched) -> None:
+        assert 0.0 <= sched.now < 0.5
+
+    on(body)
 
 
-def test_same_deadline_fires_in_scheduling_order(sched) -> None:
-    order: list[int] = []
-    deadline = sched.now + 0.01
-    for i in range(5):
-        sched.schedule(deadline, lambda i=i: order.append(i))
-    sched.run()
-    assert order == [0, 1, 2, 3, 4]
+def test_same_deadline_fires_in_scheduling_order(on) -> None:
+    async def body(sched) -> None:
+        order: list[int] = []
+        deadline = sched.now + 0.01
+        for i in range(5):
+            sched.schedule(deadline, lambda i=i: order.append(i))
+        await drain(sched)
+        assert order == [0, 1, 2, 3, 4]
+
+    on(body)
 
 
-def test_earlier_deadline_fires_first_regardless_of_insertion(sched) -> None:
-    order: list[str] = []
-    base = sched.now
-    sched.schedule(base + 0.03, lambda: order.append("late"))
-    sched.schedule(base + 0.01, lambda: order.append("early"))
-    sched.run()
-    assert order == ["early", "late"]
+def test_earlier_deadline_fires_first_regardless_of_insertion(on) -> None:
+    async def body(sched) -> None:
+        order: list[str] = []
+        base = sched.now
+        sched.schedule(base + 0.03, lambda: order.append("late"))
+        sched.schedule(base + 0.01, lambda: order.append("early"))
+        await drain(sched)
+        assert order == ["early", "late"]
+
+    on(body)
 
 
-def test_cancel_prevents_execution_and_is_idempotent(sched) -> None:
+def test_cancel_prevents_execution_and_is_idempotent(on) -> None:
+    async def body(sched) -> None:
+        fired: list[int] = []
+        handle = sched.schedule_after(0.01, lambda: fired.append(1))
+        sched.schedule_after(0.01, lambda: fired.append(2))
+        sched.cancel(handle)
+        sched.cancel(handle)  # second cancel must be a no-op
+        await drain(sched)
+        assert fired == [2]
+
+    on(body)
+
+
+def test_pending_events_counts_cancellations(on) -> None:
+    async def body(sched) -> None:
+        handles = [sched.schedule_after(0.01, lambda: None) for _ in range(4)]
+        assert sched.pending_events == 4
+        sched.cancel(handles[0])
+        assert sched.pending_events == 3
+        await drain(sched)
+        assert sched.pending_events == 0
+
+    on(body)
+
+
+def test_run_returns_processed_count(on) -> None:
+    async def body(sched) -> None:
+        for _ in range(3):
+            sched.schedule_after(0.01, lambda: None)
+        assert await drain(sched) == 3
+        assert await drain(sched) == 0  # drained
+        assert sched.processed_events == 3
+
+    on(body)
+
+
+def test_schedule_in_the_past_raises(on) -> None:
+    async def body(sched) -> None:
+        with pytest.raises(SchedulingError):
+            sched.schedule(sched.now - 1.0, lambda: None)
+
+    on(body)
+
+
+def test_negative_delay_raises(on) -> None:
+    async def body(sched) -> None:
+        with pytest.raises(SchedulingError):
+            sched.schedule_after(-0.5, lambda: None)
+
+    on(body)
+
+
+def test_schedule_after_advances_now_monotonically(on) -> None:
+    async def body(sched) -> None:
+        stamps: list[float] = []
+        sched.schedule_after(0.01, lambda: stamps.append(sched.now))
+        sched.schedule_after(0.02, lambda: stamps.append(sched.now))
+        await drain(sched)
+        assert len(stamps) == 2
+        assert stamps[0] <= stamps[1]
+        assert all(s >= 0.01 - 1e-9 for s in stamps)
+
+    on(body)
+
+
+def test_callbacks_may_schedule_more_work(on) -> None:
+    async def body(sched) -> None:
+        order: list[str] = []
+
+        def first() -> None:
+            order.append("first")
+            sched.schedule_after(0.01, lambda: order.append("second"))
+
+        sched.schedule_after(0.01, first)
+        await drain(sched)
+        assert order == ["first", "second"]
+
+    on(body)
+
+
+def test_message_ids_are_unique_and_monotonic(on) -> None:
+    async def body(sched) -> None:
+        ids = [sched.next_message_id() for _ in range(10)]
+        assert ids == sorted(set(ids))
+
+    on(body)
+
+
+def test_run_honours_max_events() -> None:
+    sim = Simulator()
     fired: list[int] = []
-    handle = sched.schedule_after(0.01, lambda: fired.append(1))
-    keeper = sched.schedule_after(0.01, lambda: fired.append(2))
-    sched.cancel(handle)
-    sched.cancel(handle)  # second cancel must be a no-op
-    sched.run()
-    assert fired == [2]
-    assert keeper is not None
-
-
-def test_pending_events_counts_cancellations(sched) -> None:
-    handles = [sched.schedule_after(0.01, lambda: None) for _ in range(4)]
-    assert sched.pending_events == 4
-    sched.cancel(handles[0])
-    assert sched.pending_events == 3
-    sched.run()
-    assert sched.pending_events == 0
-
-
-def test_run_returns_processed_count(sched) -> None:
-    for _ in range(3):
-        sched.schedule_after(0.01, lambda: None)
-    assert sched.run() == 3
-    assert sched.run() == 0  # drained
-
-
-def test_run_honours_max_events(sched) -> None:
-    fired: list[int] = []
     for i in range(5):
-        sched.schedule_after(0.01 + i * 0.001, lambda i=i: fired.append(i))
-    assert sched.run(max_events=2) == 2
+        sim.schedule_after(0.01 + i * 0.001, lambda i=i: fired.append(i))
+    assert sim.run(max_events=2) == 2
     assert fired == [0, 1]
-    assert sched.run() == 3
+    assert sim.run() == 3
     assert fired == [0, 1, 2, 3, 4]
 
 
-def test_schedule_in_the_past_raises(sched) -> None:
-    with pytest.raises(SchedulingError):
-        sched.schedule(sched.now - 1.0, lambda: None)
-
-
-def test_negative_delay_raises(sched) -> None:
-    with pytest.raises(SchedulingError):
-        sched.schedule_after(-0.5, lambda: None)
-
-
-def test_schedule_after_advances_now_monotonically(sched) -> None:
-    stamps: list[float] = []
-    sched.schedule_after(0.01, lambda: stamps.append(sched.now))
-    sched.schedule_after(0.02, lambda: stamps.append(sched.now))
-    sched.run()
-    assert len(stamps) == 2
-    assert stamps[0] <= stamps[1]
-    assert all(s >= 0.01 - 1e-9 for s in stamps)
-
-
-def test_callbacks_may_schedule_more_work(sched) -> None:
-    order: list[str] = []
-
-    def second() -> None:
-        order.append("second")
-
-    def first() -> None:
-        order.append("first")
-        sched.schedule_after(0.01, second)
-
-    sched.schedule_after(0.01, first)
-    sched.run()
-    assert order == ["first", "second"]
-
-
-def test_message_ids_are_unique_and_monotonic(sched) -> None:
-    ids = [sched.next_message_id() for _ in range(10)]
-    assert ids == sorted(set(ids))
-
-
-def test_simulation_error_is_a_scheduling_error() -> None:
-    # Call sites catching SchedulingError work under either scheduler.
-    assert issubclass(SimulationError, SchedulingError)
-
-
-def test_asyncio_run_rejects_reentry() -> None:
-    import asyncio
-
-    async def body() -> None:
+def test_asyncio_run_is_refused() -> None:
+    async def main() -> None:
         sched = AsyncioScheduler()
+        sched.schedule_after(0.0, lambda: None)
         with pytest.raises(SchedulingError):
             sched.run()
+        await drain(sched)
 
-    asyncio.run(body())
+    asyncio.run(main())
 
 
 def test_asyncio_push_rearms_only_when_the_head_changes() -> None:
-    """One ``call_later`` handle serves the heap: a push behind the armed
-    deadline must not cancel and re-create it (every ack-progress restart
-    of a retransmit timer would otherwise pay for both)."""
-    sched = AsyncioScheduler()
+    """One loop handle serves the queue: a push behind the armed deadline
+    must not cancel and re-create it (every ack-progress restart of a
+    retransmit timer would otherwise pay for both)."""
     order: list[str] = []
-    try:
+
+    async def main() -> AsyncioScheduler:
+        sched = AsyncioScheduler()
         sched.schedule_after(0.02, lambda: order.append("head"))
         armed = sched._handle
         assert armed is not None
@@ -155,9 +207,10 @@ def test_asyncio_push_rearms_only_when_the_head_changes() -> None:
         assert sched._handle is armed
         sched.schedule_after(0.01, lambda: order.append("earlier"))
         assert sched._handle is not armed and armed.cancelled()
-        sched.run()
-    finally:
-        sched.loop.close()
+        await drain(sched)
+        return sched
+
+    sched = asyncio.run(main())
     assert order == ["earlier", "head", "later"]
     assert sched._handle is None and sched.pending_events == 0
 
@@ -165,13 +218,56 @@ def test_asyncio_push_rearms_only_when_the_head_changes() -> None:
 def test_asyncio_cancelled_head_still_fires_what_was_pushed_behind_it() -> None:
     """Lazy cancellation leaves the handle on a dead deadline; the event
     pushed behind it must still run, at its own time."""
-    sched = AsyncioScheduler()
     fired: list[float] = []
-    try:
+
+    async def main() -> None:
+        sched = AsyncioScheduler()
         head = sched.schedule_after(0.01, lambda: fired.append(-1.0))
         sched.cancel(head)
         sched.schedule_after(0.03, lambda: fired.append(sched.now))
-        sched.run()
-    finally:
-        sched.loop.close()
+        await drain(sched)
+
+    asyncio.run(main())
     assert len(fired) == 1 and fired[0] >= 0.03
+
+
+def test_asyncio_a_raising_callback_does_not_strand_the_queue() -> None:
+    """A timer callback that raises stays loud -- the error reaches the
+    loop's exception handler -- and every later timer still fires on
+    its own, with nothing else scheduled to wake the queue."""
+    errors: list[BaseException] = []
+    fired: list[int] = []
+
+    def boom() -> None:
+        raise ValueError("boom")
+
+    async def main() -> int:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context["exception"]))
+        sched = AsyncioScheduler()
+        sched.schedule_after(0.01, boom)
+        sched.schedule_after(0.02, lambda: fired.append(2))
+        await asyncio.sleep(0.2)
+        return sched.pending_events
+
+    assert asyncio.run(main()) == 0
+    assert fired == [2]
+    assert [type(error) for error in errors] == [ValueError]
+
+
+def test_asyncio_zero_delay_schedule_after_never_raises() -> None:
+    """``schedule_after(0.0, ...)`` reads the wall clock once: a second
+    read (a past-check in ``schedule``) would already be later and
+    refuse the deadline.  Two thousand awaited zero-delay timers, the
+    closed loop perfbench's wire rig runs per op."""
+
+    async def main() -> int:
+        sched = AsyncioScheduler()
+        loop = asyncio.get_running_loop()
+        for _ in range(2000):
+            fired = loop.create_future()
+            sched.schedule_after(0.0, lambda fired=fired: fired.set_result(None))
+            await fired
+        return sched.processed_events
+
+    assert asyncio.run(main()) == 2000

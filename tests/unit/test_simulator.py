@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.simulator import SimulationError, Simulator
+from repro.net.simulator import SchedulingError, Simulator
 
 
 class TestScheduling:
@@ -57,7 +57,7 @@ class TestScheduling:
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.run()
-        with pytest.raises(SimulationError):
+        with pytest.raises(SchedulingError):
             sim.schedule(1.0, lambda: None)
 
     def test_schedule_after(self):
@@ -68,7 +68,7 @@ class TestScheduling:
         assert fired == [1.5]
 
     def test_schedule_after_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SchedulingError):
             Simulator().schedule_after(-0.1, lambda: None)
 
     def test_callbacks_can_schedule_more_events(self):

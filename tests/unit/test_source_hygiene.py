@@ -319,7 +319,8 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\bdrive_star_session_component\b|\bserialized_size\b"
         r"|\bfrom_positional\b|\bprimitive_count\b"
         r"|beacon|\bBeaconSender\b|\bBeaconReceiver\b|\bFRAME_TELEMETRY\b"
-        r"|\bencode_telemetry_frame\b|\bon_telemetry\b|\bframes_from_|gossip")
+        r"|\bencode_telemetry_frame\b|\bon_telemetry\b|\bframes_from_|gossip"
+        r"|\bSimulationError\b|\b_WallEvent\b|\brun_until_complete\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES

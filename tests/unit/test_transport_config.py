@@ -9,6 +9,7 @@ in one frozen :class:`RetransmitPolicy`, which is the only place
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 
 import pytest
@@ -88,22 +89,29 @@ def test_replacing_the_policy_replaces_what_the_protocol_reads() -> None:
 @pytest.mark.parametrize("make_scheduler", [Simulator, AsyncioScheduler])
 def test_both_wires_arm_from_the_same_policy_object(make_scheduler) -> None:
     policy = RetransmitPolicy(base_rto=0.01, max_rto=0.02, max_retries=2)
-    scheduler = make_scheduler()
-    endpoint = ReliableEndpoint(
-        scheduler, 1, ReliabilityConfig(retransmit=policy),
-        wire_send=lambda dest, payload, ts, kind: None,  # nothing is ever acked
-        deliver=lambda envelope: None,
-    )
-    assert endpoint.reliability.retransmit is policy
-    deaths: list[int] = []
-    endpoint.on_peer_dead = deaths.append
-    endpoint.send(9, "payload")
-    scheduler.run()
-    # 0.01 + 0.02 + 0.02: two resends, then the budget is spent.
-    assert endpoint.stats.retransmits == 2 and deaths == [9]
-    assert scheduler.now >= 0.05
-    if isinstance(scheduler, AsyncioScheduler):
-        scheduler.loop.close()
+
+    async def main() -> None:
+        # Built inside a running loop, which drives the wall-clock one.
+        scheduler = make_scheduler()
+        endpoint = ReliableEndpoint(
+            scheduler, 1, ReliabilityConfig(retransmit=policy),
+            wire_send=lambda dest, payload, ts, kind: None,  # nothing is ever acked
+            deliver=lambda envelope: None,
+        )
+        assert endpoint.reliability.retransmit is policy
+        deaths: list[int] = []
+        endpoint.on_peer_dead = deaths.append
+        endpoint.send(9, "payload")
+        if isinstance(scheduler, AsyncioScheduler):
+            while scheduler.pending_events:
+                await asyncio.sleep(0.005)
+        else:
+            scheduler.run()
+        # 0.01 + 0.02 + 0.02: two resends, then the budget is spent.
+        assert endpoint.stats.retransmits == 2 and deaths == [9]
+        assert scheduler.now >= 0.05
+
+    asyncio.run(main())
 
 
 def test_reliable_endpoint_without_a_config_is_refused() -> None:
