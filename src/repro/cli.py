@@ -203,16 +203,8 @@ def _add_fault_args(parser: argparse.ArgumentParser, drop: float, dup: float) ->
         type=float,
         default=None,
         metavar="AT",
-        help="crash the notifier at virtual time AT; a surviving client "
+        help="crash the notifier at virtual time AT; the lowest live client "
         "is elected and promoted to the centre role",
-    )
-    parser.add_argument(
-        "--standby",
-        type=int,
-        default=None,
-        metavar="SITE",
-        help="warm-standby site preferred as failover successor "
-        "(requires a fault plan; default: lowest live site id)",
     )
 
 
@@ -265,7 +257,6 @@ def _random_session(args: argparse.Namespace, arch: str, **diagnostics):
                 initial_state=config.initial_document,
                 latency_factory=latency_factory,
                 fault_plan=fault_plan,
-                standby_site=args.standby,
                 **diagnostics,
             )
     except (ValueError, IndexError) as exc:

@@ -28,9 +28,9 @@ promotion / state-contribution machinery, carried as DATA frames);
 every other survivor re-dials the successor with capped exponential
 backoff, resynchronises from a failover snapshot, re-announces DRAINED
 and finishes the workload under the new centre.  Local edits typed
-while the star is leaderless queue in the client's bounded
-degraded-mode buffer (``--degraded-limit``) and replay after the
-baseline lands.
+while the star is leaderless queue in the client's degraded-mode buffer
+(at most ``star_client.DEGRADED_LIMIT``) and replay after the baseline
+lands, as in the simulator.
 
 Observability: with ``--telemetry-interval`` the client samples its own
 gauges into ``telemetry_<site>.jsonl``, the one carriage its frames
@@ -72,7 +72,7 @@ async def run_client(config: ClusterConfig, site: int, port: int,
         site,
         initial_state=DEFAULT_DOCUMENT,
         record_checks=True,
-        reliability=config.reliability_config(),
+        reliability=config.reliability,
         tracer=rig.tracer,
     )
     # As in serve.py: outgoing ops carry their origin wall-clock stamp,

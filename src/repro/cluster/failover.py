@@ -77,14 +77,12 @@ class WireFailover(Directory):
 
     def __init__(self, config: ClusterConfig, client: StarClient,
                  finished: asyncio.Event, *, log: LogHook,
-                 workload_done: Callable[[], bool],
-                 grace_s: float = TAKEOVER_GRACE_S) -> None:
+                 workload_done: Callable[[], bool]) -> None:
         self.config = config
         self.client = client
         self.site = client.pid
         self.n_sites = config.clients
         self.log = log
-        self.grace_s = grace_s
         self.listen_port = 0
         self.roster: dict[int, int] = {}
         self.notifier: Optional[StarNotifier] = None
@@ -99,7 +97,7 @@ class WireFailover(Directory):
                 f"failover_{kind}", f"{detail} under epoch {self.notifier_epoch}"),
         )
         self.hub.pumps_open.set()
-        client.arm_failover(self, config.degraded_limit)
+        client.arm_failover(self)
 
     async def start(self) -> None:
         """Bind the process's own accept socket (advertised in HELLO)."""
@@ -168,7 +166,7 @@ class WireFailover(Directory):
         the session like any centre's.
         """
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.grace_s
+        deadline = loop.time() + TAKEOVER_GRACE_S
         while (not self.hub.expected <= set(self.hub.writers)
                and loop.time() < deadline
                and not self.client.promoted):

@@ -19,7 +19,6 @@ from typing import Any, Callable, Optional
 
 from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
-from repro.net.reliability import ReliabilityConfig
 from repro.net.scheduler import AsyncioScheduler
 from repro.net.wire import WireChannel, connect_with_backoff, encode_hello, frame
 from repro.obs.telemetry import (
@@ -66,9 +65,6 @@ _FLAGS: tuple[tuple[str, str, type, Optional[str]], ...] = (
     ("failover", "--no-failover", bool,
      "disable live failover: clients open no listening sockets and a "
      "notifier crash is terminal (flight recorders + salvage)"),
-    ("degraded_limit", "--degraded-limit", int,
-     "max local edits each client queues while the star is leaderless "
-     "during failover (0 = drop them; default %(default)s)"),
 )
 
 
@@ -106,9 +102,6 @@ class ClusterConfig:
     #: early exit.  Off = the pre-failover behaviour (crash is terminal,
     #: flight recorders dumped, driver salvages).
     failover: bool = True
-    #: Degraded-mode bound: local edits queued per client while the star
-    #: is leaderless.  0 drops such edits (the simulator's semantics).
-    degraded_limit: int = 64
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -124,10 +117,6 @@ class ClusterConfig:
         if self.crash_notifier_after_s is not None and self.crash_notifier_after_s <= 0:
             raise ValueError(
                 f"crash-notifier delay must be positive: {self.crash_notifier_after_s}"
-            )
-        if self.degraded_limit < 0:
-            raise ValueError(
-                f"degraded-mode queue bound must be >= 0: {self.degraded_limit}"
             )
 
     @property
@@ -147,10 +136,6 @@ class ClusterConfig:
             seed=self.seed,
             initial_document=DEFAULT_DOCUMENT,
         )
-
-    def reliability_config(self) -> Optional[ReliabilityConfig]:
-        """The transport config every process must share (or ``None``)."""
-        return ReliabilityConfig() if self.reliability else None
 
     def to_args(self) -> list[str]:
         """The CLI flags that reproduce this config in a subprocess."""

@@ -259,7 +259,7 @@ async def serve(config: ClusterConfig, out_dir: Path,
         config.clients,
         initial_state=DEFAULT_DOCUMENT,
         record_checks=True,
-        reliability=config.reliability_config(),
+        reliability=config.reliability,
         tracer=rig.tracer,
     )
     # Stamp ops with their origin's wall clock for the live e2e gauge;

@@ -11,12 +11,12 @@ simulated deployment:
    (:attr:`repro.net.reliability.ReliableEndpoint.on_peer_dead`).
 2. **Election** -- the :class:`FailoverManager` (a session-level
    coordination service standing in for an out-of-band membership
-   directory) picks the successor: the configured *warm standby* if it
-   is alive and caught up, else the lowest-id surviving client.  The
-   detector sends the successor an
-   :class:`~repro.editor.messages.ElectMessage`; the successor confirms
-   the suspicion with a bounded liveness probe before anything
-   irreversible happens.
+   directory) picks the successor: the lowest-id live client, the rule
+   the cluster's roster applies too.  The detector sends the successor
+   an :class:`~repro.editor.messages.ElectMessage`; the successor
+   confirms the suspicion with a bounded liveness probe before anything
+   irreversible happens.  A probe the centre answers aborts the
+   election and un-parks the detector's link to the centre.
 3. **Promotion** -- the successor freezes its client role, announces
    itself with :class:`~repro.editor.messages.PromoteMessage`, collects
    one :class:`~repro.editor.messages.StateContribution` per survivor,
@@ -104,24 +104,19 @@ class FailoverManager(Directory):
     """Session-level failover coordination for one star session.
 
     Holds the pieces an out-of-band membership service would: who the
-    current centre is, which client is the designated warm standby, and
-    whether an election is already in flight.  All message traffic
-    (election, promotion, contributions, snapshots) still travels over
-    the simulated -- faulty -- network; the manager only routes local
-    decisions and wires channels.
+    current centre is, whether an election is already in flight, and
+    which client raised it.  All message traffic (election, promotion,
+    contributions, snapshots) still travels over the simulated -- faulty
+    -- network; the manager only routes local decisions and wires
+    channels.
     """
 
-    def __init__(self, session: "StarSession", standby_site: int | None = None) -> None:
-        if standby_site is not None and not 1 <= standby_site <= len(session.clients):
-            raise ValueError(
-                f"standby site must be one of 1..{len(session.clients)}, "
-                f"got {standby_site}"
-            )
+    def __init__(self, session: "StarSession") -> None:
         self.session = session
-        self.standby_site = standby_site
         self.center_pid = 0
         self.promoted = False
         self._election_open = False
+        self._detector: StarClient | None = None
         self._promoting_client: StarClient | None = None
 
     # -- crash detection -----------------------------------------------------
@@ -153,6 +148,7 @@ class FailoverManager(Directory):
         if successor is None:
             return  # no live client left; the session is simply over
         self._election_open = True
+        self._detector = detector
         epoch = self.notifier_epoch + 1
         if detector is successor:
             successor.elect(epoch)
@@ -164,22 +160,18 @@ class FailoverManager(Directory):
         )
 
     def _pick_successor(self) -> "StarClient | None":
-        candidates = [
-            client
-            for client in self.session.clients
+        """The lowest live active client (``clients`` is in pid order)."""
+        return next((
+            client for client in self.session.clients
             if not client.transport.crashed and client.active and not client.promoted
-        ]
-        if not candidates:
-            return None
-        if self.standby_site is not None:
-            for client in candidates:
-                if client.pid == self.standby_site:
-                    return client
-        return min(candidates, key=lambda client: client.pid)
+        ), None)
 
     def election_aborted(self, successor: "StarClient") -> None:
-        """The suspected centre answered the liveness probe."""
+        """The suspected centre answered the liveness probe: the
+        detector's link to it, parked on give-up, retries again."""
         self._election_open = False
+        if self._detector is not None:
+            self._detector._reliable_transport().resume(self.center_pid)
 
     # -- promotion -----------------------------------------------------------
 

@@ -78,7 +78,7 @@ from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
 from repro.net.channel import LatencyModel
 from repro.net.faults import FaultPlan
-from repro.net.reliability import ReliabilityConfig, ReliableEndpoint
+from repro.net.reliability import ReliableEndpoint
 from repro.net.simulator import Simulator
 from repro.net.topology import StarTopology
 from repro.obs.tracer import Tracer
@@ -101,9 +101,8 @@ class StarSession(SessionBase):
         record_events: bool = True,
         record_checks: bool = False,
         fault_plan: FaultPlan | None = None,
-        reliability: ReliabilityConfig | None = None,
+        reliability: bool = False,
         tracer: Tracer | None = None,
-        standby_site: int | None = None,
     ) -> None:
         self.sim = Simulator()
         self._ot_type_name = ot_type_name
@@ -116,9 +115,7 @@ class StarSession(SessionBase):
         # Faults demand the reliability protocol; without faults it is
         # opt-in (and off by default, keeping the perfect-network wire
         # accounting byte-for-byte identical to the paper's).
-        if fault_plan is not None and reliability is None:
-            reliability = ReliabilityConfig()
-        self.reliability = reliability
+        self.reliability = reliability = reliability or fault_plan is not None
         self.event_log = EventLog(n_sites + 1) if record_events else None
         self.notifier = StarNotifier(
             self.sim,
@@ -157,8 +154,8 @@ class StarSession(SessionBase):
         # runs (its retransmit-budget give-up is the crash detector).
         self.promoted_notifier: StarNotifier | None = None
         self.failover: FailoverManager | None = None
-        if reliability is not None:
-            manager = FailoverManager(self, standby_site=standby_site)
+        if reliability:
+            manager = FailoverManager(self)
             self.failover = manager
             for client in self.clients:
                 client.arm_failover(manager)
@@ -168,11 +165,6 @@ class StarSession(SessionBase):
                 transport.on_peer_dead = (
                     lambda peer, reporter=endpoint: manager.peer_dead(reporter, peer)
                 )
-        elif standby_site is not None:
-            raise ValueError(
-                "standby_site requires the reliability protocol (failover "
-                "detection runs on retransmit budgets)"
-            )
         if fault_plan is not None:
             for crash in fault_plan.crashes:
                 client = self.client(crash.site)
@@ -229,6 +221,8 @@ class StarSession(SessionBase):
             reliability=self.reliability,
             tracer=self.tracer,
         )
+        if self.failover is not None:
+            client.arm_failover(self.failover)
         self.clients.append(client)
 
         def join() -> None:

@@ -29,7 +29,7 @@ from repro.editor.messages import (
     SnapshotMessage,
     StateContribution,
 )
-from repro.net.reliability import ReliabilityConfig, ReliableEndpoint
+from repro.net.reliability import ReliableEndpoint
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
 from repro.obs.tracer import TraceEventKind, Tracer
@@ -39,6 +39,10 @@ from repro.session import CheckRecord, ConsistencyError, EditorEndpoint
 if TYPE_CHECKING:
     from repro.editor.failover import Directory
     from repro.editor.star_notifier import StarNotifier
+
+#: Local edits a client queues while the star is leaderless, replayed once
+#: the successor's baseline lands; past the bound an edit is counted lost.
+DEGRADED_LIMIT = 64
 
 
 class UndoError(RuntimeError):
@@ -75,7 +79,7 @@ class StarClient(EditorEndpoint):
         transform_enabled: bool = True,
         record_checks: bool = False,
         joining: bool = False,
-        reliability: ReliabilityConfig | None = None,
+        reliability: bool = False,
         tracer: Tracer | None = None,
     ) -> None:
         if site_id <= 0:
@@ -114,12 +118,9 @@ class StarClient(EditorEndpoint):
         # The pid this spoke currently points at; re-homed on promotion.
         self.center = 0
         self.notifier_epoch = 0
-        # The election's surroundings; installed by arm_failover.
+        # The election's surroundings; installed by arm_failover, which
+        # also switches on the successor-evidence bookkeeping below.
         self.failover: Directory | None = None
-        # Successor-election bookkeeping: maintained when running over
-        # the reliability protocol (its give-up is the crash detector)
-        # or once a directory is armed.
-        self._track_failover = reliability is not None
         # Per-origin counts of executed centre broadcasts, and the set of
         # original op ids embodied in this replica: together, one
         # StateContribution -- the evidence from which a successor
@@ -136,27 +137,18 @@ class StarClient(EditorEndpoint):
         self._buffered_promotion: list[Envelope] = []
         self._awaiting_contrib: set[int] = set()
         self._contributions: dict[int, StateContribution | None] = {}
-        # Degraded-mode survival: with a positive limit, local edits
-        # generated while the star is leaderless (promotion or handoff
-        # in progress) queue here instead of being dropped, bounded so a
-        # chatty user cannot grow memory without bound, and are replayed
-        # exactly once after the successor's baseline is installed.  The
-        # default of 0 preserves the simulator's lossy semantics.
-        self.degraded_limit = 0
+        # Edits typed while leaderless, at most DEGRADED_LIMIT of them.
         self._degraded_queue: deque[Any] = deque()
 
     # -- what the surroundings may ask (see repro.editor.failover) ----------------
 
-    def arm_failover(self, directory: "Directory", degraded_limit: int = 0) -> None:
+    def arm_failover(self, directory: "Directory") -> None:
         """Let ``directory`` coordinate this client's elections.
 
         Successor evidence is tracked from here on whatever the
-        transport (over raw sockets an EOF is the crash detector), and
-        up to ``degraded_limit`` edits typed while leaderless queue.
+        transport (over raw sockets an EOF is the crash detector).
         """
         self.failover = directory
-        self._track_failover = True
-        self.degraded_limit = degraded_limit
 
     @property
     def settled(self) -> bool:
@@ -189,17 +181,14 @@ class StarClient(EditorEndpoint):
             return self._promoted_to.generate_local(op, op_id)
         if not self.active:
             if self._failover_pending or self._promoting:
-                if self.degraded_limit > 0:
-                    # Leaderless but alive: queue the edit for replay
-                    # once the successor's baseline lands.
-                    if len(self._degraded_queue) < self.degraded_limit:
-                        self._degraded_queue.append(op)
-                        self.transport.stats.degraded_queued += 1
-                    else:
-                        self.transport.stats.degraded_overflow += 1
-                        self.transport.stats.lost_local_edits += 1
-                    return None
-                self.transport.stats.lost_local_edits += 1
+                # Leaderless but alive: queue the edit for replay once
+                # the successor's baseline lands.
+                if len(self._degraded_queue) < DEGRADED_LIMIT:
+                    self._degraded_queue.append(op)
+                    self.transport.stats.degraded_queued += 1
+                else:
+                    self.transport.stats.degraded_overflow += 1
+                    self.transport.stats.lost_local_edits += 1
                 return None
             if self.transport.crashed or self._recovering:
                 # A user edit during an outage is simply lost, like
@@ -241,7 +230,7 @@ class StarClient(EditorEndpoint):
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        if self._track_failover:
+        if self.failover is not None:
             self._incorporated.add(op_id)
         origin_wall = self.span_clock() if self.span_clock is not None else None
         message = OpMessage(op=op, timestamp=ts, origin_site=self.pid,
@@ -342,7 +331,7 @@ class StarClient(EditorEndpoint):
             )
         )
         self.executed_op_ids.append(message.op_id)
-        if self._track_failover:
+        if self.failover is not None:
             self._received_per_origin[message.origin_site] = (
                 self._received_per_origin.get(message.origin_site, 0) + 1
             )
@@ -710,7 +699,7 @@ class StarClient(EditorEndpoint):
 
     def crash(self) -> None:
         """Lose all volatile state; messages are dropped until restart."""
-        if self.transport.reliability is None:
+        if not isinstance(self.transport, ReliableEndpoint):
             raise RuntimeError("crash injection requires the reliability protocol")
         self.transport.go_down()
         self.active = False
@@ -742,8 +731,7 @@ class StarClient(EditorEndpoint):
         """
         if not self.transport.crashed:
             raise RuntimeError(f"site {self.pid} is not crashed")
-        transport = self.transport
-        assert isinstance(transport, ReliableEndpoint)  # crash() demanded it
+        transport = self._reliable_transport()  # crash() demanded it
         transport.revive()
         self._recovering = True
         # The centre may have moved while we were down; ask the failover

@@ -32,7 +32,7 @@ from repro.editor.messages import (
     StateContribution,
 )
 from repro.editor.star_client import execute_remote
-from repro.net.reliability import ReliabilityConfig
+from repro.net.reliability import ReliableEndpoint
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
 from repro.obs.tracer import TraceEventKind, Tracer
@@ -73,7 +73,7 @@ class StarNotifier(EditorEndpoint):
         verify_with_oracle: bool = False,
         transform_enabled: bool = True,
         record_checks: bool = False,
-        reliability: ReliabilityConfig | None = None,
+        reliability: bool = False,
         tracer: Tracer | None = None,
         *,
         pid: int = 0,
@@ -418,7 +418,7 @@ class StarNotifier(EditorEndpoint):
         :mod:`repro.editor.failover`).  State is deliberately left in
         place -- it is dead weight, useful only to post-mortem tests.
         """
-        if self.transport.reliability is None:
+        if not isinstance(self.transport, ReliableEndpoint):
             raise RuntimeError("crash injection requires the reliability protocol")
         self.transport.go_down()
         if self.tracer is not None:
@@ -457,7 +457,6 @@ class StarNotifier(EditorEndpoint):
             verify_with_oracle=client.verify_with_oracle,
             transform_enabled=client.transform_enabled,
             record_checks=client.record_checks,
-            reliability=client.transport.reliability,
             tracer=client.tracer,
             pid=client.pid,
             notifier_epoch=notifier_epoch,

@@ -27,6 +27,7 @@ dedup) and the editor's snapshot resynchronisation path; this module only breaks
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -42,7 +43,8 @@ class ChannelFaults:
 
     ``drop_p``/``dup_p`` are per-message probabilities; ``outages`` are
     half-open virtual-time windows ``[start, end)`` during which every
-    message on the channel is lost (a burst outage / dead link).
+    message on the channel is lost (a burst outage / dead link).  Every
+    outage ends: a permanent cut is what a crash already expresses.
     """
 
     drop_p: float = 0.0
@@ -55,8 +57,8 @@ class ChannelFaults:
         if not 0.0 <= self.dup_p <= 1.0:
             raise ValueError(f"dup_p must be in [0, 1], got {self.dup_p}")
         for start, end in self.outages:
-            if start < 0 or end <= start:
-                raise ValueError(f"outage windows need 0 <= start < end, got ({start}, {end})")
+            if not 0 <= start < end < math.inf:
+                raise ValueError(f"outage windows need 0 <= start < end < inf, got ({start}, {end})")
 
     def in_outage(self, now: float) -> bool:
         return any(start <= now < end for start, end in self.outages)

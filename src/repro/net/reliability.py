@@ -23,7 +23,7 @@ Editors *own* a transport (composition), they do not inherit one:
   :class:`~repro.net.holdback.HoldbackQueue`.  Acknowledgements are
   cumulative and paced: every data packet carries one, an isolated
   arrival is answered at once, a burst costs one pure ack per
-  ``base_rto / 4``, and so does whatever would only repeat the last
+  ``BASE_RTO / 4``, and so does whatever would only repeat the last
   packet (a duplicate, a packet held above a gap already reported);
   what the sender is *waiting* to hear (the first report of a gap, a
   landed repair, a probe's answer) is never delayed.  Repair is
@@ -37,9 +37,10 @@ Editors *own* a transport (composition), they do not inherit one:
   fenced by *epochs*: a packet from an older epoch is discarded, a
   packet from a newer epoch voids the previous incarnation's link state.
 
-:func:`build_transport` selects between the two from a
-:class:`ReliabilityConfig` (``None`` means raw), which is how the
-editor layer stays agnostic of which transport it is running over.
+:func:`build_transport` selects between the two from one ``bool``,
+which is how the editor layer stays agnostic of which transport it is
+running over.  The protocol's timing and budgets are the module
+constants below, the same on every wire.
 """
 
 from __future__ import annotations
@@ -111,56 +112,16 @@ register_sizer(
 )
 
 
-@dataclass(frozen=True)
-class RetransmitPolicy:
-    """The retransmission tuning surface, as one frozen value.
-
-    Both wires share this single policy object: the simulated FIFO
-    channels and the asyncio TCP transport (:mod:`repro.net.wire`) arm
-    their retransmit timers from the same four numbers, so tuning one
-    tunes both.  ``max_retries`` bounds the retransmit budget per peer:
-    after that many *consecutive* retransmission rounds without
-    acknowledgement progress the endpoint declares the peer dead
-    (``on_peer_dead`` fires once) and parks further traffic instead of
-    retrying forever; ``None`` restores the legacy retry-forever
-    behaviour.  A parked link resurrects automatically the moment
-    anything arrives from the peer.
-    """
-
-    base_rto: float = 0.5  # initial retransmit timeout (scheduler time)
-    max_rto: float = 8.0  # backoff ceiling
-    backoff: float = 2.0  # timeout multiplier per retry round
-    max_retries: Optional[int] = 12  # retransmit rounds before giving up
-
-    def __post_init__(self) -> None:
-        if self.base_rto <= 0 or self.max_rto < self.base_rto or self.backoff < 1.0:
-            raise ValueError(f"malformed retransmit policy: {self}")
-        if self.max_retries is not None and self.max_retries < 1:
-            raise ValueError(f"max_retries must be positive or None: {self}")
-
-
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Parameters of the reliability protocol.
-
-    The retransmission knobs live in :attr:`retransmit`, a
-    :class:`RetransmitPolicy`, and nowhere else.
-    ``probe_interval``/``max_probes`` shape the bounded heartbeat
-    :meth:`ReliableEndpoint.probe_peer` uses to confirm a suspicion,
-    and ``holdback_limit`` caps the reorder buffer (see
-    :class:`repro.net.holdback.HoldbackOverflow`).
-    """
-
-    retransmit: RetransmitPolicy = RetransmitPolicy()
-    probe_interval: float = 0.5  # spacing of liveness probes
-    max_probes: int = 5  # unanswered probes before declaring death
-    holdback_limit: Optional[int] = 1024  # reorder-buffer capacity
-
-    def __post_init__(self) -> None:
-        if self.probe_interval <= 0 or self.max_probes < 1:
-            raise ValueError(f"malformed probe parameters: {self}")
-        if self.holdback_limit is not None and self.holdback_limit < 1:
-            raise ValueError(f"holdback_limit must be positive or None: {self}")
+# The failure-path constants, one setting for every deployment (DESIGN
+# 3.1 tabulates what each bounds).  Times are in scheduler units: virtual
+# time in the simulator, seconds on the wall-clock scheduler.
+BASE_RTO = 0.5  # initial retransmit timeout; a paced ack waits BASE_RTO / 4
+MAX_RTO = 8.0  # backoff ceiling
+BACKOFF = 2.0  # timeout multiplier per retry round
+MAX_RETRIES = 12  # consecutive rounds without ack progress before giving up
+PROBE_INTERVAL = 0.5  # spacing of liveness probes
+MAX_PROBES = 5  # unanswered probes before declaring death
+HOLDBACK_LIMIT = 1024  # reorder-buffer capacity per endpoint
 
 
 @dataclass
@@ -198,7 +159,7 @@ class _PeerLink:
     epoch: int = 0
     send_seq: int = 0  # next outgoing seq
     unacked: dict[int, tuple[Any, int, str]] = field(default_factory=dict)
-    rto: float = 0.0
+    rto: float = BASE_RTO
     timer: Any = None  # pending retransmit event, if armed
     recv_next: int = 0  # next seq to release to the editor
     retries: int = 0  # consecutive retransmit rounds without ack progress
@@ -270,7 +231,6 @@ class RawTransport:
     def __init__(self, *, wire_send: Optional[WireSend] = None,
                  deliver: Optional[Deliver] = None, pid: int = -1,
                  tracer: Optional[Tracer] = None) -> None:
-        self.reliability: Optional[ReliabilityConfig] = None
         self.stats = ReliabilityStats()
         self.crashed = False
         self.wire_send = wire_send if wire_send is not None else _unwired_for(pid)
@@ -317,25 +277,20 @@ class ReliableEndpoint:
     supplied by the owning :class:`~repro.net.process.SimProcess`) and
     *up* through ``deliver`` (the editor's application-message handler).
     It always runs the protocol: :func:`build_transport` picks
-    :class:`RawTransport` when there is no config.
+    :class:`RawTransport` when reliability is off.
     """
 
     def __init__(
         self,
         sim: Scheduler,
         pid: int,
-        reliability: ReliabilityConfig,
         *,
         wire_send: Optional[WireSend] = None,
         deliver: Optional[Deliver] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if reliability is None:
-            raise TypeError("ReliableEndpoint requires a ReliabilityConfig; "
-                            "build_transport picks RawTransport for None")
         self.sim = sim
         self.pid = pid
-        self.reliability = reliability
         self.stats = ReliabilityStats()
         self.wire_send = wire_send if wire_send is not None else _unwired_for(pid)
         self.deliver = deliver if deliver is not None else _undeliverable_for(pid)
@@ -349,7 +304,7 @@ class ReliableEndpoint:
         self._probes: dict[int, _ProbeState] = {}
         # Out-of-order packets held for sequencing, one stream per peer.
         self._holdback: HoldbackQueue[Envelope] = HoldbackQueue(
-            capacity=reliability.holdback_limit
+            capacity=HOLDBACK_LIMIT
         )
         # In-order audit: per source, the (epoch, next seq) the editor
         # must be handed next, checked against each released packet's
@@ -378,7 +333,7 @@ class ReliableEndpoint:
 
     def _link(self, peer: int) -> _PeerLink:
         if peer not in self._links:
-            self._links[peer] = _PeerLink(rto=self.reliability.retransmit.base_rto)
+            self._links[peer] = _PeerLink()
         return self._links[peer]
 
     def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
@@ -420,9 +375,7 @@ class ReliableEndpoint:
         # since this timer was armed; a stale timer must not touch it.
         if self.crashed or self._links.get(dest) is not link or not link.unacked:
             return
-        policy = self.reliability.retransmit
-        limit = policy.max_retries
-        if limit is not None and link.retries >= limit:
+        if link.retries >= MAX_RETRIES:
             self._give_up(dest, link)
             return
         link.retries += 1
@@ -431,7 +384,7 @@ class ReliableEndpoint:
         # whole window; if more is missing, the receiver's gap reports
         # drive the rest.
         self._retransmit(dest, link, next(iter(link.unacked)), via="timer")
-        link.rto = min(link.rto * policy.backoff, policy.max_rto)
+        link.rto = min(link.rto * BACKOFF, MAX_RTO)
         self._arm_timer(dest, link)
 
     def _retransmit(self, dest: int, link: _PeerLink, seq: int, via: str) -> None:
@@ -474,8 +427,15 @@ class ReliableEndpoint:
         """The peer spoke again: un-park and resume retransmission."""
         link.dead = False
         link.retries = 0
-        link.rto = self.reliability.retransmit.base_rto
+        link.rto = BASE_RTO
         self._arm_timer(dest, link)
+
+    def resume(self, peer: int) -> None:
+        """Un-park a link on a third party's word that the peer lives (an
+        aborted election): parked at both ends, it would stay silent."""
+        link = self._links.get(peer)
+        if link is not None and link.dead:
+            self._resurrect(peer, link)
 
     # -- receiving -------------------------------------------------------------
 
@@ -627,7 +587,7 @@ class ReliableEndpoint:
         meanwhile -- unless reverse data leaves first and carries it.
         The interval is a quarter of the retransmit timeout: the ack
         that opened it restarted the peer's clock, so with one-way
-        latency up to ``base_rto / 2`` the next one is never late enough
+        latency up to ``BASE_RTO / 2`` the next one is never late enough
         to fire a timer on a clean network (DESIGN 3.1).
 
         ``repeat``: a duplicate, or a packet held above a head already
@@ -639,7 +599,7 @@ class ReliableEndpoint:
         """
         now = self.sim.now
         since = link.told_at if repeat else link.acked_at
-        due = since + self.reliability.retransmit.base_rto / 4
+        due = since + BASE_RTO / 4
         if now >= due:
             self._send_ack(dest, link)
             return
@@ -672,7 +632,7 @@ class ReliableEndpoint:
             del unacked[head]
             progress = True
         if progress:
-            link.rto = self.reliability.retransmit.base_rto  # progress: reset backoff
+            link.rto = BASE_RTO  # progress: reset backoff
             link.retries = 0  # progress: refill the retransmit budget
             # Restart the retransmit clock: the surviving packets were all
             # sent more recently than the one just acknowledged, so the
@@ -696,7 +656,7 @@ class ReliableEndpoint:
                    on_dead: PeerCallback) -> None:
         """Confirm a liveness suspicion with a bounded heartbeat.
 
-        Sends up to ``max_probes`` probe packets, ``probe_interval``
+        Sends up to ``MAX_PROBES`` probe packets, ``PROBE_INTERVAL``
         apart.  The first *anything* received from the peer -- an ack,
         a data packet, even stale-epoch traffic -- resolves the probe
         as alive; silence through the whole budget resolves it as dead.
@@ -706,8 +666,8 @@ class ReliableEndpoint:
         """
         if peer in self._probes:
             return
-        state = _ProbeState(remaining=self.reliability.max_probes,
-                            on_alive=on_alive, on_dead=on_dead)
+        state = _ProbeState(remaining=MAX_PROBES, on_alive=on_alive,
+                            on_dead=on_dead)
         self._probes[peer] = state
         self._probe_tick(peer, state)
 
@@ -728,8 +688,7 @@ class ReliableEndpoint:
         # probe forces no retransmission (the next tick re-probes).
         self.wire_send(peer, packet, 0, "ack")
         state.timer = self.sim.schedule_after(
-            self.reliability.probe_interval,
-            lambda: self._probe_tick(peer, state),
+            PROBE_INTERVAL, lambda: self._probe_tick(peer, state)
         )
 
     # -- crash / epoch management ----------------------------------------------
@@ -784,7 +743,7 @@ class ReliableEndpoint:
 
     def reset_link(self, peer: int, epoch: int) -> _PeerLink:
         """Void the link state and start the given epoch from seq 0."""
-        link = _PeerLink(epoch=epoch, rto=self.reliability.retransmit.base_rto)
+        link = _PeerLink(epoch=epoch)
         old = self._links.get(peer)
         if old is not None:
             self._cancel_timers(old)
@@ -825,22 +784,22 @@ AnyTransport = Union[RawTransport, ReliableEndpoint]
 def build_transport(
     sim: Scheduler,
     pid: int,
-    reliability: Optional[ReliabilityConfig],
+    reliability: bool,
     *,
     wire_send: WireSend,
     deliver: Deliver,
     tracer: Optional[Tracer] = None,
 ) -> AnyTransport:
-    """The transport an editor endpoint should own for this config.
+    """The transport an editor endpoint should own.
 
-    ``None`` selects the zero-overhead :class:`RawTransport` (the
-    perfect-network default everywhere faults are not injected); a
-    :class:`ReliabilityConfig` selects the full protocol.  ``tracer``
-    hooks the transport into the observability layer; the disabled
-    (``None``) path costs one attribute check per send/arrival.
+    ``False`` selects the zero-overhead :class:`RawTransport` (the
+    perfect-network default everywhere faults are not injected), ``True``
+    the full protocol.  ``tracer`` hooks the transport into the
+    observability layer; the disabled (``None``) path costs one
+    attribute check per send/arrival.
     """
-    if reliability is None:
+    if not reliability:
         return RawTransport(wire_send=wire_send, deliver=deliver, pid=pid,
                             tracer=tracer)
-    return ReliableEndpoint(sim, pid, reliability,
-                            wire_send=wire_send, deliver=deliver, tracer=tracer)
+    return ReliableEndpoint(sim, pid, wire_send=wire_send, deliver=deliver,
+                            tracer=tracer)

@@ -493,10 +493,14 @@ async def pump(reader: asyncio.StreamReader,
 
 # -- dialing with backoff ------------------------------------------------------
 
+DIAL_ATTEMPTS = 8  # connection attempts before giving up
+DIAL_BASE_DELAY = 0.05  # seconds before the first retry
+DIAL_MAX_DELAY = 2.0  # cap on one un-jittered delay
+DIAL_BACKOFF = 2.0  # delay multiplier per attempt
+DIAL_JITTER = 0.5  # each delay is scaled by a factor in [1, 1 + jitter]
 
-def backoff_delays(attempts: int, *, base_delay: float = 0.05,
-                   max_delay: float = 2.0, backoff: float = 2.0,
-                   jitter: float = 0.5, seed: int = 0) -> list[float]:
+
+def backoff_delays(seed: int = 0) -> list[float]:
     """The deterministic retry schedule ``connect_with_backoff`` sleeps on.
 
     Delay ``n`` (before retry ``n+1``) is ``min(base * backoff**n, cap)``
@@ -504,20 +508,16 @@ def backoff_delays(attempts: int, *, base_delay: float = 0.05,
     exponential backoff that desynchronises survivors re-dialing the
     same successor without losing reproducibility.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
     rng = random.Random(seed)
-    delays = []
-    for n in range(attempts - 1):
-        delay = min(base_delay * backoff ** n, max_delay)
-        delays.append(delay * (1.0 + jitter * rng.random()))
-    return delays
+    return [
+        min(DIAL_BASE_DELAY * DIAL_BACKOFF ** n, DIAL_MAX_DELAY)
+        * (1.0 + DIAL_JITTER * rng.random())
+        for n in range(DIAL_ATTEMPTS - 1)
+    ]
 
 
 async def connect_with_backoff(
-    host: str, port: int, *, attempts: int = 8, base_delay: float = 0.05,
-    max_delay: float = 2.0, backoff: float = 2.0, jitter: float = 0.5,
-    seed: int = 0,
+    host: str, port: int, *, seed: int = 0,
     connect: Callable[
         [str, int],
         Awaitable[tuple[asyncio.StreamReader, asyncio.StreamWriter]],
@@ -533,11 +533,9 @@ async def connect_with_backoff(
     """
     do_connect = connect if connect is not None else _open_connection
     do_sleep = sleep if sleep is not None else asyncio.sleep
-    delays = backoff_delays(attempts, base_delay=base_delay,
-                            max_delay=max_delay, backoff=backoff,
-                            jitter=jitter, seed=seed)
+    delays = backoff_delays(seed)
     last_error: OSError | None = None
-    for attempt in range(attempts):
+    for attempt in range(DIAL_ATTEMPTS):
         try:
             return await do_connect(host, port)
         except OSError as exc:
@@ -545,7 +543,7 @@ async def connect_with_backoff(
             if attempt < len(delays):
                 await do_sleep(delays[attempt])
     raise WireError(
-        f"could not connect to {host}:{port} after {attempts} attempts"
+        f"could not connect to {host}:{port} after {DIAL_ATTEMPTS} attempts"
     ) from last_error
 
 

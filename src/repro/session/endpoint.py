@@ -23,7 +23,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.net.process import SimProcess
-from repro.net.reliability import AnyTransport, ReliabilityConfig, build_transport
+from repro.net.reliability import AnyTransport, build_transport
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
 from repro.obs.tracer import Tracer
@@ -35,7 +35,7 @@ class EditorEndpoint(SimProcess):
     transport: AnyTransport
 
     def __init__(self, sim: Scheduler, pid: int,
-                 reliability: Optional[ReliabilityConfig] = None,
+                 reliability: bool = False,
                  tracer: Optional[Tracer] = None,
                  *, adopt_transport: Optional[AnyTransport] = None) -> None:
         super().__init__(sim, pid)

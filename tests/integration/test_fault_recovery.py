@@ -15,7 +15,6 @@ import pytest
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
-from repro.net.reliability import ReliabilityConfig
 from repro.ot.operations import Insert
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -278,8 +277,8 @@ class TestDeterminism:
             session.run()
             return session
 
-        bare = run(None)
-        covered = run(ReliabilityConfig())
+        bare = run(False)
+        covered = run(True)
         assert bare.documents() == covered.documents()
         assert bare.notifier.executed_op_ids == covered.notifier.executed_op_ids
         assert covered.fault_report().retransmits == 0

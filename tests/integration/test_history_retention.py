@@ -14,7 +14,6 @@ import pytest
 from repro.cli import jitter_latency_factory
 from repro.core.timestamp import OriginKind
 from repro.editor.star import StarSession
-from repro.net.reliability import ReliabilityConfig
 from repro.net.simulator import Simulator
 from repro.ot.operations import Insert
 from repro.workloads.random_session import (
@@ -214,7 +213,7 @@ def snapshot(session: StarSession) -> dict[str, int]:
 
 @pytest.mark.parametrize(
     "reliability, still_grows",
-    [(None, STILL_GROWS), (ReliabilityConfig(), STILL_GROWS_UNDER_RELIABILITY)],
+    [(False, STILL_GROWS), (True, STILL_GROWS_UNDER_RELIABILITY)],
     ids=["raw", "reliable"],
 )
 def test_nothing_grows_with_the_session_but_the_allow_list(reliability, still_grows):
@@ -244,7 +243,7 @@ def test_nothing_grows_with_the_session_but_the_allow_list(reliability, still_gr
     # protocol -- per-peer links and the hold-back queue's streams.
     assert any(path.endswith(".hb.entries") for path in late)
     assert any(".out_channels[" in path for path in late)
-    if reliability is not None:
+    if reliability:
         assert any(path.endswith(".unacked") for path in late)
         assert any(path.endswith("._holdback._streams") for path in late)
 

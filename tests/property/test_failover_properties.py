@@ -21,14 +21,9 @@ from hypothesis import strategies as st
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan, NotifierCrash
-from repro.net.reliability import ReliabilityConfig, RetransmitPolicy
 from repro.obs import TraceCausality, cross_check_causality, verify_check_records
 from repro.obs.tracer import Tracer
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
-
-# A small retransmit budget so crash detection fires within seconds of
-# virtual time; the production default takes ~a minute of silence.
-FAST_DETECT = ReliabilityConfig(retransmit=RetransmitPolicy(max_retries=4))
 
 failover_params = st.fixed_dictionaries(
     {
@@ -40,7 +35,6 @@ failover_params = st.fixed_dictionaries(
         "dup_p": st.sampled_from([0.0, 0.05]),
         "client_crash": st.booleans(),
         "notifier_crash_at": st.sampled_from([1.2, 1.8, 2.5]),
-        "standby": st.booleans(),
     }
 )
 
@@ -71,8 +65,6 @@ def run_session(params) -> StarSession:
         verify_with_oracle=True,
         record_checks=True,
         fault_plan=build_plan(params),
-        reliability=FAST_DETECT,
-        standby_site=params["n_sites"] if params["standby"] else None,
         tracer=tracer,
     )
     config = RandomSessionConfig(

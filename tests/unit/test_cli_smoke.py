@@ -69,7 +69,7 @@ class TestFaultsSmoke:
     def test_notifier_crash_fails_over_end_to_end(self):
         result = run_repro(
             "session", "--sites", "3", "--ops", "4", "--seed", "7",
-            "--faults", "--crash-notifier", "2.0", "--standby", "2",
+            "--faults", "--crash-notifier", "2.0",
         )
         assert result.returncode == 0, result.stderr
         assert "converged        : True" in result.stdout

@@ -53,7 +53,6 @@ FIELDS = dict(
     telemetry_interval_s=st.just(0.0) | seconds,
     crash_notifier_after_s=st.none() | seconds,
     failover=st.booleans(),
-    degraded_limit=st.integers(0, 1000),
 )
 
 
@@ -80,9 +79,15 @@ def test_the_flag_sets_are_pinned():
         "-h", "--help", "--out", "--clients", "--ops", "--seed", "--time-scale",
         "--host", "--settle", "--timeout", "--reliability",
         "--telemetry-interval", "--crash-notifier-after", "--no-failover",
-        "--degraded-limit",
+    }
+    # The seeded random session's, with the fault flags both share.
+    random_session = {
+        "-h", "--help", "--sites", "--ops", "--seed", "--insert-ratio",
+        "--faults", "--drop", "--dup", "--crash", "--outage", "--crash-notifier",
     }
     expected = {
+        "session": random_session | {"--arch", "--verify"},
+        "trace": random_session | {"--out", "--diagram"},
         "serve": table,
         "client": table | {"--site", "--port"},
         "cluster": table | {"--quick"},

@@ -19,7 +19,7 @@ from repro.cluster.serve import Hub
 from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
 from repro.editor.star_notifier import StarNotifier
-from repro.net.reliability import ReliabilityConfig, ReliablePacket
+from repro.net.reliability import ReliablePacket
 from repro.net.scheduler import AsyncioScheduler
 from repro.net.transport import Envelope
 from repro.net.wire import (
@@ -329,7 +329,7 @@ def test_a_replayed_frame_is_a_duplicate_to_a_reliable_notifier() -> None:
         assert (lo.hub.garbled, lo.hub.rejected, lo.hub.hung_up) == (0, 0, set())
 
     run({1, 2}, body, endpoint=lambda: StarNotifier(
-        AsyncioScheduler(), 2, reliability=ReliabilityConfig()))
+        AsyncioScheduler(), 2, reliability=True))
 
 
 def test_close_with_members_connected_leaves_no_task_and_no_noise(

@@ -4,28 +4,33 @@ Three mechanisms were added to :mod:`repro.net.reliability` for notifier
 failover, each tested here in isolation (the end-to-end election and
 promotion protocol lives in ``tests/integration/test_failover.py``):
 
-* the bounded retransmit budget -- after ``max_retries`` consecutive
+* the bounded retransmit budget -- after ``MAX_RETRIES`` consecutive
   rounds without acknowledgement progress the endpoint declares the
   peer dead (``on_peer_dead`` fires once), parks the link, and
   resurrects it automatically if the peer ever speaks again;
 * the bounded liveness probe (:meth:`ReliableEndpoint.probe_peer`)
   used to confirm a death suspicion before electing a successor;
 * the hold-back queue capacity bound (:class:`HoldbackOverflow`).
+
+Every budget is the module constant production runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 
 import pytest
 
-from repro.net.faults import FaultPlan, NotifierCrash
+from repro.net.faults import ChannelFaults, FaultPlan, NotifierCrash
 from repro.net.holdback import HoldbackOverflow, HoldbackQueue
 from repro.net.reliability import (
-    ReliabilityConfig,
+    BASE_RTO,
+    HOLDBACK_LIMIT,
+    MAX_PROBES,
+    MAX_RETRIES,
+    PROBE_INTERVAL,
     ReliablePacket,
     ReliableEndpoint,
-    RetransmitPolicy,
 )
 from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
@@ -35,18 +40,10 @@ def blackhole(dest, payload, ts_bytes, kind):
     """A wire that loses everything: the peer never hears us."""
 
 
-FAST = RetransmitPolicy(base_rto=0.1, max_rto=0.4)
-
-
-def make_endpoint(sim, pid=1, wire_send=blackhole, max_retries=FAST.max_retries,
-                  **config_kwargs):
-    config = ReliabilityConfig(
-        retransmit=dataclasses.replace(FAST, max_retries=max_retries),
-        probe_interval=0.1, **config_kwargs
-    )
+def make_endpoint(sim, pid=1, wire_send=blackhole):
     delivered = []
     endpoint = ReliableEndpoint(
-        sim, pid, config, wire_send=wire_send, deliver=delivered.append
+        sim, pid, wire_send=wire_send, deliver=delivered.append
     )
     return endpoint, delivered
 
@@ -61,19 +58,19 @@ def arrival(endpoint, source, packet):
 class TestRetransmitBudget:
     def test_budget_exhaustion_reports_the_death_once(self):
         sim = Simulator()
-        endpoint, _ = make_endpoint(sim, max_retries=2)
+        endpoint, _ = make_endpoint(sim)
         deaths = []
         endpoint.on_peer_dead = deaths.append
         endpoint.send(9, "payload")
         sim.run()
         assert deaths == [9]
         assert endpoint.stats.give_ups == 1
-        assert endpoint.stats.retransmits == 2  # exactly the budget
+        assert endpoint.stats.retransmits == MAX_RETRIES  # exactly the budget
 
     def test_give_up_quiesces_the_simulator(self):
         """A dead link must not keep a retransmit timer armed forever."""
         sim = Simulator()
-        endpoint, _ = make_endpoint(sim, max_retries=1)
+        endpoint, _ = make_endpoint(sim)
         endpoint.on_peer_dead = lambda peer: None
         endpoint.send(9, "payload")
         sim.run()
@@ -83,8 +80,7 @@ class TestRetransmitBudget:
         sim = Simulator()
         wired = []
         endpoint, _ = make_endpoint(
-            sim, max_retries=1,
-            wire_send=lambda dest, payload, ts, kind: wired.append(payload),
+            sim, wire_send=lambda dest, payload, ts, kind: wired.append(payload),
         )
         endpoint.on_peer_dead = lambda peer: None
         endpoint.send(9, "first")
@@ -99,8 +95,7 @@ class TestRetransmitBudget:
         sim = Simulator()
         wired = []
         endpoint, _ = make_endpoint(
-            sim, max_retries=1,
-            wire_send=lambda dest, payload, ts, kind: wired.append(payload),
+            sim, wire_send=lambda dest, payload, ts, kind: wired.append(payload),
         )
         endpoint.on_peer_dead = lambda peer: None
         endpoint.send(9, "first")
@@ -109,63 +104,52 @@ class TestRetransmitBudget:
         parked = len(wired)
         # The peer speaks (a bare ack of nothing): proof of life.
         arrival(endpoint, 9, ReliablePacket(seq=-1, epoch=0, ack=-1))
-        sim.run(until=sim.now + 0.2)  # one base RTO: window retransmits
+        sim.run(until=sim.now + 2 * BASE_RTO)  # the window retransmits
         assert len(wired) > parked
         assert endpoint.stats.give_ups == 1  # the death was not re-reported
 
     def test_ack_progress_refills_the_budget(self):
         sim = Simulator()
-        endpoint, _ = make_endpoint(sim, max_retries=3)
+        endpoint, _ = make_endpoint(sim)
         deaths = []
         endpoint.on_peer_dead = deaths.append
         endpoint.send(9, "payload")
-        sim.run(until=0.25)  # burn part of the budget (>= 1 retry round)
+        sim.run(until=1.5 * BASE_RTO)  # burn part of the budget (one round)
         assert endpoint.stats.retransmits >= 1
         arrival(endpoint, 9, ReliablePacket(seq=-1, epoch=0, ack=0))  # acked
         sim.run()
         assert deaths == []
         assert endpoint.stats.give_ups == 0
 
-    def test_retry_forever_when_budget_is_none(self):
-        sim = Simulator()
-        endpoint, _ = make_endpoint(sim, max_retries=None)
-        deaths = []
-        endpoint.on_peer_dead = deaths.append
-        endpoint.send(9, "payload")
-        sim.run(until=10.0)
-        assert deaths == []
-        assert endpoint.stats.retransmits > 12
-
 
 class TestLivenessProbe:
     def test_silence_through_the_budget_means_dead(self):
         sim = Simulator()
-        endpoint, _ = make_endpoint(sim, max_probes=3)
+        endpoint, _ = make_endpoint(sim)
         alive, dead = [], []
         endpoint.probe_peer(9, on_alive=alive.append, on_dead=dead.append)
         sim.run()
         assert dead == [9] and alive == []
-        assert endpoint.stats.probes_sent == 3
+        assert endpoint.stats.probes_sent == MAX_PROBES
         assert sim.pending_events == 0  # bounded: the probe quiesced
 
     def test_any_arrival_resolves_the_probe_as_alive(self):
         sim = Simulator()
-        endpoint, _ = make_endpoint(sim, max_probes=5)
+        endpoint, _ = make_endpoint(sim)
         alive, dead = [], []
         endpoint.probe_peer(9, on_alive=alive.append, on_dead=dead.append)
         sim.schedule(
-            0.15,
+            1.5 * PROBE_INTERVAL,
             lambda: arrival(endpoint, 9, ReliablePacket(seq=-1, epoch=0, ack=-1)),
         )
         sim.run()
         assert alive == [9] and dead == []
-        assert endpoint.stats.probes_sent < 5
+        assert endpoint.stats.probes_sent < MAX_PROBES
 
     def test_two_live_endpoints_answer_each_others_probes(self):
         sim = Simulator()
-        config = ReliabilityConfig(retransmit=FAST, probe_interval=0.1)
-        a = ReliableEndpoint(sim, 1, config, deliver=lambda env: None)
-        b = ReliableEndpoint(sim, 2, config, deliver=lambda env: None)
+        a = ReliableEndpoint(sim, 1, deliver=lambda env: None)
+        b = ReliableEndpoint(sim, 2, deliver=lambda env: None)
 
         def wire(src, dst):
             def send(dest, payload, ts_bytes, kind):
@@ -214,28 +198,20 @@ class TestHoldbackCapacity:
 
     def test_endpoint_holdback_limit_bounds_the_reorder_buffer(self):
         sim = Simulator()
-        endpoint, _ = make_endpoint(sim, holdback_limit=2)
+        endpoint, _ = make_endpoint(sim)
         # seq 0 never arrives: everything above it is held back.
-        for seq in (1, 2):
+        for seq in range(1, HOLDBACK_LIMIT + 1):
             arrival(endpoint, 9, ReliablePacket(seq=seq, epoch=0, ack=-1, payload="x"))
         with pytest.raises(HoldbackOverflow):
-            arrival(endpoint, 9, ReliablePacket(seq=3, epoch=0, ack=-1, payload="x"))
+            arrival(endpoint, 9, ReliablePacket(
+                seq=HOLDBACK_LIMIT + 1, epoch=0, ack=-1, payload="x"))
 
 
 class TestConfigAndPlanValidation:
-    def test_probe_parameters_validated(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(probe_interval=0.0)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(max_probes=0)
-
-    def test_retry_budget_validated(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(retransmit=RetransmitPolicy(max_retries=0))
-
-    def test_holdback_limit_validated(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(holdback_limit=0)
+    def test_an_outage_must_end(self):
+        for end in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ChannelFaults(outages=((3.0, end),))
 
     def test_notifier_crash_validated(self):
         with pytest.raises(ValueError):

@@ -21,14 +21,13 @@ import pytest
 from repro.editor.star import StarSession
 from repro.net.channel import FixedLatency
 from repro.net.faults import ChannelFaults, FaultPlan
-from repro.net.reliability import ReliabilityConfig, ReliableEndpoint, ReliablePacket
+from repro.net.reliability import BASE_RTO, ReliableEndpoint, ReliablePacket
 from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
 from repro.obs.tracer import Tracer, TraceEventKind
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
 LATENCY = 0.05
-BASE_RTO = ReliabilityConfig().retransmit.base_rto
 ACK_INTERVAL = BASE_RTO / 4
 SENDER, RECEIVER = 1, 2
 
@@ -46,10 +45,10 @@ class Pair:
         self.released: list[tuple[str, float]] = []  # (payload, release time)
         self.tracer = Tracer(clock=lambda: self.sim.now)
         self.sender = ReliableEndpoint(
-            self.sim, SENDER, ReliabilityConfig(), tracer=self.tracer,
+            self.sim, SENDER, tracer=self.tracer,
             deliver=lambda env: None)
         self.receiver = ReliableEndpoint(
-            self.sim, RECEIVER, ReliabilityConfig(),
+            self.sim, RECEIVER,
             deliver=lambda env: self.released.append((env.payload, self.sim.now)))
         self.sender.wire_send = self._wire(SENDER, self.receiver)
         self.receiver.wire_send = self._wire(RECEIVER, self.sender)
@@ -425,7 +424,7 @@ def lone_receiver(*seqs: int):
     sim = Simulator()
     sent: list[ReliablePacket] = []
     endpoint = ReliableEndpoint(
-        sim, RECEIVER, ReliabilityConfig(),
+        sim, RECEIVER,
         wire_send=lambda dest, packet, ts_bytes, kind: sent.append(packet),
         deliver=lambda env: None)
     for seq in seqs:

@@ -9,12 +9,12 @@ send next; these tests feed the release-time hook every corruption it
 claims to detect.
 """
 
-from repro.net.reliability import ReliabilityConfig, ReliableEndpoint
+from repro.net.reliability import ReliableEndpoint
 from repro.net.simulator import Simulator
 
 
 def make_endpoint() -> ReliableEndpoint:
-    return ReliableEndpoint(Simulator(), 0, ReliabilityConfig())
+    return ReliableEndpoint(Simulator(), 0)
 
 
 def release(ep: ReliableEndpoint, source: int, pairs) -> None:

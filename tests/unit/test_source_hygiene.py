@@ -320,7 +320,9 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\bfrom_positional\b|\bprimitive_count\b"
         r"|beacon|\bBeaconSender\b|\bBeaconReceiver\b|\bFRAME_TELEMETRY\b"
         r"|\bencode_telemetry_frame\b|\bon_telemetry\b|\bframes_from_|gossip"
-        r"|\bSimulationError\b|\b_WallEvent\b|\brun_until_complete\b")
+        r"|\bSimulationError\b|\b_WallEvent\b|\brun_until_complete\b"
+        r"|\bReliabilityConfig\b|\bRetransmitPolicy\b|standby|degraded_limit"
+        r"|degraded-limit|\b_track_failover\b|\breliability_config\b|\bgrace_s\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES

@@ -27,6 +27,11 @@ from repro.net.reliability import ReliablePacket
 from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
 from repro.net.wire import (
+    DIAL_ATTEMPTS,
+    DIAL_BACKOFF,
+    DIAL_BASE_DELAY,
+    DIAL_JITTER,
+    DIAL_MAX_DELAY,
     MAX_FRAME_BYTES,
     Drained,
     Goodbye,
@@ -423,21 +428,17 @@ def test_wire_channel_rejects_misaddressed_envelopes() -> None:
 
 
 def test_backoff_delays_are_deterministic_capped_and_jittered() -> None:
-    delays = backoff_delays(6, base_delay=0.05, max_delay=0.4,
-                            backoff=2.0, jitter=0.5, seed=7)
-    assert delays == backoff_delays(6, base_delay=0.05, max_delay=0.4,
-                                    backoff=2.0, jitter=0.5, seed=7)
-    assert len(delays) == 5  # one fewer sleep than attempts
-    # Every delay sits in [raw, raw * 1.5] for its capped raw value.
-    raws = [min(0.05 * 2.0 ** n, 0.4) for n in range(5)]
+    delays = backoff_delays(seed=7)
+    assert delays == backoff_delays(seed=7)
+    assert len(delays) == DIAL_ATTEMPTS - 1  # one fewer sleep than attempts
+    # Every delay sits in [raw, raw * (1 + jitter)] for its capped raw value.
+    raws = [min(DIAL_BASE_DELAY * DIAL_BACKOFF ** n, DIAL_MAX_DELAY)
+            for n in range(DIAL_ATTEMPTS - 1)]
+    assert raws[-1] == DIAL_MAX_DELAY  # the cap is reached
     for delay, raw in zip(delays, raws):
-        assert raw <= delay <= raw * 1.5
+        assert raw <= delay <= raw * (1 + DIAL_JITTER)
     # A different seed jitters differently (with overwhelming odds).
-    assert delays != backoff_delays(6, base_delay=0.05, max_delay=0.4,
-                                    backoff=2.0, jitter=0.5, seed=8)
-    assert backoff_delays(1) == []
-    with pytest.raises(ValueError):
-        backoff_delays(0)
+    assert delays != backoff_delays(seed=8)
 
 
 def test_connect_with_backoff_retries_then_succeeds() -> None:
@@ -455,12 +456,12 @@ def test_connect_with_backoff_retries_then_succeeds() -> None:
             slept.append(delay)
 
         result = await connect_with_backoff(
-            "127.0.0.1", 9000, attempts=5, seed=3,
+            "127.0.0.1", 9000, seed=3,
             connect=connect, sleep=sleep,  # type: ignore[arg-type]
         )
         assert result == ("reader", "writer")
         assert calls == [9000, 9000, 9000]
-        assert slept == backoff_delays(5, seed=3)[:2]
+        assert slept == backoff_delays(seed=3)[:2]
 
     asyncio.run(body())
 
@@ -470,13 +471,16 @@ def test_connect_with_backoff_exhausts_attempts() -> None:
         async def connect(host: str, port: int):
             raise ConnectionRefusedError("down")
 
-        async def sleep(delay: float) -> None:
-            pass
+        slept: list[float] = []
 
-        with pytest.raises(WireError, match="after 3 attempts"):
+        async def sleep(delay: float) -> None:
+            slept.append(delay)
+
+        with pytest.raises(WireError, match=f"after {DIAL_ATTEMPTS} attempts"):
             await connect_with_backoff(
-                "127.0.0.1", 9001, attempts=3,
+                "127.0.0.1", 9001,
                 connect=connect, sleep=sleep,  # type: ignore[arg-type]
             )
+        assert slept == backoff_delays()
 
     asyncio.run(body())
