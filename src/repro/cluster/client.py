@@ -38,16 +38,15 @@ have: no connection carries them, so a dead centre costs the monitor no
 site's frames.  Failover progress --
 ``peer_dead`` (warn), re-homing, election, promotion -- lands in the
 same stream as ``warn``-verdict health events, so the monitor shows an
-epoch transition rather than a terminal crash.  ``fail`` verdicts and
-flight-recorder dumps are reserved for genuinely terminal deaths: no
-roster, no failover, or the successor dying too.
+epoch transition rather than a terminal crash.  ``fail`` verdicts are
+reserved for genuinely terminal deaths: no roster, no failover, or the
+successor dying too.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -75,9 +74,6 @@ async def run_client(config: ClusterConfig, site: int, port: int,
         reliability=config.reliability,
         tracer=rig.tracer,
     )
-    # As in serve.py: outgoing ops carry their origin wall-clock stamp,
-    # and executions feed the e2e window.
-    client.span_clock = time.time
     session_config = config.session_config()
     intents = [i for i in generate_random_edits(session_config) if i.site == site]
     remaining = len(intents)
@@ -169,7 +165,6 @@ async def run_client(config: ClusterConfig, site: int, port: int,
     def terminal_peer_death(detail: str, peer: int) -> None:
         rig.timed_out = True
         rig.health("peer_dead", detail, verdict="fail", peer=peer)
-        rig.dump_flight("peer-death")
         rig.done.set()
 
     async def session() -> None:

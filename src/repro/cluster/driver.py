@@ -16,9 +16,9 @@ hosts); every subprocess carries its own hard timeout and writes
 final kill-switch deadline above all of them.
 
 The kill-switch is SIGTERM-first: each process installs a handler that
-dumps its flight recorder before exiting, so a wedged run leaves
-post-mortem evidence instead of vanishing under SIGKILL.  Whatever
-telemetry, flight-recorder, and monitor artifacts survive a failed run
+writes what artifacts it can before exiting, rather than vanishing
+under SIGKILL; every trace is already on disk, flushed per event.
+Whatever trace, telemetry, and monitor artifacts survive a failed run
 are *salvaged* -- named in the failure report rather than discarded
 with the temp directory.
 """
@@ -44,8 +44,8 @@ SPAWN_RETRIES = 3
 PORT_ANNOUNCE_TIMEOUT_S = 15.0
 
 #: Grace between the kill-switch SIGTERM and the follow-up SIGKILL:
-#: long enough for a flight-recorder dump and artifact write, short
-#: enough that a truly wedged process cannot stall the harness.
+#: long enough for the artifact write, short enough that a truly wedged
+#: process cannot stall the harness.
 TERM_GRACE_S = 5.0
 
 
@@ -106,8 +106,8 @@ def _spawn_notifier(
 
 
 def _kill_switch(proc: "subprocess.Popen[str]") -> None:
-    """Terminate gently, then firmly: SIGTERM (so the process can dump
-    its flight recorder and write artifacts), a bounded grace, SIGKILL."""
+    """Terminate gently, then firmly: SIGTERM (so the process can write
+    its artifacts), a bounded grace, SIGKILL."""
     proc.terminate()
     try:
         proc.wait(timeout=TERM_GRACE_S)
@@ -132,18 +132,18 @@ def _salvage_trace(out_dir: Path, site: int) -> list[TraceEvent]:
 
 
 #: The file families a run leaves in its directory: the observability
-#: ones a failed run is salvaged from, and with the per-site results and
-#: traces, everything a reused directory must be cleared of.
-OBSERVABILITY_PATTERNS = ("flight_*.jsonl", "telemetry_*.jsonl", "monitor.jsonl")
-RUN_PATTERNS = ("site_*.json", "trace_*.jsonl", *OBSERVABILITY_PATTERNS)
+#: ones a failed run is salvaged from (the traces among them), and with
+#: the per-site results, everything a reused directory must be cleared of.
+OBSERVABILITY_PATTERNS = ("trace_*.jsonl", "telemetry_*.jsonl", "monitor.jsonl")
+RUN_PATTERNS = ("site_*.json", *OBSERVABILITY_PATTERNS)
 
 
 def salvage_artifacts(out_dir: Path) -> list[str]:
     """The observability files a failed run left behind, by name.
 
-    Telemetry streams are crash-safe (flushed per record) and flight
-    recorders dump on the way down, so even a run whose processes never
-    wrote their result artifacts usually leaves evidence here.
+    Traces and telemetry streams are crash-safe (flushed per record),
+    so even a run whose processes never wrote their result artifacts
+    leaves evidence here.
     """
     names = []
     for pattern in OBSERVABILITY_PATTERNS:

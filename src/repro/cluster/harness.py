@@ -24,7 +24,6 @@ from repro.net.wire import WireChannel, connect_with_backoff, encode_hello, fram
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     TELEMETRY_SCHEMA_VERSION,
-    FlightRecorder,
     HealthEvent,
     TelemetryFrame,
     TelemetrySampler,
@@ -59,12 +58,12 @@ _FLAGS: tuple[tuple[str, str, type, Optional[str]], ...] = (
      "streams land next to the other artifacts for ``repro monitor``"),
     ("crash_notifier_after_s", "--crash-notifier-after", float,
      "fault injection: hard-kill the notifier process this many seconds "
-     "after every client has connected (it dumps its flight recorder first); "
+     "after every client has connected (it traces its crash first); "
      "with failover on, the surviving clients re-elect and the run "
      "still converges"),
     ("failover", "--no-failover", bool,
      "disable live failover: clients open no listening sockets and a "
-     "notifier crash is terminal (flight recorders + salvage)"),
+     "notifier crash is terminal (the traces are the post-mortem)"),
 )
 
 
@@ -92,15 +91,15 @@ class ClusterConfig:
     timeout_s: float = 30.0
     #: Wall seconds between telemetry samples; 0 disables telemetry.
     telemetry_interval_s: float = 0.0
-    #: Fault injection: hard-kill the notifier process (after a
-    #: flight-recorder dump) this many wall seconds after every client
+    #: Fault injection: hard-kill the notifier process (after tracing
+    #: its crash) this many wall seconds after every client
     #: has connected -- counted from full connection, not process
     #: start, so the timing is deterministic relative to the workload.
     crash_notifier_after_s: Optional[float] = None
     #: Live failover: every client opens its own listening socket and a
     #: notifier crash triggers cluster-wide re-election instead of an
     #: early exit.  Off = the pre-failover behaviour (crash is terminal,
-    #: flight recorders dumped, driver salvages).
+    #: the driver salvages what the streams hold).
     failover: bool = True
 
     def __post_init__(self) -> None:
@@ -195,11 +194,6 @@ def telemetry_path(out_dir: Path, site: int) -> Path:
     return out_dir / f"telemetry_{site}.jsonl"
 
 
-def flight_path(out_dir: Path, site: int) -> Path:
-    """The per-process flight-recorder dump (written on crash/kill)."""
-    return out_dir / f"flight_{site}.jsonl"
-
-
 class ProcessRig:
     """What every cluster process is, whatever role it plays.
 
@@ -207,13 +201,14 @@ class ProcessRig:
     one host share the machine clock, so absolute stamps give the driver
     a common axis to merge on -- :func:`repro.cluster.check.merge_traces`
     repairs any causality-violating skew) that streams to
-    ``trace_<site>.jsonl`` from the first event; a flight recorder; the
-    telemetry stream; the kill-switch and the timeout; the result
-    artifact.  A process that dies by ``os._exit`` or SIGKILL writes no
-    result, but every trace event and telemetry record it emitted is
-    already on disk (:class:`~repro.obs.tracer.JsonlWriter` flushes per
-    line) -- which is what keeps the merged-trace cross-check EXACT
-    across a failover.
+    ``trace_<site>.jsonl`` from the first event, the process's one
+    post-mortem record (so the tracer keeps only a bounded ring in
+    memory); the telemetry stream; the kill-switch and the timeout; the
+    result artifact.  A process that dies by ``os._exit`` or SIGKILL
+    writes no result, but every trace event and telemetry record it
+    emitted is already on disk (:class:`~repro.obs.tracer.JsonlWriter`
+    flushes per line) -- which is what keeps the merged-trace
+    cross-check EXACT across a failover.
     """
 
     def __init__(self, config: ClusterConfig, out_dir: Path, site: int,
@@ -223,7 +218,7 @@ class ProcessRig:
         self.site = site
         self.role = role
         self.sched = AsyncioScheduler()
-        self.tracer = Tracer()
+        self.tracer = Tracer(mode="ring")
         self.tracer.bind_clock(time.time)
         out_dir.mkdir(parents=True, exist_ok=True)
         self._trace = JsonlWriter(
@@ -231,7 +226,6 @@ class ProcessRig:
             trace_header({"site": site, "role": role}),
         )
         self.tracer.bind_sink(self._trace.write_event)
-        self.recorder = FlightRecorder(self.tracer)
         #: Set when the run is over, one way or the other.
         self.done = asyncio.Event()
         #: The run did not complete (timeout, kill-switch, terminal peer
@@ -247,15 +241,10 @@ class ProcessRig:
             self._sigterm_installed = False
 
     def _on_sigterm(self) -> None:
-        # The driver's kill-switch: record the evidence, then let the
-        # normal shutdown path write whatever artifacts it still can.
+        # The driver's kill-switch: let the normal shutdown path write
+        # whatever artifacts it still can.
         self.timed_out = True
-        self.dump_flight("kill-switch")
         self.done.set()
-
-    def dump_flight(self, reason: str) -> None:
-        self.recorder.dump(flight_path(self.out_dir, self.site), reason=reason,
-                           site=self.site, role=self.role)
 
     def start_telemetry(self, live: Callable[[], Any]) -> None:
         """Sample ``live()`` every telemetry interval (a no-op when off).
@@ -305,7 +294,6 @@ class ProcessRig:
             await asyncio.wait_for(self.done.wait(), self.config.timeout_s)
         except asyncio.TimeoutError:
             self.timed_out = True
-            self.dump_flight("timeout")
 
     def close_streams(self) -> None:
         if self._sampler is not None:

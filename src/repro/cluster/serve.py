@@ -35,21 +35,19 @@ Observability: with ``--telemetry-interval`` the notifier runs a
 :class:`~repro.obs.telemetry.TelemetrySampler` on its scheduler,
 appending its own frames to a crash-safe ``telemetry_0.jsonl`` stream,
 as every client does to its own; the watchdogs that judge those
-streams run in ``repro monitor``, which reads them all.  A
-:class:`~repro.obs.telemetry.FlightRecorder` dumps the recent trace
-tail to ``flight_0.jsonl`` on the driver's kill-switch (SIGTERM), on
-timeout, and on the injected ``--crash-notifier-after`` fault (which
-then hard-exits without writing artifacts, like a real crash).  The
-trace itself streams to ``trace_0.jsonl`` as events are emitted, so
-the injected crash still leaves the generation events the driver's
-merged-trace cross-check needs to stay EXACT across a failover.
+streams run in ``repro monitor``, which reads them all.  The trace
+streams to ``trace_0.jsonl`` as events are emitted and is the
+process's one post-mortem: the injected ``--crash-notifier-after``
+fault traces a ``crashed`` event and hard-exits without writing
+artifacts, like a real crash, and the file still holds the generation
+events the driver's merged-trace cross-check needs to stay EXACT
+across a failover.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import time
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -70,6 +68,7 @@ from repro.net.wire import (
     pump,
     read_frame,
 )
+from repro.obs.tracer import TraceEventKind
 
 
 class Hub:
@@ -262,9 +261,6 @@ async def serve(config: ClusterConfig, out_dir: Path,
         reliability=config.reliability,
         tracer=rig.tracer,
     )
-    # Stamp ops with their origin's wall clock for the live e2e gauge;
-    # the trace, on the same clock, is what the offline spans read.
-    notifier.span_clock = time.time
 
     def on_hello(member: int) -> None:
         if len(hub.writers) == config.clients:
@@ -292,7 +288,6 @@ async def serve(config: ClusterConfig, out_dir: Path,
             # centre mid-run".
             await hub.pumps_open.wait()
             await asyncio.sleep(config.crash_notifier_after_s)
-            rig.dump_flight("injected-crash")
             # With failover armed this death is survivable -- the
             # monitor should show a warning and then the epoch
             # transition, not a terminal verdict.
@@ -304,10 +299,14 @@ async def serve(config: ClusterConfig, out_dir: Path,
             )
             if rig.telem is not None:
                 rig.telem.close()
+            # The event StarNotifier.crash traces in the simulator, so
+            # the trace ends with why it ends.
+            rig.tracer.emit(TraceEventKind.CRASHED, rig.site,
+                            epoch=notifier.notifier_epoch)
             # A real crash writes no result artifacts: exit without
-            # passing go.  The flight recorder, the flushed telemetry
-            # stream, and the streamed trace are all that survives --
-            # which is the point of having them.
+            # passing go.  The flushed telemetry stream and the streamed
+            # trace are all that survives -- which is the point of
+            # having them.
             os._exit(70)
 
         crash_task = asyncio.ensure_future(crash())

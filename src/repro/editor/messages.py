@@ -42,20 +42,14 @@ class OpMessage:
     Shared by reference and never mutated: the simulator hands the
     sender's object to the receiver, and a reliable sender retains it
     for retransmission.  Not ``frozen`` -- the notifier builds one per
-    destination per operation, and a frozen ``__init__`` is seven
+    destination per operation, and a frozen ``__init__`` is six
     ``object.__setattr__`` calls -- so the rule is held by
     ``tests/unit/test_source_hygiene.py``: nothing under ``src/`` stores
     to one of these field names except on ``self``.
 
-    ``origin_wall`` is the wall-clock instant the operation was
-    generated, measured on the *origin site's* clock.  It is ``None``
-    in deterministic simulator sessions (where no wall clock exists and
-    the wire bytes must stay byte-identical to the paper's accounting)
-    and stamped by cluster processes whose endpoints have an armed
-    ``span_clock`` -- the notifier forwards it unchanged on broadcast,
-    so every remote execution feeds the live end-to-end gauge with it
-    (uncorrected for clock skew; :mod:`repro.obs.spans` corrects the
-    trace offline).
+    Every field is the paper's or an identity, so a cluster process
+    sends the simulator's bytes; latency is read off the trace
+    (:mod:`repro.obs.spans` offline, the monitor's derived gauge live).
     """
 
     op: Any
@@ -63,7 +57,6 @@ class OpMessage:
     origin_site: int  # site the operation was originally generated at
     op_id: str
     source_op_id: str | None = None  # for notifier outputs: the input op
-    origin_wall: float | None = None  # origin wall clock (live e2e gauge)
     # Set by the notifier on the siblings of one broadcast, which agree
     # in every field but ``timestamp``; no part of the message's value.
     shared: BroadcastBody | None = field(default=None, compare=False, repr=False)

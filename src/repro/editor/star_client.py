@@ -232,9 +232,7 @@ class StarClient(EditorEndpoint):
             )
         if self.failover is not None:
             self._incorporated.add(op_id)
-        origin_wall = self.span_clock() if self.span_clock is not None else None
-        message = OpMessage(op=op, timestamp=ts, origin_site=self.pid,
-                            op_id=op_id, origin_wall=origin_wall)
+        message = OpMessage(op=op, timestamp=ts, origin_site=self.pid, op_id=op_id)
         self.send(self.center, message, timestamp_bytes=ts.size_bytes())
         return op_id
 
@@ -346,10 +344,6 @@ class StarClient(EditorEndpoint):
                 TraceEventKind.EXECUTED, self.pid, op_id=message.op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        if self.span_clock is not None and message.origin_wall is not None:
-            # The live end-to-end gauge, uncorrected: this site's clock
-            # minus the origin's stamp (the trace corrects skew offline).
-            self.e2e_window.append(self.span_clock() - message.origin_wall)
 
     def _concurrency_pass(self, message: OpMessage) -> list[HistoryEntry]:
         """Run formula (5) over the HB; record and (optionally) verify."""

@@ -181,8 +181,7 @@ class StarNotifier(EditorEndpoint):
                     new_op, entry.op, source < entry.origin_site
                 )
                 entry.op = updated
-        self._execute_and_broadcast(new_op, source, message.op_id, ts,
-                                    origin_wall=message.origin_wall)
+        self._execute_and_broadcast(new_op, source, message.op_id, ts)
 
     def _prune_history(self) -> None:
         """Drop the ``HB_0`` prefix no destination's queue still starts at.
@@ -200,10 +199,8 @@ class StarNotifier(EditorEndpoint):
                 {queue[0].op_id for queue in self.sent_to.values() if queue}
             )
 
-    def _execute_and_broadcast(
-        self, new_op: Any, source: int, source_op_id: str,
-        ts: CompressedTimestamp, origin_wall: float | None = None
-    ) -> None:
+    def _execute_and_broadcast(self, new_op: Any, source: int, source_op_id: str,
+                               ts: CompressedTimestamp) -> None:
         """Execute; the transformed operation becomes a *new* operation
         "generated at site 0" (paper Section 3.1 / Fig. 3), broadcast to
         every other destination with a per-destination compressed
@@ -229,9 +226,6 @@ class StarNotifier(EditorEndpoint):
                 source_op_id=source_op_id,
                 timestamp=tuple(self.sv.full_timestamp().as_paper_list()),
             )
-        if (origin_wall is not None and self.span_clock is not None
-                and source != self.pid):
-            self.e2e_window.append(self.span_clock() - origin_wall)
         self.hb.append(
             HistoryEntry(
                 op=new_op,
@@ -264,7 +258,7 @@ class StarNotifier(EditorEndpoint):
             send(
                 dest,
                 OpMessage(new_op, dest_ts, source, transformed_id, source_op_id,
-                          origin_wall, shared),
+                          shared),
                 ts_bytes,
             )
             sent_to[dest].append(PendingOp(new_op, transformed_id, source))
@@ -295,7 +289,6 @@ class StarNotifier(EditorEndpoint):
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        origin_wall = self.span_clock() if self.span_clock is not None else None
         message = OpMessage(op=op, timestamp=ts, origin_site=self.pid, op_id=op_id)
         diagnostics = self.record_checks or self.verify_with_oracle
         if diagnostics:
@@ -305,8 +298,7 @@ class StarNotifier(EditorEndpoint):
                     f"notifier: centre-local op {op_id} tested concurrent with "
                     f"{[e.op_id for e in concurrent_entries]}"
                 )
-        self._execute_and_broadcast(op, self.pid, op_id, ts,
-                                    origin_wall=origin_wall)
+        self._execute_and_broadcast(op, self.pid, op_id, ts)
         return op_id
 
     def _concurrency_pass(self, message: OpMessage, source: int) -> list[HistoryEntry]:
@@ -465,11 +457,6 @@ class StarNotifier(EditorEndpoint):
         # Share the spoke channels: outgoing sends must reach the wires
         # the topology attached to the successor process.
         notifier.out_channels = client.out_channels
-        # Role transfer keeps the latency observatory armed: the
-        # promoted centre stamps its own local edits and keeps feeding
-        # the live end-to-end gauge across the epoch boundary.
-        notifier.span_clock = client.span_clock
-        notifier.e2e_window = client.e2e_window
         for site in range(1, n_sites + 1):
             if site == client.pid:
                 notifier.sv.counts[site - 1] = client.sv.generated_locally

@@ -32,31 +32,16 @@ from repro.ot.operations import Delete, Identity, Insert, Operation, OperationGr
 # its length.
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
 _TIMESTAMP = struct.Struct(">II")
 _OP_HEAD = struct.Struct(">IIII")  # timestamp, origin site, op-id length
 _OP_BODY_HEAD = struct.Struct(">II")  # the same run without the timestamp
 _OP_FIELDS = struct.Struct(">BII")  # tag, pos, then text length or count
 _GROUP_HEAD = struct.Struct(">BI")  # tag, member count
-_TRAILER_HEAD = struct.Struct(">BB")  # trailer version, presence bitmap
-_TRAILER = struct.Struct(">BBd")  # ... and the origin wall clock
 
 TAG_INSERT = 0x01
 TAG_DELETE = 0x02
 TAG_IDENTITY = 0x03
 TAG_GROUP = 0x04
-
-#: Version tag of the *optional trailer* appended after the operation
-#: body of an encoded :class:`~repro.editor.messages.OpMessage`.  The
-#: original (version-1) encoding ends exactly at the operation and has
-#: no version field at all, so -- like the TelemetryFrame v2 extension
-#: -- new optional fields live in a versioned trailer: absent for plain
-#: messages (byte-identical to v1, keeping the paper's byte accounting
-#: exact), present when the message carries extension fields.  A
-#: decoder seeing trailing bytes reads the trailer version first and
-#: rejects versions it does not know.
-OP_TRAILER_VERSION = 2
-
 
 class CodecError(ValueError):
     """Raised on malformed wire data."""
@@ -82,9 +67,6 @@ class Writer:
 
     def u32(self, value: int) -> "Writer":
         return self.pack(_U32, value)
-
-    def f64(self, value: float) -> "Writer":
-        return self.pack(_F64, value)
 
     def string(self, value: str) -> "Writer":
         data = value.encode("utf-8")
@@ -135,9 +117,6 @@ class Reader:
 
     def u32(self) -> int:
         return self.unpack(_U32)[0]
-
-    def f64(self) -> float:
-        return self.unpack(_F64)[0]
 
     def string(self) -> str:
         return self.text(self.u32())
@@ -224,14 +203,11 @@ def decode_operation(reader: Reader, depth: int = 0) -> Operation:
 def encode_op_message(message: OpMessage) -> bytes:
     """Serialise a :class:`repro.editor.messages.OpMessage` to bytes.
 
-    The layout is ``8-byte timestamp || body``.  A message without
-    extension fields encodes byte-identically to the original format;
-    ``origin_wall`` (when set) travels in the
-    :data:`OP_TRAILER_VERSION` trailer: u8 trailer version, u8 presence
-    bitmap (bit 0 = origin_wall), then the present fields in bitmap
-    order.  The siblings of one notifier broadcast differ in the
-    timestamp only: the first one encoded leaves the body's bytes on
-    their ``shared`` record for the rest.
+    The layout is ``8-byte timestamp || body``, and nothing follows the
+    operation: a decoder refuses trailing bytes.  The siblings of one
+    notifier broadcast differ in the timestamp only: the first one
+    encoded leaves the body's bytes on their ``shared`` record for the
+    rest.
     """
     ts = message.timestamp
     shared = message.shared
@@ -243,15 +219,13 @@ def encode_op_message(message: OpMessage) -> bytes:
 
 
 def _encode_op_body(message: OpMessage, head: struct.Struct, *stamp: int) -> bytes:
-    """Everything after the timestamp: ids, the operation, the trailer.
+    """Everything after the timestamp: ids, then the operation.
     With a ``stamp`` (and the head that has room for it) the timestamp
     leads the body's first run, and the bytes are the whole message."""
     op_id = message.op_id.encode("utf-8")
     writer = Writer().pack(head, *stamp, message.origin_site, len(op_id)).raw(op_id)
     writer.string(message.source_op_id or "")
     encode_operation(message.op, writer)
-    if message.origin_wall is not None:
-        writer.pack(_TRAILER, OP_TRAILER_VERSION, 0x01, message.origin_wall)
     return writer.getvalue()
 
 
@@ -261,15 +235,6 @@ def decode_op_message(data: bytes) -> OpMessage:
     op_id = reader.text(id_length)
     source_op_id = reader.string() or None
     op = decode_operation(reader)
-    origin_wall = None
-    if not reader.done():
-        version, present = reader.unpack(_TRAILER_HEAD)
-        if version != OP_TRAILER_VERSION:
-            raise CodecError(f"unknown op-message trailer version {version}")
-        if present & ~0x01:
-            raise CodecError(f"unknown op-message trailer fields 0x{present:02x}")
-        if present & 0x01:
-            origin_wall = reader.f64()
     reader.expect_done()
     return OpMessage(
         op=op,
@@ -277,5 +242,4 @@ def decode_op_message(data: bytes) -> OpMessage:
         origin_site=origin_site,
         op_id=op_id,
         source_op_id=source_op_id,
-        origin_wall=origin_wall,
     )

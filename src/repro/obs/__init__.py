@@ -20,20 +20,21 @@ only lazily, inside functions.  The pieces:
 * :func:`latency_histograms` -- per-site generation-to-execution
   latency from the same trace, each execution paired with its
   generation by :class:`~repro.obs.tracer.Origins`;
-* :class:`TelemetryFrame` / :class:`TelemetrySampler` / the watchdogs /
-  :class:`FlightRecorder` (:mod:`repro.obs.telemetry`) -- live runtime
-  gauges sampled on any scheduler, health verdicts over the gauge
-  stream, and the crash-time trace-tail dump;
+* :class:`TelemetryFrame` / :class:`TelemetrySampler` / the watchdogs
+  (:mod:`repro.obs.telemetry`) -- live runtime gauges sampled on any
+  scheduler and health verdicts over the gauge stream;
 * :mod:`repro.obs.monitor` -- the cross-process aggregator behind
-  ``python -m repro monitor``: one ingest for the stream files and the
-  UDP sideband (:class:`TelemetryTailer`), totals folded as each
-  gauge's declaration says, and the ``--follow`` sparkline dashboard;
+  ``python -m repro monitor``: one tailer for the telemetry streams and
+  the traces beside them (:class:`TelemetryTailer`, which derives the
+  end-to-end gauge from the traces), totals folded as each gauge's
+  declaration says, and the ``--follow`` sparkline dashboard;
 * :mod:`repro.obs.spans` -- the end-to-end latency observatory:
   per-site-pair skew-corrected latency percentiles, derived from the
   generation, release, transform and execution events the trace already
   records (:func:`assemble_spans`, :class:`SkewEstimator`);
 * JSONL and Chrome ``trace_event`` serialisation, including the
-  crash-safe :class:`JsonlWriter` the telemetry streams ride on.
+  crash-safe :class:`JsonlWriter` the traces and telemetry streams
+  ride on -- a cluster process's streamed trace is its post-mortem.
 """
 
 from repro.obs.analysis import (
@@ -47,7 +48,6 @@ from repro.obs.monitor import aggregate, run_monitor
 from repro.obs.telemetry import (
     CausalStallWatchdog,
     DivergenceSentinel,
-    FlightRecorder,
     HealthEvent,
     RetransmitStormWatchdog,
     SilenceWatchdog,
@@ -72,7 +72,6 @@ __all__ = [
     "TRACE_FORMAT",
     "CausalStallWatchdog",
     "DivergenceSentinel",
-    "FlightRecorder",
     "HealthEvent",
     "Histogram",
     "JsonlWriter",

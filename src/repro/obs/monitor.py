@@ -18,6 +18,11 @@ the previous poll -- every record is parsed exactly once over the
 monitor's lifetime, however long the run (re-reading whole files each
 interval would make the monitor quadratic in run length).
 
+No process measures ``e2e_p95_ms``: the tailer follows the
+``trace_<site>.jsonl`` files the same way, pairs each ``executed`` event
+with its ``generated`` one through :class:`~repro.obs.tracer.Origins`,
+and writes the p95 of each site's last 64 latencies into its frame.
+
 Each process's stream holds its own frames only, and it is the one
 carriage they have: no process forwards another's, so no centre's
 death costs the monitor a site.  Every frame enters through
@@ -31,9 +36,9 @@ says what the run is (``sites``, ``expected_ops``, ``interval_s``), and
 from it the monitor builds the four watchdogs of
 :mod:`repro.obs.telemetry` and feeds them every frame it ingests, each
 site's in ``seq`` order.  Silence is clocked by each stream file's
-modification time, measured against the newest stream's, so a run whose
-processes end together flags nobody and ``--once`` can still judge who
-stopped early; a site whose own stream recorded its ``crash`` was graded
+modification time, measured against the newest file's (traces too), so
+a run whose processes end together flags nobody and ``--once`` can
+still judge who stopped early; a site whose own stream recorded its ``crash`` was graded
 there and is not flagged silent again.  The divergence sentinel is the
 one divergence rule: ``digests=DIVERGED`` and exit code 2 say the same
 thing.
@@ -60,7 +65,7 @@ import json
 import sys
 import time as _time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
@@ -75,7 +80,8 @@ from repro.obs.telemetry import (
     TelemetryFrame,
     Watchdog,
 )
-from repro.obs.tracer import Histogram, JsonlWriter, MetricsRegistry
+from repro.obs.tracer import (Histogram, JsonlWriter, MetricsRegistry, Origins,
+                              TraceEvent, TraceEventKind)
 
 MONITOR_FORMAT = "repro-obs-monitor-v1"
 MONITOR_SCHEMA_VERSION = 1
@@ -97,14 +103,16 @@ _KEPT = {keep: [spec.name for spec in fields(TelemetryFrame)
 class TelemetryTailer:
     """The monitor's state: every frame enters by :meth:`ingest`.
 
-    :meth:`poll` keeps one byte cursor per ``telemetry_*.jsonl`` file;
-    each call consumes only the *complete* lines appended since (a
-    partial line that a writer is mid-flush on stays unconsumed until
+    :meth:`poll` keeps one byte cursor per ``telemetry_*.jsonl`` and
+    ``trace_*.jsonl`` file; each call consumes only the *complete* lines
+    appended since (a partial line that a writer is mid-flush on stays unconsumed until
     its newline lands) -- so a record is parsed exactly once over the
     tailer's lifetime, which :attr:`records_parsed` counts and the
     exactly-once unit test pins.  An accepted frame is folded into
     :attr:`latest` and :attr:`kept` at once and handed to the
-    :attr:`watchdogs`: no list of frames is held.
+    :attr:`watchdogs`: no list of frames is held.  A poll pairs the
+    traces first, so a frame is ingested with its site's derived
+    ``e2e_p95_ms`` and that series fills as any other's.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
@@ -128,6 +136,11 @@ class TelemetryTailer:
         self.latest: dict[int, TelemetryFrame] = {}
         #: The frame count and every sampled value of the series gauges.
         self.kept = MetricsRegistry()
+        self._origins = Origins()
+        #: Executions whose generation no poll has read yet.
+        self._unpaired: list[TraceEvent] = []
+        #: Per executing site, its last 64 latencies (ms).
+        self._e2e: dict[int, deque[float]] = {}
 
     def ingest(self, frame: TelemetryFrame) -> list[HealthEvent]:
         """Offer a frame; returns the watchdogs' verdicts on it (none for
@@ -136,7 +149,7 @@ class TelemetryTailer:
         held = self.latest.get(frame.site)
         if held is not None and held.seq >= frame.seq:
             return []
-        self.latest[frame.site] = frame
+        frame = self.latest[frame.site] = self._with_e2e(frame)
         self.kept.inc("telemetry.frames")
         for name in _KEPT["series"]:
             value = getattr(frame, name)
@@ -164,9 +177,14 @@ class TelemetryTailer:
                             self._crashed.add(record.site)
                 elif not self.watchdogs:
                     self._arm(record)
+        self._pair([record for path in sorted(self.out_dir.glob("trace_*.jsonl"))
+                    for record in self._read_new(path)
+                    if isinstance(record, TraceEvent)])
         # Each site's frames in seq order, as the watchdogs expect.
         for frame in sorted(frames, key=lambda f: (f.site, f.seq)):
             health += self.ingest(frame)
+        for site, frame in self.latest.items():
+            self.latest[site] = self._with_e2e(frame)
         if self._mtimes:
             newest = max(self._mtimes.values())
             # A site whose own stream recorded its crash was graded there:
@@ -176,6 +194,32 @@ class TelemetryTailer:
                        if event.site not in self._crashed]
         health.sort(key=lambda e: (e.time, e.site, e.kind))
         return health
+
+    def _pair(self, events: list[TraceEvent]) -> None:
+        """New trace events, and the executions still waiting, through
+        :class:`Origins` in time order: the files are read one after
+        another, so an execution can be read a poll before its generation."""
+        batch = sorted([*self._unpaired, *events],
+                       key=lambda e: (e.time, e.kind is TraceEventKind.EXECUTED))
+        self._unpaired = []
+        for event in batch:
+            origin = self._origins.see(event)
+            if event.kind is not TraceEventKind.EXECUTED:
+                continue
+            if origin is None:
+                self._unpaired.append(event)
+            elif origin.site != event.site:  # remote executions only
+                self._e2e.setdefault(event.site, deque(maxlen=64)).append(
+                    (event.time - origin.time) * 1e3)
+
+    def _with_e2e(self, frame: TelemetryFrame) -> TelemetryFrame:
+        """``frame`` carrying its site's derived p95, once it has one."""
+        window = self._e2e.get(frame.site)
+        if not window:
+            return frame
+        latencies = Histogram()
+        latencies.values.extend(window)
+        return replace(frame, e2e_p95_ms=latencies.percentile(95))
 
     def _arm(self, header: dict[str, Any]) -> None:
         """Build the watchdogs a stream header describes (a header that
@@ -205,9 +249,9 @@ class TelemetryTailer:
 
     def _read_new(
         self, path: Path
-    ) -> Iterator[Union[TelemetryFrame, HealthEvent, dict[str, Any]]]:
-        """The records ``path`` gained: frames, health events, and the
-        stream header (a dict) when the file is read from its start."""
+    ) -> Iterator[Union[TelemetryFrame, HealthEvent, TraceEvent, dict[str, Any]]]:
+        """The records ``path`` gained, and its header (a dict) when the
+        file is read from its start."""
         offset = self._offsets.get(path, 0)
         try:
             stat = path.stat()
@@ -234,7 +278,7 @@ class TelemetryTailer:
                 data = json.loads(line)
             except ValueError:
                 continue  # torn line from a killed writer
-            rec = data.get("rec")  # the stream header has none
+            rec = data.get("rec")  # headers and trace events have none
             try:
                 if rec == "frame":
                     self.records_parsed += 1
@@ -242,6 +286,9 @@ class TelemetryTailer:
                 elif rec == "health":
                     self.records_parsed += 1
                     yield HealthEvent.from_json(line)
+                elif "kind" in data:
+                    self.records_parsed += 1
+                    yield TraceEvent.from_json(line)
                 elif rec is None:
                     yield data
             except (ValueError, KeyError, TypeError):

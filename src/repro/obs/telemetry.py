@@ -1,4 +1,4 @@
-"""Live runtime telemetry: gauges, samplers, watchdogs, flight recorder.
+"""Live runtime telemetry: gauges, samplers, watchdogs.
 
 The tracer (:mod:`repro.obs.tracer`) records what *happened* to each
 operation; this module records what the system *looks like* while it
@@ -24,12 +24,6 @@ The module is stdlib-only, like the tracer it sits beside: gauge
 collection duck-types the endpoint/transport surfaces (``getattr`` with
 defaults), so it never imports upward and any layer can hold a sampler
 without cycles.
-
-The :class:`FlightRecorder` completes the post-mortem story: it wraps a
-tracer (typically one in ``mode="ring"``) and dumps the bounded tail of
-recent events to a trace-format JSONL file on crash, peer-death, or the
-driver's kill-switch -- so a run that never finished still leaves
-evidence.
 """
 
 from __future__ import annotations
@@ -37,10 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields
-from pathlib import Path
-from typing import Any, Callable, Optional, Protocol, Sequence, Union
-
-from repro.obs.tracer import Histogram, JsonlWriter, TraceEvent, Tracer, trace_header
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 TELEMETRY_FORMAT = "repro-obs-telemetry-v1"
 
@@ -113,11 +104,10 @@ class TelemetryFrame:
     # local edits queued while leaderless
     degraded_queued: int = _gauge(0, fold="sum", keep="latest")
     digest: str = _gauge("")  # document_digest() of the replica
-    #: p95 over the endpoint's rolling window of *uncorrected*
-    #: end-to-end latencies (milliseconds; origin wall-clock stamp to
-    #: local execution).  ``None`` when span instrumentation is
-    #: disabled or nothing remote has executed yet -- the common case
-    #: for simulator sessions, hence last and optional.  Across sites
+    #: p95 over the site's last 64 *uncorrected* end-to-end latencies
+    #: (ms; ``generated`` at the origin to ``executed`` here).  No
+    #: process samples it: the monitor derives it from the traces, so
+    #: it is absent on disk -- hence last and optional.  Across sites
     #: the worst one is shown, not an average of percentiles (which
     #: would be meaningless): the site a human would look at first.
     e2e_p95_ms: Optional[float] = _gauge(None, fold="max", keep="series")
@@ -226,9 +216,6 @@ def snapshot_endpoint(
     site = int(getattr(endpoint, "pid", 0))
     if role is None:
         role = "notifier" if site == 0 else "client"
-    latencies_ms = Histogram()  # an empty window has no percentile: None
-    latencies_ms.values.extend(
-        seconds * 1e3 for seconds in getattr(endpoint, "e2e_window", ()))
     return TelemetryFrame(
         site=site,
         role=role,
@@ -248,7 +235,6 @@ def snapshot_endpoint(
         resynced=int(getattr(stats, "handoffs", 0)),
         degraded_queued=int(getattr(stats, "degraded_queued", 0)),
         digest=document_digest(getattr(endpoint, "document", "")),
-        e2e_p95_ms=latencies_ms.percentile(95),
     )
 
 
@@ -544,61 +530,11 @@ class TelemetrySampler:
         self._arm()
 
 
-# -- the flight recorder -------------------------------------------------------
-
-
-class FlightRecorder:
-    """Dump the tail of a tracer's events for post-mortems.
-
-    Wraps any tracer -- a ``mode="ring"`` tracer for processes that
-    cannot afford a full trace, or a full tracer whose tail is taken at
-    dump time -- and writes the most recent ``capacity`` events as a
-    standard trace-format JSONL file (readable by
-    :func:`repro.obs.tracer.read_jsonl`) with the dump reason in the
-    header.  ``dump`` is once-only per recorder: the *first* trigger
-    (crash, peer-death, kill-switch) is the interesting state, and
-    later triggers on the way down must not overwrite it.
-    """
-
-    def __init__(self, tracer: Tracer, *, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.tracer = tracer
-        self.capacity = capacity
-        self.dumped: Optional[str] = None  # the reason of the first dump
-
-    def tail(self) -> list[TraceEvent]:
-        """The most recent events, bounded by ``capacity``."""
-        events = list(self.tracer.events)
-        return events[-self.capacity:]
-
-    def dump(self, path: Union[str, Path], *, reason: str, site: int,
-             role: str) -> bool:
-        """Write the tail to ``path``; False if already dumped."""
-        if self.dumped is not None:
-            return False
-        self.dumped = reason
-        events = self.tail()
-        header = trace_header({
-            "site": site,
-            "role": role,
-            "reason": reason,
-            "flight_recorder": True,
-            "emitted": self.tracer.emitted,
-            "capacity": self.capacity,
-        })
-        with JsonlWriter(path, header) as writer:
-            for event in events:
-                writer.write_event(event)
-        return True
-
-
 __all__ = [
     "TELEMETRY_FORMAT",
     "TELEMETRY_SCHEMA_VERSION",
     "CausalStallWatchdog",
     "DivergenceSentinel",
-    "FlightRecorder",
     "HealthEvent",
     "RetransmitStormWatchdog",
     "SilenceWatchdog",

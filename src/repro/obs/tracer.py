@@ -285,12 +285,12 @@ class Tracer:
     with virtual time.  The bundled :class:`MetricsRegistry` holds what
     the layers count beside their events (session runs, failover losses).
 
-    Ring mode (the flight recorder's substrate): constructed with
-    ``mode="ring"``, the tracer keeps only the most recent
-    ``ring_capacity`` events in a bounded deque -- constant memory, for
-    processes that want a post-mortem tail rather than a full trace.
+    Ring mode: constructed with ``mode="ring"``, the tracer keeps only
+    the most recent ``ring_capacity`` events in a bounded deque --
+    constant memory, for processes whose record is the file a bound
+    sink streams to (every cluster process) rather than the list.
     ``index`` stays the global emission index either way (``emitted``
-    counts every emission, evicted or not), so a dumped ring is still a
+    counts every emission, evicted or not), so the ring is still a
     causally ordered slice of the full trace.
     """
 
@@ -405,8 +405,8 @@ def write_jsonl(
 
     The stream is flushed before returning, so a caller that crashes
     *after* this call still leaves a complete file behind.  For files
-    that grow record-by-record over a process's lifetime (telemetry
-    streams, flight-recorder dumps) use :class:`JsonlWriter`, which
+    that grow record-by-record over a process's lifetime (traces and
+    telemetry streams) use :class:`JsonlWriter`, which
     flushes after every record.
     """
     fh.write(json.dumps(trace_header(header)) + "\n")

@@ -19,8 +19,7 @@ a constructor argument.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.net.process import SimProcess
 from repro.net.reliability import AnyTransport, build_transport
@@ -40,19 +39,6 @@ class EditorEndpoint(SimProcess):
                  *, adopt_transport: Optional[AnyTransport] = None) -> None:
         super().__init__(sim, pid)
         self.tracer = tracer
-        #: Wall-clock source of the ``origin_wall`` stamp the live
-        #: end-to-end gauge reads.  ``None`` (the default, and the only
-        #: value simulator sessions ever see) stamps nothing, so the
-        #: paper's byte accounting is untouched.  Cluster processes arm
-        #: it with ``time.time``, the clock their tracers stamp too:
-        #: offline, :mod:`repro.obs.spans` reads latency off the trace.
-        self.span_clock: Optional[Callable[[], float]] = None
-        #: Rolling window of recent *uncorrected* end-to-end latencies
-        #: (seconds; this site's clock minus the op's origin stamp),
-        #: fed on every execution of a stamped arrival and
-        #: published live through the telemetry sampler.  Empty unless
-        #: ``span_clock`` is armed.
-        self.e2e_window: deque[float] = deque(maxlen=64)
         if adopt_transport is not None:
             # Role transfer (notifier failover): the new endpoint takes
             # over an existing transport -- live links, sequence numbers,

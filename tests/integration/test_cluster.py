@@ -273,27 +273,57 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
         result, _ = read_artifacts(tmp_path, site)
         assert snapshot.totals["ops_executed"][site] == result.executed_ops
         assert snapshot.latest[site].retransmits == result.retransmits
+    # The end-to-end gauge no process sampled is derived from the traces:
+    # each site's equals the p95 of its last 64 remote pairs.
+    reference = _reference_e2e_p95(tmp_path, 4)
+    assert set(reference) == {0, 1, 2, 3}
+    assert {site: snapshot.latest[site].e2e_p95_ms for site in range(4)} == reference
     # The CI probe mode exits clean and leaves the artifact behind.
     assert run_monitor(tmp_path, once=True, emit=lambda _: None) == 0
     assert (tmp_path / "monitor.jsonl").exists()
 
 
-def test_injected_notifier_crash_without_failover_leaves_flight_recorders(
+def _reference_e2e_p95(out_dir: Path, sites: int) -> dict[int, float]:
+    """Per executing site, the p95 (ms) of the last 64 ``executed -
+    generated`` pairs from another site, over the merged traces."""
+    from repro.cluster.harness import trace_path
+    from repro.obs.tracer import Histogram, Origins, TraceEventKind, read_jsonl
+
+    merged = []
+    for site in range(sites):
+        with trace_path(out_dir, site).open() as fh:
+            merged += read_jsonl(fh, lenient=True)[1]
+    origins = Origins()
+    pairs: dict[int, list[float]] = {}
+    for event in sorted(merged, key=lambda e: (e.time, e.kind is TraceEventKind.EXECUTED)):
+        origin = origins.see(event)
+        if origin is not None and origin.site != event.site:
+            pairs.setdefault(event.site, []).append((event.time - origin.time) * 1e3)
+    out = {}
+    for site, latencies in pairs.items():
+        window = Histogram()
+        window.values = latencies[-64:]
+        out[site] = window.percentile(95)
+    return out
+
+
+def test_injected_notifier_crash_without_failover_leaves_its_traces(
     tmp_path: Path,
 ) -> None:
     """The negative test: failover disabled, a crash is cleanly terminal.
 
     The notifier hard-exits mid-run with ``failover=False``; every
-    process must dump a flight recorder, the clients must flag the dead
-    peer *live* (a ``fail`` health event in their telemetry streams,
-    written before the run ends), and the driver must salvage the
-    artifacts by name instead of discarding the run -- the explained
-    failure, not a hang or an unexplained one.
+    process's streamed trace is its post-mortem, and the notifier's ends
+    with the ``crashed`` event it traced on the way down; the clients
+    must flag the dead peer *live* (a ``fail`` health event in their
+    telemetry streams, written before the run ends), and the driver must
+    salvage the artifacts by name instead of discarding the run -- the
+    explained failure, not a hang or an unexplained one.
     """
     from repro.cluster.driver import ClusterError
-    from repro.cluster.harness import flight_path, telemetry_path
+    from repro.cluster.harness import telemetry_path, trace_path
     from repro.obs.monitor import TelemetryTailer
-    from repro.obs.tracer import read_jsonl
+    from repro.obs.tracer import TraceEventKind, read_jsonl
 
     config = ClusterConfig(clients=2, ops_per_client=20, seed=5,
                            time_scale=0.3, timeout_s=8.0,
@@ -302,19 +332,20 @@ def test_injected_notifier_crash_without_failover_leaves_flight_recorders(
                            failover=False)
     with pytest.raises(ClusterError) as excinfo:
         run_cluster(config, tmp_path)
-    # The failure report names the salvaged observability artifacts.
+    # The failure report names the salvaged artifacts, the traces among them.
     assert "salvaged" in str(excinfo.value)
-    assert "flight_0.jsonl" in str(excinfo.value)
+    assert "trace_0.jsonl" in str(excinfo.value)
 
-    # A flight-recorder dump from every process, in trace format.
+    # Every process's trace reads, a torn tail forgiven.
+    traces = {}
     for site in range(3):
-        with flight_path(tmp_path, site).open() as fh:
-            header, _events = read_jsonl(fh, lenient=True)
-        assert header["flight_recorder"] is True
+        with trace_path(tmp_path, site).open() as fh:
+            header, traces[site] = read_jsonl(fh, lenient=True)
         assert header["site"] == site
-    with flight_path(tmp_path, 0).open() as fh:
-        header, _events = read_jsonl(fh, lenient=True)
-    assert header["reason"] == "injected-crash"
+        assert traces[site]
+    # The notifier's ends with why it ends.
+    last = traces[0][-1]
+    assert (last.kind, last.site, last.epoch) == (TraceEventKind.CRASHED, 0, 0)
 
     # The clients flagged the dead notifier live, before the run ended.
     health = TelemetryTailer(tmp_path).poll()

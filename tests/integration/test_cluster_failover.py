@@ -18,6 +18,7 @@ from pathlib import Path
 
 from repro.cluster import ClusterConfig, run_cluster
 from repro.cluster.harness import result_path, trace_path
+from repro.obs.tracer import TraceEventKind, read_jsonl
 
 
 def _assert_survived_by_failover(report, config, tmp_path: Path) -> None:
@@ -27,9 +28,12 @@ def _assert_survived_by_failover(report, config, tmp_path: Path) -> None:
     assert report.cross_check.ok
     assert report.cross_check.pairs_checked > 0
     # The dead centre wrote no result artifact -- but its streamed
-    # trace survived and was merged (the driver's note records it).
+    # trace survived and was merged (the driver's note records it), and
+    # it ends with the crash the centre traced on its way down.
     assert not result_path(tmp_path, 0).exists()
-    assert trace_path(tmp_path, 0).exists()
+    with trace_path(tmp_path, 0).open() as fh:
+        _header, events = read_jsonl(fh, lenient=True)
+    assert events[-1].kind is TraceEventKind.CRASHED
     assert any("failed over live" in note for note in report.notes)
     # Every survivor converged on the same document.
     assert sorted(report.documents) == list(range(1, config.clients + 1))
@@ -159,6 +163,11 @@ def test_a_live_monitor_beside_a_failover_run_stays_green(
     intervals = [r for r in records if r["rec"] == "interval"]
     assert any(r["epoch"] >= 1 for r in intervals), \
         "no post-failover frames reached the monitor"
+    # No frame on disk carries the end-to-end gauge: the monitor derives
+    # it from the traces, through the epoch change too.
+    assert any(r["epoch"] >= 1 and "e2e_p95_ms" in r for r in intervals)
+    (metrics,) = [r for r in records if r["rec"] == "metrics"]
+    assert metrics["histograms"]["telemetry.e2e_p95_ms"]["count"] > 0
     kinds = {r["kind"] for r in records if r["rec"] == "health"}
     assert "crash" in kinds and "peer_silent" not in kinds, kinds
 

@@ -60,12 +60,6 @@ messages = st.builds(
     origin_site=st.integers(0, 10**4),
     op_id=op_ids,
     source_op_id=st.one_of(st.none(), op_ids),
-    # The origin wall-clock stamp rides in the versioned trailer; f64 on
-    # the wire is exactly a Python float, so any finite value must
-    # round-trip bit-for-bit (None = no trailer at all).
-    origin_wall=st.one_of(
-        st.none(), st.floats(allow_nan=False, allow_infinity=False)
-    ),
 )
 
 sequenced_packets = st.builds(

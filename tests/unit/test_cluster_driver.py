@@ -19,8 +19,8 @@ def test_reused_out_dir_is_cleared_of_an_earlier_runs_artifacts(tmp_path, monkey
     dies by design (it would be read as that run's result); files the
     driver does not write are left alone."""
     stale = ["site_0.json", "site_3.json", "trace_0.jsonl", "telemetry_2.jsonl",
-             "flight_1.jsonl", "monitor.jsonl"]
-    kept = ["notes.txt", "site_0.json.bak", "trace.jsonl"]
+             "monitor.jsonl"]
+    kept = ["notes.txt", "site_0.json.bak", "trace.jsonl", "flight_1.jsonl"]
     for name in stale + kept:
         (tmp_path / name).write_text("{}")
     seen_at_spawn = []

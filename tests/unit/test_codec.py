@@ -184,56 +184,3 @@ class TestMessageCodec:
         with pytest.raises(CodecError):
             decode_op_message(wire + b"\x00")
 
-
-class TestTrailerCodec:
-    """The versioned trailer carrying the origin wall-clock stamp."""
-
-    def base_message(self, **overrides):
-        fields = dict(
-            op=Insert("ab", 3),
-            timestamp=CompressedTimestamp(2, 5),
-            origin_site=1,
-            op_id="O1",
-            source_op_id="O0",
-        )
-        fields.update(overrides)
-        return OpMessage(**fields)
-
-    def test_origin_wall_roundtrip(self):
-        message = self.base_message(origin_wall=1723456789.123456)
-        decoded = decode_op_message(encode_op_message(message))
-        assert decoded.origin_wall == message.origin_wall
-        assert decoded == message
-
-    def test_absent_stamp_encodes_byte_identically_to_v1(self):
-        # Backwards compatibility is structural: no stamp, no trailer --
-        # the encoding is the exact byte string the previous format
-        # produced, so mixed-version clusters interoperate.
-        stamped = self.base_message(origin_wall=12.5)
-        bare = self.base_message(origin_wall=None)
-        bare_wire = encode_op_message(bare)
-        stamped_wire = encode_op_message(stamped)
-        assert stamped_wire.startswith(bare_wire)
-        assert len(stamped_wire) == len(bare_wire) + 10  # ver + bitmap + f64
-        assert decode_op_message(bare_wire).origin_wall is None
-
-    def test_unknown_trailer_version_rejected(self):
-        wire = encode_op_message(self.base_message(origin_wall=1.0))
-        bad = bytearray(wire)
-        bad[-10] = 99  # the trailer version byte
-        with pytest.raises(CodecError):
-            decode_op_message(bytes(bad))
-
-    def test_unknown_presence_bits_rejected(self):
-        # Future fields must be versioned in, not silently skipped: a
-        # decoder that cannot name a bit cannot know its width.
-        wire = encode_op_message(self.base_message(origin_wall=1.0))
-        bad = bytearray(wire)
-        bad[-9] |= 0x02  # an undefined presence bit
-        with pytest.raises(CodecError):
-            decode_op_message(bytes(bad))
-
-    def test_truncated_trailer_rejected(self):
-        wire = encode_op_message(self.base_message(origin_wall=1.0))
-        with pytest.raises(CodecError):
-            decode_op_message(wire[:-4])  # mid-f64

@@ -22,6 +22,10 @@ from repro.obs.monitor import (
     sparkline,
 )
 from repro.obs.telemetry import TELEMETRY_FORMAT, TELEMETRY_SCHEMA_VERSION
+from repro.obs.tracer import TraceEvent, TraceEventKind, trace_header
+
+GENERATED, TRANSFORMED, EXECUTED = (
+    TraceEventKind.GENERATED, TraceEventKind.TRANSFORMED, TraceEventKind.EXECUTED)
 
 
 def frame_at(site: int, seq: int, **over) -> TelemetryFrame:
@@ -70,6 +74,16 @@ def write_run(tmp_path, streams):
         write_stream(paths[site], records, site=site,
                      role="client" if site else "notifier", **RUN)
     return paths
+
+
+def trace_line(index, kind, time, site, op_id, source_op_id=None) -> str:
+    return TraceEvent(index=index, kind=kind, time=time, site=site, op_id=op_id,
+                      source_op_id=source_op_id).to_json() + "\n"
+
+
+def write_trace(path, site, *lines):
+    """A process's streamed trace: its header, then ``lines``."""
+    path.write_text(json.dumps(trace_header({"site": site})) + "\n" + "".join(lines))
 
 
 def monitor_records(tmp_path):
@@ -375,22 +389,26 @@ class TestTelemetryTailer:
         stream = tmp_path / "telemetry_1.jsonl"
         write_stream(stream, [frame_at(1, 0), frame_at(1, 1)],
                      site=1, role="client")
+        trace = tmp_path / "trace_1.jsonl"
+        write_trace(trace, 1, trace_line(0, GENERATED, 0.5, 1, "c1_0"))
         tailer = TelemetryTailer(tmp_path)
         tailer.poll()
         assert tailer.latest[1].seq == 1
-        assert tailer.records_parsed == 2  # header line is not a record
+        assert tailer.records_parsed == 3  # header lines are not records
 
         # Nothing new on disk: a second poll parses zero records.
         tailer.poll()
-        assert tailer.records_parsed == 2
+        assert tailer.records_parsed == 3
 
-        # Append two more; only the appended bytes are parsed.
+        # Append three more; only the appended bytes are parsed.
         with stream.open("a") as fh:
             fh.write(frame_at(1, 2).to_json() + "\n")
             fh.write(frame_at(1, 3).to_json() + "\n")
+        with trace.open("a") as fh:
+            fh.write(trace_line(1, GENERATED, 0.7, 1, "c1_1"))
         tailer.poll()
         assert tailer.latest[1].seq == 3
-        assert tailer.records_parsed == 4
+        assert tailer.records_parsed == 6
         assert tailer.kept.counter("telemetry.frames") == 4
 
     def test_partial_trailing_line_waits_for_completion(self, tmp_path):
@@ -435,6 +453,60 @@ class TestTelemetryTailer:
             fh.write(frame_at(1, 1).to_json() + "\n")
         tailer.poll()
         assert tailer.registry().counters()["telemetry.frames"] == 2
+
+
+class TestDerivedE2E:
+    """``e2e_p95_ms`` is no process's gauge: the tailer pairs ``executed``
+    with ``generated`` across the traces beside the streams."""
+
+    def test_an_execution_read_a_poll_before_its_generation_still_pairs(
+            self, tmp_path):
+        # Site 1's op reaches site 2 through the notifier's transform.
+        # The files are read in name order, so a poll can read site 2's
+        # execution, but not the generation site 1 wrote after the
+        # tailer had read its file.
+        write_stream(tmp_path / "telemetry_2.jsonl", [frame_at(2, 0)],
+                     site=2, role="client")
+        write_trace(tmp_path / "trace_0.jsonl", 0)
+        write_trace(tmp_path / "trace_1.jsonl", 1)
+        write_trace(tmp_path / "trace_2.jsonl", 2,
+                    trace_line(0, EXECUTED, 1.5, 2, "c1_0'"))
+        tailer = TelemetryTailer(tmp_path)
+        tailer.poll()
+        assert tailer.latest[2].e2e_p95_ms is None
+        with (tmp_path / "trace_0.jsonl").open("a") as fh:
+            fh.write(trace_line(0, EXECUTED, 1.2, 0, "c1_0"))
+            fh.write(trace_line(1, TRANSFORMED, 1.2, 0, "c1_0'", "c1_0"))
+        with (tmp_path / "trace_1.jsonl").open("a") as fh:
+            fh.write(trace_line(0, GENERATED, 1.0, 1, "c1_0"))
+        tailer.poll()
+        assert tailer.latest[2].e2e_p95_ms == 500.0
+
+    def test_the_registry_keeps_the_derived_series(self, tmp_path):
+        # Frames are read before they are ingested, and ingested after
+        # the traces are paired: the series fills though no frame on
+        # disk carries the gauge.
+        write_stream(tmp_path / "telemetry_1.jsonl",
+                     [frame_at(1, 0), frame_at(1, 1)], site=1, role="client")
+        write_trace(tmp_path / "trace_1.jsonl", 1,
+                    trace_line(0, EXECUTED, 0.25, 1, "c2_0"),
+                    trace_line(1, EXECUTED, 0.5, 1, "c2_1"))
+        write_trace(tmp_path / "trace_2.jsonl", 2,
+                    trace_line(0, GENERATED, 0.0, 2, "c2_0"),
+                    trace_line(1, GENERATED, 0.125, 2, "c2_1"),
+                    trace_line(2, GENERATED, 0.25, 2, "c2_2"))
+        tailer = TelemetryTailer(tmp_path)
+        tailer.poll()
+        assert tailer.latest[1].e2e_p95_ms == 375.0
+        hist = tailer.registry().histograms()["telemetry.e2e_p95_ms"]
+        assert hist.values == [375.0, 375.0]
+        # A site's execution of its own op is not remote latency.
+        write_stream(tmp_path / "telemetry_2.jsonl", [frame_at(2, 0)],
+                     site=2, role="client")
+        with (tmp_path / "trace_2.jsonl").open("a") as fh:
+            fh.write(trace_line(3, EXECUTED, 9.0, 2, "c2_2"))
+        tailer.poll()
+        assert tailer.latest[2].e2e_p95_ms is None
 
 
 class TestFollow:

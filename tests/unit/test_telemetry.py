@@ -5,8 +5,7 @@ losslessly through JSON, registries merge
 counters and histograms correctly, a ring-mode tracer evicts old events
 at bounded memory, each watchdog fires exactly at its documented
 threshold (and re-arms), the sampler stays bounded on the deterministic
-simulator, the JSONL writer is crash-safe, and the flight recorder
-dumps once -- preserving the first trigger's state.
+simulator, and the JSONL writer is crash-safe.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.editor.star import StarSession
 from repro.obs import (
     CausalStallWatchdog,
     DivergenceSentinel,
-    FlightRecorder,
     HealthEvent,
     JsonlWriter,
     MetricsRegistry,
@@ -356,32 +354,3 @@ class TestJsonlWriter:
         with pytest.raises(ValueError):
             read_jsonl(io.StringIO(text))  # strict mode still objects
 
-
-class TestFlightRecorder:
-    @staticmethod
-    def ring_tracer(n_events: int) -> Tracer:
-        tracer = Tracer(mode="ring", ring_capacity=4)
-        for i in range(n_events):
-            tracer.emit(TraceEventKind.GENERATED, 1, op_id=f"c1_{i}")
-        return tracer
-
-    def test_dump_writes_the_bounded_tail_in_trace_format(self, tmp_path):
-        recorder = FlightRecorder(self.ring_tracer(10), capacity=3)
-        path = tmp_path / "flight.jsonl"
-        assert recorder.dump(path, reason="crash", site=1, role="client")
-        with path.open() as fh:
-            header, events = read_jsonl(fh)
-        assert header["reason"] == "crash"
-        assert header["flight_recorder"] is True
-        assert header["emitted"] == 10
-        assert [e.op_id for e in events] == ["c1_7", "c1_8", "c1_9"]
-
-    def test_dump_is_once_only(self, tmp_path):
-        recorder = FlightRecorder(self.ring_tracer(5))
-        first = tmp_path / "first.jsonl"
-        assert recorder.dump(first, reason="peer-death", site=1, role="client")
-        assert recorder.dumped == "peer-death"
-        assert not recorder.dump(tmp_path / "second.jsonl", reason="timeout",
-                                 site=1, role="client")
-        assert recorder.dumped == "peer-death"
-        assert not (tmp_path / "second.jsonl").exists()

@@ -185,7 +185,7 @@ class Unregistered:
 
 _TS = CompressedTimestamp(3, 1)
 _RELAYED = OpMessage(op=Delete(2, 4), timestamp=_TS, origin_site=2, op_id="c2_5'",
-                     source_op_id="c2_5", origin_wall=1234.5)
+                     source_op_id="c2_5")
 
 # Every payload that crosses a channel, with the size the accounting
 # model charged for it before sizing was dispatched by type (cut on the

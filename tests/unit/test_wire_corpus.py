@@ -68,7 +68,7 @@ def op_message(op: Any, **fields: Any) -> OpMessage:
 _SHARED = BroadcastBody()
 _SIBLINGS = [
     OpMessage(op=Insert("hé✓", 5), timestamp=stamp, origin_site=1, op_id="1-2'",
-              source_op_id="1-2", origin_wall=1723456789.25, shared=_SHARED)
+              source_op_id="1-2", shared=_SHARED)
     for stamp in (CompressedTimestamp(4, 1), CompressedTimestamp(3, 2))
 ]
 
@@ -83,8 +83,6 @@ VALUES: dict[str, Any] = {
     "data-identity": data(op_message(Identity())),
     "data-group": data(op_message(
         OperationGroup((Delete(2, 1), OperationGroup((Insert("q", 0),)))))),
-    "data-origin-wall-trailer": data(
-        op_message(Insert("z", 0), origin_wall=1723456789.125)),
     "data-broadcast-first-sibling": data(_SIBLINGS[0]),
     "data-broadcast-second-sibling": data(_SIBLINGS[1]),
     "data-reliable-wrapping-op": data(
@@ -118,7 +116,9 @@ VALUES: dict[str, Any] = {
 }
 
 # Written by the encoder of commit 14d17fd; never regenerate these from
-# the encoder under test.
+# the encoder under test.  The two broadcast siblings were re-pinned by
+# hand when op messages lost their wall-clock trailer: the last 10 bytes
+# dropped, and the op payload's length went from 0x34 to 0x2a.
 PINNED: dict[str, str] = {
     "hello": "01000000030000238c",
     "roster": "0400000003000000010000238d0000000200000000000000030000ffff",
@@ -142,20 +142,15 @@ PINNED: dict[str, str] = {
         "000000030000000200000003322d340000000004000000020200000001000000"
         "02040000000101000000000000000171"
     ),
-    "data-origin-wall-trailer": (
-        "020000000200000000000000080000002a000000026f70010000002b00000007"
-        "000000030000000200000003322d34000000000100000000000000017a020141"
-        "d9ae7745480000"
-    ),
     "data-broadcast-first-sibling": (
-        "020000000200000000000000080000002a000000026f70010000003400000004"
+        "020000000200000000000000080000002a000000026f70010000002a00000004"
         "000000010000000100000004312d322700000003312d32010000000500000006"
-        "68c3a9e29c93020141d9ae7745500000"
+        "68c3a9e29c93"
     ),
     "data-broadcast-second-sibling": (
-        "020000000200000000000000080000002a000000026f70010000003400000003"
+        "020000000200000000000000080000002a000000026f70010000002a00000003"
         "000000020000000100000004312d322700000003312d32010000000500000006"
-        "68c3a9e29c93020141d9ae7745500000"
+        "68c3a9e29c93"
     ),
     "data-reliable-wrapping-op": (
         "020000000200000000000000080000002a0000000372656c0200000006000000"
@@ -206,6 +201,34 @@ def test_the_encoder_writes_the_pinned_bytes(name: str) -> None:
 @pytest.mark.parametrize("name", VALUES)
 def test_the_pinned_bytes_decode_to_the_value(name: str) -> None:
     assert decode_frame(bytes.fromhex(PINNED[name])) == VALUES[name]
+
+
+# Frames the encoder of commit 14d17fd wrote with an origin wall-clock
+# trailer after the operation.  An op message ends at its operation
+# now, so each is bytes after a message: refused, never half-read.
+REFUSED: dict[str, str] = {
+    "data-origin-wall-trailer": (
+        "020000000200000000000000080000002a000000026f70010000002b00000007"
+        "000000030000000200000003322d34000000000100000000000000017a020141"
+        "d9ae7745480000"
+    ),
+    "data-broadcast-first-sibling-with-trailer": (
+        "020000000200000000000000080000002a000000026f70010000003400000004"
+        "000000010000000100000004312d322700000003312d32010000000500000006"
+        "68c3a9e29c93020141d9ae7745500000"
+    ),
+    "data-broadcast-second-sibling-with-trailer": (
+        "020000000200000000000000080000002a000000026f70010000003400000003"
+        "000000020000000100000004312d322700000003312d32010000000500000006"
+        "68c3a9e29c93020141d9ae7745500000"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_trailing_bytes_after_an_op_message_are_refused(name: str) -> None:
+    with pytest.raises(CodecError, match="trailing bytes after message"):
+        decode_frame(bytes.fromhex(REFUSED[name]))
 
 
 def test_the_second_sibling_was_written_from_the_shared_body() -> None:
