@@ -22,9 +22,9 @@ without writing any code:
 * ``cluster`` -- launch a notifier + N client subprocesses on
   localhost, gather their per-process trace artifacts, and run the
   convergence + causality cross-checks on the merged trace;
-* ``monitor`` -- tail the live telemetry streams a cluster run writes
-  (``--telemetry-interval``) and aggregate them across processes into
-  one status line per interval plus a JSONL artifact.
+* ``monitor`` -- tail the traces a cluster run writes (each process
+  traces its gauges every 0.25 s) and aggregate them across processes
+  into one status line per interval plus a JSONL artifact.
 """
 
 from __future__ import annotations
@@ -407,7 +407,6 @@ def cmd_client(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     import dataclasses
-    import tempfile
     from pathlib import Path
 
     from repro.cluster import run_cluster
@@ -424,11 +423,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(f"invalid cluster config: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out else None
-    if out_dir is None and config.telemetry_enabled:
-        # Telemetry consumers (``repro monitor``, CI artifact upload)
-        # need a knowable directory even when the caller gave none.
-        out_dir = Path(tempfile.mkdtemp(prefix="repro_cluster_"))
-        print(f"telemetry artifacts: {out_dir}")
 
     try:
         report = run_cluster(config, out_dir)
@@ -436,8 +430,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(f"cluster harness failed: {exc}", file=sys.stderr)
         return 1
     finally:
-        if config.telemetry_enabled and out_dir is not None:
-            # Aggregate whatever telemetry the run left into monitor.jsonl.
+        if out_dir is not None:
+            # Aggregate whatever the traces hold into monitor.jsonl.
             from repro.obs.monitor import run_monitor
 
             run_monitor(out_dir, once=True)
@@ -555,18 +549,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument(
         "--out",
         default=None,
-        help="artifact directory (default: a kept temporary directory)",
+        help="artifact directory, where the run's monitor.jsonl lands too "
+        "(default: a kept temporary directory)",
     )
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_monitor = sub.add_parser(
         "monitor",
-        help="aggregate the live telemetry streams of a cluster run "
+        help="aggregate the traces of a cluster run, live "
         "(one status line per interval + a JSONL artifact)",
     )
     p_monitor.add_argument(
         "--dir", required=True,
-        help="the cluster artifact directory holding telemetry_<site>.jsonl",
+        help="the cluster artifact directory holding trace_<site>.jsonl",
     )
     p_monitor.add_argument(
         "--interval", type=float, default=1.0, metavar="S",
@@ -574,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_monitor.add_argument(
         "--duration", type=float, default=None, metavar="S",
-        help="stop after S seconds (default: stop when streams go idle)",
+        help="stop after S seconds (default: stop when the traces stop sampling)",
     )
     p_monitor.add_argument(
         "--once", action="store_true",

@@ -32,15 +32,15 @@ while the star is leaderless queue in the client's degraded-mode buffer
 (at most ``star_client.DEGRADED_LIMIT``) and replay after the baseline
 lands, as in the simulator.
 
-Observability: with ``--telemetry-interval`` the client samples its own
-gauges into ``telemetry_<site>.jsonl``, the one carriage its frames
-have: no connection carries them, so a dead centre costs the monitor no
-site's frames.  Failover progress --
-``peer_dead`` (warn), re-homing, election, promotion -- lands in the
-same stream as ``warn``-verdict health events, so the monitor shows an
-epoch transition rather than a terminal crash.  ``fail`` verdicts are
-reserved for genuinely terminal deaths: no roster, no failover, or the
-successor dying too.
+Observability: the client traces a ``sampled`` event of its own gauges
+every :data:`~repro.cluster.harness.SAMPLE_INTERVAL_S` into
+``trace_<site>.jsonl``, the one stream it writes: no connection carries
+it, so a dead centre costs the monitor no site.  A centre connection
+that ends before GOODBYE is traced as ``peer_lost``: ``via="eof"`` when
+the client fails over, which the monitor grades ``warn`` beside the
+``elected`` / ``promoted`` / ``handoff`` events of the epoch
+transition, and ``via="terminal"`` for a genuinely terminal death (no
+roster, no failover, or the successor dying too), graded ``fail``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from repro.editor.star_client import StarClient
 from repro.net.codec import CodecError
 from repro.net.transport import Envelope
 from repro.net.wire import WireError, encode_drained, frame, pump
+from repro.obs.tracer import TraceEventKind
 from repro.workloads.random_session import generate_random_edits, random_positional_op
 
 
@@ -82,8 +83,7 @@ async def run_client(config: ClusterConfig, site: int, port: int,
     coordinator: Optional[WireFailover] = None
     if config.failover:
         coordinator = WireFailover(
-            config, client, rig.done, log=rig.health,
-            workload_done=lambda: remaining == 0,
+            config, client, rig.done, workload_done=lambda: remaining == 0,
         )
         await coordinator.start()
     listen_port = coordinator.listen_port if coordinator is not None else 0
@@ -107,7 +107,7 @@ async def run_client(config: ClusterConfig, site: int, port: int,
     # After promotion the live state (document, SV_0, epoch) belongs to
     # the promoted notifier; sampling the stale client shell would
     # freeze the digest at the crash point.
-    rig.start_telemetry(lambda: client.live)
+    rig.sample(lambda: client.live)
 
     def maybe_send_drained() -> None:
         """Announce workload completion to the *current* centre, once.
@@ -162,9 +162,12 @@ async def run_client(config: ClusterConfig, site: int, port: int,
             pass
         return rig.done.is_set()
 
-    def terminal_peer_death(detail: str, peer: int) -> None:
+    def peer_lost(peer: int, via: str) -> None:
+        rig.tracer.emit(TraceEventKind.PEER_LOST, site, peer=peer, via=via)
+
+    def terminal_peer_death(peer: int) -> None:
         rig.timed_out = True
-        rig.health("peer_dead", detail, verdict="fail", peer=peer)
+        peer_lost(peer, "terminal")
         rig.done.set()
 
     async def session() -> None:
@@ -174,14 +177,9 @@ async def run_client(config: ClusterConfig, site: int, port: int,
         # The centre connection died before GOODBYE: fail over or fail.
         dead = client.center
         if coordinator is None or not coordinator.eligible():
-            terminal_peer_death(
-                "connection to notifier closed mid-run (failover "
-                "unavailable)", dead,
-            )
+            terminal_peer_death(dead)  # failover unavailable
             return
-        rig.health("peer_dead",
-                   f"connection to notifier {dead} closed mid-run; re-electing",
-                   peer=dead)
+        peer_lost(dead, "eof")
         if coordinator.is_successor():
             # We are the new centre: collect the survivors and promote;
             # our hub sets rig.done once it has seen every member off.
@@ -190,12 +188,11 @@ async def run_client(config: ClusterConfig, site: int, port: int,
         try:
             new_reader, center_writer, center_pid = await coordinator.rejoin()
         except (WireError, ConnectionError):
-            terminal_peer_death("could not reach the elected successor", dead)
+            terminal_peer_death(dead)  # could not reach the successor
             return
         if not await follow(new_reader):
             # The successor died too: one live takeover is the contract.
-            terminal_peer_death("successor connection closed mid-run",
-                                client.center)
+            terminal_peer_death(client.center)
 
     session_task = asyncio.ensure_future(session())
     await rig.wait()
@@ -206,7 +203,6 @@ async def run_client(config: ClusterConfig, site: int, port: int,
         await session_task
     except (asyncio.CancelledError, WireError, ConnectionError):
         pass
-    rig.close_streams()
     if coordinator is not None:
         await coordinator.hub.close()
     for w in {writer, center_writer}:

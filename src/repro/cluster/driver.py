@@ -18,9 +18,9 @@ final kill-switch deadline above all of them.
 The kill-switch is SIGTERM-first: each process installs a handler that
 writes what artifacts it can before exiting, rather than vanishing
 under SIGKILL; every trace is already on disk, flushed per event.
-Whatever trace, telemetry, and monitor artifacts survive a failed run
-are *salvaged* -- named in the failure report rather than discarded
-with the temp directory.
+Whatever traces and monitor artifact survive a failed run are
+*salvaged* -- named in the failure report rather than discarded with
+the temp directory.
 """
 
 from __future__ import annotations
@@ -132,18 +132,18 @@ def _salvage_trace(out_dir: Path, site: int) -> list[TraceEvent]:
 
 
 #: The file families a run leaves in its directory: the observability
-#: ones a failed run is salvaged from (the traces among them), and with
-#: the per-site results, everything a reused directory must be cleared of.
-OBSERVABILITY_PATTERNS = ("trace_*.jsonl", "telemetry_*.jsonl", "monitor.jsonl")
+#: ones a failed run is salvaged from (each process's one stream, its
+#: trace, and the monitor's artifact), and with the per-site results,
+#: everything a reused directory must be cleared of.
+OBSERVABILITY_PATTERNS = ("trace_*.jsonl", "monitor.jsonl")
 RUN_PATTERNS = ("site_*.json", *OBSERVABILITY_PATTERNS)
 
 
 def salvage_artifacts(out_dir: Path) -> list[str]:
     """The observability files a failed run left behind, by name.
 
-    Traces and telemetry streams are crash-safe (flushed per record),
-    so even a run whose processes never wrote their result artifacts
-    leaves evidence here.
+    Traces are crash-safe (flushed per event), so even a run whose
+    processes never wrote their result artifacts leaves evidence here.
     """
     names = []
     for pattern in OBSERVABILITY_PATTERNS:

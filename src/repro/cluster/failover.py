@@ -60,8 +60,6 @@ from repro.net.wire import Roster, WireError
 #: members' re-dial backoff schedule, small relative to run timeouts.
 TAKEOVER_GRACE_S = 5.0
 
-LogHook = Callable[[str, str], None]
-
 
 class WireFailover(Directory):
     """Per-process failover coordinator for one cluster client.
@@ -76,13 +74,12 @@ class WireFailover(Directory):
     """
 
     def __init__(self, config: ClusterConfig, client: StarClient,
-                 finished: asyncio.Event, *, log: LogHook,
+                 finished: asyncio.Event, *,
                  workload_done: Callable[[], bool]) -> None:
         self.config = config
         self.client = client
         self.site = client.pid
         self.n_sites = config.clients
-        self.log = log
         self.listen_port = 0
         self.roster: dict[int, int] = {}
         self.notifier: Optional[StarNotifier] = None
@@ -93,8 +90,6 @@ class WireFailover(Directory):
             on_hello=self._on_hello,
             may_finish=lambda: (self.notifier is not None and workload_done()
                                 and client.settled),
-            log=lambda kind, detail: log(
-                f"failover_{kind}", f"{detail} under epoch {self.notifier_epoch}"),
         )
         self.hub.pumps_open.set()
         client.arm_failover(self)
@@ -138,10 +133,6 @@ class WireFailover(Directory):
         port = self.roster[successor]
         reader, writer = await dial(self.config, self.client, port, successor,
                                     self.listen_port)
-        self.log(
-            "failover_rehomed",
-            f"dialed successor {successor} on port {port}",
-        )
         # The alarm: tell the successor its centre is dead.  Sent through
         # the transport so it arrives as an ordinary DATA frame and the
         # stock elect() dedup-by-epoch applies.
@@ -196,16 +187,7 @@ class WireFailover(Directory):
     def begin_promotion(self, successor: StarClient, epoch: int) -> list[int]:
         """Record the new centre; members are whoever has dialed in."""
         self.notifier_epoch = epoch
-        members = sorted(self.hub.writers)
-        # Logged here, not in takeover(): a member's ElectMessage can
-        # open the election before our own EOF handler does, and this
-        # is the single point both paths funnel through.
-        self.log(
-            "failover_elected",
-            f"site {self.site} elected for epoch {epoch} with members "
-            f"{members}",
-        )
-        return members
+        return sorted(self.hub.writers)
 
     def installed(
         self, notifier: StarNotifier,
@@ -220,13 +202,6 @@ class WireFailover(Directory):
         for member in sorted(self.hub.writers):
             if member not in contributions:
                 self._announce(member)
-        self.log(
-            "failover_promoted",
-            f"site {self.site} promoted to notifier at epoch "
-            f"{self.notifier_epoch} "
-            f"({len([c for c in contributions.values() if c is not None])} "
-            f"contribution(s))",
-        )
         # The degraded-mode queue drains (and buffered resyncs replay)
         # after complete_promotion returns; check for session completion
         # on the next loop turn, once that synchronous tail has run.

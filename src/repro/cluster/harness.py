@@ -19,19 +19,13 @@ from typing import Any, Callable, Optional
 
 from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
-from repro.net.scheduler import AsyncioScheduler
+from repro.net.scheduler import AsyncioScheduler, Scheduler
 from repro.net.wire import WireChannel, connect_with_backoff, encode_hello, frame
-from repro.obs.telemetry import (
-    TELEMETRY_FORMAT,
-    TELEMETRY_SCHEMA_VERSION,
-    HealthEvent,
-    TelemetryFrame,
-    TelemetrySampler,
-    snapshot_endpoint,
-)
+from repro.obs.telemetry import document_digest
 from repro.obs.tracer import (
     JsonlWriter,
     TraceEvent,
+    TraceEventKind,
     Tracer,
     read_jsonl,
     trace_header,
@@ -40,6 +34,9 @@ from repro.session.base import CheckRecord
 from repro.workloads.random_session import RandomSessionConfig
 
 DEFAULT_DOCUMENT = "The quick brown fox jumps over the lazy dog."
+
+#: Wall seconds between a process's ``sampled`` trace events.
+SAMPLE_INTERVAL_S = 0.25
 
 # The cluster's command-line surface, declared once: (ClusterConfig
 # field, flag, type, help).  Defaults are the dataclass's; a ``bool``
@@ -53,9 +50,6 @@ _FLAGS: tuple[tuple[str, str, type, Optional[str]], ...] = (
     ("settle_s", "--settle", float, None),
     ("timeout_s", "--timeout", float, None),
     ("reliability", "--reliability", bool, None),
-    ("telemetry_interval_s", "--telemetry-interval", float,
-     "seconds between live telemetry samples in every process (0 = off); "
-     "streams land next to the other artifacts for ``repro monitor``"),
     ("crash_notifier_after_s", "--crash-notifier-after", float,
      "fault injection: hard-kill the notifier process this many seconds "
      "after every client has connected (it traces its crash first); "
@@ -89,8 +83,6 @@ class ClusterConfig:
     host: str = "127.0.0.1"
     settle_s: float = 0.3
     timeout_s: float = 30.0
-    #: Wall seconds between telemetry samples; 0 disables telemetry.
-    telemetry_interval_s: float = 0.0
     #: Fault injection: hard-kill the notifier process (after tracing
     #: its crash) this many wall seconds after every client
     #: has connected -- counted from full connection, not process
@@ -109,18 +101,10 @@ class ClusterConfig:
             raise ValueError(f"need at least one op per client: {self.ops_per_client}")
         if self.time_scale <= 0 or self.timeout_s <= 0 or self.settle_s < 0:
             raise ValueError(f"malformed cluster timing: {self}")
-        if self.telemetry_interval_s < 0:
-            raise ValueError(
-                f"telemetry interval must be >= 0: {self.telemetry_interval_s}"
-            )
         if self.crash_notifier_after_s is not None and self.crash_notifier_after_s <= 0:
             raise ValueError(
                 f"crash-notifier delay must be positive: {self.crash_notifier_after_s}"
             )
-
-    @property
-    def telemetry_enabled(self) -> bool:
-        return self.telemetry_interval_s > 0
 
     @property
     def total_ops(self) -> int:
@@ -189,9 +173,27 @@ def trace_path(out_dir: Path, site: int) -> Path:
     return out_dir / f"trace_{site}.jsonl"
 
 
-def telemetry_path(out_dir: Path, site: int) -> Path:
-    """The per-process live telemetry stream (frames + health events)."""
-    return out_dir / f"telemetry_{site}.jsonl"
+def sample_gauges(endpoint: "StarNotifier | StarClient",
+                  sched: Scheduler) -> dict[str, Any]:
+    """What one ``sampled`` event carries: the gauges no event counts
+    (:data:`repro.obs.monitor.SAMPLED_GAUGES`).
+
+    ``ops_executed`` and ``digest`` are measured together, so the
+    divergence sentinel compares a digest only at the count it was
+    taken at; the hold-back buffer is emptied without an event, so its
+    depth is measured rather than derived.
+    """
+    transport = endpoint.transport
+    return {
+        "ops_executed": len(endpoint.executed_op_ids),
+        "holdback_depth": transport.holdback_depth(),
+        "holdback_high_water": transport.holdback_high_water(),
+        "inflight": transport.inflight(),
+        "storage_ints": endpoint.clock_storage_ints(),
+        "queue_depth": sched.pending_events,
+        "degraded_queued": transport.stats.degraded_queued,
+        "digest": document_digest(endpoint.document),
+    }
 
 
 class ProcessRig:
@@ -201,14 +203,17 @@ class ProcessRig:
     one host share the machine clock, so absolute stamps give the driver
     a common axis to merge on -- :func:`repro.cluster.check.merge_traces`
     repairs any causality-violating skew) that streams to
-    ``trace_<site>.jsonl`` from the first event, the process's one
-    post-mortem record (so the tracer keeps only a bounded ring in
-    memory); the telemetry stream; the kill-switch and the timeout; the
-    result artifact.  A process that dies by ``os._exit`` or SIGKILL
-    writes no result, but every trace event and telemetry record it
+    ``trace_<site>.jsonl`` from the first event, the one stream the
+    process writes (so the tracer keeps only a bounded ring in memory):
+    its post-mortem, and with a ``sampled`` event every
+    :data:`SAMPLE_INTERVAL_S` what ``repro monitor`` reads; the
+    kill-switch and the timeout; the result artifact.  A process that
+    dies by ``os._exit`` or SIGKILL writes no result, but every event it
     emitted is already on disk (:class:`~repro.obs.tracer.JsonlWriter`
     flushes per line) -- which is what keeps the merged-trace
-    cross-check EXACT across a failover.
+    cross-check EXACT across a failover.  The trace header says what
+    the run is (``sites``, ``expected_ops``): enough for the monitor to
+    build the watchdogs that judge every site.
     """
 
     def __init__(self, config: ClusterConfig, out_dir: Path, site: int,
@@ -223,7 +228,9 @@ class ProcessRig:
         out_dir.mkdir(parents=True, exist_ok=True)
         self._trace = JsonlWriter(
             trace_path(out_dir, site),
-            trace_header({"site": site, "role": role}),
+            trace_header({"site": site, "role": role,
+                          "sites": config.clients + 1,
+                          "expected_ops": config.total_ops}),
         )
         self.tracer.bind_sink(self._trace.write_event)
         #: Set when the run is over, one way or the other.
@@ -231,8 +238,9 @@ class ProcessRig:
         #: The run did not complete (timeout, kill-switch, terminal peer
         #: death): reported to the driver as ``timed_out``.
         self.timed_out = False
-        self.telem: Optional[JsonlWriter] = None
-        self._sampler: Optional[TelemetrySampler] = None
+        self._live: Optional[Callable[[], "StarNotifier | StarClient"]] = None
+        self._samples = 0
+        self._sample_timer: Any = None
         self._sigterm_installed = True
         try:
             asyncio.get_running_loop().add_signal_handler(
@@ -246,47 +254,24 @@ class ProcessRig:
         self.timed_out = True
         self.done.set()
 
-    def start_telemetry(self, live: Callable[[], Any]) -> None:
-        """Sample ``live()`` every telemetry interval (a no-op when off).
+    def sample(self, live: Callable[[], "StarNotifier | StarClient"]) -> None:
+        """Trace ``live()``'s gauges every :data:`SAMPLE_INTERVAL_S`
+        until :meth:`finish`, which traces one last sample so the final
+        frame the monitor builds carries the final local state."""
+        self._live = live
+        self._sample_timer = self.sched.schedule_after(SAMPLE_INTERVAL_S,
+                                                       self._tick)
 
-        The stream file is the only way a frame leaves this process.
-        Every record is flushed as written, so ``repro monitor`` in
-        another process sees frames *live* and a killed process leaves a
-        readable prefix.  The header tells the monitor what the run is
-        (``sites``, ``expected_ops``, ``interval_s``): enough to build
-        the watchdogs that judge every site's stream.
-        """
-        if not self.config.telemetry_enabled:
-            return
-        stream = self.telem = JsonlWriter(telemetry_path(self.out_dir, self.site), {
-            "format": TELEMETRY_FORMAT,
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "site": self.site,
-            "role": self.role,
-            "sites": self.config.clients + 1,
-            "expected_ops": self.config.total_ops,
-            "interval_s": self.config.telemetry_interval_s,
-        })
+    def _tick(self) -> None:
+        self._emit_sample()
+        self._sample_timer = self.sched.schedule_after(SAMPLE_INTERVAL_S,
+                                                       self._tick)
 
-        def probe(seq: int) -> list[TelemetryFrame]:
-            return [snapshot_endpoint(live(), sched=self.sched, seq=seq,
-                                      role=self.role)]
-
-        self._sampler = TelemetrySampler(
-            self.sched, probe,
-            interval=self.config.telemetry_interval_s,
-            on_frame=lambda tframe: stream.write_line(tframe.to_json()),
-            keep=False,
-        )
-        self._sampler.start()
-
-    def health(self, kind: str, detail: str, *, verdict: str = "warn",
-               peer: Optional[int] = None) -> None:
-        if self.telem is not None:
-            self.telem.write_line(HealthEvent(
-                time=self.sched.now, site=self.site, kind=kind, verdict=verdict,
-                peer=peer, detail=detail,
-            ).to_json())
+    def _emit_sample(self) -> None:
+        assert self._live is not None
+        self.tracer.emit(TraceEventKind.SAMPLED, self.site, seq=self._samples,
+                         gauges=sample_gauges(self._live(), self.sched))
+        self._samples += 1
 
     async def wait(self) -> None:
         """Until ``done`` is set or the hard timeout expires."""
@@ -294,16 +279,6 @@ class ProcessRig:
             await asyncio.wait_for(self.done.wait(), self.config.timeout_s)
         except asyncio.TimeoutError:
             self.timed_out = True
-
-    def close_streams(self) -> None:
-        if self._sampler is not None:
-            # One final sample so the stream's last frame carries the
-            # final local stats (the monitor's per-site aggregate is
-            # exact, not one interval stale).
-            self._sampler.stop()
-            self._sampler.sample()
-        if self.telem is not None:
-            self.telem.close()
 
     def result(self, endpoint: "StarNotifier | StarClient") -> ProcessResult:
         """Snapshot one endpoint's verdict-relevant state for the driver."""
@@ -322,7 +297,8 @@ class ProcessRig:
         )
 
     def finish(self, result: ProcessResult) -> bool:
-        """Write the result artifact, close the trace; True iff completed.
+        """Trace the last sample, write the result artifact, close the
+        trace; True iff completed.
 
         The result is written once, at the end, so a crash mid-run
         leaves *no* file rather than a torn one -- the driver treats a
@@ -332,6 +308,9 @@ class ProcessRig:
         """
         if self._sigterm_installed:
             asyncio.get_running_loop().remove_signal_handler(signal.SIGTERM)
+        if self._sample_timer is not None:
+            self.sched.cancel(self._sample_timer)
+            self._emit_sample()
         result_path(self.out_dir, self.site).write_text(result.to_json() + "\n")
         self.tracer.bind_sink(None)
         self._trace.close()

@@ -31,17 +31,16 @@ garbled=G``, carries both counts.  A hard timeout bounds the wait; on
 expiry the artifacts are written with ``timed_out`` set so the driver
 fails the run instead of diagnosing a hang.
 
-Observability: with ``--telemetry-interval`` the notifier runs a
-:class:`~repro.obs.telemetry.TelemetrySampler` on its scheduler,
-appending its own frames to a crash-safe ``telemetry_0.jsonl`` stream,
-as every client does to its own; the watchdogs that judge those
-streams run in ``repro monitor``, which reads them all.  The trace
-streams to ``trace_0.jsonl`` as events are emitted and is the
-process's one post-mortem: the injected ``--crash-notifier-after``
-fault traces a ``crashed`` event and hard-exits without writing
-artifacts, like a real crash, and the file still holds the generation
-events the driver's merged-trace cross-check needs to stay EXACT
-across a failover.
+Observability: the trace streams to ``trace_0.jsonl`` as events are
+emitted, and it is the one stream the process writes: its post-mortem,
+and with the ``sampled`` event the notifier traces every
+:data:`~repro.cluster.harness.SAMPLE_INTERVAL_S` (as every client does
+in its own), what ``repro monitor`` reads.  A member hung up on for a
+garbled frame is traced as ``peer_lost`` (``via="garbled"``).  The
+injected ``--crash-notifier-after`` fault traces a ``crashed`` event
+and hard-exits without writing artifacts, like a real crash, and the
+file still holds the generation events the driver's merged-trace
+cross-check needs to stay EXACT across a failover.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ class Hub:
     accept, HELLO, attach a :class:`~repro.net.wire.WireChannel`, pump
     DATA / DRAINED, GOODBYE, wait for the hang-ups.  What
     differs between the two centres arrives as callables: ``on_hello``
-    (a member was admitted), ``may_finish`` (the centre's own work is
-    done) and ``log`` (where progress is recorded).
+    (a member was admitted) and ``may_finish`` (the centre's own work is
+    done).
 
     One rule ends a session: GOODBYE is broadcast once every expected
     member has drained and ``may_finish()``; ``finished`` is set once
@@ -88,7 +87,8 @@ class Hub:
     connected, the connection is counted in ``rejected`` and closed; a
     later frame that does not decode, or a DATA frame whose source is not
     the member or whose destination is not this centre, closes it too,
-    counted in ``garbled``.
+    counted in ``garbled`` and traced on the endpoint's tracer as
+    ``peer_lost`` with ``via="garbled"``.
     """
 
     def __init__(
@@ -99,14 +99,12 @@ class Hub:
         *,
         on_hello: Callable[[int], None],
         may_finish: Callable[[], bool],
-        log: Callable[[str, str], None] = lambda kind, detail: None,
     ) -> None:
         self.endpoint = endpoint
         self.expected = expected
         self.finished = finished
         self.on_hello = on_hello
         self.may_finish = may_finish
-        self.log = log
         self.writers: dict[int, asyncio.StreamWriter] = {}
         self.listen_ports: dict[int, int] = {}
         self.drained: set[int] = set()
@@ -186,16 +184,18 @@ class Hub:
             # The promise is per connection, so the connection's own
             # identity counts, not the site the frame names.
             self.drained.add(member)
-            self.log("member_drained", f"member {member} drained")
             self.note_progress()
 
         try:
             await pump(reader, on_envelope, on_drained=on_drained)
-        except CodecError as exc:
-            # Hung up on like a killed member, but counted and named: the
+        except CodecError:
+            # Hung up on like a killed member, but counted and traced: the
             # frame passed the HELLO and still was not one of ours.
             self.garbled += 1
-            self.log("member_garbled", f"member {member} garbled a frame: {exc}")
+            tracer = self.endpoint.tracer
+            if tracer is not None:
+                tracer.emit(TraceEventKind.PEER_LOST, self.endpoint.pid,
+                            peer=member, via="garbled")
         except ConnectionError:
             pass  # a killed member is hung up, not a crash here
         finally:
@@ -219,7 +219,6 @@ class Hub:
                 return
             self.goodbye_sent = True
             self.broadcast(encode_goodbye())
-            self.log("goodbye", f"goodbye broadcast to {sorted(self.writers)}")
         if self.expected <= self.hung_up:
             self.finished.set()
 
@@ -274,7 +273,7 @@ async def serve(config: ClusterConfig, out_dir: Path,
 
     hub = Hub(notifier, set(range(1, config.clients + 1)), rig.done,
               on_hello=on_hello, may_finish=lambda: True)
-    rig.start_telemetry(lambda: notifier)
+    rig.sample(lambda: notifier)
 
     crash_task: Optional["asyncio.Task[None]"] = None
     if config.crash_notifier_after_s is not None:
@@ -288,25 +287,13 @@ async def serve(config: ClusterConfig, out_dir: Path,
             # centre mid-run".
             await hub.pumps_open.wait()
             await asyncio.sleep(config.crash_notifier_after_s)
-            # With failover armed this death is survivable -- the
-            # monitor should show a warning and then the epoch
-            # transition, not a terminal verdict.
-            rig.health(
-                "crash",
-                "injected notifier crash (failover armed)" if config.failover
-                else "injected notifier crash",
-                verdict="warn" if config.failover else "fail",
-            )
-            if rig.telem is not None:
-                rig.telem.close()
             # The event StarNotifier.crash traces in the simulator, so
             # the trace ends with why it ends.
             rig.tracer.emit(TraceEventKind.CRASHED, rig.site,
                             epoch=notifier.notifier_epoch)
             # A real crash writes no result artifacts: exit without
-            # passing go.  The flushed telemetry stream and the streamed
-            # trace are all that survives -- which is the point of
-            # having them.
+            # passing go.  The streamed trace is all that survives --
+            # which is the point of having it.
             os._exit(70)
 
         crash_task = asyncio.ensure_future(crash())
@@ -319,6 +306,5 @@ async def serve(config: ClusterConfig, out_dir: Path,
     if crash_task is not None:
         crash_task.cancel()
     await hub.close()
-    rig.close_streams()
     print(f"SERVED rejected={hub.rejected} garbled={hub.garbled}", flush=True)
     return rig.finish(rig.result(notifier))

@@ -746,11 +746,3 @@ class StarClient(EditorEndpoint):
     def clock_storage_ints(self) -> int:
         """Resident clock-state integers: the paper's constant 2."""
         return self.sv.storage_ints()
-
-    def local_ops_generated(self) -> int:
-        """Operations this site originated: SV_i[2], the telemetry gauge.
-
-        Survives crash/recovery because the recovered state vector is
-        rebuilt from the snapshot's per-site counts.
-        """
-        return self.sv.generated_locally

@@ -493,13 +493,3 @@ class StarNotifier(EditorEndpoint):
     def clock_storage_ints(self) -> int:
         """Resident clock-state integers at the notifier: N."""
         return self.sv.storage_ints()
-
-    def local_ops_generated(self) -> int:
-        """Operations the centre originated, as the telemetry gauge.
-
-        The notifier generates one transformed operation per ingested
-        client operation (plus any edits of its own), all of which it
-        executes locally -- so its generation count *is* its execution
-        count, unlike a spoke's.
-        """
-        return len(self.executed_op_ids)

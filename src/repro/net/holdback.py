@@ -158,7 +158,7 @@ class HoldbackQueue(Generic[T]):
 
     @property
     def depth(self) -> int:
-        """Items currently held, as an explicit gauge for telemetry.
+        """Items currently held, as an explicit gauge for sampling.
 
         Identical to ``len(queue)``; named so gauge-collection code
         reads as what it measures rather than a container protocol.

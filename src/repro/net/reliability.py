@@ -315,7 +315,7 @@ class ReliableEndpoint:
         self._audit_next: dict[int, tuple[int, int]] = {}
         self._audit_violated = False
 
-    # -- telemetry gauges ------------------------------------------------------
+    # -- sampled gauges --------------------------------------------------------
 
     def inflight(self) -> int:
         """Unacknowledged packets across every live link: the send window."""

@@ -11,7 +11,8 @@ only lazily, inside functions.  The pieces:
   transformed / executed / snapshot / crashed / recovered / elected /
   promoted / handoff / holdback overflow), emitted by every layer
   boundary through an optional hook whose disabled path is a single
-  attribute check;
+  attribute check, and the two a cluster process adds (sampled, with
+  its gauge dict, and peer lost);
 * :class:`MetricsRegistry` / :class:`Histogram` -- named counters and
   value histograms;
 * :class:`TraceCausality` -- happens-before reconstructed from a
@@ -20,21 +21,23 @@ only lazily, inside functions.  The pieces:
 * :func:`latency_histograms` -- per-site generation-to-execution
   latency from the same trace, each execution paired with its
   generation by :class:`~repro.obs.tracer.Origins`;
-* :class:`TelemetryFrame` / :class:`TelemetrySampler` / the watchdogs
-  (:mod:`repro.obs.telemetry`) -- live runtime gauges sampled on any
-  scheduler and health verdicts over the gauge stream;
+* :class:`TelemetryFrame` / the watchdogs (:mod:`repro.obs.telemetry`)
+  -- one site's gauges, which of them a ``sampled`` event carries and
+  which are derived from other events, and health verdicts over them;
 * :mod:`repro.obs.monitor` -- the cross-process aggregator behind
-  ``python -m repro monitor``: one tailer for the telemetry streams and
-  the traces beside them (:class:`TelemetryTailer`, which derives the
-  end-to-end gauge from the traces), totals folded as each gauge's
-  declaration says, and the ``--follow`` sparkline dashboard;
+  ``python -m repro monitor``: one tailer for the traces
+  (:class:`TelemetryTailer`, which builds every site's frame from its
+  trace and derives the end-to-end gauge across them), totals folded as
+  each gauge's declaration says, and the ``--follow`` sparkline
+  dashboard;
 * :mod:`repro.obs.spans` -- the end-to-end latency observatory:
   per-site-pair skew-corrected latency percentiles, derived from the
   generation, release, transform and execution events the trace already
   records (:func:`assemble_spans`, :class:`SkewEstimator`);
 * JSONL and Chrome ``trace_event`` serialisation, including the
-  crash-safe :class:`JsonlWriter` the traces and telemetry streams
-  ride on -- a cluster process's streamed trace is its post-mortem.
+  crash-safe :class:`JsonlWriter` the traces ride on -- a cluster
+  process's streamed trace is the one stream it writes: its
+  post-mortem and what the monitor reads.
 """
 
 from repro.obs.analysis import (
@@ -52,8 +55,6 @@ from repro.obs.telemetry import (
     RetransmitStormWatchdog,
     SilenceWatchdog,
     TelemetryFrame,
-    TelemetrySampler,
-    snapshot_endpoint,
 )
 from repro.obs.tracer import (
     TRACE_FORMAT,
@@ -79,7 +80,6 @@ __all__ = [
     "RetransmitStormWatchdog",
     "SilenceWatchdog",
     "TelemetryFrame",
-    "TelemetrySampler",
     "TraceCausality",
     "TraceEvent",
     "TraceEventKind",
@@ -90,7 +90,6 @@ __all__ = [
     "read_jsonl",
     "released_without_cause",
     "run_monitor",
-    "snapshot_endpoint",
     "verify_check_records",
     "write_chrome_trace",
     "write_jsonl",

@@ -1,47 +1,54 @@
-"""``python -m repro monitor``: aggregate live telemetry across processes.
+"""``python -m repro monitor``: one view of every site, from the traces.
 
-Cluster processes append :class:`~repro.obs.telemetry.TelemetryFrame`
-and :class:`~repro.obs.telemetry.HealthEvent` records to per-site
-``telemetry_<site>.jsonl`` streams (crash-safe, one flushed line per
-record -- see :class:`repro.obs.tracer.JsonlWriter`).  The monitor
-tails those files in the artifact directory, merges per-site state into
-one cross-process view (counters summed and histograms concatenated via
-:meth:`~repro.obs.tracer.MetricsRegistry.merge`), and renders one line
-per interval:
+Each cluster process writes one crash-safe stream, its
+``trace_<site>.jsonl`` (one flushed line per event -- see
+:class:`repro.obs.tracer.JsonlWriter`), and the monitor builds its whole
+view from those files.  A :class:`TelemetryTailer` tails them and keeps
+each site's :class:`~repro.obs.telemetry.TelemetryFrame`; it renders one
+line per interval:
 
     t=2.10s sites=4/4 exec=9/9/9/9 gen=9 hold=0(hw 2) infl=0 rtx=0 \
 store=11 q=3 epoch=0 digests=ok
 
-Tailing is incremental: a :class:`TelemetryTailer` keeps a byte cursor
-per stream file and each interval parses only the lines appended since
-the previous poll -- every record is parsed exactly once over the
-monitor's lifetime, however long the run (re-reading whole files each
-interval would make the monitor quadratic in run length).
+Where a frame's gauges come from:
 
-No process measures ``e2e_p95_ms``: the tailer follows the
-``trace_<site>.jsonl`` files the same way, pairs each ``executed`` event
-with its ``generated`` one through :class:`~repro.obs.tracer.Origins`,
-and writes the p95 of each site's last 64 latencies into its frame.
+* *derived* -- a gauge whose counter is bumped by the statement that
+  emits an event is that event's count in the site's trace:
+  ``ops_generated`` (``generated``), ``retransmits``
+  (``retransmitted``), ``elected``, ``promoted``, ``resynced``
+  (``recovered`` with ``via="failover"``), and ``epoch`` (the last
+  ``promoted`` or failover ``recovered`` epoch).  They count over the
+  process's whole life, across a promotion too.  ``e2e_p95_ms`` pairs
+  each ``executed`` event with its ``generated`` one across the traces
+  through :class:`~repro.obs.tracer.Origins`: the p95 of the executing
+  site's last 64 remote latencies;
+* *sampled* -- every other gauge rides in the periodic ``sampled``
+  event's gauge dict, and a ``sampled`` event is what makes a new frame.
 
-Each process's stream holds its own frames only, and it is the one
-carriage they have: no process forwards another's, so no centre's
-death costs the monitor a site.  Every frame enters through
-:meth:`TelemetryTailer.ingest`, and a frame is new iff its ``seq`` is
-above its site's latest.  Of an accepted frame the monitor keeps the
-latest per site and the sampled values of the ``keep="series"`` gauges,
-so an interval costs the sites plus the records that arrived in it.
+What a process traces about its own faults is graded into the same
+:class:`~repro.obs.telemetry.HealthEvent` records the watchdogs make:
+a ``crashed`` event, a lost connection (``peer_lost``, by ``via``), and
+the ``elected`` / ``promoted`` / ``handoff`` steps of a failover.
 
-The monitor is where cross-site verdicts are made.  Each stream's header
-says what the run is (``sites``, ``expected_ops``, ``interval_s``), and
-from it the monitor builds the four watchdogs of
-:mod:`repro.obs.telemetry` and feeds them every frame it ingests, each
-site's in ``seq`` order.  Silence is clocked by each stream file's
-modification time, measured against the newest file's (traces too), so
-a run whose processes end together flags nobody and ``--once`` can
-still judge who stopped early; a site whose own stream recorded its ``crash`` was graded
-there and is not flagged silent again.  The divergence sentinel is the
-one divergence rule: ``digests=DIVERGED`` and exit code 2 say the same
-thing.
+Tailing is incremental: the tailer keeps a byte cursor per file and each
+interval parses only the lines appended since the previous poll -- every
+line is parsed exactly once over the monitor's lifetime, however long
+the run.  Every event enters through :meth:`TelemetryTailer.ingest`, and
+an event is new iff its ``index`` is above its site's latest.  Of a
+sample the monitor keeps the latest frame per site and the values of the
+``keep="series"`` gauges, so an interval costs the sites plus the lines
+that arrived in it.
+
+The monitor is where cross-site verdicts are made.  Each trace header
+says what the run is (``sites``, ``expected_ops``), and from it the
+monitor builds the four watchdogs of :mod:`repro.obs.telemetry` and
+feeds them every frame, each site's in ``seq`` order.  Silence is
+clocked by each trace file's modification time, measured against the
+newest file's, so a run whose processes end together flags nobody and
+``--once`` can still judge who stopped early; a site whose own trace
+recorded its ``crashed`` event was graded there and is not flagged
+silent again.  The divergence sentinel is the one divergence rule:
+``digests=DIVERGED`` and exit code 2 say the same thing.
 
 ``--follow`` turns the interval lines into a live per-site dashboard
 with unicode sparklines (ops/sec, hold-back depth, in-flight window,
@@ -71,7 +78,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.obs.telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
     CausalStallWatchdog,
     DivergenceSentinel,
     HealthEvent,
@@ -80,57 +86,101 @@ from repro.obs.telemetry import (
     TelemetryFrame,
     Watchdog,
 )
-from repro.obs.tracer import (Histogram, JsonlWriter, MetricsRegistry, Origins,
-                              TraceEvent, TraceEventKind)
+from repro.obs.tracer import (TRACE_SCHEMA_VERSION, Histogram, JsonlWriter,
+                              MetricsRegistry, Origins, TraceEvent,
+                              TraceEventKind)
 
 MONITOR_FORMAT = "repro-obs-monitor-v1"
-MONITOR_SCHEMA_VERSION = 1
+#: Version 2: the header names the trace schema the frames were built
+#: from, not a telemetry stream's.
+MONITOR_SCHEMA_VERSION = 2
 
 
-# -- reading the streams -------------------------------------------------------
+# -- reading the traces --------------------------------------------------------
 
 
 # ``TelemetryFrame``'s declarations, as the monitor reads them: how a
-# gauge folds across sites (with the value of an empty fold), and what
-# the final registry keeps of it.
+# gauge folds across sites (with the value of an empty fold), what the
+# final registry keeps of it, and which ride in a ``sampled`` event.
 _FOLDS = [(spec.name, spec.metadata["fold"], spec.default)
           for spec in fields(TelemetryFrame) if spec.metadata["fold"]]
 _KEPT = {keep: [spec.name for spec in fields(TelemetryFrame)
                 if spec.metadata["keep"] == keep]
          for keep in ("latest", "series")}
+SAMPLED_GAUGES = tuple(spec.name for spec in fields(TelemetryFrame)
+                       if spec.metadata["sampled"])
+
+#: The derived counters: the gauge each event kind counts (a
+#: ``recovered`` event only with ``via="failover"``).
+_COUNTED = {
+    TraceEventKind.GENERATED: "ops_generated",
+    TraceEventKind.RETRANSMITTED: "retransmits",
+    TraceEventKind.ELECTED: "elected",
+    TraceEventKind.PROMOTED: "promoted",
+    TraceEventKind.RECOVERED: "resynced",
+}
+
+#: What a site traces about its own faults, graded: (kind, via) -> the
+#: health kind, its verdict and its detail (none of these kinds but
+#: ``peer_lost`` is traced with a ``via``).  A crash alone is
+#: survivable; the survivors' ``peer_lost`` events say whether it was.
+_GRADES = {
+    (TraceEventKind.CRASHED, None): ("crash", "warn", "traced its crash"),
+    (TraceEventKind.PEER_LOST, "eof"): (
+        "peer_dead", "warn", "connection closed mid-run; re-electing"),
+    (TraceEventKind.PEER_LOST, "terminal"): (
+        "peer_dead", "fail", "connection closed mid-run; no failover left"),
+    (TraceEventKind.PEER_LOST, "garbled"): (
+        "member_garbled", "warn", "hung up on for a frame that does not decode"),
+    (TraceEventKind.ELECTED, None): (
+        "failover_elected", "warn", "elected for epoch {epoch}"),
+    (TraceEventKind.PROMOTED, None): (
+        "failover_promoted", "warn", "promoted to notifier at epoch {epoch}"),
+    (TraceEventKind.HANDOFF, None): (
+        "failover_rehomed", "warn", "re-homed to successor {peer}"),
+}
 
 
 class TelemetryTailer:
-    """The monitor's state: every frame enters by :meth:`ingest`.
+    """The monitor's state: every event enters by :meth:`ingest`.
 
-    :meth:`poll` keeps one byte cursor per ``telemetry_*.jsonl`` and
-    ``trace_*.jsonl`` file; each call consumes only the *complete* lines
-    appended since (a partial line that a writer is mid-flush on stays unconsumed until
-    its newline lands) -- so a record is parsed exactly once over the
+    :meth:`poll` keeps one byte cursor per ``trace_*.jsonl`` file; each
+    call consumes only the *complete* lines appended since (a partial
+    line that a writer is mid-flush on stays unconsumed until its
+    newline lands) -- so a line is parsed exactly once over the
     tailer's lifetime, which :attr:`records_parsed` counts and the
-    exactly-once unit test pins.  An accepted frame is folded into
-    :attr:`latest` and :attr:`kept` at once and handed to the
-    :attr:`watchdogs`: no list of frames is held.  A poll pairs the
-    traces first, so a frame is ingested with its site's derived
-    ``e2e_p95_ms`` and that series fills as any other's.
+    exactly-once unit test pins.  A ``sampled`` event becomes the
+    site's frame in :attr:`latest` and is folded into :attr:`kept` and
+    handed to the :attr:`watchdogs` at once: no list of frames is held.
+    A poll pairs the new executions first, so a frame is built with its
+    site's derived ``e2e_p95_ms`` and that series fills as any other's.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
         self.out_dir = Path(out_dir)
         self._offsets: dict[Path, int] = {}
-        self._seen_health: set[HealthEvent] = set()
-        #: Each stream file's modification time at the last poll.
+        #: Each trace file's modification time at the last poll.
         self._mtimes: dict[Path, float] = {}
-        #: Per site, its stream's modification time when its latest
-        #: frame was read: the silence watchdog's arrival clock.
+        #: Per site, its trace's modification time when its latest
+        #: event was read: the silence watchdog's arrival clock (less
+        #: ``_t0``, as every time reported).
         self._heard: dict[int, float] = {}
-        #: Sites whose own stream recorded their crash.
+        #: Per site, the index of its latest event, and its role.
+        self._index: dict[int, int] = {}
+        self._roles: dict[int, str] = {}
+        #: Per site, its derived counters so far.
+        self._derived: dict[int, dict[str, int]] = {}
+        #: Sites whose own trace recorded their crash.
         self._crashed: set[int] = set()
-        #: Stream records (frames + health) parsed from files.
+        #: The earliest instant the first poll read (wall clock, as the
+        #: processes stamp their events): the zero of every time the
+        #: monitor reports.
+        self._t0: Optional[float] = None
+        #: Trace lines parsed from files.
         self.records_parsed = 0
-        #: The run's size, from the stream header (``None`` before one).
+        #: The run's size, from a trace header (``None`` before one).
         self.sites: Optional[int] = None
-        #: The verdict machines the stream header asked for.
+        #: The verdict machines the trace header asked for.
         self.watchdogs: list[Watchdog] = []
         #: The newest frame of each site: all an interval reads.
         self.latest: dict[int, TelemetryFrame] = {}
@@ -142,56 +192,78 @@ class TelemetryTailer:
         #: Per executing site, its last 64 latencies (ms).
         self._e2e: dict[int, deque[float]] = {}
 
-    def ingest(self, frame: TelemetryFrame) -> list[HealthEvent]:
-        """Offer a frame; returns the watchdogs' verdicts on it (none for
-        a frame that is not new: its ``seq`` is not above its site's
-        latest)."""
-        held = self.latest.get(frame.site)
-        if held is not None and held.seq >= frame.seq:
+    def ingest(self, event: TraceEvent) -> list[HealthEvent]:
+        """Offer an event; returns its grade and, for a sample, the
+        watchdogs' verdicts on the frame it makes (none for an event that
+        is not new: its ``index`` is not above its site's latest)."""
+        site = event.site
+        if event.index <= self._index.get(site, -1):
             return []
-        frame = self.latest[frame.site] = self._with_e2e(frame)
+        self._index[site] = event.index
+        if self._t0 is None:
+            self._t0 = event.time
+        kind = event.kind
+        derived = self._derived.setdefault(site, {"epoch": 0})
+        counted = _COUNTED.get(kind)
+        if counted is not None and (kind is not TraceEventKind.RECOVERED
+                                    or event.via == "failover"):
+            derived[counted] = derived.get(counted, 0) + 1
+            if kind in (TraceEventKind.PROMOTED, TraceEventKind.RECOVERED):
+                derived["epoch"] = event.epoch or 0
+        if kind is TraceEventKind.SAMPLED:
+            return self._sample(event, derived)
+        grade = _GRADES.get((kind, event.via))
+        if grade is None:
+            return []
+        if kind is TraceEventKind.CRASHED:
+            self._crashed.add(site)
+        health_kind, verdict, detail = grade
+        return [HealthEvent(time=event.time - self._t0, site=site, kind=health_kind,
+                            verdict=verdict, peer=event.peer,
+                            detail=detail.format(epoch=event.epoch,
+                                                 peer=event.peer))]
+
+    def _sample(self, event: TraceEvent,
+                derived: dict[str, Any]) -> list[HealthEvent]:
+        assert self._t0 is not None
+        gauges = event.gauges or {}
+        frame = self.latest[event.site] = self._with_e2e(TelemetryFrame(
+            site=event.site, role=self._roles.get(event.site, ""),
+            seq=event.seq or 0, time=event.time - self._t0, **derived,
+            **{name: gauges[name] for name in SAMPLED_GAUGES if name in gauges}))
         self.kept.inc("telemetry.frames")
         for name in _KEPT["series"]:
             value = getattr(frame, name)
             if value is not None:
                 self.kept.observe(f"telemetry.{name}", value)
-        return [event for watchdog in self.watchdogs
-                for event in watchdog.observe(frame)]
+        return [verdict for watchdog in self.watchdogs
+                for verdict in watchdog.observe(frame)]
 
     def poll(self) -> list[HealthEvent]:
-        """Ingest the frames the files gained since the last poll; returns
-        the health events they gained and the watchdogs' verdicts, oldest
-        first."""
-        frames: list[TelemetryFrame] = []
-        health: list[HealthEvent] = []
-        for path in sorted(self.out_dir.glob("telemetry_*.jsonl")):
+        """Ingest the events the traces gained since the last poll;
+        returns their grades and the watchdogs' verdicts, oldest first."""
+        events: list[TraceEvent] = []
+        for path in sorted(self.out_dir.glob("trace_*.jsonl")):
             for record in self._read_new(path):
-                if isinstance(record, TelemetryFrame):
-                    frames.append(record)
+                if isinstance(record, TraceEvent):
+                    events.append(record)
                     self._heard[record.site] = self._mtimes[path]
-                elif isinstance(record, HealthEvent):
-                    if record not in self._seen_health:
-                        self._seen_health.add(record)
-                        health.append(record)
-                        if record.kind == "crash":
-                            self._crashed.add(record.site)
-                elif not self.watchdogs:
-                    self._arm(record)
-        self._pair([record for path in sorted(self.out_dir.glob("trace_*.jsonl"))
-                    for record in self._read_new(path)
-                    if isinstance(record, TraceEvent)])
-        # Each site's frames in seq order, as the watchdogs expect.
-        for frame in sorted(frames, key=lambda f: (f.site, f.seq)):
-            health += self.ingest(frame)
+                else:
+                    self._read_header(record)
+        if self._t0 is None and events:
+            self._t0 = min(event.time for event in events)
+        self._pair([event for event in events
+                    if event.index > self._index.get(event.site, -1)])
+        health = [verdict for event in events for verdict in self.ingest(event)]
         for site, frame in self.latest.items():
             self.latest[site] = self._with_e2e(frame)
-        if self._mtimes:
-            newest = max(self._mtimes.values())
-            # A site whose own stream recorded its crash was graded there:
+        if self._t0 is not None:
+            newest = max(self._mtimes.values()) - self._t0
+            # A site whose own trace recorded its crash was graded there:
             # its silence since says nothing new.
-            health += [event for watchdog in self.watchdogs
-                       for event in watchdog.check(newest)
-                       if event.site not in self._crashed]
+            health += [verdict for watchdog in self.watchdogs
+                       for verdict in watchdog.check(newest)
+                       if verdict.site not in self._crashed]
         health.sort(key=lambda e: (e.time, e.site, e.kind))
         return health
 
@@ -221,25 +293,34 @@ class TelemetryTailer:
         latencies.values.extend(window)
         return replace(frame, e2e_p95_ms=latencies.percentile(95))
 
-    def _arm(self, header: dict[str, Any]) -> None:
-        """Build the watchdogs a stream header describes (a header that
-        does not describe the run leaves the tailer without any)."""
-        if "sites" not in header:
+    def _read_header(self, header: dict[str, Any]) -> None:
+        """Note a trace header's role, and build the watchdogs the first
+        header that describes the run asks for (a header that does not
+        is no description)."""
+        try:
+            if "site" in header:
+                self._roles[int(header["site"])] = str(header.get("role", ""))
+            if "sites" not in header or self.watchdogs:
+                return
+            sentinel = DivergenceSentinel(expected_ops=int(header["expected_ops"]))
+            self.sites = int(header["sites"])
+        except (KeyError, TypeError, ValueError):
             return
-        self.sites = int(header["sites"])
-        interval = float(header["interval_s"])
         self.watchdogs = [
             RetransmitStormWatchdog(),
-            CausalStallWatchdog(stall_after=max(4 * interval, 1.0)),
-            DivergenceSentinel(expected_ops=int(header["expected_ops"])),
-            SilenceWatchdog(max_silence=max(6 * interval, 2.0),
-                            clock=self._heard.__getitem__),
+            CausalStallWatchdog(),
+            sentinel,
+            SilenceWatchdog(clock=self._heard_at),
         ]
 
+    def _heard_at(self, site: int) -> float:
+        assert self._t0 is not None
+        return self._heard[site] - self._t0
+
     def registry(self) -> MetricsRegistry:
-        """The cross-process registry: what was kept of every frame,
-        each site's latest cumulative counters summed (they are already
-        monotone totals in the frames), and the monitor's own count."""
+        """The cross-process registry: what was kept of every sample,
+        each site's latest cumulative counters summed, and the monitor's
+        own count."""
         registry = MetricsRegistry().merge(self.kept)
         for site in sorted(self.latest):
             for name in _KEPT["latest"]:
@@ -247,10 +328,8 @@ class TelemetryTailer:
         registry.inc("monitor.records_parsed", self.records_parsed)
         return registry
 
-    def _read_new(
-        self, path: Path
-    ) -> Iterator[Union[TelemetryFrame, HealthEvent, TraceEvent, dict[str, Any]]]:
-        """The records ``path`` gained, and its header (a dict) when the
+    def _read_new(self, path: Path) -> Iterator[Union[TraceEvent, dict[str, Any]]]:
+        """The events ``path`` gained, and its header (a dict) when the
         file is read from its start."""
         offset = self._offsets.get(path, 0)
         try:
@@ -276,23 +355,15 @@ class TelemetryTailer:
                 continue
             try:
                 data = json.loads(line)
-            except ValueError:
-                continue  # torn line from a killed writer
-            rec = data.get("rec")  # headers and trace events have none
-            try:
-                if rec == "frame":
-                    self.records_parsed += 1
-                    yield TelemetryFrame.from_json(line)
-                elif rec == "health":
-                    self.records_parsed += 1
-                    yield HealthEvent.from_json(line)
-                elif "kind" in data:
-                    self.records_parsed += 1
-                    yield TraceEvent.from_json(line)
-                elif rec is None:
-                    yield data
+                if not isinstance(data, dict):
+                    continue
+                if "kind" not in data:
+                    yield data  # the header
+                    continue
+                self.records_parsed += 1
+                yield TraceEvent.from_json(line)
             except (ValueError, KeyError, TypeError):
-                continue
+                continue  # torn line from a killed writer
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -308,7 +379,7 @@ def _health_line(event: HealthEvent) -> str:
 class MonitorSnapshot:
     """One aggregated interval: the latest frame per site, folded.
 
-    ``expected_sites`` is the run's size as its stream header says;
+    ``expected_sites`` is the run's size as its trace header says;
     ``digests_agree`` is False once the divergence sentinel has flagged
     a pair of complete replicas.
     """
@@ -529,7 +600,7 @@ def run_monitor(
     clock: Callable[[], float] = _time.monotonic,
     sleep: Callable[[float], None] = _time.sleep,
 ) -> int:
-    """Tail ``out_dir``'s telemetry, print interval lines, write the artifact.
+    """Tail ``out_dir``'s traces, print interval lines, write the artifact.
 
     With ``once``, aggregates whatever is on disk right now, prints a
     single line, writes the artifact, and returns -- the CI probe mode.
@@ -538,14 +609,14 @@ def run_monitor(
     the live loop also stops once every expected site has gone quiet
     for a few intervals).  All reading goes through one
     :class:`TelemetryTailer`, so each interval parses only the newly
-    appended records, and every verdict -- the streams' own health
-    events and the watchdogs' -- reaches the exit code.  ``follow``
+    appended lines, and every verdict -- the grades of what the sites
+    traced and the watchdogs' -- reaches the exit code.  ``follow``
     renders the sparkline dashboard on a TTY (``tty=None`` autodetects
     stdout) and plain lines otherwise.
 
-    Returns 0 if any telemetry was seen and no ``fail`` health verdict
+    Returns 0 if any sample was seen and no ``fail`` health verdict
     surfaced (divergence is one), 2 on a ``fail`` verdict, 1 if no
-    telemetry ever appeared.
+    sample ever appeared.
     """
     out_path = Path(out_dir)
     artifact_path = Path(artifact) if artifact else out_path / "monitor.jsonl"
@@ -582,7 +653,7 @@ def run_monitor(
         if duration_s is not None and clock() - started >= duration_s:
             break
         if tailer.latest and idle_rounds >= 3:
-            break  # every stream has gone quiet: the run is over
+            break  # every trace has stopped sampling: the run is over
         sleep(interval_s)
 
     _write_artifact(artifact_path, snapshots, all_health, tailer.registry())
@@ -601,7 +672,7 @@ def _write_artifact(
     header = {
         "format": MONITOR_FORMAT,
         "schema_version": MONITOR_SCHEMA_VERSION,
-        "telemetry_schema_version": TELEMETRY_SCHEMA_VERSION,
+        "trace_schema_version": TRACE_SCHEMA_VERSION,
         "intervals": len(snapshots),
         "health_events": len(health),
     }

@@ -31,7 +31,7 @@ import enum
 import json
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
@@ -43,7 +43,9 @@ TRACE_FORMAT = "repro-obs-trace-v1"
 #: header field; version 3 added a ``span`` event kind and an ``ot``
 #: (origin wall-clock time) field, which version 4 removed again: a
 #: latency span is a view of the events the trace already records
-#: (:mod:`repro.obs.spans`).
+#: (:mod:`repro.obs.spans`).  The ``sampled`` and ``peer_lost`` kinds
+#: and the optional ``g`` field are a cluster process's alone: no
+#: simulator session emits them, so its files did not change shape.
 TRACE_SCHEMA_VERSION = 4
 
 
@@ -64,6 +66,8 @@ class TraceEventKind(enum.Enum):
     PROMOTED = "promoted"  # the successor assumed the notifier role
     HANDOFF = "handoff"  # a client switched its centre to the successor
     HOLDBACK_OVERFLOW = "holdback_overflow"  # the reorder buffer hit capacity
+    SAMPLED = "sampled"  # a cluster process traced its gauges (``gauges``)
+    PEER_LOST = "peer_lost"  # a cluster process lost a connection (``via``)
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,10 @@ class TraceEvent:
     ``epoch``/``seq`` but no compressed timestamp, editor events the
     reverse.  ``via`` qualifies releases (``"direct"`` vs
     ``"holdback"``), snapshots and recoveries (``"join"`` /
-    ``"resync"`` / ``"failover"``).
+    ``"resync"`` / ``"failover"``) and lost connections (``"eof"`` /
+    ``"terminal"`` / ``"garbled"``).  ``gauges`` is a ``SAMPLED``
+    event's measurements, by gauge name; ``seq`` is then the sample's
+    index.
     """
 
     index: int
@@ -91,13 +98,14 @@ class TraceEvent:
     timestamp: Optional[tuple[int, ...]] = None
     source_op_id: Optional[str] = None
     via: Optional[str] = None
+    gauges: Optional[dict[str, Any]] = field(default=None, hash=False)
 
     def to_json(self) -> str:
         """One compact JSON object; ``None`` fields are omitted.
 
         Fields are emitted in the canonical schema order (``i``,
         ``kind``, ``t``, ``site``, ``op``, ``peer``, ``epoch``, ``seq``,
-        ``ts``, ``src``, ``via``) -- not alphabetically -- so
+        ``ts``, ``src``, ``via``, ``g``) -- not alphabetically -- so
         exports are deterministic *and* diff cleanly between runs.
         """
         data: dict[str, Any] = {
@@ -120,6 +128,8 @@ class TraceEvent:
             data["src"] = self.source_op_id
         if self.via is not None:
             data["via"] = self.via
+        if self.gauges is not None:
+            data["g"] = self.gauges
         return json.dumps(data)
 
     @classmethod
@@ -138,6 +148,7 @@ class TraceEvent:
             timestamp=tuple(timestamp) if timestamp is not None else None,
             source_op_id=data.get("src"),
             via=data.get("via"),
+            gauges=data.get("g"),
         )
 
 
@@ -248,8 +259,8 @@ class MetricsRegistry:
         percentile over the merged registry is the percentile over the
         union of observations (not an average of per-process
         percentiles, which would be statistically meaningless).  The
-        cluster monitor uses this to aggregate per-process telemetry
-        into one cross-process view.  ``other`` is left untouched.
+        cluster monitor uses this to fold what it kept of every site's
+        samples into one cross-process view.  ``other`` is left untouched.
         """
         for name, value in other._counters.items():
             self.inc(name, value)
@@ -350,6 +361,7 @@ class Tracer:
         timestamp: Optional[tuple[int, ...]] = None,
         source_op_id: Optional[str] = None,
         via: Optional[str] = None,
+        gauges: Optional[dict[str, Any]] = None,
         time: Optional[float] = None,
     ) -> TraceEvent:
         """Append one event and return it."""
@@ -365,6 +377,7 @@ class Tracer:
             timestamp=timestamp,
             source_op_id=source_op_id,
             via=via,
+            gauges=gauges,
         )
         self.events.append(event)
         self.emitted += 1
@@ -405,9 +418,9 @@ def write_jsonl(
 
     The stream is flushed before returning, so a caller that crashes
     *after* this call still leaves a complete file behind.  For files
-    that grow record-by-record over a process's lifetime (traces and
-    telemetry streams) use :class:`JsonlWriter`, which
-    flushes after every record.
+    that grow record-by-record over a process's lifetime (a cluster
+    process's trace) use :class:`JsonlWriter`, which flushes after every
+    record.
     """
     fh.write(json.dumps(trace_header(header)) + "\n")
     count = 1

@@ -19,13 +19,10 @@ them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.net.scheduler import Scheduler
 from repro.obs.tracer import TraceEvent, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.telemetry import TelemetryFrame, TelemetrySampler, Watchdog
 
 
 class ConsistencyError(AssertionError):
@@ -59,7 +56,6 @@ class SessionBase:
     sim: Scheduler
     topology: Any
     tracer: Optional[Tracer] = None
-    telemetry: Optional["TelemetrySampler"] = None
 
     def endpoints(self) -> Sequence[Any]:
         """The document-bearing processes, in canonical site order.
@@ -92,50 +88,6 @@ class SessionBase:
     def trace_events(self) -> Sequence[TraceEvent]:
         """Events recorded so far (empty without an attached tracer)."""
         return () if self.tracer is None else list(self.tracer.events)
-
-    # -- telemetry ---------------------------------------------------------------
-
-    def telemetry_frames(self, seq: int = 0) -> "list[TelemetryFrame]":
-        """One gauge snapshot per endpoint, right now (a pull sample)."""
-        from repro.obs.telemetry import snapshot_endpoint
-
-        return [
-            snapshot_endpoint(endpoint, sched=self.sim, seq=seq)
-            for endpoint in self.endpoints()
-        ]
-
-    def attach_telemetry(
-        self,
-        *,
-        interval: float,
-        max_samples: Optional[int] = None,
-        until: Optional[float] = None,
-        watchdogs: "Sequence[Watchdog]" = (),
-    ) -> "TelemetrySampler":
-        """Arm a :class:`~repro.obs.telemetry.TelemetrySampler` on ``sim``.
-
-        In-process sessions run on the deterministic simulator, whose
-        ``run()`` drives to quiescence -- so the sampler must be
-        bounded: pass ``max_samples`` and/or ``until`` (an unbounded
-        wall-clock-style sampler would keep the simulation alive
-        forever).  Sampling only reads endpoint state, so the seeded
-        event stream -- and every deterministic metric derived from it
-        -- is unchanged by attaching one.
-        """
-        from repro.obs.telemetry import TelemetrySampler
-
-        if max_samples is None and until is None:
-            raise ValueError(
-                "an in-process sampler needs max_samples or until: an "
-                "unbounded timer would keep the simulator from quiescing"
-            )
-        sampler = TelemetrySampler(
-            self.sim, self.telemetry_frames, interval=interval,
-            watchdogs=watchdogs,
-        )
-        sampler.start(max_samples=max_samples, until=until)
-        self.telemetry = sampler
-        return sampler
 
     # -- replica state -----------------------------------------------------------
 

@@ -17,6 +17,7 @@ import pytest
 from repro.cluster import ClusterConfig, run_cluster
 from repro.cluster.harness import read_artifacts
 from repro.net.wire import encode_goodbye, encode_hello, frame
+from repro.obs.tracer import TraceEventKind
 
 
 def test_three_client_cluster_converges(tmp_path: Path) -> None:
@@ -48,6 +49,13 @@ def test_three_client_cluster_converges(tmp_path: Path) -> None:
     assert all(pair.raw.count == config.ops_per_client
                for pair in spans.pairs.values())
     assert spans.uncorrectable_pairs == []
+    # The monitor counts each client op once: GENERATED at its origin,
+    # not the notifier's transformed copy as well.
+    from repro.obs.monitor import TelemetryTailer, aggregate
+
+    tailer = TelemetryTailer(tmp_path)
+    tailer.poll()
+    assert aggregate(tailer.latest).totals["ops_generated"] == config.total_ops
 
 
 def test_cluster_over_reliability_protocol(tmp_path: Path) -> None:
@@ -127,32 +135,94 @@ def test_trace_sink_does_not_outlive_its_file(tmp_path: Path) -> None:
 
 
 def test_a_process_stream_holds_its_own_sites_frames_only(tmp_path: Path) -> None:
-    """One carriage: a process writes its own samples to its own stream
-    and nothing else -- no other site's frame, no watchdog verdict (the
-    monitor judges) -- under a header that says what the run is."""
+    """One stream per process: a process traces its own samples, on a
+    timer and once more as it finishes, into its own trace and nothing
+    else -- no other site's, no watchdog verdict (the monitor judges), no
+    second file -- under a header that says what the run is."""
     import json
 
-    from repro.cluster.harness import ProcessRig, telemetry_path
+    from repro.cluster.harness import ProcessRig, trace_path
     from repro.editor.star_notifier import StarNotifier
+    from repro.obs.monitor import SAMPLED_GAUGES
 
     async def body() -> None:
-        rig = ProcessRig(
-            ClusterConfig(clients=3, ops_per_client=4, telemetry_interval_s=0.05),
-            tmp_path, 0, "notifier")
+        rig = ProcessRig(ClusterConfig(clients=3, ops_per_client=4),
+                         tmp_path, 0, "notifier")
         notifier = StarNotifier(rig.sched, 3, tracer=rig.tracer)
-        rig.start_telemetry(lambda: notifier)
-        await asyncio.sleep(0.12)
-        rig.close_streams()
+        rig.sample(lambda: notifier)
+        await asyncio.sleep(0.6)
         rig.finish(rig.result(notifier))
 
     asyncio.run(body())
     header, *records = [json.loads(line) for line
-                        in telemetry_path(tmp_path, 0).read_text().splitlines()]
-    assert (header["sites"], header["expected_ops"], header["interval_s"]) == (
-        4, 12, 0.05)
+                        in trace_path(tmp_path, 0).read_text().splitlines()]
+    assert (header["site"], header["sites"], header["expected_ops"]) == (0, 4, 12)
     assert len(records) >= 2  # the timer's samples and the closing one
-    assert {(r["rec"], r["site"]) for r in records} == {("frame", 0)}
+    assert {(r["kind"], r["site"]) for r in records} == {("sampled", 0)}
     assert [r["seq"] for r in records] == list(range(len(records)))
+    assert all(list(r["g"]) == list(SAMPLED_GAUGES) for r in records)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["site_0.json",
+                                                          "trace_0.jsonl"]
+
+
+#: A frame that does not decode (an unassigned tag), sent after a HELLO.
+GARBLED = frame(b"\x03")
+
+
+def _peer_lost(out_dir: Path, site: int) -> list[tuple[int, int, str]]:
+    _header_and_result, events = read_artifacts(out_dir, site)
+    return [(e.site, e.peer, e.via) for e in events
+            if e.kind is TraceEventKind.PEER_LOST]
+
+
+def test_a_garbled_member_is_traced_by_the_original_centre(tmp_path: Path) -> None:
+    """Under the default config the notifier's trace names the member it
+    hung up on for a garbled frame, not only the ``SERVED`` count."""
+    from repro.cluster.serve import serve
+
+    config = ClusterConfig(clients=1, timeout_s=1.0)
+
+    async def body() -> None:
+        port_future: asyncio.Future[int] = (
+            asyncio.get_running_loop().create_future())
+        server = asyncio.ensure_future(serve(config, tmp_path, on_port=port_future))
+        port = await asyncio.wait_for(port_future, 10.0)
+        reader, writer = await asyncio.open_connection(config.host, port)
+        writer.write(frame(encode_hello(1)) + GARBLED)
+        await asyncio.wait_for(reader.read(), 5.0)  # the roster, then hung up
+        writer.close()
+        # Its only member gone, the run cannot complete.
+        assert await asyncio.wait_for(server, 10.0) is False
+
+    asyncio.run(body())
+    assert _peer_lost(tmp_path, 0) == [(0, 1, "garbled")]
+
+
+def test_a_garbled_member_is_traced_by_a_successor(tmp_path: Path) -> None:
+    """The same at a client's own hub, the one a promoted successor
+    serves members from."""
+    from repro.cluster.failover import WireFailover
+    from repro.cluster.harness import ProcessRig
+    from repro.editor.star_client import StarClient
+
+    config = ClusterConfig(clients=2)
+
+    async def body() -> None:
+        rig = ProcessRig(config, tmp_path, 1, "client")
+        client = StarClient(rig.sched, 1, tracer=rig.tracer)
+        coordinator = WireFailover(config, client, rig.done,
+                                   workload_done=lambda: True)
+        await coordinator.start()
+        reader, writer = await asyncio.open_connection(
+            config.host, coordinator.listen_port)
+        writer.write(frame(encode_hello(2)) + GARBLED)
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        writer.close()
+        await coordinator.hub.close()
+        rig.finish(rig.result(client))
+
+    asyncio.run(body())
+    assert _peer_lost(tmp_path, 1) == [(1, 2, "garbled")]
 
 
 def _assert_quiet(capfd, caplog) -> None:
@@ -228,37 +298,36 @@ def test_stray_connection_cannot_end_or_join_the_run(
     _assert_quiet(capfd, caplog)
 
 
-def test_cluster_with_telemetry_streams_and_monitor_aggregation(
+def test_cluster_traces_feed_the_monitor_aggregation(
     tmp_path: Path,
 ) -> None:
-    """ISSUE 8 acceptance, clean half: telemetry on, cross-check EXACT.
+    """The monitor beside a clean run: sampling on, cross-check EXACT.
 
-    Every process streams its own frames and no other site's, the
-    monitor's watchdogs find nothing to flag, and its per-site aggregate
-    equals each process's final local stats.
+    Every process traces its own samples and no other site's, into its
+    trace and no other file; the monitor's watchdogs find nothing to
+    flag, and its per-site aggregate equals each process's final local
+    stats.
     """
     from repro.cluster.driver import ClusterError
-    from repro.cluster.harness import telemetry_path
     from repro.obs.monitor import TelemetryTailer, aggregate, run_monitor
 
     config = ClusterConfig(clients=3, ops_per_client=3, seed=7,
-                           timeout_s=20.0, telemetry_interval_s=0.2)
+                           timeout_s=20.0)
     try:
         report = run_cluster(config, tmp_path)
     except ClusterError as exc:  # pragma: no cover - loaded-host diagnostics
-        pytest.fail(f"telemetry-enabled cluster failed: {exc}")
-    # Telemetry on changes no verdict: the trace-vs-oracle cross-check
-    # still passes EXACT on the merged trace.
+        pytest.fail(f"cluster failed: {exc}")
+    # Sampling changes no verdict: the trace-vs-oracle cross-check
+    # passes EXACT on the merged trace, samples and all.
     assert report.ok, report.summary()
     assert report.cross_check.ok
 
-    # Every process wrote a telemetry stream of its own frames only...
-    import json
-
+    # Every process traced its own samples only, and wrote no other stream...
+    assert not list(tmp_path.glob("telemetry_*"))
     for site in range(4):
-        records = [json.loads(line) for line in
-                   telemetry_path(tmp_path, site).read_text().splitlines()]
-        assert {r["site"] for r in records if r.get("rec") == "frame"} == {site}
+        _result, events = read_artifacts(tmp_path, site)
+        samples = [e for e in events if e.kind is TraceEventKind.SAMPLED]
+        assert samples and {e.site for e in samples} == {site}
     # ...the watchdogs its header arms flag nothing...
     tailer = TelemetryTailer(tmp_path)
     health = tailer.poll()
@@ -273,6 +342,8 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
         result, _ = read_artifacts(tmp_path, site)
         assert snapshot.totals["ops_executed"][site] == result.executed_ops
         assert snapshot.latest[site].retransmits == result.retransmits
+        assert snapshot.latest[site].ops_generated == (
+            config.ops_per_client if site else 0)
     # The end-to-end gauge no process sampled is derived from the traces:
     # each site's equals the p95 of its last 64 remote pairs.
     reference = _reference_e2e_p95(tmp_path, 4)
@@ -315,19 +386,19 @@ def test_injected_notifier_crash_without_failover_leaves_its_traces(
     The notifier hard-exits mid-run with ``failover=False``; every
     process's streamed trace is its post-mortem, and the notifier's ends
     with the ``crashed`` event it traced on the way down; the clients
-    must flag the dead peer *live* (a ``fail`` health event in their
-    telemetry streams, written before the run ends), and the driver must
+    must flag the dead peer *live* (a terminal ``peer_lost`` in their
+    traces, written before the run ends, which the monitor grades
+    ``fail``), and the driver must
     salvage the artifacts by name instead of discarding the run -- the
     explained failure, not a hang or an unexplained one.
     """
     from repro.cluster.driver import ClusterError
-    from repro.cluster.harness import telemetry_path, trace_path
+    from repro.cluster.harness import trace_path
     from repro.obs.monitor import TelemetryTailer
-    from repro.obs.tracer import TraceEventKind, read_jsonl
+    from repro.obs.tracer import read_jsonl
 
     config = ClusterConfig(clients=2, ops_per_client=20, seed=5,
                            time_scale=0.3, timeout_s=8.0,
-                           telemetry_interval_s=0.2,
                            crash_notifier_after_s=1.5,
                            failover=False)
     with pytest.raises(ClusterError) as excinfo:
@@ -352,5 +423,5 @@ def test_injected_notifier_crash_without_failover_leaves_its_traces(
     dead_flags = [e for e in health if e.kind == "peer_dead"
                   and e.verdict == "fail" and e.peer == 0]
     assert {e.site for e in dead_flags} == {1, 2}
-    # The crashed notifier's own stream survived (crash-safe writes).
-    assert telemetry_path(tmp_path, 0).exists()
+    # The crash itself is graded where the notifier traced it.
+    assert [(e.site, e.kind) for e in health if e.kind == "crash"] == [(0, "crash")]

@@ -48,20 +48,20 @@ def test_notifier_crash_early_in_run_fails_over(tmp_path: Path) -> None:
                                  tmp_path)
 
 
-def test_notifier_crash_mid_run_fails_over_with_telemetry(
+def test_notifier_crash_mid_run_fails_over_on_the_record(
     tmp_path: Path,
 ) -> None:
-    """Mid-run crash with telemetry on: the epoch transition is visible.
+    """Mid-run crash: the epoch transition is visible.
 
-    Election, promotion and member resync must land in the health
-    streams as ``warn`` verdicts (the cluster *healed*; nothing failed
-    terminally) and in the v2 counter gauges the monitor aggregates.
+    Election, promotion and member re-homing are in the survivors'
+    traces, which the monitor grades as ``warn`` verdicts (the cluster
+    *healed*; nothing failed terminally) and counts into the failover
+    gauges it aggregates.
     """
     from repro.obs.monitor import TelemetryTailer, aggregate, run_monitor
 
     config = ClusterConfig(clients=3, ops_per_client=12, seed=11,
                            time_scale=0.3, timeout_s=25.0,
-                           telemetry_interval_s=0.2,
                            crash_notifier_after_s=1.5)
     report = run_cluster(config, tmp_path)
     _assert_survived_by_failover(report, config, tmp_path)
@@ -84,12 +84,15 @@ def test_notifier_crash_mid_run_fails_over_with_telemetry(
     kinds = {e.kind for e in health}
     # ...but the whole failover story is on the record: the dead-peer
     # flags, the election on the successor, its promotion, and the
-    # members re-homing.
-    assert "peer_dead" in kinds
-    assert "failover_elected" in kinds
-    assert "failover_promoted" in kinds
-    assert "failover_rehomed" in kinds
-    # The v2 telemetry counters carry the epoch transition: exactly one
+    # members re-homing -- the events the survivors traced, graded.
+    assert {"crash", "peer_dead"} <= kinds
+    traced = set()
+    for site in range(1, config.clients + 1):
+        with trace_path(tmp_path, site).open() as fh:
+            traced |= {e.kind for e in read_jsonl(fh, lenient=True)[1]}
+    assert {TraceEventKind.PEER_LOST, TraceEventKind.ELECTED,
+            TraceEventKind.PROMOTED, TraceEventKind.HANDOFF} <= traced
+    # The failover counters carry the epoch transition: exactly one
     # promotion cluster-wide, and every other survivor resynced.
     totals = aggregate(tailer.latest, health).totals
     assert totals["epoch"] >= 1
@@ -120,13 +123,13 @@ def test_reliable_failover_leaves_stderr_empty(tmp_path: Path, capfd) -> None:
 def test_a_live_monitor_beside_a_failover_run_stays_green(
     tmp_path: Path,
 ) -> None:
-    """The monitor reads the streams *while* a cluster crashes its
-    notifier mid-run and fails over.  No stream depends on the dead
-    centre, so frames keep arriving straight through the failover
+    """The monitor reads the traces *while* a cluster crashes its
+    notifier mid-run and fails over.  No trace depends on the dead
+    centre, so samples keep arriving straight through the failover
     window: the monitor renders epoch-1 intervals (minted by the
     promoted successor), and its watchdogs -- live, on every site --
     flag neither a divergence nor a silent site: the dead centre's own
-    stream recorded its crash, and the survivors never stop sampling.
+    trace recorded its crash, and the survivors never stop sampling.
     """
     import json
     import threading
@@ -140,12 +143,11 @@ def test_a_live_monitor_beside_a_failover_run_stays_green(
     exit_code: dict[str, int] = {}
     config = ClusterConfig(clients=3, ops_per_client=12, seed=11,
                            time_scale=0.3, timeout_s=25.0,
-                           telemetry_interval_s=0.2,
                            crash_notifier_after_s=1.5)
 
     def watch() -> None:
         # Idle detection ends the loop a few intervals after the
-        # streams' last record; the duration is a backstop only.
+        # traces' last sample; the duration is a backstop only.
         exit_code["monitor"] = run_monitor(
             cluster_dir, interval_s=0.2, duration_s=60.0, artifact=artifact,
             emit=lines.append,
@@ -163,8 +165,8 @@ def test_a_live_monitor_beside_a_failover_run_stays_green(
     intervals = [r for r in records if r["rec"] == "interval"]
     assert any(r["epoch"] >= 1 for r in intervals), \
         "no post-failover frames reached the monitor"
-    # No frame on disk carries the end-to-end gauge: the monitor derives
-    # it from the traces, through the epoch change too.
+    # No sample carries the end-to-end gauge: the monitor derives it
+    # from the traces, through the epoch change too.
     assert any(r["epoch"] >= 1 and "e2e_p95_ms" in r for r in intervals)
     (metrics,) = [r for r in records if r["rec"] == "metrics"]
     assert metrics["histograms"]["telemetry.e2e_p95_ms"]["count"] > 0

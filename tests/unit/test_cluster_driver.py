@@ -17,10 +17,11 @@ from repro.cluster.harness import config_from_args
 def test_reused_out_dir_is_cleared_of_an_earlier_runs_artifacts(tmp_path, monkeypatch):
     """A stale ``site_0.json`` must not survive into a run whose notifier
     dies by design (it would be read as that run's result); files the
-    driver does not write are left alone."""
-    stale = ["site_0.json", "site_3.json", "trace_0.jsonl", "telemetry_2.jsonl",
-             "monitor.jsonl"]
-    kept = ["notes.txt", "site_0.json.bak", "trace.jsonl", "flight_1.jsonl"]
+    driver does not write are left alone, the telemetry streams and
+    flight recordings earlier versions wrote among them."""
+    stale = ["site_0.json", "site_3.json", "trace_0.jsonl", "monitor.jsonl"]
+    kept = ["notes.txt", "site_0.json.bak", "trace.jsonl", "flight_1.jsonl",
+            "telemetry_2.jsonl"]
     for name in stale + kept:
         (tmp_path / name).write_text("{}")
     seen_at_spawn = []
@@ -50,7 +51,6 @@ FIELDS = dict(
     host=st.sampled_from(["127.0.0.1", "localhost", "::1"]),
     settle_s=st.just(0.0) | seconds,
     timeout_s=seconds,
-    telemetry_interval_s=st.just(0.0) | seconds,
     crash_notifier_after_s=st.none() | seconds,
     failover=st.booleans(),
 )
@@ -78,7 +78,7 @@ def test_the_flag_sets_are_pinned():
     table = {
         "-h", "--help", "--out", "--clients", "--ops", "--seed", "--time-scale",
         "--host", "--settle", "--timeout", "--reliability",
-        "--telemetry-interval", "--crash-notifier-after", "--no-failover",
+        "--crash-notifier-after", "--no-failover",
     }
     # The seeded random session's, with the fault flags both share.
     random_session = {
@@ -91,7 +91,7 @@ def test_the_flag_sets_are_pinned():
         "serve": table,
         "client": table | {"--site", "--port"},
         "cluster": table | {"--quick"},
-        # The run's size comes from the stream header, not a flag.
+        # The run's size comes from the trace header, not a flag.
         "monitor": {"-h", "--help", "--dir", "--interval", "--duration", "--once",
                     "--artifact", "--follow", "--max-intervals"},
     }

@@ -31,6 +31,7 @@ from repro.net.wire import (
     frame,
     read_frame,
 )
+from repro.obs.tracer import TraceEventKind, Tracer
 from repro.ot.operations import Insert
 
 HOST = "127.0.0.1"
@@ -45,12 +46,19 @@ class StubEndpoint:
     def __init__(self) -> None:
         self.attached: list[int] = []
         self.messages: list[Envelope] = []
+        self.tracer = Tracer()
 
     def attach_channel(self, dest: int, channel: Any) -> None:
         self.attached.append(dest)
 
     def on_message(self, envelope: Envelope) -> None:
         self.messages.append(envelope)
+
+
+def lost(endpoint: Any) -> list[tuple[int, int | None, str | None]]:
+    """The ``peer_lost`` events the hub traced: (site, peer, via)."""
+    return [(e.site, e.peer, e.via) for e in endpoint.tracer.events
+            if e.kind is TraceEventKind.PEER_LOST]
 
 
 class Loopback:
@@ -224,6 +232,7 @@ def test_a_member_that_garbles_a_frame_is_hung_up_on_without_noise(
         await until(lambda: lo.hub.hung_up == {1, 2})
         assert [e.kind for e in lo.endpoint.messages] == ["ok", "ok"]
         assert lo.hub.garbled == 2
+        assert lost(lo.endpoint) == [(0, 1, "garbled"), (0, 2, "garbled")]
 
     run({1, 2}, body)
     assert capfd.readouterr().err == ""
@@ -236,8 +245,8 @@ def test_a_garbled_frame_after_the_hello_is_counted_and_costs_nobody_else(
     """An admitted member sends a pinned DATA frame with one byte changed
     (the operation tag, to one no operation has): its connection is
     closed, counted in ``garbled`` -- not in ``rejected``, it said HELLO --
-    and logged as ``member_garbled``; what the other member sent before,
-    around and after it arrives whole and in order."""
+    and traced as ``peer_lost`` with ``via="garbled"``; what the other
+    member sent before, around and after it arrives whole and in order."""
     from test_wire_corpus import PINNED
 
     pinned = bytes.fromhex(PINNED["data-insert"])  # source 2, dest 0
@@ -247,8 +256,6 @@ def test_a_garbled_frame_after_the_hello_is_counted_and_costs_nobody_else(
             for n in range(4)]
 
     async def body(lo: Loopback) -> None:
-        logged: list[tuple[str, str]] = []
-        lo.hub.log = lambda kind, detail: logged.append((kind, detail))
         _r1, w1 = await lo.member(1)
         w1.write(frame(sent[0]) + frame(sent[1]))
         r2, w2 = await lo.member(2)
@@ -258,8 +265,7 @@ def test_a_garbled_frame_after_the_hello_is_counted_and_costs_nobody_else(
         w1.write(frame(sent[2]) + frame(sent[3]) + frame(encode_drained(1)))
         await until(lambda: lo.hub.drained == {1})
         assert (lo.hub.garbled, lo.hub.rejected) == (1, 0)
-        assert [kind for kind, _ in logged] == ["member_garbled", "member_drained"]
-        assert "member 2" in logged[0][1]
+        assert lost(lo.endpoint) == [(0, 2, "garbled")]
         arrived = [encode_envelope(e) for e in lo.endpoint.messages]
         # Member 2's pinned frame once (not the one behind the mutant) ...
         assert [body for body in arrived if body not in sent] == [pinned]
@@ -278,15 +284,14 @@ def test_a_member_cannot_send_as_another_site(source: int, dest: int) -> None:
     """Member 1 sends a well-formed DATA frame that names another site as
     its source, or a site other than the centre as its destination: the
     frame never reaches the endpoint, the connection is closed and counted
-    in ``garbled``, and member 2's frames arrive whole and in order."""
+    in ``garbled`` and traced, and member 2's frames arrive whole and in
+    order."""
     forged = encode_envelope(Envelope(source=source, dest=dest, payload=None,
                                       kind="forged"))
     sent = [encode_envelope(Envelope(source=2, dest=0, payload=None, kind=f"k{n}"))
             for n in range(3)]
 
     async def body(lo: Loopback) -> None:
-        logged: list[tuple[str, str]] = []
-        lo.hub.log = lambda kind, detail: logged.append((kind, detail))
         _r2, w2 = await lo.member(2)
         w2.write(frame(sent[0]))
         r1, w1 = await lo.member(1)
@@ -296,7 +301,7 @@ def test_a_member_cannot_send_as_another_site(source: int, dest: int) -> None:
         w2.write(frame(sent[1]) + frame(sent[2]) + frame(encode_drained(2)))
         await until(lambda: lo.hub.drained == {2})
         assert (lo.hub.garbled, lo.hub.rejected) == (1, 0)
-        assert [kind for kind, _ in logged] == ["member_garbled", "member_drained"]
+        assert lost(lo.endpoint) == [(0, 1, "garbled")]
         assert [encode_envelope(e) for e in lo.endpoint.messages] == sent
 
     run({1, 2}, body)

@@ -324,7 +324,12 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\bReliabilityConfig\b|\bRetransmitPolicy\b|standby|degraded_limit"
         r"|degraded-limit|\b_track_failover\b|\breliability_config\b|\bgrace_s\b"
         r"|\bFlightRecorder\b|\bflight_path\b|\bdump_flight\b|\borigin_wall\b"
-        r"|\bspan_clock\b|\be2e_window\b|\bOP_TRAILER_VERSION\b|\b_TRAILER\b")
+        r"|\bspan_clock\b|\be2e_window\b|\bOP_TRAILER_VERSION\b|\b_TRAILER\b"
+        r"|\bTelemetrySampler\b|\btelemetry_path\b|telemetry_interval"
+        r"|telemetry-interval|\bsnapshot_endpoint\b|\battach_telemetry\b"
+        r"|\bTELEMETRY_FORMAT\b|\bTELEMETRY_SCHEMA_VERSION\b|\btelemetry_frames\b"
+        r"|\bstart_telemetry\b|\bclose_streams\b|\btelemetry_enabled\b"
+        r"|\blocal_ops_generated\b|\b_call_int\b|\bLogHook\b|telemetry_\*")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES

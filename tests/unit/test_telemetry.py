@@ -1,11 +1,14 @@
-"""Unit tests for the live telemetry layer (:mod:`repro.obs.telemetry`).
+"""Unit tests for the monitor's gauge table and watchdogs
+(:mod:`repro.obs.telemetry`).
 
-The contracts the cluster and monitor rely on: frames round-trip
-losslessly through JSON, registries merge
+The contracts the cluster and monitor rely on: every gauge the frame
+declares is rebuilt from a site's trace (counted from its events or read
+from its ``sampled`` event) and then folded and kept as declared, a
+``sampled`` event round-trips through its JSON line, registries merge
 counters and histograms correctly, a ring-mode tracer evicts old events
 at bounded memory, each watchdog fires exactly at its documented
-threshold (and re-arms), the sampler stays bounded on the deterministic
-simulator, and the JSONL writer is crash-safe.
+threshold (and re-arms), a process samples exactly the gauges the table
+marks as sampled, and the JSONL writer is crash-safe.
 """
 
 from __future__ import annotations
@@ -16,31 +19,27 @@ import json
 
 import pytest
 
+from repro.cluster.harness import sample_gauges
 from repro.editor.star import StarSession
 from repro.obs import (
     CausalStallWatchdog,
     DivergenceSentinel,
-    HealthEvent,
     JsonlWriter,
     MetricsRegistry,
     RetransmitStormWatchdog,
     SilenceWatchdog,
     TelemetryFrame,
-    TelemetrySampler,
+    TraceEvent,
     TraceEventKind,
     Tracer,
     read_jsonl,
-    snapshot_endpoint,
 )
-from repro.obs.monitor import TelemetryTailer, aggregate
-from repro.net.simulator import Simulator
+from repro.obs.monitor import SAMPLED_GAUGES, TelemetryTailer, aggregate
+from repro.obs.telemetry import SILENT_AFTER_S, STALL_AFTER_S, STORM_THRESHOLD
+from repro.obs.tracer import trace_header
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
-FULL_FRAME = TelemetryFrame(
-    site=2, role="client", seq=7, time=1.5, epoch=1, ops_generated=3,
-    ops_executed=9, holdback_depth=1, holdback_high_water=2, inflight=4,
-    retransmits=5, storage_ints=6, queue_depth=8, digest="abc123def456",
-)
+K = TraceEventKind
 
 
 def frame_at(site: int, seq: int, **over) -> TelemetryFrame:
@@ -51,23 +50,52 @@ def frame_at(site: int, seq: int, **over) -> TelemetryFrame:
 
 GAUGES = dataclasses.fields(TelemetryFrame)
 _DISTINCT = {"int": lambda n: 100 + n, "float": lambda n: n + 0.5,
-             "str": lambda n: f"s{n}", "Optional[float]": lambda n: n + 0.25}
+             "str": lambda n: f"s{n}"}
 
 
 def distinct_frame(site: int) -> TelemetryFrame:
     """Every field its own value, different at every site."""
-    values = {spec.name: _DISTINCT[spec.type](index + 40 * site)
+    values = {spec.name: _DISTINCT.get(spec.type, float)(index + 40 * site)
               for index, spec in enumerate(GAUGES)}
-    values.update(site=site, seq=site)  # what the monitor keys a frame by
+    # What the monitor keys a frame by, and a latency the pairing
+    # reproduces exactly: site s executes the other site's op 125*s ms
+    # after its generation.
+    values.update(site=site, seq=site, e2e_p95_ms=125.0 * site)
     return TelemetryFrame(**values)
 
 
+def trace_of(frame: TelemetryFrame, other: int) -> list[TraceEvent]:
+    """The events a process traces for the monitor to rebuild ``frame``
+    (its role is its trace header's): each derived gauge's events, one
+    remote execution of ``other``'s first op, then the sample."""
+    tracer = Tracer()
+    site = frame.site
+
+    def emit(kind, count, **fields):
+        for n in range(count):
+            tracer.emit(kind, site, time=0.0, **fields)
+
+    emit(K.GENERATED, 1, op_id=f"g{site}_0")
+    emit(K.GENERATED, frame.ops_generated - 1)
+    emit(K.RETRANSMITTED, frame.retransmits)
+    emit(K.ELECTED, frame.elected)
+    emit(K.RECOVERED, 3, via="resync", epoch=7)  # a crash restart: not counted
+    emit(K.RECOVERED, frame.resynced, via="failover", epoch=frame.epoch - 1)
+    emit(K.PROMOTED, frame.promoted, epoch=frame.epoch)  # the last epoch wins
+    tracer.emit(K.EXECUTED, site, op_id=f"g{other}_0",
+                time=frame.e2e_p95_ms / 1e3)
+    tracer.emit(K.SAMPLED, site, seq=frame.seq, time=frame.time,
+                gauges={name: getattr(frame, name) for name in SAMPLED_GAUGES})
+    return list(tracer.events)
+
+
 @pytest.mark.parametrize("spec", GAUGES, ids=lambda spec: spec.name)
-def test_a_declared_gauge_reaches_every_reader_of_the_table(spec):
+def test_a_declared_gauge_reaches_every_reader_of_the_table(spec, tmp_path):
     """The table cannot be half-applied: whatever ``TelemetryFrame``
-    declares crosses the JSON stream and is folded, recorded
-    and kept as its declaration says -- a gauge added to the table and
-    forgotten by a reader fails here, by name."""
+    declares is rebuilt from a site's trace -- counted from its events,
+    or read from its ``sampled`` event -- and folded, recorded and kept
+    as its declaration says; a gauge added to the table and forgotten by
+    a reader fails here, by name."""
     name, (fold, keep) = spec.name, (spec.metadata["fold"], spec.metadata["keep"])
     assert fold in (None, "sum", "max", "site")
     assert keep in (None, "latest", "series")
@@ -75,11 +103,15 @@ def test_a_declared_gauge_reaches_every_reader_of_the_table(spec):
     a, b = getattr(one, name), getattr(two, name)
     assert a != b
 
-    assert getattr(TelemetryFrame.from_json(one.to_json()), name) == a
+    for frame, other in ((one, 2), (two, 1)):
+        with (tmp_path / f"trace_{frame.site}.jsonl").open("w") as fh:
+            fh.write(json.dumps(trace_header(
+                {"site": frame.site, "role": frame.role})) + "\n")
+            fh.writelines(e.to_json() + "\n" for e in trace_of(frame, other))
+    tailer = TelemetryTailer(tmp_path)
+    tailer.poll()
+    assert tailer.latest == {1: one, 2: two}
 
-    tailer = TelemetryTailer("/nonexistent")
-    tailer.ingest(one)
-    tailer.ingest(two)
     snapshot = aggregate(tailer.latest)
     record = json.loads(snapshot.to_json())
     if fold is None:
@@ -97,22 +129,37 @@ def test_a_declared_gauge_reaches_every_reader_of_the_table(spec):
         [a, b] if keep == "series" else None)
 
 
-class TestFrameCodec:
-    def test_json_round_trip_is_lossless(self):
-        assert TelemetryFrame.from_json(FULL_FRAME.to_json()) == FULL_FRAME
+class TestSampledEvent:
+    def test_a_sample_round_trips_through_its_trace_line(self):
+        event = Tracer().emit(K.SAMPLED, 2, seq=7, time=1.5, gauges={
+            "ops_executed": 9, "holdback_depth": 1, "digest": "abc123def456"})
+        line = json.loads(event.to_json())
+        assert list(line) == ["i", "kind", "t", "site", "seq", "g"]
+        assert TraceEvent.from_json(event.to_json()) == event
 
-    def test_json_leads_with_the_record_tag(self):
-        data = json.loads(FULL_FRAME.to_json())
-        assert data["rec"] == "frame"
+    def test_an_event_without_gauges_writes_no_g(self):
+        event = Tracer().emit(K.PEER_LOST, 1, peer=0, via="eof")
+        assert json.loads(event.to_json()) == {
+            "i": 0, "kind": "peer_lost", "t": 0.0, "site": 1, "peer": 0,
+            "via": "eof"}
+        assert hash(event) == hash(TraceEvent.from_json(event.to_json()))
 
-    def test_from_json_rejects_other_record_kinds(self):
-        with pytest.raises(ValueError):
-            TelemetryFrame.from_json('{"rec": "health", "site": 1}')
+    def test_no_simulator_session_samples_or_loses_a_peer(self, tmp_path, capsys):
+        """The two kinds are a cluster process's: a traced simulator
+        session, loss and a notifier failover included, emits neither,
+        so its trace files are what they were before the kinds existed."""
+        from repro.cli import main
 
-    def test_health_event_json_round_trip(self):
-        event = HealthEvent(time=2.0, site=3, kind="peer_dead",
-                            verdict="fail", peer=0, detail="gone")
-        assert HealthEvent.from_json(event.to_json()) == event
+        out = tmp_path / "failover"
+        assert main(["trace", "--faults", "--crash-notifier", "2.0", "--sites",
+                     "3", "--ops", "4", "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(f"{out}.jsonl") as fh:
+            _header, events = read_jsonl(fh)
+        kinds = {e.kind for e in events}
+        assert K.PROMOTED in kinds
+        assert not kinds & {K.SAMPLED, K.PEER_LOST}
+        assert all(e.gauges is None for e in events)
 
 
 class TestRegistryMerge:
@@ -167,7 +214,8 @@ class TestRingTracer:
 
 class TestRetransmitStormWatchdog:
     def test_fires_on_burst_and_rearms(self):
-        dog = RetransmitStormWatchdog(threshold=10)
+        assert STORM_THRESHOLD == 10
+        dog = RetransmitStormWatchdog()
         assert dog.observe(frame_at(1, 0, retransmits=0)) == []
         # A slow trickle stays silent.
         assert dog.observe(frame_at(1, 1, retransmits=5)) == []
@@ -181,34 +229,36 @@ class TestRetransmitStormWatchdog:
         assert len(dog.observe(frame_at(1, 5, retransmits=50))) == 1
 
     def test_below_threshold_never_fires(self):
-        dog = RetransmitStormWatchdog(threshold=10)
+        dog = RetransmitStormWatchdog()
         for seq in range(10):
             assert dog.observe(frame_at(1, seq, retransmits=seq * 9)) == []
 
 
 class TestCausalStallWatchdog:
     def test_fires_after_stall_window_without_progress(self):
-        dog = CausalStallWatchdog(stall_after=2.0)
+        assert STALL_AFTER_S == 1.0
+        dog = CausalStallWatchdog()
         assert dog.observe(frame_at(1, 0, time=0.0, ops_executed=4,
                                     holdback_depth=1)) == []
-        assert dog.observe(frame_at(1, 1, time=1.0, ops_executed=4,
+        assert dog.observe(frame_at(1, 1, time=0.5, ops_executed=4,
                                     holdback_depth=1)) == []
-        events = dog.observe(frame_at(1, 2, time=2.5, ops_executed=4,
+        events = dog.observe(frame_at(1, 2, time=1.25, ops_executed=4,
                                       holdback_depth=2))
         assert [e.kind for e in events] == ["causal_stall"]
 
     def test_progress_rearms(self):
-        dog = CausalStallWatchdog(stall_after=2.0)
+        dog = CausalStallWatchdog()
         dog.observe(frame_at(1, 0, time=0.0, ops_executed=4, holdback_depth=1))
-        dog.observe(frame_at(1, 1, time=2.5, ops_executed=4, holdback_depth=1))
+        assert len(dog.observe(frame_at(1, 1, time=1.25, ops_executed=4,
+                                        holdback_depth=1))) == 1
         # Execution resumed: re-armed, and an empty buffer stays silent.
-        assert dog.observe(frame_at(1, 2, time=3.0, ops_executed=5,
+        assert dog.observe(frame_at(1, 2, time=1.5, ops_executed=5,
                                     holdback_depth=0)) == []
         assert dog.observe(frame_at(1, 3, time=6.0, ops_executed=5,
                                     holdback_depth=0)) == []
 
     def test_empty_holdback_never_stalls(self):
-        dog = CausalStallWatchdog(stall_after=1.0)
+        dog = CausalStallWatchdog()
         dog.observe(frame_at(1, 0, time=0.0, ops_executed=3))
         assert dog.observe(frame_at(1, 1, time=9.0, ops_executed=3)) == []
 
@@ -237,8 +287,9 @@ class TestDivergenceSentinel:
 
 class TestSilenceWatchdog:
     def test_fires_once_after_silence_and_rearms_on_frames(self):
+        assert SILENT_AFTER_S == 2.0
         now = {"t": 0.0}
-        dog = SilenceWatchdog(max_silence=2.0, clock=lambda site: now["t"])
+        dog = SilenceWatchdog(clock=lambda site: now["t"])
         dog.observe(frame_at(1, 0))
         assert dog.check(1.0) == []
         events = dog.check(3.0)
@@ -250,84 +301,36 @@ class TestSilenceWatchdog:
         assert len(dog.check(7.0)) == 1
 
     def test_arrival_clock_overrides_frame_time(self):
-        # Each process stamps frames on its own clock; the arrival clock
-        # (the monitor's: the site's stream mtime) must win.
+        # A frame carries its process's stamp; the arrival clock (the
+        # monitor's: the site's trace mtime) must win.
         heard = {1: 100.0, 2: 101.5}
-        dog = SilenceWatchdog(max_silence=2.0, clock=heard.__getitem__)
+        dog = SilenceWatchdog(clock=heard.__getitem__)
         dog.observe(frame_at(1, 0, time=0.5))
         dog.observe(frame_at(2, 0, time=0.5))
         assert dog.check(101.0) == []  # heard at 100, not at 0.5
         assert [e.site for e in dog.check(103.0)] == [1]  # site 2 at 101.5
 
 
-class TestSampler:
-    def test_bounded_sampler_lets_the_simulator_quiesce(self):
-        session = StarSession(3)
-        drive_star_session(
-            session, RandomSessionConfig(n_sites=3, ops_per_site=4, seed=2)
-        )
-        sampler = session.attach_telemetry(interval=0.5, max_samples=6)
-        session.run()
-        assert session.converged()
-        assert 0 < sampler.samples_taken <= 6
-        # One frame per endpoint (notifier + 3 clients) per sample.
-        assert len(sampler.frames) == 4 * sampler.samples_taken
-        final = [f for f in sampler.frames if f.seq == sampler.samples_taken - 1]
-        assert {f.site for f in final} == {0, 1, 2, 3}
-
-    def test_unbounded_inprocess_sampler_is_rejected(self):
-        session = StarSession(2)
-        with pytest.raises(ValueError):
-            session.attach_telemetry(interval=0.5)
-
-    def test_sampling_does_not_perturb_the_seeded_run(self):
-        config = RandomSessionConfig(n_sites=3, ops_per_site=5, seed=7)
-        plain = StarSession(3)
-        drive_star_session(plain, config)
-        plain.run()
-        sampled = StarSession(3)
-        drive_star_session(sampled, config)
-        sampled.attach_telemetry(interval=0.25, max_samples=16)
-        sampled.run()
-        assert sampled.documents() == plain.documents()
-        assert sampled.wire_stats().messages == plain.wire_stats().messages
-
-    def test_watchdogs_see_every_sampled_frame(self):
-        # An in-process sample holds every endpoint's frame.
-        sim = Simulator()
-        dog = DivergenceSentinel(expected_ops=1)
-        frames = [frame_at(0, 0, ops_executed=1, digest="aaa"),
-                  frame_at(1, 0, ops_executed=1, digest="bbb")]
-        sampler = TelemetrySampler(
-            sim, lambda seq: frames, interval=1.0, watchdogs=[dog]
-        )
-        sampler.sample()
-        assert [e.kind for e in sampler.health] == ["divergence"]
-
-    def test_stop_cancels_the_timer(self):
-        sim = Simulator()
-        sampler = TelemetrySampler(sim, lambda seq: [], interval=1.0)
-        sampler.start(max_samples=100)
-        sampler.stop()
-        assert sim.run() == 0  # the cancelled timer never fires
-
-
 class TestSnapshotEndpoint:
     def test_snapshot_reads_real_session_gauges(self):
+        """A process samples exactly the gauges the table marks as
+        sampled, measured on the endpoint itself."""
         session = StarSession(2)
         drive_star_session(
             session, RandomSessionConfig(n_sites=2, ops_per_site=3, seed=0)
         )
         session.run()
-        frames = session.telemetry_frames(seq=5)
-        assert [f.site for f in frames] == [0, 1, 2]
-        assert frames[0].role == "notifier"
-        assert all(f.role == "client" for f in frames[1:])
-        assert all(f.seq == 5 for f in frames)
-        assert all(f.ops_executed == 6 for f in frames)
-        assert all(f.storage_ints > 0 for f in frames)
+        samples = [sample_gauges(endpoint, session.sim)
+                   for endpoint in session.endpoints()]
+        assert SAMPLED_GAUGES == (
+            "ops_executed", "holdback_depth", "holdback_high_water", "inflight",
+            "storage_ints", "queue_depth", "degraded_queued", "digest")
+        assert all(list(sample) == list(SAMPLED_GAUGES) for sample in samples)
+        assert all(sample["ops_executed"] == 6 for sample in samples)
+        assert [sample["storage_ints"] for sample in samples] == [2, 2, 2]
+        assert all(sample["queue_depth"] == 0 for sample in samples)
         # Converged replicas sample identical digests.
-        assert len({f.digest for f in frames}) == 1
+        assert len({sample["digest"] for sample in samples}) == 1
 
 
 class TestJsonlWriter:

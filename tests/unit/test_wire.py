@@ -290,7 +290,7 @@ def test_unencodable_payload_raises() -> None:
 
 
 def test_unknown_frame_tag_raises() -> None:
-    # 0x03 is unassigned: telemetry travels in the stream files only.
+    # 0x03 is unassigned: samples travel in the trace files only.
     for body in (b"\xff\x00", bytes.fromhex("030000000300000002")):
         with pytest.raises(WireError, match="unknown frame tag"):
             decode_frame(body)
