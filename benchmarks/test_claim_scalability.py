@@ -59,7 +59,6 @@ def test_notifier_pipeline(benchmark):
             op=Insert("x", 0),
             timestamp=CompressedTimestamp(client.sv.received_from_center, seq[0]),
             origin_site=1,
-            op_id=f"bench_{seq[0]}",
         )
         notifier.on_message(Envelope(source=1, dest=0, payload=message))
 

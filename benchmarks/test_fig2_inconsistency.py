@@ -27,7 +27,7 @@ def run_fig2():
         record_events=False,
     )
     for item in fig3_script():
-        session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
+        session.generate_at(item.site, item.op, item.time)
     session.run()
     return session
 

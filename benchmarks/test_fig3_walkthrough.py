@@ -12,9 +12,15 @@ from repro.editor.star import StarSession
 from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
     FIG3_EXPECTED,
+    fig3_labels,
     fig3_script,
     fig_latency_factory,
 )
+
+
+# The sites name the paper's O1-O4 by (site, ordinal); the labels are
+# read off the script's order.
+LABEL = fig3_labels()
 
 
 def run_fig3(verify=True):
@@ -30,7 +36,7 @@ def run_fig3(verify=True):
         record_checks=True,  # both tests read the verdicts and the broadcast log
     )
     for item in fig3_script():
-        session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
+        session.generate_at(item.site, item.op, item.time)
     session.run()
     return session
 
@@ -39,16 +45,16 @@ def test_fig3_full_scenario(benchmark):
     session = benchmark(run_fig3)
     # -- assert every number in the walkthrough --
     got_broadcasts = {
-        (op_id, dest): ts.as_paper_list()
+        (LABEL[op_id], dest): ts.as_paper_list()
         for op_id, dest, ts in session.notifier.broadcast_log
     }
     assert got_broadcasts == FIG3_EXPECTED["broadcast_timestamps"]
     got_buffered = {
-        e.op_id: e.timestamp.as_paper_list() for e in session.notifier.hb
+        LABEL[e.op_id]: e.timestamp.as_paper_list() for e in session.notifier.hb
     }
     assert got_buffered == FIG3_EXPECTED["notifier_buffer_timestamps"]
     got_verdicts = {
-        (r.site, r.new_op_id, r.buffered_op_id): r.verdict
+        (r.site, LABEL[r.new_op_id], LABEL[r.buffered_op_id]): r.verdict
         for r in session.all_checks()
     }
     assert got_verdicts == FIG3_EXPECTED["verdicts"]
@@ -81,12 +87,12 @@ def test_fig3_with_pruned_history(benchmark):
     assert session.converged()
     assert session.documents()[0] == FIG3_EXPECTED["final_document"]
     got_broadcasts = {
-        (op_id, dest): ts.as_paper_list()
+        (LABEL[op_id], dest): ts.as_paper_list()
         for op_id, dest, ts in session.notifier.broadcast_log
     }
     assert got_broadcasts == FIG3_EXPECTED["broadcast_timestamps"]
     verdicts = {
-        (r.site, r.new_op_id, r.buffered_op_id): r.verdict
+        (r.site, LABEL[r.new_op_id], LABEL[r.buffered_op_id]): r.verdict
         for r in session.all_checks()
     }
     assert verdicts.items() <= FIG3_EXPECTED["verdicts"].items()

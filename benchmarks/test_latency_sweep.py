@@ -45,8 +45,8 @@ def measure_star(latency: float, seed: int = 0):
     for client in session.clients:
         orig = client.generate
 
-        def gen(op, op_id=None, _orig=orig, _c=client):
-            assigned = _orig(op, op_id)
+        def gen(op, _orig=orig, _c=client):
+            assigned = _orig(op)
             generated_at[assigned] = _c.sim.now
             return assigned
 
@@ -58,9 +58,9 @@ def measure_star(latency: float, seed: int = 0):
             continue
         deliver = channel.on_deliver
 
-        def delivered(envelope, _deliver=deliver):
+        def delivered(envelope, _deliver=deliver, _c=session.client(dest)):
             _deliver(envelope)
-            original = envelope.payload.op_id.rstrip("'")
+            original = _c.executed_op_ids[-1].rstrip("'")  # no name on the wire
             completed_at[original] = session.sim.now  # virtual time only grows
 
         channel.on_deliver = delivered

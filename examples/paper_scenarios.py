@@ -17,9 +17,15 @@ from repro.viz.spacetime import DiagramEvent, render_spacetime, render_star_topo
 from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
     FIG_LATENCIES,
+    fig3_labels,
     fig3_script,
     fig_latency_factory,
 )
+
+
+# The sites name each op by (site, ordinal); the paper's O1-O4 follow
+# from the script's order.
+LABEL = fig3_labels()
 
 
 def banner(title: str) -> None:
@@ -43,7 +49,7 @@ def run_scenario(transform: bool) -> StarSession:
         record_checks=True,
     )
     for item in fig3_script():
-        session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
+        session.generate_at(item.site, item.op, item.time)
     session.run()
     return session
 
@@ -52,7 +58,7 @@ def spacetime_events(session: StarSession) -> list[DiagramEvent]:
     events = []
     for entry in session.notifier.hb:
         events.append(
-            DiagramEvent(entry.executed_at, 0, f"exec {entry.op_id} {entry.timestamp!r}")
+            DiagramEvent(entry.executed_at, 0, f"exec {LABEL[entry.op_id]} {entry.timestamp!r}")
         )
     for client in session.clients:
         for entry in client.hb:
@@ -61,7 +67,7 @@ def spacetime_events(session: StarSession) -> list[DiagramEvent]:
                 DiagramEvent(
                     entry.executed_at,
                     client.pid,
-                    f"{kind} {entry.op_id} {entry.timestamp!r}",
+                    f"{kind} {LABEL[entry.op_id]} {entry.timestamp!r}",
                 )
             )
     return events
@@ -89,16 +95,16 @@ def main() -> None:
 
     print("\n  notifier broadcasts (formulas 1-2):")
     for op_id, dest, ts in fig3.notifier.broadcast_log:
-        print(f"    {op_id} -> site {dest}  timestamp {ts!r}")
+        print(f"    {LABEL[op_id]} -> site {dest}  timestamp {ts!r}")
     print("\n  notifier history buffer (full SV_0 snapshots):")
     for entry in fig3.notifier.hb:
-        print(f"    {entry.op_id}  {entry.timestamp!r}")
+        print(f"    {LABEL[entry.op_id]}  {entry.timestamp!r}")
     print("\n  concurrency verdicts (formulas 5 and 7):")
     for record in fig3.all_checks():
         relation = "||" if record.verdict else "-/||"
         print(
-            f"    site {record.site}: {record.new_op_id} {relation} "
-            f"{record.buffered_op_id}  ({record.new_timestamp} vs "
+            f"    site {record.site}: {LABEL[record.new_op_id]} {relation} "
+            f"{LABEL[record.buffered_op_id]}  ({record.new_timestamp} vs "
             f"{record.buffered_timestamp})"
         )
     print()

@@ -48,6 +48,7 @@ class CausalityOracle:
     def _build_graph(log: EventLog) -> "nx.DiGraph":
         graph = nx.DiGraph()
         last_at_site: dict[int, Event] = {}
+        generation: dict[Hashable, Event] = {}
         for event in log.events:
             graph.add_node(event)
             # Program order within a site.
@@ -55,15 +56,12 @@ class CausalityOracle:
             if previous is not None:
                 graph.add_edge(previous, event)
             last_at_site[event.site] = event
-            # A (remote) execution depends on the operation's generation.
-            if event.kind is EventKind.EXECUTE:
-                gen = next(
-                    e
-                    for e in log.events
-                    if e.kind is EventKind.GENERATE and e.op_id == event.op_id
-                )
-                if gen is not event:
-                    graph.add_edge(gen, event)
+            # A (remote) execution depends on the operation's latest
+            # generation (a re-issued name replaces one nobody executed).
+            if event.kind is EventKind.GENERATE:
+                generation[event.op_id] = event
+            else:
+                graph.add_edge(generation[event.op_id], event)
         return graph
 
     @staticmethod

@@ -46,6 +46,7 @@ from repro.workloads.random_session import (
 )
 from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
+    fig3_labels,
     fig3_script,
     fig_latency_factory,
 )
@@ -77,7 +78,7 @@ def _run_scripted(transform: bool) -> StarSession:
         record_checks=True,
     )
     for item in fig3_script():
-        session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
+        session.generate_at(item.site, item.op, item.time)
     session.run()
     return session
 
@@ -101,19 +102,21 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 def cmd_fig3(args: argparse.Namespace) -> int:
     del args
     session = _run_scripted(transform=True)
+    label = fig3_labels()
     print(f"initial document: {FIG2_INITIAL_DOCUMENT!r}\n")
     print("notifier broadcasts:")
     broadcasts = session.notifier.broadcast_log
     assert broadcasts is not None  # _run_scripted asks for diagnostics
     for op_id, dest, ts in broadcasts:
-        print(f"  {op_id} -> site {dest}  {ts!r}")
+        print(f"  {label[op_id]} -> site {dest}  {ts!r}")
     print("\nbuffered operations at site 0:")
     for entry in session.notifier.hb:
-        print(f"  {entry.op_id}  {entry.timestamp!r}")
+        print(f"  {label[entry.op_id]}  {entry.timestamp!r}")
     print("\nconcurrency verdicts:")
     for record in session.all_checks():
         relation = "||" if record.verdict else "->-ordered-with"
-        print(f"  site {record.site}: {record.new_op_id} {relation} {record.buffered_op_id}")
+        print(f"  site {record.site}: {label[record.new_op_id]} {relation} "
+              f"{label[record.buffered_op_id]}")
     print()
     for site, doc in enumerate(session.documents()):
         print(f"site {site} final: {doc!r}")

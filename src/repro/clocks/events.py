@@ -58,6 +58,8 @@ class EventLog:
     _site_seq: list[int] = field(init=False)
     _site_clock: list[VectorClock] = field(init=False)
     _generation_clock: dict[Hashable, VectorClock] = field(default_factory=dict)
+    # Generations no site has executed yet, by generating site.
+    _unexecuted: dict[Hashable, int] = field(default_factory=dict)
     _counter: Iterator[int] = field(default_factory=itertools.count)
 
     def __post_init__(self) -> None:
@@ -75,14 +77,18 @@ class EventLog:
         return event
 
     def generate(self, site: int, op_id: Hashable) -> Event:
-        """Record generation of ``op_id`` at ``site``."""
+        """Record generation of ``op_id`` at ``site``: once, except that
+        a crashed client re-issues the names of its ops the notifier
+        never executed -- a re-issue replaces a generation at the same
+        site that no other site executed."""
+        if op_id in self._generation_clock and self._unexecuted.get(op_id) != site:
+            raise ValueError(f"operation {op_id!r} generated twice")
         event = self._append(site, EventKind.GENERATE, op_id)
         clock = self._site_clock[site].tick(site)
         self._site_clock[site] = clock
         self.clocks[event] = clock
-        if op_id in self._generation_clock:
-            raise ValueError(f"operation {op_id!r} generated twice")
         self._generation_clock[op_id] = clock
+        self._unexecuted[op_id] = site
         return event
 
     def execute(self, site: int, op_id: Hashable) -> Event:
@@ -94,6 +100,8 @@ class EventLog:
         """
         if op_id not in self._generation_clock:
             raise ValueError(f"operation {op_id!r} executed before generation was logged")
+        if self._unexecuted.get(op_id, site) != site:
+            del self._unexecuted[op_id]
         event = self._append(site, EventKind.EXECUTE, op_id)
         merged = self._site_clock[site].merge(self._generation_clock[op_id])
         clock = merged.tick(site)

@@ -115,8 +115,10 @@ def trace_vector_clock_hb(
         if event.kind in _GENERATION_KINDS:
             ticked = clock_of(site).tick(site)
             site_clock[site] = ticked
-            if event.op_id is not None:
-                gen_clock.setdefault(event.op_id, ticked)
+            op_id = event.op_id  # a re-issued name's latest generation counts
+            if op_id is not None and (event.kind is TraceEventKind.GENERATED
+                                      or op_id not in gen_clock):
+                gen_clock[op_id] = ticked
         elif event.kind is TraceEventKind.EXECUTED:
             incoming = gen_clock.get(event.op_id or "")
             current = clock_of(site)

@@ -36,11 +36,6 @@ class HistoryEntry:
     origin_kind: OriginKind
     op_id: Any = None  # stable identity of the operation as buffered
     executed_at: float = 0.0  # virtual time of execution (for diagnostics)
-    # Notifier entries: the identity of the *original* client operation
-    # the buffered (transformed) operation derives from.  Formula (6)/(7)
-    # is framed over "operations originally generated at sites x and y",
-    # so the ground-truth oracle compares original identities.
-    source_op_id: Any = None
     # Local entries whose OT type supports inversion: the inverse of the
     # operation relative to its generation pre-state, used by undo while
     # the entry is still the site's most recent execution.

@@ -26,7 +26,8 @@ simulated deployment:
 4. **Re-admission** -- each survivor is served a failover snapshot (the
    crash-resync path under a new *notifier epoch*) and replays its
    stashed unacknowledged operations against the baseline, deduplicated
-   by the snapshot's ``incorporated`` id set.  In-flight pre-crash
+   by count: the snapshot's ``SV_0`` says how many of the survivor's own
+   operations the baseline embodies.  In-flight pre-crash
    envelopes are fenced by the abandoned-peer guard and the
    ``(notifier_epoch, seq)`` link state.
 

@@ -6,16 +6,33 @@ above them the integration logic (:mod:`repro.editor.star_client` /
 :mod:`repro.editor.star_notifier`).  They are deliberately free of
 behaviour so the codec (:mod:`repro.net.codec`) and both editor roles
 can share them without depending on each other; the only functions
-here are their model wire sizes, registered at the bottom.
+here are the one that names an operation (:func:`op_name`) and their
+model wire sizes, registered at the bottom.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.net.transport import INT_WIDTH, measure_payload_bytes, register_sizer
+
+
+def op_name(origin: int, ordinal: int, epoch: int = 0, copy: bool = False) -> str:
+    """The name every site gives ``origin``'s ``ordinal``-th operation.
+
+    No name travels: each site derives the ordinal -- the origin from
+    its ``SV_i[2]``, the notifier from the arrival's ``T[2]``, a client
+    from its per-origin arrival count (FIFO relay makes the *k*-th
+    arrival from ``j`` ``j``'s op *k*).  Notifier epoch ``epoch > 0``
+    adds ``@f{epoch}``: a replayed ordinal differs from the one the dead
+    centre may have relayed.  ``copy`` names the centre's broadcast form
+    (a prime added).  Interned: one string per op per process.
+    """
+    name = f"c{origin}_{ordinal}@f{epoch}" if epoch else f"c{origin}_{ordinal}"
+    return sys.intern(name + "'" if copy else name)
 
 
 class BroadcastBody:
@@ -42,21 +59,20 @@ class OpMessage:
     Shared by reference and never mutated: the simulator hands the
     sender's object to the receiver, and a reliable sender retains it
     for retransmission.  Not ``frozen`` -- the notifier builds one per
-    destination per operation, and a frozen ``__init__`` is six
+    destination per operation, and a frozen ``__init__`` is four
     ``object.__setattr__`` calls -- so the rule is held by
     ``tests/unit/test_source_hygiene.py``: nothing under ``src/`` stores
     to one of these field names except on ``self``.
 
-    Every field is the paper's or an identity, so a cluster process
-    sends the simulator's bytes; latency is read off the trace
+    Every field is the paper's or the origin, so a cluster process
+    sends the simulator's bytes; the operation's name is derived at
+    each end (:func:`op_name`), and latency is read off the trace
     (:mod:`repro.obs.spans` offline, the monitor's derived gauge live).
     """
 
     op: Any
     timestamp: CompressedTimestamp
     origin_site: int  # site the operation was originally generated at
-    op_id: str
-    source_op_id: str | None = None  # for notifier outputs: the input op
     # Set by the notifier on the siblings of one broadcast, which agree
     # in every field but ``timestamp``; no part of the message's value.
     shared: BroadcastBody | None = field(default=None, compare=False, repr=False)
@@ -64,31 +80,25 @@ class OpMessage:
 
 @dataclass(frozen=True)
 class SnapshotMessage:
-    """State transfer for a late-joining or recovering client.
+    """State transfer for a joining, recovering or re-homed client.
 
-    ``base_count`` is the number of notifier broadcasts the destination
-    would have received so far (``sum_{j != dest} SV_0[j]``); the client
-    seeds ``SV_i[1]`` with it so the compressed-timestamp arithmetic
-    (formulas 1-2, 5, 7) stays exact: the snapshot "delivers" those
-    operations in bulk, and the FIFO channel guarantees every later
-    broadcast arrives after it.  For crash recovery ``own_count``
-    additionally restores ``SV_i[2]`` (``SV_0[dest]``: the destination's
-    operations the notifier had executed), and ``origin_clock`` carries
-    the notifier's ground-truth vector clock at snapshot time so the
-    oracle stays exact across the state transfer.
+    ``counts`` is ``SV_0``: ``document`` embodies ``counts[j - 1]``
+    operations of site ``j``.  The receiver seeds ``SV_i[1]`` with the
+    broadcasts it would have received so far (``sum_{j != dest}
+    SV_0[j]``), so formulas 1-2, 5 and 7 stay exact -- the snapshot
+    "delivers" those operations in bulk, and FIFO puts every later
+    broadcast after it -- and ``SV_i[2]`` with ``SV_0[dest]``; the other
+    columns are its per-origin counts, and a stashed operation is
+    already embodied iff its ordinal is at most ``SV_0[dest]``.
+    ``origin_clock`` is the notifier's ground-truth vector clock (the
+    oracle stays exact across the transfer); ``notifier_epoch`` is 0
+    for the original notifier.
     """
 
     document: Any
-    base_count: int
-    own_count: int = 0
+    counts: tuple[int, ...]
     origin_clock: Any = None
-    # Failover extensions: the notifier epoch the snapshot belongs to
-    # (0 for the original notifier) and, for failover snapshots, the
-    # original client op ids already embodied in ``document`` -- the
-    # receiver replays its stashed pending operations *not* in this set
-    # and drops the rest as duplicates.
     notifier_epoch: int = 0
-    incorporated: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -150,7 +160,8 @@ class StateContribution:
 
 
 def _op_body_bytes(message: OpMessage) -> int:
-    return 4 + len(message.op_id) + measure_payload_bytes(message.op)
+    """The origin and the operation (the timestamp is charged apart)."""
+    return INT_WIDTH + measure_payload_bytes(message.op)
 
 
 def _op_message_bytes(message: OpMessage) -> int:
@@ -163,18 +174,16 @@ def _op_message_bytes(message: OpMessage) -> int:
 
 
 def _snapshot_bytes(snapshot: SnapshotMessage) -> int:
-    """The document, plus the failover dedup set when there is one."""
-    size = 4 + measure_payload_bytes(snapshot.document)
-    return size + sum(len(op_id) + 1 for op_id in snapshot.incorporated)
+    """``SV_0`` and the notifier epoch, then the document."""
+    size = (len(snapshot.counts) + 1) * INT_WIDTH
+    return size + measure_payload_bytes(snapshot.document)
 
 
 def _contribution_bytes(report: StateContribution) -> int:
     """``SV_i`` and the site id, the per-origin counts, the stashed
     pending operations, and the replica document."""
     size = 3 * INT_WIDTH + 2 * INT_WIDTH * len(report.received_per_origin)
-    size += sum(
-        len(op_id) + 1 + measure_payload_bytes(op) for op_id, op in report.pending
-    )
+    size += sum(map(measure_payload_bytes, report.pending))
     return size + measure_payload_bytes(report.document)
 
 

@@ -238,10 +238,10 @@ class StarSession(SessionBase):
             raise IndexError(f"site ids are 1..{len(self.clients)}, got {site_id}")
         return self.clients[site_id - 1]
 
-    def generate_at(self, site_id: int, op: Any, at: float, op_id: str | None = None) -> None:
+    def generate_at(self, site_id: int, op: Any, at: float) -> None:
         """Schedule generation of ``op`` at ``site_id`` at virtual time ``at``."""
         client = self.client(site_id)
-        self.sim.schedule(at, lambda: client.generate(op, op_id))
+        self.sim.schedule(at, lambda: client.generate(op))
 
     def fault_report(self):
         """Aggregate what the network did and what the protocol absorbed."""

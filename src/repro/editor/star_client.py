@@ -11,7 +11,6 @@ transform against the not-yet-acknowledged local operations, execute.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
@@ -20,7 +19,7 @@ from repro.clocks.vector import concurrent as vc_concurrent
 from repro.core.concurrency import client_concurrent
 from repro.core.history import HistoryBuffer, HistoryEntry
 from repro.core.state_vector import ClientStateVector
-from repro.core.timestamp import OriginKind
+from repro.core.timestamp import CompressedTimestamp, OriginKind
 from repro.editor.messages import (
     ElectMessage,
     OpMessage,
@@ -28,6 +27,7 @@ from repro.editor.messages import (
     ResyncRequest,
     SnapshotMessage,
     StateContribution,
+    op_name,
 )
 from repro.net.reliability import ReliableEndpoint
 from repro.net.scheduler import Scheduler
@@ -104,10 +104,6 @@ class StarClient(EditorEndpoint):
         self.executed_op_ids: list[str] = []
         # Late joiners start inactive and are activated by the snapshot.
         self.active = not joining
-        # Per-client counter: op ids must not leak across sessions in one
-        # process, or replays stop being reproducible.  Survives crashes
-        # (ids are ground-truth bookkeeping, not volatile editor state).
-        self._op_ids = itertools.count(1)
         # Undo bookkeeping, independent of the HB so pruning cannot take
         # a legitimately undoable operation away.
         self._last_local_entry: HistoryEntry | None = None
@@ -118,22 +114,19 @@ class StarClient(EditorEndpoint):
         # The pid this spoke currently points at; re-homed on promotion.
         self.center = 0
         self.notifier_epoch = 0
-        # The election's surroundings; installed by arm_failover, which
-        # also switches on the successor-evidence bookkeeping below.
+        # The election's surroundings; installed by arm_failover.
         self.failover: Directory | None = None
-        # Per-origin counts of executed centre broadcasts, and the set of
-        # original op ids embodied in this replica: together, one
-        # StateContribution -- the evidence from which a successor
-        # rebuilds SV_0 and deduplicates replays.
+        # Per-origin counts of executed centre broadcasts (SV_0 without
+        # this site's own column): they name each arrival (op_name), and
+        # they are the evidence from which a successor rebuilds SV_0.
         self._received_per_origin: dict[int, int] = {}
-        self._incorporated: set[str] = set()
         self._abandoned: set[int] = set()
         self._elect_epoch = 0
         self._promoting = False
         self.promoted = False
         self._promoted_to: StarNotifier | None = None
         self._failover_pending = False
-        self._failover_stash: list[tuple[str, Any]] = []
+        self._failover_stash: list[HistoryEntry] = []
         self._buffered_promotion: list[Envelope] = []
         self._awaiting_contrib: set[int] = set()
         self._contributions: dict[int, StateContribution | None] = {}
@@ -143,11 +136,8 @@ class StarClient(EditorEndpoint):
     # -- what the surroundings may ask (see repro.editor.failover) ----------------
 
     def arm_failover(self, directory: "Directory") -> None:
-        """Let ``directory`` coordinate this client's elections.
-
-        Successor evidence is tracked from here on whatever the
-        transport (over raw sockets an EOF is the crash detector).
-        """
+        """Let ``directory`` coordinate this client's elections, whatever
+        the transport (over raw sockets an EOF is the crash detector)."""
         self.failover = directory
 
     @property
@@ -164,10 +154,11 @@ class StarClient(EditorEndpoint):
 
     # -- local editing -------------------------------------------------------
 
-    def generate(self, op: Any, op_id: str | None = None) -> str | None:
+    def generate(self, op: Any) -> str | None:
         """Generate, execute and propagate a local operation.
 
-        Returns the operation id.  Per the paper: execute immediately,
+        Returns the operation's name (:func:`op_name` of this site and
+        its new ``SV_i[2]``).  Per the paper: execute immediately,
         increment ``SV_i[2]``, timestamp with the current ``SV_i``,
         propagate to site 0, and buffer in the local HB.  While the
         client is crashed or awaiting its recovery snapshot the edit is
@@ -177,8 +168,7 @@ class StarClient(EditorEndpoint):
             # This site became the centre of the star: local edits route
             # into the promoted notifier's centre-local generation path.
             assert self._promoted_to is not None
-            op_id = op_id or f"c{self.pid}_{next(self._op_ids)}"
-            return self._promoted_to.generate_local(op, op_id)
+            return self._promoted_to.generate_local(op)
         if not self.active:
             if self._failover_pending or self._promoting:
                 # Leaderless but alive: queue the edit for replay once
@@ -198,7 +188,6 @@ class StarClient(EditorEndpoint):
             raise RuntimeError(
                 f"site {self.pid} has not received its join snapshot yet"
             )
-        op_id = op_id or f"c{self.pid}_{next(self._op_ids)}"
         inverse = None
         invert = getattr(self.ot, "invert", None)
         if invert is not None:
@@ -209,6 +198,7 @@ class StarClient(EditorEndpoint):
         self.document = self.ot.apply(self.document, op)
         self.sv.record_local_execution()
         ts = self.sv.timestamp()
+        op_id = op_name(self.pid, ts.second, self.notifier_epoch)
         entry = HistoryEntry(
             op=op,
             timestamp=ts,
@@ -230,9 +220,7 @@ class StarClient(EditorEndpoint):
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        if self.failover is not None:
-            self._incorporated.add(op_id)
-        message = OpMessage(op=op, timestamp=ts, origin_site=self.pid, op_id=op_id)
+        message = OpMessage(op=op, timestamp=ts, origin_site=self.pid)
         self.send(self.center, message, timestamp_bytes=ts.size_bytes())
         return op_id
 
@@ -279,12 +267,17 @@ class StarClient(EditorEndpoint):
             )
         message: OpMessage = payload
         ts = message.timestamp
+        # The k-th broadcast from an origin is that origin's op k (FIFO).
+        origin = message.origin_site
+        ordinal = self._received_per_origin.get(origin, 0) + 1
+        self._received_per_origin[origin] = ordinal
+        op_id = op_name(origin, ordinal, self.notifier_epoch, copy=True)
         # The formula-(5) sweep over the HB is only needed when recording
         # or oracle-verifying checks: formula (5) plus FIFO make the
         # concurrent set equal the unacknowledged-pending set, which the
         # fast path uses directly.  The slow path cross-checks the two.
         diagnostics = self.record_checks or self.verify_with_oracle
-        concurrent_entries = self._concurrency_pass(message) if diagnostics else None
+        concurrent_entries = self._concurrency_pass(ts, op_id) if diagnostics else None
         # FIFO acknowledgement: T[2] local operations are now reflected
         # in the notifier's state; they stop being "pending".
         while self.pending and self.pending[0].timestamp.second <= ts.second:
@@ -295,7 +288,7 @@ class StarClient(EditorEndpoint):
             if expected != actual:
                 raise ConsistencyError(
                     f"site {self.pid}: formula (5) concurrent set {actual} != "
-                    f"pending set {expected} for {message.op_id}"
+                    f"pending set {expected} for {op_id}"
                 )
         # History retention: everything older than the oldest unacknowledged
         # local operation is causally before every future arrival.  The
@@ -306,12 +299,12 @@ class StarClient(EditorEndpoint):
         if self.transform_enabled:
             if self.pending and self.tracer is not None:
                 self.tracer.emit(
-                    TraceEventKind.TRANSFORMED, self.pid, op_id=message.op_id,
-                    source_op_id=message.source_op_id,
+                    TraceEventKind.TRANSFORMED, self.pid, op_id=op_id,
+                    source_op=op_name(origin, ordinal, self.notifier_epoch),
                 )
             for entry in self.pending:
                 new_op, updated = self.ot.transform(
-                    new_op, entry.op, message.origin_site < entry.origin_site
+                    new_op, entry.op, origin < entry.origin_site
                 )
                 entry.op = updated
         self.document = execute_remote(
@@ -322,54 +315,49 @@ class StarClient(EditorEndpoint):
             HistoryEntry(
                 op=new_op,
                 timestamp=ts,
-                origin_site=message.origin_site,
+                origin_site=origin,
                 origin_kind=OriginKind.FROM_CENTER,
-                op_id=message.op_id,
+                op_id=op_id,
                 executed_at=self.sim.now,
             )
         )
-        self.executed_op_ids.append(message.op_id)
-        if self.failover is not None:
-            self._received_per_origin[message.origin_site] = (
-                self._received_per_origin.get(message.origin_site, 0) + 1
-            )
-            self._incorporated.add(message.source_op_id or message.op_id)
+        self.executed_op_ids.append(op_id)
         # A remote execution invalidates undo: the stored inverse is no
         # longer defined on the current document.
         self._last_exec_was_local = False
         if self.event_log is not None:
-            self.event_log.execute(self.pid, message.op_id)
+            self.event_log.execute(self.pid, op_id)
         if self.tracer is not None:
             self.tracer.emit(
-                TraceEventKind.EXECUTED, self.pid, op_id=message.op_id,
+                TraceEventKind.EXECUTED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
 
-    def _concurrency_pass(self, message: OpMessage) -> list[HistoryEntry]:
+    def _concurrency_pass(self, ts: CompressedTimestamp, op_id: str) -> list[HistoryEntry]:
         """Run formula (5) over the HB; record and (optionally) verify."""
         out: list[HistoryEntry] = []
         for entry in self.hb:
-            verdict = client_concurrent(message.timestamp, entry.timestamp, entry.origin_kind)
+            verdict = client_concurrent(ts, entry.timestamp, entry.origin_kind)
             if self.record_checks:
                 self.checks.append(
                     CheckRecord(
                         site=self.pid,
-                        new_op_id=message.op_id,
+                        new_op_id=op_id,
                         buffered_op_id=entry.op_id,
                         verdict=verdict,
-                        new_timestamp=message.timestamp.as_paper_list(),
+                        new_timestamp=ts.as_paper_list(),
                         buffered_timestamp=entry.timestamp.as_paper_list(),
                     )
                 )
             if self.verify_with_oracle and self.event_log is not None:
                 oracle = vc_concurrent(
-                    self.event_log.generation_clock(message.op_id),
+                    self.event_log.generation_clock(op_id),
                     self.event_log.generation_clock(entry.op_id),
                 )
                 if oracle != verdict:
                     raise ConsistencyError(
                         f"site {self.pid}: compressed verdict {verdict} != oracle "
-                        f"{oracle} for ({message.op_id}, {entry.op_id})"
+                        f"{oracle} for ({op_id}, {entry.op_id})"
                     )
             if verdict:
                 out.append(entry)
@@ -410,16 +398,33 @@ class StarClient(EditorEndpoint):
             )
         return self.generate(entry.inverse)
 
-    def _install_snapshot(self, snapshot: SnapshotMessage) -> None:
-        """Adopt the notifier's state and seed the compressed clock.
+    def _adopt(self, snapshot: SnapshotMessage) -> None:
+        """Take the replica, ``SV_i`` and the per-origin counts from ``SV_0``.
 
-        ``SV_i[1] := base_count``: the snapshot stands in for the first
-        ``base_count`` operations of the notifier's stream, so all later
-        timestamp arithmetic lines up with clients that were present from
-        the start.  A recovering client additionally restores
-        ``SV_i[2] := own_count`` -- the notifier's count of this site's
-        operations -- so post-restart timestamps continue the numbering
-        the notifier's formula-(7) bookkeeping expects.
+        ``SV_i[1]`` sums the other columns: the snapshot stands in for
+        that many broadcasts, so later timestamp arithmetic lines up
+        with clients present from the start.  ``SV_i[2]`` is this site's
+        column, so later timestamps -- and names -- continue where the
+        notifier's formula-(7) bookkeeping expects (a recovering client
+        re-issues the ordinals the notifier never executed).
+        """
+        own = snapshot.counts[self.pid - 1]
+        self.document = snapshot.document
+        self.notifier_epoch = snapshot.notifier_epoch
+        self.sv = ClientStateVector(
+            self.pid,
+            received_from_center=sum(snapshot.counts) - own,
+            generated_locally=own,
+        )
+        self._received_per_origin = {
+            site: count for site, count in enumerate(snapshot.counts, 1)
+            if count and site != self.pid
+        }
+        if self.event_log is not None and snapshot.origin_clock is not None:
+            self.event_log.absorb_snapshot(self.pid, snapshot.origin_clock)
+
+    def _install_snapshot(self, snapshot: SnapshotMessage) -> None:
+        """Adopt the notifier's state (:meth:`_adopt`) and go live.
 
         A client mid-handoff (``PromoteMessage`` processed, failover
         snapshot awaited) takes the failover install path instead: the
@@ -432,20 +437,10 @@ class StarClient(EditorEndpoint):
         if self.active:
             raise ConsistencyError(f"site {self.pid} received a second snapshot")
         recovering = self._recovering
-        self.notifier_epoch = snapshot.notifier_epoch
-        self.document = snapshot.document
-        if self._recovering:
-            self.sv = ClientStateVector(
-                self.pid,
-                received_from_center=snapshot.base_count,
-                generated_locally=snapshot.own_count,
-            )
+        self._adopt(snapshot)
+        if recovering:
             self._recovering = False
             self.transport.stats.recoveries += 1
-            if self.event_log is not None and snapshot.origin_clock is not None:
-                self.event_log.absorb_snapshot(self.pid, snapshot.origin_clock)
-        else:
-            self.sv.received_from_center = snapshot.base_count
         self.active = True
         if self.tracer is not None:
             self.tracer.emit(
@@ -587,7 +582,7 @@ class StarClient(EditorEndpoint):
             if self._replay(op):
                 self.transport.stats.degraded_replayed += 1
 
-    def _replay(self, op: Any, op_id: str | None = None) -> bool:
+    def _replay(self, op: Any) -> bool:
         """Regenerate a buffered local edit on the adopted baseline.
 
         Positions are clamped to the baseline, mirroring how an editor
@@ -600,7 +595,7 @@ class StarClient(EditorEndpoint):
         if isinstance(op, Operation) and isinstance(self.document, str):
             op = clamp_to(self.document, op)
         try:
-            self.generate(op, op_id)
+            self.generate(op)
         except OperationError:
             self.transport.stats.lost_local_edits += 1
             return False
@@ -617,7 +612,7 @@ class StarClient(EditorEndpoint):
         # Unacknowledged local operations may or may not be embodied in
         # the successor's baseline; stash them for dedup-and-replay once
         # the failover snapshot arrives.
-        self._failover_stash = [(entry.op_id, entry.op) for entry in self.pending]
+        self._failover_stash = list(self.pending)
         self._failover_pending = True
         self.active = False
         if self.tracer is not None:
@@ -632,7 +627,7 @@ class StarClient(EditorEndpoint):
                 received_from_center=self.sv.received_from_center,
                 generated_locally=self.sv.generated_locally,
                 received_per_origin=dict(self._received_per_origin),
-                pending=tuple(self._failover_stash),
+                pending=tuple(entry.op for entry in self._failover_stash),
                 document=self.document,
             ),
             timestamp_bytes=0,
@@ -643,18 +638,15 @@ class StarClient(EditorEndpoint):
         """Adopt the successor's baseline, then replay stashed pendings.
 
         The baseline replaces the replica wholesale (operations the dead
-        centre acknowledged but never relayed are rolled back with it);
-        stashed operations *not* in ``snapshot.incorporated`` are
-        regenerated as **new** operations -- fresh ids, fresh timestamps,
-        fresh ground-truth generations -- because their old identities
-        are burned into the pre-crash bookkeeping.
+        centre acknowledged but never relayed are rolled back with it),
+        and the per-origin counts carry on from its ``SV_0``.  A stashed
+        operation whose ordinal is at most ``SV_0[self]`` is already
+        embodied in the baseline (FIFO relay embodies a prefix of each
+        origin's operations) and is dropped; the rest are regenerated
+        as **new** operations -- new names in the new epoch, fresh
+        timestamps, fresh ground-truth generations.
         """
-        self.document = snapshot.document
-        self.sv = ClientStateVector(
-            self.pid,
-            received_from_center=snapshot.base_count,
-            generated_locally=snapshot.own_count,
-        )
+        self._adopt(snapshot)
         self.hb = HistoryBuffer()
         self.pending = deque()
         self._last_local_entry = None
@@ -666,24 +658,19 @@ class StarClient(EditorEndpoint):
             self.transport.stats.recoveries += 1
             self._recovering = False
         self.active = True
-        self.notifier_epoch = snapshot.notifier_epoch
-        # Successor-evidence bookkeeping restarts from the new baseline.
-        self._received_per_origin = {}
-        self._incorporated = set(snapshot.incorporated)
         self.transport.stats.handoffs += 1
-        if self.event_log is not None and snapshot.origin_clock is not None:
-            self.event_log.absorb_snapshot(self.pid, snapshot.origin_clock)
         if self.tracer is not None:
             self.tracer.emit(
                 TraceEventKind.RECOVERED, self.pid, peer=self.center,
                 epoch=snapshot.notifier_epoch, via="failover",
             )
+        embodied = self.sv.generated_locally
         stash, self._failover_stash = self._failover_stash, []
-        for op_id, op in stash:
-            if op_id in snapshot.incorporated:
+        for entry in stash:
+            if entry.timestamp.second <= embodied:
                 self.transport.stats.replays_deduped += 1
                 continue
-            if self._replay(op, f"{op_id}@f{snapshot.notifier_epoch}"):
+            if self._replay(entry.op):
                 self.transport.stats.replayed_ops += 1
         # Stashed pendings replayed first (they predate the leaderless
         # window in program order), then the degraded-mode queue.
@@ -709,7 +696,6 @@ class StarClient(EditorEndpoint):
         self._last_exec_was_local = False
         # Failover evidence is volatile editor state too.
         self._received_per_origin = {}
-        self._incorporated = set()
         self._failover_pending = False
         self._failover_stash = []
         self._degraded_queue = deque()

@@ -30,6 +30,7 @@ from repro.editor.messages import (
     ResyncRequest,
     SnapshotMessage,
     StateContribution,
+    op_name,
 )
 from repro.editor.star_client import execute_remote
 from repro.net.reliability import ReliableEndpoint
@@ -122,11 +123,8 @@ class StarNotifier(EditorEndpoint):
         self.broadcast_log: list[tuple[str, int, CompressedTimestamp]] | None = (
             [] if record_checks or verify_with_oracle else None
         )
-        # Failover bookkeeping: the original client op ids embodied in
-        # ``document`` at promotion time (members dedup replays against
-        # it), and ops the dead centre acknowledged that the baseline
+        # Ops the dead centre acknowledged that the promotion baseline
         # rolled back.
-        self.incorporated: frozenset[str] = frozenset()
         self.failover_losses = 0
 
     def _handle_app_message(self, envelope: Envelope) -> None:
@@ -149,10 +147,11 @@ class StarNotifier(EditorEndpoint):
                 return
         message: OpMessage = payload
         ts = message.timestamp
+        # FIFO from the origin: the arrival is its op T[2].
+        op_id = op_name(source, ts.second, self.notifier_epoch)
         diagnostics = self.record_checks or self.verify_with_oracle
         concurrent_entries = (
-            self._concurrency_pass(message, source) if diagnostics else None
-        )
+            self._concurrency_pass(ts, source, op_id) if diagnostics else None)
         # FIFO acknowledgement: the source has seen the first T[1]
         # operations ever sent to it; drop them from its pending list.
         already = self.acked[source]
@@ -171,7 +170,7 @@ class StarNotifier(EditorEndpoint):
             if expected != actual:
                 raise ConsistencyError(
                     f"notifier: formula (7) concurrent set {actual} != pending "
-                    f"set {expected} for {message.op_id} from site {source}"
+                    f"set {expected} for {op_id} from site {source}"
                 )
         self._prune_history()
         new_op = message.op
@@ -181,7 +180,7 @@ class StarNotifier(EditorEndpoint):
                     new_op, entry.op, source < entry.origin_site
                 )
                 entry.op = updated
-        self._execute_and_broadcast(new_op, source, message.op_id, ts)
+        self._execute_and_broadcast(new_op, source, op_id, ts)
 
     def _prune_history(self) -> None:
         """Drop the ``HB_0`` prefix no destination's queue still starts at.
@@ -199,31 +198,31 @@ class StarNotifier(EditorEndpoint):
                 {queue[0].op_id for queue in self.sent_to.values() if queue}
             )
 
-    def _execute_and_broadcast(self, new_op: Any, source: int, source_op_id: str,
+    def _execute_and_broadcast(self, new_op: Any, source: int, op_id: str,
                                ts: CompressedTimestamp) -> None:
-        """Execute; the transformed operation becomes a *new* operation
-        "generated at site 0" (paper Section 3.1 / Fig. 3), broadcast to
-        every other destination with a per-destination compressed
-        timestamp (formulas 1-2)."""
+        """Execute ``op_id``; the transformed operation becomes a *new*
+        operation "generated at site 0" (paper Section 3.1 / Fig. 3),
+        broadcast to every other destination with a per-destination
+        compressed timestamp (formulas 1-2)."""
         self.document = execute_remote(
             self.ot, self.document, new_op, self.transform_enabled
         )
         self.sv.record_execution_from(source)
-        transformed_id = f"{source_op_id}'"
+        transformed_id = op_name(source, ts.second, self.notifier_epoch, copy=True)
         self.executed_op_ids.append(transformed_id)
         if self.event_log is not None:
-            self.event_log.execute(self.pid, source_op_id)
+            self.event_log.execute(self.pid, op_id)
             self.event_log.generate(self.pid, transformed_id)
         if self.tracer is not None:
             # Execution of the incoming form, then generation of the
             # transformed form "at site 0" -- mirroring the event log.
             self.tracer.emit(
-                TraceEventKind.EXECUTED, self.pid, op_id=source_op_id,
+                TraceEventKind.EXECUTED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
             self.tracer.emit(
                 TraceEventKind.TRANSFORMED, self.pid, op_id=transformed_id,
-                source_op_id=source_op_id,
+                source_op=op_id,
                 timestamp=tuple(self.sv.full_timestamp().as_paper_list()),
             )
         self.hb.append(
@@ -234,7 +233,6 @@ class StarNotifier(EditorEndpoint):
                 origin_kind=OriginKind.FROM_CLIENT,
                 op_id=transformed_id,
                 executed_at=self.sim.now,
-                source_op_id=source_op_id,
             )
         )
         # The copies differ in the timestamp only (formulas 1-2): they
@@ -255,15 +253,10 @@ class StarNotifier(EditorEndpoint):
             dest_ts = compress(dest, total)
             if log is not None:
                 log.append((transformed_id, dest, dest_ts))
-            send(
-                dest,
-                OpMessage(new_op, dest_ts, source, transformed_id, source_op_id,
-                          shared),
-                ts_bytes,
-            )
+            send(dest, OpMessage(new_op, dest_ts, source, shared), ts_bytes)
             sent_to[dest].append(PendingOp(new_op, transformed_id, source))
 
-    def generate_local(self, op: Any, op_id: str) -> str:
+    def generate_local(self, op: Any) -> str:
         """A local edit at the *promoted* notifier's own site.
 
         The centre executes its own operation directly: nothing in the
@@ -282,6 +275,7 @@ class StarNotifier(EditorEndpoint):
         ts = CompressedTimestamp(
             self.sv.total() - self.sv[self.pid], self.sv[self.pid] + 1
         )
+        op_id = op_name(self.pid, ts.second, self.notifier_epoch)
         if self.event_log is not None:
             self.event_log.generate(self.pid, op_id)
         if self.tracer is not None:
@@ -289,10 +283,9 @@ class StarNotifier(EditorEndpoint):
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        message = OpMessage(op=op, timestamp=ts, origin_site=self.pid, op_id=op_id)
         diagnostics = self.record_checks or self.verify_with_oracle
         if diagnostics:
-            concurrent_entries = self._concurrency_pass(message, self.pid)
+            concurrent_entries = self._concurrency_pass(ts, self.pid, op_id)
             if concurrent_entries:
                 raise ConsistencyError(
                     f"notifier: centre-local op {op_id} tested concurrent with "
@@ -301,37 +294,42 @@ class StarNotifier(EditorEndpoint):
         self._execute_and_broadcast(op, self.pid, op_id, ts)
         return op_id
 
-    def _concurrency_pass(self, message: OpMessage, source: int) -> list[HistoryEntry]:
+    def _concurrency_pass(self, ts: CompressedTimestamp, source: int,
+                          op_id: str) -> list[HistoryEntry]:
         """Run formula (7) over ``HB_0``; record and (optionally) verify."""
         out: list[HistoryEntry] = []
         for entry in self.hb:
             assert entry.origin_kind is OriginKind.FROM_CLIENT
             verdict = notifier_concurrent(
-                message.timestamp, source, entry.timestamp, entry.origin_site
+                ts, source, entry.timestamp, entry.origin_site
             )
             if self.record_checks:
                 self.checks.append(
                     CheckRecord(
                         site=0,
-                        new_op_id=message.op_id,
+                        new_op_id=op_id,
                         buffered_op_id=entry.op_id,
                         verdict=verdict,
-                        new_timestamp=message.timestamp.as_paper_list(),
+                        new_timestamp=ts.as_paper_list(),
                         buffered_timestamp=entry.timestamp.as_paper_list(),
                     )
                 )
             if self.verify_with_oracle and self.event_log is not None:
                 # Formula (6)/(7) is defined over the operations as
                 # "originally generated at sites x and y": compare the
-                # original client operations' generation clocks.
+                # original client operations' generation clocks.  An
+                # entry's SV_0 column of its origin is its ordinal.
+                original = op_name(entry.origin_site,
+                                   entry.timestamp[entry.origin_site],
+                                   self.notifier_epoch)
                 oracle = vc_concurrent(
-                    self.event_log.generation_clock(message.op_id),
-                    self.event_log.generation_clock(entry.source_op_id),
+                    self.event_log.generation_clock(op_id),
+                    self.event_log.generation_clock(original),
                 )
                 if oracle != verdict:
                     raise ConsistencyError(
                         f"notifier: compressed verdict {verdict} != oracle {oracle} "
-                        f"for ({message.op_id}, {entry.source_op_id})"
+                        f"for ({op_id}, {original})"
                     )
             if verdict:
                 out.append(entry)
@@ -363,16 +361,11 @@ class StarNotifier(EditorEndpoint):
         ``"join"`` (a fresh site), ``"resync"`` (a crashed-and-restarted
         client whose send window the bump to ``epoch`` already voided;
         the snapshot is seq 0 of that epoch) or ``"failover"`` (a
-        survivor under this promoted notifier, which also gets the
-        dedup set it replays its stashed pendings against).
-
-        ``base_count`` excludes the site's own operations (the notifier
-        only ever broadcasts *other* sites' operations to it), and
-        ``own_count`` hands back ``SV_0[site]`` so the client's local
-        numbering resumes where the notifier's bookkeeping expects.
+        survivor under this promoted notifier).  Each carries ``SV_0``;
+        the horizon excludes the site's own operations (the notifier
+        only ever broadcasts *other* sites' operations to it).
         """
-        own = self.sv[site]
-        base = self.sv.total() - own
+        base = self.sv.total() - self.sv[site]
         self.destinations = tuple(sorted({*self.destinations, site}))
         self.sent_to[site] = deque()
         self.acked[site] = base
@@ -390,11 +383,9 @@ class StarNotifier(EditorEndpoint):
             site,
             SnapshotMessage(
                 document=self.document,
-                base_count=base,
-                own_count=own,
+                counts=tuple(self.sv.counts),
                 origin_clock=origin_clock,
                 notifier_epoch=self.notifier_epoch,
-                incorporated=self.incorporated if via == "failover" else frozenset(),
             ),
             timestamp_bytes=0,
             kind="snapshot",
@@ -468,7 +459,6 @@ class StarNotifier(EditorEndpoint):
             notifier.sent_to[site] = deque()
             notifier.acked[site] = notifier.sv.total() - notifier.sv[site]
         notifier.destinations = ()
-        notifier.incorporated = frozenset(client._incorporated)
         for site, contribution in contributions.items():
             if contribution is None or site == client.pid:
                 continue

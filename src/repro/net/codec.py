@@ -33,8 +33,7 @@ from repro.ot.operations import Delete, Identity, Insert, Operation, OperationGr
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 _TIMESTAMP = struct.Struct(">II")
-_OP_HEAD = struct.Struct(">IIII")  # timestamp, origin site, op-id length
-_OP_BODY_HEAD = struct.Struct(">II")  # the same run without the timestamp
+_OP_HEAD = struct.Struct(">III")  # timestamp, origin site
 _OP_FIELDS = struct.Struct(">BII")  # tag, pos, then text length or count
 _GROUP_HEAD = struct.Struct(">BI")  # tag, member count
 
@@ -203,8 +202,10 @@ def decode_operation(reader: Reader, depth: int = 0) -> Operation:
 def encode_op_message(message: OpMessage) -> bytes:
     """Serialise a :class:`repro.editor.messages.OpMessage` to bytes.
 
-    The layout is ``8-byte timestamp || body``, and nothing follows the
-    operation: a decoder refuses trailing bytes.  The siblings of one
+    The layout is ``8-byte timestamp || origin || operation``, and
+    nothing follows the operation: a decoder refuses trailing bytes.
+    No name travels -- the receiver derives it
+    (:func:`repro.editor.messages.op_name`).  The siblings of one
     notifier broadcast differ in the timestamp only: the first one
     encoded leaves the body's bytes on their ``shared`` record for the
     rest.
@@ -214,32 +215,22 @@ def encode_op_message(message: OpMessage) -> bytes:
     if shared is None:
         return _encode_op_body(message, _OP_HEAD, ts.first, ts.second)
     if shared.wire is None:
-        shared.wire = _encode_op_body(message, _OP_BODY_HEAD)
+        shared.wire = _encode_op_body(message, _U32)
     return Writer().pack(_TIMESTAMP, ts.first, ts.second).raw(shared.wire).getvalue()
 
 
 def _encode_op_body(message: OpMessage, head: struct.Struct, *stamp: int) -> bytes:
-    """Everything after the timestamp: ids, then the operation.
+    """Everything after the timestamp: the origin, then the operation.
     With a ``stamp`` (and the head that has room for it) the timestamp
     leads the body's first run, and the bytes are the whole message."""
-    op_id = message.op_id.encode("utf-8")
-    writer = Writer().pack(head, *stamp, message.origin_site, len(op_id)).raw(op_id)
-    writer.string(message.source_op_id or "")
+    writer = Writer().pack(head, *stamp, message.origin_site)
     encode_operation(message.op, writer)
     return writer.getvalue()
 
 
 def decode_op_message(data: bytes) -> OpMessage:
     reader = Reader(data)
-    first, second, origin_site, id_length = reader.unpack(_OP_HEAD)
-    op_id = reader.text(id_length)
-    source_op_id = reader.string() or None
+    first, second, origin_site = reader.unpack(_OP_HEAD)
     op = decode_operation(reader)
     reader.expect_done()
-    return OpMessage(
-        op=op,
-        timestamp=CompressedTimestamp(first, second),
-        origin_site=origin_site,
-        op_id=op_id,
-        source_op_id=source_op_id,
-    )
+    return OpMessage(op, CompressedTimestamp(first, second), origin_site)

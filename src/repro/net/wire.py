@@ -180,12 +180,10 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
             raise WireError("origin_clock does not cross the wire")
         writer.u8(PAYLOAD_SNAPSHOT)
         writer.string(payload.document)
-        writer.u32(payload.base_count)
-        writer.u32(payload.own_count)
         writer.u32(payload.notifier_epoch)
-        writer.u32(len(payload.incorporated))
-        for op_id in sorted(payload.incorporated):
-            writer.string(op_id)
+        writer.u32(len(payload.counts))
+        for count in payload.counts:
+            writer.u32(count)
     elif isinstance(payload, ResyncRequest):
         writer.u8(PAYLOAD_RESYNC).u32(payload.epoch)
     elif isinstance(payload, ElectMessage):
@@ -201,8 +199,7 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
         for origin in sorted(payload.received_per_origin):
             writer.u32(origin).u32(payload.received_per_origin[origin])
         writer.u32(len(payload.pending))
-        for op_id, op in payload.pending:
-            writer.string(op_id)
+        for op in payload.pending:
             encode_operation(op, writer)
         if payload.document is None:
             writer.u8(0)
@@ -252,14 +249,10 @@ def _decode_payload(reader: Reader, nested: bool = False) -> Any:
         return None
     if tag == PAYLOAD_SNAPSHOT:
         document = reader.string()
-        base_count = reader.u32()
-        own_count = reader.u32()
         notifier_epoch = reader.u32()
-        incorporated = frozenset(reader.string() for _ in range(reader.u32()))
-        return SnapshotMessage(document=document, base_count=base_count,
-                               own_count=own_count,
-                               notifier_epoch=notifier_epoch,
-                               incorporated=incorporated)
+        counts = tuple(reader.u32() for _ in range(reader.u32()))
+        return SnapshotMessage(document=document, counts=counts,
+                               notifier_epoch=notifier_epoch)
     if tag == PAYLOAD_RESYNC:
         return ResyncRequest(epoch=reader.u32())
     if tag == PAYLOAD_ELECT:
@@ -275,10 +268,7 @@ def _decode_payload(reader: Reader, nested: bool = False) -> Any:
         for _ in range(reader.u32()):
             origin = reader.u32()
             received_per_origin[origin] = reader.u32()
-        pending = tuple(
-            (reader.string(), decode_operation(reader))
-            for _ in range(reader.u32())
-        )
+        pending = tuple(decode_operation(reader) for _ in range(reader.u32()))
         document = reader.string() if _presence(reader) else None
         return StateContribution(site=site,
                                  received_from_center=received_from_center,

@@ -87,10 +87,11 @@ class TraceCausality:
     * one DAG node per causally meaningful trace event;
     * program-order edges within each site (emission order restricted to
       one site is that site's local order);
-    * an edge from each operation's generation event -- its first
-      ``GENERATED`` or ``TRANSFORMED`` event; the notifier's transformed
-      output counts as a fresh operation generated at site 0, exactly as
-      in the paper's Section 3.1 -- to every execution of the operation;
+    * an edge from each operation's generation event -- its latest
+      ``GENERATED`` (a re-issued name) or first ``TRANSFORMED`` event;
+      the notifier's transformed output counts as a fresh operation
+      generated at site 0, exactly as in the paper's Section 3.1 -- to
+      every execution of the operation;
     * an edge from each ``SNAPSHOT`` event to the matching *resync* or
       *failover* ``RECOVERED`` event (matched on destination site,
       epoch, and transfer category -- crash epochs and notifier epochs
@@ -115,13 +116,15 @@ class TraceCausality:
             if event.kind in (TraceEventKind.GENERATED, TraceEventKind.TRANSFORMED):
                 if event.op_id is None:
                     raise TraceAnalysisError(f"generation event without op id: {event}")
-                self._generation.setdefault(event.op_id, event)
+                if (event.kind is TraceEventKind.GENERATED
+                        or event.op_id not in self._generation):
+                    self._generation[event.op_id] = event
                 if (
                     event.kind is TraceEventKind.TRANSFORMED
-                    and event.source_op_id is not None
-                    and event.source_op_id != event.op_id
+                    and event.source_op is not None
+                    and event.source_op != event.op_id
                 ):
-                    self.transform_source.setdefault(event.op_id, event.source_op_id)
+                    self.transform_source.setdefault(event.op_id, event.source_op)
         # Adjacency over positions in ``nodes`` (trace order, hence
         # topological order); bitset reachability over the same indexing.
         position = {event.index: pos for pos, event in enumerate(nodes)}

@@ -7,9 +7,10 @@ on its own wall clock, and three kinds of event pair up across processes:
 * **raw latency** of an (origin, executor) pair: an ``EXECUTED`` event's
   time minus the origin's ``GENERATED`` time for the same operation
   (paired by :class:`~repro.obs.tracer.Origins`: a broadcast form maps
-  back through its first ``TRANSFORMED`` event's ``source_op_id``);
-* **forward skew sample**, origin to centre: the centre's ``RELEASED``
-  of the operation minus its ``GENERATED``;
+  back through its first ``TRANSFORMED`` event's ``source_op``);
+* **forward skew sample**, origin to centre: the centre's ``EXECUTED``
+  of the operation minus its ``GENERATED`` (any execution of an
+  operation as generated, not of a broadcast form, is one hop away);
 * **backward skew sample**, centre to executor: an ``EXECUTED`` minus
   the centre's first ``TRANSFORMED`` of that broadcast form.
 
@@ -233,11 +234,8 @@ def assemble_spans(events: Sequence[TraceEvent]) -> SpanReport:
                 key = (origin.site, event.site)
                 pair = report.pairs.setdefault(key, PairLatency(*key))
                 pair.raw.observe(event.time - origin.time)
-        elif event.kind is TraceEventKind.RELEASED:
-            generation = origins.generated.get(event.op_id or "")
-            if generation is not None:
-                skew.add_sample(generation.site, event.site,
-                                event.time - generation.time)
+                if sent is None:
+                    skew.add_sample(origin.site, event.site, event.time - origin.time)
         elif event.kind is TraceEventKind.TRANSFORMED and event.op_id is not None:
             broadcast_at.setdefault(event.op_id, (event.site, event.time))
     for pair in report.pairs.values():

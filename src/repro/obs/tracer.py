@@ -96,7 +96,7 @@ class TraceEvent:
     epoch: Optional[int] = None
     seq: Optional[int] = None
     timestamp: Optional[tuple[int, ...]] = None
-    source_op_id: Optional[str] = None
+    source_op: Optional[str] = None
     via: Optional[str] = None
     gauges: Optional[dict[str, Any]] = field(default=None, hash=False)
 
@@ -124,8 +124,8 @@ class TraceEvent:
             data["seq"] = self.seq
         if self.timestamp is not None:
             data["ts"] = list(self.timestamp)
-        if self.source_op_id is not None:
-            data["src"] = self.source_op_id
+        if self.source_op is not None:
+            data["src"] = self.source_op
         if self.via is not None:
             data["via"] = self.via
         if self.gauges is not None:
@@ -146,7 +146,7 @@ class TraceEvent:
             epoch=data.get("epoch"),
             seq=data.get("seq"),
             timestamp=tuple(timestamp) if timestamp is not None else None,
-            source_op_id=data.get("src"),
+            source_op=data.get("src"),
             via=data.get("via"),
             gauges=data.get("g"),
         )
@@ -359,7 +359,7 @@ class Tracer:
         epoch: Optional[int] = None,
         seq: Optional[int] = None,
         timestamp: Optional[tuple[int, ...]] = None,
-        source_op_id: Optional[str] = None,
+        source_op: Optional[str] = None,
         via: Optional[str] = None,
         gauges: Optional[dict[str, Any]] = None,
         time: Optional[float] = None,
@@ -375,7 +375,7 @@ class Tracer:
             epoch=epoch,
             seq=seq,
             timestamp=timestamp,
-            source_op_id=source_op_id,
+            source_op=source_op,
             via=via,
             gauges=gauges,
         )
@@ -518,14 +518,14 @@ def read_jsonl(
 class Origins:
     """Which generation an execution executes: the one pairing rule.
 
-    Fed a trace in order through :meth:`see`, it keeps each op's first
-    ``GENERATED`` event and maps a transformed op to its source (the
-    first ``TRANSFORMED`` event's ``source_op_id``), so the notifier's
-    broadcast form pairs with the client op it was made from.
+    Fed a trace in order through :meth:`see`, it keeps each op's latest
+    ``GENERATED`` event (a re-issued name) and maps a transformed op to
+    its source (the first ``TRANSFORMED`` event's ``source_op``), so the
+    notifier's broadcast form pairs with the client op it was made from.
     """
 
     def __init__(self) -> None:
-        #: op id -> its first ``GENERATED`` event.
+        #: op id -> its latest ``GENERATED`` event.
         self.generated: dict[str, TraceEvent] = {}
         self._source: dict[str, str] = {}
 
@@ -537,10 +537,10 @@ class Origins:
         if op_id is None:
             return None
         if event.kind is TraceEventKind.GENERATED:
-            self.generated.setdefault(op_id, event)
+            self.generated[op_id] = event
         elif event.kind is TraceEventKind.TRANSFORMED:
-            if event.source_op_id is not None:
-                self._source.setdefault(op_id, event.source_op_id)
+            if event.source_op is not None:
+                self._source.setdefault(op_id, event.source_op)
         elif event.kind is TraceEventKind.EXECUTED:
             return self.generated.get(self._source.get(op_id, op_id))
         return None
@@ -571,8 +571,8 @@ def write_chrome_trace(events: Iterable[TraceEvent], fh: TextIO) -> int:
             args["seq"] = event.seq
         if event.timestamp is not None:
             args["timestamp"] = list(event.timestamp)
-        if event.source_op_id is not None:
-            args["source_op"] = event.source_op_id
+        if event.source_op is not None:
+            args["source_op"] = event.source_op
         if event.via is not None:
             args["via"] = event.via
         records.append(

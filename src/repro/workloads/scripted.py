@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.editor.messages import op_name
 from repro.net.channel import FixedLatency, LatencyModel
 from repro.ot.operations import Delete, Insert, Operation
 
@@ -40,9 +41,12 @@ FIG_LATENCIES = {1: 1.0, 2: 0.5, 3: 0.3}
 
 @dataclass(frozen=True)
 class ScriptedOp:
-    """One scripted operation: who generates what, and when."""
+    """One scripted operation: who generates what, and when.
 
-    op_id: str
+    ``label`` is the paper's name for it; no label travels, the sites
+    name it by ``(site, ordinal)`` (:func:`fig3_labels`)."""
+
+    label: str
     site: int
     time: float
     op: Operation
@@ -72,6 +76,21 @@ def fig3_script() -> list[ScriptedOp]:
         ScriptedOp("O4", site=3, time=2.0, op=Insert("xy", 2)),
         ScriptedOp("O3", site=2, time=2.75, op=Delete(1, 0)),
     ]
+
+
+def fig3_labels() -> dict[str, str]:
+    """Each scripted op's name at the sites -> its label in the paper,
+    for the op and for the notifier's primed broadcast form.
+
+    A site's ``k``-th scripted op is that site's op ``k``: the script's
+    ``(site, k)`` order is all the labels need."""
+    labels: dict[str, str] = {}
+    ordinals: dict[int, int] = {}
+    for item in fig3_script():
+        ordinals[item.site] = ordinal = ordinals.get(item.site, 0) + 1
+        labels[op_name(item.site, ordinal)] = item.label
+        labels[op_name(item.site, ordinal, copy=True)] = f"{item.label}'"
+    return labels
 
 
 def fig2_intention_example() -> tuple[str, Operation, Operation, str, str]:

@@ -3,7 +3,7 @@
 The paper's demonstrator "allows an arbitrary number of users to
 participate a collaborative editing session"; these tests exercise the
 join protocol: the notifier grows ``SV_0`` by one entry, ships a state
-snapshot whose ``base_count`` seeds the joiner's ``SV_i[1]``, and all
+snapshot whose ``SV_0`` seeds the joiner's ``SV_i[1]``, and all
 compressed-timestamp arithmetic stays exact across the membership
 change.
 """

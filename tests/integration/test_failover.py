@@ -110,6 +110,28 @@ class TestFailoverAcceptance:
         assert session.fault_report().promotions == 0
 
 
+class TestPerOriginCountsSurviveAFailover:
+    """The counts that name each arrival carry across the failover
+    snapshot instead of restarting: at quiescence every survivor's count
+    for origin ``j`` is the promoted centre's ``SV_0[j]``, and its own
+    column is its ``SV_i[2]`` (the precondition of a second election)."""
+
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "pruned"])
+    def test_survivor_counts_equal_the_promoted_sv0(self, oracle):
+        session = failover_session(oracle=oracle)
+        drive_across_the_crash(session)
+        assert session.quiescent() and session.converged()
+        sv0 = session.promoted_notifier.sv.counts
+        survivors = [client for client in session.clients if not client.promoted]
+        assert [client.pid for client in survivors] == [2, 3]
+        for client in survivors:
+            for origin in range(1, len(sv0) + 1):
+                if origin != client.pid:
+                    assert client._received_per_origin.get(origin, 0) == \
+                        sv0[origin - 1], (client.pid, origin)
+            assert client.sv.generated_locally == sv0[client.pid - 1]
+
+
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "pruned"])
 class TestHistoryRetentionAcrossFailover:
     """Promotion with and without the oracle: every other failover test
@@ -291,14 +313,16 @@ class TestWhatTheSurroundingsMayAsk:
     def test_arm_failover_tracks_successor_evidence_on_a_raw_transport(self):
         from repro.editor.failover import FailoverManager
 
-        session = StarSession(2)  # no reliability: nothing is tracked ...
+        session = StarSession(2)  # no reliability
         armed, plain = session.client(1), session.client(2)
         armed.arm_failover(FailoverManager(session))
         session.generate_at(1, Insert("a", 0), at=1.0)
         session.generate_at(2, Insert("b", 0), at=2.0)
         session.run()
         assert session.converged()
-        # ... except at the armed client: its own op and the one relayed.
-        assert len(armed._incorporated) == 2
+        # The per-origin counts name every arrival, so every client keeps
+        # them, armed or not: each has executed one relayed op.
         assert armed._received_per_origin == {2: 1}
-        assert plain._incorporated == set() and plain._received_per_origin == {}
+        assert plain._received_per_origin == {1: 1}
+        assert (armed.executed_op_ids, plain.executed_op_ids) == (
+            ["c1_1", "c2_1'"], ["c1_1'", "c2_1"])

@@ -28,15 +28,18 @@ def tap_broadcasts(session: StarSession) -> Broadcasts:
 
     The fast path keeps no ``broadcast_log``; what it puts on the wire
     is the behaviour under test, so that is where the stream is read:
-    one ``(op id, destination, [T1, T2])`` per operation copy sent.
+    one ``(op name, destination, [T1, T2])`` per operation copy sent.
+    No name is on the wire: a copy is of the notifier's latest execution.
     """
     stream: Broadcasts = []
-    transport = session.notifier.transport
+    notifier = session.notifier
+    transport = notifier.transport
     wire_send = transport.wire_send
 
     def recording_send(dest, payload, timestamp_bytes, kind):
         if isinstance(payload, OpMessage):
-            stream.append((payload.op_id, dest, payload.timestamp.as_paper_list()))
+            stream.append((notifier.executed_op_ids[-1], dest,
+                           payload.timestamp.as_paper_list()))
         wire_send(dest, payload, timestamp_bytes, kind)
 
     transport.wire_send = recording_send
@@ -76,8 +79,8 @@ class TestFastPathEquivalence:
         ] == slow_stream
         fast_stats, slow_stats = fast.wire_stats(), slow.wire_stats()
         assert fast_stats.messages == slow_stats.messages
-        # total_bytes differ only through op-id string lengths (global
-        # counter); timestamp traffic is identical
+        # No name is on the wire, so not one byte differs.
+        assert fast_stats.total_bytes == slow_stats.total_bytes
         assert fast_stats.timestamp_bytes == slow_stats.timestamp_bytes
 
     def test_fast_path_records_no_checks(self):
@@ -94,12 +97,13 @@ class TestFastPathEquivalence:
         )
         stream = tap_broadcasts(session)
         for item in fig3_script():
-            session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
+            session.generate_at(item.site, item.op, item.time)
         session.run()
         assert session.converged()
         assert session.documents()[0] == "12Bxy"
         # broadcasts still match the paper exactly
-        from repro.workloads.scripted import FIG3_EXPECTED
+        from repro.workloads.scripted import FIG3_EXPECTED, fig3_labels
 
-        got = {(op_id, dest): ts for op_id, dest, ts in stream}
+        label = fig3_labels()
+        got = {(label[op_id], dest): ts for op_id, dest, ts in stream}
         assert got == FIG3_EXPECTED["broadcast_timestamps"]

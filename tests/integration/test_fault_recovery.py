@@ -12,9 +12,12 @@ import random
 
 import pytest
 
+from repro.clocks.events import EventKind
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
+from repro.obs import TraceCausality, cross_check_causality, verify_check_records
+from repro.obs.tracer import Tracer
 from repro.ot.operations import Insert
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -129,6 +132,48 @@ class TestLossyNetwork:
         assert session.converged()
         assert session.client(1).transport.stats.lost_local_edits == 1
         assert "x" not in session.notifier.document
+
+    def test_a_lost_ordinal_is_reissued_and_the_oracle_stays_exact(self):
+        """Site 1's second op dies in an outage on its link to the centre
+        and site 1 crashes before retransmitting it.  The resync restores
+        ``SV_1[2]`` to the one op the notifier executed, so the next edit
+        takes the lost op's ordinal -- and its name -- while every
+        formula-(5)/(7) verdict still matches the oracle inline and the
+        trace's happens-before matches the event log."""
+        plan = FaultPlan(
+            seed=5,
+            per_channel={(1, 0): ChannelFaults(outages=((1.5, 4.0),))},
+            crashes=(ClientCrash(site=1, at=2.2, restart_at=3.0),),
+        )
+        tracer = Tracer()
+        session = StarSession(
+            2,
+            latency_factory=latency_factory(5),
+            verify_with_oracle=True,
+            record_checks=True,
+            fault_plan=plan,
+            tracer=tracer,
+        )
+        session.generate_at(1, Insert("a", 0), at=1.0)  # settled
+        session.generate_at(1, Insert("x", 0), at=2.0)  # lost in the outage
+        session.generate_at(2, Insert("b", 0), at=2.5)  # while site 1 is down
+        session.generate_at(1, Insert("c", 0), at=5.0)  # after recovery
+        session.run()
+        assert session.converged(), session.documents()
+        assert "x" not in session.notifier.document
+        assert sorted(session.notifier.document) == ["a", "b", "c"]
+        client = session.client(1)
+        assert client.transport.stats.recoveries == 1
+        assert [op for op in client.executed_op_ids if op.startswith("c1_")] == [
+            "c1_1", "c1_2", "c1_2"]  # "x", then "c" in its place
+        assert session.notifier.executed_op_ids[-1] == "c1_2'"
+        generations = [e.op_id for e in session.event_log.events
+                       if e.kind is EventKind.GENERATE and e.site == 1]
+        assert generations == ["c1_1", "c1_2", "c1_2"]
+        report = cross_check_causality(tracer.events, session.event_log)
+        assert report.ok, report.summary()
+        causality = TraceCausality(tracer.events)
+        assert verify_check_records(causality, session.all_checks()) == []
 
     def test_faults_without_plan_reject_crash_api(self):
         session = StarSession(2)

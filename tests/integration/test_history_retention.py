@@ -112,12 +112,6 @@ STILL_GROWS = {
     # len(), perfbench slices it.  ROADMAP item 2(i), with item 1's re-cut.
     "executed_op_ids",
 }
-STILL_GROWS_UNDER_RELIABILITY = STILL_GROWS | {
-    # The failover dedup set: every original op id embodied in a replica.
-    # Needs an acknowledgement horizon that survives a second failover.
-    # ROADMAP item 2(i).
-    "_incorporated",
-}
 
 
 def attributes(holder) -> dict[str, object]:
@@ -211,12 +205,8 @@ def snapshot(session: StarSession) -> dict[str, int]:
     return out
 
 
-@pytest.mark.parametrize(
-    "reliability, still_grows",
-    [(False, STILL_GROWS), (True, STILL_GROWS_UNDER_RELIABILITY)],
-    ids=["raw", "reliable"],
-)
-def test_nothing_grows_with_the_session_but_the_allow_list(reliability, still_grows):
+@pytest.mark.parametrize("reliability", [False, True], ids=["raw", "reliable"])
+def test_nothing_grows_with_the_session_but_the_allow_list(reliability):
     """Sample every sized structure of every endpoint after 1 000 and
     after 3 000 executed operations of one fast-path session in which
     every site keeps writing (so acknowledgements keep flowing and the
@@ -251,7 +241,7 @@ def test_nothing_grows_with_the_session_but_the_allow_list(reliability, still_gr
         path for path in early.keys() | late.keys()
         if late.get(path, 0) - early.get(path, 0) > IN_FLIGHT
     }
-    assert {path.rsplit(".", 1)[1] for path in grew} == still_grows, sorted(grew)
+    assert {path.rsplit(".", 1)[1] for path in grew} == STILL_GROWS, sorted(grew)
     session.run()
     assert session.converged()
 

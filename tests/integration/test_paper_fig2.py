@@ -16,6 +16,7 @@ from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
     FIG3_EXPECTED,
     fig2_intention_example,
+    fig3_labels,
     fig3_script,
     fig_latency_factory,
 )
@@ -29,7 +30,7 @@ def run_fig2_session() -> StarSession:
         transform_enabled=False,
     )
     for item in fig3_script():
-        session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
+        session.generate_at(item.site, item.op, item.time)
     session.run()
     assert session.quiescent()
     return session
@@ -39,9 +40,11 @@ class TestFig2ExecutionOrders:
     def test_per_site_execution_orders_match_figure(self):
         session = run_fig2_session()
         expected = FIG3_EXPECTED["execution_orders"]
-        assert session.notifier.executed_op_ids == expected[0]
+        label = fig3_labels()
+        assert [label[name] for name in session.notifier.executed_op_ids] == expected[0]
         for client in session.clients:
-            assert client.executed_op_ids == expected[client.pid], f"site {client.pid}"
+            assert [label[name] for name in client.executed_op_ids] == \
+                expected[client.pid], f"site {client.pid}"
 
 
 class TestFig2Divergence:
@@ -68,7 +71,7 @@ class TestFig2Divergence:
             transform_enabled=False,
         )
         for item in fig3_script():
-            session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
+            session.generate_at(item.site, item.op, item.time)
         # run until just after O_2 reaches site 1 (arrival at 2.5)
         session.run(until=2.6)
         assert session.client(1).document == "A1DE"

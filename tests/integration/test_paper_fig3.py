@@ -10,6 +10,9 @@ enabled and asserts EVERY number the paper prints:
 * all 21 concurrency verdicts of the walkthrough;
 * convergence of all four replicas (with oracle verification of every
   verdict against full vector clocks while the session runs).
+
+The sites name each operation by ``(site, ordinal)``; the paper's
+``O1``-``O4`` are read off the script's order (:func:`fig3_labels`).
 """
 
 import pytest
@@ -19,9 +22,13 @@ from repro.editor.star import StarSession
 from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
     FIG3_EXPECTED,
+    fig3_labels,
     fig3_script,
     fig_latency_factory,
 )
+
+LABEL = fig3_labels()
+NAME = {label: name for name, label in LABEL.items()}
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +41,7 @@ def session() -> StarSession:
         record_checks=True,
     )
     for item in fig3_script():
-        sess.generate_at(item.site, item.op, item.time, op_id=item.op_id)
+        sess.generate_at(item.site, item.op, item.time)
     sess.run()
     assert sess.quiescent()
     return sess
@@ -46,22 +53,22 @@ class TestClientTimestamps:
         seen = {}
         for client in session.clients:
             for entry in client.hb:
-                if entry.op_id in expected:
-                    seen[entry.op_id] = entry.timestamp.as_paper_list()
+                if LABEL[entry.op_id] in expected:
+                    seen[LABEL[entry.op_id]] = entry.timestamp.as_paper_list()
         assert seen == expected
 
 
 class TestNotifierTimestamps:
     def test_broadcast_timestamps(self, session):
         got = {
-            (op_id, dest): ts.as_paper_list()
+            (LABEL[op_id], dest): ts.as_paper_list()
             for op_id, dest, ts in session.notifier.broadcast_log
         }
         assert got == FIG3_EXPECTED["broadcast_timestamps"]
 
     def test_buffered_full_timestamps(self, session):
         got = {
-            entry.op_id: entry.timestamp.as_paper_list()
+            LABEL[entry.op_id]: entry.timestamp.as_paper_list()
             for entry in session.notifier.hb
         }
         assert got == FIG3_EXPECTED["notifier_buffer_timestamps"]
@@ -73,21 +80,22 @@ class TestNotifierTimestamps:
 class TestHistoryBuffers:
     def test_final_hb_contents(self, session):
         expected = FIG3_EXPECTED["final_hb"]
-        assert session.notifier.hb.op_ids() == expected[0]
+        assert [LABEL[name] for name in session.notifier.hb.op_ids()] == expected[0]
         for client in session.clients:
-            assert client.hb.op_ids() == expected[client.pid], f"site {client.pid}"
+            assert [LABEL[name] for name in client.hb.op_ids()] == \
+                expected[client.pid], f"site {client.pid}"
 
     def test_execution_orders(self, session):
         expected = FIG3_EXPECTED["execution_orders"]
-        assert session.notifier.executed_op_ids == expected[0]
+        assert [LABEL[name] for name in session.notifier.executed_op_ids] == expected[0]
         for client in session.clients:
-            assert client.executed_op_ids == expected[client.pid]
+            assert [LABEL[name] for name in client.executed_op_ids] == expected[client.pid]
 
 
 class TestConcurrencyVerdicts:
     def test_every_walkthrough_verdict(self, session):
         got = {
-            (r.site, r.new_op_id, r.buffered_op_id): r.verdict
+            (r.site, LABEL[r.new_op_id], LABEL[r.buffered_op_id]): r.verdict
             for r in session.all_checks()
         }
         for key, want in FIG3_EXPECTED["verdicts"].items():
@@ -100,16 +108,16 @@ class TestConcurrencyVerdicts:
 
     def test_ground_truth_relations(self, session):
         oracle = CausalityOracle(session.event_log)
-        originals = ["O1", "O2", "O3", "O4"]
+        originals = [NAME[label] for label in ("O1", "O2", "O3", "O4")]
         concurrent = {
-            frozenset((a, b))
+            frozenset((LABEL[a], LABEL[b]))
             for i, a in enumerate(originals)
             for b in originals[i + 1 :]
             if oracle.concurrent(a, b)
         }
         assert concurrent == FIG3_EXPECTED["concurrent_pairs"]
         causal = {
-            (a, b) for a in originals for b in originals
+            (LABEL[a], LABEL[b]) for a in originals for b in originals
             if a != b and oracle.happened_before(a, b)
         }
         assert causal == FIG3_EXPECTED["causal_pairs"]
@@ -117,8 +125,8 @@ class TestConcurrencyVerdicts:
     def test_paper_example_O2_before_O1prime(self, session):
         """Fig. 3 discussion: O_1 || O_2 but O_2 -> O_1'."""
         oracle = CausalityOracle(session.event_log)
-        assert oracle.concurrent("O1", "O2")
-        assert oracle.happened_before("O2", "O1'")
+        assert oracle.concurrent(NAME["O1"], NAME["O2"])
+        assert oracle.happened_before(NAME["O2"], NAME["O1'"])
 
 
 class TestConvergence:

@@ -181,7 +181,6 @@ class TestInvariants:
             op=Insert("z", 0),
             timestamp=CompressedTimestamp(0, 2),  # claims 0 received, but acked 1
             origin_site=2,
-            op_id="stale",
         )
         with pytest.raises(ConsistencyError):
             session.notifier.on_message(Envelope(source=2, dest=0, payload=bad))
@@ -302,7 +301,7 @@ class TestBroadcastOnce:
         assert ops == self.N_SITES * 5
         assert len(broadcast) == ops * (self.N_SITES - 1)
         # One measurement per client->notifier message, one per broadcast.
-        from_notifier = [m for m in measured if m.op_id.endswith("'")]
+        from_notifier = [m for m in measured if m.shared is not None]
         assert len(from_notifier) == ops
         assert len(measured) == 2 * ops
 
@@ -310,7 +309,7 @@ class TestBroadcastOnce:
         _, broadcast, _ = self.run_session(monkeypatch)
         siblings = {}
         for dest, message, timestamp_bytes in broadcast:
-            siblings.setdefault(message.op_id, []).append(
+            siblings.setdefault(message.shared, []).append(  # one per broadcast
                 Envelope(0, dest, message, timestamp_bytes)
             )
         encoded = []

@@ -51,15 +51,11 @@ timestamps = st.builds(
     second=st.integers(0, 2**32 - 1),
 )
 
-op_ids = st.text(alphabet=string.ascii_letters + string.digits + "_'", min_size=1, max_size=16)
-
 messages = st.builds(
     OpMessage,
     op=operations,
     timestamp=timestamps,
     origin_site=st.integers(0, 10**4),
-    op_id=op_ids,
-    source_op_id=st.one_of(st.none(), op_ids),
 )
 
 sequenced_packets = st.builds(
@@ -85,10 +81,8 @@ u32s = st.integers(0, 2**32 - 1)
 snapshots = st.builds(
     SnapshotMessage,
     document=short_text,
-    base_count=u32s,
-    own_count=u32s,
+    counts=st.lists(u32s, max_size=4).map(tuple),
     notifier_epoch=u32s,
-    incorporated=st.frozensets(op_ids, max_size=3),
 )
 
 contributions = st.builds(
@@ -97,7 +91,7 @@ contributions = st.builds(
     received_from_center=u32s,
     generated_locally=u32s,
     received_per_origin=st.dictionaries(u32s, u32s, max_size=3),
-    pending=st.lists(st.tuples(op_ids, operations), max_size=3).map(tuple),
+    pending=st.lists(operations, max_size=3).map(tuple),
     document=st.one_of(st.none(), short_text),
 )
 

@@ -35,7 +35,7 @@ def test_merge_orders_by_time_and_reindexes() -> None:
     b = [
         _event(0, TraceEventKind.GENERATED, 0.5, 2, op_id="2-1"),
         _event(1, TraceEventKind.TRANSFORMED, 2.0, 0, op_id="1-1'",
-               source_op_id="1-1"),
+               source_op="1-1"),
     ]
     merged = merge_traces([a, b])
     assert [e.index for e in merged] == [0, 1, 2, 3]
@@ -51,7 +51,7 @@ def test_merge_repairs_clock_skew_on_execution() -> None:
     notifier = [
         _event(0, TraceEventKind.GENERATED, 0.5, 2, op_id="2-1"),
         _event(1, TraceEventKind.TRANSFORMED, 2.0, 0, op_id="2-1'",
-               source_op_id="2-1"),
+               source_op="2-1"),
     ]
     merged = merge_traces([executor, notifier])
     kinds = [e.kind for e in merged]
@@ -87,10 +87,10 @@ def test_vector_clock_replay_agrees_with_dag_reachability() -> None:
         _event(1, TraceEventKind.GENERATED, 1.1, 2, op_id="2-1"),
         _event(2, TraceEventKind.EXECUTED, 1.5, 0, op_id="1-1"),
         _event(3, TraceEventKind.TRANSFORMED, 1.5, 0, op_id="1-1'",
-               source_op_id="1-1"),
+               source_op="1-1"),
         _event(4, TraceEventKind.EXECUTED, 1.6, 0, op_id="2-1"),
         _event(5, TraceEventKind.TRANSFORMED, 1.6, 0, op_id="2-1'",
-               source_op_id="2-1"),
+               source_op="2-1"),
         _event(6, TraceEventKind.EXECUTED, 2.0, 2, op_id="1-1'"),
         _event(7, TraceEventKind.EXECUTED, 2.1, 1, op_id="2-1'"),
     ]
@@ -112,7 +112,7 @@ def test_analyze_cluster_full_verdict() -> None:
         [
             _event(0, TraceEventKind.EXECUTED, 1.4, 0, op_id="1-1"),
             _event(1, TraceEventKind.TRANSFORMED, 1.4, 0, op_id="1-1'",
-                   source_op_id="1-1"),
+                   source_op="1-1"),
         ],
     ]
     results = [

@@ -251,7 +251,7 @@ def test_a_garbled_frame_after_the_hello_is_counted_and_costs_nobody_else(
 
     pinned = bytes.fromhex(PINNED["data-insert"])  # source 2, dest 0
     mutant = bytearray(pinned)
-    mutant[51] ^= 0xFF
+    mutant[40] ^= 0xFF  # 23 B head, 5 B payload head, T, origin
     sent = [encode_envelope(Envelope(source=1, dest=0, payload=None, kind=f"k{n}"))
             for n in range(4)]
 
@@ -315,7 +315,7 @@ def test_a_replayed_frame_is_a_duplicate_to_a_reliable_notifier() -> None:
     async def body(lo: Loopback) -> None:
         notifier = lo.hub.endpoint
         op = OpMessage(op=Insert("x", 0), timestamp=CompressedTimestamp(0, 1),
-                       origin_site=1, op_id="1-1")
+                       origin_site=1)
         replayed = frame(encode_envelope(Envelope(
             source=1, dest=0, payload=ReliablePacket(seq=0, epoch=0, ack=-1,
                                                      payload=op),
@@ -323,14 +323,14 @@ def test_a_replayed_frame_is_a_duplicate_to_a_reliable_notifier() -> None:
         _r2, _w2 = await lo.member(2)
         _r1, w1 = await lo.member(1)
         w1.write(replayed)
-        await until(lambda: notifier.executed_op_ids == ["1-1'"])
+        await until(lambda: notifier.executed_op_ids == ["c1_1'"])
         before = (notifier.document, dict(notifier.acked),
                   notifier.transport.stats.sent)
         w1.write(replayed)
         await until(lambda: notifier.transport.stats.duplicates_discarded == 1)
         assert (notifier.document, dict(notifier.acked),
                 notifier.transport.stats.sent) == before
-        assert notifier.executed_op_ids == ["1-1'"]
+        assert notifier.executed_op_ids == ["c1_1'"]
         assert (lo.hub.garbled, lo.hub.rejected, lo.hub.hung_up) == (0, 0, set())
 
     run({1, 2}, body, endpoint=lambda: StarNotifier(

@@ -133,21 +133,25 @@ class TestMessageCodec:
             op=Insert("12", 1),
             timestamp=CompressedTimestamp(1, 0),
             origin_site=2,
-            op_id="O2'",
-            source_op_id="O2",
         )
         assert decode_op_message(encode_op_message(message)) == message
 
     def test_message_without_source_id(self):
+        """No name travels, neither the op's nor its source's: a message
+        is T, the origin and the operation (the sites derive the name)."""
         message = OpMessage(
             op=Delete(3, 2),
             timestamp=CompressedTimestamp(0, 1),
             origin_site=2,
-            op_id="O2",
         )
-        decoded = decode_op_message(encode_op_message(message))
-        assert decoded == message
-        assert decoded.source_op_id is None
+        wire = encode_op_message(message)
+        assert decode_op_message(wire) == message
+        assert len(wire) == 8 + 4 + 9
+        assert not hasattr(message, "op_id") and not hasattr(message, "source_op_id")
+
+    def test_a_client_insert_of_one_character_is_22_bytes(self):
+        message = OpMessage(Insert("x", 0), CompressedTimestamp(0, 1), 1)
+        assert len(encode_op_message(message)) == 22  # 8 T + 4 origin + 10 op
 
     def test_size_matches_accounting_model(self):
         """The real encoding charges what measure_payload_bytes predicts
@@ -158,15 +162,12 @@ class TestMessageCodec:
             op=Insert("hello", 7),
             timestamp=CompressedTimestamp(4, 2),
             origin_site=1,
-            op_id="x",
         )
         wire = encode_op_message(message)
         op_bytes = measure_payload_bytes(message.op)  # tag + pos + text
         framing = (
             message.timestamp.size_bytes()  # compressed timestamp: 8
             + 4  # origin site
-            + (4 + 1)  # op_id "x"
-            + (4 + 0)  # empty source_op_id
             + 4  # string length prefix of the insert text
         )
         assert len(wire) == op_bytes + framing
@@ -176,7 +177,6 @@ class TestMessageCodec:
             op=Insert("a", 0),
             timestamp=CompressedTimestamp(0, 1),
             origin_site=1,
-            op_id="q",
         )
         wire = encode_op_message(message)
         with pytest.raises(CodecError):

@@ -52,6 +52,28 @@ class TestEventLog:
         with pytest.raises(ValueError):
             log.generate(1, "a")
 
+    def test_a_name_no_other_site_executed_may_be_reissued(self):
+        """A crashed client re-issues the ordinals of its ops the notifier
+        never executed: the re-issue replaces the lost generation."""
+        log = EventLog(2)
+        log.generate(1, "c1_1")
+        log.generate(1, "c1_2")  # lost with the crash
+        log.generate(1, "c1_2")
+        assert log.generation_clock("c1_2") == VectorClock.of([0, 3])
+        log.execute(0, "c1_2")
+        assert log.clocks[log.events[-1]] == VectorClock.of([1, 3])
+
+    def test_a_name_another_site_executed_is_not_reissued(self):
+        log = EventLog(2)
+        log.generate(1, "c1_1")
+        log.execute(0, "c1_1")
+        with pytest.raises(ValueError, match="generated twice"):
+            log.generate(1, "c1_1")
+        # ... nor one a different site generated, executed or not.
+        log.generate(0, "x")
+        with pytest.raises(ValueError, match="generated twice"):
+            log.generate(1, "x")
+
     def test_execute_before_generate_rejected(self):
         with pytest.raises(ValueError):
             EventLog(2).execute(0, "ghost")

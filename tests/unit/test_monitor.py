@@ -491,7 +491,7 @@ class TestDerivedE2E:
         assert tailer.latest[2].e2e_p95_ms is None
         append(tmp_path / "trace_0.jsonl",
                event(0, EXECUTED, 1.2, 0, op_id="c1_0"),
-               event(1, TRANSFORMED, 1.2, 0, op_id="c1_0'", source_op_id="c1_0"))
+               event(1, TRANSFORMED, 1.2, 0, op_id="c1_0'", source_op="c1_0"))
         append(tmp_path / "trace_1.jsonl", event(0, GENERATED, 1.0, 1, op_id="c1_0"))
         tailer.poll()
         assert tailer.latest[2].e2e_p95_ms == 500.0

@@ -434,7 +434,7 @@ def test_per_message_values_have_no_dict() -> None:
     from repro.net.transport import Envelope
 
     ts = CompressedTimestamp(1, 2)
-    message = OpMessage("op", ts, 1, "c1_1")
+    message = OpMessage("op", ts, 1)
     values = [
         Envelope(1, 0, message),
         message,
@@ -450,9 +450,8 @@ def test_per_message_values_have_no_dict() -> None:
         with pytest.raises((AttributeError, TypeError)):
             value.undeclared = 1
     # The constructor surface that slots=True re-creates the class around.
-    assert message == OpMessage(op="op", timestamp=ts, origin_site=1, op_id="c1_1",
-                                source_op_id=None, shared=object())
-    assert message != OpMessage("op", ts, 2, "c1_1")
+    assert message == OpMessage(op="op", timestamp=ts, origin_site=1, shared=object())
+    assert message != OpMessage("op", ts, 2)
 
 
 def _message_field_stores(tree: ast.Module, fields: set[str]) -> list[str]:
@@ -472,7 +471,7 @@ def _message_field_stores(tree: ast.Module, fields: set[str]) -> list[str]:
 
 
 def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
-    """``OpMessage`` is not ``frozen`` (a frozen ``__init__`` is six
+    """``OpMessage`` is not ``frozen`` (a frozen ``__init__`` is four
     ``object.__setattr__`` calls per copy), and a message is shared by
     reference: the simulator hands the sender's object to the receiver
     and ``ReliableEndpoint.unacked`` retains it, so a receiver that
@@ -484,7 +483,7 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
     from repro.editor.messages import OpMessage
 
     fields = {f.name for f in dataclasses.fields(OpMessage)} - {"op"}
-    assert {"timestamp", "shared"} < fields
+    assert fields == {"timestamp", "origin_site", "shared"}  # no name travels
     hits = [
         f"{path.relative_to(SRC)}:{hit}"
         for path in MODULES
@@ -500,9 +499,9 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
         "        envelope.payload.shared = None\n"
         "        message.origin_site += 1\n"
         "        del message.timestamp\n"
-        "        object.__setattr__(message, 'op_id', 'x')\n"
-        "        setattr(message, 'source_op_id', None)\n"
-        "        message.op = message.op_id\n")  # op: not covered, a load: fine
+        "        object.__setattr__(message, 'origin_site', 2)\n"
+        "        setattr(message, 'shared', None)\n"
+        "        message.op = message.timestamp\n")  # op: not covered, a load: fine
     assert len(_message_field_stores(planted, fields)) == 6
 
 

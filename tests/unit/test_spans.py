@@ -106,9 +106,9 @@ class TestSkewEstimator:
         assert SkewEstimator().pair_offset(3, 3) == (0.0, 0.0)
 
 
-def event(index, kind, *, site, time, op_id, peer=None, source_op_id=None):
+def event(index, kind, *, site, time, op_id, peer=None, source_op=None):
     return TraceEvent(index=index, kind=kind, time=time, site=site,
-                      op_id=op_id, peer=peer, source_op_id=source_op_id)
+                      op_id=op_id, peer=peer, source_op=source_op)
 
 
 GENERATED = TraceEventKind.GENERATED
@@ -123,7 +123,9 @@ def star_trace(theta, *, ingest_delay=0.002, fanout_delay=0.003):
     All event times are rendered on each site's own (skewed) clock, the
     way real per-process tracers would stamp them.  The centre releases,
     executes and transforms an arrival at one instant; the broadcast
-    form ``<op>'`` is what the clients execute.
+    form ``<op>'`` is what the clients execute.  A release names no op
+    (no name is on the wire): the centre's execution is the forward
+    sample.
     """
     origin_true = 1.0  # true time the op was generated at site 1
     origin_stamp = origin_true + theta[1]
@@ -132,19 +134,20 @@ def star_trace(theta, *, ingest_delay=0.002, fanout_delay=0.003):
     events = [
         event(0, GENERATED, site=1, time=origin_stamp, op_id="1'1"),
         event(1, RELEASED, site=0, time=ingest_true + theta[0],
-              peer=1, op_id="1'1"),
+              peer=1, op_id=None),
         event(2, EXECUTED, site=0, time=ingest_true + theta[0], op_id="1'1"),
         event(3, TRANSFORMED, site=0, time=ingest_true + theta[0],
-              op_id="1'1'", source_op_id="1'1"),
+              op_id="1'1'", source_op="1'1"),
         event(4, EXECUTED, site=2, time=exec_true + theta[2], op_id="1'1'"),
         # The return samples that make links bidirectional: site 1 also
         # executes an op that 2 originated through the centre.
         event(5, GENERATED, site=2, time=2.0 + theta[2], op_id="2'1"),
         event(6, RELEASED, site=0, time=2.0 + ingest_delay + theta[0],
-              peer=2, op_id="2'1"),
-        event(7, TRANSFORMED, site=0, time=2.0 + ingest_delay + theta[0],
-              op_id="2'1'", source_op_id="2'1"),
-        event(8, EXECUTED, site=1,
+              peer=2, op_id=None),
+        event(7, EXECUTED, site=0, time=2.0 + ingest_delay + theta[0], op_id="2'1"),
+        event(8, TRANSFORMED, site=0, time=2.0 + ingest_delay + theta[0],
+              op_id="2'1'", source_op="2'1"),
+        event(9, EXECUTED, site=1,
               time=2.0 + ingest_delay + fanout_delay + theta[1], op_id="2'1'"),
     ]
     return events
@@ -179,7 +182,7 @@ class TestAssembleSpans:
 
     def test_every_execution_away_from_its_origin_is_a_pair(self):
         report = assemble_spans(star_trace({0: 0.0, 1: 0.0, 2: 0.0}))
-        assert sorted(report.pairs) == [(1, 0), (1, 2), (2, 1)]
+        assert sorted(report.pairs) == [(1, 0), (1, 2), (2, 0), (2, 1)]
         assert all(pair.raw.count == 1 for pair in report.pairs.values())
         # No skew to correct: the corrected p50 is the 5 ms pipeline itself.
         assert report.pairs[(1, 2)].corrected.percentile(50) == pytest.approx(

@@ -158,9 +158,8 @@ class TestPayloadMeasurement:
             op=Insert("ab", 3),
             timestamp=CompressedTimestamp(1, 0),
             origin_site=2,
-            op_id="O2'",
         )
-        assert measure_payload_bytes(message) == 4 + 3 + 7
+        assert measure_payload_bytes(message) == 4 + 7
 
     def test_mesh_record_measured_structurally(self):
         from repro.clocks.vector import VectorClock
@@ -170,10 +169,15 @@ class TestPayloadMeasurement:
         assert measure_payload_bytes(record) == 4 + 9
 
     def test_snapshot_measured_structurally(self):
+        """``net/wire.py`` writes ``SV_0`` (one u32 per site) and the
+        notifier epoch beside the document: (N + 1) integers, not the
+        4 bytes charged when it wrote three."""
         from repro.editor.messages import SnapshotMessage
 
-        snap = SnapshotMessage(document="abcd", base_count=7)
-        assert measure_payload_bytes(snap) == 4 + 5
+        for sites in (3, 16):
+            snap = SnapshotMessage(document="abcd", counts=tuple(range(sites)),
+                                   notifier_epoch=1)
+            assert measure_payload_bytes(snap) == (sites + 1) * 4 + 5
 
 
 @dataclass(frozen=True)
@@ -184,12 +188,14 @@ class Unregistered:
 
 
 _TS = CompressedTimestamp(3, 1)
-_RELAYED = OpMessage(op=Delete(2, 4), timestamp=_TS, origin_site=2, op_id="c2_5'",
-                     source_op_id="c2_5")
+_RELAYED = OpMessage(op=Delete(2, 4), timestamp=_TS, origin_site=2)
 
 # Every payload that crosses a channel, with the size the accounting
 # model charged for it before sizing was dispatched by type (cut on the
-# parent commit).  These are the CLAIM-OVH inputs: none may move.
+# parent commit).  These are the CLAIM-OVH inputs: none may move.  The
+# star's op, snapshot and contribution rows were re-cut when op names
+# left the wire (an op message is its origin and its operation) and the
+# snapshot came to carry SV_0 (one integer per site, plus the epoch).
 SIZES = [
     pytest.param(None, 0, id="none"),
     pytest.param(5, 8, id="int"),
@@ -209,18 +215,18 @@ SIZES = [
     pytest.param(CounterOp(3), 60, id="counter-op"),
     pytest.param(RegisterOp("v"), 63, id="register-op"),
     pytest.param(
-        OpMessage(op=Insert("héllo", 3), timestamp=_TS, origin_site=2, op_id="c2_5"),
-        19, id="op-message"),
-    pytest.param(_RELAYED, 18, id="op-message-relayed"),
+        OpMessage(op=Insert("héllo", 3), timestamp=_TS, origin_site=2),
+        15, id="op-message"),
+    pytest.param(_RELAYED, 13, id="op-message-relayed"),
     pytest.param(
-        ReliablePacket(seq=4, epoch=1, ack=2, payload=_RELAYED), 30, id="reliable-op"),
+        ReliablePacket(seq=4, epoch=1, ack=2, payload=_RELAYED), 25, id="reliable-op"),
     pytest.param(ReliablePacket(seq=-1, epoch=0, ack=7), 12, id="reliable-ack"),
     pytest.param(
         ReliablePacket(seq=-1, epoch=0, ack=-1, probe=True), 12, id="reliable-probe"),
     pytest.param(
         ReliablePacket(seq=0, epoch=2, ack=-1,
-                       payload=SnapshotMessage(document="abcd", base_count=7)),
-        21, id="reliable-snapshot"),
+                       payload=SnapshotMessage(document="abcd", counts=(7, 0))),
+        29, id="reliable-snapshot"),
     pytest.param(ResyncRequest(epoch=2), 4, id="resync-request"),
     pytest.param(ElectMessage(notifier_epoch=1), 4, id="elect"),
     pytest.param(PromoteMessage(successor=2, notifier_epoch=1), 8, id="promote"),
@@ -228,18 +234,17 @@ SIZES = [
         StateContribution(
             site=3, received_from_center=5, generated_locally=4,
             received_per_origin={1: 3, 2: 2},
-            pending=(("c3_3", Insert("x", 1)), ("c3_4", Delete(1, 0))),
+            pending=(Insert("x", 1), Delete(1, 0)),
             document="hello"),
-        59, id="contribution"),
+        49, id="contribution"),
     pytest.param(
         StateContribution(site=3, received_from_center=0, generated_locally=0),
         12, id="contribution-empty"),
     pytest.param(
-        SnapshotMessage(document="abcd", base_count=7, own_count=2), 9, id="snapshot"),
+        SnapshotMessage(document="abcd", counts=(5, 2, 0)), 21, id="snapshot"),
     pytest.param(
-        SnapshotMessage(document="abcd", base_count=7, notifier_epoch=1,
-                        incorporated=frozenset({"c1_1", "c2_10"})),
-        20, id="snapshot-failover"),
+        SnapshotMessage(document="abcd", counts=(5, 2, 0), notifier_epoch=1),
+        21, id="snapshot-failover"),
     pytest.param(
         MeshOp(op=Delete(3, 2), vc=VectorClock.of([1, 0, 2]), site=0, seq=1),
         13, id="mesh-op"),

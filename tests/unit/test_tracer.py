@@ -82,7 +82,7 @@ class TestSerialisation:
             via="holdback", time=0.9,
         )
         tracer.emit(
-            TraceEventKind.TRANSFORMED, 0, op_id="c1_1'", source_op_id="c1_1",
+            TraceEventKind.TRANSFORMED, 0, op_id="c1_1'", source_op="c1_1",
             time=0.6,
         )
         return tracer.events

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import (
+    BroadcastBody,
     ElectMessage,
     OpMessage,
     PromoteMessage,
@@ -54,13 +55,12 @@ from repro.net.wire import (
 from repro.ot.operations import Delete, Insert
 
 
-def _op_message(op_id: str = "1-1", source: str | None = None) -> OpMessage:
+def _op_message(shared: BroadcastBody | None = None) -> OpMessage:
     return OpMessage(
         op=Insert("x", 3),
         timestamp=CompressedTimestamp(2, 5),
         origin_site=1,
-        op_id=op_id,
-        source_op_id=source,
+        shared=shared,
     )
 
 
@@ -97,19 +97,22 @@ def test_none_payload_roundtrip() -> None:
 
 
 def test_op_message_roundtrip_is_byte_identical() -> None:
-    message = _op_message(source=None)
+    message = _op_message()
     decoded = _roundtrip(message).payload
     assert encode_op_message(decoded) == encode_op_message(message)
     assert decoded.op == Insert("x", 3)
     assert decoded.timestamp == CompressedTimestamp(2, 5)
     assert decoded.origin_site == 1
-    assert decoded.op_id == "1-1"
 
 
-def test_transformed_op_message_keeps_source_op_id() -> None:
-    decoded = _roundtrip(_op_message(op_id="1-1'", source="1-1")).payload
-    assert decoded.op_id == "1-1'"
-    assert decoded.source_op_id == "1-1"
+def test_a_broadcast_copy_is_the_client_op_with_its_own_timestamp() -> None:
+    """The centre's copy names nothing the client's op did not: the same
+    origin and operation after its own two integers."""
+    client = _op_message()
+    copy = OpMessage(client.op, CompressedTimestamp(9, 0), client.origin_site,
+                     BroadcastBody())
+    assert _roundtrip(copy).payload == copy
+    assert encode_op_message(copy)[8:] == encode_op_message(client)[8:]
 
 
 def test_reliable_packet_roundtrip_nests_payload() -> None:
@@ -117,7 +120,7 @@ def test_reliable_packet_roundtrip_nests_payload() -> None:
     decoded = _roundtrip(packet, kind="rel").payload
     assert decoded.seq == 0 and decoded.epoch == 2 and decoded.ack == -1
     assert not decoded.probe
-    assert decoded.payload.op_id == "1-1"
+    assert decoded.payload == _op_message()
 
 
 def test_probe_and_pure_ack_roundtrip() -> None:
@@ -178,11 +181,12 @@ def test_group_nesting_in_a_data_frame_is_bounded_and_typed() -> None:
 
 
 def test_invalid_utf8_in_a_data_frame_is_a_codec_error() -> None:
-    """One flipped byte of ``kind`` or of an op id: neither UnicodeDecodeError
-    nor anything else a pump's ``except CodecError`` would miss."""
+    """One flipped byte of ``kind`` or of an insert's text: neither
+    UnicodeDecodeError nor anything else a pump's ``except CodecError``
+    would miss."""
     body = bytearray(encode_envelope(Envelope(
         source=1, dest=0, payload=_op_message(), timestamp_bytes=8, message_id=7)))
-    for offset in (21, body.index(b"1-1")):  # first byte of "op", of the op id
+    for offset in (21, len(body) - 1):  # first byte of "op", the text "x"
         garbled = bytearray(body)
         garbled[offset] = 0xFF
         with pytest.raises(CodecError, match="UTF-8"):
@@ -210,9 +214,9 @@ def test_presence_bytes_are_zero_or_one(encoded, flag: int) -> None:
 
 def test_a_data_frame_is_a_handful_of_runs_not_a_call_per_field(monkeypatch) -> None:
     """The per-layer budget of the DATA path, counted: six ``Writer.pack``
-    and six ``Reader.unpack`` calls at most for an insert's frame (five
-    each today: frame head, payload head, message head, source-id
-    length, operation).  One call per field would be fourteen."""
+    and six ``Reader.unpack`` calls at most for an insert's frame (four
+    each today: frame head, payload head, message head, operation).
+    One call per field would be twelve."""
     calls = {"pack": 0, "unpack": 0}
 
     def counting(cls: type, name: str) -> None:
@@ -226,16 +230,14 @@ def test_a_data_frame_is_a_handful_of_runs_not_a_call_per_field(monkeypatch) -> 
 
     counting(Writer, "pack")
     counting(Reader, "unpack")
-    envelope = Envelope(source=1, dest=0, payload=_op_message(source="1-0"),
+    envelope = Envelope(source=1, dest=0, payload=_op_message(),
                         timestamp_bytes=8, kind="op", message_id=7)
     assert decode_frame(encode_envelope(envelope)) == envelope
     assert 0 < calls["pack"] <= 6 and 0 < calls["unpack"] <= 6, calls
 
 
 def test_snapshot_roundtrip() -> None:
-    snapshot = SnapshotMessage(document="abc", base_count=4, own_count=2,
-                               notifier_epoch=1,
-                               incorporated=frozenset({"1-1", "2-1"}))
+    snapshot = SnapshotMessage(document="abc", counts=(2, 0, 4), notifier_epoch=1)
     decoded = _roundtrip(snapshot, kind="snapshot").payload
     assert decoded == snapshot
 
@@ -246,13 +248,13 @@ def test_snapshot_rejects_origin_clock_and_rich_documents() -> None:
     with pytest.raises(WireError):
         encode_envelope(Envelope(
             source=0, dest=1, kind="snapshot", timestamp_bytes=0,
-            payload=SnapshotMessage(document="abc", base_count=0,
+            payload=SnapshotMessage(document="abc", counts=(0,),
                                     origin_clock=VectorClock.zero(2)),
         ))
     with pytest.raises(WireError):
         encode_envelope(Envelope(
             source=0, dest=1, kind="snapshot", timestamp_bytes=0,
-            payload=SnapshotMessage(document=["rich"], base_count=0),
+            payload=SnapshotMessage(document=["rich"], counts=(0,)),
         ))
 
 
@@ -272,7 +274,7 @@ def test_state_contribution_roundtrip() -> None:
         received_from_center=5,
         generated_locally=3,
         received_per_origin={1: 2, 3: 3},
-        pending=(("2-4", Insert("y", 0)), ("2-5", Delete(1, 2))),
+        pending=(Insert("y", 0), Delete(1, 2)),
         document="hello",
     )
     decoded = _roundtrip(contribution, kind="contrib").payload
@@ -370,7 +372,7 @@ def test_pump_decodes_and_rejects_late_hello() -> None:
                             timestamp_bytes=8, kind="op", message_id=1)
         seen: list[Envelope] = []
         await pump(_reader_with(frame(encode_envelope(envelope))), seen.append)
-        assert len(seen) == 1 and seen[0].payload.op_id == "1-1"
+        assert len(seen) == 1 and seen[0].payload == _op_message()
         with pytest.raises(WireError, match="HELLO"):
             await pump(_reader_with(frame(encode_hello(1))), seen.append)
 
@@ -414,7 +416,7 @@ def test_wire_channel_accounting_matches_fifo_channel() -> None:
     body = writer.chunks[0][4:]
     decoded = decode_frame(body)
     assert isinstance(decoded, Envelope)
-    assert decoded.payload.op_id == "1-1"
+    assert decoded.payload == _op_message()
 
 
 def test_wire_channel_rejects_misaddressed_envelopes() -> None:

@@ -1,11 +1,13 @@
 """The wire format, pinned byte for byte.
 
 One frame body per frame tag and per payload tag: ``VALUES`` names what
-was encoded, ``PINNED`` holds the bytes the encoder of commit ``14d17fd``
-wrote for it (the parent of the change that moved the DATA path onto
-``Writer.pack`` / ``Reader.unpack``).  A codec edit that moves a byte on
-the wire, or reads these bytes as a different value, fails here before
-it fails a cluster.
+was encoded, ``PINNED`` holds its bytes.  The frames without an
+operation or a snapshot are the ones the encoder of commit ``14d17fd``
+wrote (the parent of the change that moved the DATA path onto
+``Writer.pack`` / ``Reader.unpack``); the rest were written by hand,
+field by field, when op names left the wire.  A codec edit that moves a
+byte on the wire, or reads these bytes as a different value, fails here
+before it fails a cluster.
 """
 
 from __future__ import annotations
@@ -55,20 +57,18 @@ def encode(value: Any) -> bytes:
 
 
 def data(payload: Any, kind: str = "op", message_id: int | None = 41,
-         timestamp_bytes: int = 8) -> Envelope:
-    return Envelope(source=2, dest=0, payload=payload, kind=kind,
+         timestamp_bytes: int = 8, source: int = 2, dest: int = 0) -> Envelope:
+    return Envelope(source=source, dest=dest, payload=payload, kind=kind,
                     timestamp_bytes=timestamp_bytes, message_id=message_id)
 
 
-def op_message(op: Any, **fields: Any) -> OpMessage:
-    return OpMessage(op=op, timestamp=CompressedTimestamp(7, 3), origin_site=2,
-                     op_id="2-4", **fields)
+def op_message(op: Any) -> OpMessage:
+    return OpMessage(op=op, timestamp=CompressedTimestamp(7, 3), origin_site=2)
 
 
 _SHARED = BroadcastBody()
 _SIBLINGS = [
-    OpMessage(op=Insert("hé✓", 5), timestamp=stamp, origin_site=1, op_id="1-2'",
-              source_op_id="1-2", shared=_SHARED)
+    OpMessage(op=Insert("hé✓", 5), timestamp=stamp, origin_site=1, shared=_SHARED)
     for stamp in (CompressedTimestamp(4, 1), CompressedTimestamp(3, 2))
 ]
 
@@ -79,12 +79,19 @@ VALUES: dict[str, Any] = {
     "drained": Drained(site=2),
     "data-none": data(None, kind="ack", message_id=None, timestamp_bytes=0),
     "data-insert": data(op_message(Insert("xy", 3))),
-    "data-delete-with-source": data(op_message(Delete(2, 9), source_op_id="2-3")),
+    # Named when this frame also carried the id of the op it was made
+    # from; the key stays so the test ids do.
+    "data-delete-with-source": data(op_message(Delete(2, 9))),
     "data-identity": data(op_message(Identity())),
     "data-group": data(op_message(
         OperationGroup((Delete(2, 1), OperationGroup((Insert("q", 0),)))))),
     "data-broadcast-first-sibling": data(_SIBLINGS[0]),
     "data-broadcast-second-sibling": data(_SIBLINGS[1]),
+    "data-client-op": data(
+        OpMessage(Insert("x", 0), CompressedTimestamp(0, 1), 1), source=1),
+    "data-broadcast-copy": data(
+        OpMessage(Delete(1, 4), CompressedTimestamp(5, 2), 2, BroadcastBody()),
+        source=0, dest=3),
     "data-reliable-wrapping-op": data(
         ReliablePacket(seq=5, epoch=1, ack=3, gap=True,
                        payload=op_message(Insert("r", 1))), kind="rel"),
@@ -94,9 +101,7 @@ VALUES: dict[str, Any] = {
         ReliablePacket(seq=-1, epoch=2, ack=8, probe=True, gap=True),
         kind="probe", timestamp_bytes=0),
     "data-snapshot": data(
-        SnapshotMessage(document="h\u00e9llo", base_count=4, own_count=2,
-                        notifier_epoch=1,
-                        incorporated=frozenset({"1-1", "2-1", "1-2"})),
+        SnapshotMessage(document="h\u00e9llo", counts=(2, 4, 1), notifier_epoch=1),
         kind="snapshot", timestamp_bytes=0),
     "data-resync": data(ResyncRequest(epoch=3), kind="resync", timestamp_bytes=0),
     "data-elect": data(ElectMessage(notifier_epoch=2), kind="elect",
@@ -107,7 +112,7 @@ VALUES: dict[str, Any] = {
         StateContribution(
             site=2, received_from_center=5, generated_locally=3,
             received_per_origin={3: 3, 1: 2},
-            pending=(("2-4", Insert("y", 0)), ("2-5", Delete(1, 2))),
+            pending=(Insert("y", 0), Delete(1, 2)),
             document="hello"),
         kind="contrib", timestamp_bytes=0),
     "data-contribution-without-document": data(
@@ -115,10 +120,15 @@ VALUES: dict[str, Any] = {
         kind="contrib", timestamp_bytes=0),
 }
 
-# Written by the encoder of commit 14d17fd; never regenerate these from
-# the encoder under test.  The two broadcast siblings were re-pinned by
-# hand when op messages lost their wall-clock trailer: the last 10 bytes
-# dropped, and the op payload's length went from 0x34 to 0x2a.
+# A DATA frame's head: tag 0x02, source, dest, timestamp bytes, message
+# id 41 (+1 on the wire), then the kind's length and UTF-8 bytes.
+_OP_HEAD = "02" "00000002" "00000000" "00000008" "0000002a" "00000002" "6f70"
+_CONTROL_HEAD = "02" "00000002" "00000000" "00000000" "0000002a"
+
+# Never regenerate these from the encoder under test.  Each frame that
+# carries an op message or a snapshot was written by hand, field by
+# field, when op names left the wire: an op message is T, the origin
+# and the operation, a snapshot carries SV_0.
 PINNED: dict[str, str] = {
     "hello": "01000000030000238c",
     "roster": "0400000003000000010000238d0000000200000000000000030000ffff",
@@ -126,36 +136,61 @@ PINNED: dict[str, str] = {
     "drained": "0600000002",
     "data-none": "02000000020000000000000000000000000000000361636b00",
     "data-insert": (
-        "020000000200000000000000080000002a000000026f70010000002200000007"
-        "000000030000000200000003322d34000000000100000003000000027879"
+        _OP_HEAD + "01" "00000017"  # op message, 23 bytes
+        "00000007" "00000003"  # T = [7, 3]
+        "00000002"  # origin 2
+        "01" "00000003" "00000002" "7879"  # Insert "xy" at 3
     ),
     "data-delete-with-source": (
-        "020000000200000000000000080000002a000000026f70010000002300000007"
-        "000000030000000200000003322d3400000003322d33020000000900000002"
+        _OP_HEAD + "01" "00000015"
+        "00000007" "00000003" "00000002"
+        "02" "00000009" "00000002"  # Delete 2 at 9
     ),
     "data-identity": (
-        "020000000200000000000000080000002a000000026f70010000001800000007"
-        "000000030000000200000003322d340000000003"
+        _OP_HEAD + "01" "0000000d"
+        "00000007" "00000003" "00000002"
+        "03"  # Identity
     ),
     "data-group": (
-        "020000000200000000000000080000002a000000026f70010000003400000007"
-        "000000030000000200000003322d340000000004000000020200000001000000"
-        "02040000000101000000000000000171"
+        _OP_HEAD + "01" "00000029"
+        "00000007" "00000003" "00000002"
+        "04" "00000002"  # a group of two
+        "02" "00000001" "00000002"  # Delete 2 at 1
+        "04" "00000001"  # a group of one
+        "01" "00000000" "00000001" "71"  # Insert "q" at 0
     ),
     "data-broadcast-first-sibling": (
-        "020000000200000000000000080000002a000000026f70010000002a00000004"
-        "000000010000000100000004312d322700000003312d32010000000500000006"
-        "68c3a9e29c93"
+        _OP_HEAD + "01" "0000001b"
+        "00000004" "00000001"  # T = [4, 1]
+        "00000001"  # origin 1
+        "01" "00000005" "00000006" "68c3a9e29c93"  # Insert "hé✓" at 5
     ),
     "data-broadcast-second-sibling": (
-        "020000000200000000000000080000002a000000026f70010000002a00000003"
-        "000000020000000100000004312d322700000003312d32010000000500000006"
-        "68c3a9e29c93"
+        _OP_HEAD + "01" "0000001b"
+        "00000003" "00000002"  # T = [3, 2]: the one field siblings differ in
+        "00000001"
+        "01" "00000005" "00000006" "68c3a9e29c93"
+    ),
+    "data-client-op": (
+        "02" "00000001" "00000000" "00000008" "0000002a" "00000002" "6f70"
+        "01" "00000016"  # 22 bytes: 8 timestamp, 4 origin, 10 operation
+        "00000000" "00000001"  # T = [0, 1]: site 1's first op
+        "00000001"
+        "01" "00000000" "00000001" "78"  # Insert "x" at 0
+    ),
+    "data-broadcast-copy": (
+        "02" "00000000" "00000003" "00000008" "0000002a" "00000002" "6f70"
+        "01" "00000015"
+        "00000005" "00000002"  # T = [5, 2] for destination 3
+        "00000002"  # site 2's op, relayed by the centre
+        "02" "00000004" "00000001"  # Delete 1 at 4
     ),
     "data-reliable-wrapping-op": (
-        "020000000200000000000000080000002a0000000372656c0200000006000000"
-        "010000000402010000002100000007000000030000000200000003322d340000"
-        "000001000000010000000172"
+        "02" "00000002" "00000000" "00000008" "0000002a" "00000003" "72656c"
+        "02" "00000006" "00000001" "00000004" "02"  # seq 5, epoch 1, ack 3, gap
+        "01" "00000016"
+        "00000007" "00000003" "00000002"
+        "01" "00000001" "00000001" "72"  # Insert "r" at 1
     ),
     "data-reliable-pure-ack": (
         "020000000200000000000000000000002a0000000361636b0200000000000000"
@@ -166,9 +201,10 @@ PINNED: dict[str, str] = {
         "000002000000090300"
     ),
     "data-snapshot": (
-        "020000000200000000000000000000002a00000008736e617073686f74030000"
-        "000668c3a96c6c6f0000000400000002000000010000000300000003312d3100"
-        "000003312d3200000003322d31"
+        _CONTROL_HEAD + "00000008" "736e617073686f74"  # kind "snapshot"
+        "03" "00000006" "68c3a96c6c6f"  # tag, document "héllo"
+        "00000001"  # notifier epoch 1
+        "00000003" "00000002" "00000004" "00000001"  # SV_0 = [2, 4, 1]
     ),
     "data-resync": (
         "020000000200000000000000000000002a00000006726573796e630400000003"
@@ -181,10 +217,13 @@ PINNED: dict[str, str] = {
         "0200000002"
     ),
     "data-contribution": (
-        "020000000200000000000000000000002a00000007636f6e7472696207000000"
-        "0200000005000000030000000200000001000000020000000300000003000000"
-        "0200000003322d340100000000000000017900000003322d3502000000020000"
-        "0001010000000568656c6c6f"
+        _CONTROL_HEAD + "00000007" "636f6e74726962"  # kind "contrib"
+        "07" "00000002" "00000005" "00000003"  # tag, site 2, SV_i = [5, 3]
+        "00000002" "00000001" "00000002" "00000003" "00000003"  # 1: 2, 3: 3
+        "00000002"  # two pending operations, no names
+        "01" "00000000" "00000001" "79"  # Insert "y" at 0
+        "02" "00000002" "00000001"  # Delete 1 at 2
+        "01" "00000005" "68656c6c6f"  # document "hello"
     ),
     "data-contribution-without-document": (
         "020000000200000000000000000000002a00000007636f6e7472696207000000"
@@ -203,24 +242,28 @@ def test_the_pinned_bytes_decode_to_the_value(name: str) -> None:
     assert decode_frame(bytes.fromhex(PINNED[name])) == VALUES[name]
 
 
-# Frames the encoder of commit 14d17fd wrote with an origin wall-clock
-# trailer after the operation.  An op message ends at its operation
-# now, so each is bytes after a message: refused, never half-read.
+# Op frames with an origin wall-clock trailer (version 2, flags 1, an
+# f64) after the operation, as the encoder of commit 14d17fd wrote them
+# less the names.  An op message ends at its operation now, so each is
+# bytes after a message: refused, never half-read.
 REFUSED: dict[str, str] = {
     "data-origin-wall-trailer": (
-        "020000000200000000000000080000002a000000026f70010000002b00000007"
-        "000000030000000200000003322d34000000000100000000000000017a020141"
-        "d9ae7745480000"
+        _OP_HEAD + "01" "00000020"
+        "00000007" "00000003" "00000002"
+        "01" "00000001" "00000001" "7a"  # Insert "z" at 1
+        "0201" "41d9ae7745480000"
     ),
     "data-broadcast-first-sibling-with-trailer": (
-        "020000000200000000000000080000002a000000026f70010000003400000004"
-        "000000010000000100000004312d322700000003312d32010000000500000006"
-        "68c3a9e29c93020141d9ae7745500000"
+        _OP_HEAD + "01" "00000025"
+        "00000004" "00000001" "00000001"
+        "01" "00000005" "00000006" "68c3a9e29c93"
+        "0201" "41d9ae7745500000"
     ),
     "data-broadcast-second-sibling-with-trailer": (
-        "020000000200000000000000080000002a000000026f70010000003400000003"
-        "000000020000000100000004312d322700000003312d32010000000500000006"
-        "68c3a9e29c93020141d9ae7745500000"
+        _OP_HEAD + "01" "00000025"
+        "00000003" "00000002" "00000001"
+        "01" "00000005" "00000006" "68c3a9e29c93"
+        "0201" "41d9ae7745500000"
     ),
 }
 

@@ -23,7 +23,7 @@ from repro.workloads.typing_model import TypingBurstConfig, typing_burst_schedul
 class TestScripted:
     def test_fig3_script_shape(self):
         script = fig3_script()
-        assert [s.op_id for s in script] == ["O2", "O1", "O4", "O3"]
+        assert [s.label for s in script] == ["O2", "O1", "O4", "O3"]
         assert [s.site for s in script] == [2, 1, 3, 2]
         assert script[0].op == Delete(3, 2)
         assert script[1].op == Insert("12", 1)
@@ -32,12 +32,21 @@ class TestScripted:
         """gen time + channel latency must produce arrival order O2 O1 O4 O3."""
         from repro.workloads.scripted import FIG_LATENCIES
 
-        script = {s.op_id: s for s in fig3_script()}
+        script = {s.label: s for s in fig3_script()}
         arrivals = {
-            op_id: s.time + FIG_LATENCIES[s.site] for op_id, s in script.items()
+            label: s.time + FIG_LATENCIES[s.site] for label, s in script.items()
         }
         ordered = sorted(arrivals, key=arrivals.get)
         assert ordered == ["O2", "O1", "O4", "O3"]
+
+    def test_labels_follow_each_sites_script_order(self):
+        """No label travels: a site's k-th scripted op is its op k."""
+        from repro.workloads.scripted import fig3_labels
+
+        assert fig3_labels() == {
+            "c2_1": "O2", "c2_1'": "O2'", "c1_1": "O1", "c1_1'": "O1'",
+            "c3_1": "O4", "c3_1'": "O4'", "c2_2": "O3", "c2_2'": "O3'",
+        }
 
     def test_latency_factory_symmetric(self):
         assert fig_latency_factory(0, 2).latency == fig_latency_factory(2, 0).latency
