@@ -5,7 +5,8 @@ comparisons regardless of N, whereas a full vector-clock comparison is
 O(N).  Benchmarks a realistic check workload -- a new operation arriving
 at a site with an H-entry history -- for both schemes across N, plus the
 numpy-vectorised bulk variant to give the full-vector baseline its best
-implementation.
+implementation.  numpy is a benchmark-only import (the ``bench`` extra):
+``repro`` itself imports nothing outside the standard library.
 """
 
 import random
@@ -13,11 +14,51 @@ import random
 import pytest
 from conftest import emit
 
-from repro.clocks.vector import VectorClock, bulk_concurrent, concurrent
+from repro.clocks.vector import VectorClock, concurrent
 from repro.core.concurrency import client_concurrent, notifier_concurrent
 from repro.core.timestamp import CompressedTimestamp, FullTimestamp, OriginKind
 
 HB_LEN = 200
+
+
+def bulk_concurrent(clocks_a, clocks_b):
+    """Vectorised pairwise concurrency check for equal-length sequences:
+    numpy broadcasting rather than a Python loop, the full-vector
+    baseline's best shot."""
+    import numpy as np
+
+    if len(clocks_a) != len(clocks_b):
+        raise ValueError("sequences must have equal length")
+    if not clocks_a:
+        return np.zeros(0, dtype=bool)
+    a = np.array([c.counts for c in clocks_a], dtype=np.int64)
+    b = np.array([c.counts for c in clocks_b], dtype=np.int64)
+    a_le_b = (a <= b).all(axis=1)
+    b_le_a = (b <= a).all(axis=1)
+    return ~(a_le_b | b_le_a)
+
+
+class TestBulkConcurrent:
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    def test_matches_scalar_implementation(self):
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        a = [VectorClock.of(rng.integers(0, 5, size=4)) for _ in range(50)]
+        b = [VectorClock.of(rng.integers(0, 5, size=4)) for _ in range(50)]
+        bulk = bulk_concurrent(a, b)
+        scalar = np.array([concurrent(x, y) for x, y in zip(a, b)])
+        assert (bulk == scalar).all()
+
+    def test_empty_input(self):
+        assert bulk_concurrent([], []).shape == (0,)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            bulk_concurrent([VectorClock.zero(2)], [])
 
 
 def make_compressed_history(rng):
@@ -82,6 +123,7 @@ def test_full_vector_check(benchmark, n):
 
 @pytest.mark.parametrize("n", [64, 1024])
 def test_full_vector_check_numpy(benchmark, n):
+    pytest.importorskip("numpy")
     rng = random.Random(3)
     history = make_vc_history(rng, n)
     new_vc = VectorClock.of(tuple(rng.randrange(20) for _ in range(n)))

@@ -104,8 +104,7 @@ def main() -> None:
         relation = "||" if record.verdict else "-/||"
         print(
             f"    site {record.site}: {LABEL[record.new_op_id]} {relation} "
-            f"{LABEL[record.buffered_op_id]}  ({record.new_timestamp} vs "
-            f"{record.buffered_timestamp})"
+            f"{LABEL[record.buffered_op_id]}"
         )
     print()
     for site, doc in enumerate(fig3.documents()):

@@ -6,9 +6,9 @@ ways and cross-checks them:
 * **vector clocks**: generation-event clocks from the
   :class:`repro.clocks.events.EventLog` compared with the standard
   partial order;
-* **explicit DAG**: a networkx digraph with one node per event,
-  program-order edges within each site and an edge from every execution
-  of an operation to the next event at that site (Definition 1 case 2
+* **explicit DAG**: a successor map with one node per event,
+  program-order edges within each site and an edge from every
+  operation's generation to each of its executions (Definition 1 case 2
   is then graph reachability from ``generate(O_a)`` to
   ``generate(O_b)``).
 
@@ -20,8 +20,6 @@ constructions themselves fails loudly (:class:`OracleInconsistency`).
 from __future__ import annotations
 
 from typing import Hashable
-
-import networkx as nx
 
 from repro.clocks.events import Event, EventKind, EventLog
 from repro.clocks.vector import Ordering, compare
@@ -36,8 +34,7 @@ class CausalityOracle:
 
     def __init__(self, log: EventLog) -> None:
         self.log = log
-        self.graph = self._build_graph(log)
-        self._reachable = self._transitive_reachability(self.graph)
+        self._reachable = self._transitive_reachability(log)
         self._generation_event: dict[Hashable, Event] = {
             event.op_id: event
             for event in log.events
@@ -45,33 +42,32 @@ class CausalityOracle:
         }
 
     @staticmethod
-    def _build_graph(log: EventLog) -> "nx.DiGraph":
-        graph = nx.DiGraph()
+    def _transitive_reachability(log: EventLog) -> dict[Event, set[Event]]:
+        successors: dict[Event, list[Event]] = {}
         last_at_site: dict[int, Event] = {}
         generation: dict[Hashable, Event] = {}
         for event in log.events:
-            graph.add_node(event)
+            successors[event] = []
             # Program order within a site.
             previous = last_at_site.get(event.site)
             if previous is not None:
-                graph.add_edge(previous, event)
+                successors[previous].append(event)
             last_at_site[event.site] = event
             # A (remote) execution depends on the operation's latest
             # generation (a re-issued name replaces one nobody executed).
             if event.kind is EventKind.GENERATE:
                 generation[event.op_id] = event
             else:
-                graph.add_edge(generation[event.op_id], event)
-        return graph
-
-    @staticmethod
-    def _transitive_reachability(graph: "nx.DiGraph") -> dict[Event, set[Event]]:
-        order = list(nx.topological_sort(graph))
-        reachable: dict[Event, set[Event]] = {node: set() for node in order}
-        for node in reversed(order):
-            for succ in graph.successors(node):
-                reachable[node].add(succ)
-                reachable[node] |= reachable[succ]
+                successors[generation[event.op_id]].append(event)
+        # Every edge points forward in the log, so the log order is a
+        # topological order: walk it backwards.
+        reachable: dict[Event, set[Event]] = {}
+        for event in reversed(log.events):
+            closure: set[Event] = set()
+            for succ in successors[event]:
+                closure.add(succ)
+                closure |= reachable[succ]
+            reachable[event] = closure
         return reachable
 
     # -- queries over operations ----------------------------------------------

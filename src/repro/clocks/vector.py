@@ -5,17 +5,14 @@ compressed scheme's every concurrency verdict is checked against plain
 vector-clock comparison (paper formula 3) in the test suite.
 
 The implementation keeps clocks as immutable ``tuple[int, ...]`` wrapped
-in a small value class; bulk comparisons used by the benchmarks are
-vectorised with numpy in :func:`bulk_concurrent`.
+in a small value class.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 
 class Ordering(enum.Enum):
@@ -129,19 +126,3 @@ def concurrent(a: VectorClock, b: VectorClock) -> bool:
     """True iff neither clock causally precedes the other."""
     return compare(a, b) is Ordering.CONCURRENT
 
-
-def bulk_concurrent(clocks_a: Sequence[VectorClock], clocks_b: Sequence[VectorClock]) -> np.ndarray:
-    """Vectorised pairwise concurrency check for equal-length sequences.
-
-    Used by the CLAIM-CHECK benchmark to give the *full-vector* baseline
-    its best shot (numpy broadcasting rather than a Python loop).
-    """
-    if len(clocks_a) != len(clocks_b):
-        raise ValueError("sequences must have equal length")
-    if not clocks_a:
-        return np.zeros(0, dtype=bool)
-    a = np.array([c.counts for c in clocks_a], dtype=np.int64)
-    b = np.array([c.counts for c in clocks_b], dtype=np.int64)
-    a_le_b = (a <= b).all(axis=1)
-    b_le_a = (b <= a).all(axis=1)
-    return ~(a_le_b | b_le_a)

@@ -339,16 +339,7 @@ class StarClient(EditorEndpoint):
         for entry in self.hb:
             verdict = client_concurrent(ts, entry.timestamp, entry.origin_kind)
             if self.record_checks:
-                self.checks.append(
-                    CheckRecord(
-                        site=self.pid,
-                        new_op_id=op_id,
-                        buffered_op_id=entry.op_id,
-                        verdict=verdict,
-                        new_timestamp=ts.as_paper_list(),
-                        buffered_timestamp=entry.timestamp.as_paper_list(),
-                    )
-                )
+                self.checks.append(CheckRecord(self.pid, op_id, entry.op_id, verdict))
             if self.verify_with_oracle and self.event_log is not None:
                 oracle = vc_concurrent(
                     self.event_log.generation_clock(op_id),

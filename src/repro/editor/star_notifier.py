@@ -304,16 +304,7 @@ class StarNotifier(EditorEndpoint):
                 ts, source, entry.timestamp, entry.origin_site
             )
             if self.record_checks:
-                self.checks.append(
-                    CheckRecord(
-                        site=0,
-                        new_op_id=op_id,
-                        buffered_op_id=entry.op_id,
-                        verdict=verdict,
-                        new_timestamp=ts.as_paper_list(),
-                        buffered_timestamp=entry.timestamp.as_paper_list(),
-                    )
-                )
+                self.checks.append(CheckRecord(0, op_id, entry.op_id, verdict))
             if self.verify_with_oracle and self.event_log is not None:
                 # Formula (6)/(7) is defined over the operations as
                 # "originally generated at sites x and y": compare the

@@ -29,16 +29,18 @@ class ConsistencyError(AssertionError):
     """Raised when a compressed verdict disagrees with the oracle."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
-    """One concurrency check, for diagnostics and Fig. 3 assertions."""
+    """One concurrency check, for diagnostics and Fig. 3 assertions.
+
+    A cluster process keeps one per (arrival, retained entry) for its
+    whole run, so it holds four references and no container.
+    """
 
     site: int
     new_op_id: str
     buffered_op_id: str
     verdict: bool
-    new_timestamp: list[int]
-    buffered_timestamp: list[int]
 
 
 class SessionBase:

@@ -238,6 +238,20 @@ class TestGarbageCollection:
         assert max(len(e.hb) for e in session.endpoints()) < 30
         assert session.all_checks()
 
+    def test_a_check_record_holds_four_references_and_no_container(self):
+        """Every cluster process keeps one record per (arrival, retained
+        entry) for its whole run: slots only, and no timestamp lists."""
+        config = RandomSessionConfig(n_sites=3, ops_per_site=4, seed=8)
+        session = StarSession(3, initial_state=config.initial_document,
+                              latency_factory=uniform_latencies(8),
+                              record_checks=True)
+        drive_star_session(session, config)
+        session.run()
+        record = session.all_checks()[0]
+        assert not hasattr(record, "__dict__")
+        assert {field.name for field in dataclasses.fields(record)} == {
+            "site", "new_op_id", "buffered_op_id", "verdict"}
+
     def test_oracle_session_retains_the_whole_history(self):
         """The oracle run is the proof obligation of the pruning: it
         checks every pair, so every endpoint keeps everything."""

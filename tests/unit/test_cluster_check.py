@@ -145,8 +145,7 @@ def test_process_result_json_roundtrip() -> None:
     result = ProcessResult(
         role="client", site=2, document="doc", executed_ops=5,
         checks=[CheckRecord(site=2, new_op_id="2-1", buffered_op_id="1-1",
-                            verdict=True, new_timestamp=[1, 0],
-                            buffered_timestamp=[0, 1])],
+                            verdict=True)],
         timed_out=False, lost_local_edits=0, retransmits=3,
         messages_sent=9, wire_bytes=412,
     )

@@ -20,10 +20,10 @@ of the deleted compatibility layer, and of readers deleted for having no
 production caller, stay deleted; a boundary rule: ``repro.cluster``
 reads no underscore name of an object it does not own; a codec rule: under ``repro.net`` a
 ``struct.Struct`` is packed and unpacked inside ``Writer`` / ``Reader``
-only, so ``struct.error`` has one place to become ``CodecError``; and one
-rule for the workflow file, which no build image ever runs: a CI job
-that imports ``repro`` installs what ``pyproject.toml`` says ``repro``
-depends on.
+only, so ``struct.error`` has one place to become ``CodecError``; and a
+dependency rule: nothing under ``src/`` imports a top-level module from
+outside the standard library, and ``pyproject.toml`` declares no runtime
+dependency.
 
 Two rules hold what ``frozen`` used to, for the per-message values the
 notifier builds once per destination: none of them has a ``__dict__``,
@@ -279,11 +279,10 @@ def test_the_reader_rule_fails_where_it_should(tmp_path: Path) -> None:
 
 
 #: What the ``repro`` modules behind ``StarSession`` import from outside
-#: ``repro``, as of the commit before the census (PR 22's parent).
+#: ``repro``: the standard library only.
 SESSION_IMPORTS = (
     "__future__, abc, asyncio, collections, dataclasses, enum, hashlib, heapq, "
-    "itertools, json, math, networkx, numpy, os, pathlib, pickle, random, sys, "
-    "time, typing")
+    "itertools, json, math, os, pathlib, pickle, random, sys, time, typing")
 
 
 def _foreign_modules_after(statement: str) -> set[str]:
@@ -296,14 +295,12 @@ def _foreign_modules_after(statement: str) -> set[str]:
     return set(listing.split()) - {"repro"}
 
 
-def test_importing_a_session_loads_the_modules_it_always_did() -> None:
-    """Removing an import moves the heap, and ``wire-pair`` moves 15-25 %
-    with it (ROADMAP 7(f), blocked on 1(d)): the census took ``repro``
-    modules out of ``import repro`` and nothing else.  numpy and networkx
-    stay eager until the rig stops depending on where glibc's mmap
-    threshold sits."""
+def test_importing_a_session_loads_nothing_outside_the_standard_library() -> None:
+    """A bare interpreter's ``site`` files may load third-party modules
+    of their own; importing ``StarSession`` adds only standard ones."""
     loaded = _foreign_modules_after("from repro.editor.star import StarSession")
-    assert {"numpy", "networkx"} <= loaded
+    added = loaded - _foreign_modules_after("pass")
+    assert added <= sys.stdlib_module_names, sorted(added - sys.stdlib_module_names)
     assert loaded == _foreign_modules_after(f"import {SESSION_IMPORTS}")
 
 
@@ -505,28 +502,26 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
     assert len(_message_field_stores(planted, fields)) == 6
 
 
-def _ci_jobs() -> dict[str, list[str]]:
-    """Job name -> its non-comment lines (plain text: no YAML parser in stdlib)."""
-    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    jobs: dict[str, list[str]] = {}
-    for line in text.partition("\njobs:\n")[2].splitlines():
-        key = re.fullmatch(r"  ([\w-]+):", line)
-        if key:
-            jobs[key.group(1)] = []
-        elif jobs and not line.lstrip().startswith("#"):
-            jobs[next(reversed(jobs))].append(line)
-    return jobs
+def _foreign_imports(tree: ast.Module) -> set[str]:
+    """Top-level modules an absolute import names outside the stdlib and ``repro``."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.partition(".")[0])
+    return names - sys.stdlib_module_names - {"repro"}
 
 
-def test_every_ci_job_that_imports_repro_installs_its_dependencies() -> None:
-    """``repro.clocks.vector`` imports numpy and ``repro.analysis.causality``
-    networkx at module import; a clean runner has neither."""
-    runs_repro = re.compile(r"python -m repro\b|-m pytest\b|perfbench/run\.py")
-    importing = {name: lines for name, lines in _ci_jobs().items()
-                 if any(runs_repro.search(line) for line in lines)}
-    assert {"tests", "perfbench", "cluster-smoke"} <= set(importing)
-    for name, lines in importing.items():
-        installs = [line for line in lines if "pip install" in line]
-        for package in ("numpy", "networkx"):
-            assert any(re.search(rf"\b{package}\b", line) for line in installs), (
-                f"CI job {name!r} imports repro but never pip-installs {package}")
+def test_src_imports_nothing_outside_the_standard_library() -> None:
+    """``repro`` runs on a bare interpreter: numpy is a benchmark-only
+    import (the ``bench`` extra) and the causality oracle's DAG is a dict."""
+    foreign = {str(path.relative_to(SRC)): found for path in MODULES
+               if (found := _foreign_imports(ast.parse(path.read_text())))}
+    assert not foreign, f"imports from outside the standard library: {foreign}"
+    project = (ROOT / "pyproject.toml").read_text().partition("[project]")[2]
+    assert re.search(r"^dependencies = \[\]$", project, re.MULTILINE), (
+        "pyproject.toml declares a runtime dependency")
+    planted = ast.parse("import numpy.linalg\nfrom networkx import DiGraph\n"
+                        "import json\nfrom repro.core import history\nfrom . import x\n")
+    assert _foreign_imports(planted) == {"numpy", "networkx"}

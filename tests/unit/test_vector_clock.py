@@ -1,12 +1,10 @@
 """Unit tests for full vector clocks (repro.clocks.vector)."""
 
-import numpy as np
 import pytest
 
 from repro.clocks.vector import (
     Ordering,
     VectorClock,
-    bulk_concurrent,
     compare,
     concurrent,
     happened_before,
@@ -94,19 +92,3 @@ class TestCompare:
         c = VectorClock.of([1, 1, 1])
         assert happened_before(a, b) and happened_before(b, c) and happened_before(a, c)
 
-
-class TestBulkConcurrent:
-    def test_matches_scalar_implementation(self):
-        rng = np.random.default_rng(7)
-        a = [VectorClock.of(rng.integers(0, 5, size=4)) for _ in range(50)]
-        b = [VectorClock.of(rng.integers(0, 5, size=4)) for _ in range(50)]
-        bulk = bulk_concurrent(a, b)
-        scalar = np.array([concurrent(x, y) for x, y in zip(a, b)])
-        assert (bulk == scalar).all()
-
-    def test_empty_input(self):
-        assert bulk_concurrent([], []).shape == (0,)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bulk_concurrent([VectorClock.zero(2)], [])
