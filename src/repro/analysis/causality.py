@@ -6,11 +6,11 @@ ways and cross-checks them:
 * **vector clocks**: generation-event clocks from the
   :class:`repro.clocks.events.EventLog` compared with the standard
   partial order;
-* **explicit DAG**: a successor map with one node per event,
-  program-order edges within each site and an edge from every
-  operation's generation to each of its executions (Definition 1 case 2
-  is then graph reachability from ``generate(O_a)`` to
-  ``generate(O_b)``).
+* **explicit DAG**: one node per event, program-order edges within
+  each site, an edge from every operation's generation to each of its
+  executions and one from every state transfer's snapshot to its
+  install (Definition 1 case 2 is then graph reachability from
+  ``generate(O_a)`` to ``generate(O_b)``, one bitset per event).
 
 The compressed scheme's verdicts are validated against this oracle in
 the integration and property tests; disagreement between the two oracle
@@ -19,7 +19,7 @@ constructions themselves fails loudly (:class:`OracleInconsistency`).
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Generic, Hashable, TypeVar
 
 from repro.clocks.events import Event, EventKind, EventLog
 from repro.clocks.vector import Ordering, compare
@@ -29,48 +29,105 @@ class OracleInconsistency(AssertionError):
     """The two independent ground-truth constructions disagree."""
 
 
-class CausalityOracle:
+Op = TypeVar("Op", bound=Hashable)
+
+
+class HappenedBefore(Generic[Op]):
+    """Definition 2 and the pair sets, over any Definition 1.
+
+    A subclass names its operations (:meth:`ops`) and decides
+    ``O_a -> O_b`` (:meth:`happened_before`); the rest follows.
+    """
+
+    def ops(self) -> list[Op]:
+        raise NotImplementedError
+
+    def happened_before(self, op_a: Op, op_b: Op) -> bool:
+        raise NotImplementedError
+
+    def concurrent(self, op_a: Op, op_b: Op) -> bool:
+        """Definition 2: ``O_a || O_b`` -- neither happened before the other."""
+        if op_a == op_b:
+            return False
+        return not self.happened_before(op_a, op_b) and not self.happened_before(
+            op_b, op_a
+        )
+
+    def causal_pairs(self) -> set[tuple[Op, Op]]:
+        """All ordered pairs ``(a, b)`` with ``a -> b``."""
+        ops = self.ops()
+        return {
+            (a, b)
+            for a in ops
+            for b in ops
+            if a != b and self.happened_before(a, b)
+        }
+
+    def concurrent_pairs(self) -> set[frozenset[Op]]:
+        """All unordered concurrent pairs."""
+        ops = self.ops()
+        out: set[frozenset[Op]] = set()
+        for i, a in enumerate(ops):
+            for b in ops[i + 1 :]:
+                if self.concurrent(a, b):
+                    out.add(frozenset((a, b)))
+        return out
+
+
+class CausalityOracle(HappenedBefore[Hashable]):
     """Answers happened-before / concurrency queries over an event log."""
 
     def __init__(self, log: EventLog) -> None:
         self.log = log
-        self._reachable = self._transitive_reachability(log)
         self._generation_event: dict[Hashable, Event] = {
             event.op_id: event
             for event in log.events
             if event.kind is EventKind.GENERATE
         }
+        self._position = {event: pos for pos, event in enumerate(log.events)}
+        self._reach = self._transitive_reachability(log)
 
     @staticmethod
-    def _transitive_reachability(log: EventLog) -> dict[Event, set[Event]]:
-        successors: dict[Event, list[Event]] = {}
-        last_at_site: dict[int, Event] = {}
-        generation: dict[Hashable, Event] = {}
-        for event in log.events:
-            successors[event] = []
+    def _transitive_reachability(log: EventLog) -> list[int]:
+        """Per event, by log position, the bitset of events it reaches."""
+        successors: list[list[int]] = [[] for _ in log.events]
+        last_at_site: dict[int, int] = {}
+        generation: dict[Hashable, int] = {}
+        snapshots: dict[Hashable, int] = {}
+        for pos, event in enumerate(log.events):
             # Program order within a site.
             previous = last_at_site.get(event.site)
             if previous is not None:
-                successors[previous].append(event)
-            last_at_site[event.site] = event
+                successors[previous].append(pos)
+            last_at_site[event.site] = pos
             # A (remote) execution depends on the operation's latest
-            # generation (a re-issued name replaces one nobody executed).
+            # generation (a re-issued name replaces one nobody executed);
+            # an install on the latest snapshot taken for its transfer.
             if event.kind is EventKind.GENERATE:
-                generation[event.op_id] = event
+                generation[event.op_id] = pos
+            elif event.kind is EventKind.EXECUTE:
+                successors[generation[event.op_id]].append(pos)
+            elif event.kind is EventKind.SNAPSHOT:
+                snapshots[event.op_id] = pos
             else:
-                successors[generation[event.op_id]].append(event)
+                sender = snapshots.pop(event.op_id, None)
+                if sender is not None:
+                    successors[sender].append(pos)
         # Every edge points forward in the log, so the log order is a
         # topological order: walk it backwards.
-        reachable: dict[Event, set[Event]] = {}
-        for event in reversed(log.events):
-            closure: set[Event] = set()
-            for succ in successors[event]:
-                closure.add(succ)
-                closure |= reachable[succ]
-            reachable[event] = closure
-        return reachable
+        reach = [0] * len(log.events)
+        for pos in range(len(log.events) - 1, -1, -1):
+            mask = 0
+            for succ in successors[pos]:
+                mask |= (1 << succ) | reach[succ]
+            reach[pos] = mask
+        return reach
 
     # -- queries over operations ----------------------------------------------
+
+    def ops(self) -> list[Hashable]:
+        """All operation ids with a generation event, in log order."""
+        return list(self._generation_event)
 
     def happened_before(self, op_a: Hashable, op_b: Hashable) -> bool:
         """Definition 1: ``O_a -> O_b``.
@@ -80,7 +137,8 @@ class CausalityOracle:
         """
         gen_a = self._generation_event[op_a]
         gen_b = self._generation_event[op_b]
-        dag_answer = gen_b in self._reachable[gen_a]
+        reach = self._reach[self._position[gen_a]]
+        dag_answer = bool(reach >> self._position[gen_b] & 1)
         vc_answer = (
             compare(self.log.clocks[gen_a], self.log.clocks[gen_b]) is Ordering.BEFORE
         )
@@ -90,31 +148,3 @@ class CausalityOracle:
                 f"{vc_answer}"
             )
         return dag_answer
-
-    def concurrent(self, op_a: Hashable, op_b: Hashable) -> bool:
-        """Definition 2: ``O_a || O_b``."""
-        if op_a == op_b:
-            return False
-        return not self.happened_before(op_a, op_b) and not self.happened_before(
-            op_b, op_a
-        )
-
-    def causal_pairs(self) -> set[tuple[Hashable, Hashable]]:
-        """All ordered pairs ``(a, b)`` with ``a -> b``."""
-        ops = list(self._generation_event)
-        return {
-            (a, b)
-            for a in ops
-            for b in ops
-            if a != b and self.happened_before(a, b)
-        }
-
-    def concurrent_pairs(self) -> set[frozenset]:
-        """All unordered concurrent pairs."""
-        ops = list(self._generation_event)
-        out = set()
-        for i, a in enumerate(ops):
-            for b in ops[i + 1 :]:
-                if self.concurrent(a, b):
-                    out.add(frozenset((a, b)))
-        return out

@@ -21,9 +21,9 @@ Process topology (the paper's Fig. 1, as OS processes)::
 Each process writes a result JSON and a trace JSONL; the driver merges
 the per-process traces into one causally consistent stream and runs the
 repo's standard verdicts over it: convergence, formula-(5)/(7) check
-records vs trace concurrency, the holdback release audit, and a
-vector-clock replay cross-check of the reconstructed happened-before
-relation.
+records vs trace concurrency, the holdback release audit, and the
+in-process happens-before cross-check against the ground-truth event
+log replayed from the merged trace.
 """
 
 from repro.cluster.harness import ClusterConfig

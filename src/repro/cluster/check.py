@@ -3,9 +3,10 @@
 Each cluster process records its own trace with its own event indices
 and (same-host) wall-clock stamps.  The in-process analysis machinery
 (:mod:`repro.obs.analysis`) requires one stream whose order is a
-topological order of the causal DAG; this module builds that stream and
-then runs the repo's standard verdicts plus an independent vector-clock
-replay over it.
+topological order of the causal DAG; this module builds that stream,
+replays the ground-truth event log from it and runs the repo's standard
+verdicts over both -- the happens-before cross-check is the in-process
+one, :func:`~repro.obs.analysis.cross_check_causality`.
 
 Why not just sort by time?  Same-host clocks make timestamp order
 *almost* causal, but nothing guarantees it: an NTP slew or coarse clock
@@ -23,13 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from repro.clocks.vector import Ordering, VectorClock, compare
+from repro.clocks.events import TransferKey, transfer_key
 from repro.cluster.harness import ProcessResult
 from repro.obs.analysis import (
     CrossCheckReport,
     TraceCausality,
+    cross_check_causality,
     latency_histograms,
     released_without_cause,
+    replay_event_log,
     verify_check_records,
 )
 from repro.obs.spans import SpanReport, assemble_spans
@@ -39,14 +42,14 @@ _GENERATION_KINDS = (TraceEventKind.GENERATED, TraceEventKind.TRANSFORMED)
 
 
 def _dependency_satisfied(
-    event: TraceEvent, generated: set[str], snapshots: set[tuple[int, int, str]]
+    event: TraceEvent, generated: set[str], snapshots: set[TransferKey]
 ) -> bool:
     """May ``event`` be emitted given what the merge already emitted?"""
     if event.kind is TraceEventKind.EXECUTED:
         return event.op_id is None or event.op_id in generated
-    if event.kind is TraceEventKind.RECOVERED and event.via != "join":
-        key = (event.site, event.epoch or 0, event.via or "resync")
-        return key in snapshots
+    if event.kind is TraceEventKind.RECOVERED:
+        key = transfer_key(event.site, event.epoch, event.via)
+        return key is None or key in snapshots
     return True
 
 
@@ -64,7 +67,7 @@ def merge_traces(streams: Sequence[Sequence[TraceEvent]]) -> list[TraceEvent]:
     """
     heads = [0] * len(streams)
     generated: set[str] = set()
-    snapshots: set[tuple[int, int, str]] = set()
+    snapshots: set[TransferKey] = set()
     merged: list[TraceEvent] = []
     while True:
         live = [i for i, pos in enumerate(heads) if pos < len(streams[i])]
@@ -81,94 +84,11 @@ def merge_traces(streams: Sequence[Sequence[TraceEvent]]) -> list[TraceEvent]:
         if event.kind in _GENERATION_KINDS and event.op_id is not None:
             generated.add(event.op_id)
         elif event.kind is TraceEventKind.SNAPSHOT and event.peer is not None:
-            snapshots.add((event.peer, event.epoch or 0, event.via or "resync"))
+            key = transfer_key(event.peer, event.epoch, event.via)
+            if key is not None:
+                snapshots.add(key)
         merged.append(replace(event, index=len(merged)))
     return merged
-
-
-# -- the independent happened-before replay ------------------------------------
-
-
-def trace_vector_clock_hb(
-    events: Sequence[TraceEvent], n_sites: int
-) -> dict[str, VectorClock]:
-    """Replay the merged trace with real vector clocks.
-
-    An independent reconstruction of the happened-before relation: where
-    :class:`TraceCausality` builds a DAG and computes reachability with
-    bitsets, this walks the same events with textbook Fidge/Mattern
-    clocks -- tick on every causal event, merge the generation clock on
-    execution, merge the snapshot clock on recovery.  Returns each
-    operation's generation clock; ``compare(clock_a, clock_b) is
-    BEFORE`` then decides ``a happened-before b``.
-    """
-    width = n_sites + 1  # sites 0..n_sites
-    site_clock: dict[int, VectorClock] = {}
-    gen_clock: dict[str, VectorClock] = {}
-    snapshot_clock: dict[tuple[int, int, str], VectorClock] = {}
-
-    def clock_of(site: int) -> VectorClock:
-        return site_clock.get(site, VectorClock.zero(width))
-
-    for event in events:
-        site = event.site
-        if event.kind in _GENERATION_KINDS:
-            ticked = clock_of(site).tick(site)
-            site_clock[site] = ticked
-            op_id = event.op_id  # a re-issued name's latest generation counts
-            if op_id is not None and (event.kind is TraceEventKind.GENERATED
-                                      or op_id not in gen_clock):
-                gen_clock[op_id] = ticked
-        elif event.kind is TraceEventKind.EXECUTED:
-            incoming = gen_clock.get(event.op_id or "")
-            current = clock_of(site)
-            if incoming is not None:
-                current = current.merge(incoming)
-            site_clock[site] = current.tick(site)
-        elif event.kind is TraceEventKind.SNAPSHOT:
-            ticked = clock_of(site).tick(site)
-            site_clock[site] = ticked
-            if event.peer is not None:
-                key = (event.peer, event.epoch or 0, event.via or "resync")
-                snapshot_clock[key] = ticked
-        elif event.kind is TraceEventKind.RECOVERED and event.via != "join":
-            key = (site, event.epoch or 0, event.via or "resync")
-            incoming = snapshot_clock.get(key)
-            current = clock_of(site)
-            if incoming is not None:
-                current = current.merge(incoming)
-            site_clock[site] = current.tick(site)
-    return gen_clock
-
-
-def cross_check_merged_trace(
-    causality: TraceCausality, n_sites: int
-) -> CrossCheckReport:
-    """DAG reachability vs vector-clock replay over the merged trace.
-
-    The cluster has no shared in-process event log, so the in-repo
-    trace-vs-oracle check does not apply directly; instead two
-    *independent algorithms* reconstruct happened-before from the same
-    merged stream and every ordered pair must agree.
-    """
-    gen_clock = trace_vector_clock_hb(causality.events, n_sites)
-    ops = [op for op in causality.ops() if op in gen_clock]
-    report = CrossCheckReport(
-        mode="vector-clock-replay",
-        n_ops=len(ops),
-        pairs_checked=0,
-        only_in_trace=sorted(set(causality.ops()) - set(gen_clock)),
-    )
-    for a in ops:
-        for b in ops:
-            if a == b:
-                continue
-            report.pairs_checked += 1
-            dag_hb = causality.happened_before(a, b)
-            vc_hb = compare(gen_clock[a], gen_clock[b]) is Ordering.BEFORE
-            if dag_hb != vc_hb:
-                report.mismatches.append((a, b, dag_hb, vc_hb))
-    return report
 
 
 # -- the full verdict ----------------------------------------------------------
@@ -265,12 +185,12 @@ def analyze_cluster(
     try:
         causality = TraceCausality(merged)
         disagreements = len(verify_check_records(causality, checks))
-        cross = cross_check_merged_trace(causality, n_sites)
-    except ValueError as exc:  # TraceAnalysisError: malformed merged trace
+        cross = cross_check_causality(causality,
+                                      replay_event_log(merged, n_sites + 1))
+    except ValueError as exc:  # a malformed merged trace
         errors.append(f"trace analysis failed: {exc}")
         disagreements = -1
-        cross = CrossCheckReport(mode="vector-clock-replay", n_ops=0,
-                                 pairs_checked=0,
+        cross = CrossCheckReport(n_ops=0, pairs_checked=0,
                                  only_in_trace=["<analysis failed>"])
     latencies = latency_histograms(merged)
     all_lat = Histogram()

@@ -90,14 +90,11 @@ class SnapshotMessage:
     broadcast after it -- and ``SV_i[2]`` with ``SV_0[dest]``; the other
     columns are its per-origin counts, and a stashed operation is
     already embodied iff its ordinal is at most ``SV_0[dest]``.
-    ``origin_clock`` is the notifier's ground-truth vector clock (the
-    oracle stays exact across the transfer); ``notifier_epoch`` is 0
-    for the original notifier.
+    ``notifier_epoch`` is 0 for the original notifier.
     """
 
     document: Any
     counts: tuple[int, ...]
-    origin_clock: Any = None
     notifier_epoch: int = 0
 
 
@@ -136,24 +133,18 @@ class PromoteMessage:
 
 @dataclass(frozen=True)
 class StateContribution:
-    """One survivor's state report, from which ``SV_0`` is rebuilt.
+    """One survivor's answer to a promotion: how many of its own
+    operations the dead centre acknowledged (``SV_i[2]`` less its
+    pending ones).
 
-    ``received_from_center``/``generated_locally`` are the client's
-    compressed ``SV_i``; ``received_per_origin`` counts the executed
-    centre broadcasts by originating site (the per-site evidence behind
-    the successor's reconstruction); ``pending`` lists the unacked
-    local operations as ``(op_id, op)`` pairs, and ``document`` the
-    client's replica -- both cross-checked by the successor to account
-    for rolled-back and lost operations before it re-admits the client
-    through the snapshot path.
+    The successor rebuilds ``SV_0`` from its own per-origin counts; it
+    compares each survivor's ``acknowledged`` with the baseline's column
+    to count the operations the failover rolls back, then re-admits the
+    survivor through the snapshot path.  The sender is the envelope's
+    source.
     """
 
-    site: int
-    received_from_center: int
-    generated_locally: int
-    received_per_origin: dict[int, int] = field(default_factory=dict)
-    pending: tuple[tuple[str, Any], ...] = ()
-    document: Any = None
+    acknowledged: int
 
 
 # -- model wire sizes (the accounting convention of EXPERIMENTS.md) --------------
@@ -179,17 +170,9 @@ def _snapshot_bytes(snapshot: SnapshotMessage) -> int:
     return size + measure_payload_bytes(snapshot.document)
 
 
-def _contribution_bytes(report: StateContribution) -> int:
-    """``SV_i`` and the site id, the per-origin counts, the stashed
-    pending operations, and the replica document."""
-    size = 3 * INT_WIDTH + 2 * INT_WIDTH * len(report.received_per_origin)
-    size += sum(map(measure_payload_bytes, report.pending))
-    return size + measure_payload_bytes(report.document)
-
-
 register_sizer(OpMessage, _op_message_bytes)
 register_sizer(SnapshotMessage, _snapshot_bytes)
 register_sizer(ResyncRequest, lambda request: INT_WIDTH)
 register_sizer(ElectMessage, lambda message: INT_WIDTH)
 register_sizer(PromoteMessage, lambda message: 2 * INT_WIDTH)
-register_sizer(StateContribution, _contribution_bytes)
+register_sizer(StateContribution, lambda report: INT_WIDTH)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from repro.clocks.events import EventLog
+from repro.clocks.events import EventLog, transfer_key
 from repro.clocks.vector import concurrent as vc_concurrent
 from repro.core.concurrency import client_concurrent
 from repro.core.history import HistoryBuffer, HistoryEntry
@@ -411,8 +411,18 @@ class StarClient(EditorEndpoint):
             site: count for site, count in enumerate(snapshot.counts, 1)
             if count and site != self.pid
         }
-        if self.event_log is not None and snapshot.origin_clock is not None:
-            self.event_log.absorb_snapshot(self.pid, snapshot.origin_clock)
+
+    def _installed(self, epoch: int, via: str) -> None:
+        """Log and trace the install of the snapshot just adopted: a
+        resync or failover one is the transfer's receiving end."""
+        key = transfer_key(self.pid, epoch, via)
+        if self.event_log is not None and key is not None:
+            self.event_log.install(self.pid, key)
+        if self.tracer is not None:
+            self.tracer.emit(
+                TraceEventKind.RECOVERED, self.pid, peer=self.center,
+                epoch=epoch, via=via,
+            )
 
     def _install_snapshot(self, snapshot: SnapshotMessage) -> None:
         """Adopt the notifier's state (:meth:`_adopt`) and go live.
@@ -433,12 +443,10 @@ class StarClient(EditorEndpoint):
             self._recovering = False
             self.transport.stats.recoveries += 1
         self.active = True
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEventKind.RECOVERED, self.pid, peer=self.center,
-                epoch=self.crash_count if recovering else 0,
-                via="resync" if recovering else "join",
-            )
+        if recovering:
+            self._installed(self.crash_count, "resync")
+        else:
+            self._installed(0, "join")
 
     # -- notifier failover -------------------------------------------------------
 
@@ -611,19 +619,9 @@ class StarClient(EditorEndpoint):
                 TraceEventKind.HANDOFF, self.pid, peer=message.successor,
                 epoch=message.notifier_epoch,
             )
-        self.send(
-            self.center,
-            StateContribution(
-                site=self.pid,
-                received_from_center=self.sv.received_from_center,
-                generated_locally=self.sv.generated_locally,
-                received_per_origin=dict(self._received_per_origin),
-                pending=tuple(entry.op for entry in self._failover_stash),
-                document=self.document,
-            ),
-            timestamp_bytes=0,
-            kind="contrib",
-        )
+        acknowledged = self.sv.generated_locally - len(self._failover_stash)
+        self.send(self.center, StateContribution(acknowledged),
+                  timestamp_bytes=0, kind="contrib")
 
     def _install_failover_snapshot(self, snapshot: SnapshotMessage) -> None:
         """Adopt the successor's baseline, then replay stashed pendings.
@@ -650,11 +648,7 @@ class StarClient(EditorEndpoint):
             self._recovering = False
         self.active = True
         self.transport.stats.handoffs += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEventKind.RECOVERED, self.pid, peer=self.center,
-                epoch=snapshot.notifier_epoch, via="failover",
-            )
+        self._installed(snapshot.notifier_epoch, "failover")
         embodied = self.sv.generated_locally
         stash, self._failover_stash = self._failover_stash, []
         for entry in stash:

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.clocks.events import EventLog
+from repro.clocks.events import EventLog, transfer_key
 from repro.clocks.vector import concurrent as vc_concurrent
 from repro.core.concurrency import notifier_concurrent
 from repro.core.history import HistoryBuffer, HistoryEntry
@@ -361,11 +361,11 @@ class StarNotifier(EditorEndpoint):
         self.sent_to[site] = deque()
         self.acked[site] = base
         self._prune_history()
-        origin_clock = None
-        if via != "join":
+        key = transfer_key(site, epoch, via)
+        if key is not None:
             self.transport.stats.resyncs_served += 1
             if self.event_log is not None:
-                origin_clock = self.event_log.site_clock(self.pid)
+                self.event_log.snapshot(self.pid, key)
         if self.tracer is not None:
             self.tracer.emit(
                 TraceEventKind.SNAPSHOT, self.pid, peer=site, epoch=epoch, via=via,
@@ -375,7 +375,6 @@ class StarNotifier(EditorEndpoint):
             SnapshotMessage(
                 document=self.document,
                 counts=tuple(self.sv.counts),
-                origin_clock=origin_clock,
                 notifier_epoch=self.notifier_epoch,
             ),
             timestamp_bytes=0,
@@ -416,11 +415,11 @@ class StarNotifier(EditorEndpoint):
         baseline, with the successor's own column taken from its
         ``SV_i[2]``).  The new notifier *adopts* the client's transport
         and outgoing channels -- the star's spokes deliver to the same
-        process, whose editor logic has changed role.  Contributions are
-        cross-checked against the baseline to account for operations the
-        dead centre acknowledged but never relayed (``failover_losses``);
-        each contributing member is then re-admitted through a failover
-        snapshot.
+        process, whose editor logic has changed role.  Each contribution's
+        acknowledged count is compared with the baseline to account for
+        operations the dead centre acknowledged but never relayed
+        (``failover_losses``); each contributing member is then
+        re-admitted through a failover snapshot.
         """
         notifier = cls(
             client.sim,
@@ -456,8 +455,7 @@ class StarNotifier(EditorEndpoint):
             # Ops the dead centre acknowledged to their origin (they left
             # its pending list) but that never made it into the baseline
             # are rolled back by the failover; account for them.
-            acked_at_old = contribution.generated_locally - len(contribution.pending)
-            missing = acked_at_old - notifier.sv[site]
+            missing = contribution.acknowledged - notifier.sv[site]
             if missing > 0:
                 notifier.failover_losses += missing
         notifier.transport.stats.promotions += 1

@@ -26,12 +26,14 @@ never drift from the implementations it describes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from repro.clocks.sk import SKProcess
 from repro.clocks.vector import VectorClock
 from repro.core.state_vector import ClientStateVector, NotifierStateVector
+from repro.net.faults import FaultStats
+from repro.net.reliability import ReliabilityStats
 from repro.net.transport import INT_WIDTH
 
 
@@ -157,14 +159,14 @@ def memory_comparison(n_values: Sequence[int]) -> list[MemoryComparison]:
     ]
 
 
-@dataclass(frozen=True)
-class FaultToleranceReport:
+@dataclass
+class FaultToleranceReport(ReliabilityStats):
     """What the network did to a session vs. what the protocol absorbed.
 
     The network side aggregates :class:`repro.net.faults.FaultStats`
     over every channel (losses the *network* caused); the protocol side
-    aggregates :class:`repro.net.reliability.ReliabilityStats` over
-    every endpoint (the recovery work the protocol did).
+    is :class:`repro.net.reliability.ReliabilityStats`' own counters,
+    summed over every endpoint (the recovery work the protocol did).
 
     Losses are split by packet class because only one class forces
     recovery work: a lost sequenced *data* packet sits in its sender's
@@ -192,30 +194,11 @@ class FaultToleranceReport:
     """
 
     # network side
-    dropped: int
-    duplicated: int
-    outage_dropped: int
-    acks_dropped: int
-    acks_outage_dropped: int
-    # protocol side
-    sent: int
-    retransmits: int
-    acks_sent: int
-    acks_coalesced: int
-    duplicates_discarded: int
-    stale_epoch_discarded: int
-    out_of_order_held: int
-    dropped_while_crashed: int
-    lost_local_edits: int
-    recoveries: int
-    resyncs_served: int
-    # failover side
-    give_ups: int
-    probes_sent: int
-    handoffs: int
-    promotions: int
-    replayed_ops: int
-    replays_deduped: int
+    dropped: int = 0
+    duplicated: int = 0
+    outage_dropped: int = 0
+    acks_dropped: int = 0
+    acks_outage_dropped: int = 0
 
     @property
     def lost(self) -> int:
@@ -245,40 +228,19 @@ class FaultToleranceReport:
         )
 
 
-def build_fault_report(fault_stats, rel_stats_list) -> FaultToleranceReport:
-    """Aggregate channel fault stats and per-endpoint reliability stats.
-
-    Duck-typed over :class:`repro.net.faults.FaultStats` and an iterable
-    of :class:`repro.net.reliability.ReliabilityStats` so this module
-    stays import-light (the editor imports it, not vice versa).
-    """
-    totals = {
-        "sent": 0,
-        "retransmits": 0,
-        "acks_sent": 0,
-        "acks_coalesced": 0,
-        "duplicates_discarded": 0,
-        "stale_epoch_discarded": 0,
-        "out_of_order_held": 0,
-        "dropped_while_crashed": 0,
-        "lost_local_edits": 0,
-        "recoveries": 0,
-        "resyncs_served": 0,
-        "give_ups": 0,
-        "probes_sent": 0,
-        "handoffs": 0,
-        "promotions": 0,
-        "replayed_ops": 0,
-        "replays_deduped": 0,
-    }
-    for stats in rel_stats_list:
-        for name in totals:
-            totals[name] += getattr(stats, name)
-    return FaultToleranceReport(
+def build_fault_report(
+    fault_stats: FaultStats, rel_stats_list: Iterable[ReliabilityStats]
+) -> FaultToleranceReport:
+    """Aggregate channel fault stats and per-endpoint reliability stats."""
+    report = FaultToleranceReport(
         dropped=fault_stats.dropped,
         duplicated=fault_stats.duplicated,
         outage_dropped=fault_stats.outage_dropped,
         acks_dropped=fault_stats.acks_dropped,
         acks_outage_dropped=fault_stats.acks_outage_dropped,
-        **totals,
     )
+    counters = [f.name for f in fields(ReliabilityStats)]
+    for stats in rel_stats_list:
+        for name in counters:
+            setattr(report, name, getattr(report, name) + getattr(stats, name))
+    return report

@@ -63,16 +63,6 @@ Deliver = Callable[[Envelope], None]
 PeerCallback = Callable[[int], None]
 
 
-def _traced_op_id(payload: Any) -> Optional[str]:
-    """The application-level op id a payload carries, if any.
-
-    Duck-typed so the transport layer can stamp trace events with the
-    op they move without depending on the editor layer's message types.
-    """
-    op_id = getattr(payload, "op_id", None)
-    return op_id if isinstance(op_id, str) else None
-
-
 @dataclass(frozen=True)
 class ReliablePacket:
     """The reliability envelope wrapped around every editor message.
@@ -241,17 +231,14 @@ class RawTransport:
     def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
              kind: str = "op") -> None:
         if self.tracer is not None:
-            self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest,
-                             op_id=_traced_op_id(payload))
+            self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest)
         self.wire_send(dest, payload, timestamp_bytes, kind)
 
     def on_wire(self, envelope: Envelope) -> None:
         if self.tracer is not None:
             # A perfect FIFO channel delivers every arrival in order.
             self.tracer.emit(TraceEventKind.RELEASED, self.pid,
-                             peer=envelope.source,
-                             op_id=_traced_op_id(envelope.payload),
-                             via="direct")
+                             peer=envelope.source, via="direct")
         self.deliver(envelope)
 
     def delivered_in_order(self) -> bool:
@@ -350,8 +337,7 @@ class ReliableEndpoint:
             return
         if self.tracer is not None:
             self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest,
-                             epoch=link.epoch, seq=seq,
-                             op_id=_traced_op_id(payload))
+                             epoch=link.epoch, seq=seq)
         self._transmit(dest, link, seq, payload, timestamp_bytes, kind)
         self._arm_timer(dest, link)
 
@@ -392,8 +378,7 @@ class ReliableEndpoint:
         self.stats.retransmits += 1
         if self.tracer is not None:
             self.tracer.emit(TraceEventKind.RETRANSMITTED, self.pid,
-                             peer=dest, epoch=link.epoch, seq=seq,
-                             op_id=_traced_op_id(payload), via=via)
+                             peer=dest, epoch=link.epoch, seq=seq, via=via)
         self._transmit(dest, link, seq, payload, ts_bytes, kind)
 
     def _repair_gap(self, dest: int, link: _PeerLink, head: int) -> None:
@@ -447,8 +432,7 @@ class ReliableEndpoint:
         if not isinstance(payload, ReliablePacket):
             if self.tracer is not None:
                 self.tracer.emit(TraceEventKind.RELEASED, self.pid,
-                                 peer=envelope.source,
-                                 op_id=_traced_op_id(payload), via="direct")
+                                 peer=envelope.source, via="direct")
             self.deliver(envelope)
             return
         self._receive_packet(envelope, payload)
@@ -505,8 +489,7 @@ class ReliableEndpoint:
                 if self.tracer is not None:
                     self.tracer.emit(TraceEventKind.HELD_BACK, self.pid,
                                      peer=source, epoch=packet.epoch,
-                                     seq=packet.seq,
-                                     op_id=_traced_op_id(packet.payload))
+                                     seq=packet.seq)
             else:
                 self.stats.duplicates_discarded += 1
             if opened:
@@ -540,8 +523,7 @@ class ReliableEndpoint:
         if self.tracer is not None:
             self.tracer.emit(TraceEventKind.RELEASED, self.pid,
                              peer=envelope.source, epoch=packet.epoch,
-                             seq=packet.seq,
-                             op_id=_traced_op_id(packet.payload), via=via)
+                             seq=packet.seq, via=via)
         self.deliver(
             Envelope(
                 source=envelope.source,

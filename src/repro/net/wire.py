@@ -73,9 +73,7 @@ from repro.net.codec import (
     Reader,
     Writer,
     decode_op_message,
-    decode_operation,
     encode_op_message,
-    encode_operation,
 )
 from repro.net.reliability import ReliablePacket
 from repro.net.scheduler import Scheduler
@@ -174,10 +172,6 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
                 f"only text documents cross the wire, got "
                 f"{type(payload.document).__name__}"
             )
-        if payload.origin_clock is not None:
-            # The oracle clock is in-process diagnostic state; cluster
-            # processes have no shared event log to interpret it in.
-            raise WireError("origin_clock does not cross the wire")
         writer.u8(PAYLOAD_SNAPSHOT)
         writer.string(payload.document)
         writer.u32(payload.notifier_epoch)
@@ -191,36 +185,9 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
     elif isinstance(payload, PromoteMessage):
         writer.u8(PAYLOAD_PROMOTE).u32(payload.successor).u32(payload.notifier_epoch)
     elif isinstance(payload, StateContribution):
-        writer.u8(PAYLOAD_CONTRIB)
-        writer.u32(payload.site)
-        writer.u32(payload.received_from_center)
-        writer.u32(payload.generated_locally)
-        writer.u32(len(payload.received_per_origin))
-        for origin in sorted(payload.received_per_origin):
-            writer.u32(origin).u32(payload.received_per_origin[origin])
-        writer.u32(len(payload.pending))
-        for op in payload.pending:
-            encode_operation(op, writer)
-        if payload.document is None:
-            writer.u8(0)
-        elif isinstance(payload.document, str):
-            writer.u8(1).string(payload.document)
-        else:
-            raise WireError(
-                f"only text documents cross the wire, got "
-                f"{type(payload.document).__name__}"
-            )
+        writer.u8(PAYLOAD_CONTRIB).u32(payload.acknowledged)
     else:
         raise WireError(f"cannot encode payload type {type(payload).__name__}")
-
-
-def _presence(reader: Reader) -> bool:
-    """A presence byte is 0 or 1: anything else would decode to a value
-    that does not encode back to the bytes it came from."""
-    flag = reader.u8()
-    if flag > 1:
-        raise WireError(f"presence byte is 0 or 1, got 0x{flag:02x}")
-    return flag == 1
 
 
 def _decode_payload(reader: Reader, nested: bool = False) -> Any:
@@ -261,20 +228,7 @@ def _decode_payload(reader: Reader, nested: bool = False) -> Any:
         successor = reader.u32()
         return PromoteMessage(successor=successor, notifier_epoch=reader.u32())
     if tag == PAYLOAD_CONTRIB:
-        site = reader.u32()
-        received_from_center = reader.u32()
-        generated_locally = reader.u32()
-        received_per_origin = {}
-        for _ in range(reader.u32()):
-            origin = reader.u32()
-            received_per_origin[origin] = reader.u32()
-        pending = tuple(decode_operation(reader) for _ in range(reader.u32()))
-        document = reader.string() if _presence(reader) else None
-        return StateContribution(site=site,
-                                 received_from_center=received_from_center,
-                                 generated_locally=generated_locally,
-                                 received_per_origin=received_per_origin,
-                                 pending=pending, document=document)
+        return StateContribution(acknowledged=reader.u32())
     raise WireError(f"unknown payload tag 0x{tag:02x}")
 
 

@@ -3,8 +3,10 @@
 Cross-cutting and strictly below every other ``repro`` package: the
 tracer core (:mod:`repro.obs.tracer`) is stdlib-only so any layer can
 import it without cycles, and the analysis side
-(:mod:`repro.obs.analysis`) reaches upward to the ground-truth oracle
-only lazily, inside functions.  The pieces:
+(:mod:`repro.obs.analysis`) reaches upward only to the ground-truth
+event log and oracle (:mod:`repro.clocks.events`,
+:mod:`repro.analysis.causality`), which import nothing above the
+clocks.  The pieces:
 
 * :class:`Tracer` / :class:`TraceEvent` -- structured protocol events
   (generated / sent / retransmitted / held back / released /
@@ -17,7 +19,8 @@ only lazily, inside functions.  The pieces:
   value histograms;
 * :class:`TraceCausality` -- happens-before reconstructed from a
   recorded trace, cross-checked against the ground-truth oracle by
-  :func:`cross_check_causality`;
+  :func:`cross_check_causality` (over a session's event log, or one
+  :func:`~repro.obs.analysis.replay_event_log` rebuilt from a trace);
 * :func:`latency_histograms` -- per-site generation-to-execution
   latency from the same trace, each execution paired with its
   generation by :class:`~repro.obs.tracer.Origins`;

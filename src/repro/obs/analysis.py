@@ -9,7 +9,9 @@ snapshot/recovery pairs give the causal edge a state transfer creates.
 :func:`cross_check_causality` verifies it -- pair by pair -- against the
 ground-truth oracle in :mod:`repro.analysis.causality`, the same way
 model-checking work validates replication algorithms against recorded
-executions.
+executions.  In-process the oracle reads the session's event log; a
+cluster run has none, so :func:`replay_event_log` rebuilds one from the
+merged trace and the same check runs over it.
 
 :func:`verify_check_records` closes the loop on formulas (5) and (7):
 every concurrency verdict the compressed scheme produced during the run
@@ -24,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.analysis.causality import CausalityOracle, HappenedBefore
+from repro.clocks.events import EventLog, TransferKey, transfer_key
 from repro.obs.tracer import (
     Histogram,
     MetricsRegistry,
@@ -33,7 +37,6 @@ from repro.obs.tracer import (
 )
 
 if TYPE_CHECKING:
-    from repro.clocks.events import EventLog
     from repro.session.base import CheckRecord
 
 # Event kinds that are *causally meaningful*: they enter the DAG as
@@ -53,7 +56,7 @@ _DAG_KINDS = frozenset(
         # site's own timeline (a successor's post-promotion generations
         # follow its election) but add no cross-site edge of their own --
         # causality crosses sites only through the failover SNAPSHOT ->
-        # RECOVERED transfer, mirroring the ground-truth clock merge.
+        # RECOVERED transfer, mirroring the event log's snapshot -> install.
         TraceEventKind.ELECTED,
         TraceEventKind.PROMOTED,
         TraceEventKind.HANDOFF,
@@ -61,24 +64,11 @@ _DAG_KINDS = frozenset(
 )
 
 
-def _transfer_category(via: Optional[str]) -> str:
-    """Snapshot/recovery matching category.
-
-    Failover re-admission and crash resync both use epoch-numbered
-    snapshots, and a client's crash epochs are numbered independently of
-    the notifier epochs -- ``(peer, 1)`` alone would collide when site 3
-    both restarts (crash epoch 1) and survives a failover (notifier
-    epoch 1).  The ``via`` tag separates the two keyspaces; historic
-    traces without the tag fall into the resync category.
-    """
-    return "failover" if via == "failover" else "resync"
-
-
 class TraceAnalysisError(ValueError):
     """Raised on a structurally malformed trace."""
 
 
-class TraceCausality:
+class TraceCausality(HappenedBefore[str]):
     """The happened-before relation reconstructed from a recorded trace.
 
     Construction mirrors :class:`repro.analysis.causality.CausalityOracle`
@@ -93,14 +83,12 @@ class TraceCausality:
       generated at site 0, exactly as in the paper's Section 3.1 -- to
       every execution of the operation;
     * an edge from each ``SNAPSHOT`` event to the matching *resync* or
-      *failover* ``RECOVERED`` event (matched on destination site,
-      epoch, and transfer category -- crash epochs and notifier epochs
-      are numbered independently): a state transfer delivers the
+      *failover* ``RECOVERED`` event (matched on
+      :func:`~repro.clocks.events.transfer_key`, as the event log pairs
+      a snapshot with its install): a state transfer delivers the
       sender's entire causal history in bulk.  Join snapshots create
-      **no** edge -- the
-      ground-truth event log does not absorb the notifier's clock on a
-      join, so a joiner's first operations are concurrent with the
-      pre-join history, and the trace relation mirrors that.
+      **no** edge, in the trace as in the log, so a joiner's first
+      operations are concurrent with the pre-join history.
 
     Emission order is a topological order of this DAG (every edge points
     forward in the trace), so reachability is one reverse sweep with
@@ -130,7 +118,7 @@ class TraceCausality:
         position = {event.index: pos for pos, event in enumerate(nodes)}
         successors: list[list[int]] = [[] for _ in nodes]
         last_at_site: dict[int, int] = {}
-        pending_snapshots: dict[tuple[int, int, str], int] = {}
+        pending_snapshots: dict[TransferKey, int] = {}
         for pos, event in enumerate(nodes):
             previous = last_at_site.get(event.site)
             if previous is not None:
@@ -146,14 +134,13 @@ class TraceCausality:
                         "before any generation event"
                     )
                 successors[position[generation.index]].append(pos)
-            elif event.kind is TraceEventKind.SNAPSHOT:
-                if event.peer is not None:
-                    key = (event.peer, event.epoch or 0, _transfer_category(event.via))
+            elif event.kind is TraceEventKind.SNAPSHOT and event.peer is not None:
+                key = transfer_key(event.peer, event.epoch, event.via)
+                if key is not None:
                     pending_snapshots[key] = pos
-            elif event.kind is TraceEventKind.RECOVERED and event.via != "join":
-                sender = pending_snapshots.pop(
-                    (event.site, event.epoch or 0, _transfer_category(event.via)), None
-                )
+            elif event.kind is TraceEventKind.RECOVERED:
+                key = transfer_key(event.site, event.epoch, event.via)
+                sender = pending_snapshots.pop(key, None) if key is not None else None
                 if sender is not None:
                     successors[sender].append(pos)
         reach = [0] * len(nodes)
@@ -178,44 +165,49 @@ class TraceCausality:
         pos_b = self._position[gen_b.index]
         return bool(self._reach[self._position[gen_a.index]] >> pos_b & 1)
 
-    def concurrent(self, op_a: str, op_b: str) -> bool:
-        """Definition 2: neither happened before the other."""
-        if op_a == op_b:
-            return False
-        return not self.happened_before(op_a, op_b) and not self.happened_before(
-            op_b, op_a
-        )
-
-    def causal_pairs(self) -> set[tuple[str, str]]:
-        """All ordered pairs ``(a, b)`` with ``a -> b``."""
-        ops = self.ops()
-        return {
-            (a, b)
-            for a in ops
-            for b in ops
-            if a != b and self.happened_before(a, b)
-        }
-
-    def concurrent_pairs(self) -> set[frozenset[str]]:
-        """All unordered concurrent pairs."""
-        ops = self.ops()
-        out: set[frozenset[str]] = set()
-        for i, a in enumerate(ops):
-            for b in ops[i + 1 :]:
-                if self.concurrent(a, b):
-                    out.add(frozenset((a, b)))
-        return out
-
     def original_op(self, op_id: str) -> str:
         """Map a transformed operation back to its original client op."""
         return self.transform_source.get(op_id, op_id)
+
+
+def replay_event_log(events: Sequence[TraceEvent], n_sites: int) -> EventLog:
+    """The ground-truth event log of a recorded trace.
+
+    Each causally meaningful event becomes the log call a live session
+    makes at the same point: a ``GENERATED`` a generation, a
+    ``TRANSFORMED`` one too the first time its name is seen (the
+    notifier's broadcast copy; a client's only notes a transform), an
+    ``EXECUTED`` an execution, a ``SNAPSHOT`` a snapshot and a non-join
+    ``RECOVERED`` its install.  ``n_sites`` counts every site, the
+    notifier's included.  A malformed trace raises ``ValueError``.
+    """
+    log = EventLog(n_sites)
+    named: set[str] = set()
+    for event in events:
+        kind = event.kind
+        if kind is TraceEventKind.GENERATED or (
+                kind is TraceEventKind.TRANSFORMED and event.op_id not in named):
+            if event.op_id is None:
+                raise TraceAnalysisError(f"generation event without op id: {event}")
+            named.add(event.op_id)
+            log.generate(event.site, event.op_id)
+        elif kind is TraceEventKind.EXECUTED:
+            log.execute(event.site, event.op_id)
+        elif kind is TraceEventKind.SNAPSHOT and event.peer is not None:
+            key = transfer_key(event.peer, event.epoch, event.via)
+            if key is not None:
+                log.snapshot(event.site, key)
+        elif kind is TraceEventKind.RECOVERED:
+            key = transfer_key(event.site, event.epoch, event.via)
+            if key is not None:
+                log.install(event.site, key)
+    return log
 
 
 @dataclass
 class CrossCheckReport:
     """Pairwise comparison of trace-derived HB against the oracle."""
 
-    mode: str  # "causality-oracle" (DAG + VC) or "vector-clock" (VC only)
     n_ops: int
     pairs_checked: int
     mismatches: list[tuple[str, str, bool, bool]] = field(default_factory=list)
@@ -229,7 +221,7 @@ class CrossCheckReport:
     def summary(self) -> str:
         verdict = "EXACT MATCH" if self.ok else "MISMATCH"
         lines = [
-            f"happens-before cross-check [{self.mode}]: {verdict} "
+            f"happens-before cross-check: {verdict} "
             f"({self.n_ops} ops, {self.pairs_checked} ordered pairs)"
         ]
         for a, b, trace_hb, oracle_hb in self.mismatches[:10]:
@@ -244,60 +236,34 @@ class CrossCheckReport:
 
 
 def cross_check_causality(
-    trace: "TraceCausality | Sequence[TraceEvent]", event_log: "EventLog"
+    trace: "TraceCausality | Sequence[TraceEvent]", event_log: EventLog
 ) -> CrossCheckReport:
     """Compare trace-derived happens-before against the ground truth.
 
-    Without recoveries in the trace, the ground truth is the full
-    :class:`~repro.analysis.causality.CausalityOracle` (which itself
-    cross-checks its DAG against vector clocks).  A crash recovery
-    transfers causality through a snapshot rather than through logged
-    events, which the oracle's event DAG does not model; the oracle's
-    *vector-clock* half stays exact across state transfers (the event
-    log absorbs the snapshot clock), so recovery traces are checked
-    against that relation instead.
+    The ground truth is the :class:`~repro.analysis.causality.CausalityOracle`
+    over ``event_log`` -- the session's own, or one replayed from a
+    cluster's merged trace -- which answers each pair by DAG
+    reachability and checks the answer against the log's vector clocks
+    (state transfers included: the log records both ends of each).
     """
-    from repro.clocks.vector import Ordering, compare
-
     causality = trace if isinstance(trace, TraceCausality) else TraceCausality(trace)
+    oracle = CausalityOracle(event_log)
     trace_ops = causality.ops()
-    log_ops = event_log.op_ids()
+    in_trace, in_log = set(trace_ops), set(oracle.ops())
     report = CrossCheckReport(
-        mode="vector-clock",
         n_ops=len(trace_ops),
         pairs_checked=0,
-        only_in_trace=sorted(set(trace_ops) - set(log_ops)),
-        only_in_log=sorted(set(log_ops) - set(trace_ops)),
+        only_in_trace=sorted(in_trace - in_log),
+        only_in_log=sorted(in_log - in_trace),
     )
-    recovered = any(
-        e.kind is TraceEventKind.RECOVERED and e.via != "join"
-        for e in causality.events
-    )
-    if not recovered:
-        from repro.analysis.causality import CausalityOracle
-
-        report.mode = "causality-oracle"
-        oracle = CausalityOracle(event_log)
-
-        def ground_truth(a: str, b: str) -> bool:
-            return oracle.happened_before(a, b)
-
-    else:
-
-        def ground_truth(a: str, b: str) -> bool:
-            return (
-                compare(event_log.generation_clock(a), event_log.generation_clock(b))
-                is Ordering.BEFORE
-            )
-
-    shared = [op for op in trace_ops if op in set(log_ops)]
+    shared = [op for op in trace_ops if op in in_log]
     for a in shared:
         for b in shared:
             if a == b:
                 continue
             report.pairs_checked += 1
             trace_hb = causality.happened_before(a, b)
-            oracle_hb = ground_truth(a, b)
+            oracle_hb = oracle.happened_before(a, b)
             if trace_hb != oracle_hb:
                 report.mismatches.append((a, b, trace_hb, oracle_hb))
     return report

@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from repro.analysis.causality import CausalityOracle
+from repro.clocks.events import EventKind
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
@@ -61,7 +63,6 @@ class TestCleanSession:
     def test_happens_before_matches_oracle_exactly(self):
         session, tracer = run_traced_session()
         report = cross_check_causality(tracer.events, session.event_log)
-        assert report.mode == "causality-oracle"
         assert report.ok, report.summary()
         assert report.pairs_checked == report.n_ops * (report.n_ops - 1)
 
@@ -100,15 +101,15 @@ class TestFaultySession:
         assert any(event.kind is TraceEventKind.RETRANSMITTED
                    for event in tracer.events)
         report = cross_check_causality(tracer.events, session.event_log)
-        assert report.mode == "causality-oracle"
         assert report.ok, report.summary()
         causality = TraceCausality(tracer.events)
         assert verify_check_records(causality, session.all_checks()) == []
 
     def test_crash_recovery_trace_matches_vector_clock_relation(self):
-        """A crash/restart run switches the ground truth to the oracle's
-        vector-clock half (the snapshot carries causality the event DAG
-        does not model) and must still match exactly."""
+        """A crash/restart run's snapshot and install are events of the
+        ground-truth log, so the oracle's DAG and its vector clocks both
+        see the transfer: the oracle answers on every pair and its
+        relation is the trace's, exactly."""
         plan = FaultPlan(
             seed=7,
             default=ChannelFaults(drop_p=0.2, dup_p=0.05),
@@ -117,9 +118,13 @@ class TestFaultySession:
         session, tracer = run_traced_session(plan=plan, ops_per_site=10)
         for kind in ("crashed", "recovered", "snapshot"):
             assert [e.kind.value for e in tracer.events].count(kind) == 1
+        kinds = [event.kind for event in session.event_log.events]
+        assert kinds.count(EventKind.SNAPSHOT) == kinds.count(EventKind.INSTALL) == 1
+        assert (CausalityOracle(session.event_log).causal_pairs()
+                == TraceCausality(tracer.events).causal_pairs())
         report = cross_check_causality(tracer.events, session.event_log)
-        assert report.mode == "vector-clock"
         assert report.ok, report.summary()
+        assert report.pairs_checked == report.n_ops * (report.n_ops - 1)
         causality = TraceCausality(tracer.events)
         assert verify_check_records(causality, session.all_checks()) == []
 

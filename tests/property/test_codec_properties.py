@@ -85,15 +85,7 @@ snapshots = st.builds(
     notifier_epoch=u32s,
 )
 
-contributions = st.builds(
-    StateContribution,
-    site=u32s,
-    received_from_center=u32s,
-    generated_locally=u32s,
-    received_per_origin=st.dictionaries(u32s, u32s, max_size=3),
-    pending=st.lists(operations, max_size=3).map(tuple),
-    document=st.one_of(st.none(), short_text),
-)
+contributions = st.builds(StateContribution, acknowledged=u32s)
 
 @st.composite
 def one_byte_changed(draw, bodies):

@@ -15,9 +15,10 @@ either way (the interesting draws are the ones that do fail over).
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.causality import CausalityOracle
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan, NotifierCrash
@@ -111,10 +112,18 @@ class TestFailoverProperties:
             assert session.converged(), session.documents()
 
     @given(failover_params)
+    @example({"n_sites": 4, "ops_per_site": 5, "workload_seed": 0,
+              "fault_seed": 0, "drop_p": 0.05, "dup_p": 0.0,
+              "client_crash": False, "notifier_crash_at": 1.2})  # promotes
     @settings(max_examples=12, deadline=None)
     def test_trace_happens_before_matches_ground_truth(self, params):
         session = run_session(params)
         causality = TraceCausality(session.tracer.events)
+        # The failover snapshots are events of the ground-truth log: the
+        # oracle's DAG and vector clocks agree (it answers at all), and
+        # the relation is the trace's.
+        assert (CausalityOracle(session.event_log).causal_pairs()
+                == causality.causal_pairs())
         report = cross_check_causality(causality, session.event_log)
         assert report.ok, report.summary()
         assert verify_check_records(causality, session.all_checks()) == []

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.causality import CausalityOracle
 from repro.editor.star import StarSession
 from repro.net.channel import JitterLatency, UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
+from repro.obs import TraceCausality
 from repro.obs.tracer import Tracer, TraceEventKind
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -72,7 +74,7 @@ def build_plan(params) -> FaultPlan:
     )
 
 
-def run_session(params) -> StarSession:
+def run_session(params, tracer: Tracer | None = None) -> StarSession:
     def latency_factory(src, dst):
         return UniformLatency(
             0.02, 0.25, random.Random(params["fault_seed"] * 31 + src * 7 + dst)
@@ -83,6 +85,7 @@ def run_session(params) -> StarSession:
         latency_factory=latency_factory,
         verify_with_oracle=True,
         fault_plan=build_plan(params),
+        tracer=tracer,
     )
     config = RandomSessionConfig(
         n_sites=params["n_sites"],
@@ -96,11 +99,19 @@ def run_session(params) -> StarSession:
 
 class TestFaultToleranceProperties:
     @given(fault_session_params)
+    @example({"n_sites": 3, "ops_per_site": 6, "workload_seed": 0,
+              "fault_seed": 0, "drop_p": 0.1, "dup_p": 0.05, "crash": True})
     @settings(max_examples=25, deadline=None)
     def test_converges_with_oracle_under_any_plan(self, params):
-        session = run_session(params)  # ConsistencyError on any oracle mismatch
+        tracer = Tracer()
+        session = run_session(params, tracer)  # ConsistencyError on any oracle mismatch
         assert session.quiescent()
         assert session.converged(), session.documents()
+        # A crash resync's snapshot and install are events of the
+        # ground-truth log: the oracle's DAG and vector clocks agree on
+        # every pair (it answers at all), and equal the trace relation.
+        assert (CausalityOracle(session.event_log).causal_pairs()
+                == TraceCausality(tracer.events).causal_pairs())
 
     @given(fault_session_params)
     @settings(max_examples=25, deadline=None)

@@ -1,24 +1,24 @@
-"""The cluster's trace merge and its vector-clock cross-check.
+"""The cluster's trace merge and its happens-before cross-check.
 
 Per-process traces arrive with private indices and same-host wall-clock
 stamps; :func:`merge_traces` must produce one stream that is a
 topological order of the causal DAG even when clock skew stamps an
-execution *before* the generation it depends on.  The vector-clock
-replay is the independent algorithm the merged trace is checked
-against.
+execution *before* the generation it depends on.  The ground-truth
+event log replayed from that stream (:func:`replay_event_log`) is what
+the merged trace is checked against, by the in-process cross-check.
 """
 
 from __future__ import annotations
 
+from repro.analysis.causality import CausalityOracle
 from repro.clocks.vector import Ordering, compare
-from repro.cluster.check import (
-    analyze_cluster,
-    cross_check_merged_trace,
-    merge_traces,
-    trace_vector_clock_hb,
-)
+from repro.cluster.check import analyze_cluster, merge_traces
 from repro.cluster.harness import ProcessResult
-from repro.obs.analysis import TraceCausality
+from repro.obs.analysis import (
+    TraceCausality,
+    cross_check_causality,
+    replay_event_log,
+)
 from repro.obs.tracer import TraceEvent, TraceEventKind
 
 
@@ -82,6 +82,8 @@ def test_merge_emits_blocked_heads_rather_than_hanging() -> None:
 
 def test_vector_clock_replay_agrees_with_dag_reachability() -> None:
     # 1-1 happens-before its transform 1-1'; 2-1 is concurrent with 1-1.
+    # Site 1 then restarts: 2-2 reaches it only through the resync
+    # snapshot, so 2-2 -> 1-2 is the state transfer's edge.
     events = [
         _event(0, TraceEventKind.GENERATED, 1.0, 1, op_id="1-1"),
         _event(1, TraceEventKind.GENERATED, 1.1, 2, op_id="2-1"),
@@ -93,14 +95,37 @@ def test_vector_clock_replay_agrees_with_dag_reachability() -> None:
                source_op="2-1"),
         _event(6, TraceEventKind.EXECUTED, 2.0, 2, op_id="1-1'"),
         _event(7, TraceEventKind.EXECUTED, 2.1, 1, op_id="2-1'"),
+        _event(8, TraceEventKind.GENERATED, 2.2, 2, op_id="2-2"),
+        _event(9, TraceEventKind.EXECUTED, 2.3, 0, op_id="2-2"),
+        _event(10, TraceEventKind.TRANSFORMED, 2.3, 0, op_id="2-2'",
+               source_op="2-2"),
+        _event(11, TraceEventKind.CRASHED, 2.35, 1, epoch=1),
+        _event(12, TraceEventKind.SNAPSHOT, 2.4, 0, peer=1, epoch=1,
+               via="resync"),
+        _event(13, TraceEventKind.RECOVERED, 2.5, 1, peer=0, epoch=1,
+               via="resync"),
+        _event(14, TraceEventKind.GENERATED, 2.6, 1, op_id="1-2"),
     ]
-    clocks = trace_vector_clock_hb(events, n_sites=2)
-    assert compare(clocks["1-1"], clocks["1-1'"]) is Ordering.BEFORE
-    assert compare(clocks["1-1"], clocks["2-1"]) is Ordering.CONCURRENT
-    report = cross_check_merged_trace(TraceCausality(events), n_sites=2)
-    assert report.ok
-    assert report.n_ops == 4
-    assert report.pairs_checked == 12
+    log = replay_event_log(events, n_sites=3)
+    clocks = log.generation_clock
+    assert compare(clocks("1-1"), clocks("1-1'")) is Ordering.BEFORE
+    assert compare(clocks("1-1"), clocks("2-1")) is Ordering.CONCURRENT
+    assert compare(clocks("2-2"), clocks("1-2")) is Ordering.BEFORE
+    causality = TraceCausality(events)
+    assert CausalityOracle(log).causal_pairs() == causality.causal_pairs()
+    assert ("2-2", "1-2") in causality.causal_pairs()
+    report = cross_check_causality(causality, log)
+    assert report.ok, report.summary()
+    assert report.n_ops == 7
+    assert report.pairs_checked == 42
+
+
+def test_a_malformed_merged_trace_is_an_analysis_error() -> None:
+    streams = [[_event(0, TraceEventKind.EXECUTED, 1.0, 1, op_id="ghost'")]]
+    results = [ProcessResult(role="client", site=1, document="", executed_ops=1)]
+    report = analyze_cluster(results, streams, expected_ops=1, n_sites=1)
+    assert not report.ok
+    assert report.errors and "trace analysis failed" in report.errors[0]
 
 
 def test_analyze_cluster_full_verdict() -> None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.causality import CausalityOracle
-from repro.clocks.events import EventKind, EventLog
+from repro.clocks.events import EventKind, EventLog, transfer_key
 from repro.clocks.vector import VectorClock
 
 
@@ -132,3 +132,36 @@ class TestCausalityOracle:
         log.generate(1, "b")
         oracle = CausalityOracle(log)
         assert oracle.concurrent("a", "b")
+
+    def test_a_state_transfer_is_an_edge_of_both_constructions(self):
+        """Site 0's op reaches site 1 only through a resync snapshot: the
+        DAG edge and the clock merge agree, so the oracle answers."""
+        log = EventLog(3)
+        log.generate(0, "a")
+        key = transfer_key(1, 1, "resync")
+        log.snapshot(0, key)
+        log.generate(2, "c")  # concurrent with everything at sites 0 and 1
+        log.install(1, key)
+        log.generate(1, "b")
+        oracle = CausalityOracle(log)
+        assert oracle.causal_pairs() == {("a", "b")}
+        assert log.clocks[log.events[-1]] == VectorClock.of([2, 2, 0])
+
+    def test_an_install_without_its_snapshot_merges_nothing(self):
+        log = EventLog(2)
+        log.generate(0, "a")
+        log.snapshot(0, transfer_key(1, 1, "failover"))
+        log.install(1, transfer_key(1, 1, "resync"))  # another transfer
+        log.generate(1, "b")
+        assert CausalityOracle(log).concurrent("a", "b")
+
+
+class TestTransferKey:
+    def test_a_join_carries_no_causality(self):
+        assert transfer_key(4, 0, "join") is None
+
+    def test_crash_and_notifier_epochs_are_kept_apart(self):
+        assert transfer_key(3, 1, "resync") != transfer_key(3, 1, "failover")
+
+    def test_a_trace_without_a_kind_is_a_resync(self):
+        assert transfer_key(3, None, None) == (3, 0, "resync")

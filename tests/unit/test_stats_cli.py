@@ -99,8 +99,11 @@ class TestCLI:
             == 0
         )
         out = capsys.readouterr().out
-        assert "EXACT MATCH" in out
-        assert "vector-clock" in out  # crash runs check against the VC relation
+        # A crash run checks against the one oracle (DAG and vector
+        # clocks), like any other run: no second relation to fall back to.
+        assert re.search(
+            r"^happens-before cross-check: EXACT MATCH \(\d+ ops, [1-9]\d* ordered pairs\)$",
+            out, re.MULTILINE)
         assert "trace.crashed = 1" in out
         assert "trace.recovered = 1" in out
         assert "site 0" in out  # the spacetime diagram rendered

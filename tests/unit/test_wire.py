@@ -9,6 +9,7 @@ string the overhead accounting (CLAIM-OVH) charges.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -26,7 +27,8 @@ from repro.net.channel import FIFOChannel, FixedLatency
 from repro.net.codec import CodecError, Reader, Writer, encode_op_message
 from repro.net.reliability import ReliablePacket
 from repro.net.simulator import Simulator
-from repro.net.transport import Envelope
+from repro.editor.star_client import StarClient
+from repro.net.transport import Envelope, measure_payload_bytes
 from repro.net.wire import (
     DIAL_ATTEMPTS,
     DIAL_BACKOFF,
@@ -52,7 +54,7 @@ from repro.net.wire import (
     pump,
     read_frame,
 )
-from repro.ot.operations import Delete, Insert
+from repro.ot.operations import Insert
 
 
 def _op_message(shared: BroadcastBody | None = None) -> OpMessage:
@@ -193,25 +195,6 @@ def test_invalid_utf8_in_a_data_frame_is_a_codec_error() -> None:
             decode_frame(bytes(garbled))
 
 
-def _absent_document() -> bytes:
-    return encode_envelope(Envelope(
-        source=2, dest=0, kind="contrib",
-        payload=StateContribution(site=2, received_from_center=0,
-                                  generated_locally=0)))
-
-
-@pytest.mark.parametrize("flag", [0x02, 0x07, 0xFF])
-@pytest.mark.parametrize("encoded", [_absent_document])
-def test_presence_bytes_are_zero_or_one(encoded, flag: int) -> None:
-    """Any other byte would decode to a value that encodes back to
-    different bytes (7 used to read as "no document")."""
-    body = bytearray(encoded())
-    assert body[-1] == 0x00 and decode_frame(bytes(body)) is not None
-    body[-1] = flag
-    with pytest.raises(WireError, match="presence"):
-        decode_frame(bytes(body))
-
-
 def test_a_data_frame_is_a_handful_of_runs_not_a_call_per_field(monkeypatch) -> None:
     """The per-layer budget of the DATA path, counted: six ``Writer.pack``
     and six ``Reader.unpack`` calls at most for an insert's frame (four
@@ -243,14 +226,12 @@ def test_snapshot_roundtrip() -> None:
 
 
 def test_snapshot_rejects_origin_clock_and_rich_documents() -> None:
-    from repro.clocks.vector import VectorClock
-
-    with pytest.raises(WireError):
-        encode_envelope(Envelope(
-            source=0, dest=1, kind="snapshot", timestamp_bytes=0,
-            payload=SnapshotMessage(document="abc", counts=(0,),
-                                    origin_clock=VectorClock.zero(2)),
-        ))
+    """No oracle clock rides a snapshot, in process or on the wire: the
+    event log records the transfer's two ends itself."""
+    assert [f.name for f in dataclasses.fields(SnapshotMessage)] == \
+        ["document", "counts", "notifier_epoch"]
+    with pytest.raises(TypeError):
+        SnapshotMessage(document="abc", counts=(0,), origin_clock=None)  # type: ignore[call-arg]
     with pytest.raises(WireError):
         encode_envelope(Envelope(
             source=0, dest=1, kind="snapshot", timestamp_bytes=0,
@@ -269,20 +250,32 @@ def test_failover_vocabulary_roundtrip() -> None:
 
 
 def test_state_contribution_roundtrip() -> None:
-    contribution = StateContribution(
-        site=2,
-        received_from_center=5,
-        generated_locally=3,
-        received_per_origin={1: 2, 3: 3},
-        pending=(Insert("y", 0), Delete(1, 2)),
-        document="hello",
-    )
-    decoded = _roundtrip(contribution, kind="contrib").payload
-    assert decoded == contribution
-    assert _roundtrip(
-        StateContribution(site=1, received_from_center=0, generated_locally=0),
-        kind="contrib",
-    ).payload.document is None
+    for acknowledged in (0, 3, 2**32 - 1):
+        contribution = StateContribution(acknowledged=acknowledged)
+        assert _roundtrip(contribution, kind="contrib").payload == contribution
+
+
+def test_a_contributions_frame_size_does_not_depend_on_the_document() -> None:
+    """A survivor answers a promotion with one count, whatever its
+    replica holds: the frame and the model bytes of the contribution it
+    sends are the same for an empty document and a long one."""
+    sizes = set()
+    for document in ("", "x" * 1000):
+        client = StarClient(Simulator(), 1, initial_state=document)
+        sent: list[object] = []
+        client.send = (  # type: ignore[method-assign]
+            lambda dest, payload, timestamp_bytes=0, kind="op": sent.append(payload))
+        client.generate(Insert("y", 0))  # one unacknowledged op, stashed
+        sent.clear()
+        client.on_message(Envelope(
+            source=0, dest=1, kind="promote", timestamp_bytes=0,
+            payload=PromoteMessage(successor=2, notifier_epoch=1)))
+        (contribution,) = sent
+        assert isinstance(contribution, StateContribution)
+        frame_bytes = encode_envelope(Envelope(
+            source=1, dest=2, kind="contrib", timestamp_bytes=0, payload=contribution))
+        sizes.add((len(frame_bytes), measure_payload_bytes(contribution)))
+    assert len(sizes) == 1, sizes
 
 
 def test_unencodable_payload_raises() -> None:

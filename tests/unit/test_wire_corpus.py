@@ -5,7 +5,8 @@ was encoded, ``PINNED`` holds its bytes.  The frames without an
 operation or a snapshot are the ones the encoder of commit ``14d17fd``
 wrote (the parent of the change that moved the DATA path onto
 ``Writer.pack`` / ``Reader.unpack``); the rest were written by hand,
-field by field, when op names left the wire.  A codec edit that moves a
+field by field, when op names left the wire (the contribution frames
+again when a contribution shrank to one count).  A codec edit that moves a
 byte on the wire, or reads these bytes as a different value, fails here
 before it fails a cluster.
 """
@@ -108,16 +109,13 @@ VALUES: dict[str, Any] = {
                        timestamp_bytes=0),
     "data-promote": data(PromoteMessage(successor=2, notifier_epoch=2),
                          kind="promote", timestamp_bytes=0),
+    # A contribution is one count.  Named when these frames also carried
+    # the survivor's state vector, per-origin counts, pending operations
+    # and replica; the keys stay so the test ids do.
     "data-contribution": data(
-        StateContribution(
-            site=2, received_from_center=5, generated_locally=3,
-            received_per_origin={3: 3, 1: 2},
-            pending=(Insert("y", 0), Delete(1, 2)),
-            document="hello"),
-        kind="contrib", timestamp_bytes=0),
+        StateContribution(acknowledged=3), kind="contrib", timestamp_bytes=0),
     "data-contribution-without-document": data(
-        StateContribution(site=1, received_from_center=0, generated_locally=0),
-        kind="contrib", timestamp_bytes=0),
+        StateContribution(acknowledged=0), kind="contrib", timestamp_bytes=0),
 }
 
 # A DATA frame's head: tag 0x02, source, dest, timestamp bytes, message
@@ -218,16 +216,11 @@ PINNED: dict[str, str] = {
     ),
     "data-contribution": (
         _CONTROL_HEAD + "00000007" "636f6e74726962"  # kind "contrib"
-        "07" "00000002" "00000005" "00000003"  # tag, site 2, SV_i = [5, 3]
-        "00000002" "00000001" "00000002" "00000003" "00000003"  # 1: 2, 3: 3
-        "00000002"  # two pending operations, no names
-        "01" "00000000" "00000001" "79"  # Insert "y" at 0
-        "02" "00000002" "00000001"  # Delete 1 at 2
-        "01" "00000005" "68656c6c6f"  # document "hello"
+        "07" "00000003"  # tag, 3 own operations acknowledged
     ),
     "data-contribution-without-document": (
-        "020000000200000000000000000000002a00000007636f6e7472696207000000"
-        "010000000000000000000000000000000000"
+        _CONTROL_HEAD + "00000007" "636f6e74726962"
+        "07" "00000000"  # none acknowledged
     ),
 }
 
