@@ -134,7 +134,7 @@ def test_abl2_history_retention(benchmark):
             initial_state=config.initial_document,
             latency_factory=latencies(0),
             verify_with_oracle=oracle,
-            record_checks=False,
+            record_checks=True,  # only a diagnostic session keeps a history
         )
         drive_star_session(session, config)
         peak_notifier = peak_clients = 0

@@ -13,13 +13,22 @@ Section 2.3).  Entries record:
   ``SV_0`` snapshot at the notifier) -- **never** rewritten, because the
   concurrency formulas are defined over the original counts;
 * provenance: originating site and :class:`~repro.core.timestamp.OriginKind`.
+
+On a star, formulas (5) and (7) plus FIFO make an arrival's concurrent
+set exactly the unacknowledged one (``pending`` at a client,
+``sent_to[source]`` at the notifier), which is what the editor
+transforms against.  The buffer is needed only to re-derive those
+verdicts, so only a diagnostic session (``record_checks`` or
+``verify_with_oracle``) keeps one: pruned at the acknowledgement
+horizon, or whole under the oracle.  A fast-path site's ``hb`` stays
+empty.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Iterator, Union
+from typing import Any, Collection, Iterator, Union
 
 from repro.core.timestamp import CompressedTimestamp, FullTimestamp, OriginKind
 
@@ -52,8 +61,8 @@ class HistoryBuffer:
     Entries are appended at the tail and forgotten from the head: the
     paper's buffers are unbounded, but formulas (5)/(7) plus FIFO make
     every entry older than the oldest unacknowledged one causally before
-    all future arrivals, so the star editor prunes at that horizon on
-    every arrival (see :meth:`prune_head`).
+    all future arrivals, so a diagnostic star session prunes at that
+    horizon on every arrival (see :meth:`prune_head`).
     """
 
     entries: deque[HistoryEntry] = field(default_factory=deque)
@@ -70,18 +79,9 @@ class HistoryBuffer:
     def __getitem__(self, index: int) -> HistoryEntry:
         return self.entries[index]
 
-    def concurrent_entries(
-        self, is_concurrent: Callable[[HistoryEntry], bool]
-    ) -> list[HistoryEntry]:
-        """Entries satisfying the supplied concurrency predicate, in order."""
-        return [entry for entry in self.entries if is_concurrent(entry)]
-
     def op_ids(self) -> list[Any]:
         """Operation identities in execution order (for Fig. 3 assertions)."""
         return [entry.op_id for entry in self.entries]
-
-    def clear(self) -> None:
-        self.entries.clear()
 
     def prune_head(self, live_op_ids: Collection[Any]) -> None:
         """Forget head entries until one is in ``live_op_ids``.

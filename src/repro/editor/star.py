@@ -44,11 +44,12 @@ Retention
 ---------
 A *diagnostic* session -- ``record_checks=True`` or
 ``verify_with_oracle=True`` -- runs the formula-(5)/(7) sweep on every
-arrival and keeps the notifier's per-destination ``broadcast_log``;
+arrival over a history buffer pruned at the acknowledgement horizon,
+and keeps the notifier's per-destination ``broadcast_log``;
 ``record_checks`` also keeps one ``CheckRecord`` per verdict, the oracle
-the whole history.  Every other session (the default) keeps the
-acknowledgement window only: no sweep, no check records,
-``broadcast_log is None``, history pruned on each arrival.
+the whole history.  Every other session (the default) keeps only the
+acknowledgement window its transforms need (``pending``, ``sent_to``):
+no sweep, no check records, ``broadcast_log is None``, no history.
 
 Reliability under faults
 ------------------------

@@ -88,9 +88,11 @@ class StarClient(EditorEndpoint):
         self.ot = get_type(ot_type_name)
         self.document = self.ot.initial() if initial_state is None else initial_state
         self.sv = ClientStateVector(site_id)
-        self.hb = HistoryBuffer()
-        # Local operations not yet reflected in a notifier timestamp; each
-        # element is the HistoryEntry so re-transformation updates the HB.
+        self.hb = HistoryBuffer()  # empty unless diagnostic (repro.core.history)
+        # Local operations not yet reflected in a notifier timestamp: the
+        # set an arrival is transformed against.  Each element is the
+        # HistoryEntry a diagnostic session also buffers, so
+        # re-transformation updates the HB; undo and failover read it too.
         # Acknowledgement pops from the left on every arrival: a deque.
         self.pending: deque[HistoryEntry] = deque()
         self.event_log = event_log
@@ -100,6 +102,8 @@ class StarClient(EditorEndpoint):
         # (arrival, retained HB entry), so O(in-flight window) per arrival
         # once the HB is pruned; the list itself is never trimmed.
         self.record_checks = record_checks
+        # Neither flag changes after construction: read the predicate once.
+        self._diagnostic = record_checks or verify_with_oracle
         self.checks: list[CheckRecord] = []
         self.executed_op_ids: list[str] = []
         # Late joiners start inactive and are activated by the snapshot.
@@ -160,7 +164,8 @@ class StarClient(EditorEndpoint):
         Returns the operation's name (:func:`op_name` of this site and
         its new ``SV_i[2]``).  Per the paper: execute immediately,
         increment ``SV_i[2]``, timestamp with the current ``SV_i``,
-        propagate to site 0, and buffer in the local HB.  While the
+        propagate to site 0, and (in a diagnostic session) buffer in the
+        local HB.  While the
         client is crashed or awaiting its recovery snapshot the edit is
         dropped (returns ``None``).
         """
@@ -208,7 +213,8 @@ class StarClient(EditorEndpoint):
             executed_at=self.sim.now,
             inverse=inverse,
         )
-        self.hb.append(entry)
+        if self._diagnostic:
+            self.hb.append(entry)
         self.pending.append(entry)
         self.executed_op_ids.append(op_id)
         self._last_local_entry = entry
@@ -267,6 +273,11 @@ class StarClient(EditorEndpoint):
             )
         message: OpMessage = payload
         ts = message.timestamp
+        if ts.second > self.sv.generated_locally:
+            raise ConsistencyError(
+                f"site {self.pid}: the notifier acknowledged {ts.second} local "
+                f"operations, but only {self.sv.generated_locally} were generated"
+            )
         # The k-th broadcast from an origin is that origin's op k (FIFO).
         origin = message.origin_site
         ordinal = self._received_per_origin.get(origin, 0) + 1
@@ -276,25 +287,27 @@ class StarClient(EditorEndpoint):
         # or oracle-verifying checks: formula (5) plus FIFO make the
         # concurrent set equal the unacknowledged-pending set, which the
         # fast path uses directly.  The slow path cross-checks the two.
-        diagnostics = self.record_checks or self.verify_with_oracle
-        concurrent_entries = self._concurrency_pass(ts, op_id) if diagnostics else None
+        diagnostic = self._diagnostic
+        concurrent_entries = self._concurrency_pass(ts, op_id) if diagnostic else None
         # FIFO acknowledgement: T[2] local operations are now reflected
         # in the notifier's state; they stop being "pending".
         while self.pending and self.pending[0].timestamp.second <= ts.second:
             self.pending.popleft()
-        if self.transform_enabled and concurrent_entries is not None:
-            expected = [entry.op_id for entry in self.pending]
-            actual = [entry.op_id for entry in concurrent_entries]
-            if expected != actual:
-                raise ConsistencyError(
-                    f"site {self.pid}: formula (5) concurrent set {actual} != "
-                    f"pending set {expected} for {op_id}"
-                )
-        # History retention: everything older than the oldest unacknowledged
-        # local operation is causally before every future arrival.  The
-        # oracle run keeps the whole history -- it is the proof of this rule.
-        if not self.verify_with_oracle:
-            self.hb.prune_head((self.pending[0].op_id,) if self.pending else ())
+        if concurrent_entries is not None:  # a diagnostic session
+            if self.transform_enabled:
+                expected = [entry.op_id for entry in self.pending]
+                actual = [entry.op_id for entry in concurrent_entries]
+                if expected != actual:
+                    raise ConsistencyError(
+                        f"site {self.pid}: formula (5) concurrent set {actual} != "
+                        f"pending set {expected} for {op_id}"
+                    )
+            # History retention: everything older than the oldest
+            # unacknowledged local operation is causally before every
+            # future arrival.  The oracle run keeps the whole history --
+            # it is the proof of this rule.
+            if not self.verify_with_oracle:
+                self.hb.prune_head((self.pending[0].op_id,) if self.pending else ())
         new_op = message.op
         if self.transform_enabled:
             if self.pending and self.tracer is not None:
@@ -311,16 +324,17 @@ class StarClient(EditorEndpoint):
             self.ot, self.document, new_op, self.transform_enabled
         )
         self.sv.record_remote_execution()
-        self.hb.append(
-            HistoryEntry(
-                op=new_op,
-                timestamp=ts,
-                origin_site=origin,
-                origin_kind=OriginKind.FROM_CENTER,
-                op_id=op_id,
-                executed_at=self.sim.now,
+        if diagnostic:
+            self.hb.append(
+                HistoryEntry(
+                    op=new_op,
+                    timestamp=ts,
+                    origin_site=origin,
+                    origin_kind=OriginKind.FROM_CENTER,
+                    op_id=op_id,
+                    executed_at=self.sim.now,
+                )
             )
-        )
         self.executed_op_ids.append(op_id)
         # A remote execution invalidates undo: the stored inverse is no
         # longer defined on the current document.
@@ -368,9 +382,10 @@ class StarClient(EditorEndpoint):
         a local one (a remote operation arrived since -- the inverse's
         context is gone) or the OT type does not support inversion.
 
-        The undoable entry is tracked independently of the HB, which
-        forgets entries at the acknowledgement horizon and so says what
-        is still *unacknowledged*, not what executed *last*: a pending
+        The undoable entry is tracked independently of the HB, which only
+        a diagnostic session keeps and which forgets entries at the
+        acknowledgement horizon, so it says what is still
+        *unacknowledged*, not what executed *last*: a pending
         local entry can head the HB long after a remote operation
         executed.  The inverse is defined on the current document
         exactly as long as nothing remote has executed since.

@@ -93,7 +93,7 @@ class StarNotifier(EditorEndpoint):
         self.ot = get_type(ot_type_name)
         self.document = self.ot.initial() if initial_state is None else initial_state
         self.sv = NotifierStateVector(n_sites)
-        self.hb = HistoryBuffer()
+        self.hb = HistoryBuffer()  # empty unless diagnostic (repro.core.history)
         # Sites currently receiving broadcasts, in the order a broadcast
         # visits them (sorted once per roster change, not per operation).
         # The original notifier serves everyone from the start; a
@@ -114,6 +114,8 @@ class StarNotifier(EditorEndpoint):
         self.verify_with_oracle = verify_with_oracle
         self.transform_enabled = transform_enabled
         self.record_checks = record_checks
+        # Neither flag changes after construction: read the predicate once.
+        self._diagnostic = record_checks or verify_with_oracle
         self.checks: list[CheckRecord] = []
         self.executed_op_ids: list[str] = []
         # One (op id, destination, timestamp) per copy sent: per-op,
@@ -121,7 +123,7 @@ class StarNotifier(EditorEndpoint):
         # ``None`` otherwise -- a reader on the fast path fails loudly
         # instead of iterating a log that was never written.
         self.broadcast_log: list[tuple[str, int, CompressedTimestamp]] | None = (
-            [] if record_checks or verify_with_oracle else None
+            [] if self._diagnostic else None
         )
         # Ops the dead centre acknowledged that the promotion baseline
         # rolled back.
@@ -147,35 +149,41 @@ class StarNotifier(EditorEndpoint):
                 return
         message: OpMessage = payload
         ts = message.timestamp
-        # FIFO from the origin: the arrival is its op T[2].
-        op_id = op_name(source, ts.second, self.notifier_epoch)
-        diagnostics = self.record_checks or self.verify_with_oracle
-        concurrent_entries = (
-            self._concurrency_pass(ts, source, op_id) if diagnostics else None)
         # FIFO acknowledgement: the source has seen the first T[1]
         # operations ever sent to it; drop them from its pending list.
         already = self.acked[source]
+        queue = self.sent_to[source]
         to_drop = ts.first - already
         if to_drop < 0:
             raise ConsistencyError(
                 f"notifier: site {source} acknowledged {ts.first} < previously "
                 f"acknowledged {already} (FIFO violated?)"
             )
+        if to_drop > len(queue):
+            raise ConsistencyError(
+                f"notifier: site {source} acknowledged {ts.first} operations, "
+                f"but only {already + len(queue)} were sent to it"
+            )
+        # FIFO from the origin: the arrival is its op T[2].
+        op_id = op_name(source, ts.second, self.notifier_epoch)
+        concurrent_entries = (
+            self._concurrency_pass(ts, source, op_id) if self._diagnostic else None)
         for _ in range(to_drop):
-            self.sent_to[source].popleft()
+            queue.popleft()
         self.acked[source] = ts.first
-        if self.transform_enabled and concurrent_entries is not None:
-            expected = [entry.op_id for entry in self.sent_to[source]]
-            actual = [entry.op_id for entry in concurrent_entries]
-            if expected != actual:
-                raise ConsistencyError(
-                    f"notifier: formula (7) concurrent set {actual} != pending "
-                    f"set {expected} for {op_id} from site {source}"
-                )
-        self._prune_history()
+        if concurrent_entries is not None:  # a diagnostic session
+            if self.transform_enabled:
+                expected = [entry.op_id for entry in queue]
+                actual = [entry.op_id for entry in concurrent_entries]
+                if expected != actual:
+                    raise ConsistencyError(
+                        f"notifier: formula (7) concurrent set {actual} != pending "
+                        f"set {expected} for {op_id} from site {source}"
+                    )
+            self._prune_history()
         new_op = message.op
         if self.transform_enabled:
-            for entry in self.sent_to[source]:
+            for entry in queue:
                 new_op, updated = self.ot.transform(
                     new_op, entry.op, source < entry.origin_site
                 )
@@ -191,9 +199,10 @@ class StarNotifier(EditorEndpoint):
         queue; a destination that never sends never acknowledges and
         pins ``HB_0`` as it pins its own ``sent_to``.  Run wherever a
         queue shrinks -- an acknowledgement, a re-admission -- so the
-        invariant holds at rest; oracle sessions keep everything.
+        invariant holds at rest; oracle sessions keep everything, and
+        fast-path ones keep nothing to prune.
         """
-        if not self.verify_with_oracle:
+        if self._diagnostic and not self.verify_with_oracle:
             self.hb.prune_head(
                 {queue[0].op_id for queue in self.sent_to.values() if queue}
             )
@@ -225,16 +234,17 @@ class StarNotifier(EditorEndpoint):
                 source_op=op_id,
                 timestamp=tuple(self.sv.full_timestamp().as_paper_list()),
             )
-        self.hb.append(
-            HistoryEntry(
-                op=new_op,
-                timestamp=self.sv.full_timestamp(),
-                origin_site=source,
-                origin_kind=OriginKind.FROM_CLIENT,
-                op_id=transformed_id,
-                executed_at=self.sim.now,
+        if self._diagnostic:
+            self.hb.append(
+                HistoryEntry(
+                    op=new_op,
+                    timestamp=self.sv.full_timestamp(),
+                    origin_site=source,
+                    origin_kind=OriginKind.FROM_CLIENT,
+                    op_id=transformed_id,
+                    executed_at=self.sim.now,
+                )
             )
-        )
         # The copies differ in the timestamp only (formulas 1-2): they
         # share one body and one sum of SV_0, so a copy costs its two
         # integers and the objects that carry them.  The rest is bound
@@ -283,8 +293,7 @@ class StarNotifier(EditorEndpoint):
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        diagnostics = self.record_checks or self.verify_with_oracle
-        if diagnostics:
+        if self._diagnostic:
             concurrent_entries = self._concurrency_pass(ts, self.pid, op_id)
             if concurrent_entries:
                 raise ConsistencyError(

@@ -29,11 +29,13 @@ def latency_factory(seed):
     return build
 
 
-def run_faulty_session(plan, n_sites=4, ops_per_site=10, workload_seed=3, oracle=True):
+def run_faulty_session(plan, n_sites=4, ops_per_site=10, workload_seed=3, oracle=True,
+                       record_checks=False):
     session = StarSession(
         n_sites,
         latency_factory=latency_factory(plan.seed),
         verify_with_oracle=oracle,
+        record_checks=record_checks,
         fault_plan=plan,
     )
     config = RandomSessionConfig(
@@ -184,8 +186,9 @@ class TestLossyNetwork:
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "pruned"])
 class TestHistoryRetentionUnderFaults:
     """The fault paths with and without the oracle: the oracle session
-    keeps (and verifies) the whole history, every other session prunes
-    it -- and a crashed client must not pin ``HB_0`` past its resync."""
+    keeps (and verifies) the whole history, a diagnostic session without
+    it prunes it -- and a crashed client must not pin ``HB_0`` past its
+    resync."""
 
     def test_lossy_crash_session_converges(self, oracle):
         plan = FaultPlan(
@@ -193,7 +196,7 @@ class TestHistoryRetentionUnderFaults:
             default=ChannelFaults(drop_p=0.2, dup_p=0.05),
             crashes=(ClientCrash(site=2, at=3.0, restart_at=5.0),),
         )
-        session = run_faulty_session(plan, oracle=oracle)
+        session = run_faulty_session(plan, oracle=oracle, record_checks=True)
         assert session.quiescent()
         assert session.converged(), session.documents()
         assert session.reliable_delivery_in_order()
@@ -219,6 +222,7 @@ class TestHistoryRetentionUnderFaults:
             2,
             latency_factory=latency_factory(5),
             verify_with_oracle=oracle,
+            record_checks=True,
             fault_plan=plan,
         )
         session.generate_at(1, Insert("a", 0), at=1.0)  # before the crash

@@ -15,6 +15,7 @@ from repro.cli import jitter_latency_factory
 from repro.core.timestamp import OriginKind
 from repro.editor.star import StarSession
 from repro.net.simulator import Simulator
+from repro.obs.tracer import Origins, Tracer
 from repro.ot.operations import Insert
 from repro.workloads.random_session import (
     RandomSessionConfig,
@@ -24,9 +25,9 @@ from repro.workloads.random_session import (
 
 
 def peak_history(ops_per_site: int) -> tuple[int, StarSession]:
-    """A fast-path 4-site session: the longest HB at any endpoint while
-    every site is still editing (sampled every 50 events), and the
-    finished session.
+    """A diagnostic 4-site session (only those keep a history): the
+    longest HB at any endpoint while every site is still editing
+    (sampled every 50 events), and the finished session.
 
     The sampling stops when the first site runs out of operations: from
     then on that site is a silent reader (see the test below), and how
@@ -38,7 +39,7 @@ def peak_history(ops_per_site: int) -> tuple[int, StarSession]:
         initial_state=config.initial_document,
         latency_factory=jitter_latency_factory(0),
         record_events=False,
-        record_checks=False,
+        record_checks=True,
     )
     drive_star_session(session, config)
     last_edit = {}
@@ -76,7 +77,7 @@ def test_silent_reader_pins_the_notifier_history_until_it_speaks():
     ``HB_0`` exactly as it pins its own ``sent_to`` queue (a limit of
     acknowledgement by piggyback, not of the pruning), and its first
     operation releases everything at once."""
-    session = StarSession(3, initial_state="")
+    session = StarSession(3, initial_state="", record_checks=True)
     # Sites 1 and 2 take turns, far enough apart that each operation
     # acknowledges everything before it; site 3 only reads.
     for turn in range(20):
@@ -269,3 +270,48 @@ def test_broadcast_log_is_a_diagnostic_artefact():
         if dest != int(op_id[1 : op_id.index("_")])  # "c<site>_<n>'"
     ]
     assert run(record_checks=False).notifier.broadcast_log is None
+
+
+@pytest.mark.parametrize("reliability", [False, True], ids=["raw", "reliable"])
+def test_history_is_a_diagnostic_artefact(reliability):
+    """Only a diagnostic session keeps a history buffer: a fast-path
+    one's stays empty throughout.  The buffer never steers the protocol
+    either: the same seed with ``record_checks=True`` is the same
+    session, message for message, event for event and latency for
+    latency."""
+    config = RandomSessionConfig(n_sites=4, ops_per_site=50, seed=2)
+
+    def run(record_checks: bool):
+        tracer = Tracer()
+        session = StarSession(4, initial_state=config.initial_document,
+                              latency_factory=jitter_latency_factory(2),
+                              record_checks=record_checks,
+                              reliability=reliability, tracer=tracer)
+        drive_star_session(session, config)
+        peak = 0
+        while session.sim.run(max_events=25):
+            peak = max(peak, *(len(e.hb) for e in session.endpoints()))
+        assert session.converged()
+        origins = Origins()
+        latencies = {}
+        for event in tracer.events:
+            origin = origins.see(event)
+            if origin is not None:
+                latencies[event.site, event.op_id] = event.time - origin.time
+        return session, peak, latencies
+
+    fast, fast_peak, fast_latencies = run(record_checks=False)
+    slow, slow_peak, slow_latencies = run(record_checks=True)
+    assert fast_peak == 0
+    assert slow_peak > 0  # the diagnostic side really kept one
+    assert fast.documents() == slow.documents()
+    assert [e.executed_op_ids for e in fast.endpoints()] == [
+        e.executed_op_ids for e in slow.endpoints()]
+    assert len(fast.notifier.executed_op_ids) == 200
+    fast_wire, slow_wire = fast.wire_stats(), slow.wire_stats()
+    assert fast_wire.messages == slow_wire.messages
+    assert fast_wire.total_bytes == slow_wire.total_bytes
+    assert fast.sim.processed_events == slow.sim.processed_events
+    # one latency per remote execution: 200 at the notifier, 600 at clients
+    assert len(fast_latencies) == 800
+    assert fast_latencies == slow_latencies

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core.timestamp import OriginKind
+from repro.core.timestamp import CompressedTimestamp, OriginKind
 from repro.editor import messages
 from repro.editor.star import StarSession
 from repro.net import codec
@@ -185,14 +185,72 @@ class TestInvariants:
         with pytest.raises(ConsistencyError):
             session.notifier.on_message(Envelope(source=2, dest=0, payload=bad))
 
+    @pytest.mark.parametrize("record_checks", [False, True], ids=["fast", "diagnostic"])
+    def test_over_acknowledgement_at_the_notifier_changes_nothing(self, record_checks):
+        """A client claiming more broadcasts than were ever sent to it is
+        refused loudly, before its queue or its horizon moves."""
+        session = StarSession(n_sites=2, initial_state="ab",
+                              record_checks=record_checks)
+        session.generate_at(1, Insert("x", 0), at=1.0)
+        session.run()
+        notifier = session.notifier
+        assert [p.op_id for p in notifier.sent_to[2]] == ["c1_1'"]
+
+        def state():
+            return ([p.op_id for p in notifier.sent_to[2]], dict(notifier.acked),
+                    notifier.document, notifier.sv.as_paper_list(),
+                    len(session.all_checks()))
+
+        before = state()
+        bad = messages.OpMessage(
+            op=Insert("z", 0),
+            timestamp=CompressedTimestamp(5, 1),  # claims 5 received, 1 sent
+            origin_site=2,
+        )
+        with pytest.raises(ConsistencyError,
+                           match="site 2 acknowledged 5 operations, but only 1"):
+            notifier.on_message(Envelope(source=2, dest=0, payload=bad))
+        assert state() == before
+
+    @pytest.mark.parametrize("record_checks", [False, True], ids=["fast", "diagnostic"])
+    def test_over_acknowledgement_at_a_client_changes_nothing(self, record_checks):
+        """A broadcast acknowledging more local operations than the client
+        generated is refused loudly: nothing leaves ``pending`` and the
+        arrival is not executed untransformed."""
+        # No event log: it would trip on the bogus arrival on its own.
+        session = StarSession(n_sites=2, initial_state="abc", record_events=False,
+                              record_checks=record_checks)
+        client = session.client(1)
+        client.generate(Insert("L", 3))
+
+        def state():
+            return ([e.op_id for e in client.pending], client.document,
+                    client.sv.as_paper_list(), dict(client._received_per_origin),
+                    len(session.all_checks()))
+
+        before = state()
+        assert before[:2] == (["c1_1"], "abcL")
+        bad = messages.OpMessage(
+            op=Insert("x", 0),
+            timestamp=CompressedTimestamp(1, 5),  # acknowledges 5 of 1 generated
+            origin_site=2,
+        )
+        with pytest.raises(ConsistencyError,
+                           match="site 1: the notifier acknowledged 5 local "
+                                 "operations, but only 1"):
+            client.on_message(Envelope(source=0, dest=1, payload=bad))
+        assert state() == before
+
 
 class TestGarbageCollection:
-    """History is pruned at the acknowledgement horizon by the arrivals
-    themselves; these pin the end states the manual GC used to reach."""
+    """A diagnostic session's history is pruned at the acknowledgement
+    horizon by the arrivals themselves; these pin the end states the
+    manual GC used to reach."""
 
     def test_client_gc_drops_acked_entries(self):
         config = RandomSessionConfig(n_sites=3, ops_per_site=6, seed=4)
-        session = StarSession(3, initial_state=config.initial_document)
+        session = StarSession(3, initial_state=config.initial_document,
+                              record_checks=True)
         drive_star_session(session, config)
         session.run()
         for client in session.clients:
@@ -211,7 +269,7 @@ class TestGarbageCollection:
             assert local == list(client.pending)
 
     def test_notifier_gc_drops_fully_acked_entries(self):
-        session = StarSession(n_sites=2, initial_state="ab")
+        session = StarSession(n_sites=2, initial_state="ab", record_checks=True)
         session.generate_at(1, Insert("x", 0), at=1.0)
         session.generate_at(1, Insert("y", 0), at=2.0)
         session.run()

@@ -111,7 +111,7 @@ class TestUndoLast:
         An acknowledging arrival prunes the site's earlier local entry;
         the next local operation is undoable from the tracked entry,
         and the undo converges like any other operation."""
-        session = StarSession(2, initial_state="hello")
+        session = StarSession(2, initial_state="hello", record_checks=True)
         session.generate_at(1, Insert(" world", 5), at=1.0)
         session.generate_at(2, Insert("!", 11), at=5.0)  # its broadcast acks site 1
         session.run()
@@ -133,7 +133,7 @@ class TestUndoLast:
         document; the independent tracking must refuse."""
         from repro.core.timestamp import OriginKind
 
-        session = StarSession(2, initial_state="ABCDE")
+        session = StarSession(2, initial_state="ABCDE", record_checks=True)
         # B broadcasts before the notifier has seen A, so A stays pending
         # at client 1 (the broadcast carries T[2] = 0) and survives the
         # pruning that B's arrival performs.

@@ -29,14 +29,6 @@ class TestHistoryBuffer:
         hb.append(entry("a", 1))
         assert [e.op_id for e in hb] == ["a"]
 
-    def test_concurrent_entries_filters_in_order(self):
-        hb = HistoryBuffer()
-        hb.append(entry("a", 1))
-        hb.append(entry("b", 2))
-        hb.append(entry("c", 3))
-        picked = hb.concurrent_entries(lambda e: e.timestamp.second >= 2)
-        assert [e.op_id for e in picked] == ["b", "c"]
-
     def test_prune_head_forgets_only_a_prefix(self):
         hb = HistoryBuffer()
         for i in range(5):
@@ -54,12 +46,6 @@ class TestHistoryBuffer:
         hb.prune_head(())  # and an empty buffer is fine
         hb.append(entry("op5", 5))
         assert hb[0].op_id == "op5"
-
-    def test_clear(self):
-        hb = HistoryBuffer()
-        hb.append(entry("a", 1))
-        hb.clear()
-        assert len(hb) == 0
 
     def test_entry_op_is_mutable_for_retransformation(self):
         e = entry("a", 1)
