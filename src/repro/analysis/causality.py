@@ -12,16 +12,18 @@ ways and cross-checks them:
   install (Definition 1 case 2 is then graph reachability from
   ``generate(O_a)`` to ``generate(O_b)``, one bitset per event).
 
-The compressed scheme's verdicts are validated against this oracle in
-the integration and property tests; disagreement between the two oracle
-constructions themselves fails loudly (:class:`OracleInconsistency`).
+A session's own log or one replayed from its trace
+(:func:`repro.obs.analysis.replay_event_log`) feeds it; the compressed
+scheme's verdicts are validated against it, and disagreement between
+the two oracle constructions themselves fails loudly
+(:class:`OracleInconsistency`).
 """
 
 from __future__ import annotations
 
-from typing import Generic, Hashable, TypeVar
+from typing import Hashable
 
-from repro.clocks.events import Event, EventKind, EventLog
+from repro.clocks.events import EventKind, EventLog
 from repro.clocks.vector import Ordering, compare
 
 
@@ -29,67 +31,19 @@ class OracleInconsistency(AssertionError):
     """The two independent ground-truth constructions disagree."""
 
 
-Op = TypeVar("Op", bound=Hashable)
-
-
-class HappenedBefore(Generic[Op]):
-    """Definition 2 and the pair sets, over any Definition 1.
-
-    A subclass names its operations (:meth:`ops`) and decides
-    ``O_a -> O_b`` (:meth:`happened_before`); the rest follows.
-    """
-
-    def ops(self) -> list[Op]:
-        raise NotImplementedError
-
-    def happened_before(self, op_a: Op, op_b: Op) -> bool:
-        raise NotImplementedError
-
-    def concurrent(self, op_a: Op, op_b: Op) -> bool:
-        """Definition 2: ``O_a || O_b`` -- neither happened before the other."""
-        if op_a == op_b:
-            return False
-        return not self.happened_before(op_a, op_b) and not self.happened_before(
-            op_b, op_a
-        )
-
-    def causal_pairs(self) -> set[tuple[Op, Op]]:
-        """All ordered pairs ``(a, b)`` with ``a -> b``."""
-        ops = self.ops()
-        return {
-            (a, b)
-            for a in ops
-            for b in ops
-            if a != b and self.happened_before(a, b)
-        }
-
-    def concurrent_pairs(self) -> set[frozenset[Op]]:
-        """All unordered concurrent pairs."""
-        ops = self.ops()
-        out: set[frozenset[Op]] = set()
-        for i, a in enumerate(ops):
-            for b in ops[i + 1 :]:
-                if self.concurrent(a, b):
-                    out.add(frozenset((a, b)))
-        return out
-
-
-class CausalityOracle(HappenedBefore[Hashable]):
+class CausalityOracle:
     """Answers happened-before / concurrency queries over an event log."""
 
     def __init__(self, log: EventLog) -> None:
         self.log = log
-        self._generation_event: dict[Hashable, Event] = {
-            event.op_id: event
-            for event in log.events
-            if event.kind is EventKind.GENERATE
-        }
-        self._position = {event: pos for pos, event in enumerate(log.events)}
-        self._reach = self._transitive_reachability(log)
+        self._generation, self._reach = self._transitive_reachability(log)
 
     @staticmethod
-    def _transitive_reachability(log: EventLog) -> list[int]:
-        """Per event, by log position, the bitset of events it reaches."""
+    def _transitive_reachability(
+        log: EventLog,
+    ) -> tuple[dict[Hashable, int], list[int]]:
+        """Each op's latest generation, by log position, and per event
+        the bitset of the events it reaches."""
         successors: list[list[int]] = [[] for _ in log.events]
         last_at_site: dict[int, int] = {}
         generation: dict[Hashable, int] = {}
@@ -121,13 +75,17 @@ class CausalityOracle(HappenedBefore[Hashable]):
             for succ in successors[pos]:
                 mask |= (1 << succ) | reach[succ]
             reach[pos] = mask
-        return reach
+        return generation, reach
 
     # -- queries over operations ----------------------------------------------
 
     def ops(self) -> list[Hashable]:
         """All operation ids with a generation event, in log order."""
-        return list(self._generation_event)
+        return list(self._generation)
+
+    def reaches(self, op_a: Hashable, op_b: Hashable) -> bool:
+        """``generate(O_a)`` reaches ``generate(O_b)`` in the DAG alone."""
+        return bool(self._reach[self._generation[op_a]] >> self._generation[op_b] & 1)
 
     def happened_before(self, op_a: Hashable, op_b: Hashable) -> bool:
         """Definition 1: ``O_a -> O_b``.
@@ -135,16 +93,32 @@ class CausalityOracle(HappenedBefore[Hashable]):
         Computed by DAG reachability from ``generate(O_a)`` to
         ``generate(O_b)`` and cross-checked against vector clocks.
         """
-        gen_a = self._generation_event[op_a]
-        gen_b = self._generation_event[op_b]
-        reach = self._reach[self._position[gen_a]]
-        dag_answer = bool(reach >> self._position[gen_b] & 1)
-        vc_answer = (
-            compare(self.log.clocks[gen_a], self.log.clocks[gen_b]) is Ordering.BEFORE
-        )
+        dag_answer = self.reaches(op_a, op_b)
+        clock = self.log.generation_clock
+        vc_answer = compare(clock(op_a), clock(op_b)) is Ordering.BEFORE
         if dag_answer != vc_answer:
             raise OracleInconsistency(
                 f"DAG says {op_a} -> {op_b} is {dag_answer}, vector clocks say "
                 f"{vc_answer}"
             )
         return dag_answer
+
+    def concurrent(self, op_a: Hashable, op_b: Hashable) -> bool:
+        """Definition 2: ``O_a || O_b`` -- neither happened before the other."""
+        return (op_a != op_b and not self.happened_before(op_a, op_b)
+                and not self.happened_before(op_b, op_a))
+
+    def causal_pairs(self) -> set[tuple[Hashable, Hashable]]:
+        """All ordered pairs ``(a, b)`` with ``a -> b``."""
+        ops = self.ops()
+        return {(a, b) for a in ops for b in ops if a != b and self.happened_before(a, b)}
+
+    def concurrent_pairs(self) -> set[frozenset[Hashable]]:
+        """All unordered concurrent pairs."""
+        ops = self.ops()
+        return {
+            frozenset((a, b))
+            for i, a in enumerate(ops)
+            for b in ops[i + 1 :]
+            if self.concurrent(a, b)
+        }

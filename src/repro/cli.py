@@ -307,22 +307,20 @@ def cmd_session(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.analysis.causality import CausalityOracle
     from repro.obs import (
-        TraceCausality,
         Tracer,
+        check_verdicts,
         cross_check_causality,
         latency_histograms,
         released_without_cause,
-        verify_check_records,
+        replay_event_log,
         write_chrome_trace,
         write_jsonl,
     )
 
     tracer = Tracer()
-    built = _random_session(
-        args, "star", tracer=tracer, verify_with_oracle=True,
-        record_checks=True,  # the verdicts are cross-checked below
-    )
+    built = _random_session(args, "star", tracer=tracer, verify_with_oracle=True)
     if built is None:
         return 2
     session, fault_plan = built
@@ -342,9 +340,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     with open(chrome_path, "w", encoding="utf-8") as fh:
         chrome_records = write_chrome_trace(tracer.events, fh)
 
-    causality = TraceCausality(tracer.events)
-    report = cross_check_causality(causality, session.event_log)
-    disagreements = verify_check_records(causality, session.all_checks())
+    replayed = CausalityOracle(replay_event_log(tracer.events))
+    report = cross_check_causality(replayed, session.event_log)
+    _, disagreements = check_verdicts(tracer.events, replayed)
     bad_releases = released_without_cause(tracer.events)
     histograms = latency_histograms(tracer.events, metrics=tracer.metrics)
     for event in tracer.events:  # per-kind counts are a view of the events

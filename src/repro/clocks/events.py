@@ -32,20 +32,19 @@ TransferKey = tuple[int, int, str]
 
 
 def transfer_key(destination: int, epoch: int | None,
-                 via: str | None) -> TransferKey | None:
+                 via: str | None) -> TransferKey:
     """The key that pairs a state transfer's snapshot with its install.
 
-    ``(destination, epoch, "resync" | "failover")``: failover
+    ``(destination, epoch, "join" | "resync" | "failover")``: failover
     re-admission and crash resync both number their snapshots by epoch,
     but a client's crash epochs and the notifier epochs are counted
     apart -- site 3 can both restart into crash epoch 1 and survive into
     notifier epoch 1 -- so the kind separates them; a trace without one
-    is a resync.  A join is ``None``: the joiner's first operations are
-    concurrent with the history before it (no edge, no clock merged).
+    is a resync.  A join is a transfer like the others: the joiner's
+    snapshot embodies the history before it, so its first operations
+    follow that history (formula (7) counts it in their ``T[1]``).
     """
-    if via == "join":
-        return None
-    return (destination, epoch or 0, "failover" if via == "failover" else "resync")
+    return (destination, epoch or 0, via or "resync")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Merging and verifying multi-process traces.
 
 Each cluster process records its own trace with its own event indices
-and (same-host) wall-clock stamps.  The in-process analysis machinery
+and (same-host) wall-clock stamps, and nothing else: no process keeps a
+verdict of its own.  The in-process analysis machinery
 (:mod:`repro.obs.analysis`) requires one stream whose order is a
 topological order of the causal DAG; this module builds that stream,
-replays the ground-truth event log from it and runs the repo's standard
-verdicts over both -- the happens-before cross-check is the in-process
-one, :func:`~repro.obs.analysis.cross_check_causality`.
+replays the ground-truth event log from it once, and runs the repo's
+standard verdicts over the two -- the happens-before cross-check
+(:func:`~repro.obs.analysis.cross_check_causality`, the replayed DAG
+against its own vector clocks) and every formula-(5)/(7) verdict
+recomputed from the trace's timestamps
+(:func:`~repro.obs.analysis.check_verdicts`).
 
 Why not just sort by time?  Same-host clocks make timestamp order
 *almost* causal, but nothing guarantees it: an NTP slew or coarse clock
@@ -24,16 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from repro.analysis.causality import CausalityOracle
 from repro.clocks.events import TransferKey, transfer_key
 from repro.cluster.harness import ProcessResult
 from repro.obs.analysis import (
     CrossCheckReport,
-    TraceCausality,
+    check_verdicts,
     cross_check_causality,
     latency_histograms,
     released_without_cause,
     replay_event_log,
-    verify_check_records,
 )
 from repro.obs.spans import SpanReport, assemble_spans
 from repro.obs.tracer import Histogram, TraceEvent, TraceEventKind
@@ -48,8 +52,7 @@ def _dependency_satisfied(
     if event.kind is TraceEventKind.EXECUTED:
         return event.op_id is None or event.op_id in generated
     if event.kind is TraceEventKind.RECOVERED:
-        key = transfer_key(event.site, event.epoch, event.via)
-        return key is None or key in snapshots
+        return transfer_key(event.site, event.epoch, event.via) in snapshots
     return True
 
 
@@ -62,8 +65,8 @@ def merge_traces(streams: Sequence[Sequence[TraceEvent]]) -> list[TraceEvent]:
     the merged order, since per-process indices collide.  If every head
     is blocked (a genuinely missing cause -- e.g. a process died before
     writing its generation events), the earliest head is emitted anyway
-    and the downstream :class:`TraceCausality` construction reports the
-    defect rather than the merge hanging.
+    and the downstream :func:`~repro.obs.analysis.replay_event_log`
+    reports the defect rather than the merge hanging.
     """
     heads = [0] * len(streams)
     generated: set[str] = set()
@@ -84,9 +87,7 @@ def merge_traces(streams: Sequence[Sequence[TraceEvent]]) -> list[TraceEvent]:
         if event.kind in _GENERATION_KINDS and event.op_id is not None:
             generated.add(event.op_id)
         elif event.kind is TraceEventKind.SNAPSHOT and event.peer is not None:
-            key = transfer_key(event.peer, event.epoch, event.via)
-            if key is not None:
-                snapshots.add(key)
+            snapshots.add(transfer_key(event.peer, event.epoch, event.via))
         merged.append(replace(event, index=len(merged)))
     return merged
 
@@ -103,6 +104,7 @@ class ClusterReport:
     executed_ops: dict[int, int]
     expected_ops: int
     timed_out: bool
+    verdicts_checked: int
     check_disagreements: int
     bad_releases: int
     cross_check: CrossCheckReport
@@ -150,8 +152,9 @@ class ClusterReport:
             f"  converged: {self.converged}   timed_out: {self.timed_out}",
             f"  executed per site: "
             f"{ {site: n for site, n in sorted(self.executed_ops.items())} }",
-            f"  check records disagreeing with trace: "
-            f"{self.check_disagreements}",
+            f"  formula (5)/(7) verdicts vs trace: "
+            f"{self.check_disagreements} disagreements in "
+            f"{self.verdicts_checked}",
             f"  releases without cause: {self.bad_releases}",
             f"  {self.cross_check.summary()}",
         ]
@@ -171,7 +174,6 @@ def analyze_cluster(
     streams: Sequence[Sequence[TraceEvent]],
     *,
     expected_ops: int,
-    n_sites: int,
     wall_s: float = 0.0,
     failover_run: bool = False,
     notes: Sequence[str] = (),
@@ -181,15 +183,16 @@ def analyze_cluster(
     docs = list(documents.values())
     merged = merge_traces(streams)
     errors: list[str] = []
-    checks = [record for r in results for record in r.checks]
     try:
-        causality = TraceCausality(merged)
-        disagreements = len(verify_check_records(causality, checks))
-        cross = cross_check_causality(causality,
-                                      replay_event_log(merged, n_sites + 1))
+        # One record, one replay: its DAG is checked against its vector
+        # clocks, and it is the relation every verdict is checked against.
+        oracle = CausalityOracle(replay_event_log(merged))
+        checked, found = check_verdicts(merged, oracle)
+        disagreements = len(found)
+        cross = cross_check_causality(oracle, oracle.log)
     except ValueError as exc:  # a malformed merged trace
         errors.append(f"trace analysis failed: {exc}")
-        disagreements = -1
+        checked, disagreements = 0, -1
         cross = CrossCheckReport(n_ops=0, pairs_checked=0,
                                  only_in_trace=["<analysis failed>"])
     latencies = latency_histograms(merged)
@@ -202,6 +205,7 @@ def analyze_cluster(
         executed_ops={r.site: r.executed_ops for r in results},
         expected_ops=expected_ops,
         timed_out=any(r.timed_out for r in results),
+        verdicts_checked=checked,
         check_disagreements=disagreements,
         bad_releases=len(released_without_cause(merged)),
         cross_check=cross,

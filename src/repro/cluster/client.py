@@ -71,7 +71,6 @@ async def run_client(config: ClusterConfig, site: int, port: int,
         sched,
         site,
         initial_state=DEFAULT_DOCUMENT,
-        record_checks=True,
         reliability=config.reliability,
         tracer=rig.tracer,
     )
@@ -215,9 +214,8 @@ async def run_client(config: ClusterConfig, site: int, port: int,
     if client.live is not client:
         # The promoted shell's replica froze at the takeover; the live
         # run continued inside the epoch-1 notifier.  Report the merged
-        # view: its document, both execution logs, both check sets.
+        # view: its document and both execution logs.
         notifier = client.live
         result.document = str(notifier.document)
         result.executed_ops += len(notifier.executed_op_ids)
-        result.checks += notifier.checks
     return rig.finish(result)

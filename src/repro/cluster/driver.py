@@ -247,7 +247,6 @@ def run_cluster(
         results,
         streams,
         expected_ops=config.total_ops,
-        n_sites=config.clients,
         wall_s=wall_s,
         failover_run=failover_run,
         notes=notes,

@@ -13,7 +13,7 @@ import dataclasses
 import json
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -30,7 +30,6 @@ from repro.obs.tracer import (
     read_jsonl,
     trace_header,
 )
-from repro.session.base import CheckRecord
 from repro.workloads.random_session import RandomSessionConfig
 
 DEFAULT_DOCUMENT = "The quick brown fox jumps over the lazy dog."
@@ -147,7 +146,6 @@ class ProcessResult:
     site: int
     document: str
     executed_ops: int
-    checks: list[CheckRecord] = field(default_factory=list)
     timed_out: bool = False
     lost_local_edits: int = 0
     retransmits: int = 0
@@ -160,9 +158,7 @@ class ProcessResult:
 
     @classmethod
     def from_json(cls, text: str) -> "ProcessResult":
-        data = json.loads(text)
-        checks = [CheckRecord(**record) for record in data.pop("checks", [])]
-        return cls(checks=checks, **data)
+        return cls(**json.loads(text))
 
 
 def result_path(out_dir: Path, site: int) -> Path:
@@ -288,7 +284,6 @@ class ProcessRig:
             site=self.site,
             document=str(endpoint.document),
             executed_ops=len(endpoint.executed_op_ids),
-            checks=list(endpoint.checks),
             timed_out=self.timed_out,
             lost_local_edits=endpoint.transport.stats.lost_local_edits,
             retransmits=endpoint.transport.stats.retransmits,

@@ -256,7 +256,6 @@ async def serve(config: ClusterConfig, out_dir: Path,
         sched,
         config.clients,
         initial_state=DEFAULT_DOCUMENT,
-        record_checks=True,
         reliability=config.reliability,
         tracer=rig.tracer,
     )

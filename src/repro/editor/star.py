@@ -36,9 +36,10 @@ Ground truth
 ------------
 Every generation/execution is recorded in a shared
 :class:`repro.clocks.events.EventLog`.  With ``verify_with_oracle=True``
-each compressed-timestamp concurrency verdict is asserted against full
-vector clocks (paper formula 3) at check time; the integration tests run
-entire random sessions this way.
+(which needs that log) each compressed-timestamp concurrency verdict is
+asserted against full vector clocks (paper formula 3) at check time.
+A traced session needs neither: :func:`repro.obs.analysis.check_verdicts`
+recomputes every verdict from the ``T``s its trace carries.
 
 Retention
 ---------

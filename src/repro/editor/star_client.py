@@ -84,6 +84,8 @@ class StarClient(EditorEndpoint):
     ) -> None:
         if site_id <= 0:
             raise ValueError(f"client site ids are 1..N, got {site_id}")
+        if verify_with_oracle and event_log is None:
+            raise ValueError("verify_with_oracle needs an event log to verify against")
         super().__init__(sim, site_id, reliability, tracer)
         self.ot = get_type(ot_type_name)
         self.document = self.ot.initial() if initial_state is None else initial_state
@@ -350,15 +352,14 @@ class StarClient(EditorEndpoint):
     def _concurrency_pass(self, ts: CompressedTimestamp, op_id: str) -> list[HistoryEntry]:
         """Run formula (5) over the HB; record and (optionally) verify."""
         out: list[HistoryEntry] = []
+        log = self.event_log if self.verify_with_oracle else None
         for entry in self.hb:
             verdict = client_concurrent(ts, entry.timestamp, entry.origin_kind)
             if self.record_checks:
                 self.checks.append(CheckRecord(self.pid, op_id, entry.op_id, verdict))
-            if self.verify_with_oracle and self.event_log is not None:
+            if log is not None:
                 oracle = vc_concurrent(
-                    self.event_log.generation_clock(op_id),
-                    self.event_log.generation_clock(entry.op_id),
-                )
+                    log.generation_clock(op_id), log.generation_clock(entry.op_id))
                 if oracle != verdict:
                     raise ConsistencyError(
                         f"site {self.pid}: compressed verdict {verdict} != oracle "
@@ -428,11 +429,10 @@ class StarClient(EditorEndpoint):
         }
 
     def _installed(self, epoch: int, via: str) -> None:
-        """Log and trace the install of the snapshot just adopted: a
-        resync or failover one is the transfer's receiving end."""
-        key = transfer_key(self.pid, epoch, via)
-        if self.event_log is not None and key is not None:
-            self.event_log.install(self.pid, key)
+        """Log and trace the install of the snapshot just adopted: the
+        transfer's receiving end."""
+        if self.event_log is not None:
+            self.event_log.install(self.pid, transfer_key(self.pid, epoch, via))
         if self.tracer is not None:
             self.tracer.emit(
                 TraceEventKind.RECOVERED, self.pid, peer=self.center,

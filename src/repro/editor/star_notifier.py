@@ -81,6 +81,8 @@ class StarNotifier(EditorEndpoint):
         notifier_epoch: int = 0,
         adopt_transport: Any = None,
     ) -> None:
+        if verify_with_oracle and event_log is None:
+            raise ValueError("verify_with_oracle needs an event log to verify against")
         super().__init__(sim, pid, reliability, tracer, adopt_transport=adopt_transport)
         if n_sites < 1:
             raise ValueError(f"need at least one collaborating site, got {n_sites}")
@@ -307,6 +309,7 @@ class StarNotifier(EditorEndpoint):
                           op_id: str) -> list[HistoryEntry]:
         """Run formula (7) over ``HB_0``; record and (optionally) verify."""
         out: list[HistoryEntry] = []
+        log = self.event_log if self.verify_with_oracle else None
         for entry in self.hb:
             assert entry.origin_kind is OriginKind.FROM_CLIENT
             verdict = notifier_concurrent(
@@ -314,7 +317,7 @@ class StarNotifier(EditorEndpoint):
             )
             if self.record_checks:
                 self.checks.append(CheckRecord(0, op_id, entry.op_id, verdict))
-            if self.verify_with_oracle and self.event_log is not None:
+            if log is not None:
                 # Formula (6)/(7) is defined over the operations as
                 # "originally generated at sites x and y": compare the
                 # original client operations' generation clocks.  An
@@ -323,9 +326,7 @@ class StarNotifier(EditorEndpoint):
                                    entry.timestamp[entry.origin_site],
                                    self.notifier_epoch)
                 oracle = vc_concurrent(
-                    self.event_log.generation_clock(op_id),
-                    self.event_log.generation_clock(original),
-                )
+                    log.generation_clock(op_id), log.generation_clock(original))
                 if oracle != verdict:
                     raise ConsistencyError(
                         f"notifier: compressed verdict {verdict} != oracle {oracle} "
@@ -370,11 +371,10 @@ class StarNotifier(EditorEndpoint):
         self.sent_to[site] = deque()
         self.acked[site] = base
         self._prune_history()
-        key = transfer_key(site, epoch, via)
-        if key is not None:
+        if via != "join":
             self.transport.stats.resyncs_served += 1
-            if self.event_log is not None:
-                self.event_log.snapshot(self.pid, key)
+        if self.event_log is not None:
+            self.event_log.snapshot(self.pid, transfer_key(site, epoch, via))
         if self.tracer is not None:
             self.tracer.emit(
                 TraceEventKind.SNAPSHOT, self.pid, peer=site, epoch=epoch, via=via,

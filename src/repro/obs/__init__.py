@@ -17,10 +17,12 @@ clocks.  The pieces:
   its gauge dict, and peer lost);
 * :class:`MetricsRegistry` / :class:`Histogram` -- named counters and
   value histograms;
-* :class:`TraceCausality` -- happens-before reconstructed from a
-  recorded trace, cross-checked against the ground-truth oracle by
-  :func:`cross_check_causality` (over a session's event log, or one
-  :func:`~repro.obs.analysis.replay_event_log` rebuilt from a trace);
+* :func:`replay_event_log` -- the ground-truth event log rebuilt from
+  a recorded trace, whose happens-before (the one oracle's) is
+  cross-checked against a session's own log, or against its own vector
+  clocks, by :func:`cross_check_causality`, and against which
+  :func:`check_verdicts` recomputes every formula-(5)/(7) verdict from
+  the timestamps the trace carries;
 * :func:`latency_histograms` -- per-site generation-to-execution
   latency from the same trace, each execution paired with its
   generation by :class:`~repro.obs.tracer.Origins`;
@@ -44,11 +46,11 @@ clocks.  The pieces:
 """
 
 from repro.obs.analysis import (
-    TraceCausality,
+    check_verdicts,
     cross_check_causality,
     latency_histograms,
     released_without_cause,
-    verify_check_records,
+    replay_event_log,
 )
 from repro.obs.monitor import aggregate, run_monitor
 from repro.obs.telemetry import (
@@ -83,17 +85,17 @@ __all__ = [
     "RetransmitStormWatchdog",
     "SilenceWatchdog",
     "TelemetryFrame",
-    "TraceCausality",
     "TraceEvent",
     "TraceEventKind",
     "Tracer",
     "aggregate",
+    "check_verdicts",
     "cross_check_causality",
     "latency_histograms",
     "read_jsonl",
     "released_without_cause",
+    "replay_event_log",
     "run_monitor",
-    "verify_check_records",
     "write_chrome_trace",
     "write_jsonl",
 ]

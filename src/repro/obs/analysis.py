@@ -1,21 +1,24 @@
-"""Trace analysis: happens-before reconstruction and latency metrics.
+"""Trace analysis: happens-before, formula-(5)/(7) verdicts, latency.
 
 A recorded trace (:mod:`repro.obs.tracer`) contains enough structure to
 rebuild the happened-before relation of the paper's Definition 1 without
 any access to the live session: generations and executions give the
 event set, emission order gives each site's program order, and
 snapshot/recovery pairs give the causal edge a state transfer creates.
-:class:`TraceCausality` performs that reconstruction, and
-:func:`cross_check_causality` verifies it -- pair by pair -- against the
-ground-truth oracle in :mod:`repro.analysis.causality`, the same way
-model-checking work validates replication algorithms against recorded
-executions.  In-process the oracle reads the session's event log; a
-cluster run has none, so :func:`replay_event_log` rebuilds one from the
-merged trace and the same check runs over it.
+:func:`replay_event_log` turns the trace into the ground-truth event
+log a live session records, so the one oracle of
+:mod:`repro.analysis.causality` answers for it, and
+:func:`cross_check_causality` compares that relation -- pair by pair --
+with a session's own log, the way model-checking work validates
+replication algorithms against recorded executions.  A cluster run has
+no live log: there the replayed log's DAG is checked against its own
+vector clocks.
 
-:func:`verify_check_records` closes the loop on formulas (5) and (7):
-every concurrency verdict the compressed scheme produced during the run
-must equal what the reconstructed happens-before relation says.
+:func:`check_verdicts` closes the loop on formulas (5) and (7): every
+``GENERATED``, ``EXECUTED`` and centre ``TRANSFORMED`` event carries its
+timestamp, so each site's history is rebuilt from the trace, every
+concurrency verdict the compressed scheme makes is recomputed, and each
+must equal what the replayed happens-before relation says.
 
 :func:`latency_histograms` computes per-site generation-to-execution
 latency distributions from the same trace.
@@ -24,10 +27,12 @@ latency distributions from the same trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from repro.analysis.causality import CausalityOracle, HappenedBefore
-from repro.clocks.events import EventLog, TransferKey, transfer_key
+from repro.analysis.causality import CausalityOracle
+from repro.clocks.events import EventLog, transfer_key
+from repro.core.concurrency import client_concurrent, notifier_concurrent
+from repro.core.timestamp import CompressedTimestamp, FullTimestamp, OriginKind
 from repro.obs.tracer import (
     Histogram,
     MetricsRegistry,
@@ -36,152 +41,24 @@ from repro.obs.tracer import (
     TraceEventKind,
 )
 
-if TYPE_CHECKING:
-    from repro.session.base import CheckRecord
-
-# Event kinds that are *causally meaningful*: they enter the DAG as
-# nodes.  Transport bookkeeping (sent / retransmitted / held back /
-# released) moves payloads around but creates no happened-before edge of
-# its own -- causality is carried entirely by generations, executions and
-# state transfers.
-_DAG_KINDS = frozenset(
-    {
-        TraceEventKind.GENERATED,
-        TraceEventKind.TRANSFORMED,
-        TraceEventKind.EXECUTED,
-        TraceEventKind.SNAPSHOT,
-        TraceEventKind.CRASHED,
-        TraceEventKind.RECOVERED,
-        # Failover milestones are program-order-only nodes: they order a
-        # site's own timeline (a successor's post-promotion generations
-        # follow its election) but add no cross-site edge of their own --
-        # causality crosses sites only through the failover SNAPSHOT ->
-        # RECOVERED transfer, mirroring the event log's snapshot -> install.
-        TraceEventKind.ELECTED,
-        TraceEventKind.PROMOTED,
-        TraceEventKind.HANDOFF,
-    }
-)
-
 
 class TraceAnalysisError(ValueError):
     """Raised on a structurally malformed trace."""
 
 
-class TraceCausality(HappenedBefore[str]):
-    """The happened-before relation reconstructed from a recorded trace.
-
-    Construction mirrors :class:`repro.analysis.causality.CausalityOracle`
-    but reads *trace events* instead of the live event log:
-
-    * one DAG node per causally meaningful trace event;
-    * program-order edges within each site (emission order restricted to
-      one site is that site's local order);
-    * an edge from each operation's generation event -- its latest
-      ``GENERATED`` (a re-issued name) or first ``TRANSFORMED`` event;
-      the notifier's transformed output counts as a fresh operation
-      generated at site 0, exactly as in the paper's Section 3.1 -- to
-      every execution of the operation;
-    * an edge from each ``SNAPSHOT`` event to the matching *resync* or
-      *failover* ``RECOVERED`` event (matched on
-      :func:`~repro.clocks.events.transfer_key`, as the event log pairs
-      a snapshot with its install): a state transfer delivers the
-      sender's entire causal history in bulk.  Join snapshots create
-      **no** edge, in the trace as in the log, so a joiner's first
-      operations are concurrent with the pre-join history.
-
-    Emission order is a topological order of this DAG (every edge points
-    forward in the trace), so reachability is one reverse sweep with
-    bitset accumulation.
-    """
-
-    def __init__(self, events: Sequence[TraceEvent]) -> None:
-        self.events = list(events)
-        nodes = [e for e in self.events if e.kind in _DAG_KINDS]
-        self._generation: dict[str, TraceEvent] = {}
-        self.transform_source: dict[str, str] = {}
-        for event in nodes:
-            if event.kind in (TraceEventKind.GENERATED, TraceEventKind.TRANSFORMED):
-                if event.op_id is None:
-                    raise TraceAnalysisError(f"generation event without op id: {event}")
-                if (event.kind is TraceEventKind.GENERATED
-                        or event.op_id not in self._generation):
-                    self._generation[event.op_id] = event
-                if (
-                    event.kind is TraceEventKind.TRANSFORMED
-                    and event.source_op is not None
-                    and event.source_op != event.op_id
-                ):
-                    self.transform_source.setdefault(event.op_id, event.source_op)
-        # Adjacency over positions in ``nodes`` (trace order, hence
-        # topological order); bitset reachability over the same indexing.
-        position = {event.index: pos for pos, event in enumerate(nodes)}
-        successors: list[list[int]] = [[] for _ in nodes]
-        last_at_site: dict[int, int] = {}
-        pending_snapshots: dict[TransferKey, int] = {}
-        for pos, event in enumerate(nodes):
-            previous = last_at_site.get(event.site)
-            if previous is not None:
-                successors[previous].append(pos)
-            last_at_site[event.site] = pos
-            if event.kind is TraceEventKind.EXECUTED:
-                if event.op_id is None:
-                    raise TraceAnalysisError(f"execution event without op id: {event}")
-                generation = self._generation.get(event.op_id)
-                if generation is None:
-                    raise TraceAnalysisError(
-                        f"operation {event.op_id!r} executed at site {event.site} "
-                        "before any generation event"
-                    )
-                successors[position[generation.index]].append(pos)
-            elif event.kind is TraceEventKind.SNAPSHOT and event.peer is not None:
-                key = transfer_key(event.peer, event.epoch, event.via)
-                if key is not None:
-                    pending_snapshots[key] = pos
-            elif event.kind is TraceEventKind.RECOVERED:
-                key = transfer_key(event.site, event.epoch, event.via)
-                sender = pending_snapshots.pop(key, None) if key is not None else None
-                if sender is not None:
-                    successors[sender].append(pos)
-        reach = [0] * len(nodes)
-        for pos in range(len(nodes) - 1, -1, -1):
-            mask = 0
-            for succ in successors[pos]:
-                mask |= (1 << succ) | reach[succ]
-            reach[pos] = mask
-        self._position = position
-        self._reach = reach
-
-    # -- queries over operations ----------------------------------------------
-
-    def ops(self) -> list[str]:
-        """All operation ids with a generation event, in trace order."""
-        return list(self._generation)
-
-    def happened_before(self, op_a: str, op_b: str) -> bool:
-        """Definition 1 over the reconstructed DAG: ``O_a -> O_b``."""
-        gen_a = self._generation[op_a]
-        gen_b = self._generation[op_b]
-        pos_b = self._position[gen_b.index]
-        return bool(self._reach[self._position[gen_a.index]] >> pos_b & 1)
-
-    def original_op(self, op_id: str) -> str:
-        """Map a transformed operation back to its original client op."""
-        return self.transform_source.get(op_id, op_id)
-
-
-def replay_event_log(events: Sequence[TraceEvent], n_sites: int) -> EventLog:
+def replay_event_log(events: Sequence[TraceEvent]) -> EventLog:
     """The ground-truth event log of a recorded trace.
 
     Each causally meaningful event becomes the log call a live session
     makes at the same point: a ``GENERATED`` a generation, a
     ``TRANSFORMED`` one too the first time its name is seen (the
     notifier's broadcast copy; a client's only notes a transform), an
-    ``EXECUTED`` an execution, a ``SNAPSHOT`` a snapshot and a non-join
-    ``RECOVERED`` its install.  ``n_sites`` counts every site, the
-    notifier's included.  A malformed trace raises ``ValueError``.
+    ``EXECUTED`` an execution, a ``SNAPSHOT`` a snapshot and a
+    ``RECOVERED`` its install.  The log spans every site the trace
+    names, the notifier's included.  A malformed trace raises
+    ``ValueError``.
     """
-    log = EventLog(n_sites)
+    log = EventLog(1 + max((event.site for event in events), default=0))
     named: set[str] = set()
     for event in events:
         kind = event.kind
@@ -194,13 +71,9 @@ def replay_event_log(events: Sequence[TraceEvent], n_sites: int) -> EventLog:
         elif kind is TraceEventKind.EXECUTED:
             log.execute(event.site, event.op_id)
         elif kind is TraceEventKind.SNAPSHOT and event.peer is not None:
-            key = transfer_key(event.peer, event.epoch, event.via)
-            if key is not None:
-                log.snapshot(event.site, key)
+            log.snapshot(event.site, transfer_key(event.peer, event.epoch, event.via))
         elif kind is TraceEventKind.RECOVERED:
-            key = transfer_key(event.site, event.epoch, event.via)
-            if key is not None:
-                log.install(event.site, key)
+            log.install(event.site, transfer_key(event.site, event.epoch, event.via))
     return log
 
 
@@ -236,19 +109,24 @@ class CrossCheckReport:
 
 
 def cross_check_causality(
-    trace: "TraceCausality | Sequence[TraceEvent]", event_log: EventLog
+    trace: "CausalityOracle | Sequence[TraceEvent]", event_log: EventLog
 ) -> CrossCheckReport:
-    """Compare trace-derived happens-before against the ground truth.
+    """Compare the trace's happens-before against the ground truth.
 
-    The ground truth is the :class:`~repro.analysis.causality.CausalityOracle`
-    over ``event_log`` -- the session's own, or one replayed from a
-    cluster's merged trace -- which answers each pair by DAG
-    reachability and checks the answer against the log's vector clocks
-    (state transfers included: the log records both ends of each).
+    The trace side is the oracle over the log :func:`replay_event_log`
+    rebuilds (pass one already built to share it) and answers each pair
+    by DAG reachability alone.  The ground truth is the
+    :class:`~repro.analysis.causality.CausalityOracle` over
+    ``event_log``, which answers by DAG reachability checked against the
+    log's vector clocks (state transfers included: the log records both
+    ends of each).  Given the replayed oracle and its own log -- a
+    cluster run's one record -- the check is that agreement, pair by
+    pair.
     """
-    causality = trace if isinstance(trace, TraceCausality) else TraceCausality(trace)
-    oracle = CausalityOracle(event_log)
-    trace_ops = causality.ops()
+    replayed = (trace if isinstance(trace, CausalityOracle)
+                else CausalityOracle(replay_event_log(trace)))
+    oracle = replayed if replayed.log is event_log else CausalityOracle(event_log)
+    trace_ops = replayed.ops()
     in_trace, in_log = set(trace_ops), set(oracle.ops())
     report = CrossCheckReport(
         n_ops=len(trace_ops),
@@ -262,37 +140,99 @@ def cross_check_causality(
             if a == b:
                 continue
             report.pairs_checked += 1
-            trace_hb = causality.happened_before(a, b)
+            trace_hb = replayed.reaches(a, b)
             oracle_hb = oracle.happened_before(a, b)
             if trace_hb != oracle_hb:
                 report.mismatches.append((a, b, trace_hb, oracle_hb))
     return report
 
 
-def verify_check_records(
-    causality: TraceCausality, checks: Sequence["CheckRecord"]
-) -> list["CheckRecord"]:
-    """Formulas (5)/(7) vs the trace: return the disagreeing checks.
+def check_verdicts(
+    events: Sequence[TraceEvent], oracle: CausalityOracle
+) -> tuple[int, list[tuple[int, str, Optional[str], bool]]]:
+    """Formulas (5)/(7) recomputed from the trace, against ``oracle``.
 
-    Every recorded concurrency verdict must equal trace-level
-    concurrency.  The notifier's formula (7) is defined over operations
-    "as originally generated" (paper Section 4.2), so site-0 checks
-    compare the buffered entry's *source* operation; client-side
-    formula (5) checks compare the ids as recorded.
+    Walks the trace keeping, per site, the unpruned history a diagnostic
+    sweep would hold: at a client each ``GENERATED`` (local) and
+    ``EXECUTED`` (from the centre) with its ``T``, at the centre each
+    ``TRANSFORMED`` with its full ``SV_0``.  A history restarts where the
+    site's replica does: at ``CRASHED``, at a failover ``RECOVERED`` and
+    at ``PROMOTED`` (a promoted centre starts an empty ``HB_0``).  At each
+    ``EXECUTED`` the site's formula, (5) at a client or (7) at the centre,
+    is evaluated against every entry and compared with Definition 2 over
+    ``oracle``, the replayed log's: a client compares the names as
+    recorded, the centre the entry's source operation, because formula
+    (7) is over operations "as originally generated".  At a client a
+    ``TRANSFORMED`` precedes the ``EXECUTED`` exactly when formula (5)
+    found a concurrent entry: the fast path's "concurrent set =
+    unacknowledged set" as the trace shows it.
+
+    Returns the number of verdicts checked and the disagreements, each
+    ``(site, op, entry, verdict)`` with the formula's verdict; ``entry``
+    is ``None`` for a transform that did or did not happen.  A verdict
+    on an operation generated outside the trace is skipped.
     """
-    known = set(causality.ops())
-    disagreements: list["CheckRecord"] = []
-    for record in checks:
-        buffered = (
-            causality.original_op(record.buffered_op_id)
-            if record.site == 0
-            else record.buffered_op_id
-        )
-        if record.new_op_id not in known or buffered not in known:
-            continue  # ops outside the trace window (pre-attach history)
-        if causality.concurrent(record.new_op_id, buffered) != record.verdict:
-            disagreements.append(record)
-    return disagreements
+    known = set(oracle.ops())
+    origins = Origins()
+    centres = {0}
+    # Per site: (op, T, formula-(5) kind at a client / origin at the centre).
+    history: dict[int, list[tuple[Optional[str], Any, Any]]] = {}
+    transformed: dict[int, str] = {}
+    checked = 0
+    disagreements: list[tuple[int, str, Optional[str], bool]] = []
+
+    def concurrent(a: Optional[str], b: Optional[str]) -> bool:
+        return not oracle.reaches(a, b) and not oracle.reaches(b, a)
+
+    for event in events:
+        generation = origins.see(event)
+        kind, site, op, ts = event.kind, event.site, event.op_id, event.timestamp
+        if kind is TraceEventKind.CRASHED or kind is TraceEventKind.PROMOTED or (
+                kind is TraceEventKind.RECOVERED and event.via == "failover"):
+            history[site] = []
+            if kind is TraceEventKind.PROMOTED:
+                centres.add(site)
+        elif op is None:
+            continue  # not an operation's event
+        elif kind is TraceEventKind.TRANSFORMED and site not in centres:
+            transformed[site] = op  # a client's notes the transform only
+        elif ts is None:
+            raise TraceAnalysisError(f"{kind.value} event without timestamp: {event}")
+        elif kind is TraceEventKind.GENERATED:
+            if site not in centres:
+                history.setdefault(site, []).append(
+                    (op, CompressedTimestamp(*ts), OriginKind.LOCAL))
+        elif kind is TraceEventKind.TRANSFORMED:
+            source = origins.origin(op)
+            if source is not None:
+                history.setdefault(site, []).append(
+                    (source.op_id, FullTimestamp(ts), source.site))
+        elif site in centres:
+            if generation is None or op not in known:
+                continue
+            arrival = CompressedTimestamp(*ts)
+            for entry, entry_ts, entry_origin in history.get(site, ()):
+                if entry in known:
+                    verdict = notifier_concurrent(arrival, generation.site,
+                                                  entry_ts, entry_origin)
+                    checked += 1
+                    if verdict != concurrent(op, entry):
+                        disagreements.append((site, op, entry, verdict))
+        else:
+            arrival = CompressedTimestamp(*ts)
+            entries = history.setdefault(site, [])
+            found = False
+            for entry, entry_ts, entry_kind in entries:
+                verdict = client_concurrent(arrival, entry_ts, entry_kind)
+                found = found or verdict
+                if op in known and entry in known:
+                    checked += 1
+                    if verdict != concurrent(op, entry):
+                        disagreements.append((site, op, entry, verdict))
+            if (transformed.pop(site, None) == op) != found:
+                disagreements.append((site, op, None, found))
+            entries.append((op, arrival, OriginKind.FROM_CENTER))
+    return checked, disagreements
 
 
 def latency_histograms(

@@ -542,8 +542,13 @@ class Origins:
             if event.source_op is not None:
                 self._source.setdefault(op_id, event.source_op)
         elif event.kind is TraceEventKind.EXECUTED:
-            return self.generated.get(self._source.get(op_id, op_id))
+            return self.origin(op_id)
         return None
+
+    def origin(self, op_id: str) -> Optional[TraceEvent]:
+        """The ``GENERATED`` event of ``op_id``, or of the op it was
+        transformed from (``None`` outside the trace window)."""
+        return self.generated.get(self._source.get(op_id, op_id))
 
 
 def write_chrome_trace(events: Iterable[TraceEvent], fh: TextIO) -> int:

@@ -30,7 +30,10 @@ def test_three_client_cluster_converges(tmp_path: Path) -> None:
     assert len(docs) == 1
     assert all(n == config.total_ops for n in report.executed_ops.values())
     assert report.cross_check.ok
-    assert report.cross_check.pairs_checked > 0
+    n_ops = report.cross_check.n_ops
+    assert report.cross_check.pairs_checked == n_ops * (n_ops - 1) > 0
+    # The processes ran the fast path; the verdicts come from the traces.
+    assert report.check_disagreements == 0 and report.verdicts_checked > 0
     # Every process left its artifacts behind for post-mortems.
     for site in range(4):
         result, events = read_artifacts(tmp_path, site)
@@ -83,6 +86,39 @@ async def _one_loop_session(config: ClusterConfig, out_dir: Path,
     return await asyncio.wait_for(
         asyncio.gather(server, first, second), config.timeout_s + 10.0
     )
+
+
+def test_a_cluster_process_keeps_no_verdicts(tmp_path: Path, monkeypatch) -> None:
+    """Every process runs the fast path: the verdicts are recomputed from
+    its trace, so no endpoint keeps a check record or a history, and no
+    result artifact carries a ``checks`` key."""
+    import json
+
+    from repro.cluster.harness import ProcessRig, result_path
+
+    endpoints = []
+    result = ProcessRig.result
+
+    def keep(rig, endpoint):
+        endpoints.append(endpoint)
+        return result(rig, endpoint)
+
+    monkeypatch.setattr(ProcessRig, "result", keep)
+    config = ClusterConfig(clients=2, ops_per_client=3, seed=7,
+                           timeout_s=15.0, settle_s=0.1)
+
+    async def body() -> None:
+        assert all(await _one_loop_session(config, tmp_path))
+
+    asyncio.run(body())
+    assert sorted(endpoint.pid for endpoint in endpoints) == [0, 1, 2]
+    for endpoint in endpoints:
+        assert endpoint.checks == []
+        assert len(endpoint.hb) == 0
+    artifacts = [json.loads(result_path(tmp_path, site).read_text())
+                 for site in range(3)]
+    assert not any("checks" in artifact for artifact in artifacts)
+    assert len({artifact["document"] for artifact in artifacts}) == 1
 
 
 def _documents(out_dir: Path) -> set[str]:

@@ -26,7 +26,10 @@ def _assert_survived_by_failover(report, config, tmp_path: Path) -> None:
     assert report.ok, report.summary()
     assert report.failover_run
     assert report.cross_check.ok
-    assert report.cross_check.pairs_checked > 0
+    n_ops = report.cross_check.n_ops
+    assert report.cross_check.pairs_checked == n_ops * (n_ops - 1) > 0
+    # Every verdict recomputed from the merged trace, across the epochs.
+    assert report.check_disagreements == 0 and report.verdicts_checked > 0
     # The dead centre wrote no result artifact -- but its streamed
     # trace survived and was merged (the driver's note records it), and
     # it ends with the crash the centre traced on its way down.

@@ -12,8 +12,10 @@ import random
 
 import pytest
 
+from repro.analysis.causality import CausalityOracle
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
+from repro.obs import Tracer, check_verdicts, cross_check_causality, replay_event_log
 from repro.ot.operations import Delete, Insert
 from repro.session import ConsistencyError
 from repro.workloads.random_session import (
@@ -91,6 +93,33 @@ class TestJoinerParticipation:
         session.run()
         assert session.converged()
         assert session.notifier.document == "!A12B?"
+
+    def test_a_traced_join_is_checked_from_its_trace(self):
+        """A join refuses a live event log, so the trace is the record:
+        every formula-(5)/(7) verdict is recomputed from it, the joiner's
+        first edit included, and the replayed oracle answers every pair
+        (its DAG agrees with its vector clocks)."""
+        tracer = Tracer()
+        session = StarSession(2, initial_state="ABCDE", record_events=False,
+                              tracer=tracer)
+        session.generate_at(1, Insert("12", 1), at=1.0)
+        session.generate_at(2, Delete(3, 2), at=1.0)
+        new_site = session.add_client(at=5.0)
+        session.run(until=6.0)
+        for turn in range(3):
+            for site in (1, 2, new_site):
+                session.generate_at(site, Insert(str(site), 0), at=7.0 + turn)
+        session.run()
+        assert session.converged(), session.documents()
+        oracle = CausalityOracle(replay_event_log(tracer.events))
+        checked, disagreements = check_verdicts(tracer.events, oracle)
+        assert checked > 0 and disagreements == []
+        # The join snapshot is a transfer: the founders' edits precede
+        # the joiner's first, as formula (7) says of it.
+        assert oracle.happened_before("c1_1", "c3_1")
+        report = cross_check_causality(oracle, oracle.log)
+        assert report.ok, report.summary()
+        assert report.pairs_checked == report.n_ops * (report.n_ops - 1) > 0
 
     def test_join_while_operations_in_flight(self):
         """Joins races against broadcasts: FIFO keeps the snapshot first."""

@@ -12,11 +12,12 @@ import random
 
 import pytest
 
+from repro.analysis.causality import CausalityOracle
 from repro.clocks.events import EventKind
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
-from repro.obs import TraceCausality, cross_check_causality, verify_check_records
+from repro.obs import check_verdicts, cross_check_causality, replay_event_log
 from repro.obs.tracer import Tracer
 from repro.ot.operations import Insert
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
@@ -152,7 +153,6 @@ class TestLossyNetwork:
             2,
             latency_factory=latency_factory(5),
             verify_with_oracle=True,
-            record_checks=True,
             fault_plan=plan,
             tracer=tracer,
         )
@@ -172,10 +172,12 @@ class TestLossyNetwork:
         generations = [e.op_id for e in session.event_log.events
                        if e.kind is EventKind.GENERATE and e.site == 1]
         assert generations == ["c1_1", "c1_2", "c1_2"]
-        report = cross_check_causality(tracer.events, session.event_log)
+        replayed = CausalityOracle(replay_event_log(tracer.events))
+        report = cross_check_causality(replayed, session.event_log)
         assert report.ok, report.summary()
-        causality = TraceCausality(tracer.events)
-        assert verify_check_records(causality, session.all_checks()) == []
+        checked, disagreements = check_verdicts(tracer.events, replayed)
+        assert checked
+        assert disagreements == []
 
     def test_faults_without_plan_reject_crash_api(self):
         session = StarSession(2)

@@ -167,6 +167,21 @@ class TestInvariants:
         total_ops = 4 * 5
         assert session.wire_stats().messages == total_ops * 4  # 1 + (4-1)
 
+    def test_an_oracle_without_an_event_log_is_refused(self):
+        """``verify_with_oracle`` compares every verdict with the event
+        log's clocks: a role without a log would run the sweep and check
+        nothing, so neither role nor session can be built that way."""
+        from repro.editor.star_client import StarClient
+        from repro.editor.star_notifier import StarNotifier
+
+        with pytest.raises(ValueError, match="event log"):
+            StarSession(3, verify_with_oracle=True, record_events=False)
+        sim = StarSession(1).sim
+        with pytest.raises(ValueError, match="event log"):
+            StarClient(sim, 1, verify_with_oracle=True)
+        with pytest.raises(ValueError, match="event log"):
+            StarNotifier(sim, 1, verify_with_oracle=True)
+
     def test_stale_ack_raises_consistency_error(self):
         """A client claiming fewer acks than before trips the guard."""
         from repro.core.timestamp import CompressedTimestamp

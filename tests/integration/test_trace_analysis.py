@@ -1,31 +1,34 @@
 """Trace-level causality against the ground-truth oracle.
 
-A traced session must yield a happens-before relation -- reconstructed
-purely from the recorded :class:`~repro.obs.TraceEvent` stream -- that
-matches :mod:`repro.analysis.causality` exactly, pair by pair, on clean
-networks, lossy networks, and crash/recovery runs; and every formula
-(5)/(7) verdict recorded during the run must agree with the trace
-relation.
+A traced session must yield a happens-before relation -- the oracle of
+:mod:`repro.analysis.causality` over the event log replayed purely from
+the recorded :class:`~repro.obs.TraceEvent` stream -- that matches the
+session's own log exactly, pair by pair, on clean networks, lossy
+networks, and crash/recovery runs; and every formula (5)/(7) verdict,
+recomputed from the timestamps the trace carries, must agree with it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.analysis.causality import CausalityOracle
 from repro.clocks.events import EventKind
+from repro.cluster.check import analyze_cluster
+from repro.cluster.harness import ProcessResult
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
 from repro.obs import (
-    TraceCausality,
     TraceEventKind,
     Tracer,
+    check_verdicts,
     cross_check_causality,
     latency_histograms,
-    verify_check_records,
+    replay_event_log,
 )
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -43,7 +46,6 @@ def run_traced_session(plan=None, n_sites=4, ops_per_site=8, workload_seed=3):
         n_sites,
         latency_factory=latency_factory(plan.seed if plan else workload_seed),
         verify_with_oracle=True,
-        record_checks=True,
         fault_plan=plan,
         tracer=tracer,
     )
@@ -55,8 +57,16 @@ def run_traced_session(plan=None, n_sites=4, ops_per_site=8, workload_seed=3):
     )
     session.run()
     assert session.converged() and session.quiescent()
-    assert session.all_checks(), "no verdicts recorded: the trace checks are vacuous"
     return session, tracer
+
+
+def recomputed_disagreements(events):
+    """Every formula-(5)/(7) verdict recomputed from ``events`` against
+    the replayed oracle: the disagreeing ones."""
+    checked, disagreements = check_verdicts(
+        events, CausalityOracle(replay_event_log(events)))
+    assert checked, "no verdicts recomputed: the trace checks are vacuous"
+    return disagreements
 
 
 class TestCleanSession:
@@ -67,21 +77,22 @@ class TestCleanSession:
         assert report.pairs_checked == report.n_ops * (report.n_ops - 1)
 
     def test_formula_verdicts_agree_with_trace(self):
-        session, tracer = run_traced_session()
-        causality = TraceCausality(tracer.events)
-        assert verify_check_records(causality, session.all_checks()) == []
+        _, tracer = run_traced_session()
+        assert recomputed_disagreements(tracer.events) == []
 
     def test_notifier_transform_lineage(self):
         _, tracer = run_traced_session(ops_per_site=4)
-        causality = TraceCausality(tracer.events)
-        transformed = [op for op in causality.ops() if op.endswith("'")]
+        oracle = CausalityOracle(replay_event_log(tracer.events))
+        source = {event.op_id: event.source_op for event in tracer.events
+                  if event.kind is TraceEventKind.TRANSFORMED and event.site == 0}
+        transformed = [op for op in oracle.ops() if op.endswith("'")]
         assert transformed, "the notifier emitted no transformed operations"
         for op in transformed:
-            original = causality.original_op(op)
+            original = source[op]
             assert original == op[:-1]
             # The original always happened before its transformed form.
-            assert causality.happened_before(original, op)
-            assert not causality.concurrent(original, op)
+            assert oracle.happened_before(original, op)
+            assert not oracle.concurrent(original, op)
 
     def test_latency_histograms_cover_every_executing_site(self):
         session, tracer = run_traced_session(n_sites=3)
@@ -102,8 +113,7 @@ class TestFaultySession:
                    for event in tracer.events)
         report = cross_check_causality(tracer.events, session.event_log)
         assert report.ok, report.summary()
-        causality = TraceCausality(tracer.events)
-        assert verify_check_records(causality, session.all_checks()) == []
+        assert recomputed_disagreements(tracer.events) == []
 
     def test_crash_recovery_trace_matches_vector_clock_relation(self):
         """A crash/restart run's snapshot and install are events of the
@@ -121,12 +131,11 @@ class TestFaultySession:
         kinds = [event.kind for event in session.event_log.events]
         assert kinds.count(EventKind.SNAPSHOT) == kinds.count(EventKind.INSTALL) == 1
         assert (CausalityOracle(session.event_log).causal_pairs()
-                == TraceCausality(tracer.events).causal_pairs())
+                == CausalityOracle(replay_event_log(tracer.events)).causal_pairs())
         report = cross_check_causality(tracer.events, session.event_log)
         assert report.ok, report.summary()
         assert report.pairs_checked == report.n_ops * (report.n_ops - 1)
-        causality = TraceCausality(tracer.events)
-        assert verify_check_records(causality, session.all_checks()) == []
+        assert recomputed_disagreements(tracer.events) == []
 
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_seed_sweep(self, seed):
@@ -136,6 +145,72 @@ class TestFaultySession:
         )
         report = cross_check_causality(tracer.events, session.event_log)
         assert report.ok, report.summary()
+
+
+class TestTheCheckerFailsWhereItShould:
+    """One planted wrong timestamp is found, in-process and in a cluster's
+    artifacts: the recomputed verdicts are not vacuous."""
+
+    @staticmethod
+    def nudged(events):
+        """``events`` with one client arrival's ``T[2]`` lowered by one,
+        and the disagreement that must follow: formula (5) now calls the
+        local op with the old ``T[2]`` concurrent, and the oracle says it
+        happened before.  The arrival is one the site transformed, so
+        the transform check agrees either way."""
+        for pos, event in enumerate(events):
+            before = events[pos - 1]
+            if (event.kind is TraceEventKind.EXECUTED and event.site != 0
+                    and event.timestamp[1] > 0
+                    and before.kind is TraceEventKind.TRANSFORMED
+                    and before.op_id == event.op_id):
+                break
+        else:
+            pytest.fail("no client arrival was transformed")
+        first, second = event.timestamp
+        (local,) = [e.op_id for e in events[:pos]
+                    if e.kind is TraceEventKind.GENERATED and e.site == event.site
+                    and e.timestamp[1] == second]
+        tampered = list(events)
+        tampered[pos] = dataclasses.replace(event, timestamp=(first, second - 1))
+        return tampered, (event.site, event.op_id, local, True)
+
+    @staticmethod
+    def as_cluster(session, events):
+        """``events`` as a cluster's artifacts, one stream and one result
+        per site, through the cluster's verdicts."""
+        endpoints = session.endpoints()
+        streams = [[e for e in events if e.site == ep.pid] for ep in endpoints]
+        results = [
+            ProcessResult(role="client" if ep.pid else "notifier", site=ep.pid,
+                          document=str(ep.document),
+                          executed_ops=len(ep.executed_op_ids))
+            for ep in endpoints
+        ]
+        return analyze_cluster(results, streams, expected_ops=4 * 8)
+
+    def test_an_untouched_trace_has_no_disagreement(self):
+        session, tracer = run_traced_session()
+        oracle = CausalityOracle(replay_event_log(tracer.events))
+        checked, disagreements = check_verdicts(tracer.events, oracle)
+        assert checked > 0 and disagreements == []
+        report = self.as_cluster(session, tracer.events)
+        assert report.ok, report.summary()
+        assert report.verdicts_checked > 0
+
+    def test_a_nudged_timestamp_is_exactly_one_disagreement(self):
+        _, tracer = run_traced_session()
+        tampered, expected = self.nudged(tracer.events)
+        oracle = CausalityOracle(replay_event_log(tampered))
+        assert check_verdicts(tampered, oracle)[1] == [expected]
+
+    def test_a_nudged_stream_fails_the_cluster_verdict(self):
+        session, tracer = run_traced_session()
+        tampered, _ = self.nudged(tracer.events)
+        report = self.as_cluster(session, tampered)
+        assert not report.ok
+        assert report.check_disagreements == 1
+        assert report.cross_check.ok  # the timestamps are all it changed
 
 
 class TestSessionSurface:

@@ -21,7 +21,7 @@ from repro.analysis.causality import CausalityOracle
 from repro.editor.star import StarSession
 from repro.net.channel import JitterLatency, UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
-from repro.obs import TraceCausality
+from repro.obs import replay_event_log
 from repro.obs.tracer import Tracer, TraceEventKind
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -111,7 +111,7 @@ class TestFaultToleranceProperties:
         # ground-truth log: the oracle's DAG and vector clocks agree on
         # every pair (it answers at all), and equal the trace relation.
         assert (CausalityOracle(session.event_log).causal_pairs()
-                == TraceCausality(tracer.events).causal_pairs())
+                == CausalityOracle(replay_event_log(tracer.events)).causal_pairs())
 
     @given(fault_session_params)
     @settings(max_examples=25, deadline=None)

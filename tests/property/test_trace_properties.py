@@ -7,9 +7,9 @@ trace must be *structurally sound*:
   a matching earlier ``HELD_BACK`` event for the same (site, peer,
   epoch, seq) slot (:func:`repro.obs.released_without_cause`);
 * every executed operation has a generation event earlier in the trace
-  (``TraceCausality`` raises otherwise);
-* the reconstructed happens-before relation matches the ground-truth
-  oracle exactly.
+  (``replay_event_log`` raises otherwise);
+* the replayed happens-before relation matches the ground-truth oracle
+  exactly.
 """
 
 import random
@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
-from repro.obs import (
-    TraceCausality,
-    Tracer,
-    cross_check_causality,
-    released_without_cause,
-)
+from repro.obs import Tracer, cross_check_causality, released_without_cause
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
 trace_session_params = st.fixed_dictionaries(
@@ -91,7 +86,6 @@ def test_every_release_has_a_cause(params):
 @given(params=trace_session_params)
 def test_trace_happens_before_matches_oracle(params):
     session, tracer = run_traced(params)
-    # Construction itself asserts every execution has a prior generation.
-    causality = TraceCausality(tracer.events)
-    report = cross_check_causality(causality, session.event_log)
+    # The replay itself asserts every execution has a prior generation.
+    report = cross_check_causality(tracer.events, session.event_log)
     assert report.ok, report.summary()

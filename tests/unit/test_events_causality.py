@@ -157,8 +157,10 @@ class TestCausalityOracle:
 
 
 class TestTransferKey:
-    def test_a_join_carries_no_causality(self):
-        assert transfer_key(4, 0, "join") is None
+    def test_a_join_is_a_transfer_of_its_own(self):
+        # The joiner's snapshot embodies the history before it.
+        assert transfer_key(4, 0, "join") == (4, 0, "join")
+        assert transfer_key(4, 0, "join") != transfer_key(4, 0, "resync")
 
     def test_crash_and_notifier_epochs_are_kept_apart(self):
         assert transfer_key(3, 1, "resync") != transfer_key(3, 1, "failover")
