@@ -87,6 +87,11 @@ class CausalityOracle:
         """``generate(O_a)`` reaches ``generate(O_b)`` in the DAG alone."""
         return bool(self._reach[self._generation[op_a]] >> self._generation[op_b] & 1)
 
+    def clock_before(self, op_a: Hashable, op_b: Hashable) -> bool:
+        """The log's vector clocks alone order ``O_a`` before ``O_b``."""
+        clock = self.log.generation_clock
+        return compare(clock(op_a), clock(op_b)) is Ordering.BEFORE
+
     def happened_before(self, op_a: Hashable, op_b: Hashable) -> bool:
         """Definition 1: ``O_a -> O_b``.
 
@@ -94,8 +99,7 @@ class CausalityOracle:
         ``generate(O_b)`` and cross-checked against vector clocks.
         """
         dag_answer = self.reaches(op_a, op_b)
-        clock = self.log.generation_clock
-        vc_answer = compare(clock(op_a), clock(op_b)) is Ordering.BEFORE
+        vc_answer = self.clock_before(op_a, op_b)
         if dag_answer != vc_answer:
             raise OracleInconsistency(
                 f"DAG says {op_a} -> {op_b} is {dag_answer}, vector clocks say "

@@ -33,6 +33,7 @@ from repro.clocks.events import TransferKey, transfer_key
 from repro.cluster.harness import ProcessResult
 from repro.obs.analysis import (
     CrossCheckReport,
+    TraceAnalysisError,
     check_verdicts,
     cross_check_causality,
     latency_histograms,
@@ -184,6 +185,12 @@ def analyze_cluster(
     merged = merge_traces(streams)
     errors: list[str] = []
     try:
+        # The replay spans the sites the trace names; those are the run's
+        # processes (the centre's result may be lost to its crash).
+        stray = {e.site for e in merged} - {0} - {r.site for r in results}
+        if stray:
+            raise TraceAnalysisError(f"events from sites {sorted(stray)}, "
+                                     "which no process of the run is")
         # One record, one replay: its DAG is checked against its vector
         # clocks, and it is the relation every verdict is checked against.
         oracle = CausalityOracle(replay_event_log(merged))

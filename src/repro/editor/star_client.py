@@ -352,14 +352,15 @@ class StarClient(EditorEndpoint):
     def _concurrency_pass(self, ts: CompressedTimestamp, op_id: str) -> list[HistoryEntry]:
         """Run formula (5) over the HB; record and (optionally) verify."""
         out: list[HistoryEntry] = []
-        log = self.event_log if self.verify_with_oracle else None
         for entry in self.hb:
             verdict = client_concurrent(ts, entry.timestamp, entry.origin_kind)
             if self.record_checks:
                 self.checks.append(CheckRecord(self.pid, op_id, entry.op_id, verdict))
-            if log is not None:
+            if self.verify_with_oracle:
                 oracle = vc_concurrent(
-                    log.generation_clock(op_id), log.generation_clock(entry.op_id))
+                    self.event_log.generation_clock(op_id),
+                    self.event_log.generation_clock(entry.op_id),
+                )
                 if oracle != verdict:
                     raise ConsistencyError(
                         f"site {self.pid}: compressed verdict {verdict} != oracle "

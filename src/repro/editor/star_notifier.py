@@ -309,7 +309,6 @@ class StarNotifier(EditorEndpoint):
                           op_id: str) -> list[HistoryEntry]:
         """Run formula (7) over ``HB_0``; record and (optionally) verify."""
         out: list[HistoryEntry] = []
-        log = self.event_log if self.verify_with_oracle else None
         for entry in self.hb:
             assert entry.origin_kind is OriginKind.FROM_CLIENT
             verdict = notifier_concurrent(
@@ -317,7 +316,7 @@ class StarNotifier(EditorEndpoint):
             )
             if self.record_checks:
                 self.checks.append(CheckRecord(0, op_id, entry.op_id, verdict))
-            if log is not None:
+            if self.verify_with_oracle:
                 # Formula (6)/(7) is defined over the operations as
                 # "originally generated at sites x and y": compare the
                 # original client operations' generation clocks.  An
@@ -326,7 +325,9 @@ class StarNotifier(EditorEndpoint):
                                    entry.timestamp[entry.origin_site],
                                    self.notifier_epoch)
                 oracle = vc_concurrent(
-                    log.generation_clock(op_id), log.generation_clock(original))
+                    self.event_log.generation_clock(op_id),
+                    self.event_log.generation_clock(original),
+                )
                 if oracle != verdict:
                     raise ConsistencyError(
                         f"notifier: compressed verdict {verdict} != oracle {oracle} "

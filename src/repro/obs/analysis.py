@@ -121,11 +121,15 @@ def cross_check_causality(
     log's vector clocks (state transfers included: the log records both
     ends of each).  Given the replayed oracle and its own log -- a
     cluster run's one record -- the check is that agreement, pair by
-    pair.
+    pair, and a pair on which the DAG and the vector clocks differ is a
+    mismatch.
     """
     replayed = (trace if isinstance(trace, CausalityOracle)
                 else CausalityOracle(replay_event_log(trace)))
     oracle = replayed if replayed.log is event_log else CausalityOracle(event_log)
+    # One record is checked DAG against clocks, a difference reported
+    # rather than raised; a live log's oracle checks itself as it answers.
+    truth = oracle.clock_before if oracle is replayed else oracle.happened_before
     trace_ops = replayed.ops()
     in_trace, in_log = set(trace_ops), set(oracle.ops())
     report = CrossCheckReport(
@@ -141,7 +145,7 @@ def cross_check_causality(
                 continue
             report.pairs_checked += 1
             trace_hb = replayed.reaches(a, b)
-            oracle_hb = oracle.happened_before(a, b)
+            oracle_hb = truth(a, b)
             if trace_hb != oracle_hb:
                 report.mismatches.append((a, b, trace_hb, oracle_hb))
     return report
@@ -170,7 +174,8 @@ def check_verdicts(
     Returns the number of verdicts checked and the disagreements, each
     ``(site, op, entry, verdict)`` with the formula's verdict; ``entry``
     is ``None`` for a transform that did or did not happen.  A verdict
-    on an operation generated outside the trace is skipped.
+    on an operation generated outside the trace is skipped; a malformed
+    timestamp raises :class:`TraceAnalysisError`.
     """
     known = set(oracle.ops())
     origins = Origins()
@@ -196,8 +201,10 @@ def check_verdicts(
             continue  # not an operation's event
         elif kind is TraceEventKind.TRANSFORMED and site not in centres:
             transformed[site] = op  # a client's notes the transform only
-        elif ts is None:
-            raise TraceAnalysisError(f"{kind.value} event without timestamp: {event}")
+        elif ts is None or not all(type(n) is int for n in ts) or (
+                len(ts) != 2 and kind is not TraceEventKind.TRANSFORMED):
+            # A centre's transform carries its SV_0, every other event T.
+            raise TraceAnalysisError(f"{kind.value} event with a malformed T: {event}")
         elif kind is TraceEventKind.GENERATED:
             if site not in centres:
                 history.setdefault(site, []).append(
@@ -210,6 +217,8 @@ def check_verdicts(
         elif site in centres:
             if generation is None or op not in known:
                 continue
+            if generation.site < 1:
+                raise TraceAnalysisError(f"a centre arrival from no client: {event}")
             arrival = CompressedTimestamp(*ts)
             for entry, entry_ts, entry_origin in history.get(site, ()):
                 if entry in known:

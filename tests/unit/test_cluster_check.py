@@ -11,6 +11,8 @@ vector clocks, and every verdict recomputed from the trace.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.causality import CausalityOracle
 from repro.clocks.vector import Ordering, compare
 from repro.cluster.check import analyze_cluster, merge_traces
@@ -132,6 +134,54 @@ def test_a_malformed_merged_trace_is_an_analysis_error() -> None:
     report = analyze_cluster(results, streams, expected_ops=1)
     assert not report.ok
     assert report.errors and "trace analysis failed" in report.errors[0]
+
+
+# A client op 1-1 at the centre, then one broken event each.
+_PREFIX = [
+    _event(0, TraceEventKind.GENERATED, 1.0, 1, op_id="1-1", timestamp=(0, 1)),
+    _event(1, TraceEventKind.EXECUTED, 1.4, 0, op_id="1-1", timestamp=(0, 1)),
+    _event(2, TraceEventKind.TRANSFORMED, 1.4, 0, op_id="1-1'",
+           source_op="1-1", timestamp=(1,)),
+]
+
+
+@pytest.mark.parametrize("broken", [
+    [_event(3, TraceEventKind.EXECUTED, 1.8, 1, op_id="1-1'", timestamp=(0, 1, 0))],
+    [_event(3, TraceEventKind.EXECUTED, 1.8, 1, op_id="1-1'", timestamp=(1,))],
+    [_event(3, TraceEventKind.EXECUTED, 1.8, 1, op_id="1-1'", timestamp=("1", 1))],
+    [_event(3, TraceEventKind.GENERATED, 1.8, 1, op_id="1-2", timestamp=())],
+    # The centre's SV_0 must hold counts.
+    [_event(3, TraceEventKind.TRANSFORMED, 1.8, 0, op_id="1-1''",
+            source_op="1-1", timestamp=(None,))],
+    # Formula (7) indexes SV_0 by the arrival's origin, which is a client.
+    [_event(3, TraceEventKind.GENERATED, 1.8, 0, op_id="0-1", timestamp=(0, 1)),
+     _event(4, TraceEventKind.EXECUTED, 1.9, 0, op_id="0-1", timestamp=(0, 1))],
+    # The replay spans the sites the trace names: one far out is refused
+    # before anything is sized by it.
+    [_event(3, TraceEventKind.GENERATED, 1.8, 10**9, op_id="x-1", timestamp=(0, 1))],
+], ids=["T-too-long", "T-too-short", "T-not-counts", "T-empty", "SV0-not-counts",
+        "centre-arrival-from-centre", "stray-site"])
+def test_a_malformed_event_is_an_analysis_error(broken: list[TraceEvent]) -> None:
+    results = [
+        ProcessResult(role="client", site=1, document="", executed_ops=1),
+        ProcessResult(role="notifier", site=0, document="", executed_ops=1),
+    ]
+    report = analyze_cluster(results, [_PREFIX + broken], expected_ops=1)
+    assert not report.ok
+    assert report.errors and "trace analysis failed" in report.errors[0]
+
+
+def test_a_dag_clock_disagreement_is_a_mismatch_not_a_crash() -> None:
+    # One record whose DAG loses the execution that carries 1-1 to the
+    # centre, while its vector clocks keep it: the cross-check reports
+    # the pair rather than raising.
+    log = replay_event_log(_PREFIX)
+    assert [e.kind.value for e in log.events] == ["generate", "execute", "generate"]
+    del log.events[1]
+    report = cross_check_causality(CausalityOracle(log), log)
+    assert not report.ok
+    assert report.mismatches == [("1-1", "1-1'", False, True)]
+    assert "MISMATCH" in report.summary()
 
 
 def test_analyze_cluster_full_verdict() -> None:
