@@ -18,10 +18,11 @@ Process topology (the paper's Fig. 1, as OS processes)::
        ├──spawn──> client 2─┘    sends a HELLO frame, then speaks
        └──spawn──> client 3──┘   the ordinary envelope protocol
 
-Each process writes a result JSON and a trace JSONL; the driver merges
-the per-process traces into one causally consistent stream and runs the
-repo's standard verdicts over it: convergence, formula-(5)/(7) check
-records vs trace concurrency, the holdback release audit, and the
+Each process writes one trace JSONL, closed by a ``finished`` record of
+its end state; the driver merges the per-process traces into one
+causally consistent stream and runs the repo's standard verdicts over
+it: convergence of the closing records' documents, the formula-(5)/(7)
+verdicts recomputed from the trace, the holdback release audit, and the
 in-process happens-before cross-check against the ground-truth event
 log replayed from the merged trace.
 """

@@ -2,7 +2,8 @@
 
 Each cluster process records its own trace with its own event indices
 and (same-host) wall-clock stamps, and nothing else: no process keeps a
-verdict of its own.  The in-process analysis machinery
+verdict of its own, and its end state is the trace's closing
+``finished`` record.  The in-process analysis machinery
 (:mod:`repro.obs.analysis`) requires one stream whose order is a
 topological order of the causal DAG; this module builds that stream,
 replays the ground-truth event log from it once, and runs the repo's
@@ -26,17 +27,16 @@ order) is preserved unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.analysis.causality import CausalityOracle
 from repro.clocks.events import TransferKey, transfer_key
-from repro.cluster.harness import ProcessResult
+from repro.cluster.harness import closing_records
 from repro.obs.analysis import (
     CrossCheckReport,
     TraceAnalysisError,
     check_verdicts,
     cross_check_causality,
-    latency_histograms,
     released_without_cause,
     replay_event_log,
 )
@@ -115,7 +115,7 @@ class ClusterReport:
     wall_s: float = 0.0
     errors: list[str] = field(default_factory=list)
     #: The run crossed a notifier-epoch boundary by live failover: the
-    #: dead centre left no result artifact (only its streamed trace) and
+    #: dead centre's trace has no closing record and
     #: survivors receive the successor's unacknowledged operations via
     #: the failover snapshot rather than as executions, so the
     #: per-replica executed-op floor does not apply.
@@ -171,23 +171,22 @@ class ClusterReport:
 
 
 def analyze_cluster(
-    results: Sequence[ProcessResult],
-    streams: Sequence[Sequence[TraceEvent]],
+    traces: Mapping[int, Sequence[TraceEvent]],
     *,
     expected_ops: int,
     wall_s: float = 0.0,
     failover_run: bool = False,
     notes: Sequence[str] = (),
 ) -> ClusterReport:
-    """Run every verdict over the artifacts of one cluster run."""
-    documents = {r.site: r.document for r in results}
-    docs = list(documents.values())
-    merged = merge_traces(streams)
+    """Run every verdict over the traces of one cluster run, by site."""
+    merged = merge_traces(list(traces.values()))
+    ends: dict[int, tuple[str, int, bool]] = {}
     errors: list[str] = []
     try:
+        ends = closing_records(traces)
         # The replay spans the sites the trace names; those are the run's
-        # processes (the centre's result may be lost to its crash).
-        stray = {e.site for e in merged} - {0} - {r.site for r in results}
+        # processes.
+        stray = {e.site for e in merged} - set(traces)
         if stray:
             raise TraceAnalysisError(f"events from sites {sorted(stray)}, "
                                      "which no process of the run is")
@@ -202,26 +201,28 @@ def analyze_cluster(
         checked, disagreements = 0, -1
         cross = CrossCheckReport(n_ops=0, pairs_checked=0,
                                  only_in_trace=["<analysis failed>"])
-    latencies = latency_histograms(merged)
-    all_lat = Histogram()
-    for hist in latencies.values():
-        all_lat.merge(hist)
+    documents = {site: document for site, (document, _, _) in ends.items()}
+    docs = list(documents.values())
+    spans = assemble_spans(merged)
+    latencies = Histogram()
+    for pair in spans.pairs.values():
+        latencies.merge(pair.raw)
     return ClusterReport(
         converged=bool(docs) and all(doc == docs[0] for doc in docs[1:]),
         documents=documents,
-        executed_ops={r.site: r.executed_ops for r in results},
+        executed_ops={site: executed for site, (_, executed, _) in ends.items()},
         expected_ops=expected_ops,
-        timed_out=any(r.timed_out for r in results),
+        timed_out=any(timed_out for _, _, timed_out in ends.values()),
         verdicts_checked=checked,
         check_disagreements=disagreements,
         bad_releases=len(released_without_cause(merged)),
         cross_check=cross,
         trace_events=len(merged),
-        latency_p50_s=all_lat.percentile(50),
-        latency_p95_s=all_lat.percentile(95),
+        latency_p50_s=latencies.percentile(50),
+        latency_p95_s=latencies.percentile(95),
         wall_s=wall_s,
         errors=errors,
         failover_run=failover_run,
         notes=list(notes),
-        spans=assemble_spans(merged),
+        spans=spans,
     )

@@ -35,8 +35,10 @@ lands, as in the simulator.
 Observability: the client traces a ``sampled`` event of its own gauges
 every :data:`~repro.cluster.harness.SAMPLE_INTERVAL_S` into
 ``trace_<site>.jsonl``, the one stream it writes: no connection carries
-it, so a dead centre costs the monitor no site.  A centre connection
-that ends before GOODBYE is traced as ``peer_lost``: ``via="eof"`` when
+it, so a dead centre costs the monitor no site; its closing
+``finished`` event is what the driver reads.  A centre connection that
+ends before GOODBYE (or sends a frame that does not decode or that the
+editor refuses) is traced as ``peer_lost``: ``via="eof"`` when
 the client fails over, which the monitor grades ``warn`` beside the
 ``elected`` / ``promoted`` / ``handoff`` events of the epoch
 transition, and ``via="terminal"`` for a genuinely terminal death (no
@@ -56,6 +58,7 @@ from repro.editor.star_client import StarClient
 from repro.net.codec import CodecError
 from repro.net.transport import Envelope
 from repro.net.wire import WireError, encode_drained, frame, pump
+from repro.session import ConsistencyError
 from repro.obs.tracer import TraceEventKind
 from repro.workloads.random_session import generate_random_edits, random_positional_op
 
@@ -157,8 +160,8 @@ async def run_client(config: ClusterConfig, site: int, port: int,
                            if coordinator is not None else None),
                 on_goodbye=rig.done.set,
             )
-        except (CodecError, ConnectionError):
-            pass
+        except (CodecError, ConsistencyError, ConnectionError):
+            pass  # a centre frame we cannot take ends the connection too
         return rig.done.is_set()
 
     def peer_lost(peer: int, via: str) -> None:
@@ -210,12 +213,9 @@ async def run_client(config: ClusterConfig, site: int, port: int,
             await w.wait_closed()
         except ConnectionError:
             pass
-    result = rig.result(client)
-    if client.live is not client:
-        # The promoted shell's replica froze at the takeover; the live
-        # run continued inside the epoch-1 notifier.  Report the merged
-        # view: its document and both execution logs.
-        notifier = client.live
-        result.document = str(notifier.document)
-        result.executed_ops += len(notifier.executed_op_ids)
-    return rig.finish(result)
+    if client.live is client:
+        return rig.finish(client)
+    # The promoted shell's replica froze at the takeover; the live run
+    # continued inside the epoch-1 notifier.  Close with the merged
+    # view: its document and both execution logs.
+    return rig.finish(client.live, len(client.executed_op_ids))

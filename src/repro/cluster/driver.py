@@ -4,20 +4,20 @@
 subprocess and N client subprocesses (plain ``sys.executable -m repro
 serve/client`` invocations, so the cluster exercises exactly what a
 user would run by hand), waits for them to converge, then merges the
-per-process artifacts and renders the verdicts of
+per-process traces and renders the verdicts of
 :func:`repro.cluster.check.analyze_cluster`.
 
 Flake resistance, because this runs as a CI gate: the notifier binds
 port 0 (the kernel allocates, so concurrent runs never collide) and the
 driver retries the spawn a few times if the notifier dies before
 announcing its port (covering transient bind races on pathological
-hosts); every subprocess carries its own hard timeout and writes
-``timed_out`` artifacts instead of hanging; and the driver holds a
+hosts); every subprocess carries its own hard timeout and closes its
+trace with ``timed_out`` set instead of hanging; and the driver holds a
 final kill-switch deadline above all of them.
 
 The kill-switch is SIGTERM-first: each process installs a handler that
-writes what artifacts it can before exiting, rather than vanishing
-under SIGKILL; every trace is already on disk, flushed per event.
+closes its trace with its closing record before exiting, rather than
+vanishing under SIGKILL; every trace is already on disk, flushed per event.
 Whatever traces and monitor artifact survive a failed run are
 *salvaged* -- named in the failure report rather than discarded with
 the temp directory.
@@ -37,20 +37,21 @@ from typing import IO, Optional
 
 import repro
 from repro.cluster.check import ClusterReport, analyze_cluster
-from repro.cluster.harness import ClusterConfig, read_artifacts, trace_path
-from repro.obs.tracer import TraceEvent, read_jsonl
+from repro.cluster.harness import ClusterConfig, read_trace
+from repro.obs.tracer import TraceEvent, TraceEventKind
 
 SPAWN_RETRIES = 3
 PORT_ANNOUNCE_TIMEOUT_S = 15.0
 
 #: Grace between the kill-switch SIGTERM and the follow-up SIGKILL:
-#: long enough for the artifact write, short enough that a truly wedged
+#: long enough for the closing record, short enough that a truly wedged
 #: process cannot stall the harness.
 TERM_GRACE_S = 5.0
 
 
 class ClusterError(RuntimeError):
-    """The harness itself failed (spawn, port announcement, artifacts)."""
+    """The harness itself failed (spawn, port announcement, a process
+    that did not finish)."""
 
 
 def _subprocess_env() -> dict[str, str]:
@@ -106,8 +107,8 @@ def _spawn_notifier(
 
 
 def _kill_switch(proc: "subprocess.Popen[str]") -> None:
-    """Terminate gently, then firmly: SIGTERM (so the process can write
-    its artifacts), a bounded grace, SIGKILL."""
+    """Terminate gently, then firmly: SIGTERM (so the process can close
+    its trace), a bounded grace, SIGKILL."""
     proc.terminate()
     try:
         proc.wait(timeout=TERM_GRACE_S)
@@ -116,37 +117,20 @@ def _kill_switch(proc: "subprocess.Popen[str]") -> None:
         proc.wait()
 
 
-def _salvage_trace(out_dir: Path, site: int) -> list[TraceEvent]:
-    """The streamed trace a crashed process left, or nothing at all.
-
-    Read leniently: a process killed mid-write leaves at most one torn
-    trailing line, and the readable prefix is still evidence.
-    """
-    path = trace_path(out_dir, site)
-    try:
-        with path.open() as fh:
-            _header, events = read_jsonl(fh, lenient=True)
-    except OSError:
-        return []
-    return events
-
-
-#: The file families a run leaves in its directory: the observability
-#: ones a failed run is salvaged from (each process's one stream, its
-#: trace, and the monitor's artifact), and with the per-site results,
-#: everything a reused directory must be cleared of.
-OBSERVABILITY_PATTERNS = ("trace_*.jsonl", "monitor.jsonl")
-RUN_PATTERNS = ("site_*.json", *OBSERVABILITY_PATTERNS)
+#: The file families a run leaves in its directory: each process's one
+#: stream, its trace, and the monitor's artifact -- what a failed run is
+#: salvaged from, and what a reused directory must be cleared of.
+RUN_PATTERNS = ("trace_*.jsonl", "monitor.jsonl")
 
 
 def salvage_artifacts(out_dir: Path) -> list[str]:
-    """The observability files a failed run left behind, by name.
+    """The files a failed run left behind, by name.
 
     Traces are crash-safe (flushed per event), so even a run whose
-    processes never wrote their result artifacts leaves evidence here.
+    processes never closed their traces leaves evidence here.
     """
     names = []
-    for pattern in OBSERVABILITY_PATTERNS:
+    for pattern in RUN_PATTERNS:
         names.extend(p.name for p in sorted(out_dir.glob(pattern)))
     return names
 
@@ -154,15 +138,56 @@ def salvage_artifacts(out_dir: Path) -> list[str]:
 def clear_stale_artifacts(out_dir: Path) -> None:
     """Remove what an earlier run left in a reused ``out_dir``.
 
-    A process that dies by design writes no result, so a stale one
-    would be read in its place: an old ``site_0.json`` beside a
-    failover run's artifacts reports ``converged: False``.  Only the
-    families a run itself writes go; anything else in the directory is
-    the caller's.
+    A process that dies by design closes no trace, so a stale one
+    would be read in its place: an old ``trace_0.jsonl`` with its
+    closing record beside a failover run's traces reports
+    ``converged: False``.  Only the families a run itself writes go;
+    anything else in the directory is the caller's.
     """
     for pattern in RUN_PATTERNS:
         for path in out_dir.glob(pattern):
             path.unlink()
+
+
+def gather_traces(
+    out_dir: Path, sites: int, failover_run: bool,
+) -> tuple[dict[int, list[TraceEvent]], list[str]]:
+    """The trace of every site ``0..sites-1``, by site, and notes on
+    what is missing.
+
+    A process's end state is its trace's closing record; a trace without
+    one -- the process was killed, crashed, or left a torn last line --
+    is a process that did not finish, a :class:`ClusterError` naming the
+    traces salvaged.  In a failover run the crashed notifier *by
+    design* has none, but its trace still goes into the merge (the
+    pre-crash generation events anchor happens-before across the epoch
+    boundary).
+    """
+    notes: list[str] = []
+    traces: dict[int, list[TraceEvent]] = {}
+    for site in range(sites):
+        try:
+            events = read_trace(out_dir, site)
+        except (OSError, ValueError):
+            events = []
+        traces[site] = events
+        if any(event.kind is TraceEventKind.FINISHED for event in events):
+            continue
+        if site == 0 and failover_run:
+            notes.append(
+                "site 0 was crashed by fault injection and the cluster "
+                f"failed over live; merged {len(events)} streamed trace "
+                "events from the dead centre (no closing record, as "
+                "designed)"
+            )
+            continue
+        salvaged = salvage_artifacts(out_dir)
+        raise ClusterError(
+            f"process for site {site} did not finish: its trace in "
+            f"{out_dir} has no closing record"
+            + (f"; salvaged: {', '.join(salvaged)}" if salvaged else "")
+        )
+    return traces, notes
 
 
 def run_cluster(
@@ -208,44 +233,11 @@ def run_cluster(
                 _kill_switch(proc)
     wall_s = time.monotonic() - started
 
-    # With failover armed, the crashed notifier *by design* leaves no
-    # result artifact -- only its streamed trace, which the merged-trace
-    # cross-check still needs (the pre-crash generation events anchor
-    # happens-before across the epoch boundary).
     failover_run = (config.crash_notifier_after_s is not None
                     and config.failover)
-    notes: list[str] = []
-    results = []
-    streams = []
-    for site in range(config.clients + 1):
-        try:
-            result, events = read_artifacts(out_dir, site)
-        except (OSError, ValueError) as exc:
-            if site == 0 and failover_run:
-                events = _salvage_trace(out_dir, site)
-                if events:
-                    streams.append(events)
-                notes.append(
-                    "site 0 was crashed by fault injection and the cluster "
-                    f"failed over live; merged {len(events)} streamed trace "
-                    "events from the dead centre (no result artifact, as "
-                    "designed)"
-                )
-                continue
-            salvaged = salvage_artifacts(out_dir)
-            note = (
-                f"; salvaged observability artifacts: {', '.join(salvaged)}"
-                if salvaged else ""
-            )
-            raise ClusterError(
-                f"process for site {site} left no readable artifacts in "
-                f"{out_dir}: {exc}{note}"
-            ) from exc
-        results.append(result)
-        streams.append(events)
+    traces, notes = gather_traces(out_dir, config.clients + 1, failover_run)
     report = analyze_cluster(
-        results,
-        streams,
+        traces,
         expected_ops=config.total_ops,
         wall_s=wall_s,
         failover_run=failover_run,

@@ -1,26 +1,26 @@
-"""Shared plumbing of the cluster processes: config, workload, results.
+"""Shared plumbing of the cluster processes: config, workload, traces.
 
 The driver, the notifier process and every client process must agree on
 the workload (so the cluster replays the same seeded edit schedule the
-simulator benchmarks use) and on the artifact format (so the driver can
-merge what the processes wrote).  This module is that contract.
+simulator benchmarks use) and on the trace each process writes (so the
+driver can merge them).  This module is that contract.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
 from repro.net.scheduler import AsyncioScheduler, Scheduler
 from repro.net.wire import WireChannel, connect_with_backoff, encode_hello, frame
+from repro.obs.analysis import TraceAnalysisError
 from repro.obs.telemetry import document_digest
 from repro.obs.tracer import (
     JsonlWriter,
@@ -70,8 +70,8 @@ class ClusterConfig:
     wall time).  ``settle_s`` is drained after the last expected
     execution so in-flight acknowledgements and trace writes land
     before the sockets close.  ``timeout_s`` is each process's hard
-    bound: on expiry it writes its artifacts with ``timed_out`` set
-    rather than hanging the harness.
+    bound: on expiry it closes its trace with ``timed_out`` set rather
+    than hanging the harness.
     """
 
     clients: int = 3
@@ -135,34 +135,7 @@ class ClusterConfig:
 _FLAG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ClusterConfig)}
 
 
-# -- per-process artifacts -----------------------------------------------------
-
-
-@dataclass
-class ProcessResult:
-    """What one cluster process reports back to the driver."""
-
-    role: str  # "notifier" or "client"
-    site: int
-    document: str
-    executed_ops: int
-    timed_out: bool = False
-    lost_local_edits: int = 0
-    retransmits: int = 0
-    messages_sent: int = 0
-    wire_bytes: int = 0
-
-    def to_json(self) -> str:
-        data = dataclasses.asdict(self)
-        return json.dumps(data, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProcessResult":
-        return cls(**json.loads(text))
-
-
-def result_path(out_dir: Path, site: int) -> Path:
-    return out_dir / f"site_{site}.json"
+# -- the per-process trace -----------------------------------------------------
 
 
 def trace_path(out_dir: Path, site: int) -> Path:
@@ -202,12 +175,13 @@ class ProcessRig:
     ``trace_<site>.jsonl`` from the first event, the one stream the
     process writes (so the tracer keeps only a bounded ring in memory):
     its post-mortem, and with a ``sampled`` event every
-    :data:`SAMPLE_INTERVAL_S` what ``repro monitor`` reads; the
-    kill-switch and the timeout; the result artifact.  A process that
-    dies by ``os._exit`` or SIGKILL writes no result, but every event it
-    emitted is already on disk (:class:`~repro.obs.tracer.JsonlWriter`
-    flushes per line) -- which is what keeps the merged-trace
-    cross-check EXACT across a failover.  The trace header says what
+    :data:`SAMPLE_INTERVAL_S` what ``repro monitor`` reads, and with
+    the closing ``finished`` event what the driver reads; the
+    kill-switch and the timeout.  A process that dies by ``os._exit``
+    or SIGKILL leaves no closing record, but every event it emitted is
+    already on disk (:class:`~repro.obs.tracer.JsonlWriter` flushes per
+    line) -- which is what keeps the merged-trace cross-check EXACT
+    across a failover.  The trace header says what
     the run is (``sites``, ``expected_ops``): enough for the monitor to
     build the watchdogs that judge every site.
     """
@@ -215,9 +189,7 @@ class ProcessRig:
     def __init__(self, config: ClusterConfig, out_dir: Path, site: int,
                  role: str) -> None:
         self.config = config
-        self.out_dir = out_dir
         self.site = site
-        self.role = role
         self.sched = AsyncioScheduler()
         self.tracer = Tracer(mode="ring")
         self.tracer.bind_clock(time.time)
@@ -245,15 +217,16 @@ class ProcessRig:
             self._sigterm_installed = False
 
     def _on_sigterm(self) -> None:
-        # The driver's kill-switch: let the normal shutdown path write
-        # whatever artifacts it still can.
+        # The driver's kill-switch: let the normal shutdown path close
+        # the trace with its closing record.
         self.timed_out = True
         self.done.set()
 
     def sample(self, live: Callable[[], "StarNotifier | StarClient"]) -> None:
         """Trace ``live()``'s gauges every :data:`SAMPLE_INTERVAL_S`
-        until :meth:`finish`, which traces one last sample so the final
-        frame the monitor builds carries the final local state."""
+        until :meth:`finish`, whose closing record is the last sample,
+        so the final frame the monitor builds carries the final local
+        state."""
         self._live = live
         self._sample_timer = self.sched.schedule_after(SAMPLE_INTERVAL_S,
                                                        self._tick)
@@ -276,40 +249,33 @@ class ProcessRig:
         except asyncio.TimeoutError:
             self.timed_out = True
 
-    def result(self, endpoint: "StarNotifier | StarClient") -> ProcessResult:
-        """Snapshot one endpoint's verdict-relevant state for the driver."""
-        channels = endpoint.out_channels.values()
-        return ProcessResult(
-            role=self.role,
-            site=self.site,
-            document=str(endpoint.document),
-            executed_ops=len(endpoint.executed_op_ids),
-            timed_out=self.timed_out,
-            lost_local_edits=endpoint.transport.stats.lost_local_edits,
-            retransmits=endpoint.transport.stats.retransmits,
-            messages_sent=sum(ch.stats.messages for ch in channels),
-            wire_bytes=sum(ch.stats.total_bytes for ch in channels),
-        )
+    def finish(self, endpoint: "StarNotifier | StarClient",
+               executed_before: int = 0) -> bool:
+        """Close the trace with its closing record; True iff completed.
 
-    def finish(self, result: ProcessResult) -> bool:
-        """Trace the last sample, write the result artifact, close the
-        trace; True iff completed.
-
-        The result is written once, at the end, so a crash mid-run
-        leaves *no* file rather than a torn one -- the driver treats a
-        missing result as a failed process.  The sink is unbound before
-        its file closes: on a shared loop a retransmit or probe timer of
-        this endpoint can still fire after the run returned.
+        The closing record is one ``finished`` event, the process's last
+        sample: ``endpoint``'s gauges, its ``document`` and
+        ``timed_out``.  Its ``ops_executed`` adds ``executed_before``,
+        the executions of a replica ``endpoint`` took over from (a
+        promoted client's shell).  It is written last, so a process that
+        dies mid-run leaves a trace without one -- which is what the
+        driver reads as a process that did not finish.  The sink is
+        unbound before its file closes: on a shared loop a retransmit or
+        probe timer of this endpoint can still fire after the run
+        returned.
         """
         if self._sigterm_installed:
             asyncio.get_running_loop().remove_signal_handler(signal.SIGTERM)
         if self._sample_timer is not None:
             self.sched.cancel(self._sample_timer)
-            self._emit_sample()
-        result_path(self.out_dir, self.site).write_text(result.to_json() + "\n")
+        gauges = sample_gauges(endpoint, self.sched)
+        gauges["ops_executed"] += executed_before
+        self.tracer.emit(TraceEventKind.FINISHED, self.site, seq=self._samples,
+                         gauges={**gauges, "document": str(endpoint.document),
+                                 "timed_out": self.timed_out})
         self.tracer.bind_sink(None)
         self._trace.close()
-        return not result.timed_out
+        return not self.timed_out
 
 
 async def dial(
@@ -328,17 +294,50 @@ async def dial(
     return reader, writer
 
 
-def read_artifacts(out_dir: Path, site: int) -> tuple[ProcessResult, list[TraceEvent]]:
-    """Load one process's artifacts (raises if the process never wrote).
+def read_trace(out_dir: Path, site: int) -> list[TraceEvent]:
+    """One process's trace (raises if the process left no readable one).
 
-    The trace is read leniently: a process killed while writing leaves
-    at most one torn trailing line, and whatever it did record is still
-    evidence the driver should merge rather than discard.
+    Read leniently: a process killed while writing leaves at most one
+    torn trailing line, and whatever it did record is still evidence
+    the driver should merge rather than discard.
     """
-    result = ProcessResult.from_json(result_path(out_dir, site).read_text())
     with trace_path(out_dir, site).open() as fh:
-        _header, events = read_jsonl(fh, lenient=True)
-    return result, events
+        return read_jsonl(fh, lenient=True)[1]
+
+
+def closing_records(
+    traces: Mapping[int, Sequence[TraceEvent]],
+) -> dict[int, tuple[str, int, bool]]:
+    """Each finished process's end state, from its trace's closing
+    ``finished`` record: ``(document, executed ops, timed_out)`` by site.
+
+    ``traces`` maps a site to its process's trace.  A trace without a
+    closing record is a process that did not finish, and is left out;
+    one with two, one closed by another site, or one whose record lacks
+    a field of the end state is a ``TraceAnalysisError``.
+    """
+    ends: dict[int, tuple[str, int, bool]] = {}
+    for site, events in traces.items():
+        closing = [e for e in events if e.kind is TraceEventKind.FINISHED]
+        if not closing:
+            continue
+        if len(closing) > 1:
+            raise TraceAnalysisError(
+                f"the trace of site {site} has {len(closing)} closing records")
+        end = closing[0]
+        if end.site != site:
+            raise TraceAnalysisError(
+                f"the trace of site {site} is closed by site {end.site}")
+        gauges = end.gauges or {}
+        state = (gauges.get("document"), gauges.get("ops_executed"),
+                 gauges.get("timed_out"))
+        if not (isinstance(state[0], str) and type(state[1]) is int
+                and isinstance(state[2], bool)):
+            raise TraceAnalysisError(
+                f"the closing record of site {site} lacks a document, an "
+                "executed count or timed_out")
+        ends[site] = state
+    return ends
 
 
 def add_common_args(parser: Any) -> None:

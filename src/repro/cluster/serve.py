@@ -25,20 +25,22 @@ broadcast by the time it reads the GOODBYE -- and waits for the clients
 to hang up.  An EOF *after* GOODBYE is therefore a clean teardown, not
 a peer death.  A connection whose first frame is not the HELLO of an
 expected, not-yet-connected member is counted and closed, and so is an
-admitted member's once it sends a frame that does not decode or that
-speaks for another site; the last line on stdout, ``SERVED rejected=R
-garbled=G``, carries both counts.  A hard timeout bounds the wait; on
-expiry the artifacts are written with ``timed_out`` set so the driver
-fails the run instead of diagnosing a hang.
+admitted member's once it sends a frame that does not decode, that
+speaks for another site or that the editor refuses; the last line on
+stdout, ``SERVED rejected=R garbled=G``, carries both counts.  A hard
+timeout bounds the wait; on expiry the trace is closed with
+``timed_out`` set so the driver fails the run instead of diagnosing a
+hang.
 
 Observability: the trace streams to ``trace_0.jsonl`` as events are
-emitted, and it is the one stream the process writes: its post-mortem,
-and with the ``sampled`` event the notifier traces every
+emitted, and it is the one file the process writes: its post-mortem,
+with the ``sampled`` event the notifier traces every
 :data:`~repro.cluster.harness.SAMPLE_INTERVAL_S` (as every client does
-in its own), what ``repro monitor`` reads.  A member hung up on for a
+in its own) what ``repro monitor`` reads, and with its closing
+``finished`` event what the driver reads.  A member hung up on for a
 garbled frame is traced as ``peer_lost`` (``via="garbled"``).  The
 injected ``--crash-notifier-after`` fault traces a ``crashed`` event
-and hard-exits without writing artifacts, like a real crash, and the
+and hard-exits without a closing record, like a real crash, and the
 file still holds the generation events the driver's merged-trace
 cross-check needs to stay EXACT across a failover.
 """
@@ -55,6 +57,7 @@ from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
 from repro.net.codec import CodecError
 from repro.net.transport import Envelope
+from repro.session import ConsistencyError
 from repro.net.wire import (
     Drained,
     Hello,
@@ -85,8 +88,9 @@ class Hub:
     they have all hung up.  The first frame of a connection is outside
     input: unless it is the HELLO of an expected member that is not yet
     connected, the connection is counted in ``rejected`` and closed; a
-    later frame that does not decode, or a DATA frame whose source is not
-    the member or whose destination is not this centre, closes it too,
+    later frame that does not decode, a DATA frame whose source is not
+    the member or whose destination is not this centre, or one the
+    endpoint refuses (``ConsistencyError``) closes it too,
     counted in ``garbled`` and traced on the endpoint's tracer as
     ``peer_lost`` with ``via="garbled"``.
     """
@@ -188,9 +192,10 @@ class Hub:
 
         try:
             await pump(reader, on_envelope, on_drained=on_drained)
-        except CodecError:
+        except (CodecError, ConsistencyError):
             # Hung up on like a killed member, but counted and traced: the
-            # frame passed the HELLO and still was not one of ours.
+            # frame passed the HELLO and still was not one of ours (it
+            # does not decode, or the editor refuses it).
             self.garbled += 1
             tracer = self.endpoint.tracer
             if tracer is not None:
@@ -290,9 +295,9 @@ async def serve(config: ClusterConfig, out_dir: Path,
             # the trace ends with why it ends.
             rig.tracer.emit(TraceEventKind.CRASHED, rig.site,
                             epoch=notifier.notifier_epoch)
-            # A real crash writes no result artifacts: exit without
-            # passing go.  The streamed trace is all that survives --
-            # which is the point of having it.
+            # A real crash closes no trace: exit without passing go.
+            # The streamed trace is all that survives -- which is the
+            # point of having it.
             os._exit(70)
 
         crash_task = asyncio.ensure_future(crash())
@@ -306,4 +311,4 @@ async def serve(config: ClusterConfig, out_dir: Path,
         crash_task.cancel()
     await hub.close()
     print(f"SERVED rejected={hub.rejected} garbled={hub.garbled}", flush=True)
-    return rig.finish(rig.result(notifier))
+    return rig.finish(notifier)

@@ -23,7 +23,8 @@ Where a frame's gauges come from:
   through :class:`~repro.obs.tracer.Origins`: the p95 of the executing
   site's last 64 remote latencies;
 * *sampled* -- every other gauge rides in the periodic ``sampled``
-  event's gauge dict, and a ``sampled`` event is what makes a new frame.
+  event's gauge dict, and a ``sampled`` event is what makes a new frame
+  (as does the ``finished`` event that closes a trace: the last sample).
 
 What a process traces about its own faults is graded into the same
 :class:`~repro.obs.telemetry.HealthEvent` records the watchdogs make:
@@ -131,7 +132,7 @@ _GRADES = {
     (TraceEventKind.PEER_LOST, "terminal"): (
         "peer_dead", "fail", "connection closed mid-run; no failover left"),
     (TraceEventKind.PEER_LOST, "garbled"): (
-        "member_garbled", "warn", "hung up on for a frame that does not decode"),
+        "member_garbled", "warn", "hung up on for a frame it may not send"),
     (TraceEventKind.ELECTED, None): (
         "failover_elected", "warn", "elected for epoch {epoch}"),
     (TraceEventKind.PROMOTED, None): (
@@ -149,11 +150,12 @@ class TelemetryTailer:
     line that a writer is mid-flush on stays unconsumed until its
     newline lands) -- so a line is parsed exactly once over the
     tailer's lifetime, which :attr:`records_parsed` counts and the
-    exactly-once unit test pins.  A ``sampled`` event becomes the
-    site's frame in :attr:`latest` and is folded into :attr:`kept` and
-    handed to the :attr:`watchdogs` at once: no list of frames is held.
-    A poll pairs the new executions first, so a frame is built with its
-    site's derived ``e2e_p95_ms`` and that series fills as any other's.
+    exactly-once unit test pins.  A ``sampled`` (or ``finished``) event
+    becomes the site's frame in :attr:`latest` and is folded into
+    :attr:`kept` and handed to the :attr:`watchdogs` at once: no list of
+    frames is held.  A poll pairs the new executions first, so a frame is
+    built with its site's derived ``e2e_p95_ms`` and that series fills as
+    any other's.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
@@ -210,7 +212,7 @@ class TelemetryTailer:
             derived[counted] = derived.get(counted, 0) + 1
             if kind in (TraceEventKind.PROMOTED, TraceEventKind.RECOVERED):
                 derived["epoch"] = event.epoch or 0
-        if kind is TraceEventKind.SAMPLED:
+        if kind is TraceEventKind.SAMPLED or kind is TraceEventKind.FINISHED:
             return self._sample(event, derived)
         grade = _GRADES.get((kind, event.via))
         if grade is None:

@@ -43,9 +43,10 @@ TRACE_FORMAT = "repro-obs-trace-v1"
 #: header field; version 3 added a ``span`` event kind and an ``ot``
 #: (origin wall-clock time) field, which version 4 removed again: a
 #: latency span is a view of the events the trace already records
-#: (:mod:`repro.obs.spans`).  The ``sampled`` and ``peer_lost`` kinds
-#: and the optional ``g`` field are a cluster process's alone: no
-#: simulator session emits them, so its files did not change shape.
+#: (:mod:`repro.obs.spans`).  The ``sampled``, ``peer_lost`` and
+#: ``finished`` kinds and the optional ``g`` field are a cluster
+#: process's alone: no simulator session emits them, so its files did
+#: not change shape.
 TRACE_SCHEMA_VERSION = 4
 
 
@@ -68,6 +69,7 @@ class TraceEventKind(enum.Enum):
     HOLDBACK_OVERFLOW = "holdback_overflow"  # the reorder buffer hit capacity
     SAMPLED = "sampled"  # a cluster process traced its gauges (``gauges``)
     PEER_LOST = "peer_lost"  # a cluster process lost a connection (``via``)
+    FINISHED = "finished"  # a cluster process's closing record: its last sample
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,9 @@ class TraceEvent:
     ``"resync"`` / ``"failover"``) and lost connections (``"eof"`` /
     ``"terminal"`` / ``"garbled"``).  ``gauges`` is a ``SAMPLED``
     event's measurements, by gauge name; ``seq`` is then the sample's
-    index.
+    index.  A ``FINISHED`` event is the last sample, whose ``gauges``
+    also hold the replica's ``document`` and the process's
+    ``timed_out``.
     """
 
     index: int
@@ -297,41 +301,26 @@ class Tracer:
     the layers count beside their events (session runs, failover losses).
 
     Ring mode: constructed with ``mode="ring"``, the tracer keeps only
-    the most recent ``ring_capacity`` events in a bounded deque --
-    constant memory, for processes whose record is the file a bound
-    sink streams to (every cluster process) rather than the list.
+    the most recent :data:`DEFAULT_RING_CAPACITY` events in a bounded
+    deque -- constant memory, for processes whose record is the file a
+    bound sink streams to (every cluster process) rather than the list.
     ``index`` stays the global emission index either way (``emitted``
     counts every emission, evicted or not), so the ring is still a
     causally ordered slice of the full trace.
     """
 
-    #: Default bound of a ``mode="ring"`` tracer.
+    #: The bound of a ``mode="ring"`` tracer.
     DEFAULT_RING_CAPACITY = 256
 
-    def __init__(
-        self,
-        *,
-        clock: Optional[Callable[[], float]] = None,
-        mode: str = "full",
-        ring_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, *, mode: str = "full") -> None:
         if mode not in ("full", "ring"):
             raise ValueError(f"tracer mode must be 'full' or 'ring', got {mode!r}")
-        if ring_capacity is not None and ring_capacity < 1:
-            raise ValueError(f"ring_capacity must be positive, got {ring_capacity}")
-        self.mode = mode if ring_capacity is None else "ring"
-        self.ring_capacity: Optional[int] = None
-        if self.mode == "ring":
-            self.ring_capacity = (
-                ring_capacity if ring_capacity is not None
-                else self.DEFAULT_RING_CAPACITY
-            )
         self.events: "deque[TraceEvent] | list[TraceEvent]" = (
-            deque(maxlen=self.ring_capacity) if self.mode == "ring" else []
+            deque(maxlen=self.DEFAULT_RING_CAPACITY) if mode == "ring" else []
         )
         self.emitted = 0
         self.metrics = MetricsRegistry()
-        self._clock: Callable[[], float] = clock if clock is not None else _zero_clock
+        self._clock: Callable[[], float] = _zero_clock
         self._sink: Optional[Callable[["TraceEvent"], None]] = None
 
     def bind_clock(self, clock: Callable[[], float]) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterConfig, run_cluster
-from repro.cluster.harness import read_artifacts
+from repro.cluster.harness import read_trace
 from repro.net.wire import encode_goodbye, encode_hello, frame
 from repro.obs.tracer import TraceEventKind
 
@@ -34,11 +34,12 @@ def test_three_client_cluster_converges(tmp_path: Path) -> None:
     assert report.cross_check.pairs_checked == n_ops * (n_ops - 1) > 0
     # The processes ran the fast path; the verdicts come from the traces.
     assert report.check_disagreements == 0 and report.verdicts_checked > 0
-    # Every process left its artifacts behind for post-mortems.
+    # Every process left its trace behind for post-mortems, closed by
+    # the record of its end state.
     for site in range(4):
-        result, events = read_artifacts(tmp_path, site)
-        assert result.site == site
-        assert events, f"site {site} wrote an empty trace"
+        last = read_trace(tmp_path, site)[-1]
+        assert (last.kind, last.site) == (TraceEventKind.FINISHED, site)
+        assert last.gauges["document"] == report.documents[site]
     # The live end-to-end latency bar: every (origin, executor) pair of
     # the star, each with one sample per operation the origin generated,
     # and every pair skew-corrected.
@@ -88,22 +89,27 @@ async def _one_loop_session(config: ClusterConfig, out_dir: Path,
     )
 
 
+def _finished_endpoints(monkeypatch) -> dict[int, tuple]:
+    """Spy on ``ProcessRig.finish``: per site, the endpoint a process
+    closed its trace with, and its retransmit count at that moment."""
+    from repro.cluster.harness import ProcessRig
+
+    finished = {}
+    finish = ProcessRig.finish
+
+    def spy(rig, endpoint, *args):
+        finished[rig.site] = (endpoint, endpoint.transport.stats.retransmits)
+        return finish(rig, endpoint, *args)
+
+    monkeypatch.setattr(ProcessRig, "finish", spy)
+    return finished
+
+
 def test_a_cluster_process_keeps_no_verdicts(tmp_path: Path, monkeypatch) -> None:
     """Every process runs the fast path: the verdicts are recomputed from
     its trace, so no endpoint keeps a check record or a history, and no
-    result artifact carries a ``checks`` key."""
-    import json
-
-    from repro.cluster.harness import ProcessRig, result_path
-
-    endpoints = []
-    result = ProcessRig.result
-
-    def keep(rig, endpoint):
-        endpoints.append(endpoint)
-        return result(rig, endpoint)
-
-    monkeypatch.setattr(ProcessRig, "result", keep)
+    closing record carries a ``checks`` key."""
+    finished = _finished_endpoints(monkeypatch)
     config = ClusterConfig(clients=2, ops_per_client=3, seed=7,
                            timeout_s=15.0, settle_s=0.1)
 
@@ -111,23 +117,23 @@ def test_a_cluster_process_keeps_no_verdicts(tmp_path: Path, monkeypatch) -> Non
         assert all(await _one_loop_session(config, tmp_path))
 
     asyncio.run(body())
-    assert sorted(endpoint.pid for endpoint in endpoints) == [0, 1, 2]
-    for endpoint in endpoints:
+    assert sorted(finished) == [0, 1, 2]
+    for endpoint, _retransmits in finished.values():
         assert endpoint.checks == []
         assert len(endpoint.hb) == 0
-    artifacts = [json.loads(result_path(tmp_path, site).read_text())
-                 for site in range(3)]
-    assert not any("checks" in artifact for artifact in artifacts)
-    assert len({artifact["document"] for artifact in artifacts}) == 1
+    closing = [read_trace(tmp_path, site)[-1].gauges for site in range(3)]
+    assert not any("checks" in gauges for gauges in closing)
+    assert len({gauges["document"] for gauges in closing}) == 1
 
 
 def _documents(out_dir: Path) -> set[str]:
-    return {read_artifacts(out_dir, site)[0].document for site in range(3)}
+    """The documents the sites' closing records hold."""
+    return {read_trace(out_dir, site)[-1].gauges["document"] for site in range(3)}
 
 
 @pytest.mark.parametrize("reliability", [False, True])
 def test_serve_and_client_in_one_loop(tmp_path: Path, reliability: bool,
-                                      capfd, caplog) -> None:
+                                      capfd, caplog, monkeypatch) -> None:
     """The process entry points also compose in-process (one event loop).
 
     Covers the asyncio plumbing without subprocess overhead: the serve
@@ -135,8 +141,12 @@ def test_serve_and_client_in_one_loop(tmp_path: Path, reliability: bool,
     dial it, all on the test's own loop.  Over the reliability protocol
     an endpoint's ack and retransmit timers outlive its coroutine on the
     shared loop, so each trace sink must be unbound before its file
-    closes.
+    closes.  The retransmits the monitor counts from each trace equal
+    the endpoint's own count when it closed its trace.
     """
+    from repro.obs.monitor import TelemetryTailer
+
+    finished = _finished_endpoints(monkeypatch)
     config = ClusterConfig(clients=2, ops_per_client=2, seed=1,
                            timeout_s=15.0, settle_s=0.1,
                            reliability=reliability)
@@ -148,6 +158,10 @@ def test_serve_and_client_in_one_loop(tmp_path: Path, reliability: bool,
 
     asyncio.run(body())
     assert len(_documents(tmp_path)) == 1
+    tailer = TelemetryTailer(tmp_path)
+    tailer.poll()
+    assert {site: frame.retransmits for site, frame in tailer.latest.items()} \
+        == {site: retransmits for site, (_, retransmits) in finished.items()}
     _assert_quiet(capfd, caplog)
 
 
@@ -162,19 +176,20 @@ def test_trace_sink_does_not_outlive_its_file(tmp_path: Path) -> None:
         rig = ProcessRig(ClusterConfig(clients=1), tmp_path, 1, "client")
         client = StarClient(rig.sched, 1, tracer=rig.tracer)
         rig.tracer.emit(TraceEventKind.GENERATED, 1, op_id="before")
-        assert rig.finish(rig.result(client))
+        assert rig.finish(client)
         rig.tracer.emit(TraceEventKind.GENERATED, 1, op_id="after")
 
     asyncio.run(body())
-    _result, events = read_artifacts(tmp_path, 1)
-    assert [event.op_id for event in events] == ["before"]
+    assert [(event.kind, event.op_id) for event in read_trace(tmp_path, 1)] \
+        == [(TraceEventKind.GENERATED, "before"), (TraceEventKind.FINISHED, None)]
 
 
 def test_a_process_stream_holds_its_own_sites_frames_only(tmp_path: Path) -> None:
     """One stream per process: a process traces its own samples, on a
-    timer and once more as it finishes, into its own trace and nothing
-    else -- no other site's, no watchdog verdict (the monitor judges), no
-    second file -- under a header that says what the run is."""
+    timer and once more as its closing record, into its own trace and
+    nothing else -- no other site's, no watchdog verdict (the monitor
+    judges), no second file -- under a header that says what the run
+    is."""
     import json
 
     from repro.cluster.harness import ProcessRig, trace_path
@@ -187,18 +202,20 @@ def test_a_process_stream_holds_its_own_sites_frames_only(tmp_path: Path) -> Non
         notifier = StarNotifier(rig.sched, 3, tracer=rig.tracer)
         rig.sample(lambda: notifier)
         await asyncio.sleep(0.6)
-        rig.finish(rig.result(notifier))
+        rig.finish(notifier)
 
     asyncio.run(body())
     header, *records = [json.loads(line) for line
                         in trace_path(tmp_path, 0).read_text().splitlines()]
     assert (header["site"], header["sites"], header["expected_ops"]) == (0, 4, 12)
-    assert len(records) >= 2  # the timer's samples and the closing one
-    assert {(r["kind"], r["site"]) for r in records} == {("sampled", 0)}
+    *samples, closing = records
+    assert samples  # the timer's, before the closing one
+    assert {(r["kind"], r["site"]) for r in samples} == {("sampled", 0)}
+    assert (closing["kind"], closing["site"]) == ("finished", 0)
     assert [r["seq"] for r in records] == list(range(len(records)))
-    assert all(list(r["g"]) == list(SAMPLED_GAUGES) for r in records)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["site_0.json",
-                                                          "trace_0.jsonl"]
+    assert all(list(r["g"]) == list(SAMPLED_GAUGES) for r in samples)
+    assert list(closing["g"]) == [*SAMPLED_GAUGES, "document", "timed_out"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace_0.jsonl"]
 
 
 #: A frame that does not decode (an unassigned tag), sent after a HELLO.
@@ -206,8 +223,7 @@ GARBLED = frame(b"\x03")
 
 
 def _peer_lost(out_dir: Path, site: int) -> list[tuple[int, int, str]]:
-    _header_and_result, events = read_artifacts(out_dir, site)
-    return [(e.site, e.peer, e.via) for e in events
+    return [(e.site, e.peer, e.via) for e in read_trace(out_dir, site)
             if e.kind is TraceEventKind.PEER_LOST]
 
 
@@ -255,10 +271,56 @@ def test_a_garbled_member_is_traced_by_a_successor(tmp_path: Path) -> None:
         assert await asyncio.wait_for(reader.read(), 5.0) == b""
         writer.close()
         await coordinator.hub.close()
-        rig.finish(rig.result(client))
+        rig.finish(client)
 
     asyncio.run(body())
     assert _peer_lost(tmp_path, 1) == [(1, 2, "garbled")]
+
+
+def test_a_centre_frame_the_client_refuses_ends_its_run_on_the_record(
+    tmp_path: Path, capfd, caplog,
+) -> None:
+    """A centre sends a well-formed op message that acknowledges fifty
+    edits this client never made.  The client refuses it
+    (``ConsistencyError``) like a frame that does not decode: the centre
+    connection is over, and without failover that is a terminal peer
+    death -- traced as ``peer_lost`` and closed with ``timed_out`` --
+    not an exception out of ``run_client`` after its timeout."""
+    from repro.cluster.client import run_client
+    from repro.core.timestamp import CompressedTimestamp
+    from repro.editor.messages import OpMessage
+    from repro.net.transport import Envelope
+    from repro.net.wire import encode_envelope
+    from repro.ot.operations import Insert
+
+    config = ClusterConfig(clients=1, timeout_s=5.0, failover=False)
+    op = OpMessage(op=Insert("x", 0), timestamp=CompressedTimestamp(0, 50),
+                   origin_site=0)
+    refused = frame(encode_envelope(Envelope(
+        source=0, dest=1, payload=op, timestamp_bytes=op.timestamp.size_bytes())))
+
+    async def centre(reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        await reader.readexactly(4)  # the HELLO's length prefix is enough
+        writer.write(refused)
+        await reader.read()  # until the client hangs up
+        writer.close()
+
+    async def body() -> None:
+        server = await asyncio.start_server(centre, config.host, 0)
+        port = server.sockets[0].getsockname()[1]
+        finished = await asyncio.wait_for(
+            run_client(config, 1, port, tmp_path), 4.0)
+        server.close()
+        await server.wait_closed()
+        assert finished is False
+
+    asyncio.run(body())
+    assert _peer_lost(tmp_path, 1) == [(1, 0, "terminal")]
+    closing = read_trace(tmp_path, 1)[-1]
+    assert closing.kind is TraceEventKind.FINISHED
+    assert closing.gauges["timed_out"] is True
+    _assert_quiet(capfd, caplog)
 
 
 def _assert_quiet(capfd, caplog) -> None:
@@ -341,8 +403,7 @@ def test_cluster_traces_feed_the_monitor_aggregation(
 
     Every process traces its own samples and no other site's, into its
     trace and no other file; the monitor's watchdogs find nothing to
-    flag, and its per-site aggregate equals each process's final local
-    stats.
+    flag, and its per-site aggregate equals each process's end state.
     """
     from repro.cluster.driver import ClusterError
     from repro.obs.monitor import TelemetryTailer, aggregate, run_monitor
@@ -361,8 +422,8 @@ def test_cluster_traces_feed_the_monitor_aggregation(
     # Every process traced its own samples only, and wrote no other stream...
     assert not list(tmp_path.glob("telemetry_*"))
     for site in range(4):
-        _result, events = read_artifacts(tmp_path, site)
-        samples = [e for e in events if e.kind is TraceEventKind.SAMPLED]
+        samples = [e for e in read_trace(tmp_path, site)
+                   if e.kind is TraceEventKind.SAMPLED]
         assert samples and {e.site for e in samples} == {site}
     # ...the watchdogs its header arms flag nothing...
     tailer = TelemetryTailer(tmp_path)
@@ -371,13 +432,11 @@ def test_cluster_traces_feed_the_monitor_aggregation(
     assert len(tailer.watchdogs) == 4 and tailer.sites == 4
     assert not any(e.verdict == "fail" for e in health), health
 
-    # ...and the monitor's aggregate equals each process's final stats.
+    # ...and the monitor's aggregate equals each process's end state.
     snapshot = aggregate(tailer.latest, health, expected_sites=tailer.sites)
     assert "sites=4/4" in snapshot.line() and "digests=ok" in snapshot.line()
     for site in range(4):
-        result, _ = read_artifacts(tmp_path, site)
-        assert snapshot.totals["ops_executed"][site] == result.executed_ops
-        assert snapshot.latest[site].retransmits == result.retransmits
+        assert snapshot.totals["ops_executed"][site] == report.executed_ops[site]
         assert snapshot.latest[site].ops_generated == (
             config.ops_per_client if site else 0)
     # The end-to-end gauge no process sampled is derived from the traces:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.cluster import ClusterConfig, run_cluster
-from repro.cluster.harness import result_path, trace_path
-from repro.obs.tracer import TraceEventKind, read_jsonl
+from repro.cluster.harness import read_trace
+from repro.obs.tracer import TraceEventKind
 
 
 def _assert_survived_by_failover(report, config, tmp_path: Path) -> None:
@@ -30,13 +30,12 @@ def _assert_survived_by_failover(report, config, tmp_path: Path) -> None:
     assert report.cross_check.pairs_checked == n_ops * (n_ops - 1) > 0
     # Every verdict recomputed from the merged trace, across the epochs.
     assert report.check_disagreements == 0 and report.verdicts_checked > 0
-    # The dead centre wrote no result artifact -- but its streamed
-    # trace survived and was merged (the driver's note records it), and
-    # it ends with the crash the centre traced on its way down.
-    assert not result_path(tmp_path, 0).exists()
-    with trace_path(tmp_path, 0).open() as fh:
-        _header, events = read_jsonl(fh, lenient=True)
+    # The dead centre's trace has no closing record -- but it survived
+    # and was merged (the driver's note records it), and it ends with
+    # the crash the centre traced on its way down.
+    events = read_trace(tmp_path, 0)
     assert events[-1].kind is TraceEventKind.CRASHED
+    assert TraceEventKind.FINISHED not in {e.kind for e in events}
     assert any("failed over live" in note for note in report.notes)
     # Every survivor converged on the same document.
     assert sorted(report.documents) == list(range(1, config.clients + 1))
@@ -91,8 +90,7 @@ def test_notifier_crash_mid_run_fails_over_on_the_record(
     assert {"crash", "peer_dead"} <= kinds
     traced = set()
     for site in range(1, config.clients + 1):
-        with trace_path(tmp_path, site).open() as fh:
-            traced |= {e.kind for e in read_jsonl(fh, lenient=True)[1]}
+        traced |= {e.kind for e in read_trace(tmp_path, site)}
     assert {TraceEventKind.PEER_LOST, TraceEventKind.ELECTED,
             TraceEventKind.PROMOTED, TraceEventKind.HANDOFF} <= traced
     # The failover counters carry the epoch transition: exactly one
@@ -187,8 +185,8 @@ def test_crash_timer_after_quiescence_is_a_clean_run(tmp_path: Path) -> None:
                            timeout_s=20.0, crash_notifier_after_s=15.0)
     report = run_cluster(config, tmp_path)
     assert report.ok, report.summary()
-    # The centre survived to the end: full artifacts, full execution.
-    assert result_path(tmp_path, 0).exists()
+    # The centre survived to the end: a closing record, full execution.
+    assert read_trace(tmp_path, 0)[-1].kind is TraceEventKind.FINISHED
     assert sorted(report.documents) == [0, 1, 2]
     assert len(set(report.documents.values())) == 1
     assert all(n >= config.total_ops for n in report.executed_ops.values())

@@ -18,11 +18,11 @@ import pytest
 from repro.analysis.causality import CausalityOracle
 from repro.clocks.events import EventKind
 from repro.cluster.check import analyze_cluster
-from repro.cluster.harness import ProcessResult
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
 from repro.obs import (
+    TraceEvent,
     TraceEventKind,
     Tracer,
     check_verdicts,
@@ -177,17 +177,20 @@ class TestTheCheckerFailsWhereItShould:
 
     @staticmethod
     def as_cluster(session, events):
-        """``events`` as a cluster's artifacts, one stream and one result
-        per site, through the cluster's verdicts."""
-        endpoints = session.endpoints()
-        streams = [[e for e in events if e.site == ep.pid] for ep in endpoints]
-        results = [
-            ProcessResult(role="client" if ep.pid else "notifier", site=ep.pid,
-                          document=str(ep.document),
-                          executed_ops=len(ep.executed_op_ids))
-            for ep in endpoints
-        ]
-        return analyze_cluster(results, streams, expected_ops=4 * 8)
+        """``events`` as a cluster's traces, one per site, each closed by
+        its end state, through the cluster's verdicts."""
+        traces = {
+            ep.pid: [
+                *(e for e in events if e.site == ep.pid),
+                TraceEvent(index=len(events), kind=TraceEventKind.FINISHED,
+                           time=session.sim.now, site=ep.pid, gauges={
+                               "ops_executed": len(ep.executed_op_ids),
+                               "document": str(ep.document),
+                               "timed_out": False}),
+            ]
+            for ep in session.endpoints()
+        }
+        return analyze_cluster(traces, expected_ops=4 * 8)
 
     def test_an_untouched_trace_has_no_disagreement(self):
         session, tracer = run_traced_session()

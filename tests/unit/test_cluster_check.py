@@ -16,7 +16,6 @@ import pytest
 from repro.analysis.causality import CausalityOracle
 from repro.clocks.vector import Ordering, compare
 from repro.cluster.check import analyze_cluster, merge_traces
-from repro.cluster.harness import ProcessResult
 from repro.obs.analysis import cross_check_causality, replay_event_log
 from repro.obs.tracer import TraceEvent, TraceEventKind
 
@@ -24,6 +23,14 @@ from repro.obs.tracer import TraceEvent, TraceEventKind
 def _event(index: int, kind: TraceEventKind, time: float, site: int,
            **kw) -> TraceEvent:
     return TraceEvent(index=index, kind=kind, time=time, site=site, **kw)
+
+
+def _finished(site: int, document="", executed=1, timed_out=False,
+              index: int = 99) -> TraceEvent:
+    """A closing record: the end state a finished process reports."""
+    return _event(index, TraceEventKind.FINISHED, 9.0, site, seq=0,
+                  gauges={"ops_executed": executed, "document": document,
+                          "timed_out": timed_out})
 
 
 def test_merge_orders_by_time_and_reindexes() -> None:
@@ -129,9 +136,9 @@ def test_vector_clock_replay_agrees_with_dag_reachability() -> None:
 
 
 def test_a_malformed_merged_trace_is_an_analysis_error() -> None:
-    streams = [[_event(0, TraceEventKind.EXECUTED, 1.0, 1, op_id="ghost'")]]
-    results = [ProcessResult(role="client", site=1, document="", executed_ops=1)]
-    report = analyze_cluster(results, streams, expected_ops=1)
+    traces = {1: [_event(0, TraceEventKind.EXECUTED, 1.0, 1, op_id="ghost'"),
+                  _finished(1)]}
+    report = analyze_cluster(traces, expected_ops=1)
     assert not report.ok
     assert report.errors and "trace analysis failed" in report.errors[0]
 
@@ -162,11 +169,8 @@ _PREFIX = [
 ], ids=["T-too-long", "T-too-short", "T-not-counts", "T-empty", "SV0-not-counts",
         "centre-arrival-from-centre", "stray-site"])
 def test_a_malformed_event_is_an_analysis_error(broken: list[TraceEvent]) -> None:
-    results = [
-        ProcessResult(role="client", site=1, document="", executed_ops=1),
-        ProcessResult(role="notifier", site=0, document="", executed_ops=1),
-    ]
-    report = analyze_cluster(results, [_PREFIX + broken], expected_ops=1)
+    traces = {0: [_finished(0)], 1: [*_PREFIX, *broken, _finished(1)]}
+    report = analyze_cluster(traces, expected_ops=1)
     assert not report.ok
     assert report.errors and "trace analysis failed" in report.errors[0]
 
@@ -186,25 +190,23 @@ def test_a_dag_clock_disagreement_is_a_mismatch_not_a_crash() -> None:
 
 def test_analyze_cluster_full_verdict() -> None:
     # Formulas (5) and (7) read the timestamps the editor events carry.
-    streams = [
-        [
+    traces = {
+        1: [
             _event(0, TraceEventKind.GENERATED, 1.0, 1, op_id="1-1",
                    timestamp=(0, 1)),
             _event(1, TraceEventKind.EXECUTED, 1.8, 1, op_id="1-1'",
                    timestamp=(0, 1)),
+            _finished(1, "abc"),
         ],
-        [
+        0: [
             _event(0, TraceEventKind.EXECUTED, 1.4, 0, op_id="1-1",
                    timestamp=(0, 1)),
             _event(1, TraceEventKind.TRANSFORMED, 1.4, 0, op_id="1-1'",
                    source_op="1-1", timestamp=(1,)),
+            _finished(0, "abc"),
         ],
-    ]
-    results = [
-        ProcessResult(role="client", site=1, document="abc", executed_ops=1),
-        ProcessResult(role="notifier", site=0, document="abc", executed_ops=1),
-    ]
-    report = analyze_cluster(results, streams, expected_ops=1)
+    }
+    report = analyze_cluster(traces, expected_ops=1)
     assert report.ok, report.summary()
     assert report.verdicts_checked == 1  # 1-1' at site 1 against 1-1
     assert report.converged
@@ -213,23 +215,38 @@ def test_analyze_cluster_full_verdict() -> None:
 
 
 def test_analyze_cluster_flags_divergence_and_timeout() -> None:
-    results = [
-        ProcessResult(role="client", site=1, document="abc", executed_ops=1),
-        ProcessResult(role="notifier", site=0, document="abX", executed_ops=1,
-                      timed_out=True),
-    ]
-    report = analyze_cluster(results, [[], []], expected_ops=1)
+    traces = {1: [_finished(1, "abc")], 0: [_finished(0, "abX", timed_out=True)]}
+    report = analyze_cluster(traces, expected_ops=1)
     assert not report.converged
     assert report.timed_out
     assert not report.ok
     assert "FAILED" in report.summary()
 
 
-def test_process_result_json_roundtrip() -> None:
-    result = ProcessResult(
-        role="client", site=2, document="doc", executed_ops=5,
-        timed_out=False, lost_local_edits=0, retransmits=3,
-        messages_sent=9, wire_bytes=412,
-    )
-    restored = ProcessResult.from_json(result.to_json())
-    assert restored == result
+@pytest.mark.parametrize("traces, problem", [
+    ({0: [_finished(0, None)], 1: [_finished(1)]}, "lacks a document"),
+    ({0: [_finished(0, 7)], 1: [_finished(1)]}, "lacks a document"),
+    ({0: [_finished(0, index=1), _finished(0, index=2)], 1: [_finished(1)]},
+     "2 closing records"),
+    ({0: [_finished(0)], 1: [_finished(2)]}, "site 1 is closed by site 2"),
+], ids=["document-missing", "document-not-a-string", "second-closing-record",
+        "closed-by-another-site"])
+def test_a_malformed_closing_record_is_an_analysis_error(traces, problem) -> None:
+    """A process's end state is its trace's closing record: one that is
+    not well formed fails the run as an analysis error, not a crash."""
+    report = analyze_cluster(traces, expected_ops=1)
+    assert not report.ok
+    assert len(report.errors) == 1
+    assert report.errors[0].startswith("trace analysis failed")
+    assert problem in report.errors[0]
+
+
+def test_a_trace_without_a_closing_record_reports_no_end_state() -> None:
+    """The dead centre of a failover run: its trace is merged, and the
+    run's end state is the survivors'."""
+    traces = {0: [_event(0, TraceEventKind.CRASHED, 1.0, 0, epoch=0)],
+              1: [_finished(1, "abc")], 2: [_finished(2, "abc")]}
+    report = analyze_cluster(traces, expected_ops=1, failover_run=True)
+    assert report.ok, report.summary()
+    assert report.documents == {1: "abc", 2: "abc"}
+    assert report.trace_events == 3

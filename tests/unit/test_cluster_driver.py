@@ -1,29 +1,43 @@
-"""Unit tests for the cluster driver's directory handling
-(repro.cluster.driver) and the flag table every cluster process is
-configured through (repro.cluster.harness); the spawning paths are
-covered end to end in tests/integration/test_cluster.py."""
+"""Unit tests for the cluster driver's directory handling and trace
+gathering (repro.cluster.driver) and the flag table every cluster
+process is configured through (repro.cluster.harness); the spawning
+paths are covered end to end in tests/integration/test_cluster.py."""
 
 import argparse
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cli import build_parser
 from repro.cluster import ClusterConfig, driver, run_cluster
-from repro.cluster.harness import config_from_args
+from repro.cluster.harness import config_from_args, read_trace, trace_path
+from repro.obs.tracer import TraceEvent, TraceEventKind, trace_header
+
+
+def _closed_trace(site: int) -> str:
+    """A finished process's trace: a header and its closing record."""
+    closing = TraceEvent(index=0, kind=TraceEventKind.FINISHED, time=1.0,
+                         site=site, seq=0, gauges={"ops_executed": 3,
+                                                   "document": "stale",
+                                                   "timed_out": False})
+    return f"{json.dumps(trace_header({'site': site}))}\n{closing.to_json()}\n"
 
 
 def test_reused_out_dir_is_cleared_of_an_earlier_runs_artifacts(tmp_path, monkeypatch):
-    """A stale ``site_0.json`` must not survive into a run whose notifier
-    dies by design (it would be read as that run's result); files the
-    driver does not write are left alone, the telemetry streams and
-    flight recordings earlier versions wrote among them."""
-    stale = ["site_0.json", "site_3.json", "trace_0.jsonl", "monitor.jsonl"]
-    kept = ["notes.txt", "site_0.json.bak", "trace.jsonl", "flight_1.jsonl",
-            "telemetry_2.jsonl"]
-    for name in stale + kept:
+    """A stale ``trace_0.jsonl`` with its closing record must not survive
+    into a run whose notifier dies by design (it would be read as that
+    run's end state); files the driver does not write are left alone,
+    the result files, telemetry streams and flight recordings earlier
+    versions wrote among them."""
+    stale = ["trace_0.jsonl", "monitor.jsonl"]
+    kept = ["notes.txt", "site_0.json", "site_3.json", "trace.jsonl",
+            "flight_1.jsonl", "telemetry_2.jsonl"]
+    for name in stale[1:] + kept:
         (tmp_path / name).write_text("{}")
+    (tmp_path / "trace_0.jsonl").write_text(_closed_trace(0))
+    assert read_trace(tmp_path, 0)[-1].kind is TraceEventKind.FINISHED
     seen_at_spawn = []
 
     def spawn(config, out_dir):
@@ -34,6 +48,61 @@ def test_reused_out_dir_is_cleared_of_an_earlier_runs_artifacts(tmp_path, monkey
     with pytest.raises(driver.ClusterError, match="stop before spawning"):
         run_cluster(ClusterConfig(clients=3), tmp_path)
     assert seen_at_spawn == sorted(kept)
+
+
+# -- reading the traces ----------------------------------------------------------
+
+
+def _plant(out_dir, sites, text_of) -> None:
+    for site in range(sites):
+        trace_path(out_dir, site).write_text(text_of(site))
+
+
+def test_every_finished_process_is_gathered_with_its_trace(tmp_path):
+    _plant(tmp_path, 3, _closed_trace)
+    traces, notes = driver.gather_traces(tmp_path, 3, failover_run=False)
+    assert sorted(traces) == [0, 1, 2] and notes == []
+    assert all(events[-1].site == site for site, events in traces.items())
+
+
+UNFINISHED = {
+    # how site 1's trace ends -> its text
+    "killed": lambda: json.dumps(trace_header({"site": 1})) + "\n",
+    "torn-closing-record": lambda: _closed_trace(1)[:-20],
+    "no-trace": None,
+}
+
+
+@pytest.mark.parametrize("case", UNFINISHED)
+def test_a_trace_without_a_closing_record_is_a_process_that_did_not_finish(
+    tmp_path, case,
+):
+    """Killed, crashed or torn on its last line, whatever the site: the
+    driver raises naming the traces it salvaged, in a failover run too."""
+    _plant(tmp_path, 3, _closed_trace)
+    if UNFINISHED[case] is None:
+        trace_path(tmp_path, 1).unlink()
+    else:
+        trace_path(tmp_path, 1).write_text(UNFINISHED[case]())
+    for failover_run in (False, True):
+        with pytest.raises(driver.ClusterError) as excinfo:
+            driver.gather_traces(tmp_path, 3, failover_run=failover_run)
+        message = str(excinfo.value)
+        assert "site 1 did not finish" in message
+        assert "salvaged: trace_0.jsonl" in message
+
+
+def test_the_dead_centre_of_a_failover_run_is_the_one_exception(tmp_path):
+    _plant(tmp_path, 3, _closed_trace)
+    trace_path(tmp_path, 0).write_text(
+        json.dumps(trace_header({"site": 0})) + "\n"
+        + TraceEvent(index=0, kind=TraceEventKind.CRASHED, time=1.0, site=0,
+                     epoch=0).to_json() + "\n")
+    with pytest.raises(driver.ClusterError, match="site 0 did not finish"):
+        driver.gather_traces(tmp_path, 3, failover_run=False)
+    traces, notes = driver.gather_traces(tmp_path, 3, failover_run=True)
+    assert [event.kind for event in traces[0]] == [TraceEventKind.CRASHED]
+    assert len(notes) == 1 and "no closing record, as designed" in notes[0]
 
 
 # -- the flag table --------------------------------------------------------------

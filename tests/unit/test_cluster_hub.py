@@ -349,3 +349,42 @@ def test_close_with_members_connected_leaves_no_task_and_no_noise(
     run({1, 2}, body)  # asserts the loop is clean after close()
     assert capfd.readouterr().err == ""
     assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
+def test_a_frame_the_notifier_refuses_is_counted_and_costs_nobody_else(
+    capfd, caplog,
+) -> None:
+    """Behind the hub, a real notifier: member 1 sends a well-formed op
+    message that acknowledges five operations the notifier never sent.
+    The notifier refuses it (``ConsistencyError``); the hub hangs the
+    member up, counts it in ``garbled`` and traces ``peer_lost`` with
+    ``via="garbled"`` -- nothing reaches the ``asyncio`` logger -- and
+    member 2's operations arrive whole and execute."""
+    def op_frame(member: int, first: int, second: int, text: str) -> bytes:
+        op = OpMessage(op=Insert(text, 0),
+                       timestamp=CompressedTimestamp(first, second),
+                       origin_site=member)
+        return frame(encode_envelope(Envelope(
+            source=member, dest=0, payload=op,
+            timestamp_bytes=op.timestamp.size_bytes())))
+
+    async def body(lo: Loopback) -> None:
+        notifier = lo.hub.endpoint
+        r1, w1 = await lo.member(1)
+        _r2, w2 = await lo.member(2)
+        w2.write(op_frame(2, 0, 1, "a"))
+        await until(lambda: notifier.executed_op_ids == ["c2_1'"])
+        w1.write(op_frame(1, 5, 1, "x"))
+        await until(lambda: lo.hub.hung_up == {1})
+        assert await asyncio.wait_for(r1.read(), 5.0) != b""  # c2_1', then EOF
+        w2.write(op_frame(2, 0, 2, "b") + frame(encode_drained(2)))
+        await until(lambda: lo.hub.drained == {2})
+        assert notifier.executed_op_ids == ["c2_1'", "c2_2'"]
+        assert notifier.document == "ba"
+        assert (lo.hub.garbled, lo.hub.rejected) == (1, 0)
+        assert lost(notifier) == [(0, 1, "garbled")]
+
+    run({1, 2}, body, endpoint=lambda: StarNotifier(
+        AsyncioScheduler(), 2, tracer=Tracer()))
+    assert capfd.readouterr().err == ""
+    assert [r for r in caplog.records if r.name == "asyncio"] == []

@@ -43,7 +43,8 @@ class Pair:
         self.copies: Counter[tuple[int, int]] = Counter()
         self.wire: list[tuple[float, int, ReliablePacket]] = []  # (time, source, packet)
         self.released: list[tuple[str, float]] = []  # (payload, release time)
-        self.tracer = Tracer(clock=lambda: self.sim.now)
+        self.tracer = Tracer()
+        self.tracer.bind_clock(lambda: self.sim.now)
         self.sender = ReliableEndpoint(
             self.sim, SENDER, tracer=self.tracer,
             deliver=lambda env: None)

@@ -189,27 +189,24 @@ class TestRegistryMerge:
 
 class TestRingTracer:
     def test_ring_mode_evicts_oldest_events(self):
-        tracer = Tracer(mode="ring", ring_capacity=3)
-        for i in range(5):
+        tracer = Tracer(mode="ring")
+        capacity = Tracer.DEFAULT_RING_CAPACITY
+        for i in range(capacity + 2):
             tracer.emit(TraceEventKind.GENERATED, 1, op_id=f"c1_{i}")
-        assert len(tracer.events) == 3
-        assert [e.op_id for e in tracer.events] == ["c1_2", "c1_3", "c1_4"]
+        assert len(tracer.events) == capacity
+        assert [e.op_id for e in tracer.events][:2] == ["c1_2", "c1_3"]
+        assert tracer.events[-1].op_id == f"c1_{capacity + 1}"
         # Indices keep counting: the ring drops events, not history.
-        assert tracer.emitted == 5
-        assert [e.index for e in tracer.events] == [2, 3, 4]
-
-    def test_ring_capacity_implies_ring_mode(self):
-        assert Tracer(ring_capacity=4).mode == "ring"
+        assert tracer.emitted == capacity + 2
+        assert [e.index for e in tracer.events] == list(range(2, capacity + 2))
 
     def test_ring_mode_gets_a_default_capacity(self):
         tracer = Tracer(mode="ring")
         assert tracer.events.maxlen == Tracer.DEFAULT_RING_CAPACITY
 
-    def test_invalid_mode_and_capacity_are_rejected(self):
+    def test_invalid_mode_is_rejected(self):
         with pytest.raises(ValueError):
             Tracer(mode="circular")
-        with pytest.raises(ValueError):
-            Tracer(mode="ring", ring_capacity=0)
 
 
 class TestRetransmitStormWatchdog:

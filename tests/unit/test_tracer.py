@@ -49,7 +49,8 @@ class TestEmission:
         assert [e.time for e in tracer.events] == [0.0, 2.5]
 
     def test_explicit_time_overrides_clock(self):
-        tracer = Tracer(clock=lambda: 9.0)
+        tracer = Tracer()
+        tracer.bind_clock(lambda: 9.0)
         event = tracer.emit(TraceEventKind.GENERATED, 1, op_id="a", time=1.25)
         assert event is not None and event.time == 1.25
 
