@@ -32,9 +32,16 @@ class OriginKind(enum.Enum):
     FROM_CLIENT = "from-client"  # notifier-side: received from a client
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CompressedTimestamp:
-    """The paper's 2-element compressed state vector timestamp."""
+    """The paper's 2-element compressed state vector timestamp.
+
+    A value: shared by every message and history entry that carries it,
+    and never mutated.  Not ``frozen`` (a broadcast builds one per
+    destination, and a frozen ``__init__`` is an ``object.__setattr__``
+    per field): ``tests/unit/test_source_hygiene.py`` fails on a store
+    to ``first`` or ``second`` under ``src/`` on anything but ``self``.
+    """
 
     first: int  # T[1]
     second: int  # T[2]

@@ -280,8 +280,21 @@ class StarClient(EditorEndpoint):
                 f"site {self.pid}: the notifier acknowledged {ts.second} local "
                 f"operations, but only {self.sv.generated_locally} were generated"
             )
-        # The k-th broadcast from an origin is that origin's op k (FIFO).
+        # FIFO from the centre: T[1] is a sequence number, and the
+        # origin is another site.
+        due = self.sv.received_from_center + 1
+        if ts.first != due:
+            raise ConsistencyError(
+                f"site {self.pid}: the notifier sent broadcast {ts.first}, "
+                f"but {due} was due"
+            )
         origin = message.origin_site
+        if origin < 1 or origin == self.pid:
+            raise ConsistencyError(
+                f"site {self.pid}: a broadcast from site {origin}, not another "
+                "client site"
+            )
+        # The k-th broadcast from an origin is that origin's op k (FIFO).
         ordinal = self._received_per_origin.get(origin, 0) + 1
         self._received_per_origin[origin] = ordinal
         op_id = op_name(origin, ordinal, self.notifier_epoch, copy=True)

@@ -166,7 +166,19 @@ class StarNotifier(EditorEndpoint):
                 f"notifier: site {source} acknowledged {ts.first} operations, "
                 f"but only {already + len(queue)} were sent to it"
             )
-        # FIFO from the origin: the arrival is its op T[2].
+        # FIFO from the origin: the arrival is its next op, and the link
+        # it came on is its origin.  T[2] is a sequence number.
+        due = self.sv.counts[source - 1] + 1
+        if ts.second != due:
+            raise ConsistencyError(
+                f"notifier: site {source} sent its operation {ts.second}, "
+                f"but {due} was due"
+            )
+        if message.origin_site != source:
+            raise ConsistencyError(
+                f"notifier: site {source} sent an operation of site "
+                f"{message.origin_site}"
+            )
         op_id = op_name(source, ts.second, self.notifier_epoch)
         concurrent_entries = (
             self._concurrency_pass(ts, source, op_id) if self._diagnostic else None)

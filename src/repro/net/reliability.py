@@ -63,7 +63,7 @@ Deliver = Callable[[Envelope], None]
 PeerCallback = Callable[[int], None]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReliablePacket:
     """The reliability envelope wrapped around every editor message.
 
@@ -79,6 +79,14 @@ class ReliablePacket:
     over a network that never reorders proves every copy of that seq
     sent before them was lost.  It rides the flags byte that carries
     ``probe``, so it costs nothing on either wire.
+
+    Shared by reference and never mutated, like
+    :class:`~repro.editor.messages.OpMessage`: the sender's object is
+    what the simulator delivers.  Not ``frozen`` -- one is built per
+    packet, and a frozen ``__init__`` is an ``object.__setattr__`` per
+    field -- so ``tests/unit/test_source_hygiene.py`` holds the rule:
+    nothing under ``src/`` stores to one of these field names except on
+    ``self``.
     """
 
     seq: int
@@ -343,9 +351,8 @@ class ReliableEndpoint:
 
     def _transmit(self, dest: int, link: _PeerLink, seq: int, payload: Any,
                   ts_bytes: int, kind: str) -> None:
-        packet = ReliablePacket(seq=seq, epoch=link.epoch,
-                                ack=link.recv_next - 1, payload=payload,
-                                gap=self._holdback.holds(dest))
+        packet = ReliablePacket(seq, link.epoch, link.recv_next - 1, payload,
+                                False, self._holdback.holds(dest))
         self._told_recv_next(link)
         self.wire_send(dest, packet, ts_bytes, kind)
 
@@ -524,21 +531,14 @@ class ReliableEndpoint:
             self.tracer.emit(TraceEventKind.RELEASED, self.pid,
                              peer=envelope.source, epoch=packet.epoch,
                              seq=packet.seq, via=via)
-        self.deliver(
-            Envelope(
-                source=envelope.source,
-                dest=envelope.dest,
-                payload=packet.payload,
-                timestamp_bytes=envelope.timestamp_bytes,
-                kind=envelope.kind,
-                message_id=envelope.message_id,
-            )
-        )
+        self.deliver(Envelope(envelope.source, envelope.dest, packet.payload,
+                              envelope.timestamp_bytes, envelope.kind,
+                              envelope.message_id))
 
     def _send_ack(self, dest: int, link: _PeerLink) -> None:
         self.stats.acks_sent += 1
-        packet = ReliablePacket(seq=-1, epoch=link.epoch, ack=link.recv_next - 1,
-                                gap=self._holdback.holds(dest))
+        packet = ReliablePacket(-1, link.epoch, link.recv_next - 1, None, False,
+                                self._holdback.holds(dest))
         self._told_recv_next(link)
         self.wire_send(dest, packet, 0, "ack")
 
@@ -664,8 +664,7 @@ class ReliableEndpoint:
         state.remaining -= 1
         self.stats.probes_sent += 1
         link = self._link(peer)
-        packet = ReliablePacket(seq=-1, epoch=link.epoch,
-                                ack=link.recv_next - 1, probe=True)
+        packet = ReliablePacket(-1, link.epoch, link.recv_next - 1, None, True)
         # Probes ride the ack packet class: like a lost ack, a lost
         # probe forces no retransmission (the next tick re-probes).
         self.wire_send(peer, packet, 0, "ack")

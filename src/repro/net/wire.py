@@ -208,9 +208,8 @@ def _decode_payload(reader: Reader, nested: bool = False) -> Any:
             # no reader of this wire catches.
             raise WireError(f"a probe is unsequenced, got seq {seq - 1}")
         payload = _decode_payload(reader, nested=True)
-        return ReliablePacket(seq=seq - 1, epoch=epoch, ack=ack - 1, payload=payload,
-                              probe=bool(flags & RELIABLE_PROBE),
-                              gap=bool(flags & RELIABLE_GAP))
+        return ReliablePacket(seq - 1, epoch, ack - 1, payload,
+                              bool(flags & RELIABLE_PROBE), bool(flags & RELIABLE_GAP))
     reader.u8()  # the cold payloads: the tag, then field by field
     if tag == PAYLOAD_NONE:
         return None

@@ -257,6 +257,90 @@ class TestInvariants:
         assert state() == before
 
 
+def _every_replica(session):
+    """What an arrival may move, everywhere: documents, state vectors,
+    the notifier's queues and horizons, the clients' pending ops and
+    per-origin counts, and the recorded checks."""
+    notifier = session.notifier
+    return (
+        notifier.document, notifier.sv.as_paper_list(), dict(notifier.acked),
+        {site: [p.op_id for p in queue] for site, queue in notifier.sent_to.items()},
+        [(c.document, c.sv.as_paper_list(), [e.op_id for e in c.pending],
+          dict(c._received_per_origin)) for c in session.clients],
+        len(session.all_checks()),
+    )
+
+
+class TestSequenceRule:
+    """On a FIFO star link the timestamp is a sequence number: a centre
+    copy's ``T[1]`` is ``SV_i[1] + 1`` and its origin another client; a
+    client op's ``T[2]`` is ``SV_0[source] + 1`` and its origin the link
+    it came on.  Anything else is refused before any state moves."""
+
+    @staticmethod
+    def settled(record_checks):
+        # No event log: it would trip on the bogus arrival on its own.
+        session = StarSession(n_sites=2, initial_state="abc", record_events=False,
+                              record_checks=record_checks)
+        session.generate_at(1, Insert("x", 0), at=1.0)
+        session.generate_at(2, Insert("y", 0), at=5.0)
+        session.run()
+        session.client(1).generate(Insert("L", 3))  # pending at client 1
+        return session
+
+    @pytest.mark.parametrize("record_checks", [False, True], ids=["fast", "diagnostic"])
+    @pytest.mark.parametrize(("first", "origin", "refusal"), [
+        (6, 2, "site 1: the notifier sent broadcast 6, but 2 was due"),
+        (1, 2, "site 1: the notifier sent broadcast 1, but 2 was due"),
+        (2, 1, "site 1: a broadcast from site 1, not another client site"),
+        (2, 0, "site 1: a broadcast from site 0, not another client site"),
+    ], ids=["skips-ahead", "repeats", "own-origin", "centre-origin"])
+    def test_a_client_refuses_a_broadcast_out_of_sequence(
+            self, record_checks, first, origin, refusal):
+        session = self.settled(record_checks)
+        client = session.client(1)
+        assert client.sv.as_paper_list() == [1, 2]
+        assert [e.op_id for e in client.pending] == ["c1_2"]
+        before = _every_replica(session)
+        bad = messages.OpMessage(Insert("z", 0), CompressedTimestamp(first, 1), origin)
+        with pytest.raises(ConsistencyError, match=refusal):
+            client.on_message(Envelope(source=0, dest=1, payload=bad))
+        assert _every_replica(session) == before
+
+    @pytest.mark.parametrize("record_checks", [False, True], ids=["fast", "diagnostic"])
+    @pytest.mark.parametrize(("second", "origin", "refusal"), [
+        (7, 1, "notifier: site 1 sent its operation 7, but 2 was due"),
+        (1, 1, "notifier: site 1 sent its operation 1, but 2 was due"),
+        (2, 2, "notifier: site 1 sent an operation of site 2"),
+    ], ids=["skips-ahead", "repeats", "foreign-origin"])
+    def test_the_notifier_refuses_an_operation_out_of_sequence(
+            self, record_checks, second, origin, refusal):
+        session = self.settled(record_checks)
+        notifier = session.notifier
+        assert notifier.sv.as_paper_list() == [1, 1]
+        assert [p.op_id for p in notifier.sent_to[1]] == ["c2_1'"]
+        before = _every_replica(session)
+        # T[1] = 1 acknowledges c2_1': accepted, it would empty the queue.
+        bad = messages.OpMessage(Insert("z", 0), CompressedTimestamp(1, second), origin)
+        with pytest.raises(ConsistencyError, match=refusal):
+            notifier.on_message(Envelope(source=1, dest=0, payload=bad))
+        assert _every_replica(session) == before
+
+    def test_joiners_keep_the_sequence(self):
+        """Two joiners admitted at once: each snapshot restates both
+        counts, so every later broadcast, to and from a joiner, is the
+        next one."""
+        session = StarSession(n_sites=2, initial_state="ab", record_events=False)
+        first = session.add_client(at=1.0)
+        second = session.add_client(at=1.0)
+        session.run(until=2.0)
+        session.generate_at(second, Insert("!", 0), at=3.0)
+        session.generate_at(first, Insert("?", 2), at=3.0)
+        session.generate_at(1, Insert("-", 1), at=3.0)
+        session.run()
+        assert session.converged()
+
+
 class TestGarbageCollection:
     """A diagnostic session's history is pruned at the acknowledgement
     horizon by the arrivals themselves; these pin the end states the

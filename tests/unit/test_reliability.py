@@ -475,3 +475,60 @@ def test_a_discarded_link_owes_no_repeat_report(discard):
     assert sim.pending_events == 0 and endpoint.holdback_depth() == 0
     told = len(sent)
     assert sim.run() == 0 and len(sent) == told
+
+
+# -- the per-packet values, built positionally ------------------------------------
+
+
+def test_a_released_envelope_keeps_the_wire_envelopes_header():
+    """``_release`` rebuilds the envelope around the packet's payload
+    positionally: every header field must land where it came from.  The
+    values are pairwise distinct, so a swapped argument shows."""
+    handed: list[Envelope] = []
+    endpoint = ReliableEndpoint(Simulator(), RECEIVER, wire_send=lambda *a: None,
+                                deliver=handed.append)
+    # Seq 1 is held above the gap, then seq 0 releases both: one direct
+    # release and one from the holdback queue.
+    for seq, message_id in ((1, 78), (0, 77)):
+        endpoint.on_wire(Envelope(SENDER, RECEIVER, ReliablePacket(seq, 0, -1, f"p{seq}"),
+                                  16, "op", message_id))
+    assert [(env.source, env.dest, env.payload, env.timestamp_bytes, env.kind,
+             env.message_id) for env in handed] == [
+        (SENDER, RECEIVER, "p0", 16, "op", 77),
+        (SENDER, RECEIVER, "p1", 16, "op", 78),
+    ]
+
+
+def test_a_sent_packet_carries_its_header_in_place():
+    """``_transmit``, ``_send_ack`` and ``_probe_tick`` build their packet
+    positionally: seq, epoch, ack, payload, probe and gap in that order.
+    Seqs 0-1, ack 2 and epoch 3 are distinct, so a swap shows."""
+    sent: list[ReliablePacket] = []
+    endpoint = ReliableEndpoint(Simulator(), RECEIVER,
+                                wire_send=lambda dest, packet, *a: sent.append(packet),
+                                deliver=lambda env: None)
+    endpoint.reset_link(SENDER, 3)
+    for seq in range(3):
+        endpoint.on_wire(data_from_sender(seq, f"p{seq}", epoch=3))
+    told = len(sent)
+    endpoint.on_wire(data_from_sender(4, "held", epoch=3))  # a gap: reported at once
+    endpoint.send(SENDER, "d0")
+    endpoint.send(SENDER, "d1")
+    endpoint.probe_peer(SENDER, on_alive=lambda peer: None, on_dead=lambda peer: None)
+    assert [(p.seq, p.epoch, p.ack, p.payload, p.probe, p.gap) for p in sent[told:]] == [
+        (-1, 3, 2, None, False, True),  # the gap report
+        (0, 3, 2, "d0", False, True),  # data carries the report too
+        (1, 3, 2, "d1", False, True),
+        (-1, 3, 2, None, True, False),  # a probe says nothing of gaps
+    ]
+
+
+@pytest.mark.parametrize(("fields", "refusal"), [
+    ((-2, 0, -1), "malformed"),
+    ((0, 0, -2), "malformed"),
+    ((0, -1, -1), "malformed"),
+    ((0, 0, -1, None, True), "unsequenced"),
+], ids=["seq", "ack", "epoch", "sequenced-probe"])
+def test_a_positionally_built_packet_refuses_malformed_values(fields, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        ReliablePacket(*fields)

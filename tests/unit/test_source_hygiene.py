@@ -26,9 +26,11 @@ outside the standard library, and ``pyproject.toml`` declares no runtime
 dependency.
 
 Two rules hold what ``frozen`` used to, for the per-message values the
-notifier builds once per destination: none of them has a ``__dict__``,
-and nothing under ``src/`` stores to an ``OpMessage`` field name on an
-object other than ``self`` (messages are shared by reference).
+notifier builds once per destination and the reliability layer once per
+packet: none of them has a ``__dict__``, and nothing under ``src/``
+stores to an ``OpMessage``, ``ReliablePacket`` or ``CompressedTimestamp``
+field name on an object other than ``self`` (all three are shared by
+reference).
 """
 
 from __future__ import annotations
@@ -422,12 +424,16 @@ def test_layouts_are_packed_and_unpacked_by_writer_and_reader_only() -> None:
 
 
 def test_per_message_values_have_no_dict() -> None:
-    """What a broadcast builds per copy (and what buffers one) is slots
-    only: half the allocations, and no attribute that was not declared."""
+    """What a broadcast builds per copy, what the reliability layer
+    builds per packet, and what buffers one is slots only: half the
+    allocations, and no attribute that was not declared."""
+    import dataclasses
+
     from repro.core.history import HistoryEntry
     from repro.core.timestamp import CompressedTimestamp, OriginKind
     from repro.editor.messages import OpMessage
     from repro.editor.star_notifier import PendingOp
+    from repro.net.reliability import ReliablePacket
     from repro.net.simulator import Simulator
     from repro.net.transport import Envelope
 
@@ -436,20 +442,34 @@ def test_per_message_values_have_no_dict() -> None:
     values = [
         Envelope(1, 0, message),
         message,
+        ReliablePacket(0, 0, -1, message),
         PendingOp("op", "c1_1'", 1),
         HistoryEntry("op", ts, 1, OriginKind.LOCAL),
         ts,
         Simulator().schedule(0.0, lambda: None),  # a _ScheduledEvent
     ]
-    for value in values:
+    def slots_only(value: object) -> None:
         assert not hasattr(value, "__dict__"), type(value).__name__
         # TypeError: what a frozen slots=True dataclass says before 3.12
         # (its __setattr__ still names the class slots=True replaced).
         with pytest.raises((AttributeError, TypeError)):
             value.undeclared = 1
+
+    for value in values:
+        slots_only(value)
     # The constructor surface that slots=True re-creates the class around.
     assert message == OpMessage(op="op", timestamp=ts, origin_site=1, shared=object())
     assert message != OpMessage("op", ts, 2)
+    assert ReliablePacket(-1, 1, 4, None, True, True) == ReliablePacket(
+        seq=-1, epoch=1, ack=4, probe=True, gap=True)
+    # The rule fires on what these classes were, frozen without slots
+    # (refusing an undeclared attribute, so only the __dict__ check
+    # tells), and on a plain dataclass, which fails both checks.
+    names = [f.name for f in dataclasses.fields(ReliablePacket)]
+    for frozen in (True, False):
+        planted = dataclasses.make_dataclass("Planted", names, frozen=frozen)
+        with pytest.raises(AssertionError, match="Planted"):
+            slots_only(planted(0, 0, -1, None, False, False))
 
 
 def _message_field_stores(tree: ast.Module, fields: set[str]) -> list[str]:
@@ -469,19 +489,29 @@ def _message_field_stores(tree: ast.Module, fields: set[str]) -> list[str]:
 
 
 def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
-    """``OpMessage`` is not ``frozen`` (a frozen ``__init__`` is four
-    ``object.__setattr__`` calls per copy), and a message is shared by
-    reference: the simulator hands the sender's object to the receiver
-    and ``ReliableEndpoint.unacked`` retains it, so a receiver that
-    mutated one would corrupt a retransmit.  Every field but ``op``:
-    ``PendingOp`` and ``HistoryEntry`` keep an ``op`` that inclusion
-    transformation replaces in place."""
+    """``OpMessage``, ``ReliablePacket`` and ``CompressedTimestamp`` are
+    not ``frozen`` (a frozen ``__init__`` is an ``object.__setattr__``
+    per field, per copy or per packet), and each is shared by
+    reference: the simulator hands the sender's object to the receiver,
+    ``ReliableEndpoint.unacked`` retains a message, and a timestamp is
+    held by its message, its ``HistoryEntry`` and the broadcast log, so
+    a receiver that mutated one would corrupt a retransmit or a check.
+    Every ``OpMessage`` field but ``op``: ``PendingOp`` and
+    ``HistoryEntry`` keep an ``op`` that inclusion transformation
+    replaces in place."""
     import dataclasses
 
+    from repro.core.timestamp import CompressedTimestamp
     from repro.editor.messages import OpMessage
+    from repro.net.reliability import ReliablePacket
 
-    fields = {f.name for f in dataclasses.fields(OpMessage)} - {"op"}
-    assert fields == {"timestamp", "origin_site", "shared"}  # no name travels
+    def names(cls: type) -> set[str]:
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert names(OpMessage) - {"op"} == {"timestamp", "origin_site", "shared"}  # no name travels
+    assert names(ReliablePacket) == {"seq", "epoch", "ack", "payload", "probe", "gap"}
+    assert names(CompressedTimestamp) == {"first", "second"}
+    fields = (names(OpMessage) - {"op"}) | names(ReliablePacket) | names(CompressedTimestamp)
     hits = [
         f"{path.relative_to(SRC)}:{hit}"
         for path in MODULES
@@ -499,8 +529,15 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
         "        del message.timestamp\n"
         "        object.__setattr__(message, 'origin_site', 2)\n"
         "        setattr(message, 'shared', None)\n"
-        "        message.op = message.timestamp\n")  # op: not covered, a load: fine
-    assert len(_message_field_stores(planted, fields)) == 6
+        "        message.op = message.timestamp\n"  # op: not covered, a load: fine
+        "    def on_wire(self, envelope, packet):\n"
+        "        packet.ack = -1\n"
+        "        envelope.payload.seq += 1\n"
+        "        setattr(packet, 'gap', True)\n"
+        "        packet.payload.timestamp.first = 0\n"
+        "        del packet.payload.timestamp.second\n"
+        "        self.seq = packet.seq\n")  # its own field, and a load: fine
+    assert len(_message_field_stores(planted, fields)) == 11
 
 
 def _foreign_imports(tree: ast.Module) -> set[str]:
