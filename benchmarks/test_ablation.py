@@ -5,10 +5,14 @@ ABL-1  Transformation at the notifier is what makes 2 elements enough.
        (i.e., without transformation), the causality relationships among
        these operations would still remain N-dimensional and have to be
        timestamped by N-element vector clocks."  We measure it: with
-       transformation off, compressed verdicts (which treat relayed
-       operations as site-0 operations) contradict the full-vector
-       ground truth over the *original* operations; with transformation
-       on, they never do.
+       operations relayed as-is, compressed verdicts (which treat
+       relayed operations as site-0 operations) contradict the
+       full-vector ground truth over the *original* operations; with
+       transformation, they never do.  An as-is relay keeps the
+       transformed run's schedule, timestamps and verdicts, so its
+       verdicts are the transformed run's check records and its
+       documents a replay of that run's trace
+       (:func:`repro.analysis.consistency.replay_as_is`).
 
 ABL-2  History retention: HB length at peak and at quiescence when the
        arrivals prune at the acknowledgement horizon (every session
@@ -23,8 +27,10 @@ import random
 from conftest import emit
 
 from repro.analysis.causality import CausalityOracle
+from repro.analysis.consistency import check_divergence, replay_as_is
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
+from repro.obs.tracer import Tracer
 from repro.ot.operations import Identity, Insert, compose
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -58,22 +64,45 @@ def count_verdict_mismatches(session: StarSession) -> tuple[int, int]:
     return mismatches, total
 
 
-def run_session(transform: bool, seed: int) -> StarSession:
-    config = RandomSessionConfig(n_sites=4, ops_per_site=5, seed=seed)
+def abl1_config(seed: int) -> RandomSessionConfig:
+    return RandomSessionConfig(n_sites=4, ops_per_site=5, seed=seed)
+
+
+def run_verified(seed: int) -> StarSession:
+    """Every verdict checked inline against full vector clocks over the
+    REDEFINED operations: any mismatch raises ConsistencyError and
+    fails this ablation."""
+    config = abl1_config(seed)
     session = StarSession(
         4,
         initial_state=config.initial_document,
         latency_factory=latencies(seed),
-        transform_enabled=transform,
-        # with transformation ON, every verdict is checked inline against
-        # full vector clocks over the REDEFINED operations -- any mismatch
-        # raises ConsistencyError and fails this ablation
-        verify_with_oracle=transform,
-        record_checks=True,  # count_verdict_mismatches reads the records
+        verify_with_oracle=True,
+        record_checks=True,
     )
     drive_star_session(session, config)
     session.run()
     return session
+
+
+def run_as_is(seed: int) -> tuple[StarSession, bool]:
+    """The as-is relay: the check records of a traced run (pruned at the
+    acknowledgement horizon, as a relay without the oracle keeps them)
+    and whether the replay of its original operations converges."""
+    config = abl1_config(seed)
+    tracer = Tracer()
+    session = StarSession(
+        4,
+        initial_state=config.initial_document,
+        latency_factory=latencies(seed),
+        record_checks=True,  # count_verdict_mismatches reads the records
+        tracer=tracer,
+    )
+    ops = drive_star_session(session, config)
+    session.run()
+    documents = replay_as_is(config.initial_document, tracer.events, ops)
+    assert len(documents) == len(session.documents())
+    return session, not check_divergence(documents).diverged
 
 
 def test_abl1_transformation_collapses_causality(benchmark):
@@ -85,14 +114,14 @@ def test_abl1_transformation_collapses_causality(benchmark):
     def measure():
         rows = []
         for seed in range(6):
-            with_t = run_session(True, seed)  # raises on any oracle mismatch
-            without_t = run_session(False, seed)
+            with_t = run_verified(seed)  # raises on any oracle mismatch
+            as_is, as_is_converged = run_as_is(seed)
             rows.append(
                 (
                     seed,
-                    count_verdict_mismatches(without_t),
+                    count_verdict_mismatches(as_is),
                     with_t.converged(),
-                    without_t.converged(),
+                    as_is_converged,
                 )
             )
         return rows

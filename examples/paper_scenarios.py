@@ -3,7 +3,9 @@
 
 * Fig. 1 -- the star-like topology of Web-based REDUCE (ASCII art);
 * Fig. 2 -- the four-operation scenario WITHOUT transformation:
-  divergence and intention violation, with a space-time diagram;
+  divergence and intention violation, with a space-time diagram.  The
+  as-is relay keeps the transformed run's schedule and timestamps, so
+  its documents are replayed from that run's trace;
 * Fig. 3 -- the same scenario WITH compressed vector clocks and
   transformation: every timestamp and concurrency verdict of the
   Section 5 walkthrough, and convergence.
@@ -11,12 +13,14 @@
 Run:  python examples/paper_scenarios.py
 """
 
-from repro.analysis.consistency import check_divergence
+from repro.analysis.consistency import check_divergence, replay_as_is
 from repro.editor.star import StarSession
+from repro.obs.tracer import Tracer
 from repro.viz.spacetime import DiagramEvent, render_spacetime, render_star_topology
 from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
     FIG_LATENCIES,
+    fig2_ops,
     fig3_labels,
     fig3_script,
     fig_latency_factory,
@@ -35,18 +39,18 @@ def banner(title: str) -> None:
     print("#" * 72)
 
 
-def run_scenario(transform: bool) -> StarSession:
+def run_scenario() -> StarSession:
     # The diagrams and the walkthrough are drawn from complete history
     # buffers, which only an oracle session retains (and verifies); the
     # printed verdicts are the check records, which a session keeps on
-    # request.
+    # request; Fig. 2's documents are replayed from the trace.
     session = StarSession(
         n_sites=3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
         verify_with_oracle=True,
-        transform_enabled=transform,
         record_checks=True,
+        tracer=Tracer(),
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time)
@@ -79,18 +83,18 @@ def main() -> None:
     print(f"\nchannel latencies (s): {FIG_LATENCIES}")
 
     banner("Fig. 2: transformation OFF -> divergence & intention violation")
-    fig2 = run_scenario(transform=False)
-    print(render_spacetime(4, spacetime_events(fig2), col_width=20))
+    fig3 = run_scenario()
+    print(render_spacetime(4, spacetime_events(fig3), col_width=20))
     print()
-    for site, doc in enumerate(fig2.documents()):
+    as_is = replay_as_is(FIG2_INITIAL_DOCUMENT, fig3.tracer.events, fig2_ops())
+    for site, doc in enumerate(as_is):
         print(f"  site {site} final document: {doc!r}")
-    report = check_divergence(fig2.documents())
+    report = check_divergence(as_is)
     print(f"\n  {report.summary()}")
     print("  site 1 reads 'A1DE' after O1;O2 -- O2's intention ('delete CDE')")
     print("  and O1's intention ('insert 12 between A and B') are both violated.")
 
     banner("Fig. 3: compressed vector clocks + transformation -> convergence")
-    fig3 = run_scenario(transform=True)
     print(render_spacetime(4, spacetime_events(fig3), col_width=20))
 
     print("\n  notifier broadcasts (formulas 1-2):")

@@ -12,15 +12,18 @@ The paper names two inconsistency problems for replicated editors:
 pairwise checker used by the FIG2 experiment: given two concurrent
 operations and the state they were both generated on, the
 intention-preserved result is computed by symmetric transformation and
-compared with naive double execution.
+compared with naive double execution, which :func:`replay_as_is`
+carries out over every site of a traced run.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from repro.ot.operations import Operation
+from repro.obs.tracer import Origins, TraceEvent, TraceEventKind
+from repro.ot.operations import Operation, apply_clamped
 from repro.ot.transform import transform_pair
 
 
@@ -54,6 +57,32 @@ def check_divergence(site_states: Sequence[Any]) -> DivergenceReport:
         distinct_states=tuple(distinct),
         site_states=tuple(site_states),
     )
+
+
+def replay_as_is(initial: str, events: Iterable[TraceEvent],
+                 ops: Mapping[str, Operation]) -> list[str]:
+    """Each site's document, by site id, had the notifier relayed ops as-is.
+
+    Transformation changes the documents and nothing else a run records
+    (schedule, timestamps, verdicts), so each site of the traced run
+    ``events`` applies, in trace order and clamped, the original op
+    (``ops``, by origin name) of each generation it made and of each
+    execution of another site's op (paired by
+    :class:`~repro.obs.tracer.Origins`).  It ends at the highest site that
+    traced an event: a caller comparing every site checks its length.
+    """
+    origins = Origins()
+    documents: defaultdict[int, str] = defaultdict(lambda: initial)
+    for event in events:
+        source = origins.see(event)
+        if event.kind is TraceEventKind.GENERATED:
+            source = event
+        elif source is None or source.site == event.site:
+            continue
+        name = source.op_id
+        assert name is not None  # Origins pairs named generations only
+        documents[event.site] = apply_clamped(documents[event.site], ops[name])
+    return [documents[site] for site in range(max(documents, default=0) + 1)]
 
 
 @dataclass(frozen=True)

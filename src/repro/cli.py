@@ -4,7 +4,7 @@ Subcommands regenerate the paper's artefacts and run ad-hoc sessions
 without writing any code:
 
 * ``fig1`` -- render the star topology (paper Fig. 1);
-* ``fig2`` -- run the inconsistency scenario without transformation;
+* ``fig2`` -- the inconsistency scenario, replayed as-is from that run's trace;
 * ``fig3`` -- run the Section 5 walkthrough and print every timestamp
   and concurrency verdict;
 * ``overhead`` -- the CLAIM-OVH timestamp-bytes table;
@@ -34,10 +34,11 @@ import random
 import sys
 from typing import Callable, Sequence
 
-from repro.analysis.consistency import check_divergence
+from repro.analysis.consistency import check_divergence, replay_as_is
 from repro.editor import MeshSession, StarSession
 from repro.metrics.accounting import memory_comparison, overhead_sweep
 from repro.net.channel import JitterLatency
+from repro.obs.tracer import Tracer
 from repro.viz.spacetime import render_star_topology
 from repro.workloads.random_session import (
     RandomSessionConfig,
@@ -46,6 +47,7 @@ from repro.workloads.random_session import (
 )
 from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
+    fig2_ops,
     fig3_labels,
     fig3_script,
     fig_latency_factory,
@@ -65,7 +67,7 @@ def jitter_latency_factory(seed: int) -> Callable[[int, int], JitterLatency]:
     return factory
 
 
-def _run_scripted(transform: bool) -> StarSession:
+def _run_scripted() -> StarSession:
     # Fig. 3 is printed from the complete buffers the paper walks through:
     # only an oracle session retains (and verifies) the whole history, and
     # only a diagnostic one keeps the verdicts and the broadcast log.
@@ -73,9 +75,9 @@ def _run_scripted(transform: bool) -> StarSession:
         n_sites=3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
-        verify_with_oracle=transform,
-        transform_enabled=transform,
+        verify_with_oracle=True,
         record_checks=True,
+        tracer=Tracer(),
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time)
@@ -90,18 +92,20 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     del args
-    session = _run_scripted(transform=False)
+    session = _run_scripted()
+    assert session.tracer is not None  # _run_scripted traces
+    documents = replay_as_is(FIG2_INITIAL_DOCUMENT, session.tracer.events, fig2_ops())
     print(f"initial document: {FIG2_INITIAL_DOCUMENT!r}")
-    for site, doc in enumerate(session.documents()):
+    for site, doc in enumerate(documents):
         print(f"site {site} final: {doc!r}")
-    report = check_divergence(session.documents())
+    report = check_divergence(documents)
     print(report.summary())
     return 1 if report.diverged else 0  # divergence is the expected outcome
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     del args
-    session = _run_scripted(transform=True)
+    session = _run_scripted()
     label = fig3_labels()
     print(f"initial document: {FIG2_INITIAL_DOCUMENT!r}\n")
     print("notifier broadcasts:")
@@ -309,7 +313,6 @@ def cmd_session(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.analysis.causality import CausalityOracle
     from repro.obs import (
-        Tracer,
         check_verdicts,
         cross_check_causality,
         latency_histograms,
@@ -468,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig1.add_argument("--clients", type=int, default=4)
     p_fig1.set_defaults(func=cmd_fig1)
 
-    p_fig2 = sub.add_parser("fig2", help="inconsistency scenario, transformation off")
+    p_fig2 = sub.add_parser("fig2", help="inconsistency scenario, relayed as-is")
     p_fig2.set_defaults(func=cmd_fig2)
 
     p_fig3 = sub.add_parser("fig3", help="the Section 5 walkthrough")

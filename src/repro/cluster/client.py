@@ -37,9 +37,9 @@ every :data:`~repro.cluster.harness.SAMPLE_INTERVAL_S` into
 ``trace_<site>.jsonl``, the one stream it writes: no connection carries
 it, so a dead centre costs the monitor no site; its closing
 ``finished`` event is what the driver reads.  A centre connection that
-ends before GOODBYE (or sends a frame that does not decode or that the
-editor refuses) is traced as ``peer_lost``: ``via="eof"`` when
-the client fails over, which the monitor grades ``warn`` beside the
+ends before GOODBYE (or sends a frame that does not decode, or that the
+editor refuses or cannot apply) is traced as ``peer_lost``: ``via="eof"``
+when the client fails over, which the monitor grades ``warn`` beside the
 ``elected`` / ``promoted`` / ``handoff`` events of the epoch
 transition, and ``via="terminal"`` for a genuinely terminal death (no
 roster, no failover, or the successor dying too), graded ``fail``.
@@ -58,6 +58,7 @@ from repro.editor.star_client import StarClient
 from repro.net.codec import CodecError
 from repro.net.transport import Envelope
 from repro.net.wire import WireError, encode_drained, frame, pump
+from repro.ot.operations import OperationError
 from repro.session import ConsistencyError
 from repro.obs.tracer import TraceEventKind
 from repro.workloads.random_session import generate_random_edits, random_positional_op
@@ -160,7 +161,7 @@ async def run_client(config: ClusterConfig, site: int, port: int,
                            if coordinator is not None else None),
                 on_goodbye=rig.done.set,
             )
-        except (CodecError, ConsistencyError, ConnectionError):
+        except (CodecError, ConsistencyError, OperationError, ConnectionError):
             pass  # a centre frame we cannot take ends the connection too
         return rig.done.is_set()
 

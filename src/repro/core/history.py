@@ -45,10 +45,6 @@ class HistoryEntry:
     origin_kind: OriginKind
     op_id: Any = None  # stable identity of the operation as buffered
     executed_at: float = 0.0  # virtual time of execution (for diagnostics)
-    # Local entries whose OT type supports inversion: the inverse of the
-    # operation relative to its generation pre-state, used by undo while
-    # the entry is still the site's most recent execution.
-    inverse: Any = None
 
     def __repr__(self) -> str:
         return f"HB({self.op_id or self.op!r} @ {self.timestamp!r} from s{self.origin_site})"

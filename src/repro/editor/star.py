@@ -99,7 +99,6 @@ class StarSession(SessionBase):
         initial_state: Any = None,
         latency_factory: Callable[[int, int], LatencyModel] | None = None,
         verify_with_oracle: bool = False,
-        transform_enabled: bool = True,
         record_events: bool = True,
         record_checks: bool = False,
         fault_plan: FaultPlan | None = None,
@@ -108,7 +107,6 @@ class StarSession(SessionBase):
     ) -> None:
         self.sim = Simulator()
         self._ot_type_name = ot_type_name
-        self._transform_enabled = transform_enabled
         self._record_checks = record_checks
         self.fault_plan = fault_plan
         self.tracer = tracer
@@ -126,7 +124,6 @@ class StarSession(SessionBase):
             initial_state,
             self.event_log,
             verify_with_oracle,
-            transform_enabled,
             record_checks,
             reliability=reliability,
             tracer=tracer,
@@ -139,7 +136,6 @@ class StarSession(SessionBase):
                 initial_state,
                 self.event_log,
                 verify_with_oracle,
-                transform_enabled,
                 record_checks,
                 reliability=reliability,
                 tracer=tracer,
@@ -217,7 +213,6 @@ class StarSession(SessionBase):
             None,
             None,
             False,
-            self._transform_enabled,
             self._record_checks,
             joining=True,
             reliability=self.reliability,

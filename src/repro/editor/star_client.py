@@ -49,22 +49,6 @@ class UndoError(RuntimeError):
     """Raised when the requested undo is not available."""
 
 
-def execute_remote(ot: Any, state: Any, op: Any, transform_enabled: bool) -> Any:
-    """Execute a remote operation, best-effort when transformation is off.
-
-    The transformation-off mode exists to reproduce the paper's Fig. 2
-    failure behaviour; a naive replica clamps out-of-range positions
-    instead of crashing (see :func:`repro.ot.operations.apply_clamped`).
-    """
-    if transform_enabled:
-        return ot.apply(state, op)
-    from repro.ot.operations import Operation, apply_clamped
-
-    if isinstance(op, Operation) and isinstance(state, str):
-        return apply_clamped(state, op)
-    return ot.apply(state, op)
-
-
 class StarClient(EditorEndpoint):
     """A collaborating site ``i != 0``."""
 
@@ -76,7 +60,6 @@ class StarClient(EditorEndpoint):
         initial_state: Any = None,
         event_log: EventLog | None = None,
         verify_with_oracle: bool = False,
-        transform_enabled: bool = True,
         record_checks: bool = False,
         joining: bool = False,
         reliability: bool = False,
@@ -99,7 +82,6 @@ class StarClient(EditorEndpoint):
         self.pending: deque[HistoryEntry] = deque()
         self.event_log = event_log
         self.verify_with_oracle = verify_with_oracle
-        self.transform_enabled = transform_enabled
         # Diagnostic trace of every concurrency check: one record per
         # (arrival, retained HB entry), so O(in-flight window) per arrival
         # once the HB is pruned; the list itself is never trimmed.
@@ -110,10 +92,10 @@ class StarClient(EditorEndpoint):
         self.executed_op_ids: list[str] = []
         # Late joiners start inactive and are activated by the snapshot.
         self.active = not joining
-        # Undo bookkeeping, independent of the HB so pruning cannot take
-        # a legitimately undoable operation away.
-        self._last_local_entry: HistoryEntry | None = None
-        self._last_exec_was_local = False
+        # Undo bookkeeping, independent of the HB so pruning cannot take an
+        # undoable op away: (pre-state, last local op) until a remote op runs.
+        self._last_local: tuple[Any, Any] | None = None
+        self._generated = False
         self.crash_count = 0
         self._recovering = False
         # -- failover state (see repro.editor.failover) ---------------------
@@ -195,14 +177,8 @@ class StarClient(EditorEndpoint):
             raise RuntimeError(
                 f"site {self.pid} has not received its join snapshot yet"
             )
-        inverse = None
-        invert = getattr(self.ot, "invert", None)
-        if invert is not None:
-            try:
-                inverse = invert(self.document, op)
-            except (TypeError, ValueError):
-                inverse = None  # op shape the type cannot invert
-        self.document = self.ot.apply(self.document, op)
+        before = self.document
+        self.document = self.ot.apply(before, op)
         self.sv.record_local_execution()
         ts = self.sv.timestamp()
         op_id = op_name(self.pid, ts.second, self.notifier_epoch)
@@ -213,14 +189,13 @@ class StarClient(EditorEndpoint):
             origin_kind=OriginKind.LOCAL,
             op_id=op_id,
             executed_at=self.sim.now,
-            inverse=inverse,
         )
         if self._diagnostic:
             self.hb.append(entry)
         self.pending.append(entry)
         self.executed_op_ids.append(op_id)
-        self._last_local_entry = entry
-        self._last_exec_was_local = True
+        self._last_local = (before, op)
+        self._generated = True
         if self.event_log is not None:
             self.event_log.generate(self.pid, op_id)
         if self.tracer is not None:
@@ -309,14 +284,13 @@ class StarClient(EditorEndpoint):
         while self.pending and self.pending[0].timestamp.second <= ts.second:
             self.pending.popleft()
         if concurrent_entries is not None:  # a diagnostic session
-            if self.transform_enabled:
-                expected = [entry.op_id for entry in self.pending]
-                actual = [entry.op_id for entry in concurrent_entries]
-                if expected != actual:
-                    raise ConsistencyError(
-                        f"site {self.pid}: formula (5) concurrent set {actual} != "
-                        f"pending set {expected} for {op_id}"
-                    )
+            expected = [entry.op_id for entry in self.pending]
+            actual = [entry.op_id for entry in concurrent_entries]
+            if expected != actual:
+                raise ConsistencyError(
+                    f"site {self.pid}: formula (5) concurrent set {actual} != "
+                    f"pending set {expected} for {op_id}"
+                )
             # History retention: everything older than the oldest
             # unacknowledged local operation is causally before every
             # future arrival.  The oracle run keeps the whole history --
@@ -324,20 +298,17 @@ class StarClient(EditorEndpoint):
             if not self.verify_with_oracle:
                 self.hb.prune_head((self.pending[0].op_id,) if self.pending else ())
         new_op = message.op
-        if self.transform_enabled:
-            if self.pending and self.tracer is not None:
-                self.tracer.emit(
-                    TraceEventKind.TRANSFORMED, self.pid, op_id=op_id,
-                    source_op=op_name(origin, ordinal, self.notifier_epoch),
-                )
-            for entry in self.pending:
-                new_op, updated = self.ot.transform(
-                    new_op, entry.op, origin < entry.origin_site
-                )
-                entry.op = updated
-        self.document = execute_remote(
-            self.ot, self.document, new_op, self.transform_enabled
-        )
+        if self.pending and self.tracer is not None:
+            self.tracer.emit(
+                TraceEventKind.TRANSFORMED, self.pid, op_id=op_id,
+                source_op=op_name(origin, ordinal, self.notifier_epoch),
+            )
+        for entry in self.pending:
+            new_op, updated = self.ot.transform(
+                new_op, entry.op, origin < entry.origin_site
+            )
+            entry.op = updated
+        self.document = self.ot.apply(self.document, new_op)
         self.sv.record_remote_execution()
         if diagnostic:
             self.hb.append(
@@ -351,9 +322,9 @@ class StarClient(EditorEndpoint):
                 )
             )
         self.executed_op_ids.append(op_id)
-        # A remote execution invalidates undo: the stored inverse is no
-        # longer defined on the current document.
-        self._last_exec_was_local = False
+        # A remote execution invalidates undo (the inverse would no longer
+        # be defined on the current document): drop the pinned pre-state.
+        self._last_local = None
         if self.event_log is not None:
             self.event_log.execute(self.pid, op_id)
         if self.tracer is not None:
@@ -387,7 +358,7 @@ class StarClient(EditorEndpoint):
         """Undo this site's most recent operation (undo-as-new-operation).
 
         Available while the operation is still the site's latest
-        execution: its stored inverse is then defined on the current
+        execution: its inverse (computed here) is then defined on the current
         document, so the undo is generated and propagated like any other
         local operation -- remote sites need no special handling, and
         concurrent remote operations are transformed against the undo
@@ -397,27 +368,29 @@ class StarClient(EditorEndpoint):
         a local one (a remote operation arrived since -- the inverse's
         context is gone) or the OT type does not support inversion.
 
-        The undoable entry is tracked independently of the HB, which only
-        a diagnostic session keeps and which forgets entries at the
+        The undoable operation is tracked independently of the HB, which
+        only a diagnostic session keeps and which forgets entries at the
         acknowledgement horizon, so it says what is still
         *unacknowledged*, not what executed *last*: a pending
         local entry can head the HB long after a remote operation
         executed.  The inverse is defined on the current document
         exactly as long as nothing remote has executed since.
         """
-        entry = self._last_local_entry
-        if entry is None:
+        if not self._generated:
             raise UndoError(f"site {self.pid} has nothing to undo")
-        if not self._last_exec_was_local:
+        if self._last_local is None:
             raise UndoError(
                 f"site {self.pid}: a remote operation executed after the last "
                 "local one; undo context is gone"
             )
-        if entry.inverse is None:
-            raise UndoError(
-                f"OT type {self.ot.name!r} does not support inversion"
-            )
-        return self.generate(entry.inverse)
+        invert = getattr(self.ot, "invert", None)
+        try:
+            inverse = invert(*self._last_local) if invert is not None else None
+        except (TypeError, ValueError):  # an op shape the type cannot invert
+            inverse = None
+        if inverse is None:
+            raise UndoError(f"OT type {self.ot.name!r} does not support inversion")
+        return self.generate(inverse)
 
     def _adopt(self, snapshot: SnapshotMessage) -> None:
         """Take the replica, ``SV_i`` and the per-origin counts from ``SV_0``.
@@ -667,8 +640,8 @@ class StarClient(EditorEndpoint):
         self._adopt(snapshot)
         self.hb = HistoryBuffer()
         self.pending = deque()
-        self._last_local_entry = None
-        self._last_exec_was_local = False
+        self._last_local = None
+        self._generated = False
         self._failover_pending = False
         if self._recovering:
             # A crash restart that raced the failover completes here: the
@@ -706,8 +679,8 @@ class StarClient(EditorEndpoint):
         self.sv = ClientStateVector(self.pid)
         self.hb = HistoryBuffer()
         self.pending = deque()
-        self._last_local_entry = None
-        self._last_exec_was_local = False
+        self._last_local = None
+        self._generated = False
         # Failover evidence is volatile editor state too.
         self._received_per_origin = {}
         self._failover_pending = False

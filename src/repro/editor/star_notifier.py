@@ -32,7 +32,6 @@ from repro.editor.messages import (
     StateContribution,
     op_name,
 )
-from repro.editor.star_client import execute_remote
 from repro.net.reliability import ReliableEndpoint
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
@@ -72,7 +71,6 @@ class StarNotifier(EditorEndpoint):
         initial_state: Any = None,
         event_log: EventLog | None = None,
         verify_with_oracle: bool = False,
-        transform_enabled: bool = True,
         record_checks: bool = False,
         reliability: bool = False,
         tracer: Tracer | None = None,
@@ -114,7 +112,6 @@ class StarNotifier(EditorEndpoint):
         self.acked: dict[int, int] = {i: 0 for i in range(1, n_sites + 1)}
         self.event_log = event_log
         self.verify_with_oracle = verify_with_oracle
-        self.transform_enabled = transform_enabled
         self.record_checks = record_checks
         # Neither flag changes after construction: read the predicate once.
         self._diagnostic = record_checks or verify_with_oracle
@@ -186,22 +183,20 @@ class StarNotifier(EditorEndpoint):
             queue.popleft()
         self.acked[source] = ts.first
         if concurrent_entries is not None:  # a diagnostic session
-            if self.transform_enabled:
-                expected = [entry.op_id for entry in queue]
-                actual = [entry.op_id for entry in concurrent_entries]
-                if expected != actual:
-                    raise ConsistencyError(
-                        f"notifier: formula (7) concurrent set {actual} != pending "
-                        f"set {expected} for {op_id} from site {source}"
-                    )
+            expected = [entry.op_id for entry in queue]
+            actual = [entry.op_id for entry in concurrent_entries]
+            if expected != actual:
+                raise ConsistencyError(
+                    f"notifier: formula (7) concurrent set {actual} != pending "
+                    f"set {expected} for {op_id} from site {source}"
+                )
             self._prune_history()
         new_op = message.op
-        if self.transform_enabled:
-            for entry in queue:
-                new_op, updated = self.ot.transform(
-                    new_op, entry.op, source < entry.origin_site
-                )
-                entry.op = updated
+        for entry in queue:
+            new_op, updated = self.ot.transform(
+                new_op, entry.op, source < entry.origin_site
+            )
+            entry.op = updated
         self._execute_and_broadcast(new_op, source, op_id, ts)
 
     def _prune_history(self) -> None:
@@ -227,9 +222,7 @@ class StarNotifier(EditorEndpoint):
         operation "generated at site 0" (paper Section 3.1 / Fig. 3),
         broadcast to every other destination with a per-destination
         compressed timestamp (formulas 1-2)."""
-        self.document = execute_remote(
-            self.ot, self.document, new_op, self.transform_enabled
-        )
+        self.document = self.ot.apply(self.document, new_op)
         self.sv.record_execution_from(source)
         transformed_id = op_name(source, ts.second, self.notifier_epoch, copy=True)
         self.executed_op_ids.append(transformed_id)
@@ -450,7 +443,6 @@ class StarNotifier(EditorEndpoint):
             initial_state=client.document,
             event_log=client.event_log,
             verify_with_oracle=client.verify_with_oracle,
-            transform_enabled=client.transform_enabled,
             record_checks=client.record_checks,
             tracer=client.tracer,
             pid=client.pid,

@@ -172,8 +172,8 @@ def apply_clamped(document: str, op: Operation) -> str:
     This is how a *naive* replica behaves when executing remote
     operations without transformation (the paper's Fig. 2 failure mode):
     positions computed against a different document state are forced
-    into range rather than rejected.  Used only by the
-    transformation-off ablation; the real system never needs it.
+    into range rather than rejected.  Its one caller is the as-is replay,
+    :func:`repro.analysis.consistency.replay_as_is`.
     """
     if isinstance(op, OperationGroup):
         for member in op.members:

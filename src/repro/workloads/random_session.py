@@ -89,23 +89,25 @@ def generate_random_edits(config: RandomSessionConfig) -> list[EditIntent]:
     return intents
 
 
-def drive_star_session(session, config: RandomSessionConfig) -> None:
+def drive_star_session(session, config: RandomSessionConfig) -> dict[str, Operation]:
     """Schedule a random workload onto a :class:`StarSession`.
 
     Each intent materialises into a concrete operation *at generation
     time* against the generating client's current document, so the
     operation is always valid locally -- matching how a real user edits
-    what they see.
+    what they see.  Returns ``{name: op}``, filled as the run draws each op.
     """
+    ops: dict[str, Operation] = {}
     for intent in generate_random_edits(config):
         client = session.client(intent.site)
 
         def make(client=client, seed=intent.seed) -> None:
             rng = random.Random(seed)
             op = random_positional_op(rng, client.document, config)
-            client.generate(op)
+            ops[client.generate(op)] = op
 
         session.sim.schedule(intent.time, make)
+    return ops
 
 
 def random_list_op(rng: random.Random, state: tuple, config: RandomSessionConfig):

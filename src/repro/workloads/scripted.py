@@ -12,8 +12,8 @@ Operation contents: the paper fixes ``O_1 = Insert["12", 1]`` and
 ``O_2 = Delete[3, 2]`` on the initial document ``"ABCDE"`` (Section 2.2)
 but leaves ``O_3``/``O_4`` abstract; we pick concrete contents that stay
 in range under every execution order so the same script drives both the
-transformation-off (Fig. 2, divergence/intention-violation) and
-transformation-on (Fig. 3, convergence) experiments.
+as-is relay (Fig. 2, divergence/intention-violation, replayed from the
+run's trace) and the transformed run (Fig. 3, convergence).
 
 Timing: generation instants and fixed per-channel latencies are chosen
 so every ordering constraint of the figures holds; the module-level
@@ -91,6 +91,13 @@ def fig3_labels() -> dict[str, str]:
         labels[op_name(item.site, ordinal)] = item.label
         labels[op_name(item.site, ordinal, copy=True)] = f"{item.label}'"
     return labels
+
+
+def fig2_ops() -> dict[str, Operation]:
+    """Each scripted op's name -> its original operation, which every
+    site executes when the notifier relays it as-is (Fig. 2)."""
+    ops = {item.label: item.op for item in fig3_script()}
+    return {name: ops[label] for name, label in fig3_labels().items() if label in ops}
 
 
 def fig2_intention_example() -> tuple[str, Operation, Operation, str, str]:
@@ -172,7 +179,7 @@ FIG3_EXPECTED = {
     },
     # Convergent final document for the concrete op contents above.
     "final_document": "12Bxy",
-    # Divergent finals in the transformation-off (Fig. 2) run.
+    # Divergent finals of the as-is relay (Fig. 2), replayed from the run.
     "fig2_final_documents": {
         0: "1xy2B",
         1: "1xyDE",

@@ -286,6 +286,24 @@ def test_a_centre_frame_the_client_refuses_ends_its_run_on_the_record(
     connection is over, and without failover that is a terminal peer
     death -- traced as ``peer_lost`` and closed with ``timed_out`` --
     not an exception out of ``run_client`` after its timeout."""
+    _a_centre_frame_ends_the_run(tmp_path, capfd, caplog,
+                                 first=0, second=50, pos=0, origin=0)
+
+
+def test_a_centre_edit_that_does_not_apply_ends_its_run_on_the_record(
+    tmp_path: Path, capfd, caplog,
+) -> None:
+    """The same for a broadcast in sequence (``T=[1,0]``, origin 2)
+    whose position is past the end of any document: the sequence rule
+    checks ``T``, not the edit, so the client gets as far as executing
+    it and fails (``OperationError``).  The client treats that like a
+    refusal."""
+    _a_centre_frame_ends_the_run(tmp_path, capfd, caplog,
+                                 first=1, second=0, pos=999, origin=2)
+
+
+def _a_centre_frame_ends_the_run(tmp_path: Path, capfd, caplog, *, first: int,
+                                 second: int, pos: int, origin: int) -> None:
     from repro.cluster.client import run_client
     from repro.core.timestamp import CompressedTimestamp
     from repro.editor.messages import OpMessage
@@ -294,8 +312,8 @@ def test_a_centre_frame_the_client_refuses_ends_its_run_on_the_record(
     from repro.ot.operations import Insert
 
     config = ClusterConfig(clients=1, timeout_s=5.0, failover=False)
-    op = OpMessage(op=Insert("x", 0), timestamp=CompressedTimestamp(0, 50),
-                   origin_site=0)
+    op = OpMessage(op=Insert("x", pos), timestamp=CompressedTimestamp(first, second),
+                   origin_site=origin)
     refused = frame(encode_envelope(Envelope(
         source=0, dest=1, payload=op, timestamp_bytes=op.timestamp.size_bytes())))
 

@@ -1,8 +1,9 @@
 """FIG2: the paper's Fig. 2 inconsistency scenario, reproduced.
 
-Runs the scripted four-operation scenario with transformation DISABLED
-(operations relayed in their original forms, exactly Fig. 2) and asserts
-both inconsistency problems the paper demonstrates:
+Runs the scripted four-operation scenario, traced, and replays the
+trace with every operation relayed in its original form (exactly
+Fig. 2: the as-is relay keeps the run's schedule and execution orders)
+and asserts both inconsistency problems the paper demonstrates:
 
 * **divergence** -- the four sites end in four different documents;
 * **intention violation** -- site 1's execution of ``O_1`` then the
@@ -10,12 +11,18 @@ both inconsistency problems the paper demonstrates:
   intention-preserved ``"A12B"``.
 """
 
-from repro.analysis.consistency import check_divergence, intention_preserved_pair
+from repro.analysis.consistency import (
+    check_divergence,
+    intention_preserved_pair,
+    replay_as_is,
+)
 from repro.editor.star import StarSession
+from repro.obs.tracer import Tracer
 from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
     FIG3_EXPECTED,
     fig2_intention_example,
+    fig2_ops,
     fig3_labels,
     fig3_script,
     fig_latency_factory,
@@ -27,13 +34,19 @@ def run_fig2_session() -> StarSession:
         n_sites=3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
-        transform_enabled=False,
+        tracer=Tracer(),
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time)
     session.run()
     assert session.quiescent()
     return session
+
+
+def as_is_documents(session: StarSession, until: float = float("inf")) -> list[str]:
+    assert session.tracer is not None
+    events = [event for event in session.tracer.events if event.time <= until]
+    return replay_as_is(FIG2_INITIAL_DOCUMENT, events, fig2_ops())
 
 
 class TestFig2ExecutionOrders:
@@ -49,32 +62,20 @@ class TestFig2ExecutionOrders:
 
 class TestFig2Divergence:
     def test_sites_diverge_without_transformation(self):
-        session = run_fig2_session()
-        report = check_divergence(session.documents())
+        report = check_divergence(as_is_documents(run_fig2_session()))
         assert report.diverged
         # all four sites disagree (the strongest form of the figure)
         assert len(report.distinct_states) == 4
 
     def test_final_documents_match_derivation(self):
-        session = run_fig2_session()
         expected = FIG3_EXPECTED["fig2_final_documents"]
-        assert session.notifier.document == expected[0]
-        for client in session.clients:
-            assert client.document == expected[client.pid], f"site {client.pid}"
+        assert as_is_documents(run_fig2_session()) == [
+            expected[site] for site in range(4)]
 
     def test_site1_exhibits_paper_intention_violation(self):
         """After O_1 and the untransformed O_2, site 1 reads "A1DE"."""
-        session = StarSession(
-            n_sites=3,
-            initial_state=FIG2_INITIAL_DOCUMENT,
-            latency_factory=fig_latency_factory,
-            transform_enabled=False,
-        )
-        for item in fig3_script():
-            session.generate_at(item.site, item.op, item.time)
-        # run until just after O_2 reaches site 1 (arrival at 2.5)
-        session.run(until=2.6)
-        assert session.client(1).document == "A1DE"
+        # replay until just after O_2 reaches site 1 (arrival at 2.5)
+        assert as_is_documents(run_fig2_session(), until=2.6)[1] == "A1DE"
 
 
 class TestFig2IntentionExample:

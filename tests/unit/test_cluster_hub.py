@@ -351,6 +351,17 @@ def test_close_with_members_connected_leaves_no_task_and_no_noise(
     assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
+def op_frame(member: int, first: int, second: int, text: str,
+             pos: int = 0) -> bytes:
+    """A well-formed op message from ``member`` to the notifier."""
+    op = OpMessage(op=Insert(text, pos),
+                   timestamp=CompressedTimestamp(first, second),
+                   origin_site=member)
+    return frame(encode_envelope(Envelope(
+        source=member, dest=0, payload=op,
+        timestamp_bytes=op.timestamp.size_bytes())))
+
+
 def test_a_frame_the_notifier_refuses_is_counted_and_costs_nobody_else(
     capfd, caplog,
 ) -> None:
@@ -360,21 +371,27 @@ def test_a_frame_the_notifier_refuses_is_counted_and_costs_nobody_else(
     member up, counts it in ``garbled`` and traces ``peer_lost`` with
     ``via="garbled"`` -- nothing reaches the ``asyncio`` logger -- and
     member 2's operations arrive whole and execute."""
-    def op_frame(member: int, first: int, second: int, text: str) -> bytes:
-        op = OpMessage(op=Insert(text, 0),
-                       timestamp=CompressedTimestamp(first, second),
-                       origin_site=member)
-        return frame(encode_envelope(Envelope(
-            source=member, dest=0, payload=op,
-            timestamp_bytes=op.timestamp.size_bytes())))
+    refused_costs_nobody_else(op_frame(1, 5, 1, "x"), capfd, caplog)
 
+
+def test_an_edit_that_does_not_apply_is_counted_and_costs_nobody_else(
+    capfd, caplog,
+) -> None:
+    """The same for an op message in sequence whose position is past
+    the end of any document: the sequence rule checks ``T``, not the
+    edit, so the notifier gets as far as executing it and fails
+    (``OperationError``).  The hub treats that like a refusal."""
+    refused_costs_nobody_else(op_frame(1, 0, 1, "x", pos=999), capfd, caplog)
+
+
+def refused_costs_nobody_else(refused: bytes, capfd, caplog) -> None:
     async def body(lo: Loopback) -> None:
         notifier = lo.hub.endpoint
         r1, w1 = await lo.member(1)
         _r2, w2 = await lo.member(2)
         w2.write(op_frame(2, 0, 1, "a"))
         await until(lambda: notifier.executed_op_ids == ["c2_1'"])
-        w1.write(op_frame(1, 5, 1, "x"))
+        w1.write(refused)
         await until(lambda: lo.hub.hung_up == {1})
         assert await asyncio.wait_for(r1.read(), 5.0) != b""  # c2_1', then EOF
         w2.write(op_frame(2, 0, 2, "b") + frame(encode_drained(2)))

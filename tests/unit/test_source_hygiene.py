@@ -329,7 +329,8 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\bTELEMETRY_FORMAT\b|\bTELEMETRY_SCHEMA_VERSION\b|\btelemetry_frames\b"
         r"|\bstart_telemetry\b|\bclose_streams\b|\btelemetry_enabled\b"
         r"|\blocal_ops_generated\b|\b_call_int\b|\bLogHook\b|telemetry_\*"
-        r"|\bProcessResult\b|\bresult_path\b|\bread_artifacts\b")
+        r"|\bProcessResult\b|\bresult_path\b|\bread_artifacts\b"
+        r"|\btransform_enabled\b|\bexecute_remote\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES
