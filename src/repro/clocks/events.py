@@ -59,29 +59,25 @@ class Event:
     """
 
     site: int
-    seq: int  # 0-based position in the site's local event order
     kind: EventKind
     op_id: Hashable
-
-    def label(self) -> str:
-        return f"s{self.site}e{self.seq}:{self.kind.value}:{self.op_id}"
 
 
 @dataclass
 class EventLog:
-    """An append-only log of events with site-local ordering.
+    """An append-only log of events; a site's order is its events' order
+    in the log.
 
-    Maintains per-site sequence counters and assigns full vector clocks
-    as events are appended, so the log doubles as a reference
-    vector-clock run over the same computation: every event ticks its
-    site's clock, after merging the generation clock (an execution) or
-    the snapshot clock (an install) it receives.
+    Runs full vector clocks as events are appended, so the log doubles
+    as a reference vector-clock run over the same computation: every
+    event ticks its site's clock, after merging the generation clock (an
+    execution) or the snapshot clock (an install) it receives.  Only the
+    clocks later events merge are kept: each site's latest, each
+    operation's generation clock and each pending snapshot's.
     """
 
     n_sites: int
     events: list[Event] = field(default_factory=list)
-    clocks: dict[Event, VectorClock] = field(default_factory=dict)
-    _site_seq: list[int] = field(init=False)
     _site_clock: list[VectorClock] = field(init=False)
     _generation_clock: dict[Hashable, VectorClock] = field(default_factory=dict)
     # Snapshots taken and not yet installed, by transfer key.
@@ -92,7 +88,6 @@ class EventLog:
     def __post_init__(self) -> None:
         if self.n_sites <= 0:
             raise ValueError(f"n_sites must be positive, got {self.n_sites}")
-        self._site_seq = [0] * self.n_sites
         self._site_clock = [VectorClock.zero(self.n_sites) for _ in range(self.n_sites)]
 
     def _append(self, site: int, kind: EventKind, op_id: Hashable,
@@ -101,15 +96,13 @@ class EventLog:
         ``received`` first if the event receives one."""
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site {site} out of range for n_sites={self.n_sites}")
-        event = Event(site, self._site_seq[site], kind, op_id)
-        self._site_seq[site] += 1
+        event = Event(site, kind, op_id)
         self.events.append(event)
         clock = self._site_clock[site]
         if received is not None:
             clock = clock.merge(received)
         clock = clock.tick(site)
         self._site_clock[site] = clock
-        self.clocks[event] = clock
         return event, clock
 
     def generate(self, site: int, op_id: Hashable) -> Event:

@@ -47,9 +47,6 @@ class SKMessage:
         """Wire size: one (index, value) pair per entry."""
         return 2 * int_width * len(self.entries)
 
-    def entry_count(self) -> int:
-        return len(self.entries)
-
 
 @dataclass
 class SKProcess:

@@ -114,11 +114,11 @@ class ClusterReport:
     latency_p95_s: Optional[float] = None
     wall_s: float = 0.0
     errors: list[str] = field(default_factory=list)
-    #: The run crossed a notifier-epoch boundary by live failover: the
-    #: dead centre's trace has no closing record and
-    #: survivors receive the successor's unacknowledged operations via
-    #: the failover snapshot rather than as executions, so the
-    #: per-replica executed-op floor does not apply.
+    #: The run crossed a notifier-epoch boundary by live failover (some
+    #: trace records ``promoted``): the dead centre's trace has no
+    #: closing record and survivors receive the successor's
+    #: unacknowledged operations via the failover snapshot rather than
+    #: as executions, so the per-replica executed-op floor does not apply.
     failover_run: bool = False
     #: Human-readable context rendered with the summary but not part of
     #: the verdict (e.g. which artifacts a crashed site left behind).
@@ -175,7 +175,6 @@ def analyze_cluster(
     *,
     expected_ops: int,
     wall_s: float = 0.0,
-    failover_run: bool = False,
     notes: Sequence[str] = (),
 ) -> ClusterReport:
     """Run every verdict over the traces of one cluster run, by site."""
@@ -222,7 +221,7 @@ def analyze_cluster(
         latency_p95_s=latencies.percentile(95),
         wall_s=wall_s,
         errors=errors,
-        failover_run=failover_run,
+        failover_run=any(e.kind is TraceEventKind.PROMOTED for e in merged),
         notes=list(notes),
         spans=spans,
     )

@@ -58,7 +58,6 @@ from repro.editor.star_client import StarClient
 from repro.net.codec import CodecError
 from repro.net.transport import Envelope
 from repro.net.wire import WireError, encode_drained, frame, pump
-from repro.ot.operations import OperationError
 from repro.session import ConsistencyError
 from repro.obs.tracer import TraceEventKind
 from repro.workloads.random_session import generate_random_edits, random_positional_op
@@ -161,7 +160,7 @@ async def run_client(config: ClusterConfig, site: int, port: int,
                            if coordinator is not None else None),
                 on_goodbye=rig.done.set,
             )
-        except (CodecError, ConsistencyError, OperationError, ConnectionError):
+        except (CodecError, ConsistencyError, ConnectionError):
             pass  # a centre frame we cannot take ends the connection too
         return rig.done.is_set()
 

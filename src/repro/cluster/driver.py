@@ -150,7 +150,7 @@ def clear_stale_artifacts(out_dir: Path) -> None:
 
 
 def gather_traces(
-    out_dir: Path, sites: int, failover_run: bool,
+    out_dir: Path, sites: int,
 ) -> tuple[dict[int, list[TraceEvent]], list[str]]:
     """The trace of every site ``0..sites-1``, by site, and notes on
     what is missing.
@@ -158,19 +158,21 @@ def gather_traces(
     A process's end state is its trace's closing record; a trace without
     one -- the process was killed, crashed, or left a torn last line --
     is a process that did not finish, a :class:`ClusterError` naming the
-    traces salvaged.  In a failover run the crashed notifier *by
-    design* has none, but its trace still goes into the merge (the
-    pre-crash generation events anchor happens-before across the epoch
-    boundary).
+    traces salvaged.  In a failover run -- some trace records
+    ``promoted`` -- the crashed notifier *by design* has none, but its
+    trace still goes into the merge (the pre-crash generation events
+    anchor happens-before across the epoch boundary).
     """
     notes: list[str] = []
     traces: dict[int, list[TraceEvent]] = {}
     for site in range(sites):
         try:
-            events = read_trace(out_dir, site)
+            traces[site] = read_trace(out_dir, site)
         except (OSError, ValueError):
-            events = []
-        traces[site] = events
+            traces[site] = []
+    failover_run = any(event.kind is TraceEventKind.PROMOTED
+                       for events in traces.values() for event in events)
+    for site, events in traces.items():
         if any(event.kind is TraceEventKind.FINISHED for event in events):
             continue
         if site == 0 and failover_run:
@@ -233,14 +235,11 @@ def run_cluster(
                 _kill_switch(proc)
     wall_s = time.monotonic() - started
 
-    failover_run = (config.crash_notifier_after_s is not None
-                    and config.failover)
-    traces, notes = gather_traces(out_dir, config.clients + 1, failover_run)
+    traces, notes = gather_traces(out_dir, config.clients + 1)
     report = analyze_cluster(
         traces,
         expected_ops=config.total_ops,
         wall_s=wall_s,
-        failover_run=failover_run,
         notes=notes,
     )
     if kill_switched:

@@ -57,7 +57,6 @@ from repro.editor.star_client import StarClient
 from repro.editor.star_notifier import StarNotifier
 from repro.net.codec import CodecError
 from repro.net.transport import Envelope
-from repro.ot.operations import OperationError
 from repro.session import ConsistencyError
 from repro.net.wire import (
     Drained,
@@ -91,7 +90,7 @@ class Hub:
     connected, the connection is counted in ``rejected`` and closed; a
     later frame that does not decode, a DATA frame whose source is not
     the member or whose destination is not this centre, or one the
-    endpoint refuses (``ConsistencyError``, ``OperationError``) closes it too,
+    endpoint refuses (``ConsistencyError``) closes it too,
     counted in ``garbled`` and traced on the endpoint's tracer as
     ``peer_lost`` with ``via="garbled"``.
     """
@@ -193,10 +192,10 @@ class Hub:
 
         try:
             await pump(reader, on_envelope, on_drained=on_drained)
-        except (CodecError, ConsistencyError, OperationError):
+        except (CodecError, ConsistencyError):
             # Hung up on like a killed member, but counted and traced: the
             # frame passed the HELLO and still was not one of ours (it
-            # does not decode, or the editor refuses it or cannot apply it).
+            # does not decode, or the endpoint refuses it).
             self.garbled += 1
             tracer = self.endpoint.tracer
             if tracer is not None:

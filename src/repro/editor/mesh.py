@@ -167,22 +167,11 @@ class MeshSite(EditorEndpoint):
         super().__init__(sim, pid, tracer=tracer)
         self.n_sites = n_sites
         self.initial_document = initial_document
-        self.checkpoint = initial_document  # base document after compaction
         self.document = initial_document
         self.vc = VectorClock.zero(n_sites)
         self.seq = 0
-        self.log: list[MeshOp] = []  # delivered, uncompacted ops, canonical order
+        self.log: list[MeshOp] = []  # delivered ops, canonical order
         self.hold_back: HoldbackQueue[MeshOp] = HoldbackQueue()
-        self.delivered_ids: list[str] = []
-        self.compacted_ops = 0
-        # Knowledge vectors: known_vc[j] = the latest generation clock
-        # received from site j (its delivered-op counts at that moment).
-        # Row self is our own clock.  This is the matrix-clock row set,
-        # at zero extra wire cost: every operation already carries its
-        # generation vector.
-        self.known_vc: list[VectorClock] = [
-            VectorClock.zero(n_sites) for _ in range(n_sites)
-        ]
 
     # -- local editing --------------------------------------------------------
 
@@ -236,7 +225,6 @@ class MeshSite(EditorEndpoint):
             lambda site: self.vc[site] + 1, self._causally_ready
         ):
             self.vc = self.vc.merge(record.vc)
-            self.known_vc[record.site] = record.vc
             if self.tracer is not None:
                 self.tracer.emit(
                     TraceEventKind.RELEASED, self.pid, op_id=record.op_id,
@@ -255,74 +243,16 @@ class MeshSite(EditorEndpoint):
         """Insert into the canonical log and recompute the document."""
         self.log.append(record)
         self.log.sort(key=MeshOp.order_key)
-        self.delivered_ids.append(record.op_id)
         self._replay()
 
     def _replay(self) -> None:
-        document = self.checkpoint
+        document = self.initial_document
         forms: list[Operation] = []
         for i, record in enumerate(self.log):
             form = got_transform(record, self.log[:i], forms)
             document = form.apply(document)
             forms.append(form)
         self.document = document
-
-    # -- log compaction ---------------------------------------------------------
-
-    def stability_vector(self) -> VectorClock:
-        """Per-site operation counts known to have been delivered by
-        EVERY site (component-wise min of the knowledge vectors).
-
-        An operation at or below this horizon is *causally stable*: FIFO
-        channels guarantee every future arrival was generated after the
-        sender delivered it, hence causally follows it and can never be
-        concurrent with it.
-        """
-        self.known_vc[self.pid] = self.vc
-        counts = tuple(
-            min(self.known_vc[j][k] for j in range(self.n_sites))
-            for k in range(self.n_sites)
-        )
-        return VectorClock(counts)
-
-    def compact(self) -> int:
-        """Fold stable canonical-prefix operations into the checkpoint.
-
-        Folds the maximal canonical prefix whose operations are (a)
-        causally stable and (b) causal predecessors of every remaining
-        logged operation -- condition (b) keeps GOT exact, since no
-        remaining or future operation will ever need to transform
-        against a folded one.  Returns the number of operations folded.
-        """
-        stable = self.stability_vector()
-        stable_prefix = 0
-        for record in self.log:
-            if record.vc[record.site] > stable[record.site]:
-                break
-            stable_prefix += 1
-        # Largest stable prefix whose merged clock every remaining
-        # operation dominates (concurrency *within* the folded prefix is
-        # fine -- those forms are finalised together during the fold).
-        fold = 0
-        merged = None
-        for k in range(1, stable_prefix + 1):
-            vc = self.log[k - 1].vc
-            merged = vc if merged is None else merged.merge(vc)
-            if all(later.vc.dominates(merged) for later in self.log[k:]):
-                fold = k
-        if fold == 0:
-            return 0
-        document = self.checkpoint
-        forms: list[Operation] = []
-        for i, record in enumerate(self.log[:fold]):
-            form = got_transform(record, self.log[:i], forms)
-            document = form.apply(document)
-            forms.append(form)
-        self.checkpoint = document
-        del self.log[:fold]
-        self.compacted_ops += fold
-        self._replay()
-        return fold
 
     def clock_storage_ints(self) -> int:
         """Resident clock-state integers: N at every site."""

@@ -108,7 +108,6 @@ class StarSession(SessionBase):
         self.sim = Simulator()
         self._ot_type_name = ot_type_name
         self._record_checks = record_checks
-        self.fault_plan = fault_plan
         self.tracer = tracer
         if tracer is not None:
             tracer.bind_clock(lambda: self.sim.now)

@@ -299,9 +299,12 @@ class StarClient(EditorEndpoint):
                 self.hb.prune_head((self.pending[0].op_id,) if self.pending else ())
         new_op = message.op
         if self.pending and self.tracer is not None:
+            # seq: how many unacknowledged entries the arrival transforms
+            # against, which formula (5) must find concurrent.
             self.tracer.emit(
                 TraceEventKind.TRANSFORMED, self.pid, op_id=op_id,
                 source_op=op_name(origin, ordinal, self.notifier_epoch),
+                seq=len(self.pending),
             )
         for entry in self.pending:
             new_op, updated = self.ot.transform(

@@ -37,7 +37,8 @@ class HoldbackOverflow(RuntimeError):
     forever while retransmissions fail to fill it.  A bounded queue
     instead fails loudly at its high-water mark, which the caller can
     surface (the reliability transport emits a ``holdback_overflow``
-    trace event before re-raising).
+    trace event before re-raising, and the editor endpoint refuses the
+    arrival as a ``ConsistencyError``).
     """
 
     def __init__(self, stream: Stream, seq: int, capacity: int) -> None:
@@ -45,9 +46,6 @@ class HoldbackOverflow(RuntimeError):
             f"hold-back queue over capacity {capacity}: cannot hold "
             f"(stream={stream!r}, seq={seq})"
         )
-        self.stream = stream
-        self.seq = seq
-        self.capacity = capacity
 
 
 class HoldbackQueue(Generic[T]):

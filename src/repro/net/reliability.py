@@ -180,44 +180,6 @@ class _ProbeState:
     timer: Any = None
 
 
-class TransportError(RuntimeError):
-    """A transport was used before its I/O hooks were attached.
-
-    Transports are built with ``wire_send`` (downward: raw channel
-    access) and ``deliver`` (upward: the editor's handler) callbacks.
-    Using one before both are attached is a wiring bug in the owning
-    endpoint; the error names the pid and the missing hook so the
-    miswired endpoint is identifiable from the message alone.
-    """
-
-
-def _unwired_for(pid: int) -> WireSend:
-    """A ``wire_send`` placeholder that reports the miswired endpoint."""
-
-    def _unwired(dest: int, payload: Any, timestamp_bytes: int, kind: str) -> None:
-        raise TransportError(
-            f"transport of endpoint pid={pid} has no wire_send attached; "
-            f"cannot put a {kind!r} message for pid={dest} on the wire "
-            f"(construct via build_transport or assign .wire_send first)"
-        )
-
-    return _unwired
-
-
-def _undeliverable_for(pid: int) -> Deliver:
-    """A ``deliver`` placeholder that reports the miswired endpoint."""
-
-    def _undeliverable(envelope: Envelope) -> None:
-        raise TransportError(
-            f"transport of endpoint pid={pid} has no deliver callback "
-            f"attached; a {envelope.kind!r} message from pid="
-            f"{envelope.source} is undeliverable (assign .deliver before "
-            f"accepting wire traffic)"
-        )
-
-    return _undeliverable
-
-
 class RawTransport:
     """The perfect-network transport: a straight pass-through.
 
@@ -226,13 +188,12 @@ class RawTransport:
     all of it is trivially inert here.
     """
 
-    def __init__(self, *, wire_send: Optional[WireSend] = None,
-                 deliver: Optional[Deliver] = None, pid: int = -1,
+    def __init__(self, *, wire_send: WireSend, deliver: Deliver, pid: int,
                  tracer: Optional[Tracer] = None) -> None:
         self.stats = ReliabilityStats()
         self.crashed = False
-        self.wire_send = wire_send if wire_send is not None else _unwired_for(pid)
-        self.deliver = deliver if deliver is not None else _undeliverable_for(pid)
+        self.wire_send = wire_send
+        self.deliver = deliver
         self.pid = pid
         self.tracer = tracer
 
@@ -280,15 +241,15 @@ class ReliableEndpoint:
         sim: Scheduler,
         pid: int,
         *,
-        wire_send: Optional[WireSend] = None,
-        deliver: Optional[Deliver] = None,
+        wire_send: WireSend,
+        deliver: Deliver,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.pid = pid
         self.stats = ReliabilityStats()
-        self.wire_send = wire_send if wire_send is not None else _unwired_for(pid)
-        self.deliver = deliver if deliver is not None else _undeliverable_for(pid)
+        self.wire_send = wire_send
+        self.deliver = deliver
         self.tracer = tracer
         self.crashed = False
         # Invoked (once per death) when a peer exhausts the retransmit

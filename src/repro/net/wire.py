@@ -355,17 +355,14 @@ class WireChannel:
         self.source = source
         self.dest = dest
         self.writer = writer
-        # Test doubles that only collect bytes have no is_closing().
-        self._is_closing: Callable[[], bool] = getattr(
-            writer, "is_closing", lambda: False)
         self.stats = ChannelStats()
-        self.dropped_on_dead_wire = 0
 
     def send(self, envelope: Envelope) -> float:
         """Frame ``envelope`` onto the stream; returns the send time.
 
-        A send against a closing or torn-down stream is *dropped* (and
-        counted), not raised: during a failover window the reliability
+        A send against a closing or torn-down stream is *dropped*, not
+        raised (the peer's loss is traced as ``peer_lost`` where its
+        connection ends): during a failover window the reliability
         layer's retransmit timers keep firing at the dead centre's
         socket, and the protocol above recovers those ops via the
         failover snapshot -- the wire must not turn that race into an
@@ -378,8 +375,7 @@ class WireChannel:
             )
         if envelope.message_id is None:
             envelope.message_id = self.sched.next_message_id()
-        if self._is_closing():
-            self.dropped_on_dead_wire += 1
+        if self.writer.is_closing():
             return self.sched.now
         self.stats.messages += 1
         total_bytes = envelope.total_bytes()
@@ -389,7 +385,7 @@ class WireChannel:
         try:
             self.writer.write(frame(encode_envelope(envelope)))
         except (ConnectionError, RuntimeError):
-            self.dropped_on_dead_wire += 1
+            pass  # torn down between the check and the write: dropped too
         return self.sched.now
 
     def fifo_respected(self) -> bool:

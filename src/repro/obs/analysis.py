@@ -168,8 +168,9 @@ def check_verdicts(
     recorded, the centre the entry's source operation, because formula
     (7) is over operations "as originally generated".  At a client a
     ``TRANSFORMED`` precedes the ``EXECUTED`` exactly when formula (5)
-    found a concurrent entry: the fast path's "concurrent set =
-    unacknowledged set" as the trace shows it.
+    found a concurrent entry, and its ``seq`` (the unacknowledged entries
+    it transformed against) is how many: the fast path's "concurrent set
+    = unacknowledged set" as the trace shows it.
 
     Returns the number of verdicts checked and the disagreements, each
     ``(site, op, entry, verdict)`` with the formula's verdict; ``entry``
@@ -182,7 +183,8 @@ def check_verdicts(
     centres = {0}
     # Per site: (op, T, formula-(5) kind at a client / origin at the centre).
     history: dict[int, list[tuple[Optional[str], Any, Any]]] = {}
-    transformed: dict[int, str] = {}
+    #: Per client: the op its last TRANSFORMED names, and that event's seq.
+    transformed: dict[int, tuple[str, Optional[int]]] = {}
     checked = 0
     disagreements: list[tuple[int, str, Optional[str], bool]] = []
 
@@ -200,7 +202,7 @@ def check_verdicts(
         elif op is None:
             continue  # not an operation's event
         elif kind is TraceEventKind.TRANSFORMED and site not in centres:
-            transformed[site] = op  # a client's notes the transform only
+            transformed[site] = (op, event.seq)  # a client's notes the transform only
         elif ts is None or not all(type(n) is int for n in ts) or (
                 len(ts) != 2 and kind is not TraceEventKind.TRANSFORMED):
             # A centre's transform carries its SV_0, every other event T.
@@ -230,16 +232,16 @@ def check_verdicts(
         else:
             arrival = CompressedTimestamp(*ts)
             entries = history.setdefault(site, [])
-            found = False
+            found = 0
             for entry, entry_ts, entry_kind in entries:
                 verdict = client_concurrent(arrival, entry_ts, entry_kind)
-                found = found or verdict
+                found += verdict
                 if op in known and entry in known:
                     checked += 1
                     if verdict != concurrent(op, entry):
                         disagreements.append((site, op, entry, verdict))
-            if (transformed.pop(site, None) == op) != found:
-                disagreements.append((site, op, None, found))
+            if transformed.pop(site, None) != ((op, found) if found else None):
+                disagreements.append((site, op, None, found > 0))
             entries.append((op, arrival, OriginKind.FROM_CENTER))
     return checked, disagreements
 

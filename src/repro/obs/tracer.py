@@ -46,8 +46,10 @@ TRACE_FORMAT = "repro-obs-trace-v1"
 #: (:mod:`repro.obs.spans`).  The ``sampled``, ``peer_lost`` and
 #: ``finished`` kinds and the optional ``g`` field are a cluster
 #: process's alone: no simulator session emits them, so its files did
-#: not change shape.
-TRACE_SCHEMA_VERSION = 4
+#: not change shape.  Version 5 gives a client's ``transformed`` event a
+#: ``seq``: the number of unacknowledged entries the arrival was
+#: transformed against.
+TRACE_SCHEMA_VERSION = 5
 
 
 class TraceEventKind(enum.Enum):
@@ -436,7 +438,6 @@ class JsonlWriter:
     def __init__(self, path: Union[str, Path],
                  header: Optional[dict[str, Any]] = None) -> None:
         self.path = Path(path)
-        self.lines = 0
         self._fh: Optional[TextIO] = self.path.open("w", encoding="utf-8")
         if header is not None:
             self.write_line(json.dumps(header))
@@ -451,7 +452,6 @@ class JsonlWriter:
             raise ValueError(f"writer for {self.path} is closed")
         self._fh.write(text + "\n")
         self._fh.flush()
-        self.lines += 1
 
     def write_event(self, event: TraceEvent) -> None:
         self.write_line(event.to_json())

@@ -11,7 +11,9 @@ object instead of implementing (or inheriting) delivery machinery:
   pass-through, or sequencing + retransmission) -> the FIFO channel;
 * incoming: channel -> ``self.on_message`` -> ``self.transport.on_wire``
   -> (immediately, or after in-order release) ->
-  ``self._handle_app_message`` in the editor subclass.
+  ``self._handle_app_message`` in the editor subclass.  ``on_message``
+  is the one entry from the wire, so it is where an arrival the process
+  cannot take becomes its one refusal type, ``ConsistencyError``.
 
 No editor class inherits from a transport class; swapping transports is
 a constructor argument.
@@ -21,11 +23,14 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.net.holdback import HoldbackOverflow
 from repro.net.process import SimProcess
 from repro.net.reliability import AnyTransport, build_transport
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
 from repro.obs.tracer import Tracer
+from repro.ot.operations import OperationError
+from repro.session.base import ConsistencyError
 
 
 class EditorEndpoint(SimProcess):
@@ -75,8 +80,18 @@ class EditorEndpoint(SimProcess):
         self.transport.send(dest, payload, timestamp_bytes, kind)
 
     def on_message(self, envelope: Envelope) -> None:
-        """Network arrival: goes through the owned transport."""
-        self.transport.on_wire(envelope)
+        """Network arrival: goes through the owned transport.
+
+        An arrival that overflows the reorder buffer, or an edit that
+        does not apply to the document, is refused as a chained
+        ``ConsistencyError``, like every other arrival the editor rejects.
+        """
+        try:
+            self.transport.on_wire(envelope)
+        except (HoldbackOverflow, OperationError) as exc:
+            raise ConsistencyError(
+                f"site {self.pid}: refused a message from site "
+                f"{envelope.source}: {exc}") from exc
 
     # -- editor hook -------------------------------------------------------------
 

@@ -287,7 +287,7 @@ def test_a_centre_frame_the_client_refuses_ends_its_run_on_the_record(
     death -- traced as ``peer_lost`` and closed with ``timed_out`` --
     not an exception out of ``run_client`` after its timeout."""
     _a_centre_frame_ends_the_run(tmp_path, capfd, caplog,
-                                 first=0, second=50, pos=0, origin=0)
+                                 _op_frame(first=0, second=50, pos=0, origin=0))
 
 
 def test_a_centre_edit_that_does_not_apply_ends_its_run_on_the_record(
@@ -296,26 +296,51 @@ def test_a_centre_edit_that_does_not_apply_ends_its_run_on_the_record(
     """The same for a broadcast in sequence (``T=[1,0]``, origin 2)
     whose position is past the end of any document: the sequence rule
     checks ``T``, not the edit, so the client gets as far as executing
-    it and fails (``OperationError``).  The client treats that like a
-    refusal."""
+    it and fails (``OperationError``), which its endpoint refuses as a
+    ``ConsistencyError``."""
     _a_centre_frame_ends_the_run(tmp_path, capfd, caplog,
-                                 first=1, second=0, pos=999, origin=2)
+                                 _op_frame(first=1, second=0, pos=999, origin=2))
 
 
-def _a_centre_frame_ends_the_run(tmp_path: Path, capfd, caplog, *, first: int,
-                                 second: int, pos: int, origin: int) -> None:
-    from repro.cluster.client import run_client
+def test_a_centre_that_overflows_the_reorder_buffer_ends_the_run_on_the_record(
+    tmp_path: Path, capfd, caplog,
+) -> None:
+    """The same for a reliable centre whose first packet never comes:
+    packets 1 .. ``HOLDBACK_LIMIT + 1`` wait on it until one more than the
+    reorder buffer holds arrives (``HoldbackOverflow``), which the
+    client's endpoint refuses as a ``ConsistencyError``."""
+    from repro.net.reliability import HOLDBACK_LIMIT
+
+    _a_centre_frame_ends_the_run(
+        tmp_path, capfd, caplog,
+        b"".join(_op_frame(first=1, second=0, pos=0, origin=2, seq=seq)
+                 for seq in range(1, HOLDBACK_LIMIT + 2)),
+        reliability=True)
+
+
+def _op_frame(*, first: int, second: int, pos: int, origin: int,
+              seq: int | None = None) -> bytes:
+    """A centre's op message to client 1; with ``seq``, in a reliable packet."""
     from repro.core.timestamp import CompressedTimestamp
     from repro.editor.messages import OpMessage
+    from repro.net.reliability import ReliablePacket
     from repro.net.transport import Envelope
     from repro.net.wire import encode_envelope
     from repro.ot.operations import Insert
 
-    config = ClusterConfig(clients=1, timeout_s=5.0, failover=False)
     op = OpMessage(op=Insert("x", pos), timestamp=CompressedTimestamp(first, second),
                    origin_site=origin)
-    refused = frame(encode_envelope(Envelope(
-        source=0, dest=1, payload=op, timestamp_bytes=op.timestamp.size_bytes())))
+    payload = op if seq is None else ReliablePacket(seq, 0, -1, op)
+    return frame(encode_envelope(Envelope(
+        source=0, dest=1, payload=payload, timestamp_bytes=op.timestamp.size_bytes())))
+
+
+def _a_centre_frame_ends_the_run(tmp_path: Path, capfd, caplog, refused: bytes,
+                                 *, reliability: bool = False) -> None:
+    from repro.cluster.client import run_client
+
+    config = ClusterConfig(clients=1, timeout_s=5.0, failover=False,
+                           reliability=reliability)
 
     async def centre(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:

@@ -184,9 +184,10 @@ def test_crash_timer_after_quiescence_is_a_clean_run(tmp_path: Path) -> None:
     config = ClusterConfig(clients=2, ops_per_client=3, seed=3,
                            timeout_s=20.0, crash_notifier_after_s=15.0)
     report = run_cluster(config, tmp_path)
+    # No trace records a promotion, so the verdict holds every replica to
+    # the full execution count.
+    assert not report.failover_run
     assert report.ok, report.summary()
-    # The centre survived to the end: a closing record, full execution.
+    # The centre survived to the end: a closing record.
     assert read_trace(tmp_path, 0)[-1].kind is TraceEventKind.FINISHED
     assert sorted(report.documents) == [0, 1, 2]
-    assert len(set(report.documents.values())) == 1
-    assert all(n >= config.total_ops for n in report.executed_ops.values())

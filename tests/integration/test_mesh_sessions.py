@@ -100,75 +100,6 @@ class TestMeshConvergence:
             assert len(site.log) == 12
 
 
-class TestLogCompaction:
-    def run_two_rounds(self, seed=0):
-        config = RandomSessionConfig(n_sites=3, ops_per_site=4, seed=seed)
-        session = MeshSession(
-            3,
-            initial_document=config.initial_document,
-            latency_factory=uniform_latencies(seed),
-        )
-        drive_mesh_session(session, config)
-        session.run()
-        # a second round of edits carries the stability evidence around
-        for s in range(3):
-            session.sim.schedule(
-                session.sim.now + 1 + s * 0.1,
-                lambda s=s: session.sites[s].generate(Insert("z", 0)),
-            )
-        session.run()
-        return session
-
-    def test_stable_prefix_folds(self):
-        session = self.run_two_rounds()
-        folded = [site.compact() for site in session.sites]
-        # all 12 first-round ops are stable and dominated by round two
-        assert folded == [12, 12, 12]
-        # only the three second-round ops remain in the logs
-        assert all(len(site.log) == 3 for site in session.sites)
-        assert all(site.compacted_ops == 12 for site in session.sites)
-        assert session.converged()
-
-    def test_compaction_preserves_document(self):
-        session = self.run_two_rounds(seed=5)
-        docs_before = session.documents()
-        for site in session.sites:
-            site.compact()
-        assert session.documents() == docs_before
-
-    def test_editing_continues_after_compaction(self):
-        session = self.run_two_rounds(seed=2)
-        for site in session.sites:
-            site.compact()
-        for s in range(3):
-            session.sim.schedule(
-                session.sim.now + 1 + s * 0.05,
-                lambda s=s: session.sites[s].generate(Insert("w", s)),
-            )
-        session.run()
-        assert session.converged()
-
-    def test_nothing_stable_nothing_folds(self):
-        """Before any second-round evidence, peers' knowledge is stale."""
-        config = RandomSessionConfig(n_sites=3, ops_per_site=2, seed=1)
-        session = MeshSession(
-            3,
-            initial_document=config.initial_document,
-            latency_factory=uniform_latencies(1),
-        )
-        drive_mesh_session(session, config)
-        session.run()
-        # the very last ops cannot be stable: no site has spoken since
-        assert all(site.compact() < len(site.delivered_ids) for site in session.sites)
-        assert session.converged()
-
-    def test_stability_vector_monotone_and_bounded(self):
-        session = self.run_two_rounds(seed=3)
-        for site in session.sites:
-            stable = site.stability_vector()
-            assert site.vc.dominates(stable)
-
-
 class TestGOTTransform:
     def test_no_concurrent_prefix_returns_original(self):
         from repro.clocks.vector import VectorClock

@@ -12,7 +12,7 @@ from repro.net import codec
 from repro.net.channel import JitterLatency, UniformLatency
 from repro.net.transport import Envelope
 from repro.net.wire import encode_envelope
-from repro.ot.operations import Delete, Insert
+from repro.ot.operations import Delete, Insert, OperationError
 from repro.session import ConsistencyError
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 from repro.workloads.typing_model import TypingBurstConfig
@@ -325,6 +325,17 @@ class TestSequenceRule:
         with pytest.raises(ConsistencyError, match=refusal):
             notifier.on_message(Envelope(source=1, dest=0, payload=bad))
         assert _every_replica(session) == before
+
+    def test_an_edit_in_sequence_that_does_not_apply_is_refused(self):
+        """The rule checks ``T``, not the edit: past the end of the
+        document, the OT layer's ``OperationError`` leaves the endpoint
+        as its one refusal type, chained."""
+        session = self.settled(record_checks=False)
+        bad = messages.OpMessage(Insert("z", 999), CompressedTimestamp(1, 2), 1)
+        with pytest.raises(ConsistencyError,
+                           match="site 0: refused a message from site 1") as excinfo:
+            session.notifier.on_message(Envelope(source=1, dest=0, payload=bad))
+        assert isinstance(excinfo.value.__cause__, OperationError)
 
     def test_joiners_keep_the_sequence(self):
         """Two joiners admitted at once: each snapshot restates both

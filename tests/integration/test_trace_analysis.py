@@ -156,8 +156,9 @@ class TestTheCheckerFailsWhereItShould:
         """``events`` with one client arrival's ``T[2]`` lowered by one,
         and the disagreement that must follow: formula (5) now calls the
         local op with the old ``T[2]`` concurrent, and the oracle says it
-        happened before.  The arrival is one the site transformed, so
-        the transform check agrees either way."""
+        happened before.  The arrival is one the site transformed, and
+        its transform count is raised to match, so the transform check
+        agrees."""
         for pos, event in enumerate(events):
             before = events[pos - 1]
             if (event.kind is TraceEventKind.EXECUTED and event.site != 0
@@ -172,6 +173,7 @@ class TestTheCheckerFailsWhereItShould:
                     if e.kind is TraceEventKind.GENERATED and e.site == event.site
                     and e.timestamp[1] == second]
         tampered = list(events)
+        tampered[pos - 1] = dataclasses.replace(before, seq=before.seq + 1)
         tampered[pos] = dataclasses.replace(event, timestamp=(first, second - 1))
         return tampered, (event.site, event.op_id, local, True)
 
@@ -206,6 +208,21 @@ class TestTheCheckerFailsWhereItShould:
         tampered, expected = self.nudged(tracer.events)
         oracle = CausalityOracle(replay_event_log(tampered))
         assert check_verdicts(tampered, oracle)[1] == [expected]
+
+    def test_a_lowered_transform_count_is_exactly_one_disagreement(self):
+        """A client transformed an arrival against one entry fewer than
+        formula (5) finds concurrent: the count disagrees, nothing else."""
+        _, tracer = run_traced_session()
+        tampered = list(tracer.events)
+        for pos, event in enumerate(tampered):
+            if event.kind is TraceEventKind.TRANSFORMED and event.site != 0:
+                break
+        else:
+            pytest.fail("no client arrival was transformed")
+        tampered[pos] = dataclasses.replace(event, seq=event.seq - 1)
+        oracle = CausalityOracle(replay_event_log(tampered))
+        assert check_verdicts(tampered, oracle)[1] == [
+            (event.site, event.op_id, None, True)]
 
     def test_a_nudged_stream_fails_the_cluster_verdict(self):
         session, tracer = run_traced_session()

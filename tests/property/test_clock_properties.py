@@ -107,7 +107,7 @@ class TestSKEquivalence:
         sk = [SKProcess(pid, n) for pid in range(n)]
         for sender, dest in trace:
             message = sk[sender].prepare_send(dest)
-            assert message.entry_count() <= n
+            assert len(message.entries) <= n
             sk[dest].receive(message)
 
 

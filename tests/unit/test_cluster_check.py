@@ -245,8 +245,11 @@ def test_a_trace_without_a_closing_record_reports_no_end_state() -> None:
     """The dead centre of a failover run: its trace is merged, and the
     run's end state is the survivors'."""
     traces = {0: [_event(0, TraceEventKind.CRASHED, 1.0, 0, epoch=0)],
-              1: [_finished(1, "abc")], 2: [_finished(2, "abc")]}
-    report = analyze_cluster(traces, expected_ops=1, failover_run=True)
+              1: [_event(0, TraceEventKind.PROMOTED, 2.0, 1, epoch=1),
+                  _finished(1, "abc")],
+              2: [_finished(2, "abc")]}
+    report = analyze_cluster(traces, expected_ops=1)
     assert report.ok, report.summary()
+    assert report.failover_run
     assert report.documents == {1: "abc", 2: "abc"}
-    assert report.trace_events == 3
+    assert report.trace_events == 4

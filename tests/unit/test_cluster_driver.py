@@ -16,13 +16,17 @@ from repro.cluster.harness import config_from_args, read_trace, trace_path
 from repro.obs.tracer import TraceEvent, TraceEventKind, trace_header
 
 
-def _closed_trace(site: int) -> str:
-    """A finished process's trace: a header and its closing record."""
-    closing = TraceEvent(index=0, kind=TraceEventKind.FINISHED, time=1.0,
-                         site=site, seq=0, gauges={"ops_executed": 3,
-                                                   "document": "stale",
-                                                   "timed_out": False})
-    return f"{json.dumps(trace_header({'site': site}))}\n{closing.to_json()}\n"
+def _closed_trace(site: int, promoted: bool = False) -> str:
+    """A finished process's trace: a header and its closing record, and
+    with ``promoted`` the event that makes its run a failover run."""
+    events = [TraceEvent(index=0, kind=TraceEventKind.PROMOTED, time=0.5,
+                         site=site, epoch=1)] if promoted else []
+    events.append(TraceEvent(index=len(events), kind=TraceEventKind.FINISHED,
+                             time=1.0, site=site, seq=0,
+                             gauges={"ops_executed": 3, "document": "stale",
+                                     "timed_out": False}))
+    return "".join([json.dumps(trace_header({"site": site})) + "\n",
+                    *(event.to_json() + "\n" for event in events)])
 
 
 def test_reused_out_dir_is_cleared_of_an_earlier_runs_artifacts(tmp_path, monkeypatch):
@@ -60,7 +64,7 @@ def _plant(out_dir, sites, text_of) -> None:
 
 def test_every_finished_process_is_gathered_with_its_trace(tmp_path):
     _plant(tmp_path, 3, _closed_trace)
-    traces, notes = driver.gather_traces(tmp_path, 3, failover_run=False)
+    traces, notes = driver.gather_traces(tmp_path, 3)
     assert sorted(traces) == [0, 1, 2] and notes == []
     assert all(events[-1].site == site for site, events in traces.items())
 
@@ -79,14 +83,15 @@ def test_a_trace_without_a_closing_record_is_a_process_that_did_not_finish(
 ):
     """Killed, crashed or torn on its last line, whatever the site: the
     driver raises naming the traces it salvaged, in a failover run too."""
-    _plant(tmp_path, 3, _closed_trace)
-    if UNFINISHED[case] is None:
-        trace_path(tmp_path, 1).unlink()
-    else:
-        trace_path(tmp_path, 1).write_text(UNFINISHED[case]())
     for failover_run in (False, True):
+        _plant(tmp_path, 3, lambda site: _closed_trace(site, promoted=(
+            failover_run and site == 2)))
+        if UNFINISHED[case] is None:
+            trace_path(tmp_path, 1).unlink()
+        else:
+            trace_path(tmp_path, 1).write_text(UNFINISHED[case]())
         with pytest.raises(driver.ClusterError) as excinfo:
-            driver.gather_traces(tmp_path, 3, failover_run=failover_run)
+            driver.gather_traces(tmp_path, 3)
         message = str(excinfo.value)
         assert "site 1 did not finish" in message
         assert "salvaged: trace_0.jsonl" in message
@@ -99,8 +104,10 @@ def test_the_dead_centre_of_a_failover_run_is_the_one_exception(tmp_path):
         + TraceEvent(index=0, kind=TraceEventKind.CRASHED, time=1.0, site=0,
                      epoch=0).to_json() + "\n")
     with pytest.raises(driver.ClusterError, match="site 0 did not finish"):
-        driver.gather_traces(tmp_path, 3, failover_run=False)
-    traces, notes = driver.gather_traces(tmp_path, 3, failover_run=True)
+        driver.gather_traces(tmp_path, 3)
+    # The run failed over iff a survivor's trace records its promotion.
+    trace_path(tmp_path, 1).write_text(_closed_trace(1, promoted=True))
+    traces, notes = driver.gather_traces(tmp_path, 3)
     assert [event.kind for event in traces[0]] == [TraceEventKind.CRASHED]
     assert len(notes) == 1 and "no closing record, as designed" in notes[0]
 

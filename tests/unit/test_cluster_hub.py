@@ -19,7 +19,7 @@ from repro.cluster.serve import Hub
 from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
 from repro.editor.star_notifier import StarNotifier
-from repro.net.reliability import ReliablePacket
+from repro.net.reliability import HOLDBACK_LIMIT, ReliablePacket
 from repro.net.scheduler import AsyncioScheduler
 from repro.net.transport import Envelope
 from repro.net.wire import (
@@ -335,6 +335,36 @@ def test_a_replayed_frame_is_a_duplicate_to_a_reliable_notifier() -> None:
 
     run({1, 2}, body, endpoint=lambda: StarNotifier(
         AsyncioScheduler(), 2, reliability=True))
+
+
+def test_a_member_that_overflows_the_reorder_buffer_is_counted_as_garbled(
+    capfd, caplog,
+) -> None:
+    """Member 1's first packet never comes: packets 1 .. ``HOLDBACK_LIMIT
+    + 1`` wait on it until one more than the reliable notifier's reorder
+    buffer holds arrives (``HoldbackOverflow``).  The notifier's endpoint
+    refuses that as a ``ConsistencyError``; the hub hangs member 1 up
+    like any refusal, counted and traced, with nothing in the logs."""
+    op = OpMessage(op=Insert("x", 0), timestamp=CompressedTimestamp(0, 1),
+                   origin_site=1)
+    held = b"".join(
+        frame(encode_envelope(Envelope(
+            source=1, dest=0, payload=ReliablePacket(seq, 0, -1, op),
+            timestamp_bytes=op.timestamp.size_bytes())))
+        for seq in range(1, HOLDBACK_LIMIT + 2))
+
+    async def body(lo: Loopback) -> None:
+        await lo.member(2)
+        _r1, w1 = await lo.member(1)
+        w1.write(held)
+        await until(lambda: lo.hub.hung_up == {1})
+        assert (lo.hub.garbled, lo.hub.rejected) == (1, 0)
+        assert lost(lo.hub.endpoint) == [(0, 1, "garbled")]
+
+    run({1, 2}, body, endpoint=lambda: StarNotifier(
+        AsyncioScheduler(), 2, reliability=True, tracer=Tracer()))
+    assert capfd.readouterr().err == ""
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 def test_close_with_members_connected_leaves_no_task_and_no_noise(

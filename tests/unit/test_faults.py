@@ -136,5 +136,5 @@ class TestFaultyChannel:
         sim.run()
         assert channel.fifo_respected()
         assert channel.fault_stats.dropped > 0
-        delivered_ids = [e.message_id for e in delivered]
-        assert delivered_ids == sorted(delivered_ids)
+        message_ids = [e.message_id for e in delivered]
+        assert message_ids == sorted(message_ids)

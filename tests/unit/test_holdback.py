@@ -160,7 +160,7 @@ class TestMeshIntegration:
         )
         assert session.sites[0].holdback_pending()
         assert not session.quiescent()
-        assert session.sites[0].delivered_ids == []
+        assert session.sites[0].log == []
 
 
 @pytest.mark.parametrize("n_streams,per_stream", [(3, 50)])

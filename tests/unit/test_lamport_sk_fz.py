@@ -78,7 +78,7 @@ class TestSKProcess:
     def test_entry_count_bounded_by_n(self):
         p = SKProcess(0, 6)
         message = p.prepare_send(3)
-        assert message.entry_count() <= 6
+        assert len(message.entries) <= 6
 
     def test_message_size(self):
         assert SKMessage(0, ((1, 2), (3, 4))).size_bytes() == 16

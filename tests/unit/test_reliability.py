@@ -45,11 +45,12 @@ class Pair:
         self.released: list[tuple[str, float]] = []  # (payload, release time)
         self.tracer = Tracer()
         self.tracer.bind_clock(lambda: self.sim.now)
+        # Each wire needs the other endpoint: both are attached below.
         self.sender = ReliableEndpoint(
             self.sim, SENDER, tracer=self.tracer,
-            deliver=lambda env: None)
+            wire_send=lambda *a: None, deliver=lambda env: None)
         self.receiver = ReliableEndpoint(
-            self.sim, RECEIVER,
+            self.sim, RECEIVER, wire_send=lambda *a: None,
             deliver=lambda env: self.released.append((env.payload, self.sim.now)))
         self.sender.wire_send = self._wire(SENDER, self.receiver)
         self.receiver.wire_send = self._wire(RECEIVER, self.sender)

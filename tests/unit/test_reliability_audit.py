@@ -14,7 +14,8 @@ from repro.net.simulator import Simulator
 
 
 def make_endpoint() -> ReliableEndpoint:
-    return ReliableEndpoint(Simulator(), 0)
+    return ReliableEndpoint(Simulator(), 0, wire_send=lambda *a: None,
+                            deliver=lambda env: None)
 
 
 def release(ep: ReliableEndpoint, source: int, pairs) -> None:

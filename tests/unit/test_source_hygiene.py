@@ -15,7 +15,10 @@ file in ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/`` other
 than its own package's ``__init__`` (a module only its own tests read is
 a module nobody reads), and a package ``__init__`` re-exports only names
 some file outside the package imports from it -- a short allow-list
-carries one written reason per entry; a vocabulary rule: the spellings
+carries one written reason per entry -- and every attribute a method
+under ``src/`` stores on ``self`` is loaded, or named by a string
+constant, somewhere in those same directories (state only a test reads
+is state nobody reads); a vocabulary rule: the spellings
 of the deleted compatibility layer, and of readers deleted for having no
 production caller, stay deleted; a boundary rule: ``repro.cluster``
 reads no underscore name of an object it does not own; a codec rule: under ``repro.net`` a
@@ -280,6 +283,72 @@ def test_the_reader_rule_fails_where_it_should(tmp_path: Path) -> None:
         "repro/pkg/kept.py: allow-listed, but it has a reader")
 
 
+def attribute_rule_findings(root: Path) -> list[str]:
+    """Attributes a method under ``src/`` stores on ``self`` that nothing
+    in the reader directories loads (``x.name``) or names as a string
+    constant (``getattr(x, "name")``)."""
+    stored: dict[str, set[str]] = {}
+    read: set[str] = set()
+    for top in READER_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+            if top != "src":
+                continue
+            where = str(path.relative_to(root / "src"))
+            methods = [method for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                       for method in cls.body
+                       if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in (inner for method in methods for inner in ast.walk(method)):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    stored.setdefault(node.attr, set()).add(where)
+    return [f"{where}: self.{name} is stored and never read"
+            for name in sorted(set(stored) - read) for where in sorted(stored[name])]
+
+
+def test_every_stored_attribute_has_a_reader() -> None:
+    findings = attribute_rule_findings(ROOT)
+    assert not findings, "\n".join(findings)
+
+
+def test_the_attribute_rule_fails_where_it_should(tmp_path: Path) -> None:
+    """A counter only a test reads, a counter only ever bumped (an
+    augmented assignment stores, it is not a reader), and three
+    attributes read the ways the rule accepts: under ``src/``, by
+    ``getattr`` with a constant name, and from perfbench."""
+    files = {
+        "src/repro/a.py":
+            "class A:\n"
+            "    def __init__(self):\n"
+            "        self.count = 0\n"
+            "        self.read = 1\n"
+            "        self.named = 2\n"
+            "        self.bumped = 3\n"
+            "    def bump(self):\n"
+            "        self.bumped += self.read\n"
+            "        self.perf = 4\n",
+        "perfbench/probe.py": "def probe(a):\n    return getattr(a, 'named'), a.perf\n",
+        "tests/test_a.py": "def test(a):\n    assert a.count == 0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert attribute_rule_findings(tmp_path) == [
+        "repro/a.py: self.bumped is stored and never read",
+        "repro/a.py: self.count is stored and never read",
+    ]
+    # A reader in a benchmark or an example counts; one in tests/ did not.
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text("def show(a):\n    print(a.count)\n")
+    assert attribute_rule_findings(tmp_path) == [
+        "repro/a.py: self.bumped is stored and never read"]
+
+
 #: What the ``repro`` modules behind ``StarSession`` import from outside
 #: ``repro``: the standard library only.
 SESSION_IMPORTS = (
@@ -330,7 +399,10 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\bstart_telemetry\b|\bclose_streams\b|\btelemetry_enabled\b"
         r"|\blocal_ops_generated\b|\b_call_int\b|\bLogHook\b|telemetry_\*"
         r"|\bProcessResult\b|\bresult_path\b|\bread_artifacts\b"
-        r"|\btransform_enabled\b|\bexecute_remote\b")
+        r"|\btransform_enabled\b|\bexecute_remote\b"
+        r"|\bTransportError\b|\b_unwired_for\b|\b_undeliverable_for\b"
+        r"|\bstability_vector\b|\bcompacted_ops\b|\bknown_vc\b|\bdelivered_ids\b"
+        r"|\bdropped_on_dead_wire\b|\bentry_count\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES

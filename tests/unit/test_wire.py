@@ -384,6 +384,9 @@ class _NullWriter:
     def write(self, data: bytes) -> None:
         self.chunks.append(data)
 
+    def is_closing(self) -> bool:
+        return False
+
 
 def test_wire_channel_accounting_matches_fifo_channel() -> None:
     message = _op_message()
