@@ -45,14 +45,14 @@ if TYPE_CHECKING:
 
 @dataclass(slots=True)
 class PendingOp:
-    """A broadcast operation awaiting acknowledgement by one destination.
+    """A broadcast operation awaiting acknowledgement by its destinations.
 
-    Each destination holds its **own** record: the form evolves by
-    inclusion transformation against that destination's incoming
-    operations only, keeping the server-to-destination transformation
-    path context-valid (the Jupiter bridge invariant).  Sharing one
-    object across destinations would let one client's traffic corrupt
-    another's path.
+    One record serves a whole broadcast, in every destination's
+    ``sent_to`` deque, until an arrival from a destination transforms it:
+    the new form is a new record in that destination's slot alone (copy
+    on write), never a store to the shared one.  So a destination's form
+    evolves only against its own incoming operations, keeping its path
+    context-valid (the Jupiter bridge invariant).
     """
 
     op: Any
@@ -103,8 +103,8 @@ class StarNotifier(EditorEndpoint):
             i for i in range(1, n_sites + 1) if i != pid
         )
         # Per destination: broadcast operations the destination has not
-        # yet acknowledged, each in its per-destination form.  Every ack
-        # drops a prefix, so deques keep that O(acked) not O(n).
+        # yet acknowledged, in its form (a PendingOp is shared until
+        # transformed).  Every ack drops a prefix: O(acked) not O(n).
         self.sent_to: dict[int, deque[PendingOp]] = {
             i: deque() for i in range(1, n_sites + 1)
         }
@@ -192,11 +192,12 @@ class StarNotifier(EditorEndpoint):
                 )
             self._prune_history()
         new_op = message.op
-        for entry in queue:
+        for index, entry in enumerate(queue):
             new_op, updated = self.ot.transform(
                 new_op, entry.op, source < entry.origin_site
             )
-            entry.op = updated
+            if updated is not entry.op:  # copy on write: the record is shared
+                queue[index] = PendingOp(updated, entry.op_id, entry.origin_site)
         self._execute_and_broadcast(new_op, source, op_id, ts)
 
     def _prune_history(self) -> None:
@@ -253,10 +254,10 @@ class StarNotifier(EditorEndpoint):
                 )
             )
         # The copies differ in the timestamp only (formulas 1-2): they
-        # share one body and one sum of SV_0, so a copy costs its two
-        # integers and the objects that carry them.  The rest is bound
-        # here, once per broadcast -- not at construction: a transport
-        # wrapped later (perfbench's spans) must still see every copy.
+        # share one body, one sum of SV_0 and one PendingOp, so a copy
+        # costs its two integers and the objects that carry them.  The
+        # rest is bound once per broadcast, not at construction: a
+        # transport wrapped later (perfbench's spans) sees every copy.
         total = self.sv.total()
         shared = BroadcastBody()
         log = self.broadcast_log
@@ -264,6 +265,7 @@ class StarNotifier(EditorEndpoint):
         compress = self.sv.compress_for_destination
         sent_to = self.sent_to
         ts_bytes = ts.size_bytes()  # any compressed timestamp: two integers
+        pending = PendingOp(new_op, transformed_id, source)
         for dest in self.destinations:
             if dest == source:
                 continue
@@ -271,7 +273,7 @@ class StarNotifier(EditorEndpoint):
             if log is not None:
                 log.append((transformed_id, dest, dest_ts))
             send(dest, OpMessage(new_op, dest_ts, source, shared), ts_bytes)
-            sent_to[dest].append(PendingOp(new_op, transformed_id, source))
+            sent_to[dest].append(pending)
 
     def generate_local(self, op: Any) -> str:
         """A local edit at the *promoted* notifier's own site.

@@ -139,14 +139,15 @@ class FIFOChannel:
         delivery = max(self.sim.now + self.latency.sample(), self._last_delivery)
         self._last_delivery = delivery
         self._in_flight.append(envelope.message_id)
-
-        def deliver() -> None:
-            if self._in_flight.popleft() != envelope.message_id:
-                self._fifo_violated = True
-            self.on_deliver(envelope)
-
-        self.sim.schedule(delivery, deliver)
+        self.sim.schedule(delivery, self._deliver, envelope)
         return delivery
+
+    def _deliver(self, envelope: Envelope) -> None:
+        """One scheduled delivery, audited against send order; ``on_deliver``
+        is read now, so a hook rebound after construction sees it."""
+        if self._in_flight.popleft() != envelope.message_id:
+            self._fifo_violated = True
+        self.on_deliver(envelope)
 
     def fifo_respected(self) -> bool:
         """True iff every delivery so far happened in send order."""

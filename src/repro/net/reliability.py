@@ -319,9 +319,7 @@ class ReliableEndpoint:
 
     def _arm_timer(self, dest: int, link: _PeerLink) -> None:
         if link.timer is None and link.unacked and not link.dead:
-            link.timer = self.sim.schedule_after(
-                link.rto, lambda: self._on_timer(dest, link)
-            )
+            link.timer = self.sim.schedule_after(link.rto, self._on_timer, dest, link)
 
     def _on_timer(self, dest: int, link: _PeerLink) -> None:
         link.timer = None
@@ -554,8 +552,7 @@ class ReliableEndpoint:
         # the clock has passed between two reads.
         if link.ack_timer is None and (repeat or link.acked < link.recv_next - 1):
             link.ack_timer = self.sim.schedule_after(
-                due - now, lambda: self._on_ack_timer(dest, link)
-            )
+                due - now, self._on_ack_timer, dest, link)
 
     def _on_ack_timer(self, dest: int, link: _PeerLink) -> None:
         link.ack_timer = None
@@ -629,9 +626,7 @@ class ReliableEndpoint:
         # Probes ride the ack packet class: like a lost ack, a lost
         # probe forces no retransmission (the next tick re-probes).
         self.wire_send(peer, packet, 0, "ack")
-        state.timer = self.sim.schedule_after(
-            PROBE_INTERVAL, lambda: self._probe_tick(peer, state)
-        )
+        state.timer = self.sim.schedule_after(PROBE_INTERVAL, self._probe_tick, peer, state)
 
     # -- crash / epoch management ----------------------------------------------
 

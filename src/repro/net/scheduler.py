@@ -22,7 +22,9 @@ Contract, pinned for both by the conformance suite
   scheduling order;
 * ``schedule`` refuses times in the past and ``schedule_after`` refuses
   negative delays (:class:`~repro.net.simulator.SchedulingError`);
-* ``cancel`` is O(1) and idempotent (lazy removal);
+* ``schedule(time, callback, *args)`` calls ``callback(*args)``, as
+  asyncio's ``call_at`` does (a bound method, not a closure per event);
+* ``cancel`` is O(1), idempotent and a no-op once the event fired;
 * ``Simulator.run`` drives virtual time to quiescence, a time bound or
   an event budget; an ``AsyncioScheduler`` is driven by its loop and
   refuses ``run()``.
@@ -34,7 +36,7 @@ import asyncio
 import heapq
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.net.simulator import SchedulingError, Simulator, _ScheduledEvent
+from repro.net.simulator import SchedulingError, Simulator
 
 
 @runtime_checkable
@@ -42,8 +44,8 @@ class Scheduler(Protocol):
     """What the protocol stack sees of time (structural typing).
 
     ``schedule``/``schedule_after`` return an opaque cancellation handle
-    accepted by ``cancel``; handles are single-use and cancellation is
-    idempotent.  ``next_message_id`` allocates ids unique within this
+    accepted by ``cancel``; cancelling is idempotent, and a no-op once the
+    event fired.  ``next_message_id`` allocates ids unique within this
     scheduler -- per-scheduler (not process-global) so two sessions in
     one process produce identical id streams for identical seeds.
     """
@@ -54,9 +56,9 @@ class Scheduler(Protocol):
     @property
     def pending_events(self) -> int: ...
 
-    def schedule(self, time: float, callback: Callable[[], None]) -> Any: ...
+    def schedule(self, time: float, callback: Callable[..., None], *args: Any) -> Any: ...
 
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> Any: ...
+    def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> Any: ...
 
     def cancel(self, event: Any) -> None: ...
 
@@ -99,19 +101,19 @@ class AsyncioScheduler(Simulator):
             "await the workload's own coroutines instead of run()"
         )
 
-    def _push(self, time: float, callback: Callable[[], None]) -> _ScheduledEvent:
-        event = super()._push(time, callback)
+    def _push(self, time: float, callback: Callable[..., None], args: tuple) -> list[Any]:
+        entry = super()._push(time, callback, args)
         # The armed handle already points at the earliest deadline unless
         # this event took the head (or nothing is armed: the first event,
         # or a push from a callback, which _fire re-arms after).
-        if self._handle is None or self._queue[0][2] is event:
+        if self._handle is None or self._queue[0] is entry:
             self._rearm()
-        return event
+        return entry
 
     def _rearm(self) -> None:
         """Point the loop's one handle at the earliest live deadline."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is None:  # cancelled
             heapq.heappop(queue)
         if self._handle is not None:
             self._handle.cancel()

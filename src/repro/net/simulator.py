@@ -1,12 +1,13 @@
 """A minimal deterministic discrete-event simulator.
 
-The binary heap holds ``(time, tie_break, event)`` tuples; the tie-break
-is a monotonically increasing sequence number, so simultaneous events
-fire in scheduling order and a given seed always reproduces the same
+An event is its heap entry, ``[time, seq, callback, args]``; ``seq`` is
+a monotonically increasing sequence number, so simultaneous events fire
+in scheduling order and a given seed always reproduces the same
 execution -- the property every experiment in EXPERIMENTS.md depends
 on.  It is also unique, so a heap sift settles on the first two
 elements (a float and an int, compared in C) and never looks at the
-event or its callback.
+callback.  The entry is the handle ``schedule`` returns; cancelling or
+firing an event empties its callback slot.
 
 This is the repository's one event queue:
 :class:`~repro.net.scheduler.AsyncioScheduler` subclasses
@@ -17,22 +18,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable
+from typing import Any, Callable
 
 
 class SchedulingError(RuntimeError):
     """Scheduler misuse: a deadline in the past, a negative delay, or
     ``run()`` on a scheduler that its event loop drives."""
-
-
-class _ScheduledEvent:
-    """The handle ``schedule`` returns and ``cancel`` takes."""
-
-    __slots__ = ("callback", "cancelled")
-
-    def __init__(self, callback: Callable[[], None]) -> None:
-        self.callback = callback
-        self.cancelled = False
 
 
 class Simulator:
@@ -49,7 +40,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
+        self._queue: list[list[Any]] = []  # [time, seq, callback, args]
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -79,65 +70,63 @@ class Simulator:
         """Events scheduled but not yet executed (O(1) live counter)."""
         return self._pending
 
-    def schedule(self, time: float, callback: Callable[[], None]) -> _ScheduledEvent:
-        """Schedule ``callback`` at absolute time ``time``."""
+    def schedule(self, time: float, callback: Callable[..., None], *args: Any) -> list[Any]:
+        """Schedule ``callback(*args)`` at absolute time ``time``."""
         now = self.now
         if time < now:
             raise SchedulingError(f"cannot schedule at {time} before current time {now}")
-        return self._push(time, callback)
+        return self._push(time, callback, args)
 
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> _ScheduledEvent:
-        """Schedule ``callback`` ``delay`` time units from now.
+    def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> list[Any]:
+        """Schedule ``callback(*args)`` ``delay`` time units from now.
 
         ``now`` is read once and not checked again: on a wall clock a
         second read could already be past ``now + 0.0``.
         """
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
-        return self._push(self.now + delay, callback)
+        return self._push(self.now + delay, callback, args)
 
-    def _push(self, time: float, callback: Callable[[], None]) -> _ScheduledEvent:
-        event = _ScheduledEvent(callback)
-        heapq.heappush(self._queue, (time, next(self._seq), event))
+    def _push(self, time: float, callback: Callable[..., None], args: tuple) -> list[Any]:
+        entry = [time, next(self._seq), callback, args]
+        heapq.heappush(self._queue, entry)
         self._pending += 1
-        return event
+        return entry
 
-    def cancel(self, event: _ScheduledEvent) -> None:
-        """Cancel a previously scheduled event (lazy removal)."""
-        if not event.cancelled:
-            event.cancelled = True
+    def cancel(self, event: list[Any]) -> None:
+        """Cancel a scheduled event (lazy removal); a no-op once it fired."""
+        if event[2] is not None:
+            event[2] = None
             self._pending -= 1
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
-        while self._queue:
-            time, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._pending -= 1
-            self._now = time
-            event.callback()
-            self._processed += 1
-            return True
-        return False
+        return Simulator.run(self, max_events=1) == 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run to quiescence, a time bound, or an event-count bound.
 
         Returns the number of events executed by this call.
         """
+        queue = self._queue
         executed = 0
-        while self._queue:
-            time, _, head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        while queue:
+            entry = queue[0]
+            callback = entry[2]
+            if callback is None:  # cancelled
+                heapq.heappop(queue)
                 continue
-            if until is not None and time > until:
+            if until is not None and entry[0] > until:
                 break
             if max_events is not None and executed >= max_events:
                 break
-            self.step()
+            heapq.heappop(queue)
+            entry[2] = None  # fired: a late cancel is a no-op
+            self._pending -= 1
+            self._now = entry[0]
+            callback(*entry[3])
+            self._processed += 1
             executed += 1
-        if until is not None and self._now < until and not self._queue:
+        if until is not None and self._now < until and not queue:
             self._now = until
         return executed

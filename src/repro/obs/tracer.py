@@ -485,7 +485,7 @@ def read_jsonl(
     through :class:`JsonlWriter` can leave at most one): a trailing line
     that fails to parse is dropped instead of failing the whole read.
     A malformed line *before* the end is still an error -- that is
-    corruption, not a crash artifact.
+    corruption, not a crash artifact -- and so is another ``schema_version``.
     """
     lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
@@ -493,6 +493,8 @@ def read_jsonl(
     header = json.loads(lines[0])
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"unknown trace format {header.get('format')!r}")
+    if header.get("schema_version") != TRACE_SCHEMA_VERSION:
+        raise ValueError(f"unsupported trace schema {header.get('schema_version')!r}")
     events: list[TraceEvent] = []
     for position, line in enumerate(lines[1:], start=2):
         try:

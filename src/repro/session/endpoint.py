@@ -69,10 +69,8 @@ class EditorEndpoint(SimProcess):
 
     # -- wiring ------------------------------------------------------------------
 
-    def _wire_send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
-                   kind: str = "op") -> None:
-        """Raw channel access, handed to the transport at construction."""
-        SimProcess.send(self, dest, payload, timestamp_bytes, kind)
+    # Raw channel access, handed to the transport at construction.
+    _wire_send = SimProcess.send
 
     def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
              kind: str = "op") -> None:

@@ -9,7 +9,7 @@ from repro.core.timestamp import CompressedTimestamp, OriginKind
 from repro.editor import messages
 from repro.editor.star import StarSession
 from repro.net import codec
-from repro.net.channel import JitterLatency, UniformLatency
+from repro.net.channel import FixedLatency, JitterLatency, UniformLatency
 from repro.net.transport import Envelope
 from repro.net.wire import encode_envelope
 from repro.ot.operations import Delete, Insert, OperationError
@@ -511,3 +511,32 @@ class TestBroadcastOnce:
                     codec.encode_op_message(alone))
                 assert frame == encode_envelope(dataclasses.replace(envelope, payload=alone))
 
+
+
+class TestSharedPendingRecord:
+    """One ``PendingOp`` serves a whole broadcast; an arrival that
+    transforms it writes a new record into its own destination's queue
+    only (copy on write), so each path stays its own (Jupiter bridge)."""
+
+    def test_a_transform_replaces_the_record_in_its_own_queue_only(self):
+        session = StarSession(4, initial_state="abc",
+                              latency_factory=lambda src, dst: FixedLatency(0.05))
+        notifier = session.notifier
+        # Concurrent: neither site has seen the other's insert.
+        session.generate_at(1, Insert("x", 2), at=1.0)
+        session.generate_at(2, Insert("y", 0), at=1.0)
+        session.sim.run(until=1.0)
+        session.sim.step()  # site 1's op reaches the centre and is broadcast
+        shared = notifier.sent_to[2][0]
+        original = shared.op
+        assert shared.op_id == "c1_1'" and original == Insert("x", 2)
+        assert notifier.sent_to[3][0] is shared and notifier.sent_to[4][0] is shared
+        session.sim.step()  # site 2's op, transformed against c1_1'
+        own = notifier.sent_to[2][0]
+        assert own is not shared
+        assert (own.op, own.op_id, own.origin_site) == (Insert("x", 3), "c1_1'", 1)
+        # Sites 3 and 4 still hold the original record, with its original op.
+        assert notifier.sent_to[3][0] is shared and notifier.sent_to[4][0] is shared
+        assert shared.op is original
+        session.run()
+        assert session.converged() and session.client(1).document == "yabxc"

@@ -95,6 +95,43 @@ def test_cancel_prevents_execution_and_is_idempotent(on) -> None:
     on(body)
 
 
+def test_cancelling_a_fired_event_is_a_no_op(on) -> None:
+    """A handle outlives its event: cancelling it after it fired must
+    not uncount the event still queued (``quiescent()`` and the
+    cluster's ``queue_depth`` gauge read the counter)."""
+    async def body(sched) -> None:
+        fired: list[str] = []
+        first = sched.schedule_after(0.01, lambda: fired.append("first"))
+        sched.schedule_after(0.05, lambda: fired.append("second"))
+        while not fired:  # the first event, and only it
+            if isinstance(sched, AsyncioScheduler):
+                await asyncio.sleep(0.001)
+            else:
+                sched.run(max_events=1)
+        sched.cancel(first)
+        assert fired == ["first"] and sched.pending_events == 1
+        await drain(sched)
+        assert fired == ["first", "second"] and sched.pending_events == 0
+
+    on(body)
+
+
+def test_arguments_reach_the_callback(on) -> None:
+    """``schedule(time, callback, *args)`` calls ``callback(*args)``, as
+    asyncio's ``call_at`` does; a zero-argument callback is unchanged."""
+    async def body(sched) -> None:
+        calls: list[object] = []
+        sched.schedule(sched.now + 0.01, calls.append, "at")
+        sched.schedule_after(0.02, lambda *args: calls.append(args), 1, (2,))
+        sched.schedule_after(0.03, lambda: calls.append("bare"))
+        handle = sched.schedule_after(0.03, calls.append, "cancelled")
+        sched.cancel(handle)
+        assert await drain(sched) == 3
+        assert calls == ["at", (1, (2,)), "bare"]
+
+    on(body)
+
+
 def test_pending_events_counts_cancellations(on) -> None:
     async def body(sched) -> None:
         handles = [sched.schedule_after(0.01, lambda: None) for _ in range(4)]

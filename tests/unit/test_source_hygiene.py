@@ -23,8 +23,10 @@ of the deleted compatibility layer, and of readers deleted for having no
 production caller, stay deleted; a boundary rule: ``repro.cluster``
 reads no underscore name of an object it does not own; a codec rule: under ``repro.net`` a
 ``struct.Struct`` is packed and unpacked inside ``Writer`` / ``Reader``
-only, so ``struct.error`` has one place to become ``CodecError``; and a
-dependency rule: nothing under ``src/`` imports a top-level module from
+only, so ``struct.error`` has one place to become ``CodecError``; a
+closure rule: nothing under ``repro.net`` schedules a lambda or a nested
+function (a scheduled event carries a bound method and its arguments,
+not a closure built per message or timer); and a dependency rule: nothing under ``src/`` imports a top-level module from
 outside the standard library, and ``pyproject.toml`` declares no runtime
 dependency.
 
@@ -402,7 +404,7 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\btransform_enabled\b|\bexecute_remote\b"
         r"|\bTransportError\b|\b_unwired_for\b|\b_undeliverable_for\b"
         r"|\bstability_vector\b|\bcompacted_ops\b|\bknown_vc\b|\bdelivered_ids\b"
-        r"|\bdropped_on_dead_wire\b|\bentry_count\b")
+        r"|\bdropped_on_dead_wire\b|\bentry_count\b|\b_ScheduledEvent\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES
@@ -519,7 +521,7 @@ def test_per_message_values_have_no_dict() -> None:
         PendingOp("op", "c1_1'", 1),
         HistoryEntry("op", ts, 1, OriginKind.LOCAL),
         ts,
-        Simulator().schedule(0.0, lambda: None),  # a _ScheduledEvent
+        Simulator().schedule(0.0, print, "x"),  # the heap entry is the handle
     ]
     def slots_only(value: object) -> None:
         assert not hasattr(value, "__dict__"), type(value).__name__
@@ -569,9 +571,10 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
     ``ReliableEndpoint.unacked`` retains a message, and a timestamp is
     held by its message, its ``HistoryEntry`` and the broadcast log, so
     a receiver that mutated one would corrupt a retransmit or a check.
-    Every ``OpMessage`` field but ``op``: ``PendingOp`` and
-    ``HistoryEntry`` keep an ``op`` that inclusion transformation
-    replaces in place."""
+    Every ``OpMessage`` field but ``op``: a client's pending
+    ``HistoryEntry`` keeps an ``op`` that inclusion transformation
+    replaces in place (the notifier's shared ``PendingOp`` is replaced
+    by a new record instead)."""
     import dataclasses
 
     from repro.core.timestamp import CompressedTimestamp
@@ -611,6 +614,66 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
         "        del packet.payload.timestamp.second\n"
         "        self.seq = packet.seq\n")  # its own field, and a load: fine
     assert len(_message_field_stores(planted, fields)) == 11
+
+
+def scheduled_closure_findings(root: Path) -> list[str]:
+    """Every ``schedule(...)`` / ``schedule_after(...)`` under
+    ``src/repro/net/`` whose callback is a lambda or a function defined
+    inside another function: one closure per scheduled message or timer,
+    where a bound method and its arguments do the same job."""
+    findings = []
+    for path in sorted((root / "src" / "repro" / "net").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = {node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        nested = {inner.name for outer in functions for inner in ast.walk(outer)
+                  if inner is not outer and inner in functions}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("schedule", "schedule_after")):
+                continue
+            callbacks = node.args[1:2] + [keyword.value for keyword in node.keywords
+                                          if keyword.arg == "callback"]
+            if any(isinstance(callback, ast.Lambda)
+                   or (isinstance(callback, ast.Name) and callback.id in nested)
+                   for callback in callbacks):
+                findings.append(f"{path.relative_to(root / 'src')}:{node.lineno}: "
+                                f"{ast.unparse(node)}")
+    return findings
+
+
+def test_nothing_under_net_schedules_a_closure() -> None:
+    findings = scheduled_closure_findings(ROOT)
+    assert not findings, "\n".join(findings)
+
+
+def test_the_closure_rule_fails_where_it_should(tmp_path: Path) -> None:
+    """A lambda, a nested function (positional and by keyword) and a
+    nested ``async def`` are found; a bound method with its arguments, a
+    module-level function and a lambda outside ``net/`` are not."""
+    files = {
+        "src/repro/net/a.py":
+            "def tick():\n"
+            "    pass\n"
+            "class Timer:\n"
+            "    def arm(self, dest, link):\n"
+            "        def fire():\n"
+            "            self.on_timer(dest, link)\n"
+            "        async def wake():\n"
+            "            pass\n"
+            "        self.sim.schedule_after(1.0, lambda: self.on_timer(dest, link))\n"
+            "        self.sim.schedule(2.0, fire)\n"
+            "        self.sim.schedule_after(delay=1.0, callback=fire)\n"
+            "        self.sim.schedule(3.0, wake)\n"
+            "        self.sim.schedule_after(1.0, self.on_timer, dest, link)\n"
+            "        self.sim.schedule(2.0, tick)\n",
+        "src/repro/editor/b.py": "def go(sim, op):\n    sim.schedule(1.0, lambda: op)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert [finding.split(": ")[0] for finding in scheduled_closure_findings(tmp_path)] == [
+        "repro/net/a.py:9", "repro/net/a.py:10", "repro/net/a.py:11", "repro/net/a.py:12"]
 
 
 def _foreign_imports(tree: ast.Module) -> set[str]:

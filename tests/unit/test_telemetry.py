@@ -345,7 +345,7 @@ class TestJsonlWriter:
             writer.write_line("{}")
 
     def test_lenient_read_drops_only_a_torn_tail(self, tmp_path):
-        header = {"format": "repro-obs-trace-v1", "schema_version": 2}
+        header = trace_header()
         text = json.dumps(header) + "\n" + \
             '{"i": 0, "kind": "generated", "t": 0.0, "site": 1, "op": "a"}\n' + \
             '{"i": 1, "kind": "exec'

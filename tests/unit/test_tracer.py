@@ -23,6 +23,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.tracer import TRACE_SCHEMA_VERSION
 
 
 class TestEmission:
@@ -102,6 +103,19 @@ class TestSerialisation:
     def test_read_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             read_jsonl(io.StringIO('{"format": "something-else"}\n'))
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_read_rejects_another_schema_version(self, lenient):
+        """A schema-4 client ``transformed`` event has no ``seq``, which
+        ``check_verdicts`` would read as a disagreement: refused, and
+        ``lenient`` forgives only a torn tail, not the header."""
+        buffer = io.StringIO()
+        write_jsonl(self._sample_events(), buffer)
+        stale = buffer.getvalue().replace(
+            f'"schema_version": {TRACE_SCHEMA_VERSION}', '"schema_version": 4', 1)
+        assert stale != buffer.getvalue()
+        with pytest.raises(ValueError, match="trace schema 4"):
+            read_jsonl(io.StringIO(stale), lenient=lenient)
 
     def test_event_json_omits_none_fields(self):
         event = TraceEvent(index=0, kind=TraceEventKind.GENERATED, time=0.0, site=1)
