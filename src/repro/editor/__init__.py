@@ -10,9 +10,10 @@
   original REDUCE deployment): full N-element vector clocks, causal
   broadcast, and GOT-style transformation over a canonical total order.
 
-Both editors are generic over the :class:`repro.ot.types.OTType`
-contract, record ground-truth event logs, and account every byte on the
-wire for the benchmarks.  They share the session layer
+Both editors edit text with the paper's positional operations; the
+star is written against the :class:`repro.ot.types.OTType` contract, so
+it also carries Section 6's counter.  Both record ground-truth event
+logs and account every byte on the wire for the benchmarks.  They share the session layer
 (:mod:`repro.session`) and the transport layer
 (:mod:`repro.net.reliability`), whose names are imported from there.
 """

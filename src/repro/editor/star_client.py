@@ -45,10 +45,6 @@ if TYPE_CHECKING:
 DEGRADED_LIMIT = 64
 
 
-class UndoError(RuntimeError):
-    """Raised when the requested undo is not available."""
-
-
 class StarClient(EditorEndpoint):
     """A collaborating site ``i != 0``."""
 
@@ -77,7 +73,7 @@ class StarClient(EditorEndpoint):
         # Local operations not yet reflected in a notifier timestamp: the
         # set an arrival is transformed against.  Each element is the
         # HistoryEntry a diagnostic session also buffers, so
-        # re-transformation updates the HB; undo and failover read it too.
+        # re-transformation updates the HB; failover reads it too.
         # Acknowledgement pops from the left on every arrival: a deque.
         self.pending: deque[HistoryEntry] = deque()
         self.event_log = event_log
@@ -92,10 +88,6 @@ class StarClient(EditorEndpoint):
         self.executed_op_ids: list[str] = []
         # Late joiners start inactive and are activated by the snapshot.
         self.active = not joining
-        # Undo bookkeeping, independent of the HB so pruning cannot take an
-        # undoable op away: (pre-state, last local op) until a remote op runs.
-        self._last_local: tuple[Any, Any] | None = None
-        self._generated = False
         self.crash_count = 0
         self._recovering = False
         # -- failover state (see repro.editor.failover) ---------------------
@@ -177,8 +169,7 @@ class StarClient(EditorEndpoint):
             raise RuntimeError(
                 f"site {self.pid} has not received its join snapshot yet"
             )
-        before = self.document
-        self.document = self.ot.apply(before, op)
+        self.document = self.ot.apply(self.document, op)
         self.sv.record_local_execution()
         ts = self.sv.timestamp()
         op_id = op_name(self.pid, ts.second, self.notifier_epoch)
@@ -194,8 +185,6 @@ class StarClient(EditorEndpoint):
             self.hb.append(entry)
         self.pending.append(entry)
         self.executed_op_ids.append(op_id)
-        self._last_local = (before, op)
-        self._generated = True
         if self.event_log is not None:
             self.event_log.generate(self.pid, op_id)
         if self.tracer is not None:
@@ -325,9 +314,6 @@ class StarClient(EditorEndpoint):
                 )
             )
         self.executed_op_ids.append(op_id)
-        # A remote execution invalidates undo (the inverse would no longer
-        # be defined on the current document): drop the pinned pre-state.
-        self._last_local = None
         if self.event_log is not None:
             self.event_log.execute(self.pid, op_id)
         if self.tracer is not None:
@@ -356,44 +342,6 @@ class StarClient(EditorEndpoint):
             if verdict:
                 out.append(entry)
         return out
-
-    def undo_last(self) -> str:
-        """Undo this site's most recent operation (undo-as-new-operation).
-
-        Available while the operation is still the site's latest
-        execution: its inverse (computed here) is then defined on the current
-        document, so the undo is generated and propagated like any other
-        local operation -- remote sites need no special handling, and
-        concurrent remote operations are transformed against the undo
-        exactly like against an ordinary edit.
-
-        Raises :class:`UndoError` if the last executed operation was not
-        a local one (a remote operation arrived since -- the inverse's
-        context is gone) or the OT type does not support inversion.
-
-        The undoable operation is tracked independently of the HB, which
-        only a diagnostic session keeps and which forgets entries at the
-        acknowledgement horizon, so it says what is still
-        *unacknowledged*, not what executed *last*: a pending
-        local entry can head the HB long after a remote operation
-        executed.  The inverse is defined on the current document
-        exactly as long as nothing remote has executed since.
-        """
-        if not self._generated:
-            raise UndoError(f"site {self.pid} has nothing to undo")
-        if self._last_local is None:
-            raise UndoError(
-                f"site {self.pid}: a remote operation executed after the last "
-                "local one; undo context is gone"
-            )
-        invert = getattr(self.ot, "invert", None)
-        try:
-            inverse = invert(*self._last_local) if invert is not None else None
-        except (TypeError, ValueError):  # an op shape the type cannot invert
-            inverse = None
-        if inverse is None:
-            raise UndoError(f"OT type {self.ot.name!r} does not support inversion")
-        return self.generate(inverse)
 
     def _adopt(self, snapshot: SnapshotMessage) -> None:
         """Take the replica, ``SV_i`` and the per-origin counts from ``SV_0``.
@@ -643,8 +591,6 @@ class StarClient(EditorEndpoint):
         self._adopt(snapshot)
         self.hb = HistoryBuffer()
         self.pending = deque()
-        self._last_local = None
-        self._generated = False
         self._failover_pending = False
         if self._recovering:
             # A crash restart that raced the failover completes here: the
@@ -682,8 +628,6 @@ class StarClient(EditorEndpoint):
         self.sv = ClientStateVector(self.pid)
         self.hb = HistoryBuffer()
         self.pending = deque()
-        self._last_local = None
-        self._generated = False
         # Failover evidence is volatile editor state too.
         self._received_per_origin = {}
         self._failover_pending = False

@@ -10,7 +10,6 @@ comparison is apples-to-apples.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -33,8 +32,8 @@ def measure_payload_bytes(payload: Any) -> int:
     """Model size of a payload under the shared accounting convention.
 
     Dispatched on the payload's type: its own sizer, else that of its
-    nearest registered base class, else (extension types nobody
-    registered) the length of its pickle.
+    nearest registered base class.  A payload no sizer covers is a
+    ``TypeError``: its bytes would be a guess.
     """
     sizer = _SIZERS.get(type(payload))
     if sizer is not None:
@@ -43,7 +42,7 @@ def measure_payload_bytes(payload: Any) -> int:
         sizer = _SIZERS.get(base)
         if sizer is not None:
             return sizer(payload)
-    return len(pickle.dumps(payload))
+    raise TypeError(f"no sizer registered for payload type {type(payload).__name__}")
 
 
 register_sizer(type(None), lambda payload: 0)

@@ -1,31 +1,25 @@
-"""Generic OT types: the pluggable transformation contract.
+"""OT types: the transformation contract the editors are written against.
 
 The paper's Section 6 argues the compression scheme applies to *any*
 replicated data object for which an operational-transformation function
-exists.  The group-editor engine in :mod:`repro.editor` is therefore
+exists.  The star editor (:mod:`repro.editor.star`) is therefore
 written against the :class:`OTType` contract below rather than strings
-specifically, and this module registers these concrete types:
+specifically, and this module names two concrete types:
 
 * :class:`PositionalTextType` -- collaborative text (the paper's domain)
   driven by the paper's positional ``Insert``/``Delete`` operations and
   the IT rules of :mod:`repro.ot.transform`;
-* :class:`ListType` -- replicated ordered lists (insert/delete of
-  elements), the natural generalisation to replicated databases of rows;
 * :class:`CounterType` -- commutative increments (transformation is the
-  identity), the degenerate case showing the scheme's lower bound;
-* :class:`LWWRegisterType` -- a last-writer-wins register where the
-  transform deterministically discards the lower-priority concurrent
-  write, modelling replicated configuration entries;
-* :class:`repro.ot.rich.RichTextType` -- text with formatting attributes.
+  identity), Section 6's demonstrator: the same timestamps and
+  concurrency checks over a non-text object.
 
 Every type must guarantee **TP1**::
 
     apply(apply(S, a), transform(a, b)[1]) == apply(apply(S, b), transform(a, b)[0])
 
 which is the only property star-topology convergence requires (the
-notifier serialises its stream, so TP2 never arises).  A type that can
-undo also offers ``invert(state, op)``; model wire bytes come from
-:func:`repro.net.transport.register_sizer`, not from the type.
+notifier serialises its stream, so TP2 never arises).  Model wire bytes
+come from :func:`repro.net.transport.register_sizer`, not from the type.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Protocol, TypeVar, runtime_checkable
 
+from repro.net.transport import INT_WIDTH, register_sizer
 from repro.ot.operations import (
     Delete,
     Identity,
@@ -87,7 +82,7 @@ class PositionalTextType:
         return transform_pair(a, b, a_priority)
 
     def invert(self, state: str, op: Operation) -> Operation:
-        """The inverse of ``op`` relative to pre-state ``state`` (undo).
+        """The inverse of ``op`` relative to pre-state ``state``.
 
         An ``Insert`` inverts to a ``Delete``; a ``Delete`` inverts to
         re-inserting the text captured from the pre-state; a group
@@ -108,65 +103,6 @@ class PositionalTextType:
                 current = member.apply(current)
             return simplify(OperationGroup(tuple(reversed(inverses))))
         raise TypeError(f"cannot invert operation type {type(op).__name__}")
-
-
-@dataclass(frozen=True)
-class ListOp:
-    """Insert or delete a single element of a replicated list.
-
-    ``kind`` is ``"ins"`` or ``"del"``; ``value`` is ignored for deletes.
-    """
-
-    kind: str
-    index: int
-    value: Any = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("ins", "del", "nop"):
-            raise ValueError(f"unknown list op kind {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("list index must be >= 0")
-
-
-class ListType:
-    """Replicated ordered list with element-level insert/delete."""
-
-    name = "list"
-
-    def initial(self) -> tuple:
-        return ()
-
-    def apply(self, state: tuple, op: ListOp) -> tuple:
-        if op.kind == "nop":
-            return state
-        if op.kind == "ins":
-            if op.index > len(state):
-                raise ValueError(f"insert index {op.index} beyond list length {len(state)}")
-            return state[: op.index] + (op.value,) + state[op.index :]
-        if op.index >= len(state):
-            raise ValueError(f"delete index {op.index} beyond list length {len(state)}")
-        return state[: op.index] + state[op.index + 1 :]
-
-    def transform(self, a: ListOp, b: ListOp, a_priority: bool) -> tuple[ListOp, ListOp]:
-        return (
-            self._transform_one(a, b, a_priority),
-            self._transform_one(b, a, not a_priority),
-        )
-
-    @staticmethod
-    def _transform_one(a: ListOp, b: ListOp, a_priority: bool) -> ListOp:
-        if a.kind == "nop" or b.kind == "nop":
-            return a
-        if b.kind == "ins":
-            if a.index > b.index or (a.index == b.index and (a.kind == "del" or not a_priority)):
-                return ListOp(a.kind, a.index + 1, a.value)
-            return a
-        # b deletes one element
-        if a.index > b.index:
-            return ListOp(a.kind, a.index - 1, a.value)
-        if a.index == b.index and a.kind == "del":
-            return ListOp("nop", 0)
-        return a
 
 
 @dataclass(frozen=True)
@@ -197,68 +133,22 @@ class CounterType:
         return a, b
 
 
-@dataclass(frozen=True)
-class RegisterOp:
-    """Overwrite a replicated register with ``value``."""
-
-    value: Any
 
 
-class LWWRegisterType:
-    """Last-writer-wins register.
+# A 1-byte tag, then the delta (EXPERIMENTS.md accounting, as ``Delete``).
+register_sizer(CounterOp, lambda op: 1 + INT_WIDTH)
 
-    Concurrent writes conflict; the transform keeps the higher-priority
-    write and turns the other into a no-op overwrite of the same value,
-    so both execution orders converge to the winner's value.
-    """
-
-    name = "lww-register"
-
-    def initial(self) -> Any:
-        return None
-
-    def apply(self, state: Any, op: RegisterOp) -> Any:
-        del state
-        return op.value
-
-    def transform(self, a: RegisterOp, b: RegisterOp, a_priority: bool) -> tuple[RegisterOp, RegisterOp]:
-        winner = a if a_priority else b
-        # After transformation both residual ops write the winning value:
-        # executing either order yields the winner.
-        return RegisterOp(winner.value), RegisterOp(winner.value)
-
-
-_REGISTRY: dict[str, Any] = {}
-
-
-def register_type(ot_type: Any) -> None:
-    """Register an OT type instance under its ``name``."""
-    if not hasattr(ot_type, "name"):
-        raise TypeError("OT types must expose a .name attribute")
-    _REGISTRY[ot_type.name] = ot_type
+_TYPES: dict[str, Any] = {
+    PositionalTextType.name: PositionalTextType(),
+    CounterType.name: CounterType(),
+}
 
 
 def get_type(name: str) -> Any:
-    """Look up a registered OT type by name."""
+    """Look up an OT type by name."""
     try:
-        return _REGISTRY[name]
+        return _TYPES[name]
     except KeyError:
         raise KeyError(
-            f"unknown OT type {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown OT type {name!r}; registered: {sorted(_TYPES)}"
         ) from None
-
-
-def _register_builtins() -> None:
-    from repro.ot.rich import RichTextType
-
-    for t in (
-        PositionalTextType(),
-        ListType(),
-        CounterType(),
-        LWWRegisterType(),
-        RichTextType(),
-    ):
-        register_type(t)
-
-
-_register_builtins()

@@ -110,28 +110,6 @@ def drive_star_session(session, config: RandomSessionConfig) -> dict[str, Operat
     return ops
 
 
-def random_list_op(rng: random.Random, state: tuple, config: RandomSessionConfig):
-    """Draw one valid list operation for the replicated-list type."""
-    from repro.ot.types import ListOp
-
-    n = len(state)
-    if n == 0 or rng.random() < config.insert_ratio:
-        return ListOp("ins", rng.randint(0, n), rng.getrandbits(16))
-    return ListOp("del", rng.randint(0, n - 1))
-
-
-def drive_star_session_list(session, config: RandomSessionConfig) -> None:
-    """Random workload for a ``list`` star session (replicated rows)."""
-    for intent in generate_random_edits(config):
-        client = session.client(intent.site)
-
-        def make(client=client, seed=intent.seed) -> None:
-            rng = random.Random(seed)
-            client.generate(random_list_op(rng, client.document, config))
-
-        session.sim.schedule(intent.time, make)
-
-
 def drive_mesh_session(session, config: RandomSessionConfig) -> None:
     """Schedule the same style of workload onto a :class:`MeshSession`.
 

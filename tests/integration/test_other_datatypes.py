@@ -5,15 +5,15 @@ applicable to other distributed systems which support concurrent updates
 on replicated data objects, such as replicated database systems,
 replicated file systems, etc."  The star editor is generic over
 :class:`repro.ot.types.OTType`; these tests run full sessions over
-counters, lists and LWW registers with the oracle enabled, exercising
-exactly the same timestamping and concurrency machinery.
+counters with the oracle enabled, exercising exactly the same
+timestamping and concurrency machinery as text.
 """
 
 import random
 
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
-from repro.ot.types import CounterOp, ListOp, RegisterOp
+from repro.ot.types import CounterOp
 from repro.ot.operations import Delete, Insert, compose
 
 
@@ -48,63 +48,6 @@ class TestCounterSessions:
         session.run()
         assert session.converged()
         assert session.notifier.document == total
-
-
-class TestListSessions:
-    def test_concurrent_inserts_converge(self):
-        session = StarSession(2, ot_type_name="list", verify_with_oracle=True)
-        session.generate_at(1, ListOp("ins", 0, "alpha"), at=1.0)
-        session.generate_at(2, ListOp("ins", 0, "beta"), at=1.0)
-        session.run()
-        assert session.converged()
-        # site 1 priority puts its element first
-        assert session.notifier.document == ("alpha", "beta")
-
-    def test_concurrent_delete_same_element(self):
-        session = StarSession(2, ot_type_name="list",
-                              initial_state=("x", "y", "z"),
-                              verify_with_oracle=True)
-        session.generate_at(1, ListOp("del", 1), at=1.0)
-        session.generate_at(2, ListOp("del", 1), at=1.0)
-        session.run()
-        assert session.converged()
-        # both deleted the same element; it must vanish exactly once
-        assert session.notifier.document == ("x", "z")
-
-    def test_replicated_database_rows_scenario(self):
-        """Rows appended and removed concurrently from three clients."""
-        session = StarSession(3, ot_type_name="list", verify_with_oracle=True,
-                              latency_factory=uniform_latencies(7))
-        session.generate_at(1, ListOp("ins", 0, {"id": 1}), at=1.0)
-        session.generate_at(2, ListOp("ins", 0, {"id": 2}), at=1.1)
-        session.generate_at(3, ListOp("ins", 0, {"id": 3}), at=1.2)
-        session.generate_at(1, ListOp("ins", 1, {"id": 4}), at=3.0)
-        session.generate_at(2, ListOp("del", 0), at=3.1)
-        session.run()
-        assert session.converged()
-        assert len(session.notifier.document) == 3
-
-
-class TestRegisterSessions:
-    def test_concurrent_writes_lww(self):
-        session = StarSession(2, ot_type_name="lww-register", verify_with_oracle=True)
-        session.generate_at(1, RegisterOp("config-a"), at=1.0)
-        session.generate_at(2, RegisterOp("config-b"), at=1.0)
-        session.run()
-        assert session.converged()
-        # deterministic winner (site-priority tiebreak)
-        assert session.notifier.document in ("config-a", "config-b")
-        docs = set(map(str, session.documents()))
-        assert len(docs) == 1
-
-    def test_sequential_writes_last_wins(self):
-        session = StarSession(3, ot_type_name="lww-register", verify_with_oracle=True)
-        session.generate_at(1, RegisterOp("v1"), at=1.0)
-        session.generate_at(2, RegisterOp("v2"), at=10.0)
-        session.generate_at(3, RegisterOp("v3"), at=20.0)
-        session.run()
-        assert session.converged()
-        assert session.notifier.document == "v3"
 
 
 class TestComposedTextSessions:

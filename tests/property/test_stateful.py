@@ -2,8 +2,8 @@
 
 Two rule-based machines drive live star sessions through arbitrary
 interleavings of the system's moving parts -- local edits at any client,
-partial simulation advances (messages stay in flight between rules),
-undo, and late joins -- checking the global invariants after every step
+partial simulation advances (messages stay in flight between rules)
+and late joins -- checking the global invariants after every step
 (history pruning is automatic: the membership machine runs pruned, the
 oracle machine keeps everything, and ``test_history_pruning`` compares
 the two):
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.editor.star import StarSession
-from repro.editor.star_client import UndoError
 from repro.workloads.random_session import RandomSessionConfig, random_positional_op
 
 CONFIG = RandomSessionConfig(n_sites=4, initial_document="The five boxing wizards")
@@ -52,13 +51,6 @@ class StarMachine(RuleBasedStateMachine):
     @rule()
     def drain(self):
         self.session.run()
-
-    @rule(site=st.integers(1, 4))
-    def undo(self, site):
-        try:
-            self.session.client(site).undo_last()
-        except UndoError:
-            pass  # nothing undoable right now -- fine
 
     @invariant()
     def fifo_holds(self):

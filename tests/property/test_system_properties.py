@@ -22,7 +22,6 @@ from repro.workloads.random_session import (
     RandomSessionConfig,
     drive_mesh_session,
     drive_star_session,
-    drive_star_session_list,
     generate_random_edits,
     random_positional_op,
 )
@@ -149,30 +148,6 @@ class TestStarSessionProperties:
     def test_composed_burst_sessions(self, params):
         """The star carries composed operations under the oracle."""
         session, _ = build_star(params, drive=drive_composed_bursts)
-        session.run()
-        assert session.quiescent()
-        assert session.converged(), session.documents()
-
-
-class TestOtherTypeSessionProperties:
-    """The same convergence + oracle property over other OT types."""
-
-    @given(session_params)
-    @settings(max_examples=30, deadline=None)
-    def test_list_sessions(self, params):
-        config = RandomSessionConfig(
-            n_sites=params["n_sites"],
-            ops_per_site=params["ops_per_site"],
-            seed=params["seed"],
-            insert_ratio=params["insert_ratio"],
-        )
-        session = StarSession(
-            params["n_sites"],
-            ot_type_name="list",
-            latency_factory=latency_factory(params["latency_style"], params["seed"]),
-            verify_with_oracle=True,
-        )
-        drive_star_session_list(session, config)
         session.run()
         assert session.quiescent()
         assert session.converged(), session.documents()

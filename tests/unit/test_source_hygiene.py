@@ -355,7 +355,7 @@ def test_the_attribute_rule_fails_where_it_should(tmp_path: Path) -> None:
 #: ``repro``: the standard library only.
 SESSION_IMPORTS = (
     "__future__, abc, asyncio, collections, dataclasses, enum, hashlib, heapq, "
-    "itertools, json, math, os, pathlib, pickle, random, sys, time, typing")
+    "itertools, json, math, os, pathlib, random, sys, time, typing")
 
 
 def _foreign_modules_after(statement: str) -> set[str]:
@@ -404,7 +404,11 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\btransform_enabled\b|\bexecute_remote\b"
         r"|\bTransportError\b|\b_unwired_for\b|\b_undeliverable_for\b"
         r"|\bstability_vector\b|\bcompacted_ops\b|\bknown_vc\b|\bdelivered_ids\b"
-        r"|\bdropped_on_dead_wire\b|\bentry_count\b|\b_ScheduledEvent\b")
+        r"|\bdropped_on_dead_wire\b|\bentry_count\b|\b_ScheduledEvent\b"
+        r"|\bRichTextType\b|\bRichOperation\b|\bListOp\b|\bLWWRegisterType\b"
+        r"|\bRegisterOp\b|\bundo_last\b|\bUndoError\b|\b_last_local\b"
+        r"|\bregister_type\b|\bdrive_star_session_list\b|\brandom_list_op\b"
+        r"|rich-text|lww-register")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES
