@@ -137,11 +137,7 @@ class WireFailover(Directory):
         # the transport so it arrives as an ordinary DATA frame and the
         # stock elect() dedup-by-epoch applies.
         self.client.send(
-            successor,
-            ElectMessage(notifier_epoch=self.client.notifier_epoch + 1),
-            timestamp_bytes=0,
-            kind="elect",
-        )
+            successor, ElectMessage(notifier_epoch=self.client.notifier_epoch + 1))
         return reader, writer, successor
 
     # -- the successor path ---------------------------------------------------
@@ -166,13 +162,8 @@ class WireFailover(Directory):
 
     def _announce(self, member: int) -> None:
         assert self.notifier is not None
-        self.notifier.send(
-            member,
-            PromoteMessage(successor=self.site,
-                           notifier_epoch=self.notifier_epoch),
-            timestamp_bytes=0,
-            kind="promote",
-        )
+        self.notifier.send(member, PromoteMessage(successor=self.site,
+                                                  notifier_epoch=self.notifier_epoch))
 
     def _on_hello(self, member: int) -> None:
         if self.notifier is not None:

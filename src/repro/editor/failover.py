@@ -155,10 +155,7 @@ class FailoverManager(Directory):
             successor.elect(epoch)
             return
         self.session.topology.connect_pair(detector, successor)
-        detector.send(
-            successor.pid, ElectMessage(notifier_epoch=epoch),
-            timestamp_bytes=0, kind="elect",
-        )
+        detector.send(successor.pid, ElectMessage(notifier_epoch=epoch))
 
     def _pick_successor(self) -> "StarClient | None":
         """The lowest live active client (``clients`` is in pid order)."""

@@ -57,6 +57,11 @@ class MeshOp:
     def op_id(self) -> str:
         return f"m{self.site}_{self.seq}"
 
+    @property
+    def clock_bytes(self) -> int:
+        """The full vector clock: N integers."""
+        return self.vc.size_bytes()
+
     def order_key(self) -> tuple[int, int, int]:
         """The canonical total order: extends happened-before."""
         return (self.vc.sum(), self.site, self.seq)
@@ -68,7 +73,7 @@ class MeshOp:
         return compare(self.vc, other.vc) is Ordering.BEFORE
 
 
-# site + seq framing; the vector clock is charged as timestamp bytes.
+# site + seq framing; the vector clock is ``clock_bytes``.
 register_sizer(MeshOp, lambda record: 4 + measure_payload_bytes(record.op))
 
 
@@ -189,7 +194,7 @@ class MeshSite(EditorEndpoint):
         self._integrate(record)
         for dest in range(self.n_sites):
             if dest != self.pid:
-                self.send(dest, record, timestamp_bytes=record.vc.size_bytes())
+                self.send(dest, record)
         return record
 
     # -- receiving ------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.core.timestamp import CompressedTimestamp
 from repro.net.transport import INT_WIDTH, measure_payload_bytes, register_sizer
@@ -76,6 +76,8 @@ class OpMessage:
     # Set by the notifier on the siblings of one broadcast, which agree
     # in every field but ``timestamp``; no part of the message's value.
     shared: BroadcastBody | None = field(default=None, compare=False, repr=False)
+    # Formulas 1-2: the timestamp is two integers, whatever N is.
+    clock_bytes: ClassVar[int] = 2 * INT_WIDTH
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ class StateContribution:
 
 
 def _op_body_bytes(message: OpMessage) -> int:
-    """The origin and the operation (the timestamp is charged apart)."""
+    """The origin and the operation (the timestamp is ``clock_bytes``)."""
     return INT_WIDTH + measure_payload_bytes(message.op)
 
 

@@ -193,7 +193,7 @@ class StarClient(EditorEndpoint):
                 timestamp=tuple(ts.as_paper_list()),
             )
         message = OpMessage(op=op, timestamp=ts, origin_site=self.pid)
-        self.send(self.center, message, timestamp_bytes=ts.size_bytes())
+        self.send(self.center, message)
         return op_id
 
     # -- receiving from the notifier ------------------------------------------
@@ -481,12 +481,7 @@ class StarClient(EditorEndpoint):
         self._awaiting_contrib = set(members)
         self._contributions = {}
         for member in members:
-            self.send(
-                member,
-                PromoteMessage(successor=self.pid, notifier_epoch=epoch),
-                timestamp_bytes=0,
-                kind="promote",
-            )
+            self.send(member, PromoteMessage(successor=self.pid, notifier_epoch=epoch))
         if not self._awaiting_contrib:
             self._finish_promotion()
 
@@ -573,8 +568,7 @@ class StarClient(EditorEndpoint):
                 epoch=message.notifier_epoch,
             )
         acknowledged = self.sv.generated_locally - len(self._failover_stash)
-        self.send(self.center, StateContribution(acknowledged),
-                  timestamp_bytes=0, kind="contrib")
+        self.send(self.center, StateContribution(acknowledged))
 
     def _install_failover_snapshot(self, snapshot: SnapshotMessage) -> None:
         """Adopt the successor's baseline, then replay stashed pendings.
@@ -656,10 +650,7 @@ class StarClient(EditorEndpoint):
                 self._abandoned.add(self.center)
                 self.center = new_center
         transport.reset_link(self.center, self.crash_count)
-        self.send(
-            self.center, ResyncRequest(epoch=self.crash_count),
-            timestamp_bytes=0, kind="resync",
-        )
+        self.send(self.center, ResyncRequest(epoch=self.crash_count))
 
     # -- gauges ----------------------------------------------------------------
 

@@ -264,7 +264,6 @@ class StarNotifier(EditorEndpoint):
         send = self.transport.send
         compress = self.sv.compress_for_destination
         sent_to = self.sent_to
-        ts_bytes = ts.size_bytes()  # any compressed timestamp: two integers
         pending = PendingOp(new_op, transformed_id, source)
         for dest in self.destinations:
             if dest == source:
@@ -272,7 +271,7 @@ class StarNotifier(EditorEndpoint):
             dest_ts = compress(dest, total)
             if log is not None:
                 log.append((transformed_id, dest, dest_ts))
-            send(dest, OpMessage(new_op, dest_ts, source, shared), ts_bytes)
+            send(dest, OpMessage(new_op, dest_ts, source, shared))
             sent_to[dest].append(pending)
 
     def generate_local(self, op: Any) -> str:
@@ -387,16 +386,9 @@ class StarNotifier(EditorEndpoint):
             self.tracer.emit(
                 TraceEventKind.SNAPSHOT, self.pid, peer=site, epoch=epoch, via=via,
             )
-        self.send(
-            site,
-            SnapshotMessage(
-                document=self.document,
-                counts=tuple(self.sv.counts),
-                notifier_epoch=self.notifier_epoch,
-            ),
-            timestamp_bytes=0,
-            kind="snapshot",
-        )
+        self.send(site, SnapshotMessage(document=self.document,
+                                        counts=tuple(self.sv.counts),
+                                        notifier_epoch=self.notifier_epoch))
 
     # -- crash & failover --------------------------------------------------------
 

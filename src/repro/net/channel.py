@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.net.scheduler import Scheduler
-from repro.net.transport import Envelope
+from repro.net.transport import INT_WIDTH, Envelope, measure_payload_bytes
+
+HEADER_BYTES = 2 * INT_WIDTH  # an envelope's source and dest
 
 
 class LatencyModel:
@@ -85,7 +87,39 @@ class ChannelStats:
     payload_bytes: int = 0
 
 
-class FIFOChannel:
+class Channel:
+    """What every channel does before it moves a message, written once.
+
+    :meth:`_admit` checks the addressing, assigns the message id and
+    counts the model bytes: :data:`HEADER_BYTES`, the payload's sizer,
+    and the ``clock_bytes`` its type declares (0 if it carries no clock).
+    """
+
+    def __init__(self, sim: Scheduler, source: int, dest: int) -> None:
+        self.sim = sim
+        self.source = source
+        self.dest = dest
+        self.stats = ChannelStats()
+
+    def _admit(self, envelope: Envelope) -> None:
+        if envelope.source != self.source or envelope.dest != self.dest:
+            raise ValueError(
+                f"envelope addressed {envelope.source}->{envelope.dest} sent on "
+                f"channel {self.source}->{self.dest}"
+            )
+        if envelope.message_id is None:
+            envelope.message_id = self.sim.next_message_id()
+        payload = envelope.payload
+        payload_bytes = measure_payload_bytes(payload)
+        clock_bytes = getattr(payload, "clock_bytes", 0)
+        stats = self.stats
+        stats.messages += 1
+        stats.total_bytes += HEADER_BYTES + payload_bytes + clock_bytes
+        stats.timestamp_bytes += clock_bytes
+        stats.payload_bytes += payload_bytes
+
+
+class FIFOChannel(Channel):
     """A unidirectional FIFO channel between two simulated processes.
 
     Messages sent through :meth:`send` are delivered to ``on_deliver``
@@ -102,12 +136,9 @@ class FIFOChannel:
         latency: LatencyModel,
         on_deliver: Callable[[Envelope], None],
     ) -> None:
-        self.sim = sim
-        self.source = source
-        self.dest = dest
+        super().__init__(sim, source, dest)
         self.latency = latency
         self.on_deliver = on_deliver
-        self.stats = ChannelStats()
         self._last_delivery = 0.0
         # Scheduled deliveries not yet fired, oldest first; one firing
         # out of that order broke FIFO, and that is remembered.
@@ -118,21 +149,6 @@ class FIFOChannel:
         """Enqueue ``envelope``; returns its delivery time."""
         self._admit(envelope)
         return self._schedule_delivery(envelope)
-
-    def _admit(self, envelope: Envelope) -> None:
-        """Validate addressing, assign the message id, account wire bytes."""
-        if envelope.source != self.source or envelope.dest != self.dest:
-            raise ValueError(
-                f"envelope addressed {envelope.source}->{envelope.dest} sent on "
-                f"channel {self.source}->{self.dest}"
-            )
-        if envelope.message_id is None:
-            envelope.message_id = self.sim.next_message_id()
-        self.stats.messages += 1
-        total_bytes = envelope.total_bytes()
-        self.stats.total_bytes += total_bytes
-        self.stats.timestamp_bytes += envelope.timestamp_bytes
-        self.stats.payload_bytes += total_bytes - envelope.timestamp_bytes - 8
 
     def _schedule_delivery(self, envelope: Envelope) -> float:
         """Schedule one delivery of ``envelope``, clamped to FIFO order."""

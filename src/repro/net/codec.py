@@ -228,9 +228,16 @@ def _encode_op_body(message: OpMessage, head: struct.Struct, *stamp: int) -> byt
     return writer.getvalue()
 
 
-def decode_op_message(data: bytes) -> OpMessage:
-    reader = Reader(data)
+def read_op_message(reader: Reader) -> OpMessage:
+    """Read one op message at ``reader``'s cursor; what follows it is
+    the caller's to refuse (a wire frame ends at its op)."""
     first, second, origin_site = reader.unpack(_OP_HEAD)
     op = decode_operation(reader)
-    reader.expect_done()
     return OpMessage(op, CompressedTimestamp(first, second), origin_site)
+
+
+def decode_op_message(data: bytes) -> OpMessage:
+    reader = Reader(data)
+    message = read_op_message(reader)
+    reader.expect_done()
+    return message

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.net.channel import FIFOChannel, LatencyModel
+from repro.net.reliability import ReliablePacket
 from repro.net.scheduler import Scheduler
 from repro.net.transport import Envelope
 
@@ -164,11 +165,11 @@ class FaultPlan:
 class FaultStats:
     """What the network did to one channel's traffic.
 
-    Sequenced data packets and pure acknowledgements (``kind == "ack"``,
-    unsequenced) are counted separately: a lost data packet must be
-    retransmitted, while a lost ack is healed by any later cumulative
-    ack without retransmission -- the distinction the fault-tolerance
-    invariants rest on.
+    Sequenced data packets and pure acknowledgements (unsequenced
+    reliability packets, probes included) are counted separately: a
+    lost data packet must be retransmitted, while a lost ack is healed
+    by any later cumulative ack without retransmission -- the
+    distinction the fault-tolerance invariants rest on.
     """
 
     dropped: int = 0
@@ -214,7 +215,8 @@ class FaultyChannel(FIFOChannel):
 
     def send(self, envelope: Envelope) -> float:
         self._admit(envelope)  # the sender paid the wire cost either way
-        is_ack = envelope.kind == "ack"
+        payload = envelope.payload
+        is_ack = isinstance(payload, ReliablePacket) and payload.seq < 0
         if self.faults.in_outage(self.sim.now):
             if is_ack:
                 self.fault_stats.acks_outage_dropped += 1

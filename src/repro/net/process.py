@@ -31,7 +31,7 @@ class SimProcess:
             raise ValueError(f"process {self.pid} already has a channel to {dest}")
         self.out_channels[dest] = channel
 
-    def send(self, dest: int, payload: Any, timestamp_bytes: int = 0, kind: str = "op") -> None:
+    def send(self, dest: int, payload: Any) -> None:
         """Send ``payload`` to ``dest`` over the attached FIFO channel."""
         try:
             channel = self.out_channels[dest]
@@ -40,7 +40,7 @@ class SimProcess:
                 f"process {self.pid} has no channel to {dest}; "
                 f"known destinations: {sorted(self.out_channels)}"
             ) from None
-        channel.send(Envelope(self.pid, dest, payload, timestamp_bytes, kind))
+        channel.send(Envelope(self.pid, dest, payload))
 
     def on_message(self, envelope: Envelope) -> None:
         """Handle a delivered message; override in subclasses."""

@@ -58,7 +58,7 @@ from repro.net.transport import (
 )
 from repro.obs.tracer import Tracer, TraceEventKind
 
-WireSend = Callable[[int, Any, int, str], None]
+WireSend = Callable[[int, Any], None]
 Deliver = Callable[[Envelope], None]
 PeerCallback = Callable[[int], None]
 
@@ -101,6 +101,11 @@ class ReliablePacket:
             raise ValueError(f"malformed packet: {self}")
         if self.probe and self.seq != -1:
             raise ValueError(f"probes are unsequenced: {self}")
+
+    @property
+    def clock_bytes(self) -> int:
+        """The clock the wrapped message carries (none for an ack)."""
+        return getattr(self.payload, "clock_bytes", 0)
 
 
 # Model wire size: seq + epoch + cumulative ack, then the body.
@@ -156,7 +161,7 @@ class _PeerLink:
 
     epoch: int = 0
     send_seq: int = 0  # next outgoing seq
-    unacked: dict[int, tuple[Any, int, str]] = field(default_factory=dict)
+    unacked: dict[int, Any] = field(default_factory=dict)  # seq -> payload
     rto: float = BASE_RTO
     timer: Any = None  # pending retransmit event, if armed
     recv_next: int = 0  # next seq to release to the editor
@@ -197,11 +202,10 @@ class RawTransport:
         self.pid = pid
         self.tracer = tracer
 
-    def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
-             kind: str = "op") -> None:
+    def send(self, dest: int, payload: Any) -> None:
         if self.tracer is not None:
             self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest)
-        self.wire_send(dest, payload, timestamp_bytes, kind)
+        self.wire_send(dest, payload)
 
     def on_wire(self, envelope: Envelope) -> None:
         if self.tracer is not None:
@@ -292,12 +296,11 @@ class ReliableEndpoint:
             self._links[peer] = _PeerLink()
         return self._links[peer]
 
-    def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
-             kind: str = "op") -> None:
+    def send(self, dest: int, payload: Any) -> None:
         link = self._link(dest)
         seq = link.send_seq
         link.send_seq += 1
-        link.unacked[seq] = (payload, timestamp_bytes, kind)
+        link.unacked[seq] = payload
         self.stats.sent += 1
         if link.dead:
             # The peer was declared dead: park the packet in the send
@@ -307,15 +310,14 @@ class ReliableEndpoint:
         if self.tracer is not None:
             self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest,
                              epoch=link.epoch, seq=seq)
-        self._transmit(dest, link, seq, payload, timestamp_bytes, kind)
+        self._transmit(dest, link, seq, payload)
         self._arm_timer(dest, link)
 
-    def _transmit(self, dest: int, link: _PeerLink, seq: int, payload: Any,
-                  ts_bytes: int, kind: str) -> None:
+    def _transmit(self, dest: int, link: _PeerLink, seq: int, payload: Any) -> None:
         packet = ReliablePacket(seq, link.epoch, link.recv_next - 1, payload,
                                 False, self._holdback.holds(dest))
         self._told_recv_next(link)
-        self.wire_send(dest, packet, ts_bytes, kind)
+        self.wire_send(dest, packet)
 
     def _arm_timer(self, dest: int, link: _PeerLink) -> None:
         if link.timer is None and link.unacked and not link.dead:
@@ -340,12 +342,11 @@ class ReliableEndpoint:
         self._arm_timer(dest, link)
 
     def _retransmit(self, dest: int, link: _PeerLink, seq: int, via: str) -> None:
-        payload, ts_bytes, kind = link.unacked[seq]
         self.stats.retransmits += 1
         if self.tracer is not None:
             self.tracer.emit(TraceEventKind.RETRANSMITTED, self.pid,
                              peer=dest, epoch=link.epoch, seq=seq, via=via)
-        self._transmit(dest, link, seq, payload, ts_bytes, kind)
+        self._transmit(dest, link, seq, link.unacked[seq])
 
     def _repair_gap(self, dest: int, link: _PeerLink, head: int) -> None:
         """The peer holds packets above ``head``: resend what was lost.
@@ -491,7 +492,6 @@ class ReliableEndpoint:
                              peer=envelope.source, epoch=packet.epoch,
                              seq=packet.seq, via=via)
         self.deliver(Envelope(envelope.source, envelope.dest, packet.payload,
-                              envelope.timestamp_bytes, envelope.kind,
                               envelope.message_id))
 
     def _send_ack(self, dest: int, link: _PeerLink) -> None:
@@ -499,7 +499,7 @@ class ReliableEndpoint:
         packet = ReliablePacket(-1, link.epoch, link.recv_next - 1, None, False,
                                 self._holdback.holds(dest))
         self._told_recv_next(link)
-        self.wire_send(dest, packet, 0, "ack")
+        self.wire_send(dest, packet)
 
     def _told_recv_next(self, link: _PeerLink) -> None:
         """A packet carrying the cumulative ack is leaving: nothing is owed.
@@ -625,7 +625,7 @@ class ReliableEndpoint:
         packet = ReliablePacket(-1, link.epoch, link.recv_next - 1, None, True)
         # Probes ride the ack packet class: like a lost ack, a lost
         # probe forces no retransmission (the next tick re-probes).
-        self.wire_send(peer, packet, 0, "ack")
+        self.wire_send(peer, packet)
         state.timer = self.sim.schedule_after(PROBE_INTERVAL, self._probe_tick, peer, state)
 
     # -- crash / epoch management ----------------------------------------------
@@ -638,9 +638,7 @@ class ReliableEndpoint:
             self._holdback.clear(peer)
             # Post-mortem observability: how many sequenced data packets
             # the crash destroyed before the peer acknowledged them.
-            self.stats.stranded_at_crash += sum(
-                1 for (_p, _t, kind) in link.unacked.values() if kind != "ack"
-            )
+            self.stats.stranded_at_crash += len(link.unacked)
         self._links = {}
         for state in self._probes.values():
             if state.timer is not None:

@@ -1,11 +1,13 @@
 """Message envelopes and wire-size accounting.
 
 The CLAIM-OVH benchmark compares *timestamp* bytes across clock schemes,
-so every message in the simulation is wrapped in an :class:`Envelope`
-that separates payload bytes from timestamp bytes.  Sizes follow the
-accounting model stated in EXPERIMENTS.md: 4-byte integers, UTF-8
-strings, 1-byte tags -- the same convention for every scheme so the
-comparison is apples-to-apples.
+so the module that defines a payload type says, apart, what its body
+costs (its sizer, :func:`register_sizer`) and what the clock it carries
+costs (a ``clock_bytes`` attribute of the type or the instance; a
+payload without one carries no clock).  Sizes follow the accounting
+model stated in EXPERIMENTS.md: 4-byte integers, UTF-8 strings, 1-byte
+tags -- the same convention for every scheme so the comparison is
+apples-to-apples.
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ register_sizer(str, lambda payload: len(payload.encode("utf-8")) + 1)
 
 @dataclass(slots=True)
 class Envelope:
-    """A message in flight: payload plus timestamp metadata.
+    """A message in flight: who sends it to whom, and what.
 
-    ``timestamp_bytes`` is supplied by the sender according to its clock
-    scheme (2 ints for the compressed scheme, N ints for full vectors,
-    variable for SK); ``payload_bytes`` is measured from the payload.
+    The payload is the whole message: its sizer and its ``clock_bytes``
+    give every byte a channel counts (:class:`repro.net.channel.Channel`).
 
     ``message_id`` starts as ``None`` and is assigned by the channel from
     the simulator's per-simulation counter at send time (see
@@ -68,10 +69,4 @@ class Envelope:
     source: int
     dest: int
     payload: Any
-    timestamp_bytes: int = 0
-    kind: str = "op"
     message_id: int | None = None
-
-    def total_bytes(self) -> int:
-        """Payload + timestamp + a fixed 8-byte header."""
-        return 8 + measure_payload_bytes(self.payload) + self.timestamp_bytes

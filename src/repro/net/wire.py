@@ -18,8 +18,9 @@ Every frame is ``u32 body-length (big-endian) + body``.  The body is a
   sender accepts no inbound dials), so the accepting side knows which
   spoke of the star just dialed in and where survivors can reach it if
   the centre dies.
-* ``DATA`` -- one envelope: source, dest, timestamp-byte accounting,
-  optional message id, kind string, then a tagged payload.
+* ``DATA`` -- one envelope: source, dest, optional message id, then a
+  tagged payload.  The message is its payload: the bytes of its clock
+  are the payload type's to declare, so nothing else travels beside it.
 * ``ROSTER`` -- the centre's membership table (site -> listen port),
   broadcast once all expected clients are connected.  This is what lets
   a survivor dial its peers after the centre's socket goes dark.
@@ -36,16 +37,18 @@ frame.
 
 Payloads reuse the byte-exact codec of :mod:`repro.net.codec` wherever
 one exists: an :class:`~repro.editor.messages.OpMessage` is embedded as
-the *exact* bytes of :func:`~repro.net.codec.encode_op_message`
-(length-prefixed), so the overhead accounting measured in the simulator
-is the same accounting that crosses the socket.  Reliability packets
-carry their payload inline, one level deep; the failover vocabulary
-(snapshot / resync / elect / promote / contribution) has its own tags
-so a cluster can exercise crash recovery over TCP.
+the *exact* bytes of :func:`~repro.net.codec.encode_op_message`, so the
+overhead accounting measured in the simulator is the same accounting
+that crosses the socket.  It needs no length: an op is always the
+frame's last field, read to the end (trailing bytes are refused).
+Reliability packets carry their payload inline, one level deep; the
+failover vocabulary (snapshot / resync / elect / promote /
+contribution) has its own tags so a cluster can exercise crash
+recovery over TCP.
 
-:class:`WireChannel` is the seam: it exposes the same ``send(envelope)``
-surface as :class:`~repro.net.channel.FIFOChannel` (message-id
-assignment, byte accounting, ``fifo_respected``), but writes frames to
+:class:`WireChannel` is the seam: a :class:`~repro.net.channel.Channel`
+like :class:`~repro.net.channel.FIFOChannel` (the same message-id
+assignment and byte accounting, ``fifo_respected``), it writes frames to
 an :class:`asyncio.StreamWriter` instead of scheduling a simulated
 delivery.  Editor processes attach it via the ordinary
 ``attach_channel`` call and never learn the difference.
@@ -67,13 +70,13 @@ from repro.editor.messages import (
     SnapshotMessage,
     StateContribution,
 )
-from repro.net.channel import ChannelStats
+from repro.net.channel import Channel
 from repro.net.codec import (
     CodecError,
     Reader,
     Writer,
-    decode_op_message,
     encode_op_message,
+    read_op_message,
 )
 from repro.net.reliability import ReliablePacket
 from repro.net.scheduler import Scheduler
@@ -108,8 +111,7 @@ LENGTH_PREFIX_BYTES = _LENGTH_PREFIX.size
 
 # The fixed-width runs of the hot frames, one layout each (the table is
 # DESIGN 5.4); a string's bytes follow the run that ends in its length.
-_DATA_HEAD = struct.Struct(">BIIIII")  # tag, source, dest, ts bytes, id + 1, len(kind)
-_OP_PAYLOAD_HEAD = struct.Struct(">BI")  # tag, length of the embedded op message
+_DATA_HEAD = struct.Struct(">BIII")  # tag, source, dest, message id + 1
 _RELIABLE_HEAD = struct.Struct(">BIIIB")  # tag, seq + 1, epoch, ack + 1, flags
 
 
@@ -157,8 +159,7 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
     elif isinstance(payload, OpMessage):
         # Embed the codec's exact bytes: the wire carries the same
         # serialisation the simulator's accounting charges.
-        body = encode_op_message(payload)
-        writer.pack(_OP_PAYLOAD_HEAD, PAYLOAD_OP, len(body)).raw(body)
+        writer.u8(PAYLOAD_OP).raw(encode_op_message(payload))
     elif isinstance(payload, ReliablePacket):
         writer.pack(
             _RELIABLE_HEAD, PAYLOAD_RELIABLE,
@@ -193,8 +194,8 @@ def _encode_payload(payload: Any, writer: Writer) -> None:
 def _decode_payload(reader: Reader, nested: bool = False) -> Any:
     tag = reader.peek()
     if tag == PAYLOAD_OP:
-        _, length = reader.unpack(_OP_PAYLOAD_HEAD)
-        return decode_op_message(reader.raw(length))
+        reader.u8()  # the op is the frame's last field: decode_frame ends it
+        return read_op_message(reader)
     if tag == PAYLOAD_RELIABLE:
         if nested:
             # No sender wraps a packet in a packet; following a chain
@@ -261,10 +262,8 @@ def encode_drained(site: int) -> bytes:
 def encode_envelope(envelope: Envelope) -> bytes:
     """One envelope as a DATA frame body (no length prefix)."""
     mid = envelope.message_id
-    kind = envelope.kind.encode("utf-8")
-    writer = Writer().pack(
-        _DATA_HEAD, FRAME_DATA, envelope.source, envelope.dest,
-        envelope.timestamp_bytes, 0 if mid is None else mid + 1, len(kind)).raw(kind)
+    writer = Writer().pack(_DATA_HEAD, FRAME_DATA, envelope.source, envelope.dest,
+                           0 if mid is None else mid + 1)
     _encode_payload(envelope.payload, writer)
     return writer.getvalue()
 
@@ -277,12 +276,10 @@ def decode_frame(body: bytes) -> FrameValue:
     ROSTER/GOODBYE/DRAINED -> their control dataclasses."""
     reader = Reader(body)
     if reader.peek() == FRAME_DATA:
-        _, source, dest, timestamp_bytes, raw_mid, length = reader.unpack(_DATA_HEAD)
-        kind = reader.text(length)
+        _, source, dest, raw_mid = reader.unpack(_DATA_HEAD)
         payload = _decode_payload(reader)
         reader.expect_done()
-        return Envelope(source, dest, payload, timestamp_bytes, kind,
-                        None if raw_mid == 0 else raw_mid - 1)
+        return Envelope(source, dest, payload, None if raw_mid == 0 else raw_mid - 1)
     tag = reader.u8()
     if tag == FRAME_HELLO:
         pid = reader.u32()
@@ -339,23 +336,19 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
 # -- the channel seam ----------------------------------------------------------
 
 
-class WireChannel:
+class WireChannel(Channel):
     """A unidirectional TCP-backed channel with the FIFOChannel surface.
 
     Owns the *sending* half only: deliveries on the reverse path are the
-    peer process's :func:`pump` over its own reader.  Byte accounting
-    mirrors :class:`~repro.net.channel.FIFOChannel` (model bytes, from
-    the accounting functions -- not frame bytes -- so simulator and wire
-    runs report comparable numbers).
+    peer process's :func:`pump` over its own reader.  Byte accounting is
+    :class:`~repro.net.channel.Channel`'s (model bytes, not frame bytes,
+    so simulator and wire runs report comparable numbers).
     """
 
-    def __init__(self, sched: Scheduler, source: int, dest: int,
+    def __init__(self, sim: Scheduler, source: int, dest: int,
                  writer: asyncio.StreamWriter) -> None:
-        self.sched = sched
-        self.source = source
-        self.dest = dest
+        super().__init__(sim, source, dest)
         self.writer = writer
-        self.stats = ChannelStats()
 
     def send(self, envelope: Envelope) -> float:
         """Frame ``envelope`` onto the stream; returns the send time.
@@ -366,27 +359,17 @@ class WireChannel:
         layer's retransmit timers keep firing at the dead centre's
         socket, and the protocol above recovers those ops via the
         failover snapshot -- the wire must not turn that race into an
-        unhandled exception on the event loop.
+        unhandled exception on the event loop.  A dropped send is neither
+        numbered nor counted: the stats are what the stream carried.
         """
-        if envelope.source != self.source or envelope.dest != self.dest:
-            raise ValueError(
-                f"envelope addressed {envelope.source}->{envelope.dest} sent "
-                f"on channel {self.source}->{self.dest}"
-            )
-        if envelope.message_id is None:
-            envelope.message_id = self.sched.next_message_id()
         if self.writer.is_closing():
-            return self.sched.now
-        self.stats.messages += 1
-        total_bytes = envelope.total_bytes()
-        self.stats.total_bytes += total_bytes
-        self.stats.timestamp_bytes += envelope.timestamp_bytes
-        self.stats.payload_bytes += total_bytes - envelope.timestamp_bytes - 8
+            return self.sim.now
+        self._admit(envelope)
         try:
             self.writer.write(frame(encode_envelope(envelope)))
         except (ConnectionError, RuntimeError):
             pass  # torn down between the check and the write: dropped too
-        return self.sched.now
+        return self.sim.now
 
     def fifo_respected(self) -> bool:
         """Vacuously true: a TCP stream cannot reorder its own bytes."""

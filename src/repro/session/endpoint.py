@@ -72,10 +72,9 @@ class EditorEndpoint(SimProcess):
     # Raw channel access, handed to the transport at construction.
     _wire_send = SimProcess.send
 
-    def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
-             kind: str = "op") -> None:
+    def send(self, dest: int, payload: Any) -> None:
         """Application-level send: goes through the owned transport."""
-        self.transport.send(dest, payload, timestamp_bytes, kind)
+        self.transport.send(dest, payload)
 
     def on_message(self, envelope: Envelope) -> None:
         """Network arrival: goes through the owned transport.

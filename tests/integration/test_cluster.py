@@ -331,8 +331,7 @@ def _op_frame(*, first: int, second: int, pos: int, origin: int,
     op = OpMessage(op=Insert("x", pos), timestamp=CompressedTimestamp(first, second),
                    origin_site=origin)
     payload = op if seq is None else ReliablePacket(seq, 0, -1, op)
-    return frame(encode_envelope(Envelope(
-        source=0, dest=1, payload=payload, timestamp_bytes=op.timestamp.size_bytes())))
+    return frame(encode_envelope(Envelope(source=0, dest=1, payload=payload)))
 
 
 def _a_centre_frame_ends_the_run(tmp_path: Path, capfd, caplog, refused: bytes,

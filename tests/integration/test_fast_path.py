@@ -36,11 +36,11 @@ def tap_broadcasts(session: StarSession) -> Broadcasts:
     transport = notifier.transport
     wire_send = transport.wire_send
 
-    def recording_send(dest, payload, timestamp_bytes, kind):
+    def recording_send(dest, payload):
         if isinstance(payload, OpMessage):
             stream.append((notifier.executed_op_ids[-1], dest,
                            payload.timestamp.as_paper_list()))
-        wire_send(dest, payload, timestamp_bytes, kind)
+        wire_send(dest, payload)
 
     transport.wire_send = recording_send
     return stream

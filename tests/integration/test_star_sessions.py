@@ -467,9 +467,9 @@ class TestBroadcastOnce:
         transport = session.notifier.transport
         wire_send = transport.wire_send
 
-        def recording_send(dest, payload, timestamp_bytes, kind):
-            broadcast.append((dest, payload, timestamp_bytes))
-            wire_send(dest, payload, timestamp_bytes, kind)
+        def recording_send(dest, payload):
+            broadcast.append((dest, payload))
+            wire_send(dest, payload)
 
         transport.wire_send = recording_send
         drive_star_session(session, config)
@@ -490,9 +490,9 @@ class TestBroadcastOnce:
     def test_siblings_encode_the_operation_once(self, monkeypatch):
         _, broadcast, _ = self.run_session(monkeypatch)
         siblings = {}
-        for dest, message, timestamp_bytes in broadcast:
+        for dest, message in broadcast:
             siblings.setdefault(message.shared, []).append(  # one per broadcast
-                Envelope(0, dest, message, timestamp_bytes)
+                Envelope(0, dest, message)
             )
         encoded = []
         encode_operation = codec.encode_operation

@@ -15,6 +15,13 @@ from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
 
 
+class Stamped(str):
+    """A string payload that declares an 8-byte clock: the channel
+    charges the clock its type names, whatever the payload's sizer."""
+
+    clock_bytes = 8
+
+
 def make_channel(sim, latency, received):
     return FIFOChannel(sim, 1, 2, latency, received.append)
 
@@ -142,8 +149,8 @@ class TestFIFOChannel:
     def test_stats_accumulate(self):
         sim = Simulator()
         channel = make_channel(sim, FixedLatency(0.1), [])
-        channel.send(Envelope(1, 2, "abc", timestamp_bytes=8))
-        channel.send(Envelope(1, 2, "de", timestamp_bytes=8))
+        channel.send(Envelope(1, 2, Stamped("abc")))
+        channel.send(Envelope(1, 2, Stamped("de")))
         sim.run()
         assert channel.stats.messages == 2
         assert channel.stats.timestamp_bytes == 16

@@ -155,9 +155,9 @@ def test_data_frames_reach_the_endpoint_in_order() -> None:
         _reader, writer = await lo.member(1)
         for n in range(3):
             writer.write(frame(encode_envelope(
-                Envelope(source=1, dest=0, payload=None, kind=f"k{n}"))))
+                Envelope(source=1, dest=0, payload=None, message_id=n))))
         await until(lambda: len(lo.endpoint.messages) == 3)
-        assert [e.kind for e in lo.endpoint.messages] == ["k0", "k1", "k2"]
+        assert [e.message_id for e in lo.endpoint.messages] == [0, 1, 2]
 
     run({1}, body)
 
@@ -214,15 +214,15 @@ def test_a_member_that_garbles_a_frame_is_hung_up_on_without_noise(
     capfd, caplog,
 ) -> None:
     """Bytes that are not UTF-8 where a string belongs, and an op message
-    cut short inside its length: both are ``CodecError`` (not the
+    cut short inside its head: both are ``CodecError`` (not the
     ``WireError`` subclass), and neither may escape the handler task."""
     def good(member: int) -> bytes:
-        return encode_envelope(Envelope(source=member, dest=0, payload=None,
-                                        kind="ok"))
+        return encode_envelope(Envelope(source=member, dest=0, payload=None))
 
-    not_utf8 = bytearray(good(1))
-    not_utf8[21] = 0xFF  # first byte of the kind string
-    torn_op = good(2)[:-1] + b"\x01\x00\x00\x00\x03abc"  # PAYLOAD_OP, 3 bytes
+    not_utf8 = bytearray(encode_envelope(Envelope(source=1, dest=0, payload=OpMessage(
+        Insert("x", 0), CompressedTimestamp(0, 1), origin_site=1))))
+    not_utf8[-1] = 0xFF  # the insert's text, the frame's last byte
+    torn_op = good(2)[:-1] + b"\x01\x00\x00\x00\x03abc"  # PAYLOAD_OP, 7 of 12 head bytes
 
     async def body(lo: Loopback) -> None:
         for member, garbled in ((1, bytes(not_utf8)), (2, torn_op)):
@@ -230,7 +230,8 @@ def test_a_member_that_garbles_a_frame_is_hung_up_on_without_noise(
             writer.write(frame(good(member)) + frame(garbled) + frame(good(member)))
             assert await asyncio.wait_for(reader.read(), 5.0) == b""
         await until(lambda: lo.hub.hung_up == {1, 2})
-        assert [e.kind for e in lo.endpoint.messages] == ["ok", "ok"]
+        assert [(e.source, e.payload) for e in lo.endpoint.messages] == [
+            (1, None), (2, None)]
         assert lo.hub.garbled == 2
         assert lost(lo.endpoint) == [(0, 1, "garbled"), (0, 2, "garbled")]
 
@@ -251,8 +252,8 @@ def test_a_garbled_frame_after_the_hello_is_counted_and_costs_nobody_else(
 
     pinned = bytes.fromhex(PINNED["data-insert"])  # source 2, dest 0
     mutant = bytearray(pinned)
-    mutant[40] ^= 0xFF  # 23 B head, 5 B payload head, T, origin
-    sent = [encode_envelope(Envelope(source=1, dest=0, payload=None, kind=f"k{n}"))
+    mutant[26] ^= 0xFF  # 13 B head, the payload tag, T, origin
+    sent = [encode_envelope(Envelope(source=1, dest=0, payload=None, message_id=n))
             for n in range(4)]
 
     async def body(lo: Loopback) -> None:
@@ -286,9 +287,8 @@ def test_a_member_cannot_send_as_another_site(source: int, dest: int) -> None:
     frame never reaches the endpoint, the connection is closed and counted
     in ``garbled`` and traced, and member 2's frames arrive whole and in
     order."""
-    forged = encode_envelope(Envelope(source=source, dest=dest, payload=None,
-                                      kind="forged"))
-    sent = [encode_envelope(Envelope(source=2, dest=0, payload=None, kind=f"k{n}"))
+    forged = encode_envelope(Envelope(source=source, dest=dest, payload=None))
+    sent = [encode_envelope(Envelope(source=2, dest=0, payload=None, message_id=n))
             for n in range(3)]
 
     async def body(lo: Loopback) -> None:
@@ -318,8 +318,7 @@ def test_a_replayed_frame_is_a_duplicate_to_a_reliable_notifier() -> None:
                        origin_site=1)
         replayed = frame(encode_envelope(Envelope(
             source=1, dest=0, payload=ReliablePacket(seq=0, epoch=0, ack=-1,
-                                                     payload=op),
-            timestamp_bytes=op.timestamp.size_bytes())))
+                                                     payload=op))))
         _r2, _w2 = await lo.member(2)
         _r1, w1 = await lo.member(1)
         w1.write(replayed)
@@ -349,8 +348,7 @@ def test_a_member_that_overflows_the_reorder_buffer_is_counted_as_garbled(
                    origin_site=1)
     held = b"".join(
         frame(encode_envelope(Envelope(
-            source=1, dest=0, payload=ReliablePacket(seq, 0, -1, op),
-            timestamp_bytes=op.timestamp.size_bytes())))
+            source=1, dest=0, payload=ReliablePacket(seq, 0, -1, op))))
         for seq in range(1, HOLDBACK_LIMIT + 2))
 
     async def body(lo: Loopback) -> None:
@@ -387,9 +385,7 @@ def op_frame(member: int, first: int, second: int, text: str,
     op = OpMessage(op=Insert(text, pos),
                    timestamp=CompressedTimestamp(first, second),
                    origin_site=member)
-    return frame(encode_envelope(Envelope(
-        source=member, dest=0, payload=op,
-        timestamp_bytes=op.timestamp.size_bytes())))
+    return frame(encode_envelope(Envelope(source=member, dest=0, payload=op)))
 
 
 def test_a_frame_the_notifier_refuses_is_counted_and_costs_nobody_else(

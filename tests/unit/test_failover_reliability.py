@@ -36,7 +36,7 @@ from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
 
 
-def blackhole(dest, payload, ts_bytes, kind):
+def blackhole(dest, payload):
     """A wire that loses everything: the peer never hears us."""
 
 
@@ -51,7 +51,7 @@ def make_endpoint(sim, pid=1, wire_send=blackhole):
 def arrival(endpoint, source, packet):
     """Feed one packet into the endpoint as if the network delivered it."""
     endpoint.on_wire(
-        Envelope(source=source, dest=endpoint.pid, payload=packet, kind="ack")
+        Envelope(source=source, dest=endpoint.pid, payload=packet)
     )
 
 
@@ -80,7 +80,7 @@ class TestRetransmitBudget:
         sim = Simulator()
         wired = []
         endpoint, _ = make_endpoint(
-            sim, wire_send=lambda dest, payload, ts, kind: wired.append(payload),
+            sim, wire_send=lambda dest, payload: wired.append(payload),
         )
         endpoint.on_peer_dead = lambda peer: None
         endpoint.send(9, "first")
@@ -95,7 +95,7 @@ class TestRetransmitBudget:
         sim = Simulator()
         wired = []
         endpoint, _ = make_endpoint(
-            sim, wire_send=lambda dest, payload, ts, kind: wired.append(payload),
+            sim, wire_send=lambda dest, payload: wired.append(payload),
         )
         endpoint.on_peer_dead = lambda peer: None
         endpoint.send(9, "first")
@@ -152,8 +152,8 @@ class TestLivenessProbe:
         b = ReliableEndpoint(sim, 2, wire_send=blackhole, deliver=lambda env: None)
 
         def wire(src, dst):
-            def send(dest, payload, ts_bytes, kind):
-                env = Envelope(source=src.pid, dest=dest, payload=payload, kind=kind)
+            def send(dest, payload):
+                env = Envelope(source=src.pid, dest=dest, payload=payload)
                 sim.schedule_after(0.02, lambda: dst.on_wire(env))
 
             return send

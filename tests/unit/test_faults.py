@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.channel import FixedLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan, FaultyChannel
+from repro.net.reliability import ReliablePacket
 from repro.net.simulator import Simulator
 from repro.net.transport import Envelope
 
@@ -116,6 +117,19 @@ class TestFaultyChannel:
         assert channel.fault_stats.duplicated == 5
         assert [e.message_id for e in delivered] == [i for i in ids for _ in range(2)]
         assert channel.fifo_respected()
+
+    def test_a_pure_ack_is_told_apart_by_its_payload(self):
+        """An unsequenced reliability packet (an ack or a probe) is an
+        ack; a sequenced one is data, and so is an unwrapped message."""
+        sim, channel, _ = build_channel(ChannelFaults(outages=((0.0, 1.0),)))
+        for payload in (ReliablePacket(-1, 0, 3), ReliablePacket(-1, 0, 3, probe=True),
+                        ReliablePacket(0, 0, -1), ReliablePacket(1, 0, -1, "edit"),
+                        "edit", None):
+            channel.send(Envelope(0, 1, payload))
+        sim.run()
+        stats = channel.fault_stats
+        assert (stats.acks_outage_dropped, stats.outage_dropped) == (2, 4)
+        assert (stats.lost_acks(), stats.lost()) == (2, 4)
 
     def test_outage_loses_everything_inside_the_window(self):
         sim, channel, delivered = build_channel(

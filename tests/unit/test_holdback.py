@@ -156,7 +156,7 @@ class TestMeshIntegration:
             op=Insert("x", 0), vc=VectorClock.of((0, 1, 1)), site=1, seq=1
         )
         session.sites[0].on_message(
-            Envelope(source=1, dest=0, payload=record, timestamp_bytes=12)
+            Envelope(source=1, dest=0, payload=record)
         )
         assert session.sites[0].holdback_pending()
         assert not session.quiescent()

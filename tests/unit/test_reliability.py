@@ -56,13 +56,13 @@ class Pair:
         self.receiver.wire_send = self._wire(RECEIVER, self.sender)
 
     def _wire(self, source: int, peer: ReliableEndpoint):
-        def send(dest: int, packet: ReliablePacket, ts_bytes: int, kind: str) -> None:
+        def send(dest: int, packet: ReliablePacket) -> None:
             copy = self.copies[source, packet.seq]
             self.copies[source, packet.seq] += 1
             self.wire.append((self.sim.now, source, packet))
             if self.drop(source, packet, copy):
                 return
-            envelope = Envelope(source=source, dest=dest, payload=packet, kind=kind)
+            envelope = Envelope(source=source, dest=dest, payload=packet)
             self.sim.schedule_after(LATENCY, lambda: peer.on_wire(envelope))
 
         return send
@@ -120,7 +120,7 @@ def loses_first_report(*lost: tuple[int, int]) -> Drop:
 
 def data_from_sender(seq: int, payload: str, epoch: int = 0) -> Envelope:
     """A sequenced packet as it would reach the receiver, for direct injection."""
-    return Envelope(source=SENDER, dest=RECEIVER, kind="op",
+    return Envelope(source=SENDER, dest=RECEIVER,
                     payload=ReliablePacket(seq=seq, epoch=epoch, ack=-1,
                                            payload=payload))
 
@@ -208,7 +208,7 @@ def test_a_stale_gap_report_repairs_nothing():
     pair.run()
     pair.sender.send(RECEIVER, "p3")
     pair.sender.on_wire(Envelope(
-        source=RECEIVER, dest=SENDER, kind="ack",
+        source=RECEIVER, dest=SENDER,
         payload=ReliablePacket(seq=-1, epoch=0, ack=1, gap=True)))
     pair.run()
     assert pair.retransmits() == []
@@ -427,7 +427,7 @@ def lone_receiver(*seqs: int):
     sent: list[ReliablePacket] = []
     endpoint = ReliableEndpoint(
         sim, RECEIVER,
-        wire_send=lambda dest, packet, ts_bytes, kind: sent.append(packet),
+        wire_send=lambda dest, packet: sent.append(packet),
         deliver=lambda env: None)
     for seq in seqs:
         endpoint.on_wire(data_from_sender(seq, f"p{seq}"))
@@ -492,11 +492,10 @@ def test_a_released_envelope_keeps_the_wire_envelopes_header():
     # release and one from the holdback queue.
     for seq, message_id in ((1, 78), (0, 77)):
         endpoint.on_wire(Envelope(SENDER, RECEIVER, ReliablePacket(seq, 0, -1, f"p{seq}"),
-                                  16, "op", message_id))
-    assert [(env.source, env.dest, env.payload, env.timestamp_bytes, env.kind,
-             env.message_id) for env in handed] == [
-        (SENDER, RECEIVER, "p0", 16, "op", 77),
-        (SENDER, RECEIVER, "p1", 16, "op", 78),
+                                  message_id))
+    assert [(env.source, env.dest, env.payload, env.message_id) for env in handed] == [
+        (SENDER, RECEIVER, "p0", 77),
+        (SENDER, RECEIVER, "p1", 78),
     ]
 
 
@@ -506,7 +505,7 @@ def test_a_sent_packet_carries_its_header_in_place():
     Seqs 0-1, ack 2 and epoch 3 are distinct, so a swap shows."""
     sent: list[ReliablePacket] = []
     endpoint = ReliableEndpoint(Simulator(), RECEIVER,
-                                wire_send=lambda dest, packet, *a: sent.append(packet),
+                                wire_send=lambda dest, packet: sent.append(packet),
                                 deliver=lambda env: None)
     endpoint.reset_link(SENDER, 3)
     for seq in range(3):

@@ -408,12 +408,21 @@ def test_the_compatibility_vocabulary_stays_deleted() -> None:
         r"|\bRichTextType\b|\bRichOperation\b|\bListOp\b|\bLWWRegisterType\b"
         r"|\bRegisterOp\b|\bundo_last\b|\bUndoError\b|\b_last_local\b"
         r"|\bregister_type\b|\bdrive_star_session_list\b|\brandom_list_op\b"
-        r"|rich-text|lww-register")
+        r"|rich-text|lww-register"
+        r"|timestamp_bytes=|\.total_bytes\(\)|\b_OP_PAYLOAD_HEAD\b")
     hits = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in MODULES
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if banned.search(line)
+    ]
+    # A message is its payload: no send names a kind beside it.
+    hits += [
+        f"{path.relative_to(SRC)}:{node.lineno}: {ast.unparse(node)}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "send" in ast.unparse(node.func)
+        and any(keyword.arg == "kind" for keyword in node.keywords)
     ]
     assert not hits, "\n".join(hits)
 

@@ -75,8 +75,8 @@ class TestStarTopology:
         sim = Simulator()
         procs = [Collector(sim, i) for i in range(3)]
         topo = StarTopology(sim, procs)
-        procs[1].send(0, "x", timestamp_bytes=8)
-        procs[2].send(0, "y", timestamp_bytes=8)
+        procs[1].send(0, OpMessage(Delete(1, 0), _TS, 1))
+        procs[2].send(0, OpMessage(Delete(1, 0), _TS, 2))
         sim.run()
         stats = topo.total_stats()
         assert stats.messages == 2
@@ -125,8 +125,13 @@ class TestPayloadMeasurement:
         assert measure_payload_bytes(group) == 1 + 9 + 9
 
     def test_envelope_total(self):
-        env = Envelope(1, 0, Delete(3, 2), timestamp_bytes=8)
-        assert env.total_bytes() == 8 + 9 + 8
+        """A channel charges the header, the payload's sizer and the
+        clock the payload's type declares."""
+        from repro.net.channel import FIFOChannel, FixedLatency
+
+        channel = FIFOChannel(Simulator(), 1, 0, FixedLatency(0.1), lambda env: None)
+        channel.send(Envelope(1, 0, OpMessage(Delete(3, 2), _TS, 1)))
+        assert channel.stats.total_bytes == 8 + (4 + 9) + 8
 
     def test_envelope_ids_assigned_per_simulator(self):
         """Message ids come from the simulator at send time, so two
@@ -188,60 +193,77 @@ class Unregistered:
 _TS = CompressedTimestamp(3, 1)
 _RELAYED = OpMessage(op=Delete(2, 4), timestamp=_TS, origin_site=2)
 
-# Every payload that crosses a channel, with the size the accounting
-# model charged for it before sizing was dispatched by type (cut on the
-# parent commit).  These are the CLAIM-OVH inputs: none may move.  The
+# Every payload that crosses a channel, with the bytes the accounting
+# model charges for its body and for the clock it carries.  The body
+# sizes are those charged before sizing was dispatched by type (cut on
+# the parent commit); the clock column is what each sender passed by
+# hand before the payload's type declared it (two integers on a star
+# op, formulas 1-2; N on a mesh op; none on anything else).  These are
+# the CLAIM-OVH inputs: none may move.  The
 # star's op, snapshot and contribution rows were re-cut when op names
 # left the wire (an op message is its origin and its operation) and the
 # snapshot came to carry SV_0 (one integer per site, plus the epoch).
 # The counter row was re-cut when its op stopped being charged as its
 # pickle: a payload type without a sizer is now a TypeError.
 SIZES = [
-    pytest.param(None, 0, id="none"),
-    pytest.param(5, 8, id="int"),
-    pytest.param(True, 8, id="bool"),
-    pytest.param(2.5, 8, id="float"),
-    pytest.param("héllo", 7, id="str"),
-    pytest.param(Insert("héllo", 3), 11, id="insert"),
-    pytest.param(Delete(2, 4), 9, id="delete"),
-    pytest.param(Identity(), 1, id="identity"),
+    pytest.param(None, 0, 0, id="none"),
+    pytest.param(5, 8, 0, id="int"),
+    pytest.param(True, 8, 0, id="bool"),
+    pytest.param(2.5, 8, 0, id="float"),
+    pytest.param("héllo", 7, 0, id="str"),
+    pytest.param(Insert("héllo", 3), 11, 0, id="insert"),
+    pytest.param(Delete(2, 4), 9, 0, id="delete"),
+    pytest.param(Identity(), 1, 0, id="identity"),
     pytest.param(
-        OperationGroup((Insert("ab", 0), Delete(1, 5), Identity())), 18, id="group"),
+        OperationGroup((Insert("ab", 0), Delete(1, 5), Identity())), 18, 0, id="group"),
     # A tag and the delta, like a delete's tag and two integers.
-    pytest.param(CounterOp(3), 5, id="counter-op"),
+    pytest.param(CounterOp(3), 5, 0, id="counter-op"),
     pytest.param(
         OpMessage(op=Insert("héllo", 3), timestamp=_TS, origin_site=2),
-        15, id="op-message"),
-    pytest.param(_RELAYED, 13, id="op-message-relayed"),
+        15, 8, id="op-message"),
+    pytest.param(_RELAYED, 13, 8, id="op-message-relayed"),
     pytest.param(
-        ReliablePacket(seq=4, epoch=1, ack=2, payload=_RELAYED), 25, id="reliable-op"),
-    pytest.param(ReliablePacket(seq=-1, epoch=0, ack=7), 12, id="reliable-ack"),
+        ReliablePacket(seq=4, epoch=1, ack=2, payload=_RELAYED), 25, 8, id="reliable-op"),
+    pytest.param(ReliablePacket(seq=-1, epoch=0, ack=7), 12, 0, id="reliable-ack"),
     pytest.param(
-        ReliablePacket(seq=-1, epoch=0, ack=-1, probe=True), 12, id="reliable-probe"),
+        ReliablePacket(seq=-1, epoch=0, ack=-1, probe=True), 12, 0, id="reliable-probe"),
     pytest.param(
         ReliablePacket(seq=0, epoch=2, ack=-1,
                        payload=SnapshotMessage(document="abcd", counts=(7, 0))),
-        29, id="reliable-snapshot"),
-    pytest.param(ResyncRequest(epoch=2), 4, id="resync-request"),
-    pytest.param(ElectMessage(notifier_epoch=1), 4, id="elect"),
-    pytest.param(PromoteMessage(successor=2, notifier_epoch=1), 8, id="promote"),
+        29, 0, id="reliable-snapshot"),
+    pytest.param(ResyncRequest(epoch=2), 4, 0, id="resync-request"),
+    pytest.param(ElectMessage(notifier_epoch=1), 4, 0, id="elect"),
+    pytest.param(PromoteMessage(successor=2, notifier_epoch=1), 8, 0, id="promote"),
     # One count, whatever the survivor's replica and pending ops hold.
-    pytest.param(StateContribution(acknowledged=2), 4, id="contribution"),
-    pytest.param(StateContribution(acknowledged=0), 4, id="contribution-empty"),
+    pytest.param(StateContribution(acknowledged=2), 4, 0, id="contribution"),
+    pytest.param(StateContribution(acknowledged=0), 4, 0, id="contribution-empty"),
     pytest.param(
-        SnapshotMessage(document="abcd", counts=(5, 2, 0)), 21, id="snapshot"),
+        SnapshotMessage(document="abcd", counts=(5, 2, 0)), 21, 0, id="snapshot"),
     pytest.param(
         SnapshotMessage(document="abcd", counts=(5, 2, 0), notifier_epoch=1),
-        21, id="snapshot-failover"),
+        21, 0, id="snapshot-failover"),
     pytest.param(
         MeshOp(op=Delete(3, 2), vc=VectorClock.of([1, 0, 2]), site=0, seq=1),
-        13, id="mesh-op"),
+        13, 12, id="mesh-op"),
+    # The full vector clock grows with the session: 4 bytes a site.
+    pytest.param(
+        MeshOp(op=Delete(3, 2), vc=VectorClock.of([1, 0, 2, 0, 4]), site=4, seq=4),
+        13, 20, id="mesh-op-five-sites"),
 ]
 
 
-@pytest.mark.parametrize("payload, size", SIZES)
-def test_payload_size_table(payload, size):
+@pytest.mark.parametrize("payload, size, clock", SIZES)
+def test_payload_size_table(payload, size, clock):
+    """The payload's sizer gives ``size``; the clock its type declares
+    is ``clock``; a channel charges both and the 8-byte header."""
+    from repro.net.channel import FIFOChannel, FixedLatency
+
     assert measure_payload_bytes(payload) == size
+    channel = FIFOChannel(Simulator(), 1, 0, FixedLatency(0.1), lambda env: None)
+    channel.send(Envelope(1, 0, payload))
+    stats = channel.stats
+    assert (stats.messages, stats.payload_bytes, stats.timestamp_bytes,
+            stats.total_bytes) == (1, size, clock, 8 + size + clock)
 
 
 def test_an_unregistered_payload_is_a_type_error():

@@ -21,7 +21,7 @@ def test_both_wires_arm_base_rto(make_scheduler) -> None:
         scheduler = make_scheduler()
         endpoint = ReliableEndpoint(
             scheduler, 1,
-            wire_send=lambda dest, payload, ts, kind: None,  # nothing is ever acked
+            wire_send=lambda dest, payload: None,  # nothing is ever acked
             deliver=lambda envelope: None,
         )
         endpoint.send(9, "payload")

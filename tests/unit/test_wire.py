@@ -66,14 +66,11 @@ def _op_message(shared: BroadcastBody | None = None) -> OpMessage:
     )
 
 
-def _roundtrip(payload, kind: str = "op", message_id: int | None = 7) -> Envelope:
-    envelope = Envelope(source=1, dest=0, payload=payload,
-                        timestamp_bytes=8, kind=kind, message_id=message_id)
+def _roundtrip(payload, message_id: int | None = 7) -> Envelope:
+    envelope = Envelope(source=1, dest=0, payload=payload, message_id=message_id)
     decoded = decode_frame(encode_envelope(envelope))
     assert isinstance(decoded, Envelope)
     assert decoded.source == 1 and decoded.dest == 0
-    assert decoded.timestamp_bytes == 8
-    assert decoded.kind == kind
     assert decoded.message_id == message_id
     return decoded
 
@@ -95,7 +92,7 @@ def test_goodbye_and_drained_roundtrip() -> None:
 
 
 def test_none_payload_roundtrip() -> None:
-    assert _roundtrip(None, kind="ack", message_id=None).payload is None
+    assert _roundtrip(None, message_id=None).payload is None
 
 
 def test_op_message_roundtrip_is_byte_identical() -> None:
@@ -119,7 +116,7 @@ def test_a_broadcast_copy_is_the_client_op_with_its_own_timestamp() -> None:
 
 def test_reliable_packet_roundtrip_nests_payload() -> None:
     packet = ReliablePacket(seq=0, epoch=2, ack=-1, payload=_op_message())
-    decoded = _roundtrip(packet, kind="rel").payload
+    decoded = _roundtrip(packet).payload
     assert decoded.seq == 0 and decoded.epoch == 2 and decoded.ack == -1
     assert not decoded.probe
     assert decoded.payload == _op_message()
@@ -127,21 +124,21 @@ def test_reliable_packet_roundtrip_nests_payload() -> None:
 
 def test_probe_and_pure_ack_roundtrip() -> None:
     probe = ReliablePacket(seq=-1, epoch=0, ack=4, probe=True)
-    decoded = _roundtrip(probe, kind="probe").payload
+    decoded = _roundtrip(probe).payload
     assert decoded.probe and decoded.seq == -1 and decoded.ack == 4
     ack = ReliablePacket(seq=-1, epoch=1, ack=9)
-    assert _roundtrip(ack, kind="ack").payload == ack
+    assert _roundtrip(ack).payload == ack
 
 
 def test_gap_report_rides_the_flags_byte() -> None:
     plain = ReliablePacket(seq=-1, epoch=1, ack=9)
     report = ReliablePacket(seq=-1, epoch=1, ack=9, gap=True)
-    assert _roundtrip(report, kind="ack").payload == report
+    assert _roundtrip(report).payload == report
     both = ReliablePacket(seq=-1, epoch=0, ack=-1, probe=True, gap=True)
-    assert _roundtrip(both, kind="ack").payload == both
+    assert _roundtrip(both).payload == both
     # Same frame length with or without the report.
-    assert len(encode_envelope(Envelope(source=1, dest=0, payload=plain, kind="ack"))) == len(
-        encode_envelope(Envelope(source=1, dest=0, payload=report, kind="ack")))
+    assert len(encode_envelope(Envelope(source=1, dest=0, payload=plain))) == len(
+        encode_envelope(Envelope(source=1, dest=0, payload=report)))
 
 
 @pytest.mark.parametrize("flags", [0x04, 0x80, 0xFF])
@@ -149,7 +146,7 @@ def test_unknown_reliable_flag_bits_are_rejected(flags: int) -> None:
     """A flags byte this version did not write is a malformed frame,
     not a packet that happens not to be a probe."""
     body = bytearray(encode_envelope(Envelope(
-        source=1, dest=0, kind="ack",
+        source=1, dest=0,
         payload=ReliablePacket(seq=-1, epoch=0, ack=4, probe=True))))
     assert body[-2] == 0x01  # flags, then the PAYLOAD_NONE tag
     body[-2] = flags
@@ -161,10 +158,10 @@ def test_reliable_packet_nested_in_a_reliable_packet_is_rejected() -> None:
     """No sender nests them, so the decoder does not follow them: a frame
     of 5 000 reliable heads (70 KB) used to end in RecursionError."""
     head = encode_envelope(Envelope(
-        source=1, dest=0, kind="rel",
+        source=1, dest=0,
         payload=ReliablePacket(seq=0, epoch=0, ack=-1)))[:-1]  # minus PAYLOAD_NONE
     reliable = head[-14:]
-    assert reliable[0] == 0x02 and len(head) == 21 + len("rel") + 14
+    assert reliable[0] == 0x02 and len(head) == 13 + 14
     for depth in (2, 5000):
         with pytest.raises(WireError, match="nested"):
             decode_frame(head + reliable * (depth - 1) + b"\x00")
@@ -172,34 +169,33 @@ def test_reliable_packet_nested_in_a_reliable_packet_is_rejected() -> None:
 
 def test_group_nesting_in_a_data_frame_is_bounded_and_typed() -> None:
     body = bytearray(encode_envelope(Envelope(
-        source=1, dest=0, payload=_op_message(), timestamp_bytes=8, message_id=7)))
+        source=1, dest=0, payload=_op_message(), message_id=7)))
     insert = bytes(body[-10:])  # tag, pos, text length, "x"
     assert insert[0] == 0x01
     groups = b"\x04\x00\x00\x00\x01" * 5000
-    op_body = bytes(body[28:-10]) + groups + insert
-    hostile = bytes(body[:24]) + len(op_body).to_bytes(4, "big") + op_body
+    hostile = bytes(body[:-10]) + groups + insert
     with pytest.raises(CodecError, match="nested deeper"):
         decode_frame(hostile)
 
 
 def test_invalid_utf8_in_a_data_frame_is_a_codec_error() -> None:
-    """One flipped byte of ``kind`` or of an insert's text: neither
-    UnicodeDecodeError nor anything else a pump's ``except CodecError``
-    would miss."""
-    body = bytearray(encode_envelope(Envelope(
-        source=1, dest=0, payload=_op_message(), timestamp_bytes=8, message_id=7)))
-    for offset in (21, len(body) - 1):  # first byte of "op", the text "x"
-        garbled = bytearray(body)
-        garbled[offset] = 0xFF
+    """One flipped byte of an insert's text, in an op frame or in a
+    reliable packet's: neither UnicodeDecodeError nor anything else a
+    pump's ``except CodecError`` would miss."""
+    for payload in (_op_message(), ReliablePacket(0, 0, -1, _op_message())):
+        body = bytearray(encode_envelope(Envelope(
+            source=1, dest=0, payload=payload, message_id=7)))
+        assert body[-1:] == b"x"  # the op is the frame's last field
+        body[-1] = 0xFF
         with pytest.raises(CodecError, match="UTF-8"):
-            decode_frame(bytes(garbled))
+            decode_frame(bytes(body))
 
 
 def test_a_data_frame_is_a_handful_of_runs_not_a_call_per_field(monkeypatch) -> None:
-    """The per-layer budget of the DATA path, counted: six ``Writer.pack``
-    and six ``Reader.unpack`` calls at most for an insert's frame (four
-    each today: frame head, payload head, message head, operation).
-    One call per field would be twelve."""
+    """The per-layer budget of the DATA path, counted: four ``Writer.pack``
+    and four ``Reader.unpack`` calls at most for an insert's frame (frame
+    head, payload tag, message head, operation).  One call per field
+    would be eleven."""
     calls = {"pack": 0, "unpack": 0}
 
     def counting(cls: type, name: str) -> None:
@@ -213,15 +209,14 @@ def test_a_data_frame_is_a_handful_of_runs_not_a_call_per_field(monkeypatch) -> 
 
     counting(Writer, "pack")
     counting(Reader, "unpack")
-    envelope = Envelope(source=1, dest=0, payload=_op_message(),
-                        timestamp_bytes=8, kind="op", message_id=7)
+    envelope = Envelope(source=1, dest=0, payload=_op_message(), message_id=7)
     assert decode_frame(encode_envelope(envelope)) == envelope
-    assert 0 < calls["pack"] <= 6 and 0 < calls["unpack"] <= 6, calls
+    assert 0 < calls["pack"] <= 4 and 0 < calls["unpack"] <= 4, calls
 
 
 def test_snapshot_roundtrip() -> None:
     snapshot = SnapshotMessage(document="abc", counts=(2, 0, 4), notifier_epoch=1)
-    decoded = _roundtrip(snapshot, kind="snapshot").payload
+    decoded = _roundtrip(snapshot).payload
     assert decoded == snapshot
 
 
@@ -234,25 +229,24 @@ def test_snapshot_rejects_origin_clock_and_rich_documents() -> None:
         SnapshotMessage(document="abc", counts=(0,), origin_clock=None)  # type: ignore[call-arg]
     with pytest.raises(WireError):
         encode_envelope(Envelope(
-            source=0, dest=1, kind="snapshot", timestamp_bytes=0,
+            source=0, dest=1,
             payload=SnapshotMessage(document=["rich"], counts=(0,)),
         ))
 
 
 def test_failover_vocabulary_roundtrip() -> None:
-    assert _roundtrip(ResyncRequest(epoch=3), kind="resync").payload == \
+    assert _roundtrip(ResyncRequest(epoch=3)).payload == \
         ResyncRequest(epoch=3)
-    assert _roundtrip(ElectMessage(notifier_epoch=2), kind="elect").payload == \
+    assert _roundtrip(ElectMessage(notifier_epoch=2)).payload == \
         ElectMessage(notifier_epoch=2)
-    assert _roundtrip(PromoteMessage(successor=2, notifier_epoch=2),
-                      kind="promote").payload == \
+    assert _roundtrip(PromoteMessage(successor=2, notifier_epoch=2)).payload == \
         PromoteMessage(successor=2, notifier_epoch=2)
 
 
 def test_state_contribution_roundtrip() -> None:
     for acknowledged in (0, 3, 2**32 - 1):
         contribution = StateContribution(acknowledged=acknowledged)
-        assert _roundtrip(contribution, kind="contrib").payload == contribution
+        assert _roundtrip(contribution).payload == contribution
 
 
 def test_a_contributions_frame_size_does_not_depend_on_the_document() -> None:
@@ -264,24 +258,23 @@ def test_a_contributions_frame_size_does_not_depend_on_the_document() -> None:
         client = StarClient(Simulator(), 1, initial_state=document)
         sent: list[object] = []
         client.send = (  # type: ignore[method-assign]
-            lambda dest, payload, timestamp_bytes=0, kind="op": sent.append(payload))
+            lambda dest, payload: sent.append(payload))
         client.generate(Insert("y", 0))  # one unacknowledged op, stashed
         sent.clear()
         client.on_message(Envelope(
-            source=0, dest=1, kind="promote", timestamp_bytes=0,
+            source=0, dest=1,
             payload=PromoteMessage(successor=2, notifier_epoch=1)))
         (contribution,) = sent
         assert isinstance(contribution, StateContribution)
         frame_bytes = encode_envelope(Envelope(
-            source=1, dest=2, kind="contrib", timestamp_bytes=0, payload=contribution))
+            source=1, dest=2, payload=contribution))
         sizes.add((len(frame_bytes), measure_payload_bytes(contribution)))
     assert len(sizes) == 1, sizes
 
 
 def test_unencodable_payload_raises() -> None:
     with pytest.raises(WireError):
-        encode_envelope(Envelope(source=0, dest=1, payload=object(),
-                                 timestamp_bytes=0, kind="op"))
+        encode_envelope(Envelope(source=0, dest=1, payload=object()))
 
 
 def test_unknown_frame_tag_raises() -> None:
@@ -331,8 +324,7 @@ def test_read_frame_rejects_torn_prefix_and_torn_body() -> None:
 
 def test_pump_routes_control_frames_and_ignores_them_without_callbacks() -> None:
     async def body() -> None:
-        envelope = Envelope(source=1, dest=0, payload=_op_message(),
-                            timestamp_bytes=8, kind="op", message_id=1)
+        envelope = Envelope(source=1, dest=0, payload=_op_message(), message_id=1)
         data = (frame(encode_roster({1: 9101}))
                 + frame(encode_envelope(envelope))
                 + frame(encode_drained(1))
@@ -361,8 +353,7 @@ def test_pump_routes_control_frames_and_ignores_them_without_callbacks() -> None
 
 def test_pump_decodes_and_rejects_late_hello() -> None:
     async def body() -> None:
-        envelope = Envelope(source=1, dest=0, payload=_op_message(),
-                            timestamp_bytes=8, kind="op", message_id=1)
+        envelope = Envelope(source=1, dest=0, payload=_op_message(), message_id=1)
         seen: list[Envelope] = []
         await pump(_reader_with(frame(encode_envelope(envelope))), seen.append)
         assert len(seen) == 1 and seen[0].payload == _op_message()
@@ -389,37 +380,55 @@ class _NullWriter:
 
 
 def test_wire_channel_accounting_matches_fifo_channel() -> None:
-    message = _op_message()
+    """Both channels count through the one admission: for an op, a
+    reliable op, an ack and a snapshot, every ``ChannelStats`` field of a
+    wire channel equals a FIFO channel's, and the clock is charged only
+    where the payload carries one."""
+    cases = [
+        (_op_message(), 8),
+        (ReliablePacket(0, 0, -1, _op_message()), 8),
+        (ReliablePacket(-1, 0, 3), 0),
+        (SnapshotMessage(document="abc", counts=(2, 0, 4)), 0),
+    ]
+    for payload, clock_bytes in cases:
+        fifo = FIFOChannel(Simulator(), 1, 0, FixedLatency(0.1), lambda e: None)
+        fifo.send(Envelope(source=1, dest=0, payload=payload))
+        writer = _NullWriter()
+        wire = WireChannel(Simulator(), 1, 0, writer)  # type: ignore[arg-type]
+        wire.send(Envelope(source=1, dest=0, payload=payload))
 
-    def envelope() -> Envelope:
-        return Envelope(source=1, dest=0, payload=message,
-                        timestamp_bytes=8, kind="op")
+        assert dataclasses.asdict(wire.stats) == dataclasses.asdict(fifo.stats) == {
+            "messages": 1,
+            "total_bytes": 8 + measure_payload_bytes(payload) + clock_bytes,
+            "timestamp_bytes": clock_bytes,
+            "payload_bytes": measure_payload_bytes(payload),
+        }, payload
+        assert wire.fifo_respected()
+        # And the frame really carries the envelope.
+        decoded = decode_frame(writer.chunks[0][4:])
+        assert isinstance(decoded, Envelope)
+        assert decoded.payload == payload
 
-    sim = Simulator()
-    fifo = FIFOChannel(sim, 1, 0, FixedLatency(0.1), lambda e: None)
-    fifo.send(envelope())
 
-    writer = _NullWriter()
+def test_a_send_on_a_closing_wire_is_dropped_unnumbered_and_uncounted() -> None:
+    """The stats are what the stream carried: a frame dropped on a dead
+    wire draws no message id and adds nothing to ``ChannelStats``."""
+    class Closing(_NullWriter):
+        def is_closing(self) -> bool:
+            return True
+
+    writer = Closing()
     wire = WireChannel(Simulator(), 1, 0, writer)  # type: ignore[arg-type]
-    wire.send(envelope())
-
-    assert wire.stats.messages == fifo.stats.messages == 1
-    assert wire.stats.total_bytes == fifo.stats.total_bytes
-    assert wire.stats.timestamp_bytes == fifo.stats.timestamp_bytes
-    assert wire.stats.payload_bytes == fifo.stats.payload_bytes
-    assert wire.fifo_respected()
-    # And the frame really carries the envelope.
-    body = writer.chunks[0][4:]
-    decoded = decode_frame(body)
-    assert isinstance(decoded, Envelope)
-    assert decoded.payload == _op_message()
+    envelope = Envelope(source=1, dest=0, payload=_op_message())
+    assert wire.send(envelope) == 0.0
+    assert envelope.message_id is None and writer.chunks == []
+    assert dataclasses.astuple(wire.stats) == (0, 0, 0, 0)
 
 
 def test_wire_channel_rejects_misaddressed_envelopes() -> None:
     wire = WireChannel(Simulator(), 1, 0, _NullWriter())  # type: ignore[arg-type]
     with pytest.raises(ValueError, match="addressed"):
-        wire.send(Envelope(source=2, dest=0, payload=None,
-                           timestamp_bytes=0, kind="op"))
+        wire.send(Envelope(source=2, dest=0, payload=None))
 
 
 # -- connect_with_backoff ------------------------------------------------------

@@ -1,14 +1,14 @@
 """The wire format, pinned byte for byte.
 
 One frame body per frame tag and per payload tag: ``VALUES`` names what
-was encoded, ``PINNED`` holds its bytes.  The frames without an
-operation or a snapshot are the ones the encoder of commit ``14d17fd``
+was encoded, ``PINNED`` holds its bytes.  The control frames (HELLO,
+ROSTER, GOODBYE, DRAINED) are the ones the encoder of commit ``14d17fd``
 wrote (the parent of the change that moved the DATA path onto
-``Writer.pack`` / ``Reader.unpack``); the rest were written by hand,
-field by field, when op names left the wire (the contribution frames
-again when a contribution shrank to one count).  A codec edit that moves a
-byte on the wire, or reads these bytes as a different value, fails here
-before it fails a cluster.
+``Writer.pack`` / ``Reader.unpack``).  The DATA frames were written by
+hand, field by field: first when op names left the wire, last when the
+head lost the model timestamp bytes and the kind and the op message its
+length.  A codec edit that moves a byte on the wire, or reads these
+bytes as a different value, fails here before it fails a cluster.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ def encode(value: Any) -> bytes:
     return encode_envelope(value)
 
 
-def data(payload: Any, kind: str = "op", message_id: int | None = 41,
-         timestamp_bytes: int = 8, source: int = 2, dest: int = 0) -> Envelope:
-    return Envelope(source=source, dest=dest, payload=payload, kind=kind,
-                    timestamp_bytes=timestamp_bytes, message_id=message_id)
+def data(payload: Any, message_id: int | None = 41, source: int = 2,
+         dest: int = 0) -> Envelope:
+    return Envelope(source=source, dest=dest, payload=payload, message_id=message_id)
 
 
 def op_message(op: Any) -> OpMessage:
@@ -78,7 +77,7 @@ VALUES: dict[str, Any] = {
     "roster": Roster(ports={1: 9101, 2: 0, 3: 65535}),
     "goodbye": Goodbye(),
     "drained": Drained(site=2),
-    "data-none": data(None, kind="ack", message_id=None, timestamp_bytes=0),
+    "data-none": data(None, message_id=None),
     "data-insert": data(op_message(Insert("xy", 3))),
     # Named when this frame also carried the id of the op it was made
     # from; the key stays so the test ids do.
@@ -95,62 +94,53 @@ VALUES: dict[str, Any] = {
         source=0, dest=3),
     "data-reliable-wrapping-op": data(
         ReliablePacket(seq=5, epoch=1, ack=3, gap=True,
-                       payload=op_message(Insert("r", 1))), kind="rel"),
-    "data-reliable-pure-ack": data(
-        ReliablePacket(seq=-1, epoch=0, ack=-1), kind="ack", timestamp_bytes=0),
+                       payload=op_message(Insert("r", 1)))),
+    "data-reliable-pure-ack": data(ReliablePacket(seq=-1, epoch=0, ack=-1)),
     "data-reliable-probe": data(
-        ReliablePacket(seq=-1, epoch=2, ack=8, probe=True, gap=True),
-        kind="probe", timestamp_bytes=0),
+        ReliablePacket(seq=-1, epoch=2, ack=8, probe=True, gap=True)),
     "data-snapshot": data(
-        SnapshotMessage(document="h\u00e9llo", counts=(2, 4, 1), notifier_epoch=1),
-        kind="snapshot", timestamp_bytes=0),
-    "data-resync": data(ResyncRequest(epoch=3), kind="resync", timestamp_bytes=0),
-    "data-elect": data(ElectMessage(notifier_epoch=2), kind="elect",
-                       timestamp_bytes=0),
-    "data-promote": data(PromoteMessage(successor=2, notifier_epoch=2),
-                         kind="promote", timestamp_bytes=0),
+        SnapshotMessage(document="h\u00e9llo", counts=(2, 4, 1), notifier_epoch=1)),
+    "data-resync": data(ResyncRequest(epoch=3)),
+    "data-elect": data(ElectMessage(notifier_epoch=2)),
+    "data-promote": data(PromoteMessage(successor=2, notifier_epoch=2)),
     # A contribution is one count.  Named when these frames also carried
     # the survivor's state vector, per-origin counts, pending operations
     # and replica; the keys stay so the test ids do.
-    "data-contribution": data(
-        StateContribution(acknowledged=3), kind="contrib", timestamp_bytes=0),
-    "data-contribution-without-document": data(
-        StateContribution(acknowledged=0), kind="contrib", timestamp_bytes=0),
+    "data-contribution": data(StateContribution(acknowledged=3)),
+    "data-contribution-without-document": data(StateContribution(acknowledged=0)),
 }
 
-# A DATA frame's head: tag 0x02, source, dest, timestamp bytes, message
-# id 41 (+1 on the wire), then the kind's length and UTF-8 bytes.
-_OP_HEAD = "02" "00000002" "00000000" "00000008" "0000002a" "00000002" "6f70"
-_CONTROL_HEAD = "02" "00000002" "00000000" "00000000" "0000002a"
+# A DATA frame's head: tag 0x02, source 2, dest 0, message id 41 (+1 on
+# the wire).  Nothing else rides beside the payload.
+_HEAD = "02" "00000002" "00000000" "0000002a"
 
-# Never regenerate these from the encoder under test.  Each frame that
-# carries an op message or a snapshot was written by hand, field by
-# field, when op names left the wire: an op message is T, the origin
-# and the operation, a snapshot carries SV_0.
+# Never regenerate these from the encoder under test.  An op message is
+# T, the origin and the operation, with no length: it is the frame's
+# last field.  A snapshot carries SV_0.
 PINNED: dict[str, str] = {
     "hello": "01000000030000238c",
     "roster": "0400000003000000010000238d0000000200000000000000030000ffff",
     "goodbye": "05",
     "drained": "0600000002",
-    "data-none": "02000000020000000000000000000000000000000361636b00",
+    "data-none": "02" "00000002" "00000000" "00000000" "00",  # no id, no payload
     "data-insert": (
-        _OP_HEAD + "01" "00000017"  # op message, 23 bytes
+        _HEAD + "01"  # op message
         "00000007" "00000003"  # T = [7, 3]
         "00000002"  # origin 2
         "01" "00000003" "00000002" "7879"  # Insert "xy" at 3
     ),
     "data-delete-with-source": (
-        _OP_HEAD + "01" "00000015"
+        _HEAD + "01"
         "00000007" "00000003" "00000002"
         "02" "00000009" "00000002"  # Delete 2 at 9
     ),
     "data-identity": (
-        _OP_HEAD + "01" "0000000d"
+        _HEAD + "01"
         "00000007" "00000003" "00000002"
         "03"  # Identity
     ),
     "data-group": (
-        _OP_HEAD + "01" "00000029"
+        _HEAD + "01"
         "00000007" "00000003" "00000002"
         "04" "00000002"  # a group of two
         "02" "00000001" "00000002"  # Delete 2 at 1
@@ -158,70 +148,55 @@ PINNED: dict[str, str] = {
         "01" "00000000" "00000001" "71"  # Insert "q" at 0
     ),
     "data-broadcast-first-sibling": (
-        _OP_HEAD + "01" "0000001b"
+        _HEAD + "01"
         "00000004" "00000001"  # T = [4, 1]
         "00000001"  # origin 1
         "01" "00000005" "00000006" "68c3a9e29c93"  # Insert "hé✓" at 5
     ),
     "data-broadcast-second-sibling": (
-        _OP_HEAD + "01" "0000001b"
+        _HEAD + "01"
         "00000003" "00000002"  # T = [3, 2]: the one field siblings differ in
         "00000001"
         "01" "00000005" "00000006" "68c3a9e29c93"
     ),
     "data-client-op": (
-        "02" "00000001" "00000000" "00000008" "0000002a" "00000002" "6f70"
-        "01" "00000016"  # 22 bytes: 8 timestamp, 4 origin, 10 operation
+        "02" "00000001" "00000000" "0000002a"  # from site 1
+        "01"  # 22 bytes to the end: 8 timestamp, 4 origin, 10 operation
         "00000000" "00000001"  # T = [0, 1]: site 1's first op
         "00000001"
         "01" "00000000" "00000001" "78"  # Insert "x" at 0
     ),
     "data-broadcast-copy": (
-        "02" "00000000" "00000003" "00000008" "0000002a" "00000002" "6f70"
-        "01" "00000015"
+        "02" "00000000" "00000003" "0000002a"  # from the centre to site 3
+        "01"
         "00000005" "00000002"  # T = [5, 2] for destination 3
         "00000002"  # site 2's op, relayed by the centre
         "02" "00000004" "00000001"  # Delete 1 at 4
     ),
     "data-reliable-wrapping-op": (
-        "02" "00000002" "00000000" "00000008" "0000002a" "00000003" "72656c"
-        "02" "00000006" "00000001" "00000004" "02"  # seq 5, epoch 1, ack 3, gap
-        "01" "00000016"
+        _HEAD + "02" "00000006" "00000001" "00000004" "02"  # seq 5, epoch 1, ack 3, gap
+        "01"
         "00000007" "00000003" "00000002"
         "01" "00000001" "00000001" "72"  # Insert "r" at 1
     ),
     "data-reliable-pure-ack": (
-        "020000000200000000000000000000002a0000000361636b0200000000000000"
-        "00000000000000"
+        _HEAD + "02" "00000000" "00000000" "00000000" "00"  # seq -1, epoch 0, ack -1
+        "00"  # no payload
     ),
     "data-reliable-probe": (
-        "020000000200000000000000000000002a0000000570726f6265020000000000"
-        "000002000000090300"
+        _HEAD + "02" "00000000" "00000002" "00000009" "03"  # epoch 2, ack 8, probe, gap
+        "00"
     ),
     "data-snapshot": (
-        _CONTROL_HEAD + "00000008" "736e617073686f74"  # kind "snapshot"
-        "03" "00000006" "68c3a96c6c6f"  # tag, document "héllo"
+        _HEAD + "03" "00000006" "68c3a96c6c6f"  # tag, document "héllo"
         "00000001"  # notifier epoch 1
         "00000003" "00000002" "00000004" "00000001"  # SV_0 = [2, 4, 1]
     ),
-    "data-resync": (
-        "020000000200000000000000000000002a00000006726573796e630400000003"
-    ),
-    "data-elect": (
-        "020000000200000000000000000000002a00000005656c6563740500000002"
-    ),
-    "data-promote": (
-        "020000000200000000000000000000002a0000000770726f6d6f746506000000"
-        "0200000002"
-    ),
-    "data-contribution": (
-        _CONTROL_HEAD + "00000007" "636f6e74726962"  # kind "contrib"
-        "07" "00000003"  # tag, 3 own operations acknowledged
-    ),
-    "data-contribution-without-document": (
-        _CONTROL_HEAD + "00000007" "636f6e74726962"
-        "07" "00000000"  # none acknowledged
-    ),
+    "data-resync": _HEAD + "04" "00000003",
+    "data-elect": _HEAD + "05" "00000002",
+    "data-promote": _HEAD + "06" "00000002" "00000002",  # site 2, epoch 2
+    "data-contribution": _HEAD + "07" "00000003",  # 3 own operations acknowledged
+    "data-contribution-without-document": _HEAD + "07" "00000000",  # none
 }
 
 
@@ -237,23 +212,24 @@ def test_the_pinned_bytes_decode_to_the_value(name: str) -> None:
 
 # Op frames with an origin wall-clock trailer (version 2, flags 1, an
 # f64) after the operation, as the encoder of commit 14d17fd wrote them
-# less the names.  An op message ends at its operation now, so each is
-# bytes after a message: refused, never half-read.
+# less the names, the model timestamp bytes, the kind and the op's
+# length.  An op message ends at its operation and ends the frame, so
+# each is bytes after a message: refused, never half-read.
 REFUSED: dict[str, str] = {
     "data-origin-wall-trailer": (
-        _OP_HEAD + "01" "00000020"
+        _HEAD + "01"
         "00000007" "00000003" "00000002"
         "01" "00000001" "00000001" "7a"  # Insert "z" at 1
         "0201" "41d9ae7745480000"
     ),
     "data-broadcast-first-sibling-with-trailer": (
-        _OP_HEAD + "01" "00000025"
+        _HEAD + "01"
         "00000004" "00000001" "00000001"
         "01" "00000005" "00000006" "68c3a9e29c93"
         "0201" "41d9ae7745500000"
     ),
     "data-broadcast-second-sibling-with-trailer": (
-        _OP_HEAD + "01" "00000025"
+        _HEAD + "01"
         "00000003" "00000002" "00000001"
         "01" "00000005" "00000006" "68c3a9e29c93"
         "0201" "41d9ae7745500000"
