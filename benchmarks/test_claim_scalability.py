@@ -106,7 +106,6 @@ def test_cost_per_copy(n_sites):
 
 def test_notifier_pipeline(benchmark):
     """Per-op notifier cost with a warm 64-client session."""
-    from repro.core.timestamp import CompressedTimestamp
     from repro.editor.messages import OpMessage
     from repro.net.transport import Envelope
     from repro.ot.operations import Insert
@@ -120,7 +119,7 @@ def test_notifier_pipeline(benchmark):
         seq[0] += 1
         message = OpMessage(
             op=Insert("x", 0),
-            timestamp=CompressedTimestamp(client.sv.received_from_center, seq[0]),
+            first=client.sv.received_from_center, second=seq[0],
             origin_site=1,
         )
         notifier.on_message(Envelope(source=1, dest=0, payload=message))

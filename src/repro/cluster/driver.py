@@ -99,6 +99,7 @@ def _spawn_notifier(
         # Bind race or early crash: reap and retry with a fresh socket.
         proc.kill()
         proc.wait()
+        proc.stdout.close()
         last_failure = f"exited with code {proc.returncode}"
     raise ClusterError(
         f"notifier failed to announce a port after {SPAWN_RETRIES} attempts "
@@ -233,6 +234,10 @@ def run_cluster(
         for proc in [notifier_proc, *client_procs]:
             if proc.poll() is None:
                 _kill_switch(proc)
+        # Only now that it is reaped: the notifier prints its SERVED line
+        # on the way out, which a pipe closed earlier would break.
+        if notifier_proc.stdout is not None:
+            notifier_proc.stdout.close()
     wall_s = time.monotonic() - started
 
     traces, notes = gather_traces(out_dir, config.clients + 1)

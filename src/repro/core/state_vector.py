@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.timestamp import CompressedTimestamp, FullTimestamp
-from repro.net.transport import INT_WIDTH
 
 
 @dataclass
@@ -123,8 +122,11 @@ class NotifierStateVector:
         broadcast to everyone but its originator);
         ``T[2] = SV_0[dest]`` -- operations received from the destination.
 
-        A broadcast compresses one unchanged ``SV_0`` for every
-        destination and passes :meth:`total` in: one sum, not N.
+        A caller compressing one unchanged ``SV_0`` for many
+        destinations passes :meth:`total` in: one sum, not N.  The
+        broadcast itself reads the same pair off ``counts`` in place
+        (:meth:`repro.editor.star_notifier.StarNotifier._execute_and_broadcast`),
+        and a test pins the two equal.
         """
         self._check_site(dest)
         if total is None:
@@ -143,6 +145,3 @@ class NotifierStateVector:
     def storage_ints(self) -> int:
         """Resident clock-state integers (N at the notifier)."""
         return self.n_sites
-
-    def size_bytes(self) -> int:
-        return INT_WIDTH * self.n_sites

@@ -21,8 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.net.transport import INT_WIDTH
-
 
 class OriginKind(enum.Enum):
     """Provenance of a history-buffer entry, relative to the local site."""
@@ -53,10 +51,6 @@ class CompressedTimestamp:
     def as_paper_list(self) -> list[int]:
         """``[T[1], T[2]]`` in the paper's notation."""
         return [self.first, self.second]
-
-    def size_bytes(self) -> int:
-        """Wire size: the constant the paper is about."""
-        return 2 * INT_WIDTH
 
     def __repr__(self) -> str:
         return f"[{self.first},{self.second}]"
@@ -100,9 +94,6 @@ class FullTimestamp:
 
     def as_paper_list(self) -> list[int]:
         return list(self.counts)
-
-    def size_bytes(self) -> int:
-        return INT_WIDTH * len(self.counts)
 
     def __repr__(self) -> str:
         return f"[{','.join(str(c) for c in self.counts)}]"

@@ -64,6 +64,12 @@ class OpMessage:
     ``tests/unit/test_source_hygiene.py``: nothing under ``src/`` stores
     to one of these field names except on ``self``.
 
+    The compressed timestamp is the two integers ``first`` (``T[1]``)
+    and ``second`` (``T[2]``), held in place: a broadcast copy builds no
+    timestamp object of its own.  :attr:`timestamp` builds one for the
+    readers that want a value: a diagnostic session's formula-(5)/(7)
+    sweep and its history entry.
+
     Every field is the paper's or the origin, so a cluster process
     sends the simulator's bytes; the operation's name is derived at
     each end (:func:`op_name`), and latency is read off the trace
@@ -71,13 +77,19 @@ class OpMessage:
     """
 
     op: Any
-    timestamp: CompressedTimestamp
+    first: int  # T[1]
+    second: int  # T[2]
     origin_site: int  # site the operation was originally generated at
     # Set by the notifier on the siblings of one broadcast, which agree
-    # in every field but ``timestamp``; no part of the message's value.
+    # in every field but the timestamp; no part of the message's value.
     shared: BroadcastBody | None = field(default=None, compare=False, repr=False)
     # Formulas 1-2: the timestamp is two integers, whatever N is.
     clock_bytes: ClassVar[int] = 2 * INT_WIDTH
+
+    @property
+    def timestamp(self) -> CompressedTimestamp:
+        """``[T[1], T[2]]`` as a value, built on each read."""
+        return CompressedTimestamp(self.first, self.second)
 
 
 @dataclass(frozen=True)

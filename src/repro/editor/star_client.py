@@ -192,8 +192,7 @@ class StarClient(EditorEndpoint):
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
             )
-        message = OpMessage(op=op, timestamp=ts, origin_site=self.pid)
-        self.send(self.center, message)
+        self.send(self.center, OpMessage(op, ts.first, ts.second, self.pid))
         return op_id
 
     # -- receiving from the notifier ------------------------------------------
@@ -238,18 +237,19 @@ class StarClient(EditorEndpoint):
                 "(FIFO violated?)"
             )
         message: OpMessage = payload
-        ts = message.timestamp
-        if ts.second > self.sv.generated_locally:
+        first = message.first
+        second = message.second
+        if second > self.sv.generated_locally:
             raise ConsistencyError(
-                f"site {self.pid}: the notifier acknowledged {ts.second} local "
+                f"site {self.pid}: the notifier acknowledged {second} local "
                 f"operations, but only {self.sv.generated_locally} were generated"
             )
         # FIFO from the centre: T[1] is a sequence number, and the
         # origin is another site.
         due = self.sv.received_from_center + 1
-        if ts.first != due:
+        if first != due:
             raise ConsistencyError(
-                f"site {self.pid}: the notifier sent broadcast {ts.first}, "
+                f"site {self.pid}: the notifier sent broadcast {first}, "
                 f"but {due} was due"
             )
         origin = message.origin_site
@@ -265,14 +265,18 @@ class StarClient(EditorEndpoint):
         # The formula-(5) sweep over the HB is only needed when recording
         # or oracle-verifying checks: formula (5) plus FIFO make the
         # concurrent set equal the unacknowledged-pending set, which the
-        # fast path uses directly.  The slow path cross-checks the two.
+        # fast path uses directly.  The slow path cross-checks the two,
+        # and only it builds the timestamp as a value (for the sweep and
+        # the history entry).
         diagnostic = self._diagnostic
-        concurrent_entries = self._concurrency_pass(ts, op_id) if diagnostic else None
+        if diagnostic:
+            ts = message.timestamp
+            concurrent_entries = self._concurrency_pass(ts, op_id)
         # FIFO acknowledgement: T[2] local operations are now reflected
         # in the notifier's state; they stop being "pending".
-        while self.pending and self.pending[0].timestamp.second <= ts.second:
+        while self.pending and self.pending[0].timestamp.second <= second:
             self.pending.popleft()
-        if concurrent_entries is not None:  # a diagnostic session
+        if diagnostic:
             expected = [entry.op_id for entry in self.pending]
             actual = [entry.op_id for entry in concurrent_entries]
             if expected != actual:
@@ -319,7 +323,7 @@ class StarClient(EditorEndpoint):
         if self.tracer is not None:
             self.tracer.emit(
                 TraceEventKind.EXECUTED, self.pid, op_id=op_id,
-                timestamp=tuple(ts.as_paper_list()),
+                timestamp=(first, second),
             )
 
     def _concurrency_pass(self, ts: CompressedTimestamp, op_id: str) -> list[HistoryEntry]:

@@ -147,28 +147,29 @@ class StarNotifier(EditorEndpoint):
                 self.transport.stats.stale_epoch_discarded += 1
                 return
         message: OpMessage = payload
-        ts = message.timestamp
+        first = message.first
+        second = message.second
         # FIFO acknowledgement: the source has seen the first T[1]
         # operations ever sent to it; drop them from its pending list.
         already = self.acked[source]
         queue = self.sent_to[source]
-        to_drop = ts.first - already
+        to_drop = first - already
         if to_drop < 0:
             raise ConsistencyError(
-                f"notifier: site {source} acknowledged {ts.first} < previously "
+                f"notifier: site {source} acknowledged {first} < previously "
                 f"acknowledged {already} (FIFO violated?)"
             )
         if to_drop > len(queue):
             raise ConsistencyError(
-                f"notifier: site {source} acknowledged {ts.first} operations, "
+                f"notifier: site {source} acknowledged {first} operations, "
                 f"but only {already + len(queue)} were sent to it"
             )
         # FIFO from the origin: the arrival is its next op, and the link
         # it came on is its origin.  T[2] is a sequence number.
         due = self.sv.counts[source - 1] + 1
-        if ts.second != due:
+        if second != due:
             raise ConsistencyError(
-                f"notifier: site {source} sent its operation {ts.second}, "
+                f"notifier: site {source} sent its operation {second}, "
                 f"but {due} was due"
             )
         if message.origin_site != source:
@@ -176,13 +177,14 @@ class StarNotifier(EditorEndpoint):
                 f"notifier: site {source} sent an operation of site "
                 f"{message.origin_site}"
             )
-        op_id = op_name(source, ts.second, self.notifier_epoch)
-        concurrent_entries = (
-            self._concurrency_pass(ts, source, op_id) if self._diagnostic else None)
+        op_id = op_name(source, second, self.notifier_epoch)
+        diagnostic = self._diagnostic
+        if diagnostic:
+            concurrent_entries = self._concurrency_pass(message.timestamp, source, op_id)
         for _ in range(to_drop):
             queue.popleft()
-        self.acked[source] = ts.first
-        if concurrent_entries is not None:  # a diagnostic session
+        self.acked[source] = first
+        if diagnostic:
             expected = [entry.op_id for entry in queue]
             actual = [entry.op_id for entry in concurrent_entries]
             if expected != actual:
@@ -198,7 +200,7 @@ class StarNotifier(EditorEndpoint):
             )
             if updated is not entry.op:  # copy on write: the record is shared
                 queue[index] = PendingOp(updated, entry.op_id, entry.origin_site)
-        self._execute_and_broadcast(new_op, source, op_id, ts)
+        self._execute_and_broadcast(new_op, source, op_id, first, second)
 
     def _prune_history(self) -> None:
         """Drop the ``HB_0`` prefix no destination's queue still starts at.
@@ -218,14 +220,15 @@ class StarNotifier(EditorEndpoint):
             )
 
     def _execute_and_broadcast(self, new_op: Any, source: int, op_id: str,
-                               ts: CompressedTimestamp) -> None:
-        """Execute ``op_id``; the transformed operation becomes a *new*
-        operation "generated at site 0" (paper Section 3.1 / Fig. 3),
-        broadcast to every other destination with a per-destination
-        compressed timestamp (formulas 1-2)."""
+                               first: int, second: int) -> None:
+        """Execute ``op_id``, which arrived stamped ``[first, second]``;
+        the transformed operation becomes a *new* operation "generated at
+        site 0" (paper Section 3.1 / Fig. 3), broadcast to every other
+        destination with a per-destination compressed timestamp
+        (formulas 1-2)."""
         self.document = self.ot.apply(self.document, new_op)
         self.sv.record_execution_from(source)
-        transformed_id = op_name(source, ts.second, self.notifier_epoch, copy=True)
+        transformed_id = op_name(source, second, self.notifier_epoch, copy=True)
         self.executed_op_ids.append(transformed_id)
         if self.event_log is not None:
             self.event_log.execute(self.pid, op_id)
@@ -235,7 +238,7 @@ class StarNotifier(EditorEndpoint):
             # transformed form "at site 0" -- mirroring the event log.
             self.tracer.emit(
                 TraceEventKind.EXECUTED, self.pid, op_id=op_id,
-                timestamp=tuple(ts.as_paper_list()),
+                timestamp=(first, second),
             )
             self.tracer.emit(
                 TraceEventKind.TRANSFORMED, self.pid, op_id=transformed_id,
@@ -255,23 +258,25 @@ class StarNotifier(EditorEndpoint):
             )
         # The copies differ in the timestamp only (formulas 1-2): they
         # share one body, one sum of SV_0 and one PendingOp, so a copy
-        # costs its two integers and the objects that carry them.  The
-        # rest is bound once per broadcast, not at construction: a
-        # transport wrapped later (perfbench's spans) sees every copy.
+        # costs its two integers and the message that carries them.
+        # Each pair is NotifierStateVector.compress_for_destination's,
+        # read off SV_0's column in place.  The rest is bound once per
+        # broadcast, not at construction: a transport wrapped later
+        # (perfbench's spans) sees every copy.
+        counts = self.sv.counts
         total = self.sv.total()
         shared = BroadcastBody()
         log = self.broadcast_log
         send = self.transport.send
-        compress = self.sv.compress_for_destination
         sent_to = self.sent_to
         pending = PendingOp(new_op, transformed_id, source)
         for dest in self.destinations:
             if dest == source:
                 continue
-            dest_ts = compress(dest, total)
+            own = counts[dest - 1]
             if log is not None:
-                log.append((transformed_id, dest, dest_ts))
-            send(dest, OpMessage(new_op, dest_ts, source, shared))
+                log.append((transformed_id, dest, CompressedTimestamp(total - own, own)))
+            send(dest, OpMessage(new_op, total - own, own, source, shared))
             sent_to[dest].append(pending)
 
     def generate_local(self, op: Any) -> str:
@@ -308,7 +313,7 @@ class StarNotifier(EditorEndpoint):
                     f"notifier: centre-local op {op_id} tested concurrent with "
                     f"{[e.op_id for e in concurrent_entries]}"
                 )
-        self._execute_and_broadcast(op, self.pid, op_id, ts)
+        self._execute_and_broadcast(op, self.pid, op_id, ts.first, ts.second)
         return op_id
 
     def _concurrency_pass(self, ts: CompressedTimestamp, source: int,

@@ -144,6 +144,9 @@ class FIFOChannel(Channel):
         # out of that order broke FIFO, and that is remembered.
         self._in_flight: deque[int | None] = deque()
         self._fifo_violated = False
+        # Bound once: every scheduled delivery carries this one callback,
+        # not a bound method made for it.
+        self._delivery = self._deliver
 
     def send(self, envelope: Envelope) -> float:
         """Enqueue ``envelope``; returns its delivery time."""
@@ -155,7 +158,7 @@ class FIFOChannel(Channel):
         delivery = max(self.sim.now + self.latency.sample(), self._last_delivery)
         self._last_delivery = delivery
         self._in_flight.append(envelope.message_id)
-        self.sim.schedule(delivery, self._deliver, envelope)
+        self.sim.schedule(delivery, self._delivery, envelope)
         return delivery
 
     def _deliver(self, envelope: Envelope) -> None:

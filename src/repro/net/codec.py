@@ -23,7 +23,6 @@ from __future__ import annotations
 import struct
 from typing import Any
 
-from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
 from repro.ot.operations import Delete, Identity, Insert, Operation, OperationGroup
 
@@ -210,13 +209,13 @@ def encode_op_message(message: OpMessage) -> bytes:
     encoded leaves the body's bytes on their ``shared`` record for the
     rest.
     """
-    ts = message.timestamp
     shared = message.shared
     if shared is None:
-        return _encode_op_body(message, _OP_HEAD, ts.first, ts.second)
+        return _encode_op_body(message, _OP_HEAD, message.first, message.second)
     if shared.wire is None:
         shared.wire = _encode_op_body(message, _U32)
-    return Writer().pack(_TIMESTAMP, ts.first, ts.second).raw(shared.wire).getvalue()
+    return Writer().pack(_TIMESTAMP, message.first, message.second).raw(
+        shared.wire).getvalue()
 
 
 def _encode_op_body(message: OpMessage, head: struct.Struct, *stamp: int) -> bytes:
@@ -233,7 +232,7 @@ def read_op_message(reader: Reader) -> OpMessage:
     the caller's to refuse (a wire frame ends at its op)."""
     first, second, origin_site = reader.unpack(_OP_HEAD)
     op = decode_operation(reader)
-    return OpMessage(op, CompressedTimestamp(first, second), origin_site)
+    return OpMessage(op, first, second, origin_site)
 
 
 def decode_op_message(data: bytes) -> OpMessage:

@@ -321,14 +321,13 @@ def test_a_centre_that_overflows_the_reorder_buffer_ends_the_run_on_the_record(
 def _op_frame(*, first: int, second: int, pos: int, origin: int,
               seq: int | None = None) -> bytes:
     """A centre's op message to client 1; with ``seq``, in a reliable packet."""
-    from repro.core.timestamp import CompressedTimestamp
     from repro.editor.messages import OpMessage
     from repro.net.reliability import ReliablePacket
     from repro.net.transport import Envelope
     from repro.net.wire import encode_envelope
     from repro.ot.operations import Insert
 
-    op = OpMessage(op=Insert("x", pos), timestamp=CompressedTimestamp(first, second),
+    op = OpMessage(op=Insert("x", pos), first=first, second=second,
                    origin_site=origin)
     payload = op if seq is None else ReliablePacket(seq, 0, -1, op)
     return frame(encode_envelope(Envelope(source=0, dest=1, payload=payload)))

@@ -8,10 +8,14 @@ documents, same timestamps, same wire traffic as the fully instrumented
 run, on identical workloads.
 """
 
+import sys
+
 import pytest
 
+from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
 from repro.editor.star import StarSession
+from repro.editor.star_notifier import StarNotifier
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 from repro.workloads.scripted import (
     FIG2_INITIAL_DOCUMENT,
@@ -107,3 +111,58 @@ class TestFastPathEquivalence:
         label = fig3_labels()
         got = {(label[op_id], dest): ts for op_id, dest, ts in stream}
         assert got == FIG3_EXPECTED["broadcast_timestamps"]
+
+
+class TestACopyIsItsTwoIntegers:
+    """A broadcast copy carries formulas 1-2's pair in its ``OpMessage``."""
+
+    def test_the_notifier_builds_no_timestamp_on_the_fast_path(self, monkeypatch):
+        """The notifier reads each copy's pair off ``SV_0`` in place:
+        a fast-path run constructs no ``CompressedTimestamp`` under any
+        notifier frame (a client still stamps its own operations)."""
+        built = {"notifier": 0, "elsewhere": 0}
+        post_init = CompressedTimestamp.__post_init__
+
+        def counting(ts):
+            frame = sys._getframe(1)
+            while frame is not None and not isinstance(
+                    frame.f_locals.get("self"), StarNotifier):
+                frame = frame.f_back
+            built["elsewhere" if frame is None else "notifier"] += 1
+            post_init(ts)
+
+        monkeypatch.setattr(CompressedTimestamp, "__post_init__", counting)
+        config = RandomSessionConfig(n_sites=4, ops_per_site=6, seed=3)
+        session = StarSession(4, initial_state=config.initial_document,
+                              record_events=False, record_checks=False)
+        drive_star_session(session, config)
+        session.run()
+        assert session.converged()
+        assert len(session.notifier.executed_op_ids) == 24
+        assert built == {"notifier": 0, "elsewhere": 24}
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_every_copy_carries_formulas_1_2(self, seed):
+        """Each copy's ``(first, second)`` is what
+        ``NotifierStateVector.compress_for_destination(dest)`` -- the
+        formulas' documented home -- gives at send time."""
+        config = RandomSessionConfig(n_sites=8, ops_per_site=5, seed=seed)
+        session = StarSession(8, initial_state=config.initial_document,
+                              record_events=False, record_checks=False)
+        notifier = session.notifier
+        send = notifier.transport.send
+        copies = []
+
+        def checking_send(dest, payload):
+            if isinstance(payload, OpMessage):
+                expected = notifier.sv.compress_for_destination(dest)
+                copies.append((payload.timestamp, expected))
+            send(dest, payload)
+
+        notifier.transport.send = checking_send
+        drive_star_session(session, config)
+        session.run()
+        assert session.converged()
+        assert len(copies) == 8 * 5 * 7
+        mismatched = [(got, expected) for got, expected in copies if got != expected]
+        assert not mismatched

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core.timestamp import CompressedTimestamp, OriginKind
+from repro.core.timestamp import OriginKind
 from repro.editor import messages
 from repro.editor.star import StarSession
 from repro.net import codec
@@ -184,7 +184,6 @@ class TestInvariants:
 
     def test_stale_ack_raises_consistency_error(self):
         """A client claiming fewer acks than before trips the guard."""
-        from repro.core.timestamp import CompressedTimestamp
         from repro.editor.messages import OpMessage
         from repro.net.transport import Envelope
 
@@ -194,7 +193,7 @@ class TestInvariants:
         session.run()
         bad = OpMessage(
             op=Insert("z", 0),
-            timestamp=CompressedTimestamp(0, 2),  # claims 0 received, but acked 1
+            first=0, second=2,  # claims 0 received, but acked 1
             origin_site=2,
         )
         with pytest.raises(ConsistencyError):
@@ -219,7 +218,7 @@ class TestInvariants:
         before = state()
         bad = messages.OpMessage(
             op=Insert("z", 0),
-            timestamp=CompressedTimestamp(5, 1),  # claims 5 received, 1 sent
+            first=5, second=1,  # claims 5 received, 1 sent
             origin_site=2,
         )
         with pytest.raises(ConsistencyError,
@@ -247,7 +246,7 @@ class TestInvariants:
         assert before[:2] == (["c1_1"], "abcL")
         bad = messages.OpMessage(
             op=Insert("x", 0),
-            timestamp=CompressedTimestamp(1, 5),  # acknowledges 5 of 1 generated
+            first=1, second=5,  # acknowledges 5 of 1 generated
             origin_site=2,
         )
         with pytest.raises(ConsistencyError,
@@ -302,7 +301,7 @@ class TestSequenceRule:
         assert client.sv.as_paper_list() == [1, 2]
         assert [e.op_id for e in client.pending] == ["c1_2"]
         before = _every_replica(session)
-        bad = messages.OpMessage(Insert("z", 0), CompressedTimestamp(first, 1), origin)
+        bad = messages.OpMessage(Insert("z", 0), first, 1, origin)
         with pytest.raises(ConsistencyError, match=refusal):
             client.on_message(Envelope(source=0, dest=1, payload=bad))
         assert _every_replica(session) == before
@@ -321,7 +320,7 @@ class TestSequenceRule:
         assert [p.op_id for p in notifier.sent_to[1]] == ["c2_1'"]
         before = _every_replica(session)
         # T[1] = 1 acknowledges c2_1': accepted, it would empty the queue.
-        bad = messages.OpMessage(Insert("z", 0), CompressedTimestamp(1, second), origin)
+        bad = messages.OpMessage(Insert("z", 0), 1, second, origin)
         with pytest.raises(ConsistencyError, match=refusal):
             notifier.on_message(Envelope(source=1, dest=0, payload=bad))
         assert _every_replica(session) == before
@@ -331,7 +330,7 @@ class TestSequenceRule:
         document, the OT layer's ``OperationError`` leaves the endpoint
         as its one refusal type, chained."""
         session = self.settled(record_checks=False)
-        bad = messages.OpMessage(Insert("z", 999), CompressedTimestamp(1, 2), 1)
+        bad = messages.OpMessage(Insert("z", 999), 1, 2, 1)
         with pytest.raises(ConsistencyError,
                            match="site 0: refused a message from site 1") as excinfo:
             session.notifier.on_message(Envelope(source=1, dest=0, payload=bad))

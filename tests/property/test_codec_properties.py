@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage, SnapshotMessage, StateContribution
 from repro.net.codec import (
     CodecError,
@@ -45,16 +44,11 @@ operations = st.recursive(
     max_leaves=6,
 )
 
-timestamps = st.builds(
-    CompressedTimestamp,
-    first=st.integers(0, 2**32 - 1),
-    second=st.integers(0, 2**32 - 1),
-)
-
 messages = st.builds(
     OpMessage,
     op=operations,
-    timestamp=timestamps,
+    first=st.integers(0, 2**32 - 1),
+    second=st.integers(0, 2**32 - 1),
     origin_site=st.integers(0, 10**4),
 )
 
@@ -138,7 +132,7 @@ class TestCodecProperties:
         # the timestamp is the first field: 8 bytes, big-endian
         first = int.from_bytes(wire[0:4], "big")
         second = int.from_bytes(wire[4:8], "big")
-        assert (first, second) == (message.timestamp.first, message.timestamp.second)
+        assert (first, second) == (message.first, message.second)
 
 
 class TestWireProperties:

@@ -140,6 +140,28 @@ class TestFIFOChannel:
         sim.run()
         assert not channel.fifo_respected()
 
+    def test_every_delivery_schedules_the_one_bound_callback(self):
+        """A delivery carries the channel's callback bound at
+        construction, not a bound method made per message; the hook it
+        calls is still read when it fires."""
+        scheduled = []
+
+        class Recording(Simulator):
+            def schedule(self, time, callback, *args):
+                scheduled.append(callback)
+                return super().schedule(time, callback, *args)
+
+        sim = Recording()
+        received = []
+        channel = make_channel(sim, FixedLatency(0.1), [])
+        channel.send(Envelope(1, 2, "a"))
+        channel.on_deliver = received.append  # rebound after construction
+        channel.send(Envelope(1, 2, "b"))
+        sim.run()
+        assert len(scheduled) == 2 and scheduled[0] is scheduled[1]
+        assert [e.payload for e in received] == ["a", "b"]
+        assert channel.fifo_respected()
+
     def test_wrong_addressing_rejected(self):
         sim = Simulator()
         channel = make_channel(sim, FixedLatency(0.1), [])

@@ -1,11 +1,14 @@
 """Unit tests for the cluster driver's directory handling and trace
 gathering (repro.cluster.driver) and the flag table every cluster
 process is configured through (repro.cluster.harness); the spawning
-paths are covered end to end in tests/integration/test_cluster.py."""
+paths are covered end to end in tests/integration/test_cluster.py, and
+here, over a fake ``Popen``, only the notifier pipe's lifetime."""
 
 import argparse
 import dataclasses
+import io
 import json
+import subprocess
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +55,57 @@ def test_reused_out_dir_is_cleared_of_an_earlier_runs_artifacts(tmp_path, monkey
     with pytest.raises(driver.ClusterError, match="stop before spawning"):
         run_cluster(ClusterConfig(clients=3), tmp_path)
     assert seen_at_spawn == sorted(kept)
+
+
+class _Pipe(io.StringIO):
+    """A notifier's stdout that notes whether it was closed while the
+    process still ran."""
+
+    def __init__(self, text, owner):
+        super().__init__(text)
+        self.owner = owner
+        self.closed_while_running = False
+
+    def close(self):
+        if not self.closed:
+            self.closed_while_running = self.owner.returncode is None
+        super().close()
+
+
+def test_every_notifier_pipe_is_closed_once_its_process_is_reaped(tmp_path, monkeypatch):
+    """The notifier's stdout is read for its port and closed after the
+    process is reaped (it prints ``SERVED ...`` on the way out), on the
+    retry path and the normal one alike; clients get no pipe."""
+    announcements = ["bind failed\n", "LISTENING 4321\n"]
+    spawned = []
+
+    class FakeProcess:
+        def __init__(self, args, stdout=None, text=None, env=None):
+            self.returncode = None
+            self.stdout = (_Pipe(announcements.pop(0), self)
+                           if stdout is subprocess.PIPE else None)
+            spawned.append(self)
+
+        def poll(self):
+            return self.returncode
+
+        def wait(self, timeout=None):
+            if self.returncode is None:
+                self.returncode = 0
+            return self.returncode
+
+        def kill(self):
+            self.returncode = -9
+
+        terminate = kill
+
+    monkeypatch.setattr(driver.subprocess, "Popen", FakeProcess)
+    # No process writes a trace, so the run ends when the traces are read.
+    with pytest.raises(driver.ClusterError, match="did not finish"):
+        run_cluster(ClusterConfig(clients=2), tmp_path)
+    pipes = [proc.stdout for proc in spawned if proc.stdout is not None]
+    assert len(spawned) == 4 and len(pipes) == 2 and not announcements
+    assert all(pipe.closed and not pipe.closed_while_running for pipe in pipes)
 
 
 # -- reading the traces ----------------------------------------------------------

@@ -16,7 +16,6 @@ from typing import Any, Awaitable, Callable
 import pytest
 
 from repro.cluster.serve import Hub
-from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
 from repro.editor.star_notifier import StarNotifier
 from repro.net.reliability import HOLDBACK_LIMIT, ReliablePacket
@@ -220,7 +219,7 @@ def test_a_member_that_garbles_a_frame_is_hung_up_on_without_noise(
         return encode_envelope(Envelope(source=member, dest=0, payload=None))
 
     not_utf8 = bytearray(encode_envelope(Envelope(source=1, dest=0, payload=OpMessage(
-        Insert("x", 0), CompressedTimestamp(0, 1), origin_site=1))))
+        Insert("x", 0), 0, 1, origin_site=1))))
     not_utf8[-1] = 0xFF  # the insert's text, the frame's last byte
     torn_op = good(2)[:-1] + b"\x01\x00\x00\x00\x03abc"  # PAYLOAD_OP, 7 of 12 head bytes
 
@@ -314,7 +313,7 @@ def test_a_replayed_frame_is_a_duplicate_to_a_reliable_notifier() -> None:
     executes once, and the member stays connected."""
     async def body(lo: Loopback) -> None:
         notifier = lo.hub.endpoint
-        op = OpMessage(op=Insert("x", 0), timestamp=CompressedTimestamp(0, 1),
+        op = OpMessage(op=Insert("x", 0), first=0, second=1,
                        origin_site=1)
         replayed = frame(encode_envelope(Envelope(
             source=1, dest=0, payload=ReliablePacket(seq=0, epoch=0, ack=-1,
@@ -344,7 +343,7 @@ def test_a_member_that_overflows_the_reorder_buffer_is_counted_as_garbled(
     buffer holds arrives (``HoldbackOverflow``).  The notifier's endpoint
     refuses that as a ``ConsistencyError``; the hub hangs member 1 up
     like any refusal, counted and traced, with nothing in the logs."""
-    op = OpMessage(op=Insert("x", 0), timestamp=CompressedTimestamp(0, 1),
+    op = OpMessage(op=Insert("x", 0), first=0, second=1,
                    origin_site=1)
     held = b"".join(
         frame(encode_envelope(Envelope(
@@ -383,7 +382,7 @@ def op_frame(member: int, first: int, second: int, text: str,
              pos: int = 0) -> bytes:
     """A well-formed op message from ``member`` to the notifier."""
     op = OpMessage(op=Insert(text, pos),
-                   timestamp=CompressedTimestamp(first, second),
+                   first=first, second=second,
                    origin_site=member)
     return frame(encode_envelope(Envelope(source=member, dest=0, payload=op)))
 

@@ -4,7 +4,6 @@ import struct
 
 import pytest
 
-from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import OpMessage
 from repro.net.codec import (
     MAX_GROUP_DEPTH,
@@ -131,7 +130,7 @@ class TestMessageCodec:
     def test_full_message_roundtrip(self):
         message = OpMessage(
             op=Insert("12", 1),
-            timestamp=CompressedTimestamp(1, 0),
+            first=1, second=0,
             origin_site=2,
         )
         assert decode_op_message(encode_op_message(message)) == message
@@ -141,7 +140,7 @@ class TestMessageCodec:
         is T, the origin and the operation (the sites derive the name)."""
         message = OpMessage(
             op=Delete(3, 2),
-            timestamp=CompressedTimestamp(0, 1),
+            first=0, second=1,
             origin_site=2,
         )
         wire = encode_op_message(message)
@@ -150,7 +149,7 @@ class TestMessageCodec:
         assert not hasattr(message, "op_id") and not hasattr(message, "source_op_id")
 
     def test_a_client_insert_of_one_character_is_22_bytes(self):
-        message = OpMessage(Insert("x", 0), CompressedTimestamp(0, 1), 1)
+        message = OpMessage(Insert("x", 0), 0, 1, 1)
         assert len(encode_op_message(message)) == 22  # 8 T + 4 origin + 10 op
 
     def test_size_matches_accounting_model(self):
@@ -160,13 +159,13 @@ class TestMessageCodec:
 
         message = OpMessage(
             op=Insert("hello", 7),
-            timestamp=CompressedTimestamp(4, 2),
+            first=4, second=2,
             origin_site=1,
         )
         wire = encode_op_message(message)
         op_bytes = measure_payload_bytes(message.op)  # tag + pos + text
         framing = (
-            message.timestamp.size_bytes()  # compressed timestamp: 8
+            OpMessage.clock_bytes  # compressed timestamp: 8
             + 4  # origin site
             + 4  # string length prefix of the insert text
         )
@@ -175,7 +174,7 @@ class TestMessageCodec:
     def test_corrupted_message_rejected(self):
         message = OpMessage(
             op=Insert("a", 0),
-            timestamp=CompressedTimestamp(0, 1),
+            first=0, second=1,
             origin_site=1,
         )
         wire = encode_op_message(message)

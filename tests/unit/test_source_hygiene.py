@@ -526,7 +526,7 @@ def test_per_message_values_have_no_dict() -> None:
     from repro.net.transport import Envelope
 
     ts = CompressedTimestamp(1, 2)
-    message = OpMessage("op", ts, 1)
+    message = OpMessage("op", 1, 2, 1)
     values = [
         Envelope(1, 0, message),
         message,
@@ -546,8 +546,14 @@ def test_per_message_values_have_no_dict() -> None:
     for value in values:
         slots_only(value)
     # The constructor surface that slots=True re-creates the class around.
-    assert message == OpMessage(op="op", timestamp=ts, origin_site=1, shared=object())
-    assert message != OpMessage("op", ts, 2)
+    assert message == OpMessage(op="op", first=1, second=2, origin_site=1,
+                                shared=object())
+    assert message != OpMessage("op", 1, 2, 2)
+    assert message != OpMessage("op", 2, 2, 1) and message != OpMessage("op", 1, 1, 1)
+    # A copy's timestamp is its two slots; the value is built on a read.
+    assert [f.name for f in dataclasses.fields(OpMessage)] == [
+        "op", "first", "second", "origin_site", "shared"]
+    assert message.timestamp == ts and message.timestamp is not message.timestamp
     assert ReliablePacket(-1, 1, 4, None, True, True) == ReliablePacket(
         seq=-1, epoch=1, ack=4, probe=True, gap=True)
     # The rule fires on what these classes were, frozen without slots
@@ -597,10 +603,14 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
     def names(cls: type) -> set[str]:
         return {f.name for f in dataclasses.fields(cls)}
 
-    assert names(OpMessage) - {"op"} == {"timestamp", "origin_site", "shared"}  # no name travels
+    # No name travels.
+    assert names(OpMessage) - {"op"} == {"first", "second", "origin_site", "shared"}
     assert names(ReliablePacket) == {"seq", "epoch", "ack", "payload", "probe", "gap"}
     assert names(CompressedTimestamp) == {"first", "second"}
-    fields = (names(OpMessage) - {"op"}) | names(ReliablePacket) | names(CompressedTimestamp)
+    # ``timestamp`` too: a message's is a read-only view, a
+    # ``HistoryEntry``'s is shared with the message it came from.
+    fields = ((names(OpMessage) - {"op"}) | {"timestamp"} | names(ReliablePacket)
+              | names(CompressedTimestamp))
     hits = [
         f"{path.relative_to(SRC)}:{hit}"
         for path in MODULES
@@ -619,6 +629,8 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
         "        object.__setattr__(message, 'origin_site', 2)\n"
         "        setattr(message, 'shared', None)\n"
         "        message.op = message.timestamp\n"  # op: not covered, a load: fine
+        "        message.first = 0\n"
+        "        envelope.payload.second += 1\n"
         "    def on_wire(self, envelope, packet):\n"
         "        packet.ack = -1\n"
         "        envelope.payload.seq += 1\n"
@@ -626,7 +638,7 @@ def test_nothing_stores_to_a_message_field_but_its_own_constructor() -> None:
         "        packet.payload.timestamp.first = 0\n"
         "        del packet.payload.timestamp.second\n"
         "        self.seq = packet.seq\n")  # its own field, and a load: fine
-    assert len(_message_field_stores(planted, fields)) == 11
+    assert len(_message_field_stores(planted, fields)) == 13
 
 
 def scheduled_closure_findings(root: Path) -> list[str]:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core.state_vector import ClientStateVector, NotifierStateVector
 from repro.core.timestamp import CompressedTimestamp, FullTimestamp
+from repro.editor.messages import OpMessage
+from repro.net.codec import encode_op_message
+from repro.ot.operations import Insert
 
 
 class TestClientStateVector:
@@ -97,7 +100,6 @@ class TestNotifierStateVector:
     def test_storage_and_size(self):
         sv = NotifierStateVector(10)
         assert sv.storage_ints() == 10
-        assert sv.size_bytes() == 40
 
 
 class TestCompressedTimestamp:
@@ -106,8 +108,14 @@ class TestCompressedTimestamp:
             CompressedTimestamp(-1, 0)
 
     def test_constant_wire_size(self):
-        assert CompressedTimestamp(0, 0).size_bytes() == 8
-        assert CompressedTimestamp(10**9, 10**9).size_bytes() == 8
+        """The two integers cost ``OpMessage.clock_bytes`` on the wire,
+        whatever their values."""
+        assert OpMessage.clock_bytes == 8
+        small, large = (
+            encode_op_message(OpMessage(Insert("x", 0), stamp, stamp, 1))
+            for stamp in (0, 10**9))
+        assert len(small) == len(large)
+        assert large[:8] == (10**9).to_bytes(4, "big") * 2
 
     def test_repr_paper_notation(self):
         assert repr(CompressedTimestamp(3, 1)) == "[3,1]"
@@ -132,4 +140,5 @@ class TestFullTimestamp:
             FullTimestamp((1, -1))
 
     def test_size_scales_with_n(self):
-        assert FullTimestamp((0,) * 12).size_bytes() == 48
+        sv = NotifierStateVector(12)
+        assert len(sv.full_timestamp()) == sv.storage_ints() == 12

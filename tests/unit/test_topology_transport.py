@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.clocks.vector import VectorClock
-from repro.core.timestamp import CompressedTimestamp
 from repro.editor.mesh import MeshOp
 from repro.editor.messages import (
     ElectMessage,
@@ -75,8 +74,8 @@ class TestStarTopology:
         sim = Simulator()
         procs = [Collector(sim, i) for i in range(3)]
         topo = StarTopology(sim, procs)
-        procs[1].send(0, OpMessage(Delete(1, 0), _TS, 1))
-        procs[2].send(0, OpMessage(Delete(1, 0), _TS, 2))
+        procs[1].send(0, OpMessage(Delete(1, 0), 3, 1, 1))
+        procs[2].send(0, OpMessage(Delete(1, 0), 3, 1, 2))
         sim.run()
         stats = topo.total_stats()
         assert stats.messages == 2
@@ -130,7 +129,7 @@ class TestPayloadMeasurement:
         from repro.net.channel import FIFOChannel, FixedLatency
 
         channel = FIFOChannel(Simulator(), 1, 0, FixedLatency(0.1), lambda env: None)
-        channel.send(Envelope(1, 0, OpMessage(Delete(3, 2), _TS, 1)))
+        channel.send(Envelope(1, 0, OpMessage(Delete(3, 2), 3, 1, 1)))
         assert channel.stats.total_bytes == 8 + (4 + 9) + 8
 
     def test_envelope_ids_assigned_per_simulator(self):
@@ -154,12 +153,11 @@ class TestPayloadMeasurement:
 
     def test_op_message_wrapper_not_pickled(self):
         """Editor wrappers are measured structurally (framing + inner op)."""
-        from repro.core.timestamp import CompressedTimestamp
         from repro.editor.messages import OpMessage
 
         message = OpMessage(
             op=Insert("ab", 3),
-            timestamp=CompressedTimestamp(1, 0),
+            first=1, second=0,
             origin_site=2,
         )
         assert measure_payload_bytes(message) == 4 + 7
@@ -190,8 +188,7 @@ class Unregistered:
     value: int = 7
 
 
-_TS = CompressedTimestamp(3, 1)
-_RELAYED = OpMessage(op=Delete(2, 4), timestamp=_TS, origin_site=2)
+_RELAYED = OpMessage(op=Delete(2, 4), first=3, second=1, origin_site=2)
 
 # Every payload that crosses a channel, with the bytes the accounting
 # model charges for its body and for the clock it carries.  The body
@@ -219,7 +216,7 @@ SIZES = [
     # A tag and the delta, like a delete's tag and two integers.
     pytest.param(CounterOp(3), 5, 0, id="counter-op"),
     pytest.param(
-        OpMessage(op=Insert("héllo", 3), timestamp=_TS, origin_site=2),
+        OpMessage(op=Insert("héllo", 3), first=3, second=1, origin_site=2),
         15, 8, id="op-message"),
     pytest.param(_RELAYED, 13, 8, id="op-message-relayed"),
     pytest.param(

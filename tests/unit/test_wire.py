@@ -60,7 +60,7 @@ from repro.ot.operations import Insert
 def _op_message(shared: BroadcastBody | None = None) -> OpMessage:
     return OpMessage(
         op=Insert("x", 3),
-        timestamp=CompressedTimestamp(2, 5),
+        first=2, second=5,
         origin_site=1,
         shared=shared,
     )
@@ -108,7 +108,7 @@ def test_a_broadcast_copy_is_the_client_op_with_its_own_timestamp() -> None:
     """The centre's copy names nothing the client's op did not: the same
     origin and operation after its own two integers."""
     client = _op_message()
-    copy = OpMessage(client.op, CompressedTimestamp(9, 0), client.origin_site,
+    copy = OpMessage(client.op, 9, 0, client.origin_site,
                      BroadcastBody())
     assert _roundtrip(copy).payload == copy
     assert encode_op_message(copy)[8:] == encode_op_message(client)[8:]

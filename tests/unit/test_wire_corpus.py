@@ -17,7 +17,6 @@ from typing import Any
 
 import pytest
 
-from repro.core.timestamp import CompressedTimestamp
 from repro.editor.messages import (
     BroadcastBody,
     ElectMessage,
@@ -63,13 +62,14 @@ def data(payload: Any, message_id: int | None = 41, source: int = 2,
 
 
 def op_message(op: Any) -> OpMessage:
-    return OpMessage(op=op, timestamp=CompressedTimestamp(7, 3), origin_site=2)
+    return OpMessage(op=op, first=7, second=3, origin_site=2)
 
 
 _SHARED = BroadcastBody()
 _SIBLINGS = [
-    OpMessage(op=Insert("hé✓", 5), timestamp=stamp, origin_site=1, shared=_SHARED)
-    for stamp in (CompressedTimestamp(4, 1), CompressedTimestamp(3, 2))
+    OpMessage(op=Insert("hé✓", 5), first=first, second=second, origin_site=1,
+              shared=_SHARED)
+    for first, second in ((4, 1), (3, 2))
 ]
 
 VALUES: dict[str, Any] = {
@@ -88,9 +88,9 @@ VALUES: dict[str, Any] = {
     "data-broadcast-first-sibling": data(_SIBLINGS[0]),
     "data-broadcast-second-sibling": data(_SIBLINGS[1]),
     "data-client-op": data(
-        OpMessage(Insert("x", 0), CompressedTimestamp(0, 1), 1), source=1),
+        OpMessage(Insert("x", 0), 0, 1, 1), source=1),
     "data-broadcast-copy": data(
-        OpMessage(Delete(1, 4), CompressedTimestamp(5, 2), 2, BroadcastBody()),
+        OpMessage(Delete(1, 4), 5, 2, 2, BroadcastBody()),
         source=0, dest=3),
     "data-reliable-wrapping-op": data(
         ReliablePacket(seq=5, epoch=1, ack=3, gap=True,
