@@ -23,6 +23,7 @@ ABL-3  Batching: composing keystroke bursts into one positional
 """
 
 import random
+from typing import Sequence
 
 from conftest import emit
 
@@ -30,7 +31,8 @@ from repro.analysis.causality import CausalityOracle
 from repro.analysis.consistency import check_divergence, replay_as_is
 from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
-from repro.obs.tracer import Tracer
+from repro.obs.analysis import replay_event_log
+from repro.obs.tracer import TraceEvent, Tracer
 from repro.ot.operations import Identity, Insert, compose
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 
@@ -46,11 +48,14 @@ def original_id(op_id: str) -> str:
     return op_id.rstrip("'")
 
 
-def count_verdict_mismatches(session: StarSession) -> tuple[int, int]:
+def count_verdict_mismatches(
+    session: StarSession, trace: Sequence[TraceEvent]
+) -> tuple[int, int]:
     """Compare every client-side verdict against the ground truth over
     the ORIGINAL operations (what matters when operations are relayed
-    as-is).  Returns (mismatches, total checks)."""
-    oracle = CausalityOracle(session.event_log)
+    as-is), replayed from the run's trace.  Returns (mismatches, total
+    checks)."""
+    oracle = CausalityOracle(replay_event_log(trace))
     mismatches = 0
     total = 0
     for record in session.all_checks():
@@ -85,10 +90,11 @@ def run_verified(seed: int) -> StarSession:
     return session
 
 
-def run_as_is(seed: int) -> tuple[StarSession, bool]:
+def run_as_is(seed: int) -> tuple[StarSession, Sequence[TraceEvent], bool]:
     """The as-is relay: the check records of a traced run (pruned at the
-    acknowledgement horizon, as a relay without the oracle keeps them)
-    and whether the replay of its original operations converges."""
+    acknowledgement horizon, as a relay without the oracle keeps them),
+    its trace, and whether the replay of its original operations
+    converges."""
     config = abl1_config(seed)
     tracer = Tracer()
     session = StarSession(
@@ -102,7 +108,7 @@ def run_as_is(seed: int) -> tuple[StarSession, bool]:
     session.run()
     documents = replay_as_is(config.initial_document, tracer.events, ops)
     assert len(documents) == len(session.documents())
-    return session, not check_divergence(documents).diverged
+    return session, tracer.events, not check_divergence(documents).diverged
 
 
 def test_abl1_transformation_collapses_causality(benchmark):
@@ -115,11 +121,11 @@ def test_abl1_transformation_collapses_causality(benchmark):
         rows = []
         for seed in range(6):
             with_t = run_verified(seed)  # raises on any oracle mismatch
-            as_is, as_is_converged = run_as_is(seed)
+            as_is, trace, as_is_converged = run_as_is(seed)
             rows.append(
                 (
                     seed,
-                    count_verdict_mismatches(as_is),
+                    count_verdict_mismatches(as_is, trace),
                     with_t.converged(),
                     as_is_converged,
                 )
@@ -194,7 +200,6 @@ def test_abl3_batching(benchmark):
             2,
             ot_type_name="text-positional",
             initial_state="",
-            record_events=False,
         )
         text = "hello world, this is a burst"
         client = session.client(1)

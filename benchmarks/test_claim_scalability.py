@@ -30,7 +30,6 @@ def driven_session(n_sites, ops_per_site=3, seed=7):
         n_sites,
         initial_state=config.initial_document,
         latency_factory=lambda s, d: FixedLatency(0.05),
-        record_events=False,
         record_checks=False,
     )
     drive_star_session(session, config)

@@ -32,7 +32,6 @@ def run_fig2() -> list[str]:
         n_sites=3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
-        record_events=False,
         tracer=tracer,
     )
     for item in fig3_script():

@@ -32,7 +32,6 @@ def run_fig3(verify=True):
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
         verify_with_oracle=verify,
-        record_events=verify,
         record_checks=True,  # both tests read the verdicts and the broadcast log
     )
     for item in fig3_script():

@@ -35,7 +35,6 @@ def measure_star(latency: float, seed: int = 0):
         N_SITES,
         initial_state=config.initial_document,
         latency_factory=lambda s, d: FixedLatency(latency),
-        record_events=False,
         record_checks=False,
     )
     drive_star_session(session, config)

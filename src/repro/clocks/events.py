@@ -1,12 +1,12 @@
 """Generic event model for building causality ground truth.
 
-The reproduction never trusts the compressed scheme on faith: every
-session records a log of *events* -- operation generations and
+The reproduction never trusts the compressed scheme on faith: an
+oracle session records a log of *events* -- operation generations and
 executions (paper Definition 1), and the two ends of every state
 transfer -- from which :mod:`repro.analysis.causality` rebuilds the
 happened-before relation with full vector clocks and an explicit
-dependency DAG.  A cluster run has no shared log: it replays one from
-its merged trace (:func:`repro.obs.analysis.replay_event_log`).
+dependency DAG.  A default session or a cluster run keeps no log: its
+trace replays one (:func:`repro.obs.analysis.replay_event_log`).
 """
 
 from __future__ import annotations

@@ -26,12 +26,11 @@ the temp directory.
 from __future__ import annotations
 
 import os
+import selectors
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from pathlib import Path
 from typing import IO, Optional
 
@@ -66,15 +65,18 @@ def _subprocess_env() -> dict[str, str]:
 
 
 def _read_port(stdout: IO[str], deadline_s: float) -> Optional[int]:
-    """Parse the notifier's ``LISTENING <port>`` line, bounded in time."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(stdout.readline)
-        try:
-            line = future.result(timeout=deadline_s)
-        except FutureTimeout:
-            return None
+    """Parse ``LISTENING <port>`` off the pipe; every wait obeys ``deadline_s``."""
+    end = time.monotonic() + deadline_s
+    line = b""
+    with selectors.DefaultSelector() as selector:
+        selector.register(stdout, selectors.EVENT_READ)
+        while not line.endswith(b"\n"):
+            remaining = end - time.monotonic()
+            if remaining <= 0 or not selector.select(remaining):
+                return None
+            line += os.read(stdout.fileno(), 1) or b"\n"  # EOF ends the line
     parts = line.split()
-    if len(parts) == 2 and parts[0] == "LISTENING" and parts[1].isdigit():
+    if len(parts) == 2 and parts[0] == b"LISTENING" and parts[1].isdigit():
         return int(parts[1])
     return None
 

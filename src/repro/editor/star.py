@@ -34,10 +34,10 @@ property-based tests exercise.
 
 Ground truth
 ------------
-Every generation/execution is recorded in a shared
-:class:`repro.clocks.events.EventLog`.  With ``verify_with_oracle=True``
-(which needs that log) each compressed-timestamp concurrency verdict is
-asserted against full vector clocks (paper formula 3) at check time.
+A default session runs the paper's clock only.  ``verify_with_oracle``
+(or ``record_events``) records every generation/execution in a shared
+:class:`repro.clocks.events.EventLog`, against whose vector clocks the
+oracle asserts each compressed verdict (paper formula 3) at check time.
 A traced session needs neither: :func:`repro.obs.analysis.check_verdicts`
 recomputes every verdict from the ``T``s its trace carries.
 
@@ -99,7 +99,7 @@ class StarSession(SessionBase):
         initial_state: Any = None,
         latency_factory: Callable[[int, int], LatencyModel] | None = None,
         verify_with_oracle: bool = False,
-        record_events: bool = True,
+        record_events: bool = False,
         record_checks: bool = False,
         fault_plan: FaultPlan | None = None,
         reliability: bool = False,
@@ -115,6 +115,7 @@ class StarSession(SessionBase):
         # opt-in (and off by default, keeping the perfect-network wire
         # accounting byte-for-byte identical to the paper's).
         self.reliability = reliability = reliability or fault_plan is not None
+        record_events = record_events or verify_with_oracle  # the oracle reads it
         self.event_log = EventLog(n_sites + 1) if record_events else None
         self.notifier = StarNotifier(
             self.sim,
@@ -196,23 +197,20 @@ class StarSession(SessionBase):
         notifier grows ``SV_0`` by one entry) and sent a state snapshot;
         it may generate operations once the snapshot has arrived.
 
-        Dynamic membership is incompatible with the fixed-size
-        ground-truth event log, so it requires ``record_events=False``.
+        A session with an event log refuses: the log's vector clocks
+        have a fixed site count.
         """
         if self.event_log is not None:
             raise ValueError(
-                "dynamic membership needs record_events=False (the event "
-                "log's vector clocks have a fixed site count)"
+                "dynamic membership needs a session without an event log "
+                "(its vector clocks have a fixed site count)"
             )
         site_id = len(self.clients) + 1
         client = StarClient(
             self.sim,
             site_id,
             self._ot_type_name,
-            None,
-            None,
-            False,
-            self._record_checks,
+            record_checks=self._record_checks,
             joining=True,
             reliability=self.reliability,
             tracer=self.tracer,

@@ -6,13 +6,13 @@ any access to the live session: generations and executions give the
 event set, emission order gives each site's program order, and
 snapshot/recovery pairs give the causal edge a state transfer creates.
 :func:`replay_event_log` turns the trace into the ground-truth event
-log a live session records, so the one oracle of
+log an oracle session records, so the one oracle of
 :mod:`repro.analysis.causality` answers for it, and
 :func:`cross_check_causality` compares that relation -- pair by pair --
 with a session's own log, the way model-checking work validates
-replication algorithms against recorded executions.  A cluster run has
-no live log: there the replayed log's DAG is checked against its own
-vector clocks.
+replication algorithms against recorded executions.  A default session
+and a cluster run have no live log: there the replayed log's DAG is
+checked against its own vector clocks.
 
 :func:`check_verdicts` closes the loop on formulas (5) and (7): every
 ``GENERATED``, ``EXECUTED`` and centre ``TRANSFORMED`` event carries its
@@ -49,7 +49,7 @@ class TraceAnalysisError(ValueError):
 def replay_event_log(events: Sequence[TraceEvent]) -> EventLog:
     """The ground-truth event log of a recorded trace.
 
-    Each causally meaningful event becomes the log call a live session
+    Each causally meaningful event becomes the log call an oracle session
     makes at the same point: a ``GENERATED`` a generation, a
     ``TRANSFORMED`` one too the first time its name is seen (the
     notifier's broadcast copy; a client's only notes a transform), an

@@ -34,7 +34,7 @@ def uniform_latencies(seed):
 
 class TestJoinProtocol:
     def test_snapshot_seeds_clock_and_document(self):
-        session = StarSession(2, initial_state="ABCDE", record_events=False)
+        session = StarSession(2, initial_state="ABCDE")
         session.generate_at(1, Insert("12", 1), at=1.0)
         session.generate_at(2, Delete(3, 2), at=1.0)
         new_site = session.add_client(at=5.0)
@@ -48,7 +48,7 @@ class TestJoinProtocol:
         assert session.notifier.sv.as_paper_list() == [1, 1, 0]
 
     def test_joiner_cannot_edit_before_snapshot(self):
-        session = StarSession(1, record_events=False)
+        session = StarSession(1)
         new_site = session.add_client(at=5.0)
         joiner = session.client(new_site)
         with pytest.raises(RuntimeError, match="snapshot"):
@@ -58,7 +58,7 @@ class TestJoinProtocol:
         from repro.editor.messages import SnapshotMessage
         from repro.net.transport import Envelope
 
-        session = StarSession(1, record_events=False)
+        session = StarSession(1)
         new_site = session.add_client(at=1.0)
         session.run(until=2.0)
         joiner = session.client(new_site)
@@ -68,14 +68,30 @@ class TestJoinProtocol:
             )
 
     def test_join_requires_no_event_log(self):
-        session = StarSession(2)  # record_events defaults True
-        with pytest.raises(ValueError, match="record_events"):
+        """A session that keeps the event log (here for the oracle)
+        still refuses a join: the log's vector clocks have a fixed width."""
+        session = StarSession(2, verify_with_oracle=True)
+        with pytest.raises(ValueError, match="event log"):
             session.add_client(at=1.0)
+
+    def test_a_default_session_accepts_a_late_joiner(self):
+        """A default session keeps no event log, so nothing stands in
+        the way of a join: the joiner edits and every site converges."""
+        session = StarSession(2, initial_state="ABCDE")
+        assert session.event_log is None
+        session.generate_at(1, Insert("12", 1), at=1.0)
+        new_site = session.add_client(at=5.0)
+        session.run(until=6.0)
+        session.generate_at(new_site, Insert("!", 0), at=7.0)
+        session.generate_at(2, Delete(1, 0), at=7.0)  # concurrent
+        session.run()
+        assert session.converged(), session.documents()
+        assert session.documents()[0] == "!12BCDE"
 
     def test_notifier_rejects_wrong_site_id(self):
         from repro.editor.star_client import StarClient
 
-        session = StarSession(2, record_events=False)
+        session = StarSession(2)
         rogue = StarClient(session.sim, 9, record_checks=False, joining=True)
         with pytest.raises(ValueError, match="next site id"):
             session.notifier.admit_client(rogue)
@@ -83,7 +99,7 @@ class TestJoinProtocol:
 
 class TestJoinerParticipation:
     def test_joiner_edits_concurrently_with_founders(self):
-        session = StarSession(2, initial_state="ABCDE", record_events=False)
+        session = StarSession(2, initial_state="ABCDE")
         session.generate_at(1, Insert("12", 1), at=1.0)
         session.generate_at(2, Delete(3, 2), at=1.0)
         new_site = session.add_client(at=5.0)
@@ -100,8 +116,7 @@ class TestJoinerParticipation:
         first edit included, and the replayed oracle answers every pair
         (its DAG agrees with its vector clocks)."""
         tracer = Tracer()
-        session = StarSession(2, initial_state="ABCDE", record_events=False,
-                              tracer=tracer)
+        session = StarSession(2, initial_state="ABCDE", tracer=tracer)
         session.generate_at(1, Insert("12", 1), at=1.0)
         session.generate_at(2, Delete(3, 2), at=1.0)
         new_site = session.add_client(at=5.0)
@@ -128,7 +143,6 @@ class TestJoinerParticipation:
             session = StarSession(
                 3,
                 initial_state=config.initial_document,
-                record_events=False,
                 latency_factory=uniform_latencies(seed),
             )
             drive_star_session(session, config)
@@ -147,7 +161,7 @@ class TestJoinerParticipation:
             assert session.converged(), (seed, session.documents())
 
     def test_timestamps_stay_constant_after_join(self):
-        session = StarSession(2, initial_state="ab", record_events=False)
+        session = StarSession(2, initial_state="ab")
         session.generate_at(1, Insert("x", 0), at=1.0)
         new_site = session.add_client(at=2.0)
         session.run(until=3.0)
@@ -162,7 +176,7 @@ class TestJoinerParticipation:
         assert session.converged()
 
     def test_growing_notifier_vector(self):
-        session = StarSession(1, record_events=False)
+        session = StarSession(1)
         assert session.notifier.clock_storage_ints() == 1
         session.add_client(at=1.0)
         session.add_client(at=2.0)

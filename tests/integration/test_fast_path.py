@@ -55,7 +55,6 @@ def run_session(seed: int, diagnostics: bool) -> tuple[StarSession, Broadcasts]:
     session = StarSession(
         5,
         initial_state=config.initial_document,
-        record_events=diagnostics,
         record_checks=diagnostics,
         verify_with_oracle=diagnostics,
     )
@@ -96,7 +95,6 @@ class TestFastPathEquivalence:
             3,
             initial_state=FIG2_INITIAL_DOCUMENT,
             latency_factory=fig_latency_factory,
-            record_events=False,
             record_checks=False,
         )
         stream = tap_broadcasts(session)
@@ -134,7 +132,7 @@ class TestACopyIsItsTwoIntegers:
         monkeypatch.setattr(CompressedTimestamp, "__post_init__", counting)
         config = RandomSessionConfig(n_sites=4, ops_per_site=6, seed=3)
         session = StarSession(4, initial_state=config.initial_document,
-                              record_events=False, record_checks=False)
+                              record_checks=False)
         drive_star_session(session, config)
         session.run()
         assert session.converged()
@@ -148,7 +146,7 @@ class TestACopyIsItsTwoIntegers:
         formulas' documented home -- gives at send time."""
         config = RandomSessionConfig(n_sites=8, ops_per_site=5, seed=seed)
         session = StarSession(8, initial_state=config.initial_document,
-                              record_events=False, record_checks=False)
+                              record_checks=False)
         notifier = session.notifier
         send = notifier.transport.send
         copies = []

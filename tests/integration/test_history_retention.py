@@ -38,7 +38,6 @@ def peak_history(ops_per_site: int) -> tuple[int, StarSession]:
         4,
         initial_state=config.initial_document,
         latency_factory=jitter_latency_factory(0),
-        record_events=False,
         record_checks=True,
     )
     drive_star_session(session, config)
@@ -218,7 +217,6 @@ def test_nothing_grows_with_the_session_but_the_allow_list(reliability):
         4,
         initial_state=config.initial_document,
         latency_factory=jitter_latency_factory(0),
-        record_events=False,
         reliability=reliability,
     )
     drive_star_session(session, config)

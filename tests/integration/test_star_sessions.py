@@ -170,12 +170,12 @@ class TestInvariants:
     def test_an_oracle_without_an_event_log_is_refused(self):
         """``verify_with_oracle`` compares every verdict with the event
         log's clocks: a role without a log would run the sweep and check
-        nothing, so neither role nor session can be built that way."""
+        nothing, so a role built directly that way is refused (a session
+        with the oracle always builds the log)."""
         from repro.editor.star_client import StarClient
         from repro.editor.star_notifier import StarNotifier
 
-        with pytest.raises(ValueError, match="event log"):
-            StarSession(3, verify_with_oracle=True, record_events=False)
+        assert StarSession(3, verify_with_oracle=True).event_log is not None
         sim = StarSession(1).sim
         with pytest.raises(ValueError, match="event log"):
             StarClient(sim, 1, verify_with_oracle=True)
@@ -232,7 +232,7 @@ class TestInvariants:
         generated is refused loudly: nothing leaves ``pending`` and the
         arrival is not executed untransformed."""
         # No event log: it would trip on the bogus arrival on its own.
-        session = StarSession(n_sites=2, initial_state="abc", record_events=False,
+        session = StarSession(n_sites=2, initial_state="abc",
                               record_checks=record_checks)
         client = session.client(1)
         client.generate(Insert("L", 3))
@@ -279,7 +279,7 @@ class TestSequenceRule:
     @staticmethod
     def settled(record_checks):
         # No event log: it would trip on the bogus arrival on its own.
-        session = StarSession(n_sites=2, initial_state="abc", record_events=False,
+        session = StarSession(n_sites=2, initial_state="abc",
                               record_checks=record_checks)
         session.generate_at(1, Insert("x", 0), at=1.0)
         session.generate_at(2, Insert("y", 0), at=5.0)
@@ -340,7 +340,7 @@ class TestSequenceRule:
         """Two joiners admitted at once: each snapshot restates both
         counts, so every later broadcast, to and from a joiner, is the
         next one."""
-        session = StarSession(n_sites=2, initial_state="ab", record_events=False)
+        session = StarSession(n_sites=2, initial_state="ab")
         first = session.add_client(at=1.0)
         second = session.add_client(at=1.0)
         session.run(until=2.0)

@@ -77,7 +77,6 @@ class StarMembershipMachine(RuleBasedStateMachine):
         self.session = StarSession(
             2,
             initial_state=CONFIG.initial_document,
-            record_events=False,
             record_checks=False,
         )
 

@@ -17,6 +17,8 @@ from repro.analysis.causality import CausalityOracle
 from repro.editor.mesh import MeshSession
 from repro.editor.star import StarSession
 from repro.net.channel import FixedLatency, JitterLatency, UniformLatency
+from repro.obs.analysis import replay_event_log
+from repro.obs.tracer import Tracer
 from repro.ot.operations import compose
 from repro.workloads.random_session import (
     RandomSessionConfig,
@@ -45,7 +47,7 @@ def latency_factory(style, seed):
     return lambda s, d: JitterLatency(0.1, 0.8, random.Random(seed * 31 + s * 7 + d))
 
 
-def build_star(params, verify=True, drive=drive_star_session):
+def build_star(params, verify=True, drive=drive_star_session, tracer=None):
     config = RandomSessionConfig(
         n_sites=params["n_sites"],
         ops_per_site=params["ops_per_site"],
@@ -57,6 +59,7 @@ def build_star(params, verify=True, drive=drive_star_session):
         initial_state=config.initial_document,
         latency_factory=latency_factory(params["latency_style"], params["seed"]),
         verify_with_oracle=verify,
+        tracer=tracer,
     )
     drive(session, config)
     return session, config
@@ -132,12 +135,16 @@ class TestStarSessionProperties:
     @given(session_params)
     @settings(max_examples=25, deadline=None)
     def test_ground_truth_concurrency_is_symmetric_and_irreflexive(self, params):
-        session, _ = build_star(params, verify=False)
+        """The ground truth is the traced run's replayed log: every
+        generated operation is in it, so the check is never empty when
+        the run edits."""
+        tracer = Tracer()
+        session, _ = build_star(params, verify=False, tracer=tracer)
         session.run()
-        if session.event_log is None or not session.event_log.op_ids():
-            return
-        oracle = CausalityOracle(session.event_log)
-        ops = session.event_log.op_ids()[:12]
+        oracle = CausalityOracle(replay_event_log(tracer.events))
+        ops = oracle.log.op_ids()
+        assert len(ops) >= params["n_sites"] * params["ops_per_site"]
+        ops = ops[:12]
         for a in ops:
             assert not oracle.concurrent(a, a)
             for b in ops:

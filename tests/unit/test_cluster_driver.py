@@ -8,7 +8,10 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import subprocess
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,12 +60,15 @@ def test_reused_out_dir_is_cleared_of_an_earlier_runs_artifacts(tmp_path, monkey
     assert seen_at_spawn == sorted(kept)
 
 
-class _Pipe(io.StringIO):
-    """A notifier's stdout that notes whether it was closed while the
-    process still ran."""
+class _Pipe(io.TextIOWrapper):
+    """A notifier's stdout (a real pipe: the driver waits on its fd) that
+    notes whether it was closed while the process still ran."""
 
     def __init__(self, text, owner):
-        super().__init__(text)
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, text.encode())
+        os.close(write_fd)
+        super().__init__(os.fdopen(read_fd, "rb"))
         self.owner = owner
         self.closed_while_running = False
 
@@ -106,6 +112,27 @@ def test_every_notifier_pipe_is_closed_once_its_process_is_reaped(tmp_path, monk
     pipes = [proc.stdout for proc in spawned if proc.stdout is not None]
     assert len(spawned) == 4 and len(pipes) == 2 and not announcements
     assert all(pipe.closed and not pipe.closed_while_running for pipe in pipes)
+
+
+def test_the_port_announcement_wait_obeys_its_deadline():
+    """A notifier that is alive but silent cannot hold the driver past
+    the announce deadline: on a pipe written only after 3 s, a 0.5 s
+    wait returns ``None`` within about 1 s, and the line, once written,
+    is still there for the next read."""
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd) as reader:
+        late = threading.Timer(3.0, os.write, (write_fd, b"LISTENING 4321\n"))
+        late.start()
+        try:
+            started = time.monotonic()
+            assert driver._read_port(reader, 0.5) is None
+            assert time.monotonic() - started < 1.0
+        finally:
+            late.cancel()
+            late.join()
+        os.write(write_fd, b"LISTENING 4321\n")
+        os.close(write_fd)
+        assert driver._read_port(reader, 0.5) == 4321
 
 
 # -- reading the traces ----------------------------------------------------------

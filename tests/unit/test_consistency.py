@@ -75,7 +75,7 @@ def fig2_trace() -> list[TraceEvent]:
     tracer = Tracer()
     session = StarSession(3, initial_state=FIG2_INITIAL_DOCUMENT,
                           latency_factory=fig_latency_factory,
-                          record_events=False, tracer=tracer)
+                          tracer=tracer)
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time)
     session.run()
@@ -89,8 +89,7 @@ class TestReplayAsIs:
         replay gives each client the pairwise checker's naive order."""
         o1, o2 = Insert("12", 1), Delete(3, 2)
         tracer = Tracer()
-        session = StarSession(2, initial_state="ABCDE", record_events=False,
-                              tracer=tracer)
+        session = StarSession(2, initial_state="ABCDE", tracer=tracer)
         ops = {}
 
         def edit(site, op):
