@@ -11,6 +11,17 @@ tag-value encoding:
 * operations: 1-byte tag + fields (``Insert``: pos + text; ``Delete``:
   pos + count; groups: member count + members).
 
+Encoders return ``bytes``: each fixed-width run of fields is one
+``Struct.pack`` (table: DESIGN 5.4), and a string's bytes follow the run
+that ends in its length.  Decoders read ``data`` at an offset and return
+the value with the offset after it, so a frame is read in one pass with
+no cursor object.  Inside, an unfit value is :data:`UNFIT` and input
+that is short or not UTF-8 is :data:`MALFORMED` (``struct.error`` and its
+kin); the entry points -- :func:`encode_op_message` and
+:func:`decode_op_message` here, the frame encoders and
+:func:`~repro.net.wire.decode_frame` in :mod:`repro.net.wire` -- turn
+them into :class:`CodecError`.
+
 ``encode_op_message`` / ``decode_op_message`` round-trip the full
 :class:`repro.editor.messages.OpMessage`; the property suite checks
 ``decode(encode(m)) == m`` and that measured sizes match
@@ -21,15 +32,10 @@ framing overhead.
 from __future__ import annotations
 
 import struct
-from typing import Any
 
 from repro.editor.messages import OpMessage
 from repro.ot.operations import Delete, Identity, Insert, Operation, OperationGroup
 
-# One layout per fixed-width *run* of fields (table: DESIGN 5.4), packed
-# or unpacked in one call; a string's bytes follow the run that ends in
-# its length.
-_U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 _TIMESTAMP = struct.Struct(">II")
 _OP_HEAD = struct.Struct(">III")  # timestamp, origin site
@@ -41,109 +47,39 @@ TAG_DELETE = 0x02
 TAG_IDENTITY = 0x03
 TAG_GROUP = 0x04
 
+_IDENTITY = bytes((TAG_IDENTITY,))
+
+#: What the encoders raise on a value that does not fit its field, and
+#: the readers on input that ends early or is not UTF-8.
+UNFIT = (struct.error, TypeError)
+MALFORMED = (struct.error, IndexError, UnicodeDecodeError)
+
+
 class CodecError(ValueError):
     """Raised on malformed wire data."""
 
 
-class Writer:
-    """An append-only byte buffer with typed writers."""
-
-    def __init__(self) -> None:
-        self._chunks: list[bytes] = []
-
-    def pack(self, layout: struct.Struct, *values: Any) -> "Writer":
-        """Append one fixed-width run.  The one place a value meets its
-        field's width: what does not fit (-1, 2**32, a non-number) is typed."""
-        try:
-            self._chunks.append(layout.pack(*values))
-        except struct.error as exc:
-            raise CodecError(f"{values} do not fit {layout.format!r}: {exc}") from exc
-        return self
-
-    def u8(self, value: int) -> "Writer":
-        return self.pack(_U8, value)
-
-    def u32(self, value: int) -> "Writer":
-        return self.pack(_U32, value)
-
-    def string(self, value: str) -> "Writer":
-        data = value.encode("utf-8")
-        return self.pack(_U32, len(data)).raw(data)
-
-    def raw(self, data: bytes) -> "Writer":
-        """Append pre-encoded bytes verbatim (embedded messages, and the
-        UTF-8 bytes of a string whose length closed the run before)."""
-        self._chunks.append(data)
-        return self
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
+def unfit(value: object, exc: Exception) -> CodecError:
+    """The error for ``value``, which holds a field the wire cannot carry."""
+    return CodecError(f"{value!r} does not fit the wire: {exc}")
 
 
-class Reader:
-    """A cursor over received bytes with typed readers."""
+def malformed(exc: Exception) -> CodecError:
+    """The error for input a reader could not read to its end."""
+    if isinstance(exc, UnicodeDecodeError):
+        return CodecError(f"string is not UTF-8: {exc}")
+    return CodecError(f"truncated message: {exc}")
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
 
-    def _truncated(self, wanted: int) -> CodecError:
-        return CodecError(
-            f"truncated message: wanted {wanted} bytes at offset {self._pos}, "
-            f"have {len(self._data) - self._pos}"
-        )
+def truncated_text(length: int, pos: int, data: bytes) -> CodecError:
+    """A string past the end of ``data`` (a short slice does not raise)."""
+    return CodecError(f"truncated message: wanted {length} bytes of text at "
+                      f"offset {pos}, have {len(data) - pos}")
 
-    def unpack(self, layout: struct.Struct) -> tuple[Any, ...]:
-        """Take one fixed-width run: the fields of ``layout``, bounds
-        checked once for the whole run."""
-        pos = self._pos
-        try:
-            values = layout.unpack_from(self._data, pos)
-        except struct.error:
-            raise self._truncated(layout.size) from None
-        self._pos = pos + layout.size
-        return values
 
-    def peek(self) -> int:
-        """The next byte, not consumed: the tag that names the run it opens."""
-        if self._pos >= len(self._data):
-            raise self._truncated(1)
-        return self._data[self._pos]
-
-    def u8(self) -> int:
-        return self.unpack(_U8)[0]
-
-    def u32(self) -> int:
-        return self.unpack(_U32)[0]
-
-    def string(self) -> str:
-        return self.text(self.u32())
-
-    def raw(self, n: int) -> bytes:
-        """Take ``n`` bytes verbatim (for embedded messages)."""
-        end = self._pos + n
-        if end > len(self._data):
-            raise self._truncated(n)
-        out = self._data[self._pos : end]
-        self._pos = end
-        return out
-
-    def text(self, n: int) -> str:
-        """Take ``n`` bytes as UTF-8: a string whose length closed the
-        run before.  Bytes that are not UTF-8 are malformed wire data."""
-        try:
-            return self.raw(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"string is not UTF-8: {exc}") from exc
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)
-
-    def expect_done(self) -> None:
-        if not self.done():
-            raise CodecError(
-                f"{len(self._data) - self._pos} trailing bytes after message"
-            )
+def trailing(data: bytes, end: int) -> CodecError:
+    """Bytes after the value that should have ended ``data``."""
+    return CodecError(f"{len(data) - end} trailing bytes after message")
 
 
 # -- operations ---------------------------------------------------------------
@@ -152,46 +88,53 @@ class Reader:
 MAX_GROUP_DEPTH = 16
 
 
-def encode_operation(op: Operation, writer: Writer) -> None:
+def encode_operation(op: Operation) -> bytes:
     """Serialise a positional operation (or group)."""
     if isinstance(op, Insert):
         text = op.text.encode("utf-8")
-        writer.pack(_OP_FIELDS, TAG_INSERT, op.pos, len(text)).raw(text)
-    elif isinstance(op, Delete):
-        writer.pack(_OP_FIELDS, TAG_DELETE, op.pos, op.count)
-    elif isinstance(op, Identity):
-        writer.u8(TAG_IDENTITY)
-    elif isinstance(op, OperationGroup):
-        writer.pack(_GROUP_HEAD, TAG_GROUP, len(op.members))
-        for member in op.members:
-            encode_operation(member, writer)
-    else:
-        raise CodecError(f"cannot encode operation type {type(op).__name__}")
+        return _OP_FIELDS.pack(TAG_INSERT, op.pos, len(text)) + text
+    if isinstance(op, Delete):
+        return _OP_FIELDS.pack(TAG_DELETE, op.pos, op.count)
+    if isinstance(op, Identity):
+        return _IDENTITY
+    if isinstance(op, OperationGroup):
+        members = op.members
+        return _GROUP_HEAD.pack(TAG_GROUP, len(members)) + b"".join(
+            [encode_operation(member) for member in members])
+    raise CodecError(f"cannot encode operation type {type(op).__name__}")
 
 
-def decode_operation(reader: Reader, depth: int = 0) -> Operation:
-    """Read one operation, at most :data:`MAX_GROUP_DEPTH` groups deep.
+def decode_operation(data: bytes, pos: int, depth: int = 0) -> tuple[Operation, int]:
+    """Read one operation at ``pos``, at most :data:`MAX_GROUP_DEPTH`
+    groups deep; returns it and the offset after it.
 
     Every transformation ends in ``simplify``, so the OT layer sends a
     group of primitives at most (depth 1); 16 leaves room for hand-built
     operations, and a frame of nested group heads is a ``CodecError``
     long before it is the interpreter's recursion limit."""
-    tag = reader.peek()
+    tag = data[pos]
     if tag == TAG_INSERT:
-        _, pos, length = reader.unpack(_OP_FIELDS)
-        return Insert(reader.text(length), pos)
+        _, at, length = _OP_FIELDS.unpack_from(data, pos)
+        pos += 9
+        end = pos + length
+        if end > len(data):
+            raise truncated_text(length, pos, data)
+        return Insert(str(data[pos:end], "utf-8"), at), end
     if tag == TAG_DELETE:
-        _, pos, count = reader.unpack(_OP_FIELDS)
-        return Delete(count, pos)
+        _, at, count = _OP_FIELDS.unpack_from(data, pos)
+        return Delete(count, at), pos + 9
     if tag == TAG_IDENTITY:
-        reader.u8()
-        return Identity()
+        return Identity(), pos + 1
     if tag == TAG_GROUP:
         if depth >= MAX_GROUP_DEPTH:
             raise CodecError(f"operation groups nested deeper than {MAX_GROUP_DEPTH}")
-        _, count = reader.unpack(_GROUP_HEAD)
-        return OperationGroup(
-            tuple(decode_operation(reader, depth + 1) for _ in range(count)))
+        _, count = _GROUP_HEAD.unpack_from(data, pos)
+        pos += 5
+        members = []
+        for _ in range(count):
+            member, pos = decode_operation(data, pos, depth + 1)
+            members.append(member)
+        return OperationGroup(tuple(members)), pos
     raise CodecError(f"unknown operation tag 0x{tag:02x}")
 
 
@@ -209,34 +152,31 @@ def encode_op_message(message: OpMessage) -> bytes:
     encoded leaves the body's bytes on their ``shared`` record for the
     rest.
     """
-    shared = message.shared
-    if shared is None:
-        return _encode_op_body(message, _OP_HEAD, message.first, message.second)
-    if shared.wire is None:
-        shared.wire = _encode_op_body(message, _U32)
-    return Writer().pack(_TIMESTAMP, message.first, message.second).raw(
-        shared.wire).getvalue()
+    try:
+        shared = message.shared
+        if shared is None:
+            return (_OP_HEAD.pack(message.first, message.second, message.origin_site)
+                    + encode_operation(message.op))
+        if shared.wire is None:
+            shared.wire = _U32.pack(message.origin_site) + encode_operation(message.op)
+        return _TIMESTAMP.pack(message.first, message.second) + shared.wire
+    except UNFIT as exc:
+        raise unfit(message, exc) from exc
 
 
-def _encode_op_body(message: OpMessage, head: struct.Struct, *stamp: int) -> bytes:
-    """Everything after the timestamp: the origin, then the operation.
-    With a ``stamp`` (and the head that has room for it) the timestamp
-    leads the body's first run, and the bytes are the whole message."""
-    writer = Writer().pack(head, *stamp, message.origin_site)
-    encode_operation(message.op, writer)
-    return writer.getvalue()
-
-
-def read_op_message(reader: Reader) -> OpMessage:
-    """Read one op message at ``reader``'s cursor; what follows it is
-    the caller's to refuse (a wire frame ends at its op)."""
-    first, second, origin_site = reader.unpack(_OP_HEAD)
-    op = decode_operation(reader)
-    return OpMessage(op, first, second, origin_site)
+def read_op_message(data: bytes, pos: int) -> tuple[OpMessage, int]:
+    """Read one op message at ``pos``; returns it and the offset after
+    it.  What follows is the caller's to refuse (a frame ends at its op)."""
+    first, second, origin_site = _OP_HEAD.unpack_from(data, pos)
+    op, end = decode_operation(data, pos + 12)
+    return OpMessage(op, first, second, origin_site), end
 
 
 def decode_op_message(data: bytes) -> OpMessage:
-    reader = Reader(data)
-    message = read_op_message(reader)
-    reader.expect_done()
+    try:
+        message, end = read_op_message(data, 0)
+    except MALFORMED as exc:
+        raise malformed(exc) from exc
+    if end != len(data):
+        raise trailing(data, end)
     return message

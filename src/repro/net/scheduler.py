@@ -47,7 +47,8 @@ class Scheduler(Protocol):
     accepted by ``cancel``; cancelling is idempotent, and a no-op once the
     event fired.  ``next_message_id`` allocates ids unique within this
     scheduler -- per-scheduler (not process-global) so two sessions in
-    one process produce identical id streams for identical seeds.
+    one process produce identical id streams for identical seeds;
+    ``peek_message_id`` is the next one, not yet allocated.
     """
 
     @property
@@ -65,6 +66,8 @@ class Scheduler(Protocol):
     def run(self, until: float | None = None, max_events: int | None = None) -> int: ...
 
     def next_message_id(self) -> int: ...
+
+    def peek_message_id(self) -> int: ...
 
 
 class AsyncioScheduler(Simulator):

@@ -45,7 +45,7 @@ class Simulator:
         self._now = 0.0
         self._processed = 0
         self._pending = 0  # live count of scheduled, non-cancelled events
-        self._message_ids = itertools.count()
+        self._next_message_id = 0
 
     def next_message_id(self) -> int:
         """Allocate a message id unique within this simulation.
@@ -53,7 +53,14 @@ class Simulator:
         Per-simulator (not process-global) so two sessions built in the
         same process produce identical id streams for identical seeds.
         """
-        return next(self._message_ids)
+        mid = self._next_message_id
+        self._next_message_id = mid + 1
+        return mid
+
+    def peek_message_id(self) -> int:
+        """The id :meth:`next_message_id` allocates next, left free: a
+        sender that may yet refuse a message numbers it with this."""
+        return self._next_message_id
 
     @property
     def now(self) -> float:

@@ -41,6 +41,9 @@ the *exact* bytes of :func:`~repro.net.codec.encode_op_message`, so the
 overhead accounting measured in the simulator is the same accounting
 that crosses the socket.  It needs no length: an op is always the
 frame's last field, read to the end (trailing bytes are refused).
+A frame is built and read in one pass, as :mod:`repro.net.codec` does
+an op: a run of fixed-width fields is one ``Struct`` call and ends in
+the tag of the payload after it.
 Reliability packets carry their payload inline, one level deep; the
 failover vocabulary (snapshot / resync / elect / promote /
 contribution) has its own tags so a cluster can exercise crash
@@ -72,11 +75,15 @@ from repro.editor.messages import (
 )
 from repro.net.channel import Channel
 from repro.net.codec import (
+    MALFORMED,
+    UNFIT,
     CodecError,
-    Reader,
-    Writer,
     encode_op_message,
+    malformed,
     read_op_message,
+    trailing,
+    truncated_text,
+    unfit,
 )
 from repro.net.reliability import ReliablePacket
 from repro.net.scheduler import Scheduler
@@ -109,10 +116,15 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 _LENGTH_PREFIX = struct.Struct(">I")
 LENGTH_PREFIX_BYTES = _LENGTH_PREFIX.size
 
-# The fixed-width runs of the hot frames, one layout each (the table is
-# DESIGN 5.4); a string's bytes follow the run that ends in its length.
-_DATA_HEAD = struct.Struct(">BIII")  # tag, source, dest, message id + 1
-_RELIABLE_HEAD = struct.Struct(">BIIIB")  # tag, seq + 1, epoch, ack + 1, flags
+# The fixed-width runs, one layout each (the table is DESIGN 5.4).  A
+# run ends in the tag of the payload that follows it, or in the length
+# of the string whose bytes follow it.
+_DATA_HEAD = struct.Struct(">BIIIB")  # tag, source, dest, message id + 1, payload tag
+_RELIABLE_HEAD = struct.Struct(">IIIBB")  # seq + 1, epoch, ack + 1, flags, payload tag
+_U32 = struct.Struct(">I")
+_PAIR = struct.Struct(">II")
+_TAG_U32 = struct.Struct(">BI")
+_TAG_PAIR = struct.Struct(">BII")
 
 
 class WireError(CodecError):
@@ -151,84 +163,92 @@ class Drained:
 
 
 # -- payload encoding ----------------------------------------------------------
+# A DATA frame or a reliable packet carries an op nearly always, so each
+# reads and writes its op itself; these two hold every other payload.
 
 
-def _encode_payload(payload: Any, writer: Writer) -> None:
-    if payload is None:
-        writer.u8(PAYLOAD_NONE)
-    elif isinstance(payload, OpMessage):
-        # Embed the codec's exact bytes: the wire carries the same
-        # serialisation the simulator's accounting charges.
-        writer.u8(PAYLOAD_OP).raw(encode_op_message(payload))
-    elif isinstance(payload, ReliablePacket):
-        writer.pack(
-            _RELIABLE_HEAD, PAYLOAD_RELIABLE,
+def _encode_payload(payload: Any) -> tuple[int, bytes]:
+    """A payload other than an op: its tag, which closes the run before
+    it, and its bytes."""
+    if isinstance(payload, ReliablePacket):
+        inner = payload.payload
+        tag, body = ((PAYLOAD_OP, encode_op_message(inner))
+                     if isinstance(inner, OpMessage) else _encode_payload(inner))
+        flags = ((RELIABLE_PROBE if payload.probe else 0)
+                 | (RELIABLE_GAP if payload.gap else 0))
+        return PAYLOAD_RELIABLE, _RELIABLE_HEAD.pack(
             payload.seq + 1, payload.epoch, payload.ack + 1,  # seq/ack are >= -1
-            (RELIABLE_PROBE if payload.probe else 0)
-            | (RELIABLE_GAP if payload.gap else 0))
-        _encode_payload(payload.payload, writer)
-    elif isinstance(payload, SnapshotMessage):
+            flags, tag) + body
+    if payload is None:
+        return PAYLOAD_NONE, b""
+    if isinstance(payload, SnapshotMessage):
         if not isinstance(payload.document, str):
             raise WireError(
                 f"only text documents cross the wire, got "
                 f"{type(payload.document).__name__}"
             )
-        writer.u8(PAYLOAD_SNAPSHOT)
-        writer.string(payload.document)
-        writer.u32(payload.notifier_epoch)
-        writer.u32(len(payload.counts))
-        for count in payload.counts:
-            writer.u32(count)
-    elif isinstance(payload, ResyncRequest):
-        writer.u8(PAYLOAD_RESYNC).u32(payload.epoch)
-    elif isinstance(payload, ElectMessage):
-        writer.u8(PAYLOAD_ELECT).u32(payload.notifier_epoch)
-    elif isinstance(payload, PromoteMessage):
-        writer.u8(PAYLOAD_PROMOTE).u32(payload.successor).u32(payload.notifier_epoch)
-    elif isinstance(payload, StateContribution):
-        writer.u8(PAYLOAD_CONTRIB).u32(payload.acknowledged)
-    else:
-        raise WireError(f"cannot encode payload type {type(payload).__name__}")
+        document = payload.document.encode("utf-8")
+        counts = payload.counts
+        return PAYLOAD_SNAPSHOT, (
+            _U32.pack(len(document)) + document
+            + struct.pack(f">II{len(counts)}I", payload.notifier_epoch,
+                          len(counts), *counts))
+    if isinstance(payload, ResyncRequest):
+        return PAYLOAD_RESYNC, _U32.pack(payload.epoch)
+    if isinstance(payload, ElectMessage):
+        return PAYLOAD_ELECT, _U32.pack(payload.notifier_epoch)
+    if isinstance(payload, PromoteMessage):
+        return PAYLOAD_PROMOTE, _PAIR.pack(payload.successor, payload.notifier_epoch)
+    if isinstance(payload, StateContribution):
+        return PAYLOAD_CONTRIB, _U32.pack(payload.acknowledged)
+    raise WireError(f"cannot encode payload type {type(payload).__name__}")
 
 
-def _decode_payload(reader: Reader, nested: bool = False) -> Any:
-    tag = reader.peek()
-    if tag == PAYLOAD_OP:
-        reader.u8()  # the op is the frame's last field: decode_frame ends it
-        return read_op_message(reader)
+def _decode_payload(tag: int, data: bytes, pos: int,
+                    nested: bool = False) -> tuple[Any, int]:
+    """Read the payload ``tag`` names at ``pos`` (any but an op);
+    returns it and the offset after it."""
     if tag == PAYLOAD_RELIABLE:
         if nested:
             # No sender wraps a packet in a packet; following a chain
             # of heads would hand a hostile frame the recursion limit.
             raise WireError("reliable packet nested in a reliable packet")
-        _, seq, epoch, ack, flags = reader.unpack(_RELIABLE_HEAD)
+        seq, epoch, ack, flags, inner = _RELIABLE_HEAD.unpack_from(data, pos)
         if flags & ~(RELIABLE_PROBE | RELIABLE_GAP):
             raise WireError(f"unknown reliable-packet flags 0x{flags:02x}")
         if flags & RELIABLE_PROBE and seq != 0:
             # ReliablePacket would refuse it with a bare ValueError, which
             # no reader of this wire catches.
             raise WireError(f"a probe is unsequenced, got seq {seq - 1}")
-        payload = _decode_payload(reader, nested=True)
+        pos += 14
+        payload, end = (read_op_message(data, pos) if inner == PAYLOAD_OP
+                        else _decode_payload(inner, data, pos, nested=True))
         return ReliablePacket(seq - 1, epoch, ack - 1, payload,
-                              bool(flags & RELIABLE_PROBE), bool(flags & RELIABLE_GAP))
-    reader.u8()  # the cold payloads: the tag, then field by field
+                              bool(flags & RELIABLE_PROBE),
+                              bool(flags & RELIABLE_GAP)), end
     if tag == PAYLOAD_NONE:
-        return None
+        return None, pos
     if tag == PAYLOAD_SNAPSHOT:
-        document = reader.string()
-        notifier_epoch = reader.u32()
-        counts = tuple(reader.u32() for _ in range(reader.u32()))
+        (length,) = _U32.unpack_from(data, pos)
+        pos += 4
+        end = pos + length
+        if end > len(data):
+            raise truncated_text(length, pos, data)
+        document = str(data[pos:end], "utf-8")
+        notifier_epoch, n = _PAIR.unpack_from(data, end)
+        counts = struct.unpack_from(f">{n}I", data, end + 8)
         return SnapshotMessage(document=document, counts=counts,
-                               notifier_epoch=notifier_epoch)
+                               notifier_epoch=notifier_epoch), end + 8 + 4 * n
     if tag == PAYLOAD_RESYNC:
-        return ResyncRequest(epoch=reader.u32())
+        return ResyncRequest(epoch=_U32.unpack_from(data, pos)[0]), pos + 4
     if tag == PAYLOAD_ELECT:
-        return ElectMessage(notifier_epoch=reader.u32())
+        return ElectMessage(notifier_epoch=_U32.unpack_from(data, pos)[0]), pos + 4
     if tag == PAYLOAD_PROMOTE:
-        successor = reader.u32()
-        return PromoteMessage(successor=successor, notifier_epoch=reader.u32())
+        successor, notifier_epoch = _PAIR.unpack_from(data, pos)
+        return PromoteMessage(successor=successor,
+                              notifier_epoch=notifier_epoch), pos + 8
     if tag == PAYLOAD_CONTRIB:
-        return StateContribution(acknowledged=reader.u32())
+        return StateContribution(acknowledged=_U32.unpack_from(data, pos)[0]), pos + 4
     raise WireError(f"unknown payload tag 0x{tag:02x}")
 
 
@@ -238,34 +258,45 @@ def _decode_payload(reader: Reader, nested: bool = False) -> Any:
 def encode_hello(pid: int, listen_port: int = 0) -> bytes:
     """The connection-opening frame body: who is dialing in, and the
     port the dialer's own failover listener is bound to (0 = none)."""
-    return Writer().u8(FRAME_HELLO).u32(pid).u32(listen_port).getvalue()
+    try:
+        return _TAG_PAIR.pack(FRAME_HELLO, pid, listen_port)
+    except UNFIT as exc:
+        raise unfit((pid, listen_port), exc) from exc
 
 
 def encode_roster(ports: dict[int, int]) -> bytes:
     """The membership table as a ROSTER frame body (no length prefix)."""
-    writer = Writer().u8(FRAME_ROSTER).u32(len(ports))
-    for site in sorted(ports):
-        writer.u32(site).u32(ports[site])
-    return writer.getvalue()
+    try:
+        return _TAG_U32.pack(FRAME_ROSTER, len(ports)) + b"".join(
+            [_PAIR.pack(site, ports[site]) for site in sorted(ports)])
+    except UNFIT as exc:
+        raise unfit(ports, exc) from exc
 
 
 def encode_goodbye() -> bytes:
     """The orderly end-of-session marker as a GOODBYE frame body."""
-    return Writer().u8(FRAME_GOODBYE).getvalue()
+    return bytes((FRAME_GOODBYE,))
 
 
 def encode_drained(site: int) -> bytes:
     """A client's workload-complete signal as a DRAINED frame body."""
-    return Writer().u8(FRAME_DRAINED).u32(site).getvalue()
+    try:
+        return _TAG_U32.pack(FRAME_DRAINED, site)
+    except UNFIT as exc:
+        raise unfit(site, exc) from exc
 
 
 def encode_envelope(envelope: Envelope) -> bytes:
     """One envelope as a DATA frame body (no length prefix)."""
+    payload = envelope.payload
     mid = envelope.message_id
-    writer = Writer().pack(_DATA_HEAD, FRAME_DATA, envelope.source, envelope.dest,
-                           0 if mid is None else mid + 1)
-    _encode_payload(envelope.payload, writer)
-    return writer.getvalue()
+    try:
+        tag, body = ((PAYLOAD_OP, encode_op_message(payload))
+                     if isinstance(payload, OpMessage) else _encode_payload(payload))
+        return _DATA_HEAD.pack(FRAME_DATA, envelope.source, envelope.dest,
+                               0 if mid is None else mid + 1, tag) + body
+    except UNFIT as exc:
+        raise unfit(envelope, exc) from exc
 
 
 FrameValue = Union[Hello, Envelope, Roster, Goodbye, Drained]
@@ -274,33 +305,38 @@ FrameValue = Union[Hello, Envelope, Roster, Goodbye, Drained]
 def decode_frame(body: bytes) -> FrameValue:
     """Decode a frame body: HELLO -> Hello, DATA -> Envelope,
     ROSTER/GOODBYE/DRAINED -> their control dataclasses."""
-    reader = Reader(body)
-    if reader.peek() == FRAME_DATA:
-        _, source, dest, raw_mid = reader.unpack(_DATA_HEAD)
-        payload = _decode_payload(reader)
-        reader.expect_done()
-        return Envelope(source, dest, payload, None if raw_mid == 0 else raw_mid - 1)
-    tag = reader.u8()
-    if tag == FRAME_HELLO:
-        pid = reader.u32()
-        listen_port = reader.u32()
-        reader.expect_done()
-        return Hello(pid=pid, listen_port=listen_port)
-    if tag == FRAME_ROSTER:
-        ports = {}
-        for _ in range(reader.u32()):
-            site = reader.u32()
-            ports[site] = reader.u32()
-        reader.expect_done()
-        return Roster(ports=ports)
-    if tag == FRAME_GOODBYE:
-        reader.expect_done()
-        return Goodbye()
-    if tag == FRAME_DRAINED:
-        site = reader.u32()
-        reader.expect_done()
-        return Drained(site=site)
-    raise WireError(f"unknown frame tag 0x{tag:02x}")
+    value: FrameValue
+    try:
+        tag = body[0]
+        if tag == FRAME_DATA:
+            _, source, dest, raw_mid, kind = _DATA_HEAD.unpack_from(body, 0)
+            payload, end = (read_op_message(body, 14) if kind == PAYLOAD_OP
+                            else _decode_payload(kind, body, 14))
+            value = Envelope(source, dest, payload, None if raw_mid == 0 else raw_mid - 1)
+        elif tag == FRAME_HELLO:
+            _, pid, listen_port = _TAG_PAIR.unpack_from(body, 0)
+            value, end = Hello(pid=pid, listen_port=listen_port), 9
+        elif tag == FRAME_ROSTER:
+            _, count = _TAG_U32.unpack_from(body, 0)
+            end = 5
+            ports = {}
+            for _ in range(count):
+                site, port = _PAIR.unpack_from(body, end)
+                ports[site] = port
+                end += 8
+            value = Roster(ports=ports)
+        elif tag == FRAME_GOODBYE:
+            value, end = Goodbye(), 1
+        elif tag == FRAME_DRAINED:
+            _, site = _TAG_U32.unpack_from(body, 0)
+            value, end = Drained(site=site), 5
+        else:
+            raise WireError(f"unknown frame tag 0x{tag:02x}")
+    except MALFORMED as exc:
+        raise malformed(exc) from exc
+    if end != len(body):
+        raise trailing(body, end)
+    return value
 
 
 def frame(body: bytes) -> bytes:
@@ -364,9 +400,19 @@ class WireChannel(Channel):
         """
         if self.writer.is_closing():
             return self.sim.now
+        # Framed under the id it is about to be given, and only then
+        # admitted: a frame the codec refuses draws no id and no count.
+        fresh = envelope.message_id is None
+        if fresh:
+            envelope.message_id = self.sim.peek_message_id()
+        try:
+            data = frame(encode_envelope(envelope))
+        finally:
+            if fresh:
+                envelope.message_id = None
         self._admit(envelope)
         try:
-            self.writer.write(frame(encode_envelope(envelope)))
+            self.writer.write(data)
         except (ConnectionError, RuntimeError):
             pass  # torn down between the check and the write: dropped too
         return self.sim.now

@@ -497,7 +497,7 @@ class TestBroadcastOnce:
         encode_operation = codec.encode_operation
         monkeypatch.setattr(
             codec, "encode_operation",
-            lambda op, writer: encoded.append(op) or encode_operation(op, writer),
+            lambda op: encoded.append(op) or encode_operation(op),
         )
         for envelopes in siblings.values():
             assert len(envelopes) == self.N_SITES - 1

@@ -4,12 +4,10 @@ import struct
 
 import pytest
 
-from repro.editor.messages import OpMessage
+from repro.editor.messages import BroadcastBody, OpMessage
 from repro.net.codec import (
     MAX_GROUP_DEPTH,
     CodecError,
-    Reader,
-    Writer,
     decode_op_message,
     decode_operation,
     encode_op_message,
@@ -18,68 +16,83 @@ from repro.net.codec import (
 from repro.ot.operations import Delete, Identity, Insert, OperationGroup, compose
 
 
+def _insert_message(text: bytes) -> bytes:
+    """An op message whose insert carries ``text`` verbatim (UTF-8 or not)."""
+    return struct.pack(">IIIBII", 0, 1, 1, 0x01, 0, len(text)) + text
+
+
 class TestPrimitives:
+    """The field conventions, through the public encoders and decoders:
+    u32 integers, u8 tags, strings as a length then UTF-8 bytes, one
+    ``Struct`` per fixed-width run, and every malformed input typed."""
+
     def test_u32_roundtrip(self):
-        writer = Writer()
-        writer.u32(0).u32(0xFFFFFFFF).u32(12345)
-        reader = Reader(writer.getvalue())
-        assert (reader.u32(), reader.u32(), reader.u32()) == (0, 0xFFFFFFFF, 12345)
-        assert reader.done()
+        message = OpMessage(Delete(12345, 0xFFFFFFFF), 0, 0xFFFFFFFF, 12345)
+        wire = encode_op_message(message)
+        assert wire[:12] == bytes.fromhex("00000000" "ffffffff" "00003039")
+        assert decode_op_message(wire) == message
 
     def test_u32_range_check(self):
-        with pytest.raises(CodecError):
-            Writer().u32(-1)
-        with pytest.raises(CodecError):
-            Writer().u32(2**32)
+        for value in (-1, 2**32):
+            with pytest.raises(CodecError, match="does not fit"):
+                encode_op_message(OpMessage(Insert("x", 0), value, 0, 1))
+            with pytest.raises(CodecError, match="does not fit"):
+                encode_op_message(OpMessage(Identity(), 0, 0, value, BroadcastBody()))
 
     def test_u8_range_check(self):
-        with pytest.raises(CodecError):
-            Writer().u8(256)
+        """The one-byte fields are tags: no caller's value is packed into
+        one, and a byte outside the four operation tags is refused."""
+        head = struct.pack(">III", 0, 1, 1)
+        for tag in [0x00, *range(0x05, 0x100)]:
+            with pytest.raises(CodecError, match="unknown operation tag"):
+                decode_op_message(head + bytes((tag,)) + bytes(8))
 
     def test_string_roundtrip_unicode(self):
-        writer = Writer()
-        writer.string("héllo ✓")
-        assert Reader(writer.getvalue()).string() == "héllo ✓"
+        wire = encode_operation(Insert("héllo ✓", 3))
+        assert wire[5:9] == struct.pack(">I", len("héllo ✓".encode("utf-8")))
+        assert decode_operation(wire, 0) == (Insert("héllo ✓", 3), len(wire))
 
     def test_truncated_read_raises(self):
         with pytest.raises(CodecError, match="truncated"):
-            Reader(b"\x00\x01").u32()
+            decode_op_message(b"\x00\x01")
 
     def test_trailing_bytes_detected(self):
-        reader = Reader(b"\x00\x00\x00\x01extra")
-        reader.u32()
-        with pytest.raises(CodecError, match="trailing"):
-            reader.expect_done()
+        wire = encode_op_message(OpMessage(Identity(), 0, 1, 1))
+        with pytest.raises(CodecError, match="5 trailing"):
+            decode_op_message(wire + b"extra")
 
     def test_a_run_is_packed_and_unpacked_whole(self):
-        layout = struct.Struct(">BIId")
-        wire = Writer().pack(layout, 7, 0xFFFFFFFF, 0, 2.5).getvalue()
-        assert len(wire) == layout.size == 17
-        reader = Reader(wire + b"\x09")
-        assert reader.unpack(layout) == (7, 0xFFFFFFFF, 0, 2.5)
-        assert reader.peek() == 9 and not reader.done()  # peek consumes nothing
-        assert reader.u8() == 9 and reader.done()
+        """The message head (T, origin) and a delete's fields are two runs;
+        decoding reads at an offset and returns the offset after."""
+        message = OpMessage(Delete(2, 7), 1, 2, 3)
+        wire = encode_op_message(message)
+        assert wire == struct.pack(">III", 1, 2, 3) + struct.pack(">BII", 0x02, 7, 2)
+        assert decode_operation(b"\x09" + wire, 13) == (Delete(2, 7), 22)
 
-    @pytest.mark.parametrize("values", [(256, 0), (0, -1), (0, 2**32), (0, "x")])
+    @pytest.mark.parametrize("values", [(2**32, 0), (0, -1), (0, 2**32), (0, "x")])
     def test_a_value_that_does_not_fit_its_field_is_a_codec_error(self, values):
-        with pytest.raises(CodecError, match="do not fit"):
-            Writer().pack(struct.Struct(">BI"), *values)
+        first, origin = values
+        with pytest.raises(CodecError, match="does not fit"):
+            encode_op_message(OpMessage(Identity(), first, 0, origin))  # type: ignore[arg-type]
 
     def test_a_short_run_is_truncation_and_consumes_nothing(self):
-        reader = Reader(b"\x01\x00\x00")
-        with pytest.raises(CodecError, match="truncated.*wanted 5 bytes at offset 0"):
-            reader.unpack(struct.Struct(">BI"))
-        assert reader.u8() == 1
-        with pytest.raises(CodecError, match="truncated"):
-            Reader(b"").peek()
+        """A run that ends early, a missing tag byte and a string longer
+        than what is left are truncation; no reader holds a cursor, so the
+        same bytes, completed, decode whole."""
+        wire = _insert_message(b"ab")
+        for cut in (5, 12, 16, len(wire) - 1):
+            with pytest.raises(CodecError, match="truncated"):
+                decode_op_message(wire[:cut])
+        with pytest.raises(CodecError, match="wanted 2 bytes of text at offset 21, have 1"):
+            decode_op_message(wire[:-1])
+        assert decode_op_message(wire) == OpMessage(Insert("ab", 0), 0, 1, 1)
 
     def test_invalid_utf8_is_a_codec_error(self):
         """Hostile wire: the bytes of a string are outside input too."""
-        wire = Writer().u32(2).raw(b"\xc3\x28").getvalue()
         with pytest.raises(CodecError, match="UTF-8"):
-            Reader(wire).string()
+            decode_op_message(_insert_message(b"\xc3\x28"))
         with pytest.raises(CodecError, match="UTF-8"):
-            Reader(b"\xff").text(1)
+            decode_op_message(_insert_message(b"\xff"))
 
 
 class TestOperationCodec:
@@ -96,34 +109,33 @@ class TestOperationCodec:
         ],
     )
     def test_roundtrip(self, op):
-        writer = Writer()
-        encode_operation(op, writer)
-        assert decode_operation(Reader(writer.getvalue())) == op
+        wire = encode_operation(op)
+        assert decode_operation(wire, 0) == (op, len(wire))
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown operation tag"):
-            decode_operation(Reader(b"\x7f"))
+            decode_operation(b"\x7f", 0)
 
     def test_group_nesting_is_bounded_and_typed(self):
         def nested(depth: int) -> bytes:
-            writer = Writer()
-            for _ in range(depth):
-                writer.u8(0x04).u32(1)  # TAG_GROUP, one member
-            return writer.u8(0x03).getvalue()  # TAG_IDENTITY
+            # TAG_GROUP with one member, ``depth`` times, then TAG_IDENTITY.
+            return b"\x04\x00\x00\x00\x01" * depth + b"\x03"
 
-        op = decode_operation(Reader(nested(MAX_GROUP_DEPTH)))
+        op, end = decode_operation(nested(MAX_GROUP_DEPTH), 0)
+        assert end == len(nested(MAX_GROUP_DEPTH))
         for _ in range(MAX_GROUP_DEPTH):
             (op,) = op.members
         assert op == Identity()
+        head = struct.pack(">III", 0, 1, 1)
         with pytest.raises(CodecError, match="nested deeper"):
-            decode_operation(Reader(nested(MAX_GROUP_DEPTH + 1)))
+            decode_op_message(head + nested(MAX_GROUP_DEPTH + 1))
         # What used to end in RecursionError: 5 000 group heads, 25 KB.
         with pytest.raises(CodecError, match="nested deeper"):
-            decode_operation(Reader(nested(5000)))
+            decode_op_message(head + nested(5000))
 
     def test_unencodable_type_rejected(self):
         with pytest.raises(CodecError):
-            encode_operation("not an op", Writer())  # type: ignore[arg-type]
+            encode_operation("not an op")  # type: ignore[arg-type]
 
 
 class TestMessageCodec:

@@ -22,8 +22,9 @@ is state nobody reads); a vocabulary rule: the spellings
 of the deleted compatibility layer, and of readers deleted for having no
 production caller, stay deleted; a boundary rule: ``repro.cluster``
 reads no underscore name of an object it does not own; a codec rule: under ``repro.net`` a
-``struct.Struct`` is packed and unpacked inside ``Writer`` / ``Reader``
-only, so ``struct.error`` has one place to become ``CodecError``; a
+``struct.Struct`` is packed and unpacked only on the path of an entry
+point of the wire codec, which catches ``struct.error`` and raises
+``CodecError``, and nothing else catches or spells it; a
 closure rule: nothing under ``repro.net`` schedules a lambda or a nested
 function (a scheduled event carries a bound method and its arguments,
 not a closure built per message or timer); and a dependency rule: nothing under ``src/`` imports a top-level module from
@@ -448,11 +449,18 @@ def test_cluster_reads_no_foreign_underscore_name(path: Path) -> None:
 
 NET = [path for path in MODULES if path.parent.name == "net"]
 STRUCT_METHODS = {"pack", "pack_into", "unpack", "unpack_from", "iter_unpack"}
-#: The top-level scopes that may touch a layout directly: the two codec
-#: primitives, and the stream's 4-byte length prefix (``frame`` checks
-#: the 16 MiB guard first and ``read_frame`` unpacks exactly the four
-#: bytes it read, so neither can see ``struct.error``).
-STRUCT_HOMES = {"codec.py": {"Writer", "Reader"}, "wire.py": {"frame", "read_frame"}}
+#: The wire codec's entry points: each catches what a layout raises
+#: (``codec.UNFIT`` on the way out, ``codec.MALFORMED`` on the way in)
+#: and raises ``CodecError`` instead.
+ENTRY_POINTS = {"encode_op_message", "decode_op_message", "encode_envelope",
+                "encode_hello", "encode_roster", "encode_drained", "decode_frame"}
+#: The stream's 4-byte length prefix: ``frame`` checks the 16 MiB guard
+#: first and ``read_frame`` unpacks exactly the four bytes it read, so
+#: neither can see ``struct.error``.
+PREFIX_ONLY = {"frame", "read_frame"}
+#: The one place ``struct.error`` is spelled: the two tuples the entry
+#: points catch.
+STRUCT_ERRORS = {"UNFIT", "MALFORMED"}
 
 
 def _is_struct_struct(node: ast.AST) -> bool:
@@ -470,45 +478,100 @@ def _layout_names(trees: list[ast.Module]) -> set[str]:
     }
 
 
-def _struct_uses_outside(tree: ast.Module, homes: set[str],
-                         layouts: set[str]) -> list[str]:
-    """Lines that pack, unpack or catch ``struct`` outside ``homes``."""
+def _uses_a_layout(scope: ast.AST, layouts: set[str]) -> bool:
+    """Whether ``scope`` packs or unpacks a layout, or calls ``struct``'s
+    own ``pack`` / ``unpack*``."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr in STRUCT_METHODS
+        and (_is_struct_struct(node.value)
+             or isinstance(node.value, ast.Name) and node.value.id in layouts | {"struct"})
+        for node in ast.walk(scope))
+
+
+def _catches_struct_errors(scope: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.ExceptHandler) and node.type is not None
+        and ({ast.unparse(n) for n in ast.walk(node.type)} & (STRUCT_ERRORS | {"struct.error"}))
+        for node in ast.walk(scope))
+
+
+def _referenced(scope: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+
+
+def _struct_findings(trees: dict[str, ast.Module], entry_points: set[str]) -> list[str]:
+    """Where a layout is used, or ``struct.error`` named or caught, off
+    the rule: a layout is packed or unpacked only on the path of an
+    entry point that turns ``struct.error`` into ``CodecError``."""
+    layouts = _layout_names(list(trees.values()))
+    scopes = {node.name: (name, node) for name, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    callees = {name: _referenced(node) & scopes.keys() for name, (_, node) in scopes.items()}
+    reached, frontier = set(), [name for name in entry_points if name in scopes]
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(callees[name])
     found = []
-    for scope in tree.body:
-        if getattr(scope, "name", None) in homes:
-            continue
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Attribute):
-                continue
-            on = node.value
-            if ast.unparse(node) == "struct.error" or (
-                node.attr in STRUCT_METHODS and (
-                    _is_struct_struct(on)
-                    or isinstance(on, ast.Name) and on.id in layouts | {"struct"})):
-                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    for name, (module, node) in scopes.items():
+        where = f"{module}:{node.lineno}: {name}"
+        if name in entry_points and not _catches_struct_errors(node):
+            found.append(f"{where} is an entry point that lets struct.error out")
+        if name not in entry_points and _catches_struct_errors(node):
+            found.append(f"{where} catches struct.error, which is no entry point's")
+        if _uses_a_layout(node, layouts) and name not in reached | PREFIX_ONLY:
+            found.append(f"{where} uses a layout on no entry point's path")
+        for callee in sorted(callees[name]):
+            if (callee in reached - entry_points and name not in reached
+                    and _uses_a_layout(scopes[callee][1], layouts)):
+                found.append(f"{where} calls {callee}, an entry point's helper")
+    for module, tree in trees.items():
+        for node in tree.body:
+            spelled = any(ast.unparse(n) == "struct.error" for n in ast.walk(node))
+            names = {t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)}
+            if spelled and not (isinstance(node, ast.Assign) and names <= STRUCT_ERRORS):
+                found.append(f"{module}:{node.lineno}: struct.error outside "
+                             f"{' / '.join(sorted(STRUCT_ERRORS))}")
     return found
 
 
-def test_layouts_are_packed_and_unpacked_by_writer_and_reader_only() -> None:
-    trees = {path: ast.parse(path.read_text()) for path in NET}
-    layouts = _layout_names(list(trees.values()))
-    assert {"_U32", "_OP_HEAD", "_DATA_HEAD", "_LENGTH_PREFIX"} <= layouts
-    hits = [
-        f"{path.name}:{hit}"
-        for path, tree in trees.items()
-        for hit in _struct_uses_outside(tree, STRUCT_HOMES.get(path.name, set()), layouts)
-    ]
+def test_struct_errors_become_codec_errors_at_the_entry_points() -> None:
+    trees = {path.name: ast.parse(path.read_text()) for path in NET}
+    scopes = {node.name for tree in trees.values() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert ENTRY_POINTS | PREFIX_ONLY <= scopes
+    assert {"_OP_HEAD", "_DATA_HEAD", "_LENGTH_PREFIX"} <= _layout_names(list(trees.values()))
+    hits = _struct_findings(trees, ENTRY_POINTS)
     assert not hits, "\n".join(hits)
-    # The rule sees what it is for: each spelling of a stray pack/unpack.
+    # No module outside net/ reaches under an entry point either.
+    helpers = {"encode_operation", "decode_operation", "read_op_message"}
+    strays = [f"{path.relative_to(SRC)}: {sorted(_referenced(ast.parse(path.read_text())) & helpers)}"
+              for path in MODULES
+              if path not in NET and _referenced(ast.parse(path.read_text())) & helpers]
+    assert not strays, "\n".join(strays)
+    # The rule sees what it is for: each way off it, once.
     planted = ast.parse(
-        "def f(data):\n"
+        "UNFIT = (struct.error, TypeError)\n"
+        "_U32 = struct.Struct('>I')\n"
+        "def entry(value):\n"
         "    try:\n"
-        "        return _U32.unpack(data), struct.pack('>I', 1)\n"
-        "    except struct.error:\n"
-        "        return struct.Struct('>B').unpack_from(data)\n"
-        "class Writer:\n"
-        "    def pack(self, layout): return _U32.pack(1)\n")
-    assert len(_struct_uses_outside(planted, {"Writer"}, layouts)) == 4
+        "        return helper(value)\n"
+        "    except UNFIT:\n"
+        "        raise CodecError(value)\n"
+        "def helper(value):\n"
+        "    return _U32.pack(value)\n"
+        "def stray(value):\n"  # a helper's caller that types nothing
+        "    return helper(value)\n"
+        "def loose(data):\n"
+        "    try:\n"
+        "        return struct.unpack('>I', data)\n"  # on no entry's path
+        "    except struct.error:\n"  # caught, and spelled, off the rule
+        "        return None\n"
+        "def careless(value):\n"  # an entry point that types nothing
+        "    return 0\n")
+    assert len(_struct_findings({"planted.py": planted}, {"entry", "careless"})) == 5
 
 
 def test_per_message_values_have_no_dict() -> None:

@@ -13,7 +13,9 @@ bytes as a different value, fails here before it fails a cluster.
 
 from __future__ import annotations
 
-from typing import Any
+import copy
+import dataclasses
+from typing import Any, Iterator
 
 import pytest
 
@@ -274,4 +276,96 @@ def test_every_one_byte_mutation_and_prefix_decodes_or_is_typed(name: str) -> No
             pass
         except Exception as exc:  # noqa: BLE001 - the escape is the finding
             escapes.append((body.hex(), repr(exc)))
+    assert not escapes, f"{len(escapes)} escapes, first: {escapes[0]}"
+
+
+# -- the encode side of a hostile value ------------------------------------------
+
+#: Fields the wire carries plus one: a message id (0 is "no id"), and a
+#: reliable packet's seq and ack (-1 is "unsequenced" / "nothing yet").
+_SHIFTED = {"message_id", "seq", "ack"}
+
+
+class _Members:
+    """Group members that claim 2**32 of themselves: ``len()`` refuses a
+    count below 0 or not an integer, so this is the one member count an
+    encoder can be handed that its field cannot hold."""
+
+    def __len__(self) -> int:
+        return 2**32
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(())
+
+
+def _integer_fields(value: Any, path: tuple = ()) -> Iterator[tuple]:
+    """The path to every integer the encoder packs under ``value``: the
+    int fields of each dataclass in it, the items of its int tuples
+    (a snapshot's counts), and each group's member count, as
+    ``(*path, "members", len)``."""
+    if isinstance(value, tuple):
+        for index, item in enumerate(value):
+            yield from _integer_fields(item, path + (index,))
+        return
+    if not dataclasses.is_dataclass(value):
+        if isinstance(value, int) and not isinstance(value, bool):
+            yield path
+        return
+    for f in dataclasses.fields(value):
+        if f.name == "shared":  # the broadcast's cache, not a field on the wire
+            continue
+        if f.name == "members":
+            yield path + ("members", len)
+        yield from _integer_fields(getattr(value, f.name), path + (f.name,))
+
+
+def _replaced(value: Any, path: tuple, new: Any) -> Any:
+    """``value`` with the field at ``path`` set to ``new``, bypassing the
+    constructors that would refuse it (tuples are rebuilt)."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        items = list(value)
+        items[key] = _replaced(items[key], rest, new)
+        return tuple(items)
+    object.__setattr__(value, key, _replaced(getattr(value, key), rest, new))
+    return value
+
+
+def _unfit_values(path: tuple) -> list[Any]:
+    """One below the field's range, one above, and two non-integers."""
+    if path[-1] is len:
+        return [_Members()]
+    shift = 1 if path[-1] in _SHIFTED else 0
+    return [-1 - shift, 2**32 - shift, "x", 1.5]
+
+
+@pytest.mark.parametrize("name", [name for name in VALUES if name.startswith("data-")])
+def test_every_integer_field_that_does_not_fit_is_a_codec_error(name: str) -> None:
+    """Enumerated over the pinned DATA values: each integer the encoder
+    packs -- source, dest, message id, T, origin, pos, count, member
+    count, seq, epoch, ack and the failover payloads' fields -- set, one
+    at a time, out of its field's range or to a non-integer, is a
+    ``CodecError``, never a bare ``struct.error`` or ``TypeError``."""
+    paths = list(_integer_fields(VALUES[name]))
+    assert paths, name
+    escapes = []
+    for path in paths:
+        for bad in _unfit_values(path):
+            value = copy.deepcopy(VALUES[name])
+            if getattr(value.payload, "shared", None) is not None:
+                # A fresh broadcast body, so the origin and op are encoded
+                # here and not read from an earlier encoding's cache.
+                value.payload.shared = BroadcastBody()
+            target = path[:-1] if path[-1] is len else path
+            value = _replaced(value, target, bad)
+            try:
+                encode(value)
+            except CodecError:
+                continue
+            except Exception as exc:  # noqa: BLE001 - the escape is the finding
+                escapes.append((path, bad, repr(exc)))
+            else:
+                escapes.append((path, bad, "encoded"))
     assert not escapes, f"{len(escapes)} escapes, first: {escapes[0]}"
